@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench lint checktags chaos soak verify ci verify-bench
+.PHONY: all build test race bench lint bench-smoke checktags chaos soak verify ci verify-bench
 
 all: build test
 
@@ -32,6 +32,14 @@ bench:
 lint:
 	$(GO) run ./cmd/grblint -time ./...
 
+# Bench-smoke tier: benchmark/ is a module of its own, so `go build ./...`
+# and `go test ./...` above never compile it, yet it calls internal/sparse
+# kernels by signature. Vet it and run its tests (about 2 s) so a kernel
+# change cannot break the repo benchmark unnoticed.
+bench-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Invariant tier: the concurrency-sensitive suites with the grbcheck runtime
 # validators compiled in — every CSR/Vec install re-validates the snapshot
 # contract (monotone row pointers, sorted+unique indices, nnz consistency).
@@ -54,10 +62,10 @@ chaos:
 soak:
 	GRB_SOAK=10s $(GO) test -race -count=1 -run 'TestOverloadSoak' ./serve
 
-verify: test race lint checktags chaos soak
+verify: test race lint bench-smoke checktags chaos soak
 
-# The full tiered CI chain: build -> tier-1 -> race -> lint -> grbcheck ->
-# coverage floor, with per-tier timing and a machine-readable CI_SUMMARY line.
+# The full tiered CI chain: build -> tier-1 -> race -> lint -> bench-smoke ->
+# grbcheck -> coverage floor, with per-tier timing and a machine-readable CI_SUMMARY line.
 ci:
 	sh scripts/ci.sh
 

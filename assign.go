@@ -330,6 +330,11 @@ func VectorAssignScalar[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[
 		ev = evKernel("VectorAssignScalar").A(wOld.N, 1, wOld.NNZ())
 	}
 	return w.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
+		if ci == nil && mk.M != nil && !mk.Complement {
+			// w⟨m⟩ = val over all of w: decided by w and m alone, without
+			// the full candidate the general path would build and discard.
+			return sparse.AssignScalarMaskedV(wOld, val, accum, mk, d.Replace), nil
+		}
 		z, err := sparse.AssignScalarV(wOld, val, ci, accum)
 		if err != nil {
 			return nil, mapSparseErr(err, "VectorAssignScalar")

@@ -13,9 +13,20 @@
 // blessed constructor/install helpers that build an object before it is
 // published.
 //
-// The check is intraprocedural and tracks direct parameter identifiers
-// only; aliasing a snapshot into a local and writing through the alias is
-// not caught (document such helpers as install* instead).
+// Kernels whose output keeps an operand's pattern share that operand's
+// index array instead of copying it (DESIGN.md, "Vector write-back: sharing
+// and exact allocation"), so the analyzer also tracks shared storage: a
+// local *CSR/*Vec whose Ptr/Ind/Val field is initialised — in its composite
+// literal or by a later field assignment — from an operand's storage slice
+// shares that field. Element writes, ++/--, append-reassignment and
+// copy/clear into a shared field are reported exactly like writes through
+// the operand; the local's other, freshly made fields stay writable, and
+// rebinding the field to a fresh slice is not a write.
+//
+// The check is intraprocedural and flow-insensitive, and tracks direct
+// parameter identifiers and such field-level sharing only; aliasing a
+// storage slice into a plain local slice variable and writing through that
+// is not caught (document such helpers as install* instead).
 package snapshotcheck
 
 import (
@@ -54,7 +65,7 @@ func run(pass *lint.Pass) error {
 			if len(snaps) == 0 {
 				continue
 			}
-			checkBody(pass, fd, snaps)
+			checkBody(pass, fd, snaps, sharedFields(pass.TypesInfo, fd.Body, snaps))
 		}
 	}
 	return nil
@@ -92,53 +103,187 @@ func isSnapshotType(t types.Type) bool {
 	return lint.IsNamed(t, "sparse", "CSR", "Vec")
 }
 
-func checkBody(pass *lint.Pass, fd *ast.FuncDecl, snaps map[types.Object]bool) {
+// sharing maps a local snapshot variable to the storage fields it shares
+// with an operand.
+type sharing map[types.Object]map[string]bool
+
+// sharedFields collects the locals of snapshot type that take a storage
+// field from an operand: `out := &Vec[T]{Ind: u.Ind, ...}` (with or without
+// &, by := / = / var) and `out.Ind = u.Ind`. A re-slice of the operand's
+// storage (u.Ind[:k]) shares it just the same.
+func sharedFields(info *types.Info, body *ast.BlockStmt, snaps map[types.Object]bool) sharing {
+	shared := sharing{}
+	mark := func(obj types.Object, field string) {
+		if obj == nil || snaps[obj] {
+			return
+		}
+		if shared[obj] == nil {
+			shared[obj] = map[string]bool{}
+		}
+		shared[obj][field] = true
+	}
+	bind := func(lhs, rhs ast.Expr) {
+		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+			// out.Ind = u.Ind
+			if _, obj := fieldBase(info, sel); obj != nil && isSnapshotType(obj.Type()) &&
+				storageFields[snapshotTypeName(obj.Type())][sel.Sel.Name] && operandStorage(info, rhs, snaps) {
+				mark(obj, sel.Sel.Name)
+			}
+			return
+		}
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok {
+			return
+		}
+		obj := info.Defs[id]
+		if obj == nil {
+			obj = info.Uses[id]
+		}
+		if u, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok {
+			rhs = u.X
+		}
+		lit, ok := ast.Unparen(rhs).(*ast.CompositeLit)
+		if !ok || !isSnapshotType(info.TypeOf(lit)) {
+			return
+		}
+		fields := storageFields[snapshotTypeName(info.TypeOf(lit))]
+		for _, elt := range lit.Elts {
+			kv, ok := elt.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			if key, ok := kv.Key.(*ast.Ident); ok && fields[key.Name] && operandStorage(info, kv.Value, snaps) {
+				mark(obj, key.Name)
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			if len(s.Lhs) == len(s.Rhs) {
+				for i := range s.Lhs {
+					bind(s.Lhs[i], s.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(s.Names) == len(s.Values) {
+				for i := range s.Names {
+					bind(s.Names[i], s.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	return shared
+}
+
+// operandStorage reports whether expr is (a re-slice of) a guarded storage
+// field of a snapshot operand: u.Ind, a.Ptr[lo:hi].
+func operandStorage(info *types.Info, expr ast.Expr, snaps map[types.Object]bool) bool {
+	sel := baseSelector(expr)
+	if sel == nil {
+		return false
+	}
+	_, obj := fieldBase(info, sel)
+	return obj != nil && snaps[obj] && storageFields[snapshotTypeName(obj.Type())][sel.Sel.Name]
+}
+
+func snapshotTypeName(t types.Type) string {
+	return lint.NamedFrom(t).Origin().Obj().Name()
+}
+
+func checkBody(pass *lint.Pass, fd *ast.FuncDecl, snaps map[types.Object]bool, shared sharing) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.FuncDecl:
 			return true
 		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				reportStorageWrite(pass, lhs, snaps, "assigned to")
+			for i, lhs := range s.Lhs {
+				how := "assigned to"
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && sharedField(pass.TypesInfo, sel, shared) {
+					// Rebinding a shared field is a write only when it
+					// grows the shared array in place.
+					if len(s.Lhs) != len(s.Rhs) || !appendsTo(pass.TypesInfo, s.Rhs[i], sel) {
+						continue
+					}
+					how = "grown by append through"
+				}
+				reportStorageWrite(pass, lhs, snaps, shared, how)
 			}
 		case *ast.IncDecStmt:
-			reportStorageWrite(pass, s.X, snaps, "mutated by ++/-- through")
+			reportStorageWrite(pass, s.X, snaps, shared, "mutated by ++/-- through")
 		case *ast.CallExpr:
 			// copy(snap.Ind, ...) and clear(snap.Ind) write through the
 			// first argument.
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && (id.Name == "copy" || id.Name == "clear") {
-				if obj := pass.TypesInfo.Uses[id]; obj != nil && obj.Pkg() == nil && len(s.Args) > 0 {
-					reportStorageWrite(pass, s.Args[0], snaps, "written by "+id.Name+" through")
-				}
+			if name := builtinName(pass.TypesInfo, s); (name == "copy" || name == "clear") && len(s.Args) > 0 {
+				reportStorageWrite(pass, s.Args[0], snaps, shared, "written by "+name+" through")
 			}
 		}
 		return true
 	})
 }
 
+// builtinName returns the name of the builtin a call invokes, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if obj := info.Uses[id]; obj != nil && obj.Pkg() == nil {
+			return id.Name
+		}
+	}
+	return ""
+}
+
+// sharedField reports whether sel names a field a local shares with an
+// operand.
+func sharedField(info *types.Info, sel *ast.SelectorExpr, shared sharing) bool {
+	_, obj := fieldBase(info, sel)
+	return shared[obj][sel.Sel.Name]
+}
+
+// appendsTo reports whether rhs is append(field, ...) for that same field.
+func appendsTo(info *types.Info, rhs ast.Expr, field *ast.SelectorExpr) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || builtinName(info, call) != "append" || len(call.Args) == 0 {
+		return false
+	}
+	arg := baseSelector(call.Args[0])
+	return arg != nil && sameField(info, arg, field)
+}
+
 // reportStorageWrite flags expr when it is (or indexes into) a guarded
-// storage field of a snapshot operand.
-func reportStorageWrite(pass *lint.Pass, expr ast.Expr, snaps map[types.Object]bool, how string) {
+// storage field of a snapshot operand, or of a local that shares that field
+// with an operand.
+func reportStorageWrite(pass *lint.Pass, expr ast.Expr, snaps map[types.Object]bool, shared sharing, how string) {
 	sel := baseSelector(expr)
 	if sel == nil {
 		return
 	}
-	base, ok := ast.Unparen(derefExpr(sel.X)).(*ast.Ident)
-	if !ok {
-		return
+	base, obj := fieldBase(pass.TypesInfo, sel)
+	switch {
+	case obj == nil:
+	case snaps[obj]:
+		typeName := snapshotTypeName(obj.Type())
+		if !storageFields[typeName][sel.Sel.Name] {
+			return
+		}
+		pass.Reportf(expr.Pos(),
+			"snapshot %s.%s %s a %s parameter's storage; snapshots are immutable — build a fresh %s "+
+				"(or mark the function as an install* helper)",
+			base.Name, sel.Sel.Name, how, typeName, typeName)
+	case shared[obj][sel.Sel.Name]:
+		pass.Reportf(expr.Pos(),
+			"%s.%s %s storage shared with a snapshot parameter; shared storage is immutable — "+
+				"give %s its own %s before writing",
+			base.Name, sel.Sel.Name, how, base.Name, sel.Sel.Name)
 	}
-	obj := pass.TypesInfo.Uses[base]
-	if obj == nil || !snaps[obj] {
-		return
-	}
-	typeName := lint.NamedFrom(obj.Type()).Origin().Obj().Name()
-	if !storageFields[typeName][sel.Sel.Name] {
-		return
-	}
-	pass.Reportf(expr.Pos(),
-		"snapshot %s.%s %s a %s parameter's storage; snapshots are immutable — build a fresh %s "+
-			"(or mark the function as an install* helper)",
-		base.Name, sel.Sel.Name, how, typeName, typeName)
+}
+
+// sameField reports whether two selectors name the same field of the same
+// variable.
+func sameField(info *types.Info, a, b *ast.SelectorExpr) bool {
+	_, ao := fieldBase(info, a)
+	_, bo := fieldBase(info, b)
+	return ao != nil && ao == bo && a.Sel.Name == b.Sel.Name
 }
 
 // baseSelector peels index and slice expressions off expr down to the
@@ -156,6 +301,17 @@ func baseSelector(expr ast.Expr) *ast.SelectorExpr {
 			return nil
 		}
 	}
+}
+
+// fieldBase resolves the variable a selector reads its field from — m in
+// m.Ptr and (*m).Ptr — or returns nils when the base is not a plain
+// variable.
+func fieldBase(info *types.Info, sel *ast.SelectorExpr) (*ast.Ident, types.Object) {
+	id, ok := ast.Unparen(derefExpr(sel.X)).(*ast.Ident)
+	if !ok || info.Uses[id] == nil {
+		return nil, nil
+	}
+	return id, info.Uses[id]
 }
 
 // derefExpr unwraps a unary * so (*m).Ptr matches like m.Ptr.

@@ -73,3 +73,56 @@ func normalize(v *Vec[int]) {
 		v.Ind[k], v.Ind[k-1] = v.Ind[k-1], v.Ind[k] //grblint:ignore snapshotcheck -- corpus: deliberate in-place normalization
 	}
 }
+
+// applyShared keeps its operand's pattern: the output shares Ind and owns
+// Val, so writes to Val are fine.
+func applyShared(u *Vec[int]) *Vec[int] {
+	out := &Vec[int]{N: u.N, Ind: u.Ind, Val: make([]int, len(u.Val))}
+	for k := range u.Val {
+		out.Val[k] = -u.Val[k]
+	}
+	return out
+}
+
+// scribbleShared writes through the shared field in every guarded shape.
+func scribbleShared(u *Vec[int]) *Vec[int] {
+	out := &Vec[int]{N: u.N, Ind: u.Ind, Val: make([]int, len(u.Val))}
+	out.Ind[0] = 7               // want `out\.Ind assigned to storage shared with a snapshot parameter`
+	out.Ind[1]++                 // want `out\.Ind mutated by \+\+/-- through storage shared with a snapshot parameter`
+	out.Ind = append(out.Ind, 9) // want `out\.Ind grown by append through storage shared with a snapshot parameter`
+	copy(out.Ind, u.Ind)         // want `out\.Ind written by copy through storage shared with a snapshot parameter`
+	clear(out.Ind[1:])           // want `out\.Ind written by clear through storage shared with a snapshot parameter`
+	out.Val[0] = 1
+	return out
+}
+
+// shareLater takes the operand's storage by field assignment, re-sliced,
+// into a value (not pointer) local: shared all the same.
+func shareLater(c *CSR[int]) CSR[int] {
+	var out CSR[int]
+	out.Ptr = c.Ptr[:2]
+	out.Ptr[0] = 1 // want `out\.Ptr assigned to storage shared with a snapshot parameter`
+	out.Ind = make([]int, 3)
+	out.Ind[0] = 1
+	return out
+}
+
+// rebindShared replaces the shared field with fresh storage: rebinding is
+// not a write, and neither is appending to some other slice.
+func rebindShared(u *Vec[int], full bool) *Vec[int] {
+	var out = &Vec[int]{N: u.N, Ind: u.Ind}
+	if !full {
+		out.Ind = make([]int, u.N)
+	}
+	out.Ind = append([]int(nil), u.Ind...)
+	return out
+}
+
+// adoptScratch installs a slice the function built itself: no operand is
+// involved, so nothing is shared.
+func adoptScratch(u *Vec[int]) *Vec[int] {
+	ind := make([]int, len(u.Ind))
+	out := &Vec[int]{N: u.N, Ind: ind}
+	out.Ind[0] = 3
+	return out
+}

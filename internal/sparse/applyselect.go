@@ -74,10 +74,11 @@ func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, threads int)
 	return out
 }
 
-// ApplyV computes t(i) = f(u(i)) for every stored entry of a vector.
+// ApplyV computes t(i) = f(u(i)) for every stored entry of a vector. The
+// pattern is u's, so the output shares u's index array and allocates only
+// the values.
 func ApplyV[A, C any](u *Vec[A], f func(A) C) *Vec[C] {
-	out := &Vec[C]{N: u.N, Ind: make([]int, len(u.Ind)), Val: make([]C, len(u.Val))}
-	copy(out.Ind, u.Ind)
+	out := &Vec[C]{N: u.N, Ind: u.Ind, Val: make([]C, len(u.Val))}
 	for k := range u.Val {
 		out.Val[k] = f(u.Val[k])
 	}
@@ -86,10 +87,10 @@ func ApplyV[A, C any](u *Vec[A], f func(A) C) *Vec[C] {
 
 // ApplyIndexV computes t(i) = f(u(i), i, 0, s): for vectors the operator
 // receives the row index and a zero column index, matching the paper's
-// convention that vector index operators see a single index.
+// convention that vector index operators see a single index. Shares u's
+// index array like ApplyV.
 func ApplyIndexV[A, S, C any](u *Vec[A], f func(A, int, int, S) C, s S) *Vec[C] {
-	out := &Vec[C]{N: u.N, Ind: make([]int, len(u.Ind)), Val: make([]C, len(u.Val))}
-	copy(out.Ind, u.Ind)
+	out := &Vec[C]{N: u.N, Ind: u.Ind, Val: make([]C, len(u.Val))}
 	for k := range u.Ind {
 		out.Val[k] = f(u.Val[k], u.Ind[k], 0, s)
 	}
@@ -98,7 +99,7 @@ func ApplyIndexV[A, S, C any](u *Vec[A], f func(A, int, int, S) C, s S) *Vec[C] 
 
 // SelectV keeps the entries of u admitted by the boolean index operator.
 func SelectV[A, S any](u *Vec[A], f func(A, int, int, S) bool, s S) *Vec[A] {
-	out := &Vec[A]{N: u.N}
+	out := &Vec[A]{N: u.N, Ind: make([]int, 0, len(u.Ind)), Val: make([]A, 0, len(u.Val))}
 	for k := range u.Ind {
 		if f(u.Val[k], u.Ind[k], 0, s) {
 			out.Ind = append(out.Ind, u.Ind[k])

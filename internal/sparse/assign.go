@@ -204,7 +204,8 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error
 			inv[p] = i
 		}
 	}
-	out := &Vec[T]{N: c.N}
+	bound := min(len(c.Ind)+len(u.Ind), c.N)
+	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
 	ci := 0
 	for p := 0; p < c.N; p++ {
 		hasC := ci < len(c.Ind) && c.Ind[ci] == p
@@ -241,13 +242,31 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error
 }
 
 // AssignScalarV computes the candidate Z for vector assign with a scalar
-// source: every position in idx receives val.
+// source: every position in idx receives val. With idx == nil (all
+// positions) Z is full and is filled directly, sharing C's index array when
+// C is full too.
 func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T) (*Vec[T], error) {
+	if idx == nil {
+		out := &Vec[T]{N: c.N, Ind: c.Ind, Val: make([]T, c.N)}
+		if len(c.Ind) != c.N {
+			out.Ind = fullPattern(c.N)
+		}
+		for i := range out.Val {
+			out.Val[i] = val
+		}
+		if accum != nil {
+			for k, i := range c.Ind {
+				out.Val[i] = accum(c.Val[k], val)
+			}
+		}
+		return out, nil
+	}
 	member, err := memberSet(idx, c.N)
 	if err != nil {
 		return nil, err
 	}
-	out := &Vec[T]{N: c.N}
+	bound := min(len(c.Ind)+len(idx), c.N)
+	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
 	ci := 0
 	for p := 0; p < c.N; p++ {
 		hasC := ci < len(c.Ind) && c.Ind[ci] == p
@@ -267,6 +286,64 @@ func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T) (*Vec
 		}
 	}
 	return out, nil
+}
+
+// AssignScalarMaskedV computes w⟨m⟩ = w ⊙ val over all positions under a
+// non-nil, non-complemented mask in one pass — the fusion of
+// AssignScalarV(c, val, nil, accum) with MaskApplyV. The candidate of a
+// scalar assign to every position is full, so the result is decided by C
+// and the mask alone: a two-way merge of the two patterns, O(|C| + |mask|),
+// that never materializes the n-entry candidate. Admitted positions receive
+// val (folded into C's entry by accum when there is one); the others keep
+// C's entry unless replace is set.
+func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask, replace bool) *Vec[T] {
+	m := mask.M
+	bound := len(m.Ind)
+	if !replace {
+		bound = min(bound+len(c.Ind), c.N)
+	}
+	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
+	ci, mi := 0, 0
+	for ci < len(c.Ind) || mi < len(m.Ind) {
+		switch {
+		case mi >= len(m.Ind) || (ci < len(c.Ind) && c.Ind[ci] < m.Ind[mi]):
+			if !replace {
+				out.Ind = append(out.Ind, c.Ind[ci])
+				out.Val = append(out.Val, c.Val[ci])
+			}
+			ci++
+		case ci >= len(c.Ind) || m.Ind[mi] < c.Ind[ci]:
+			if mask.Structural || m.Val[mi] {
+				out.Ind = append(out.Ind, m.Ind[mi])
+				out.Val = append(out.Val, val)
+			}
+			mi++
+		default:
+			if mask.Structural || m.Val[mi] {
+				v := val
+				if accum != nil {
+					v = accum(c.Val[ci], val)
+				}
+				out.Ind = append(out.Ind, c.Ind[ci])
+				out.Val = append(out.Val, v)
+			} else if !replace {
+				out.Ind = append(out.Ind, c.Ind[ci])
+				out.Val = append(out.Val, c.Val[ci])
+			}
+			ci++
+			mi++
+		}
+	}
+	return out
+}
+
+// fullPattern returns the index array 0..n-1 of a full vector.
+func fullPattern(n int) []int {
+	ind := make([]int, n)
+	for i := range ind {
+		ind[i] = i
+	}
+	return ind
 }
 
 // memberSet converts an index list (nil = all) into a membership bitmap of
@@ -292,11 +369,7 @@ func memberSet(idx []int, n int) ([]bool, error) {
 // validating bounds.
 func sortedUnique(idx []int, n int) ([]int, error) {
 	if idx == nil {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		return all, nil
+		return fullPattern(n), nil
 	}
 	s := make([]int, len(idx))
 	copy(s, idx)

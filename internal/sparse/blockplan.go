@@ -486,7 +486,7 @@ func blockedSpMV[A, X, Y any](ab *BlockedCSR[A], u *Vec[X],
 		pInd[bi] = ind
 		pVal[bi] = val
 	})
-	return stitchVec(ab.Rows, ab.RowSplit, pInd, pVal), nil
+	return stitchVec(ab.Rows, pInd, pVal), nil
 }
 
 // blockedVxMDispatch routes a push product through the blocked plan when the
@@ -648,5 +648,5 @@ func blockedVxM[X, A, Y any](u *Vec[X], ab *BlockedCSR[A],
 		rInd[bj] = ind
 		rVal[bj] = val
 	})
-	return stitchVec(ab.Cols, ab.ColSplit, rInd, rVal), nil
+	return stitchVec(ab.Cols, rInd, rVal), nil
 }

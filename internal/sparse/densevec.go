@@ -124,11 +124,8 @@ func (v *Vec[T]) DenseViewEx(e Exec) (*DenseVec[T], error) {
 func (d *DenseVec[T]) Sparse() *Vec[T] {
 	out := &Vec[T]{N: d.N}
 	if d.Bit == nil {
-		out.Ind = make([]int, d.N)
+		out.Ind = fullPattern(d.N)
 		out.Val = make([]T, d.N)
-		for i := range out.Ind {
-			out.Ind[i] = i
-		}
 		copy(out.Val, d.Val)
 	} else {
 		out.Ind = make([]int, 0, d.Nnz)

@@ -1,6 +1,10 @@
 package sparse
 
-import "github.com/grblas/grb/internal/parallel"
+import (
+	"slices"
+
+	"github.com/grblas/grb/internal/parallel"
+)
 
 // mergeUnionM computes the set-union merge of two same-domain matrices,
 // combining entries present in both with add. Rows are processed in
@@ -95,9 +99,53 @@ func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, threads int
 	return out
 }
 
-// EWiseAddV is the vector analogue of EWiseAddM.
+// samePattern reports whether two index arrays store the same positions:
+// one backing array, or equal element by element — a single predictable
+// pass, far cheaper than the three-way branch per entry of the merge it
+// lets the caller skip.
+func samePattern(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	return slices.Equal(a, b)
+}
+
+// EWiseAddV is the vector analogue of EWiseAddM. The output's index array is
+// shared with an operand whenever the union pattern equals that operand's
+// (see DESIGN.md, "Vector write-back: sharing and exact allocation"): both
+// patterns identical, or one side full. Indices are strictly increasing in
+// [0, N), so len(Ind) == N is the full test. a is always add's first
+// operand.
 func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
-	out := &Vec[T]{N: a.N, Ind: make([]int, 0, len(a.Ind)+len(b.Ind)), Val: make([]T, 0, len(a.Val)+len(b.Val))}
+	switch {
+	case len(a.Ind) == 0:
+		return b
+	case len(b.Ind) == 0:
+		return a
+	case samePattern(a.Ind, b.Ind):
+		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: make([]T, len(a.Val))}
+		for k := range out.Val {
+			out.Val[k] = add(a.Val[k], b.Val[k])
+		}
+		return out
+	case len(a.Ind) == a.N:
+		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: slices.Clone(a.Val)}
+		for k, i := range b.Ind {
+			out.Val[i] = add(a.Val[i], b.Val[k])
+		}
+		return out
+	case len(b.Ind) == b.N:
+		out := &Vec[T]{N: a.N, Ind: b.Ind, Val: slices.Clone(b.Val)}
+		for k, i := range a.Ind {
+			out.Val[i] = add(a.Val[k], b.Val[i])
+		}
+		return out
+	}
+	n := min(len(a.Ind)+len(b.Ind), a.N)
+	out := &Vec[T]{N: a.N, Ind: make([]int, 0, n), Val: make([]T, 0, n)}
 	ai, bi := 0, 0
 	for ai < len(a.Ind) || bi < len(b.Ind) {
 		switch {
@@ -119,9 +167,32 @@ func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
 	return out
 }
 
-// EWiseMultV is the vector analogue of EWiseMultM.
+// EWiseMultV is the vector analogue of EWiseMultM. The intersection pattern
+// equals an operand's — whose index array the output then shares — when the
+// two patterns are identical or the other side is full.
 func EWiseMultV[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
-	out := &Vec[C]{N: a.N}
+	switch {
+	case samePattern(a.Ind, b.Ind):
+		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
+		for k := range out.Val {
+			out.Val[k] = mul(a.Val[k], b.Val[k])
+		}
+		return out
+	case len(a.Ind) == a.N:
+		out := &Vec[C]{N: a.N, Ind: b.Ind, Val: make([]C, len(b.Val))}
+		for k, i := range b.Ind {
+			out.Val[k] = mul(a.Val[i], b.Val[k])
+		}
+		return out
+	case len(b.Ind) == b.N:
+		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
+		for k, i := range a.Ind {
+			out.Val[k] = mul(a.Val[k], b.Val[i])
+		}
+		return out
+	}
+	n := min(len(a.Ind), len(b.Ind))
+	out := &Vec[C]{N: a.N, Ind: make([]int, 0, n), Val: make([]C, 0, n)}
 	ai, bi := 0, 0
 	for ai < len(a.Ind) && bi < len(b.Ind) {
 		switch {

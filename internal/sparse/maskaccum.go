@@ -107,31 +107,15 @@ func AccumMergeM[T any](c, t *CSR[T], accum func(T, T) T, threads int) *CSR[T] {
 	return mergeUnionM(c, t, func(cv, tv T) T { return accum(cv, tv) }, threads)
 }
 
-// AccumMergeV is the vector analogue of AccumMergeM.
+// AccumMergeV is the vector analogue of AccumMergeM: the same union merge
+// as EWiseAddV with C on accum's first-operand side, so it inherits that
+// kernel's sharing (Z is t itself when C is empty, shares an index array
+// when the patterns coincide or one side is full).
 func AccumMergeV[T any](c, t *Vec[T], accum func(T, T) T) *Vec[T] {
 	if accum == nil {
 		return t
 	}
-	out := &Vec[T]{N: c.N, Ind: make([]int, 0, len(c.Ind)+len(t.Ind)), Val: make([]T, 0, len(c.Val)+len(t.Val))}
-	i, j := 0, 0
-	for i < len(c.Ind) || j < len(t.Ind) {
-		switch {
-		case j >= len(t.Ind) || (i < len(c.Ind) && c.Ind[i] < t.Ind[j]):
-			out.Ind = append(out.Ind, c.Ind[i])
-			out.Val = append(out.Val, c.Val[i])
-			i++
-		case i >= len(c.Ind) || t.Ind[j] < c.Ind[i]:
-			out.Ind = append(out.Ind, t.Ind[j])
-			out.Val = append(out.Val, t.Val[j])
-			j++
-		default:
-			out.Ind = append(out.Ind, c.Ind[i])
-			out.Val = append(out.Val, accum(c.Val[i], t.Val[j]))
-			i++
-			j++
-		}
-	}
-	return out
+	return EWiseAddV(c, t, accum)
 }
 
 // MaskApplyM computes the final output of a matrix operation from the old
@@ -210,7 +194,26 @@ func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, threads int) *CSR[
 	return out
 }
 
-// MaskApplyV is the vector analogue of MaskApplyM.
+// vmaskBounds bounds, from the entry count of a non-nil mask alone, how
+// many of n positions it admits and how many it rejects. A structural mask
+// selects exactly its pattern; a value mask selects at most its pattern and
+// may leave any position unselected (a stored false). Complement swaps the
+// two roles.
+func vmaskBounds(mask VMask, n int) (admits, rejects int) {
+	sel, unsel := mask.M.NNZ(), n
+	if mask.Structural {
+		unsel = n - sel
+	}
+	if mask.Complement {
+		return unsel, sel
+	}
+	return sel, unsel
+}
+
+// MaskApplyV is the vector analogue of MaskApplyM. The output is allocated
+// once at min(|Z|, admits) + min(|C|, rejects) — the second term only
+// without replace, under which no entry of C survives and C is not even
+// read — and not at all when that bound is 0.
 func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	if mask.M == nil && !mask.Complement {
 		return z
@@ -221,8 +224,28 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 		}
 		return c
 	}
+	admits, rejects := vmaskBounds(mask, c.N)
+	bound := min(len(z.Ind), admits)
+	if !replace {
+		bound = min(bound+min(len(c.Ind), rejects), c.N)
+	}
 	out := &Vec[T]{N: c.N}
+	if bound == 0 {
+		return out
+	}
+	out.Ind = make([]int, 0, bound)
+	out.Val = make([]T, 0, bound)
+	mInd, mVal := mask.M.Ind, mask.M.Val
 	mk := 0
+	if replace {
+		for zi, j := range z.Ind {
+			if maskTest(mInd, mVal, mask.Structural, j, &mk) != mask.Complement {
+				out.Ind = append(out.Ind, j)
+				out.Val = append(out.Val, z.Val[zi])
+			}
+		}
+		return out
+	}
 	ci, zi := 0, 0
 	for ci < len(c.Ind) || zi < len(z.Ind) {
 		var j int
@@ -234,18 +257,14 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 		default:
 			j = c.Ind[ci]
 		}
-		mt := maskTest(mask.M.Ind, mask.M.Val, mask.Structural, j, &mk)
-		if mask.Complement {
-			mt = !mt
-		}
 		hasC := ci < len(c.Ind) && c.Ind[ci] == j
 		hasZ := zi < len(z.Ind) && z.Ind[zi] == j
-		if mt {
+		if maskTest(mInd, mVal, mask.Structural, j, &mk) != mask.Complement {
 			if hasZ {
 				out.Ind = append(out.Ind, j)
 				out.Val = append(out.Val, z.Val[zi])
 			}
-		} else if !replace && hasC {
+		} else if hasC {
 			out.Ind = append(out.Ind, j)
 			out.Val = append(out.Val, c.Val[ci])
 		}

@@ -284,7 +284,7 @@ func spmvMono[T any](a *CSR[T], u *Vec[T], mask VMask, e Exec, hint Kernel, spec
 		e.checkpoint()
 		pInd[part], pVal[part] = rows(a, dv.Val, dv.Bit, admit, lo, hi)
 	})
-	return stitchVec(a.Rows, parts, pInd, pVal), true, nil
+	return stitchVec(a.Rows, pInd, pVal), true, nil
 }
 
 // spmvMonoDense runs the GEMV fast path over row ranges.
@@ -301,25 +301,7 @@ func spmvMonoDense[T any](rows, cols int, mval, dval []T, admit func(int) bool,
 		e.checkpoint()
 		pInd[part], pVal[part] = gemv(mval, cols, dval, admit, lo, hi)
 	})
-	return stitchVec(rows, parts, pInd, pVal)
-}
-
-// stitchVec concatenates per-partition (ind, val) runs — already in
-// ascending row order — into one vector, the same assembly SpMVKernelEx
-// performs inline.
-func stitchVec[T any](n int, parts []int, pInd [][]int, pVal [][]T) *Vec[T] {
-	out := &Vec[T]{N: n}
-	total := 0
-	for _, s := range pInd {
-		total += len(s)
-	}
-	out.Ind = make([]int, 0, total)
-	out.Val = make([]T, 0, total)
-	for p := range pInd {
-		out.Ind = append(out.Ind, pInd[p]...)
-		out.Val = append(out.Val, pVal[p]...)
-	}
-	return out
+	return stitchVec(rows, pInd, pVal)
 }
 
 // VxMSemiEx is the semiring-routed push product: monomorphized scatter when

@@ -13,8 +13,7 @@ package sparse
 
 // spmvRowsPlusTimes gathers rows with (+, ×).
 func spmvRowsPlusTimes[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T) {
-	var ind []int
-	var val []T
+	ind, val := rowBufs[T](a.Ptr, admit == nil, lo, hi)
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -56,8 +55,7 @@ func spmvRowsPlusTimes[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func
 
 // spmvRowsMinPlus gathers rows with (min, +).
 func spmvRowsMinPlus[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T) {
-	var ind []int
-	var val []T
+	ind, val := rowBufs[T](a.Ptr, admit == nil, lo, hi)
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -103,8 +101,7 @@ func spmvRowsMinPlus[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(i
 // once true, but presence is decided first, matching the closure kernel's
 // emitted pattern.
 func spmvRowsLorLand(a *CSR[bool], dval []bool, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []bool) {
-	var ind []int
-	var val []bool
+	ind, val := rowBufs[bool](a.Ptr, admit == nil, lo, hi)
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -133,8 +130,7 @@ func spmvRowsLorLand(a *CSR[bool], dval []bool, dbit []bool, admit func(int) boo
 // spmvRowsPlusPair gathers rows with (+, pair): the row's result is the
 // count of present products, which float64 sums of 1 represent exactly.
 func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T) {
-	var ind []int
-	var val []T
+	ind, val := rowBufs[T](a.Ptr, admit == nil, lo, hi)
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -162,8 +158,7 @@ func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(
 
 // gemvRowsPlusTimes is the (+, ×) sweep over full matrix and vector blocks.
 func gemvRowsPlusTimes[T monoArith](mval []T, cols int, dval []T, admit func(int) bool, lo, hi int) ([]int, []T) {
-	var ind []int
-	var val []T
+	ind, val := rowBufs[T](nil, admit == nil, lo, hi)
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -181,8 +176,7 @@ func gemvRowsPlusTimes[T monoArith](mval []T, cols int, dval []T, admit func(int
 
 // gemvRowsMinPlus is the (min, +) sweep over full blocks.
 func gemvRowsMinPlus[T monoArith](mval []T, cols int, dval []T, admit func(int) bool, lo, hi int) ([]int, []T) {
-	var ind []int
-	var val []T
+	ind, val := rowBufs[T](nil, admit == nil, lo, hi)
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue

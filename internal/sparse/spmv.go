@@ -81,8 +81,9 @@ func SpMVKernelEx[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(
 	pVal := make([][]Y, nparts)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
 		e.checkpoint()
-		var ind []int
-		var val []Y
+		// The hash gather exists to stay frontier-sized, so only the dense
+		// gather (which already paid O(n) for its buffer) presizes.
+		ind, val := rowBufs[Y](a.Ptr, admit == nil && !useHash, lo, hi)
 		for i := lo; i < hi; i++ {
 			if admit != nil && !admit(i) {
 				continue
@@ -111,18 +112,45 @@ func SpMVKernelEx[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	out = &Vec[Y]{N: a.Rows}
+	return stitchVec(a.Rows, pInd, pVal), nil
+}
+
+// rowBufs returns the (index, value) output buffers of a loop that emits at
+// most one entry per non-empty row of [lo, hi), ptr being the matrix's row
+// pointers (nil: every row is non-empty). With presize they are sized to
+// that bound — min(rows, stored entries) of the range, so a hypersparse
+// matrix stays small — and the loop never grows them; otherwise they start
+// empty. A masked pull must not presize: its admitted set may be a sliver
+// of the range.
+func rowBufs[T any](ptr []int, presize bool, lo, hi int) ([]int, []T) {
+	n := 0
+	if presize {
+		n = hi - lo
+		if ptr != nil {
+			n = min(n, ptr[hi]-ptr[lo])
+		}
+	}
+	return make([]int, 0, n), make([]T, 0, n)
+}
+
+// stitchVec assembles per-partition (ind, val) runs — each in ascending
+// index order, partitions in ascending range order — into one vector. A
+// single partition (one thread, and every small operand) is adopted as is;
+// several are concatenated into one exactly-sized allocation.
+func stitchVec[T any](n int, pInd [][]int, pVal [][]T) *Vec[T] {
+	if len(pInd) == 1 {
+		return &Vec[T]{N: n, Ind: pInd[0], Val: pVal[0]}
+	}
 	total := 0
 	for _, s := range pInd {
 		total += len(s)
 	}
-	out.Ind = make([]int, 0, total)
-	out.Val = make([]Y, 0, total)
-	for p := 0; p < nparts; p++ {
+	out := &Vec[T]{N: n, Ind: make([]int, 0, total), Val: make([]T, 0, total)}
+	for p := range pInd {
 		out.Ind = append(out.Ind, pInd[p]...)
 		out.Val = append(out.Val, pVal[p]...)
 	}
-	return out, nil
+	return out
 }
 
 // VxM computes t = u ·(⊕,⊗) A (GraphBLAS vxm): t(j) = ⊕_i u(i) ⊗ A(i,j).
@@ -146,6 +174,7 @@ func SpMVKernelEx[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(
 //     the reduction parallelizes instead of serializing behind worker 0.
 //   - sparse: the classic sequential pattern merge into worker 0's SPA,
 //     which is cheap precisely because the patterns are small.
+//
 // VxM is the unhardened compatibility form of VxMEx: zero execution
 // environment, re-panic on the errors only injected faults could then
 // produce.
@@ -248,8 +277,8 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 		rInd := make([][]int, nr)
 		rVal := make([][]Y, nr)
 		parallel.Run(rparts, threads, func(part, lo, hi int) {
-			var ind []int
-			var val []Y
+			n := min(hi-lo, totalPat)
+			ind, val := make([]int, 0, n), make([]Y, 0, n)
 			for j := lo; j < hi; j++ {
 				var acc Y
 				any := false
@@ -272,13 +301,7 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 			rInd[part] = ind
 			rVal[part] = val
 		})
-		out.Ind = make([]int, 0, totalPat)
-		out.Val = make([]Y, 0, totalPat)
-		for p := 0; p < nr; p++ {
-			out.Ind = append(out.Ind, rInd[p]...)
-			out.Val = append(out.Val, rVal[p]...)
-		}
-		return out
+		return stitchVec(cols, rInd, rVal)
 	}
 	// Sparse reduction: merge worker SPAs into worker 0's.
 	spa0, mark0, pat0 := spas[0], marks[0], patterns[0]
@@ -293,12 +316,13 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 			}
 		}
 	}
+	// The merged pattern is this call's own scratch: sorted, it is the
+	// output's index array.
 	sort.Ints(pat0)
-	out.Ind = make([]int, 0, len(pat0))
-	out.Val = make([]Y, 0, len(pat0))
-	for _, j := range pat0 {
-		out.Ind = append(out.Ind, j)
-		out.Val = append(out.Val, spa0[j])
+	out.Ind = pat0
+	out.Val = make([]Y, len(pat0))
+	for k, j := range pat0 {
+		out.Val[k] = spa0[j]
 	}
 	return out
 }

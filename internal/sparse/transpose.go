@@ -154,8 +154,7 @@ func ReduceRows[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
 	pInd := make([][]int, nparts)
 	pVal := make([][]T, nparts)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		var ind []int
-		var val []T
+		ind, val := rowBufs[T](a.Ptr, true, lo, hi)
 		for i := lo; i < hi; i++ {
 			_, rv := a.Row(i)
 			if len(rv) == 0 {
@@ -171,12 +170,7 @@ func ReduceRows[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	out := &Vec[T]{N: a.Rows}
-	for p := 0; p < nparts; p++ {
-		out.Ind = append(out.Ind, pInd[p]...)
-		out.Val = append(out.Val, pVal[p]...)
-	}
-	return out
+	return stitchVec(a.Rows, pInd, pVal)
 }
 
 // ReduceCols reduces each column of A: t(j) = ⊕_i A(i,j). Implemented by

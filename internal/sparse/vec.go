@@ -8,8 +8,11 @@ import (
 
 // Vec is a generic sparse vector in sorted-coordinate form: Ind holds the
 // positions of stored entries in strictly increasing order and Val the
-// corresponding values. Like CSR it is immutable-on-write: kernels always
-// return fresh vectors.
+// corresponding values. Like CSR it is immutable-on-write: nothing writes a
+// Vec's storage once it is built. Kernels return a fresh Vec, but its Ind
+// may be an operand's Ind — the same backing array — when the pattern is
+// unchanged (DESIGN.md, "Vector write-back: sharing and exact allocation");
+// Val is always the output's own.
 type Vec[T any] struct {
 	N   int
 	Ind []int

@@ -2,7 +2,7 @@
 # Tiered CI entrypoint (`make ci` runs this). Chains every gate the repo
 # defines, times each tier, and ends with one machine-readable summary line:
 #
-#   CI_SUMMARY status=ok tiers=7 build=2s test=14s race=31s lint=9s grbcheck=22s serve=6s coverage=12s
+#   CI_SUMMARY status=ok tiers=8 build=2s test=14s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s
 #
 # Tiers, in order (cheapest first so broken trees fail fast):
 #
@@ -13,6 +13,10 @@
 #             budgetcheck, obsvcheck, sitecheck, atomiccheck,
 #             panicpathcheck (per-package passes fan out across the pool;
 #             -time prints per-analyzer wall clock to stderr)
+#   bench-smoke  go vet + go test in benchmark/: the repo benchmark is its
+#             own module (so ./... above never compiles it) yet calls
+#             internal/sparse kernels by signature; this keeps a kernel
+#             change from breaking it unnoticed
 #   grbcheck  the race suites with the runtime snapshot validators compiled in
 #   serve     grbserve -selfcheck: boots the multi-tenant query server on
 #             generated graphs and probes every endpoint plus the tenant
@@ -70,10 +74,15 @@ coverage_tier() {
     }
 }
 
+bench_smoke_tier() {
+    go -C benchmark vet ./... && go -C benchmark test ./...
+}
+
 run build go build ./...
 run test go test ./...
 run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve
 run lint go run ./cmd/grblint -time ./...
+run bench-smoke bench_smoke_tier
 run grbcheck go test -tags grbcheck -race . ./internal/sparse
 run serve go run ./cmd/grbserve -selfcheck
 run coverage coverage_tier

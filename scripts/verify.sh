@@ -1,7 +1,9 @@
 #!/bin/sh
 # Repo verification: tier-1 (build + full test suite), the race tier
 # (concurrency-sensitive suites under -race), the static-analysis tier
-# (grblint must report zero diagnostics), and the invariant tier (the race
+# (grblint must report zero diagnostics), the bench-smoke tier (the repo
+# benchmark, a module of its own that ./... never compiles, still vets and
+# passes its tests), and the invariant tier (the race
 # suites again with the grbcheck runtime validators compiled in), then the
 # chaos tier (the fault-injection sweep and hardening suites with grbcheck
 # compiled in) and the soak tier (the serving stack's overload storm under
@@ -19,6 +21,10 @@ go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve
 
 echo "== lint tier: grblint (infocheck, snapshotcheck, lockcheck, enumcheck) =="
 go run ./cmd/grblint ./...
+
+echo "== bench-smoke tier: go vet + go test in benchmark/ =="
+go -C benchmark vet ./...
+go -C benchmark test ./...
 
 echo "== invariant tier: grbcheck runtime validators under -race =="
 go test -tags grbcheck -race . ./internal/sparse
