@@ -21,7 +21,6 @@ import (
 // TestChaosBatteryManifestMatchesRegistry pins it to the live registry so a
 // new site cannot land without joining the sweep.
 var chaosBatterySites = []string{
-	"sparse.block.tile",
 	"sparse.format.convert",
 	"sparse.kernel.range",
 	"sparse.merge.tuples",
@@ -123,9 +122,6 @@ func runHardenedBattery(t *testing.T, a *Matrix[float64], u *Vector[float64]) []
 	mxm("mxm-transpose", &Descriptor{Transpose0: true})
 	// sparse.mono.loop + sparse.mono.spa — monomorphized dense-SPA MxM.
 	mxm("mxm-mono", &Descriptor{AxB: AxBDenseSPA, Spec: SpecMono})
-	// sparse.block.tile — 2D-blocked SUMMA plan: the site is probed at
-	// blocked-view materialization and at every tile-task entry.
-	mxm("mxm-blocked", &Descriptor{Block: BlockOn, Spec: SpecGeneric})
 
 	mxv := func(op string, desc *Descriptor) {
 		w, err := NewVector[float64](16)
@@ -148,10 +144,6 @@ func runHardenedBattery(t *testing.T, a *Matrix[float64], u *Vector[float64]) []
 	mxv("mxv-pull-mono", &Descriptor{Dir: DirPull, Spec: SpecMono})
 	// sparse.mono.spa — monomorphized push scatter.
 	mxv("mxv-push-mono", &Descriptor{Dir: DirPush, Spec: SpecMono})
-	// sparse.block.tile — blocked pull plan (tile-row tasks) and blocked push
-	// plan (frontier-partition × tile-column scatter tasks).
-	mxv("mxv-pull-blocked", &Descriptor{Dir: DirPull, Block: BlockOn, Spec: SpecGeneric})
-	mxv("mxv-push-blocked", &Descriptor{Dir: DirPush, Block: BlockOn, Spec: SpecGeneric})
 
 	return outs
 }

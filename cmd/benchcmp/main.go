@@ -20,20 +20,6 @@
 // monomorphized kernel at least R× faster than the closure kernel it
 // replaces. 0 (the default) disables the gate.
 //
-// -blockedmin R adds the 2D-blocked load-balance gate: every graph carrying
-// both a flat and a blocked series with span telemetry (the blocked
-// experiment's SpGEMM A/B) must show span(flat)/span(blocked) >= R. The span
-// is the modeled parallel makespan in flops — deterministic and independent
-// of the host's core count, so the gate holds on single-core CI runners
-// where wall-clock parallel speedups cannot exist. 0 disables the gate.
-//
-// -automax R adds the auto-routing guard: for every graph carrying both a
-// flat and an auto series, the auto route must track whichever plan it
-// chose. When the auto series shows no blocked ops it took the flat route,
-// so its wall time must stay within R× of the flat series; when it engaged
-// the blocked engine and span telemetry is present, its span must stay
-// within R× of the forced-blocked series. 0 disables the gate.
-//
 // -servemax R adds the serving-latency gate: every (graph, dir) series
 // present in BOTH files with measured latency percentiles (the serve
 // experiment's serve-<algo>/{closed,open} series) must keep its current
@@ -60,24 +46,20 @@ import (
 )
 
 var (
-	tol        = flag.Float64("tol", 15, "maximum allowed slowdown, percent")
-	monomin    = flag.Float64("monomin", 0, "minimum closure/mono speedup for every graph with paired mono+closure series (0 disables)")
-	blockedmin = flag.Float64("blockedmin", 0, "minimum flat/blocked modeled-span ratio for every graph with paired flat+blocked span series (0 disables)")
-	automax    = flag.Float64("automax", 0, "maximum auto-vs-chosen-route ratio for every graph with paired flat+auto series (0 disables)")
-	servemax   = flag.Float64("servemax", 0, "maximum current/baseline latency ratio for p50 and p99 of every paired serve series (0 disables)")
-	selftest   = flag.Bool("selftest", false, "verify each enabled gate fires on a synthetic degradation of the baseline")
+	tol      = flag.Float64("tol", 15, "maximum allowed slowdown, percent")
+	monomin  = flag.Float64("monomin", 0, "minimum closure/mono speedup for every graph with paired mono+closure series (0 disables)")
+	servemax = flag.Float64("servemax", 0, "maximum current/baseline latency ratio for p50 and p99 of every paired serve series (0 disables)")
+	selftest = flag.Bool("selftest", false, "verify each enabled gate fires on a synthetic degradation of the baseline")
 )
 
 // series is one measured (graph, dir) run from a grbbench JSON file: the
-// wall time plus the blocked-engine telemetry the ratio gates read.
+// wall time plus the latency percentiles the serve gate reads.
 type series struct {
-	Graph      string  `json:"graph"`
-	Dir        string  `json:"dir"`
-	Seconds    float64 `json:"seconds"`
-	BlockedOps int64   `json:"blocked_ops"`
-	SpanFlops  int64   `json:"span_flops"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
+	Graph   string  `json:"graph"`
+	Dir     string  `json:"dir"`
+	Seconds float64 `json:"seconds"`
+	P50Ms   float64 `json:"p50_ms"`
+	P99Ms   float64 `json:"p99_ms"`
 }
 
 // benchFile is the subset of the grbbench -json schema the gate reads.
@@ -177,94 +159,6 @@ func checkMono(cur map[string]series, minRatio float64) (failed []string, worst 
 	return failed, worst
 }
 
-// checkBlocked enforces the 2D-blocked load-balance gate: for every graph
-// carrying both a "<graph>/flat" and a "<graph>/blocked" series with span
-// telemetry, the flat plan's modeled span divided by the blocked plan's must
-// reach minRatio. Graphs without span data (series predating the telemetry,
-// or non-SpGEMM experiments) are untouched.
-func checkBlocked(cur map[string]series, minRatio float64) (failed []string, pairs int, worst float64) {
-	keys := make([]string, 0, len(cur))
-	for k := range cur {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		graph, ok := strings.CutSuffix(k, "/flat")
-		if !ok {
-			continue
-		}
-		blk, ok := cur[graph+"/blocked"]
-		flat := cur[k]
-		if !ok || flat.SpanFlops <= 0 || blk.SpanFlops <= 0 {
-			continue
-		}
-		pairs++
-		ratio := float64(flat.SpanFlops) / float64(blk.SpanFlops)
-		if worst == 0 || ratio < worst {
-			worst = ratio
-		}
-		mark := "ok"
-		if ratio < minRatio {
-			mark = "TOO SLOW"
-			failed = append(failed, graph)
-		}
-		fmt.Printf("  %-24s span flat=%d blocked=%d ratio=%.2fx (need %.2fx) %s\n",
-			graph, flat.SpanFlops, blk.SpanFlops, ratio, minRatio, mark)
-	}
-	return failed, pairs, worst
-}
-
-// checkAuto enforces the auto-routing guard: for every graph carrying both a
-// "<graph>/flat" and a "<graph>/auto" series, the auto route must track the
-// plan it chose — flat wall time when it stayed flat (no blocked ops),
-// forced-blocked span when it engaged the blocked engine. maxRatio bounds
-// how far above the chosen route's number the auto series may drift.
-func checkAuto(cur map[string]series, maxRatio float64) (failed []string, pairs int, worst float64) {
-	keys := make([]string, 0, len(cur))
-	for k := range cur {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		graph, ok := strings.CutSuffix(k, "/flat")
-		if !ok {
-			continue
-		}
-		auto, ok := cur[graph+"/auto"]
-		flat := cur[k]
-		if !ok {
-			continue
-		}
-		var ratio float64
-		var desc string
-		switch {
-		case auto.BlockedOps == 0 && flat.Seconds > 0:
-			ratio = auto.Seconds / flat.Seconds
-			desc = fmt.Sprintf("stayed flat: auto=%.4fs flat=%.4fs", auto.Seconds, flat.Seconds)
-		case auto.BlockedOps > 0 && auto.SpanFlops > 0:
-			blk, ok := cur[graph+"/blocked"]
-			if !ok || blk.SpanFlops <= 0 {
-				continue
-			}
-			ratio = float64(auto.SpanFlops) / float64(blk.SpanFlops)
-			desc = fmt.Sprintf("went blocked: span auto=%d blocked=%d", auto.SpanFlops, blk.SpanFlops)
-		default:
-			continue
-		}
-		pairs++
-		if ratio > worst {
-			worst = ratio
-		}
-		mark := "ok"
-		if ratio > maxRatio {
-			mark = "ADRIFT"
-			failed = append(failed, graph)
-		}
-		fmt.Printf("  %-24s %s ratio=%.2fx (max %.2fx) %s\n", graph, desc, ratio, maxRatio, mark)
-	}
-	return failed, pairs, worst
-}
-
 // checkServe enforces the paired cross-file latency gate: for every
 // (graph, dir) series present in both files with a measured p50, the
 // current file's p50 and p99 must each stay within maxRatio of the
@@ -316,7 +210,7 @@ func main() {
 			os.Exit(2)
 		}
 		steps := 2
-		for _, gate := range []float64{*monomin, *blockedmin, *automax, *servemax} {
+		for _, gate := range []float64{*monomin, *servemax} {
 			if gate > 0 {
 				steps += 2
 			}
@@ -373,61 +267,6 @@ func main() {
 			announce("mono degraded to closure parity (must be flagged)")
 			if failed, _ := checkMono(degraded, *monomin); len(failed) != pairs {
 				fmt.Fprintf(os.Stderr, "benchcmp selftest: parity flagged %d of %d pairs\n", len(failed), pairs)
-				os.Exit(1)
-			}
-		}
-		if *blockedmin > 0 {
-			announce("blocked span gate at %.2fx (baseline must pass)", *blockedmin)
-			failed, pairs, _ := checkBlocked(base, *blockedmin)
-			if len(failed) > 0 {
-				fmt.Fprintf(os.Stderr, "benchcmp selftest: baseline failed the blocked gate: %v\n", failed)
-				os.Exit(1)
-			}
-			if pairs == 0 {
-				fmt.Fprintln(os.Stderr, "benchcmp selftest: -blockedmin set but no flat/blocked span pairs in baseline")
-				os.Exit(1)
-			}
-			// Degrade every blocked span to its flat span: ratio 1.0 must be
-			// flagged, proving the load-balance gate can fire.
-			degraded := make(map[string]series, len(base))
-			for k, v := range base {
-				if g, ok := strings.CutSuffix(k, "/blocked"); ok {
-					if flat, ok := base[g+"/flat"]; ok && flat.SpanFlops > 0 && v.SpanFlops > 0 {
-						v.SpanFlops = flat.SpanFlops
-					}
-				}
-				degraded[k] = v
-			}
-			announce("blocked span degraded to flat parity (must be flagged)")
-			if failed, _, _ := checkBlocked(degraded, *blockedmin); len(failed) != pairs {
-				fmt.Fprintf(os.Stderr, "benchcmp selftest: span parity flagged %d of %d pairs\n", len(failed), pairs)
-				os.Exit(1)
-			}
-		}
-		if *automax > 0 {
-			announce("auto routing guard at %.2fx (baseline must pass)", *automax)
-			failed, pairs, _ := checkAuto(base, *automax)
-			if len(failed) > 0 {
-				fmt.Fprintf(os.Stderr, "benchcmp selftest: baseline failed the auto guard: %v\n", failed)
-				os.Exit(1)
-			}
-			if pairs == 0 {
-				fmt.Fprintln(os.Stderr, "benchcmp selftest: -automax set but no flat/auto pairs in baseline")
-				os.Exit(1)
-			}
-			// Blow every auto series past its chosen route by 4×: wall time
-			// for flat-routed autos, span for blocked-routed ones.
-			adrift := make(map[string]series, len(base))
-			for k, v := range base {
-				if _, ok := strings.CutSuffix(k, "/auto"); ok {
-					v.Seconds *= 4
-					v.SpanFlops *= 4
-				}
-				adrift[k] = v
-			}
-			announce("auto series blown 4x past its route (must be flagged)")
-			if failed, _, _ := checkAuto(adrift, *automax); len(failed) != pairs {
-				fmt.Fprintf(os.Stderr, "benchcmp selftest: adrift auto flagged %d of %d pairs\n", len(failed), pairs)
 				os.Exit(1)
 			}
 		}
@@ -493,7 +332,7 @@ func main() {
 		failed []string
 		worst  string // formatted worst ratio/delta, "" when no pairs
 	}
-	gates := make([]gateResult, 0, 5)
+	gates := make([]gateResult, 0, 3)
 	anyFailed := false
 	record := func(name string, on bool, failed []string, worst string) {
 		gates = append(gates, gateResult{name, on, failed, worst})
@@ -519,28 +358,6 @@ func main() {
 		record("mono", true, failed, fmt.Sprintf("%.2fx", worst))
 	} else {
 		record("mono", false, nil, "")
-	}
-	if *blockedmin > 0 {
-		fmt.Printf("benchcmp: blocked span gate %.2fx\n", *blockedmin)
-		failed, _, worst := checkBlocked(cur, *blockedmin)
-		if len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchcmp: %d graphs under the %.2fx blocked span floor: %v\n",
-				len(failed), *blockedmin, failed)
-		}
-		record("blocked", true, failed, fmt.Sprintf("%.2fx", worst))
-	} else {
-		record("blocked", false, nil, "")
-	}
-	if *automax > 0 {
-		fmt.Printf("benchcmp: auto routing guard %.2fx\n", *automax)
-		failed, _, worst := checkAuto(cur, *automax)
-		if len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchcmp: %d graphs with the auto route adrift beyond %.2fx: %v\n",
-				len(failed), *automax, failed)
-		}
-		record("auto", true, failed, fmt.Sprintf("%.2fx", worst))
-	} else {
-		record("auto", false, nil, "")
 	}
 	if *servemax > 0 {
 		fmt.Printf("benchcmp: serve latency gate %.2fx\n", *servemax)

@@ -41,13 +41,11 @@ import (
 )
 
 var (
-	runList  = flag.String("run", "fig1,fig2,fig3,tab1,tab2,tab3,tab4,ablation,hyper,traversal,dense,blocked,serve", "comma-separated experiments")
+	runList  = flag.String("run", "fig1,fig2,fig3,tab1,tab2,tab3,tab4,ablation,hyper,traversal,dense,serve", "comma-separated experiments")
 	scale    = flag.Int("scale", 14, "RMAT scale for the measured experiments")
 	kernel   = flag.String("kernel", "", "pin the multiply accumulator for the hyper experiment: auto, dense or hash (empty sweeps all three)")
 	dirFlag  = flag.String("dir", "", "pin the traversal direction for the traversal experiment: auto, push or pull (empty sweeps all three)")
-	format   = flag.String("format", "", "pin the block-format tier for the dense experiment: auto, bitmap or sparse (empty leaves the auto router)")
-	gridFlag = flag.String("grid", "", "pin the blocked-view grid shape RxC (e.g. 8x8) for the blocked experiment (empty lets the experiment choose)")
-	jsonPath = flag.String("json", "", "write the measured series (traversal + dense + blocked experiments) to this JSON file")
+	jsonPath = flag.String("json", "", "write the measured series (traversal + dense + serve experiments) to this JSON file")
 )
 
 // benchResults collects the measured series from every experiment that
@@ -65,24 +63,6 @@ func main() {
 	case "", "auto", "push", "pull":
 	default:
 		log.Fatalf("-dir %q: must be auto, push or pull", *dirFlag)
-	}
-	switch *format {
-	case "":
-	case "auto":
-		grb.SetFormatHint(grb.FormatHintAuto)
-	case "bitmap":
-		grb.SetFormatHint(grb.FormatHintBitmap)
-	case "sparse":
-		grb.SetFormatHint(grb.FormatHintSparse)
-	default:
-		log.Fatalf("-format %q: must be auto, bitmap or sparse", *format)
-	}
-	if *gridFlag != "" {
-		var gr, gc int
-		if _, err := fmt.Sscanf(*gridFlag, "%dx%d", &gr, &gc); err != nil || gr < 1 || gc < 1 {
-			log.Fatalf("-grid %q: must be RxC with positive integers, e.g. 8x8", *gridFlag)
-		}
-		grb.SetBlockGrid(gr, gc)
 	}
 	if err := grb.Init(grb.NonBlocking); err != nil {
 		log.Fatal(err)
@@ -130,9 +110,6 @@ func main() {
 	}
 	if want["dense"] {
 		denseKernels()
-	}
-	if want["blocked"] {
-		blockedEngine()
 	}
 	if want["serve"] {
 		serveBench()
@@ -667,16 +644,6 @@ type traversalResult struct {
 	// Execution-hardening telemetry (nonzero only for the budgeted run).
 	BudgetDegrades  int64 `json:"budget_degrades,omitempty"`
 	PanicsRecovered int64 `json:"panics_recovered,omitempty"`
-	// Blocked-engine telemetry (nonzero only for the blocked experiment).
-	BlockedOps       int64 `json:"blocked_ops,omitempty"`
-	TileTasks        int64 `json:"tile_tasks,omitempty"`
-	BlockedFallbacks int64 `json:"blocked_fallbacks,omitempty"`
-	// Modeled parallel span of the SpGEMM plan (critical-path flops under
-	// greedy list scheduling) and its total flops. Deterministic, so the
-	// benchcmp flat/blocked load-balance gate built on the span ratio is
-	// noise-free and independent of the host's core count.
-	SpanFlops int64 `json:"span_flops,omitempty"`
-	WorkFlops int64 `json:"work_flops,omitempty"`
 	// Serving-layer load results (nonzero only for the serve experiment):
 	// request latency percentiles and sustained throughput. Seconds stays 0
 	// for these series so the wall-clock tolerance gate skips them — the
@@ -849,15 +816,11 @@ func traversal() {
 // saturated-frontier BFS step (LOR/LAND pull over an all-true frontier,
 // where the monomorphized loop also short-circuits on the first hit). The
 // Spec descriptor pin selects the kernel tier per run — the top level of the
-// routing decision tree — and -format moves the block-format tier underneath
-// it. Each (workload, spec) pair lands in -json as a (graph, mono|closure)
-// series; cmd/benchcmp -monomin turns the pair ratio into a CI gate.
+// routing decision tree. Each (workload, spec) pair lands in -json as a
+// (graph, mono|closure) series; cmd/benchcmp -monomin turns the pair ratio
+// into a CI gate.
 func denseKernels() {
 	header("Dense — monomorphized hot-semiring kernels vs closure kernels")
-	hintName := "auto"
-	if *format != "" {
-		hintName = *format
-	}
 	ctx := must1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
 
 	a := rmatFloat(*scale)
@@ -868,8 +831,8 @@ func denseKernels() {
 	must(ab.SwitchContext(ctx))
 
 	const iters = 12
-	fmt.Printf("  scale=%d: n=%d nnz=%d, %d iterations per timing, 1 thread, format hint %s\n",
-		*scale, int(dim), nnz, iters, hintName)
+	fmt.Printf("  scale=%d: n=%d nnz=%d, %d iterations per timing, 1 thread\n",
+		*scale, int(dim), nnz, iters)
 	fmt.Printf("  %-14s %-8s %-12s %-11s %s\n", "workload", "spec", "time", "mono/clos", "conversions")
 
 	ind := make([]grb.Index, dim)
@@ -976,157 +939,7 @@ func denseKernels() {
 	}
 	fmt.Println("  (spec pins the kernel tier per run: mono takes the monomorphized")
 	fmt.Println("   direct-arithmetic loop over the cached block view, closure erases the")
-	fmt.Println("   semiring tag so the generic kernels run; -format moves the block tier)")
-	must(ctx.Free())
-}
-
-// blockedEngine measures the 2D-blocked SUMMA plans against the flat
-// kernels at 8 threads. Two workloads:
-//
-//   - blocked-spgemm: A·A on gen.GridPartitioned, whose two pivot rows carry
-//     flop counts far above total/threads. A 1D flop-balanced row partition
-//     cannot split a row, so the flat kernel serializes each pivot on one
-//     worker; the blocked plan spreads the pivots across column tiles. The
-//     flat/blocked ratio on this series is the cmd/benchcmp -blockedmin gate.
-//   - blocked-pagerank: the PageRank pull SpMV (full rank vector) on
-//     gen.BlockDiagonal, flat vs the forced blocked plan. Row-parallel flat
-//     SpMV is already balanced here, so this series documents blocked SpMV
-//     overhead rather than a win; auto routing therefore keeps SpMV flat.
-//
-// Each series runs flat (Block off), blocked (forced) and auto (default
-// routing: the threshold-gated auto-blocker plus the per-op router). The
-// -grid flag pins the tile grid; unset, the experiment uses 8x8 to match
-// the thread count.
-func blockedEngine() {
-	header("Blocked — 2D SUMMA plans vs flat kernels")
-	const threads = 8
-	if *gridFlag == "" {
-		grb.SetBlockGrid(8, 8)
-		defer grb.SetBlockGrid(0, 0)
-	}
-	gr, gc := grb.BlockGrid()
-	fmt.Printf("  threads=%d grid=%dx%d (pin with -grid RxC) block threshold=%d nnz\n",
-		threads, gr, gc, grb.BlockThreshold())
-	ctx := must1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(threads)))
-
-	// SpGEMM on the skewed generator.
-	const n, m = 8192, 1 << 17
-	g := gen.GridPartitioned(n, 8, m, 21)
-	a := must1(grb.NewMatrix[float64](g.N, g.N, grb.InContext(ctx)))
-	must(a.Build(g.Src, g.Dst, gen.UniformWeights(g, 0.5, 2, 21), grb.Plus[float64]))
-	must(a.Wait(grb.Materialize))
-	annz := must1(a.Nvals())
-	fmt.Printf("  spgemm: %d x %d, %d entries (two pivot rows dominate the A·A flops)\n", n, n, annz)
-	fmt.Printf("  %-16s %-9s %-12s %-11s %-11s %-9s %s\n",
-		"workload", "route", "time", "ops/tasks", "dense/hash", "fallbacks", "modeled")
-
-	series := []struct {
-		name string
-		desc *grb.Descriptor
-	}{
-		{"flat", grb.DescFlat},
-		{"blocked", grb.DescBlocked},
-		{"auto", nil},
-	}
-	var flatSpan, blockedSpan int64
-	for _, tc := range series {
-		var el time.Duration
-		var ops, tasks, td, th, falls, span, work int64
-		for rep := 0; rep < 3; rep++ { // best of three: wall times are noisy
-			grb.ResetKernelCounts()
-			c := must1(grb.NewMatrix[float64](n, n, grb.InContext(ctx)))
-			start := time.Now()
-			must(grb.MxM(c, nil, nil, grb.PlusTimes[float64](), a, a, tc.desc))
-			must(c.Wait(grb.Materialize))
-			e := time.Since(start)
-			if rep == 0 || e < el {
-				el = e
-				ops, tasks = grb.BlockKernelCounts()
-				td, th = grb.BlockTileCounts()
-				falls = grb.BlockFallbackCount()
-				span, work = grb.SpanFlops()
-			}
-		}
-		fmt.Printf("  %-16s %-9s %-12v %-11s %-11s %-9d %.2fx\n",
-			"blocked-spgemm", tc.name, el,
-			fmt.Sprintf("%d/%d", ops, tasks), fmt.Sprintf("%dd/%dh", td, th), falls,
-			float64(work)/float64(span))
-		switch tc.name {
-		case "flat":
-			flatSpan = span
-		case "blocked":
-			blockedSpan = span
-		}
-		benchResults = append(benchResults, traversalResult{
-			Graph: "blocked-spgemm", Vertices: n, Edges: annz, Dir: tc.name,
-			Seconds: el.Seconds(), BlockedOps: ops, TileTasks: tasks,
-			BlockedFallbacks: falls, SpanFlops: span, WorkFlops: work,
-		})
-	}
-	if flatSpan > 0 && blockedSpan > 0 {
-		fmt.Printf("  %-16s flat/blocked span ratio: %.2fx (modeled %d-thread makespan,\n",
-			"blocked-spgemm", float64(flatSpan)/float64(blockedSpan), threads)
-		fmt.Println("                   the load-balance win the 2D plan exists for; wall times on")
-		fmt.Println("                   hosts with fewer cores than threads show overhead instead)")
-	}
-
-	// PageRank pull SpMV on a block-diagonal graph.
-	const pn, pm, iters = 16384, 1 << 17, 8
-	pg := gen.BlockDiagonal(pn, 8, pm, 23)
-	pa := must1(grb.NewMatrix[float64](pn, pn, grb.InContext(ctx)))
-	must(pa.Build(pg.Src, pg.Dst, gen.UniformWeights(pg, 0.5, 2, 23), grb.Plus[float64]))
-	must(pa.Wait(grb.Materialize))
-	fmt.Printf("  pagerank: %d x %d, %d entries, %d iterations per timing\n",
-		pn, pn, must1(pa.Nvals()), iters)
-
-	ind := make([]grb.Index, pn)
-	val := make([]float64, pn)
-	for i := range ind {
-		ind[i] = grb.Index(i)
-		val[i] = 1 / float64(pn)
-	}
-	damp := func(x, y float64) float64 { return 0.85*x + y }
-	pagerank := func(block grb.BlockMode) time.Duration {
-		r := must1(grb.NewVector[float64](pn, grb.InContext(ctx)))
-		must(r.Build(ind, val, nil))
-		tele := must1(grb.NewVector[float64](pn, grb.InContext(ctx)))
-		must(tele.Build(ind, val, nil))
-		w := must1(grb.NewVector[float64](pn, grb.InContext(ctx)))
-		desc := &grb.Descriptor{Dir: grb.DirPull, Block: block}
-		start := time.Now()
-		for it := 0; it < iters; it++ {
-			must(grb.MxV(w, nil, nil, grb.PlusTimes[float64](), pa, r, desc))
-			must(grb.EWiseAddVector(r, nil, nil, damp, w, tele, nil))
-			must(r.Wait(grb.Materialize))
-		}
-		return time.Since(start)
-	}
-	for _, tc := range []struct {
-		name  string
-		block grb.BlockMode
-	}{
-		{"flat", grb.BlockOff},
-		{"blocked", grb.BlockOn},
-		{"auto", grb.BlockDefault},
-	} {
-		grb.ResetKernelCounts()
-		el := pagerank(tc.block)
-		for rep := 0; rep < 2; rep++ {
-			if e := pagerank(tc.block); e < el {
-				el = e
-			}
-		}
-		ops, tasks := grb.BlockKernelCounts()
-		fmt.Printf("  %-16s %-9s %-12v %-11s\n",
-			"blocked-pagerank", tc.name, el, fmt.Sprintf("%d/%d", ops, tasks))
-		benchResults = append(benchResults, traversalResult{
-			Graph: "blocked-pagerank", Vertices: pn, Edges: pg.NumEdges(), Dir: tc.name,
-			Seconds: el.Seconds(), BlockedOps: ops, TileTasks: tasks,
-		})
-	}
-	fmt.Println("  (the spgemm flat/blocked span ratio is the benchcmp -blockedmin gate; the")
-	fmt.Println("   pagerank pair documents forced-blocked SpMV overhead — auto keeps SpMV")
-	fmt.Println("   flat, so its auto wall time must track the flat one: the -automax gate)")
+	fmt.Println("   semiring tag so the generic kernels run)")
 	must(ctx.Free())
 }
 

@@ -55,25 +55,6 @@ const (
 	SpecGeneric
 )
 
-// BlockMode selects whether the multiply operations run through the
-// 2D-blocked SUMMA plans or the flat row-partitioned kernels. This is an
-// extension completing the routing pins (AxBMethod, Direction, SpecMode) with
-// a storage-layout axis: the default defers to the global hint and the
-// auto-blocker thresholds (see SetBlockHint), and the pinned variants force
-// one engine — for benchmarking, the blocked≡flat differential battery, and
-// workloads whose tiling the caller knows better.
-type BlockMode int
-
-const (
-	// BlockDefault defers to the global hint and the auto-blocker thresholds.
-	BlockDefault BlockMode = iota
-	// BlockOn forces the 2D-blocked SUMMA plans, materializing blocked views
-	// as needed (grids clamp to the operand dimensions).
-	BlockOn
-	// BlockOff forces the flat kernels.
-	BlockOff
-)
-
 // Descriptor modifies how a GraphBLAS operation treats its output, mask and
 // inputs (GrB_Descriptor). A nil *Descriptor everywhere means default
 // behaviour: merge into the output, value mask, untransposed inputs.
@@ -99,9 +80,6 @@ type Descriptor struct {
 	// Spec selects monomorphized vs. generic closure kernels (extension;
 	// see SpecMode).
 	Spec SpecMode
-	// Block selects the 2D-blocked SUMMA engine vs. the flat kernels
-	// (extension; see BlockMode).
-	Block BlockMode
 }
 
 // Predefined descriptors mirroring the C API's GrB_DESC_* constants.
@@ -139,10 +117,6 @@ var (
 	DescMono = &Descriptor{Spec: SpecMono}
 	// DescGeneric pins multiply operations to the generic closure kernels.
 	DescGeneric = &Descriptor{Spec: SpecGeneric}
-	// DescBlocked pins multiply operations to the 2D-blocked SUMMA plans.
-	DescBlocked = &Descriptor{Block: BlockOn}
-	// DescFlat pins multiply operations to the flat row-partitioned kernels.
-	DescFlat = &Descriptor{Block: BlockOff}
 )
 
 // get normalizes a possibly-nil descriptor to a value.

@@ -173,6 +173,64 @@ func TestBudgetExhaustionParksOutOfMemory(t *testing.T) {
 	}
 }
 
+// TestBudgetWaitReservesNothingUnasked: draining a sequence charges the budget for
+// nothing the caller did not ask for. A Build+Wait of a matrix big enough
+// for any size heuristic to notice (2^17 entries, average degree 8) leaves
+// the context's budget at zero, and a default-routed two-thread MxM on it
+// hands every reservation back once the product is freed — so a serving
+// root context inherits no standing charge per loaded graph.
+func TestBudgetWaitReservesNothingUnasked(t *testing.T) {
+	setMode(t, NonBlocking)
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithMemoryLimit(1<<30))
+	if err != nil {
+		t.Fatalf("NewContext: %v", err)
+	}
+	const n, deg = 1 << 14, 8
+	is := make([]Index, 0, n*deg)
+	js := make([]Index, 0, n*deg)
+	xs := make([]int64, 0, n*deg)
+	for i := 0; i < n; i++ {
+		for d := 0; d < deg; d++ {
+			is = append(is, Index(i))
+			js = append(js, Index((i+1+d*2047)%n))
+			xs = append(xs, int64(1+d))
+		}
+	}
+	a, err := NewMatrix[int64](n, n, InContext(ctx))
+	if err != nil {
+		t.Fatalf("NewMatrix: %v", err)
+	}
+	if err := a.Build(is, js, xs, nil); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := a.Wait(Materialize); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if nv, err := a.Nvals(); err != nil || nv != n*deg {
+		t.Fatalf("Nvals = %d, %v; want %d", nv, err, n*deg)
+	}
+	if used := ctx.MemoryUsed(); used != 0 {
+		t.Fatalf("Build+Wait left %d bytes reserved, want 0", used)
+	}
+
+	c, err := NewMatrix[int64](n, n, InContext(ctx))
+	if err != nil {
+		t.Fatalf("NewMatrix: %v", err)
+	}
+	if err := MxM(c, nil, nil, PlusTimes[int64](), a, a, nil); err != nil {
+		t.Fatalf("MxM: %v", err)
+	}
+	if err := c.Wait(Materialize); err != nil {
+		t.Fatalf("MxM Wait: %v", err)
+	}
+	if err := c.Free(); err != nil {
+		t.Fatalf("Free: %v", err)
+	}
+	if used := ctx.MemoryUsed(); used != 0 {
+		t.Fatalf("MxM left %d bytes reserved after the product was freed, want 0", used)
+	}
+}
+
 // TestCancelParksCanceled: cancelling before the drain means the very first
 // range checkpoint aborts — the sequence parks the Canceled execution error
 // and surfaces it through Wait(Materialize) and ErrorString.

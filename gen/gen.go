@@ -177,109 +177,6 @@ func HubHypersparse(n, m, hubs int, seed int64) Graph {
 	return g.Dedup()
 }
 
-// BlockDiagonal samples m distinct edges (no self-loops) confined to
-// `blocks` equal-sized square blocks along the diagonal of the n×n
-// adjacency: every edge's source and destination fall in the same block.
-// The off-diagonal tiles of any grid partition aligned with the block count
-// are empty, which is the friendly regime for a 2D-blocked engine — tile
-// tasks over empty tiles are skipped by their nnz metadata.
-func BlockDiagonal(n, blocks, m int, seed int64) Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := Graph{N: n}
-	if n < 2 || m <= 0 {
-		return g
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	if blocks > n/2 {
-		blocks = n / 2 // every block keeps >= 2 vertices so edges exist
-	}
-	width := n / blocks
-	seen := make(map[[2]int]struct{}, m)
-	// Cap m below the per-block capacity sum so the loop terminates.
-	if capacity := blocks * width * (width - 1); m > capacity {
-		m = capacity
-	}
-	for len(g.Src) < m {
-		b := rng.Intn(blocks)
-		lo := b * width
-		s := lo + rng.Intn(width)
-		d := lo + rng.Intn(width)
-		if s == d {
-			continue
-		}
-		key := [2]int{s, d}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		g.Src = append(g.Src, s)
-		g.Dst = append(g.Dst, d)
-	}
-	return g.Dedup()
-}
-
-// GridPartitioned builds the adversarially skewed SUMMA workload for squared
-// products (A·A): two pivot rows whose multiply flops dwarf every other
-// row's. Row 0 and row 2+band each point at an entire "heavy band" of rows
-// [2, 2+band); the band rows carry ~m·(15/16) edges between them, with
-// destinations confined to the cold upper half [n/2, n) whose rows stay
-// (near) empty; the remaining ~m/16 edges are uniform background. Squaring
-// the matrix, each pivot row's flop count is Σ nnz(band) ≈ 15m/16 — far
-// above total/threads — while band rows multiply into empty cold rows and
-// cost almost nothing. A 1D flop-balanced partition cannot split a row, so a
-// flat SpGEMM serializes each pivot row on one worker; a 2D-blocked plan
-// splits the pivot rows across the grid's column tiles (the band's
-// destinations spread over the cold half) and keeps every worker busy. The
-// grid parameter sizes the band to one tile's height, which also places the
-// two pivots in different tile rows (row 0 in tile row 0, row 2+band in tile
-// row 1), so their tile tasks land on disjoint workers.
-func GridPartitioned(n, grid, m int, seed int64) Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := Graph{N: n}
-	if n < 4 || m <= 0 {
-		return g
-	}
-	if grid < 1 {
-		grid = 1
-	}
-	if grid > n {
-		grid = n
-	}
-	band := n / grid
-	if band < 1 {
-		band = 1
-	}
-	if band > n/2-2 {
-		band = n/2 - 2
-	}
-	// Pivot rows 0 and 2+band each cover the whole band. Neither pivot is a
-	// band row itself, so each pivot's flops are exactly the band's nnz.
-	for b := 0; b < band; b++ {
-		g.Src = append(g.Src, 0, 2+band)
-		g.Dst = append(g.Dst, 2+b, 2+b)
-	}
-	// Heavy band: ~15/16 of the edge budget, destinations in the cold half.
-	for k := 0; k < m-m/16-2*band; k++ {
-		s := 2 + rng.Intn(band)
-		d := n/2 + rng.Intn(n/2)
-		g.Src = append(g.Src, s)
-		g.Dst = append(g.Dst, d)
-	}
-	// Uniform background for the remaining budget.
-	for len(g.Src) < m {
-		s := rng.Intn(n)
-		d := rng.Intn(n)
-		if s == d {
-			continue
-		}
-		g.Src = append(g.Src, s)
-		g.Dst = append(g.Dst, d)
-	}
-	return g.Dedup()
-}
-
 // RMAT generates a Kronecker/RMAT power-law graph with 2^scale vertices and
 // approximately edgeFactor * 2^scale edges, using the standard (a, b, c, d)
 // recursive quadrant probabilities (Graph500 uses 0.57, 0.19, 0.19, 0.05).

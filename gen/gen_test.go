@@ -126,85 +126,6 @@ func TestHubHypersparseSkew(t *testing.T) {
 	}
 }
 
-func TestBlockDiagonalProperties(t *testing.T) {
-	const n, blocks, m = 120, 4, 600
-	g := BlockDiagonal(n, blocks, m, 9)
-	if g.N != n || g.NumEdges() != m {
-		t.Fatalf("N=%d edges=%d, want %d/%d", g.N, g.NumEdges(), n, m)
-	}
-	width := n / blocks
-	seen := map[[2]int]bool{}
-	for k := range g.Src {
-		s, d := g.Src[k], g.Dst[k]
-		if s == d {
-			t.Fatal("self loop")
-		}
-		if s/width != d/width {
-			t.Fatalf("edge (%d,%d) crosses block boundary", s, d)
-		}
-		key := [2]int{s, d}
-		if seen[key] {
-			t.Fatal("duplicate edge")
-		}
-		seen[key] = true
-	}
-	g2 := BlockDiagonal(n, blocks, m, 9)
-	for k := range g.Src {
-		if g.Src[k] != g2.Src[k] || g.Dst[k] != g2.Dst[k] {
-			t.Fatal("not deterministic")
-		}
-	}
-	// saturation: per-block capacity clamps the edge count
-	tiny := BlockDiagonal(4, 2, 100, 1)
-	if tiny.NumEdges() != 4 { // 2 blocks × 2·1 capacity
-		t.Fatalf("clamped edges = %d, want 4", tiny.NumEdges())
-	}
-}
-
-func TestGridPartitionedSkew(t *testing.T) {
-	const n, grid, m = 2048, 8, 8192
-	g := GridPartitioned(n, grid, m, 13)
-	if g.N != n || g.NumEdges() == 0 || g.NumEdges() > m {
-		t.Fatalf("N=%d edges=%d", g.N, g.NumEdges())
-	}
-	deg := map[int]int{}
-	for k := range g.Src {
-		if g.Src[k] == g.Dst[k] {
-			t.Fatal("self loop")
-		}
-		if g.Src[k] < 0 || g.Src[k] >= n || g.Dst[k] < 0 || g.Dst[k] >= n {
-			t.Fatal("out of range")
-		}
-		deg[g.Src[k]]++
-	}
-	// Each pivot row covers the whole heavy band of one tile's height, and
-	// the two pivots sit in different tile rows (0 and 2+band).
-	band := n / grid
-	if deg[0] != band || deg[2+band] != band {
-		t.Fatalf("pivot degrees %d/%d, want %d", deg[0], deg[2+band], band)
-	}
-	// The squared product's flops must concentrate on the pivot rows: each
-	// pivot's flop count (Σ nnz of the band rows it points at) has to dwarf
-	// the per-row average — the skew that defeats 1D flop-balanced
-	// partitioning.
-	bandNNZ := 0
-	for b := 0; b < band; b++ {
-		bandNNZ += deg[2+b]
-	}
-	totalFlops := 0
-	for k := range g.Src {
-		totalFlops += deg[g.Dst[k]]
-	}
-	pivotFlops := bandNNZ // one pivot row's flops
-	if 4*pivotFlops < totalFlops {
-		t.Fatalf("pivot flops %d of %d total: not skewed enough", pivotFlops, totalFlops)
-	}
-	g2 := GridPartitioned(n, grid, m, 13)
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatal("not deterministic")
-	}
-}
-
 func TestRMATProperties(t *testing.T) {
 	g := Graph500RMAT(8, 8, 3)
 	if g.N != 256 {

@@ -35,7 +35,7 @@ var Analyzer = &lint.Analyzer{
 var guardedEnums = map[string]bool{
 	"Info": true, "WaitMode": true, "Mode": true,
 	"Format": true, "AxBMethod": true, "Direction": true,
-	"SpecMode": true, "BlockMode": true,
+	"SpecMode": true,
 }
 
 func run(pass *lint.Pass) error {

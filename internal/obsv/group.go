@@ -69,33 +69,24 @@ func (g *Group) values() [kcLen]int64 {
 	return out
 }
 
-// bvalues is values for the block counter group, which Begin/End also
-// snapshots so kernel events can carry per-call blocked-engine deltas.
-func (g *Group) bvalues() [bkLen]int64 {
-	var out [bkLen]int64
-	b := g.bank.Load()
-	for i := 0; i < len(b.c) && i < bkLen; i++ {
-		out[i] = b.c[i].Load()
-	}
-	return out
-}
-
 // Indices of the kernel-routing counter group. internal/sparse increments
 // these at its routing decisions; the grb compatibility shims
 // (KernelCounts, DirectionCounts, TransposeCount, KernelScratchBytes,
 // ResetKernelCounts) read and reset them through internal/sparse.
 const (
-	KCDenseRanges    = iota // multiply row ranges served by the dense SPA
-	KCHashRanges            // multiply row ranges served by the hash SPA
-	KCScratchBytes          // accumulator scratch allocated by kernels
-	KCPushCalls             // matrix-vector products served by the push kernel
-	KCPullCalls             // matrix-vector products served by the pull kernel
-	KCTransposeMats         // transpose materializations (cache misses)
-	KCBudgetDegrades        // budget-forced route changes (hash fallback, thread halving, uncached transpose)
-	KCPanicsRecovered       // kernel panics recovered into parked §V errors
-	KCMonoKernels           // multiply calls served by a monomorphized semiring kernel
-	KCClosureFallbacks      // multiply calls that fell back to the generic closure kernel
-	KCFormatConversions     // sparse→bitmap/dense block-format materializations (cache misses)
+	KCDenseRanges       = iota // multiply row ranges served by the dense SPA
+	KCHashRanges               // multiply row ranges served by the hash SPA
+	KCScratchBytes             // accumulator scratch allocated by kernels
+	KCPushCalls                // matrix-vector products served by the push kernel
+	KCPullCalls                // matrix-vector products served by the pull kernel
+	KCTransposeMats            // transpose materializations (cache misses)
+	KCBudgetDegrades           // budget-forced route changes (hash fallback, thread halving, uncached transpose)
+	KCPanicsRecovered          // kernel panics recovered into parked §V errors
+	KCMonoKernels              // multiply calls served by a monomorphized semiring kernel
+	KCClosureFallbacks         // multiply calls that fell back to the generic closure kernel
+	KCFormatConversions        // sparse→bitmap/dense block-format materializations (cache misses)
+	KCSpanFlops                // modeled parallel span (critical-path flops) of SpGEMM calls
+	KCWorkFlops                // total flops of span-instrumented SpGEMM calls
 	kcLen
 )
 
@@ -113,35 +104,6 @@ var KernelCounters = NewGroup(
 	"mono_kernels",
 	"closure_fallbacks",
 	"format_conversions",
-)
-
-// Indices of the 2D-blocked engine counter group. Registered as a bank from
-// day one so snapshot/reset are group-atomic — no per-variable Store(0) torn
-// reads to fix later (the PR 4 race the kernel counters needed a follow-up
-// for).
-const (
-	BKBlockedOps       = iota // multiply calls served by the blocked (SUMMA) engine
-	BKTileTasks               // tile tasks executed by the blocked plans
-	BKTileDense               // tile tasks served by the dense tile SPA
-	BKTileHash                // tile tasks served by the hash tile accumulator
-	BKAutoBlocks              // blocked views built by the Wait-time auto-blocker
-	BKBlockedFallbacks        // blocked-route requests that fell back to the flat engine
-	BKTileScratchBytes        // per-tile accumulator scratch allocated by blocked plans
-	BKSpanFlops               // modeled parallel span (critical-path flops) of SpGEMM calls
-	BKWorkFlops               // total flops of span-instrumented SpGEMM calls
-	bkLen
-)
-
-// BlockCounters is the blocked-engine counter group, shared between
-// internal/sparse (writer) and the sinks (readers).
-var BlockCounters = NewGroup(
-	"blocked_ops",
-	"tile_tasks",
-	"tile_dense",
-	"tile_hash",
-	"auto_blocks",
-	"blocked_fallbacks",
-	"tile_scratch_bytes",
 	"span_flops",
 	"work_flops",
 )

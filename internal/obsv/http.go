@@ -18,11 +18,6 @@ func Handler() http.Handler {
 		for i, name := range KernelCounters.Names() {
 			counters[name] = kc[i]
 		}
-		bc := BlockCounters.Snapshot()
-		blocked := make(map[string]int64, len(bc))
-		for i, name := range BlockCounters.Names() {
-			blocked[name] = bc[i]
-		}
 		doc := struct {
 			MetricsEnabled bool                    `json:"metrics_enabled"`
 			Tracing        bool                    `json:"tracing"`
@@ -31,7 +26,6 @@ func Handler() http.Handler {
 			Tenants        map[string]LabelMetrics `json:"tenants,omitempty"`
 			Serve          map[string]int64        `json:"serve,omitempty"`
 			KernelCounters map[string]int64        `json:"kernel_counters"`
-			BlockCounters  map[string]int64        `json:"block_counters"`
 			TraceBuffered  int                     `json:"trace_events_buffered"`
 		}{
 			MetricsEnabled: MetricsEnabled(),
@@ -41,7 +35,6 @@ func Handler() http.Handler {
 			Tenants:        LabelsSnapshot(),
 			Serve:          ServeSnapshot(),
 			KernelCounters: counters,
-			BlockCounters:  blocked,
 			TraceBuffered:  TraceBuffered(),
 		}
 		w.Header().Set("Content-Type", "application/json")

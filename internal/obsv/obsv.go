@@ -106,22 +106,15 @@ type Event struct {
 	ClosureFalls    int64 `json:"closure_fallbacks,omitempty"`
 	FormatConvs     int64 `json:"format_conversions,omitempty"`
 
-	// Per-call deltas of the blocked-engine counter group (same attribution
-	// caveats as the kernel counter deltas above).
-	BlockedOps   int64 `json:"blocked_ops,omitempty"`
-	TileTasks    int64 `json:"tile_tasks,omitempty"`
-	BlockedFalls int64 `json:"blocked_fallbacks,omitempty"`
-
 	Steps int `json:"steps,omitempty"` // sequence spans: drained step count
 
 	Start int64  `json:"start_ns"` // ns since the obsv epoch
-	Dur   int64  `json:"dur_ns"`  // wall time
+	Dur   int64  `json:"dur_ns"`   // wall time
 	Err   string `json:"err,omitempty"`
 
-	// Counter-group snapshots taken at Begin; live here rather than in Exec
+	// Counter-group snapshot taken at Begin; lives here rather than in Exec
 	// so the zero Exec the disabled path returns stays two words.
 	kcBefore [kcLen]int64
-	bkBefore [bkLen]int64
 }
 
 // A records the first operand's shape; nil-safe and chainable so call sites
@@ -185,7 +178,6 @@ func Begin(ev *Event, seq SeqID) Exec {
 	}
 	ev.Seq = seq
 	ev.kcBefore = KernelCounters.values()
-	ev.bkBefore = BlockCounters.bvalues()
 	return Exec{ev: ev, start: now()}
 }
 
@@ -215,10 +207,6 @@ func (x Exec) End(outNNZ int, err error) {
 	ev.MonoKernels = deltaClamp(kc[KCMonoKernels], ev.kcBefore[KCMonoKernels])
 	ev.ClosureFalls = deltaClamp(kc[KCClosureFallbacks], ev.kcBefore[KCClosureFallbacks])
 	ev.FormatConvs = deltaClamp(kc[KCFormatConversions], ev.kcBefore[KCFormatConversions])
-	bk := BlockCounters.bvalues()
-	ev.BlockedOps = deltaClamp(bk[BKBlockedOps], ev.bkBefore[BKBlockedOps])
-	ev.TileTasks = deltaClamp(bk[BKTileTasks], ev.bkBefore[BKTileTasks])
-	ev.BlockedFalls = deltaClamp(bk[BKBlockedFallbacks], ev.bkBefore[BKBlockedFallbacks])
 	ev.Route = resolveRoute(ev)
 	if err != nil {
 		ev.Err = err.Error()
@@ -252,9 +240,6 @@ func resolveRoute(ev *Event) string {
 	}
 	if ev.MonoKernels > 0 {
 		route += "+mono"
-	}
-	if ev.BlockedOps > 0 {
-		route += "+blocked"
 	}
 	return route
 }

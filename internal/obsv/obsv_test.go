@@ -386,8 +386,18 @@ func TestHTTPHandler(t *testing.T) {
 	if doc.Ops["HTTPOp"].Count != 1 {
 		t.Fatalf("ops = %v", doc.Ops)
 	}
-	if _, ok := doc.Counters["dense_ranges"]; !ok {
-		t.Fatalf("kernel_counters missing dense_ranges: %v", doc.Counters)
+	for _, name := range []string{"dense_ranges", "span_flops", "work_flops"} {
+		if _, ok := doc.Counters[name]; !ok {
+			t.Fatalf("kernel_counters missing %s: %v", name, doc.Counters)
+		}
+	}
+	// One counter group, one object: the document has no second bank.
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw["block_counters"]; ok {
+		t.Fatal("metrics document still carries a block_counters object")
 	}
 }
 

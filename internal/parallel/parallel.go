@@ -171,7 +171,7 @@ func BalancedRanges(rows, k int, ptr []int) []int {
 // goroutines that pull tasks from a shared atomic counter — work stealing in
 // its simplest form. Unlike Run, which assigns one goroutine per precomputed
 // range, Tasks lets a worker that finishes a cheap task immediately claim the
-// next one, so heavily skewed task costs (one hot tile among many cold ones)
+// next one, so heavily skewed task costs (one hot task among many cold ones)
 // self-balance without a weight-estimation pass. A panic on any worker is
 // re-raised on the calling goroutine as a WorkerPanic after all workers join
 // (serial execution panics directly); remaining tasks still run, keeping the

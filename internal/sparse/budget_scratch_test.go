@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// Regression tests for the budgetcheck sweep: row-scaled stitch tables and
-// grid-scaled plan tables used to be allocated without a budget charge, so
-// a tall or finely-gridded product could blow far past the configured
-// memory limit while every metered allocation stayed tiny. Each test pins
+// Regression tests for the budgetcheck sweep: row-scaled stitch tables used
+// to be allocated without a budget charge, so a tall product could blow far
+// past the configured memory limit while every metered allocation stayed
+// tiny. Each test pins
 // one fixed site: a budget sized to fit the worker scratch but not the
 // newly charged table must now refuse with ErrBudget, and a generous
-// budget must still produce the exact flat-kernel result.
+// budget must still produce the exact unbudgeted result.
 
 // tallThin builds a rows×8 matrix with one entry per row, so the worker
 // SPA scratch is a few dozen bytes while the rows-scaled stitch table is
@@ -75,31 +75,4 @@ func TestMonoSpGEMMStitchTableIsBudgeted(t *testing.T) {
 		t.Fatalf("monomorphized product under a 1MiB budget: handled=%v err=%v", handled, err)
 	}
 	identicalCSR(t, "budgeted mono spgemm", got, SpGEMM(a, b, mul, add, Mask{}, 1))
-}
-
-func TestBlockedPlanTablesAreBudgeted(t *testing.T) {
-	// Empty operands over a 32×32 grid: every tile task used to early-out
-	// before any charge, so the 1024-task plan tables were entirely
-	// unmetered and a 1KiB budget sailed through.
-	a := NewCSR[int](512, 512)
-	b := NewCSR[int](512, 512)
-	ab := a.BlockedView(32, 32)
-	bb := b.BlockedView(32, 32)
-	mul := func(x, y int) int { return x * y }
-	add := func(x, y int) int { return x + y }
-	prod := closureTileRows(mul, add)
-
-	small := NewBudget(1024).Tx()
-	if _, err := blockedSpGEMM(ab, bb, mul, add, Mask{}, Exec{Threads: 2, Tx: small}, KernelAuto, prod); !errors.Is(err, ErrBudget) {
-		t.Fatalf("blockedSpGEMM under a 1KiB budget: err = %v, want ErrBudget", err)
-	}
-
-	big := NewBudget(1 << 20).Tx()
-	got, err := blockedSpGEMM(ab, bb, mul, add, Mask{}, Exec{Threads: 2, Tx: big}, KernelAuto, prod)
-	if err != nil {
-		t.Fatalf("blockedSpGEMM under a 1MiB budget: %v", err)
-	}
-	if got.NNZ() != 0 || got.Rows != 512 || got.Cols != 512 {
-		t.Fatalf("empty blocked product: %dx%d nnz=%d", got.Rows, got.Cols, got.NNZ())
-	}
 }

@@ -35,35 +35,11 @@ var (
 	monoKernels       = kcounter(obsv.KCMonoKernels)
 	closureFallbacks  = kcounter(obsv.KCClosureFallbacks)
 	formatConversions = kcounter(obsv.KCFormatConversions)
-)
 
-// bcounter is kcounter for the blocked-engine group (obsv.BlockCounters): the
-// blocked counters get their own bank so ResetKernelCounts can swap both
-// groups atomically and a reader never sees a torn mix.
-type bcounter int
-
-// Add adds d to the counter's slot in the blocked-engine group.
-func (k bcounter) Add(d int64) { obsv.BlockCounters.Add(int(k), d) }
-
-// Load returns the counter's current value.
-func (k bcounter) Load() int64 { return obsv.BlockCounters.Get(int(k)) }
-
-// blockedOps counts multiply calls served by the blocked (SUMMA) engine;
-// tileTasks the tile multiply tasks those calls executed; tileDense/tileHash
-// the accumulator each task used; autoBlocks the blocked views built by the
-// Wait-time auto-blocker; blockedFallbacks the blocked-route requests that
-// fell back to the flat engine (budget refusal, incompatible splits);
-// tileScratch the per-tile accumulator scratch.
-var (
-	blockedOps       = bcounter(obsv.BKBlockedOps)
-	tileTasks        = bcounter(obsv.BKTileTasks)
-	tileDense        = bcounter(obsv.BKTileDense)
-	tileHash         = bcounter(obsv.BKTileHash)
-	autoBlocks       = bcounter(obsv.BKAutoBlocks)
-	blockedFallbacks = bcounter(obsv.BKBlockedFallbacks)
-	tileScratch      = bcounter(obsv.BKTileScratchBytes)
-	spanFlops        = bcounter(obsv.BKSpanFlops)
-	workFlops        = bcounter(obsv.BKWorkFlops)
+	// spanFlops/workFlops accumulate each SpGEMM call's modeled parallel
+	// span and total flops (see noteSpan).
+	spanFlops = kcounter(obsv.KCSpanFlops)
+	workFlops = kcounter(obsv.KCWorkFlops)
 )
 
 // KernelCounts returns the number of row ranges served by the dense and hash
@@ -117,37 +93,11 @@ func NotePanicRecovered() { panicsRecovered.Add(1) }
 // keeps an operation inside its memory budget.
 func NoteBudgetDegrade() { budgetDegrades.Add(1) }
 
-// BlockCounts returns the number of multiply calls served by the blocked
-// (SUMMA) engine and the number of tile multiply tasks they executed since
-// the last ResetKernelCounts.
-func BlockCounts() (ops, tasks int64) {
-	return blockedOps.Load(), tileTasks.Load()
-}
-
-// BlockTileCounts returns the number of tile tasks served by the dense tile
-// SPA and the hash tile accumulator since the last ResetKernelCounts.
-func BlockTileCounts() (dense, hash int64) {
-	return tileDense.Load(), tileHash.Load()
-}
-
-// BlockFallbackCount returns the number of blocked-route requests that fell
-// back to the flat engine since the last ResetKernelCounts.
-func BlockFallbackCount() int64 { return blockedFallbacks.Load() }
-
-// AutoBlockCount returns the number of blocked views built by the Wait-time
-// auto-blocker since the last ResetKernelCounts.
-func AutoBlockCount() int64 { return autoBlocks.Load() }
-
-// BlockScratchBytes returns the per-tile accumulator scratch allocated by
-// blocked plans since the last ResetKernelCounts.
-func BlockScratchBytes() int64 { return tileScratch.Load() }
-
 // noteSpan accumulates one SpGEMM call's modeled parallel span (the
 // makespan, in flops, of its partition greedily list-scheduled over its
 // worker count) and its total flops. The ratio work/span is the plan's
-// modeled parallel speedup — a machine-independent load-balance metric the
-// benchmark gate compares flat and blocked plans with, immune to the host's
-// real core count.
+// modeled parallel speedup — a machine-independent load-balance metric,
+// immune to the host's real core count.
 func noteSpan(span, work int64) {
 	spanFlops.Add(span)
 	workFlops.Add(work)
@@ -161,9 +111,8 @@ func SpanFlops() (span, work int64) {
 
 // modeledSpan returns the makespan of greedy list scheduling of the given
 // per-unit flop counts over `workers` equal-speed workers: each unit, in
-// order, goes to the least-loaded worker. For the flat kernel's one-range-
-// per-worker partition this reduces to the heaviest range; for a blocked
-// plan's task list it models what the work-stealing pool achieves.
+// order, goes to the least-loaded worker. For the one-range-per-worker
+// partition the kernels use this reduces to the heaviest range.
 // Deterministic, so bench gates built on it are noise-free.
 func modeledSpan(units []int64, workers int) int64 {
 	if workers < 1 {
@@ -189,17 +138,14 @@ func modeledSpan(units []int64, workers int) int64 {
 }
 
 // ResetKernelCounts zeroes the selection and scratch counters, the push/pull
-// routing counters, and the transpose-materialization counter — as a group,
-// atomically: the backing bank is swapped in one step, so a concurrent reader
-// can never observe some counters reset and others not (the torn-group race
-// the old per-variable Store(0) reset allowed). The blocked-engine group is
-// swapped the same way.
-func ResetKernelCounts() {
-	obsv.KernelCounters.Reset()
-	obsv.BlockCounters.Reset()
-}
+// routing counters, the transpose-materialization counter and the span
+// telemetry — as a group, atomically: the backing bank is swapped in one
+// step, so a concurrent reader can never observe some counters reset and
+// others not (the torn-group race the old per-variable Store(0) reset
+// allowed).
+func ResetKernelCounts() { obsv.KernelCounters.Reset() }
 
-// notePartSpan records the span of a flat row-partitioned SpGEMM: parts is
+// notePartSpan records the span of a row-partitioned SpGEMM: parts is
 // the BalancedRanges boundary list and fptr the per-row flop prefix, so each
 // range's flops are fptr deltas and the total is fptr's last entry.
 func notePartSpan(parts []int, fptr []int, workers int) {

@@ -53,12 +53,6 @@ type CSR[T any] struct {
 	// dm memoizes the bitmap/dense block view (see DenseView), under the
 	// same immutable-on-write coherence argument as tr.
 	dm atomic.Pointer[DenseMat[T]]
-
-	// blk memoizes the 2D-blocked tile view (see BlockedViewEx), under the
-	// same immutable-on-write coherence argument as tr/dm. A view built for
-	// a different grid is replaced rather than kept alongside: any cached
-	// BlockedCSR is valid for its own grid, so replacement is safe.
-	blk atomic.Pointer[BlockedCSR[T]]
 }
 
 // NewCSR returns an empty rows×cols matrix.

@@ -47,7 +47,7 @@ func (m *CSR[T]) DenseViewEx(e Exec) (*DenseMat[T], error) {
 		return nil, err
 	}
 	var zero T
-	full := m.NNZ() == size && CurrentFormatHint() != FormatHintBitmap
+	full := m.NNZ() == size
 	bytes := int64(size) * int64(unsafe.Sizeof(zero))
 	if !full {
 		bytes += int64(size)

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -12,40 +11,6 @@ import (
 // sorted-coordinate form. Views are memoized on the sparse object
 // (Vec.dv/CSR.dm) under the immutable-on-write contract, and converted back
 // with Sparse/CSR for the round-trip property tests.
-
-// FormatHint pins the block-format tier of the kernel router, mirroring how
-// the Kernel hint pins the accumulator and Direction pins push/pull. The
-// default lets DenseView pick full storage when every position is present
-// and bitmap otherwise; the pinned variants exist for benchmarking
-// (cmd/grbbench -format) and for the differential battery's format axis.
-type FormatHint int
-
-const (
-	// FormatHintAuto picks full storage for nnz == n operands, bitmap
-	// otherwise.
-	FormatHintAuto FormatHint = iota
-	// FormatHintBitmap forces bitmap storage even for full operands.
-	FormatHintBitmap
-	// FormatHintSparse disables block-format materialization entirely:
-	// the monomorphized kernels fall back to the closure kernels, which
-	// run on the sparse form.
-	FormatHintSparse
-)
-
-var formatHint atomic.Int64
-
-// CurrentFormatHint returns the block-format routing hint.
-func CurrentFormatHint() FormatHint { return FormatHint(formatHint.Load()) }
-
-// SetFormatHint pins the block-format routing hint and returns the previous
-// value. Out-of-range values are normalized to FormatHintAuto. It affects
-// only future materializations; already-cached views are served as built.
-func SetFormatHint(h FormatHint) FormatHint {
-	if h < FormatHintAuto || h > FormatHintSparse {
-		h = FormatHintAuto
-	}
-	return FormatHint(formatHint.Swap(int64(h)))
-}
 
 // DenseVec is the block view of a vector: Val has one slot per position.
 // Bit == nil marks the full variant (every position stored, Nnz == N);
@@ -95,7 +60,7 @@ func (v *Vec[T]) DenseViewEx(e Exec) (*DenseVec[T], error) {
 		return nil, err
 	}
 	var zero T
-	full := v.NNZ() == v.N && CurrentFormatHint() != FormatHintBitmap
+	full := v.NNZ() == v.N
 	bytes := int64(v.N) * int64(unsafe.Sizeof(zero))
 	if !full {
 		bytes += int64(v.N)

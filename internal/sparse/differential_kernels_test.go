@@ -217,14 +217,33 @@ func TestDifferentialSpMVGather(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSelectionRoutes pins the threshold and checks the router sends
-// hypersparse work to the hash SPA and dense work to the dense SPA.
+// TestAdaptiveSelectionRoutes checks the router at its constant threshold:
+// the chooseHash decision table (including the flops == cols/2 boundary), and
+// that hypersparse work reaches the hash SPA and dense work the dense SPA.
 func TestAdaptiveSelectionRoutes(t *testing.T) {
+	for _, tc := range []struct {
+		hint        Kernel
+		flops, cols int
+		want        bool
+	}{
+		{KernelAuto, 0, 5000, true},
+		{KernelAuto, 2499, 5000, true},
+		{KernelAuto, 2500, 5000, false}, // boundary: hash iff flops < cols/2
+		{KernelAuto, 2501, 5000, false},
+		{KernelAuto, 1 << 40, 5000, false},
+		{KernelAuto, 0, 0, false},
+		{KernelAuto, 0, 1, false},
+		{KernelDense, 0, 5000, false},
+		{KernelHash, 1 << 40, 8, true},
+	} {
+		if got := chooseHash(tc.hint, tc.flops, tc.cols); got != tc.want {
+			t.Errorf("chooseHash(%d, %d, %d) = %v, want %v", tc.hint, tc.flops, tc.cols, got, tc.want)
+		}
+	}
+
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	mul := func(a, b int) int { return a * b }
 	add := func(a, b int) int { return a + b }
-	prev := SetHashThreshold(defaultHashThreshold)
-	defer SetHashThreshold(prev)
 
 	// Hypersparse: 5000 columns, a handful of flops per row.
 	a := sprayCSR(rng, 200, 200, 300, func(r *rand.Rand) int { return 1 + r.Intn(9) })
@@ -235,30 +254,66 @@ func TestAdaptiveSelectionRoutes(t *testing.T) {
 		t.Fatal("hypersparse product never chose the hash SPA")
 	}
 
-	// Dense regime: every row's flop bound rivals the 40-wide output.
+	// Dense regime: every row's flop bound rivals the 40-wide output, so
+	// every range does far more flops than it has columns.
 	c := sprayCSR(rng, 40, 40, 800, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	ResetKernelCounts()
 	SpGEMM(c, c, mul, add, Mask{}, 4)
-	if dense, _ := KernelCounts(); dense == 0 {
-		t.Fatal("dense product never chose the dense SPA")
+	if dense, hash := KernelCounts(); dense == 0 || hash != 0 {
+		t.Fatalf("dense-regime product routed dense=%d hash=%d, want dense only", dense, hash)
+	}
+}
+
+// TestSpanTelemetryOverRowRanges pins the modeled-span telemetry the row
+// partitioner is judged by: work is the product's exact flop count, span is
+// the heaviest of the flop-balanced row ranges, and a pivot row no 1D
+// partition can split keeps span well above work/threads — the skew a
+// row-splitting partitioner would have to beat. Both the closure and the
+// monomorphized SpGEMM report it, and ResetKernelCounts clears it.
+func TestSpanTelemetryOverRowRanges(t *testing.T) {
+	if got := modeledSpan([]int64{5, 1, 1, 1, 4}, 2); got != 7 {
+		t.Fatalf("modeledSpan greedy list schedule = %d, want 7 (5 | 1+1+1+4)", got)
 	}
 
-	// Threshold 1 is the most hash-friendly setting (hash iff flops < cols),
-	// yet a dense-regime product does far more flops than it has columns, so
-	// it must still route dense.
-	SetHashThreshold(1)
-	ResetKernelCounts()
-	SpGEMM(c, c, mul, add, Mask{}, 4)
-	if _, hash := KernelCounts(); hash != 0 {
-		t.Fatal("threshold=1 still routed a dense-regime range to hash")
+	// Row 0 points at every row of b; the other 63 rows hold one entry, so
+	// row 0 alone carries half the flops.
+	const n, threads = 64, 4
+	var I, J []int
+	var X []float64
+	for j := 0; j < n; j++ {
+		I, J, X = append(I, 0), append(J, j), append(X, 1)
 	}
+	for i := 1; i < n; i++ {
+		I, J, X = append(I, i), append(J, i), append(X, 1)
+	}
+	a, err := BuildCSR(n, n, I, J, X, func(x, y float64) float64 { return y })
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sprayCSR(rand.New(rand.NewSource(11)), n, n, 6*n, func(r *rand.Rand) float64 { return 1 + r.Float64() })
+	mul := func(x, y float64) float64 { return x * y }
+	add := func(x, y float64) float64 { return x + y }
+	work := SpGEMMFlopsTotal(a, b)
+	pivot := int64(b.NNZ()) // row 0's flops: one per stored entry of b
 
-	// A huge threshold biases selection all the way to dense: even the
-	// hypersparse product must stop choosing the hash SPA.
-	SetHashThreshold(1 << 30)
+	for _, spec := range []Spec{SpecGeneric, SpecMono} {
+		ResetKernelCounts()
+		if _, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, Mask{}, Exec{Threads: threads}, KernelDense); err != nil {
+			t.Fatal(err)
+		}
+		span, gotWork := SpanFlops()
+		if gotWork != work {
+			t.Fatalf("spec %d: work = %d, want the exact flop count %d", spec, gotWork, work)
+		}
+		if span < pivot || span > work {
+			t.Fatalf("spec %d: span = %d, want within [pivot row %d, work %d]", spec, span, pivot, work)
+		}
+		if span*threads < 2*work {
+			t.Fatalf("spec %d: span %d is balanced (work %d / %d threads) despite the unsplittable pivot row", spec, span, work, threads)
+		}
+	}
 	ResetKernelCounts()
-	SpGEMM(a, b, mul, add, Mask{}, 4)
-	if _, hash := KernelCounts(); hash != 0 {
-		t.Fatal("huge threshold still routed hypersparse ranges to hash")
+	if span, w := SpanFlops(); span != 0 || w != 0 {
+		t.Fatalf("ResetKernelCounts left span=%d work=%d", span, w)
 	}
 }

@@ -1,7 +1,5 @@
 package sparse
 
-import "sync/atomic"
-
 // Direction-optimizing traversal policy (Beamer-style push/pull selection).
 //
 // A matrix-vector product over a sparse frontier u can be served two ways:
@@ -20,30 +18,13 @@ import "sync/atomic"
 // sequential row gathers win. chooseDirection routes each call by frontier
 // and mask density; the Descriptor's Dir field pins it per operation.
 
-// directionThreshold is the frontier-density knob: with no better signal the
-// push kernel is chosen when nnz(u) < inDim/threshold. Stored atomically so
-// benchmarks can pin it while operations run on other goroutines.
-var directionThreshold atomic.Int64
-
-// defaultDirectionThreshold = 16 is the classic direction-optimizing BFS
-// switch point (Beamer et al. report α ≈ 14 for edge-based estimates; with
-// our vertex-count proxy 16 keeps push through the growing phase of a
-// power-law traversal and hands dense frontiers to pull).
+// defaultDirectionThreshold is the frontier-density threshold: with no better
+// signal the push kernel is chosen when nnz(u) < inDim/threshold. 16 is the
+// classic direction-optimizing BFS switch point (Beamer et al. report α ≈ 14
+// for edge-based estimates; with our vertex-count proxy 16 keeps push through
+// the growing phase of a power-law traversal and hands dense frontiers to
+// pull).
 const defaultDirectionThreshold = 16
-
-func init() { directionThreshold.Store(defaultDirectionThreshold) }
-
-// DirectionThreshold returns the current push/pull selection threshold.
-func DirectionThreshold() int { return int(directionThreshold.Load()) }
-
-// SetDirectionThreshold pins the push/pull selection threshold and returns
-// the previous value. Values < 1 are clamped to 1.
-func SetDirectionThreshold(t int) int {
-	if t < 1 {
-		t = 1
-	}
-	return int(directionThreshold.Swap(int64(t)))
-}
 
 // ChoosePush is the push/pull selection rule for a matrix-vector product
 // whose frontier u has nnzU stored entries over an input dimension inDim,
@@ -57,7 +38,7 @@ func SetDirectionThreshold(t int) int {
 //     touches only the frontier's edges, while pull must gather every
 //     unmasked row.
 func ChoosePush(nnzU, inDim int, mask VMask, outDim int) bool {
-	t := DirectionThreshold()
+	const t = defaultDirectionThreshold
 	if mask.M != nil && !mask.Complement && mask.M.NNZ() < outDim/t {
 		return false
 	}

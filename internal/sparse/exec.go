@@ -259,11 +259,6 @@ type Exec struct {
 	Threads int
 	Tx      *BudgetTx
 	Cancel  func() error
-	// Block is the per-operation blocked-engine pin (descriptor level,
-	// analogous to the Kernel and Spec pins): the zero value BlockAuto defers
-	// to the global hint and the size thresholds, BlockForce routes through
-	// the 2D-blocked SUMMA plans, BlockFlat keeps the flat kernels.
-	Block BlockHint
 }
 
 // threads returns the effective worker count (≥ 1).
@@ -368,10 +363,6 @@ var (
 	siteMonoLoop      = faults.Register("sparse.mono.loop")
 	siteMonoSpa       = faults.Register("sparse.mono.spa")
 	siteFormatConvert = faults.Register("sparse.format.convert")
-	// Blocked-engine site: probed at every tile task entry and at blocked-view
-	// materialization, so the chaos sweep exercises budget exhaustion and
-	// panics inside SUMMA plans.
-	siteBlockTile = faults.Register("sparse.block.tile")
 )
 
 // MergeSite exposes the tuple-merge fault site so the grb layer's deferred

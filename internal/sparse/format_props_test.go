@@ -7,10 +7,11 @@ import (
 
 // Format-transition property tests: converting a sparse object to its
 // bitmap/dense block view and back must be lossless — same shape, same
-// nnz, same pattern, same values — for every density and under either
-// format hint. Built with -tags grbcheck the conversions additionally run
-// the structural validators at every install point, so a malformed view or
-// a broken round-trip fails twice over.
+// nnz, same pattern, same values — for every density, which alone picks the
+// view (full operand → full view, anything else → bitmap view). Built with
+// -tags grbcheck the conversions additionally run the structural validators
+// at every install point, so a malformed view or a broken round-trip fails
+// twice over.
 
 // roundTripVec pushes v through its block view and back and checks the
 // result is exactly v.
@@ -39,12 +40,8 @@ func TestFormatVecRoundTrip(t *testing.T) {
 		// saturate every position (likely only at tiny n).
 		sv := sprayVec(rng, n, 3, mk)
 		roundTripVec(t, "sparse", sv, sv.NNZ() == sv.N)
-		// Full frontier: a dense view under the auto hint...
-		roundTripVec(t, "full-auto", fullVec(rng, n, mk), true)
-		// ...and a bitmap view under the bitmap pin.
-		prev := SetFormatHint(FormatHintBitmap)
-		roundTripVec(t, "full-bitmap", fullVec(rng, n, mk), false)
-		SetFormatHint(prev)
+		// Full frontier: a dense (bitmap-free) view.
+		roundTripVec(t, "full", fullVec(rng, n, mk), true)
 	}
 	// Degenerate shapes.
 	roundTripVec(t, "empty", NewVec[float64](17), false)
@@ -87,13 +84,10 @@ func TestFormatMatRoundTrip(t *testing.T) {
 		rows := 1 + rng.Intn(40)
 		cols := 1 + rng.Intn(40)
 		// A spray of rows+cols entries can saturate a tiny matrix, in
-		// which case the auto-hint view is legitimately full.
+		// which case the view is legitimately full.
 		sm := sprayCSR(rng, rows, cols, rows+cols, mk)
 		roundTripMat(t, "sparse", sm, sm.NNZ() == rows*cols)
 		roundTripMat(t, "full", fullCSR(rng, rows, cols, mk), true)
-		prev := SetFormatHint(FormatHintBitmap)
-		roundTripMat(t, "full-bitmap", fullCSR(rng, rows, cols, mk), false)
-		SetFormatHint(prev)
 	}
 	roundTripMat(t, "empty", NewCSR[float64](9, 13), false)
 }

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"sync/atomic"
 	"unsafe"
 
 	"github.com/grblas/grb/internal/parallel"
@@ -21,36 +20,18 @@ const (
 	KernelHash
 )
 
-// hashThreshold is the adaptive-selection knob: a row range is routed to the
-// hash SPA when its total flop estimate is below cols/threshold, i.e. when
-// the O(cols) buffer a dense accumulator would have to allocate and stamp
-// dwarfs all the work the range actually does. Stored atomically so tests and
-// benchmarks can pin it while kernels run on other goroutines.
-var hashThreshold atomic.Int64
-
-// defaultHashThreshold = 2 comes from the cost model: the dense SPA costs
-// O(cols) to materialize plus ~1 unit per flop; the hash SPA skips the O(cols)
-// term but pays ~3 units per flop (hash, probe, re-probe at emit). Hash wins
-// iff cols > (3-1)·flops, i.e. flops < cols/2. The margin also bounds the
-// table itself: capacity ≤ 2·flops < cols, so the hash path can never allocate
-// more scratch than the dense path it replaced.
+// defaultHashThreshold is the adaptive-selection threshold: a row range is
+// routed to the hash SPA when its total flop estimate is below
+// cols/threshold, i.e. when the O(cols) buffer a dense accumulator would have
+// to allocate and stamp dwarfs all the work the range actually does.
+//
+// 2 comes from the cost model: the dense SPA costs O(cols) to materialize
+// plus ~1 unit per flop; the hash SPA skips the O(cols) term but pays ~3 units
+// per flop (hash, probe, re-probe at emit). Hash wins iff cols > (3-1)·flops,
+// i.e. flops < cols/2. The margin also bounds the table itself: capacity ≤
+// 2·flops < cols, so the hash path can never allocate more scratch than the
+// dense path it replaced.
 const defaultHashThreshold = 2
-
-func init() { hashThreshold.Store(defaultHashThreshold) }
-
-// HashThreshold returns the current adaptive-selection threshold.
-func HashThreshold() int { return int(hashThreshold.Load()) }
-
-// SetHashThreshold pins the adaptive-selection threshold and returns the
-// previous value. Values < 1 are clamped to 1 (hash only when flops < cols).
-// Raising the threshold biases selection toward the dense SPA; 1 is the most
-// hash-friendly setting.
-func SetHashThreshold(t int) int {
-	if t < 1 {
-		t = 1
-	}
-	return int(hashThreshold.Swap(int64(t)))
-}
 
 // chooseHash is the per-row-range selection rule. flops is the range's total
 // flop estimate (Σ per-row bounds for SpGEMM, nnz(u) for the SpMV gather);
@@ -63,7 +44,7 @@ func chooseHash(hint Kernel, flops, cols int) bool {
 	case KernelHash:
 		return true
 	}
-	return flops < cols/HashThreshold()
+	return flops < cols/defaultHashThreshold
 }
 
 // SpGEMMFlops is the symbolic pass of the adaptive SpGEMM: it returns the

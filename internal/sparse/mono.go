@@ -88,10 +88,10 @@ type monoArith interface {
 	~int64 | ~float64
 }
 
-// monoEnabled is the common routing gate: a tagged semiring, no generic
-// pin, and block formats not disabled.
+// monoEnabled is the common routing gate: a tagged semiring and no generic
+// pin.
 func monoEnabled(semi Semi, spec Spec) bool {
-	return semi != SemiGeneric && spec != SpecGeneric && CurrentFormatHint() != FormatHintSparse
+	return semi != SemiGeneric && spec != SpecGeneric
 }
 
 // castVec converts *Vec[T] to *Vec[Y]; the dispatch has already proven
@@ -127,9 +127,6 @@ func sameVecType[T, Y any]() bool {
 // mul/add are always supplied so the fallback needs no second dispatch.
 func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 	mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (*Vec[Y], error) {
-	if out, handled, err := blockedSpMVDispatch(a, u, mul, add, mask, e); handled {
-		return out, err
-	}
 	if monoEnabled(semi, spec) {
 		if out, handled, err := monoSpMVDispatch[A, X, Y](semi, spec, a, u, mask, e, hint); handled {
 			return out, err
@@ -263,14 +260,13 @@ func spmvMono[T any](a *CSR[T], u *Vec[T], mask VMask, e Exec, hint Kernel, spec
 			if merr != nil && !errors.Is(merr, ErrBudget) {
 				return nil, true, merr
 			}
-			if merr == nil && dm.Bit == nil {
+			if merr == nil {
+				// A completely dense matrix always gets the full view.
 				return spmvMonoDense(a.Rows, a.Cols, dm.Val, dv.Val, admit, e, threads, gemv), true, nil
 			}
-			// Budget refusal or a bitmap-pinned matrix view: keep the CSR
-			// row loop below, which needs no matrix-side scratch.
-			if merr != nil {
-				budgetDegrades.Add(1)
-			}
+			// Budget refusal: keep the CSR row loop below, which needs no
+			// matrix-side scratch.
+			budgetDegrades.Add(1)
 		}
 	}
 	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
@@ -308,9 +304,6 @@ func spmvMonoDense[T any](rows, cols int, mval, dval []T, admit func(int) bool,
 // the tag, types and mask shape admit it, VxMEx (closures) otherwise.
 func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (*Vec[Y], error) {
-	if out, handled, err := blockedVxMDispatch(u, a, mul, add, mask, e); handled {
-		return out, err
-	}
 	if monoEnabled(semi, spec) {
 		if out, handled, err := monoVxMDispatch[X, A, Y](semi, spec, u, a, add, mask, e); handled {
 			return out, err
@@ -461,9 +454,6 @@ func vxmMono[T any](u *Vec[T], a *CSR[T], add func(T, T) T, mask VMask, e Exec, 
 // complicate the table for no measurable win.
 func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 	mul func(A, B) C, add func(C, C) C, mask Mask, e Exec, hint Kernel) (*CSR[C], error) {
-	if out, handled, err := blockedSpGEMMDispatch(semi, spec, a, b, mul, add, mask, e, hint); handled {
-		return out, err
-	}
 	if monoEnabled(semi, spec) && hint != KernelHash {
 		if out, handled, err := monoSpGEMMDispatch[A, B, C](semi, a, b, mul, add, mask, e, hint); handled {
 			return out, err

@@ -99,30 +99,38 @@ func vmaskVariants(rng *rand.Rand, n int) []struct {
 	}
 }
 
-// vecFormats enumerates the block-format regimes of a frontier of length n:
-// a sparse frontier (bitmap view), a full frontier (dense view), and a full
-// frontier pinned to the bitmap format. Each variant builds a fresh vector
-// because the view caches on the snapshot — a view materialized under one
-// hint would otherwise serve the next.
-func vecFormats[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) []struct {
+// vecDensities enumerates the operand-density regimes of a frontier of length
+// n, which is all that selects its storage: a full frontier gets the full
+// (bitmap-free) view, a partial one the bitmap view, and a hypersparse one
+// stays on the sparse form under SpecAuto (the closure kernel's hash gather
+// serves it) while SpecMono still densifies it into a bitmap view.
+func vecDensities[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) []struct {
 	name string
 	vec  *Vec[T]
-	hint FormatHint
 } {
 	return []struct {
 		name string
 		vec  *Vec[T]
-		hint FormatHint
 	}{
-		{"sparse-bitmap", sprayVec(rng, n, 4, mk), FormatHintAuto},
-		{"full-dense", fullVec(rng, n, mk), FormatHintAuto},
-		{"full-bitmap-pinned", fullVec(rng, n, mk), FormatHintBitmap},
+		{"full", fullVec(rng, n, mk)},
+		{"partial", sprayVec(rng, n, 4, mk)},
+		{"hypersparse", sprayVec(rng, n, 16, mk)},
 	}
 }
 
+// specModes is the specialization axis every density regime is swept over.
+var specModes = []struct {
+	name string
+	spec Spec
+}{
+	{"auto", SpecAuto},
+	{"mono", SpecMono},
+	{"generic", SpecGeneric},
+}
+
 // diffMonoMxV sweeps the pull (SpMV) and push (VxM) products for one hot
-// semiring over formats × masks × threads and requires the monomorphized
-// and closure kernels to agree exactly.
+// semiring over specs × densities × masks × threads and requires the
+// semiring-routed and closure kernels to agree exactly.
 func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 	mul, add func(T, T) T, mk func(*rand.Rand) T) {
 	t.Helper()
@@ -132,50 +140,50 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		a := sprayCSR(rng, rows, cols, 3*(rows+cols), mk)
 
 		// Pull: frontier over cols, mask over rows.
-		for _, fv := range vecFormats(rng, cols, mk) {
-			prev := SetFormatHint(fv.hint)
+		for _, fv := range vecDensities(rng, cols, mk) {
 			for _, mv := range vmaskVariants(rng, rows) {
 				for _, threads := range []int{1, 4} {
 					for _, hint := range []Kernel{KernelAuto, KernelDense} {
-						mono, err := SpMVSemiEx(semi, SpecMono, a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
-						if err != nil {
-							t.Fatalf("pull mono %s/%s: %v", fv.name, mv.name, err)
-						}
 						clos, err := SpMVKernelEx(a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
 						if err != nil {
 							t.Fatalf("pull closure %s/%s: %v", fv.name, mv.name, err)
 						}
-						identicalVec(t, semi.String()+"/pull/"+fv.name+"/"+mv.name, mono, clos)
+						for _, spec := range specModes {
+							got, err := SpMVSemiEx(semi, spec.spec, a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
+							if err != nil {
+								t.Fatalf("pull %s %s/%s: %v", spec.name, fv.name, mv.name, err)
+							}
+							identicalVec(t, semi.String()+"/pull/"+spec.name+"/"+fv.name+"/"+mv.name, got, clos)
+						}
 					}
 				}
 			}
-			SetFormatHint(prev)
 		}
 
 		// Push: frontier over rows, mask over cols.
-		for _, fv := range vecFormats(rng, rows, mk) {
-			prev := SetFormatHint(fv.hint)
+		for _, fv := range vecDensities(rng, rows, mk) {
 			for _, mv := range vmaskVariants(rng, cols) {
 				for _, threads := range []int{1, 4} {
-					mono, err := VxMSemiEx(semi, SpecMono, fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
-					if err != nil {
-						t.Fatalf("push mono %s/%s: %v", fv.name, mv.name, err)
-					}
 					clos, err := VxMEx(fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
 					if err != nil {
 						t.Fatalf("push closure %s/%s: %v", fv.name, mv.name, err)
 					}
-					identicalVec(t, semi.String()+"/push/"+fv.name+"/"+mv.name, mono, clos)
+					for _, spec := range specModes {
+						got, err := VxMSemiEx(semi, spec.spec, fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
+						if err != nil {
+							t.Fatalf("push %s %s/%s: %v", spec.name, fv.name, mv.name, err)
+						}
+						identicalVec(t, semi.String()+"/push/"+spec.name+"/"+fv.name+"/"+mv.name, got, clos)
+					}
 				}
 			}
-			SetFormatHint(prev)
 		}
 	}
 }
 
-// diffMonoSpGEMM sweeps the matrix product for one hot semiring over masks
-// × accumulator hints × threads; the hash hint exercises the fallback path,
-// which must agree too (it runs the identical closures).
+// diffMonoSpGEMM sweeps the matrix product for one hot semiring over specs ×
+// masks × accumulator hints × threads; the hash hint exercises the fallback
+// path, which must agree too (it runs the identical closures).
 func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 	mul, add func(T, T) T, mk func(*rand.Rand) T) {
 	t.Helper()
@@ -192,15 +200,17 @@ func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, mv := range maskVariants(maskM) {
 			for _, threads := range []int{1, 4} {
 				for _, hint := range []Kernel{KernelAuto, KernelDense, KernelHash} {
-					mono, err := SpGEMMSemiEx(semi, SpecMono, a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
-					if err != nil {
-						t.Fatalf("mxm mono %s: %v", mv.name, err)
-					}
 					clos, err := SpGEMMKernelEx(a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
 					if err != nil {
 						t.Fatalf("mxm closure %s: %v", mv.name, err)
 					}
-					identicalCSR(t, semi.String()+"/mxm/"+mv.name, mono, clos)
+					for _, spec := range specModes {
+						got, err := SpGEMMSemiEx(semi, spec.spec, a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
+						if err != nil {
+							t.Fatalf("mxm %s %s: %v", spec.name, mv.name, err)
+						}
+						identicalCSR(t, semi.String()+"/mxm/"+spec.name+"/"+mv.name, got, clos)
+					}
 				}
 			}
 		}
@@ -304,10 +314,12 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 	}
 }
 
-// TestMonoRoutingGates pins the negative routing space: the sparse format
-// hint disables specialization globally, SpecGeneric disables it per call,
-// and named element types (distinct Go types over a hot underlying type)
-// never match the monomorphized instantiations.
+// TestMonoRoutingGates pins the routing space by input: operand density
+// alone picks the storage (full → full view, partial → bitmap view,
+// hypersparse → sparse form and the closure hash gather unless SpecMono pins
+// the mono loop), SpecGeneric disables specialization per call, and named
+// element types (distinct Go types over a hot underlying type) never match
+// the monomorphized instantiations.
 func TestMonoRoutingGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	mul := func(a, b float64) float64 { return a * b }
@@ -315,18 +327,47 @@ func TestMonoRoutingGates(t *testing.T) {
 	a := sprayCSR(rng, 20, 20, 60, func(r *rand.Rand) float64 { return r.NormFloat64() })
 	u := fullVec(rng, 20, func(r *rand.Rand) float64 { return r.NormFloat64() })
 
-	// FormatHintSparse: every SemiEx call falls back to closures.
-	prev := SetFormatHint(FormatHintSparse)
-	ResetKernelCounts()
-	if _, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, a, u, mul, add, VMask{}, Exec{Threads: 2}, KernelAuto); err != nil {
-		t.Fatal(err)
+	// Density → (route, view) under SpecAuto. Each row uses a fresh vector
+	// because the view caches on the snapshot.
+	hyper := NewVec[float64](20)
+	hyper.Ind, hyper.Val = []int{7}, []float64{1.5}
+	partial := NewVec[float64](20) // 15 of 20: above the hash cut, not full
+	for j := 0; j < 20; j++ {
+		if j%4 != 0 {
+			partial.Ind = append(partial.Ind, j)
+			partial.Val = append(partial.Val, float64(j))
+		}
 	}
-	if mono, closure := MonoCounts(); mono != 0 || closure == 0 {
-		t.Fatalf("FormatHintSparse: mono=%d closure=%d, want 0/>0", mono, closure)
+	for _, tc := range []struct {
+		name     string
+		vec      *Vec[float64]
+		spec     Spec
+		wantMono bool
+		wantFull bool
+	}{
+		{"full/auto", u, SpecAuto, true, true},
+		{"partial/auto", partial, SpecAuto, true, false},
+		{"hypersparse/auto", hyper, SpecAuto, false, false},
+		{"hypersparse/mono", hyper, SpecMono, true, false},
+	} {
+		ResetKernelCounts()
+		if _, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2}, KernelAuto); err != nil {
+			t.Fatal(err)
+		}
+		mono, closure := MonoCounts()
+		if (mono > 0) != tc.wantMono || (closure > 0) == tc.wantMono {
+			t.Fatalf("%s: mono=%d closure=%d, want mono engaged = %v", tc.name, mono, closure, tc.wantMono)
+		}
+		dv := tc.vec.dv.Load()
+		if (dv != nil) != tc.wantMono {
+			t.Fatalf("%s: view materialized = %v, want %v", tc.name, dv != nil, tc.wantMono)
+		}
+		if dv != nil && dv.Full() != tc.wantFull {
+			t.Fatalf("%s: view Full() = %v, want %v", tc.name, dv.Full(), tc.wantFull)
+		}
 	}
-	SetFormatHint(prev)
 
-	// SpecGeneric: same, per call.
+	// SpecGeneric: closures even on a full frontier.
 	ResetKernelCounts()
 	if _, err := SpMVSemiEx(SemiPlusTimes, SpecGeneric, a, u, mul, add, VMask{}, Exec{Threads: 2}, KernelAuto); err != nil {
 		t.Fatal(err)

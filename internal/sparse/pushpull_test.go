@@ -160,18 +160,19 @@ func TestVxMReductionPaths(t *testing.T) {
 	}
 }
 
-// TestChoosePushRouting pins the threshold and checks the density heuristic's
-// decision table.
+// TestChoosePushRouting checks the density heuristic's decision table at the
+// constant threshold, boundaries included.
 func TestChoosePushRouting(t *testing.T) {
-	prev := SetDirectionThreshold(defaultDirectionThreshold)
-	defer SetDirectionThreshold(prev)
-
-	const dim = 1600 // dim/threshold = 100
-	sparseMask := NewVec[bool](dim)
-	for j := 0; j < 10; j++ {
-		sparseMask.Ind = append(sparseMask.Ind, j*100)
-		sparseMask.Val = append(sparseMask.Val, true)
+	const dim = 1600 // dim/defaultDirectionThreshold = 100
+	maskOf := func(nnz int) *Vec[bool] {
+		m := NewVec[bool](dim)
+		for j := 0; j < nnz; j++ {
+			m.Ind = append(m.Ind, j*(dim/nnz))
+			m.Val = append(m.Val, true)
+		}
+		return m
 	}
+	sparseMask := maskOf(10)
 	cases := []struct {
 		name string
 		nnzU int
@@ -180,24 +181,18 @@ func TestChoosePushRouting(t *testing.T) {
 	}{
 		{"sparse frontier", 5, VMask{}, true},
 		{"dense frontier", 800, VMask{}, false},
-		{"boundary frontier", 100, VMask{}, false}, // nnzU == dim/t is not sparse
+		{"just under the boundary", 99, VMask{}, true},
+		{"boundary frontier", 100, VMask{}, false}, // nnzU == dim/16 is not sparse
 		{"sparse frontier, sparse mask", 5, VMask{M: sparseMask}, false},
 		{"sparse frontier, sparse complemented mask", 5, VMask{M: sparseMask, Complement: true}, true},
+		{"sparse frontier, mask just under the boundary", 5, VMask{M: maskOf(99)}, false},
+		{"sparse frontier, boundary mask", 5, VMask{M: maskOf(100)}, true}, // nnz(m) == dim/16 does not veto
+		{"dense frontier, boundary mask", 800, VMask{M: maskOf(100)}, false},
 	}
 	for _, tc := range cases {
 		if got := ChoosePush(tc.nnzU, dim, tc.mask, dim); got != tc.want {
 			t.Errorf("%s: ChoosePush = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-
-	// Threshold 1 makes push require nnzU < dim: even a near-dense frontier
-	// routes to push, and the sparse-mask veto needs nnz(m) < outDim.
-	SetDirectionThreshold(1)
-	if !ChoosePush(800, dim, VMask{}, dim) {
-		t.Error("threshold=1: near-dense frontier should still push")
-	}
-	if ChoosePush(800, dim, VMask{M: sparseMask}, dim) {
-		t.Error("threshold=1: any non-full non-complemented mask should force pull")
 	}
 }
 

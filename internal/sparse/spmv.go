@@ -25,7 +25,7 @@ func SpMV[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
 //     all workers — right when u is hypersparse and the dense workspace
 //     would dwarf the useful work (wide masked pull traversals).
 //
-// With KernelAuto the hash path is taken when nnz(u) < u.N/HashThreshold().
+// With KernelAuto the hash path is taken when nnz(u) < u.N/defaultHashThreshold.
 //
 // An optional mask prunes whole rows before any work is done on them — the
 // key optimization for masked pull-style traversals (e.g. BFS with a
@@ -168,7 +168,7 @@ func stitchVec[T any](n int, pInd [][]int, pVal [][]T) *Vec[T] {
 // The per-worker SPAs are combined by one of two reductions, both folding
 // partitions in ascending order so the two paths produce identical outputs:
 //
-//   - dense (total emitted pattern within a HashThreshold factor of A.Cols):
+//   - dense (total emitted pattern within a defaultHashThreshold factor of A.Cols):
 //     output columns are range-partitioned across workers and each worker
 //     folds all SPAs over its own range, emitting in column order directly —
 //     the reduction parallelizes instead of serializing behind worker 0.

@@ -2,12 +2,11 @@ package grb
 
 import "github.com/grblas/grb/internal/sparse"
 
-// This file surfaces the substrate's adaptive kernel-selection machinery
-// (see DESIGN.md, "Kernel selection"): MxM and MxV route each row range to a
-// dense or hash sparse accumulator by comparing the range's flop estimate
-// against the output width. The Descriptor's AxB field pins the choice per
-// operation; the helpers here tune and observe the global policy, mainly for
-// benchmarks (cmd/grbbench -kernel) and tests.
+// Kernel routing is decided per operation by the Descriptor pins (AxB, Dir,
+// Spec) or automatically from operand statistics (see DESIGN.md, "Kernel
+// selection") — there is no process-wide routing state. This file holds the
+// two descriptor→substrate mappings and the read-only counter accessors
+// benchmarks and tests observe the routing with.
 
 // kernelHint maps the descriptor's AxB method onto the substrate hint.
 func kernelHint(m AxBMethod) sparse.Kernel {
@@ -25,8 +24,8 @@ func kernelHint(m AxBMethod) sparse.Kernel {
 // onto the substrate's (Semi, Spec) pair. SpecGeneric erases the tag so the
 // substrate cannot specialize at all; the other modes pass the tag through
 // with the corresponding pin. The descriptor pin always wins over the tag —
-// the first level of the routing decision tree (descriptor pin > format >
-// semiring table).
+// the first level of the routing decision tree (descriptor pin > operand
+// density > semiring table).
 func specRoute(m SpecMode, semi sparse.Semi) (sparse.Semi, sparse.Spec) {
 	switch m {
 	case SpecGeneric:
@@ -38,143 +37,33 @@ func specRoute(m SpecMode, semi sparse.Semi) (sparse.Semi, sparse.Spec) {
 	return semi, sparse.SpecAuto
 }
 
-// blockRoute maps the descriptor's BlockMode onto the substrate hint.
-func blockRoute(m BlockMode) sparse.BlockHint {
-	switch m {
-	case BlockOn:
-		return sparse.BlockForce
-	case BlockOff:
-		return sparse.BlockFlat
-	case BlockDefault:
-	}
-	return sparse.BlockAuto
-}
-
-// BlockHint is the process-wide blocked-engine routing hint, aliased from the
-// substrate so grb callers (cmd/grbbench -blocked, tests) can pin the engine
-// without importing internal packages.
-type BlockHint = sparse.BlockHint
-
-const (
-	// BlockAuto builds and uses blocked views only where the auto-blocker
-	// thresholds justify them.
-	BlockAuto = sparse.BlockAuto
-	// BlockFlat disables the blocked engine entirely.
-	BlockFlat = sparse.BlockFlat
-	// BlockForce routes every multiply through the 2D-blocked SUMMA plans.
-	BlockForce = sparse.BlockForce
-)
-
-// SetBlockHint pins the blocked-engine routing hint and returns the previous
-// value. It affects only future route decisions.
-func SetBlockHint(h BlockHint) BlockHint { return sparse.SetBlockHint(h) }
-
-// CurrentBlockHint returns the blocked-engine routing hint.
-func CurrentBlockHint() BlockHint { return sparse.CurrentBlockHint() }
-
-// SetBlockGrid pins the blocked-view grid shape (rows×cols of tiles) and
-// returns the previous setting. Values < 1 mean "auto" (a 4×4 default,
-// clamped per matrix to its dimensions).
-func SetBlockGrid(r, c int) (int, int) { return sparse.SetBlockGrid(r, c) }
-
-// BlockGrid returns the requested blocked-view grid shape (0, 0 = auto).
-func BlockGrid() (int, int) { return sparse.BlockGrid() }
-
-// SetBlockThreshold pins the auto-blocker nnz cutoff — matrices below it stay
-// flat under BlockDefault/BlockAuto routing — and returns the previous value.
-func SetBlockThreshold(n int) int { return sparse.SetBlockThreshold(n) }
-
-// BlockThreshold returns the auto-blocker nnz cutoff.
-func BlockThreshold() int { return sparse.BlockThreshold() }
-
-// BlockKernelCounts reports how many multiply operations the 2D-blocked
-// (SUMMA) engine served and how many tile multiply tasks they executed since
-// the last ResetKernelCounts.
-func BlockKernelCounts() (ops, tasks int64) { return sparse.BlockCounts() }
-
-// BlockTileCounts reports how many blocked tile tasks used the dense tile SPA
-// and the hash tile accumulator since the last ResetKernelCounts.
-func BlockTileCounts() (dense, hash int64) { return sparse.BlockTileCounts() }
-
-// BlockFallbackCount reports how many blocked-route requests fell back to the
-// flat kernels (budget refusal, incompatible splits) since the last
-// ResetKernelCounts.
-func BlockFallbackCount() int64 { return sparse.BlockFallbackCount() }
-
-// AutoBlockCount reports how many blocked views the Wait-time auto-blocker
-// built since the last ResetKernelCounts.
-func AutoBlockCount() int64 { return sparse.AutoBlockCount() }
-
-// BlockScratchBytes reports the per-tile accumulator scratch allocated by
-// blocked plans since the last ResetKernelCounts.
-func BlockScratchBytes() int64 { return sparse.BlockScratchBytes() }
+// BlockKernelCounts always reports 0, 0: there is no 2D-blocked engine — the
+// multiplies have one partitioning scheme, flop-balanced 1D row ranges
+// (DESIGN.md, "Why there is no blocked engine"). The accessor stays because
+// the repo benchmark reads it for its grb.blocked_ops counter.
+func BlockKernelCounts() (ops, tasks int64) { return 0, 0 }
 
 // SpanFlops reports the accumulated modeled parallel span (the makespan, in
 // flops, of each SpGEMM call's partition greedily list-scheduled over its
 // worker count) and the total flops of those calls since the last
-// ResetKernelCounts. work/span is the plan's modeled parallel speedup — the
-// machine-independent load-balance metric the benchmark gate compares flat
-// and blocked plans with, unaffected by the host's real core count.
+// ResetKernelCounts. work/span is the partition's modeled parallel speedup —
+// a machine-independent load-balance metric, unaffected by the host's real
+// core count.
 func SpanFlops() (span, work int64) { return sparse.SpanFlops() }
-
-// FormatHint pins the block-format tier of the routing decision tree — the
-// middle level, between the descriptor pin and the semiring table. It is an
-// alias of the substrate type so grb callers (cmd/grbbench -format, tests)
-// can pin formats without importing internal packages.
-type FormatHint = sparse.FormatHint
-
-const (
-	// FormatHintAuto materializes full storage for completely dense
-	// operands and bitmap storage otherwise.
-	FormatHintAuto = sparse.FormatHintAuto
-	// FormatHintBitmap forces bitmap storage even for full operands.
-	FormatHintBitmap = sparse.FormatHintBitmap
-	// FormatHintSparse disables block-format materialization: every
-	// operation stays on the sparse form and the closure kernels.
-	FormatHintSparse = sparse.FormatHintSparse
-)
-
-// SetFormatHint pins the block-format routing hint and returns the previous
-// value. It affects only future materializations.
-func SetFormatHint(h FormatHint) FormatHint { return sparse.SetFormatHint(h) }
-
-// CurrentFormatHint returns the block-format routing hint.
-func CurrentFormatHint() FormatHint { return sparse.CurrentFormatHint() }
 
 // MonoKernelCounts reports how many multiply operations ran a monomorphized
 // hot-semiring kernel and how many fell back to the generic closure kernels
 // since the last ResetKernelCounts.
 func MonoKernelCounts() (mono, closure int64) { return sparse.MonoCounts() }
 
-// FormatConversionCount reports the number of sparse→bitmap/dense
-// block-format materializations (cache misses) since the last
-// ResetKernelCounts.
+// FormatConversionCount reports the number of sparse→bitmap/dense view
+// materializations (cache misses) since the last ResetKernelCounts.
 func FormatConversionCount() int64 { return sparse.FormatConversionCount() }
-
-// KernelHashThreshold returns the adaptive-selection threshold: a row range
-// of a multiply uses the hash accumulator when its total flop estimate stays
-// below outputWidth/threshold. Higher thresholds bias selection toward the
-// dense accumulator.
-func KernelHashThreshold() int { return sparse.HashThreshold() }
-
-// SetKernelHashThreshold pins the adaptive-selection threshold and returns
-// the previous value. It is safe to call while operations run.
-func SetKernelHashThreshold(t int) int { return sparse.SetHashThreshold(t) }
 
 // KernelCounts reports how many multiply row ranges the dense and hash
 // accumulators served since the last ResetKernelCounts — benchmark and test
 // instrumentation for observing adaptive selection.
 func KernelCounts() (dense, hash int64) { return sparse.KernelCounts() }
-
-// DirectionThreshold returns the push/pull selection threshold: with DirAuto,
-// a matrix-vector product takes the push (scatter) kernel when the frontier's
-// nnz stays below inputDim/threshold, unless a sparse non-complemented mask
-// makes the masked pull gather cheaper. Higher thresholds bias toward pull.
-func DirectionThreshold() int { return sparse.DirectionThreshold() }
-
-// SetDirectionThreshold pins the push/pull selection threshold and returns
-// the previous value. It is safe to call while operations run.
-func SetDirectionThreshold(t int) int { return sparse.SetDirectionThreshold(t) }
 
 // DirectionCounts reports how many matrix-vector products the push and pull
 // kernels served since the last ResetKernelCounts — instrumentation for
@@ -200,5 +89,5 @@ func KernelScratchBytes() int64 { return sparse.ScratchBytes() }
 func HardeningCounts() (degrades, panics int64) { return sparse.HardeningCounts() }
 
 // ResetKernelCounts zeroes the selection, scratch, direction-routing,
-// transpose-materialization and hardening counters.
+// transpose-materialization, hardening and span counters.
 func ResetKernelCounts() { sparse.ResetKernelCounts() }

@@ -109,7 +109,7 @@ func (m *Matrix[T]) SwitchContext(ctx *Context) error {
 // view aliases the immutable CSR snapshot — O(1), no copy. Because every
 // mutation installs a fresh snapshot, later writes through either handle
 // leave the other untouched (copy-on-write by construction), and derived
-// views memoized on the snapshot (cached transpose, block grid) are shared.
+// views memoized on the snapshot (cached transpose, bitmap/dense view) are shared.
 // Combined with hierarchical context resolution this is the multi-tenant
 // serving primitive: one shared graph snapshot, one cheap view per query
 // context, so a per-query deadline and memory budget govern the kernels
@@ -176,16 +176,6 @@ func (m *Matrix[T]) materializeLocked() error {
 			x.End(nc.NNZ(), nil)
 			m.csr = nc
 		}
-	}
-	if steps > 0 && m.derr == nil && m.csr != nil && m.ctx != nil {
-		// Wait-time auto-blocker: once the sequence has drained onto fresh
-		// storage, build (and cache) the 2D-blocked tile view when the policy
-		// says the matrix has outgrown the flat-only representation — the
-		// drain is where conversion cost belongs, not the first multiply that
-		// happens to need tiles. Failures degrade to "no blocked view".
-		e := m.ctx.exec(1)
-		sparse.AutoBlockView(m.csr, e)
-		e.Close()
 	}
 	span.End(steps)
 	if m.derr != nil {

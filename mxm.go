@@ -77,7 +77,6 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 		// charges and cancellation probes reflect execution order (§IV/§V).
 		e := ctx.exec(threads)
 		defer e.Close()
-		e.Block = blockRoute(d.Block)
 		A, err := maybeTransposeEx(acsr, d.Transpose0, e)
 		if err != nil {
 			return nil, err
@@ -174,7 +173,6 @@ func MxV[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 	return w.enqueue(ctx, ev, func() (*sparse.Vec[DC], error) {
 		e := ctx.exec(threads)
 		defer e.Close()
-		e.Block = blockRoute(d.Block)
 		var t *sparse.Vec[DC]
 		var err error
 		push := usePush
@@ -282,7 +280,6 @@ func VxM[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 	return w.enqueue(ctx, ev, func() (*sparse.Vec[DC], error) {
 		e := ctx.exec(threads)
 		defer e.Close()
-		e.Block = blockRoute(d.Block)
 		var t *sparse.Vec[DC]
 		var err error
 		push := usePush

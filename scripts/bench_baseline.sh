@@ -1,12 +1,10 @@
 #!/bin/sh
 # Benchmark baseline: runs the grbbench traversal experiment (push / pull /
 # adaptive BFS on hypersparse and RMAT graphs), the dense experiment
-# (monomorphized vs closure kernels on block-format operands), the blocked
-# experiment (flat vs 2D-blocked SUMMA SpGEMM/SpMV plans with their
-# modeled-span telemetry), and the serve experiment (closed- and open-loop
-# latency/QPS against the multi-tenant query server), and records the
-# measured series in BENCH_5.json at the repo root, so later PRs can diff
-# performance against this one. Usage:
+# (monomorphized vs closure kernels on block-format operands), and the serve
+# experiment (closed- and open-loop latency/QPS against the multi-tenant query
+# server), and records the measured series in BENCH_5.json at the repo root,
+# so later PRs can diff performance against this one. Usage:
 #
 #   scripts/bench_baseline.sh [scale]
 #
@@ -28,7 +26,7 @@ if ! make lint; then
     exit 1
 fi
 
-echo "== traversal + dense + blocked + serve baseline: scale $SCALE -> $OUT =="
-go run ./cmd/grbbench -run traversal,dense,blocked,serve -scale "$SCALE" -json "$OUT"
+echo "== traversal + dense + serve baseline: scale $SCALE -> $OUT =="
+go run ./cmd/grbbench -run traversal,dense,serve -scale "$SCALE" -json "$OUT"
 
 echo "baseline written to $OUT"

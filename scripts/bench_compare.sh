@@ -1,10 +1,12 @@
 #!/bin/sh
-# Bench-regression gate: re-runs the grbbench traversal, dense, blocked, and
-# (when the baseline carries latency series) serve experiments and diffs them
-# against the newest BENCH_*.json baseline at the repo root with cmd/benchcmp,
-# failing when any (graph, dir) series slowed down by more than the tolerance
-# — or when one of the paired-ratio floors (mono vs closure, flat vs blocked
-# span, auto vs its chosen route, serve p50/p99 vs baseline) breaks. benchcmp
+# Bench-regression gate: re-runs the grbbench traversal, dense, and (when the
+# baseline carries latency series) serve experiments and diffs them against
+# the newest BENCH_*.json baseline at the repo root with cmd/benchcmp, failing
+# when any (graph, dir) series slowed down by more than the tolerance — or
+# when one of the paired-ratio gates (mono vs closure, serve p50/p99 vs
+# baseline) breaks. Baseline series the current run no longer measures (the
+# retired blocked-* experiment in BENCH_4/BENCH_5) are reported as missing
+# and skipped. benchcmp
 # ends its run with one machine-readable BENCH_GATE line (per-gate pass/fail
 # plus the worst observed ratio) for log grepping in advisory CI runs.
 #
@@ -19,28 +21,13 @@
 # workflow prints the verdict but does not fail the build); `make verify-bench`
 # runs it as a hard gate for quiet machines and release checks. Raise
 # GRB_BENCH_TOL (e.g. GRB_BENCH_TOL=30) rather than skipping the gate when a
-# host is known to be noisy. This same wall-clock tolerance is what enforces
-# "auto-blocking never regresses the traversal/dense configs": those series
-# run under default routing, so an auto-blocker misfire shows up as a
-# slowdown against the baseline.
+# host is known to be noisy.
 #
 # Mono knob: GRB_MONO_MIN, ratio, default 2 — every graph with paired
 # mono/closure series (the dense experiment) must show the monomorphized
 # kernel at least this many times faster than the closure kernel. The ratio
 # divides out machine speed, so unlike the wall-clock tolerance it holds on
 # noisy hosts. Set GRB_MONO_MIN=0 to disable.
-#
-# Blocked knob: GRB_BLOCKED_MIN, ratio, default 1.5 — every graph with paired
-# flat/blocked span telemetry (the blocked experiment's SpGEMM A/B) must show
-# the flat plan's modeled parallel span at least this many times the blocked
-# plan's. The span is deterministic critical-path flops, so the floor holds
-# even on single-core hosts where wall-clock parallelism cannot show up. Set
-# GRB_BLOCKED_MIN=0 to disable.
-#
-# Auto knob: GRB_AUTO_MAX, ratio, default 1.25 — every graph with paired
-# flat/auto series must show the auto route tracking whichever plan it chose
-# (flat wall time, or forced-blocked span) within this factor. Set
-# GRB_AUTO_MAX=0 to disable.
 #
 # Serve knob: GRB_SERVE_MAX, ratio, default 1.5 — every serve-<algo> latency
 # series present in both files must keep its p50 and p99 within this factor
@@ -54,8 +41,6 @@ cd "$(dirname "$0")/.."
 
 TOL="${GRB_BENCH_TOL:-15}"
 MONOMIN="${GRB_MONO_MIN:-2}"
-BLOCKEDMIN="${GRB_BLOCKED_MIN:-1.5}"
-AUTOMAX="${GRB_AUTO_MAX:-1.25}"
 SERVEMAX="${GRB_SERVE_MAX:-1.5}"
 
 # Newest baseline by the PR sequence number in the filename.
@@ -64,7 +49,7 @@ if [ -z "$BASELINE" ]; then
     echo "bench_compare: no BENCH_*.json baseline at the repo root; record one with scripts/bench_baseline.sh" >&2
     exit 2
 fi
-echo "bench_compare: baseline $BASELINE, tolerance ${TOL}% (GRB_BENCH_TOL), mono floor ${MONOMIN}x (GRB_MONO_MIN), blocked span floor ${BLOCKEDMIN}x (GRB_BLOCKED_MIN), auto guard ${AUTOMAX}x (GRB_AUTO_MAX), serve ceiling ${SERVEMAX}x (GRB_SERVE_MAX)"
+echo "bench_compare: baseline $BASELINE, tolerance ${TOL}% (GRB_BENCH_TOL), mono floor ${MONOMIN}x (GRB_MONO_MIN), serve ceiling ${SERVEMAX}x (GRB_SERVE_MAX)"
 
 # Pre-serve baselines carry no latency percentiles; the serve gate has
 # nothing to pair against there, so run without the serve experiment at all.
@@ -81,16 +66,7 @@ if [ "${1:-}" = "--self-test" ]; then
         echo "bench_compare: baseline has no mono series; skipping the speedup floor"
         SELFMONO=0
     fi
-    SELFBLOCKED="$BLOCKEDMIN"
-    SELFAUTO="$AUTOMAX"
-    if ! grep -q '"span_flops"' "$BASELINE"; then
-        # Pre-blocked baselines carry no span telemetry; neither blocked
-        # ratio gate has anything to judge there.
-        echo "bench_compare: baseline has no span telemetry; skipping the blocked and auto gates"
-        SELFBLOCKED=0
-        SELFAUTO=0
-    fi
-    go run ./cmd/benchcmp -tol "$TOL" -monomin "$SELFMONO" -blockedmin "$SELFBLOCKED" -automax "$SELFAUTO" -servemax "$SERVEMAX" -selftest "$BASELINE"
+    go run ./cmd/benchcmp -tol "$TOL" -monomin "$SELFMONO" -servemax "$SERVEMAX" -selftest "$BASELINE"
     exit $?
 fi
 
@@ -99,11 +75,11 @@ SCALE="${SCALE:-14}"
 CUR=$(mktemp /tmp/grbbench.XXXXXX.json)
 trap 'rm -f "$CUR"' EXIT
 
-RUN="traversal,dense,blocked"
+RUN="traversal,dense"
 if [ "$SERVEMAX" != "0" ]; then
     RUN="$RUN,serve"
 fi
 echo "bench_compare: measuring $RUN at scale $SCALE"
 go run ./cmd/grbbench -run "$RUN" -scale "$SCALE" -json "$CUR" >/dev/null
 
-go run ./cmd/benchcmp -tol "$TOL" -monomin "$MONOMIN" -blockedmin "$BLOCKEDMIN" -automax "$AUTOMAX" -servemax "$SERVEMAX" "$BASELINE" "$CUR"
+go run ./cmd/benchcmp -tol "$TOL" -monomin "$MONOMIN" -servemax "$SERVEMAX" "$BASELINE" "$CUR"
