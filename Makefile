@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench lint bench-smoke checktags chaos soak verify ci verify-bench
+.PHONY: all build test fmt race bench lint bench-smoke checktags chaos soak verify ci verify-bench
 
 all: build test
 
@@ -10,6 +10,11 @@ build:
 # Tier-1: the gate every change must pass (see ROADMAP.md).
 test: build
 	$(GO) test ./...
+
+# Format tier: gofmt -l over the tracked .go files outside testdata/ must
+# print nothing.
+fmt:
+	sh scripts/fmt.sh
 
 # Race tier: the concurrency-sensitive packages under the race detector —
 # the root package (multithreaded method calls, the nonblocking pipeline),
@@ -62,10 +67,10 @@ chaos:
 soak:
 	GRB_SOAK=10s $(GO) test -race -count=1 -run 'TestOverloadSoak' ./serve
 
-verify: test race lint bench-smoke checktags chaos soak
+verify: test fmt race lint bench-smoke checktags chaos soak
 
-# The full tiered CI chain: build -> tier-1 -> race -> lint -> bench-smoke ->
-# grbcheck -> coverage floor, with per-tier timing and a machine-readable CI_SUMMARY line.
+# The full tiered CI chain: build -> tier-1 -> fmt -> race -> lint ->
+# bench-smoke -> grbcheck -> coverage floor, with per-tier timing and a machine-readable CI_SUMMARY line.
 ci:
 	sh scripts/ci.sh
 

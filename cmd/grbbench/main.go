@@ -808,15 +808,14 @@ func traversal() {
 	}
 }
 
-// denseKernels measures the monomorphized hot-semiring kernels against the
-// generic closure kernels on block-format operands, single-threaded so the
+// denseKernels measures the monomorphized hot-semiring loop bodies against
+// the closure loop bodies on block-format operands, single-threaded so the
 // ratio certifies per-core kernel quality rather than parallel scaling. Two
 // workloads: a PageRank-style power iteration (PLUS/TIMES float64 pull SpMV
 // over a full rank vector, the canonical dense-frontier case) and a
 // saturated-frontier BFS step (LOR/LAND pull over an all-true frontier,
 // where the monomorphized loop also short-circuits on the first hit). The
-// Spec descriptor pin selects the kernel tier per run — the top level of the
-// routing decision tree. Each (workload, spec) pair lands in -json as a
+// Spec descriptor pin selects the loop body per run. Each (workload, spec) pair lands in -json as a
 // (graph, mono|closure) series; cmd/benchcmp -monomin turns the pair ratio
 // into a CI gate.
 func denseKernels() {
@@ -937,9 +936,9 @@ func denseKernels() {
 			fmt.Printf("  %-14s closure/mono speedup: %.2fx\n", wl.name, float64(closTime)/float64(monoTime))
 		}
 	}
-	fmt.Println("  (spec pins the kernel tier per run: mono takes the monomorphized")
-	fmt.Println("   direct-arithmetic loop over the cached block view, closure erases the")
-	fmt.Println("   semiring tag so the generic kernels run)")
+	fmt.Println("  (spec pins the loop body per run: mono plugs the monomorphized")
+	fmt.Println("   direct-arithmetic loop into the pull scaffold, closure keeps the")
+	fmt.Println("   closure loop; both gather through the same cached block view)")
 	must(ctx.Free())
 }
 

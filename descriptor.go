@@ -1,58 +1,65 @@
 package grb
 
+import "github.com/grblas/grb/internal/sparse"
+
 // AxBMethod selects the accumulator kernel used by the multiply operations
 // (MxM, MxV). This is an extension, analogous to SuiteSparse:GraphBLAS's
 // GxB_AxB_METHOD descriptor field: the default lets the library route each
 // row range adaptively by estimated flops, and the pinned variants force one
 // kernel — for benchmarking, differential testing, or workloads whose shape
 // the caller knows better.
+//
+// The three pin types below are the substrate planner's pins by value
+// (internal/sparse/plan.go), so the operations convert them without a
+// mapping.
 type AxBMethod int
 
 const (
 	// AxBDefault routes each row range adaptively (flop estimate vs. width).
-	AxBDefault AxBMethod = iota
+	AxBDefault = AxBMethod(sparse.KernelAuto)
 	// AxBDenseSPA forces the dense accumulator (O(cols) scratch per worker).
-	AxBDenseSPA
+	AxBDenseSPA = AxBMethod(sparse.KernelDense)
 	// AxBHashSPA forces the hash accumulator (O(flops) scratch per worker).
-	AxBHashSPA
+	AxBHashSPA = AxBMethod(sparse.KernelHash)
 )
 
 // Direction selects the traversal direction of the matrix-vector products
 // (MxV, VxM). This is an extension in the spirit of direction-optimizing
 // (push/pull) BFS: the default routes each product by frontier and mask
-// density (see ChoosePush in internal/sparse), and the pinned variants force
-// one kernel — for benchmarking, differential testing, or traversals whose
-// phase the caller knows better.
+// density (the planner's direction rows in internal/sparse), and the pinned
+// variants force one kernel — for benchmarking, differential testing, or
+// traversals whose phase the caller knows better.
 type Direction int
 
 const (
 	// DirAuto routes each product adaptively (frontier vs. mask density).
-	DirAuto Direction = iota
+	DirAuto = Direction(sparse.DirAuto)
 	// DirPush forces the push kernel: scatter the stored frontier entries
 	// through their matrix rows (SpMSpV-style; work ∝ frontier edges).
-	DirPush
+	DirPush = Direction(sparse.DirPush)
 	// DirPull forces the pull kernel: gather along output positions
 	// (masked SpMV; work ∝ unmasked rows).
-	DirPull
+	DirPull = Direction(sparse.DirPull)
 )
 
 // SpecMode selects whether the multiply operations may run monomorphized
-// (specialized direct-arithmetic) kernels for the hot semirings. This is an
-// extension, completing the kernel-pinning triple with AxBMethod
+// (specialized direct-arithmetic) loop bodies for the hot semirings. This is
+// an extension, completing the kernel-pinning triple with AxBMethod
 // (accumulator) and Direction (push/pull): the default routes by the
-// semiring's constructor tag and format heuristics, and the pinned variants
+// semiring's constructor tag and operand density, and the pinned variants
 // force one side — for benchmarking and the mono≡closure differential
 // battery.
 type SpecMode int
 
 const (
-	// SpecAuto routes by semiring tag, operand types and format heuristics.
-	SpecAuto SpecMode = iota
-	// SpecMono forces the monomorphized kernel wherever one exists for the
-	// semiring and value types (falling back only when none does).
-	SpecMono
-	// SpecGeneric forces the generic closure kernels.
-	SpecGeneric
+	// SpecAuto routes by semiring tag, operand types and operand density.
+	SpecAuto = SpecMode(sparse.SpecAuto)
+	// SpecMono keeps the monomorphized loop wherever one exists for the
+	// semiring and value types, even where the statistics would route
+	// around it.
+	SpecMono = SpecMode(sparse.SpecMono)
+	// SpecGeneric forces the closure loops.
+	SpecGeneric = SpecMode(sparse.SpecGeneric)
 )
 
 // Descriptor modifies how a GraphBLAS operation treats its output, mask and

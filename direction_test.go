@@ -75,7 +75,8 @@ func dirMaskVariants() []struct {
 
 // diffDirection drives one semiring through VxM and MxV with the direction
 // pinned push, pinned pull, and adaptive, across mask variants, transposes
-// and thread counts, requiring identical results everywhere.
+// and thread counts, requiring identical results everywhere — including
+// between VxM(u, A) and MxV(Aᵀ, u), which share one body.
 func diffDirection[T comparable](t *testing.T, rng *rand.Rand, sr Semiring[T, T, T], mk func(*rand.Rand) T) {
 	t.Helper()
 	for trial := 0; trial < 6; trial++ {
@@ -130,32 +131,47 @@ func diffDirection[T comparable](t *testing.T, rng *rand.Rand, sr Semiring[T, T,
 				if mv.masked {
 					m = mc
 				}
-				for _, tr := range []bool{false, true} {
-					runOp := func(op string, dir Direction) *Vector[T] {
-						w, err := NewVector[T](n, InContext(ctx))
-						if err != nil {
-							t.Fatalf("NewVector: %v", err)
-						}
-						d := &Descriptor{Structure: mv.structural, Complement: mv.complement, Dir: dir}
-						if op == "vxm" {
-							d.Transpose1 = tr
-							err = VxM(w, m, nil, sr, uc, ac, d)
-						} else {
-							d.Transpose0 = tr
-							err = MxV(w, m, nil, sr, ac, uc, d)
-						}
-						if err != nil {
-							t.Fatalf("trial %d %s/%s tr=%v threads=%d: %v", trial, op, mv.name, tr, threads, err)
-						}
-						return w
+				runOp := func(op string, dir Direction, tr, accum bool) *Vector[T] {
+					var w *Vector[T]
+					var acc BinaryOp[T, T, T]
+					if accum {
+						// Accumulate into a copy of the frontier: w starts
+						// non-empty and the monoid's operator folds t in.
+						w, acc = ck1(uc.Dup()), sr.Add.Op
+					} else {
+						w = ck1(NewVector[T](n, InContext(ctx)))
 					}
+					d := &Descriptor{Structure: mv.structural, Complement: mv.complement, Dir: dir}
+					var err error
+					if op == "vxm" {
+						d.Transpose1 = tr
+						err = VxM(w, m, acc, sr, uc, ac, d)
+					} else {
+						d.Transpose0 = tr
+						err = MxV(w, m, acc, sr, ac, uc, d)
+					}
+					if err != nil {
+						t.Fatalf("trial %d %s/%s tr=%v threads=%d: %v", trial, op, mv.name, tr, threads, err)
+					}
+					return w
+				}
+				for _, tr := range []bool{false, true} {
 					for _, op := range []string{"vxm", "mxv"} {
-						push := runOp(op, DirPush)
-						pull := runOp(op, DirPull)
-						auto := runOp(op, DirAuto)
+						push := runOp(op, DirPush, tr, false)
+						pull := runOp(op, DirPull, tr, false)
+						auto := runOp(op, DirAuto, tr, false)
 						label := op + "/" + mv.name
 						sameVector(t, label+"/push-vs-pull", push, pull)
 						sameVector(t, label+"/auto-vs-pull", auto, pull)
+					}
+					// VxM(u, A) and MxV(Aᵀ, u) are one product through one
+					// body: identical on every route, with and without an
+					// accumulator.
+					for _, dir := range []Direction{DirPush, DirPull, DirAuto} {
+						for _, accum := range []bool{false, true} {
+							sameVector(t, "vxm-vs-mxv-transposed/"+mv.name,
+								runOp("vxm", dir, tr, accum), runOp("mxv", dir, !tr, accum))
+						}
 					}
 				}
 			}

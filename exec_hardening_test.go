@@ -231,6 +231,75 @@ func TestBudgetWaitReservesNothingUnasked(t *testing.T) {
 	}
 }
 
+// TestBudgetVectorViewsDoNotLeak: the dense view a pull product gathers
+// through is the operation's scratch, not a standing reservation. A PageRank-
+// shaped loop — a fresh full frontier multiplied and freed every iteration —
+// keeps the context's budget flat; charged persistently (as the view once
+// was), each iteration left 131 072 bytes behind and iteration 512 of this
+// loop parked GrB_OUT_OF_MEMORY with nothing live.
+func TestBudgetVectorViewsDoNotLeak(t *testing.T) {
+	setMode(t, NonBlocking)
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(64<<20))
+	if err != nil {
+		t.Fatalf("NewContext: %v", err)
+	}
+	const n, deg = 1 << 14, 8
+	is := make([]Index, 0, n*deg)
+	js := make([]Index, 0, n*deg)
+	xs := make([]float64, 0, n*deg)
+	for i := 0; i < n; i++ {
+		for d := 0; d < deg; d++ {
+			is = append(is, Index(i))
+			js = append(js, Index((i+1+d*2047)%n))
+			xs = append(xs, float64(1+d))
+		}
+	}
+	a, err := NewMatrix[float64](n, n, InContext(ctx))
+	if err != nil {
+		t.Fatalf("NewMatrix: %v", err)
+	}
+	if err := a.Build(is, js, xs, nil); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	if err := a.Wait(Materialize); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	idx := make([]Index, n)
+	ones := make([]float64, n)
+	for i := range idx {
+		idx[i], ones[i] = Index(i), 1
+	}
+	base := ctx.MemoryUsed()
+	for iter := 0; iter < 600; iter++ {
+		u, err := NewVector[float64](n, InContext(ctx))
+		if err != nil {
+			t.Fatalf("iteration %d: NewVector: %v", iter, err)
+		}
+		if err := u.Build(idx, ones, nil); err != nil {
+			t.Fatalf("iteration %d: Build: %v", iter, err)
+		}
+		w, err := NewVector[float64](n, InContext(ctx))
+		if err != nil {
+			t.Fatalf("iteration %d: NewVector: %v", iter, err)
+		}
+		if err := MxV(w, nil, nil, PlusTimes[float64](), a, u, nil); err != nil {
+			t.Fatalf("iteration %d: MxV: %v", iter, err)
+		}
+		if err := w.Wait(Materialize); err != nil {
+			t.Fatalf("iteration %d: Wait: %v (budget at %d bytes)", iter, err, ctx.MemoryUsed())
+		}
+		if err := u.Free(); err != nil {
+			t.Fatalf("iteration %d: Free: %v", iter, err)
+		}
+		if err := w.Free(); err != nil {
+			t.Fatalf("iteration %d: Free: %v", iter, err)
+		}
+		if used := ctx.MemoryUsed(); used != base {
+			t.Fatalf("iteration %d left %d bytes reserved beyond the %d held before the loop", iter, used-base, base)
+		}
+	}
+}
+
 // TestCancelParksCanceled: cancelling before the drain means the very first
 // range checkpoint aborts — the sequence parks the Canceled execution error
 // and surfaces it through Wait(Materialize) and ErrorString.

@@ -73,11 +73,14 @@ var seqCounter atomic.Uint64
 // "merge"). The A* fields describe the first operand, B* the second (for
 // vectors Cols is 1); zero-valued operand fields mean "no such operand".
 type Event struct {
-	Op      string `json:"op"`                // user-level operation ("MxM", "VxM", ...)
-	Kind    string `json:"kind"`              // "kernel" | "sequence" | "merge"
-	Route   string `json:"route,omitempty"`   // kernel route: requested at call time, resolved at End
-	Seq     SeqID  `json:"seq,omitempty"`     // owning sequence span, 0 = immediate
-	Threads int    `json:"threads,omitempty"` // goroutine fan-out budget
+	Op    string `json:"op"`              // user-level operation ("MxM", "VxM", ...)
+	Kind  string `json:"kind"`            // "kernel" | "sequence" | "merge"
+	Route string `json:"route,omitempty"` // kernel route, from the planner's decision ("pull+mono", "auto(hash)")
+	// RouteReason is the plan row that decided the route ("frontier nnz <
+	// n/16", "budget refused dense gather", "descriptor pin").
+	RouteReason string `json:"route_reason,omitempty"`
+	Seq         SeqID  `json:"seq,omitempty"`     // owning sequence span, 0 = immediate
+	Threads     int    `json:"threads,omitempty"` // goroutine fan-out budget
 
 	// First operand dims / nnz; second operand dims / nnz (vectors: Cols 1).
 	ARows  int `json:"a_rows,omitempty"`
@@ -142,9 +145,8 @@ func (e *Event) WithFlops(f int64) *Event {
 	return e
 }
 
-// WithRoute records the kernel route requested at call time ("push", "pull",
-// "auto", "transpose", ...); nil-safe and chainable. Adaptive routes are
-// refined at End from the counter deltas (see resolveRoute).
+// WithRoute records the kernel route ("push", "auto(dense)+mono",
+// "transpose", ...); nil-safe and chainable.
 func (e *Event) WithRoute(r string) *Event {
 	if e != nil {
 		e.Route = r
@@ -207,7 +209,6 @@ func (x Exec) End(outNNZ int, err error) {
 	ev.MonoKernels = deltaClamp(kc[KCMonoKernels], ev.kcBefore[KCMonoKernels])
 	ev.ClosureFalls = deltaClamp(kc[KCClosureFallbacks], ev.kcBefore[KCClosureFallbacks])
 	ev.FormatConvs = deltaClamp(kc[KCFormatConversions], ev.kcBefore[KCFormatConversions])
-	ev.Route = resolveRoute(ev)
 	if err != nil {
 		ev.Err = err.Error()
 	}
@@ -221,27 +222,6 @@ func deltaClamp(after, before int64) int64 {
 		return d
 	}
 	return 0
-}
-
-// resolveRoute refines an adaptive route request with the counter deltas the
-// kernel actually produced: "auto" becomes the accumulator(s) observed, and
-// any route a monomorphized semiring kernel served gains a "+mono" suffix.
-func resolveRoute(ev *Event) string {
-	route := ev.Route
-	if route == "auto" {
-		switch {
-		case ev.DenseRanges > 0 && ev.HashRanges > 0:
-			route = "auto(mixed)"
-		case ev.HashRanges > 0:
-			route = "auto(hash)"
-		case ev.DenseRanges > 0:
-			route = "auto(dense)"
-		}
-	}
-	if ev.MonoKernels > 0 {
-		route += "+mono"
-	}
-	return route
 }
 
 // Span is an open sequence span: one deferred-sequence drain from the first

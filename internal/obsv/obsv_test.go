@@ -158,28 +158,6 @@ func TestBeginNilEventIsInert(t *testing.T) {
 	}
 }
 
-func TestResolveRoute(t *testing.T) {
-	cases := []struct {
-		route       string
-		dense, hash int64
-		want        string
-	}{
-		{"auto", 2, 0, "auto(dense)"},
-		{"auto", 0, 2, "auto(hash)"},
-		{"auto", 1, 1, "auto(mixed)"},
-		{"auto", 0, 0, "auto"},
-		{"push", 5, 5, "push"}, // explicit routes pass through
-		{"", 1, 0, ""},
-	}
-	for _, c := range cases {
-		ev := &Event{Route: c.route, DenseRanges: c.dense, HashRanges: c.hash}
-		if got := resolveRoute(ev); got != c.want {
-			t.Errorf("resolveRoute(%q, d=%d, h=%d) = %q, want %q",
-				c.route, c.dense, c.hash, got, c.want)
-		}
-	}
-}
-
 func TestMetricsOpsSorted(t *testing.T) {
 	metricsOn(t)
 	for _, op := range []string{"zeta", "alpha", "mid"} {
@@ -226,10 +204,11 @@ func TestTraceChromeSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := SeqBegin("matrix")
-	ev := (&Event{Op: "MxM", Kind: "kernel", Route: "auto"}).
+	ev := (&Event{Op: "MxM", Kind: "kernel"}).
 		A(4, 4, 9).B(4, 4, 9).WithFlops(42).WithThreads(2)
 	x := Begin(ev, span.ID())
-	KernelCounters.Add(KCDenseRanges, 1)
+	// The executing step stamps the planner's route between Begin and End.
+	ev.Route, ev.RouteReason = "auto(dense)", "work >= width/2"
 	x.End(11, nil)
 	span.End(1)
 	if !Tracing() {
@@ -278,8 +257,8 @@ func TestTraceChromeSchema(t *testing.T) {
 	if kernel.Tid == 0 {
 		t.Fatal("kernel event lost its sequence tid")
 	}
-	if kernel.Args["route"] != "auto(dense)" {
-		t.Fatalf("route not resolved: %v", kernel.Args["route"])
+	if kernel.Args["route"] != "auto(dense)" || kernel.Args["route_reason"] != "work >= width/2" {
+		t.Fatalf("route = %v (%v)", kernel.Args["route"], kernel.Args["route_reason"])
 	}
 	if kernel.Args["flops"] != float64(42) {
 		t.Fatalf("flops arg = %v", kernel.Args["flops"])

@@ -87,16 +87,16 @@ func MetricsSnapshot() map[string]OpMetrics {
 	registry.Range(func(k, v any) bool {
 		s := v.(*opStats)
 		out[k.(string)] = OpMetrics{
-			Count:         s.count.Load(),
-			Errors:        s.errors.Load(),
-			TotalNs:       s.ns.Load(),
-			Flops:         s.flops.Load(),
-			ScratchBytes:  s.scratch.Load(),
-			OutNNZ:        s.outNNZ.Load(),
-			DenseRanges:   s.dense.Load(),
-			HashRanges:    s.hash.Load(),
-			PushCalls:     s.push.Load(),
-			PullCalls:     s.pull.Load(),
+			Count:           s.count.Load(),
+			Errors:          s.errors.Load(),
+			TotalNs:         s.ns.Load(),
+			Flops:           s.flops.Load(),
+			ScratchBytes:    s.scratch.Load(),
+			OutNNZ:          s.outNNZ.Load(),
+			DenseRanges:     s.dense.Load(),
+			HashRanges:      s.hash.Load(),
+			PushCalls:       s.push.Load(),
+			PullCalls:       s.pull.Load(),
 			TransposeMats:   s.tmats.Load(),
 			Steps:           s.steps.Load(),
 			BudgetDegrades:  s.degrades.Load(),

@@ -191,6 +191,9 @@ func (t *traceSession) marshal() ([]byte, error) {
 		if ev.Route != "" {
 			args["route"] = ev.Route
 		}
+		if ev.RouteReason != "" {
+			args["route_reason"] = ev.RouteReason
+		}
 		if ev.Threads != 0 {
 			args["threads"] = ev.Threads
 		}

@@ -47,7 +47,7 @@ func BenchmarkKernelSpGEMM(b *testing.B) {
 		for _, threads := range []int{1, 4} {
 			b.Run(fmt.Sprintf("n=%d/threads=%d", n, threads), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					SpGEMM(a, a, mulF, addF, Mask{}, threads)
+					closureSpGEMM(a, a, mulF, addF, Mask{}, threads, KernelAuto)
 				}
 			})
 		}
@@ -63,7 +63,7 @@ func BenchmarkKernelSpGEMMMasked(b *testing.B) {
 	}
 	b.Run("structural-mask", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			SpGEMM(a, a, mulF, addF, Mask{M: mask, Structural: true}, 1)
+			closureSpGEMM(a, a, mulF, addF, Mask{M: mask, Structural: true}, 1, KernelAuto)
 		}
 	})
 }
@@ -105,7 +105,7 @@ func BenchmarkKernelSpGEMMHypersparse(b *testing.B) {
 				b.ReportAllocs()
 				ResetKernelCounts()
 				for i := 0; i < b.N; i++ {
-					SpGEMMKernel(a, a, mulF, addF, Mask{}, threads, tc.kern)
+					closureSpGEMM(a, a, mulF, addF, Mask{}, threads, tc.kern)
 				}
 				dense, hash := KernelCounts()
 				b.ReportMetric(float64(dense)/float64(b.N), "dense-ranges/op")
@@ -135,7 +135,7 @@ func BenchmarkKernelSpMVHypersparse(b *testing.B) {
 			b.ReportAllocs()
 			ResetKernelCounts()
 			for i := 0; i < b.N; i++ {
-				SpMVKernel(a, u, mulF, addF, VMask{}, 4, tc.kern)
+				closureSpMV(a, u, mulF, addF, VMask{}, 4, tc.kern)
 			}
 			b.ReportMetric(float64(ScratchBytes())/float64(b.N), "scratch-B/op")
 		})
@@ -151,7 +151,7 @@ func BenchmarkKernelSpMV(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SpMV(a, u, mulF, addF, VMask{}, 1)
+		closureSpMV(a, u, mulF, addF, VMask{}, 1, KernelAuto)
 	}
 }
 
@@ -164,7 +164,7 @@ func BenchmarkKernelVxMSparse(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		VxM(u, a, mulF, addF, VMask{}, 1)
+		closureVxM(u, a, mulF, addF, VMask{}, 1)
 	}
 }
 

@@ -36,16 +36,16 @@ func TestSpGEMMStitchTableIsBudgeted(t *testing.T) {
 	// 4 KiB fits the 8-column SPA many times over but not the 80 KB
 	// row-length table; before the charge landed this call succeeded.
 	small := NewBudget(4096).Tx()
-	if _, err := SpGEMMKernelEx(a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto); !errors.Is(err, ErrBudget) {
-		t.Fatalf("SpGEMMKernelEx under a 4KiB budget: err = %v, want ErrBudget", err)
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto); !errors.Is(err, ErrBudget) {
+		t.Fatalf("closure SpGEMM under a 4KiB budget: err = %v, want ErrBudget", err)
 	}
 
 	big := NewBudget(1 << 20).Tx()
-	got, err := SpGEMMKernelEx(a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
+	got, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
 	if err != nil {
-		t.Fatalf("SpGEMMKernelEx under a 1MiB budget: %v", err)
+		t.Fatalf("closure SpGEMM under a 1MiB budget: %v", err)
 	}
-	identicalCSR(t, "budgeted spgemm", got, SpGEMM(a, b, mul, add, Mask{}, 1))
+	identicalCSR(t, "budgeted spgemm", got, closureSpGEMM(a, b, mul, add, Mask{}, 1, KernelAuto))
 }
 
 func TestMonoSpGEMMStitchTableIsBudgeted(t *testing.T) {
@@ -60,19 +60,22 @@ func TestMonoSpGEMMStitchTableIsBudgeted(t *testing.T) {
 	mul := func(x, y float64) float64 { return x * y }
 	add := func(x, y float64) float64 { return x + y }
 
+	// The family loop's stitch table is charged under its own site; the
+	// counter proves the family loop, not the closure one, took the call.
+	ResetKernelCounts()
 	small := NewBudget(4096).Tx()
-	_, handled, err := monoSpGEMMDispatch(SemiPlusTimes, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto)
-	if !handled {
-		t.Fatal("monoSpGEMMDispatch did not take the float64 plus-times family")
+	_, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto)
+	if mono, _ := MonoCounts(); mono != 1 {
+		t.Fatal("the product did not take the float64 plus-times family loop")
 	}
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("monomorphized product under a 4KiB budget: err = %v, want ErrBudget", err)
 	}
 
 	big := NewBudget(1 << 20).Tx()
-	got, handled, err := monoSpGEMMDispatch(SemiPlusTimes, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
-	if !handled || err != nil {
-		t.Fatalf("monomorphized product under a 1MiB budget: handled=%v err=%v", handled, err)
+	got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
+	if err != nil {
+		t.Fatalf("monomorphized product under a 1MiB budget: %v", err)
 	}
-	identicalCSR(t, "budgeted mono spgemm", got, SpGEMM(a, b, mul, add, Mask{}, 1))
+	identicalCSR(t, "budgeted mono spgemm", got, closureSpGEMM(a, b, mul, add, Mask{}, 1, KernelAuto))
 }

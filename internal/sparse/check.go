@@ -110,43 +110,6 @@ func DebugCheckDenseVec[T any](d *DenseVec[T], origin string) {
 	}
 }
 
-// DebugCheckDenseMat validates the block-matrix contract: dims non-negative,
-// row-major storage sized Rows*Cols, the bitmap (when present) aligned with
-// Nnz counting its set flags, and full views storing every position.
-func DebugCheckDenseMat[T any](d *DenseMat[T], origin string) {
-	if d == nil {
-		return
-	}
-	if d.Rows < 0 || d.Cols < 0 {
-		checkFail(origin, "negative dimensions %dx%d", d.Rows, d.Cols)
-	}
-	size, ok := CheckedMul(d.Rows, d.Cols)
-	if !ok {
-		checkFail(origin, "dimensions %dx%d overflow", d.Rows, d.Cols)
-	}
-	if len(d.Val) != size {
-		checkFail(origin, "len(Val) = %d, want Rows*Cols = %d", len(d.Val), size)
-	}
-	if d.Bit == nil {
-		if d.Nnz != size {
-			checkFail(origin, "full view with Nnz = %d, want Rows*Cols = %d", d.Nnz, size)
-		}
-		return
-	}
-	if len(d.Bit) != size {
-		checkFail(origin, "len(Bit) = %d, want Rows*Cols = %d", len(d.Bit), size)
-	}
-	n := 0
-	for _, ok := range d.Bit {
-		if ok {
-			n++
-		}
-	}
-	if n != d.Nnz {
-		checkFail(origin, "bitmap has %d set flags but Nnz = %d", n, d.Nnz)
-	}
-}
-
 func checkFail(origin, format string, args ...any) {
 	panic("sparse: grbcheck: " + origin + ": " + fmt.Sprintf(format, args...))
 }

@@ -13,6 +13,3 @@ func DebugCheckVec[T any](v *Vec[T], origin string) {}
 
 // DebugCheckDenseVec is a no-op without -tags grbcheck; see check.go.
 func DebugCheckDenseVec[T any](d *DenseVec[T], origin string) {}
-
-// DebugCheckDenseMat is a no-op without -tags grbcheck; see check.go.
-func DebugCheckDenseMat[T any](d *DenseMat[T], origin string) {}

@@ -49,10 +49,6 @@ type CSR[T any] struct {
 	// never go stale. Atomic so concurrent readers of a completed object
 	// share the view without locks.
 	tr atomic.Pointer[CSR[T]]
-
-	// dm memoizes the bitmap/dense block view (see DenseView), under the
-	// same immutable-on-write coherence argument as tr.
-	dm atomic.Pointer[DenseMat[T]]
 }
 
 // NewCSR returns an empty rows×cols matrix.

@@ -213,7 +213,7 @@ func TestMergeVTuples(t *testing.T) {
 
 func TestScatterGather(t *testing.T) {
 	v, _ := BuildVec(6, []int{1, 4}, []int{7, 8}, nil)
-	dv, ok := v.Scatter()
+	dv, ok := scatter(v)
 	back := GatherVec(dv, ok)
 	if !VecEqualFunc(v, back, eqInt) {
 		t.Fatal("scatter/gather mismatch")

@@ -5,12 +5,15 @@ import (
 	"unsafe"
 )
 
-// Block formats (bitmap and full/dense) for vectors and matrices. A block
-// view stores one value slot per position, so dense frontiers and PageRank
-// iterations index it directly instead of binary-searching or hashing the
-// sorted-coordinate form. Views are memoized on the sparse object
-// (Vec.dv/CSR.dm) under the immutable-on-write contract, and converted back
-// with Sparse/CSR for the round-trip property tests.
+// The block format of a vector (bitmap and full/dense). A block view stores
+// one value slot per position, so dense frontiers and PageRank iterations
+// index it directly instead of binary-searching or hashing the
+// sorted-coordinate form. It is the pull product's one densifier: the family
+// loops and the closure loop both gather through it. The view is memoized on
+// the vector (Vec.dv) under the immutable-on-write contract, and converted
+// back with Sparse for the round-trip property tests. Matrices have no block
+// view: a fully dense matrix runs the CSR row loop, which is faster on its
+// own best case (EXPERIMENTS.md, "One multiply scaffold").
 
 // DenseVec is the block view of a vector: Val has one slot per position.
 // Bit == nil marks the full variant (every position stored, Nnz == N);
@@ -26,27 +29,29 @@ type DenseVec[T any] struct {
 // Full reports whether the view stores every position (no bitmap).
 func (d *DenseVec[T]) Full() bool { return d.Bit == nil }
 
-// denseViewMu serializes block-view materialization (vector and matrix).
-// Concurrent readers that lose the build race share the winner's view; the
-// double-checked load keeps the common cached-hit path lock-free.
+// denseViewMu serializes block-view materialization. Concurrent readers that
+// lose the build race share the winner's view; the double-checked load keeps
+// the common cached-hit path lock-free.
 var denseViewMu sync.Mutex
 
-// DenseView returns the memoized block view, materializing it on first use.
-// Convenience wrapper for tests and unbudgeted callers; kernels use
-// DenseViewEx so the materialization charges the operation's budget.
-func (v *Vec[T]) DenseView() *DenseVec[T] {
-	d, err := v.DenseViewEx(Exec{})
-	if err != nil {
-		panic(err)
+// viewBytes is what materializing v's block view allocates: the value slots
+// plus, unless v is full, the presence bitmap.
+func (v *Vec[T]) viewBytes() int64 {
+	var zero T
+	bytes := int64(v.N) * int64(unsafe.Sizeof(zero))
+	if v.NNZ() != v.N {
+		bytes += int64(v.N)
 	}
-	return d
+	return bytes
 }
 
 // DenseViewEx returns the memoized block view of v, materializing it on
-// first use. The value (and bitmap) arrays are charged persistently against
-// the budget — like the transpose cache, the view outlives the operation
-// that built it. Returns ErrBudget when the charge does not fit, letting
-// the caller fall back to the sparse-form closure kernel.
+// first use. A miss is the operation's gather scratch and is charged as
+// such — transiently, under the gather site, released when the operation's
+// transaction closes — because the view dies with the vector snapshot, which
+// in an iteration is the next step (a persistent charge would outlive every
+// freed frontier and exhaust the budget with flat live memory). Returns
+// ErrBudget when the charge does not fit.
 func (v *Vec[T]) DenseViewEx(e Exec) (*DenseVec[T], error) {
 	if d := v.dv.Load(); d != nil {
 		return d, nil
@@ -59,17 +64,12 @@ func (v *Vec[T]) DenseViewEx(e Exec) (*DenseVec[T], error) {
 	if err := siteFormatConvert.Check(); err != nil {
 		return nil, err
 	}
-	var zero T
-	full := v.NNZ() == v.N
-	bytes := int64(v.N) * int64(unsafe.Sizeof(zero))
-	if !full {
-		bytes += int64(v.N)
-	}
-	if !e.Tx.ReservePersistent(bytes) {
-		return nil, ErrBudget
+	bytes := v.viewBytes()
+	if err := e.charge(siteSpMVGather, bytes); err != nil {
+		return nil, err
 	}
 	d := &DenseVec[T]{N: v.N, Val: make([]T, v.N), Nnz: v.NNZ()}
-	if !full {
+	if d.Nnz != v.N {
 		d.Bit = make([]bool, v.N)
 	}
 	for k, i := range v.Ind {

@@ -115,9 +115,9 @@ func diffSpGEMM[T comparable](t *testing.T, rng *rand.Rand, mul func(T, T) T, ad
 		mask := sprayCSR(rng, m, n, (m*n)/3+1, func(r *rand.Rand) bool { return r.Intn(2) == 0 })
 		for _, mv := range maskVariants(mask) {
 			for _, threads := range []int{1, 3, 8} {
-				dense := SpGEMMKernel(a, b, mul, add, mv.mask, threads, KernelDense)
-				hash := SpGEMMKernel(a, b, mul, add, mv.mask, threads, KernelHash)
-				auto := SpGEMMKernel(a, b, mul, add, mv.mask, threads, KernelAuto)
+				dense := closureSpGEMM(a, b, mul, add, mv.mask, threads, KernelDense)
+				hash := closureSpGEMM(a, b, mul, add, mv.mask, threads, KernelHash)
+				auto := closureSpGEMM(a, b, mul, add, mv.mask, threads, KernelAuto)
 				if !dense.Valid() || !hash.Valid() || !auto.Valid() {
 					t.Fatalf("trial %d %s threads=%d: invalid output", trial, mv.name, threads)
 				}
@@ -193,9 +193,9 @@ func TestDifferentialSpMVGather(t *testing.T) {
 		}
 		for _, mv := range masks {
 			for _, threads := range []int{1, 4} {
-				dense := SpMVKernel(a, u, mul, add, mv.mask, threads, KernelDense)
-				hash := SpMVKernel(a, u, mul, add, mv.mask, threads, KernelHash)
-				auto := SpMVKernel(a, u, mul, add, mv.mask, threads, KernelAuto)
+				dense := closureSpMV(a, u, mul, add, mv.mask, threads, KernelDense)
+				hash := closureSpMV(a, u, mul, add, mv.mask, threads, KernelHash)
+				auto := closureSpMV(a, u, mul, add, mv.mask, threads, KernelAuto)
 				for _, pair := range []struct {
 					name string
 					got  *Vec[float64]
@@ -217,30 +217,11 @@ func TestDifferentialSpMVGather(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSelectionRoutes checks the router at its constant threshold:
-// the chooseHash decision table (including the flops == cols/2 boundary), and
-// that hypersparse work reaches the hash SPA and dense work the dense SPA.
+// TestAdaptiveSelectionRoutes checks that the matrix product obeys the plan
+// (the decision table itself is TestPlan): hypersparse work reaches the hash
+// SPA, dense work the dense SPA, and the route read back through Exec.Route
+// says so.
 func TestAdaptiveSelectionRoutes(t *testing.T) {
-	for _, tc := range []struct {
-		hint        Kernel
-		flops, cols int
-		want        bool
-	}{
-		{KernelAuto, 0, 5000, true},
-		{KernelAuto, 2499, 5000, true},
-		{KernelAuto, 2500, 5000, false}, // boundary: hash iff flops < cols/2
-		{KernelAuto, 2501, 5000, false},
-		{KernelAuto, 1 << 40, 5000, false},
-		{KernelAuto, 0, 0, false},
-		{KernelAuto, 0, 1, false},
-		{KernelDense, 0, 5000, false},
-		{KernelHash, 1 << 40, 8, true},
-	} {
-		if got := chooseHash(tc.hint, tc.flops, tc.cols); got != tc.want {
-			t.Errorf("chooseHash(%d, %d, %d) = %v, want %v", tc.hint, tc.flops, tc.cols, got, tc.want)
-		}
-	}
-
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	mul := func(a, b int) int { return a * b }
 	add := func(a, b int) int { return a + b }
@@ -248,19 +229,30 @@ func TestAdaptiveSelectionRoutes(t *testing.T) {
 	// Hypersparse: 5000 columns, a handful of flops per row.
 	a := sprayCSR(rng, 200, 200, 300, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	b := sprayCSR(rng, 200, 5000, 300, func(r *rand.Rand) int { return 1 + r.Intn(9) })
+	var rt Route
 	ResetKernelCounts()
-	SpGEMM(a, b, mul, add, Mask{}, 4)
-	if _, hash := KernelCounts(); hash == 0 {
-		t.Fatal("hypersparse product never chose the hash SPA")
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 4, Route: &rt}, KernelAuto); err != nil {
+		t.Fatal(err)
+	}
+	if dense, hash := KernelCounts(); hash == 0 || dense != 0 {
+		t.Fatalf("hypersparse product routed dense=%d hash=%d, want hash only", dense, hash)
+	}
+	if want := (Route{Acc: AccHash, Reason: ReasonFewFlops}); rt != want {
+		t.Fatalf("hypersparse product reported route %+v, want %+v", rt, want)
 	}
 
 	// Dense regime: every row's flop bound rivals the 40-wide output, so
 	// every range does far more flops than it has columns.
 	c := sprayCSR(rng, 40, 40, 800, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	ResetKernelCounts()
-	SpGEMM(c, c, mul, add, Mask{}, 4)
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, c, c, mul, add, Mask{}, Exec{Threads: 4, Route: &rt}, KernelAuto); err != nil {
+		t.Fatal(err)
+	}
 	if dense, hash := KernelCounts(); dense == 0 || hash != 0 {
 		t.Fatalf("dense-regime product routed dense=%d hash=%d, want dense only", dense, hash)
+	}
+	if want := (Route{Acc: AccDense, Reason: ReasonDenseWork}); rt != want {
+		t.Fatalf("dense-regime product reported route %+v, want %+v", rt, want)
 	}
 }
 

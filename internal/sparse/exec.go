@@ -27,9 +27,7 @@ import (
 //	abortPanic{err}            → err            (ErrBudget, ErrCanceled, faults.ErrInjected)
 //	any other panic            → *KernelPanic   (wraps ErrKernelPanic)
 //
-// The non-Ex kernel signatures are preserved as thin wrappers that re-panic
-// on error, so existing internal callers and tests are untouched; the grb
-// layer calls the Ex variants and maps the errors onto Info codes.
+// The grb layer maps the errors onto Info codes.
 
 // Errors surfaced by the hardening layer. The grb layer maps ErrBudget (and
 // faults.ErrInjected) onto GrB_OUT_OF_MEMORY, ErrCanceled onto the Canceled
@@ -254,11 +252,21 @@ func (tx *BudgetTx) Close() {
 // budget, the operation's budget transaction (nil = unlimited), and the
 // cancellation probe (nil = never canceled; returns ErrCanceled-compatible
 // errors). The zero Exec runs serially, unbudgeted, uncancellable — exactly
-// the pre-hardening behaviour, which is what the compatibility wrappers pass.
+// the pre-hardening behaviour.
 type Exec struct {
 	Threads int
 	Tx      *BudgetTx
 	Cancel  func() error
+	// Route, when non-nil, receives the route the kernel planned and ran.
+	// The grb layer sets it only while an observability sink is active.
+	Route *Route
+}
+
+// note publishes the kernel's route to an observing caller.
+func (e Exec) note(rt Route) {
+	if e.Route != nil {
+		*e.Route = rt
+	}
 }
 
 // threads returns the effective worker count (≥ 1).
@@ -357,9 +365,9 @@ var (
 	siteTranspose   = faults.Register("sparse.transpose.build")
 	siteMerge       = faults.Register("sparse.merge.tuples")
 	siteRange       = faults.Register("sparse.kernel.range")
-	// Monomorphized fast-path sites: the per-range loop entry of the
-	// specialized kernels, their scatter-SPA allocation, and the
-	// sparse→bitmap/dense block-format materialization they ride on.
+	// Family-loop sites: the per-range entry of a scaffold running a
+	// monomorphized loop and its SPA allocation, plus the sparse→block view
+	// materialization of the pull gather.
 	siteMonoLoop      = faults.Register("sparse.mono.loop")
 	siteMonoSpa       = faults.Register("sparse.mono.spa")
 	siteFormatConvert = faults.Register("sparse.format.convert")

@@ -1,11 +1,12 @@
 package sparse
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
 
-// Format-transition property tests: converting a sparse object to its
+// Format-transition property tests: converting a sparse vector to its
 // bitmap/dense block view and back must be lossless — same shape, same
 // nnz, same pattern, same values — for every density, which alone picks the
 // view (full operand → full view, anything else → bitmap view). Built with
@@ -59,39 +60,6 @@ func TestFormatVecRoundTripInt64(t *testing.T) {
 	}
 }
 
-// roundTripMat pushes m through its block view and back.
-func roundTripMat[T comparable](t *testing.T, label string, m *CSR[T], wantFull bool) {
-	t.Helper()
-	dm, err := m.DenseViewEx(Exec{})
-	if err != nil {
-		t.Fatalf("%s: DenseViewEx: %v", label, err)
-	}
-	if dm.Rows != m.Rows || dm.Cols != m.Cols || dm.Nnz != m.NNZ() {
-		t.Fatalf("%s: view %dx%d/%d != %dx%d/%d", label,
-			dm.Rows, dm.Cols, dm.Nnz, m.Rows, m.Cols, m.NNZ())
-	}
-	if dm.Full() != wantFull {
-		t.Fatalf("%s: view Full() = %v, want %v", label, dm.Full(), wantFull)
-	}
-	back := dm.CSR()
-	identicalCSR(t, label+"/round-trip", back, m)
-}
-
-func TestFormatMatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
-	mk := func(r *rand.Rand) float64 { return r.NormFloat64() }
-	for trial := 0; trial < 12; trial++ {
-		rows := 1 + rng.Intn(40)
-		cols := 1 + rng.Intn(40)
-		// A spray of rows+cols entries can saturate a tiny matrix, in
-		// which case the view is legitimately full.
-		sm := sprayCSR(rng, rows, cols, rows+cols, mk)
-		roundTripMat(t, "sparse", sm, sm.NNZ() == rows*cols)
-		roundTripMat(t, "full", fullCSR(rng, rows, cols, mk), true)
-	}
-	roundTripMat(t, "empty", NewCSR[float64](9, 13), false)
-}
-
 // TestFormatViewCaching pins the caching contract: the view is built once
 // per snapshot and the cached pointer is returned afterwards, and the
 // conversion counter records exactly the materializations.
@@ -114,39 +82,33 @@ func TestFormatViewCaching(t *testing.T) {
 		t.Fatalf("conversions = %d, want 1", got)
 	}
 
-	m := sprayCSR(rng, 20, 20, 60, func(r *rand.Rand) float64 { return r.NormFloat64() })
-	dm1, err := m.DenseViewEx(Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm2, err := m.DenseViewEx(Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm1 != dm2 {
-		t.Fatal("second matrix DenseViewEx did not return the cached view")
-	}
-	if got := FormatConversionCount(); got != 2 {
-		t.Fatalf("conversions = %d, want 2", got)
-	}
 }
 
 // TestFormatViewBudget pins the budget interaction: a budget too small for
-// the block view refuses with ErrBudget (so the router can fall back to
-// the closure kernels) and releasing the budget is the caller's problem,
-// while a sufficient budget charges the view persistently.
+// the block view refuses with ErrBudget (so the planner's hash gather can
+// serve instead), and a sufficient one charges the view as the operation's
+// scratch — held while the transaction is open, handed back when it closes,
+// so a stream of freed frontiers cannot exhaust the budget.
 func TestFormatViewBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	v := fullVec(rng, 1000, func(r *rand.Rand) float64 { return r.NormFloat64() })
 	small := NewBudget(16).Tx() // bytes: far below the 8000-byte view
-	if _, err := v.DenseViewEx(Exec{Tx: small}); err == nil {
-		t.Fatal("DenseViewEx under a 16-byte budget did not refuse")
+	if _, err := v.DenseViewEx(Exec{Tx: small}); !errors.Is(err, ErrBudget) {
+		t.Fatalf("DenseViewEx under a 16-byte budget: err = %v, want ErrBudget", err)
 	}
 	big := NewBudget(1 << 20)
-	if _, err := v.DenseViewEx(Exec{Tx: big.Tx()}); err != nil {
+	tx := big.Tx()
+	if _, err := v.DenseViewEx(Exec{Tx: tx}); err != nil {
 		t.Fatalf("DenseViewEx under a 1MiB budget: %v", err)
 	}
-	if big.Used() == 0 {
-		t.Fatal("materialized view left no persistent budget charge")
+	if got := big.Used(); got != 8000 {
+		t.Fatalf("materializing the view charged %d bytes, want 8000", got)
+	}
+	tx.Close()
+	if got := big.Used(); got != 0 {
+		t.Fatalf("the view's charge outlived its operation: %d bytes still reserved", got)
+	}
+	if _, err := v.DenseViewEx(Exec{Tx: big.Tx()}); err != nil || big.Used() != 0 {
+		t.Fatalf("a cached view charged again: err=%v used=%d", err, big.Used())
 	}
 }

@@ -6,47 +6,6 @@ import (
 	"github.com/grblas/grb/internal/parallel"
 )
 
-// Kernel selects the accumulator strategy used by the multiply kernels
-// (SpGEMM, SpMV). The zero value asks for the adaptive heuristic.
-type Kernel int
-
-const (
-	// KernelAuto routes each row range by comparing its estimated flops
-	// against the output width (see chooseHash).
-	KernelAuto Kernel = iota
-	// KernelDense forces the dense SPA of width cols per worker.
-	KernelDense
-	// KernelHash forces the open-addressing hash SPA.
-	KernelHash
-)
-
-// defaultHashThreshold is the adaptive-selection threshold: a row range is
-// routed to the hash SPA when its total flop estimate is below
-// cols/threshold, i.e. when the O(cols) buffer a dense accumulator would have
-// to allocate and stamp dwarfs all the work the range actually does.
-//
-// 2 comes from the cost model: the dense SPA costs O(cols) to materialize
-// plus ~1 unit per flop; the hash SPA skips the O(cols) term but pays ~3 units
-// per flop (hash, probe, re-probe at emit). Hash wins iff cols > (3-1)·flops,
-// i.e. flops < cols/2. The margin also bounds the table itself: capacity ≤
-// 2·flops < cols, so the hash path can never allocate more scratch than the
-// dense path it replaced.
-const defaultHashThreshold = 2
-
-// chooseHash is the per-row-range selection rule. flops is the range's total
-// flop estimate (Σ per-row bounds for SpGEMM, nnz(u) for the SpMV gather);
-// cols is the width of the dense workspace the range would otherwise
-// allocate. The division form avoids overflow for huge flop counts.
-func chooseHash(hint Kernel, flops, cols int) bool {
-	switch hint {
-	case KernelDense:
-		return false
-	case KernelHash:
-		return true
-	}
-	return flops < cols/defaultHashThreshold
-}
-
 // SpGEMMFlops is the symbolic pass of the adaptive SpGEMM: it returns the
 // prefix array fptr (length a.Rows+1, fptr[0]=0) of per-row flop upper
 // bounds, where the bound for row i is Σ_{k∈A(i,:)} nnz(B(A.Ind[k],:)) — the

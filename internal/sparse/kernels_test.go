@@ -99,7 +99,7 @@ func TestSpGEMMAgainstDense(t *testing.T) {
 		a := randCSR(rng, m, k, 0.3)
 		b := randCSR(rng, k, n, 0.3)
 		for _, threads := range threadCounts {
-			got := SpGEMM(a, b, mul, add, Mask{}, threads)
+			got := closureSpGEMM(a, b, mul, add, Mask{}, threads, KernelAuto)
 			if !got.Valid() {
 				t.Fatalf("invalid result (threads=%d)", threads)
 			}
@@ -144,8 +144,8 @@ func TestSpGEMMMasked(t *testing.T) {
 		for _, structural := range []bool{false, true} {
 			for _, comp := range []bool{false, true} {
 				mk := Mask{M: mask, Structural: structural, Complement: comp}
-				got := SpGEMM(a, b, mul, add, mk, 2)
-				full := SpGEMM(a, b, mul, add, Mask{}, 1)
+				got := closureSpGEMM(a, b, mul, add, mk, 2, KernelAuto)
+				full := closureSpGEMM(a, b, mul, add, Mask{}, 1, KernelAuto)
 				want := MaskApplyM(NewCSR[int](n, n), full, mk, true, 1)
 				if !EqualFunc(got, want, func(a, b int) bool { return a == b }) {
 					t.Fatalf("masked SpGEMM != post-filtered (s=%v c=%v)", structural, comp)
@@ -167,9 +167,9 @@ func TestSpMVAndVxMAgainstDense(t *testing.T) {
 		v := randVec(rng, m, 0.5)
 		for _, threads := range threadCounts {
 			// SpMV: t(i) = sum_j a(i,j) u(j)
-			got := SpMV(a, u, mul, add, VMask{}, threads)
+			got := closureSpMV(a, u, mul, add, VMask{}, threads, KernelAuto)
 			want := NewVec[int](m)
-			uv, uok := u.Scatter()
+			uv, uok := scatter(u)
 			for i := 0; i < m; i++ {
 				ind, val := a.Row(i)
 				acc, any := 0, false
@@ -188,11 +188,11 @@ func TestSpMVAndVxMAgainstDense(t *testing.T) {
 				t.Fatalf("SpMV mismatch (trial %d threads %d)", trial, threads)
 			}
 			// VxM: t(j) = sum_i v(i) a(i,j)
-			got2 := VxM(v, a, mul, add, VMask{}, threads)
+			got2 := closureVxM(v, a, mul, add, VMask{}, threads)
 			want2 := NewVec[int](n)
 			acc := make([]int, n)
 			anyv := make([]bool, n)
-			vv, vok := v.Scatter()
+			vv, vok := scatter(v)
 			for i := 0; i < m; i++ {
 				if !vok[i] {
 					continue

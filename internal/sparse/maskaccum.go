@@ -20,18 +20,19 @@ type VMask struct {
 
 // vmaskLookup compiles a vector mask into an O(1)-per-position admit
 // predicate for the matrix-vector kernels. A nil return means every position
-// is admitted (no pruning needed). The representation follows the dense/hash
-// accumulator policy: a dense mask is scattered once into an O(n) bitmap
-// (O(1) exact lookups, one pass to build), while a hypersparse mask gets a
-// read-only hash table of O(nnz(m)) slots so the O(n) scatter is never paid.
-// Either way a masked kernel stops paying O(log nnz(m)) per position.
+// is admitted (no pruning needed). The planner picks the representation by
+// the dense/hash policy (Route.HashMask): a dense mask is scattered once into
+// an O(n) bitmap (O(1) exact lookups, one pass to build), while a hypersparse
+// mask gets a read-only hash table of O(nnz(m)) slots so the O(n) scatter is
+// never paid. Either way a masked kernel stops paying O(log nnz(m)) per
+// position.
 //
 // The predicate implements the full GraphBLAS mask semantics (value vs.
 // structural, complement), so kernels may prune work at any granularity —
 // whole rows in the pull gather, single products in the push scatter — and
 // the final MaskApplyV pass observes the same admitted set it would have
 // filtered itself.
-func vmaskLookup(mask VMask, n int) func(int) bool {
+func vmaskLookup(mask VMask, n int, hash bool) func(int) bool {
 	if mask.M == nil {
 		if mask.Complement {
 			// Complemented nil mask: nothing is admitted (the mask defaults
@@ -40,13 +41,12 @@ func vmaskLookup(mask VMask, n int) func(int) bool {
 		}
 		return nil
 	}
-	m := mask.M
-	structural, comp := mask.Structural, mask.Complement
-	if !chooseHash(KernelAuto, m.NNZ(), n) {
+	if !hash {
 		admit := vmaskBitmap(mask, n)
 		return func(j int) bool { return admit[j] }
 	}
-	h := newHashLookup(m)
+	structural, comp := mask.Structural, mask.Complement
+	h := newHashLookup(mask.M)
 	return func(j int) bool {
 		v, present := h.get(j)
 		adm := present && (structural || v)
@@ -60,8 +60,8 @@ func vmaskLookup(mask VMask, n int) func(int) bool {
 // vmaskBitmap scatters a non-nil vector mask into an O(n) admit bitmap
 // implementing the full mask semantics (value vs. structural, complement).
 // It is the dense half of vmaskLookup, exposed separately because the
-// monomorphized scatter kernels index the bitmap directly instead of paying
-// a closure call per product.
+// family scatter loops index the bitmap directly instead of paying a closure
+// call per product.
 func vmaskBitmap(mask VMask, n int) []bool {
 	m := mask.M
 	structural, comp := mask.Structural, mask.Complement

@@ -26,14 +26,14 @@ func TestSpMVMaskedAgainstPostFilter(t *testing.T) {
 		for _, structural := range []bool{false, true} {
 			for _, comp := range []bool{false, true} {
 				mk := VMask{M: mask, Structural: structural, Complement: comp}
-				got := SpMV(a, u, mul, add, mk, 2)
-				full := SpMV(a, u, mul, add, VMask{}, 1)
+				got := closureSpMV(a, u, mul, add, mk, 2, KernelAuto)
+				full := closureSpMV(a, u, mul, add, VMask{}, 1, KernelAuto)
 				want := MaskApplyV(NewVec[int](m), full, mk, true)
 				if !VecEqualFunc(got, want, func(a, b int) bool { return a == b }) {
 					t.Fatalf("masked SpMV mismatch (s=%v c=%v)", structural, comp)
 				}
-				got2 := VxM(u, Transpose(a), mul, add, mk, 2)
-				want2 := MaskApplyV(NewVec[int](m), VxM(u, Transpose(a), mul, add, VMask{}, 1), mk, true)
+				got2 := closureVxM(u, Transpose(a), mul, add, mk, 2)
+				want2 := MaskApplyV(NewVec[int](m), closureVxM(u, Transpose(a), mul, add, VMask{}, 1), mk, true)
 				if !VecEqualFunc(got2, want2, func(a, b int) bool { return a == b }) {
 					t.Fatalf("masked VxM mismatch (s=%v c=%v)", structural, comp)
 				}

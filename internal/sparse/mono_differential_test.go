@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Monomorphized≡closure differential battery: the specialized hot-semiring
-// kernels (mono.go, monokernels.go) must produce output identical to the
-// generic closure kernels — same pattern, same values compared with ==, so
+// Monomorphized≡closure differential battery: the family loop bodies
+// (monokernels.go) must produce output identical to the scaffolds' closure
+// loop bodies — same pattern, same values compared with ==, so
 // floating-point accumulation order must match bit for bit — across every
 // hot semiring × block format × mask interpretation × direction × thread
 // count. This harness is what makes the specialization shippable: any
@@ -40,8 +40,8 @@ func fullVec[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) *Vec[T] {
 	return v
 }
 
-// fullCSR builds a completely dense rows×cols matrix — with a full vector
-// operand this is the GEMV fast-path regime.
+// fullCSR builds a completely dense rows×cols matrix: every row stores
+// columns 0..cols-1 in order, so the CSR row loop is a textbook GEMV sweep.
 func fullCSR[T any](rng *rand.Rand, rows, cols int, mk func(*rand.Rand) T) *CSR[T] {
 	var I, J []int
 	var X []T
@@ -144,7 +144,7 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 			for _, mv := range vmaskVariants(rng, rows) {
 				for _, threads := range []int{1, 4} {
 					for _, hint := range []Kernel{KernelAuto, KernelDense} {
-						clos, err := SpMVKernelEx(a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
+						clos, err := SpMVSemiEx(SemiGeneric, SpecGeneric, a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
 						if err != nil {
 							t.Fatalf("pull closure %s/%s: %v", fv.name, mv.name, err)
 						}
@@ -164,7 +164,7 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, fv := range vecDensities(rng, rows, mk) {
 			for _, mv := range vmaskVariants(rng, cols) {
 				for _, threads := range []int{1, 4} {
-					clos, err := VxMEx(fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
+					clos, err := VxMSemiEx(SemiGeneric, SpecGeneric, fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
 					if err != nil {
 						t.Fatalf("push closure %s/%s: %v", fv.name, mv.name, err)
 					}
@@ -200,7 +200,7 @@ func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, mv := range maskVariants(maskM) {
 			for _, threads := range []int{1, 4} {
 				for _, hint := range []Kernel{KernelAuto, KernelDense, KernelHash} {
-					clos, err := SpGEMMKernelEx(a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
+					clos, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
 					if err != nil {
 						t.Fatalf("mxm closure %s: %v", mv.name, err)
 					}
@@ -287,8 +287,9 @@ func TestMonoDifferentialPlusPair(t *testing.T) {
 }
 
 // TestMonoDifferentialGEMV pins the fully-dense regime: a full matrix times
-// a full vector takes the GEMV fast path (both operands through their block
-// views), which must still match the closure kernel product for product.
+// a full vector has no fast path of its own — it takes the bitmap-free arm of
+// the family row loop over CSR — and must match the closure loop product for
+// product, for every spec.
 func TestMonoDifferentialGEMV(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	for trial := 0; trial < 4; trial++ {
@@ -300,37 +301,32 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 		add := func(a, b float64) float64 { return a + b }
 		for _, mv := range vmaskVariants(rng, rows) {
 			for _, threads := range []int{1, 4} {
-				mono, err := SpMVSemiEx(SemiPlusTimes, SpecMono, a, u, mul, add, mv.mask, Exec{Threads: threads}, KernelAuto)
-				if err != nil {
-					t.Fatalf("gemv mono %s: %v", mv.name, err)
+				clos := closureSpMV(a, u, mul, add, mv.mask, threads, KernelAuto)
+				for _, spec := range specModes {
+					got, err := SpMVSemiEx(SemiPlusTimes, spec.spec, a, u, mul, add, mv.mask, Exec{Threads: threads}, KernelAuto)
+					if err != nil {
+						t.Fatalf("full %s/%s: %v", spec.name, mv.name, err)
+					}
+					identicalVec(t, "full/"+spec.name+"/"+mv.name, got, clos)
 				}
-				clos, err := SpMVKernelEx(a, u, mul, add, mv.mask, Exec{Threads: threads}, KernelAuto)
-				if err != nil {
-					t.Fatalf("gemv closure %s: %v", mv.name, err)
-				}
-				identicalVec(t, "gemv/"+mv.name, mono, clos)
 			}
 		}
 	}
 }
 
-// TestMonoRoutingGates pins the routing space by input: operand density
-// alone picks the storage (full → full view, partial → bitmap view,
-// hypersparse → sparse form and the closure hash gather unless SpecMono pins
-// the mono loop), SpecGeneric disables specialization per call, and named
-// element types (distinct Go types over a hot underlying type) never match
-// the monomorphized instantiations.
+// TestMonoRoutingGates checks that the pull product obeys the plan (the
+// decision table itself is TestPlan; what the tables resolve is
+// TestFamilyLoopTables): the route read back through Exec.Route is the
+// planned one, the counters agree with it, and the frontier's view is
+// materialized — full or bitmap by density alone — exactly when the gather
+// is dense. Each row uses a fresh vector because the view caches on it.
 func TestMonoRoutingGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	mul := func(a, b float64) float64 { return a * b }
 	add := func(a, b float64) float64 { return a + b }
 	a := sprayCSR(rng, 20, 20, 60, func(r *rand.Rand) float64 { return r.NormFloat64() })
-	u := fullVec(rng, 20, func(r *rand.Rand) float64 { return r.NormFloat64() })
-
-	// Density → (route, view) under SpecAuto. Each row uses a fresh vector
-	// because the view caches on the snapshot.
-	hyper := NewVec[float64](20)
-	hyper.Ind, hyper.Val = []int{7}, []float64{1.5}
+	mk := func(r *rand.Rand) float64 { return r.NormFloat64() }
+	hyper := func() *Vec[float64] { return &Vec[float64]{N: 20, Ind: []int{7}, Val: []float64{1.5}} }
 	partial := NewVec[float64](20) // 15 of 20: above the hash cut, not full
 	for j := 0; j < 20; j++ {
 		if j%4 != 0 {
@@ -342,42 +338,44 @@ func TestMonoRoutingGates(t *testing.T) {
 		name     string
 		vec      *Vec[float64]
 		spec     Spec
-		wantMono bool
+		want     Route
 		wantFull bool
 	}{
-		{"full/auto", u, SpecAuto, true, true},
-		{"partial/auto", partial, SpecAuto, true, false},
-		{"hypersparse/auto", hyper, SpecAuto, false, false},
-		{"hypersparse/mono", hyper, SpecMono, true, false},
+		{"full/auto", fullVec(rng, 20, mk), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"partial/auto", partial, SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
+		{"hypersparse/auto", hyper(), SpecAuto, Route{Acc: AccHash, Reason: ReasonHyperFrontier}, false},
+		{"hypersparse/mono", hyper(), SpecMono, Route{Family: true, Acc: AccDense, Reason: ReasonPin}, false},
+		{"full/generic", fullVec(rng, 20, mk), SpecGeneric, Route{Acc: AccDense, Reason: ReasonDenseWork}, true},
 	} {
+		var rt Route
 		ResetKernelCounts()
-		if _, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2}, KernelAuto); err != nil {
+		got, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Route: &rt}, KernelAuto)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if rt != tc.want {
+			t.Fatalf("%s: route %+v, want %+v", tc.name, rt, tc.want)
+		}
 		mono, closure := MonoCounts()
-		if (mono > 0) != tc.wantMono || (closure > 0) == tc.wantMono {
-			t.Fatalf("%s: mono=%d closure=%d, want mono engaged = %v", tc.name, mono, closure, tc.wantMono)
+		if (mono == 1) != rt.Family || (closure == 1) == rt.Family {
+			t.Fatalf("%s: mono=%d closure=%d for route %+v", tc.name, mono, closure, rt)
+		}
+		dense, hash := KernelCounts()
+		if (dense == 1) != (rt.Acc == AccDense) || (hash == 1) != (rt.Acc == AccHash) {
+			t.Fatalf("%s: dense=%d hash=%d for route %+v", tc.name, dense, hash, rt)
 		}
 		dv := tc.vec.dv.Load()
-		if (dv != nil) != tc.wantMono {
-			t.Fatalf("%s: view materialized = %v, want %v", tc.name, dv != nil, tc.wantMono)
+		if (dv != nil) != (rt.Acc == AccDense) {
+			t.Fatalf("%s: view materialized = %v under route %+v", tc.name, dv != nil, rt)
 		}
 		if dv != nil && dv.Full() != tc.wantFull {
 			t.Fatalf("%s: view Full() = %v, want %v", tc.name, dv.Full(), tc.wantFull)
 		}
+		identicalVec(t, tc.name, got, closureSpMV(a, tc.vec, mul, add, VMask{}, 2, KernelAuto))
 	}
 
-	// SpecGeneric: closures even on a full frontier.
-	ResetKernelCounts()
-	if _, err := SpMVSemiEx(SemiPlusTimes, SpecGeneric, a, u, mul, add, VMask{}, Exec{Threads: 2}, KernelAuto); err != nil {
-		t.Fatal(err)
-	}
-	if mono, closure := MonoCounts(); mono != 0 || closure == 0 {
-		t.Fatalf("SpecGeneric: mono=%d closure=%d, want 0/>0", mono, closure)
-	}
-
-	// Named types: *CSR[myF] is not *CSR[float64], so the dispatch cannot
-	// narrow it; the closure kernel serves it with correct results.
+	// A named element type resolves to no loop: SpecMono or not, the closure
+	// loop serves it, with correct results.
 	type myF float64
 	am := sprayCSR(rng, 16, 16, 40, func(r *rand.Rand) myF { return myF(r.Intn(9)) })
 	um := fullVec(rng, 16, func(r *rand.Rand) myF { return myF(r.Intn(9)) })
@@ -388,11 +386,7 @@ func TestMonoRoutingGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SpMVKernelEx(am, um, mulM, addM, VMask{}, Exec{Threads: 2}, KernelAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalVec(t, "named-type", got, want)
+	identicalVec(t, "named-type", got, closureSpMV(am, um, mulM, addM, VMask{}, 2, KernelAuto))
 	if mono, _ := MonoCounts(); mono != 0 {
 		t.Fatalf("named element type reached a monomorphized kernel (mono=%d)", mono)
 	}

@@ -1,13 +1,30 @@
 package sparse
 
-// Per-family monomorphized loops. Each function is the inner loop of one
-// (semiring family, kernel shape) pair with the semiring closures flattened
-// into direct arithmetic; the scaffolds in mono.go supply everything around
-// them. The loops replicate the closure kernels' visit order and
-// first-assign-then-add accumulation exactly — in particular the float paths
-// never initialize an accumulator to zero and fold into it (0 + (-0.0)
-// flips the sign bit), they assign the first product and fold the rest, as
-// the generic kernels do.
+// Per-family monomorphized loop bodies. Each function is the inner loop of
+// one (semiring family, kernel shape) pair with the semiring closures
+// flattened into direct arithmetic; the scaffolds in spgemm.go and spmv.go
+// supply everything around them and find them through the tables in mono.go.
+// They are written out by hand because a semiring *type parameter* does not
+// buy the same code in Go: methods of a type parameter are called through
+// the dictionary and never inlined (measured 2–2.8× slower than these loops;
+// EXPERIMENTS.md, "One multiply scaffold"). The loops replicate the closure
+// loops' visit order and first-assign-then-add accumulation exactly — in
+// particular the float paths never initialize an accumulator to zero and
+// fold into it (0 + (-0.0) flips the sign bit), they assign the first
+// product and fold the rest, as the closure loops do.
+//
+// Shapes, as the scaffolds assert them (mono.go, familyLoop):
+//
+//	pull    func(a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T)
+//	        gathers rows [lo, hi) against u's view (dbit == nil: full) and
+//	        returns the emitted (row, value) pairs in ascending row order.
+//	push    func(u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) []int
+//	        scatters frontier entries [lo, hi) into the worker's SPA (mark
+//	        tracks presence; admit == nil admits everything) and returns the
+//	        SPA's insertion pattern.
+//	SpGEMM  func(a, b *CSR[T], spa []T, stamp []int, gen int, pattern []int, i int) []int
+//	        scatters row i of A through B into (spa, stamp) at generation
+//	        gen, appending new columns to pattern.
 
 // --- pull (SpMV gather) row loops ---
 
@@ -150,46 +167,6 @@ func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(
 			ind = append(ind, i)
 			val = append(val, T(n))
 		}
-	}
-	return ind, val
-}
-
-// --- fully-dense (GEMV) row loops ---
-
-// gemvRowsPlusTimes is the (+, ×) sweep over full matrix and vector blocks.
-func gemvRowsPlusTimes[T monoArith](mval []T, cols int, dval []T, admit func(int) bool, lo, hi int) ([]int, []T) {
-	ind, val := rowBufs[T](nil, admit == nil, lo, hi)
-	for i := lo; i < hi; i++ {
-		if admit != nil && !admit(i) {
-			continue
-		}
-		row := mval[i*cols : (i+1)*cols]
-		acc := row[0] * dval[0]
-		for j := 1; j < cols; j++ {
-			acc += row[j] * dval[j]
-		}
-		ind = append(ind, i)
-		val = append(val, acc)
-	}
-	return ind, val
-}
-
-// gemvRowsMinPlus is the (min, +) sweep over full blocks.
-func gemvRowsMinPlus[T monoArith](mval []T, cols int, dval []T, admit func(int) bool, lo, hi int) ([]int, []T) {
-	ind, val := rowBufs[T](nil, admit == nil, lo, hi)
-	for i := lo; i < hi; i++ {
-		if admit != nil && !admit(i) {
-			continue
-		}
-		row := mval[i*cols : (i+1)*cols]
-		acc := row[0] + dval[0]
-		for j := 1; j < cols; j++ {
-			if p := row[j] + dval[j]; p < acc {
-				acc = p
-			}
-		}
-		ind = append(ind, i)
-		val = append(val, acc)
 	}
 	return ind, val
 }

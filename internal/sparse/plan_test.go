@@ -1,0 +1,195 @@
+package sparse
+
+import "testing"
+
+// TestPlan is the routing policy as one table: every statistics-, pin- or
+// budget-driven branch between two kernel paths, with the route it must yield
+// and the reason it must give. Pure — no kernels run, no counters read.
+func TestPlan(t *testing.T) {
+	t.Parallel()
+	const dim = 1600 // dim/pushCut = 100
+	loop := func(in planIn) planIn { in.hasLoop = true; return in }
+	fits := func(in planIn) planIn { in.denseFits = true; return in }
+	for _, tc := range []struct {
+		name string
+		plan func(planIn) Route
+		in   planIn
+		want Route
+	}{
+		// Direction (ChoosePush's table, boundaries included).
+		{"dir: sparse frontier", planDir, planIn{work: 5, width: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: dense frontier", planDir, planIn{work: 800, width: dim}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: just under the boundary", planDir, planIn{work: 99, width: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: nnzU == dim/16 is not sparse", planDir, planIn{work: 100, width: dim}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: sparse non-complemented mask vetoes push", planDir,
+			planIn{work: 5, width: dim, masked: true, maskNNZ: 10, outDim: dim}, Route{Reason: ReasonSparseMask}},
+		{"dir: sparse complemented mask does not", planDir,
+			planIn{work: 5, width: dim, masked: true, maskNNZ: 10, maskComp: true, outDim: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: mask just under the boundary", planDir,
+			planIn{work: 5, width: dim, masked: true, maskNNZ: 99, outDim: dim}, Route{Reason: ReasonSparseMask}},
+		{"dir: nnz(m) == dim/16 does not veto", planDir,
+			planIn{work: 5, width: dim, masked: true, maskNNZ: 100, outDim: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: dense frontier, boundary mask", planDir,
+			planIn{work: 800, width: dim, masked: true, maskNNZ: 100, outDim: dim}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: push pinned over a dense frontier", planDir, planIn{dir: DirPush, work: 800, width: dim}, Route{Push: true, Reason: ReasonPin}},
+		{"dir: pull pinned over a sparse frontier", planDir, planIn{dir: DirPull, work: 5, width: dim}, Route{Reason: ReasonPin}},
+
+		// SpGEMM row range (chooseHash's table at the constant cut).
+		{"range: no flops", planRange, fits(planIn{work: 0, width: 5000}), Route{Acc: AccHash, Reason: ReasonFewFlops}},
+		{"range: just under cols/2", planRange, fits(planIn{work: 2499, width: 5000}), Route{Acc: AccHash, Reason: ReasonFewFlops}},
+		{"range: flops == cols/2 is dense", planRange, fits(planIn{work: 2500, width: 5000}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: just over", planRange, fits(planIn{work: 2501, width: 5000}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: huge flops do not overflow", planRange, fits(planIn{work: 1 << 40, width: 5000}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: zero columns", planRange, fits(planIn{}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: one column", planRange, fits(planIn{width: 1}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: dense pinned", planRange, fits(planIn{hint: KernelDense, width: 5000}), Route{Acc: AccDense, Reason: ReasonPin}},
+		{"range: hash pinned", planRange, fits(planIn{hint: KernelHash, work: 1 << 40, width: 8}), Route{Acc: AccHash, Reason: ReasonPin}},
+		{"range: dense SPA does not fit, hash is smaller", planRange,
+			planIn{work: 4000, width: 5000, hashSmaller: true}, Route{Acc: AccHash, Reason: ReasonBudgetSPA}},
+		{"range: dense SPA does not fit, hash is no smaller", planRange,
+			planIn{work: 4000, width: 5000}, Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: a pinned dense SPA yields to the budget too", planRange,
+			planIn{hint: KernelDense, work: 4000, width: 5000, hashSmaller: true}, Route{Acc: AccHash, Reason: ReasonBudgetSPA}},
+
+		// Matrix product, call level.
+		{"product: family loop", planProduct, loop(planIn{}), Route{Family: true}},
+		{"product: dense pinned keeps it", planProduct, loop(planIn{hint: KernelDense}), Route{Family: true, Reason: ReasonPin}},
+		{"product: hint == KernelHash drops it", planProduct, loop(planIn{hint: KernelHash}), Route{Reason: ReasonPin}},
+		{"product: no loop", planProduct, planIn{}, Route{}},
+
+		// Pull gather (the density gates of the family loops).
+		{"pull: full frontier", planPull, fits(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: partial frontier", planPull, fits(loop(planIn{work: 15, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: hypersparse frontier hash-gathers", planPull, fits(loop(planIn{work: 1, width: 20})), Route{Acc: AccHash, Reason: ReasonHyperFrontier}},
+		{"pull: SpecMono overrides hypersparse", planPull, fits(loop(planIn{spec: SpecMono, work: 1, width: 20})),
+			Route{Family: true, Acc: AccDense, Reason: ReasonPin}},
+		{"pull: SpecMono cannot conjure a loop", planPull, fits(planIn{spec: SpecMono, work: 1, width: 20}), Route{Acc: AccHash, Reason: ReasonHyperFrontier}},
+		{"pull: hint == KernelHash beats SpecMono", planPull, fits(loop(planIn{hint: KernelHash, spec: SpecMono, work: 20, width: 20})),
+			Route{Acc: AccHash, Reason: ReasonPin}},
+		{"pull: dense pinned over a hypersparse frontier", planPull, fits(loop(planIn{hint: KernelDense, work: 1, width: 20})),
+			Route{Family: true, Acc: AccDense, Reason: ReasonPin}},
+		{"pull: closure loop, dense gather", planPull, fits(planIn{work: 20, width: 20}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: denseFits == false", planPull, loop(planIn{work: 20, width: 20, hashSmaller: true}), Route{Acc: AccHash, Reason: ReasonBudgetGather}},
+		{"pull: denseFits == false, hash no smaller", planPull, loop(planIn{work: 20, width: 20}),
+			Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: SpecMono yields to the budget", planPull, loop(planIn{spec: SpecMono, work: 1, width: 20, hashSmaller: true}),
+			Route{Acc: AccHash, Reason: ReasonBudgetGather}},
+		{"pull: hypersparse mask is a hash predicate", planPull, fits(loop(planIn{work: 20, width: 20, masked: true, maskNNZ: 3, outDim: 100})),
+			Route{Family: true, Acc: AccDense, HashMask: true, Reason: ReasonDenseWork}},
+		{"pull: dense mask is a bitmap", planPull, fits(loop(planIn{work: 20, width: 20, masked: true, maskNNZ: 50, outDim: 100})),
+			Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+
+		// Push scatter.
+		{"push: family loop", planPush, loop(planIn{}), Route{Push: true, Family: true}},
+		{"push: closure loop", planPush, planIn{}, Route{Push: true}},
+		{"push: dense mask is the family loop's bitmap", planPush, loop(planIn{masked: true, maskNNZ: 50, outDim: 100}), Route{Push: true, Family: true}},
+		{"push: hypersparse mask keeps the closure loop", planPush, loop(planIn{masked: true, maskNNZ: 3, outDim: 100}),
+			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
+		{"push: SpecMono overrides the hypersparse mask", planPush, loop(planIn{spec: SpecMono, masked: true, maskNNZ: 3, outDim: 100}),
+			Route{Push: true, Family: true, Reason: ReasonPin}},
+		{"push: SpecMono without a loop", planPush, planIn{spec: SpecMono, masked: true, maskNNZ: 3, outDim: 100},
+			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
+		{"push: mask nnz == cols/2 is a bitmap", planPush, planIn{masked: true, maskNNZ: 50, outDim: 100}, Route{Push: true}},
+	} {
+		if got := tc.plan(tc.in); got != tc.want {
+			t.Errorf("%s: route %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+
+	// ChoosePush is planDir with no pin.
+	mask := &Vec[bool]{N: dim, Ind: []int{1, 2, 3}, Val: []bool{true, true, true}}
+	if ChoosePush(5, dim, VMask{M: mask}, dim) || !ChoosePush(5, dim, VMask{M: mask, Complement: true}, dim) {
+		t.Error("ChoosePush disagrees with planDir on the sparse-mask rows")
+	}
+
+	// A matrix product reports what its ranges did, and the weightiest why.
+	dense := Route{Acc: AccDense, Reason: ReasonDenseWork}
+	hash := Route{Acc: AccHash, Reason: ReasonFewFlops}
+	refused := Route{Acc: AccHash, Reason: ReasonBudgetSPA}
+	for _, tc := range []struct {
+		name   string
+		call   Route
+		ranges []Route
+		want   Route
+		label  string
+	}{
+		{"no ranges ran", Route{Family: true}, []Route{{}, {}}, Route{Family: true}, "auto+mono"},
+		{"all dense", Route{}, []Route{dense, {}, dense}, dense, "auto(dense)"},
+		{"all hash", Route{Family: true}, []Route{hash}, Route{Family: true, Acc: AccHash, Reason: ReasonFewFlops}, "auto(hash)+mono"},
+		{"split", Route{}, []Route{dense, hash}, Route{Acc: AccMixed, Reason: ReasonRangesSplit}, "auto(mixed)"},
+		{"budget outranks the split", Route{}, []Route{dense, refused}, Route{Acc: AccMixed, Reason: ReasonBudgetSPA}, "auto(mixed)"},
+	} {
+		got := mergeRanges(tc.call, tc.ranges)
+		if got != tc.want {
+			t.Errorf("mergeRanges %s: %+v, want %+v", tc.name, got, tc.want)
+		}
+		if l := got.ProductLabel(KernelAuto); l != tc.label {
+			t.Errorf("mergeRanges %s: label %q, want %q", tc.name, l, tc.label)
+		}
+	}
+	if l := (Route{Acc: AccHash, Family: true}).ProductLabel(KernelDense); l != "dense+mono" {
+		t.Errorf("pinned product label %q, want dense+mono", l)
+	}
+	if l := (Route{Push: true}).MatVecLabel(); l != "push" {
+		t.Errorf("push label %q", l)
+	}
+	if l := (Route{Family: true, Acc: AccDense}).MatVecLabel(); l != "pull+mono" {
+		t.Errorf("pull label %q", l)
+	}
+
+	// Every reason has its text, and only the budget rows count as degrades.
+	for r := ReasonNone; r <= ReasonBudgetPush; r++ {
+		if (r.String() == "") != (r == ReasonNone) {
+			t.Errorf("reason %d has text %q", r, r)
+		}
+		if want := r == ReasonBudgetGather || r == ReasonBudgetSPA || r == ReasonBudgetPush; r.Budget() != want {
+			t.Errorf("reason %q: Budget() = %v", r, r.Budget())
+		}
+	}
+}
+
+// TestFamilyLoopTables pins what the loop tables resolve: each of the seven
+// (family, hot type) pairs finds its loop for all three scaffolds, and
+// everything else — a named element type over a hot underlying type, mixed
+// domains, an untagged semiring, SpecGeneric — resolves to nil and so runs
+// the closure loop, the only one allowed to call the caller's operators.
+func TestFamilyLoopTables(t *testing.T) {
+	t.Parallel()
+	type Score float64
+	for _, tc := range []struct {
+		name     string
+		resolved [3]bool // SpGEMM, pull, push
+		want     bool
+	}{
+		{"plus_times/int64", resolves[int64, int64, int64](SemiPlusTimes, SpecAuto), true},
+		{"plus_times/float64", resolves[float64, float64, float64](SemiPlusTimes, SpecAuto), true},
+		{"min_plus/int64", resolves[int64, int64, int64](SemiMinPlus, SpecAuto), true},
+		{"min_plus/float64", resolves[float64, float64, float64](SemiMinPlus, SpecMono), true},
+		{"lor_land/bool", resolves[bool, bool, bool](SemiLorLand, SpecAuto), true},
+		{"plus_pair/int64", resolves[int64, int64, int64](SemiPlusPair, SpecAuto), true},
+		{"plus_pair/float64", resolves[float64, float64, float64](SemiPlusPair, SpecAuto), true},
+
+		{"named element type", resolves[Score, Score, Score](SemiPlusTimes, SpecMono), false},
+		{"mixed bool×bool→int64", resolves[bool, bool, int64](SemiPlusPair, SpecMono), false},
+		{"one foreign operand", resolves[float64, int64, float64](SemiPlusTimes, SpecAuto), false},
+		{"lor_land over int64", resolves[int64, int64, int64](SemiLorLand, SpecAuto), false},
+		{"untagged semiring", resolves[float64, float64, float64](SemiGeneric, SpecMono), false},
+		{"SpecGeneric", resolves[float64, float64, float64](SemiPlusTimes, SpecGeneric), false},
+	} {
+		for shape, got := range tc.resolved {
+			if got != tc.want {
+				t.Errorf("%s: scaffold %d resolved = %v, want %v", tc.name, shape, got, tc.want)
+			}
+		}
+	}
+}
+
+// resolves reports, for operand types (A, B) → C, whether each scaffold's
+// table lookup finds a family loop.
+func resolves[A, B, C any](semi Semi, spec Spec) [3]bool {
+	return [3]bool{
+		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec) != nil,
+		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, int, int) ([]int, []C)](&spmvLoops, semi, spec) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, int, int) []int](&vxmLoops, semi, spec) != nil,
+	}
+}

@@ -67,8 +67,8 @@ func TestSpGEMMAssociativity(t *testing.T) {
 		a := randCSR(rng, m, k1, 0.4)
 		b := randCSR(rng, k1, k2, 0.4)
 		c := randCSR(rng, k2, n, 0.4)
-		left := SpGEMM(SpGEMM(a, b, mul, add, Mask{}, 2), c, mul, add, Mask{}, 2)
-		right := SpGEMM(a, SpGEMM(b, c, mul, add, Mask{}, 2), mul, add, Mask{}, 2)
+		left := closureSpGEMM(closureSpGEMM(a, b, mul, add, Mask{}, 2, KernelAuto), c, mul, add, Mask{}, 2, KernelAuto)
+		right := closureSpGEMM(a, closureSpGEMM(b, c, mul, add, Mask{}, 2, KernelAuto), mul, add, Mask{}, 2, KernelAuto)
 		// Patterns can differ when a dot product sums to zero — with
 		// positive random values (1..9) that cannot happen here.
 		return EqualFunc(left, right, func(x, y int) bool { return x == y })
@@ -90,10 +90,10 @@ func TestSpGEMMDistributesOverEWiseAdd(t *testing.T) {
 		a := randCSR(rng, m, k, 0.4)
 		b := randCSR(rng, k, n, 0.4)
 		c := randCSR(rng, k, n, 0.4)
-		left := SpGEMM(a, EWiseAddM(b, c, add, 1), mul, add, Mask{}, 2)
+		left := closureSpGEMM(a, EWiseAddM(b, c, add, 1), mul, add, Mask{}, 2, KernelAuto)
 		right := EWiseAddM(
-			SpGEMM(a, b, mul, add, Mask{}, 2),
-			SpGEMM(a, c, mul, add, Mask{}, 2), add, 2)
+			closureSpGEMM(a, b, mul, add, Mask{}, 2, KernelAuto),
+			closureSpGEMM(a, c, mul, add, Mask{}, 2, KernelAuto), add, 2)
 		return EqualFunc(left, right, func(x, y int) bool { return x == y })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -112,8 +112,8 @@ func TestTransposeDistributesOverProduct(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		a := randCSR(rng, m, k, 0.4)
 		b := randCSR(rng, k, n, 0.4)
-		left := Transpose(SpGEMM(a, b, mul, add, Mask{}, 2))
-		right := SpGEMM(Transpose(b), Transpose(a), mul, add, Mask{}, 2)
+		left := Transpose(closureSpGEMM(a, b, mul, add, Mask{}, 2, KernelAuto))
+		right := closureSpGEMM(Transpose(b), Transpose(a), mul, add, Mask{}, 2, KernelAuto)
 		return EqualFunc(left, right, func(x, y int) bool { return x == y })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

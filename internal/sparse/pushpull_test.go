@@ -26,16 +26,17 @@ func vmaskRef(mask VMask, j int) bool {
 }
 
 // TestVMaskLookupSemantics checks the compiled mask predicate against the
-// reference semantics in both the dense-bitmap and hash regimes, for every
-// mask interpretation.
+// reference semantics in both forms (bitmap and hash — the planner's
+// Route.HashMask) over a dense and a hypersparse mask, for every mask
+// interpretation.
 func TestVMaskLookupSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	regimes := []struct {
 		name   string
 		n, nnz int
 	}{
-		{"dense", 50, 30},         // nnz ≥ n/threshold: bitmap path
-		{"hypersparse", 5000, 12}, // nnz ≪ n/threshold: hash path
+		{"dense", 50, 30},
+		{"hypersparse", 5000, 12},
 	}
 	for _, reg := range regimes {
 		m := NewVec[bool](reg.n)
@@ -53,23 +54,25 @@ func TestVMaskLookupSemantics(t *testing.T) {
 			{"complement", VMask{M: m, Complement: true}},
 			{"structural-complement", VMask{M: m, Structural: true, Complement: true}},
 		} {
-			admit := vmaskLookup(mv.mask, reg.n)
-			if admit == nil {
-				t.Fatalf("%s/%s: nil predicate for a non-nil mask", reg.name, mv.name)
-			}
-			for j := 0; j < reg.n; j++ {
-				if got, want := admit(j), vmaskRef(mv.mask, j); got != want {
-					t.Fatalf("%s/%s: admit(%d) = %v, want %v", reg.name, mv.name, j, got, want)
+			for _, hash := range []bool{false, true} {
+				admit := vmaskLookup(mv.mask, reg.n, hash)
+				if admit == nil {
+					t.Fatalf("%s/%s: nil predicate for a non-nil mask", reg.name, mv.name)
+				}
+				for j := 0; j < reg.n; j++ {
+					if got, want := admit(j), vmaskRef(mv.mask, j); got != want {
+						t.Fatalf("%s/%s hash=%v: admit(%d) = %v, want %v", reg.name, mv.name, hash, j, got, want)
+					}
 				}
 			}
 		}
 	}
 	// Nil-mask corners: no mask admits everything (nil predicate), a
 	// complemented nil mask admits nothing.
-	if admit := vmaskLookup(VMask{}, 10); admit != nil {
+	if admit := vmaskLookup(VMask{}, 10, false); admit != nil {
 		t.Fatal("nil mask: expected nil (admit-all) predicate")
 	}
-	admit := vmaskLookup(VMask{Complement: true}, 10)
+	admit := vmaskLookup(VMask{Complement: true}, 10, true)
 	if admit == nil {
 		t.Fatal("complemented nil mask: expected a predicate")
 	}
@@ -136,14 +139,14 @@ func TestVxMReductionPaths(t *testing.T) {
 		}
 		at := Transpose(a)
 		for _, mv := range masks {
-			base := VxM(u, a, mul, add, mv.mask, 1)
-			ref := SpMVKernel(at, u, mulFlip, add, mv.mask, 1, KernelAuto)
+			base := closureVxM(u, a, mul, add, mv.mask, 1)
+			ref := closureSpMV(at, u, mulFlip, add, mv.mask, 1, KernelAuto)
 			for _, pair := range []struct {
 				name string
 				got  *Vec[int]
 			}{
-				{"threads=3", VxM(u, a, mul, add, mv.mask, 3)},
-				{"threads=8", VxM(u, a, mul, add, mv.mask, 8)},
+				{"threads=3", closureVxM(u, a, mul, add, mv.mask, 3)},
+				{"threads=8", closureVxM(u, a, mul, add, mv.mask, 8)},
 				{"pull-reference", ref},
 			} {
 				if len(pair.got.Ind) != len(base.Ind) {
@@ -160,40 +163,49 @@ func TestVxMReductionPaths(t *testing.T) {
 	}
 }
 
-// TestChoosePushRouting checks the density heuristic's decision table at the
-// constant threshold, boundaries included.
+// TestChoosePushRouting checks that a product dispatched by ChoosePush (the
+// decision table itself is TestPlan) lands on the kernel the plan named: a
+// sparse frontier on the push scaffold, the same frontier under a sparse
+// non-complemented mask on the pull scaffold, with the same admitted result.
 func TestChoosePushRouting(t *testing.T) {
-	const dim = 1600 // dim/defaultDirectionThreshold = 100
-	maskOf := func(nnz int) *Vec[bool] {
-		m := NewVec[bool](dim)
-		for j := 0; j < nnz; j++ {
-			m.Ind = append(m.Ind, j*(dim/nnz))
-			m.Val = append(m.Val, true)
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+	const n = 320 // n/16 = 20
+	a := sprayCSR(rng, n, n, 4*n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
+	at := Transpose(a)
+	u := &Vec[int]{N: n, Ind: []int{3, 77, 200}, Val: []int{1, 2, 3}}
+	sparseMask := &Vec[bool]{N: n, Ind: []int{5, 9, 14, 150}, Val: []bool{true, true, true, true}}
+	mul := func(x, y int) int { return x * y }
+	add := func(x, y int) int { return x + y }
+	dispatch := func(mask VMask) (*Vec[int], Route) {
+		var rt Route
+		e := Exec{Threads: 2, Route: &rt}
+		var out *Vec[int]
+		var err error
+		if ChoosePush(u.NNZ(), n, mask, n) {
+			out, err = VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, mask, e)
+		} else {
+			out, err = SpMVSemiEx(SemiGeneric, SpecAuto, at, u, mul, add, mask, e, KernelAuto)
 		}
-		return m
-	}
-	sparseMask := maskOf(10)
-	cases := []struct {
-		name string
-		nnzU int
-		mask VMask
-		want bool
-	}{
-		{"sparse frontier", 5, VMask{}, true},
-		{"dense frontier", 800, VMask{}, false},
-		{"just under the boundary", 99, VMask{}, true},
-		{"boundary frontier", 100, VMask{}, false}, // nnzU == dim/16 is not sparse
-		{"sparse frontier, sparse mask", 5, VMask{M: sparseMask}, false},
-		{"sparse frontier, sparse complemented mask", 5, VMask{M: sparseMask, Complement: true}, true},
-		{"sparse frontier, mask just under the boundary", 5, VMask{M: maskOf(99)}, false},
-		{"sparse frontier, boundary mask", 5, VMask{M: maskOf(100)}, true}, // nnz(m) == dim/16 does not veto
-		{"dense frontier, boundary mask", 800, VMask{M: maskOf(100)}, false},
-	}
-	for _, tc := range cases {
-		if got := ChoosePush(tc.nnzU, dim, tc.mask, dim); got != tc.want {
-			t.Errorf("%s: ChoosePush = %v, want %v", tc.name, got, tc.want)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return out, rt
 	}
+
+	ResetKernelCounts()
+	pushed, rt := dispatch(VMask{})
+	if push, pull := DirectionCounts(); push != 1 || pull != 0 || !rt.Push {
+		t.Fatalf("sparse frontier: push=%d pull=%d route %+v, want the push scaffold", push, pull, rt)
+	}
+	ResetKernelCounts()
+	pulled, rt := dispatch(VMask{M: sparseMask})
+	if push, pull := DirectionCounts(); push != 0 || pull != 1 || rt.Push {
+		t.Fatalf("sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
+	}
+	if want := (Route{Acc: AccHash, HashMask: true, Reason: ReasonHyperFrontier}); rt != want {
+		t.Fatalf("sparse mask: pull route %+v, want %+v", rt, want)
+	}
+	identicalVec(t, "masked pull vs filtered push", pulled, MaskApplyV(NewVec[int](n), pushed, VMask{M: sparseMask}, true))
 }
 
 // TestDirectionCounters checks that the push/pull kernels bump their routing
@@ -209,9 +221,9 @@ func TestDirectionCounters(t *testing.T) {
 	add := func(x, y int) int { return x + y }
 
 	ResetKernelCounts()
-	VxM(u, a, mul, add, VMask{}, 2)
-	SpMVKernel(a, u, mul, add, VMask{}, 2, KernelAuto)
-	SpMVKernel(a, u, mul, add, VMask{}, 2, KernelAuto)
+	closureVxM(u, a, mul, add, VMask{}, 2)
+	closureSpMV(a, u, mul, add, VMask{}, 2, KernelAuto)
+	closureSpMV(a, u, mul, add, VMask{}, 2, KernelAuto)
 	push, pull := DirectionCounts()
 	if push != 1 || pull != 2 {
 		t.Fatalf("DirectionCounts = (%d, %d), want (1, 2)", push, pull)

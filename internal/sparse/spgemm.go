@@ -6,64 +6,60 @@ import (
 	"github.com/grblas/grb/internal/parallel"
 )
 
-// SpGEMM computes T = A ·(⊕,⊗) B over an arbitrary semiring using
-// Gustavson's row-wise algorithm with adaptive kernel selection
-// (SpGEMMKernel with KernelAuto).
-func SpGEMM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func(C, C) C, mask Mask, threads int) *CSR[C] {
-	return SpGEMMKernel(a, b, mul, add, mask, threads, KernelAuto)
-}
-
-// SpGEMMKernel computes T = A ·(⊕,⊗) B over an arbitrary semiring using
-// Gustavson's row-wise algorithm with a per-worker sparse accumulator (SPA).
+// SpGEMMSemiEx computes T = A ·(⊕,⊗) B over an arbitrary semiring with
+// Gustavson's row-wise algorithm — the one matrix-product kernel.
 //
 // A cheap symbolic pass (SpGEMMFlops) first computes per-row flop upper
 // bounds. Rows of A are then partitioned by *flop* balance — not nnz(A)
-// balance — across up to `threads` workers, so a single skewed row no longer
-// serializes a worker. Each row range picks its accumulator independently:
+// balance — across up to e.Threads workers, so a single skewed row no longer
+// serializes a worker. Each row range picks its accumulator independently
+// (planRange):
 //
 //   - dense SPA: a width-B.Cols value buffer reused across rows via
 //     generation stamps. O(B.Cols) scratch per worker, O(1) per product.
-//   - hash SPA: an open-addressing table presized from the row's flop bound.
-//     O(maxRowFlops) scratch per worker — the hypersparse-regime kernel, for
-//     when B.Cols dwarfs the work the whole range actually does.
-//
-// With hint KernelAuto a range is routed by chooseHash (the range's total
-// flop estimate vs. B.Cols with the package threshold); KernelDense/
-// KernelHash pin the choice, which is what the differential tests and
-// benchmarks use. The hash table is presized from the heaviest row's bound,
-// so it never rehashes mid-row.
+//   - hash SPA: an open-addressing table presized from the heaviest row's
+//     flop bound, so it never rehashes mid-row. O(maxRowFlops) scratch per
+//     worker — the hypersparse-regime accumulator, for when B.Cols dwarfs
+//     the work the whole range actually does.
 //
 // Both accumulators visit products in identical (k, t) order and sort each
 // row's pattern before emitting, so their outputs are identical down to
 // floating-point rounding — the property the differential harness asserts.
+//
+// The dense branch's product loop is the plug-in point: when semi tags a hot
+// semiring and A, B, C are exactly one of its hot element types (and spec
+// does not pin SpecGeneric), the family loop from monokernels.go runs there
+// with the two closure calls flattened into arithmetic. Hash ranges always
+// evaluate mul/add: the probe dominates them, not the multiply-add.
 //
 // If mask.M is non-nil (or mask.Complement is set), output entries are
 // filtered at emit time: only positions admitted by the mask are stored.
 // This is the "masked SpGEMM" used by e.g. Sandia triangle counting; it
 // prunes memory (and the sort) even though products are still formed.
 //
-// SpGEMMKernel is the unhardened compatibility form: it delegates to
-// SpGEMMKernelEx with a zero execution environment (no budget, no
-// cancellation) and re-panics on the errors only injected faults could then
-// produce, so pre-hardening callers and tests see the old signature.
-func SpGEMMKernel[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func(C, C) C, mask Mask, threads int, hint Kernel) *CSR[C] {
-	out, err := SpGEMMKernelEx(a, b, mul, add, mask, Exec{Threads: threads}, hint)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// SpGEMMKernelEx is the hardened SpGEMM: identical algorithm and output, with
-// the execution environment threaded through every allocation and range
+// The execution environment is threaded through every allocation and range
 // boundary. Degradation order under memory pressure: halve workers (fewer
 // concurrently-live accumulators), then prefer the hash SPA over the dense
 // one per range when the dense workspace no longer fits, and only when even
 // the cheapest route cannot be charged does it return ErrBudget. A panic
 // anywhere inside — worker goroutines included — comes back as an error, not
 // a crash.
-func SpGEMMKernelEx[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func(C, C) C, mask Mask, e Exec, hint Kernel) (out *CSR[C], err error) {
+func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
+	mul func(A, B) C, add func(C, C) C, mask Mask, e Exec, hint Kernel) (out *CSR[C], err error) {
 	defer recoverExec(&err)
+	rowLoop := familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec)
+	call := planProduct(planIn{hint: hint, hasLoop: rowLoop != nil})
+	e.note(call)
+	// The family loops keep their own fault sites, so the chaos sweep can
+	// fail a product inside a specialized loop and inside the closure one.
+	loopSite, spaSite := siteSpGEMMDense, siteSpGEMMDense
+	if call.Family {
+		monoKernels.Add(1)
+		loopSite, spaSite = siteMonoLoop, siteMonoSpa
+	} else {
+		closureFallbacks.Add(1)
+		rowLoop = nil
+	}
 	threads := e.threads()
 	fptr := SpGEMMFlops(a, b, threads)
 	slot := slotBytes[C]()
@@ -91,12 +87,21 @@ func SpGEMMKernelEx[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add fun
 	pVal := make([][]C, nparts)
 	// The stitch row-length table scales with the output rows, so it is
 	// metered like worker scratch.
-	if cerr := e.charge(siteSpGEMMDense, int64(a.Rows)*8); cerr != nil {
+	if cerr := e.charge(loopSite, int64(a.Rows)*8); cerr != nil {
 		return nil, cerr
 	}
 	rowLen := make([]int, a.Rows)
+	var picked []Route // per-range routes, kept only for an observing caller
+	if e.Route != nil {
+		picked = make([]Route, nparts)
+	}
 	masked := mask.M != nil || mask.Complement
 	parallel.Run(parts, threads, func(part, lo, hi int) {
+		if call.Family {
+			if ferr := siteMonoLoop.Check(); ferr != nil {
+				abort(ferr)
+			}
+		}
 		e.checkpoint()
 		rangeFlops := fptr[hi] - fptr[lo]
 		maxFlops := 0
@@ -120,15 +125,16 @@ func SpGEMMKernelEx[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add fun
 			}
 			return mt
 		}
-		useHash := chooseHash(hint, rangeFlops, b.Cols)
 		hashBytes := int64(hashCapacity(maxFlops)) * slot
-		if !useHash && e.Tx != nil && !e.Tx.Fits(denseBytes) && hashBytes < denseBytes {
-			// Budget degradation: the dense workspace no longer fits but the
-			// (smaller) hash table might — route this range to the hash SPA.
-			useHash = true
+		rt := planRange(planIn{hint: hint, work: rangeFlops, width: b.Cols,
+			denseFits: e.Tx.Fits(denseBytes), hashSmaller: hashBytes < denseBytes})
+		if rt.Reason.Budget() {
 			budgetDegrades.Add(1)
 		}
-		if useHash {
+		if picked != nil {
+			picked[part] = rt
+		}
+		if rt.Acc == AccHash {
 			hashRanges.Add(1)
 			e.mustCharge(siteSpGEMMHash, hashBytes)
 			var h hashAccum[C]
@@ -177,26 +183,38 @@ func SpGEMMKernelEx[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add fun
 			}
 		} else {
 			denseRanges.Add(1)
-			e.mustCharge(siteSpGEMMDense, denseBytes)
+			e.mustCharge(spaSite, denseBytes)
 			spa := make([]C, b.Cols)
-			stamp := make([]int, b.Cols) // generation marks; row i+1 is generation i+1
+			stamp := make([]int, b.Cols) // generation marks; row i is generation i+1
 			scratchBytes.Add(denseBytes)
+			// A family loop takes its pattern buffer through an indirect
+			// call, so that buffer lives on the heap; keeping it apart lets
+			// the closure loop's stay on the stack.
+			var famPattern []int
+			if rowLoop != nil {
+				famPattern = make([]int, 0, 256)
+			}
 			for i := lo; i < hi; i++ {
 				gen := i + 1
-				pattern = pattern[:0]
-				aInd, aVal := a.Row(i)
-				for k := range aInd {
-					bInd, bVal := b.Row(aInd[k])
-					av := aVal[k]
-					for t := range bInd {
-						j := bInd[t]
-						p := mul(av, bVal[t])
-						if stamp[j] != gen {
-							stamp[j] = gen
-							spa[j] = p
-							pattern = append(pattern, j)
-						} else {
-							spa[j] = add(spa[j], p)
+				if rowLoop != nil {
+					famPattern = rowLoop(a, b, spa, stamp, gen, famPattern[:0], i)
+					pattern = famPattern
+				} else {
+					pattern = pattern[:0]
+					aInd, aVal := a.Row(i)
+					for k := range aInd {
+						bInd, bVal := b.Row(aInd[k])
+						av := aVal[k]
+						for t := range bInd {
+							j := bInd[t]
+							p := mul(av, bVal[t])
+							if stamp[j] != gen {
+								stamp[j] = gen
+								spa[j] = p
+								pattern = append(pattern, j)
+							} else {
+								spa[j] = add(spa[j], p)
+							}
 						}
 					}
 				}
@@ -226,6 +244,9 @@ func SpGEMMKernelEx[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add fun
 		pVal[part] = val
 	})
 	installStitched(out, parts, pInd, pVal, rowLen)
+	if picked != nil {
+		e.note(mergeRanges(call, picked))
+	}
 	return out, nil
 }
 

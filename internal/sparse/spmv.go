@@ -7,83 +7,89 @@ import (
 	"github.com/grblas/grb/internal/parallel"
 )
 
-// SpMV computes t = A ·(⊕,⊗) u with adaptive gather-buffer selection
-// (SpMVKernel with KernelAuto).
-func SpMV[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y, mask VMask, threads int) *Vec[Y] {
-	return SpMVKernel(a, u, mul, add, mask, threads, KernelAuto)
-}
-
-// SpMVKernel computes t = A ·(⊕,⊗) u (GraphBLAS mxv): t(i) = ⊕_j A(i,j) ⊗ u(j).
-// This is the pull-style product: rows of A are traversed in nnz-balanced
-// parallel ranges and each row gathers its matching entries of u.
+// SpMVSemiEx computes t = A ·(⊕,⊗) u (GraphBLAS mxv): t(i) = ⊕_j A(i,j) ⊗ u(j)
+// — the one pull-style product. Rows of A are traversed in nnz-balanced
+// parallel ranges and each row gathers its matching entries of u through one
+// of two structures (planPull):
 //
-// The gather buffer is chosen by the same dense/hash policy as SpGEMM:
-//
-//   - dense: u is scattered once into an O(u.N) value+presence buffer with
-//     O(1) lookups — right when u is a sizable fraction of its space.
+//   - dense: u's DenseVec view (value slots plus, unless u is full, a
+//     presence bitmap), O(1) lookups — right when u is a sizable fraction of
+//     its space. The view is memoized on the vector; a miss is charged to
+//     the operation like any other scratch.
 //   - hash: a read-only open-addressing table of O(nnz(u)) slots shared by
-//     all workers — right when u is hypersparse and the dense workspace
-//     would dwarf the useful work (wide masked pull traversals).
+//     all workers — right when u is hypersparse and the dense view would
+//     dwarf the useful work (wide masked pull traversals), and the fallback
+//     when the budget refuses the view.
 //
-// With KernelAuto the hash path is taken when nnz(u) < u.N/defaultHashThreshold.
+// The row loop over the dense view is the plug-in point: a family loop from
+// monokernels.go runs there when one exists for (semi, A, X, Y) and spec
+// allows it; otherwise — and always for the hash gather — the closure loop
+// evaluates mul/add.
 //
 // An optional mask prunes whole rows before any work is done on them — the
 // key optimization for masked pull-style traversals (e.g. BFS with a
-// complemented visited mask). The mask is compiled once by vmaskLookup
-// (dense bitmap or hash table, same policy as the gather buffer), so the
-// per-row admission test is O(1) rather than a binary search.
-// SpMVKernel is the unhardened compatibility form of SpMVKernelEx: zero
-// execution environment, re-panic on the errors only injected faults could
-// then produce.
-func SpMVKernel[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y, mask VMask, threads int, hint Kernel) *Vec[Y] {
-	out, err := SpMVKernelEx(a, u, mul, add, mask, Exec{Threads: threads}, hint)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// SpMVKernelEx is the hardened pull-style product: same algorithm and output
-// as SpMVKernel, with budget charging on the gather buffer (degrading from
-// the dense scatter to the hash table when the dense buffer no longer fits),
-// cancellation checkpoints at range granularity, and panic recovery.
-func SpMVKernelEx[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (out *Vec[Y], err error) {
+// complemented visited mask). The mask is compiled once by vmaskLookup, so
+// the per-row admission test is O(1) rather than a binary search.
+//
+// Budget charges, cancellation checkpoints at range granularity and panic
+// recovery are as in SpGEMMSemiEx.
+func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
+	mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	threads := e.threads()
 	pullCalls.Add(1)
-	var lookup func(j int) (X, bool)
-	var zero X
-	denseBytes := int64(u.N) * int64(unsafe.Sizeof(zero)+1)
+	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, int, int) ([]int, []Y)](&spmvLoops, semi, spec)
+	viewBytes := u.viewBytes()
 	hashBytes := int64(hashCapacity(u.NNZ())) * slotBytes[X]()
-	useHash := chooseHash(hint, u.NNZ(), u.N)
-	if !useHash && e.Tx != nil && !e.Tx.Fits(denseBytes) && hashBytes < denseBytes {
-		// Budget degradation: gather through the hash table instead of the
-		// dense scatter buffer that no longer fits.
-		useHash = true
+	in := planIn{hint: hint, spec: spec, hasLoop: rows != nil, work: u.NNZ(), width: u.N, outDim: a.Rows,
+		denseFits: u.dv.Load() != nil || e.Tx.Fits(viewBytes), hashSmaller: hashBytes < viewBytes}
+	if mask.M != nil {
+		in.masked, in.maskNNZ = true, mask.M.NNZ()
+	}
+	rt := planPull(in)
+	e.note(rt)
+	if rt.Reason.Budget() {
 		budgetDegrades.Add(1)
 	}
-	if useHash {
+	if rt.Family {
+		monoKernels.Add(1)
+	} else {
+		closureFallbacks.Add(1)
+	}
+	var h *hashLookup[X] // the hash gather, or
+	var dval []X         // the dense one: u's view slots and,
+	var dbit []bool      // unless u is full, its presence bitmap
+	if rt.Acc == AccHash {
 		hashRanges.Add(1)
 		e.mustCharge(siteSpMVHash, hashBytes)
-		h := newHashLookup(u)
-		lookup = h.get
+		h = newHashLookup(u)
 	} else {
 		denseRanges.Add(1)
-		e.mustCharge(siteSpMVGather, denseBytes)
-		uv, uok := u.Scatter()
-		scratchBytes.Add(denseBytes)
-		lookup = func(j int) (X, bool) { return uv[j], uok[j] }
+		dv, derr := u.DenseViewEx(e)
+		if derr != nil {
+			return nil, derr
+		}
+		dval, dbit = dv.Val, dv.Bit
 	}
-	admit := vmaskLookup(mask, a.Rows)
+	admit := vmaskLookup(mask, a.Rows, rt.HashMask)
 	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
 	nparts := len(parts) - 1
 	pInd := make([][]int, nparts)
 	pVal := make([][]Y, nparts)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
+		if rt.Family {
+			if ferr := siteMonoLoop.Check(); ferr != nil {
+				abort(ferr)
+			}
+		}
 		e.checkpoint()
+		if rt.Family {
+			pInd[part], pVal[part] = rows(a, dval, dbit, admit, lo, hi)
+			return
+		}
 		// The hash gather exists to stay frontier-sized, so only the dense
-		// gather (which already paid O(n) for its buffer) presizes.
-		ind, val := rowBufs[Y](a.Ptr, admit == nil && !useHash, lo, hi)
+		// gather (which already paid O(n) for its view) presizes.
+		ind, val := rowBufs[Y](a.Ptr, admit == nil && h == nil, lo, hi)
 		for i := lo; i < hi; i++ {
 			if admit != nil && !admit(i) {
 				continue
@@ -91,10 +97,17 @@ func SpMVKernelEx[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(
 			aInd, aVal := a.Row(i)
 			var acc Y
 			any := false
-			for k := range aInd {
-				x, ok := lookup(aInd[k])
-				if !ok {
+			for k, j := range aInd {
+				var x X
+				if h != nil {
+					var ok bool
+					if x, ok = h.get(j); !ok {
+						continue
+					}
+				} else if dbit != nil && !dbit[j] {
 					continue
+				} else {
+					x = dval[j]
 				}
 				p := mul(aVal[k], x)
 				if !any {
@@ -153,49 +166,46 @@ func stitchVec[T any](n int, pInd [][]int, pVal [][]T) *Vec[T] {
 	return out
 }
 
-// VxM computes t = u ·(⊕,⊗) A (GraphBLAS vxm): t(j) = ⊕_i u(i) ⊗ A(i,j).
-// This is the push-style product: the stored entries of u are partitioned
+// VxMSemiEx computes t = u ·(⊕,⊗) A (GraphBLAS vxm): t(j) = ⊕_i u(i) ⊗ A(i,j)
+// — the one push-style product. The stored entries of u are partitioned
 // across workers, each scatters its contributions into a private SPA of
-// width A.Cols, and the per-worker SPAs are then reduced with add. For a
-// sparse frontier u this touches only the rows of A selected by u.
+// width A.Cols, and the per-worker SPAs are then reduced with add
+// (reduceSpas). For a sparse frontier u this touches only the rows of A
+// selected by u.
 //
 // The mask test happens inside the scatter loop, not at emit time: products
 // the mask rules out are never multiplied, never scattered and never reduced.
 // With a complemented visited mask (BFS) the pruned fraction grows every
-// level, which is where the push direction earns its keep. The compiled
-// predicate (vmaskLookup) costs O(1) per product.
+// level, which is where the push direction earns its keep.
 //
-// The per-worker SPAs are combined by one of two reductions, both folding
-// partitions in ascending order so the two paths produce identical outputs:
+// The scatter loop is the plug-in point (planPush): a family loop from
+// monokernels.go indexes the mask as a bitmap and runs direct arithmetic;
+// the closure loop evaluates mul/add behind vmaskLookup's O(1) predicate.
 //
-//   - dense (total emitted pattern within a defaultHashThreshold factor of A.Cols):
-//     output columns are range-partitioned across workers and each worker
-//     folds all SPAs over its own range, emitting in column order directly —
-//     the reduction parallelizes instead of serializing behind worker 0.
-//   - sparse: the classic sequential pattern merge into worker 0's SPA,
-//     which is cheap precisely because the patterns are small.
-//
-// VxM is the unhardened compatibility form of VxMEx: zero execution
-// environment, re-panic on the errors only injected faults could then
-// produce.
-func VxM[X, A, Y any](u *Vec[X], a *CSR[A], mul func(X, A) Y, add func(Y, Y) Y, mask VMask, threads int) *Vec[Y] {
-	out, err := VxMEx(u, a, mul, add, mask, Exec{Threads: threads})
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// VxMEx is the hardened push-style product: same algorithm and output as
-// VxM, with the per-worker SPA allocations charged against the budget. The
-// push SPA has no sparse fallback of its own, so degradation under pressure
-// is thread halving (fewer concurrently-live SPAs); when even one SPA cannot
-// be charged the kernel aborts with ErrBudget — the grb layer avoids that by
-// flipping direction to the pull kernel before committing to push.
-func VxMEx[X, A, Y any](u *Vec[X], a *CSR[A], mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
+// The per-worker SPA allocations are charged against the budget. The push
+// SPA has no sparse fallback of its own, so degradation under pressure is
+// thread halving (fewer concurrently-live SPAs); when even one SPA cannot be
+// charged the kernel aborts with ErrBudget — the grb layer then flips an
+// unpinned product to the pull kernel.
+func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
+	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	threads := e.threads()
 	pushCalls.Add(1)
+	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) []int](&vxmLoops, semi, spec)
+	in := planIn{spec: spec, hasLoop: scatter != nil, outDim: a.Cols}
+	if mask.M != nil {
+		in.masked, in.maskNNZ = true, mask.M.NNZ()
+	}
+	rt := planPush(in)
+	e.note(rt)
+	spaSite := siteVxMSpa
+	if rt.Family {
+		monoKernels.Add(1)
+		spaSite = siteMonoSpa
+	} else {
+		closureFallbacks.Add(1)
+	}
 	if mask.M == nil && mask.Complement {
 		// Complemented nil mask admits nothing; MaskApplyV discards every
 		// candidate entry, so the scatter would be pure waste.
@@ -216,16 +226,33 @@ func VxMEx[X, A, Y any](u *Vec[X], a *CSR[A], mul func(X, A) Y, add func(Y, Y) Y
 	if nparts == 0 {
 		return NewVec[Y](a.Cols), nil
 	}
-	admit := vmaskLookup(mask, a.Cols)
+	var bits []bool          // the family loops' mask form
+	var admit func(int) bool // the closure loop's
+	if !rt.Family {
+		admit = vmaskLookup(mask, a.Cols, rt.HashMask)
+	} else if mask.M != nil {
+		bits = vmaskBitmap(mask, a.Cols)
+	}
 	spas := make([][]Y, nparts)
 	marks := make([][]bool, nparts)
 	patterns := make([][]int, nparts)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
+		if rt.Family {
+			if ferr := siteMonoLoop.Check(); ferr != nil {
+				abort(ferr)
+			}
+		}
 		e.checkpoint()
-		e.mustCharge(siteVxMSpa, spaBytes)
+		e.mustCharge(spaSite, spaBytes)
 		spa := make([]Y, a.Cols)
 		mark := make([]bool, a.Cols)
 		scratchBytes.Add(spaBytes)
+		spas[part] = spa
+		marks[part] = mark
+		if rt.Family {
+			patterns[part] = scatter(u, a, bits, spa, mark, lo, hi)
+			return
+		}
 		var pattern []int
 		for k := lo; k < hi; k++ {
 			i := u.Ind[k]
@@ -246,17 +273,21 @@ func VxMEx[X, A, Y any](u *Vec[X], a *CSR[A], mul func(X, A) Y, add func(Y, Y) Y
 				}
 			}
 		}
-		spas[part] = spa
-		marks[part] = mark
 		patterns[part] = pattern
 	})
 	return reduceSpas(a.Cols, threads, spas, marks, patterns, add), nil
 }
 
 // reduceSpas combines the push kernel's per-worker scatter SPAs into one
-// sorted vector. Shared by the generic (VxMEx) and monomorphized (vxmMono)
-// scatter kernels so both fold partitions in exactly the same order — the
-// differential battery compares their outputs with ==.
+// sorted vector, by one of two reductions that fold partitions in the same
+// ascending order and so produce identical outputs:
+//
+//   - dense (total emitted pattern at least cols/hashCut): output columns are
+//     range-partitioned across workers and each worker folds all SPAs over
+//     its own range, emitting in column order directly — the reduction
+//     parallelizes instead of serializing behind worker 0.
+//   - sparse: the classic sequential pattern merge into worker 0's SPA,
+//     which is cheap precisely because the patterns are small.
 func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [][]int, add func(Y, Y) Y) *Vec[Y] {
 	nparts := len(spas)
 	totalPat := 0
@@ -267,7 +298,7 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 	if totalPat == 0 {
 		return out
 	}
-	if nparts > 1 && !chooseHash(KernelAuto, totalPat, cols) {
+	if nparts > 1 && !belowCut(totalPat, cols) {
 		// Dense reduction: each worker owns a contiguous column range and
 		// folds every partition's SPA over it, in ascending partition order
 		// (the same fold order as the sequential merge below). Emission is

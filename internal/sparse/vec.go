@@ -175,18 +175,6 @@ func (v *Vec[T]) Resize(n int) *Vec[T] {
 	return out
 }
 
-// Scatter expands v into a dense value slice plus presence bitmap, both of
-// length v.N. Used by the matrix-vector kernels' gather phase.
-func (v *Vec[T]) Scatter() ([]T, []bool) {
-	dv := make([]T, v.N)
-	ok := make([]bool, v.N)
-	for k, i := range v.Ind {
-		dv[i] = v.Val[k]
-		ok[i] = true
-	}
-	return dv, ok
-}
-
 // GatherVec compresses a dense value slice plus presence bitmap back into a
 // sorted sparse vector.
 func GatherVec[T any](dv []T, ok []bool) *Vec[T] {

@@ -217,8 +217,9 @@ func TestMonoViewCoherence(t *testing.T) {
 }
 
 // TestMonoRouteLabel checks the observability surface: a kernel event for a
-// specialized product carries the "+mono" route suffix in the trace, and a
-// pinned-generic product does not.
+// specialized product carries the "+mono" route suffix in the trace, a
+// pinned-generic product does not, and both carry the plan row that decided
+// their route.
 func TestMonoRouteLabel(t *testing.T) {
 	setMode(t, NonBlocking)
 	var buf bytes.Buffer
@@ -255,6 +256,10 @@ func TestMonoRouteLabel(t *testing.T) {
 			monoSeen = true
 		} else if route != "" {
 			plainSeen = true
+		}
+		// Both products pin DirPull, and the label's reason says so.
+		if why, _ := ev.Args["route_reason"].(string); !strings.HasPrefix(route, "pull") || why != "descriptor pin" {
+			t.Fatalf("MxV event route %q because %q, want pull… because of the descriptor pin", route, why)
 		}
 	}
 	if !monoSeen {

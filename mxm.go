@@ -68,7 +68,7 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 	threads := ctx.threadsFor(acsr.NNZ() + bcsr.NNZ())
 	var ev *obsv.Event
 	if obsv.Active() {
-		ev = evKernel("MxM").WithRoute(routeName(d.AxB)).WithThreads(threads).
+		ev = evKernel("MxM").WithThreads(threads).
 			A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
 			WithFlops(mxmFlops(acsr, bcsr, d.Transpose0, d.Transpose1))
 	}
@@ -77,6 +77,13 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 		// charges and cancellation probes reflect execution order (§IV/§V).
 		e := ctx.exec(threads)
 		defer e.Close()
+		if ev != nil {
+			// Stamp the event from the kernel's own decision.
+			e.Route = new(sparse.Route)
+			defer func() {
+				ev.Route, ev.RouteReason = e.Route.ProductLabel(sparse.Kernel(d.AxB)), e.Route.Reason.String()
+			}()
+		}
 		A, err := maybeTransposeEx(acsr, d.Transpose0, e)
 		if err != nil {
 			return nil, err
@@ -88,8 +95,7 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 		// The mask prunes the product at emit time only when it does not
 		// change the accumulated result: pruned positions would be dropped
 		// by MaskApplyM anyway.
-		semi, spec := specRoute(d.Spec, semiring.semi)
-		t, err := sparse.SpGEMMSemiEx(semi, spec, A, B, semiring.Mul, semiring.Add.Op, mk, e, kernelHint(d.AxB))
+		t, err := sparse.SpGEMMSemiEx(semiring.semi, sparse.Spec(d.Spec), A, B, semiring.Mul, semiring.Add.Op, mk, e, sparse.Kernel(d.AxB))
 		if err != nil {
 			return nil, err
 		}
@@ -113,101 +119,10 @@ func MxV[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 	if err := u.check(); err != nil {
 		return err
 	}
-	if semiring.Add.Op == nil || semiring.Mul == nil {
-		return errf(NullPointer, "MxV: semiring has nil operators")
-	}
-	ctxs := append([]*Context{w.ctx, a.ctx, u.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
+	// Pull gathers rows of the (possibly transposed) matrix as stored; push
+	// scatters the frontier through the opposite orientation.
 	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	if ac != uvec.N {
-		return errf(DimensionMismatch, "MxV: matrix has %d columns but vector has size %d", ac, uvec.N)
-	}
-	if wOld.N != ar {
-		return errf(DimensionMismatch, "MxV: output has size %d but product has size %d", wOld.N, ar)
-	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ())
-	// Direction-optimizing dispatch: pull gathers rows of the (possibly
-	// transposed) matrix; push scatters the frontier's entries through the
-	// opposite orientation, which the transpose cache makes free to obtain
-	// after the first materialization. Both orientations fold products in
-	// ascending input order, so for a given thread count the two kernels
-	// agree bit-identically whenever the monoid is associative on the data.
-	usePush := chooseDir(d.Dir, uvec.NNZ(), ac, mk, ar)
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("MxV").WithRoute(pushPull(usePush)).WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(uvec.N, 1, uvec.NNZ())
-		// The frontier-flop bound Σ_{i∈u} nnz(A(i,:)) is free only when u
-		// indexes stored rows; the other orientation would materialize Aᵀ
-		// eagerly just because a sink is watching, so it reports no estimate.
-		if d.Transpose0 {
-			ev.WithFlops(sparse.FrontierFlops(acsr, uvec))
-		}
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[DC], error) {
-		e := ctx.exec(threads)
-		defer e.Close()
-		var t *sparse.Vec[DC]
-		var err error
-		push := usePush
-		// Every monomorphized family has a commutative multiply, so the
-		// orientation flip below is transparent to the specialized loops.
-		semi, spec := specRoute(d.Spec, semiring.semi)
-		if push {
-			var At *sparse.CSR[DA]
-			At, err = maybeTransposeEx(acsr, !d.Transpose0, e)
-			if err == nil {
-				mulFlip := func(x DB, a DA) DC { return semiring.Mul(a, x) }
-				t, err = sparse.VxMSemiEx(semi, spec, uvec, At, mulFlip, semiring.Add.Op, mk, e)
-			}
-			// Budget degradation: the push route's scatter SPA (or the
-			// transpose it rides on) did not fit, but the heuristic did not
-			// pin push — retry through the pull gather, which can run with a
-			// frontier-sized hash accumulator.
-			if err != nil && errors.Is(err, sparse.ErrBudget) && d.Dir == DirAuto {
-				sparse.NoteBudgetDegrade()
-				push, err = false, nil
-			}
-		}
-		if !push && err == nil {
-			var A *sparse.CSR[DA]
-			A, err = maybeTransposeEx(acsr, d.Transpose0, e)
-			if err == nil {
-				t, err = sparse.SpMVSemiEx(semi, spec, A, uvec, semiring.Mul, semiring.Add.Op, mk, e, kernelHint(d.AxB))
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
-	})
+	return matvec("MxV", w, mask, accum, semiring.semi, semiring.Add.Op, nil, semiring.Mul, a, u, d, !d.Transpose0)
 }
 
 // VxM computes w⟨m⟩ = w ⊙ (u ⊕.⊗ A): vector–matrix multiplication
@@ -225,15 +140,39 @@ func VxM[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 	if err := a.check(); err != nil {
 		return err
 	}
-	if semiring.Add.Op == nil || semiring.Mul == nil {
-		return errf(NullPointer, "VxM: semiring has nil operators")
+	// Push scatters the frontier through rows of the (possibly transposed)
+	// matrix as stored; pull gathers along output positions over the
+	// opposite orientation, which a sparse non-complemented mask can prune
+	// wholesale.
+	d := desc.get()
+	return matvec("VxM", w, mask, accum, semiring.semi, semiring.Add.Op, semiring.Mul, nil, a, u, d, d.Transpose1)
+}
+
+// matvec is the one body of MxV and VxM: w⟨m⟩ = w ⊙ t with
+// t(j) = ⊕_i u(i) ⊗ R(i,j), where R — the push orientation, whose rows the
+// frontier indexes — is a's stored form (pushT false) or its transpose
+// (pushT true), and the pull kernel gathers over Rᵀ. Exactly one of
+// mulPush (vector × matrix operand order) and mulPull (matrix × vector) is
+// the semiring's multiply as the caller wrote it; the other is nil and
+// derived by swapping arguments when that kernel runs.
+//
+// Direction-optimizing dispatch: the transpose cache makes the other
+// orientation free to obtain after the first materialization, and both
+// kernels fold products in ascending input order, so for a given thread
+// count they agree bit-identically whenever the monoid is associative on
+// the data. Every family loop has a commutative multiply, so the argument
+// swap is transparent to the specialized loops.
+func matvec[DC, DM, DV any](op string, w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
+	semi sparse.Semi, add func(DC, DC) DC, mulPush func(DV, DM) DC, mulPull func(DM, DV) DC,
+	a *Matrix[DM], u *Vector[DV], d Descriptor, pushT bool) error {
+	if add == nil || (mulPush == nil && mulPull == nil) {
+		return errf(NullPointer, "%s: semiring has nil operators", op)
 	}
-	ctxs := append([]*Context{w.ctx, u.ctx, a.ctx}, vmaskCtx(mask)...)
+	ctxs := append([]*Context{w.ctx, a.ctx, u.ctx}, vmaskCtx(mask)...)
 	ctx, err := sameContext(ctxs...)
 	if err != nil {
 		return err
 	}
-	d := desc.get()
 	acsr, err := a.snapshot()
 	if err != nil {
 		return err
@@ -250,61 +189,86 @@ func VxM[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 	if err != nil {
 		return err
 	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose1 {
-		ar, ac = ac, ar
+	inDim, outDim := acsr.Rows, acsr.Cols
+	if pushT {
+		inDim, outDim = outDim, inDim
 	}
-	if uvec.N != ar {
-		return errf(DimensionMismatch, "VxM: vector has size %d but matrix has %d rows", uvec.N, ar)
+	if uvec.N != inDim {
+		return errf(DimensionMismatch, "%s: vector has size %d but the matrix dimension it multiplies is %d", op, uvec.N, inDim)
 	}
-	if wOld.N != ac {
-		return errf(DimensionMismatch, "VxM: output has size %d but product has size %d", wOld.N, ac)
+	if wOld.N != outDim {
+		return errf(DimensionMismatch, "%s: output has size %d but product has size %d", op, wOld.N, outDim)
 	}
 	if err := checkMaskDimsV(mk, wOld.N); err != nil {
 		return err
 	}
 	threads := ctx.threadsFor(acsr.NNZ())
-	// Direction-optimizing dispatch, mirroring MxV: push scatters the
-	// frontier through rows of A; pull gathers along output positions over
-	// the cached transpose, which a sparse non-complemented mask can prune
-	// wholesale.
-	usePush := chooseDir(d.Dir, uvec.NNZ(), ar, mk, ac)
 	var ev *obsv.Event
 	if obsv.Active() {
-		ev = evKernel("VxM").WithRoute(pushPull(usePush)).WithThreads(threads).
-			A(uvec.N, 1, uvec.NNZ()).B(acsr.Rows, acsr.Cols, acsr.NNZ())
-		if !d.Transpose1 {
+		ev = evKernel(op).WithThreads(threads)
+		if mulPull != nil { // MxV: the matrix is the first operand
+			ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(uvec.N, 1, uvec.NNZ())
+		} else {
+			ev.A(uvec.N, 1, uvec.NNZ()).B(acsr.Rows, acsr.Cols, acsr.NNZ())
+		}
+		// The frontier-flop bound Σ_{i∈u} nnz(R(i,:)) is free only when u
+		// indexes stored rows; the other orientation would materialize the
+		// transpose eagerly just because a sink is watching, so it reports
+		// no estimate.
+		if !pushT {
 			ev.WithFlops(sparse.FrontierFlops(acsr, uvec))
 		}
 	}
 	return w.enqueue(ctx, ev, func() (*sparse.Vec[DC], error) {
 		e := ctx.exec(threads)
 		defer e.Close()
+		plan := sparse.PlanDir(sparse.Dir(d.Dir), uvec.NNZ(), inDim, mk, outDim)
+		push, why := plan.Push, plan.Reason
+		if ev != nil {
+			// Stamp the event from the decisions themselves: the label from
+			// the kernel that ran, the reason from the direction row unless
+			// the budget overrode a route on the way.
+			e.Route = new(sparse.Route)
+			defer func() {
+				rt := *e.Route
+				rt.Push = push
+				if rt.Reason.Budget() {
+					why = rt.Reason
+				}
+				ev.Route, ev.RouteReason = rt.MatVecLabel(), why.String()
+			}()
+		}
+		spec, hint := sparse.Spec(d.Spec), sparse.Kernel(d.AxB)
 		var t *sparse.Vec[DC]
 		var err error
-		push := usePush
-		// The commutative-multiply note from MxV applies to the pull-side
-		// flip below as well.
-		semi, spec := specRoute(d.Spec, semiring.semi)
 		if push {
-			var A *sparse.CSR[DB]
-			A, err = maybeTransposeEx(acsr, d.Transpose1, e)
+			var R *sparse.CSR[DM]
+			R, err = maybeTransposeEx(acsr, pushT, e)
 			if err == nil {
-				t, err = sparse.VxMSemiEx(semi, spec, uvec, A, semiring.Mul, semiring.Add.Op, mk, e)
+				mul := mulPush
+				if mul == nil {
+					mul = func(x DV, m DM) DC { return mulPull(m, x) }
+				}
+				t, err = sparse.VxMSemiEx(semi, spec, uvec, R, mul, add, mk, e)
 			}
-			// Budget degradation, mirroring MxV: when auto-routed push cannot
-			// charge its scatter SPA, retry via the pull gather.
+			// Budget degradation: the push route's scatter SPA (or the
+			// transpose it rides on) did not fit, but nothing pinned push —
+			// retry through the pull gather, which can run with a
+			// frontier-sized hash gather.
 			if err != nil && errors.Is(err, sparse.ErrBudget) && d.Dir == DirAuto {
 				sparse.NoteBudgetDegrade()
-				push, err = false, nil
+				push, why, err = false, sparse.ReasonBudgetPush, nil
 			}
 		}
 		if !push && err == nil {
-			var At *sparse.CSR[DB]
-			At, err = maybeTransposeEx(acsr, !d.Transpose1, e)
+			var G *sparse.CSR[DM]
+			G, err = maybeTransposeEx(acsr, !pushT, e)
 			if err == nil {
-				mulFlip := func(a DB, x DA) DC { return semiring.Mul(x, a) }
-				t, err = sparse.SpMVSemiEx(semi, spec, At, uvec, mulFlip, semiring.Add.Op, mk, e, kernelHint(d.AxB))
+				mul := mulPull
+				if mul == nil {
+					mul = func(m DM, x DV) DC { return mulPush(x, m) }
+				}
+				t, err = sparse.SpMVSemiEx(semi, spec, G, uvec, mul, add, mk, e, hint)
 			}
 		}
 		if err != nil {

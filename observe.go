@@ -11,7 +11,7 @@ import (
 // This file is the public face of the observability subsystem (internal/obsv;
 // see DESIGN.md, "Observability"). The library records one structured event
 // per kernel execution — op name, operand dims/nnz, the kernel route actually
-// taken, flop estimate, wall time, scratch bytes, goroutine fan-out — and one
+// taken and the plan row that decided it, flop estimate, wall time, scratch bytes, goroutine fan-out — and one
 // span per deferred-sequence drain, and fans them out to whichever sinks are
 // enabled here: a per-op metrics registry, a Chrome-trace JSON writer, and an
 // HTTP endpoint. With every sink off (the default) each emit point costs one
@@ -100,29 +100,6 @@ func evKernel(op string) *obsv.Event {
 	return &obsv.Event{Op: op, Kind: "kernel"}
 }
 
-// routeName names the descriptor's multiply-kernel request for the event's
-// Route field; the adaptive "auto" is refined at End from counter deltas.
-func routeName(m AxBMethod) string {
-	switch m {
-	case AxBDenseSPA:
-		return "dense"
-	case AxBHashSPA:
-		return "hash"
-	case AxBDefault:
-		return "auto"
-	default:
-		return "auto"
-	}
-}
-
-// pushPull names a direction-optimizing dispatch decision.
-func pushPull(usePush bool) string {
-	if usePush {
-		return "push"
-	}
-	return "pull"
-}
-
 // mxmFlops returns the flop upper bound of A·B, or 0 when either input is
 // transposed — estimating through a transpose would materialize it eagerly
 // at call time, changing the deferred sequence's behavior just because a
@@ -133,3 +110,61 @@ func mxmFlops[DA, DB any](a *sparse.CSR[DA], b *sparse.CSR[DB], ta, tb bool) int
 	}
 	return sparse.SpGEMMFlopsTotal(a, b)
 }
+
+// The kernel-routing counters. Routing is decided per operation by the
+// Descriptor pins (AxB, Dir, Spec) or from operand statistics (DESIGN.md,
+// "Kernel selection") — there is no process-wide routing state — and these
+// read-only accessors are how benchmarks and tests observe it.
+
+// KernelCounts reports how many multiply row ranges the dense and hash
+// accumulators served since the last ResetKernelCounts.
+func KernelCounts() (dense, hash int64) { return sparse.KernelCounts() }
+
+// KernelScratchBytes reports the accumulator scratch (dense SPA buffers, hash
+// tables, gather views) allocated by multiply kernels since the last
+// ResetKernelCounts.
+func KernelScratchBytes() int64 { return sparse.ScratchBytes() }
+
+// DirectionCounts reports how many matrix-vector products the push and pull
+// kernels served since the last ResetKernelCounts.
+func DirectionCounts() (push, pull int64) { return sparse.DirectionCounts() }
+
+// MonoKernelCounts reports how many multiply operations ran a monomorphized
+// family loop and how many ran the closure loops since the last
+// ResetKernelCounts.
+func MonoKernelCounts() (mono, closure int64) { return sparse.MonoCounts() }
+
+// FormatConversionCount reports the number of sparse→bitmap/dense vector
+// view materializations (cache misses) since the last ResetKernelCounts.
+func FormatConversionCount() int64 { return sparse.FormatConversionCount() }
+
+// TransposeCount reports the number of transpose materializations (actual
+// bucket transposes, not cache hits) since the last ResetKernelCounts.
+// Repeated operations with a Transpose descriptor flag on an unmodified
+// matrix materialize exactly once; the cached view serves the rest.
+func TransposeCount() int64 { return sparse.TransposeCount() }
+
+// SpanFlops reports the accumulated modeled parallel span (the makespan, in
+// flops, of each SpGEMM call's partition greedily list-scheduled over its
+// worker count) and the total flops of those calls since the last
+// ResetKernelCounts. work/span is the partition's modeled parallel speedup —
+// a machine-independent load-balance metric, unaffected by the host's real
+// core count.
+func SpanFlops() (span, work int64) { return sparse.SpanFlops() }
+
+// BlockKernelCounts always reports 0, 0: there is no 2D-blocked engine — the
+// multiplies have one partitioning scheme, flop-balanced 1D row ranges
+// (DESIGN.md, "Why there is no blocked engine"). The accessor stays because
+// the repo benchmark reads it for its grb.blocked_ops counter.
+func BlockKernelCounts() (ops, tasks int64) { return 0, 0 }
+
+// HardeningCounts reports the execution-hardening telemetry since the last
+// ResetKernelCounts: degrades is the number of budget-forced route changes
+// (dense→hash accumulator fallback, thread halving, skipped transpose
+// caching, push→pull flips), panics the number of kernel panics recovered
+// into parked execution errors (§V) instead of crashing the process.
+func HardeningCounts() (degrades, panics int64) { return sparse.HardeningCounts() }
+
+// ResetKernelCounts zeroes the selection, scratch, direction-routing,
+// transpose-materialization, hardening and span counters.
+func ResetKernelCounts() { sparse.ResetKernelCounts() }

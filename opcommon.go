@@ -102,20 +102,6 @@ func maybeTransposeEx[T any](m *sparse.CSR[T], t bool, e sparse.Exec) (*sparse.C
 	return tt, err
 }
 
-// chooseDir resolves a descriptor's Direction pin (or the adaptive
-// heuristic) into a concrete push/pull decision for a matrix-vector product
-// with frontier nnzU over input dimension inDim and outDim masked outputs.
-func chooseDir(dir Direction, nnzU, inDim int, mk sparse.VMask, outDim int) bool {
-	switch dir {
-	case DirPush:
-		return true
-	case DirPull:
-		return false
-	case DirAuto:
-	}
-	return sparse.ChoosePush(nnzU, inDim, mk, outDim)
-}
-
 // AsMask converts a numeric matrix into a boolean mask matrix: each stored
 // entry maps to (value != 0), the C API's implicit cast-to-bool mask
 // semantics. The result shares the input's context.

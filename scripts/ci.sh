@@ -2,12 +2,14 @@
 # Tiered CI entrypoint (`make ci` runs this). Chains every gate the repo
 # defines, times each tier, and ends with one machine-readable summary line:
 #
-#   CI_SUMMARY status=ok tiers=8 build=2s test=14s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s
+#   CI_SUMMARY status=ok tiers=9 build=2s test=14s fmt=0s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s
 #
 # Tiers, in order (cheapest first so broken trees fail fast):
 #
 #   build     go build ./...
 #   test      go test ./...                      (tier-1, the ROADMAP gate)
+#   fmt       gofmt -l over the tracked .go files outside testdata/ prints
+#             nothing (scripts/fmt.sh)
 #   race      concurrency-sensitive suites under -race
 #   lint      grblint: infocheck, snapshotcheck, lockcheck, enumcheck,
 #             budgetcheck, obsvcheck, sitecheck, atomiccheck,
@@ -80,6 +82,7 @@ bench_smoke_tier() {
 
 run build go build ./...
 run test go test ./...
+run fmt sh scripts/fmt.sh
 run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve
 run lint go run ./cmd/grblint -time ./...
 run bench-smoke bench_smoke_tier

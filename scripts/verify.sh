@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo verification: tier-1 (build + full test suite), the race tier
+# Repo verification: tier-1 (build + full test suite), the fmt tier (gofmt
+# -l over tracked sources prints nothing), the race tier
 # (concurrency-sensitive suites under -race), the static-analysis tier
 # (grblint must report zero diagnostics), the bench-smoke tier (the repo
 # benchmark, a module of its own that ./... never compiles, still vets and
@@ -15,6 +16,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: go build ./... && go test ./... =="
 go build ./...
 go test ./...
+
+echo "== fmt tier: gofmt -l over tracked .go files outside testdata/ =="
+sh scripts/fmt.sh
 
 echo "== race tier: multithread / nonblocking / differential / observability suites =="
 go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve

@@ -10,11 +10,11 @@ type Semiring[Din1, Din2, Dout any] struct {
 	Mul BinaryOp[Din1, Din2, Dout]
 
 	// semi tags the hot semirings built by this package's constructors so
-	// the multiply kernels can route them to monomorphized loops (see
-	// DESIGN.md, "Monomorphized kernels & formats"). Unexported on purpose:
-	// a hand-assembled Semiring carries arbitrary closures the kernels know
-	// nothing about, so it must stay SemiGeneric — tagging is a constructor
-	// privilege, not a caller promise.
+	// the multiply scaffolds can plug in monomorphized loop bodies (see
+	// DESIGN.md, "Monomorphized kernels & block formats"). Unexported on
+	// purpose: a hand-assembled Semiring carries arbitrary closures the
+	// kernels know nothing about, so it must stay SemiGeneric — tagging is
+	// a constructor privilege, not a caller promise.
 	semi sparse.Semi
 }
 
