@@ -19,10 +19,11 @@ fmt:
 # Race tier: the concurrency-sensitive packages under the race detector —
 # the root package (multithreaded method calls, the nonblocking pipeline),
 # internal/sparse (the dense-vs-hash differential kernel harness, which runs
-# both accumulators across worker counts), internal/parallel and
-# internal/obsv (concurrent emit into every sink).
+# both accumulators across worker counts), internal/parallel,
+# internal/obsv (concurrent emit into every sink) and lagraph (TriangleCount,
+# KTruss, ClusteringCoefficient: the masked-SpGEMM consumers).
 race:
-	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve
+	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph
 
 # Kernel benchmarks, including the hypersparse adaptive-selection family.
 bench:
@@ -49,7 +50,7 @@ bench-smoke:
 # validators compiled in — every CSR/Vec install re-validates the snapshot
 # contract (monotone row pointers, sorted+unique indices, nnz consistency).
 checktags:
-	$(GO) test -tags grbcheck -race . ./internal/sparse
+	$(GO) test -tags grbcheck -race . ./internal/sparse ./lagraph
 
 # Chaos tier: the fault-injection differential sweep (every registered site
 # crossed with alloc-failure and panic shapes) plus the budget, cancellation,

@@ -1,8 +1,10 @@
 package grb
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -372,6 +374,67 @@ func TestCancelMidDrainParksWithinOneGranule(t *testing.T) {
 	wg.Wait()
 	if Code(err) != Canceled {
 		t.Fatalf("mid-drain cancel: err = %v, want Canceled", err)
+	}
+}
+
+// TestCancelInterruptsSingleRangeProduct: at one thread a matrix product is a
+// single row range, so the per-range checkpoint alone would only see a cancel
+// after the whole product. The kernel also polls the hook every 64K flops:
+// a cancel fired from inside the multiply operator parks Canceled long before
+// the operator has seen every product, masked (mask-first) or not.
+func TestCancelInterruptsSingleRangeProduct(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n, deg, after = 2048, 16, 1000
+	rng := rand.New(rand.NewSource(7))
+	var is, js []Index
+	var xs []int64
+	for i := 0; i < n; i++ {
+		for _, j := range rng.Perm(n)[:deg] {
+			is, js, xs = append(is, Index(i)), append(js, Index(j)), append(xs, 1)
+		}
+	}
+	for _, masked := range []bool{false, true} {
+		ctx, err := NewContext(NonBlocking, nil, WithThreads(1), WithCancel())
+		if err != nil {
+			t.Fatalf("NewContext: %v", err)
+		}
+		a := ck1(NewMatrix[int64](n, n, InContext(ctx)))
+		ck(a.Build(is, js, xs, nil))
+		ck(a.Wait(Materialize))
+		var mask *Matrix[bool]
+		desc := (*Descriptor)(nil)
+		if masked {
+			mask = ck1(NewMatrix[bool](n, n, InContext(ctx)))
+			ck(mask.Build(is, js, make([]bool, len(is)), nil))
+			ck(mask.Wait(Materialize))
+			desc = DescS
+		}
+		var calls atomic.Int64
+		mul := func(x, y int64) int64 {
+			if calls.Add(1) == after {
+				if err := ctx.Cancel(); err != nil {
+					t.Errorf("Cancel: %v", err)
+				}
+			}
+			return x * y
+		}
+		c := ck1(NewMatrix[int64](n, n, InContext(ctx)))
+		ck(MxM(c, mask, nil, Semiring[int64, int64, int64]{Add: PlusMonoid[int64](), Mul: mul}, a, a, desc))
+		if err := c.Wait(Materialize); Code(err) != Canceled {
+			t.Fatalf("masked=%v: err = %v after %d multiplies, want Canceled", masked, err, calls.Load())
+		}
+		// Every product is n·deg² = 524288 multiplies; the poll stops the
+		// unmasked one within 64K flops and a row of the cancel.
+		if got := calls.Load(); !masked && got > after+(1<<16)+deg*deg {
+			t.Fatalf("the operator ran %d times after a cancel at call %d", got, after)
+		}
+		if s := c.ErrorString(); !strings.Contains(s, "cancel") {
+			t.Fatalf("ErrorString = %q, want it to mention cancellation", s)
+		}
+		// The victim is a sticky-error object; the inputs are untouched.
+		if nv, err := a.Nvals(); err != nil || nv != len(is) {
+			t.Fatalf("input after the cancelled product: %d entries, err %v", nv, err)
+		}
 	}
 }
 

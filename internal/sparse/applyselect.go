@@ -54,8 +54,9 @@ func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, threads int)
 	pVal := make([][]A, nparts)
 	rowLen := make([]int, a.Rows)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		var ind []int
-		var val []A
+		n := a.Ptr[hi] - a.Ptr[lo] // at most every entry of the range survives
+		ind := make([]int, 0, n)
+		val := make([]A, 0, n)
 		for i := lo; i < hi; i++ {
 			aInd, aVal := a.Row(i)
 			start := len(ind)
@@ -70,7 +71,7 @@ func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, threads int)
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	installStitched(out, parts, pInd, pVal, rowLen)
+	installStitched(out, pInd, pVal, rowLen)
 	return out
 }
 

@@ -71,9 +71,10 @@ func HardeningCounts() (degrades, panics int64) {
 
 // MonoCounts returns the number of multiply calls served by a monomorphized
 // semiring kernel and the number that fell back to the generic closure
-// kernel since the last ResetKernelCounts. A call counts as mono when its
-// semiring/format/spec route admitted it, even if some hash-routed row
-// ranges inside it still evaluated closures.
+// kernel since the last ResetKernelCounts. A matrix product counts as mono
+// when at least one of its row ranges ran a family loop — hash and mask-first
+// ranges evaluate closures, so a product made only of those is a closure
+// call whatever its semiring.
 func MonoCounts() (mono, closure int64) {
 	return monoKernels.Load(), closureFallbacks.Load()
 }

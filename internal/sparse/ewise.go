@@ -17,8 +17,9 @@ func mergeUnionM[T any](a, b *CSR[T], add func(T, T) T, threads int) *CSR[T] {
 	pVal := make([][]T, nparts)
 	rowLen := make([]int, a.Rows)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		var ind []int
-		var val []T
+		n := a.Ptr[hi] - a.Ptr[lo] + b.Ptr[hi] - b.Ptr[lo] // the union's bound
+		ind := make([]int, 0, n)
+		val := make([]T, 0, n)
 		for i := lo; i < hi; i++ {
 			aInd, aVal := a.Row(i)
 			bInd, bVal := b.Row(i)
@@ -46,7 +47,7 @@ func mergeUnionM[T any](a, b *CSR[T], add func(T, T) T, threads int) *CSR[T] {
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	installStitched(out, parts, pInd, pVal, rowLen)
+	installStitched(out, pInd, pVal, rowLen)
 	return out
 }
 
@@ -70,8 +71,9 @@ func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, threads int
 	pVal := make([][]C, nparts)
 	rowLen := make([]int, a.Rows)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		var ind []int
-		var val []C
+		n := min(a.Ptr[hi]-a.Ptr[lo], b.Ptr[hi]-b.Ptr[lo]) // the intersection's bound
+		ind := make([]int, 0, n)
+		val := make([]C, 0, n)
 		for i := lo; i < hi; i++ {
 			aInd, aVal := a.Row(i)
 			bInd, bVal := b.Row(i)
@@ -95,7 +97,7 @@ func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, threads int
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	installStitched(out, parts, pInd, pVal, rowLen)
+	installStitched(out, pInd, pVal, rowLen)
 	return out
 }
 

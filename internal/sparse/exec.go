@@ -317,6 +317,18 @@ func (e Exec) checkpoint() {
 	if err := siteRange.Check(); err != nil {
 		abort(err)
 	}
+	e.poll()
+}
+
+// pollFlops is how much work SpGEMM does between two polls of the
+// cancellation hook inside one range: a one-thread product is a single
+// range, and a deadline must not wait for all of it.
+const pollFlops = 1 << 16
+
+// poll aborts the kernel if the cancellation hook reports an error. Unlike
+// checkpoint it touches no fault site, so polling inside a range leaves the
+// chaos sweep's hit counts where they were.
+func (e Exec) poll() {
 	if e.Cancel != nil {
 		if err := e.Cancel(); err != nil {
 			abort(err)

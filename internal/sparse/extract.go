@@ -47,19 +47,34 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, threads int) (out *CSR[T], err
 	pVal := make([][]T, nparts)
 	rowLen := make([]int, outRows)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		var ind []int
-		var val []T
+		srcRow := func(i int) int {
+			if rows != nil {
+				return rows[i]
+			}
+			return i
+		}
+		// Count the range's output first (a source entry lands once per
+		// listed copy of its column), so it is allocated once.
+		n := 0
+		for i := lo; i < hi; i++ {
+			aInd, _ := a.Row(srcRow(i))
+			if cols == nil {
+				n += len(aInd)
+				continue
+			}
+			for _, c := range aInd {
+				n += len(colPos[c])
+			}
+		}
+		ind := make([]int, 0, n)
+		val := make([]T, 0, n)
 		type pair struct {
 			j int
 			v T
 		}
 		var buf []pair
 		for i := lo; i < hi; i++ {
-			src := i
-			if rows != nil {
-				src = rows[i]
-			}
-			aInd, aVal := a.Row(src)
+			aInd, aVal := a.Row(srcRow(i))
 			start := len(ind)
 			if cols == nil {
 				ind = append(ind, aInd...)
@@ -82,7 +97,7 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, threads int) (out *CSR[T], err
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	installStitched(out, parts, pInd, pVal, rowLen)
+	installStitched(out, pInd, pVal, rowLen)
 	return out, nil
 }
 

@@ -144,8 +144,14 @@ func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, threads int) *CSR[
 	pVal := make([][]T, nparts)
 	rowLen := make([]int, rows)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		var ind []int
-		var val []T
+		// Admitted positions take Z's entries; rejected ones keep C's, unless
+		// replace deletes them.
+		n := z.Ptr[hi] - z.Ptr[lo]
+		if !replace {
+			n += c.Ptr[hi] - c.Ptr[lo]
+		}
+		ind := make([]int, 0, n)
+		val := make([]T, 0, n)
 		for i := lo; i < hi; i++ {
 			cInd, cVal := c.Row(i)
 			zInd, zVal := z.Row(i)
@@ -190,7 +196,7 @@ func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, threads int) *CSR[
 		pInd[part] = ind
 		pVal[part] = val
 	})
-	installStitched(out, parts, pInd, pVal, rowLen)
+	installStitched(out, pInd, pVal, rowLen)
 	return out
 }
 
@@ -278,19 +284,25 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	return out
 }
 
-// installStitched assembles per-partition row buffers into out. parts are the range
-// boundaries used to produce pInd/pVal; rowLen[i] is the emitted length of
-// row i. Shared by all row-parallel kernels.
-func installStitched[T any](out *CSR[T], parts []int, pInd [][]int, pVal [][]T, rowLen []int) {
-	total := 0
-	for _, s := range pInd {
-		total += len(s)
-	}
-	out.Ind = make([]int, 0, total)
-	out.Val = make([]T, 0, total)
-	for p := 0; p < len(parts)-1; p++ {
-		out.Ind = append(out.Ind, pInd[p]...)
-		out.Val = append(out.Val, pVal[p]...)
+// installStitched assembles per-partition row buffers, in ascending range
+// order, into out; rowLen[i] is the emitted length of row i. Shared by all
+// row-parallel kernels. A single partition (one thread, and every small
+// operand) is adopted as is — the matrix-side twin of stitchVec; several are
+// concatenated into one exactly-sized allocation.
+func installStitched[T any](out *CSR[T], pInd [][]int, pVal [][]T, rowLen []int) {
+	if len(pInd) == 1 {
+		out.Ind, out.Val = pInd[0], pVal[0]
+	} else {
+		total := 0
+		for _, s := range pInd {
+			total += len(s)
+		}
+		out.Ind = make([]int, 0, total)
+		out.Val = make([]T, 0, total)
+		for p := range pInd {
+			out.Ind = append(out.Ind, pInd[p]...)
+			out.Val = append(out.Val, pVal[p]...)
+		}
 	}
 	for i := 0; i < out.Rows; i++ {
 		out.Ptr[i+1] = out.Ptr[i] + rowLen[i]

@@ -1,14 +1,17 @@
 package sparse
 
+import "math/bits"
+
 // The route planner. Every branch between two kernel paths that depends on
 // operand statistics or a Descriptor pin is a row of one of the four pure
 // functions below — the direction of a matrix-vector product (planDir), the
 // gather side of the pull scaffold (planPull), the scatter side of the push
-// scaffold (planPush) and the accumulator of one SpGEMM row range
-// (planProduct + planRange). They read plain numbers and booleans, allocate
-// nothing, and return a comparable Route whose Reason says which row fired,
-// so the whole routing policy is one table (TestPlan) and the kernel event
-// can carry "why" without the kernels formatting anything.
+// scaffold (planPush) and the accumulator and mask handling of one SpGEMM row
+// range (planProduct + planRange; scanEmit is the per-row emit predicate
+// beside them). They read plain numbers and booleans, allocate nothing, and
+// return a comparable Route whose Reason says which row fired, so the whole
+// routing policy is one table (TestPlan) and the kernel event can carry "why"
+// without the kernels formatting anything.
 //
 // The two thresholds are constants: no caller ever used another value.
 
@@ -84,6 +87,7 @@ const (
 	ReasonHyperMask
 	ReasonFewFlops
 	ReasonDenseWork
+	ReasonMaskFirst
 	ReasonRangesSplit
 	ReasonBudgetGather
 	ReasonBudgetSPA
@@ -100,6 +104,7 @@ var reasonText = [...]string{
 	ReasonHyperMask:      "mask nnz < n/2",
 	ReasonFewFlops:       "range flops < cols/2",
 	ReasonDenseWork:      "work >= width/2",
+	ReasonMaskFirst:      "mask nnz <= range flops",
 	ReasonRangesSplit:    "row ranges routed separately",
 	ReasonBudgetGather:   "budget refused dense gather",
 	ReasonBudgetSPA:      "budget refused dense SPA",
@@ -116,11 +121,12 @@ func (r Reason) Budget() bool { return r >= ReasonBudgetGather }
 // Route is one planned (and, read back through Exec.Route, executed) kernel
 // route. Comparable, so tests assert whole routes with ==.
 type Route struct {
-	Push     bool // scatter the frontier (VxM scaffold) rather than gather rows
-	Family   bool // a monomorphized family loop serves the dense branch
-	Acc      Acc
-	HashMask bool // vector mask compiled to a hash predicate, not an O(n) bitmap
-	Reason   Reason
+	Push      bool // scatter the frontier (VxM scaffold) rather than gather rows
+	Family    bool // a monomorphized family loop serves the dense branch
+	Acc       Acc
+	HashMask  bool // vector mask compiled to a hash predicate, not an O(n) bitmap
+	MaskFirst bool // matrix product: the mask admits columns before the products, not after
+	Reason    Reason
 }
 
 // MatVecLabel names a matrix-vector route for the kernel event.
@@ -161,10 +167,10 @@ type planIn struct {
 	// columns (accumulator).
 	work, width int
 
-	masked   bool // a mask vector is present
-	maskNNZ  int
+	masked   bool // a mask vector (matrix-vector) or mask matrix (planRange) is present
+	maskNNZ  int  // its entries; for planRange, those in the range's rows
 	maskComp bool
-	outDim   int // the dimension the mask guards
+	outDim   int // the dimension a mask vector guards
 
 	hasLoop bool // a family loop exists for (semiring, types) and Spec allows it
 
@@ -286,31 +292,57 @@ func planProduct(in planIn) Route {
 	return rt
 }
 
-// planRange picks one row range's accumulator. Reads hint, work (the range's
-// flop bound), width (output columns), denseFits, hashSmaller.
+// planRange picks one row range's accumulator and whether the mask drives the
+// product. Reads hint, work (the range's flop bound), width (output columns),
+// masked/maskNNZ/maskComp (the mask's entries in the range's rows),
+// denseFits, hashSmaller. Mask-first needs the dense SPA's stamps and a mask
+// that lists what it admits, and pays one stamp and one emit probe per mask
+// entry, so it runs only while those do not exceed the products; otherwise
+// the range forms every product and filters at emit time.
 func planRange(in planIn) Route {
 	acc, why := planAcc(in, ReasonFewFlops, ReasonBudgetSPA)
+	if acc == AccDense && in.masked && !in.maskComp && in.maskNNZ <= in.work {
+		return Route{Acc: acc, MaskFirst: true, Reason: ReasonMaskFirst}
+	}
 	return Route{Acc: acc, Reason: why}
 }
 
+// scanEmit picks how a product-then-filter dense range puts a row's n pattern
+// columns in order: sorting costs ~n·⌈log₂ n⌉, reading the width stamps in
+// column order costs width, so the scan wins once the row is dense enough
+// (n = 0 multiplies the wrapped-around 64 by zero).
+func scanEmit(n, width int) bool {
+	return n*bits.Len(uint(n-1)) > width
+}
+
 // mergeRanges folds the per-range routes of one matrix product into the
-// call's: the accumulators seen, and the weightiest reason (a budget refusal
-// over statistics over nothing).
+// call's: what the ranges that ran did (a family loop counts if any range ran
+// it), and the weightiest reason (a budget refusal over statistics over
+// nothing). Ranges that differ in accumulator or in mask-first are reported
+// as split, not as whichever reason ranks higher.
 func mergeRanges(call Route, ranges []Route) Route {
+	ran, split := false, false
 	for _, r := range ranges {
 		switch {
 		case r.Acc == AccNone:
 			continue
-		case call.Acc == AccNone:
-			call.Acc = r.Acc
-		case call.Acc != r.Acc:
-			call.Acc = AccMixed
+		case !ran:
+			ran = true
+			call.Acc, call.MaskFirst, call.Family = r.Acc, r.MaskFirst, r.Family
+		default:
+			if call.Acc != r.Acc {
+				call.Acc, split = AccMixed, true
+			}
+			if call.MaskFirst != r.MaskFirst {
+				call.MaskFirst, split = false, true
+			}
+			call.Family = call.Family || r.Family
 		}
 		if r.Reason > call.Reason {
 			call.Reason = r.Reason
 		}
 	}
-	if call.Acc == AccMixed && !call.Reason.Budget() {
+	if split && !call.Reason.Budget() {
 		call.Reason = ReasonRangesSplit
 	}
 	return call

@@ -51,6 +51,31 @@ func TestPlan(t *testing.T) {
 		{"range: a pinned dense SPA yields to the budget too", planRange,
 			planIn{hint: KernelDense, work: 4000, width: 5000, hashSmaller: true}, Route{Acc: AccHash, Reason: ReasonBudgetSPA}},
 
+		// Mask-first: a dense range under a non-complemented mask no heavier
+		// than the range's flop bound.
+		{"range: mask lighter than the work", planRange, fits(planIn{work: 4000, width: 5000, masked: true, maskNNZ: 300}),
+			Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}},
+		{"range: mask nnz == flops is mask-first", planRange, fits(planIn{work: 4000, width: 5000, masked: true, maskNNZ: 4000}),
+			Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}},
+		{"range: mask one entry heavier filters at emit", planRange, fits(planIn{work: 4000, width: 5000, masked: true, maskNNZ: 4001}),
+			Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: a complemented mask filters at emit", planRange, fits(planIn{work: 4000, width: 5000, masked: true, maskNNZ: 300, maskComp: true}),
+			Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: complement with no mask matrix", planRange, fits(planIn{work: 4000, width: 5000, maskComp: true}),
+			Route{Acc: AccDense, Reason: ReasonDenseWork}},
+		{"range: a hash range filters at emit", planRange, fits(planIn{work: 2499, width: 5000, masked: true, maskNNZ: 300}),
+			Route{Acc: AccHash, Reason: ReasonFewFlops}},
+		{"range: hash pinned filters at emit", planRange, fits(planIn{hint: KernelHash, work: 4000, width: 5000, masked: true, maskNNZ: 300}),
+			Route{Acc: AccHash, Reason: ReasonPin}},
+		{"range: dense pinned runs mask-first", planRange, fits(planIn{hint: KernelDense, work: 10, width: 5000, masked: true, maskNNZ: 10}),
+			Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}},
+		{"range: dense pinned, heavier mask", planRange, fits(planIn{hint: KernelDense, work: 10, width: 5000, masked: true, maskNNZ: 11}),
+			Route{Acc: AccDense, Reason: ReasonPin}},
+		{"range: a budget-refused SPA cannot run mask-first", planRange, planIn{work: 4000, width: 5000, masked: true, maskNNZ: 300, hashSmaller: true},
+			Route{Acc: AccHash, Reason: ReasonBudgetSPA}},
+		{"range: empty mask over an empty dense range", planRange, fits(planIn{width: 1, masked: true}),
+			Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}},
+
 		// Matrix product, call level.
 		{"product: family loop", planProduct, loop(planIn{}), Route{Family: true}},
 		{"product: dense pinned keeps it", planProduct, loop(planIn{hint: KernelDense}), Route{Family: true, Reason: ReasonPin}},
@@ -102,10 +127,29 @@ func TestPlan(t *testing.T) {
 		t.Error("ChoosePush disagrees with planDir on the sparse-mask rows")
 	}
 
+	// Sort-or-scan emit: scan once n·⌈log₂ n⌉ exceeds the width.
+	for _, tc := range []struct {
+		n, width int
+		want     bool
+	}{
+		{0, 0, false}, {1, 0, false}, {1, 1, false}, {2, 1, true}, {2, 2, false},
+		{256, 2048, false}, // 256·8 == 2048: sort
+		{257, 2048, true},  // 257·9
+		{228, 2048, false}, // 228·8 < 2048
+		{400, 2048, true},
+		{8, 24, false}, {9, 35, true}, {9, 36, false},
+	} {
+		if got := scanEmit(tc.n, tc.width); got != tc.want {
+			t.Errorf("scanEmit(%d, %d) = %v, want %v", tc.n, tc.width, got, tc.want)
+		}
+	}
+
 	// A matrix product reports what its ranges did, and the weightiest why.
 	dense := Route{Acc: AccDense, Reason: ReasonDenseWork}
 	hash := Route{Acc: AccHash, Reason: ReasonFewFlops}
 	refused := Route{Acc: AccHash, Reason: ReasonBudgetSPA}
+	family := Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}
+	maskFirst := Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}
 	for _, tc := range []struct {
 		name   string
 		call   Route
@@ -115,7 +159,13 @@ func TestPlan(t *testing.T) {
 	}{
 		{"no ranges ran", Route{Family: true}, []Route{{}, {}}, Route{Family: true}, "auto+mono"},
 		{"all dense", Route{}, []Route{dense, {}, dense}, dense, "auto(dense)"},
-		{"all hash", Route{Family: true}, []Route{hash}, Route{Family: true, Acc: AccHash, Reason: ReasonFewFlops}, "auto(hash)+mono"},
+		{"a family loop some range ran", Route{Family: true}, []Route{hash, family}, Route{Family: true, Acc: AccMixed, Reason: ReasonRangesSplit}, "auto(mixed)+mono"},
+		{"a family loop no range ran", Route{Family: true}, []Route{hash}, hash, "auto(hash)"},
+		{"all mask-first is a closure call", Route{Family: true}, []Route{maskFirst, {}, maskFirst}, maskFirst, "auto(dense)"},
+		{"mask-first beside filter-at-emit is a split", Route{Family: true}, []Route{family, maskFirst, family},
+			Route{Family: true, Acc: AccDense, Reason: ReasonRangesSplit}, "auto(dense)+mono"},
+		{"mask-first first, then filter-at-emit", Route{}, []Route{maskFirst, dense}, Route{Acc: AccDense, Reason: ReasonRangesSplit}, "auto(dense)"},
+		{"mask-first beside a refused SPA", Route{}, []Route{maskFirst, refused}, Route{Acc: AccMixed, Reason: ReasonBudgetSPA}, "auto(mixed)"},
 		{"split", Route{}, []Route{dense, hash}, Route{Acc: AccMixed, Reason: ReasonRangesSplit}, "auto(mixed)"},
 		{"budget outranks the split", Route{}, []Route{dense, refused}, Route{Acc: AccMixed, Reason: ReasonBudgetSPA}, "auto(mixed)"},
 	} {

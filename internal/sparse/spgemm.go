@@ -16,48 +16,70 @@ import (
 // (planRange):
 //
 //   - dense SPA: a width-B.Cols value buffer reused across rows via
-//     generation stamps. O(B.Cols) scratch per worker, O(1) per product.
+//     generation stamps (two generations per row). O(B.Cols) scratch per
+//     worker, O(1) per product.
 //   - hash SPA: an open-addressing table presized from the heaviest row's
 //     flop bound, so it never rehashes mid-row. O(maxRowFlops) scratch per
 //     worker — the hypersparse-regime accumulator, for when B.Cols dwarfs
 //     the work the whole range actually does.
 //
-// Both accumulators visit products in identical (k, t) order and sort each
-// row's pattern before emitting, so their outputs are identical down to
-// floating-point rounding — the property the differential harness asserts.
+// Every route visits products in identical (k, t) order, assigns a column's
+// first product and folds the rest, and emits each row in ascending column
+// order, so their outputs are identical down to floating-point rounding —
+// the property the differential harness asserts.
 //
-// The dense branch's product loop is the plug-in point: when semi tags a hot
-// semiring and A, B, C are exactly one of its hot element types (and spec
-// does not pin SpecGeneric), the family loop from monokernels.go runs there
-// with the two closure calls flattened into arithmetic. Hash ranges always
-// evaluate mul/add: the probe dominates them, not the multiply-add.
+// A dense range under a non-complemented mask no heavier than the range's
+// work runs mask-first (planRange): row i's admitted mask columns are
+// stamped before the products, a product accumulates only into a stamped
+// column — the rest are never multiplied — and the row is emitted by walking
+// the (sorted) mask row: no pattern list, no sort, no filter, and the output
+// is allocated once at the range's mask nnz. This is the masked SpGEMM of
+// Sandia triangle counting, C⟨L⟩ = L +.pair L, doing only the work the mask
+// admits.
 //
-// If mask.M is non-nil (or mask.Complement is set), output entries are
-// filtered at emit time: only positions admitted by the mask are stored.
-// This is the "masked SpGEMM" used by e.g. Sandia triangle counting; it
-// prunes memory (and the sort) even though products are still formed.
+// Every other range forms all products and filters by the mask, if any, at
+// emit time. A dense one first counts its pattern in a stamp-only symbolic
+// pass over the same scratch, so the output is allocated once (exactly, when
+// unmasked), and emits a row whose pattern would cost more to sort than the
+// stamp array costs to scan by that scan (scanEmit). Its product loop is the
+// plug-in point: when semi tags a hot semiring and A, B, C are exactly one of
+// its hot element types (and spec does not pin SpecGeneric), the family loop
+// from monokernels.go runs there with the two closure calls flattened into
+// arithmetic. Hash and mask-first ranges always evaluate mul/add: the probe
+// and the stamp reads dominate them, not the multiply-add.
 //
 // The execution environment is threaded through every allocation and range
-// boundary. Degradation order under memory pressure: halve workers (fewer
-// concurrently-live accumulators), then prefer the hash SPA over the dense
-// one per range when the dense workspace no longer fits, and only when even
-// the cheapest route cannot be charged does it return ErrBudget. A panic
-// anywhere inside — worker goroutines included — comes back as an error, not
-// a crash.
+// boundary, and the cancellation hook is also polled every pollFlops flops
+// inside a range, so a deadline interrupts a one-range product. Degradation
+// order under memory pressure: halve workers (fewer concurrently-live
+// accumulators), then prefer the hash SPA over the dense one per range when
+// the dense workspace no longer fits, and only when even the cheapest route
+// cannot be charged does it return ErrBudget. A panic anywhere inside —
+// worker goroutines included — comes back as an error, not a crash.
 func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 	mul func(A, B) C, add func(C, C) C, mask Mask, e Exec, hint Kernel) (out *CSR[C], err error) {
 	defer recoverExec(&err)
 	rowLoop := familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec)
 	call := planProduct(planIn{hint: hint, hasLoop: rowLoop != nil})
-	e.note(call)
+	// What the ranges ran, not what the call admitted, is counted and
+	// published — on every exit, so a call that fails before any range still
+	// reports its plan.
+	var ran []Route
+	defer func() {
+		call = mergeRanges(call, ran)
+		if call.Family {
+			monoKernels.Add(1)
+		} else {
+			closureFallbacks.Add(1)
+		}
+		e.note(call)
+	}()
 	// The family loops keep their own fault sites, so the chaos sweep can
 	// fail a product inside a specialized loop and inside the closure one.
 	loopSite, spaSite := siteSpGEMMDense, siteSpGEMMDense
 	if call.Family {
-		monoKernels.Add(1)
 		loopSite, spaSite = siteMonoLoop, siteMonoSpa
 	} else {
-		closureFallbacks.Add(1)
 		rowLoop = nil
 	}
 	threads := e.threads()
@@ -91,10 +113,7 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 		return nil, cerr
 	}
 	rowLen := make([]int, a.Rows)
-	var picked []Route // per-range routes, kept only for an observing caller
-	if e.Route != nil {
-		picked = make([]Route, nparts)
-	}
+	ran = make([]Route, nparts)
 	masked := mask.M != nil || mask.Complement
 	parallel.Run(parts, threads, func(part, lo, hi int) {
 		if call.Family {
@@ -110,6 +129,14 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 				maxFlops = f
 			}
 		}
+		// tick polls for cancellation once per pollFlops flops of rows begun.
+		sincePoll := 0
+		tick := func(i int) {
+			if sincePoll += fptr[i+1] - fptr[i]; sincePoll >= pollFlops {
+				sincePoll = 0
+				e.poll()
+			}
+		}
 		var ind []int
 		var val []C
 		pattern := make([]int, 0, 256)
@@ -119,27 +146,27 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 		var mVal []bool
 		mk := 0
 		admit := func(j int) bool {
-			mt := maskTest(mInd, mVal, mask.Structural, j, &mk)
-			if mask.Complement {
-				mt = !mt
-			}
-			return mt
+			return maskTest(mInd, mVal, mask.Structural, j, &mk) != mask.Complement
 		}
 		hashBytes := int64(hashCapacity(maxFlops)) * slot
-		rt := planRange(planIn{hint: hint, work: rangeFlops, width: b.Cols,
-			denseFits: e.Tx.Fits(denseBytes), hashSmaller: hashBytes < denseBytes})
+		in := planIn{hint: hint, work: rangeFlops, width: b.Cols, maskComp: mask.Complement,
+			denseFits: e.Tx.Fits(denseBytes), hashSmaller: hashBytes < denseBytes}
+		if mask.M != nil {
+			in.masked, in.maskNNZ = true, mask.M.Ptr[hi]-mask.M.Ptr[lo]
+		}
+		rt := planRange(in)
 		if rt.Reason.Budget() {
 			budgetDegrades.Add(1)
 		}
-		if picked != nil {
-			picked[part] = rt
-		}
+		rt.Family = rowLoop != nil && rt.Acc == AccDense && !rt.MaskFirst
+		ran[part] = rt
 		if rt.Acc == AccHash {
 			hashRanges.Add(1)
 			e.mustCharge(siteSpGEMMHash, hashBytes)
 			var h hashAccum[C]
 			h.ensure(maxFlops)
 			for i := lo; i < hi; i++ {
+				tick(i)
 				pattern = pattern[:0]
 				aInd, aVal := a.Row(i)
 				for k := range aInd {
@@ -161,19 +188,12 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 				}
 				sort.Ints(pattern)
 				start := len(ind)
-				if masked {
-					if mask.M != nil {
-						mInd, mVal = mask.M.Row(i)
-					}
-					mk = 0
-					for _, j := range pattern {
-						if admit(j) {
-							ind = append(ind, j)
-							val = append(val, h.vals[h.slot(j)])
-						}
-					}
-				} else {
-					for _, j := range pattern {
+				if mask.M != nil {
+					mInd, mVal = mask.M.Row(i)
+				}
+				mk = 0
+				for _, j := range pattern {
+					if !masked || admit(j) {
 						ind = append(ind, j)
 						val = append(val, h.vals[h.slot(j)])
 					}
@@ -181,12 +201,72 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 				rowLen[i] = len(ind) - start
 				h.reset()
 			}
+			pInd[part], pVal[part] = ind, val
+			return
+		}
+		denseRanges.Add(1)
+		e.mustCharge(spaSite, denseBytes)
+		spa := make([]C, b.Cols)
+		// Generation marks, two per row. Mask-first: 2i+1 admitted and still
+		// empty, 2i+2 admitted and filled. Otherwise: 2i+1 counted by the
+		// symbolic pass, 2i+2 holds a value.
+		stamp := make([]int, b.Cols)
+		scratchBytes.Add(denseBytes)
+		if rt.MaskFirst {
+			ind = make([]int, 0, in.maskNNZ)
+			val = make([]C, 0, in.maskNNZ)
+			for i := lo; i < hi; i++ {
+				tick(i)
+				open, filled := 2*i+1, 2*i+2
+				admitted, mval := mask.M.Row(i)
+				for t, j := range admitted {
+					if mask.Structural || mval[t] {
+						stamp[j] = open
+					}
+				}
+				aInd, aVal := a.Row(i)
+				for k := range aInd {
+					bInd, bVal := b.Row(aInd[k])
+					av := aVal[k]
+					for t, j := range bInd {
+						switch stamp[j] {
+						case open:
+							stamp[j] = filled
+							spa[j] = mul(av, bVal[t])
+						case filled:
+							spa[j] = add(spa[j], mul(av, bVal[t]))
+						}
+					}
+				}
+				start := len(ind)
+				for _, j := range admitted {
+					if stamp[j] == filled {
+						ind = append(ind, j)
+						val = append(val, spa[j])
+					}
+				}
+				rowLen[i] = len(ind) - start
+			}
 		} else {
-			denseRanges.Add(1)
-			e.mustCharge(spaSite, denseBytes)
-			spa := make([]C, b.Cols)
-			stamp := make([]int, b.Cols) // generation marks; row i is generation i+1
-			scratchBytes.Add(denseBytes)
+			// Symbolic pass: the range's pattern size — the output's exact
+			// size when unmasked, a bound on it under a mask.
+			n := 0
+			for i := lo; i < hi; i++ {
+				tick(i)
+				gen := 2*i + 1
+				aInd, _ := a.Row(i)
+				for _, k := range aInd {
+					bInd, _ := b.Row(k)
+					for _, j := range bInd {
+						if stamp[j] != gen {
+							n++
+						}
+						stamp[j] = gen
+					}
+				}
+			}
+			ind = make([]int, 0, n)
+			val = make([]C, 0, n)
 			// A family loop takes its pattern buffer through an indirect
 			// call, so that buffer lives on the heap; keeping it apart lets
 			// the closure loop's stay on the stack.
@@ -195,7 +275,8 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 				famPattern = make([]int, 0, 256)
 			}
 			for i := lo; i < hi; i++ {
-				gen := i + 1
+				tick(i)
+				gen := 2*i + 2
 				if rowLoop != nil {
 					famPattern = rowLoop(a, b, spa, stamp, gen, famPattern[:0], i)
 					pattern = famPattern
@@ -218,9 +299,25 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 						}
 					}
 				}
-				sort.Ints(pattern)
+				if scanEmit(len(pattern), b.Cols) {
+					// Rewrite the pattern in column order: slot k takes every
+					// candidate column until one carries the row's stamp.
+					for j, k := 0, 0; k < len(pattern); j++ {
+						pattern[k] = j
+						if stamp[j] == gen {
+							k++
+						}
+					}
+				} else {
+					sort.Ints(pattern)
+				}
 				start := len(ind)
-				if masked {
+				if !masked { // its own loop: a closure call in it would spill this one
+					for _, j := range pattern {
+						ind = append(ind, j)
+						val = append(val, spa[j])
+					}
+				} else {
 					if mask.M != nil {
 						mInd, mVal = mask.M.Row(i)
 					}
@@ -231,22 +328,13 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 							val = append(val, spa[j])
 						}
 					}
-				} else {
-					for _, j := range pattern {
-						ind = append(ind, j)
-						val = append(val, spa[j])
-					}
 				}
 				rowLen[i] = len(ind) - start
 			}
 		}
-		pInd[part] = ind
-		pVal[part] = val
+		pInd[part], pVal[part] = ind, val
 	})
-	installStitched(out, parts, pInd, pVal, rowLen)
-	if picked != nil {
-		e.note(mergeRanges(call, picked))
-	}
+	installStitched(out, pInd, pVal, rowLen)
 	return out, nil
 }
 

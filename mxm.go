@@ -92,12 +92,18 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 		if err != nil {
 			return nil, err
 		}
-		// The mask prunes the product at emit time only when it does not
-		// change the accumulated result: pruned positions would be dropped
-		// by MaskApplyM anyway.
+		// The kernel applies the mask itself (mask-first, or at emit time):
+		// that never changes the accumulated result, since the positions it
+		// drops are the ones MaskApplyM would drop anyway.
 		t, err := sparse.SpGEMMSemiEx(semiring.semi, sparse.Spec(d.Spec), A, B, semiring.Mul, semiring.Add.Op, mk, e, sparse.Kernel(d.AxB))
 		if err != nil {
 			return nil, err
+		}
+		// With no accumulator and nothing of C to keep, the write-back under
+		// the mask would only copy t: the kernel admitted exactly the
+		// positions MaskApplyM would.
+		if accum == nil && mk.M != nil && (d.Replace || cOld.NNZ() == 0) {
+			return t, nil
 		}
 		z := sparse.AccumMergeM(cOld, t, accum, threads)
 		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil

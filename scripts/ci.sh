@@ -83,10 +83,10 @@ bench_smoke_tier() {
 run build go build ./...
 run test go test ./...
 run fmt sh scripts/fmt.sh
-run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve
+run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph
 run lint go run ./cmd/grblint -time ./...
 run bench-smoke bench_smoke_tier
-run grbcheck go test -tags grbcheck -race . ./internal/sparse
+run grbcheck go test -tags grbcheck -race . ./internal/sparse ./lagraph
 run serve go run ./cmd/grbserve -selfcheck
 run coverage coverage_tier
 

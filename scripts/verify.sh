@@ -21,7 +21,7 @@ echo "== fmt tier: gofmt -l over tracked .go files outside testdata/ =="
 sh scripts/fmt.sh
 
 echo "== race tier: multithread / nonblocking / differential / observability suites =="
-go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve
+go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph
 
 echo "== lint tier: grblint (infocheck, snapshotcheck, lockcheck, enumcheck) =="
 go run ./cmd/grblint ./...
@@ -31,7 +31,7 @@ go -C benchmark vet ./...
 go -C benchmark test ./...
 
 echo "== invariant tier: grbcheck runtime validators under -race =="
-go test -tags grbcheck -race . ./internal/sparse
+go test -tags grbcheck -race . ./internal/sparse ./lagraph
 
 echo "== chaos tier: fault-injection sweep + budget/cancel hardening suites =="
 go test -tags grbcheck -race -count=1 \
