@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt race bench lint bench-smoke checktags chaos soak verify ci verify-bench
+.PHONY: all build test fmt race bench lint bench-smoke checktags chaos soak fuzz verify ci verify-bench
 
 all: build test
 
@@ -20,10 +20,11 @@ fmt:
 # the root package (multithreaded method calls, the nonblocking pipeline),
 # internal/sparse (the dense-vs-hash differential kernel harness, which runs
 # both accumulators across worker counts), internal/parallel,
-# internal/obsv (concurrent emit into every sink) and lagraph (TriangleCount,
-# KTruss, ClusteringCoefficient: the masked-SpGEMM consumers).
+# internal/obsv (concurrent emit into every sink), lagraph (TriangleCount,
+# KTruss, ClusteringCoefficient: the masked-SpGEMM consumers) and mtx (the
+# reader hands out views into a buffer it reuses).
 race:
-	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph
+	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 
 # Kernel benchmarks, including the hypersparse adaptive-selection family.
 bench:
@@ -68,7 +69,13 @@ chaos:
 soak:
 	GRB_SOAK=10s $(GO) test -race -count=1 -run 'TestOverloadSoak' ./serve
 
-verify: test fmt race lint bench-smoke checktags chaos soak
+# Fuzz tier: ten seconds of native fuzzing of mtx.Read, every input checked
+# against the reader it replaced. The seed corpus runs as a plain test in
+# tier-1 and is what gates; CI runs this in advisory mode.
+fuzz:
+	$(GO) test ./mtx -run '^$$' -fuzz FuzzRead -fuzztime 10s
+
+verify: test fmt race lint bench-smoke checktags chaos soak fuzz
 
 # The full tiered CI chain: build -> tier-1 -> fmt -> race -> lint ->
 # bench-smoke -> grbcheck -> coverage floor, with per-tier timing and a machine-readable CI_SUMMARY line.

@@ -19,7 +19,13 @@ import (
 // and logs it for reproducibility.
 func diffSeed(t *testing.T) int64 {
 	t.Helper()
-	seed := time.Now().UnixNano()
+	return seedOr(t, time.Now().UnixNano())
+}
+
+// seedOr is diffSeed with the default seed the caller names, for tests that
+// run the same cases on every tier-1 run.
+func seedOr(t *testing.T, seed int64) int64 {
+	t.Helper()
 	if s := os.Getenv("GRB_DIFF_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {

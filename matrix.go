@@ -474,21 +474,21 @@ func (m *Matrix[T]) Build(I, J []Index, X []T, dup BinaryOp[T, T, T]) error {
 			return errf(InvalidIndex, "Build: coordinate (%d,%d) outside %dx%d", I[k], J[k], rows, cols)
 		}
 	}
-	// Copy the caller's slices: the sequence may execute after they change.
-	ci := append([]Index(nil), I...)
-	cj := append([]Index(nil), J...)
-	cx := append([]T(nil), X...)
+	// The O(n) bucket pass runs now and is the defensive copy: it reads the
+	// caller's slices for the last time, so the sequence may execute after
+	// they change. The per-row sort and fold — where dup runs and a duplicate
+	// becomes an execution error — is the deferred step.
+	b, err := sparse.Bucket(rows, cols, I, J, X)
+	if err != nil {
+		return mapSparseErr(err, "Build")
+	}
 	var ev *obsv.Event
 	if obsv.Active() {
 		ev = (&obsv.Event{Op: "Matrix.Build", Kind: "kernel"}).
-			A(rows, cols, len(ci))
+			A(rows, cols, len(I))
 	}
 	return m.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		var d func(T, T) T
-		if dup != nil {
-			d = dup
-		}
-		nc, err := sparse.BuildCSR(rows, cols, ci, cj, cx, d)
+		nc, err := b.Fold(dup)
 		if err != nil {
 			return nil, mapSparseErr(err, "Build")
 		}

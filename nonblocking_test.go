@@ -201,3 +201,31 @@ func TestFinalizeInvalidatesObjects(t *testing.T) {
 	_ = Init(NonBlocking)                //grblint:ignore infocheck -- best-effort restore for later tests
 	t.Cleanup(func() { _ = Finalize() }) //grblint:ignore infocheck -- best-effort teardown
 }
+
+// Build reads its arguments at the call (the bucket pass is the defensive
+// copy) and folds at the drain: changing the slices in between changes
+// nothing, and a duplicate under a nil dup is still the sequence's error,
+// not the call's.
+func TestBuildReadsItsArgumentsAtTheCall(t *testing.T) {
+	setMode(t, NonBlocking)
+	I, J, X := []Index{2, 0, 2, 1, 2}, []Index{1, 3, 1, 0, 0}, []int{10, 20, 3, 40, 50}
+	a := ck1(NewMatrix[int](3, 4))
+	if err := a.Build(I, J, X, Minus[int]); err != nil {
+		t.Fatal(err)
+	}
+	for k := range I {
+		I[k], J[k], X[k] = 0, 0, -1
+	}
+	// Minus does not commute: (2,1) folds as 10-3, in input order.
+	matrixEquals(t, a, []Index{0, 1, 2, 2}, []Index{3, 0, 0, 1}, []int{20, 40, 50, 7})
+
+	I, J, X = []Index{1, 1}, []Index{2, 2}, []int{1, 2}
+	b := ck1(NewMatrix[int](3, 4))
+	if err := b.Build(I, J, X, nil); err != nil {
+		t.Fatalf("nonblocking Build should defer the duplicate error, got %v now", err)
+	}
+	J[1] = 3 // no longer a duplicate, but Build has already read it
+	if err := b.Wait(Materialize); Code(err) != InvalidValue {
+		t.Fatalf("Wait(Materialize) = %v, want InvalidValue (duplicate with nil dup)", err)
+	}
+}

@@ -27,9 +27,11 @@
 #             loopback listener
 #   coverage  total statement coverage against scripts/coverage_floor.txt
 #
-# Two advisory tiers follow (reported on the summary line, never gating):
-# soak (10s serving-stack overload storm under -race with faults armed) and
-# chaos (the fault-injection sweep).
+# Three advisory tiers follow (reported on the summary line, never gating):
+# soak (10s serving-stack overload storm under -race with faults armed),
+# chaos (the fault-injection sweep) and fuzz (10s of native fuzzing of the
+# Matrix Market reader against its reference; the seed corpus already ran as
+# a plain test in tier-1, and that is what gates).
 #
 # A failing tier stops the run; the summary line then reports status=fail and
 # the tier that failed, still on one greppable line. The bench-regression gate
@@ -83,7 +85,7 @@ bench_smoke_tier() {
 run build go build ./...
 run test go test ./...
 run fmt sh scripts/fmt.sh
-run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph
+run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 run lint go run ./cmd/grblint -time ./...
 run bench-smoke bench_smoke_tier
 run grbcheck go test -tags grbcheck -race . ./internal/sparse ./lagraph
@@ -126,4 +128,21 @@ t1=$(date +%s)
 SUMMARY="${SUMMARY}chaos=$((t1 - t0))s "
 TIERS=$((TIERS + 1))
 
-echo "CI_SUMMARY status=ok tiers=$TIERS ${SUMMARY}soak_status=$soak_status chaos_status=$chaos_status"
+# Fuzz tier (advisory): ten seconds of go's native fuzzer on mtx.Read, every
+# input checked against the reader it replaced (FuzzRead). Its seed corpus is
+# part of tier-1; new inputs the mutator finds here are reported as
+# fuzz_status, never gating, because what it reaches in ten seconds varies
+# from run to run. A failing input is written under mtx/testdata/fuzz/.
+echo "== tier: fuzz (advisory) =="
+t0=$(date +%s)
+if go test ./mtx -run '^$' -fuzz FuzzRead -fuzztime 10s; then
+    fuzz_status=ok
+else
+    fuzz_status=fail
+    echo "fuzz: advisory fuzzing of mtx.Read failed (does not gate the run; see make fuzz)" >&2
+fi
+t1=$(date +%s)
+SUMMARY="${SUMMARY}fuzz=$((t1 - t0))s "
+TIERS=$((TIERS + 1))
+
+echo "CI_SUMMARY status=ok tiers=$TIERS ${SUMMARY}soak_status=$soak_status chaos_status=$chaos_status fuzz_status=$fuzz_status"

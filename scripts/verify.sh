@@ -7,9 +7,10 @@
 # passes its tests), and the invariant tier (the race
 # suites again with the grbcheck runtime validators compiled in), then the
 # chaos tier (the fault-injection sweep and hardening suites with grbcheck
-# compiled in) and the soak tier (the serving stack's overload storm under
-# -race with faults armed). Equivalent to `make verify`; kept as a script so
-# CI hooks without make can run it.
+# compiled in), the soak tier (the serving stack's overload storm under
+# -race with faults armed) and the fuzz tier (ten seconds of native fuzzing
+# of the Matrix Market reader against its reference). Equivalent to `make
+# verify`; kept as a script so CI hooks without make can run it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,7 +22,7 @@ echo "== fmt tier: gofmt -l over tracked .go files outside testdata/ =="
 sh scripts/fmt.sh
 
 echo "== race tier: multithread / nonblocking / differential / observability suites =="
-go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph
+go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 
 echo "== lint tier: grblint (infocheck, snapshotcheck, lockcheck, enumcheck) =="
 go run ./cmd/grblint ./...
@@ -39,5 +40,8 @@ go test -tags grbcheck -race -count=1 \
 
 echo "== soak tier: serving-stack overload storm under -race, faults armed =="
 GRB_SOAK=10s go test -race -count=1 -run 'TestOverloadSoak' ./serve
+
+echo "== fuzz tier: mtx.Read against its reference, 10 s of native fuzzing =="
+go test ./mtx -run '^$' -fuzz FuzzRead -fuzztime 10s
 
 echo "verify: OK"

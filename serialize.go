@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"fmt"
 	"math"
 	"reflect"
+	"slices"
 
 	"github.com/grblas/grb/internal/sparse"
 )
@@ -32,85 +32,232 @@ func typeName[T any]() string {
 	return reflect.TypeOf(&zero).Elem().String()
 }
 
-// encodeValues appends the encoded value payload. Numeric and bool domains
-// use fixed-width little-endian fast paths; everything else uses gob.
-func encodeValues[T any](buf *bytes.Buffer, vals []T) error {
+// fixedWidth returns the bytes one value of T takes in a stream, or 0 when T
+// is not one of the thirteen fast-path domains and its values travel as gob.
+func fixedWidth[T any]() int {
+	var zero T
+	switch any(zero).(type) {
+	case bool, int8, uint8:
+		return 1
+	case int16, uint16:
+		return 2
+	case int32, uint32, float32:
+		return 4
+	case int64, uint64, int, uint, float64:
+		return 8
+	}
+	return 0
+}
+
+// The stream, every integer a little-endian int64:
+//
+//	magic "GRB2.0" | kind 'M' or 'V' | len(name), name of T
+//	matrix: rows | cols | len(Ptr), Ptr | len(Ind), Ind
+//	vector: n | len(Ind), Ind
+//	len(Val) | tag | Val: tag 0, len(Val)·fixedWidth bytes; tag 1, gob
+//
+// streamSize is its exact length for a fast-path domain — 56+len(name)+
+// 8·(rows+1)+(8+w)·nnz for a matrix, 40+len(name)+(8+w)·nnz for a vector —
+// and 0 for a gob domain, whose length only encoding tells.
+func streamSize[T any](kind byte, nptr, nvals int) int {
+	w := fixedWidth[T]()
+	if w == 0 {
+		return 0
+	}
+	size := len(serMagic) + 1 + 8 + len(typeName[T]()) + 8 + 8 + 8*nvals + 8 + 1 + w*nvals
+	if kind == serKindMatrix {
+		size += 8 + 8 + 8*nptr
+	}
+	return size
+}
+
+// appendStream appends the stream of one object to b: dims is rows, cols and
+// ptr the row pointers for a matrix, n and nil for a vector. Called with room
+// for streamSize bytes it writes each byte once and allocates nothing.
+func appendStream[T any](b []byte, kind byte, dims []int, ptr, ind []int, vals []T) ([]byte, error) {
+	b = append(append(b, serMagic[:]...), kind)
+	name := typeName[T]()
+	b = append(appendInt(b, len(name)), name...)
+	for _, d := range dims {
+		b = appendInt(b, d)
+	}
+	if kind == serKindMatrix {
+		b = appendInts(b, ptr)
+	}
+	b = appendInt(appendInts(b, ind), len(vals))
+	w := fixedWidth[T]()
+	if w == 0 {
+		buf := bytes.NewBuffer(append(b, 1))
+		if err := gob.NewEncoder(buf).Encode(vals); err != nil {
+			return nil, errf(InvalidValue, "serialize: gob encoding failed: %v", err)
+		}
+		return buf.Bytes(), nil
+	}
+	b = append(b, 0)
+	b, p := grow(b, w*len(vals))
+	le := binary.LittleEndian
 	switch vs := any(vals).(type) {
 	case []bool:
-		buf.WriteByte(0)
-		for _, v := range vs {
+		for i, v := range vs {
+			p[i] = 0
 			if v {
-				buf.WriteByte(1)
-			} else {
-				buf.WriteByte(0)
+				p[i] = 1
 			}
 		}
 	case []int8:
-		buf.WriteByte(0)
-		for _, v := range vs {
-			buf.WriteByte(byte(v))
+		for i, v := range vs {
+			p[i] = byte(v)
 		}
 	case []uint8:
-		buf.WriteByte(0)
-		buf.Write(vs)
+		copy(p, vs)
 	case []int16:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v int16) { binary.LittleEndian.PutUint16(b, uint16(v)) }, 2)
+		put16(p, vs)
 	case []uint16:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }, 2)
+		put16(p, vs)
 	case []int32:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) }, 4)
+		put32(p, vs)
 	case []uint32:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }, 4)
+		put32(p, vs)
 	case []int64:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }, 8)
+		put64(p, vs)
 	case []uint64:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }, 8)
+		put64(p, vs)
 	case []int:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v int) { binary.LittleEndian.PutUint64(b, uint64(v)) }, 8)
+		put64(p, vs)
 	case []uint:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v uint) { binary.LittleEndian.PutUint64(b, uint64(v)) }, 8)
+		put64(p, vs)
 	case []float32:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }, 4)
-	case []float64:
-		buf.WriteByte(0)
-		writeFixed(buf, vs, func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }, 8)
-	default:
-		buf.WriteByte(1) // gob-encoded payload
-		enc := gob.NewEncoder(buf)
-		if err := enc.Encode(vals); err != nil {
-			return errf(InvalidValue, "serialize: gob encoding failed: %v", err)
+		for i, v := range vs {
+			le.PutUint32(p[4*i:], math.Float32bits(v))
 		}
+	case []float64:
+		for i, v := range vs {
+			le.PutUint64(p[8*i:], math.Float64bits(v))
+		}
+	}
+	return b, nil
+}
+
+// grow extends b by n bytes and returns it with the extension.
+func grow(b []byte, n int) (whole, tail []byte) {
+	b = slices.Grow(b, n)[:len(b)+n]
+	return b, b[len(b)-n:]
+}
+
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+func appendInts(b []byte, s []int) []byte {
+	b, p := grow(appendInt(b, len(s)), 8*len(s))
+	put64(p, s)
+	return b
+}
+
+func put16[T int16 | uint16](p []byte, vs []T) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint16(p[2*i:], uint16(v))
+	}
+}
+
+func put32[T int32 | uint32](p []byte, vs []T) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(p[4*i:], uint32(v))
+	}
+}
+
+func put64[T int64 | uint64 | int | uint](p []byte, vs []T) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(p[8*i:], uint64(v))
+	}
+}
+
+func get16[T int16 | uint16](vs []T, p []byte) {
+	for i := range vs {
+		vs[i] = T(binary.LittleEndian.Uint16(p[2*i:]))
+	}
+}
+
+func get32[T int32 | uint32](vs []T, p []byte) {
+	for i := range vs {
+		vs[i] = T(binary.LittleEndian.Uint32(p[4*i:]))
+	}
+}
+
+func get64[T int64 | uint64 | int | uint](vs []T, p []byte) {
+	for i := range vs {
+		vs[i] = T(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
+
+// decoder reads a stream front to back. A read past the end, or a length the
+// remaining bytes cannot hold, sets bad and yields zero values from then on,
+// so a caller checks once, before it trusts anything it read.
+type decoder struct {
+	rest []byte
+	bad  bool
+}
+
+// take returns the next n bytes; n is checked against what is left before
+// anything is sized by it.
+func (d *decoder) take(n int) []byte {
+	if d.bad || n < 0 || n > len(d.rest) {
+		d.bad = true
+		return nil
+	}
+	p := d.rest[:n]
+	d.rest = d.rest[n:]
+	return p
+}
+
+func (d *decoder) int() int {
+	if p := d.take(8); p != nil {
+		return int(binary.LittleEndian.Uint64(p))
+	}
+	return 0
+}
+
+// ints reads a length-prefixed int array, allocating only once the stream is
+// known to hold that many.
+func (d *decoder) ints() []int {
+	n := d.int()
+	if n < 0 || n > len(d.rest)/8 {
+		d.bad = true
+		return nil
+	}
+	s := make([]int, n)
+	get64(s, d.take(8*n))
+	return s
+}
+
+// header checks magic, kind and domain, the common front of both streams.
+func header[T any](d *decoder, kind byte, who string) error {
+	if string(d.take(len(serMagic))) != string(serMagic[:]) {
+		return errf(InvalidObject, "%s: bad magic", who)
+	}
+	if k := d.take(1); k == nil || k[0] != kind {
+		return errf(InvalidObject, "%s: stream holds another kind of object", who)
+	}
+	name := d.take(d.int())
+	if d.bad {
+		return errf(InvalidObject, "%s: bad domain name", who)
+	}
+	if string(name) != typeName[T]() {
+		return errf(DomainMismatch, "%s: stream domain %s, requested %s", who, name, typeName[T]())
 	}
 	return nil
 }
 
-func writeFixed[T any](buf *bytes.Buffer, vals []T, put func([]byte, T), width int) {
-	var scratch [8]byte
-	for _, v := range vals {
-		put(scratch[:width], v)
-		buf.Write(scratch[:width])
-	}
-}
-
-// decodeValues reads a value payload of n entries.
-func decodeValues[T any](r *bytes.Reader, n int) ([]T, error) {
-	tag, err := r.ReadByte()
-	if err != nil {
+// values reads the value payload, which must hold exactly n entries: a
+// fixed-width payload shorter than n·width is a truncated stream.
+func values[T any](d *decoder, n int) ([]T, error) {
+	tag := d.take(1)
+	if tag == nil {
 		return nil, errf(InvalidObject, "deserialize: truncated value payload")
 	}
-	if tag == 1 {
+	if tag[0] == 1 {
 		var vals []T
-		dec := gob.NewDecoder(r)
-		if err := dec.Decode(&vals); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(d.rest)).Decode(&vals); err != nil {
 			return nil, errf(InvalidObject, "deserialize: gob decoding failed: %v", err)
 		}
 		if len(vals) != n {
@@ -118,203 +265,118 @@ func decodeValues[T any](r *bytes.Reader, n int) ([]T, error) {
 		}
 		return vals, nil
 	}
+	w := fixedWidth[T]()
+	if w == 0 {
+		return nil, errf(InvalidObject, "deserialize: stream has fixed-width payload but domain %s needs gob", typeName[T]())
+	}
+	if n < 0 || n > len(d.rest)/w {
+		return nil, errf(InvalidObject, "deserialize: truncated %s payload", typeName[T]())
+	}
+	p := d.take(w * n)
 	vals := make([]T, n)
+	le := binary.LittleEndian
 	switch vs := any(vals).(type) {
 	case []bool:
 		for i := range vs {
-			b, err := r.ReadByte()
-			if err != nil {
-				return nil, errf(InvalidObject, "deserialize: truncated bool payload")
-			}
-			vs[i] = b != 0
+			vs[i] = p[i] != 0
 		}
 	case []int8:
 		for i := range vs {
-			b, err := r.ReadByte()
-			if err != nil {
-				return nil, errf(InvalidObject, "deserialize: truncated int8 payload")
-			}
-			vs[i] = int8(b)
+			vs[i] = int8(p[i])
 		}
 	case []uint8:
-		if _, err := r.Read(vs); err != nil && n > 0 {
-			return nil, errf(InvalidObject, "deserialize: truncated uint8 payload")
-		}
+		copy(vs, p)
 	case []int16:
-		if err := readFixed(r, vs, func(b []byte) int16 { return int16(binary.LittleEndian.Uint16(b)) }, 2); err != nil {
-			return nil, err
-		}
+		get16(vs, p)
 	case []uint16:
-		if err := readFixed(r, vs, binary.LittleEndian.Uint16, 2); err != nil {
-			return nil, err
-		}
+		get16(vs, p)
 	case []int32:
-		if err := readFixed(r, vs, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }, 4); err != nil {
-			return nil, err
-		}
+		get32(vs, p)
 	case []uint32:
-		if err := readFixed(r, vs, binary.LittleEndian.Uint32, 4); err != nil {
-			return nil, err
-		}
+		get32(vs, p)
 	case []int64:
-		if err := readFixed(r, vs, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) }, 8); err != nil {
-			return nil, err
-		}
+		get64(vs, p)
 	case []uint64:
-		if err := readFixed(r, vs, binary.LittleEndian.Uint64, 8); err != nil {
-			return nil, err
-		}
+		get64(vs, p)
 	case []int:
-		if err := readFixed(r, vs, func(b []byte) int { return int(binary.LittleEndian.Uint64(b)) }, 8); err != nil {
-			return nil, err
-		}
+		get64(vs, p)
 	case []uint:
-		if err := readFixed(r, vs, func(b []byte) uint { return uint(binary.LittleEndian.Uint64(b)) }, 8); err != nil {
-			return nil, err
-		}
+		get64(vs, p)
 	case []float32:
-		if err := readFixed(r, vs, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }, 4); err != nil {
-			return nil, err
+		for i := range vs {
+			vs[i] = math.Float32frombits(le.Uint32(p[4*i:]))
 		}
 	case []float64:
-		if err := readFixed(r, vs, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }, 8); err != nil {
-			return nil, err
+		for i := range vs {
+			vs[i] = math.Float64frombits(le.Uint64(p[8*i:]))
 		}
-	default:
-		return nil, errf(InvalidObject, "deserialize: stream has fixed-width payload but domain %s needs gob", typeName[T]())
 	}
 	return vals, nil
 }
 
-func readFixed[T any](r *bytes.Reader, vals []T, get func([]byte) T, width int) error {
-	var scratch [8]byte
-	for i := range vals {
-		if _, err := fullRead(r, scratch[:width]); err != nil {
-			return errf(InvalidObject, "deserialize: truncated payload")
-		}
-		vals[i] = get(scratch[:width])
-	}
-	return nil
-}
-
-func fullRead(r *bytes.Reader, b []byte) (int, error) {
-	total := 0
-	for total < len(b) {
-		n, err := r.Read(b[total:])
-		total += n
+// serializeInto writes a stream into buf, or reports how much room it needs.
+// A fast-path domain is sized first and encoded in place; a gob domain is
+// encoded to find out, in buf if it happens to fit.
+func serializeInto[T any](buf []byte, kind byte, dims []int, ptr, ind []int, vals []T) (Index, error) {
+	need := streamSize[T](kind, len(ptr), len(vals))
+	if need <= len(buf) {
+		data, err := appendStream(buf[:0:len(buf)], kind, dims, ptr, ind, vals)
 		if err != nil {
-			return total, err
+			return 0, err
 		}
+		need = len(data)
 	}
-	return total, nil
+	if need > len(buf) {
+		return 0, errf(InsufficientSpace, "Serialize: need %d bytes, buffer has %d", need, len(buf))
+	}
+	return need, nil
 }
 
-func writeInt(buf *bytes.Buffer, v int) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	buf.Write(b[:])
+// serializeBytes allocates the stream: once, at its exact size, for a
+// fast-path domain.
+func serializeBytes[T any](kind byte, dims []int, ptr, ind []int, vals []T) ([]byte, error) {
+	return appendStream(make([]byte, 0, streamSize[T](kind, len(ptr), len(vals))), kind, dims, ptr, ind, vals)
 }
 
-func readInt(r *bytes.Reader) (int, error) {
-	var b [8]byte
-	if _, err := fullRead(r, b[:]); err != nil {
-		return 0, err
+// serializeSize is arithmetic for a fast-path domain; a gob domain has to be
+// encoded to be measured.
+func serializeSize[T any](kind byte, dims []int, ptr, ind []int, vals []T) (Index, error) {
+	if size := streamSize[T](kind, len(ptr), len(vals)); size > 0 {
+		return size, nil
 	}
-	return int(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeInt(buf, len(s))
-	buf.WriteString(s)
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := readInt(r)
-	// Bound by the bytes actually remaining: corrupted streams must fail
-	// before any allocation proportional to the bogus length.
-	if err != nil || n < 0 || n > r.Len() {
-		return "", fmt.Errorf("bad string length")
-	}
-	b := make([]byte, n)
-	if _, err := fullRead(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func writeIntSlice(buf *bytes.Buffer, s []int) {
-	writeInt(buf, len(s))
-	for _, v := range s {
-		writeInt(buf, v)
-	}
-}
-
-func readIntSlice(r *bytes.Reader) ([]int, error) {
-	n, err := readInt(r)
-	// Each element occupies 8 bytes; a length beyond the remaining input is
-	// corruption and must be rejected before allocating.
-	if err != nil || n < 0 || n > r.Len()/8 {
-		return nil, fmt.Errorf("bad slice length")
-	}
-	s := make([]int, n)
-	for i := range s {
-		if s[i], err = readInt(r); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// serializeMatrixBytes builds the full serialized stream for a matrix.
-func serializeMatrixBytes[T any](m *Matrix[T]) ([]byte, error) {
-	c, err := m.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	buf.Write(serMagic[:])
-	buf.WriteByte(serKindMatrix)
-	writeString(&buf, typeName[T]())
-	writeInt(&buf, c.Rows)
-	writeInt(&buf, c.Cols)
-	writeIntSlice(&buf, c.Ptr)
-	writeIntSlice(&buf, c.Ind)
-	writeInt(&buf, len(c.Val))
-	if err := encodeValues(&buf, c.Val); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	data, err := appendStream(nil, kind, dims, ptr, ind, vals)
+	return len(data), err
 }
 
 // SerializeSize returns the number of bytes Serialize needs
 // (GrB_Matrix_serializeSize).
 func (m *Matrix[T]) SerializeSize() (Index, error) {
-	data, err := serializeMatrixBytes(m)
+	c, err := m.snapshot()
 	if err != nil {
 		return 0, err
 	}
-	return len(data), nil
+	return serializeSize(serKindMatrix, []int{c.Rows, c.Cols}, c.Ptr, c.Ind, c.Val)
 }
 
 // Serialize writes the matrix into buf as an opaque byte stream
 // (GrB_Matrix_serialize) and returns the number of bytes written.
 // InsufficientSpace is returned when buf is smaller than SerializeSize.
 func (m *Matrix[T]) Serialize(buf []byte) (Index, error) {
-	data, err := serializeMatrixBytes(m)
+	c, err := m.snapshot()
 	if err != nil {
 		return 0, err
 	}
-	if len(buf) < len(data) {
-		return 0, errf(InsufficientSpace, "Serialize: need %d bytes, buffer has %d", len(data), len(buf))
-	}
-	copy(buf, data)
-	return len(data), nil
+	return serializeInto(buf, serKindMatrix, []int{c.Rows, c.Cols}, c.Ptr, c.Ind, c.Val)
 }
 
 // SerializeBytes allocates and returns the serialized stream (a Go-binding
 // convenience over SerializeSize + Serialize).
 func (m *Matrix[T]) SerializeBytes() ([]byte, error) {
-	return serializeMatrixBytes(m)
+	c, err := m.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return serializeBytes(serKindMatrix, []int{c.Rows, c.Cols}, c.Ptr, c.Ind, c.Val)
 }
 
 // MatrixDeserialize reconstructs a matrix from a stream produced by
@@ -328,49 +390,20 @@ func MatrixDeserialize[T any](data []byte, opts ...ObjOption) (*Matrix[T], error
 	if err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(data)
-	var magic [6]byte
-	if _, err := fullRead(r, magic[:]); err != nil || magic != serMagic {
-		return nil, errf(InvalidObject, "MatrixDeserialize: bad magic")
+	d := &decoder{rest: data}
+	if err := header[T](d, serKindMatrix, "MatrixDeserialize"); err != nil {
+		return nil, err
 	}
-	kind, err := r.ReadByte()
-	if err != nil || kind != serKindMatrix {
-		return nil, errf(InvalidObject, "MatrixDeserialize: stream does not hold a matrix")
-	}
-	tn, err := readString(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "MatrixDeserialize: %v", err)
-	}
-	if tn != typeName[T]() {
-		return nil, errf(DomainMismatch, "MatrixDeserialize: stream domain %s, requested %s", tn, typeName[T]())
-	}
-	rows, err := readInt(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "MatrixDeserialize: truncated")
-	}
-	cols, err := readInt(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "MatrixDeserialize: truncated")
-	}
-	ptr, err := readIntSlice(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "MatrixDeserialize: %v", err)
-	}
-	ind, err := readIntSlice(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "MatrixDeserialize: %v", err)
-	}
+	rows, cols := d.int(), d.int()
+	ptr, ind := d.ints(), d.ints()
+	nval := d.int()
 	// Validate the shape against the decoded arrays BEFORE building any
 	// structure sized by it (a corrupted row count must not drive an
 	// allocation).
-	if rows <= 0 || cols <= 0 || len(ptr) != rows+1 {
-		return nil, errf(InvalidObject, "MatrixDeserialize: inconsistent shape")
+	if d.bad || rows <= 0 || cols <= 0 || len(ptr) != rows+1 || nval != len(ind) {
+		return nil, errf(InvalidObject, "MatrixDeserialize: truncated or inconsistent stream")
 	}
-	nval, err := readInt(r)
-	if err != nil || nval != len(ind) {
-		return nil, errf(InvalidObject, "MatrixDeserialize: inconsistent value count")
-	}
-	vals, err := decodeValues[T](r, nval)
+	vals, err := values[T](d, nval)
 	if err != nil {
 		return nil, err
 	}
@@ -382,51 +415,32 @@ func MatrixDeserialize[T any](data []byte, opts ...ObjOption) (*Matrix[T], error
 	return m, nil
 }
 
-// serializeVectorBytes builds the full serialized stream for a vector.
-func serializeVectorBytes[T any](v *Vector[T]) ([]byte, error) {
-	s, err := v.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	buf.Write(serMagic[:])
-	buf.WriteByte(serKindVector)
-	writeString(&buf, typeName[T]())
-	writeInt(&buf, s.N)
-	writeIntSlice(&buf, s.Ind)
-	writeInt(&buf, len(s.Val))
-	if err := encodeValues(&buf, s.Val); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // SerializeSize returns the number of bytes Serialize needs
 // (GrB_Vector_serializeSize).
 func (v *Vector[T]) SerializeSize() (Index, error) {
-	data, err := serializeVectorBytes(v)
+	s, err := v.snapshot()
 	if err != nil {
 		return 0, err
 	}
-	return len(data), nil
+	return serializeSize(serKindVector, []int{s.N}, nil, s.Ind, s.Val)
 }
 
 // Serialize writes the vector into buf (GrB_Vector_serialize).
 func (v *Vector[T]) Serialize(buf []byte) (Index, error) {
-	data, err := serializeVectorBytes(v)
+	s, err := v.snapshot()
 	if err != nil {
 		return 0, err
 	}
-	if len(buf) < len(data) {
-		return 0, errf(InsufficientSpace, "Serialize: need %d bytes, buffer has %d", len(data), len(buf))
-	}
-	copy(buf, data)
-	return len(data), nil
+	return serializeInto(buf, serKindVector, []int{s.N}, nil, s.Ind, s.Val)
 }
 
 // SerializeBytes allocates and returns the serialized stream.
 func (v *Vector[T]) SerializeBytes() ([]byte, error) {
-	return serializeVectorBytes(v)
+	s, err := v.snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return serializeBytes(serKindVector, []int{s.N}, nil, s.Ind, s.Val)
 }
 
 // VectorDeserialize reconstructs a vector from a stream produced by
@@ -440,38 +454,17 @@ func VectorDeserialize[T any](data []byte, opts ...ObjOption) (*Vector[T], error
 	if err != nil {
 		return nil, err
 	}
-	r := bytes.NewReader(data)
-	var magic [6]byte
-	if _, err := fullRead(r, magic[:]); err != nil || magic != serMagic {
-		return nil, errf(InvalidObject, "VectorDeserialize: bad magic")
+	d := &decoder{rest: data}
+	if err := header[T](d, serKindVector, "VectorDeserialize"); err != nil {
+		return nil, err
 	}
-	kind, err := r.ReadByte()
-	if err != nil || kind != serKindVector {
-		return nil, errf(InvalidObject, "VectorDeserialize: stream does not hold a vector")
+	n := d.int()
+	ind := d.ints()
+	nval := d.int()
+	if d.bad || n <= 0 || nval != len(ind) {
+		return nil, errf(InvalidObject, "VectorDeserialize: truncated or inconsistent stream")
 	}
-	tn, err := readString(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "VectorDeserialize: %v", err)
-	}
-	if tn != typeName[T]() {
-		return nil, errf(DomainMismatch, "VectorDeserialize: stream domain %s, requested %s", tn, typeName[T]())
-	}
-	n, err := readInt(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "VectorDeserialize: truncated")
-	}
-	ind, err := readIntSlice(r)
-	if err != nil {
-		return nil, errf(InvalidObject, "VectorDeserialize: %v", err)
-	}
-	if n <= 0 {
-		return nil, errf(InvalidObject, "VectorDeserialize: inconsistent size")
-	}
-	nval, err := readInt(r)
-	if err != nil || nval != len(ind) {
-		return nil, errf(InvalidObject, "VectorDeserialize: inconsistent value count")
-	}
-	vals, err := decodeValues[T](r, nval)
+	vals, err := values[T](d, nval)
 	if err != nil {
 		return nil, err
 	}
