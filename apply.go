@@ -1,106 +1,44 @@
 package grb
 
-import (
-	"github.com/grblas/grb/internal/obsv"
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
-// matrixApplyCommon factors the validation + snapshot + enqueue pipeline for
-// the matrix apply family: kernel receives the (possibly transposed) input
-// snapshot and thread budget and returns the operation result T.
-func matrixApplyCommon[DC, DA any](opName string, c *Matrix[DC], mask *Matrix[bool],
+// mapMatrix is what the matrix apply and select operations share: one input
+// that, as the descriptor transposes it, has the output's shape, visited
+// entry by entry. kernel maps the (possibly transposed) input to T.
+func mapMatrix[DC, DA any](op string, c *Matrix[DC], mask *Matrix[bool],
 	accum BinaryOp[DC, DC, DC], a *Matrix[DA], desc *Descriptor,
 	kernel func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC]) error {
-	if err := c.check(); err != nil {
+	f := newFrame(op, desc, true, maskRef{m: mask}, c, a)
+	acsr, cOld := in(&f, a), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := a.check(); err != nil {
-		return err
+	t0 := f.d.Transpose0
+	if ar, ac := transposedDims(acsr, t0); cOld.Rows != ar || cOld.Cols != ac {
+		return errf(DimensionMismatch, "%s: output is %dx%d but input is %dx%d", op, cOld.Rows, cOld.Cols, ar, ac)
 	}
-	ctxs := append([]*Context{c.ctx, a.ctx}, maskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	if cOld.Rows != ar || cOld.Cols != ac {
-		return errf(DimensionMismatch, "%s: output is %dx%d but input is %dx%d", opName, cOld.Rows, cOld.Cols, ar, ac)
-	}
-	if err := checkMaskDimsM(mk, cOld.Rows, cOld.Cols); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ())
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel(opName).WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[DC], error) {
-		in := maybeTranspose(acsr, d.Transpose0)
-		t := kernel(in, threads)
-		z := sparse.AccumMergeM(cOld, t, accum, threads)
-		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil
+	f.work(acsr.NNZ())
+	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
+	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
+		return kernel(maybeTranspose(acsr, t0), e.Threads), nil
 	})
 }
 
-// vectorApplyCommon is the vector analogue of matrixApplyCommon.
-func vectorApplyCommon[DC, DA any](opName string, w *Vector[DC], mask *Vector[bool],
+// mapVector is the vector analogue of mapMatrix.
+func mapVector[DC, DA any](op string, w *Vector[DC], mask *Vector[bool],
 	accum BinaryOp[DC, DC, DC], u *Vector[DA], desc *Descriptor,
 	kernel func(in *sparse.Vec[DA]) *sparse.Vec[DC]) error {
-	if err := w.check(); err != nil {
-		return err
-	}
-	if err := u.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{w.ctx, u.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
+	f := newFrame(op, desc, true, maskRef{v: mask}, w, u)
+	uvec, wOld := in(&f, u), in(&f, w)
+	if err := f.ready(); err != nil {
 		return err
 	}
 	if wOld.N != uvec.N {
-		return errf(DimensionMismatch, "%s: output has size %d but input has size %d", opName, wOld.N, uvec.N)
+		return errf(DimensionMismatch, "%s: output has size %d but input has size %d", op, wOld.N, uvec.N)
 	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel(opName).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[DC], error) {
-		t := kernel(uvec)
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
+	f.ev.A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
+	return w.submit(&f, wOld, yieldsT, accum, func(sparse.Exec) (*sparse.Vec[DC], error) {
+		return kernel(uvec), nil
 	})
 }
 
@@ -111,7 +49,7 @@ func MatrixApply[DC, DA any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[D
 	if op == nil {
 		return errf(NullPointer, "MatrixApply: nil operator")
 	}
-	return matrixApplyCommon("MatrixApply", c, mask, accum, a, desc,
+	return mapMatrix("MatrixApply", c, mask, accum, a, desc,
 		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
 			return sparse.ApplyM(in, op, threads)
 		})
@@ -125,7 +63,7 @@ func MatrixApplyBindFirst[DC, DS, DA any](c *Matrix[DC], mask *Matrix[bool], acc
 	if op == nil {
 		return errf(NullPointer, "MatrixApplyBindFirst: nil operator")
 	}
-	return matrixApplyCommon("MatrixApplyBindFirst", c, mask, accum, a, desc,
+	return mapMatrix("MatrixApplyBindFirst", c, mask, accum, a, desc,
 		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
 			return sparse.ApplyM(in, func(v DA) DC { return op(s, v) }, threads)
 		})
@@ -138,7 +76,7 @@ func MatrixApplyBindSecond[DC, DA, DS any](c *Matrix[DC], mask *Matrix[bool], ac
 	if op == nil {
 		return errf(NullPointer, "MatrixApplyBindSecond: nil operator")
 	}
-	return matrixApplyCommon("MatrixApplyBindSecond", c, mask, accum, a, desc,
+	return mapMatrix("MatrixApplyBindSecond", c, mask, accum, a, desc,
 		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
 			return sparse.ApplyM(in, func(v DA) DC { return op(v, s) }, threads)
 		})
@@ -177,7 +115,7 @@ func MatrixApplyIndexOp[DC, DA, DS any](c *Matrix[DC], mask *Matrix[bool], accum
 	if op == nil {
 		return errf(NullPointer, "MatrixApplyIndexOp: nil operator")
 	}
-	return matrixApplyCommon("MatrixApplyIndexOp", c, mask, accum, a, desc,
+	return mapMatrix("MatrixApplyIndexOp", c, mask, accum, a, desc,
 		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
 			return sparse.ApplyIndexM(in, op, s, threads)
 		})
@@ -200,7 +138,7 @@ func VectorApply[DC, DA any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[D
 	if op == nil {
 		return errf(NullPointer, "VectorApply: nil operator")
 	}
-	return vectorApplyCommon("VectorApply", w, mask, accum, u, desc,
+	return mapVector("VectorApply", w, mask, accum, u, desc,
 		func(in *sparse.Vec[DA]) *sparse.Vec[DC] {
 			return sparse.ApplyV(in, op)
 		})
@@ -212,7 +150,7 @@ func VectorApplyBindFirst[DC, DS, DA any](w *Vector[DC], mask *Vector[bool], acc
 	if op == nil {
 		return errf(NullPointer, "VectorApplyBindFirst: nil operator")
 	}
-	return vectorApplyCommon("VectorApplyBindFirst", w, mask, accum, u, desc,
+	return mapVector("VectorApplyBindFirst", w, mask, accum, u, desc,
 		func(in *sparse.Vec[DA]) *sparse.Vec[DC] {
 			return sparse.ApplyV(in, func(v DA) DC { return op(s, v) })
 		})
@@ -224,7 +162,7 @@ func VectorApplyBindSecond[DC, DA, DS any](w *Vector[DC], mask *Vector[bool], ac
 	if op == nil {
 		return errf(NullPointer, "VectorApplyBindSecond: nil operator")
 	}
-	return vectorApplyCommon("VectorApplyBindSecond", w, mask, accum, u, desc,
+	return mapVector("VectorApplyBindSecond", w, mask, accum, u, desc,
 		func(in *sparse.Vec[DA]) *sparse.Vec[DC] {
 			return sparse.ApplyV(in, func(v DA) DC { return op(v, s) })
 		})
@@ -259,7 +197,7 @@ func VectorApplyIndexOp[DC, DA, DS any](w *Vector[DC], mask *Vector[bool], accum
 	if op == nil {
 		return errf(NullPointer, "VectorApplyIndexOp: nil operator")
 	}
-	return vectorApplyCommon("VectorApplyIndexOp", w, mask, accum, u, desc,
+	return mapVector("VectorApplyIndexOp", w, mask, accum, u, desc,
 		func(in *sparse.Vec[DA]) *sparse.Vec[DC] {
 			return sparse.ApplyIndexV(in, op, s)
 		})

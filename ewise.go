@@ -1,9 +1,6 @@
 package grb
 
-import (
-	"github.com/grblas/grb/internal/obsv"
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
 // EWiseAddMatrix computes C⟨M⟩ = C ⊙ (A ⊕ B): the element-wise "addition"
 // whose result pattern is the union of A's and B's patterns (GrB_eWiseAdd).
@@ -12,69 +9,8 @@ import (
 // typecasts pass-through values).
 func EWiseAddMatrix[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	op BinaryOp[T, T, T], a, b *Matrix[T], desc *Descriptor) error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	if err := a.check(); err != nil {
-		return err
-	}
-	if err := b.check(); err != nil {
-		return err
-	}
-	if op == nil {
-		return errf(NullPointer, "EWiseAddMatrix: nil operator")
-	}
-	ctxs := append([]*Context{c.ctx, a.ctx, b.ctx}, maskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	bcsr, err := b.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	br, bc := bcsr.Rows, bcsr.Cols
-	if d.Transpose1 {
-		br, bc = bc, br
-	}
-	if ar != br || ac != bc || cOld.Rows != ar || cOld.Cols != ac {
-		return errf(DimensionMismatch, "EWiseAddMatrix: shapes %dx%d, %dx%d, %dx%d incompatible",
-			cOld.Rows, cOld.Cols, ar, ac, br, bc)
-	}
-	if err := checkMaskDimsM(mk, cOld.Rows, cOld.Cols); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ() + bcsr.NNZ())
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("EWiseAddMatrix").WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
-			WithFlops(int64(acsr.NNZ() + bcsr.NNZ()))
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		A := maybeTranspose(acsr, d.Transpose0)
-		B := maybeTranspose(bcsr, d.Transpose1)
-		t := sparse.EWiseAddM(A, B, op, threads)
-		z := sparse.AccumMergeM(cOld, t, accum, threads)
-		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil
-	})
+	return eWiseMatrix("EWiseAddMatrix", c, mask, accum, op != nil, a, b, desc,
+		func(A, B *sparse.CSR[T], threads int) *sparse.CSR[T] { return sparse.EWiseAddM(A, B, op, threads) })
 }
 
 // EWiseMultMatrix computes C⟨M⟩ = C ⊙ (A ⊗ B): the element-wise
@@ -83,68 +19,35 @@ func EWiseAddMatrix[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T
 // three domains may differ.
 func EWiseMultMatrix[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
-	if err := c.check(); err != nil {
+	return eWiseMatrix("EWiseMultMatrix", c, mask, accum, op != nil, a, b, desc,
+		func(A *sparse.CSR[DA], B *sparse.CSR[DB], threads int) *sparse.CSR[DC] {
+			return sparse.EWiseMultM(A, B, op, threads)
+		})
+}
+
+// eWiseMatrix is what the two element-wise matrix operations share: both
+// inputs, as the descriptor transposes them, have the output's shape, and
+// the work is one pass over both.
+func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
+	opOK bool, a *Matrix[DA], b *Matrix[DB], desc *Descriptor,
+	kernel func(A *sparse.CSR[DA], B *sparse.CSR[DB], threads int) *sparse.CSR[DC]) error {
+	f := newFrame(op, desc, opOK, maskRef{m: mask}, c, a, b)
+	acsr, bcsr, cOld := in(&f, a), in(&f, b), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := a.check(); err != nil {
-		return err
-	}
-	if err := b.check(); err != nil {
-		return err
-	}
-	if op == nil {
-		return errf(NullPointer, "EWiseMultMatrix: nil operator")
-	}
-	ctxs := append([]*Context{c.ctx, a.ctx, b.ctx}, maskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	bcsr, err := b.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	br, bc := bcsr.Rows, bcsr.Cols
-	if d.Transpose1 {
-		br, bc = bc, br
-	}
+	d := f.d
+	ar, ac := transposedDims(acsr, d.Transpose0)
+	br, bc := transposedDims(bcsr, d.Transpose1)
 	if ar != br || ac != bc || cOld.Rows != ar || cOld.Cols != ac {
-		return errf(DimensionMismatch, "EWiseMultMatrix: shapes %dx%d, %dx%d, %dx%d incompatible",
-			cOld.Rows, cOld.Cols, ar, ac, br, bc)
+		return errf(DimensionMismatch, "%s: shapes %dx%d, %dx%d, %dx%d incompatible",
+			op, cOld.Rows, cOld.Cols, ar, ac, br, bc)
 	}
-	if err := checkMaskDimsM(mk, cOld.Rows, cOld.Cols); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ() + bcsr.NNZ())
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("EWiseMultMatrix").WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
-			WithFlops(int64(acsr.NNZ() + bcsr.NNZ()))
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[DC], error) {
-		A := maybeTranspose(acsr, d.Transpose0)
-		B := maybeTranspose(bcsr, d.Transpose1)
-		t := sparse.EWiseMultM(A, B, op, threads)
-		z := sparse.AccumMergeM(cOld, t, accum, threads)
-		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil
+	f.work(acsr.NNZ() + bcsr.NNZ())
+	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
+		WithFlops(int64(acsr.NNZ() + bcsr.NNZ()))
+	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
+		return kernel(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), e.Threads), nil
 	})
 }
 
@@ -152,112 +55,32 @@ func EWiseMultMatrix[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum Bi
 // (GrB_eWiseAdd on vectors).
 func EWiseAddVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	op BinaryOp[T, T, T], u, v *Vector[T], desc *Descriptor) error {
-	if err := w.check(); err != nil {
-		return err
-	}
-	if err := u.check(); err != nil {
-		return err
-	}
-	if err := v.check(); err != nil {
-		return err
-	}
-	if op == nil {
-		return errf(NullPointer, "EWiseAddVector: nil operator")
-	}
-	ctxs := append([]*Context{w.ctx, u.ctx, v.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	vvec, err := v.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
-		return err
-	}
-	if uvec.N != vvec.N || wOld.N != uvec.N {
-		return errf(DimensionMismatch, "EWiseAddVector: sizes %d, %d, %d incompatible", wOld.N, uvec.N, vvec.N)
-	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("EWiseAddVector").
-			A(uvec.N, 1, uvec.NNZ()).B(vvec.N, 1, vvec.NNZ()).
-			WithFlops(int64(uvec.NNZ() + vvec.NNZ()))
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
-		t := sparse.EWiseAddV(uvec, vvec, op)
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
-	})
+	return eWiseVector("EWiseAddVector", w, mask, accum, op != nil, u, v, desc,
+		func(u, v *sparse.Vec[T]) *sparse.Vec[T] { return sparse.EWiseAddV(u, v, op) })
 }
 
 // EWiseMultVector computes w⟨m⟩ = w ⊙ (u ⊗ v) with intersection pattern
 // (GrB_eWiseMult on vectors).
 func EWiseMultVector[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], u *Vector[DA], v *Vector[DB], desc *Descriptor) error {
-	if err := w.check(); err != nil {
-		return err
-	}
-	if err := u.check(); err != nil {
-		return err
-	}
-	if err := v.check(); err != nil {
-		return err
-	}
-	if op == nil {
-		return errf(NullPointer, "EWiseMultVector: nil operator")
-	}
-	ctxs := append([]*Context{w.ctx, u.ctx, v.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	vvec, err := v.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
+	return eWiseVector("EWiseMultVector", w, mask, accum, op != nil, u, v, desc,
+		func(u *sparse.Vec[DA], v *sparse.Vec[DB]) *sparse.Vec[DC] { return sparse.EWiseMultV(u, v, op) })
+}
+
+// eWiseVector is the vector analogue of eWiseMatrix.
+func eWiseVector[DC, DA, DB any](op string, w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
+	opOK bool, u *Vector[DA], v *Vector[DB], desc *Descriptor,
+	kernel func(*sparse.Vec[DA], *sparse.Vec[DB]) *sparse.Vec[DC]) error {
+	f := newFrame(op, desc, opOK, maskRef{v: mask}, w, u, v)
+	uvec, vvec, wOld := in(&f, u), in(&f, v), in(&f, w)
+	if err := f.ready(); err != nil {
 		return err
 	}
 	if uvec.N != vvec.N || wOld.N != uvec.N {
-		return errf(DimensionMismatch, "EWiseMultVector: sizes %d, %d, %d incompatible", wOld.N, uvec.N, vvec.N)
+		return errf(DimensionMismatch, "%s: sizes %d, %d, %d incompatible", op, wOld.N, uvec.N, vvec.N)
 	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("EWiseMultVector").
-			A(uvec.N, 1, uvec.NNZ()).B(vvec.N, 1, vvec.NNZ()).
-			WithFlops(int64(uvec.NNZ() + vvec.NNZ()))
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[DC], error) {
-		t := sparse.EWiseMultV(uvec, vvec, op)
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
+	f.ev.A(uvec.N, 1, uvec.NNZ()).B(vvec.N, 1, vvec.NNZ()).WithFlops(int64(uvec.NNZ() + vvec.NNZ()))
+	return w.submit(&f, wOld, yieldsT, accum, func(sparse.Exec) (*sparse.Vec[DC], error) {
+		return kernel(uvec, vvec), nil
 	})
 }

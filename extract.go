@@ -1,9 +1,6 @@
 package grb
 
-import (
-	"github.com/grblas/grb/internal/obsv"
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
 // MatrixExtract computes C⟨M⟩ = C ⊙ A(rows, cols): the submatrix of A
 // selected by the index lists (GrB_extract). nil index slices (grb.All)
@@ -11,80 +8,28 @@ import (
 // len(rows) × len(cols).
 func MatrixExtract[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	a *Matrix[T], rows, cols []Index, desc *Descriptor) error {
-	if err := c.check(); err != nil {
+	f := newFrame("MatrixExtract", desc, true, maskRef{m: mask}, c, a)
+	acsr, cOld := in(&f, a), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := a.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{c.ctx, a.ctx}, maskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
+	t0 := f.d.Transpose0
+	ar, ac := transposedDims(acsr, t0)
+	ri, er, err := indexList(f.op, "row index", rows, ar)
 	if err != nil {
 		return err
 	}
-	d := desc.get()
-	acsr, err := a.snapshot()
+	cj, ec, err := indexList(f.op, "column index", cols, ac)
 	if err != nil {
 		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	er := ar
-	if rows != nil {
-		er = len(rows)
-		for _, r := range rows {
-			if r < 0 || r >= ar {
-				return errf(InvalidIndex, "MatrixExtract: row index %d outside %d rows", r, ar)
-			}
-		}
-	}
-	ec := ac
-	if cols != nil {
-		ec = len(cols)
-		for _, cc := range cols {
-			if cc < 0 || cc >= ac {
-				return errf(InvalidIndex, "MatrixExtract: column index %d outside %d columns", cc, ac)
-			}
-		}
 	}
 	if cOld.Rows != er || cOld.Cols != ec {
 		return errf(DimensionMismatch, "MatrixExtract: output is %dx%d but extraction is %dx%d", cOld.Rows, cOld.Cols, er, ec)
 	}
-	if err := checkMaskDimsM(mk, cOld.Rows, cOld.Cols); err != nil {
-		return err
-	}
-	ri := append([]Index(nil), rows...)
-	cj := append([]Index(nil), cols...)
-	if rows == nil {
-		ri = nil
-	}
-	if cols == nil {
-		cj = nil
-	}
-	threads := ctx.threadsFor(acsr.NNZ())
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("MatrixExtract").WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(er, ec, 0)
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		A := maybeTranspose(acsr, d.Transpose0)
-		t, err := sparse.ExtractM(A, ri, cj, threads)
-		if err != nil {
-			return nil, mapSparseErr(err, "MatrixExtract")
-		}
-		z := sparse.AccumMergeM(cOld, t, accum, threads)
-		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil
+	f.work(acsr.NNZ())
+	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(er, ec, 0)
+	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
+		return sparse.ExtractM(maybeTranspose(acsr, t0), ri, cj, e.Threads)
 	})
 }
 
@@ -93,60 +38,21 @@ func MatrixExtract[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T,
 // selects all of u.
 func VectorExtract[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	u *Vector[T], idx []Index, desc *Descriptor) error {
-	if err := w.check(); err != nil {
+	f := newFrame("VectorExtract", desc, true, maskRef{v: mask}, w, u)
+	uvec, wOld := in(&f, u), in(&f, w)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := u.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{w.ctx, u.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
+	ci, en, err := indexList(f.op, "index", idx, uvec.N)
 	if err != nil {
 		return err
-	}
-	d := desc.get()
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
-		return err
-	}
-	en := uvec.N
-	if idx != nil {
-		en = len(idx)
-		for _, i := range idx {
-			if i < 0 || i >= uvec.N {
-				return errf(InvalidIndex, "VectorExtract: index %d outside size %d", i, uvec.N)
-			}
-		}
 	}
 	if wOld.N != en {
 		return errf(DimensionMismatch, "VectorExtract: output has size %d but extraction has size %d", wOld.N, en)
 	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	ci := append([]Index(nil), idx...)
-	if idx == nil {
-		ci = nil
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("VectorExtract").A(uvec.N, 1, uvec.NNZ()).B(en, 1, 0)
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
-		t, err := sparse.ExtractV(uvec, ci)
-		if err != nil {
-			return nil, mapSparseErr(err, "VectorExtract")
-		}
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
+	f.ev.A(uvec.N, 1, uvec.NNZ()).B(en, 1, 0)
+	return w.submit(&f, wOld, yieldsT, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
+		return sparse.ExtractV(uvec, ci)
 	})
 }
 
@@ -155,67 +61,25 @@ func VectorExtract[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T,
 // descriptor flag it extracts a row instead.
 func ColExtract[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	a *Matrix[T], rows []Index, j Index, desc *Descriptor) error {
-	if err := w.check(); err != nil {
+	f := newFrame("ColExtract", desc, true, maskRef{v: mask}, w, a)
+	acsr, wOld := in(&f, a), in(&f, w)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := a.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{w.ctx, a.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
+	t0 := f.d.Transpose0
+	ar, ac := transposedDims(acsr, t0)
 	if j < 0 || j >= ac {
 		return errf(InvalidIndex, "ColExtract: column %d outside %d columns", j, ac)
 	}
-	en := ar
-	if rows != nil {
-		en = len(rows)
-		for _, r := range rows {
-			if r < 0 || r >= ar {
-				return errf(InvalidIndex, "ColExtract: row index %d outside %d rows", r, ar)
-			}
-		}
+	ri, en, err := indexList(f.op, "row index", rows, ar)
+	if err != nil {
+		return err
 	}
 	if wOld.N != en {
 		return errf(DimensionMismatch, "ColExtract: output has size %d but extraction has size %d", wOld.N, en)
 	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	ri := append([]Index(nil), rows...)
-	if rows == nil {
-		ri = nil
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("ColExtract").A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(en, 1, 0)
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
-		A := maybeTranspose(acsr, d.Transpose0)
-		t, err := sparse.ExtractColV(A, ri, j)
-		if err != nil {
-			return nil, mapSparseErr(err, "ColExtract")
-		}
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
+	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(en, 1, 0)
+	return w.submit(&f, wOld, yieldsT, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
+		return sparse.ExtractColV(maybeTranspose(acsr, t0), ri, j)
 	})
 }

@@ -4,8 +4,8 @@
 // one. The protocol, stated in DESIGN.md:
 //
 //  1. While holding an object's mutex, never call a grb entry point that
-//     acquires a lock itself (Wait, snapshot, enqueue, the read methods, the
-//     public mutators): sync.Mutex is not reentrant, so a self-call
+//     acquires a lock itself (Wait, snapshot, submit/push, the read methods,
+//     the public mutators): sync.Mutex is not reentrant, so a self-call
 //     deadlocks, and a cross-object call while locked risks lock-order
 //     inversion with a concurrent caller locking in the opposite order.
 //  2. Lock ordering between object locks and the context registry: resolve
@@ -47,7 +47,11 @@ var forbiddenMethods = map[string]bool{
 	"ExtractElement": true, "ExtractElementScalar": true, "ExtractTuples": true,
 	"Nvals": true, "Nrows": true, "Ncols": true, "Size": true,
 	"SwitchContext": true, "Context": true, "ErrorString": true,
-	"snapshot": true, "enqueue": true, "isFreed": true, "materialize": true, "context": true,
+	"snapshot": true, "isFreed": true, "materialize": true, "context": true,
+	// The sequence core's entry points (sequence.go), which Matrix and
+	// Vector reach by promotion.
+	"submit": true, "push": true, "update": true, "dims": true, "wait": true,
+	"switchContext": true, "errorString": true,
 }
 
 // forbiddenFuncs are package-level grb functions that take the context

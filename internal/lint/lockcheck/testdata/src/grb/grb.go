@@ -27,6 +27,13 @@ func (m *Matrix) Nvals() (int, error) {
 	return 0, nil
 }
 
+// push is the sequence core's lock-acquiring append.
+func (m *Matrix) push() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return nil
+}
+
 // materializeLocked documents that the caller already holds m.mu.
 func (m *Matrix) materializeLocked() {}
 
@@ -41,6 +48,12 @@ func (m *Matrix) deadlockSelf() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	_ = m.Wait() // want `call to Wait while holding m\.mu`
+}
+
+func (m *Matrix) pushUnderLock() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.push() // want `call to push while holding m\.mu`
 }
 
 func (m *Matrix) readUnderLock() int {

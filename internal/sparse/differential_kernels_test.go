@@ -15,18 +15,23 @@ import (
 // test draws its inputs from a logged seed; rerun a failure with
 // GRB_DIFF_SEED=<seed> go test -run TestDifferential ./internal/sparse
 
-// diffSeed returns the randomized (or pinned) seed for a differential test
-// and logs it for reproducibility.
+// diffSeed returns the seed for a differential test and logs it. Tier-1 runs
+// the same cases every time: the default is fixed, GRB_DIFF_SEED=<n> pins
+// another, and GRB_DIFF_SEED=random is the only way to draw one from the
+// clock.
 func diffSeed(t *testing.T) int64 {
 	t.Helper()
-	return seedOr(t, time.Now().UnixNano())
+	return seedOr(t, 20210521)
 }
 
-// seedOr is diffSeed with the default seed the caller names, for tests that
-// run the same cases on every tier-1 run.
+// seedOr is diffSeed with the default seed the caller names.
 func seedOr(t *testing.T, seed int64) int64 {
 	t.Helper()
-	if s := os.Getenv("GRB_DIFF_SEED"); s != "" {
+	switch s := os.Getenv("GRB_DIFF_SEED"); s {
+	case "":
+	case "random":
+		seed = time.Now().UnixNano()
+	default:
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			t.Fatalf("bad GRB_DIFF_SEED %q: %v", s, err)

@@ -238,7 +238,7 @@ func MatrixImport[T any](nrows, ncols Index, indptr, indices []Index, values []T
 		// stays exhaustive as Format grows (§IX pins the enum values).
 		return nil, errf(NotImplemented, "MatrixImport: unsupported format %v", format)
 	}
-	return &Matrix[T]{init: true, ctx: ctx, csr: csr}, nil
+	return newMatrix(ctx, csr), nil
 }
 
 // MatrixExportSize reports the array lengths a subsequent MatrixExportInto
@@ -443,7 +443,7 @@ func VectorImport[T any](size Index, indices []Index, values []T,
 		// stays exhaustive as Format grows (§IX pins the enum values).
 		return nil, errf(NotImplemented, "VectorImport: unsupported format %v", format)
 	}
-	return &Vector[T]{init: true, ctx: ctx, vec: vec}, nil
+	return newVector(ctx, vec), nil
 }
 
 // VectorExportSize reports the array lengths VectorExportInto needs

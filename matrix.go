@@ -2,9 +2,7 @@ package grb
 
 import (
 	"math"
-	"sync"
 
-	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/sparse"
 )
 
@@ -19,15 +17,51 @@ import (
 // across goroutines requires the completion + happens-before protocol of
 // §III (see Wait and the examples/multithread program).
 type Matrix[T any] struct {
-	mu      sync.Mutex
-	init    bool
-	ctx     *Context
-	csr     *sparse.CSR[T]
-	pending []func(*Matrix[T]) // deferred sequence steps, run with mu held
-	tuples  []sparse.Tuple[T]  // deferred setElement/removeElement updates
-	derr    *Error             // parked (deferred) execution error, §V
-	errmsg  string             // implementation-defined GrB_error string
-	seq     obsv.SeqID         // open sequence span during a drain, else 0
+	sequence[T, *sparse.CSR[T], sparse.Tuple[T], matrixKind[T]]
+}
+
+// newMatrix wraps completed storage in a live handle owned by ctx (nil = the
+// top-level context).
+func newMatrix[T any](ctx *Context, csr *sparse.CSR[T]) *Matrix[T] {
+	m := &Matrix[T]{}
+	m.init, m.ctx, m.cur = true, ctx, csr
+	return m
+}
+
+// matrixKind is the matrix side of the sequence's kind interface.
+type matrixKind[T any] struct{}
+
+func (matrixKind[T]) spanName() string { return "matrix" }
+func (matrixKind[T]) mergeOp() string  { return "Matrix.setElement(merge)" }
+
+func (matrixKind[T]) shape(c *sparse.CSR[T]) (rows, cols int) { return c.Rows, c.Cols }
+
+func (matrixKind[T]) inBounds(op string, c *sparse.CSR[T], t sparse.Tuple[T]) error {
+	if t.Row < 0 || t.Row >= c.Rows || t.Col < 0 || t.Col >= c.Cols {
+		return errf(InvalidIndex, "%s: (%d,%d) outside %dx%d", op, t.Row, t.Col, c.Rows, c.Cols)
+	}
+	return nil
+}
+
+func (matrixKind[T]) mergeTuples(c *sparse.CSR[T], tuples []sparse.Tuple[T]) (*sparse.CSR[T], error) {
+	return sparse.MergeTuples(c, tuples)
+}
+
+func (matrixKind[T]) debugCheck(c *sparse.CSR[T]) { sparse.DebugCheckCSR(c, "Matrix sequence step") }
+
+func (matrixKind[T]) maskFits(mk maskSnap, c *sparse.CSR[T]) error {
+	if mk.M != nil && (mk.M.Rows != c.Rows || mk.M.Cols != c.Cols) {
+		return errf(DimensionMismatch, "mask is %dx%d but output is %dx%d", mk.M.Rows, mk.M.Cols, c.Rows, c.Cols)
+	}
+	return nil
+}
+
+func (matrixKind[T]) accumMerge(old, t *sparse.CSR[T], accum func(T, T) T, threads int) *sparse.CSR[T] {
+	return sparse.AccumMergeM(old, t, accum, threads)
+}
+
+func (matrixKind[T]) maskApply(old, z *sparse.CSR[T], mk maskSnap, replace bool, threads int) *sparse.CSR[T] {
+	return sparse.MaskApplyM(old, z, mk.matrix(), replace, threads)
 }
 
 // objConfig carries constructor options shared by all object types.
@@ -57,7 +91,7 @@ func NewMatrix[T any](nrows, ncols Index, opts ...ObjOption) (*Matrix[T], error)
 	if nrows <= 0 || ncols <= 0 {
 		return nil, errf(InvalidValue, "NewMatrix: dimensions must be positive (got %d x %d)", nrows, ncols)
 	}
-	return &Matrix[T]{init: true, ctx: ctx, csr: sparse.NewCSR[T](nrows, ncols)}, nil
+	return newMatrix(ctx, sparse.NewCSR[T](nrows, ncols)), nil
 }
 
 // check verifies the object was constructed.
@@ -70,9 +104,6 @@ func (m *Matrix[T]) check() error {
 	}
 	return nil
 }
-
-// context resolves the matrix's execution context.
-func (m *Matrix[T]) context() (*Context, error) { return resolveCtx(m.ctx) }
 
 // Context returns the execution context the matrix belongs to.
 func (m *Matrix[T]) Context() (*Context, error) {
@@ -89,19 +120,7 @@ func (m *Matrix[T]) SwitchContext(ctx *Context) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	if ctx == nil {
-		return errf(NullPointer, "SwitchContext: nil context")
-	}
-	if ctx.isFreed() {
-		return errf(UninitializedObject, "SwitchContext: freed context")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.materializeLocked(); err != nil {
-		return err
-	}
-	m.ctx = ctx
-	return nil
+	return m.switchContext(ctx)
 }
 
 // ViewInContext returns a new Matrix handle over this matrix's completed
@@ -132,120 +151,7 @@ func (m *Matrix[T]) ViewInContext(ctx *Context) (*Matrix[T], error) {
 	if err := m.materializeLocked(); err != nil {
 		return nil, err
 	}
-	return &Matrix[T]{init: true, ctx: ctx, csr: m.csr}, nil
-}
-
-// materializeLocked runs the deferred sequence (pending operations, then
-// pending element updates) and returns the parked execution error, if any.
-// Callers hold m.mu. When a sink is observing and there is work to drain,
-// the drain runs under a sequence span whose id (m.seq) the step wrappers
-// read, attributing each kernel event to this drain.
-func (m *Matrix[T]) materializeLocked() error {
-	var span obsv.Span
-	if len(m.pending) > 0 || len(m.tuples) > 0 {
-		span = obsv.SeqBegin("matrix")
-		m.seq = span.ID()
-		defer func() { m.seq = 0 }()
-	}
-	steps := 0
-	for len(m.pending) > 0 {
-		op := m.pending[0]
-		m.pending = m.pending[1:]
-		op(m)
-		steps++
-	}
-	if len(m.tuples) > 0 {
-		var ev *obsv.Event
-		if obsv.Active() {
-			ev = &obsv.Event{Op: "Matrix.setElement(merge)", Kind: "merge"}
-			ev.A(m.csr.Rows, m.csr.Cols, m.csr.NNZ()).B(len(m.tuples), 1, len(m.tuples))
-		}
-		x := obsv.Begin(ev, m.seq)
-		nc, err := runStep("setElement", func() (*sparse.CSR[T], error) {
-			if err := sparse.MergeSite().Check(); err != nil {
-				return nil, err
-			}
-			return sparse.MergeTuples(m.csr, m.tuples)
-		})
-		m.tuples = nil
-		steps++
-		if err != nil {
-			x.End(0, err)
-			m.parkLocked(err)
-		} else {
-			x.End(nc.NNZ(), nil)
-			m.csr = nc
-		}
-	}
-	span.End(steps)
-	if m.derr != nil {
-		return m.derr
-	}
-	return nil
-}
-
-// parkLocked records a deferred execution error on the object (§V): the
-// first error of a sequence sticks and is reported by subsequent method
-// calls or a materializing wait.
-func (m *Matrix[T]) parkLocked(err error) {
-	if m.derr == nil {
-		if e, ok := err.(*Error); ok {
-			m.derr = e
-		} else {
-			m.derr = errf(Panic, "%v", err)
-		}
-		m.errmsg = m.derr.Error()
-	}
-}
-
-// snapshot completes the matrix and returns its immutable storage for use
-// as an operation input. The returned CSR is never mutated: every deferred
-// step and Wait installs a fresh storage object, so per-CSR caches (the
-// memoized transpose, sparse.TransposeCached) stay coherent across
-// mutate→Wait boundaries without any explicit invalidation — a stale cache
-// can only live on a superseded snapshot, which readers that obtained it
-// earlier may still use safely.
-func (m *Matrix[T]) snapshot() (*sparse.CSR[T], error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.materializeLocked(); err != nil {
-		return nil, err
-	}
-	return m.csr, nil
-}
-
-// enqueue appends a sequence step that computes a full replacement storage
-// for the matrix. In blocking mode the step (and any previously deferred
-// work) executes before returning; in nonblocking mode it is deferred. ev is
-// the call-time half of the step's kernel event (nil when observation was
-// off at call time); Begin/End bracket the compute so the event measures the
-// kernel's actual execution inside the drain, not the enqueue.
-func (m *Matrix[T]) enqueue(ctx *Context, ev *obsv.Event, compute func() (*sparse.CSR[T], error)) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.derr != nil {
-		return m.derr
-	}
-	m.pending = append(m.pending, func(mm *Matrix[T]) {
-		x := obsv.Begin(ev, mm.seq)
-		// runStep isolates the kernel: a panic anywhere inside the step —
-		// worker goroutines included — parks an execution error instead of
-		// crashing the process (§V), leaving the object valid on its previous
-		// storage.
-		res, err := runStep("sequence step", compute)
-		if err != nil {
-			x.End(0, err)
-			mm.parkLocked(err)
-			return
-		}
-		x.End(res.NNZ(), nil)
-		sparse.DebugCheckCSR(res, "Matrix sequence step")
-		mm.csr = res
-	})
-	if ctx.Mode() == Blocking {
-		return m.materializeLocked()
-	}
-	return nil
+	return newMatrix(ctx, m.cur), nil
 }
 
 // WaitMode selects the strength of a Wait (GrB_WaitMode, §III & §V).
@@ -271,19 +177,7 @@ func (m *Matrix[T]) Wait(mode WaitMode) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	if mode != Complete && mode != Materialize {
-		return errf(InvalidValue, "Wait: invalid mode %d", int(mode))
-	}
-	if _, err := m.context(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	err := m.materializeLocked()
-	if mode == Materialize {
-		return err
-	}
-	return nil
+	return m.wait(mode)
 }
 
 // ErrorString returns the implementation-defined diagnostic string for the
@@ -294,9 +188,7 @@ func (m *Matrix[T]) ErrorString() string {
 	if m == nil || !m.init {
 		return ""
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.errmsg
+	return m.errorString()
 }
 
 // Free releases the matrix (GrB_free). The object behaves as uninitialized
@@ -308,10 +200,7 @@ func (m *Matrix[T]) Free() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.init = false
-	m.csr = nil
-	m.pending = nil
-	m.tuples = nil
-	m.derr = nil
+	m.resetLocked(nil)
 	return nil
 }
 
@@ -320,19 +209,8 @@ func (m *Matrix[T]) Nrows() (Index, error) {
 	if err := m.check(); err != nil {
 		return 0, err
 	}
-	if _, err := m.context(); err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// A pending sequence may include a Resize; settle it so dimensions
-	// reflect program order.
-	if len(m.pending) > 0 {
-		if err := m.materializeLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return m.csr.Rows, nil
+	rows, _, err := m.dims()
+	return rows, err
 }
 
 // Ncols returns the number of columns (GrB_Matrix_ncols).
@@ -340,17 +218,8 @@ func (m *Matrix[T]) Ncols() (Index, error) {
 	if err := m.check(); err != nil {
 		return 0, err
 	}
-	if _, err := m.context(); err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.pending) > 0 {
-		if err := m.materializeLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return m.csr.Cols, nil
+	_, cols, err := m.dims()
+	return cols, err
 }
 
 // Nvals returns the number of stored entries (GrB_Matrix_nvals). This is a
@@ -380,11 +249,7 @@ func (m *Matrix[T]) Clear() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.pending = nil
-	m.tuples = nil
-	m.derr = nil
-	m.errmsg = ""
-	m.csr = sparse.NewCSR[T](m.csr.Rows, m.csr.Cols)
+	m.resetLocked(sparse.NewCSR[T](m.cur.Rows, m.cur.Cols))
 	return nil
 }
 
@@ -408,7 +273,7 @@ func (m *Matrix[T]) Dup() (*Matrix[T], error) {
 	if _, ok := sparse.CheckedMul(c.Rows, c.Cols); !ok {
 		return nil, errf(OutOfMemory, "Dup: shape %dx%d overflows the index range", c.Rows, c.Cols)
 	}
-	return &Matrix[T]{init: true, ctx: ctx, csr: c}, nil // csr is immutable; share
+	return newMatrix(ctx, c), nil // storage is immutable; share
 }
 
 // Resize changes the matrix dimensions (GrB_Matrix_resize). Entries outside
@@ -434,14 +299,11 @@ func (m *Matrix[T]) Resize(nrows, ncols Index) error {
 	if err != nil {
 		return err
 	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = (&obsv.Event{Op: "Matrix.Resize", Kind: "kernel"}).
-			A(old.Rows, old.Cols, old.NNZ())
-	}
-	return m.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		return old.Resize(nrows, ncols), nil
-	})
+	return m.push(ctx.Mode(), opNode[T, *sparse.CSR[T]]{op: "Matrix.Resize", yields: yieldsC,
+		ev: evKernel("Matrix.Resize").A(old.Rows, old.Cols, old.NNZ()),
+		kernel: func(sparse.Exec) (*sparse.CSR[T], error) {
+			return old.Resize(nrows, ncols), nil
+		}})
 }
 
 // Build populates an empty matrix from coordinate lists (GrB_Matrix_build):
@@ -480,20 +342,13 @@ func (m *Matrix[T]) Build(I, J []Index, X []T, dup BinaryOp[T, T, T]) error {
 	// becomes an execution error — is the deferred step.
 	b, err := sparse.Bucket(rows, cols, I, J, X)
 	if err != nil {
-		return mapSparseErr(err, "Build")
+		return mapExecErr(err, "Build")
 	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = (&obsv.Event{Op: "Matrix.Build", Kind: "kernel"}).
-			A(rows, cols, len(I))
-	}
-	return m.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		nc, err := b.Fold(dup)
-		if err != nil {
-			return nil, mapSparseErr(err, "Build")
-		}
-		return nc, nil
-	})
+	return m.push(ctx.Mode(), opNode[T, *sparse.CSR[T]]{op: "Matrix.Build", yields: yieldsC,
+		ev: evKernel("Matrix.Build").A(rows, cols, len(I)),
+		kernel: func(sparse.Exec) (*sparse.CSR[T], error) {
+			return b.Fold(dup)
+		}})
 }
 
 // SetElement stores value v at (i, j), replacing any existing entry
@@ -502,28 +357,7 @@ func (m *Matrix[T]) SetElement(v T, i, j Index) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	ctx, err := m.context()
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.derr != nil {
-		return m.derr
-	}
-	if len(m.pending) > 0 { // settle a possible pending Resize
-		if err := m.materializeLocked(); err != nil {
-			return err
-		}
-	}
-	if i < 0 || i >= m.csr.Rows || j < 0 || j >= m.csr.Cols {
-		return errf(InvalidIndex, "SetElement: (%d,%d) outside %dx%d", i, j, m.csr.Rows, m.csr.Cols)
-	}
-	m.tuples = append(m.tuples, sparse.Tuple[T]{Row: i, Col: j, Val: v})
-	if ctx.Mode() == Blocking {
-		return m.materializeLocked()
-	}
-	return nil
+	return m.update("SetElement", sparse.Tuple[T]{Row: i, Col: j, Val: v})
 }
 
 // SetElementScalar stores the value held by a GrB_Scalar at (i, j) — the
@@ -553,28 +387,7 @@ func (m *Matrix[T]) RemoveElement(i, j Index) error {
 	if err := m.check(); err != nil {
 		return err
 	}
-	ctx, err := m.context()
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.derr != nil {
-		return m.derr
-	}
-	if len(m.pending) > 0 {
-		if err := m.materializeLocked(); err != nil {
-			return err
-		}
-	}
-	if i < 0 || i >= m.csr.Rows || j < 0 || j >= m.csr.Cols {
-		return errf(InvalidIndex, "RemoveElement: (%d,%d) outside %dx%d", i, j, m.csr.Rows, m.csr.Cols)
-	}
-	m.tuples = append(m.tuples, sparse.Tuple[T]{Row: i, Col: j, Del: true})
-	if ctx.Mode() == Blocking {
-		return m.materializeLocked()
-	}
-	return nil
+	return m.update("RemoveElement", sparse.Tuple[T]{Row: i, Col: j, Del: true})
 }
 
 // ExtractElement reads the entry at (i, j) (GrB_Matrix_extractElement).
@@ -636,8 +449,3 @@ func (m *Matrix[T]) ExtractTuples() (I, J []Index, X []T, err error) {
 	I, J, X = c.Tuples(nil, nil, nil)
 	return I, J, X, nil
 }
-
-// mapSparseErr translates substrate errors into GraphBLAS execution errors.
-// It is the historical name for mapExecErr (harden.go), which now also
-// covers the hardening sentinels (budget, cancellation, recovered panics).
-func mapSparseErr(err error, op string) *Error { return mapExecErr(err, op) }

@@ -3,71 +3,143 @@ package grb
 import (
 	"errors"
 
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/sparse"
 )
 
-// snapMask completes a (possibly nil) matrix mask and bundles it with the
-// descriptor's mask-interpretation flags for the kernels.
-func snapMask(mask *Matrix[bool], d Descriptor) (sparse.Mask, error) {
-	mk := sparse.Mask{Structural: d.Structure, Complement: d.Complement}
-	if mask != nil {
-		if err := mask.check(); err != nil {
-			return mk, err
+// frame is the call-time half of one operation C⟨M, replace⟩ = C ⊙ T: the
+// prologue every operation repeats, in the order the paper's error model
+// fixes it. newFrame validates the objects, the operators and the shared
+// context; in completes the inputs and then the output, in argument order;
+// ready completes the mask. From there the operation file states only what
+// is its own — its dimension rule, its flop estimate, its kernel — and hands
+// the frame to the output's submit, which appends the node.
+//
+// The first error sticks in err and turns the remaining stages into no-ops,
+// so a failed stage reads nothing further (a snapshot is a drain: it must
+// not run past an API error) and one check after ready reports it.
+type frame struct {
+	op      string
+	err     error
+	ctx     *Context   // the context the operation executes in
+	d       Descriptor // desc, with nil read as the default
+	maskArg maskRef
+	mask    maskSnap
+	threads int         // 0 until work sizes the operation
+	ev      *obsv.Event // nil unless a sink is observing
+	label   func(sparse.Route) string
+}
+
+// operand is any Matrix or Vector taking part in an operation.
+type operand interface {
+	check() error
+	ownContext() *Context
+}
+
+// maskRef is an operation's optional mask argument: a matrix mask, a vector
+// mask, or neither.
+type maskRef struct {
+	m *Matrix[bool]
+	v *Vector[bool]
+}
+
+// newFrame opens the frame of operation op on operands (output first):
+// every operand is a live object, the operation's own operators are present
+// (opsOK, evaluated by the caller), and operands and mask share a context
+// (§IV).
+func newFrame(op string, desc *Descriptor, opsOK bool, mask maskRef, operands ...operand) frame {
+	f := frame{op: op, maskArg: mask}
+	var buf [4]*Context // output, at most two inputs, mask
+	ctxs := buf[:0]
+	for _, o := range operands {
+		if f.err = o.check(); f.err != nil {
+			return f
 		}
-		mcsr, err := mask.snapshot()
-		if err != nil {
-			return mk, err
+		ctxs = append(ctxs, o.ownContext())
+	}
+	if !opsOK {
+		f.err = errf(NullPointer, "%s: nil operator", op)
+		return f
+	}
+	if mask.m != nil {
+		ctxs = append(ctxs, mask.m.ctx)
+	}
+	if mask.v != nil {
+		ctxs = append(ctxs, mask.v.ctx)
+	}
+	if f.ctx, f.err = sameContext(ctxs...); f.err != nil {
+		return f
+	}
+	f.d = desc.get()
+	f.ev = evKernel(op)
+	return f
+}
+
+// in completes an operand and returns its storage: an operation reads the
+// completed state of its inputs and of its output as they are at the call.
+func in[S any](f *frame, o interface{ snapshot() (S, error) }) (s S) {
+	if f.err == nil {
+		s, f.err = o.snapshot()
+	}
+	return s
+}
+
+// ready completes the mask — the last read of the prologue — and reports the
+// prologue's first error.
+func (f *frame) ready() error {
+	if f.err != nil {
+		return f.err
+	}
+	f.mask = maskSnap{Structural: f.d.Structure, Complement: f.d.Complement}
+	if m := f.maskArg.m; m != nil {
+		if f.err = m.check(); f.err == nil {
+			f.mask.M, f.err = m.snapshot()
 		}
-		mk.M = mcsr
 	}
-	return mk, nil
-}
-
-// snapVMask is the vector analogue of snapMask.
-func snapVMask(mask *Vector[bool], d Descriptor) (sparse.VMask, error) {
-	mk := sparse.VMask{Structural: d.Structure, Complement: d.Complement}
-	if mask != nil {
-		if err := mask.check(); err != nil {
-			return mk, err
+	if v := f.maskArg.v; v != nil {
+		if f.err = v.check(); f.err == nil {
+			f.mask.V, f.err = v.snapshot()
 		}
-		mvec, err := mask.snapshot()
-		if err != nil {
-			return mk, err
+	}
+	return f.err
+}
+
+// work sizes the operation: the thread count for about n units of work.
+func (f *frame) work(n int) int {
+	f.threads = f.ctx.threadsFor(n)
+	f.ev.WithThreads(f.threads)
+	return f.threads
+}
+
+// indexList validates a caller's index list against [0, n) and returns the
+// deferred step's own copy of it with the number of positions it selects.
+// nil is grb.All — every index, n positions; a non-nil empty list selects
+// none, and stays non-nil in the copy.
+func indexList(op, what string, idx []Index, n int) ([]Index, int, error) {
+	if idx == nil {
+		return nil, n, nil
+	}
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return nil, 0, errf(InvalidIndex, "%s: %s %d outside [0, %d)", op, what, i, n)
 		}
-		mk.M = mvec
 	}
-	return mk, nil
+	return append([]Index{}, idx...), len(idx), nil
 }
 
-// maskCtx returns the context pointer of an optional mask for the shared-
-// context check (§IV).
-func maskCtx(mask *Matrix[bool]) []*Context {
-	if mask == nil {
-		return nil
+// transposedDims returns a snapshot's shape as an operation sees it under a
+// Transpose descriptor flag.
+func transposedDims[T any](m *sparse.CSR[T], t bool) (rows, cols int) {
+	if t {
+		return m.Cols, m.Rows
 	}
-	return []*Context{mask.ctx}
+	return m.Rows, m.Cols
 }
 
-// vmaskCtx is the vector analogue of maskCtx.
-func vmaskCtx(mask *Vector[bool]) []*Context {
-	if mask == nil {
-		return nil
-	}
-	return []*Context{mask.ctx}
-}
-
-// checkMaskDimsM validates that a matrix mask matches the output shape.
-func checkMaskDimsM(mk sparse.Mask, rows, cols int) error {
-	if mk.M != nil && (mk.M.Rows != rows || mk.M.Cols != cols) {
-		return errf(DimensionMismatch, "mask is %dx%d but output is %dx%d", mk.M.Rows, mk.M.Cols, rows, cols)
-	}
-	return nil
-}
-
-// checkMaskDimsV validates that a vector mask matches the output size.
-func checkMaskDimsV(mk sparse.VMask, n int) error {
-	if mk.M != nil && mk.M.N != n {
-		return errf(DimensionMismatch, "mask has size %d but output has size %d", mk.M.N, n)
+// checkMaskDimsV validates that a vector mask matches the extent it guards.
+func checkMaskDimsV(mk *sparse.Vec[bool], n int) error {
+	if mk != nil && mk.N != n {
+		return errf(DimensionMismatch, "mask has size %d but output has size %d", mk.N, n)
 	}
 	return nil
 }
@@ -130,7 +202,7 @@ func AsMaskFunc[T any](m *Matrix[T], pred func(T) bool) (*Matrix[bool], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix[bool]{init: true, ctx: m.ctx, csr: out}, nil
+	return newMatrix(m.ctx, out), nil
 }
 
 // AsVectorMask converts a numeric vector into a boolean mask vector
@@ -158,5 +230,5 @@ func AsVectorMaskFunc[T any](v *Vector[T], pred func(T) bool) (*Vector[bool], er
 	if err != nil {
 		return nil, err
 	}
-	return &Vector[bool]{init: true, ctx: v.ctx, vec: out}, nil
+	return newVector(v.ctx, out), nil
 }

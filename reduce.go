@@ -11,63 +11,25 @@ import (
 // entries produce no output entry.
 func MatrixReduceToVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	monoid Monoid[T], a *Matrix[T], desc *Descriptor) error {
-	if err := w.check(); err != nil {
+	f := newFrame("MatrixReduceToVector", desc, monoid.Op != nil, maskRef{v: mask}, w, a)
+	acsr, wOld := in(&f, a), in(&f, w)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := a.check(); err != nil {
-		return err
+	byCols, route := f.d.Transpose0, "rows"
+	if byCols {
+		route = "cols"
 	}
-	if monoid.Op == nil {
-		return errf(NullPointer, "MatrixReduceToVector: nil monoid")
-	}
-	ctxs := append([]*Context{w.ctx, a.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	wOld, err := w.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
-		return err
-	}
-	n := acsr.Rows
-	if d.Transpose0 {
-		n = acsr.Cols
-	}
-	if wOld.N != n {
+	if _, n := transposedDims(acsr, !byCols); wOld.N != n {
 		return errf(DimensionMismatch, "MatrixReduceToVector: output has size %d but reduction has size %d", wOld.N, n)
 	}
-	if err := checkMaskDimsV(mk, wOld.N); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ())
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("MatrixReduceToVector").WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
-		if d.Transpose0 {
-			ev.WithRoute("cols")
-		} else {
-			ev.WithRoute("rows")
+	f.work(acsr.NNZ())
+	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ())).WithRoute(route)
+	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
+		if byCols {
+			return sparse.ReduceCols(acsr, monoid.Op, e.Threads), nil
 		}
-	}
-	return w.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
-		var t *sparse.Vec[T]
-		if d.Transpose0 {
-			t = sparse.ReduceCols(acsr, monoid.Op, threads)
-		} else {
-			t = sparse.ReduceRows(acsr, monoid.Op, threads)
-		}
-		z := sparse.AccumMergeV(wOld, t, accum)
-		return sparse.MaskApplyV(wOld, z, mk, d.Replace), nil
+		return sparse.ReduceRows(acsr, monoid.Op, e.Threads), nil
 	})
 }
 

@@ -1,9 +1,6 @@
 package grb
 
-import (
-	"github.com/grblas/grb/internal/obsv"
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
 // RowAssign computes C⟨m'⟩(i, cols) = C(i, cols) ⊙ u: assignment of a vector
 // into (part of) one row of C (GrB_Row_assign). The mask m, when present, is
@@ -11,68 +8,28 @@ import (
 // whole row.
 func RowAssign[T any](c *Matrix[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	u *Vector[T], i Index, cols []Index, desc *Descriptor) error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	if err := u.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{c.ctx, u.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
+	f := newFrame("RowAssign", desc, true, maskRef{v: mask}, c, u)
+	uvec, cOld := in(&f, u), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
 	if i < 0 || i >= cOld.Rows {
 		return errf(InvalidIndex, "RowAssign: row %d outside %d rows", i, cOld.Rows)
 	}
-	nc := cOld.Cols
-	if cols != nil {
-		nc = len(cols)
-		for _, cc := range cols {
-			if cc < 0 || cc >= cOld.Cols {
-				return errf(InvalidIndex, "RowAssign: column index %d outside %d columns", cc, cOld.Cols)
-			}
-		}
+	cj, nc, err := indexList(f.op, "column index", cols, cOld.Cols)
+	if err != nil {
+		return err
 	}
 	if uvec.N != nc {
 		return errf(DimensionMismatch, "RowAssign: source has size %d but region has size %d", uvec.N, nc)
 	}
-	if err := checkMaskDimsV(mk, cOld.Cols); err != nil {
+	if err := checkMaskDimsV(f.mask.V, cOld.Cols); err != nil {
 		return err
 	}
-	cj := append([]Index(nil), cols...)
-	if cols == nil {
-		cj = nil
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("RowAssign").
-			A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		// Extract the row, assign into it as a vector, mask over the row,
-		// and splice the result back.
-		rowInd, rowVal := cOld.Row(i)
-		rowVec := &sparse.Vec[T]{N: cOld.Cols, Ind: rowInd, Val: rowVal}
-		z, err := sparse.AssignV(rowVec, uvec, cj, accum)
-		if err != nil {
-			return nil, mapSparseErr(err, "RowAssign")
-		}
-		final := sparse.MaskApplyV(rowVec, z, mk, d.Replace)
-		return spliceRow(cOld, i, final), nil
+	mk, replace := f.mask.vector(), f.d.Replace
+	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
+	return c.submit(&f, cOld, yieldsC, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
+		return assignRow(cOld, i, uvec, cj, accum, mk, replace)
 	})
 }
 
@@ -82,92 +39,63 @@ func RowAssign[T any](c *Matrix[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 // means the whole column.
 func ColAssign[T any](c *Matrix[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	u *Vector[T], rows []Index, j Index, desc *Descriptor) error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	if err := u.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{c.ctx, u.ctx}, vmaskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	uvec, err := u.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapVMask(mask, d)
-	if err != nil {
+	f := newFrame("ColAssign", desc, true, maskRef{v: mask}, c, u)
+	uvec, cOld := in(&f, u), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
 	if j < 0 || j >= cOld.Cols {
 		return errf(InvalidIndex, "ColAssign: column %d outside %d columns", j, cOld.Cols)
 	}
-	nr := cOld.Rows
-	if rows != nil {
-		nr = len(rows)
-		for _, r := range rows {
-			if r < 0 || r >= cOld.Rows {
-				return errf(InvalidIndex, "ColAssign: row index %d outside %d rows", r, cOld.Rows)
-			}
-		}
+	ri, nr, err := indexList(f.op, "row index", rows, cOld.Rows)
+	if err != nil {
+		return err
 	}
 	if uvec.N != nr {
 		return errf(DimensionMismatch, "ColAssign: source has size %d but region has size %d", uvec.N, nr)
 	}
-	if err := checkMaskDimsV(mk, cOld.Rows); err != nil {
+	if err := checkMaskDimsV(f.mask.V, cOld.Rows); err != nil {
 		return err
 	}
-	ri := append([]Index(nil), rows...)
-	if rows == nil {
-		ri = nil
-	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("ColAssign").
-			A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
+	mk, replace := f.mask.vector(), f.d.Replace
+	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
+	return c.submit(&f, cOld, yieldsC, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
 		// Work on the transpose so the column becomes a row, then
 		// transpose back. O(nnz) each way; the forward transpose is the
 		// cached view, so repeated column assigns on a settled matrix pay
 		// only the splice and the way back.
-		ct := sparse.TransposeCached(cOld)
-		rowInd, rowVal := ct.Row(j)
-		rowVec := &sparse.Vec[T]{N: ct.Cols, Ind: rowInd, Val: rowVal}
-		z, err := sparse.AssignV(rowVec, uvec, ri, accum)
+		ct, err := assignRow(sparse.TransposeCached(cOld), j, uvec, ri, accum, mk, replace)
 		if err != nil {
-			return nil, mapSparseErr(err, "ColAssign")
+			return nil, err
 		}
-		final := sparse.MaskApplyV(rowVec, z, mk, d.Replace)
-		return sparse.Transpose(spliceRow(ct, j, final)), nil
+		return sparse.Transpose(ct), nil
 	})
 }
 
-// spliceRow returns a copy of m with row i replaced by the given vector
-// (whose size is m.Cols).
-func spliceRow[T any](m *sparse.CSR[T], i int, row *sparse.Vec[T]) *sparse.CSR[T] {
+// assignRow returns a copy of m whose row i is row⟨mk⟩(idx) = row(idx) ⊙ u:
+// the row is taken out as a vector, assigned into and masked as one, and
+// spliced back.
+func assignRow[T any](m *sparse.CSR[T], i int, u *sparse.Vec[T], idx []Index,
+	accum func(T, T) T, mk sparse.VMask, replace bool) (*sparse.CSR[T], error) {
+	oldInd, oldVal := m.Row(i)
+	old := &sparse.Vec[T]{N: m.Cols, Ind: oldInd, Val: oldVal}
+	z, err := sparse.AssignV(old, u, idx, accum)
+	if err != nil {
+		return nil, err
+	}
+	row := sparse.MaskApplyV(old, z, mk, replace)
 	out := &sparse.CSR[T]{Rows: m.Rows, Cols: m.Cols, Ptr: make([]int, m.Rows+1)}
-	oldInd, _ := m.Row(i)
 	newLen := len(m.Ind) - len(oldInd) + row.NNZ()
 	out.Ind = make([]int, 0, newLen)
 	out.Val = make([]T, 0, newLen)
 	for r := 0; r < m.Rows; r++ {
-		if r == i {
-			out.Ind = append(out.Ind, row.Ind...)
-			out.Val = append(out.Val, row.Val...)
-		} else {
-			ind, val := m.Row(r)
-			out.Ind = append(out.Ind, ind...)
-			out.Val = append(out.Val, val...)
+		ind, val := row.Ind, row.Val
+		if r != i {
+			ind, val = m.Row(r)
 		}
+		out.Ind = append(out.Ind, ind...)
+		out.Val = append(out.Val, val...)
 		out.Ptr[r+1] = len(out.Ind)
 	}
-	return out
+	return out, nil
 }

@@ -24,7 +24,7 @@ sh scripts/fmt.sh
 echo "== race tier: multithread / nonblocking / differential / observability suites =="
 go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 
-echo "== lint tier: grblint (infocheck, snapshotcheck, lockcheck, enumcheck) =="
+echo "== lint tier: grblint (infocheck, snapshotcheck, lockcheck, enumcheck, budgetcheck, obsvcheck, sitecheck, atomiccheck, panicpathcheck) =="
 go run ./cmd/grblint ./...
 
 echo "== bench-smoke tier: go vet + go test in benchmark/ =="

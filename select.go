@@ -13,7 +13,7 @@ func MatrixSelect[DA, DS any](c *Matrix[DA], mask *Matrix[bool], accum BinaryOp[
 	if op == nil {
 		return errf(NullPointer, "MatrixSelect: nil operator")
 	}
-	return matrixApplyCommon("MatrixSelect", c, mask, accum, a, desc,
+	return mapMatrix("MatrixSelect", c, mask, accum, a, desc,
 		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DA] {
 			return sparse.SelectM(in, op, s, threads)
 		})
@@ -38,7 +38,7 @@ func VectorSelect[DA, DS any](w *Vector[DA], mask *Vector[bool], accum BinaryOp[
 	if op == nil {
 		return errf(NullPointer, "VectorSelect: nil operator")
 	}
-	return vectorApplyCommon("VectorSelect", w, mask, accum, u, desc,
+	return mapVector("VectorSelect", w, mask, accum, u, desc,
 		func(in *sparse.Vec[DA]) *sparse.Vec[DA] {
 			return sparse.SelectV(in, op, s)
 		})

@@ -407,12 +407,11 @@ func MatrixDeserialize[T any](data []byte, opts ...ObjOption) (*Matrix[T], error
 	if err != nil {
 		return nil, err
 	}
-	m := &Matrix[T]{init: true, ctx: ctx,
-		csr: &sparse.CSR[T]{Rows: rows, Cols: cols, Ptr: ptr, Ind: ind, Val: vals}}
-	if !m.csr.Valid() {
+	csr := &sparse.CSR[T]{Rows: rows, Cols: cols, Ptr: ptr, Ind: ind, Val: vals}
+	if !csr.Valid() {
 		return nil, errf(InvalidObject, "MatrixDeserialize: stream describes an invalid matrix")
 	}
-	return m, nil
+	return newMatrix(ctx, csr), nil
 }
 
 // SerializeSize returns the number of bytes Serialize needs
@@ -468,10 +467,9 @@ func VectorDeserialize[T any](data []byte, opts ...ObjOption) (*Vector[T], error
 	if err != nil {
 		return nil, err
 	}
-	v := &Vector[T]{init: true, ctx: ctx,
-		vec: &sparse.Vec[T]{N: n, Ind: ind, Val: vals}}
-	if !v.vec.Valid() {
+	vec := &sparse.Vec[T]{N: n, Ind: ind, Val: vals}
+	if !vec.Valid() {
 		return nil, errf(InvalidObject, "VectorDeserialize: stream describes an invalid vector")
 	}
-	return v, nil
+	return newVector(ctx, vec), nil
 }

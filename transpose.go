@@ -1,65 +1,29 @@
 package grb
 
-import (
-	"github.com/grblas/grb/internal/obsv"
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
 // Transpose computes C⟨M⟩ = C ⊙ Aᵀ (GrB_transpose). Combining with the
 // Transpose0 descriptor flag yields a (possibly masked/accumulated) plain
 // copy of A.
 func Transpose[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	a *Matrix[T], desc *Descriptor) error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	if err := a.check(); err != nil {
-		return err
-	}
-	ctxs := append([]*Context{c.ctx, a.ctx}, maskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapMask(mask, d)
-	if err != nil {
+	f := newFrame("Transpose", desc, true, maskRef{m: mask}, c, a)
+	acsr, cOld := in(&f, a), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
 	// Result shape: Aᵀ, un-transposed again if Transpose0 is set.
-	ar, ac := acsr.Cols, acsr.Rows
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	if cOld.Rows != ar || cOld.Cols != ac {
+	t0 := f.d.Transpose0
+	if ar, ac := transposedDims(acsr, !t0); cOld.Rows != ar || cOld.Cols != ac {
 		return errf(DimensionMismatch, "Transpose: output is %dx%d but result is %dx%d", cOld.Rows, cOld.Cols, ar, ac)
 	}
-	if err := checkMaskDimsM(mk, cOld.Rows, cOld.Cols); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ())
+	f.work(acsr.NNZ())
 	// Route "transpose" with a zero transpose_mats delta at End means the
 	// cached view served the call (cache hit).
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("Transpose").WithRoute("transpose").WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[T], error) {
-		t := acsr
-		if !d.Transpose0 { // transpose of a transpose is the input itself
-			t = sparse.TransposeCached(acsr)
-		}
-		z := sparse.AccumMergeM(cOld, t, accum, threads)
-		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil
+	f.ev.WithRoute("transpose").A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
+	return c.submit(&f, cOld, yieldsT, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
+		// The transpose of a transpose is the input itself.
+		return maybeTranspose(acsr, !t0), nil
 	})
 }
 
@@ -67,48 +31,14 @@ func Transpose[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 // operator (GrB_kronecker): C(i·br+k, j·bc+l) = op(A(i,j), B(k,l)).
 func Kronecker[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
-	if err := c.check(); err != nil {
+	f := newFrame("Kronecker", desc, op != nil, maskRef{m: mask}, c, a, b)
+	acsr, bcsr, cOld := in(&f, a), in(&f, b), in(&f, c)
+	if err := f.ready(); err != nil {
 		return err
 	}
-	if err := a.check(); err != nil {
-		return err
-	}
-	if err := b.check(); err != nil {
-		return err
-	}
-	if op == nil {
-		return errf(NullPointer, "Kronecker: nil operator")
-	}
-	ctxs := append([]*Context{c.ctx, a.ctx, b.ctx}, maskCtx(mask)...)
-	ctx, err := sameContext(ctxs...)
-	if err != nil {
-		return err
-	}
-	d := desc.get()
-	acsr, err := a.snapshot()
-	if err != nil {
-		return err
-	}
-	bcsr, err := b.snapshot()
-	if err != nil {
-		return err
-	}
-	cOld, err := c.snapshot()
-	if err != nil {
-		return err
-	}
-	mk, err := snapMask(mask, d)
-	if err != nil {
-		return err
-	}
-	ar, ac := acsr.Rows, acsr.Cols
-	if d.Transpose0 {
-		ar, ac = ac, ar
-	}
-	br, bc := bcsr.Rows, bcsr.Cols
-	if d.Transpose1 {
-		br, bc = bc, br
-	}
+	d := f.d
+	ar, ac := transposedDims(acsr, d.Transpose0)
+	br, bc := transposedDims(bcsr, d.Transpose1)
 	pr, okR := checkedMulIndex(ar, br)
 	pc, okC := checkedMulIndex(ac, bc)
 	if !okR || !okC {
@@ -118,25 +48,11 @@ func Kronecker[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp
 		return errf(DimensionMismatch, "Kronecker: output is %dx%d but product is %dx%d",
 			cOld.Rows, cOld.Cols, pr, pc)
 	}
-	if err := checkMaskDimsM(mk, cOld.Rows, cOld.Cols); err != nil {
-		return err
-	}
-	threads := ctx.threadsFor(acsr.NNZ() * bcsr.NNZ())
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel("Kronecker").WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
-			WithFlops(int64(acsr.NNZ()) * int64(bcsr.NNZ()))
-	}
-	return c.enqueue(ctx, ev, func() (*sparse.CSR[DC], error) {
-		A := maybeTranspose(acsr, d.Transpose0)
-		B := maybeTranspose(bcsr, d.Transpose1)
-		t, err := sparse.Kron(A, B, op, threads)
-		if err != nil {
-			return nil, errf(OutOfMemory, "Kronecker: %v", err)
-		}
-		z := sparse.AccumMergeM(cOld, t, accum, threads)
-		return sparse.MaskApplyM(cOld, z, mk, d.Replace, threads), nil
+	f.work(acsr.NNZ() * bcsr.NNZ())
+	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
+		WithFlops(int64(acsr.NNZ()) * int64(bcsr.NNZ()))
+	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
+		return sparse.Kron(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), op, e.Threads)
 	})
 }
 
@@ -175,5 +91,5 @@ func MatrixDiag[T any](v *Vector[T], k Index, opts ...ObjOption) (*Matrix[T], er
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix[T]{init: true, ctx: ctxPtr, csr: sparse.Diag(uvec, k)}, nil
+	return newMatrix(ctxPtr, sparse.Diag(uvec, k)), nil
 }

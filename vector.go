@@ -1,26 +1,54 @@
 package grb
 
-import (
-	"sync"
-
-	"github.com/grblas/grb/internal/obsv"
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
 // Vector is the opaque GraphBLAS vector object (GrB_Vector), a
 // one-dimensional sparse array over domain T. Like Matrix it belongs to an
 // execution context and obeys the sequence/completion model of §III in
 // nonblocking mode.
 type Vector[T any] struct {
-	mu      sync.Mutex
-	init    bool
-	ctx     *Context
-	vec     *sparse.Vec[T]
-	pending []func(*Vector[T])
-	tuples  []sparse.VTuple[T]
-	derr    *Error
-	errmsg  string
-	seq     obsv.SeqID // open sequence span during a drain, else 0
+	sequence[T, *sparse.Vec[T], sparse.VTuple[T], vectorKind[T]]
+}
+
+// newVector wraps completed storage in a live handle owned by ctx.
+func newVector[T any](ctx *Context, vec *sparse.Vec[T]) *Vector[T] {
+	v := &Vector[T]{}
+	v.init, v.ctx, v.cur = true, ctx, vec
+	return v
+}
+
+// vectorKind is the vector side of the sequence's kind interface; a vector
+// is n×1 wherever a shape is asked for.
+type vectorKind[T any] struct{}
+
+func (vectorKind[T]) spanName() string { return "vector" }
+func (vectorKind[T]) mergeOp() string  { return "Vector.setElement(merge)" }
+
+func (vectorKind[T]) shape(v *sparse.Vec[T]) (rows, cols int) { return v.N, 1 }
+
+func (vectorKind[T]) inBounds(op string, v *sparse.Vec[T], t sparse.VTuple[T]) error {
+	if t.Idx < 0 || t.Idx >= v.N {
+		return errf(InvalidIndex, "%s: index %d outside size %d", op, t.Idx, v.N)
+	}
+	return nil
+}
+
+func (vectorKind[T]) mergeTuples(v *sparse.Vec[T], tuples []sparse.VTuple[T]) (*sparse.Vec[T], error) {
+	return sparse.MergeVTuples(v, tuples)
+}
+
+func (vectorKind[T]) debugCheck(v *sparse.Vec[T]) { sparse.DebugCheckVec(v, "Vector sequence step") }
+
+func (vectorKind[T]) maskFits(mk maskSnap, v *sparse.Vec[T]) error {
+	return checkMaskDimsV(mk.V, v.N)
+}
+
+func (vectorKind[T]) accumMerge(old, t *sparse.Vec[T], accum func(T, T) T, _ int) *sparse.Vec[T] {
+	return sparse.AccumMergeV(old, t, accum)
+}
+
+func (vectorKind[T]) maskApply(old, z *sparse.Vec[T], mk maskSnap, replace bool, _ int) *sparse.Vec[T] {
+	return sparse.MaskApplyV(old, z, mk.vector(), replace)
 }
 
 // NewVector creates an empty vector of the given size over domain T
@@ -37,7 +65,7 @@ func NewVector[T any](size Index, opts ...ObjOption) (*Vector[T], error) {
 	if size <= 0 {
 		return nil, errf(InvalidValue, "NewVector: size must be positive (got %d)", size)
 	}
-	return &Vector[T]{init: true, ctx: ctx, vec: sparse.NewVec[T](size)}, nil
+	return newVector(ctx, sparse.NewVec[T](size)), nil
 }
 
 func (v *Vector[T]) check() error {
@@ -49,8 +77,6 @@ func (v *Vector[T]) check() error {
 	}
 	return nil
 }
-
-func (v *Vector[T]) context() (*Context, error) { return resolveCtx(v.ctx) }
 
 // Context returns the execution context the vector belongs to.
 func (v *Vector[T]) Context() (*Context, error) {
@@ -66,112 +92,7 @@ func (v *Vector[T]) SwitchContext(ctx *Context) error {
 	if err := v.check(); err != nil {
 		return err
 	}
-	if ctx == nil {
-		return errf(NullPointer, "SwitchContext: nil context")
-	}
-	if ctx.isFreed() {
-		return errf(UninitializedObject, "SwitchContext: freed context")
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.materializeLocked(); err != nil {
-		return err
-	}
-	v.ctx = ctx
-	return nil
-}
-
-// materializeLocked drains the deferred sequence under a sequence span (see
-// the Matrix counterpart for the attribution protocol).
-func (v *Vector[T]) materializeLocked() error {
-	var span obsv.Span
-	if len(v.pending) > 0 || len(v.tuples) > 0 {
-		span = obsv.SeqBegin("vector")
-		v.seq = span.ID()
-		defer func() { v.seq = 0 }()
-	}
-	steps := 0
-	for len(v.pending) > 0 {
-		op := v.pending[0]
-		v.pending = v.pending[1:]
-		op(v)
-		steps++
-	}
-	if len(v.tuples) > 0 {
-		var ev *obsv.Event
-		if obsv.Active() {
-			ev = &obsv.Event{Op: "Vector.setElement(merge)", Kind: "merge"}
-			ev.A(v.vec.N, 1, v.vec.NNZ()).B(len(v.tuples), 1, len(v.tuples))
-		}
-		x := obsv.Begin(ev, v.seq)
-		nv, err := runStep("setElement", func() (*sparse.Vec[T], error) {
-			if err := sparse.MergeSite().Check(); err != nil {
-				return nil, err
-			}
-			return sparse.MergeVTuples(v.vec, v.tuples)
-		})
-		v.tuples = nil
-		steps++
-		if err != nil {
-			x.End(0, err)
-			v.parkLocked(err)
-		} else {
-			x.End(nv.NNZ(), nil)
-			v.vec = nv
-		}
-	}
-	span.End(steps)
-	if v.derr != nil {
-		return v.derr
-	}
-	return nil
-}
-
-func (v *Vector[T]) parkLocked(err error) {
-	if v.derr == nil {
-		if e, ok := err.(*Error); ok {
-			v.derr = e
-		} else {
-			v.derr = errf(Panic, "%v", err)
-		}
-		v.errmsg = v.derr.Error()
-	}
-}
-
-func (v *Vector[T]) snapshot() (*sparse.Vec[T], error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.materializeLocked(); err != nil {
-		return nil, err
-	}
-	return v.vec, nil
-}
-
-// enqueue appends a sequence step; ev (nil when observation was off at call
-// time) is completed around the compute inside the drain, as in Matrix.
-func (v *Vector[T]) enqueue(ctx *Context, ev *obsv.Event, compute func() (*sparse.Vec[T], error)) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.derr != nil {
-		return v.derr
-	}
-	v.pending = append(v.pending, func(vv *Vector[T]) {
-		x := obsv.Begin(ev, vv.seq)
-		// Panic isolation, as in the Matrix step wrapper: see runStep.
-		res, err := runStep("sequence step", compute)
-		if err != nil {
-			x.End(0, err)
-			vv.parkLocked(err)
-			return
-		}
-		x.End(res.NNZ(), nil)
-		sparse.DebugCheckVec(res, "Vector sequence step")
-		vv.vec = res
-	})
-	if ctx.Mode() == Blocking {
-		return v.materializeLocked()
-	}
-	return nil
+	return v.switchContext(ctx)
 }
 
 // Wait forces the sequence that defines the vector into the requested state
@@ -180,19 +101,7 @@ func (v *Vector[T]) Wait(mode WaitMode) error {
 	if err := v.check(); err != nil {
 		return err
 	}
-	if mode != Complete && mode != Materialize {
-		return errf(InvalidValue, "Wait: invalid mode %d", int(mode))
-	}
-	if _, err := v.context(); err != nil {
-		return err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	err := v.materializeLocked()
-	if mode == Materialize {
-		return err
-	}
-	return nil
+	return v.wait(mode)
 }
 
 // ErrorString returns the diagnostic string for the last error (GrB_error).
@@ -200,9 +109,7 @@ func (v *Vector[T]) ErrorString() string {
 	if v == nil || !v.init {
 		return ""
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.errmsg
+	return v.errorString()
 }
 
 // Free releases the vector (GrB_free).
@@ -213,10 +120,7 @@ func (v *Vector[T]) Free() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.init = false
-	v.vec = nil
-	v.pending = nil
-	v.tuples = nil
-	v.derr = nil
+	v.resetLocked(nil)
 	return nil
 }
 
@@ -225,17 +129,8 @@ func (v *Vector[T]) Size() (Index, error) {
 	if err := v.check(); err != nil {
 		return 0, err
 	}
-	if _, err := v.context(); err != nil {
-		return 0, err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if len(v.pending) > 0 {
-		if err := v.materializeLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return v.vec.N, nil
+	n, _, err := v.dims()
+	return n, err
 }
 
 // Nvals returns the number of stored entries (GrB_Vector_nvals).
@@ -264,11 +159,7 @@ func (v *Vector[T]) Clear() error {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.pending = nil
-	v.tuples = nil
-	v.derr = nil
-	v.errmsg = ""
-	v.vec = sparse.NewVec[T](v.vec.N)
+	v.resetLocked(sparse.NewVec[T](v.cur.N))
 	return nil
 }
 
@@ -285,7 +176,7 @@ func (v *Vector[T]) Dup() (*Vector[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Vector[T]{init: true, ctx: ctx, vec: s}, nil
+	return newVector(ctx, s), nil
 }
 
 // Resize changes the vector's size (GrB_Vector_resize).
@@ -304,14 +195,11 @@ func (v *Vector[T]) Resize(size Index) error {
 	if err != nil {
 		return err
 	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = (&obsv.Event{Op: "Vector.Resize", Kind: "kernel"}).
-			A(old.N, 1, old.NNZ())
-	}
-	return v.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
-		return old.Resize(size), nil
-	})
+	return v.push(ctx.Mode(), opNode[T, *sparse.Vec[T]]{op: "Vector.Resize", yields: yieldsC,
+		ev: evKernel("Vector.Resize").A(old.N, 1, old.NNZ()),
+		kernel: func(sparse.Exec) (*sparse.Vec[T], error) {
+			return old.Resize(size), nil
+		}})
 }
 
 // Build populates an empty vector from coordinate lists (GrB_Vector_build).
@@ -342,22 +230,11 @@ func (v *Vector[T]) Build(I []Index, X []T, dup BinaryOp[T, T, T]) error {
 	}
 	ci := append([]Index(nil), I...)
 	cx := append([]T(nil), X...)
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = (&obsv.Event{Op: "Vector.Build", Kind: "kernel"}).
-			A(n, 1, len(ci))
-	}
-	return v.enqueue(ctx, ev, func() (*sparse.Vec[T], error) {
-		var d func(T, T) T
-		if dup != nil {
-			d = dup
-		}
-		nv, err := sparse.BuildVec(n, ci, cx, d)
-		if err != nil {
-			return nil, mapSparseErr(err, "Build")
-		}
-		return nv, nil
-	})
+	return v.push(ctx.Mode(), opNode[T, *sparse.Vec[T]]{op: "Vector.Build", yields: yieldsC,
+		ev: evKernel("Vector.Build").A(n, 1, len(ci)),
+		kernel: func(sparse.Exec) (*sparse.Vec[T], error) {
+			return sparse.BuildVec(n, ci, cx, dup)
+		}})
 }
 
 // SetElement stores value x at index i (GrB_Vector_setElement).
@@ -365,28 +242,7 @@ func (v *Vector[T]) SetElement(x T, i Index) error {
 	if err := v.check(); err != nil {
 		return err
 	}
-	ctx, err := v.context()
-	if err != nil {
-		return err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.derr != nil {
-		return v.derr
-	}
-	if len(v.pending) > 0 {
-		if err := v.materializeLocked(); err != nil {
-			return err
-		}
-	}
-	if i < 0 || i >= v.vec.N {
-		return errf(InvalidIndex, "SetElement: index %d outside size %d", i, v.vec.N)
-	}
-	v.tuples = append(v.tuples, sparse.VTuple[T]{Idx: i, Val: x})
-	if ctx.Mode() == Blocking {
-		return v.materializeLocked()
-	}
-	return nil
+	return v.update("SetElement", sparse.VTuple[T]{Idx: i, Val: x})
 }
 
 // SetElementScalar stores the value held by a GrB_Scalar at index i — the
@@ -414,28 +270,7 @@ func (v *Vector[T]) RemoveElement(i Index) error {
 	if err := v.check(); err != nil {
 		return err
 	}
-	ctx, err := v.context()
-	if err != nil {
-		return err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.derr != nil {
-		return v.derr
-	}
-	if len(v.pending) > 0 {
-		if err := v.materializeLocked(); err != nil {
-			return err
-		}
-	}
-	if i < 0 || i >= v.vec.N {
-		return errf(InvalidIndex, "RemoveElement: index %d outside size %d", i, v.vec.N)
-	}
-	v.tuples = append(v.tuples, sparse.VTuple[T]{Idx: i, Del: true})
-	if ctx.Mode() == Blocking {
-		return v.materializeLocked()
-	}
-	return nil
+	return v.update("RemoveElement", sparse.VTuple[T]{Idx: i, Del: true})
 }
 
 // ExtractElement reads the entry at index i (GrB_Vector_extractElement);
