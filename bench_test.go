@@ -548,8 +548,109 @@ func BenchmarkAblation_BFSParents_LegacyPacked(b *testing.B) {
 	a := benchBoolMatrix(b, benchScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BFSParentsLegacy(a, 0); err != nil {
+		if _, err := bfsParentsLegacy(a, 0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// bfsParentsLegacy computes the same parent vector as lagraph.BFSParents but
+// the way a GraphBLAS 1.X program had to: without index-unary operators there
+// is no in-library way to replace a frontier's values with their own
+// indices, so each iteration round-trips the wavefront through host memory
+// — extract the tuples, overwrite the values array with the indices, and
+// rebuild the vector. This is the §II motivation of the GraphBLAS 2.0 paper
+// made concrete at algorithm level ("those index values were stored in the
+// values array ... the same information is stored and streamed twice"). It
+// lives here, beside the one benchmark that measures it, and not in lagraph.
+func bfsParentsLegacy(a *grb.Matrix[bool], src grb.Index) (*grb.Vector[int], error) {
+	n, err := a.Nrows()
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := a.Context()
+	if err != nil {
+		return nil, err
+	}
+	opt := grb.InContext(ctx)
+	parents, err := grb.NewVector[int](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	wavefront, err := grb.NewVector[int](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := wavefront.SetElement(src, src); err != nil {
+		return nil, err
+	}
+	minFirst := grb.Semiring[int, bool, int]{Add: grb.MinMonoid[int](), Mul: grb.First[int, bool]}
+	for {
+		nv, err := wavefront.Nvals()
+		if err != nil {
+			return nil, err
+		}
+		if nv == 0 {
+			break
+		}
+		wmask, err := grb.AsVectorMaskFunc(wavefront, func(int) bool { return true })
+		if err != nil {
+			return nil, err
+		}
+		if err := grb.VectorAssign(parents, wmask, nil, wavefront, grb.All, grb.DescS); err != nil {
+			return nil, err
+		}
+		// The 1.X workaround: unload the wavefront into host arrays, copy
+		// the index array over the values array, and reload. (GraphBLAS 2.0
+		// replaces these three steps with one apply(ROWINDEX).)
+		idx, _, err := wavefront.ExtractTuples()
+		if err != nil {
+			return nil, err
+		}
+		vals := make([]int, len(idx))
+		copy(vals, idx) // the duplicated stream §II describes
+		if err := wavefront.Clear(); err != nil {
+			return nil, err
+		}
+		if err := wavefront.Build(idx, vals, nil); err != nil {
+			return nil, err
+		}
+		pmask, err := grb.AsVectorMaskFunc(parents, func(int) bool { return true })
+		if err != nil {
+			return nil, err
+		}
+		if err := grb.VxM(wavefront, pmask, nil, minFirst, wavefront, a, grb.DescRSC); err != nil {
+			return nil, err
+		}
+	}
+	return parents, nil
+}
+
+// The packed path is only a fair ablation if it computes what the native one
+// does: same reach, same parent for every vertex.
+func TestBFSParentsLegacyAgreesWithNative(t *testing.T) {
+	initNonblocking(t)
+	g := gen.Graph500RMAT(8, 8, 77).Symmetrize()
+	a := ck1(grb.NewMatrix[bool](g.N, g.N))
+	ck(a.Build(g.Src, g.Dst, gen.BoolWeights(g), grb.LOr))
+	for _, src := range []int{0, 3} {
+		native, err := lagraph.BFSParents(a, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := bfsParentsLegacy(a, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ni, nx := ck2(native.ExtractTuples())
+		li, lx := ck2(legacy.ExtractTuples())
+		if len(ni) != len(li) {
+			t.Fatalf("src %d: reach %d vs %d", src, len(ni), len(li))
+		}
+		for k := range ni {
+			if ni[k] != li[k] || nx[k] != lx[k] {
+				t.Fatalf("src %d: parent(%d) native %d legacy %d", src, ni[k], nx[k], lx[k])
+			}
 		}
 	}
 }

@@ -66,6 +66,75 @@ func ExampleMatrixReduceToScalar() {
 	// Output: 0 0
 }
 
+// Example_tableI walks the six GrB_Scalar manipulation methods of the
+// paper's Table I: new, nvals, setElement, extractElement, dup, clear.
+func Example_tableI() {
+	ensureExample()
+	s := ck1(grb.NewScalar[float64]())
+	fmt.Printf("new:        nvals=%d\n", ck1(s.Nvals()))
+	ck(s.SetElement(3.25))
+	v, ok := ck2(s.ExtractElement())
+	fmt.Printf("setElement: nvals=%d value=%v present=%v\n", ck1(s.Nvals()), v, ok)
+	d := ck1(s.Dup())
+	ck(s.Clear())
+	_, ok = ck2(s.ExtractElement())
+	fmt.Printf("clear:      nvals=%d present=%v\n", ck1(s.Nvals()), ok)
+	v, ok = ck2(d.ExtractElement())
+	fmt.Printf("dup:        value=%v present=%v\n", v, ok)
+	// Output:
+	// new:        nvals=0
+	// setElement: nvals=1 value=3.25 present=true
+	// clear:      nvals=0 present=false
+	// dup:        value=3.25 present=true
+}
+
+// Example_tableII runs the GrB_Scalar variants of the core methods from the
+// paper's Table II: an empty reduction yields an empty scalar where the 1.X
+// typed output yields the identity, a BinaryOp reduces without a monoid, a
+// missed extractElement empties the scalar, and an empty scalar argument is
+// a §V execution error.
+func Example_tableII() {
+	ensureExample()
+	empty := ck1(grb.NewMatrix[int](4, 4))
+	s := ck1(grb.NewScalar[int]())
+	ck(grb.MatrixReduceToScalar(s, nil, grb.PlusMonoid[int](), empty, nil))
+	fmt.Printf("reduce(empty):        Scalar nvals=%d, 1.X typed output=%d\n",
+		ck1(s.Nvals()), ck1(grb.MatrixReduce(grb.PlusMonoid[int](), empty)))
+
+	m := ck1(grb.NewMatrix[int](2, 2))
+	ck(m.Build([]grb.Index{0, 1}, []grb.Index{1, 0}, []int{7, 8}, nil))
+	ck(grb.MatrixReduceToScalarBinaryOp(s, nil, grb.Plus[int], m, nil))
+	v, _ := ck2(s.ExtractElement())
+	fmt.Printf("reduce(BinaryOp +):   %d\n", v)
+
+	ck(m.ExtractElementScalar(s, 0, 0))
+	fmt.Printf("extractElement(miss): Scalar nvals=%d\n", ck1(s.Nvals()))
+
+	sv := ck1(grb.ScalarOf(42))
+	ck(m.SetElementScalar(sv, 0, 0))
+	v, _ = ck2(m.ExtractElement(0, 0))
+	fmt.Printf("setElement(Scalar):   m(0,0)=%d\n", v)
+	ck(grb.MatrixAssignScalarObj(m, nil, nil, sv, grb.All, grb.All, nil))
+	fmt.Printf("assign(Scalar, all):  nvals=%d\n", ck1(m.Nvals()))
+
+	w := ck1(grb.NewVector[int](5))
+	ck(w.Build([]grb.Index{0, 2, 4}, []int{1, 5, 9}, nil))
+	out := ck1(grb.NewVector[int](5))
+	ck(grb.VectorSelectScalar(out, nil, nil, grb.ValueGT[int], w, ck1(grb.ScalarOf(4)), nil))
+	oi, ox := ck2(out.ExtractTuples())
+	fmt.Printf("select(VALUEGT, 4):   kept %v = %v\n", oi, ox)
+	err := grb.VectorSelectScalar(out, nil, nil, grb.ValueGT[int], w, ck1(grb.NewScalar[int]()), nil)
+	fmt.Printf("select(empty Scalar): %v\n", grb.Code(err))
+	// Output:
+	// reduce(empty):        Scalar nvals=0, 1.X typed output=0
+	// reduce(BinaryOp +):   15
+	// extractElement(miss): Scalar nvals=0
+	// setElement(Scalar):   m(0,0)=42
+	// assign(Scalar, all):  nvals=4
+	// select(VALUEGT, 4):   kept [2 4] = [5 9]
+	// select(empty Scalar): GrB_EMPTY_OBJECT
+}
+
 // ExampleVector_Wait demonstrates the nonblocking sequence model: the
 // product is deferred until the materializing wait.
 func ExampleVector_Wait() {

@@ -136,47 +136,6 @@ func Hypersparse(n, m int, seed int64) Graph {
 	return g.Dedup()
 }
 
-// HubHypersparse is a skewed hypersparse graph: `hubs` designated source
-// rows (evenly spaced over [0, n)) emit half the edges between them while
-// the other half is uniform. The hub rows carry orders of magnitude more
-// flops than the rest, which is the workload that breaks nnz(A)-balanced
-// row partitioning and exercises flop-balanced kernel selection.
-func HubHypersparse(n, m, hubs int, seed int64) Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := Graph{N: n}
-	if n < 2 || m <= 0 {
-		return g
-	}
-	if hubs < 1 {
-		hubs = 1
-	}
-	if hubs > n {
-		hubs = n
-	}
-	perHub := m / 2 / hubs
-	for h := 0; h < hubs; h++ {
-		src := h * (n / hubs)
-		for k := 0; k < perHub; k++ {
-			dst := rng.Intn(n)
-			if dst == src {
-				continue
-			}
-			g.Src = append(g.Src, src)
-			g.Dst = append(g.Dst, dst)
-		}
-	}
-	for len(g.Src) < m {
-		s := rng.Intn(n)
-		d := rng.Intn(n)
-		if s == d {
-			continue
-		}
-		g.Src = append(g.Src, s)
-		g.Dst = append(g.Dst, d)
-	}
-	return g.Dedup()
-}
-
 // RMAT generates a Kronecker/RMAT power-law graph with 2^scale vertices and
 // approximately edgeFactor * 2^scale edges, using the standard (a, b, c, d)
 // recursive quadrant probabilities (Graph500 uses 0.57, 0.19, 0.19, 0.05).
@@ -314,34 +273,4 @@ func BoolWeights(g Graph) []bool {
 		w[k] = true
 	}
 	return w
-}
-
-// Frontier samples k distinct vertex indices over [0, n), sorted ascending —
-// a reproducible traversal frontier for the push/pull benchmarks and the
-// direction-differential tests. k is clamped to n.
-func Frontier(n, k int, seed int64) []int {
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	// Partial Fisher-Yates over a lazily materialized identity permutation:
-	// O(k) memory even when n is huge.
-	picked := make(map[int]int, 2*k)
-	at := func(i int) int {
-		if v, ok := picked[i]; ok {
-			return v
-		}
-		return i
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		out[i] = at(j)
-		picked[j] = at(i)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -94,38 +94,6 @@ func TestHypersparseProperties(t *testing.T) {
 	}
 }
 
-func TestHubHypersparseSkew(t *testing.T) {
-	const n, m, hubs = 50000, 2000, 4
-	g := HubHypersparse(n, m, hubs, 5)
-	if g.N != n || g.NumEdges() == 0 || g.NumEdges() > m {
-		t.Fatalf("N=%d edges=%d", g.N, g.NumEdges())
-	}
-	deg := map[int]int{}
-	for k := range g.Src {
-		if g.Src[k] == g.Dst[k] {
-			t.Fatal("self loop")
-		}
-		if g.Dst[k] < 0 || g.Dst[k] >= n || g.Src[k] < 0 || g.Src[k] >= n {
-			t.Fatal("out of range")
-		}
-		deg[g.Src[k]]++
-	}
-	// the hub rows must dominate: max degree far above the uniform average
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxDeg < (m/2/hubs)/2 {
-		t.Fatalf("hub degree %d suspiciously low", maxDeg)
-	}
-	g2 := HubHypersparse(n, m, hubs, 5)
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatal("not deterministic")
-	}
-}
-
 func TestRMATProperties(t *testing.T) {
 	g := Graph500RMAT(8, 8, 3)
 	if g.N != 256 {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
+
+	"github.com/grblas/grb/gen"
 )
 
 // Kernel-level microbenchmarks: the raw substrate costs underneath the
@@ -222,5 +225,75 @@ func BenchmarkKernelMaskApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MaskApplyM(c, z, Mask{M: mask}, false, 1)
+	}
+}
+
+// minFamilySpeedup is the floor a family loop must clear over the closure
+// loop it replaces to be worth its hand-written body (monokernels.go).
+const minFamilySpeedup = 2
+
+// BenchmarkKernelFamilyLoopPair is the evidence the family loops stand on,
+// and the only timing in the repo that fails a run: the pull SpMV over a
+// dense operand, once through the family loop and once through the closure
+// loop, on the two workloads the loops were written for — PLUS_TIMES over a
+// full float64 vector (a PageRank iteration) and LOR_LAND over a saturated
+// bool frontier (a late BFS level, where the family loop also stops at the
+// first true product). Both arms gather through the same memoized view on
+// one thread, interleaved in one process, best of three rounds per arm and
+// iteration, so the closure/mono ratio divides the host out; it fails below
+// minFamilySpeedup. `make bench` runs it; tier-1 does not.
+func BenchmarkKernelFamilyLoopPair(b *testing.B) {
+	const passes = 12 // products per timed round
+	g := gen.Graph500RMAT(14, 16, 42).Symmetrize()
+	af, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 0.5, 2, 42), addF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ab := &CSR[bool]{Rows: af.Rows, Cols: af.Cols, Ptr: af.Ptr, Ind: af.Ind, Val: make([]bool, len(af.Ind))}
+	for k := range ab.Val {
+		ab.Val[k] = true
+	}
+	uf := &Vec[float64]{N: g.N, Ind: fullPattern(g.N), Val: make([]float64, g.N)}
+	ub := &Vec[bool]{N: g.N, Ind: uf.Ind, Val: make([]bool, g.N)}
+	for i := range uf.Ind {
+		uf.Val[i], ub.Val[i] = 1/float64(g.N), true
+	}
+	land := func(x, y bool) bool { return x && y }
+	lor := func(x, y bool) bool { return x || y }
+
+	for _, wl := range []struct {
+		name string
+		run  func(Spec) error
+	}{
+		{"plus_times/full", func(spec Spec) error {
+			_, err := SpMVSemiEx(SemiPlusTimes, spec, af, uf, mulF, addF, VMask{}, Exec{Threads: 1}, KernelAuto)
+			return err
+		}},
+		{"lor_land/saturated", func(spec Spec) error {
+			_, err := SpMVSemiEx(SemiLorLand, spec, ab, ub, land, lor, VMask{}, Exec{Threads: 1}, KernelAuto)
+			return err
+		}},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			round := func(spec Spec) time.Duration {
+				start := time.Now()
+				for p := 0; p < passes; p++ {
+					if err := wl.run(spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return time.Since(start)
+			}
+			mono, closure := round(SpecMono), round(SpecGeneric)
+			for rep := 1; rep < 3*b.N; rep++ {
+				mono, closure = min(mono, round(SpecMono)), min(closure, round(SpecGeneric))
+			}
+			ratio := float64(closure) / float64(mono)
+			b.ReportMetric(ratio, "closure/mono")
+			if ratio < minFamilySpeedup {
+				b.Fatalf("closure/mono = %.2f (closure %v, mono %v per %d products), below the floor %d",
+					ratio, closure, mono, passes, minFamilySpeedup)
+			}
+		})
 	}
 }

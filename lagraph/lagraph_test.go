@@ -274,32 +274,6 @@ func TestSSSPNegativeCycleDetected(t *testing.T) {
 	}
 }
 
-func TestBFSParentsLegacyAgreesWithNative(t *testing.T) {
-	initLib(t)
-	g := gen.Graph500RMAT(8, 8, 77).Symmetrize()
-	a := adjacency(t, g)
-	for _, src := range []int{0, 3} {
-		native, err := BFSParents(a, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := BFSParentsLegacy(a, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ni, nx := ck2(native.ExtractTuples())
-		li, lx := ck2(legacy.ExtractTuples())
-		if len(ni) != len(li) {
-			t.Fatalf("src %d: reach %d vs %d", src, len(ni), len(li))
-		}
-		for k := range ni {
-			if ni[k] != li[k] || nx[k] != lx[k] {
-				t.Fatalf("src %d: parent(%d) native %d legacy %d", src, ni[k], nx[k], lx[k])
-			}
-		}
-	}
-}
-
 func TestBFSAgreesWithSSSPUnitWeights(t *testing.T) {
 	initLib(t)
 	g := gen.Graph500RMAT(7, 8, 1).Symmetrize()

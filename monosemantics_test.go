@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/grblas/grb/internal/sparse"
 )
 
 // Public-API semantics of the monomorphized hot-semiring kernels: DescMono
@@ -156,7 +158,7 @@ func TestMonoKernelCounters(t *testing.T) {
 	if mono == 0 {
 		t.Fatal("pinned-mono pull did not tick the mono kernel counter")
 	}
-	conv := FormatConversionCount()
+	conv := sparse.FormatConversionCount()
 	if conv == 0 {
 		t.Fatal("pinned-mono pull did not materialize a block view")
 	}
@@ -165,7 +167,7 @@ func TestMonoKernelCounters(t *testing.T) {
 	w2 := ck1(NewVector[float64](32))
 	ck(MxV(w2, nil, nil, PlusTimes[float64](), a, u, &Descriptor{Dir: DirPull, Spec: SpecMono}))
 	ck(w2.Wait(Materialize))
-	if got := FormatConversionCount(); got != conv {
+	if got := sparse.FormatConversionCount(); got != conv {
 		t.Fatalf("unchanged frontier re-materialized its block view: %d -> %d conversions", conv, got)
 	}
 	identicalVectors(t, "cached-view", w2, w)
@@ -196,7 +198,7 @@ func TestMonoViewCoherence(t *testing.T) {
 	w1 := ck1(NewVector[float64](32))
 	ck(MxV(w1, nil, nil, PlusTimes[float64](), a, u, &Descriptor{Dir: DirPull, Spec: SpecMono}))
 	ck(w1.Wait(Materialize))
-	conv := FormatConversionCount()
+	conv := sparse.FormatConversionCount()
 	if conv == 0 {
 		t.Fatal("first specialized pull did not materialize a block view")
 	}
@@ -207,7 +209,7 @@ func TestMonoViewCoherence(t *testing.T) {
 	w2 := ck1(NewVector[float64](32))
 	ck(MxV(w2, nil, nil, PlusTimes[float64](), a, u, &Descriptor{Dir: DirPull, Spec: SpecMono}))
 	ck(w2.Wait(Materialize))
-	if got := FormatConversionCount(); got <= conv {
+	if got := sparse.FormatConversionCount(); got <= conv {
 		t.Fatalf("mutated frontier did not re-materialize its block view (%d -> %d conversions)", conv, got)
 	}
 	wg := ck1(NewVector[float64](32))

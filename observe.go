@@ -24,9 +24,6 @@ type OpMetrics = obsv.OpMetrics
 // returning the previous setting. Read the totals with Metrics.
 func EnableMetrics(on bool) bool { return obsv.EnableMetrics(on) }
 
-// MetricsEnabled reports whether the metrics registry is collecting.
-func MetricsEnabled() bool { return obsv.MetricsEnabled() }
-
 // Metrics returns the per-op totals collected since the last ResetMetrics,
 // keyed by operation name ("MxM", "VxM", "sequence(vector)", ...).
 func Metrics() map[string]OpMetrics { return obsv.MetricsSnapshot() }
@@ -133,10 +130,6 @@ func DirectionCounts() (push, pull int64) { return sparse.DirectionCounts() }
 // family loop and how many ran the closure loops since the last
 // ResetKernelCounts.
 func MonoKernelCounts() (mono, closure int64) { return sparse.MonoCounts() }
-
-// FormatConversionCount reports the number of sparse→bitmap/dense vector
-// view materializations (cache misses) since the last ResetKernelCounts.
-func FormatConversionCount() int64 { return sparse.FormatConversionCount() }
 
 // TransposeCount reports the number of transpose materializations (actual
 // bucket transposes, not cache hits) since the last ResetKernelCounts.

@@ -2,48 +2,27 @@
 # Tiered CI entrypoint (`make ci` runs this). Chains every gate the repo
 # defines, times each tier, and ends with one machine-readable summary line:
 #
-#   CI_SUMMARY status=ok tiers=9 build=2s test=14s fmt=0s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s
+#   CI_SUMMARY status=ok tiers=12 build=2s test=14s fmt=0s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s soak=14s chaos=40s fuzz=12s soak_status=ok chaos_status=ok fuzz_status=ok
 #
-# Tiers, in order (cheapest first so broken trees fail fast):
+# A tier is a Makefile target; what it runs and why is written there, once.
+# Gating tiers, in order (cheapest first so broken trees fail fast):
 #
-#   build     go build ./...
-#   test      go test ./...                      (tier-1, the ROADMAP gate)
-#   fmt       gofmt -l over the tracked .go files outside testdata/ prints
-#             nothing (scripts/fmt.sh)
-#   race      concurrency-sensitive suites under -race
-#   lint      grblint: infocheck, snapshotcheck, lockcheck, enumcheck,
-#             budgetcheck, obsvcheck, sitecheck, atomiccheck,
-#             panicpathcheck (per-package passes fan out across the pool;
-#             -time prints per-analyzer wall clock to stderr)
-#   bench-smoke  go vet + go test in benchmark/: the repo benchmark is its
-#             own module (so ./... above never compiles it) yet calls
-#             internal/sparse kernels by signature; this keeps a kernel
-#             change from breaking it unnoticed
-#   grbcheck  the race suites with the runtime snapshot validators compiled in
-#   serve     grbserve -selfcheck: boots the multi-tenant query server on
-#             generated graphs and probes every endpoint plus the tenant
-#             isolation contract (starved -> 507, deadlined -> 408,
-#             gated -> 429) and the graceful-shutdown drain against a live
-#             loopback listener
-#   coverage  total statement coverage against scripts/coverage_floor.txt
+#   build  test  fmt  race  lint  bench-smoke  grbcheck (make checktags)
+#   serve (make selfcheck)  coverage
 #
-# Three advisory tiers follow (reported on the summary line, never gating):
-# soak (10s serving-stack overload storm under -race with faults armed),
-# chaos (the fault-injection sweep) and fuzz (10s of native fuzzing of the
-# Matrix Market reader against its reference; the seed corpus already ran as
-# a plain test in tier-1, and that is what gates).
+# coverage is the one tier measured here: total statement coverage of
+# `go test ./...` against scripts/coverage_floor.txt.
 #
-# A failing tier stops the run; the summary line then reports status=fail and
-# the tier that failed, still on one greppable line. The bench-regression gate
-# is NOT part of this chain — it needs a quiet machine — but CI runs it in
-# advisory mode afterwards (see scripts/bench_compare.sh). The chaos
-# fault-injection sweep runs at the end of this script in advisory mode: its
-# result is reported as chaos_status on the summary line but never flips
-# status to fail (run `make chaos` for the hard version).
+# Three advisory tiers follow — soak, chaos, fuzz — reported on the summary
+# line as <tier>_status and never gating (`make <tier>` is the hard version).
+#
+# A failing gating tier stops the run; the summary line then reports
+# status=fail and the tier that failed, still on one greppable line.
 set -u
 cd "$(dirname "$0")/.."
 
 SUMMARY=""
+STATUSES=""
 TIERS=0
 
 # run TIER_NAME cmd... — times one tier, appends "name=Ns" to the summary,
@@ -63,6 +42,24 @@ run() {
     TIERS=$((TIERS + 1))
 }
 
+# advisory TIER_NAME — times `make TIER_NAME` and records its verdict as
+# name_status on the summary line without failing the run.
+advisory() {
+    name="$1"
+    echo "== tier: $name (advisory) =="
+    t0=$(date +%s)
+    if make "$name"; then
+        status=ok
+    else
+        status=fail
+        echo "$name: advisory tier failed (does not gate the run; reproduce with make $name)" >&2
+    fi
+    t1=$(date +%s)
+    SUMMARY="$SUMMARY$name=$((t1 - t0))s "
+    STATUSES="$STATUSES ${name}_status=$status"
+    TIERS=$((TIERS + 1))
+}
+
 coverage_tier() {
     floor=$(cat scripts/coverage_floor.txt)
     go test -count=1 -coverprofile=coverage.out ./... >/dev/null || return 1
@@ -78,71 +75,18 @@ coverage_tier() {
     }
 }
 
-bench_smoke_tier() {
-    go -C benchmark vet ./... && go -C benchmark test ./...
-}
-
-run build go build ./...
-run test go test ./...
-run fmt sh scripts/fmt.sh
-run race go test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
-run lint go run ./cmd/grblint -time ./...
-run bench-smoke bench_smoke_tier
-run grbcheck go test -tags grbcheck -race . ./internal/sparse ./lagraph
-run serve go run ./cmd/grbserve -selfcheck
+run build make build
+run test make test
+run fmt make fmt
+run race make race
+run lint make lint
+run bench-smoke make bench-smoke
+run grbcheck make checktags
+run serve make selfcheck
 run coverage coverage_tier
 
-# Soak tier (advisory): the serving stack's overload battery stretched to a
-# 10-second storm under -race — mixed tenants, armed delay + sampled
-# allocation faults, AIMD limiters, breakers, bounded queues, and the memory
-# governor all running hot, then a clean-recovery check. Advisory because a
-# loaded CI machine can distort the storm's timing; its result lands on the
-# summary line as soak_status without gating the run.
-echo "== tier: soak (advisory) =="
-t0=$(date +%s)
-if GRB_SOAK=10s go test -race -count=1 -run 'TestOverloadSoak' ./serve; then
-    soak_status=ok
-else
-    soak_status=fail
-    echo "soak: advisory overload soak failed (does not gate the run)" >&2
-fi
-t1=$(date +%s)
-SUMMARY="${SUMMARY}soak=$((t1 - t0))s "
-TIERS=$((TIERS + 1))
+advisory soak
+advisory chaos
+advisory fuzz
 
-# Chaos tier (advisory): the fault-injection sweep — every registered site
-# crossed with alloc-failure and panic shapes, plus the budget/cancellation
-# hardening suites — with the grbcheck validators compiled in. Advisory like
-# the bench gate: a failure is reported on the summary line but does not gate
-# the run, so an injection-harness flake cannot mask a tier-1 regression.
-echo "== tier: chaos (advisory) =="
-t0=$(date +%s)
-if go test -tags grbcheck -race -count=1 \
-    -run 'TestChaos|TestScattered|TestFaultSpec|TestBudget|TestCancel|TestDeadline|TestInjectedPanic|TestUserOperatorPanic' .; then
-    chaos_status=ok
-else
-    chaos_status=fail
-    echo "chaos: advisory sweep failed (does not gate the run; see make chaos)" >&2
-fi
-t1=$(date +%s)
-SUMMARY="${SUMMARY}chaos=$((t1 - t0))s "
-TIERS=$((TIERS + 1))
-
-# Fuzz tier (advisory): ten seconds of go's native fuzzer on mtx.Read, every
-# input checked against the reader it replaced (FuzzRead). Its seed corpus is
-# part of tier-1; new inputs the mutator finds here are reported as
-# fuzz_status, never gating, because what it reaches in ten seconds varies
-# from run to run. A failing input is written under mtx/testdata/fuzz/.
-echo "== tier: fuzz (advisory) =="
-t0=$(date +%s)
-if go test ./mtx -run '^$' -fuzz FuzzRead -fuzztime 10s; then
-    fuzz_status=ok
-else
-    fuzz_status=fail
-    echo "fuzz: advisory fuzzing of mtx.Read failed (does not gate the run; see make fuzz)" >&2
-fi
-t1=$(date +%s)
-SUMMARY="${SUMMARY}fuzz=$((t1 - t0))s "
-TIERS=$((TIERS + 1))
-
-echo "CI_SUMMARY status=ok tiers=$TIERS ${SUMMARY}soak_status=$soak_status chaos_status=$chaos_status fuzz_status=$fuzz_status"
+echo "CI_SUMMARY status=ok tiers=$TIERS $SUMMARY${STATUSES# }"

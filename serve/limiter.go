@@ -107,8 +107,8 @@ const (
 	admitShedGone     // the client disconnected while queued
 )
 
-// tryAcquire is the non-blocking admission probe: a slot or nothing. Used by
-// the compatibility acquire() path and as the fast path of acquire.
+// tryAcquire is the non-blocking admission probe: a slot or nothing. The
+// selfcheck and the tests hold a tenant's slot with it to provoke a 429.
 func (l *aimdLimiter) tryAcquire() bool {
 	if l == nil {
 		return true

@@ -112,15 +112,14 @@ func SelfCheck() error {
 	}
 	req.Header.Set("X-Grb-Tenant", "gated")
 	tn := s.tenantFor(req)
-	release, ok := tn.acquire()
-	if !ok {
+	if !tn.limiter.tryAcquire() {
 		return fmt.Errorf("gated tenant slot unexpectedly busy")
 	}
-	if err := expect("/query/bfs?graph=rmat", "gated", http.StatusTooManyRequests); err != nil {
-		release()
+	err = expect("/query/bfs?graph=rmat", "gated", http.StatusTooManyRequests)
+	tn.limiter.release(outcomeNeutral, 0)
+	if err != nil {
 		return err
 	}
-	release()
 	if err := expect("/query/bfs?graph=rmat", "gated", http.StatusOK); err != nil {
 		return err
 	}

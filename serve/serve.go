@@ -55,19 +55,6 @@ type tenant struct {
 	breaker *breaker     // nil when BreakerThreshold == 0
 }
 
-// acquire is the non-blocking admission probe kept for the selfcheck and
-// test drivers: take a slot now or report busy. The release func returns the
-// slot without feeding the adaptive loops.
-func (t *tenant) acquire() (release func(), ok bool) {
-	if t.limiter == nil {
-		return func() {}, true
-	}
-	if !t.limiter.tryAcquire() {
-		return nil, false
-	}
-	return func() { t.limiter.release(outcomeNeutral, 0) }, true
-}
-
 // newRequestCtx derives the §IV per-request context from the tenant
 // envelope: always cancellable (for client disconnects), with the deadline
 // and memory budget layered on when configured. The deadline anchors at the

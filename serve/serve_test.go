@@ -411,14 +411,14 @@ func TestServeHTTPContract(t *testing.T) {
 	}
 	req.Header.Set("X-Grb-Tenant", "gated")
 	tn := s.tenantFor(req)
-	release, ok := tn.acquire()
-	if !ok {
+	if !tn.limiter.tryAcquire() {
 		t.Fatal("gated slot busy")
 	}
-	if status, _ := get(t, ts.URL+"/query/bfs", "gated"); status != http.StatusTooManyRequests {
+	status, _ = get(t, ts.URL+"/query/bfs", "gated")
+	tn.limiter.release(outcomeNeutral, 0)
+	if status != http.StatusTooManyRequests {
 		t.Fatal("gated tenant not rejected")
 	}
-	release()
 	if status, _ := get(t, ts.URL+"/query/bfs", "gated"); status != http.StatusOK {
 		t.Fatal("gated tenant not restored")
 	}
