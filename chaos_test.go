@@ -1,6 +1,8 @@
 package grb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/grblas/grb/internal/faults"
@@ -14,25 +16,6 @@ import (
 // Wait(Materialize) with a non-empty ErrorString, and the victim object
 // stays a valid (sticky-error) object. Run with -tags grbcheck, the chaos CI
 // tier additionally validates every intermediate snapshot.
-
-// chaosBatterySites is the battery's site manifest: every fault-injection
-// site the sweep must cover, kept sorted. sitecheck statically cross-checks
-// this list against the faults.Register calls in non-test code, and
-// TestChaosBatteryManifestMatchesRegistry pins it to the live registry so a
-// new site cannot land without joining the sweep.
-var chaosBatterySites = []string{
-	"sparse.format.convert",
-	"sparse.kernel.range",
-	"sparse.merge.tuples",
-	"sparse.mono.loop",
-	"sparse.mono.spa",
-	"sparse.spgemm.hash",
-	"sparse.spgemm.spa",
-	"sparse.spmv.gather",
-	"sparse.spmv.hash",
-	"sparse.transpose.build",
-	"sparse.vxm.spa",
-}
 
 // opOutcome records one battery operation's surfaced error.
 type opOutcome struct {
@@ -148,14 +131,47 @@ func runHardenedBattery(t *testing.T, a *Matrix[float64], u *Vector[float64]) []
 	return outs
 }
 
+// sweepPoint arms one site × action at its first hit, runs the battery on
+// fresh inputs (the transpose cache lives on an input's snapshot, and a hit
+// cached by a previous point would mask the transpose site's Check) and
+// returns what is wrong with the outcome: nothing, when the fault surfaced
+// as a well-formed parked execution error with the wanted code.
+func sweepPoint(t *testing.T, site string, action faults.Action, want Info) []string {
+	t.Helper()
+	a, u := chaosInputs(t)
+	faults.Enable(faults.Rule{Site: site, Action: action, Hit: 1})
+	defer faults.Disable()
+	var wrong []string
+	hit := 0
+	for _, o := range runHardenedBattery(t, a, u) {
+		if o.err == nil {
+			continue
+		}
+		hit++
+		if Code(o.err) != want {
+			wrong = append(wrong, fmt.Sprintf("%s: code = %v (%v), want %v", o.op, Code(o.err), o.err, want))
+		}
+		if !Code(o.err).IsExecutionError() {
+			wrong = append(wrong, fmt.Sprintf("%s: %v is not an execution error", o.op, Code(o.err)))
+		}
+		if o.errText == "" {
+			wrong = append(wrong, fmt.Sprintf("%s: parked error has empty ErrorString", o.op))
+		}
+	}
+	if hit == 0 {
+		wrong = append(wrong, fmt.Sprintf("site %s never fired: battery does not cover it", site))
+	}
+	return wrong
+}
+
 // TestChaosSweepAllSitesAllActions is the fault sweep of the acceptance
-// criteria: every registered site × {alloc-failure, panic} must surface as a
-// well-formed parked execution error with the right Info code — and the
-// sweep fails if a site is never reached by the battery (silent coverage
-// loss) or if any outcome is malformed.
+// criteria: every site in the registry × {alloc-failure, panic} must surface
+// as a well-formed parked execution error with the right Info code. Ranging
+// over faults.Sites() makes the sweep the dead-site check too: a site that
+// is registered but that no kernel probes, or that the battery does not
+// reach, never fires and fails its two points.
 func TestChaosSweepAllSitesAllActions(t *testing.T) {
 	setMode(t, NonBlocking)
-	sites := chaosBatterySites
 	cases := []struct {
 		action faults.Action
 		want   Info
@@ -163,54 +179,27 @@ func TestChaosSweepAllSitesAllActions(t *testing.T) {
 		{faults.AllocFail, OutOfMemory},
 		{faults.Panic, Panic},
 	}
-	for _, site := range sites {
+	for _, site := range faults.Sites() {
 		for _, tc := range cases {
 			t.Run(site+"/"+tc.action.String(), func(t *testing.T) {
-				// Fresh inputs per sweep point: the transpose cache lives on
-				// an input's snapshot, and a hit cached by a previous sweep
-				// point would mask the transpose site's Check.
-				a, u := chaosInputs(t)
-				faults.Enable(faults.Rule{Site: site, Action: tc.action, Hit: 1})
-				defer faults.Disable()
-				outs := runHardenedBattery(t, a, u)
-				hit := 0
-				for _, o := range outs {
-					if o.err == nil {
-						continue
-					}
-					hit++
-					if Code(o.err) != tc.want {
-						t.Errorf("%s: code = %v (%v), want %v", o.op, Code(o.err), o.err, tc.want)
-					}
-					if !Code(o.err).IsExecutionError() {
-						t.Errorf("%s: %v is not an execution error", o.op, Code(o.err))
-					}
-					if o.errText == "" {
-						t.Errorf("%s: parked error has empty ErrorString", o.op)
-					}
-				}
-				if hit == 0 {
-					t.Errorf("site %s never fired: battery does not cover it", site)
+				for _, w := range sweepPoint(t, site, tc.action, tc.want) {
+					t.Error(w)
 				}
 			})
 		}
 	}
 }
 
-// TestChaosBatteryManifestMatchesRegistry pins the static site manifest to
-// the live registry: a newly registered site must be added to
-// chaosBatterySites (and thereby the sweep) before it can ship, and a stale
-// manifest entry fails just as loudly. Both lists are sorted.
-func TestChaosBatteryManifestMatchesRegistry(t *testing.T) {
-	got := faults.Sites()
-	if len(got) != len(chaosBatterySites) {
-		t.Fatalf("registry has %d sites, manifest lists %d:\nregistry: %v\nmanifest: %v",
-			len(got), len(chaosBatterySites), got, chaosBatterySites)
-	}
-	for i, name := range chaosBatterySites {
-		if got[i] != name {
-			t.Fatalf("manifest[%d] = %q, registry has %q", i, name, got[i])
-		}
+// TestChaosSweepFailsOnUnprobedSite shows the sweep's dead-site assertion is
+// live: a point whose site nothing probes comes back "never fired". The name
+// is not registered here — the registry is process-wide and has no removal,
+// so a site registered by a test would join the sweep above on a second
+// -count run — and to sweepPoint a name out of faults.Sites() is only a name.
+func TestChaosSweepFailsOnUnprobedSite(t *testing.T) {
+	setMode(t, NonBlocking)
+	wrong := sweepPoint(t, "chaos.unprobed", faults.AllocFail, OutOfMemory)
+	if len(wrong) != 1 || !strings.Contains(wrong[0], "site chaos.unprobed never fired") {
+		t.Fatalf("sweep point over an unprobed site reported %q, want one \"never fired\"", wrong)
 	}
 }
 
@@ -259,7 +248,7 @@ func TestScatteredChaosNeverCrashes(t *testing.T) {
 // the fast path.
 func TestFaultSpecArming(t *testing.T) {
 	t.Setenv("GRB_FAULTS", "not a spec")
-	_ = Finalize() //grblint:ignore infocheck -- reset idiom
+	reset()
 	if err := Init(NonBlocking); Code(err) != InvalidValue {
 		t.Fatalf("Init with bad GRB_FAULTS: err = %v, want InvalidValue", err)
 	}

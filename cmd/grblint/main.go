@@ -1,32 +1,30 @@
-// grblint is the repo's static-analysis gate: a multichecker with nine
-// analyzers enforcing the GraphBLAS 2.0 invariants a Go compiler cannot —
+// grblint is the repo's static-analysis gate: a multichecker with seven
+// analyzers enforcing the GraphBLAS 2.0 invariants that neither a Go
+// compiler nor a test can see —
 //
 //	infocheck       every grb.Info / grb API error must be observed (§V)
 //	snapshotcheck   kernels must not mutate *CSR/*Vec snapshots (§III)
 //	lockcheck       no lock-acquiring entry point under a held object mutex
 //	enumcheck       switches over the pinned enums must be exhaustive (§IX)
 //	budgetcheck     sparse Exec kernel scratch must be budget-charged (§IV)
-//	obsvcheck       obsv Begin/End tokens pair on all paths; counter banks
-//	                written only via group-atomic helpers
-//	sitecheck       every fault site is probed and chaos-battery-covered
-//	atomiccheck     sync/atomic memory is never accessed plainly
+//	atomiccheck     no package-level sync/atomic functions, only the types
 //	panicpathcheck  goroutine launches / fan-out kernels carry recover guards
 //
 // Usage:
 //
-//	grblint [-only name1,name2] [-list] [-time] [-audit-ignores] [packages...]
+//	grblint [-only name1,name2] [packages...]
 //
 // Packages default to ./... and accept the usual go package patterns; test
-// files (in-package and external) are analyzed too. Per-package analyzers
-// fan out across the worker pool, one task per package; program-level
-// analyzers (sitecheck) run once over the whole load. -time reports each
-// analyzer's cumulative wall time. -audit-ignores lists every
-// //grblint:ignore suppression with its file:line and reason, exiting
-// nonzero if any suppression lacks a reason. Exit status is 1 when any
-// diagnostic survives suppression. Diagnostics are silenced per line with
-// a trailing (or immediately preceding) comment:
+// files (in-package and external) are analyzed too. Every analyzer always
+// runs (together they take under 0.1 s of a run that is all loading and
+// type-checking); -only narrows what is printed and counted. Exit status is
+// 1 when any diagnostic survives suppression. Diagnostics are silenced per
+// line with a trailing (or immediately preceding) comment:
 //
 //	//grblint:ignore infocheck -- reason
+//
+// and a directive without a reason, naming no registered analyzer, or
+// silencing nothing is itself a diagnostic (reported as "ignore").
 //
 // The analyzers are built on internal/lint, a stdlib-only stand-in for
 // golang.org/x/tools/go/analysis (the build runs offline, so the x/tools
@@ -38,11 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"github.com/grblas/grb/internal/lint"
 	"github.com/grblas/grb/internal/lint/atomiccheck"
@@ -50,11 +44,8 @@ import (
 	"github.com/grblas/grb/internal/lint/enumcheck"
 	"github.com/grblas/grb/internal/lint/infocheck"
 	"github.com/grblas/grb/internal/lint/lockcheck"
-	"github.com/grblas/grb/internal/lint/obsvcheck"
 	"github.com/grblas/grb/internal/lint/panicpathcheck"
-	"github.com/grblas/grb/internal/lint/sitecheck"
 	"github.com/grblas/grb/internal/lint/snapshotcheck"
-	"github.com/grblas/grb/internal/parallel"
 )
 
 var analyzers = []*lint.Analyzer{
@@ -63,41 +54,28 @@ var analyzers = []*lint.Analyzer{
 	lockcheck.Analyzer,
 	enumcheck.Analyzer,
 	budgetcheck.Analyzer,
-	obsvcheck.Analyzer,
-	sitecheck.Analyzer,
 	atomiccheck.Analyzer,
 	panicpathcheck.Analyzer,
 }
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	timing := flag.Bool("time", false, "report per-analyzer cumulative wall time")
-	auditIgnores := flag.Bool("audit-ignores", false, "list every //grblint:ignore suppression; fail if one lacks a reason")
+	only := flag.String("only", "", "comma-separated analyzer names to report (default: all)")
 	flag.Parse()
 
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
-		}
-		return
+	shown := map[string]bool{lint.IgnoreName: true}
+	for _, a := range analyzers {
+		shown[a.Name] = true
 	}
-
-	active := analyzers
 	if *only != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		active = nil
+		picked := map[string]bool{}
 		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
+			if name = strings.TrimSpace(name); !shown[name] {
 				fmt.Fprintf(os.Stderr, "grblint: unknown analyzer %q\n", name)
 				os.Exit(2)
 			}
-			active = append(active, a)
+			picked[name] = true
 		}
+		shown = picked
 	}
 
 	patterns := flag.Args()
@@ -110,93 +88,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *auditIgnores {
-		os.Exit(auditSuppressions(pkgs))
-	}
-
-	// Per-package analyzers fan out across the pool, one task per package
-	// (the load is already type-checked, so the tasks are pure traversal
-	// and share nothing but the analyzer values and the timing sink).
-	var mu sync.Mutex
-	times := map[string]time.Duration{}
-	recordTime := func(name string, d time.Duration) {
-		mu.Lock()
-		times[name] += d
-		mu.Unlock()
-	}
-	perPkg := make([][]lint.Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	parallel.Tasks(len(pkgs), runtime.GOMAXPROCS(0), func(task int) {
-		perPkg[task], errs[task] = lint.RunTimed(pkgs[task], active, recordTime)
-	})
-
 	found := 0
-	for i := range pkgs {
-		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "grblint: %v\n", errs[i])
+	for _, pkg := range pkgs {
+		diags, err := lint.Run(pkg, analyzers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "grblint: %v\n", err)
 			os.Exit(2)
 		}
-		for _, d := range perPkg[i] {
-			fmt.Println(d)
-			found++
+		for _, d := range diags {
+			if shown[d.Analyzer] {
+				fmt.Println(d)
+				found++
+			}
 		}
-	}
-
-	progDiags, err := lint.RunProgram(pkgs, active, recordTime)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "grblint: %v\n", err)
-		os.Exit(2)
-	}
-	for _, d := range progDiags {
-		fmt.Println(d)
-		found++
-	}
-
-	if *timing {
-		reportTimes(times)
 	}
 	if found > 0 {
 		fmt.Fprintf(os.Stderr, "grblint: %d diagnostic(s)\n", found)
 		os.Exit(1)
 	}
-}
-
-// reportTimes prints each analyzer's cumulative wall time (summed across
-// packages; with the parallel fan-out the wall clock is lower).
-func reportTimes(times map[string]time.Duration) {
-	type row struct {
-		name string
-		d    time.Duration
-	}
-	var rows []row
-	for name, d := range times {
-		rows = append(rows, row{name, d})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].d > rows[j].d })
-	for _, r := range rows {
-		fmt.Fprintf(os.Stderr, "grblint: %-15s %s\n", r.name, r.d.Round(time.Microsecond))
-	}
-}
-
-// auditSuppressions lists every //grblint:ignore with its position and
-// reason, returning exit status 1 when any suppression is reason-less.
-func auditSuppressions(pkgs []*lint.Package) int {
-	missing := 0
-	total := 0
-	for _, pkg := range pkgs {
-		for _, s := range lint.SuppressionsIn(pkg.Fset, pkg.Syntax) {
-			total++
-			reason := s.Reason
-			if reason == "" {
-				reason = "<MISSING REASON>"
-				missing++
-			}
-			fmt.Printf("%s:%d: %s -- %s\n", s.Pos.Filename, s.Pos.Line, strings.Join(s.Names, ","), reason)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "grblint: %d suppression(s), %d without a reason\n", total, missing)
-	if missing > 0 {
-		return 1
-	}
-	return 0
 }

@@ -199,7 +199,7 @@ func main() {
 				log.Printf("drain incomplete: %v", err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = httpSrv.Shutdown(ctx) //grblint:ignore infocheck -- best-effort listener close; the drain already ran
+			_ = httpSrv.Shutdown(ctx) // best-effort listener close; the drain already ran
 			cancel()
 			return
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestInitFinalizeLifecycle(t *testing.T) {
-	_ = Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
+	reset()
 	// Using the library before Init is an UninitializedObject error.
 	if _, err := NewMatrix[int](2, 2); Code(err) != UninitializedObject {
 		t.Fatalf("pre-Init NewMatrix: %v", err)

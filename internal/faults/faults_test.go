@@ -79,7 +79,7 @@ func TestPanicAction(t *testing.T) {
 			t.Fatalf("panic site = %q", ip.Site)
 		}
 	}()
-	_ = s.Check() //grblint:ignore infocheck -- the call must panic, not return
+	_ = s.Check() // the call must panic, not return
 	t.Fatal("Check did not panic")
 }
 

@@ -1,20 +1,10 @@
-// Package atomiccheck enforces single-discipline access to atomically
-// shared memory: once any code takes a variable's (or field's, or slice's
-// element) address into a sync/atomic function call, every other access to
-// that object must also go through sync/atomic. A plain read or write
-// racing an atomic one is real undefined behavior that `go test -race`
-// only catches when the schedule cooperates; the analyzer catches it on
-// every CI run.
-//
-// The object granularity is the named variable or struct field: for a
-// slice, atomic access to any element marks the whole slice variable,
-// since the analyzer cannot prove two element expressions disjoint.
-// Accesses that only read the slice header remain allowed on a marked
-// object — len/cap arguments and the range expression of a for-range — so
-// the index-only loop `for i := range s` over a marked slice stays clean.
-//
-// The atomic wrapper types (atomic.Int64, atomic.Pointer[T], ...) need no
-// analyzer: their only access path is their method set.
+// Package atomiccheck bans the package-level sync/atomic functions
+// (atomic.AddInt64(&x, 1), atomic.LoadPointer(&p), ...). Memory reached
+// through them can also be read or written plainly, and a plain access
+// racing an atomic one is undefined behavior that `go test -race` only
+// catches when the schedule cooperates. The typed wrappers (atomic.Int64,
+// atomic.Pointer[T], ...) have no other access path than their method set,
+// so with the functions gone nothing can be accessed both ways.
 package atomiccheck
 
 import (
@@ -27,116 +17,26 @@ import (
 // Analyzer is the atomiccheck entry point.
 var Analyzer = &lint.Analyzer{
 	Name: "atomiccheck",
-	Doc:  "memory accessed via sync/atomic must never be read or written plainly elsewhere",
+	Doc:  "no calls to package-level sync/atomic functions; use the atomic.IntN/Pointer types",
 	Run:  run,
 }
 
 func run(pass *lint.Pass) error {
-	atomicObjs := map[types.Object]string{} // object -> atomic fn name first seen
-	sanctioned := map[*ast.Ident]bool{}     // idents appearing inside atomic call args
-	allowed := map[*ast.Ident]bool{}        // len/cap args, range headers
-
-	// Pass 1: find sync/atomic calls, mark their address-taken operands'
-	// objects and sanction the identifiers involved; also collect the
-	// benign header-read contexts.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if fn := atomicCallee(pass, n); fn != "" {
-					for _, arg := range n.Args {
-						markAtomicArg(pass, arg, fn, atomicObjs, sanctioned)
-					}
-					return true
-				}
-				if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-					if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin && (id.Name == "len" || id.Name == "cap") {
-						for _, arg := range n.Args {
-							if aid, ok := ast.Unparen(arg).(*ast.Ident); ok {
-								allowed[aid] = true
-							}
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-					allowed[id] = true
-				}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := lint.CalleeFunc(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+				return true
+			}
+			if fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(), "atomic.%s leaves its operand open to plain access; use the atomic.IntN/Pointer types", fn.Name())
 			}
 			return true
 		})
-	}
-	if len(atomicObjs) == 0 {
-		return nil
-	}
-
-	// Pass 2: every other use of a marked object is a plain access.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || sanctioned[id] || allowed[id] {
-				return true
-			}
-			obj := pass.TypesInfo.Uses[id]
-			if obj == nil {
-				return true
-			}
-			if fn, marked := atomicObjs[obj]; marked {
-				pass.Reportf(id.Pos(), "%s is accessed with sync/atomic (%s) elsewhere; this plain access races with it — use the atomic API here too", id.Name, fn)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// atomicCallee returns the function name when the call invokes a
-// sync/atomic package-level function (AddInt32, LoadPointer, ...), else "".
-func atomicCallee(pass *lint.Pass, call *ast.CallExpr) string {
-	fn := lint.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return ""
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		// Wrapper-type methods enforce atomicity themselves.
-		return ""
-	}
-	return fn.Name()
-}
-
-// markAtomicArg records the object behind an &operand argument of an atomic
-// call and sanctions every identifier inside the operand expression.
-func markAtomicArg(pass *lint.Pass, arg ast.Expr, fn string, atomicObjs map[types.Object]string, sanctioned map[*ast.Ident]bool) {
-	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op.String() != "&" {
-		return
-	}
-	// Sanction every ident in the operand (the base variable and any
-	// selector/index path components).
-	ast.Inspect(un.X, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			sanctioned[id] = true
-		}
-		return true
-	})
-	if obj := baseObject(pass, un.X); obj != nil {
-		if _, seen := atomicObjs[obj]; !seen {
-			atomicObjs[obj] = fn
-		}
-	}
-}
-
-// baseObject resolves &x, &s.f, &a[i], &s.f[i] to the object whose storage
-// the atomic call addresses: the field for selectors, the slice/array
-// variable for index expressions, the variable itself otherwise.
-func baseObject(pass *lint.Pass, expr ast.Expr) types.Object {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		return pass.TypesInfo.Uses[e]
-	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[e.Sel]
-	case *ast.IndexExpr:
-		return baseObject(pass, e.X)
 	}
 	return nil
 }

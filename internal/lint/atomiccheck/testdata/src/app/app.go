@@ -1,64 +1,33 @@
-// Package app is the atomiccheck corpus: fields and slice elements touched
-// through sync/atomic, with plain accesses the analyzer must flag and
-// header-only accesses it must allow.
+// Package app is the atomiccheck corpus: every call to a package-level
+// sync/atomic function is flagged, the typed wrappers are not.
 package app
 
 import "sync/atomic"
 
 type counters struct {
 	hits  int32
-	total int64
-	other int64
+	total atomic.Int64
+	head  atomic.Pointer[counters]
 }
 
-// Bad mixes an atomic add with a plain read of the same field.
+// Bad reaches a plain field through the function API, which leaves the
+// plain read beside it legal Go.
 func Bad(c *counters) int32 {
-	atomic.AddInt32(&c.hits, 1)
-	return c.hits // want `plain access races`
-}
-
-// BadWrite mixes an atomic add with a plain store.
-func BadWrite(c *counters) {
-	atomic.AddInt64(&c.total, 1)
-	c.total = 0 // want `plain access races`
-}
-
-// Good keeps every access to the marked fields atomic.
-func Good(c *counters) int32 {
-	atomic.AddInt32(&c.hits, 1)
-	return atomic.LoadInt32(&c.hits)
-}
-
-// Unmarked fields stay free: other is never touched atomically.
-func Plain(c *counters) int64 {
-	c.other++
-	return c.other
-}
-
-// GoodSlice marks a slice through element addresses but only ever touches
-// elements atomically; len and range over the variable read the header
-// only and are allowed.
-func GoodSlice(n int) int32 {
-	hits := make([]int32, n)
-	for i := range hits {
-		atomic.AddInt32(&hits[i], 1)
-	}
-	if len(hits) == 0 {
+	atomic.AddInt32(&c.hits, 1)        // want `atomic.AddInt32 leaves its operand open to plain access`
+	if atomic.LoadInt32(&c.hits) > 1 { // want `atomic.LoadInt32`
 		return 0
 	}
-	return atomic.LoadInt32(&hits[0])
+	return c.hits
 }
 
-// BadSlice reads an element of an atomically written slice plainly.
-func BadSlice(n int) int32 {
-	peaks := make([]int32, n)
-	atomic.AddInt32(&peaks[0], 1)
-	return peaks[0] // want `plain access races`
+// Good uses the typed wrappers: their method set is the only way in.
+func Good(c *counters) int64 {
+	c.total.Add(1)
+	c.head.Store(c)
+	return c.head.Load().total.Load()
 }
 
-// IgnoredRead documents a deliberate suppression (e.g. a read after a
-// synchronizing join).
-func IgnoredRead(c *counters) int64 {
-	atomic.AddInt64(&c.total, 1)
-	return c.total //grblint:ignore atomiccheck -- corpus: deliberate suppressed case
+// Ignored documents a deliberate suppression.
+func Ignored(c *counters) {
+	atomic.AddInt32(&c.hits, 1) //grblint:ignore atomiccheck -- corpus: deliberate suppressed case
 }

@@ -4,18 +4,17 @@
 // diagnostics. The repo builds offline (no module proxy), so the x/tools
 // framework cannot be vendored; this package keeps the same shape — an
 // Analyzer value with a Run(*Pass) hook — so the grblint analyzers could
-// migrate to the real framework without rewrites. One extension the x/tools
-// framework lacks: an Analyzer may instead set ProgramRun to see every
-// loaded package in one pass (used by sitecheck, whose "every fault site is
-// exercised" invariant spans the module).
+// migrate to the real framework without rewrites.
 //
 // Suppression convention (documented in DESIGN.md): a comment of the form
 //
-//	//grblint:ignore name1,name2 -- optional reason
+//	//grblint:ignore name1,name2 -- reason
 //
 // silences the named analyzers on its own source line (trailing comment)
 // or, when it stands alone on a line, on the next line. The runner applies
-// suppression after Run, so analyzers never need to know about it.
+// suppression after Run, so analyzers never need to know about it, and it
+// holds the directives to their own rule: one without a reason, naming an
+// analyzer that was not run, or silencing nothing is itself a diagnostic.
 package lint
 
 import (
@@ -23,16 +22,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Analyzer describes one static check. Exactly one of Run and ProgramRun
-// is set: Run analyzes one package at a time (the common case, and the
-// shape of the x/tools framework), while ProgramRun sees every loaded
-// package at once — for whole-program invariants such as "every registered
-// fault site is exercised somewhere", which no single package can decide.
+// Analyzer describes one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //grblint:ignore comments.
@@ -40,11 +35,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Run performs the check on one package and reports findings through
-	// pass.Reportf. Nil for program-level analyzers.
+	// pass.Reportf.
 	Run func(pass *Pass) error
-	// ProgramRun performs the check across all loaded packages at once.
-	// Nil for per-package analyzers.
-	ProgramRun func(pass *ProgramPass) error
 }
 
 // Pass carries one type-checked package through an Analyzer's Run.
@@ -79,142 +71,65 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ProgramPass carries every loaded package through a program-level
-// analyzer's ProgramRun. All packages share one token.FileSet (the loader
-// guarantees this), so positions are comparable across units.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Pkgs     []*Package
-
-	diags []Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // ignoreDirective is the comment prefix that suppresses diagnostics.
 const ignoreDirective = "//grblint:ignore"
 
-// Suppression is one parsed //grblint:ignore directive, exposed for the
-// `grblint -audit-ignores` mode: every suppression is expected to carry a
-// reason after `--`, and the audit fails the build when one does not.
-type Suppression struct {
-	Pos    token.Position
-	Names  []string
-	Reason string
+// IgnoreName is the Analyzer field of a diagnostic about a directive
+// itself; no analyzer may take it.
+const IgnoreName = "ignore"
+
+// directive is one parsed //grblint:ignore comment.
+type directive struct {
+	pos    token.Position
+	names  []string // the analyzers it silences
+	reason string
+	used   map[string]bool // those of them that had a diagnostic to silence
 }
 
-// SuppressionsIn parses every ignore directive in the files, in source
-// order.
-func SuppressionsIn(fset *token.FileSet, files []*ast.File) []Suppression {
-	var out []Suppression
+// srcLine addresses one source line.
+type srcLine struct {
+	file string
+	n    int
+}
+
+// parseDirectives finds every ignore directive in the files and indexes it
+// under the lines it covers: its own (trailing form) and the following one
+// (standalone form). The names are the comma-separated first word; the
+// reason is what follows "--".
+func parseDirectives(fset *token.FileSet, files []*ast.File) (all []*directive, byLine map[srcLine][]*directive) {
+	byLine = map[srcLine][]*directive{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, ignoreDirective) {
+				rest, ok := strings.CutPrefix(c.Text, ignoreDirective)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(text, ignoreDirective)
-				reason := ""
-				if i := strings.Index(rest, "--"); i >= 0 {
-					reason = strings.TrimSpace(rest[i+2:])
-					rest = rest[:i]
+				rest, reason, _ := strings.Cut(rest, "--")
+				d := &directive{pos: fset.Position(c.Pos()), reason: strings.TrimSpace(reason), used: map[string]bool{}}
+				if words := strings.Fields(rest); len(words) > 0 {
+					d.names = strings.Split(words[0], ",")
 				}
-				var names []string
-				for _, n := range strings.Split(rest, ",") {
-					if n = strings.TrimSpace(n); n != "" {
-						names = append(names, n)
-					}
+				all = append(all, d)
+				for _, n := range []int{d.pos.Line, d.pos.Line + 1} {
+					at := srcLine{d.pos.Filename, n}
+					byLine[at] = append(byLine[at], d)
 				}
-				if len(names) == 0 {
-					continue
-				}
-				out = append(out, Suppression{
-					Pos:    fset.Position(c.Pos()),
-					Names:  names,
-					Reason: reason,
-				})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
+	return all, byLine
 }
 
-// suppressedLines maps filename -> line -> set of analyzer names silenced
-// on that line.
-type suppressedLines map[string]map[int]map[string]bool
-
-// collectSuppressions scans the files' comments for ignore directives.
-func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressedLines {
-	sup := suppressedLines{}
-	add := func(file string, line int, names []string) {
-		byLine := sup[file]
-		if byLine == nil {
-			byLine = map[int]map[string]bool{}
-			sup[file] = byLine
-		}
-		set := byLine[line]
-		if set == nil {
-			set = map[string]bool{}
-			byLine[line] = set
-		}
-		for _, n := range names {
-			set[n] = true
-		}
-	}
-	for _, s := range SuppressionsIn(fset, files) {
-		// The directive covers its own line (trailing form) and the
-		// following line (standalone form).
-		add(s.Pos.Filename, s.Pos.Line, s.Names)
-		add(s.Pos.Filename, s.Pos.Line+1, s.Names)
-	}
-	return sup
-}
-
-func (s suppressedLines) covers(d Diagnostic) bool {
-	byLine, ok := s[d.Pos.Filename]
-	if !ok {
-		return false
-	}
-	set, ok := byLine[d.Pos.Line]
-	if !ok {
-		return false
-	}
-	return set[d.Analyzer]
-}
-
-// Run applies the per-package analyzers to one loaded package and returns
-// the surviving (non-suppressed) diagnostics, sorted by position. Analyzers
-// without a Run hook (program-level ones) are skipped.
+// Run applies the analyzers to one loaded package and returns the
+// diagnostics that survive suppression, plus one for every directive that
+// breaks the suppression rules, sorted by position.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunTimed(pkg, analyzers, nil)
-}
-
-// RunTimed is Run with an optional per-analyzer wall-time callback, called
-// once per analyzer with the time its Run took on this package. grblint
-// aggregates these across packages for its timing report.
-func RunTimed(pkg *Package, analyzers []*Analyzer, timing func(name string, d time.Duration)) ([]Diagnostic, error) {
-	sup := collectSuppressions(pkg.Fset, pkg.Syntax)
+	directives, byLine := parseDirectives(pkg.Fset, pkg.Syntax)
+	ran := map[string]bool{}
 	var out []Diagnostic
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -222,71 +137,36 @@ func RunTimed(pkg *Package, analyzers []*Analyzer, timing func(name string, d ti
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		if timing != nil {
-			timing(a.Name, time.Since(start))
-		}
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
 		}
 		for _, d := range pass.diags {
-			if !sup.covers(d) {
+			silenced := false
+			for _, dir := range byLine[srcLine{d.Pos.Filename, d.Pos.Line}] {
+				if slices.Contains(dir.names, a.Name) {
+					dir.used[a.Name], silenced = true, true
+				}
+			}
+			if !silenced {
 				out = append(out, d)
 			}
 		}
 	}
-	sortDiagnostics(out)
-	return out, nil
-}
-
-// RunProgram applies the program-level analyzers to the whole load at once.
-// Suppressions from every package apply (filenames are disjoint across
-// units, so merging the per-package maps is sound). Analyzers without a
-// ProgramRun hook are skipped.
-func RunProgram(pkgs []*Package, analyzers []*Analyzer, timing func(name string, d time.Duration)) ([]Diagnostic, error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	sup := suppressedLines{}
-	for _, pkg := range pkgs {
-		for file, byLine := range collectSuppressions(pkg.Fset, pkg.Syntax) {
-			if sup[file] == nil {
-				sup[file] = byLine
-				continue
-			}
-			for line, names := range byLine {
-				if sup[file][line] == nil {
-					sup[file][line] = names
-					continue
-				}
-				for n := range names {
-					sup[file][line][n] = true
-				}
-			}
+	for _, dir := range directives {
+		report := func(format string, args ...any) {
+			out = append(out, Diagnostic{Pos: dir.pos, Analyzer: IgnoreName, Message: fmt.Sprintf(format, args...)})
 		}
-	}
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.ProgramRun == nil {
-			continue
+		if len(dir.names) == 0 {
+			report("suppression names no analyzer")
 		}
-		pass := &ProgramPass{
-			Analyzer: a,
-			Fset:     pkgs[0].Fset,
-			Pkgs:     pkgs,
+		if dir.reason == "" {
+			report("suppression gives no reason; write it after \"--\"")
 		}
-		start := time.Now()
-		err := a.ProgramRun(pass)
-		if timing != nil {
-			timing(a.Name, time.Since(start))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		for _, d := range pass.diags {
-			if !sup.covers(d) {
-				out = append(out, d)
+		for _, name := range dir.names {
+			if !ran[name] {
+				report("suppression names %q, which is not an analyzer", name)
+			} else if !dir.used[name] {
+				report("suppression silences no %s diagnostic on this line or the next", name)
 			}
 		}
 	}

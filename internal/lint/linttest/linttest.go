@@ -13,13 +13,11 @@
 //
 //	_ = m.Wait(grb.Complete) // want `error result .* is discarded`
 //
-// Multiple expectations on one line are allowed (`// want "a" "b"`). A line
-// carrying a //grblint:ignore directive must produce no diagnostic at all —
-// that is the harness's suppressed-case check.
-//
-// Program-level analyzers (lint.Analyzer.ProgramRun) use RunProgram with
-// the list of corpus packages forming the program; // want expectations may
-// then live in any of them.
+// Multiple expectations on one line are allowed (`// want "a" "b"`), and an
+// expectation may follow other text in the same comment (`//grblint:ignore x
+// // want "..."`), which is how a diagnostic about a directive is expected. A
+// line carrying a well-formed //grblint:ignore directive must produce no
+// diagnostic at all — that is the harness's suppressed-case check.
 package linttest
 
 import (
@@ -53,72 +51,27 @@ type TB interface {
 // error.
 func Run(t TB, testdata string, a *lint.Analyzer, pkg string) {
 	t.Helper()
-	units, files, fset, err := loadCorpus(testdata, []string{pkg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.Run(units[0], []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWants(t, fset, units, files, diags)
-}
-
-// RunProgram analyzes the corpus packages together as one program with a
-// program-level analyzer (lint.Analyzer.ProgramRun), checking diagnostics
-// against // want expectations across all of them.
-func RunProgram(t TB, testdata string, a *lint.Analyzer, pkgs ...string) {
-	t.Helper()
-	units, files, fset, err := loadCorpus(testdata, pkgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.RunProgram(units, []*lint.Analyzer{a}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWants(t, fset, units, files, diags)
-}
-
-// loadCorpus parses and type-checks the named corpus packages under
-// testdata/src, sharing one fset and importer so cross-package positions
-// and types line up.
-func loadCorpus(testdata string, pkgs []string) ([]*lint.Package, []string, *token.FileSet, error) {
 	fset := token.NewFileSet()
 	imp := &corpusImporter{
 		root:     filepath.Join(testdata, "src"),
 		fset:     fset,
 		packages: map[string]*types.Package{},
+		fallback: importer.ForCompiler(fset, "source", nil),
 	}
-	imp.fallback = importer.ForCompiler(fset, "source", nil)
-
-	var units []*lint.Package
-	var allFiles []string
-	for _, pkg := range pkgs {
-		files, syntax, err := imp.parseDir(pkg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		info := lint.NewTypesInfo()
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(pkg, fset, syntax, info)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("type-checking corpus %s: %v", pkg, err)
-		}
-		imp.packages[pkg] = tpkg
-		units = append(units, &lint.Package{PkgPath: pkg, Fset: fset, Syntax: syntax, Types: tpkg, TypesInfo: info})
-		allFiles = append(allFiles, files...)
+	syntax, err := imp.parseDir(pkg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return units, allFiles, fset, nil
-}
-
-// checkWants reports every mismatch between the produced diagnostics and
-// the corpus's // want expectations.
-func checkWants(t TB, fset *token.FileSet, units []*lint.Package, files []string, diags []lint.Diagnostic) {
-	t.Helper()
-	var syntax []*ast.File
-	for _, u := range units {
-		syntax = append(syntax, u.Syntax...)
+	info := lint.NewTypesInfo()
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(pkg, fset, syntax, info)
+	if err != nil {
+		t.Fatalf("type-checking corpus %s: %v", pkg, err)
+	}
+	unit := &lint.Package{PkgPath: pkg, Fset: fset, Syntax: syntax, Types: tpkg, TypesInfo: info}
+	diags, err := lint.Run(unit, []*lint.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
 	}
 	wants, err := collectWants(fset, syntax)
 	if err != nil {
@@ -135,7 +88,7 @@ func checkWants(t TB, fset *token.FileSet, units []*lint.Package, files []string
 	}
 	for _, w := range wants {
 		if !matched[w] {
-			t.Errorf("%s:%d: no diagnostic matched `// want %q`", relPath(w.file, files), w.line, w.re.String())
+			t.Errorf("%s:%d: no diagnostic matched `// want %q`", filepath.Base(w.file), w.line, w.re.String())
 		}
 	}
 }
@@ -162,19 +115,19 @@ func (ws wantList) match(d lint.Diagnostic) *want {
 // `// want` comment body.
 var wantArg = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-// collectWants parses `// want "re"...` trailing comments from the corpus.
+// collectWants parses `// want "re"...` from the corpus comments: a comment
+// is an expectation from its first "// want " on.
 func collectWants(fset *token.FileSet, files []*ast.File) (wantList, error) {
 	var out wantList
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "want ") {
+				_, text, ok := strings.Cut(c.Text, "// want ")
+				if !ok {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				args := wantArg.FindAllString(strings.TrimPrefix(text, "want "), -1)
+				args := wantArg.FindAllString(text, -1)
 				if len(args) == 0 {
 					return nil, fmt.Errorf("%s: malformed want comment: %s", pos, c.Text)
 				}
@@ -202,15 +155,6 @@ func collectWants(fset *token.FileSet, files []*ast.File) (wantList, error) {
 	return out, nil
 }
 
-func relPath(file string, files []string) string {
-	for _, f := range files {
-		if f == file {
-			return filepath.Base(f)
-		}
-	}
-	return file
-}
-
 // corpusImporter resolves imports against testdata/src first (corpus stub
 // packages such as "grb" or "sparse"), then falls back to the compiler's
 // source importer for the standard library.
@@ -229,7 +173,7 @@ func (ci *corpusImporter) Import(path string) (*types.Package, error) {
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		return ci.fallback.Import(path)
 	}
-	_, syntax, err := ci.parseDir(path)
+	syntax, err := ci.parseDir(path)
 	if err != nil {
 		return nil, err
 	}
@@ -243,28 +187,25 @@ func (ci *corpusImporter) Import(path string) (*types.Package, error) {
 }
 
 // parseDir parses every .go file under testdata/src/<path>.
-func (ci *corpusImporter) parseDir(path string) ([]string, []*ast.File, error) {
+func (ci *corpusImporter) parseDir(path string) ([]*ast.File, error) {
 	dir := filepath.Join(ci.root, path)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("corpus package %s: %v", path, err)
+		return nil, fmt.Errorf("corpus package %s: %v", path, err)
 	}
-	var files []string
 	var syntax []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		name := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(ci.fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(ci.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		files = append(files, name)
 		syntax = append(syntax, f)
 	}
 	if len(syntax) == 0 {
-		return nil, nil, fmt.Errorf("corpus package %s: no .go files in %s", path, dir)
+		return nil, fmt.Errorf("corpus package %s: no .go files in %s", path, dir)
 	}
-	return files, syntax, nil
+	return syntax, nil
 }

@@ -1,7 +1,8 @@
-// These tests assert the behavior of the linttest harness itself —
-// diagnostic position matching, //grblint:ignore scoping, and multi-package
-// program corpora — by driving it with a recording TB fake and two tiny
-// purpose-built analyzers.
+// These tests assert the behavior of the linttest harness itself and of the
+// runner's suppression rules — diagnostic position matching,
+// //grblint:ignore scoping, and the diagnostics a broken directive earns —
+// by driving it with a recording TB fake and one tiny purpose-built
+// analyzer.
 package linttest_test
 
 import (
@@ -27,38 +28,6 @@ var markcheck = &lint.Analyzer{
 				}
 				return true
 			})
-		}
-		return nil
-	},
-}
-
-// progmark is a program-level test analyzer: it reports at every
-// package-level value named (case-insensitively) progmark, embedding the
-// package count in the message to prove it saw the whole program at once.
-var progmark = &lint.Analyzer{
-	Name: "progmark",
-	Doc:  "test analyzer: reports progmark values across the whole program",
-	ProgramRun: func(pass *lint.ProgramPass) error {
-		for _, pkg := range pass.Pkgs {
-			for _, f := range pkg.Syntax {
-				for _, decl := range f.Decls {
-					gd, ok := decl.(*ast.GenDecl)
-					if !ok {
-						continue
-					}
-					for _, spec := range gd.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for _, name := range vs.Names {
-							if strings.EqualFold(name.Name, "progmark") {
-								pass.Reportf(name.Pos(), "program mark across %d packages", len(pass.Pkgs))
-							}
-						}
-					}
-				}
-			}
 		}
 		return nil
 	},
@@ -100,8 +69,10 @@ func (f *fakeTB) run(fn func()) {
 
 // TestPositionAndIgnoreScoping drives Run over a corpus where every
 // expectation should be satisfied: three diagnostics matched by wants, one
-// silenced by a trailing ignore, one by a standalone ignore. A clean run
-// must report nothing.
+// silenced by a trailing ignore, one by a standalone ignore, and the four
+// ways a directive breaks the suppression rules (no reason, an unknown
+// analyzer, nothing to silence, no analyzer named) each reported at the
+// directive. A clean run must report nothing.
 func TestPositionAndIgnoreScoping(t *testing.T) {
 	f := &fakeTB{}
 	f.run(func() { linttest.Run(f, "testdata", markcheck, "marks") })
@@ -139,20 +110,6 @@ func TestMismatchReporting(t *testing.T) {
 	}
 	if len(f.errors) != 2 {
 		t.Errorf("want exactly 2 harness errors, got %d: %q", len(f.errors), f.errors)
-	}
-}
-
-// TestMultiPackageProgram drives RunProgram over a two-package corpus with
-// a cross-package import, and asserts a program-level analyzer sees both
-// packages in one pass (the diagnostics embed the package count).
-func TestMultiPackageProgram(t *testing.T) {
-	f := &fakeTB{}
-	f.run(func() { linttest.RunProgram(f, "testdata", progmark, "beta", "alpha") })
-	if f.fatal != "" {
-		t.Fatalf("harness Fatal'd: %s", f.fatal)
-	}
-	for _, e := range f.errors {
-		t.Errorf("program corpus produced harness error: %s", e)
 	}
 }
 

@@ -14,7 +14,7 @@
 //     internal/parallel wraps every worker.
 //
 //   - In package sparse, a function with an error result that directly
-//     calls parallel.For/Run/Tasks must defer a panic guard (normally
+//     calls parallel.For/Run must defer a panic guard (normally
 //     `defer recoverExec(&err)`): the pool ferries worker panics to the
 //     joining goroutine as WorkerPanic and rethrows, so a fan-out kernel
 //     without a guard re-crashes the caller instead of parking the panic
@@ -36,7 +36,7 @@ var Analyzer = &lint.Analyzer{
 }
 
 // poolEntryPoints are the worker-pool fan-out calls of internal/parallel.
-var poolEntryPoints = map[string]bool{"For": true, "Run": true, "Tasks": true}
+var poolEntryPoints = map[string]bool{"For": true, "Run": true}
 
 func run(pass *lint.Pass) error {
 	if pass.Pkg.Name() == "main" {

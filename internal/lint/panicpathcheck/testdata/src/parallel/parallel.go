@@ -6,6 +6,3 @@ func Run(parts []int, threads int, body func(part, lo, hi int)) {}
 
 // For splits [0,n) across workers.
 func For(n, threads int, body func(lo, hi int)) {}
-
-// Tasks runs n independent tasks.
-func Tasks(n, threads int, run func(i int)) {}

@@ -30,9 +30,9 @@ func BadKernelEx(parts []int) error { // want `no deferred panic guard`
 	return nil
 }
 
-// BadTasks covers the Tasks entry point.
-func BadTasks(n int) error { // want `no deferred panic guard`
-	parallel.Tasks(n, 2, func(i int) {})
+// BadFor covers the For entry point.
+func BadFor(n int) error { // want `no deferred panic guard`
+	parallel.For(n, 2, func(lo, hi int) {})
 	return nil
 }
 

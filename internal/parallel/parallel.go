@@ -8,7 +8,6 @@ package parallel
 import (
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // WorkerPanic wraps a panic recovered on a worker goroutine so For/Run can
@@ -165,49 +164,6 @@ func BalancedRanges(rows, k int, ptr []int) []int {
 		}
 	}
 	return b
-}
-
-// Tasks executes fn(task) for every task in [0, n) on at most threads worker
-// goroutines that pull tasks from a shared atomic counter — work stealing in
-// its simplest form. Unlike Run, which assigns one goroutine per precomputed
-// range, Tasks lets a worker that finishes a cheap task immediately claim the
-// next one, so heavily skewed task costs (one hot task among many cold ones)
-// self-balance without a weight-estimation pass. A panic on any worker is
-// re-raised on the calling goroutine as a WorkerPanic after all workers join
-// (serial execution panics directly); remaining tasks still run, keeping the
-// cooperative-cancellation semantics of Run.
-func Tasks(n, threads int, fn func(task int)) {
-	if n <= 0 {
-		return
-	}
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var pb panicBox
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func() {
-			defer wg.Done()
-			defer pb.capture()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	pb.rethrow()
 }
 
 // Run executes fn(i) for i in [0, r) on at most threads goroutines, where r

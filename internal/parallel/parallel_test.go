@@ -10,14 +10,14 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	f := func(nRaw uint8, tRaw uint8) bool {
 		n := int(nRaw)
 		threads := 1 + int(tRaw)%16
-		hits := make([]int32, n)
+		hits := make([]atomic.Int32, n)
 		For(n, threads, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
+				hits[i].Add(1)
 			}
 		})
 		for i := range hits {
-			if atomic.LoadInt32(&hits[i]) != 1 {
+			if hits[i].Load() != 1 {
 				return false
 			}
 		}
@@ -111,16 +111,15 @@ func TestBalancedRangesBalanceAndCoverage(t *testing.T) {
 
 func TestRunVisitsEveryRange(t *testing.T) {
 	b := []int{0, 3, 3, 7, 10} // middle range empty
-	var total int64
-	var calls int64
+	var total, calls atomic.Int64
 	Run(b, 2, func(part, lo, hi int) {
-		atomic.AddInt64(&calls, 1)
-		atomic.AddInt64(&total, int64(hi-lo))
+		calls.Add(1)
+		total.Add(int64(hi - lo))
 	})
-	if got := atomic.LoadInt64(&total); got != 10 {
+	if got := total.Load(); got != 10 {
 		t.Fatalf("covered %d elements", got)
 	}
-	if got := atomic.LoadInt64(&calls); got != 3 { // empty range skipped
+	if got := calls.Load(); got != 3 { // empty range skipped
 		t.Fatalf("calls = %d", got)
 	}
 }
@@ -171,20 +170,20 @@ func TestForAllWorkersJoinBeforeRethrow(t *testing.T) {
 	// Every non-panicking worker must finish its range even when another
 	// worker panics: cooperative isolation, not hard abort.
 	n := 64
-	hits := make([]int32, n)
+	hits := make([]atomic.Int32, n)
 	func() {
 		defer func() { _ = recover() }()
 		For(n, 8, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
+				hits[i].Add(1)
 			}
 			if lo == 0 {
 				panic("boom")
 			}
 		})
 	}()
-	for i, h := range hits {
-		if h != 1 {
+	for i := range hits {
+		if h := hits[i].Load(); h != 1 {
 			t.Fatalf("element %d visited %d times", i, h)
 		}
 	}

@@ -186,10 +186,7 @@ func TestFreedContextBlocksOperations(t *testing.T) {
 // TestFinalizeInvalidatesObjects: after Finalize, every method reports
 // UninitializedObject (the library context is gone).
 func TestFinalizeInvalidatesObjects(t *testing.T) {
-	_ = Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
-	if err := Init(NonBlocking); err != nil {
-		t.Fatal(err)
-	}
+	setMode(t, NonBlocking)
 	m := ck1(NewMatrix[int](2, 2))
 	if err := Finalize(); err != nil {
 		t.Fatal(err)
@@ -197,9 +194,6 @@ func TestFinalizeInvalidatesObjects(t *testing.T) {
 	if _, err := m.Nvals(); Code(err) != UninitializedObject {
 		t.Fatalf("after Finalize: %v", err)
 	}
-	// restore for subsequent tests
-	_ = Init(NonBlocking)                //grblint:ignore infocheck -- best-effort restore for later tests
-	t.Cleanup(func() { _ = Finalize() }) //grblint:ignore infocheck -- best-effort teardown
 }
 
 // Build reads its arguments at the call (the bucket pass is the defensive

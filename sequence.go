@@ -338,12 +338,15 @@ func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 	if e.Route != nil {
 		n.ev.Route, n.ev.RouteReason = n.label(*e.Route), e.Route.Reason.String()
 	}
+	out := 0
+	if err == nil {
+		out = res.NNZ()
+	}
+	x.End(out, err)
 	if err != nil {
-		x.End(0, err)
 		s.parkLocked(err)
 		return
 	}
-	x.End(res.NNZ(), nil)
 	k.debugCheck(res)
 	s.cur = res
 }

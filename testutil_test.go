@@ -7,11 +7,17 @@ import "testing"
 // mode must not run in parallel with each other.
 func setMode(t *testing.T, mode Mode) {
 	t.Helper()
-	_ = Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
+	reset()
 	if err := Init(mode); err != nil {
 		t.Fatalf("Init(%v): %v", mode, err)
 	}
 	t.Cleanup(func() { _ = Finalize() }) //grblint:ignore infocheck -- best-effort teardown
+}
+
+// reset finalizes whatever an earlier test left initialized, for the tests
+// that must start before Init.
+func reset() {
+	_ = Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
 }
 
 // mustMatrix builds a matrix from tuples or fails the test.

@@ -198,6 +198,96 @@ func TestBFSMetricsProfile(t *testing.T) {
 	}
 }
 
+// TestStepEmitsOneEventPerOp pins the Begin/End pairing at its four sites —
+// the sequence step, the drain's span, and the two immediate scalar
+// reductions: whatever the outcome (success, a kernel error, an operator
+// panic), one execution adds exactly one event to its op's metrics, a failed
+// one also one error, and every drain one span counting its steps. Removing
+// any of the four End calls fails it.
+func TestStepEmitsOneEventPerOp(t *testing.T) {
+	setMode(t, NonBlocking)
+	EnableMetrics(true)
+	defer func() {
+		EnableMetrics(false)
+		ResetMetrics()
+	}()
+	// delta runs f and returns what it added to the named ops' metrics.
+	delta := func(f func(), ops ...string) []OpMetrics {
+		t.Helper()
+		before := Metrics()
+		f()
+		after := Metrics()
+		out := make([]OpMetrics, len(ops))
+		for i, op := range ops {
+			out[i] = OpMetrics{
+				Count:  after[op].Count - before[op].Count,
+				Errors: after[op].Errors - before[op].Errors,
+				Steps:  after[op].Steps - before[op].Steps,
+			}
+		}
+		return out
+	}
+	wantEvents := func(what, op string, got OpMetrics, errors int64) {
+		t.Helper()
+		if got.Count != 1 || got.Errors != errors {
+			t.Errorf("%s: %s recorded %d events, %d errors; want 1 event, %d errors",
+				what, op, got.Count, got.Errors, errors)
+		}
+	}
+	// step drains one deferred operation on w and checks its event and span.
+	step := func(what, op string, wait func(WaitMode) error, want Info, errors int64) {
+		t.Helper()
+		d := delta(func() { wantCode(t, wait(Materialize), want) }, op, "sequence(vector)")
+		wantEvents(what, op, d[0], errors)
+		if d[1].Count != 1 || d[1].Steps != 1 {
+			t.Errorf("%s: the drain recorded %d spans over %d steps, want one span of 1 step",
+				what, d[1].Count, d[1].Steps)
+		}
+	}
+
+	a := mustMatrix(t, 8, 8, []Index{0, 1, 2}, []Index{1, 2, 3}, []float64{1, 2, 3})
+	u := mustVector(t, 8, []Index{1, 2, 3}, []float64{1, 1, 1})
+	ck(a.Wait(Materialize))
+	ck(u.Wait(Materialize))
+
+	w := ck1(NewVector[float64](8))
+	ck(MxV(w, nil, nil, PlusTimes[float64](), a, u, nil))
+	step("a step that succeeds", "MxV", w.Wait, Success, 0)
+
+	// A kernel that returns an error: a 16-byte budget refuses every route.
+	tight := ck1(NewContext(NonBlocking, nil, WithMemoryLimit(16)))
+	ta, tu := pathGraph(t, tight, 64), ck1(NewVector[bool](64, InContext(tight)))
+	ck(tu.SetElement(true, 0))
+	ck(tu.Wait(Materialize))
+	tw := ck1(NewVector[bool](64, InContext(tight)))
+	ck(MxV(tw, nil, nil, LOrLAnd(), ta, tu, nil))
+	step("a step whose kernel fails", "MxV", tw.Wait, OutOfMemory, 1)
+
+	w = ck1(NewVector[float64](8))
+	ck(VectorApply(w, nil, nil, func(float64) float64 { panic("user operator bug") }, u, nil))
+	step("a step whose operator panics", "VectorApply", w.Wait, Panic, 1)
+
+	// The scalar reductions run at the call and bracket their own kernel.
+	boom := func(x, y float64) float64 { panic("user operator bug") }
+	s := ck1(NewScalar[float64]())
+	for _, tc := range []struct {
+		op     string
+		reduce func(op BinaryOp[float64, float64, float64]) error
+	}{
+		{"MatrixReduceToScalarBinaryOp", func(op BinaryOp[float64, float64, float64]) error {
+			return MatrixReduceToScalarBinaryOp(s, nil, op, a, nil)
+		}},
+		{"VectorReduceToScalarBinaryOp", func(op BinaryOp[float64, float64, float64]) error {
+			return VectorReduceToScalarBinaryOp(s, nil, op, u, nil)
+		}},
+	} {
+		d := delta(func() { ck(tc.reduce(Plus[float64])) }, tc.op)
+		wantEvents("a reduction that succeeds", tc.op, d[0], 0)
+		d = delta(func() { wantCode(t, tc.reduce(boom), Panic) }, tc.op)
+		wantEvents("a reduction whose operator panics", tc.op, d[0], 1)
+	}
+}
+
 // TestObservabilityParallelKernels emits events from kernels running on
 // separate goroutines with both sinks hot; under -race (the race tier) this
 // is the subsystem's end-to-end data-race test.
@@ -282,7 +372,7 @@ func TestGRBTraceEnvBadPath(t *testing.T) {
 	if Tracing() {
 		t.Skip("a trace session is already active")
 	}
-	_ = Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
+	reset()
 	t.Setenv("GRB_TRACE", fmt.Sprintf("%s/no-such-dir/t.json", t.TempDir()))
 	err := Init(NonBlocking)
 	wantCode(t, err, InvalidValue)
