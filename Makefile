@@ -3,7 +3,7 @@ GO ?= go
 # Every tier's command line lives here and nowhere else: scripts/ci.sh runs
 # `make <tier>` per tier, scripts/verify.sh is `make verify`, and the workflow
 # calls one or the other.
-.PHONY: all build test fmt race bench lint bench-smoke checktags selfcheck chaos soak fuzz verify ci
+.PHONY: all build test fmt race bench lint bench-smoke checktags selfcheck chaos soak fuzz verify ci lines
 
 all: build test
 
@@ -96,6 +96,11 @@ soak:
 # written under mtx/testdata/fuzz/.
 fuzz:
 	$(GO) test ./mtx -run '^$$' -fuzz FuzzRead -fuzztime 10s
+
+# The ROADMAP aim-2 number: lines of non-test Go outside benchmark/ and
+# testdata/, per top-level package and in total. A report; nothing gates on it.
+lines:
+	@sh scripts/lines.sh
 
 verify: test fmt race lint bench-smoke checktags chaos soak fuzz
 

@@ -14,11 +14,12 @@
 //     internal/parallel wraps every worker.
 //
 //   - In package sparse, a function with an error result that directly
-//     calls parallel.For/Run must defer a panic guard (normally
-//     `defer recoverExec(&err)`): the pool ferries worker panics to the
-//     joining goroutine as WorkerPanic and rethrows, so a fan-out kernel
-//     without a guard re-crashes the caller instead of parking the panic
-//     as an error.
+//     calls parallel.For/Run — or rowwise, the scaffold through which the
+//     element-wise kernels reach the pool — must defer a panic guard
+//     (normally `defer recoverExec(&err)`): the pool ferries worker panics
+//     to the joining goroutine as WorkerPanic and rethrows, so a fan-out
+//     kernel without a guard re-crashes the caller instead of parking the
+//     panic as an error.
 package panicpathcheck
 
 import (
@@ -35,8 +36,13 @@ var Analyzer = &lint.Analyzer{
 	Run:  run,
 }
 
-// poolEntryPoints are the worker-pool fan-out calls of internal/parallel.
-var poolEntryPoints = map[string]bool{"For": true, "Run": true}
+// poolEntryPoints are the calls that fan work out to the worker pool, by
+// package name: internal/parallel's own, and sparse's row-parallel scaffold,
+// behind which a kernel's parallel.Run is no longer a direct call.
+var poolEntryPoints = map[string]map[string]bool{
+	"parallel": {"For": true, "Run": true},
+	"sparse":   {"rowwise": true},
+}
 
 func run(pass *lint.Pass) error {
 	if pass.Pkg.Name() == "main" {
@@ -97,8 +103,8 @@ func checkFanOutKernel(pass *lint.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		fn := lint.CalleeFunc(pass.TypesInfo, call)
-		if fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "parallel" && poolEntryPoints[fn.Name()] {
-			fanOut = fn.Name()
+		if fn != nil && fn.Pkg() != nil && poolEntryPoints[fn.Pkg().Name()][fn.Name()] {
+			fanOut = fn.Pkg().Name() + "." + fn.Name()
 		}
 		return true
 	})
@@ -106,7 +112,7 @@ func checkFanOutKernel(pass *lint.Pass, fd *ast.FuncDecl) {
 		return
 	}
 	if !hasDeferredGuard(pass, fd.Body) {
-		pass.Reportf(fd.Name.Pos(), "kernel %s fans out via parallel.%s but has no deferred panic guard (defer recoverExec(&err))", fd.Name.Name, fanOut)
+		pass.Reportf(fd.Name.Pos(), "kernel %s fans out via %s but has no deferred panic guard (defer recoverExec(&err))", fd.Name.Name, fanOut)
 	}
 }
 

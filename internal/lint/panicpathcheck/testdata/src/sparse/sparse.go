@@ -36,6 +36,26 @@ func BadFor(n int) error { // want `no deferred panic guard`
 	return nil
 }
 
+// rowwise is the corpus twin of the row-parallel scaffold: it has no error
+// result of its own, and its callers reach the pool only through it.
+func rowwise(rows int, emit func(i int)) {
+	parallel.Run([]int{0, rows}, 2, func(part, lo, hi int) {})
+}
+
+// GoodRowwise fans out through the scaffold behind a guard.
+func GoodRowwise(rows int) (err error) {
+	defer recoverExec(&err)
+	rowwise(rows, func(i int) {})
+	return nil
+}
+
+// BadRowwise is ExtractM with its guard dropped: no direct pool call, yet a
+// worker panic would cross it.
+func BadRowwise(rows int) error { // want `fans out via sparse.rowwise but has no deferred panic guard`
+	rowwise(rows, func(i int) {})
+	return nil
+}
+
 // NoErrorNoGuard has no error result: the pool itself ferries panics, and
 // there is no error to park them in — out of rule scope.
 func NoErrorNoGuard(parts []int) {

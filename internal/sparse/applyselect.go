@@ -47,32 +47,16 @@ func ApplyIndexM[A, S, C any](a *CSR[A], f func(A, int, int, S) C, s S, threads 
 // returns true and annihilates the rest — the GraphBLAS 2.0 select operation
 // (§VIII-C), a "functional input mask".
 func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, threads int) *CSR[A] {
-	out := NewCSR[A](a.Rows, a.Cols)
-	parts := parallel.Ranges(a.Rows, threads)
-	nparts := len(parts) - 1
-	pInd := make([][]int, nparts)
-	pVal := make([][]A, nparts)
-	rowLen := make([]int, a.Rows)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
-		n := a.Ptr[hi] - a.Ptr[lo] // at most every entry of the range survives
-		ind := make([]int, 0, n)
-		val := make([]A, 0, n)
-		for i := lo; i < hi; i++ {
+	return rowwise(a.Rows, a.Cols, threads, a.span, // at most every entry survives
+		func(i int, ind []int, val []A) ([]int, []A) {
 			aInd, aVal := a.Row(i)
-			start := len(ind)
-			for k := range aInd {
-				if f(aVal[k], i, aInd[k], s) {
-					ind = append(ind, aInd[k])
-					val = append(val, aVal[k])
+			for k, j := range aInd {
+				if f(aVal[k], i, j, s) {
+					ind, val = append(ind, j), append(val, aVal[k])
 				}
 			}
-			rowLen[i] = len(ind) - start
-		}
-		pInd[part] = ind
-		pVal[part] = val
-	})
-	installStitched(out, pInd, pVal, rowLen)
-	return out
+			return ind, val
+		})
 }
 
 // ApplyV computes t(i) = f(u(i)) for every stored entry of a vector. The

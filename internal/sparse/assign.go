@@ -10,8 +10,11 @@ import "sort"
 // Entries of C outside the region pass through untouched. The caller then
 // applies the operation mask over all of Z (GrB_assign's mask spans C).
 //
-// nil rows/cols mean all indices. A must be len(rows)×len(cols).
-func AssignM[T any](c, a *CSR[T], rows, cols []int, accum func(T, T) T) (*CSR[T], error) {
+// nil rows/cols mean all indices. A must be len(rows)×len(cols). Where an
+// index list repeats a target (undefined in the C spec) the last listed row,
+// and the last stored entry of a row, win.
+func AssignM[T any](c, a *CSR[T], rows, cols []int, accum func(T, T) T) (out *CSR[T], err error) {
+	defer recoverExec(&err)
 	nr, nc := c.Rows, c.Cols
 	if rows != nil {
 		nr = len(rows)
@@ -24,221 +27,103 @@ func AssignM[T any](c, a *CSR[T], rows, cols []int, accum func(T, T) T) (*CSR[T]
 	}
 	// invRow[r] = source row of A assigned to C row r, or -1.
 	invRow := make([]int, c.Rows)
-	for i := range invRow {
-		invRow[i] = -1
-	}
-	if rows == nil {
-		for i := 0; i < c.Rows; i++ {
-			invRow[i] = i
-		}
-	} else {
-		for i, r := range rows {
-			if r < 0 || r >= c.Rows {
-				return nil, ErrIndexOutOfBounds
-			}
-			invRow[r] = i // duplicates: last occurrence wins
+	for r := range invRow {
+		invRow[r] = -1
+		if rows == nil {
+			invRow[r] = r
 		}
 	}
-	inCol := make([]bool, c.Cols)
-	if cols == nil {
-		for j := range inCol {
-			inCol[j] = true
+	for i, r := range rows {
+		if r < 0 || r >= c.Rows {
+			return nil, ErrIndexOutOfBounds
 		}
-	} else {
-		for _, cc := range cols {
-			if cc < 0 || cc >= c.Cols {
-				return nil, ErrIndexOutOfBounds
-			}
-			inCol[cc] = true
-		}
+		invRow[r] = i // a repeated row: the last listed wins
 	}
-
-	out := NewCSR[T](c.Rows, c.Cols)
-	type pair struct {
-		col int
-		pos int // position within A's row, to resolve duplicate targets (last wins)
-		v   T
+	// The region's columns as a structural mask over a row of C: the listed
+	// ones, or — cols == nil — the complement of none.
+	var region run[bool]
+	src := a // A in C's column space
+	if cols != nil {
+		if region.ind, err = sortedUnique(cols, c.Cols); err != nil {
+			return nil, err
+		}
+		src = rowwise(a.Rows, c.Cols, 1, a.span,
+			func(i int, ind []int, val []T) ([]int, []T) { return gatherRun(ind, val, a.run(i), nil, cols) })
 	}
-	var region []pair
-	for r := 0; r < c.Rows; r++ {
-		cInd, cVal := c.Row(r)
-		ar := invRow[r]
-		if ar < 0 {
-			out.Ind = append(out.Ind, cInd...)
-			out.Val = append(out.Val, cVal...)
-			out.Ptr[r+1] = len(out.Ind)
-			continue
-		}
-		// Gather A row ar mapped into C column space, sorted by target col.
-		aInd, aVal := a.Row(ar)
-		region = region[:0]
-		for k := range aInd {
-			tgt := aInd[k]
-			if cols != nil {
-				tgt = cols[aInd[k]]
-			}
-			region = append(region, pair{tgt, k, aVal[k]})
-		}
-		sort.Slice(region, func(x, y int) bool {
-			if region[x].col != region[y].col {
-				return region[x].col < region[y].col
-			}
-			return region[x].pos < region[y].pos
-		})
-		// Deduplicate duplicate target columns, keeping the last source.
-		w := 0
-		for k := 0; k < len(region); k++ {
-			if w > 0 && region[w-1].col == region[k].col {
-				region[w-1] = region[k]
-			} else {
-				region[w] = region[k]
-				w++
-			}
-		}
-		region = region[:w]
-
-		ci, ri := 0, 0
-		for ci < len(cInd) || ri < len(region) {
-			switch {
-			case ri >= len(region) || (ci < len(cInd) && cInd[ci] < region[ri].col):
-				j := cInd[ci]
-				if inCol[j] && accum == nil {
-					// inside region, no source entry, pure assignment: deleted
-				} else {
-					out.Ind = append(out.Ind, j)
-					out.Val = append(out.Val, cVal[ci])
-				}
-				ci++
-			case ci >= len(cInd) || region[ri].col < cInd[ci]:
-				out.Ind = append(out.Ind, region[ri].col)
-				out.Val = append(out.Val, region[ri].v)
-				ri++
+	return rowwise(c.Rows, c.Cols, 1,
+		func(lo, hi int) int { return c.span(lo, hi) + src.NNZ() },
+		func(r int, ind []int, val []T) ([]int, []T) {
+			switch ar := invRow[r]; {
+			case ar < 0:
+				return appendRun(ind, val, c.run(r))
+			case accum != nil:
+				return unionRun(ind, val, c.run(r), src.run(ar), accum)
 			default:
-				v := region[ri].v
-				if accum != nil {
-					v = accum(cVal[ci], v)
-				}
-				out.Ind = append(out.Ind, region[ri].col)
-				out.Val = append(out.Val, v)
-				ci++
-				ri++
+				return maskRun(ind, val, c.run(r), src.run(ar), region, true, cols == nil)
 			}
-		}
-		out.Ptr[r+1] = len(out.Ind)
-	}
-	return out, nil
+		}), nil
 }
 
 // AssignScalarM computes the candidate Z for GrB_assign with a scalar
 // source: every position in rows × cols receives val (combined with the
 // existing C entry through accum when present). Positions of C outside the
 // region pass through.
-func AssignScalarM[T any](c *CSR[T], val T, rows, cols []int, accum func(T, T) T) (*CSR[T], error) {
+func AssignScalarM[T any](c *CSR[T], val T, rows, cols []int, accum func(T, T) T) (out *CSR[T], err error) {
+	defer recoverExec(&err)
 	inRow, err := memberSet(rows, c.Rows)
 	if err != nil {
 		return nil, err
 	}
-	sortedCols, err := sortedUnique(cols, c.Cols)
+	region, err := scalarRun(val, cols, c.Cols)
 	if err != nil {
 		return nil, err
 	}
-	out := NewCSR[T](c.Rows, c.Cols)
-	for r := 0; r < c.Rows; r++ {
-		cInd, cVal := c.Row(r)
-		if !inRow[r] {
-			out.Ind = append(out.Ind, cInd...)
-			out.Val = append(out.Val, cVal...)
-			out.Ptr[r+1] = len(out.Ind)
-			continue
-		}
-		ci, ri := 0, 0
-		for ci < len(cInd) || ri < len(sortedCols) {
-			switch {
-			case ri >= len(sortedCols) || (ci < len(cInd) && cInd[ci] < sortedCols[ri]):
-				out.Ind = append(out.Ind, cInd[ci])
-				out.Val = append(out.Val, cVal[ci])
-				ci++
-			case ci >= len(cInd) || sortedCols[ri] < cInd[ci]:
-				out.Ind = append(out.Ind, sortedCols[ri])
-				out.Val = append(out.Val, val)
-				ri++
-			default:
-				v := val
-				if accum != nil {
-					v = accum(cVal[ci], val)
+	return rowwise(c.Rows, c.Cols, 1,
+		func(lo, hi int) int {
+			n := c.span(lo, hi)
+			for _, in := range inRow[lo:hi] {
+				if in {
+					n += len(region.ind)
 				}
-				out.Ind = append(out.Ind, sortedCols[ri])
-				out.Val = append(out.Val, v)
-				ci++
-				ri++
 			}
-		}
-		out.Ptr[r+1] = len(out.Ind)
-	}
-	return out, nil
+			return n
+		},
+		func(r int, ind []int, val []T) ([]int, []T) {
+			if !inRow[r] {
+				return appendRun(ind, val, c.run(r))
+			}
+			return unionRun(ind, val, c.run(r), region, accum)
+		}), nil
 }
 
 // AssignV computes the candidate Z for vector assign: Z = C with
-// Z(idx[i]) receiving U(i); same deletion/accumulation rules as AssignM.
+// Z(idx[i]) receiving U(i); same deletion/accumulation rules as AssignM,
+// of which it is the one-row case. With every index (idx == nil) Z is U
+// merged into C by accum: AccumMergeV, sharing included.
 func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error) {
-	n := c.N
-	if idx != nil {
-		n = len(idx)
+	if idx == nil {
+		if u.N != c.N {
+			return nil, ErrIndexOutOfBounds
+		}
+		return AccumMergeV(c, u, accum), nil
 	}
-	if u.N != n {
+	if u.N != len(idx) {
 		return nil, ErrIndexOutOfBounds
 	}
-	inv := make([]int, c.N)
-	for i := range inv {
-		inv[i] = -1
+	region, err := sortedUnique(idx, c.N)
+	if err != nil {
+		return nil, err
 	}
-	if idx == nil {
-		for i := 0; i < c.N; i++ {
-			inv[i] = i
-		}
+	var src run[T] // U in C's index space
+	src.ind, src.val = makeRun[T](len(u.Ind))
+	src.ind, src.val = gatherRun(src.ind, src.val, u.run(), nil, idx)
+	ind, val := makeRun[T](min(len(c.Ind)+len(src.ind), c.N))
+	if accum != nil {
+		ind, val = unionRun(ind, val, c.run(), src, accum)
 	} else {
-		for i, p := range idx {
-			if p < 0 || p >= c.N {
-				return nil, ErrIndexOutOfBounds
-			}
-			inv[p] = i
-		}
+		ind, val = maskRun(ind, val, c.run(), src, run[bool]{ind: region}, true, false)
 	}
-	bound := min(len(c.Ind)+len(u.Ind), c.N)
-	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
-	ci := 0
-	for p := 0; p < c.N; p++ {
-		hasC := ci < len(c.Ind) && c.Ind[ci] == p
-		src := inv[p]
-		if src < 0 {
-			if hasC {
-				out.Ind = append(out.Ind, p)
-				out.Val = append(out.Val, c.Val[ci])
-				ci++
-			}
-			continue
-		}
-		uv, hasU := u.Get(src)
-		switch {
-		case hasU && hasC:
-			v := uv
-			if accum != nil {
-				v = accum(c.Val[ci], uv)
-			}
-			out.Ind = append(out.Ind, p)
-			out.Val = append(out.Val, v)
-		case hasU:
-			out.Ind = append(out.Ind, p)
-			out.Val = append(out.Val, uv)
-		case hasC && accum != nil:
-			out.Ind = append(out.Ind, p)
-			out.Val = append(out.Val, c.Val[ci])
-		}
-		if hasC {
-			ci++
-		}
-	}
-	return out, nil
+	return &Vec[T]{N: c.N, Ind: ind, Val: val}, nil
 }
 
 // AssignScalarV computes the candidate Z for vector assign with a scalar
@@ -261,31 +146,27 @@ func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T) (*Vec
 		}
 		return out, nil
 	}
-	member, err := memberSet(idx, c.N)
+	region, err := scalarRun(val, idx, c.N)
 	if err != nil {
 		return nil, err
 	}
-	bound := min(len(c.Ind)+len(idx), c.N)
-	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
-	ci := 0
-	for p := 0; p < c.N; p++ {
-		hasC := ci < len(c.Ind) && c.Ind[ci] == p
-		if member[p] {
-			v := val
-			if accum != nil && hasC {
-				v = accum(c.Val[ci], val)
-			}
-			out.Ind = append(out.Ind, p)
-			out.Val = append(out.Val, v)
-		} else if hasC {
-			out.Ind = append(out.Ind, p)
-			out.Val = append(out.Val, c.Val[ci])
-		}
-		if hasC {
-			ci++
-		}
+	zInd, zVal := makeRun[T](min(len(c.Ind)+len(region.ind), c.N))
+	zInd, zVal = unionRun(zInd, zVal, c.run(), region, accum)
+	return &Vec[T]{N: c.N, Ind: zInd, Val: zVal}, nil
+}
+
+// scalarRun is the region of a scalar assign along one run: val at each
+// listed index (nil = all of 0..n-1), sorted, repeats dropped.
+func scalarRun[T any](val T, idx []int, n int) (run[T], error) {
+	ind, err := sortedUnique(idx, n)
+	if err != nil {
+		return run[T]{}, err
 	}
-	return out, nil
+	r := run[T]{ind, make([]T, len(ind))}
+	for k := range r.val {
+		r.val[k] = val
+	}
+	return r, nil
 }
 
 // AssignScalarMaskedV computes w⟨m⟩ = w ⊙ val over all positions under a

@@ -14,6 +14,7 @@ package sparse
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -201,7 +202,6 @@ const insertionSortMax = 512
 // compacted in place as duplicates go. The Bucketed is spent afterwards.
 func (b Bucketed[T]) Fold(dup func(T, T) T) (*CSR[T], error) {
 	m := b.m
-	var long rowSorter[T]
 	w, lo := 0, 0 // next slot to write; start of the row being read
 	for i := 0; i < m.Rows; i++ {
 		hi := m.Ptr[i+1]
@@ -220,12 +220,7 @@ func (b Bucketed[T]) Fold(dup func(T, T) T) (*CSR[T], error) {
 			w += copy(m.Ind[w:], ind)
 			copy(m.Val[w-len(ind):], val)
 		default:
-			if len(ind) <= insertionSortMax {
-				insertionSortRow(ind, val)
-			} else {
-				long.ind, long.val = ind, val
-				sort.Stable(&long)
-			}
+			SortRow(ind, val)
 			first := w
 			for k, j := range ind {
 				if w > first && m.Ind[w-1] == j {
@@ -247,9 +242,18 @@ func (b Bucketed[T]) Fold(dup func(T, T) T) (*CSR[T], error) {
 	return m, nil
 }
 
-// insertionSortRow sorts a short row by column, keeping equal columns in
-// input order.
-func insertionSortRow[T any](ind []int, val []T) {
+// SortRow sorts one row's (column, value) pairs by column, keeping equal
+// columns in input order: by insertion up to insertionSortMax entries, by
+// sort.Stable beyond (unless already in order, which costs one pass to see).
+// It is the one row sorter — of the build's fold, of gatherRun, and of the
+// import of unsorted CSR/CSC arrays.
+func SortRow[T any](ind []int, val []T) {
+	if len(ind) > insertionSortMax {
+		if !sort.IntsAreSorted(ind) {
+			sort.Stable(&rowSorter[T]{ind, val})
+		}
+		return
+	}
 	for k := 1; k < len(ind); k++ {
 		j, x := ind[k], val[k]
 		p := k
@@ -260,7 +264,7 @@ func insertionSortRow[T any](ind []int, val []T) {
 	}
 }
 
-// rowSorter orders one row's (column, value) pairs by column for sort.Stable.
+// rowSorter is SortRow's sort.Interface for long rows.
 type rowSorter[T any] struct {
 	ind []int
 	val []T
@@ -295,59 +299,19 @@ func MergeTuples[T any](m *CSR[T], tuples []Tuple[T]) (*CSR[T], error) {
 			return nil, ErrIndexOutOfBounds
 		}
 	}
-	// Stable sort by coordinate; for equal coordinates the last in program
-	// order must win, so walk groups and keep the final element.
-	ts := make([]Tuple[T], len(tuples))
-	copy(ts, tuples)
-	sort.SliceStable(ts, func(a, b int) bool {
-		if ts[a].Row != ts[b].Row {
-			return ts[a].Row < ts[b].Row
-		}
-		return ts[a].Col < ts[b].Col
-	})
-	dedup := ts[:0]
-	for s := 0; s < len(ts); {
-		e := s
-		for e+1 < len(ts) && ts[e+1].Row == ts[s].Row && ts[e+1].Col == ts[s].Col {
-			e++
-		}
-		dedup = append(dedup, ts[e])
-		s = e + 1
-	}
-	ts = dedup
-
-	out := &CSR[T]{Rows: m.Rows, Cols: m.Cols,
-		Ptr: make([]int, m.Rows+1),
-		Ind: make([]int, 0, len(m.Ind)+len(ts)),
-		Val: make([]T, 0, len(m.Val)+len(ts))}
-	p := 0 // cursor into ts
+	ts := sortedTuples(slices.Clone(tuples))
+	out := NewCSR[T](m.Rows, m.Cols)
+	ind, val := makeRun[T](len(m.Ind) + len(ts))
 	for i := 0; i < m.Rows; i++ {
-		ind, val := m.Row(i)
-		k := 0
-		for k < len(ind) || (p < len(ts) && ts[p].Row == i) {
-			tActive := p < len(ts) && ts[p].Row == i
-			switch {
-			case tActive && (k >= len(ind) || ts[p].Col < ind[k]):
-				if !ts[p].Del {
-					out.Ind = append(out.Ind, ts[p].Col)
-					out.Val = append(out.Val, ts[p].Val)
-				}
-				p++
-			case tActive && ts[p].Col == ind[k]:
-				if !ts[p].Del {
-					out.Ind = append(out.Ind, ts[p].Col)
-					out.Val = append(out.Val, ts[p].Val)
-				}
-				p++
-				k++
-			default:
-				out.Ind = append(out.Ind, ind[k])
-				out.Val = append(out.Val, val[k])
-				k++
-			}
+		n := 0 // row i's updates are ts[:n]
+		for n < len(ts) && ts[n].Row == i {
+			n++
 		}
-		out.Ptr[i+1] = len(out.Ind)
+		ind, val = tupleRun(ind, val, m.run(i), ts[:n])
+		ts = ts[n:]
+		out.Ptr[i+1] = len(ind)
 	}
+	out.Ind, out.Val = ind, val
 	DebugCheckCSR(out, "MergeTuples")
 	return out, nil
 }
@@ -355,26 +319,17 @@ func MergeTuples[T any](m *CSR[T], tuples []Tuple[T]) (*CSR[T], error) {
 // Resize returns a copy of m with the new shape. Entries outside the new
 // shape are dropped; growing adds empty space (GrB_Matrix_resize semantics).
 func (m *CSR[T]) Resize(rows, cols int) *CSR[T] {
-	out := &CSR[T]{Rows: rows, Cols: cols, Ptr: make([]int, rows+1)}
-	keep := m.Rows
-	if rows < keep {
-		keep = rows
-	}
-	for i := 0; i < keep; i++ {
-		ind, val := m.Row(i)
-		for k := range ind {
-			if ind[k] < cols {
-				out.Ind = append(out.Ind, ind[k])
-				out.Val = append(out.Val, val[k])
+	keep := min(rows, m.Rows)
+	return rowwise(rows, cols, 1,
+		func(lo, hi int) int { return m.span(min(lo, keep), min(hi, keep)) },
+		func(i int, ind []int, val []T) ([]int, []T) {
+			if i >= keep {
+				return ind, val
 			}
-		}
-		out.Ptr[i+1] = len(out.Ind)
-	}
-	for i := keep; i < rows; i++ {
-		out.Ptr[i+1] = len(out.Ind)
-	}
-	DebugCheckCSR(out, "CSR.Resize")
-	return out
+			row := m.run(i)
+			k := sort.SearchInts(row.ind, cols)
+			return append(ind, row.ind[:k]...), append(val, row.val[:k]...)
+		})
 }
 
 // EqualFunc reports whether a and b have identical shape, pattern, and

@@ -1,11 +1,5 @@
 package sparse
 
-import (
-	"sort"
-
-	"github.com/grblas/grb/internal/parallel"
-)
-
 // ExtractM computes the submatrix T = A(rows, cols): T is
 // len(rows)×len(cols) with T(i,j) = A(rows[i], cols[j]). A nil index slice
 // means "all indices" (GrB_ALL). Index lists may contain duplicates and be
@@ -32,73 +26,59 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, threads int) (out *CSR[T], err
 			}
 		}
 	}
-	// colPos[c] lists the output columns that source column c feeds.
-	var colPos [][]int
-	if cols != nil {
-		colPos = make([][]int, a.Cols)
-		for j, c := range cols {
-			colPos[c] = append(colPos[c], j)
-		}
+	colPtr, colPos := invertList(cols, a.Cols)
+	return rowwise(outRows, outCols, threads,
+		func(lo, hi int) int {
+			// A source entry lands once per listed copy of its column.
+			n := 0
+			for i := lo; i < hi; i++ {
+				row := a.run(listAt(rows, i))
+				if cols == nil {
+					n += len(row.ind)
+					continue
+				}
+				for _, c := range row.ind {
+					n += colPtr[c+1] - colPtr[c]
+				}
+			}
+			return n
+		},
+		func(i int, ind []int, val []T) ([]int, []T) {
+			if cols == nil {
+				return appendRun(ind, val, a.run(listAt(rows, i)))
+			}
+			return gatherRun(ind, val, a.run(listAt(rows, i)), colPtr, colPos)
+		}), nil
+}
+
+// listAt is entry i of an index list; the nil list is GrB_ALL, 0, 1, 2, ….
+func listAt(list []int, i int) int {
+	if list == nil {
+		return i
 	}
-	out = NewCSR[T](outRows, outCols)
-	parts := parallel.Ranges(outRows, threads)
-	nparts := len(parts) - 1
-	pInd := make([][]int, nparts)
-	pVal := make([][]T, nparts)
-	rowLen := make([]int, outRows)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
-		srcRow := func(i int) int {
-			if rows != nil {
-				return rows[i]
-			}
-			return i
-		}
-		// Count the range's output first (a source entry lands once per
-		// listed copy of its column), so it is allocated once.
-		n := 0
-		for i := lo; i < hi; i++ {
-			aInd, _ := a.Row(srcRow(i))
-			if cols == nil {
-				n += len(aInd)
-				continue
-			}
-			for _, c := range aInd {
-				n += len(colPos[c])
-			}
-		}
-		ind := make([]int, 0, n)
-		val := make([]T, 0, n)
-		type pair struct {
-			j int
-			v T
-		}
-		var buf []pair
-		for i := lo; i < hi; i++ {
-			aInd, aVal := a.Row(srcRow(i))
-			start := len(ind)
-			if cols == nil {
-				ind = append(ind, aInd...)
-				val = append(val, aVal...)
-			} else {
-				buf = buf[:0]
-				for k := range aInd {
-					for _, j := range colPos[aInd[k]] {
-						buf = append(buf, pair{j, aVal[k]})
-					}
-				}
-				sort.Slice(buf, func(x, y int) bool { return buf[x].j < buf[y].j })
-				for _, p := range buf {
-					ind = append(ind, p.j)
-					val = append(val, p.v)
-				}
-			}
-			rowLen[i] = len(ind) - start
-		}
-		pInd[part] = ind
-		pVal[part] = val
-	})
-	installStitched(out, pInd, pVal, rowLen)
-	return out, nil
+	return list[i]
+}
+
+// invertList inverts an index list over [0, n) by counting sort, as Bucket
+// does rows: index c is listed at the positions pos[ptr[c]:ptr[c+1]], in
+// increasing order. A nil list has no inverse.
+func invertList(list []int, n int) (ptr, pos []int) {
+	if list == nil {
+		return nil, nil
+	}
+	ptr, pos = make([]int, n+1), make([]int, len(list))
+	for _, c := range list {
+		ptr[c+1]++
+	}
+	start := 0
+	for c := 1; c <= n; c++ {
+		start, ptr[c] = start+ptr[c], start
+	}
+	for j, c := range list {
+		pos[ptr[c+1]] = j
+		ptr[c+1]++
+	}
+	return ptr, pos
 }
 
 // ExtractV computes the subvector t = u(idx): t has len(idx) entries with
@@ -139,11 +119,7 @@ func ExtractColV[T any](a *CSR[T], rows []int, j int) (*Vec[T], error) {
 	}
 	out := &Vec[T]{N: n}
 	for i := 0; i < n; i++ {
-		src := i
-		if rows != nil {
-			src = rows[i]
-		}
-		if v, ok := a.Get(src, j); ok {
+		if v, ok := a.Get(listAt(rows, i), j); ok {
 			out.Ind = append(out.Ind, i)
 			out.Val = append(out.Val, v)
 		}

@@ -1,7 +1,5 @@
 package sparse
 
-import "github.com/grblas/grb/internal/parallel"
-
 // Mask bundles an optional boolean mask matrix with the descriptor flags
 // that control its interpretation (GraphBLAS masks, §2 of the C spec;
 // unchanged in 2.0 but exercised by every operation here).
@@ -104,7 +102,7 @@ func AccumMergeM[T any](c, t *CSR[T], accum func(T, T) T, threads int) *CSR[T] {
 	if accum == nil {
 		return t
 	}
-	return mergeUnionM(c, t, func(cv, tv T) T { return accum(cv, tv) }, threads)
+	return EWiseAddM(c, t, accum, threads)
 }
 
 // AccumMergeV is the vector analogue of AccumMergeM: the same union merge
@@ -136,68 +134,22 @@ func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, threads int) *CSR[
 		}
 		return c
 	}
-	rows := c.Rows
-	out := NewCSR[T](c.Rows, c.Cols)
-	parts := parallel.Ranges(rows, threads)
-	nparts := len(parts) - 1
-	pInd := make([][]int, nparts)
-	pVal := make([][]T, nparts)
-	rowLen := make([]int, rows)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
-		// Admitted positions take Z's entries; rejected ones keep C's, unless
-		// replace deletes them.
-		n := z.Ptr[hi] - z.Ptr[lo]
-		if !replace {
-			n += c.Ptr[hi] - c.Ptr[lo]
-		}
-		ind := make([]int, 0, n)
-		val := make([]T, 0, n)
-		for i := lo; i < hi; i++ {
-			cInd, cVal := c.Row(i)
-			zInd, zVal := z.Row(i)
-			mInd, mVal := mask.M.Row(i)
-			mk := 0
-			start := len(ind)
-			ci, zi := 0, 0
-			for ci < len(cInd) || zi < len(zInd) {
-				var j int
-				switch {
-				case zi >= len(zInd) || (ci < len(cInd) && cInd[ci] < zInd[zi]):
-					j = cInd[ci]
-				case ci >= len(cInd) || zInd[zi] < cInd[ci]:
-					j = zInd[zi]
-				default:
-					j = cInd[ci]
-				}
-				mt := maskTest(mInd, mVal, mask.Structural, j, &mk)
-				if mask.Complement {
-					mt = !mt
-				}
-				hasC := ci < len(cInd) && cInd[ci] == j
-				hasZ := zi < len(zInd) && zInd[zi] == j
-				if mt {
-					if hasZ {
-						ind = append(ind, j)
-						val = append(val, zVal[zi])
-					}
-				} else if !replace && hasC {
-					ind = append(ind, j)
-					val = append(val, cVal[ci])
-				}
-				if hasC {
-					ci++
-				}
-				if hasZ {
-					zi++
-				}
+	// Admitted positions take Z's entries; rejected ones keep C's, unless
+	// replace deletes them: then C is not read at all.
+	return rowwise(c.Rows, c.Cols, threads,
+		func(lo, hi int) int {
+			if replace {
+				return z.span(lo, hi)
 			}
-			rowLen[i] = len(ind) - start
-		}
-		pInd[part] = ind
-		pVal[part] = val
-	})
-	installStitched(out, pInd, pVal, rowLen)
-	return out
+			return z.span(lo, hi) + c.span(lo, hi)
+		},
+		func(i int, ind []int, val []T) ([]int, []T) {
+			var old run[T]
+			if !replace {
+				old = c.run(i)
+			}
+			return maskRun(ind, val, old, z.run(i), mask.M.run(i), mask.Structural, mask.Complement)
+		})
 }
 
 // vmaskBounds bounds, from the entry count of a non-nil mask alone, how
@@ -235,53 +187,16 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	if !replace {
 		bound = min(bound+min(len(c.Ind), rejects), c.N)
 	}
-	out := &Vec[T]{N: c.N}
 	if bound == 0 {
-		return out
+		return NewVec[T](c.N)
 	}
-	out.Ind = make([]int, 0, bound)
-	out.Val = make([]T, 0, bound)
-	mInd, mVal := mask.M.Ind, mask.M.Val
-	mk := 0
-	if replace {
-		for zi, j := range z.Ind {
-			if maskTest(mInd, mVal, mask.Structural, j, &mk) != mask.Complement {
-				out.Ind = append(out.Ind, j)
-				out.Val = append(out.Val, z.Val[zi])
-			}
-		}
-		return out
+	var old run[T]
+	if !replace {
+		old = c.run()
 	}
-	ci, zi := 0, 0
-	for ci < len(c.Ind) || zi < len(z.Ind) {
-		var j int
-		switch {
-		case zi >= len(z.Ind) || (ci < len(c.Ind) && c.Ind[ci] < z.Ind[zi]):
-			j = c.Ind[ci]
-		case ci >= len(c.Ind) || z.Ind[zi] < c.Ind[ci]:
-			j = z.Ind[zi]
-		default:
-			j = c.Ind[ci]
-		}
-		hasC := ci < len(c.Ind) && c.Ind[ci] == j
-		hasZ := zi < len(z.Ind) && z.Ind[zi] == j
-		if maskTest(mInd, mVal, mask.Structural, j, &mk) != mask.Complement {
-			if hasZ {
-				out.Ind = append(out.Ind, j)
-				out.Val = append(out.Val, z.Val[zi])
-			}
-		} else if hasC {
-			out.Ind = append(out.Ind, j)
-			out.Val = append(out.Val, c.Val[ci])
-		}
-		if hasC {
-			ci++
-		}
-		if hasZ {
-			zi++
-		}
-	}
-	return out
+	ind, val := makeRun[T](bound)
+	ind, val = maskRun(ind, val, old, z.run(), mask.M.run(), mask.Structural, mask.Complement)
+	return &Vec[T]{N: c.N, Ind: ind, Val: val}
 }
 
 // installStitched assembles per-partition row buffers, in ascending range

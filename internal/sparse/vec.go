@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -119,58 +120,22 @@ func MergeVTuples[T any](v *Vec[T], tuples []VTuple[T]) (*Vec[T], error) {
 			return nil, ErrIndexOutOfBounds
 		}
 	}
-	ts := make([]VTuple[T], len(tuples))
-	copy(ts, tuples)
-	sort.SliceStable(ts, func(a, b int) bool { return ts[a].Idx < ts[b].Idx })
-	dedup := ts[:0]
-	for s := 0; s < len(ts); {
-		e := s
-		for e+1 < len(ts) && ts[e+1].Idx == ts[s].Idx {
-			e++
-		}
-		dedup = append(dedup, ts[e])
-		s = e + 1
+	row := make([]Tuple[T], len(tuples)) // the one-row case of MergeTuples
+	for k, t := range tuples {
+		row[k] = Tuple[T]{Col: t.Idx, Val: t.Val, Del: t.Del}
 	}
-	ts = dedup
-
-	out := &Vec[T]{N: v.N,
-		Ind: make([]int, 0, len(v.Ind)+len(ts)),
-		Val: make([]T, 0, len(v.Val)+len(ts))}
-	k, p := 0, 0
-	for k < len(v.Ind) || p < len(ts) {
-		switch {
-		case p < len(ts) && (k >= len(v.Ind) || ts[p].Idx < v.Ind[k]):
-			if !ts[p].Del {
-				out.Ind = append(out.Ind, ts[p].Idx)
-				out.Val = append(out.Val, ts[p].Val)
-			}
-			p++
-		case p < len(ts) && ts[p].Idx == v.Ind[k]:
-			if !ts[p].Del {
-				out.Ind = append(out.Ind, ts[p].Idx)
-				out.Val = append(out.Val, ts[p].Val)
-			}
-			p++
-			k++
-		default:
-			out.Ind = append(out.Ind, v.Ind[k])
-			out.Val = append(out.Val, v.Val[k])
-			k++
-		}
-	}
+	row = sortedTuples(row)
+	ind, val := makeRun[T](len(v.Ind) + len(row))
+	ind, val = tupleRun(ind, val, v.run(), row)
+	out := &Vec[T]{N: v.N, Ind: ind, Val: val}
 	DebugCheckVec(out, "MergeVTuples")
 	return out, nil
 }
 
 // Resize returns a copy of v with the new size (entries beyond n dropped).
 func (v *Vec[T]) Resize(n int) *Vec[T] {
-	out := &Vec[T]{N: n}
-	for k := range v.Ind {
-		if v.Ind[k] < n {
-			out.Ind = append(out.Ind, v.Ind[k])
-			out.Val = append(out.Val, v.Val[k])
-		}
-	}
+	k := sort.SearchInts(v.Ind, n)
+	out := &Vec[T]{N: n, Ind: slices.Clone(v.Ind[:k]), Val: slices.Clone(v.Val[:k])}
 	DebugCheckVec(out, "Vec.Resize")
 	return out
 }

@@ -1,10 +1,6 @@
 package grb
 
-import (
-	"sort"
-
-	"github.com/grblas/grb/internal/sparse"
-)
+import "github.com/grblas/grb/internal/sparse"
 
 // Format enumerates the non-opaque data formats of the GraphBLAS 2.0
 // import/export API (§VII-A, Table III of the paper). Per §IX, enumeration
@@ -78,33 +74,6 @@ func vectorFormat(f Format) bool {
 	return f == FormatSparseVector || f == FormatDenseVector || f == FormatBitmapVector
 }
 
-// sortRowPairs sorts a row's (index, value) pairs by index when needed.
-func sortRowPairs[T any](ind []int, val []T) {
-	sorted := true
-	for k := 1; k < len(ind); k++ {
-		if ind[k-1] > ind[k] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	sort.Sort(&rowPairSorter[T]{ind, val})
-}
-
-type rowPairSorter[T any] struct {
-	ind []int
-	val []T
-}
-
-func (s *rowPairSorter[T]) Len() int           { return len(s.ind) }
-func (s *rowPairSorter[T]) Less(i, j int) bool { return s.ind[i] < s.ind[j] }
-func (s *rowPairSorter[T]) Swap(i, j int) {
-	s.ind[i], s.ind[j] = s.ind[j], s.ind[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
-}
-
 // MatrixImport constructs a new GraphBLAS matrix from external data in one
 // of the Table III formats (GrB_Matrix_import). The arrays are copied; the
 // caller retains ownership. Duplicate coordinates are invalid. For the
@@ -159,7 +128,7 @@ func MatrixImport[T any](nrows, ncols Index, indptr, indices []Index, values []T
 			Val: append([]T(nil), values...)}
 		for p := 0; p < major; p++ {
 			lo, hi := indptr[p], indptr[p+1]
-			sortRowPairs(t.Ind[lo:hi], t.Val[lo:hi])
+			sparse.SortRow(t.Ind[lo:hi], t.Val[lo:hi])
 			for k := lo; k < hi; k++ {
 				if t.Ind[k] < 0 || t.Ind[k] >= minor {
 					return nil, errf(InvalidIndex, "MatrixImport(%v): index %d out of range %d", format, t.Ind[k], minor)

@@ -2,7 +2,7 @@
 # Tiered CI entrypoint (`make ci` runs this). Chains every gate the repo
 # defines, times each tier, and ends with one machine-readable summary line:
 #
-#   CI_SUMMARY status=ok tiers=12 build=2s test=14s fmt=0s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s soak=14s chaos=40s fuzz=12s soak_status=ok chaos_status=ok fuzz_status=ok
+#   CI_SUMMARY status=ok tiers=12 build=2s test=14s fmt=0s race=31s lint=9s bench-smoke=2s grbcheck=22s serve=6s coverage=12s soak=14s chaos=40s fuzz=12s soak_status=ok chaos_status=ok fuzz_status=ok lines=18219
 #
 # A tier is a Makefile target; what it runs and why is written there, once.
 # Gating tiers, in order (cheapest first so broken trees fail fast):
@@ -15,6 +15,8 @@
 #
 # Three advisory tiers follow — soak, chaos, fuzz — reported on the summary
 # line as <tier>_status and never gating (`make <tier>` is the hard version).
+#
+# lines= is `make lines`' total (ROADMAP aim 2), reported and never gated.
 #
 # A failing gating tier stops the run; the summary line then reports
 # status=fail and the tier that failed, still on one greppable line.
@@ -89,4 +91,4 @@ advisory soak
 advisory chaos
 advisory fuzz
 
-echo "CI_SUMMARY status=ok tiers=$TIERS $SUMMARY${STATUSES# }"
+echo "CI_SUMMARY status=ok tiers=$TIERS $SUMMARY${STATUSES# } lines=$(make -s lines | awk '$2 == "total" { print $1 }')"
