@@ -228,6 +228,26 @@ func BenchmarkKernelMaskApply(b *testing.B) {
 	}
 }
 
+// bestRounds times two arms of a paired benchmark in one process: rounds of
+// passes calls each, the arms interleaved, 3·b.N rounds per arm, and returns
+// each arm's best round — so that the ratio of the two divides the host out.
+func bestRounds(b *testing.B, passes int, x, y func() error) (bestX, bestY time.Duration) {
+	round := func(arm func() error) time.Duration {
+		start := time.Now()
+		for p := 0; p < passes; p++ {
+			if err := arm(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	bestX, bestY = round(x), round(y)
+	for rep := 1; rep < 3*b.N; rep++ {
+		bestX, bestY = min(bestX, round(x)), min(bestY, round(y))
+	}
+	return bestX, bestY
+}
+
 // minFamilySpeedup is the floor a family loop must clear over the closure
 // loop it replaces to be worth its hand-written body (monokernels.go).
 const minFamilySpeedup = 2
@@ -275,24 +295,84 @@ func BenchmarkKernelFamilyLoopPair(b *testing.B) {
 		}},
 	} {
 		b.Run(wl.name, func(b *testing.B) {
-			round := func(spec Spec) time.Duration {
-				start := time.Now()
-				for p := 0; p < passes; p++ {
-					if err := wl.run(spec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				return time.Since(start)
-			}
-			mono, closure := round(SpecMono), round(SpecGeneric)
-			for rep := 1; rep < 3*b.N; rep++ {
-				mono, closure = min(mono, round(SpecMono)), min(closure, round(SpecGeneric))
-			}
+			mono, closure := bestRounds(b, passes,
+				func() error { return wl.run(SpecMono) }, func() error { return wl.run(SpecGeneric) })
 			ratio := float64(closure) / float64(mono)
 			b.ReportMetric(ratio, "closure/mono")
 			if ratio < minFamilySpeedup {
 				b.Fatalf("closure/mono = %.2f (closure %v, mono %v per %d products), below the floor %d",
 					ratio, closure, mono, passes, minFamilySpeedup)
+			}
+		})
+	}
+}
+
+// BenchmarkPullGatherPair is the measurement planPull's gather row points
+// at: one pull SpMV (MIN_PLUS, the SSSP product; a fresh vector per product
+// as in a traversal, so the dense arm pays for its view), gather pinned dense
+// against pinned hash, arms interleaved on one thread, best round per arm.
+// On rmat-14 with a frontier of n/8 the gather looks u up once per stored
+// entry of G — 26 n lookups whatever nnz(u) is — and the hash arm must lose
+// by at least 1.5×. Under a non-complemented mask of 64 rows over a
+// hypersparse matrix (n = 2²⁰, work ≪ n/2) the table replaces a 9 MB view
+// and it must not lose. `make bench` runs it; tier-1 does not.
+func BenchmarkPullGatherPair(b *testing.B) {
+	const passes = 4 // products per timed round
+	csr := func(g gen.Graph) *CSR[float64] {
+		a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 0.5, 2, 42), addF)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	// strided lists count positions of [0, n), evenly spread.
+	strided := func(n, count int) []int {
+		ind := make([]int, count)
+		for k := range ind {
+			ind[k] = 3 + k*(n/count)
+		}
+		return ind
+	}
+	minF := func(x, y float64) float64 { return min(x, y) }
+
+	rmat := csr(gen.Graph500RMAT(14, 16, 42).Symmetrize())
+	hyper := csr(gen.Hypersparse(1<<20, 100_000, 1234))
+	for _, wl := range []struct {
+		name     string
+		a        *CSR[float64]
+		frontier int
+		maskRows int
+		ok       func(ratio float64) bool
+		want     string
+	}{
+		{"rmat14/unmasked", rmat, rmat.Rows / 8, 0, func(r float64) bool { return r >= 1.5 }, ">= 1.5"},
+		{"hypersparse/mask=64rows", hyper, 1024, 64, func(r float64) bool { return r <= 1 }, "<= 1"},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			a, n := wl.a, wl.a.Rows
+			ind := strided(n, wl.frontier)
+			val := make([]float64, len(ind))
+			for k := range val {
+				val[k] = float64(k % 97)
+			}
+			var mask VMask
+			if wl.maskRows > 0 {
+				mask.M = &Vec[bool]{N: n, Ind: strided(n, wl.maskRows), Val: make([]bool, wl.maskRows)}
+				mask.Structural = true
+			}
+			gather := func(hint Kernel) func() error {
+				return func() error {
+					u := &Vec[float64]{N: n, Ind: ind, Val: val}
+					_, err := SpMVSemiEx(SemiMinPlus, SpecAuto, a, u, addF, minF, mask, Exec{Threads: 1}, hint)
+					return err
+				}
+			}
+			dense, hash := bestRounds(b, passes, gather(KernelDense), gather(KernelHash))
+			ratio := float64(hash) / float64(dense)
+			b.ReportMetric(ratio, "hash/dense")
+			if !wl.ok(ratio) {
+				b.Fatalf("hash/dense = %.2f (hash %v, dense %v per %d products), want %s",
+					ratio, hash, dense, passes, wl.want)
 			}
 		})
 	}

@@ -319,13 +319,16 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 // TestFamilyLoopTables): the route read back through Exec.Route is the
 // planned one, the counters agree with it, and the frontier's view is
 // materialized — full or bitmap by density alone — exactly when the gather
-// is dense. Each row uses a fresh vector because the view caches on it.
+// is dense. The hash rows need operands that are hypersparse in gather work
+// (table inserts + lookups < n/2): one entry against a four-entry matrix.
+// Each row uses a fresh vector because the view caches on it.
 func TestMonoRoutingGates(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	mul := func(a, b float64) float64 { return a * b }
 	add := func(a, b float64) float64 { return a + b }
-	a := sprayCSR(rng, 20, 20, 60, func(r *rand.Rand) float64 { return r.NormFloat64() })
 	mk := func(r *rand.Rand) float64 { return r.NormFloat64() }
+	a := sprayCSR(rng, 20, 20, 60, mk)
+	thin := sprayCSR(rng, 20, 20, 4, mk)
 	hyper := func() *Vec[float64] { return &Vec[float64]{N: 20, Ind: []int{7}, Val: []float64{1.5}} }
 	partial := NewVec[float64](20) // 15 of 20: above the hash cut, not full
 	for j := 0; j < 20; j++ {
@@ -336,17 +339,21 @@ func TestMonoRoutingGates(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
+		a        *CSR[float64]
 		vec      *Vec[float64]
 		spec     Spec
 		want     Route
 		wantFull bool
 	}{
-		{"full/auto", fullVec(rng, 20, mk), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
-		{"partial/auto", partial, SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
-		{"hypersparse/auto", hyper(), SpecAuto, Route{Acc: AccHash, Reason: ReasonHyperFrontier}, false},
-		{"hypersparse/mono", hyper(), SpecMono, Route{Family: true, Acc: AccDense, Reason: ReasonPin}, false},
-		{"full/generic", fullVec(rng, 20, mk), SpecGeneric, Route{Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"full/auto", a, fullVec(rng, 20, mk), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"partial/auto", a, partial, SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
+		{"sparse frontier/auto", a, hyper(), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
+		{"full over hypersparse/auto", thin, fullVec(rng, 20, mk), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"hypersparse/auto", thin, hyper(), SpecAuto, Route{Acc: AccHash, Reason: ReasonFewProbes}, false},
+		{"hypersparse/mono", thin, hyper(), SpecMono, Route{Family: true, Acc: AccDense, Reason: ReasonPin}, false},
+		{"full/generic", a, fullVec(rng, 20, mk), SpecGeneric, Route{Acc: AccDense, Reason: ReasonDenseWork}, true},
 	} {
+		a := tc.a
 		var rt Route
 		ResetKernelCounts()
 		got, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Route: &rt}, KernelAuto)

@@ -15,14 +15,14 @@ import "math/bits"
 //
 // The two thresholds are constants: no caller ever used another value.
 
-// hashCut is the dense-vs-hash cut: work (a range's flop bound, a frontier's
-// or a mask's nnz) below width/hashCut takes the hash structure. 2 comes from
-// the cost model: the dense structure costs O(width) to materialize plus ~1
-// unit per unit of work; the hash one skips the O(width) term but pays ~3
-// units per unit of work (hash, probe, re-probe at emit). Hash wins iff
-// width > (3-1)·work. The margin also bounds the table: capacity ≤ 2·work <
-// width, so the hash path never allocates more scratch than the dense one it
-// replaced.
+// hashCut is the dense-vs-hash cut: work (a range's flop bound, a gather's
+// table operations, a mask's nnz) below width/hashCut takes the hash
+// structure. 2 comes from the cost model: the dense structure costs O(width)
+// to materialize plus ~1 unit per unit of work; the hash one skips the
+// O(width) term but pays ~3 units per unit of work (hash, probe, re-probe at
+// emit). Hash wins iff width > (3-1)·work. The margin also bounds the table:
+// capacity ≤ 2·work < width, so the hash path never allocates more scratch
+// than the dense one it replaced.
 const hashCut = 2
 
 // pushCut is the frontier-density cut: push when nnz(u) < inDim/pushCut. 16
@@ -83,7 +83,7 @@ const (
 	ReasonSparseMask
 	ReasonSparseFrontier
 	ReasonDenseFrontier
-	ReasonHyperFrontier
+	ReasonFewProbes
 	ReasonHyperMask
 	ReasonFewFlops
 	ReasonDenseWork
@@ -100,7 +100,7 @@ var reasonText = [...]string{
 	ReasonSparseMask:     "mask nnz < n/16",
 	ReasonSparseFrontier: "frontier nnz < n/16",
 	ReasonDenseFrontier:  "frontier nnz >= n/16",
-	ReasonHyperFrontier:  "frontier nnz < n/2",
+	ReasonFewProbes:      "gather inserts + lookups < n/2",
 	ReasonHyperMask:      "mask nnz < n/2",
 	ReasonFewFlops:       "range flops < cols/2",
 	ReasonDenseWork:      "work >= width/2",
@@ -163,8 +163,9 @@ type planIn struct {
 	spec Spec
 
 	// work competes with width: frontier nnz against the input dimension
-	// (direction, gather), a row range's flop bound against the output
-	// columns (accumulator).
+	// (direction), the hash gather's table operations against the vector
+	// size (gather, see gatherWork), a row range's flop bound against the
+	// output columns (accumulator).
 	work, width int
 
 	masked   bool // a mask vector (matrix-vector) or mask matrix (planRange) is present
@@ -245,15 +246,18 @@ func planAcc(in planIn, few, refused Reason) (Acc, Reason) {
 }
 
 // planPull plans the gather side of the pull product. Reads hint, spec,
-// hasLoop, work (frontier nnz), width (vector size), masked/maskNNZ, outDim,
-// denseFits, hashSmaller. A family loop reads the frontier's dense view, so
-// it runs exactly when the gather is dense; SpecMono with a loop available
-// keeps the view even for a hypersparse frontier.
+// hasLoop, work (gatherWork: what the hash table would be asked to do),
+// width (vector size), masked/maskNNZ, outDim, denseFits, hashSmaller. A pull
+// looks u up once per stored entry of every admitted row whatever nnz(u) is,
+// so the hash gather is for hypersparse matrices and sparse non-complemented
+// masks, not for sparse frontiers. A family loop reads the frontier's dense
+// view, so it runs exactly when the gather is dense; SpecMono with a loop
+// available keeps the view even then.
 func planPull(in planIn) Route {
 	if in.hasLoop && in.spec == SpecMono && in.hint == KernelAuto {
 		in.hint = KernelDense
 	}
-	acc, why := planAcc(in, ReasonHyperFrontier, ReasonBudgetGather)
+	acc, why := planAcc(in, ReasonFewProbes, ReasonBudgetGather)
 	return Route{
 		Family:   in.hasLoop && acc == AccDense,
 		Acc:      acc,

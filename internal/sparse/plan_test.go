@@ -82,16 +82,17 @@ func TestPlan(t *testing.T) {
 		{"product: hint == KernelHash drops it", planProduct, loop(planIn{hint: KernelHash}), Route{Reason: ReasonPin}},
 		{"product: no loop", planProduct, planIn{}, Route{}},
 
-		// Pull gather (the density gates of the family loops).
-		{"pull: full frontier", planPull, fits(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
-		{"pull: partial frontier", planPull, fits(loop(planIn{work: 15, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
-		{"pull: hypersparse frontier hash-gathers", planPull, fits(loop(planIn{work: 1, width: 20})), Route{Acc: AccHash, Reason: ReasonHyperFrontier}},
-		{"pull: SpecMono overrides hypersparse", planPull, fits(loop(planIn{spec: SpecMono, work: 1, width: 20})),
+		// Pull gather: work is gatherWork (table inserts + lookups), whatever
+		// the frontier's own density.
+		{"pull: work == n is dense", planPull, fits(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: work == n/2 is dense", planPull, fits(loop(planIn{work: 10, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: work == n/2-1 hash-gathers", planPull, fits(loop(planIn{work: 9, width: 20})), Route{Acc: AccHash, Reason: ReasonFewProbes}},
+		{"pull: SpecMono overrides few probes", planPull, fits(loop(planIn{spec: SpecMono, work: 1, width: 20})),
 			Route{Family: true, Acc: AccDense, Reason: ReasonPin}},
-		{"pull: SpecMono cannot conjure a loop", planPull, fits(planIn{spec: SpecMono, work: 1, width: 20}), Route{Acc: AccHash, Reason: ReasonHyperFrontier}},
+		{"pull: SpecMono cannot conjure a loop", planPull, fits(planIn{spec: SpecMono, work: 1, width: 20}), Route{Acc: AccHash, Reason: ReasonFewProbes}},
 		{"pull: hint == KernelHash beats SpecMono", planPull, fits(loop(planIn{hint: KernelHash, spec: SpecMono, work: 20, width: 20})),
 			Route{Acc: AccHash, Reason: ReasonPin}},
-		{"pull: dense pinned over a hypersparse frontier", planPull, fits(loop(planIn{hint: KernelDense, work: 1, width: 20})),
+		{"pull: dense pinned over few probes", planPull, fits(loop(planIn{hint: KernelDense, work: 1, width: 20})),
 			Route{Family: true, Acc: AccDense, Reason: ReasonPin}},
 		{"pull: closure loop, dense gather", planPull, fits(planIn{work: 20, width: 20}), Route{Acc: AccDense, Reason: ReasonDenseWork}},
 		{"pull: denseFits == false", planPull, loop(planIn{work: 20, width: 20, hashSmaller: true}), Route{Acc: AccHash, Reason: ReasonBudgetGather}},
@@ -118,6 +119,30 @@ func TestPlan(t *testing.T) {
 	} {
 		if got := tc.plan(tc.in); got != tc.want {
 			t.Errorf("%s: route %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+
+	// gatherWork is the pull rows' work: nnz(u) inserts plus one lookup per
+	// stored entry of every row the mask lists — all of G under no mask or a
+	// complemented one — and it stops counting at the cut.
+	ptr := []int{0, 4, 4, 10, 11, 30} // five rows: 4, 0, 6, 1 and 19 entries
+	rows := func(ind ...int) VMask { return VMask{M: &Vec[bool]{N: 5, Ind: ind, Val: make([]bool, len(ind))}} }
+	comp := rows(0, 2)
+	comp.Complement = true
+	for _, tc := range []struct {
+		name string
+		mask VMask
+		want int
+	}{
+		{"unmasked: nnz(G)", VMask{}, 3 + 30},
+		{"complemented: nnz(G)", comp, 3 + 30},
+		{"complemented nil mask: nnz(G)", VMask{Complement: true}, 3 + 30},
+		{"listed rows: their entries, stored falses included", rows(0, 1, 3), 3 + 5},
+		{"no listed row: the inserts alone", rows(), 3},
+		{"reaching the cut stops the count", rows(0, 2, 3, 4), 3 + 10},
+	} {
+		if got := gatherWork(ptr, 3, tc.mask, 12); got != tc.want {
+			t.Errorf("gatherWork %s = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 

@@ -202,7 +202,7 @@ func TestChoosePushRouting(t *testing.T) {
 	if push, pull := DirectionCounts(); push != 0 || pull != 1 || rt.Push {
 		t.Fatalf("sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
 	}
-	if want := (Route{Acc: AccHash, HashMask: true, Reason: ReasonHyperFrontier}); rt != want {
+	if want := (Route{Acc: AccHash, HashMask: true, Reason: ReasonFewProbes}); rt != want {
 		t.Fatalf("sparse mask: pull route %+v, want %+v", rt, want)
 	}
 	identicalVec(t, "masked pull vs filtered push", pulled, MaskApplyV(NewVec[int](n), pushed, VMask{M: sparseMask}, true))

@@ -13,13 +13,15 @@ import (
 // of two structures (planPull):
 //
 //   - dense: u's DenseVec view (value slots plus, unless u is full, a
-//     presence bitmap), O(1) lookups — right when u is a sizable fraction of
-//     its space. The view is memoized on the vector; a miss is charged to
-//     the operation like any other scratch.
+//     presence bitmap), O(1) lookups — right whenever the rows to gather
+//     hold a sizable fraction of n entries, however sparse u is. The view is
+//     memoized on the vector; a miss is charged to the operation like any
+//     other scratch.
 //   - hash: a read-only open-addressing table of O(nnz(u)) slots shared by
-//     all workers — right when u is hypersparse and the dense view would
-//     dwarf the useful work (wide masked pull traversals), and the fallback
-//     when the budget refuses the view.
+//     all workers — right when building and probing it (gatherWork) is less
+//     than the O(n) view: a hypersparse matrix, or a sparse non-complemented
+//     mask admitting few rows; and the fallback when the budget refuses the
+//     view.
 //
 // The row loop over the dense view is the plug-in point: a family loop from
 // monokernels.go runs there when one exists for (semi, A, X, Y) and spec
@@ -41,7 +43,8 @@ func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, int, int) ([]int, []Y)](&spmvLoops, semi, spec)
 	viewBytes := u.viewBytes()
 	hashBytes := int64(hashCapacity(u.NNZ())) * slotBytes[X]()
-	in := planIn{hint: hint, spec: spec, hasLoop: rows != nil, work: u.NNZ(), width: u.N, outDim: a.Rows,
+	in := planIn{hint: hint, spec: spec, hasLoop: rows != nil, width: u.N, outDim: a.Rows,
+		work:      gatherWork(a.Ptr, u.NNZ(), mask, u.N/hashCut),
 		denseFits: u.dv.Load() != nil || e.Tx.Fits(viewBytes), hashSmaller: hashBytes < viewBytes}
 	if mask.M != nil {
 		in.masked, in.maskNNZ = true, mask.M.NNZ()
@@ -126,6 +129,26 @@ func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 		pVal[part] = val
 	})
 	return stitchVec(a.Rows, pInd, pVal), nil
+}
+
+// gatherWork is planPull's work: what the hash gather would be asked to do —
+// one insert per entry of u to build the table, then one probe per stored
+// entry of every row the mask admits. That is all of G under no mask or a
+// complemented one, and Σ_{i∈m} nnz(G(i,:)) for a mask that lists its rows:
+// read off ptr in O(nnz(m)), an upper bound when a valued mask stores falses.
+// Counting stops at cut, below which the planner takes the hash gather.
+func gatherWork(ptr []int, nnzU int, mask VMask, cut int) int {
+	if mask.M == nil || mask.Complement {
+		return nnzU + ptr[len(ptr)-1]
+	}
+	work := nnzU
+	for _, i := range mask.M.Ind {
+		if work >= cut {
+			break
+		}
+		work += ptr[i+1] - ptr[i]
+	}
+	return work
 }
 
 // rowBufs returns the (index, value) output buffers of a loop that emits at

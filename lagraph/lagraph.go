@@ -11,13 +11,25 @@
 package lagraph
 
 import (
+	"math"
 	"math/rand"
 
 	grb "github.com/grblas/grb"
 )
 
 // vectorsEqual reports whether two vectors have identical pattern and values.
+// The entry counts are compared first: under a Min accumulator a pattern only
+// grows, so most rounds of a fixpoint iteration differ there and never copy
+// the tuples out.
 func vectorsEqual[T comparable](a, b *grb.Vector[T]) (bool, error) {
+	na, err := a.Nvals()
+	if err != nil {
+		return false, err
+	}
+	nb, err := b.Nvals()
+	if err != nil || na != nb {
+		return false, err
+	}
 	ai, ax, err := a.ExtractTuples()
 	if err != nil {
 		return false, err
@@ -25,9 +37,6 @@ func vectorsEqual[T comparable](a, b *grb.Vector[T]) (bool, error) {
 	bi, bx, err := b.ExtractTuples()
 	if err != nil {
 		return false, err
-	}
-	if len(ai) != len(bi) {
-		return false, nil
 	}
 	for k := range ai {
 		if ai[k] != bi[k] || ax[k] != bx[k] {
@@ -247,7 +256,8 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 	if damping <= 0 || damping >= 1 {
 		return nil, &grb.Error{Info: grb.InvalidValue, Msg: "PageRank: damping must be in (0,1)"}
 	}
-	// Out-degree (row sums) and its reciprocal where nonzero.
+	// Out-degree (row sums); send(i) = damping/outdeg(i) is what each unit of
+	// rank on i puts on each of its out-links, folded once outside the loop.
 	deg, err := grb.NewVector[float64](n, opt)
 	if err != nil {
 		return nil, err
@@ -255,14 +265,27 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 	if err := grb.MatrixReduceToVector(deg, nil, nil, grb.PlusMonoid[float64](), a, nil); err != nil {
 		return nil, err
 	}
-	invdeg, err := grb.NewVector[float64](n, opt)
+	send, err := grb.NewVector[float64](n, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := grb.VectorApply(invdeg, nil, nil, grb.MInv[float64], deg, nil); err != nil {
+	if err := grb.VectorApply(send, nil, nil, func(d float64) float64 { return damping / d }, deg, nil); err != nil {
 		return nil, err
 	}
+	// dangling⟨¬deg,structure⟩ = true: the vertices with no out-edges, whose
+	// rank is spread uniformly. The pattern never changes, so it is built once.
 	degMask, err := grb.AsVectorMaskFunc(deg, func(float64) bool { return true })
+	if err != nil {
+		return nil, err
+	}
+	dangling, err := grb.NewVector[bool](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := grb.VectorAssignScalar(dangling, degMask, nil, true, grb.All, grb.DescSC); err != nil {
+		return nil, err
+	}
+	ndangling, err := dangling.Nvals()
 	if err != nil {
 		return nil, err
 	}
@@ -273,70 +296,59 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 	if err := grb.VectorAssignScalar(r, nil, nil, 1/float64(n), grb.All, nil); err != nil {
 		return nil, err
 	}
+	// Every intermediate is wholly overwritten each iteration, so the loop
+	// reuses five objects; rnew starts as r so that the scalar assign below
+	// keeps sharing r's full pattern.
+	rnew, err := r.Dup()
+	if err != nil {
+		return nil, err
+	}
+	w, err := grb.NewVector[float64](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	dang, err := grb.NewVector[float64](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	diff, err := grb.NewVector[float64](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	absDiff := func(x, y float64) float64 { return math.Abs(x - y) }
 	for iter := 1; iter <= maxIter; iter++ {
-		// w = r ⊗ 1/outdeg (importance each page sends per out-link)
-		w, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseMultVector(w, nil, nil, grb.Times[float64], r, invdeg, nil); err != nil {
-			return nil, err
-		}
-		// t = w +.× A  (incoming importance)
-		t, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VxM(t, nil, nil, grb.PlusTimes[float64](), w, a, nil); err != nil {
+		// w = r ⊗ send (damped importance each page sends per out-link)
+		if err := grb.EWiseMultVector(w, nil, nil, grb.Times[float64], r, send, nil); err != nil {
 			return nil, err
 		}
 		// Dangling mass: rank parked on vertices with no out-edges.
-		dang, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
+		dmass := 0.0
+		if ndangling > 0 {
+			if err := grb.EWiseMultVector(dang, nil, nil, grb.First[float64, bool], r, dangling, nil); err != nil {
+				return nil, err
+			}
+			if dmass, err = grb.VectorReduce(grb.PlusMonoid[float64](), dang); err != nil {
+				return nil, err
+			}
 		}
-		if err := grb.VectorApply(dang, degMask, nil, grb.Identity[float64], r, grb.DescRSC); err != nil {
-			return nil, err
-		}
-		dmass, err := grb.VectorReduce(grb.PlusMonoid[float64](), dang)
-		if err != nil {
-			return nil, err
-		}
+		// rnew = base; rnew += w +.× A (the accumulator adds the incoming
+		// importance in the same call that computes it)
 		base := (1-damping)/float64(n) + damping*dmass/float64(n)
-		rnew, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
-		}
 		if err := grb.VectorAssignScalar(rnew, nil, nil, base, grb.All, nil); err != nil {
 			return nil, err
 		}
-		// rnew += damping * t
-		ts, err := grb.NewVector[float64](n, opt)
-		if err != nil {
+		if err := grb.VxM(rnew, nil, grb.Plus[float64], grb.PlusTimes[float64](), w, a, nil); err != nil {
 			return nil, err
 		}
-		if err := grb.VectorApplyBindSecond(ts, nil, nil, grb.Times[float64], t, damping, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector(rnew, nil, nil, grb.Plus[float64], rnew, ts, nil); err != nil {
-			return nil, err
-		}
-		// delta = Σ |rnew - r|
-		diff, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector(diff, nil, nil, grb.Minus[float64], rnew, r, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.VectorApply(diff, nil, nil, grb.Abs[float64], diff, nil); err != nil {
+		// delta = Σ |rnew - r|: both are full, so eWiseAdd passes nothing through.
+		if err := grb.EWiseAddVector(diff, nil, nil, absDiff, rnew, r, nil); err != nil {
 			return nil, err
 		}
 		delta, err := grb.VectorReduce(grb.PlusMonoid[float64](), diff)
 		if err != nil {
 			return nil, err
 		}
-		r = rnew
+		r, rnew = rnew, r
 		if delta < tol {
 			return &PageRankResult{Ranks: r, Iterations: iter}, nil
 		}
@@ -398,15 +410,9 @@ func ConnectedComponents(a *grb.Matrix[bool]) (*grb.Vector[int], error) {
 		if err != nil {
 			return nil, err
 		}
-		// t(j) = min over in-neighbours i of f(i); then f = min(f, t).
-		t, err := grb.NewVector[int](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VxM(t, nil, nil, minFirst, f, a, nil); err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseAddVector(f, nil, nil, grb.Min[int], f, t, nil); err != nil {
+		// f(j) = min(f(j), min over in-neighbours i of f(i)): the Min
+		// accumulator merges the propagated labels.
+		if err := grb.VxM(f, nil, grb.Min[int], minFirst, f, a, nil); err != nil {
 			return nil, err
 		}
 		same, err := vectorsEqual(prev, f)

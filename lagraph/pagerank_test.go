@@ -1,0 +1,115 @@
+package lagraph
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	grb "github.com/grblas/grb"
+	"github.com/grblas/grb/gen"
+)
+
+// pagerankGraphs are the shapes PageRank's branches depend on: no dangling
+// vertex (the dangling reduce is skipped), some, and a skewed multigraph.
+func pagerankGraphs() []struct {
+	name  string
+	g     gen.Graph
+	iters int // rounds to tol 1e-9, read off the ten-call formulation
+} {
+	var k4 gen.Graph
+	k4.N = 4
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			if i != j {
+				k4.Src, k4.Dst = append(k4.Src, i), append(k4.Dst, j)
+			}
+		}
+	}
+	return []struct {
+		name  string
+		g     gen.Graph
+		iters int
+	}{
+		{"K4", k4, 1},
+		{"ring: no dangling vertex", gen.Ring(10), 1},
+		{"star: no dangling vertex either", gen.Star(9), 131},
+		{"path: one dangling end", gen.Path(12), 60},
+		{"erdos-renyi", gen.ErdosRenyi(50, 300, 21), 22},
+		{"rmat-8", gen.Graph500RMAT(8, 8, 3), 17},
+	}
+}
+
+// TestPageRankAgainstDenseReference holds the ranks to the straight-line
+// power iteration within 1e-12 after the same number of rounds, and the
+// early exit to the round it took before the iteration was rewritten around
+// the vxm accumulator.
+func TestPageRankAgainstDenseReference(t *testing.T) {
+	initLib(t)
+	for _, tc := range pagerankGraphs() {
+		a := weighted(t, tc.g, gen.UnitWeights[float64](tc.g))
+		for _, tol := range []float64{0, 1e-9} {
+			res, err := PageRank(a, 0.85, tol, 200)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			wantIters := tc.iters
+			if tol == 0 {
+				wantIters = 200 // never below tolerance: every round runs
+			}
+			if res.Iterations != wantIters {
+				t.Errorf("%s tol=%g: stopped after %d iterations, want %d", tc.name, tol, res.Iterations, wantIters)
+			}
+			want := refPageRank(tc.g.N, tc.g.Src, tc.g.Dst, 0.85, res.Iterations)
+			if nv := ck1(res.Ranks.Nvals()); nv != tc.g.N {
+				t.Fatalf("%s: %d ranks for %d vertices", tc.name, nv, tc.g.N)
+			}
+			for v := range want {
+				if got, _ := ck2(res.Ranks.ExtractElement(v)); math.Abs(got-want[v]) > 1e-12 {
+					t.Fatalf("%s tol=%g: rank(%d) = %v, reference %v", tc.name, tol, v, got, want[v])
+				}
+			}
+		}
+	}
+}
+
+// TestPageRankOpsPerIteration pins the iteration at the seven calls the API's
+// accumulator allows — eWiseMult, eWiseMult + reduce for the dangling mass,
+// assign, vxm with accumulator, eWiseAdd, reduce — so that a later edit
+// cannot quietly grow it back. It counts operation events, which the two
+// reductions to a Go value do not emit: five, or four without a dangling
+// vertex (eight in the ten-call formulation).
+func TestPageRankOpsPerIteration(t *testing.T) {
+	initLib(t)
+	grb.EnableMetrics(true)
+	defer func() {
+		grb.EnableMetrics(false)
+		grb.ResetMetrics()
+	}()
+	ops := func(a *grb.Matrix[float64], iters int) int64 {
+		grb.ResetMetrics()
+		if _, err := PageRank(a, 0.85, 0, iters); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for op, m := range grb.Metrics() {
+			if !strings.HasPrefix(op, "sequence(") {
+				n += m.Count
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name string
+		g    gen.Graph
+		want int64
+	}{
+		{"a dangling vertex", gen.Path(12), 5},
+		{"none: the dangling mass is skipped", gen.Ring(10), 4},
+	} {
+		a := weighted(t, tc.g, gen.UnitWeights[float64](tc.g))
+		ck(a.Wait(grb.Materialize))
+		if got := (ops(a, 12) - ops(a, 2)) / 10; got != tc.want {
+			t.Errorf("%s: %d operations per iteration, want %d", tc.name, got, tc.want)
+		}
+	}
+}
