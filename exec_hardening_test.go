@@ -101,10 +101,13 @@ func TestBudgetedBFSMatchesUnbudgeted(t *testing.T) {
 	}
 	want := bfsLevelsInContext(t, free, pathGraph(t, free, n), n, 0)
 
-	// 300 bytes: the push route's transpose (~n·16B) and the pull route's
+	// 360 bytes: the push route's transpose (~n·16B) and the pull route's
 	// dense gather (n·2B) are both unaffordable; the frontier-sized hash
-	// gather (≤ a few hundred bytes on a path graph) fits.
-	tight, err := NewContext(NonBlocking, nil, WithThreads(4), WithMemoryLimit(300))
+	// gather (144 bytes for the one-vertex frontier of a path graph) fits
+	// beside the visited mask — as a hash predicate while that is smaller
+	// than the n-byte bitmap (the first levels), as the bitmap afterwards.
+	const limit = 360
+	tight, err := NewContext(NonBlocking, nil, WithThreads(4), WithMemoryLimit(limit))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -135,8 +138,8 @@ func TestBudgetedBFSMatchesUnbudgeted(t *testing.T) {
 	if used := tight.MemoryUsed(); used != 0 {
 		t.Fatalf("budget leak: %d bytes still reserved after drain", used)
 	}
-	if lim := tight.MemoryLimit(); lim != 300 {
-		t.Fatalf("MemoryLimit = %d, want 300", lim)
+	if lim := tight.MemoryLimit(); lim != limit {
+		t.Fatalf("MemoryLimit = %d, want %d", lim, limit)
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // own best case (EXPERIMENTS.md, "One multiply scaffold").
 
 // DenseVec is the block view of a vector: Val has one slot per position.
-// Bit == nil marks the full variant (every position stored, Nnz == N);
-// otherwise Bit[i] reports whether position i holds an entry and absent
-// slots of Val are zero-valued padding with no semiring meaning.
+// Bit == nil marks the full variant (every position stored, Nnz == N), whose
+// Val is the vector's own and must not be written; otherwise Bit[i] reports
+// whether position i holds an entry and absent slots of Val are zero-valued
+// padding with no semiring meaning.
 type DenseVec[T any] struct {
 	N   int
 	Val []T
@@ -35,54 +36,54 @@ func (d *DenseVec[T]) Full() bool { return d.Bit == nil }
 var denseViewMu sync.Mutex
 
 // viewBytes is what materializing v's block view allocates: the value slots
-// plus, unless v is full, the presence bitmap.
+// plus the presence bitmap, or nothing when v is full and is its own view.
 func (v *Vec[T]) viewBytes() int64 {
-	var zero T
-	bytes := int64(v.N) * int64(unsafe.Sizeof(zero))
-	if v.NNZ() != v.N {
-		bytes += int64(v.N)
+	if v.NNZ() == v.N {
+		return 0
 	}
-	return bytes
+	var zero T
+	return int64(v.N) * int64(unsafe.Sizeof(zero)+1)
 }
 
-// DenseViewEx returns the memoized block view of v, materializing it on
-// first use. A miss is the operation's gather scratch and is charged as
-// such — transiently, under the gather site, released when the operation's
-// transaction closes — because the view dies with the vector snapshot, which
-// in an iteration is the next step (a persistent charge would outlive every
-// freed frontier and exhaust the budget with flat live memory). Returns
-// ErrBudget when the charge does not fit.
-func (v *Vec[T]) DenseViewEx(e Exec) (*DenseVec[T], error) {
+// DenseViewEx returns the block view of v. A full vector's values already
+// are one slot per position, and nothing writes a Vec, so its view aliases
+// v.Val: no conversion, no allocation, no scratch, no charge. Any other view
+// is materialized on first use and memoized; that miss is the operation's
+// gather scratch and is charged as such — transiently, under the gather
+// site, released when the operation's transaction closes — because the view
+// dies with the vector snapshot, which in an iteration is the next step (a
+// persistent charge would outlive every freed frontier and exhaust the
+// budget with flat live memory). Returns ErrBudget when the charge does not
+// fit.
+func (v *Vec[T]) DenseViewEx(e Exec) (DenseVec[T], error) {
+	if v.NNZ() == v.N {
+		return DenseVec[T]{N: v.N, Val: v.Val, Nnz: v.N}, nil
+	}
 	if d := v.dv.Load(); d != nil {
-		return d, nil
+		return *d, nil
 	}
 	denseViewMu.Lock()
 	defer denseViewMu.Unlock()
 	if d := v.dv.Load(); d != nil {
-		return d, nil
+		return *d, nil
 	}
 	if err := siteFormatConvert.Check(); err != nil {
-		return nil, err
+		return DenseVec[T]{}, err
 	}
 	bytes := v.viewBytes()
 	if err := e.charge(siteSpMVGather, bytes); err != nil {
-		return nil, err
+		return DenseVec[T]{}, err
 	}
-	d := &DenseVec[T]{N: v.N, Val: make([]T, v.N), Nnz: v.NNZ()}
-	if d.Nnz != v.N {
-		d.Bit = make([]bool, v.N)
-	}
+	d := &DenseVec[T]{N: v.N, Val: make([]T, v.N), Bit: make([]bool, v.N), Nnz: v.NNZ()}
 	for k, i := range v.Ind {
 		d.Val[i] = v.Val[k]
-		if d.Bit != nil {
-			d.Bit[i] = true
-		}
+		d.Bit[i] = true
 	}
 	formatConversions.Add(1)
 	scratchBytes.Add(bytes)
 	DebugCheckDenseVec(d, "Vec.DenseView")
 	v.dv.Store(d)
-	return d, nil
+	return *d, nil
 }
 
 // Sparse converts the block view back to sorted-coordinate form.

@@ -93,6 +93,9 @@ type hashLookup[T any] struct {
 	mask int
 }
 
+// lookupBytes is what newHashLookup(v) allocates.
+func lookupBytes[T any](v *Vec[T]) int64 { return int64(hashCapacity(v.NNZ())) * slotBytes[T]() }
+
 func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
 	c := 16
 	for c < 2*len(v.Ind) {

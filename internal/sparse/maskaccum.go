@@ -1,5 +1,7 @@
 package sparse
 
+import "github.com/grblas/grb/internal/faults"
+
 // Mask bundles an optional boolean mask matrix with the descriptor flags
 // that control its interpretation (GraphBLAS masks, §2 of the C spec;
 // unchanged in 2.0 but exercised by every operation here).
@@ -18,19 +20,20 @@ type VMask struct {
 
 // vmaskLookup compiles a vector mask into an O(1)-per-position admit
 // predicate for the matrix-vector kernels. A nil return means every position
-// is admitted (no pruning needed). The planner picks the representation by
-// the dense/hash policy (Route.HashMask): a dense mask is scattered once into
-// an O(n) bitmap (O(1) exact lookups, one pass to build), while a hypersparse
-// mask gets a read-only hash table of O(nnz(m)) slots so the O(n) scatter is
-// never paid. Either way a masked kernel stops paying O(log nnz(m)) per
-// position.
+// is admitted (no pruning needed). The planner picks the representation
+// (Route.HashMask): a bitmap of n bytes, one pass to build and exact O(1)
+// lookups, or a read-only hash table of O(nnz(m)) slots where building and
+// probing that is less work than the bitmap, or all the budget has room for.
+// Either is scratch of the operation that asked for it, charged to e under
+// the site of the scaffold's own gather or scatter structure. Either way a
+// masked kernel stops paying O(log nnz(m)) per position.
 //
 // The predicate implements the full GraphBLAS mask semantics (value vs.
 // structural, complement), so kernels may prune work at any granularity —
 // whole rows in the pull gather, single products in the push scatter — and
 // the final MaskApplyV pass observes the same admitted set it would have
 // filtered itself.
-func vmaskLookup(mask VMask, n int, hash bool) func(int) bool {
+func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(int) bool {
 	if mask.M == nil {
 		if mask.Complement {
 			// Complemented nil mask: nothing is admitted (the mask defaults
@@ -40,10 +43,11 @@ func vmaskLookup(mask VMask, n int, hash bool) func(int) bool {
 		return nil
 	}
 	if !hash {
-		admit := vmaskBitmap(mask, n)
+		admit := vmaskBitmap(mask, n, e, site)
 		return func(j int) bool { return admit[j] }
 	}
 	structural, comp := mask.Structural, mask.Complement
+	e.mustCharge(site, lookupBytes(mask.M))
 	h := newHashLookup(mask.M)
 	return func(j int) bool {
 		v, present := h.get(j)
@@ -55,14 +59,23 @@ func vmaskLookup(mask VMask, n int, hash bool) func(int) bool {
 	}
 }
 
+// maskProbe is what the planners read of a non-nil vector mask over n
+// positions: whether its hash predicate's table is strictly smaller than the
+// n-byte bitmap, and whether the bitmap fits the budget beside the bytes the
+// scaffold is about to charge for its own structure.
+func maskProbe(e Exec, mask VMask, n int, beside int64) (hashSmaller, bitmapFits bool) {
+	return lookupBytes(mask.M) < int64(n), e.Tx.Fits(beside + int64(n))
+}
+
 // vmaskBitmap scatters a non-nil vector mask into an O(n) admit bitmap
 // implementing the full mask semantics (value vs. structural, complement).
 // It is the dense half of vmaskLookup, exposed separately because the
 // family scatter loops index the bitmap directly instead of paying a closure
 // call per product.
-func vmaskBitmap(mask VMask, n int) []bool {
+func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) []bool {
 	m := mask.M
 	structural, comp := mask.Structural, mask.Complement
+	e.mustCharge(site, int64(n))
 	admit := make([]bool, n)
 	scratchBytes.Add(int64(n))
 	if comp {

@@ -317,9 +317,10 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 // TestMonoRoutingGates checks that the pull product obeys the plan (the
 // decision table itself is TestPlan; what the tables resolve is
 // TestFamilyLoopTables): the route read back through Exec.Route is the
-// planned one, the counters agree with it, and the frontier's view is
-// materialized — full or bitmap by density alone — exactly when the gather
-// is dense. The hash rows need operands that are hypersparse in gather work
+// planned one, the counters agree with it, and the frontier's bitmap view is
+// materialized exactly when the gather is dense and the frontier is not full
+// (a full one is its own view: nothing is converted, memoized or counted as
+// scratch). The hash rows need operands that are hypersparse in gather work
 // (table inserts + lookups < n/2): one entry against a four-entry matrix.
 // Each row uses a fresh vector because the view caches on it.
 func TestMonoRoutingGates(t *testing.T) {
@@ -372,11 +373,14 @@ func TestMonoRoutingGates(t *testing.T) {
 			t.Fatalf("%s: dense=%d hash=%d for route %+v", tc.name, dense, hash, rt)
 		}
 		dv := tc.vec.dv.Load()
-		if (dv != nil) != (rt.Acc == AccDense) {
+		if (dv != nil) != (rt.Acc == AccDense && !tc.wantFull) {
 			t.Fatalf("%s: view materialized = %v under route %+v", tc.name, dv != nil, rt)
 		}
-		if dv != nil && dv.Full() != tc.wantFull {
-			t.Fatalf("%s: view Full() = %v, want %v", tc.name, dv.Full(), tc.wantFull)
+		if dv != nil && dv.Full() {
+			t.Fatalf("%s: a memoized view without a bitmap", tc.name)
+		}
+		if conv, scratch := FormatConversionCount(), ScratchBytes(); (conv != 0) != (dv != nil) || tc.wantFull && scratch != 0 {
+			t.Fatalf("%s: %d conversions, %d scratch bytes with view materialized = %v", tc.name, conv, scratch, dv != nil)
 		}
 		identicalVec(t, tc.name, got, closureSpMV(a, tc.vec, mul, add, VMask{}, 2, KernelAuto))
 	}

@@ -15,9 +15,10 @@ package sparse
 //
 // Shapes, as the scaffolds assert them (mono.go, familyLoop):
 //
-//	pull    func(a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T)
+//	pull    func(a *CSR[T], dval []T, dbit []bool, admit func(int) bool, ind []int, val []T, lo, hi int) ([]int, []T)
 //	        gathers rows [lo, hi) against u's view (dbit == nil: full) and
-//	        returns the emitted (row, value) pairs in ascending row order.
+//	        appends the emitted (row, value) pairs, in ascending row order,
+//	        to the (ind, val) it is handed, as the run kernels do.
 //	push    func(u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) []int
 //	        scatters frontier entries [lo, hi) into the worker's SPA (mark
 //	        tracks presence; admit == nil admits everything) and returns the
@@ -29,8 +30,7 @@ package sparse
 // --- pull (SpMV gather) row loops ---
 
 // spmvRowsPlusTimes gathers rows with (+, ×).
-func spmvRowsPlusTimes[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T) {
-	ind, val := rowBufs[T](a.Ptr, admit == nil, lo, hi)
+func spmvRowsPlusTimes[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, ind []int, val []T, lo, hi int) ([]int, []T) {
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -71,8 +71,7 @@ func spmvRowsPlusTimes[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func
 }
 
 // spmvRowsMinPlus gathers rows with (min, +).
-func spmvRowsMinPlus[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T) {
-	ind, val := rowBufs[T](a.Ptr, admit == nil, lo, hi)
+func spmvRowsMinPlus[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, ind []int, val []T, lo, hi int) ([]int, []T) {
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -117,8 +116,7 @@ func spmvRowsMinPlus[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(i
 // spmvRowsLorLand gathers rows with (∨, ∧); the accumulator short-circuits
 // once true, but presence is decided first, matching the closure kernel's
 // emitted pattern.
-func spmvRowsLorLand(a *CSR[bool], dval []bool, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []bool) {
-	ind, val := rowBufs[bool](a.Ptr, admit == nil, lo, hi)
+func spmvRowsLorLand(a *CSR[bool], dval []bool, dbit []bool, admit func(int) bool, ind []int, val []bool, lo, hi int) ([]int, []bool) {
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue
@@ -146,8 +144,7 @@ func spmvRowsLorLand(a *CSR[bool], dval []bool, dbit []bool, admit func(int) boo
 
 // spmvRowsPlusPair gathers rows with (+, pair): the row's result is the
 // count of present products, which float64 sums of 1 represent exactly.
-func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, lo, hi int) ([]int, []T) {
-	ind, val := rowBufs[T](a.Ptr, admit == nil, lo, hi)
+func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(int) bool, ind []int, val []T, lo, hi int) ([]int, []T) {
 	for i := lo; i < hi; i++ {
 		if admit != nil && !admit(i) {
 			continue

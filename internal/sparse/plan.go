@@ -92,6 +92,7 @@ const (
 	ReasonBudgetGather
 	ReasonBudgetSPA
 	ReasonBudgetPush
+	ReasonBudgetMask
 )
 
 var reasonText = [...]string{
@@ -101,7 +102,7 @@ var reasonText = [...]string{
 	ReasonSparseFrontier: "frontier nnz < n/16",
 	ReasonDenseFrontier:  "frontier nnz >= n/16",
 	ReasonFewProbes:      "gather inserts + lookups < n/2",
-	ReasonHyperMask:      "mask nnz < n/2",
+	ReasonHyperMask:      "mask inserts + probes < n/2",
 	ReasonFewFlops:       "range flops < cols/2",
 	ReasonDenseWork:      "work >= width/2",
 	ReasonMaskFirst:      "mask nnz <= range flops",
@@ -109,6 +110,7 @@ var reasonText = [...]string{
 	ReasonBudgetGather:   "budget refused dense gather",
 	ReasonBudgetSPA:      "budget refused dense SPA",
 	ReasonBudgetPush:     "budget refused push scatter",
+	ReasonBudgetMask:     "budget refused mask bitmap",
 }
 
 // String is the event's route_reason.
@@ -165,7 +167,8 @@ type planIn struct {
 	// work competes with width: frontier nnz against the input dimension
 	// (direction), the hash gather's table operations against the vector
 	// size (gather, see gatherWork), a row range's flop bound against the
-	// output columns (accumulator).
+	// output columns (accumulator). For the push scatter it is the hash mask
+	// predicate's table operations and competes with outDim.
 	work, width int
 
 	masked   bool // a mask vector (matrix-vector) or mask matrix (planRange) is present
@@ -178,6 +181,10 @@ type planIn struct {
 	// Budget state, probed by the caller: the dense structure fits the
 	// remaining budget; the hash alternative is strictly smaller.
 	denseFits, hashSmaller bool
+	// The same pair for the mask vector of a matrix-vector product, if any
+	// (maskProbe): its bitmap fits beside that structure; its hash
+	// predicate's table is strictly smaller.
+	bitmapFits, maskHashSmaller bool
 }
 
 // belowCut is the dense-vs-hash comparison. The division form avoids
@@ -247,40 +254,48 @@ func planAcc(in planIn, few, refused Reason) (Acc, Reason) {
 
 // planPull plans the gather side of the pull product. Reads hint, spec,
 // hasLoop, work (gatherWork: what the hash table would be asked to do),
-// width (vector size), masked/maskNNZ, outDim, denseFits, hashSmaller. A pull
-// looks u up once per stored entry of every admitted row whatever nnz(u) is,
-// so the hash gather is for hypersparse matrices and sparse non-complemented
-// masks, not for sparse frontiers. A family loop reads the frontier's dense
-// view, so it runs exactly when the gather is dense; SpecMono with a loop
-// available keeps the view even then.
+// width (vector size), denseFits, hashSmaller, bitmapFits,
+// maskHashSmaller. A pull looks u up once per stored entry of every admitted
+// row whatever nnz(u) is, so the hash gather is for hypersparse matrices and
+// sparse non-complemented masks, not for sparse frontiers. A family loop reads
+// the frontier's dense view, so it runs exactly when the gather is dense;
+// SpecMono with a loop available keeps the view even then. The mask is probed
+// once per row of G — n probes of a table against n reads of the bitmap's n
+// bytes — so a hash predicate is never less work here, beside a hash gather
+// either (BenchmarkPullGatherPair's masked row: 24.5 → 16.5 ms as a bitmap):
+// it serves only where the budget refuses the bitmap and it is smaller.
 func planPull(in planIn) Route {
 	if in.hasLoop && in.spec == SpecMono && in.hint == KernelAuto {
 		in.hint = KernelDense
 	}
 	acc, why := planAcc(in, ReasonFewProbes, ReasonBudgetGather)
-	return Route{
-		Family:   in.hasLoop && acc == AccDense,
-		Acc:      acc,
-		HashMask: in.masked && belowCut(in.maskNNZ, in.outDim),
-		Reason:   why,
+	rt := Route{Family: in.hasLoop && acc == AccDense, Acc: acc, Reason: why}
+	if in.maskHashSmaller && !in.bitmapFits {
+		rt.HashMask, rt.Reason = true, ReasonBudgetMask
 	}
+	return rt
 }
 
 // planPush plans the scatter side of the push product. Reads spec, hasLoop,
-// masked/maskNNZ, outDim. A family loop indexes the mask as a bitmap; a
-// hypersparse mask over a wide output is the hash-predicate regime (compiling
-// it to O(cols) would cost more than the lookups save), so it keeps the
-// closure loop unless SpecMono pins the family.
+// work (listedWork: nnz(m) table inserts + one probe per product of the
+// frontier), outDim, bitmapFits, maskHashSmaller. A family loop indexes
+// the mask as a bitmap; the hash predicate — and with it the closure loop,
+// unless SpecMono pins the family — is for a mask and a frontier so sparse
+// that the table is smaller than the bitmap and building and probing it is
+// less work than compiling the mask to O(cols), or for a bitmap the budget
+// refuses.
 func planPush(in planIn) Route {
 	rt := Route{Push: true, Family: in.hasLoop}
-	if !in.masked || !belowCut(in.maskNNZ, in.outDim) {
-		return rt
-	}
-	if in.hasLoop && in.spec == SpecMono {
+	switch {
+	case !in.maskHashSmaller: // or no mask at all
+	case !in.bitmapFits:
+		rt.Family, rt.HashMask, rt.Reason = false, true, ReasonBudgetMask
+	case !belowCut(in.work, in.outDim):
+	case in.hasLoop && in.spec == SpecMono:
 		rt.Reason = ReasonPin
-		return rt
+	default:
+		rt.Family, rt.HashMask, rt.Reason = false, true, ReasonHyperMask
 	}
-	rt.Family, rt.HashMask, rt.Reason = false, true, ReasonHyperMask
 	return rt
 }
 

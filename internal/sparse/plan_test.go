@@ -10,6 +10,13 @@ func TestPlan(t *testing.T) {
 	const dim = 1600 // dim/pushCut = 100
 	loop := func(in planIn) planIn { in.hasLoop = true; return in }
 	fits := func(in planIn) planIn { in.denseFits = true; return in }
+	// A mask whose hash predicate is smaller than its bitmap, which fits ...
+	sparseMask := func(in planIn) planIn {
+		in.denseFits, in.maskHashSmaller, in.bitmapFits = true, true, true
+		return in
+	}
+	// ... or is refused by the budget.
+	refusedMask := func(in planIn) planIn { in = sparseMask(in); in.bitmapFits = false; return in }
 	for _, tc := range []struct {
 		name string
 		plan func(planIn) Route
@@ -100,22 +107,43 @@ func TestPlan(t *testing.T) {
 			Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
 		{"pull: SpecMono yields to the budget", planPull, loop(planIn{spec: SpecMono, work: 1, width: 20, hashSmaller: true}),
 			Route{Acc: AccHash, Reason: ReasonBudgetGather}},
-		{"pull: hypersparse mask is a hash predicate", planPull, fits(loop(planIn{work: 20, width: 20, masked: true, maskNNZ: 3, outDim: 100})),
-			Route{Family: true, Acc: AccDense, HashMask: true, Reason: ReasonDenseWork}},
-		{"pull: dense mask is a bitmap", planPull, fits(loop(planIn{work: 20, width: 20, masked: true, maskNNZ: 50, outDim: 100})),
+		// A pull's mask is probed once per row, n probes against n bytes: a
+		// bitmap, beside a hash gather too, unless the budget refuses it and
+		// the hash predicate is the smaller of the two.
+		{"pull: sparse mask, dense gather: a bitmap", planPull,
+			sparseMask(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: sparse mask, hash gather: a bitmap costs less than n probes there too", planPull,
+			sparseMask(loop(planIn{work: 9, width: 20})), Route{Acc: AccHash, Reason: ReasonFewProbes}},
+		{"pull: dense mask is a bitmap", planPull, fits(loop(planIn{work: 20, width: 20, bitmapFits: true})),
 			Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"pull: a refused bitmap is a hash predicate", planPull, refusedMask(loop(planIn{work: 20, width: 20})),
+			Route{Family: true, Acc: AccDense, HashMask: true, Reason: ReasonBudgetMask}},
+		{"pull: a refused bitmap beside a hash gather", planPull, refusedMask(loop(planIn{work: 9, width: 20})),
+			Route{Acc: AccHash, HashMask: true, Reason: ReasonBudgetMask}},
+		{"pull: a refused bitmap, table no smaller: the bitmap is charged and may fail", planPull,
+			fits(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
 
-		// Push scatter.
+		// Push scatter: work is listedWork — nnz(m) inserts + one probe per
+		// product of the frontier — against the bitmap's outDim bytes.
 		{"push: family loop", planPush, loop(planIn{}), Route{Push: true, Family: true}},
 		{"push: closure loop", planPush, planIn{}, Route{Push: true}},
-		{"push: dense mask is the family loop's bitmap", planPush, loop(planIn{masked: true, maskNNZ: 50, outDim: 100}), Route{Push: true, Family: true}},
-		{"push: hypersparse mask keeps the closure loop", planPush, loop(planIn{masked: true, maskNNZ: 3, outDim: 100}),
+		{"push: dense mask is the family loop's bitmap", planPush, loop(planIn{bitmapFits: true, work: 1, outDim: 100}),
+			Route{Push: true, Family: true}},
+		{"push: mask nnz < n/2 but frontier flops >= n/2: family loop, bitmap", planPush,
+			sparseMask(loop(planIn{work: 3 + 47, outDim: 100})), Route{Push: true, Family: true}},
+		{"push: few inserts + probes keep the closure loop", planPush, sparseMask(loop(planIn{work: 3 + 46, outDim: 100})),
 			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
-		{"push: SpecMono overrides the hypersparse mask", planPush, loop(planIn{spec: SpecMono, masked: true, maskNNZ: 3, outDim: 100}),
+		{"push: SpecMono overrides the hypersparse mask", planPush, sparseMask(loop(planIn{spec: SpecMono, work: 3, outDim: 100})),
 			Route{Push: true, Family: true, Reason: ReasonPin}},
-		{"push: SpecMono without a loop", planPush, planIn{spec: SpecMono, masked: true, maskNNZ: 3, outDim: 100},
+		{"push: SpecMono without a loop", planPush, sparseMask(planIn{spec: SpecMono, work: 3, outDim: 100}),
 			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
-		{"push: mask nnz == cols/2 is a bitmap", planPush, planIn{masked: true, maskNNZ: 50, outDim: 100}, Route{Push: true}},
+		{"push: closure loop, work == cols/2 is a bitmap", planPush, sparseMask(planIn{work: 50, outDim: 100}), Route{Push: true}},
+		{"push: a refused bitmap drops the family loop", planPush, refusedMask(loop(planIn{work: 50, outDim: 100})),
+			Route{Push: true, HashMask: true, Reason: ReasonBudgetMask}},
+		{"push: SpecMono yields to the budget", planPush, refusedMask(loop(planIn{spec: SpecMono, work: 3, outDim: 100})),
+			Route{Push: true, HashMask: true, Reason: ReasonBudgetMask}},
+		{"push: a refused bitmap, table no smaller: the bitmap is charged and may fail", planPush,
+			loop(planIn{work: 3, outDim: 100}), Route{Push: true, Family: true}},
 	} {
 		if got := tc.plan(tc.in); got != tc.want {
 			t.Errorf("%s: route %+v, want %+v", tc.name, got, tc.want)
@@ -124,7 +152,8 @@ func TestPlan(t *testing.T) {
 
 	// gatherWork is the pull rows' work: nnz(u) inserts plus one lookup per
 	// stored entry of every row the mask lists — all of G under no mask or a
-	// complemented one — and it stops counting at the cut.
+	// complemented one — and it stops counting at the cut. The listed-row sum
+	// is listedWork, which the push rows count the frontier's products with.
 	ptr := []int{0, 4, 4, 10, 11, 30} // five rows: 4, 0, 6, 1 and 19 entries
 	rows := func(ind ...int) VMask { return VMask{M: &Vec[bool]{N: 5, Ind: ind, Val: make([]bool, len(ind))}} }
 	comp := rows(0, 2)
@@ -213,11 +242,12 @@ func TestPlan(t *testing.T) {
 	}
 
 	// Every reason has its text, and only the budget rows count as degrades.
-	for r := ReasonNone; r <= ReasonBudgetPush; r++ {
+	for r := ReasonNone; r <= ReasonBudgetMask; r++ {
 		if (r.String() == "") != (r == ReasonNone) {
 			t.Errorf("reason %d has text %q", r, r)
 		}
-		if want := r == ReasonBudgetGather || r == ReasonBudgetSPA || r == ReasonBudgetPush; r.Budget() != want {
+		want := r == ReasonBudgetGather || r == ReasonBudgetSPA || r == ReasonBudgetPush || r == ReasonBudgetMask
+		if r.Budget() != want {
 			t.Errorf("reason %q: Budget() = %v", r, r.Budget())
 		}
 	}
@@ -264,7 +294,7 @@ func TestFamilyLoopTables(t *testing.T) {
 func resolves[A, B, C any](semi Semi, spec Spec) [3]bool {
 	return [3]bool{
 		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec) != nil,
-		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, int, int) ([]int, []C)](&spmvLoops, semi, spec) != nil,
+		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](&spmvLoops, semi, spec) != nil,
 		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, int, int) []int](&vxmLoops, semi, spec) != nil,
 	}
 }

@@ -55,7 +55,7 @@ func TestVMaskLookupSemantics(t *testing.T) {
 			{"structural-complement", VMask{M: m, Structural: true, Complement: true}},
 		} {
 			for _, hash := range []bool{false, true} {
-				admit := vmaskLookup(mv.mask, reg.n, hash)
+				admit := vmaskLookup(mv.mask, reg.n, hash, Exec{}, siteSpMVGather)
 				if admit == nil {
 					t.Fatalf("%s/%s: nil predicate for a non-nil mask", reg.name, mv.name)
 				}
@@ -69,10 +69,10 @@ func TestVMaskLookupSemantics(t *testing.T) {
 	}
 	// Nil-mask corners: no mask admits everything (nil predicate), a
 	// complemented nil mask admits nothing.
-	if admit := vmaskLookup(VMask{}, 10, false); admit != nil {
+	if admit := vmaskLookup(VMask{}, 10, false, Exec{}, siteSpMVGather); admit != nil {
 		t.Fatal("nil mask: expected nil (admit-all) predicate")
 	}
-	admit := vmaskLookup(VMask{Complement: true}, 10, true)
+	admit := vmaskLookup(VMask{Complement: true}, 10, true, Exec{}, siteSpMVGather)
 	if admit == nil {
 		t.Fatal("complemented nil mask: expected a predicate")
 	}
@@ -202,7 +202,7 @@ func TestChoosePushRouting(t *testing.T) {
 	if push, pull := DirectionCounts(); push != 0 || pull != 1 || rt.Push {
 		t.Fatalf("sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
 	}
-	if want := (Route{Acc: AccHash, HashMask: true, Reason: ReasonFewProbes}); rt != want {
+	if want := (Route{Acc: AccHash, Reason: ReasonFewProbes}); rt != want {
 		t.Fatalf("sparse mask: pull route %+v, want %+v", rt, want)
 	}
 	identicalVec(t, "masked pull vs filtered push", pulled, MaskApplyV(NewVec[int](n), pushed, VMask{M: sparseMask}, true))

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -8,25 +9,47 @@ import (
 )
 
 // SpMVSemiEx computes t = A ·(⊕,⊗) u (GraphBLAS mxv): t(i) = ⊕_j A(i,j) ⊗ u(j)
-// — the one pull-style product. Rows of A are traversed in nnz-balanced
-// parallel ranges and each row gathers its matching entries of u through one
-// of two structures (planPull):
+// — the pull-style product with no accumulator (SpMVAccumEx).
+func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
+	mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (*Vec[Y], error) {
+	return SpMVAccumEx(semi, spec, a, u, mul, add, mask, nil, nil, e, hint)
+}
+
+// accumBlock is how many rows the fused pull gathers before folding them into
+// z: the block's (ind, val) buffer is 16 KB of float64 and stays in L1.
+const accumBlock = 1024
+
+// SpMVAccumEx computes z = c ⊙ t with t = A ·(⊕,⊗) u — the one pull-style
+// product; a nil accum (c is then not read) makes it z = t. Rows of A are
+// traversed in nnz-balanced parallel ranges and each row gathers its matching
+// entries of u through one of two structures (planPull):
 //
 //   - dense: u's DenseVec view (value slots plus, unless u is full, a
 //     presence bitmap), O(1) lookups — right whenever the rows to gather
 //     hold a sizable fraction of n entries, however sparse u is. The view is
 //     memoized on the vector; a miss is charged to the operation like any
-//     other scratch.
+//     other scratch, and a full u is its own view.
 //   - hash: a read-only open-addressing table of O(nnz(u)) slots shared by
 //     all workers — right when building and probing it (gatherWork) is less
 //     than the O(n) view: a hypersparse matrix, or a sparse non-complemented
 //     mask admitting few rows; and the fallback when the budget refuses the
 //     view.
 //
-// The row loop over the dense view is the plug-in point: a family loop from
-// monokernels.go runs there when one exists for (semi, A, X, Y) and spec
-// allows it; otherwise — and always for the hash gather — the closure loop
-// evaluates mul/add.
+// The row loop is the plug-in point: a family loop from monokernels.go runs
+// over the dense view when one exists for (semi, A, X, Y) and spec allows it;
+// otherwise — and always for the hash gather — the closure loop evaluates
+// mul/add. Either appends the (row, value) pairs of its rows to the buffers
+// the scaffold hands it, and what the scaffold hands it is the other axis:
+//
+//   - t is stored: a range is one block filling one buffer, stitchVec
+//     assembles the ranges, and AccumMergeV folds t into c when there is an
+//     accumulator;
+//   - t is never stored: with an accumulator, no mask and a full c, a range
+//     gathers accumBlock rows at a time into a buffer that stays in cache and
+//     writes z(i) = accum(c(i), t(i)) into a copy of c's values that shares
+//     c's index array — one pass, and the n-length (ind, val) of t and the
+//     merge's output are never allocated. Rows are independent, so both
+//     forms give the same bits at every thread count.
 //
 // An optional mask prunes whole rows before any work is done on them — the
 // key optimization for masked pull-style traversals (e.g. BFS with a
@@ -35,19 +58,23 @@ import (
 //
 // Budget charges, cancellation checkpoints at range granularity and panic
 // recovery are as in SpGEMMSemiEx.
-func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
-	mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (out *Vec[Y], err error) {
+func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
+	mask VMask, c *Vec[Y], accum func(Y, Y) Y, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	threads := e.threads()
 	pullCalls.Add(1)
-	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, int, int) ([]int, []Y)](&spmvLoops, semi, spec)
+	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](&spmvLoops, semi, spec)
 	viewBytes := u.viewBytes()
-	hashBytes := int64(hashCapacity(u.NNZ())) * slotBytes[X]()
+	viewCost := viewBytes // what the dense gather has yet to charge
+	if u.dv.Load() != nil {
+		viewCost = 0
+	}
+	hashBytes := lookupBytes(u)
 	in := planIn{hint: hint, spec: spec, hasLoop: rows != nil, width: u.N, outDim: a.Rows,
 		work:      gatherWork(a.Ptr, u.NNZ(), mask, u.N/hashCut),
-		denseFits: u.dv.Load() != nil || e.Tx.Fits(viewBytes), hashSmaller: hashBytes < viewBytes}
+		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
 	if mask.M != nil {
-		in.masked, in.maskNNZ = true, mask.M.NNZ()
+		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Rows, viewCost)
 	}
 	rt := planPull(in)
 	e.note(rt)
@@ -74,11 +101,15 @@ func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 		}
 		dval, dbit = dv.Val, dv.Bit
 	}
-	admit := vmaskLookup(mask, a.Rows, rt.HashMask)
+	admit := vmaskLookup(mask, a.Rows, rt.HashMask, e, siteSpMVGather)
 	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
-	nparts := len(parts) - 1
-	pInd := make([][]int, nparts)
-	pVal := make([][]Y, nparts)
+	var z []Y      // c ⊙ t, written in place of
+	var t []run[Y] // a stored t, one run per range
+	if accum != nil && admit == nil && c.NNZ() == c.N {
+		z = slices.Clone(c.Val)
+	} else {
+		t = make([]run[Y], len(parts)-1)
+	}
 	parallel.Run(parts, threads, func(part, lo, hi int) {
 		if rt.Family {
 			if ferr := siteMonoLoop.Check(); ferr != nil {
@@ -86,63 +117,96 @@ func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 			}
 		}
 		e.checkpoint()
-		if rt.Family {
-			pInd[part], pVal[part] = rows(a, dval, dbit, admit, lo, hi)
-			return
+		block := hi - lo // a stored t: the range is one block, its buffer the output
+		if z != nil {
+			block = accumBlock
 		}
 		// The hash gather exists to stay frontier-sized, so only the dense
 		// gather (which already paid O(n) for its view) presizes.
-		ind, val := rowBufs[Y](a.Ptr, admit == nil && h == nil, lo, hi)
-		for i := lo; i < hi; i++ {
-			if admit != nil && !admit(i) {
-				continue
+		ind, val := rowBufs[Y](a.Ptr, admit == nil && h == nil, lo, min(lo+block, hi))
+		for b := lo; b < hi; b += block {
+			bhi := min(b+block, hi)
+			if rt.Family {
+				ind, val = rows(a, dval, dbit, admit, ind, val, b, bhi)
+			} else {
+				ind, val = pullRows(a, h, dval, dbit, admit, mul, add, ind, val, b, bhi)
 			}
-			aInd, aVal := a.Row(i)
-			var acc Y
-			any := false
-			for k, j := range aInd {
-				var x X
-				if h != nil {
-					var ok bool
-					if x, ok = h.get(j); !ok {
-						continue
-					}
-				} else if dbit != nil && !dbit[j] {
-					continue
-				} else {
-					x = dval[j]
+			if z != nil {
+				for k, i := range ind {
+					z[i] = accum(z[i], val[k])
 				}
-				p := mul(aVal[k], x)
-				if !any {
-					acc = p
-					any = true
-				} else {
-					acc = add(acc, p)
-				}
-			}
-			if any {
-				ind = append(ind, i)
-				val = append(val, acc)
+				ind, val = ind[:0], val[:0]
 			}
 		}
-		pInd[part] = ind
-		pVal[part] = val
+		if z == nil {
+			t[part] = run[Y]{ind, val}
+		}
 	})
-	return stitchVec(a.Rows, pInd, pVal), nil
+	if z != nil {
+		return &Vec[Y]{N: c.N, Ind: c.Ind, Val: z}, nil
+	}
+	return AccumMergeV(c, stitchVec(a.Rows, t), accum), nil
+}
+
+// pullRows is the pull product's closure loop, in the family loops' shape
+// (monokernels.go): it gathers rows [lo, hi) through the hash table h or, when
+// h is nil, the dense view (dval, dbit), and appends the emitted (row, value)
+// pairs to (ind, val).
+func pullRows[A, X, Y any](a *CSR[A], h *hashLookup[X], dval []X, dbit []bool, admit func(int) bool,
+	mul func(A, X) Y, add func(Y, Y) Y, ind []int, val []Y, lo, hi int) ([]int, []Y) {
+	for i := lo; i < hi; i++ {
+		if admit != nil && !admit(i) {
+			continue
+		}
+		aInd, aVal := a.Row(i)
+		var acc Y
+		any := false
+		for k, j := range aInd {
+			var x X
+			if h != nil {
+				var ok bool
+				if x, ok = h.get(j); !ok {
+					continue
+				}
+			} else if dbit != nil && !dbit[j] {
+				continue
+			} else {
+				x = dval[j]
+			}
+			p := mul(aVal[k], x)
+			if !any {
+				acc = p
+				any = true
+			} else {
+				acc = add(acc, p)
+			}
+		}
+		if any {
+			ind = append(ind, i)
+			val = append(val, acc)
+		}
+	}
+	return ind, val
 }
 
 // gatherWork is planPull's work: what the hash gather would be asked to do —
 // one insert per entry of u to build the table, then one probe per stored
 // entry of every row the mask admits. That is all of G under no mask or a
 // complemented one, and Σ_{i∈m} nnz(G(i,:)) for a mask that lists its rows:
-// read off ptr in O(nnz(m)), an upper bound when a valued mask stores falses.
-// Counting stops at cut, below which the planner takes the hash gather.
+// an upper bound when a valued mask stores falses.
 func gatherWork(ptr []int, nnzU int, mask VMask, cut int) int {
 	if mask.M == nil || mask.Complement {
 		return nnzU + ptr[len(ptr)-1]
 	}
-	work := nnzU
-	for _, i := range mask.M.Ind {
+	return listedWork(ptr, mask.M.Ind, nnzU, cut)
+}
+
+// listedWork is base + Σ_{i∈rows} nnz(row i), read off the row pointers in
+// O(len(rows)). Counting stops at cut, below which a planner takes the hash
+// structure.
+func listedWork(ptr, rows []int, base, cut int) int {
+	work := base
+	for _, i := range rows {
 		if work >= cut {
 			break
 		}
@@ -169,22 +233,21 @@ func rowBufs[T any](ptr []int, presize bool, lo, hi int) ([]int, []T) {
 	return make([]int, 0, n), make([]T, 0, n)
 }
 
-// stitchVec assembles per-partition (ind, val) runs — each in ascending
-// index order, partitions in ascending range order — into one vector. A
-// single partition (one thread, and every small operand) is adopted as is;
-// several are concatenated into one exactly-sized allocation.
-func stitchVec[T any](n int, pInd [][]int, pVal [][]T) *Vec[T] {
-	if len(pInd) == 1 {
-		return &Vec[T]{N: n, Ind: pInd[0], Val: pVal[0]}
+// stitchVec assembles per-partition runs — each in ascending index order,
+// partitions in ascending range order — into one vector. A single partition
+// (one thread, and every small operand) is adopted as is; several are
+// concatenated into one exactly-sized allocation.
+func stitchVec[T any](n int, parts []run[T]) *Vec[T] {
+	if len(parts) == 1 {
+		return &Vec[T]{N: n, Ind: parts[0].ind, Val: parts[0].val}
 	}
 	total := 0
-	for _, s := range pInd {
-		total += len(s)
+	for _, p := range parts {
+		total += len(p.ind)
 	}
 	out := &Vec[T]{N: n, Ind: make([]int, 0, total), Val: make([]T, 0, total)}
-	for p := range pInd {
-		out.Ind = append(out.Ind, pInd[p]...)
-		out.Val = append(out.Val, pVal[p]...)
+	for _, p := range parts {
+		out.Ind, out.Val = appendRun(out.Ind, out.Val, p)
 	}
 	return out
 }
@@ -203,7 +266,9 @@ func stitchVec[T any](n int, pInd [][]int, pVal [][]T) *Vec[T] {
 //
 // The scatter loop is the plug-in point (planPush): a family loop from
 // monokernels.go indexes the mask as a bitmap and runs direct arithmetic;
-// the closure loop evaluates mul/add behind vmaskLookup's O(1) predicate.
+// the closure loop evaluates mul/add behind vmaskLookup's O(1) predicate,
+// which is a hash table when building and probing one — nnz(m) inserts + one
+// probe per product of the frontier (listedWork) — is less than the bitmap.
 //
 // The per-worker SPA allocations are charged against the budget. The push
 // SPA has no sparse fallback of its own, so degradation under pressure is
@@ -216,12 +281,26 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	threads := e.threads()
 	pushCalls.Add(1)
 	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) []int](&vxmLoops, semi, spec)
+	nu := u.NNZ()
+	if threads > nu {
+		threads = nu
+	}
+	if threads < 1 {
+		threads = 1
+	}
+	var zero Y
+	spaBytes := int64(a.Cols) * int64(unsafe.Sizeof(zero)+1)
+	threads = degradeThreads(e, threads, spaBytes)
 	in := planIn{spec: spec, hasLoop: scatter != nil, outDim: a.Cols}
 	if mask.M != nil {
-		in.masked, in.maskNNZ = true, mask.M.NNZ()
+		in.work = listedWork(a.Ptr, u.Ind, mask.M.NNZ(), a.Cols/hashCut)
+		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Cols, int64(threads)*spaBytes)
 	}
 	rt := planPush(in)
 	e.note(rt)
+	if rt.Reason.Budget() {
+		budgetDegrades.Add(1)
+	}
 	spaSite := siteVxMSpa
 	if rt.Family {
 		monoKernels.Add(1)
@@ -234,16 +313,6 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 		// candidate entry, so the scatter would be pure waste.
 		return NewVec[Y](a.Cols), nil
 	}
-	nu := u.NNZ()
-	if threads > nu {
-		threads = nu
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	var zero Y
-	spaBytes := int64(a.Cols) * int64(unsafe.Sizeof(zero)+1)
-	threads = degradeThreads(e, threads, spaBytes)
 	parts := parallel.Ranges(nu, threads)
 	nparts := len(parts) - 1
 	if nparts == 0 {
@@ -252,9 +321,9 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	var bits []bool          // the family loops' mask form
 	var admit func(int) bool // the closure loop's
 	if !rt.Family {
-		admit = vmaskLookup(mask, a.Cols, rt.HashMask)
+		admit = vmaskLookup(mask, a.Cols, rt.HashMask, e, spaSite)
 	} else if mask.M != nil {
-		bits = vmaskBitmap(mask, a.Cols)
+		bits = vmaskBitmap(mask, a.Cols, e, spaSite)
 	}
 	spas := make([][]Y, nparts)
 	marks := make([][]bool, nparts)
@@ -327,9 +396,7 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 		// (the same fold order as the sequential merge below). Emission is
 		// in column order by construction, so no final sort is needed.
 		rparts := parallel.Ranges(cols, threads)
-		nr := len(rparts) - 1
-		rInd := make([][]int, nr)
-		rVal := make([][]Y, nr)
+		ranges := make([]run[Y], len(rparts)-1)
 		parallel.Run(rparts, threads, func(part, lo, hi int) {
 			n := min(hi-lo, totalPat)
 			ind, val := make([]int, 0, n), make([]Y, 0, n)
@@ -352,10 +419,9 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 					val = append(val, acc)
 				}
 			}
-			rInd[part] = ind
-			rVal[part] = val
+			ranges[part] = run[Y]{ind, val}
 		})
-		return stitchVec(cols, rInd, rVal)
+		return stitchVec(cols, ranges)
 	}
 	// Sparse reduction: merge worker SPAs into worker 0's.
 	spa0, mark0, pat0 := spas[0], marks[0], patterns[0]

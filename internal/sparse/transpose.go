@@ -150,9 +150,7 @@ func Diag[T any](v *Vec[T], k int) *CSR[T] {
 // (GraphBLAS reduce-to-vector semantics).
 func ReduceRows[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
 	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
-	nparts := len(parts) - 1
-	pInd := make([][]int, nparts)
-	pVal := make([][]T, nparts)
+	sums := make([]run[T], len(parts)-1)
 	parallel.Run(parts, threads, func(part, lo, hi int) {
 		ind, val := rowBufs[T](a.Ptr, true, lo, hi)
 		for i := lo; i < hi; i++ {
@@ -167,10 +165,9 @@ func ReduceRows[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
 			ind = append(ind, i)
 			val = append(val, acc)
 		}
-		pInd[part] = ind
-		pVal[part] = val
+		sums[part] = run[T]{ind, val}
 	})
-	return stitchVec(a.Rows, pInd, pVal)
+	return stitchVec(a.Rows, sums)
 }
 
 // ReduceCols reduces each column of A: t(j) = ⊕_i A(i,j). Implemented by

@@ -141,9 +141,16 @@ func (v *Vec[T]) Resize(n int) *Vec[T] {
 }
 
 // GatherVec compresses a dense value slice plus presence bitmap back into a
-// sorted sparse vector.
+// sorted sparse vector, counting first so that Ind and Val are allocated once.
 func GatherVec[T any](dv []T, ok []bool) *Vec[T] {
+	n := 0
+	for _, present := range ok {
+		if present {
+			n++
+		}
+	}
 	out := &Vec[T]{N: len(dv)}
+	out.Ind, out.Val = makeRun[T](n)
 	for i := range dv {
 		if ok[i] {
 			out.Ind = append(out.Ind, i)

@@ -326,11 +326,29 @@ func TestVecKernelAllocationPins(t *testing.T) {
 	if sink.NNZ() != n || cap(sink.Ind) != n || cap(sink.Val) != n {
 		t.Fatalf("SpMV output has %d entries in capacity %d/%d, want exactly %d", sink.NNZ(), cap(sink.Ind), cap(sink.Val), n)
 	}
-	pin("the same product on a fresh vector (output + full dense view)", 24*n+1024, func() {
+	pin("the same product on a fresh vector (output only: a full vector is its own view)", 16*n+1024, func() {
 		w := &Vec[float64]{N: n, Ind: u.Ind, Val: u.Val}
 		sink, err = SpMVSemiEx(SemiPlusTimes, SpecAuto, a, w, times, plus, VMask{}, Exec{Threads: 1}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
+	})
+	pin("accumulated into a full c (one value array and a block buffer, no stored t)", 8*n+16*accumBlock+1024, func() {
+		sink, err = SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, times, plus, VMask{}, v, plus, Exec{Threads: 1}, KernelAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if &sink.Ind[0] != &v.Ind[0] {
+		t.Fatal("the accumulated product does not share c's index array")
+	}
+
+	present := make([]bool, n)
+	for i := 0; i < n; i += 3 {
+		present[i] = true
+	}
+	// Each rounds up to a whole 8 KB page; growing by append cost twice this.
+	pin("GatherVec (Ind and Val, each allocated once at the count)", 16*((n+2)/3)+2*8192+256, func() {
+		sink = GatherVec(u.Val, present)
 	})
 }

@@ -278,6 +278,13 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 	if err != nil {
 		return nil, err
 	}
+	// send⟨¬deg,structure⟩ = 0 makes send — and so w below — full, which the
+	// product gathers through without a copy or a presence test (LAGraph's
+	// PageRank fills d_out the same way). A dangling vertex has no out-edge,
+	// so nothing ever reads its slot and the ranks are the same bits.
+	if err := grb.VectorAssignScalar(send, degMask, nil, 0, grb.All, grb.DescSC); err != nil {
+		return nil, err
+	}
 	dangling, err := grb.NewVector[bool](n, opt)
 	if err != nil {
 		return nil, err

@@ -75,9 +75,9 @@ func TestPageRankAgainstDenseReference(t *testing.T) {
 // TestPageRankOpsPerIteration pins the iteration at the seven calls the API's
 // accumulator allows — eWiseMult, eWiseMult + reduce for the dangling mass,
 // assign, vxm with accumulator, eWiseAdd, reduce — so that a later edit
-// cannot quietly grow it back. It counts operation events, which the two
-// reductions to a Go value do not emit: five, or four without a dangling
-// vertex (eight in the ten-call formulation).
+// cannot quietly grow it back. It counts operation events, one per call —
+// the two reductions to a Go value included: seven, or five without a
+// dangling vertex, whose eWiseMult + reduce are skipped.
 func TestPageRankOpsPerIteration(t *testing.T) {
 	initLib(t)
 	grb.EnableMetrics(true)
@@ -103,8 +103,8 @@ func TestPageRankOpsPerIteration(t *testing.T) {
 		g    gen.Graph
 		want int64
 	}{
-		{"a dangling vertex", gen.Path(12), 5},
-		{"none: the dangling mass is skipped", gen.Ring(10), 4},
+		{"a dangling vertex", gen.Path(12), 7},
+		{"none: the dangling mass is skipped", gen.Ring(10), 5},
 	} {
 		a := weighted(t, tc.g, gen.UnitWeights[float64](tc.g))
 		ck(a.Wait(grb.Materialize))

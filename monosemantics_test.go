@@ -139,14 +139,15 @@ func TestMonoDescriptorEquivalence(t *testing.T) {
 }
 
 // TestMonoKernelCounters pins the counter surface: a pinned-mono pull ticks
-// the mono counter and materializes the frontier's block view exactly once
-// (the second product on the unchanged vector reuses the cached view), and
-// a pinned-generic run ticks the fallback counter instead.
+// the mono counter and materializes a non-full frontier's block view exactly
+// once (the second product on the unchanged vector reuses the cached view),
+// a pinned-generic run ticks the fallback counter instead, and a full
+// frontier is its own view: no conversion, no scratch, nothing charged.
 func TestMonoKernelCounters(t *testing.T) {
 	setMode(t, NonBlocking)
 	rng := rand.New(rand.NewSource(3))
 	a := monoRandMatrix(t, rng, 32, func(r *rand.Rand) float64 { return r.NormFloat64() })
-	u := monoRandVector(t, rng, 32, true, func(r *rand.Rand) float64 { return r.NormFloat64() })
+	u := monoRandVector(t, rng, 32, false, func(r *rand.Rand) float64 { return r.NormFloat64() })
 	ck(a.Wait(Materialize))
 	ck(u.Wait(Materialize))
 
@@ -179,6 +180,17 @@ func TestMonoKernelCounters(t *testing.T) {
 	if mono, closure := MonoKernelCounts(); mono != 0 || closure == 0 {
 		t.Fatalf("pinned-generic pull: mono=%d closure=%d, want 0/>0", mono, closure)
 	}
+
+	ctx := ck1(NewContext(NonBlocking, nil, WithMemoryLimit(1<<20)))
+	af, uf := ck1(a.ViewInContext(ctx)), monoRandVector(t, rng, 32, true, func(r *rand.Rand) float64 { return r.NormFloat64() })
+	ck(uf.SwitchContext(ctx))
+	wf := ck1(NewVector[float64](32, InContext(ctx)))
+	ResetKernelCounts()
+	ck(MxV(wf, nil, nil, PlusTimes[float64](), af, uf, &Descriptor{Dir: DirPull, Spec: SpecMono}))
+	ck(wf.Wait(Materialize))
+	if conv, scratch, peak := sparse.FormatConversionCount(), KernelScratchBytes(), ctx.MemoryPeak(); conv != 0 || scratch != 0 || peak != 0 {
+		t.Fatalf("a full frontier cost %d conversions, %d scratch bytes, %d charged bytes; want 0, 0, 0", conv, scratch, peak)
+	}
 }
 
 // TestMonoViewCoherence pins the mutate→Wait contract for the cached block
@@ -190,7 +202,7 @@ func TestMonoViewCoherence(t *testing.T) {
 	setMode(t, NonBlocking)
 	rng := rand.New(rand.NewSource(9))
 	a := monoRandMatrix(t, rng, 32, func(r *rand.Rand) float64 { return r.NormFloat64() })
-	u := monoRandVector(t, rng, 32, true, func(r *rand.Rand) float64 { return r.NormFloat64() })
+	u := monoRandVector(t, rng, 32, false, func(r *rand.Rand) float64 { return r.NormFloat64() })
 	ck(a.Wait(Materialize))
 	ck(u.Wait(Materialize))
 

@@ -127,7 +127,10 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 		}
 	}
 	f.label = sparse.Route.MatVecLabel
-	return w.submit(f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
+	// The kernel takes the accumulator: a pull into a full w under no mask
+	// writes w ⊙ t in one pass and never stores t (sparse.SpMVAccumEx); every
+	// other route merges t into w's old state itself.
+	return w.submit(f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
 		plan := sparse.PlanDir(sparse.Dir(d.Dir), uvec.NNZ(), inDim, mk, outDim)
 		push, why := plan.Push, plan.Reason
 		if e.Route != nil {
@@ -142,7 +145,7 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 			}()
 		}
 		spec, hint := sparse.Spec(d.Spec), sparse.Kernel(d.AxB)
-		var t *sparse.Vec[DC]
+		var z *sparse.Vec[DC]
 		var err error
 		if push {
 			var R *sparse.CSR[DM]
@@ -152,7 +155,10 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 				if mul == nil {
 					mul = func(x DV, m DM) DC { return mulPull(m, x) }
 				}
-				t, err = sparse.VxMSemiEx(semi, spec, uvec, R, mul, add, mk, e)
+				var t *sparse.Vec[DC]
+				if t, err = sparse.VxMSemiEx(semi, spec, uvec, R, mul, add, mk, e); err == nil {
+					z = sparse.AccumMergeV(wOld, t, accum)
+				}
 			}
 			// Budget degradation: the push route's scatter SPA (or the
 			// transpose it rides on) did not fit, but nothing pinned push —
@@ -171,9 +177,9 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 				if mul == nil {
 					mul = func(m DM, x DV) DC { return mulPush(x, m) }
 				}
-				t, err = sparse.SpMVSemiEx(semi, spec, G, uvec, mul, add, mk, e, hint)
+				z, err = sparse.SpMVAccumEx(semi, spec, G, uvec, mul, add, mk, wOld, accum, e, hint)
 			}
 		}
-		return t, err
+		return z, err
 	})
 }

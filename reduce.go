@@ -75,35 +75,53 @@ func matrixReduceScalarCommon[T any](opName string, s *Scalar[T], accum BinaryOp
 	if err != nil {
 		return err
 	}
-	acsr, err := a.snapshot()
+	t, tok, err := matrixReduceNow(opName, ctx, op, a)
 	if err != nil {
 		return err
 	}
-	threads := ctx.threadsFor(acsr.NNZ())
-	// Scalar reductions execute immediately (the scalar output has no
-	// deferred sequence), so the event brackets the kernel here, seq 0.
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel(opName).WithThreads(threads).
-			A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
+	return installScalarReduce(s, accum, t, tok)
+}
+
+// matrixReduceNow reduces a's completed state with op, in ctx.
+func matrixReduceNow[T any](opName string, ctx *Context, op BinaryOp[T, T, T], a *Matrix[T]) (T, bool, error) {
+	acsr, err := a.snapshot()
+	if err != nil {
+		var zero T
+		return zero, false, err
 	}
+	threads := ctx.threadsFor(acsr.NNZ())
+	ev := evKernel(opName).WithThreads(threads).A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
+	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceAll(acsr, op, threads) })
+}
+
+// vectorReduceNow reduces u's completed state with op.
+func vectorReduceNow[T any](opName string, op BinaryOp[T, T, T], u *Vector[T]) (T, bool, error) {
+	uvec, err := u.snapshot()
+	if err != nil {
+		var zero T
+		return zero, false, err
+	}
+	ev := evKernel(opName).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
+	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceVec(uvec, op) })
+}
+
+// reduceNow runs a reduction to one value. Its result — a Scalar or a Go
+// value — has no sequence to defer on, so it executes at the call: the op
+// event brackets the kernel here (seq 0), and runStep isolates a panicking
+// user operator the same way the sequence-step guard does, but the error is
+// returned directly instead of parked.
+func reduceNow[T any](opName string, ev *obsv.Event, kernel func() (T, bool)) (T, bool, error) {
 	x := obsv.Begin(ev, 0)
-	// Immediate-mode kernel: runStep isolates a panicking user operator the
-	// same way the sequence-step guard does, but the error is returned
-	// directly (a scalar has no sequence to park it on).
 	r, err := runStep(opName, func() (reduceResult[T], error) {
-		t, tok := sparse.ReduceAll(acsr, op, threads)
-		return reduceResult[T]{t, tok}, nil
+		t, ok := kernel()
+		return reduceResult[T]{t, ok}, nil
 	})
 	out := 0
 	if r.ok {
 		out = 1
 	}
 	x.End(out, err)
-	if err != nil {
-		return err
-	}
-	return installScalarReduce(s, accum, r.val, r.ok)
+	return r.val, r.ok, err
 }
 
 // reduceResult bundles a reduction's value and presence bit through the
@@ -147,28 +165,11 @@ func vectorReduceScalarCommon[T any](opName string, s *Scalar[T], accum BinaryOp
 	if _, err := sameContext(s.ctx, u.ctx); err != nil {
 		return err
 	}
-	uvec, err := u.snapshot()
+	t, tok, err := vectorReduceNow(opName, op, u)
 	if err != nil {
 		return err
 	}
-	var ev *obsv.Event
-	if obsv.Active() {
-		ev = evKernel(opName).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
-	}
-	x := obsv.Begin(ev, 0)
-	r, err := runStep(opName, func() (reduceResult[T], error) {
-		t, tok := sparse.ReduceVec(uvec, op)
-		return reduceResult[T]{t, tok}, nil
-	})
-	out := 0
-	if r.ok {
-		out = 1
-	}
-	x.End(out, err)
-	if err != nil {
-		return err
-	}
-	return installScalarReduce(s, accum, r.val, r.ok)
+	return installScalarReduce(s, accum, t, tok)
 }
 
 // installScalarReduce merges a reduction result into the output scalar under
@@ -210,21 +211,14 @@ func MatrixReduce[T any](monoid Monoid[T], a *Matrix[T]) (T, error) {
 	if err != nil {
 		return zero, err
 	}
-	acsr, err := a.snapshot()
+	t, ok, err := matrixReduceNow("MatrixReduce", ctx, monoid.Op, a)
 	if err != nil {
 		return zero, err
 	}
-	r, err := runStep("MatrixReduce", func() (reduceResult[T], error) {
-		t, ok := sparse.ReduceAll(acsr, monoid.Op, ctx.threadsFor(acsr.NNZ()))
-		return reduceResult[T]{t, ok}, nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	if !r.ok {
+	if !ok {
 		return monoid.Identity, nil
 	}
-	return r.val, nil
+	return t, nil
 }
 
 // VectorReduce is the 1.X-style typed reduction of a vector, returning the
@@ -240,19 +234,12 @@ func VectorReduce[T any](monoid Monoid[T], u *Vector[T]) (T, error) {
 	if _, err := u.context(); err != nil {
 		return zero, err
 	}
-	uvec, err := u.snapshot()
+	t, ok, err := vectorReduceNow("VectorReduce", monoid.Op, u)
 	if err != nil {
 		return zero, err
 	}
-	r, err := runStep("VectorReduce", func() (reduceResult[T], error) {
-		t, ok := sparse.ReduceVec(uvec, monoid.Op)
-		return reduceResult[T]{t, ok}, nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	if !r.ok {
+	if !ok {
 		return monoid.Identity, nil
 	}
-	return r.val, nil
+	return t, nil
 }

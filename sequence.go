@@ -59,8 +59,9 @@ const (
 	// accumulates it into C, then writes back under the mask.
 	yieldsT yield = iota
 	// yieldsZ: the kernel took the accumulator itself and returns Z = C ⊙ T
-	// (the assign family, whose accumulation is region-shaped); the step
-	// writes back under the mask.
+	// (the assign family, whose accumulation is region-shaped, and the
+	// matrix-vector products, whose pull can write Z without storing T); the
+	// step writes back under the mask.
 	yieldsZ
 	// yieldsC: the kernel returns the object's next state — Build, Resize,
 	// the tuple merge, and kernels that mask as they go.

@@ -290,8 +290,12 @@ func TestOpFrameAllocs(t *testing.T) {
 	}{
 		{"EWiseAddVector", 4, func() error { return EWiseAddVector(w, nil, nil, Plus[int], u, v, nil) }},
 		{"VectorApply", 4, func() error { return VectorApply(w, nil, nil, Identity[int], u, nil) }},
-		{"VxM", 9, func() error { return VxM(w, nil, nil, sr, u, a, nil) }},
+		{"VxM", 8, func() error { return VxM(w, nil, nil, sr, u, a, nil) }},
 		{"VectorAssignScalar", 3, func() error { return VectorAssignScalar(w, nil, nil, 7, nil, nil) }},
+		// A typed reduction emits an op event; with no sink that costs nothing
+		// (ReduceAll's own five allocations are the matrix one's).
+		{"VectorReduce", 0, func() error { _, err := VectorReduce(PlusMonoid[int](), u); return err }},
+		{"MatrixReduce", 5, func() error { _, err := MatrixReduce(PlusMonoid[int](), a); return err }},
 	} {
 		step := func() {
 			ck(c.run())

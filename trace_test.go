@@ -198,12 +198,12 @@ func TestBFSMetricsProfile(t *testing.T) {
 	}
 }
 
-// TestStepEmitsOneEventPerOp pins the Begin/End pairing at its four sites —
-// the sequence step, the drain's span, and the two immediate scalar
-// reductions: whatever the outcome (success, a kernel error, an operator
-// panic), one execution adds exactly one event to its op's metrics, a failed
-// one also one error, and every drain one span counting its steps. Removing
-// any of the four End calls fails it.
+// TestStepEmitsOneEventPerOp pins the Begin/End pairing at its three sites —
+// the sequence step, the drain's span, and the immediate reductions (to a
+// Scalar or, typed, to a Go value): whatever the outcome (success, a kernel
+// error, an operator panic), one execution adds exactly one event to its op's
+// metrics, a failed one also one error, and every drain one span counting its
+// steps. Removing any of the three End calls fails it.
 func TestStepEmitsOneEventPerOp(t *testing.T) {
 	setMode(t, NonBlocking)
 	EnableMetrics(true)
@@ -279,6 +279,14 @@ func TestStepEmitsOneEventPerOp(t *testing.T) {
 		}},
 		{"VectorReduceToScalarBinaryOp", func(op BinaryOp[float64, float64, float64]) error {
 			return VectorReduceToScalarBinaryOp(s, nil, op, u, nil)
+		}},
+		{"MatrixReduce", func(op BinaryOp[float64, float64, float64]) error {
+			_, err := MatrixReduce(Monoid[float64]{Op: op}, a)
+			return err
+		}},
+		{"VectorReduce", func(op BinaryOp[float64, float64, float64]) error {
+			_, err := VectorReduce(Monoid[float64]{Op: op}, u)
+			return err
 		}},
 	} {
 		d := delta(func() { ck(tc.reduce(Plus[float64])) }, tc.op)
