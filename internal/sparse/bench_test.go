@@ -426,3 +426,86 @@ func BenchmarkPullAccumPair(b *testing.B) {
 			ratio, unfused, fused, passes, minAccumSpeedup)
 	}
 }
+
+// minProbeSpeedup is the floor the branch-free mask-first probe must clear
+// over the branching one it replaced: the pair reads 1.43–1.59 as written and
+// 1.13 with stampedHits inlined into the range closure, which is what the
+// floor is there to catch.
+const minProbeSpeedup = 1.3
+
+// maskFirstSwitch is the mask-first range as it stood before the probe went
+// branch-free, kept here as the pair's other arm: one range over every row,
+// a structural mask, each product dispatched on its column's stamp.
+func maskFirstSwitch[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func(C, C) C, m *CSR[bool]) *CSR[C] {
+	SpGEMMFlops(a, b, 1) // the symbolic pass every product pays, this arm too
+	out := NewCSR[C](a.Rows, b.Cols)
+	out.Ind = make([]int, 0, m.NNZ())
+	out.Val = make([]C, 0, m.NNZ())
+	spa := make([]C, b.Cols)
+	stamp := make([]int, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		open, filled := 2*i+1, 2*i+2
+		admitted, _ := m.Row(i)
+		for _, j := range admitted {
+			stamp[j] = open
+		}
+		aInd, aVal := a.Row(i)
+		for k := range aInd {
+			bInd, bVal := b.Row(aInd[k])
+			av := aVal[k]
+			for t, j := range bInd {
+				switch stamp[j] {
+				case open:
+					stamp[j] = filled
+					spa[j] = mul(av, bVal[t])
+				case filled:
+					spa[j] = add(spa[j], mul(av, bVal[t]))
+				}
+			}
+		}
+		for _, j := range admitted {
+			if stamp[j] == filled {
+				out.Ind = append(out.Ind, j)
+				out.Val = append(out.Val, spa[j])
+			}
+		}
+		out.Ptr[i+1] = len(out.Ind)
+	}
+	return out
+}
+
+// BenchmarkMaskFirstProbePair is the measurement the mask-first probe stands
+// on: the triangle count's product C⟨L⟩ = L +.pair L over rmat-14's strict
+// lower triangle (18.8 M probes, 15 % admitted), once through SpGEMMSemiEx and
+// once through maskFirstSwitch, same operands, same closures, bit-identical
+// outputs, arms interleaved on one thread, best round per arm. It fails below
+// minProbeSpeedup. `make bench` and `make bench-smoke` run it; tier-1 does
+// not.
+func BenchmarkMaskFirstProbePair(b *testing.B) {
+	const passes = 1 // products per timed round
+	g := gen.Graph500RMAT(14, 16, 42).Symmetrize()
+	a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, make([]bool, len(g.Src)), func(x, _ bool) bool { return x })
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := SelectM(a, func(_ bool, i, j, _ int) bool { return j < i }, 0, 1)
+	one := func(bool, bool) int64 { return 1 }
+	plus := func(x, y int64) int64 { return x + y }
+	var got, want *CSR[int64]
+	probe, branch := bestRounds(b, passes,
+		func() (err error) {
+			got, err = SpGEMMSemiEx(SemiGeneric, SpecAuto, l, l, one, plus, Mask{M: l, Structural: true}, Exec{Threads: 1}, KernelAuto)
+			return err
+		},
+		func() error {
+			want = maskFirstSwitch(l, l, one, plus, l)
+			return nil
+		})
+	identicalCSR(b, "probe-vs-switch", got, want)
+	ratio := float64(branch) / float64(probe)
+	b.ReportMetric(ratio, "switch/probe")
+	if ratio < minProbeSpeedup {
+		b.Fatalf("switch/probe = %.2f (switch %v, probe %v per %d products), below the floor %.1f",
+			ratio, branch, probe, passes, minProbeSpeedup)
+	}
+}

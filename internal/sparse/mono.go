@@ -1,5 +1,7 @@
 package sparse
 
+import "math"
+
 // Family loops. The three multiply scaffolds (SpGEMMSemiEx, SpMVSemiEx,
 // VxMSemiEx) evaluate the semiring through two closure calls per product —
 // exactly the per-scalar function-call overhead §II of the paper motivates
@@ -11,9 +13,10 @@ package sparse
 // scaffold's own and runs once for both.
 //
 // Equivalence discipline: every family loop replicates the closure loop's
-// product visit order, first-assign-then-add accumulation and mask admission
-// points, so the differential battery (mono_differential_test.go) compares
-// the two with == even on float64.
+// product visit order and mask admission points and yields what its
+// first-assign-then-add accumulation yields (monokernels.go says how), so the
+// differential battery (mono_differential_test.go) compares the two bit for
+// bit even on float64, signed zeros and NaNs included.
 
 // Semi tags the hot semirings the family-loop tables cover. The grb-layer
 // constructors (PlusTimes, MinPlus, LOrLAnd, PlusPair) set the tag;
@@ -101,6 +104,18 @@ var (
 		SemiPlusPair:  {vxmScatterPlusPair[int64], vxmScatterPlusPair[float64]},
 	}
 )
+
+// spaIdentity is what a dense SpGEMM range's SPA holds between rows: semi's
+// additive identity over C where the family's row loop folds its first
+// product like the rest, the zero value — which no first-assigning loop
+// reads — elsewhere. Over float64 the identity of + is -0.0: (-0.0) + p is p
+// bit for bit for every p, and (+0.0) + (-0.0) is not -0.0.
+func spaIdentity[C any](semi Semi) (id C) {
+	if f, ok := any(&id).(*float64); ok && (semi == SemiPlusTimes || semi == SemiPlusPair) {
+		*f = math.Copysign(0, -1)
+	}
+	return id
+}
 
 // familyLoop resolves (semi, the scaffold's operand types) to a loop body,
 // or nil. F is the scaffold's own loop type written over its type

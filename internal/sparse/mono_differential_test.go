@@ -7,8 +7,9 @@ import (
 
 // Monomorphized≡closure differential battery: the family loop bodies
 // (monokernels.go) must produce output identical to the scaffolds' closure
-// loop bodies — same pattern, same values compared with ==, so
-// floating-point accumulation order must match bit for bit — across every
+// loop bodies — same pattern, same values, so
+// floating-point accumulation order must match bit for bit (sameBits, over
+// operands spiked with ±0.0 and ±Inf) — across every
 // hot semiring × block format × mask interpretation × direction × thread
 // count. This harness is what makes the specialization shippable: any
 // divergence (a reordered fold, a zero-init instead of first-assign, a mask
@@ -60,8 +61,8 @@ func fullCSR[T any](rng *rand.Rand, rows, cols int, mk func(*rand.Rand) T) *CSR[
 }
 
 // identicalVec fails unless got and want agree exactly on length, pattern
-// and values (==, so float comparisons are exact).
-func identicalVec[T comparable](t *testing.T, label string, got, want *Vec[T]) {
+// and values (sameBits).
+func identicalVec[T comparable](t testing.TB, label string, got, want *Vec[T]) {
 	t.Helper()
 	if got == nil || want == nil {
 		t.Fatalf("%s: nil vector (got=%v want=%v)", label, got == nil, want == nil)
@@ -73,7 +74,7 @@ func identicalVec[T comparable](t *testing.T, label string, got, want *Vec[T]) {
 		t.Fatalf("%s: nnz %d != %d", label, len(got.Ind), len(want.Ind))
 	}
 	for k := range want.Ind {
-		if got.Ind[k] != want.Ind[k] || got.Val[k] != want.Val[k] {
+		if got.Ind[k] != want.Ind[k] || !sameBits(got.Val[k], want.Val[k]) {
 			t.Fatalf("%s: entry %d = (%d,%v), want (%d,%v)",
 				label, k, got.Ind[k], got.Val[k], want.Ind[k], want.Val[k])
 		}
@@ -251,7 +252,7 @@ func TestMonoDifferentialPlusTimes(t *testing.T) {
 	diffMonoAll(t, rng, SemiPlusTimes,
 		func(a, b float64) float64 { return a * b },
 		func(a, b float64) float64 { return a + b },
-		func(r *rand.Rand) float64 { return r.NormFloat64() })
+		spikedFloat)
 }
 
 func TestMonoDifferentialMinPlus(t *testing.T) {
@@ -263,7 +264,7 @@ func TestMonoDifferentialMinPlus(t *testing.T) {
 	diffMonoAll(t, rng, SemiMinPlus,
 		func(a, b float64) float64 { return a + b },
 		monoMin[float64],
-		func(r *rand.Rand) float64 { return r.Float64() * 100 })
+		spikedFloat) // Inf + -Inf: a NaN first product, which no min ever replaces
 }
 
 func TestMonoDifferentialLorLand(t *testing.T) {

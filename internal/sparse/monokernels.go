@@ -8,10 +8,15 @@ package sparse
 // buy the same code in Go: methods of a type parameter are called through
 // the dictionary and never inlined (measured 2–2.8× slower than these loops;
 // EXPERIMENTS.md, "One multiply scaffold"). The loops replicate the closure
-// loops' visit order and first-assign-then-add accumulation exactly — in
-// particular the float paths never initialize an accumulator to zero and
-// fold into it (0 + (-0.0) flips the sign bit), they assign the first
-// product and fold the rest, as the closure loops do.
+// loops' visit order and yield what their first-assign-then-add accumulation
+// yields, bit for bit. The pull and push loops do it the same way: a float
+// path never initializes an accumulator to +0.0 and folds into it
+// (0 + (-0.0) flips the sign bit). The SpGEMM row loops of (+, ×), (+, pair)
+// and (∨, ∧) fold every product, the first included, into an SPA the scaffold
+// keeps at the exact additive identity between rows (spaIdentity: -0.0 over
+// float64), which takes the unpredictable first-touch branch out of the loop;
+// (min, +) keeps the branch, because no identity survives a NaN first
+// product (+Inf under the loop's compare, NaN under first-assign).
 //
 // Shapes, as the scaffolds assert them (mono.go, familyLoop):
 //
@@ -25,7 +30,8 @@ package sparse
 //	        SPA's insertion pattern.
 //	SpGEMM  func(a, b *CSR[T], spa []T, stamp []int, gen int, pattern []int, i int) []int
 //	        scatters row i of A through B into (spa, stamp) at generation
-//	        gen, appending new columns to pattern.
+//	        gen and returns the row's new columns in pattern, which arrives
+//	        empty and may come back regrown.
 
 // --- pull (SpMV gather) row loops ---
 
@@ -267,24 +273,37 @@ func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T
 
 // --- SpGEMM dense-SPA row loops ---
 
+// patternRoom returns pattern at its full capacity, first grown — to twice
+// that at least — if it has no room past its first n slots: a folding row
+// loop writes every product's column at the pattern's end and keeps it only
+// if it is new.
+func patternRoom(pattern []int, n, room int) []int {
+	if n+room <= cap(pattern) {
+		return pattern[:cap(pattern)]
+	}
+	grown := make([]int, max(n+room, 2*cap(pattern)))
+	copy(grown, pattern[:n])
+	return grown
+}
+
 // spgemmRowPlusTimes is the (+, ×) dense-SPA product for row i.
 func spgemmRowPlusTimes[T monoArith](a, b *CSR[T], spa []T, stamp []int, gen int, pattern []int, i int) []int {
 	aInd, aVal := a.Row(i)
+	n := 0
 	for k, bi := range aInd {
 		bInd, bVal := b.Row(bi)
 		av := aVal[k]
+		pattern = patternRoom(pattern, n, len(bInd))
 		for t, j := range bInd {
-			p := av * bVal[t]
+			spa[j] += av * bVal[t]
+			pattern[n] = j
 			if stamp[j] != gen {
-				stamp[j] = gen
-				spa[j] = p
-				pattern = append(pattern, j)
-			} else {
-				spa[j] += p
+				n++
 			}
+			stamp[j] = gen
 		}
 	}
-	return pattern
+	return pattern[:n]
 }
 
 // spgemmRowMinPlus is the (min, +) dense-SPA product for row i.
@@ -310,37 +329,38 @@ func spgemmRowMinPlus[T monoArith](a, b *CSR[T], spa []T, stamp []int, gen int, 
 // spgemmRowLorLand is the (∨, ∧) dense-SPA product for row i.
 func spgemmRowLorLand(a, b *CSR[bool], spa []bool, stamp []int, gen int, pattern []int, i int) []int {
 	aInd, aVal := a.Row(i)
+	n := 0
 	for k, bi := range aInd {
 		bInd, bVal := b.Row(bi)
 		av := aVal[k]
+		pattern = patternRoom(pattern, n, len(bInd))
 		for t, j := range bInd {
-			p := av && bVal[t]
+			spa[j] = spa[j] || av && bVal[t]
+			pattern[n] = j
 			if stamp[j] != gen {
-				stamp[j] = gen
-				spa[j] = p
-				pattern = append(pattern, j)
-			} else if p {
-				spa[j] = true
+				n++
 			}
+			stamp[j] = gen
 		}
 	}
-	return pattern
+	return pattern[:n]
 }
 
 // spgemmRowPlusPair is the (+, pair) dense-SPA product for row i.
 func spgemmRowPlusPair[T monoArith](a, b *CSR[T], spa []T, stamp []int, gen int, pattern []int, i int) []int {
 	aInd, _ := a.Row(i)
+	n := 0
 	for _, bi := range aInd {
 		bInd, _ := b.Row(bi)
+		pattern = patternRoom(pattern, n, len(bInd))
 		for _, j := range bInd {
+			spa[j]++
+			pattern[n] = j
 			if stamp[j] != gen {
-				stamp[j] = gen
-				spa[j] = 1
-				pattern = append(pattern, j)
-			} else {
-				spa[j]++
+				n++
 			}
+			stamp[j] = gen
 		}
 	}
-	return pattern
+	return pattern[:n]
 }

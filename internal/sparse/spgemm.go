@@ -30,12 +30,13 @@ import (
 //
 // A dense range under a non-complemented mask no heavier than the range's
 // work runs mask-first (planRange): row i's admitted mask columns are
-// stamped before the products, a product accumulates only into a stamped
-// column — the rest are never multiplied — and the row is emitted by walking
-// the (sorted) mask row: no pattern list, no sort, no filter, and the output
-// is allocated once at the range's mask nnz. This is the masked SpGEMM of
-// Sandia triangle counting, C⟨L⟩ = L +.pair L, doing only the work the mask
-// admits.
+// stamped before the products, each B row's positions on a stamped column are
+// compacted into a small buffer without a data-dependent branch
+// (stampedHits) and only those are multiplied and accumulated, and the row is
+// emitted by walking the (sorted) mask row: no pattern list, no sort, no
+// filter, and the output is allocated once at the range's mask nnz. This is
+// the masked SpGEMM of Sandia triangle counting, C⟨L⟩ = L +.pair L, doing
+// only the work the mask admits.
 //
 // Every other range forms all products and filters by the mask, if any, at
 // emit time. A dense one first counts its pattern in a stamp-only symbolic
@@ -45,8 +46,9 @@ import (
 // plug-in point: when semi tags a hot semiring and A, B, C are exactly one of
 // its hot element types (and spec does not pin SpecGeneric), the family loop
 // from monokernels.go runs there with the two closure calls flattened into
-// arithmetic. Hash and mask-first ranges always evaluate mul/add: the probe
-// and the stamp reads dominate them, not the multiply-add.
+// arithmetic. Hash and mask-first ranges always evaluate mul/add: the hash
+// probe dominates the one, and the other calls them for the admitted few
+// only.
 //
 // The execution environment is threaded through every allocation and range
 // boundary, and the cancellation hook is also polled every pollFlops flops
@@ -215,6 +217,7 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 		if rt.MaskFirst {
 			ind = make([]int, 0, in.maskNNZ)
 			val = make([]C, 0, in.maskNNZ)
+			hits := pattern[:cap(pattern)]
 			for i := lo; i < hi; i++ {
 				tick(i)
 				open, filled := 2*i+1, 2*i+2
@@ -228,14 +231,20 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 				for k := range aInd {
 					bInd, bVal := b.Row(aInd[k])
 					av := aVal[k]
-					for t, j := range bInd {
-						switch stamp[j] {
-						case open:
-							stamp[j] = filled
-							spa[j] = mul(av, bVal[t])
-						case filled:
-							spa[j] = add(spa[j], mul(av, bVal[t]))
+					// B(k,:) in hit-buffer-sized pieces: only positions on a
+					// stamped column reach mul and add, in (k, t) order.
+					for len(bInd) > 0 {
+						m := min(len(bInd), len(hits))
+						for _, t := range hits[:stampedHits(hits, bInd[:m], stamp, open)] {
+							j := bInd[t]
+							if stamp[j] == open {
+								stamp[j] = filled
+								spa[j] = mul(av, bVal[t])
+							} else {
+								spa[j] = add(spa[j], mul(av, bVal[t]))
+							}
 						}
+						bInd, bVal = bInd[m:], bVal[m:]
 					}
 				}
 				start := len(ind)
@@ -269,10 +278,16 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 			val = make([]C, 0, n)
 			// A family loop takes its pattern buffer through an indirect
 			// call, so that buffer lives on the heap; keeping it apart lets
-			// the closure loop's stay on the stack.
+			// the closure loop's stay on the stack. It may fold a row's first
+			// products into the SPA too, so between rows the SPA holds the
+			// additive identity: filled here, restored by the emit.
 			var famPattern []int
+			ident := spaIdentity[C](semi)
 			if rowLoop != nil {
 				famPattern = make([]int, 0, 256)
+				for j := range spa {
+					spa[j] = ident
+				}
 			}
 			for i := lo; i < hi; i++ {
 				tick(i)
@@ -299,23 +314,13 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 						}
 					}
 				}
-				if scanEmit(len(pattern), b.Cols) {
-					// Rewrite the pattern in column order: slot k takes every
-					// candidate column until one carries the row's stamp.
-					for j, k := 0, 0; k < len(pattern); j++ {
-						pattern[k] = j
-						if stamp[j] == gen {
-							k++
-						}
-					}
-				} else {
-					sort.Ints(pattern)
-				}
+				orderPattern(pattern, stamp, gen)
 				start := len(ind)
 				if !masked { // its own loop: a closure call in it would spill this one
 					for _, j := range pattern {
 						ind = append(ind, j)
 						val = append(val, spa[j])
+						spa[j] = ident
 					}
 				} else {
 					if mask.M != nil {
@@ -327,6 +332,7 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 							ind = append(ind, j)
 							val = append(val, spa[j])
 						}
+						spa[j] = ident
 					}
 				}
 				rowLen[i] = len(ind) - start
@@ -336,6 +342,46 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 	})
 	installStitched(out, pInd, pVal, rowLen)
 	return out, nil
+}
+
+// orderPattern puts a dense accumulator's insertion pattern — the columns j
+// with stamp[j] == live — in ascending order, by sort or by reading the stamps
+// in column order as scanEmit decides, for the SpGEMM and push scaffolds both.
+func orderPattern[S comparable](pattern []int, stamp []S, live S) {
+	if !scanEmit(len(pattern), len(stamp)) {
+		sort.Ints(pattern)
+		return
+	}
+	// Slot k takes every candidate column until one carries the stamp.
+	for j, k := 0, 0; k < len(pattern); j++ {
+		pattern[k] = j
+		if stamp[j] == live {
+			k++
+		}
+	}
+}
+
+// stampedHits writes to hits, in order, the positions of bInd whose column
+// carries a stamp of at least open, and returns how many: the mask-first
+// probe. One probe in eight is admitted on a triangle count and no predictor
+// learns which — the mispredicted branch, not the stamp read, was the loop's
+// cost — so the count advances by a conditional move: every position is
+// written, an admitted one is kept. stamp[j] >= open means "stamped for this
+// row" because a range walks its rows once in ascending i: what an earlier
+// row left is at most 2i, below open = 2i+1. It is a function of its own
+// because in the range closure the counter spills to the stack
+// (EXPERIMENTS.md, "Branch-free SpGEMM"). len(hits) >= len(bInd).
+//
+//go:noinline
+func stampedHits(hits, bInd, stamp []int, open int) int {
+	n := 0
+	for t, j := range bInd {
+		hits[n] = t
+		if stamp[j] >= open {
+			n++
+		}
+	}
+	return n
 }
 
 // CheckedMul returns x*y and whether the product is representable (no signed

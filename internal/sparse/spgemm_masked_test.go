@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,7 +11,7 @@ import (
 // Masked SpGEMM differential battery: however a range applies the mask —
 // before the products (mask-first) or when it emits (dense or hash) — the
 // masked kernel must equal the unmasked kernel written back under the same
-// mask, compared with ==. Reproduce a failure with
+// mask, bit for bit (sameBits). Reproduce a failure with
 // GRB_DIFF_SEED=<seed> go test -run TestDifferentialMaskedSpGEMM ./internal/sparse
 
 // boolCSR builds the mask whose pattern is m's, every stored value true.
@@ -106,7 +108,7 @@ func TestDifferentialMaskedSpGEMM(t *testing.T) {
 		diffMaskedSpGEMM(t, rand.New(rand.NewSource(seed)), SemiPlusTimes,
 			func(a, b float64) float64 { return a * b },
 			func(a, b float64) float64 { return a + b },
-			func(r *rand.Rand) float64 { return r.NormFloat64() })
+			spikedFloat)
 	})
 	t.Run("min-plus i64", func(t *testing.T) {
 		diffMaskedSpGEMM(t, rand.New(rand.NewSource(seed+1)), SemiMinPlus,
@@ -146,13 +148,13 @@ func TestSpGEMMEmitSortVsScan(t *testing.T) {
 		}
 		for _, j := range rng.Perm(cols)[:n] {
 			if j >= cols/2 || rng.Intn(16) == 0 {
-				bI, bJ, bX = append(bI, 2*i), append(bJ, j), append(bX, rng.NormFloat64())
+				bI, bJ, bX = append(bI, 2*i), append(bJ, j), append(bX, spikedFloat(rng))
 			}
 			if j < cols/2 || rng.Intn(16) == 0 {
-				bI, bJ, bX = append(bI, 2*i+1), append(bJ, j), append(bX, rng.NormFloat64())
+				bI, bJ, bX = append(bI, 2*i+1), append(bJ, j), append(bX, spikedFloat(rng))
 			}
 		}
-		aI, aJ, aX = append(aI, i, i), append(aJ, 2*i, 2*i+1), append(aX, rng.NormFloat64(), rng.NormFloat64())
+		aI, aJ, aX = append(aI, i, i), append(aJ, 2*i, 2*i+1), append(aX, spikedFloat(rng), spikedFloat(rng))
 	}
 	keep := func(x, y float64) float64 { return y }
 	a, err := BuildCSR(len(sizes), 2*len(sizes), aI, aJ, aX, keep)
@@ -221,6 +223,29 @@ func TestSpGEMMAllocationPins(t *testing.T) {
 	if cap(got.Ind) != got.NNZ() || cap(got.Val) != got.NNZ() {
 		t.Fatalf("unmasked output has %d entries in capacity %d/%d, want exactly sized", got.NNZ(), cap(got.Ind), cap(got.Val))
 	}
+	// One range each, by count, at what the product allocated before its
+	// probes went branch-free: the buffer the mask-first probe compacts into
+	// and the one the folding family loop appends through are scratch the
+	// range already had.
+	for _, pin := range []struct {
+		name string
+		mask Mask
+		max  float64
+	}{{"masked", mask, 18}, {"unmasked", Mask{}, 20}} {
+		// The fewest of five runs: a collection that starts inside a run
+		// adds an allocation of the runtime's own.
+		allocs := math.Inf(1)
+		for try := 0; try < 5; try++ {
+			allocs = min(allocs, testing.AllocsPerRun(1, func() {
+				_, err = SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, pin.mask, Exec{Threads: 1}, KernelAuto)
+			}))
+		}
+		if allocs > pin.max {
+			t.Errorf("%s one-range A·A: %v allocations, want <= %v", pin.name, allocs, pin.max)
+		} else {
+			t.Logf("%s one-range A·A: %v allocations", pin.name, allocs)
+		}
+	}
 	outBytes := 16 * got.NNZ()
 	// Scratch: SPA + stamps (16 B a column), flop prefix, row lengths and
 	// row pointers (8 B a row each), the pattern buffers.
@@ -232,6 +257,85 @@ func TestSpGEMMAllocationPins(t *testing.T) {
 	} else {
 		t.Logf("unmasked A·A: %d bytes allocated, %d output bytes", used, outBytes)
 	}
+}
+
+// TestMaskFirstHitBuffer drives the mask-first probe where the battery's
+// 8..63-column operands cannot: rows of B two to three times the 256-slot hit
+// buffer, walked in pieces; a valued mask over the product's own pattern, so
+// every stored false sits on a column the products hit; and, at 2 and 4
+// threads, ranges that begin at lo > 0 over stamps no earlier row wrote (the
+// stamp[j] >= open test stands on ascending i within a range). Against the
+// unmasked product written back under the mask, and the hash SPA.
+func TestMaskFirstHitBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+	const n, cols = 96, 900
+	var bI, bJ []int
+	var bX []float64
+	for k := 0; k < n; k++ {
+		deg := 1 + rng.Intn(8)
+		if k%3 == 0 {
+			deg = 520 + rng.Intn(300)
+		}
+		for _, j := range rng.Perm(cols)[:deg] {
+			bI, bJ, bX = append(bI, k), append(bJ, j), append(bX, spikedFloat(rng))
+		}
+	}
+	b, err := BuildCSR(n, cols, bI, bJ, bX, func(x, y float64) float64 { return y })
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sprayCSR(rng, n, n, 6*n, spikedFloat)
+	mul := func(x, y float64) float64 { return x * y }
+	add := func(x, y float64) float64 { return x + y }
+	unmasked := closureSpGEMM(a, b, mul, add, Mask{}, 1, KernelDense)
+	valued := boolCSR(unmasked)
+	for k := range valued.Val {
+		valued.Val[k] = rng.Intn(2) == 0
+	}
+	for _, mask := range []Mask{{M: valued}, {M: valued, Structural: true}} {
+		want := MaskApplyM(NewCSR[float64](n, cols), unmasked, mask, true, 1)
+		identicalCSR(t, "hash", closureSpGEMM(a, b, mul, add, mask, 1, KernelHash), want)
+		for _, threads := range []int{1, 2, 4} {
+			var rt Route
+			ResetKernelCounts()
+			got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, mask, Exec{Threads: threads, Route: &rt}, KernelAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dense, _ := KernelCounts(); !rt.MaskFirst || dense != int64(threads) {
+				t.Fatalf("threads=%d: route %+v over %d dense ranges, want mask-first over %d", threads, rt, dense, threads)
+			}
+			identicalCSR(t, fmt.Sprintf("structural=%v threads=%d", mask.Structural, threads), got, want)
+		}
+	}
+}
+
+// TestFamilyRangeCancelLeavesNoState: a folding family loop leaves products
+// in the SPA until the row's emit restores the identity, so a range cancelled
+// between the two must not be visible to any later call — the SPA is the
+// range's own, allocated per call.
+func TestFamilyRangeCancelLeavesNoState(t *testing.T) {
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+	const n = 600
+	a := sprayCSR(rng, n, n, 24*n, spikedFloat) // ~345K flops: several polls
+	mul := func(x, y float64) float64 { return x * y }
+	add := func(x, y float64) float64 { return x + y }
+	polls := 0
+	cancel := func() error {
+		if polls++; polls == 3 {
+			return ErrCanceled
+		}
+		return nil
+	}
+	var rt Route
+	if _, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, Mask{}, Exec{Threads: 1, Cancel: cancel, Route: &rt}, KernelDense); !errors.Is(err, ErrCanceled) || !rt.Family {
+		t.Fatalf("err = %v on route %+v, want a cancelled family range", err, rt)
+	}
+	got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, Mask{}, Exec{Threads: 1}, KernelDense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalCSR(t, "after the cancel", got, closureSpGEMM(a, a, mul, add, Mask{}, 1, KernelDense))
 }
 
 // TestMaskedSpGEMMReportsWhatRan drives one call whose two ranges take

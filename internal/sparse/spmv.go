@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"slices"
-	"sort"
 	"unsafe"
 
 	"github.com/grblas/grb/internal/parallel"
@@ -436,9 +435,9 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 			}
 		}
 	}
-	// The merged pattern is this call's own scratch: sorted, it is the
-	// output's index array.
-	sort.Ints(pat0)
+	// The merged pattern is this call's own scratch: in column order, it is
+	// the output's index array.
+	orderPattern(pat0, mark0, true)
 	out.Ind = pat0
 	out.Val = make([]Y, len(pat0))
 	for k, j := range pat0 {
