@@ -29,14 +29,16 @@ fmt:
 race:
 	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 
-# Kernel benchmarks, the hypersparse adaptive-selection family, and the four
+# Kernel benchmarks, the hypersparse adaptive-selection family, and the five
 # timings that fail a run, all in-run ratios: BenchmarkKernelFamilyLoopPair
 # (closure/mono >= 2 on both of its workloads), BenchmarkPullGatherPair
 # (hash/dense gather >= 1.5 unmasked on rmat-14, <= 1 under a 64-row mask over
 # a hypersparse matrix), BenchmarkPullAccumPair (product-then-merge over
-# the one-pass accumulating pull >= 0.9) and BenchmarkMaskFirstProbePair (the
+# the one-pass accumulating pull >= 0.9), BenchmarkMaskFirstProbePair (the
 # branching mask-first probe over the branch-free one >= 1.3 on the triangle
-# count's product). Not part of tier-1. The
+# count's product) and BenchmarkForkGrainPair (one worker over two >= 0.9
+# wherever the default grain forks a pull or a push over rmat-10 to rmat-16).
+# Not part of tier-1. The
 # paper's figures and tables are `go test -bench
 # 'Fig|Table|Ablation|Hypersparse|Traversal' .`; claims are judged on
 # `sh benchmark/run.sh`.
@@ -57,11 +59,12 @@ lint:
 # kernels by signature. Vet it and run its tests (about 2 s) so a kernel
 # change cannot break the repo benchmark unnoticed; then one round each of
 # BenchmarkPullAccumPair (0.4 s), the timing the accumulating pull stands on,
-# and BenchmarkMaskFirstProbePair (1 s), the one the mask-first probe does.
+# BenchmarkMaskFirstProbePair (1 s), the one the mask-first probe does, and
+# BenchmarkForkGrainPair (2 s), the one the default grain does.
 bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-	$(GO) test ./internal/sparse -run '^$$' -bench 'PullAccumPair|MaskFirstProbePair' -benchtime 1x
+	$(GO) test ./internal/sparse -run '^$$' -bench 'PullAccumPair|MaskFirstProbePair|ForkGrainPair' -benchtime 1x
 
 # Invariant tier (CI calls it grbcheck): the concurrency-sensitive suites
 # with the grbcheck runtime validators compiled in — every CSR/Vec install

@@ -7,7 +7,7 @@ import "github.com/grblas/grb/internal/sparse"
 // entry by entry. kernel maps the (possibly transposed) input to T.
 func mapMatrix[DC, DA any](op string, c *Matrix[DC], mask *Matrix[bool],
 	accum BinaryOp[DC, DC, DC], a *Matrix[DA], desc *Descriptor,
-	kernel func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC]) error {
+	kernel func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DC]) error {
 	f := newFrame(op, desc, true, maskRef{m: mask}, c, a)
 	acsr, cOld := in(&f, a), in(&f, c)
 	if err := f.ready(); err != nil {
@@ -17,10 +17,9 @@ func mapMatrix[DC, DA any](op string, c *Matrix[DC], mask *Matrix[bool],
 	if ar, ac := transposedDims(acsr, t0); cOld.Rows != ar || cOld.Cols != ac {
 		return errf(DimensionMismatch, "%s: output is %dx%d but input is %dx%d", op, cOld.Rows, cOld.Cols, ar, ac)
 	}
-	f.work(acsr.NNZ())
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
-		return kernel(maybeTranspose(acsr, t0), e.Threads), nil
+		return kernel(maybeTranspose(acsr, t0), e), nil
 	})
 }
 
@@ -50,8 +49,8 @@ func MatrixApply[DC, DA any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[D
 		return errf(NullPointer, "MatrixApply: nil operator")
 	}
 	return mapMatrix("MatrixApply", c, mask, accum, a, desc,
-		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
-			return sparse.ApplyM(in, op, threads)
+		func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DC] {
+			return sparse.ApplyM(in, op, e)
 		})
 }
 
@@ -64,8 +63,8 @@ func MatrixApplyBindFirst[DC, DS, DA any](c *Matrix[DC], mask *Matrix[bool], acc
 		return errf(NullPointer, "MatrixApplyBindFirst: nil operator")
 	}
 	return mapMatrix("MatrixApplyBindFirst", c, mask, accum, a, desc,
-		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
-			return sparse.ApplyM(in, func(v DA) DC { return op(s, v) }, threads)
+		func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DC] {
+			return sparse.ApplyM(in, func(v DA) DC { return op(s, v) }, e)
 		})
 }
 
@@ -77,8 +76,8 @@ func MatrixApplyBindSecond[DC, DA, DS any](c *Matrix[DC], mask *Matrix[bool], ac
 		return errf(NullPointer, "MatrixApplyBindSecond: nil operator")
 	}
 	return mapMatrix("MatrixApplyBindSecond", c, mask, accum, a, desc,
-		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
-			return sparse.ApplyM(in, func(v DA) DC { return op(v, s) }, threads)
+		func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DC] {
+			return sparse.ApplyM(in, func(v DA) DC { return op(v, s) }, e)
 		})
 }
 
@@ -116,8 +115,8 @@ func MatrixApplyIndexOp[DC, DA, DS any](c *Matrix[DC], mask *Matrix[bool], accum
 		return errf(NullPointer, "MatrixApplyIndexOp: nil operator")
 	}
 	return mapMatrix("MatrixApplyIndexOp", c, mask, accum, a, desc,
-		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DC] {
-			return sparse.ApplyIndexM(in, op, s, threads)
+		func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DC] {
+			return sparse.ApplyIndexM(in, op, s, e)
 		})
 }
 

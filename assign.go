@@ -22,7 +22,6 @@ func MatrixAssign[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, 
 	if ar, ac := transposedDims(acsr, t0); ar != nr || ac != nc {
 		return errf(DimensionMismatch, "MatrixAssign: source is %dx%d but region is %dx%d", ar, ac, nr, nc)
 	}
-	f.work(cOld.NNZ() + acsr.NNZ())
 	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(acsr.Rows, acsr.Cols, acsr.NNZ())
 	return c.submit(&f, cOld, yieldsZ, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
 		return sparse.AssignM(cOld, maybeTranspose(acsr, t0), ri, cj, accum)
@@ -78,7 +77,6 @@ func assignRegion[T any](op string, c *Matrix[T], mask *Matrix[bool], accum Bina
 	if err != nil {
 		return err
 	}
-	f.work(cOld.NNZ())
 	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ())
 	return c.submit(&f, cOld, yieldsZ, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
 		return kernel(cOld, ri, cj, nr, nc)

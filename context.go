@@ -78,8 +78,13 @@ func WithThreads(n int) ContextOption {
 	return func(c *Context) { c.threads = n }
 }
 
-// WithChunk sets the minimum number of row-units of work per thread before
-// an operation parallelizes. Smaller values parallelize more eagerly.
+// WithChunk sets the minimum work per thread: a parallel section of a kernel
+// gets one worker per n units of the work it counts — stored entries read,
+// products formed — up to the thread budget, and below 2n runs on the calling
+// goroutine alone. Smaller values parallelize more eagerly; WithChunk(1)
+// forks wherever the budget allows. Zero inherits; the default, 131 072, is
+// where a second worker starts to pay on a two-core host
+// (BenchmarkForkGrainPair in internal/sparse measures it).
 func WithChunk(n int) ContextOption {
 	return func(c *Context) { c.chunk = n }
 }
@@ -135,7 +140,7 @@ func Init(mode Mode) error {
 	// The top-level context carries no explicit budget (0): children may
 	// set any budget, and the GOMAXPROCS fallback applies only when no
 	// context in the chain declares one.
-	global.ctx = &Context{mode: mode, threads: 0, chunk: 4096}
+	global.ctx = &Context{mode: mode}
 	global.initialized = true
 	// GRB_TRACE=path starts a persistent trace session on first Init; the
 	// session spans Init/Finalize cycles (Finalize flushes, never ends it),
@@ -329,13 +334,23 @@ func (c *Context) needsAbortProbe() bool {
 	return false
 }
 
+// fork is what sizes an operation's parallel sections: the thread budget and
+// the chunk. The kernel, which counts the work, does the sizing.
+func (c *Context) fork() sparse.Exec {
+	return sparse.Exec{Threads: c.Threads(), Grain: c.Chunk()}
+}
+
 // exec builds the hardened execution environment for one drained operation:
-// the already-resolved thread count, a budget transaction (closed by the
-// caller via Exec.Close when the operation completes), and the cancellation
-// probe. Called at drain time, inside the sequence step, so budget state and
-// cancellation reflect execution order rather than enqueue order.
-func (c *Context) exec(threads int) sparse.Exec {
-	e := sparse.Exec{Threads: threads}
+// fork, a budget transaction (closed by the caller via Exec.Close when the
+// operation completes), and the cancellation probe. Called at drain time,
+// inside the sequence step, so budget state and cancellation reflect
+// execution order rather than enqueue order. A nil context — an object
+// method's node — runs serially, unbudgeted and uncancelled.
+func (c *Context) exec() sparse.Exec {
+	if c == nil {
+		return sparse.Exec{}
+	}
+	e := c.fork()
 	if b := c.memBudget(); b != nil {
 		e.Tx = b.Tx()
 	}
@@ -372,30 +387,15 @@ func (c *Context) Threads() int {
 	return eff
 }
 
-// Chunk returns the effective minimum-work-per-thread granule: the nearest
-// explicitly set value up the chain, defaulting to 4096.
+// Chunk returns the effective minimum work per thread (WithChunk): the
+// nearest explicitly set value up the chain, defaulting to 131 072.
 func (c *Context) Chunk() int {
 	for p := c; p != nil; p = p.parent {
 		if p.chunk > 0 {
 			return p.chunk
 		}
 	}
-	return 4096
-}
-
-// threadsFor returns the thread count to use for an operation touching
-// roughly `work` units, respecting the chunk granule so tiny operations run
-// serially.
-func (c *Context) threadsFor(work int) int {
-	t := c.Threads()
-	ch := c.Chunk()
-	if ch > 0 && work/ch+1 < t {
-		t = work/ch + 1
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return sparse.DefaultGrain
 }
 
 // resolveCtx maps an object's context pointer (possibly nil) to the

@@ -2,6 +2,7 @@ package grb
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -90,8 +91,16 @@ func TestContextHierarchyThreads(t *testing.T) {
 	}
 }
 
+// TestContextChunk holds the chunk to what WithChunk documents, the minimum
+// work per thread: a kernel gets one worker per chunk of the work it counts.
+// At chunk 100 a 199-entry reduction is one worker's (the rule this replaced,
+// work/chunk + 1, handed it to two and 1 000 entries to eleven), 200 entries
+// are two workers' and 1 000 all four's; the op event reports what ran.
 func TestContextChunk(t *testing.T) {
 	setMode(t, NonBlocking)
+	if top := ck1(GlobalContext()); top.Chunk() != 1<<17 {
+		t.Fatalf("default chunk = %d", top.Chunk())
+	}
 	c := ck1(NewContext(NonBlocking, nil, WithThreads(4), WithChunk(100)))
 	if c.Chunk() != 100 {
 		t.Fatalf("chunk = %d", c.Chunk())
@@ -100,12 +109,21 @@ func TestContextChunk(t *testing.T) {
 	if child.Chunk() != 100 {
 		t.Fatalf("inherited chunk = %d", child.Chunk())
 	}
-	// threadsFor respects the chunk granule.
-	if got := c.threadsFor(50); got != 1 {
-		t.Fatalf("tiny work threads = %d", got)
-	}
-	if got := c.threadsFor(1000); got != 4 {
-		t.Fatalf("large work threads = %d", got)
+	nnzs := []int{0, 50, 199, 200, 250, 399, 1000}
+	want := []int{1, 1, 1, 2, 2, 3, 4}
+	got := tracedThreads(t, func() {
+		for _, nnz := range nnzs {
+			a := ck1(NewMatrix[int](1, max(nnz, 1), InContext(child)))
+			for j := 0; j < nnz; j++ {
+				ck(a.SetElement(1, 0, j))
+			}
+			if sum, err := MatrixReduce(PlusMonoid[int](), a); err != nil || sum != nnz {
+				t.Fatalf("nnz %d: sum %d, %v", nnz, sum, err)
+			}
+		}
+	})["MatrixReduce"]
+	if !slices.Equal(got, want) {
+		t.Fatalf("workers at chunk 100, 4 threads, for %v entries: %v, want %v", nnzs, got, want)
 	}
 }
 
@@ -439,7 +457,7 @@ func TestCancelReleasesRollupReservation(t *testing.T) {
 	faults.Enable(faults.Rule{Site: "sparse.kernel.range", Action: faults.Delay, Delay: 30 * time.Millisecond})
 	defer faults.Disable()
 	gov := ck1(NewContext(NonBlocking, nil, WithMemoryLimit(1<<30)))
-	req := ck1(NewContext(NonBlocking, gov, WithMemoryLimit(64<<20), WithCancel(), WithThreads(2)))
+	req := ck1(NewContext(NonBlocking, gov, WithMemoryLimit(64<<20), WithCancel(), WithThreads(2), WithChunk(1)))
 	a := pathGraph(t, req, 128)
 	c := ck1(NewMatrix[bool](128, 128, InContext(req)))
 	ck(MxM(c, nil, nil, LOrLAnd(), a, a, nil))

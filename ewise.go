@@ -10,7 +10,7 @@ import "github.com/grblas/grb/internal/sparse"
 func EWiseAddMatrix[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	op BinaryOp[T, T, T], a, b *Matrix[T], desc *Descriptor) error {
 	return eWiseMatrix("EWiseAddMatrix", c, mask, accum, op != nil, a, b, desc,
-		func(A, B *sparse.CSR[T], threads int) *sparse.CSR[T] { return sparse.EWiseAddM(A, B, op, threads) })
+		func(A, B *sparse.CSR[T], e sparse.Exec) *sparse.CSR[T] { return sparse.EWiseAddM(A, B, op, e) })
 }
 
 // EWiseMultMatrix computes C⟨M⟩ = C ⊙ (A ⊗ B): the element-wise
@@ -20,8 +20,8 @@ func EWiseAddMatrix[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T
 func EWiseMultMatrix[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
 	return eWiseMatrix("EWiseMultMatrix", c, mask, accum, op != nil, a, b, desc,
-		func(A *sparse.CSR[DA], B *sparse.CSR[DB], threads int) *sparse.CSR[DC] {
-			return sparse.EWiseMultM(A, B, op, threads)
+		func(A *sparse.CSR[DA], B *sparse.CSR[DB], e sparse.Exec) *sparse.CSR[DC] {
+			return sparse.EWiseMultM(A, B, op, e)
 		})
 }
 
@@ -30,7 +30,7 @@ func EWiseMultMatrix[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum Bi
 // the work is one pass over both.
 func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
 	opOK bool, a *Matrix[DA], b *Matrix[DB], desc *Descriptor,
-	kernel func(A *sparse.CSR[DA], B *sparse.CSR[DB], threads int) *sparse.CSR[DC]) error {
+	kernel func(A *sparse.CSR[DA], B *sparse.CSR[DB], e sparse.Exec) *sparse.CSR[DC]) error {
 	f := newFrame(op, desc, opOK, maskRef{m: mask}, c, a, b)
 	acsr, bcsr, cOld := in(&f, a), in(&f, b), in(&f, c)
 	if err := f.ready(); err != nil {
@@ -43,11 +43,10 @@ func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], a
 		return errf(DimensionMismatch, "%s: shapes %dx%d, %dx%d, %dx%d incompatible",
 			op, cOld.Rows, cOld.Cols, ar, ac, br, bc)
 	}
-	f.work(acsr.NNZ() + bcsr.NNZ())
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
 		WithFlops(int64(acsr.NNZ() + bcsr.NNZ()))
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
-		return kernel(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), e.Threads), nil
+		return kernel(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), e), nil
 	})
 }
 

@@ -66,7 +66,10 @@ func main() {
 
 	// Thread budgets steer real work: time the same product under
 	// different budgets (speedups saturate at the host's core count —
-	// this machine has GOMAXPROCS =", see below).
+	// this machine has GOMAXPROCS =", see below). WithChunk(1) lets every
+	// section of the product fork; at the default chunk — 131 072 units of
+	// work per worker, where BenchmarkForkGrainPair in internal/sparse has
+	// a second worker starting to pay — only its numeric pass would.
 	fmt.Printf("host cores: %d\n", runtime.GOMAXPROCS(0))
 	for _, budget := range []int{1, 2, 4} {
 		ctx := must1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(budget), grb.WithChunk(1)))

@@ -26,10 +26,9 @@ func MatrixExtract[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T,
 	if cOld.Rows != er || cOld.Cols != ec {
 		return errf(DimensionMismatch, "MatrixExtract: output is %dx%d but extraction is %dx%d", cOld.Rows, cOld.Cols, er, ec)
 	}
-	f.work(acsr.NNZ())
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(er, ec, 0)
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
-		return sparse.ExtractM(maybeTranspose(acsr, t0), ri, cj, e.Threads)
+		return sparse.ExtractM(maybeTranspose(acsr, t0), ri, cj, e)
 	})
 }
 

@@ -80,7 +80,7 @@ type Event struct {
 	// n/16", "budget refused dense gather", "descriptor pin").
 	RouteReason string `json:"route_reason,omitempty"`
 	Seq         SeqID  `json:"seq,omitempty"`     // owning sequence span, 0 = immediate
-	Threads     int    `json:"threads,omitempty"` // goroutine fan-out budget
+	Threads     int    `json:"threads,omitempty"` // goroutines the kernel's widest parallel section ran on
 
 	// First operand dims / nnz; second operand dims / nnz (vectors: Cols 1).
 	ARows  int `json:"a_rows,omitempty"`
@@ -154,7 +154,8 @@ func (e *Event) WithRoute(r string) *Event {
 	return e
 }
 
-// WithThreads records the goroutine fan-out budget; nil-safe and chainable.
+// WithThreads records how many goroutines the kernel ran on; nil-safe and
+// chainable.
 func (e *Event) WithThreads(n int) *Event {
 	if e != nil {
 		e.Threads = n

@@ -8,10 +8,11 @@ package parallel
 import (
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
-// WorkerPanic wraps a panic recovered on a worker goroutine so For/Run can
-// re-raise it on the joining goroutine instead of crashing the process — the
+// WorkerPanic wraps a panic recovered in a parallel section so For/Run can
+// re-raise it on the calling goroutine instead of crashing the process — the
 // execution-hardening contract: a panic inside any parallel kernel range must
 // surface to the kernel's caller, where the grb layer converts it into a
 // parked GrB_PANIC execution error (§V). Value is the original panic payload
@@ -65,38 +66,60 @@ func (b *panicBox) rethrow() {
 	}
 }
 
-// For runs body(lo, hi) over a partition of [0, n) using at most threads
-// concurrent goroutines. With threads <= 1 or n small it runs inline.
-// Partitions are contiguous and cover [0, n) exactly once. A panic on any
-// worker is re-raised on the calling goroutine as a WorkerPanic after all
-// workers join (inline execution panics directly, without the wrapper).
+// run executes one task under the box: a panic in it is captured, not raised,
+// so the worker that ran it goes on to claim the next.
+func (b *panicBox) run(task func(int), i int) {
+	defer b.capture()
+	task(i)
+}
+
+// fork runs task(0), ..., task(n-1) on workers goroutines, the caller one of
+// them: workers-1 helpers are spawned, every task is claimed from one counter,
+// and the caller claims too before it joins. So a helper the host schedules
+// late finds nothing left to claim and the section ends without it, where a
+// caller parked behind the join would wait for the wake-up. Tasks are claimed
+// last first: the caller is the one worker running now, and of row ranges
+// balanced by entries the last holds the most rows of a hub-first graph and
+// runs longest (rmat-16 PageRank at two threads: 29.5 ms against 32). A panic
+// in any task — the caller's included — is re-raised as a WorkerPanic once
+// every helper has returned: a helper still running would write into scratch
+// the caller is about to release.
+func fork(n, workers int, task func(int)) {
+	var next atomic.Int64
+	var pb panicBox
+	claim := func() {
+		for i := n - int(next.Add(1)); i >= 0; i = n - int(next.Add(1)) {
+			pb.run(task, i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for h := 1; h < workers; h++ {
+		go func() {
+			defer wg.Done()
+			defer pb.capture()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+	pb.rethrow()
+}
+
+// For runs body(lo, hi) over a partition of [0, n) into min(threads, n)
+// contiguous parts that cover it exactly once, on as many goroutines (fork).
+// With one part it is a plain call: no goroutine, no allocation, and a panic
+// reaches the caller unwrapped.
 func For(n, threads int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if threads > n {
-		threads = n
-	}
+	threads = min(threads, n)
 	if threads <= 1 {
 		body(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	var pb panicBox
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		lo := t * n / threads
-		hi := (t + 1) * n / threads
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer pb.capture()
-			if lo < hi {
-				body(lo, hi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	pb.rethrow()
+	fork(threads, threads, func(t int) { body(t*n/threads, (t+1)*n/threads) })
 }
 
 // Ranges splits [0, n) into at most k contiguous ranges of near-equal size.
@@ -166,22 +189,17 @@ func BalancedRanges(rows, k int, ptr []int) []int {
 	return b
 }
 
-// Run executes fn(i) for i in [0, r) on at most threads goroutines, where r
-// is the number of ranges encoded by boundaries b (len(b)-1). It is a helper
-// for the BalancedRanges/Ranges output shape. A panic on any worker is
-// re-raised on the calling goroutine as a WorkerPanic after all workers join
-// (serial execution panics directly, without the wrapper); remaining ranges
-// still run — cooperative cancellation, not hard abort, keeps the semantics
-// identical to the panic-free path for every range that does execute.
+// Run executes fn(i, b[i], b[i+1]) for each non-empty range i of the
+// boundaries b (the BalancedRanges/Ranges output shape) on at most threads
+// goroutines (fork). With one goroutine or one range it is a plain loop: no
+// goroutine, no allocation, and a panic reaches the caller unwrapped.
+// Otherwise a panic in any range is re-raised as a WorkerPanic after the
+// join, and the remaining ranges still run — cooperative cancellation, not
+// hard abort, keeps the semantics identical to the panic-free path for every
+// range that does execute.
 func Run(b []int, threads int, fn func(part, lo, hi int)) {
 	r := len(b) - 1
-	if r <= 0 {
-		return
-	}
-	if threads > r {
-		threads = r
-	}
-	if threads <= 1 {
+	if min(threads, r) <= 1 {
 		for i := 0; i < r; i++ {
 			if b[i] < b[i+1] {
 				fn(i, b[i], b[i+1])
@@ -189,20 +207,9 @@ func Run(b []int, threads int, fn func(part, lo, hi int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	var pb panicBox
-	wg.Add(r)
-	sem := make(chan struct{}, threads)
-	for i := 0; i < r; i++ {
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			defer pb.capture()
-			if b[i] < b[i+1] {
-				fn(i, b[i], b[i+1])
-			}
-		}(i)
-	}
-	wg.Wait()
-	pb.rethrow()
+	fork(r, min(threads, r), func(i int) {
+		if b[i] < b[i+1] {
+			fn(i, b[i], b[i+1])
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -207,6 +209,111 @@ func TestRunWorkerPanicPropagates(t *testing.T) {
 		}
 	})
 	t.Fatal("Run did not re-raise the worker panic")
+}
+
+// goid is the calling goroutine's id, read off its stack header
+// ("goroutine 17 [running]:"): the tests below must tell the caller's ranges
+// from a helper's.
+func goid() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// TestCallerPanicWaitsForHelpers: the caller is a worker, so a panic can
+// come from its own range. It must be captured like a helper's — every other
+// range still runs, every helper is joined — and only then re-raised as a
+// WorkerPanic: a helper still running would write into scratch whose budget
+// transaction the kernel's caller closes on the way out.
+func TestCallerPanicWaitsForHelpers(t *testing.T) {
+	caller := goid()
+	release := make(chan struct{})
+	var finished atomic.Int32
+	var callerPanicked atomic.Bool
+	b := Ranges(8, 8)
+	defer func() {
+		wp, ok := recover().(WorkerPanic)
+		if !ok || wp.Value != (sentinel{n: 9}) || len(wp.Stack) == 0 {
+			t.Fatalf("recovered %+v, want WorkerPanic{sentinel{9}} with a stack", wp)
+		}
+		if got := finished.Load(); got != 7 {
+			t.Fatalf("%d of the 7 other ranges had finished when the panic was re-raised", got)
+		}
+	}()
+	Run(b, 4, func(part, lo, hi int) {
+		if goid() == caller {
+			if callerPanicked.CompareAndSwap(false, true) {
+				close(release)
+				panic(sentinel{n: 9})
+			}
+		} else {
+			<-release // a helper finishes nothing before the caller has panicked
+		}
+		finished.Add(1)
+	})
+	t.Fatal("Run did not re-raise the caller's panic")
+}
+
+// TestCallerCompletesWithoutHelpers: on one P a spawned helper cannot run
+// before the caller blocks, which is the host waking the other core late. The
+// caller must claim every range itself, place each output by range index as
+// the serial loop does, and find the helpers with nothing left to do.
+func TestCallerCompletesWithoutHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	caller := goid()
+	b := Ranges(64, 8)
+	serial, forked := make([]int, 8), make([]int, 8)
+	fill := func(out []int) func(part, lo, hi int) {
+		return func(part, lo, hi int) {
+			if id := goid(); id != caller {
+				t.Errorf("range %d ran on goroutine %s, not the caller's", part, id)
+			}
+			for i := lo; i < hi; i++ {
+				out[part] += i * i
+			}
+		}
+	}
+	Run(b, 1, fill(serial))
+	Run(b, 4, fill(forked))
+	for i := range serial {
+		if serial[i] != forked[i] {
+			t.Fatalf("outputs %v differ from the serial %v", forked, serial)
+		}
+	}
+	hits := 0
+	For(64, 4, func(lo, hi int) {
+		if goid() != caller {
+			t.Errorf("For part [%d,%d) ran off the caller", lo, hi)
+		}
+		hits += hi - lo
+	})
+	if hits != 64 {
+		t.Fatalf("For covered %d of 64", hits)
+	}
+}
+
+// TestOneWorkerSectionIsAPlainCall: a section sized at one worker — every
+// small query — touches no WaitGroup, channel or goroutine and allocates
+// nothing.
+func TestOneWorkerSectionIsAPlainCall(t *testing.T) {
+	b := Ranges(100, 1)
+	sum := 0
+	body := func(lo, hi int) { sum += hi - lo }
+	fn := func(part, lo, hi int) { sum += hi - lo }
+	before := runtime.NumGoroutine()
+	allocs := testing.AllocsPerRun(100, func() {
+		For(100, 1, body)
+		Run(b, 1, fn)
+		Run(b, 4, fn) // one range: nothing to share
+		if n := runtime.NumGoroutine(); n != before {
+			t.Fatalf("%d goroutines during a one-worker section, %d before", n, before)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("one-worker For+Run allocated %v times", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("bodies did not run")
+	}
 }
 
 func TestRunSerialPanicUnwrapped(t *testing.T) {

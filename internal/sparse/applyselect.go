@@ -3,15 +3,15 @@ package sparse
 import "github.com/grblas/grb/internal/parallel"
 
 // ApplyM computes T(i,j) = f(A(i,j)) for every stored entry: pattern is
-// preserved, values are mapped. Rows are processed in parallel.
-func ApplyM[A, C any](a *CSR[A], f func(A) C, threads int) *CSR[C] {
+// preserved, values are mapped, in parallel once there are entries enough.
+func ApplyM[A, C any](a *CSR[A], f func(A) C, e Exec) *CSR[C] {
 	out := &CSR[C]{Rows: a.Rows, Cols: a.Cols,
 		Ptr: make([]int, len(a.Ptr)),
 		Ind: make([]int, len(a.Ind)),
 		Val: make([]C, len(a.Val))}
 	copy(out.Ptr, a.Ptr)
 	copy(out.Ind, a.Ind)
-	parallel.For(len(a.Val), threads, func(lo, hi int) {
+	parallel.For(len(a.Val), e.workers(len(a.Val)), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			out.Val[k] = f(a.Val[k])
 		}
@@ -24,14 +24,14 @@ func ApplyM[A, C any](a *CSR[A], f func(A) C, threads int) *CSR[C] {
 // the entry's row and column indices natively, which is exactly the
 // capability the paper adds over 1.X (where indices had to be packed into
 // the values array).
-func ApplyIndexM[A, S, C any](a *CSR[A], f func(A, int, int, S) C, s S, threads int) *CSR[C] {
+func ApplyIndexM[A, S, C any](a *CSR[A], f func(A, int, int, S) C, s S, e Exec) *CSR[C] {
 	out := &CSR[C]{Rows: a.Rows, Cols: a.Cols,
 		Ptr: make([]int, len(a.Ptr)),
 		Ind: make([]int, len(a.Ind)),
 		Val: make([]C, len(a.Val))}
 	copy(out.Ptr, a.Ptr)
 	copy(out.Ind, a.Ind)
-	parallel.For(a.Rows, threads, func(lo, hi int) {
+	parallel.For(a.Rows, e.workers(a.NNZ()), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ind, val := a.Row(i)
 			base := a.Ptr[i]
@@ -46,8 +46,8 @@ func ApplyIndexM[A, S, C any](a *CSR[A], f func(A, int, int, S) C, s S, threads 
 // SelectM keeps the stored entries of A for which the boolean index operator
 // returns true and annihilates the rest — the GraphBLAS 2.0 select operation
 // (§VIII-C), a "functional input mask".
-func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, threads int) *CSR[A] {
-	return rowwise(a.Rows, a.Cols, threads, a.span, // at most every entry survives
+func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, e Exec) *CSR[A] {
+	return rowwise(a.Rows, a.Cols, e.workers(a.NNZ()), a.span, // at most every entry survives
 		func(i int, ind []int, val []A) ([]int, []A) {
 			aInd, aVal := a.Row(i)
 			for k, j := range aInd {

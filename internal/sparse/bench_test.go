@@ -2,7 +2,9 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,7 +178,7 @@ func BenchmarkKernelEWiseAdd(b *testing.B) {
 	y := benchMatrix(4096, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EWiseAddM(x, y, addF, 1)
+		EWiseAddM(x, y, addF, Exec{})
 	}
 }
 
@@ -193,7 +195,7 @@ func BenchmarkKernelSelect(b *testing.B) {
 	f := func(v float64, i, j int, s int) bool { return j > i }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelectM(a, f, 0, 1)
+		SelectM(a, f, 0, Exec{})
 	}
 }
 
@@ -224,7 +226,7 @@ func BenchmarkKernelMaskApply(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaskApplyM(c, z, Mask{M: mask}, false, 1)
+		MaskApplyM(c, z, Mask{M: mask}, false, Exec{})
 	}
 }
 
@@ -380,6 +382,74 @@ func BenchmarkPullGatherPair(b *testing.B) {
 	}
 }
 
+// minForkSpeedup is the floor a section the default grain forks must hold
+// against running on the caller alone: it must not lose by more than the
+// pair's own noise (0.9, the margin BenchmarkPullAccumPair learned).
+const minForkSpeedup = 0.9
+
+// BenchmarkForkGrainPair is the measurement DefaultGrain points at: the pull
+// of a PageRank iteration (PLUS_TIMES over a full vector) and the push of an
+// n/32-vertex SSSP frontier over the benchmark's R-MAT graphs at scales 10,
+// 12, 14 and 16, each with the grain forced both ways — one worker against
+// two, arms interleaved in one process, best round per arm (bestRounds). It
+// reports one/two per shape and size beside the work the kernel counts, and
+// fails iff the default grain gives a section two workers where the
+// two-worker arm loses by more than minForkSpeedup allows. On one core there
+// is no second worker to measure, so it skips.
+func BenchmarkForkGrainPair(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("one P: a second worker cannot run beside the caller")
+	}
+	one, two := Exec{Threads: 2, Grain: math.MaxInt}, Exec{Threads: 2, Grain: 1}
+	for _, scale := range []int{10, 12, 14, 16} {
+		g := gen.Graph500RMAT(scale, 8, 42).Symmetrize()
+		a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), addF)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := a.Rows
+		full := &Vec[float64]{N: n, Ind: make([]int, n), Val: make([]float64, n)}
+		for i := range full.Ind {
+			full.Ind[i], full.Val[i] = i, 1/float64(n)
+		}
+		frontier := &Vec[float64]{N: n, Ind: make([]int, n/32), Val: make([]float64, n/32)}
+		for k := range frontier.Ind {
+			frontier.Ind[k], frontier.Val[k] = k, float64(k%97) // R-MAT puts its hubs first
+		}
+		minF := func(x, y float64) float64 { return min(x, y) }
+		for _, shape := range []struct {
+			name string
+			work int
+			run  func(Exec) func() error
+		}{
+			{"pull", a.NNZ(), func(e Exec) func() error {
+				return func() error {
+					_, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, a, full, mulF, addF, VMask{}, e, KernelAuto)
+					return err
+				}
+			}},
+			{"push", int(FrontierFlops(a, frontier)), func(e Exec) func() error {
+				return func() error {
+					_, err := VxMSemiEx(SemiMinPlus, SpecAuto, frontier, a, addF, minF, VMask{}, e)
+					return err
+				}
+			}},
+		} {
+			b.Run(fmt.Sprintf("rmat%d/%s", scale, shape.name), func(b *testing.B) {
+				t1, t2 := bestRounds(b, 1<<(18-scale), shape.run(one), shape.run(two))
+				ratio := float64(t1) / float64(t2)
+				forks := Exec{Threads: 2}.workers(shape.work) == 2
+				b.ReportMetric(ratio, "one/two")
+				b.ReportMetric(float64(shape.work), "work")
+				if forks && ratio < minForkSpeedup {
+					b.Fatalf("one/two = %.2f (one worker %v, two %v) over %d units of work, which the default grain %d forks: want >= %v",
+						ratio, t1, t2, shape.work, DefaultGrain, minForkSpeedup)
+				}
+			})
+		}
+	}
+}
+
 // minAccumSpeedup is the floor the one-pass accumulating pull must hold
 // against product-then-merge: it must not lose by more than the pair's own
 // noise. On time the pass can only save the merge — the accumulating product
@@ -488,7 +558,7 @@ func BenchmarkMaskFirstProbePair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	l := SelectM(a, func(_ bool, i, j, _ int) bool { return j < i }, 0, 1)
+	l := SelectM(a, func(_ bool, i, j, _ int) bool { return j < i }, 0, Exec{})
 	one := func(bool, bool) int64 { return 1 }
 	plus := func(x, y int64) int64 { return x + y }
 	var got, want *CSR[int64]

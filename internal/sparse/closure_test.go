@@ -5,9 +5,14 @@ package sparse
 // run — the reference arm the family loops are compared against. Errors
 // (which only injected faults or a budget can produce) panic.
 
+// par is a threads-wide Exec whose grain of one unit of work makes every
+// parallel section of a toy input split into as many ranges as it has
+// threads: what a test that means to reach multi-range code asks for.
+func par(threads int) Exec { return Exec{Threads: threads, Grain: 1} }
+
 func closureSpGEMM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func(C, C) C,
 	mask Mask, threads int, hint Kernel) *CSR[C] {
-	out, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, mask, Exec{Threads: threads}, hint)
+	out, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, mask, par(threads), hint)
 	if err != nil {
 		panic(err)
 	}
@@ -16,7 +21,7 @@ func closureSpGEMM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add func
 
 func closureSpMV[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
 	mask VMask, threads int, hint Kernel) *Vec[Y] {
-	out, err := SpMVSemiEx(SemiGeneric, SpecGeneric, a, u, mul, add, mask, Exec{Threads: threads}, hint)
+	out, err := SpMVSemiEx(SemiGeneric, SpecGeneric, a, u, mul, add, mask, par(threads), hint)
 	if err != nil {
 		panic(err)
 	}
@@ -25,7 +30,7 @@ func closureSpMV[A, X, Y any](a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y
 
 func closureVxM[X, A, Y any](u *Vec[X], a *CSR[A], mul func(X, A) Y, add func(Y, Y) Y,
 	mask VMask, threads int) *Vec[Y] {
-	out, err := VxMSemiEx(SemiGeneric, SpecGeneric, u, a, mul, add, mask, Exec{Threads: threads})
+	out, err := VxMSemiEx(SemiGeneric, SpecGeneric, u, a, mul, add, mask, par(threads))
 	if err != nil {
 		panic(err)
 	}

@@ -264,13 +264,13 @@ func TestAdaptiveSelectionRoutes(t *testing.T) {
 	b := sprayCSR(rng, 200, 5000, 300, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	var rt Route
 	ResetKernelCounts()
-	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 4, Route: &rt}, KernelAuto); err != nil {
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelAuto); err != nil {
 		t.Fatal(err)
 	}
 	if dense, hash := KernelCounts(); hash == 0 || dense != 0 {
 		t.Fatalf("hypersparse product routed dense=%d hash=%d, want hash only", dense, hash)
 	}
-	if want := (Route{Acc: AccHash, Reason: ReasonFewFlops}); rt != want {
+	if want := (Route{Acc: AccHash, Reason: ReasonFewFlops, Workers: 4}); rt != want {
 		t.Fatalf("hypersparse product reported route %+v, want %+v", rt, want)
 	}
 
@@ -278,13 +278,13 @@ func TestAdaptiveSelectionRoutes(t *testing.T) {
 	// every range does far more flops than it has columns.
 	c := sprayCSR(rng, 40, 40, 800, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	ResetKernelCounts()
-	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, c, c, mul, add, Mask{}, Exec{Threads: 4, Route: &rt}, KernelAuto); err != nil {
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, c, c, mul, add, Mask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelAuto); err != nil {
 		t.Fatal(err)
 	}
 	if dense, hash := KernelCounts(); dense == 0 || hash != 0 {
 		t.Fatalf("dense-regime product routed dense=%d hash=%d, want dense only", dense, hash)
 	}
-	if want := (Route{Acc: AccDense, Reason: ReasonDenseWork}); rt != want {
+	if want := (Route{Acc: AccDense, Reason: ReasonDenseWork, Workers: 4}); rt != want {
 		t.Fatalf("dense-regime product reported route %+v, want %+v", rt, want)
 	}
 }
@@ -323,7 +323,7 @@ func TestSpanTelemetryOverRowRanges(t *testing.T) {
 
 	for _, spec := range []Spec{SpecGeneric, SpecMono} {
 		ResetKernelCounts()
-		if _, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, Mask{}, Exec{Threads: threads}, KernelDense); err != nil {
+		if _, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, Mask{}, par(threads), KernelDense); err != nil {
 			t.Fatal(err)
 		}
 		span, gotWork := SpanFlops()

@@ -8,8 +8,8 @@ import "slices"
 // restricts eWiseAdd to a single domain because pass-through of one-sided
 // entries requires an implicit typecast in the C spec. Rows are processed in
 // parallel.
-func EWiseAddM[T any](a, b *CSR[T], add func(T, T) T, threads int) *CSR[T] {
-	return rowwise(a.Rows, a.Cols, threads,
+func EWiseAddM[T any](a, b *CSR[T], add func(T, T) T, e Exec) *CSR[T] {
+	return rowwise(a.Rows, a.Cols, e.workers(a.NNZ()+b.NNZ()),
 		func(lo, hi int) int { return a.span(lo, hi) + b.span(lo, hi) },
 		func(i int, ind []int, val []T) ([]int, []T) { return unionRun(ind, val, a.run(i), b.run(i), add) })
 }
@@ -17,8 +17,8 @@ func EWiseAddM[T any](a, b *CSR[T], add func(T, T) T, threads int) *CSR[T] {
 // EWiseMultM computes the element-wise "multiplication" T = A ⊗ B: the
 // intersection of the two patterns with mul applied to each co-located pair.
 // Because no value passes through unchanged, the domains may all differ.
-func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, threads int) *CSR[C] {
-	return rowwise(a.Rows, a.Cols, threads,
+func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, e Exec) *CSR[C] {
+	return rowwise(a.Rows, a.Cols, e.workers(a.NNZ()+b.NNZ()),
 		func(lo, hi int) int { return min(a.span(lo, hi), b.span(lo, hi)) },
 		func(i int, ind []int, val []C) ([]int, []C) { return intersectRun(ind, val, a.run(i), b.run(i), mul) })
 }

@@ -248,33 +248,59 @@ func (tx *BudgetTx) Close() {
 	}
 }
 
+// DefaultGrain is the work — stored entries read, products formed — each
+// worker of a parallel section must have for the section to fork. It is where
+// a second worker has stopped losing on the two-core hosts this repo is
+// measured on, which take some 100 µs to get a helper onto the other core
+// (BenchmarkForkGrainPair: two workers run at 0.5–0.75 of one worker's speed
+// on a pull of 53 k entries, at 0.6–0.65 on a push of 222 k products — an
+// n-wide SPA each — and at 1.2–1.4 on a pull of 955 k). SuiteSparse:GraphBLAS
+// ships half of it, which would fork that push.
+const DefaultGrain = 1 << 17
+
 // Exec is the execution environment for one kernel invocation: the thread
-// budget, the operation's budget transaction (nil = unlimited), and the
-// cancellation probe (nil = never canceled; returns ErrCanceled-compatible
-// errors). The zero Exec runs serially, unbudgeted, uncancellable — exactly
-// the pre-hardening behaviour.
+// cap and the grain that size its parallel sections (workers), the
+// operation's budget transaction (nil = unlimited), and the cancellation
+// probe (nil = never canceled; returns ErrCanceled-compatible errors). The
+// zero Exec runs serially, unbudgeted, uncancellable — exactly the
+// pre-hardening behaviour.
 type Exec struct {
 	Threads int
-	Tx      *BudgetTx
-	Cancel  func() error
+	// Grain is the minimum work per worker; zero means DefaultGrain, so an
+	// Exec built from a thread count alone forks where the library does.
+	Grain  int
+	Tx     *BudgetTx
+	Cancel func() error
 	// Route, when non-nil, receives the route the kernel planned and ran.
-	// The grb layer sets it only while an observability sink is active.
+	// The grb layer sets it where it has an op event to label.
 	Route *Route
 }
 
-// note publishes the kernel's route to an observing caller.
+// note publishes the kernel's route to an observing caller, beside the
+// worker count its sections have reported.
 func (e Exec) note(rt Route) {
 	if e.Route != nil {
+		rt.Workers = e.Route.Workers
 		*e.Route = rt
 	}
 }
 
-// threads returns the effective worker count (≥ 1).
-func (e Exec) threads() int {
-	if e.Threads < 1 {
-		return 1
+// workers sizes a parallel section: clamp(work/grain, 1, threads), where work
+// is what the section's kernel counts — the stored entries it reads or the
+// products it forms. This is the one place (work, grain, threads) becomes a
+// worker count; the section splits into that many ranges and parallel.Run
+// gives each a goroutine, the caller's among them. An observing caller reads
+// the kernel's widest section from Route.Workers.
+func (e Exec) workers(work int) int {
+	grain := e.Grain
+	if grain < 1 {
+		grain = DefaultGrain
 	}
-	return e.Threads
+	w := max(1, min(work/grain, e.Threads))
+	if e.Route != nil && w > e.Route.Workers {
+		e.Route.Workers = w
+	}
+	return w
 }
 
 // Close releases the budget transaction; call it when the operation that
@@ -422,6 +448,9 @@ func degradeThreads(e Exec, threads int, perWorkerBytes int64) int {
 	}
 	if threads != orig {
 		budgetDegrades.Add(1)
+		if e.Route != nil {
+			e.Route.Workers = threads
+		}
 	}
 	return threads
 }

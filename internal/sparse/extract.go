@@ -6,7 +6,7 @@ package sparse
 // unsorted, per the C spec. Returns ErrIndexOutOfBounds on invalid indices.
 // A panic inside the fan-out (a faulty user operator, an injected fault)
 // parks as an error instead of crossing the API boundary.
-func ExtractM[T any](a *CSR[T], rows, cols []int, threads int) (out *CSR[T], err error) {
+func ExtractM[T any](a *CSR[T], rows, cols []int, e Exec) (out *CSR[T], err error) {
 	defer recoverExec(&err)
 	outRows := a.Rows
 	if rows != nil {
@@ -27,7 +27,7 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, threads int) (out *CSR[T], err
 		}
 	}
 	colPtr, colPos := invertList(cols, a.Cols)
-	return rowwise(outRows, outCols, threads,
+	return rowwise(outRows, outCols, e.workers(a.NNZ()),
 		func(lo, hi int) int {
 			// A source entry lands once per listed copy of its column.
 			n := 0

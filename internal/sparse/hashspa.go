@@ -13,9 +13,9 @@ import (
 // prefix form feeds parallel.BalancedRanges directly, so row partitions are
 // balanced by flops rather than by nnz(A), and fptr[i+1]-fptr[i] presizes the
 // hash accumulator exactly.
-func SpGEMMFlops[A, B any](a *CSR[A], b *CSR[B], threads int) []int {
+func SpGEMMFlops[A, B any](a *CSR[A], b *CSR[B], workers int) []int {
 	fptr := make([]int, a.Rows+1)
-	parallel.For(a.Rows, threads, func(lo, hi int) {
+	parallel.For(a.Rows, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ind, _ := a.Row(i)
 			f := 0

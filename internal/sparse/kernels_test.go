@@ -146,7 +146,7 @@ func TestSpGEMMMasked(t *testing.T) {
 				mk := Mask{M: mask, Structural: structural, Complement: comp}
 				got := closureSpGEMM(a, b, mul, add, mk, 2, KernelAuto)
 				full := closureSpGEMM(a, b, mul, add, Mask{}, 1, KernelAuto)
-				want := MaskApplyM(NewCSR[int](n, n), full, mk, true, 1)
+				want := MaskApplyM(NewCSR[int](n, n), full, mk, true, Exec{})
 				if !EqualFunc(got, want, func(a, b int) bool { return a == b }) {
 					t.Fatalf("masked SpGEMM != post-filtered (s=%v c=%v)", structural, comp)
 				}
@@ -226,8 +226,8 @@ func TestEWiseKernels(t *testing.T) {
 		add := func(x, y int) int { return x + y }
 		mul := func(x, y int) int { return x * y }
 		for _, threads := range threadCounts {
-			gotA := EWiseAddM(a, b, add, threads)
-			gotM := EWiseMultM(a, b, mul, threads)
+			gotA := EWiseAddM(a, b, add, par(threads))
+			gotM := EWiseMultM(a, b, mul, par(threads))
 			av, ap := denseOf(a)
 			bv, bp := denseOf(b)
 			sv := make([][]int, m)
@@ -277,7 +277,7 @@ func TestMaskApplyMSemantics(t *testing.T) {
 			for _, comp := range []bool{false, true} {
 				for _, replace := range []bool{false, true} {
 					mk := Mask{M: mask, Structural: structural, Complement: comp}
-					got := MaskApplyM(c, z, mk, replace, 2)
+					got := MaskApplyM(c, z, mk, replace, par(2))
 					if !got.Valid() {
 						t.Fatal("invalid mask result")
 					}
@@ -356,9 +356,9 @@ func TestReduceKernels(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randCSR(rng, 1+rng.Intn(15), 1+rng.Intn(15), 0.4)
 		for _, threads := range threadCounts {
-			rows := ReduceRows(a, add, threads)
-			cols := ReduceCols(a, add, threads)
-			all, ok := ReduceAll(a, add, threads)
+			rows := ReduceRows(a, add, par(threads))
+			cols := ReduceCols(a, add, par(threads))
+			all, ok := ReduceAll(a, add, par(threads))
 			sum := 0
 			rowSums := make([]int, a.Rows)
 			rowAny := make([]bool, a.Rows)
@@ -392,7 +392,7 @@ func TestReduceKernels(t *testing.T) {
 func TestKronSmall(t *testing.T) {
 	a, _ := BuildCSR(2, 2, []int{0, 1}, []int{1, 0}, []int{2, 3}, nil)
 	b, _ := BuildCSR(2, 2, []int{0, 1}, []int{0, 1}, []int{5, 7}, nil)
-	k, err := Kron(a, b, func(x, y int) int { return x * y }, 2)
+	k, err := Kron(a, b, func(x, y int) int { return x * y }, par(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestKronOverflow(t *testing.T) {
 			&CSR[int]{Rows: 3, Cols: 1, Ptr: nil}},
 	}
 	for _, tc := range cases {
-		if _, err := Kron(tc.a, tc.b, mul, 2); err != ErrTooLarge {
+		if _, err := Kron(tc.a, tc.b, mul, par(2)); err != ErrTooLarge {
 			t.Fatalf("%s: err = %v, want ErrTooLarge", tc.name, err)
 		}
 	}
@@ -463,7 +463,7 @@ func TestExtractMAgainstDense(t *testing.T) {
 		for k := range cols {
 			cols[k] = rng.Intn(n)
 		}
-		got, err := ExtractM(a, rows, cols, 2)
+		got, err := ExtractM(a, rows, cols, par(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -610,7 +610,7 @@ func TestSelectAndApplyKernels(t *testing.T) {
 	a := randCSR(rng, 12, 9, 0.5)
 	for _, threads := range threadCounts {
 		// select strict upper
-		sel := SelectM(a, func(v int, i, j int, s int) bool { return j > i+s }, 0, threads)
+		sel := SelectM(a, func(v int, i, j int, s int) bool { return j > i+s }, 0, par(threads))
 		if !sel.Valid() {
 			t.Fatal("invalid select")
 		}
@@ -623,12 +623,12 @@ func TestSelectAndApplyKernels(t *testing.T) {
 			}
 		}
 		// select ∪ complement-select partitions the input
-		other := SelectM(a, func(v int, i, j int, s int) bool { return j <= i+s }, 0, threads)
+		other := SelectM(a, func(v int, i, j int, s int) bool { return j <= i+s }, 0, par(threads))
 		if sel.NNZ()+other.NNZ() != a.NNZ() {
 			t.Fatal("select does not partition")
 		}
 		// apply doubles values, preserves pattern
-		app := ApplyM(a, func(v int) int { return 2 * v }, threads)
+		app := ApplyM(a, func(v int) int { return 2 * v }, par(threads))
 		if app.NNZ() != a.NNZ() {
 			t.Fatal("apply changed pattern")
 		}
@@ -638,7 +638,7 @@ func TestSelectAndApplyKernels(t *testing.T) {
 			}
 		}
 		// index apply sees correct coordinates
-		idx := ApplyIndexM(a, func(v int, i, j int, s int) int { return i*1000 + j }, 0, threads)
+		idx := ApplyIndexM(a, func(v int, i, j int, s int) int { return i*1000 + j }, 0, par(threads))
 		for i := 0; i < a.Rows; i++ {
 			ind, val := idx.Row(i)
 			for k := range ind {

@@ -111,11 +111,11 @@ func maskTest(ind []int, val []bool, structural bool, j int, k *int) bool {
 // accum means Z = T (the operation result replaces C entirely, before
 // masking). This is the standard "accumulator step" of every GraphBLAS
 // operation.
-func AccumMergeM[T any](c, t *CSR[T], accum func(T, T) T, threads int) *CSR[T] {
+func AccumMergeM[T any](c, t *CSR[T], accum func(T, T) T, e Exec) *CSR[T] {
 	if accum == nil {
 		return t
 	}
-	return EWiseAddM(c, t, accum, threads)
+	return EWiseAddM(c, t, accum, e)
 }
 
 // AccumMergeV is the vector analogue of AccumMergeM: the same union merge
@@ -136,7 +136,7 @@ func AccumMergeV[T any](c, t *Vec[T], accum func(T, T) T) *Vec[T] {
 // deleted. With a nil mask (and mask.Complement false) the result is simply
 // Z. This single kernel implements the replace/merge × structure ×
 // complement descriptor matrix semantics shared by all operations.
-func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, threads int) *CSR[T] {
+func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, e Exec) *CSR[T] {
 	if mask.M == nil && !mask.Complement {
 		return z
 	}
@@ -149,7 +149,7 @@ func MaskApplyM[T any](c, z *CSR[T], mask Mask, replace bool, threads int) *CSR[
 	}
 	// Admitted positions take Z's entries; rejected ones keep C's, unless
 	// replace deletes them: then C is not read at all.
-	return rowwise(c.Rows, c.Cols, threads,
+	return rowwise(c.Rows, c.Cols, e.workers(c.NNZ()+z.NNZ()),
 		func(lo, hi int) int {
 			if replace {
 				return z.span(lo, hi)

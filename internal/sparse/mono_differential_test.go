@@ -145,12 +145,12 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 			for _, mv := range vmaskVariants(rng, rows) {
 				for _, threads := range []int{1, 4} {
 					for _, hint := range []Kernel{KernelAuto, KernelDense} {
-						clos, err := SpMVSemiEx(SemiGeneric, SpecGeneric, a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
+						clos, err := SpMVSemiEx(SemiGeneric, SpecGeneric, a, fv.vec, mul, add, mv.mask, par(threads), hint)
 						if err != nil {
 							t.Fatalf("pull closure %s/%s: %v", fv.name, mv.name, err)
 						}
 						for _, spec := range specModes {
-							got, err := SpMVSemiEx(semi, spec.spec, a, fv.vec, mul, add, mv.mask, Exec{Threads: threads}, hint)
+							got, err := SpMVSemiEx(semi, spec.spec, a, fv.vec, mul, add, mv.mask, par(threads), hint)
 							if err != nil {
 								t.Fatalf("pull %s %s/%s: %v", spec.name, fv.name, mv.name, err)
 							}
@@ -165,12 +165,12 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, fv := range vecDensities(rng, rows, mk) {
 			for _, mv := range vmaskVariants(rng, cols) {
 				for _, threads := range []int{1, 4} {
-					clos, err := VxMSemiEx(SemiGeneric, SpecGeneric, fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
+					clos, err := VxMSemiEx(SemiGeneric, SpecGeneric, fv.vec, a, mul, add, mv.mask, par(threads))
 					if err != nil {
 						t.Fatalf("push closure %s/%s: %v", fv.name, mv.name, err)
 					}
 					for _, spec := range specModes {
-						got, err := VxMSemiEx(semi, spec.spec, fv.vec, a, mul, add, mv.mask, Exec{Threads: threads})
+						got, err := VxMSemiEx(semi, spec.spec, fv.vec, a, mul, add, mv.mask, par(threads))
 						if err != nil {
 							t.Fatalf("push %s %s/%s: %v", spec.name, fv.name, mv.name, err)
 						}
@@ -201,12 +201,12 @@ func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, mv := range maskVariants(maskM) {
 			for _, threads := range []int{1, 4} {
 				for _, hint := range []Kernel{KernelAuto, KernelDense, KernelHash} {
-					clos, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
+					clos, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, mv.mask, par(threads), hint)
 					if err != nil {
 						t.Fatalf("mxm closure %s: %v", mv.name, err)
 					}
 					for _, spec := range specModes {
-						got, err := SpGEMMSemiEx(semi, spec.spec, a, b, mul, add, mv.mask, Exec{Threads: threads}, hint)
+						got, err := SpGEMMSemiEx(semi, spec.spec, a, b, mul, add, mv.mask, par(threads), hint)
 						if err != nil {
 							t.Fatalf("mxm %s %s: %v", spec.name, mv.name, err)
 						}
@@ -304,7 +304,7 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 			for _, threads := range []int{1, 4} {
 				clos := closureSpMV(a, u, mul, add, mv.mask, threads, KernelAuto)
 				for _, spec := range specModes {
-					got, err := SpMVSemiEx(SemiPlusTimes, spec.spec, a, u, mul, add, mv.mask, Exec{Threads: threads}, KernelAuto)
+					got, err := SpMVSemiEx(SemiPlusTimes, spec.spec, a, u, mul, add, mv.mask, par(threads), KernelAuto)
 					if err != nil {
 						t.Fatalf("full %s/%s: %v", spec.name, mv.name, err)
 					}
@@ -358,11 +358,11 @@ func TestMonoRoutingGates(t *testing.T) {
 		a := tc.a
 		var rt Route
 		ResetKernelCounts()
-		got, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Route: &rt}, KernelAuto)
+		got, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Grain: 1, Route: &rt}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt != tc.want {
+		if tc.want.Workers = 2; rt != tc.want {
 			t.Fatalf("%s: route %+v, want %+v", tc.name, rt, tc.want)
 		}
 		mono, closure := MonoCounts()
@@ -394,7 +394,7 @@ func TestMonoRoutingGates(t *testing.T) {
 	mulM := func(a, b myF) myF { return a * b }
 	addM := func(a, b myF) myF { return a + b }
 	ResetKernelCounts()
-	got, err := SpMVSemiEx(SemiPlusTimes, SpecMono, am, um, mulM, addM, VMask{}, Exec{Threads: 2}, KernelAuto)
+	got, err := SpMVSemiEx(SemiPlusTimes, SpecMono, am, um, mulM, addM, VMask{}, par(2), KernelAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,6 +129,9 @@ type Route struct {
 	HashMask  bool // vector mask compiled to a hash predicate, not an O(n) bitmap
 	MaskFirst bool // matrix product: the mask admits columns before the products, not after
 	Reason    Reason
+	// Workers is how many goroutines the kernel's widest parallel section
+	// ran on (Exec.workers); the planner leaves it zero.
+	Workers int
 }
 
 // MatVecLabel names a matrix-vector route for the kernel event.

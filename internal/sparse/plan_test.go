@@ -1,6 +1,11 @@
 package sparse
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"unsafe"
+)
 
 // TestPlan is the routing policy as one table: every statistics-, pin- or
 // budget-driven branch between two kernel paths, with the route it must yield
@@ -250,6 +255,146 @@ func TestPlan(t *testing.T) {
 		if r.Budget() != want {
 			t.Errorf("reason %q: Budget() = %v", r, r.Budget())
 		}
+	}
+}
+
+// TestWorkers is the fork rule as a table — clamp(work/grain, 1, threads),
+// the zero grain meaning DefaultGrain — with the budget's thread halving on
+// top of it, and what an observing caller reads back.
+func TestWorkers(t *testing.T) {
+	t.Parallel()
+	const g = DefaultGrain
+	for _, tc := range []struct {
+		name                 string
+		work, grain, threads int
+		want                 int
+	}{
+		{"no work", 0, 0, 4, 1},
+		{"a grain less one", g - 1, 0, 4, 1},
+		{"one grain is one worker's", g, 0, 4, 1},
+		{"two grains less one", 2*g - 1, 0, 4, 1},
+		{"two grains are two workers'", 2 * g, 0, 4, 2},
+		{"three grains, two threads", 3 * g, 0, 2, 2},
+		{"three grains, four threads", 3 * g, 0, 4, 3},
+		{"huge work is capped by the threads", math.MaxInt, 0, 4, 4},
+		{"huge work, one thread", math.MaxInt, 0, 1, 1},
+		{"the zero Exec is serial", math.MaxInt, 0, 0, 1},
+		{"an explicit grain replaces the default", 250, 100, 4, 2},
+		{"grain 1 forks a toy input", 3, 1, 4, 3},
+		{"a huge grain never forks", math.MaxInt, math.MaxInt, 4, 1},
+		{"a negative grain reads as the default", 2 * g, -5, 4, 2},
+	} {
+		var rt Route
+		e := Exec{Threads: tc.threads, Grain: tc.grain, Route: &rt}
+		if got := e.workers(tc.work); got != tc.want || rt.Workers != tc.want {
+			t.Errorf("%s: workers(%d) at grain %d, %d threads = %d (reported %d), want %d",
+				tc.name, tc.work, tc.grain, tc.threads, got, rt.Workers, tc.want)
+		}
+	}
+
+	// The widest section is what a kernel reports, and note keeps it.
+	var rt Route
+	e := Exec{Threads: 4, Grain: 10, Route: &rt}
+	e.workers(30)
+	e.workers(10)
+	e.note(Route{Push: true})
+	if want := (Route{Push: true, Workers: 3}); rt != want {
+		t.Errorf("after sections of 3 and 1 workers the route reads %+v, want %+v", rt, want)
+	}
+
+	// Budget-degraded: four workers' scratch does not fit, two workers' does;
+	// the report follows the halving.
+	degradesBefore, _ := HardeningCounts()
+	e.Tx = NewBudget(250).Tx()
+	if got := degradeThreads(e, e.workers(1000), 100); got != 2 || rt.Workers != 2 {
+		t.Errorf("4 workers x 100 B under a 250 B budget degraded to %d (reported %d), want 2", got, rt.Workers)
+	}
+	if degrades, _ := HardeningCounts(); degrades != degradesBefore+1 {
+		t.Errorf("the halving counted %d degrades, want 1", degrades-degradesBefore)
+	}
+}
+
+// TestForkIsSizedByCountedWork pins what each scaffold counts as its work, on
+// the cases where a guess made outside the kernel went wrong.
+func TestForkIsSizedByCountedWork(t *testing.T) {
+	mul := func(x, y int) int { return x * y }
+	add := func(x, y int) int { return x + y }
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+
+	// Push: the frontier's products, not its entries and not nnz(A). Two
+	// frontier vertices with ten edges between them are one worker's at any
+	// thread count, so one SPA is made, where the clamp by frontier entries
+	// made two.
+	n := 4096
+	a := sprayCSR(rng, n, n, 5*n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
+	u := &Vec[int]{N: n, Ind: []int{3, 77}, Val: []int{1, 1}}
+	var rt Route
+	ResetKernelCounts()
+	if _, err := VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, VMask{}, Exec{Threads: 4, Route: &rt}); err != nil {
+		t.Fatal(err)
+	}
+	oneSPA := int64(n) * int64(unsafe.Sizeof(int(0))+1)
+	if got := ScratchBytes(); got != oneSPA || rt.Workers != 1 {
+		t.Errorf("a 2-vertex frontier at 4 threads: %d B of scratch on %d workers, want one %d B SPA on 1",
+			got, rt.Workers, oneSPA)
+	}
+	// ... and at a grain its products do cover, every frontier entry can have
+	// a worker.
+	if _, err := VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ScratchBytes() - oneSPA; got != 2*oneSPA {
+		t.Errorf("the same frontier at grain 1: %d B of scratch, want two SPAs", got)
+	}
+
+	// Pull under a mask that lists its rows: the listed rows' entries, however
+	// many the matrix has.
+	few := &Vec[bool]{N: n, Ind: []int{1, 2, 3}, Val: []bool{true, true, true}}
+	full := fullVec(rng, n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
+	lookups := a.span(1, 4)
+	for _, tc := range []struct{ grain, want int }{{lookups, 1}, {lookups / 2, 2}, {a.NNZ() / 4, 1}} {
+		rt = Route{}
+		e := Exec{Threads: 4, Grain: tc.grain, Route: &rt}
+		if _, err := SpMVSemiEx(SemiGeneric, SpecAuto, a, full, mul, add, VMask{M: few, Structural: true}, e, KernelAuto); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Workers != tc.want {
+			t.Errorf("a pull of %d listed entries at grain %d ran on %d workers, want %d", lookups, tc.grain, rt.Workers, tc.want)
+		}
+	}
+	// Unmasked it is all of A.
+	rt = Route{}
+	if _, err := SpMVSemiEx(SemiGeneric, SpecAuto, a, full, mul, add, VMask{}, Exec{Threads: 4, Grain: a.NNZ() / 3, Route: &rt}, KernelAuto); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Workers != 3 {
+		t.Errorf("an unmasked pull of 3 grains ran on %d workers, want 3", rt.Workers)
+	}
+
+	// Kron: nnz(A)·nnz(B) as the kernel's checked multiply has it — formed
+	// outside, in plain int arithmetic, it wrapped to 0 for two 2³²-entry
+	// operands and sized the product at one thread by accident.
+	x := sprayCSR(rng, 8, 8, 20, func(r *rand.Rand) int { return 1 })
+	y := sprayCSR(rng, 8, 8, 30, func(r *rand.Rand) int { return 1 })
+	for _, tc := range []struct{ grain, want int }{{x.NNZ() * y.NNZ(), 1}, {x.NNZ() * y.NNZ() / 2, 2}, {x.NNZ() + y.NNZ(), 4}} {
+		rt = Route{}
+		if _, err := Kron(x, y, mul, Exec{Threads: 4, Grain: tc.grain, Route: &rt}); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Workers != tc.want {
+			t.Errorf("a Kronecker product of %d entries at grain %d ran on %d workers, want %d",
+				x.NNZ()*y.NNZ(), tc.grain, rt.Workers, tc.want)
+		}
+	}
+
+	// SpGEMM: the symbolic pass by nnz(A), the numeric pass by its flops.
+	fl := SpGEMMFlops(a, a, 1)[a.Rows]
+	rt = Route{}
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, a, mul, add, Mask{}, Exec{Threads: 4, Grain: fl / 2, Route: &rt}, KernelAuto); err != nil {
+		t.Fatal(err)
+	}
+	if fl < 2*a.NNZ() || rt.Workers != 2 {
+		t.Errorf("a product of %d flops over %d entries at grain %d ran on %d workers, want 2", fl, a.NNZ(), fl/2, rt.Workers)
 	}
 }
 

@@ -90,10 +90,10 @@ func TestSpGEMMDistributesOverEWiseAdd(t *testing.T) {
 		a := randCSR(rng, m, k, 0.4)
 		b := randCSR(rng, k, n, 0.4)
 		c := randCSR(rng, k, n, 0.4)
-		left := closureSpGEMM(a, EWiseAddM(b, c, add, 1), mul, add, Mask{}, 2, KernelAuto)
+		left := closureSpGEMM(a, EWiseAddM(b, c, add, Exec{}), mul, add, Mask{}, 2, KernelAuto)
 		right := EWiseAddM(
 			closureSpGEMM(a, b, mul, add, Mask{}, 2, KernelAuto),
-			closureSpGEMM(a, c, mul, add, Mask{}, 2, KernelAuto), add, 2)
+			closureSpGEMM(a, c, mul, add, Mask{}, 2, KernelAuto), add, par(2))
 		return EqualFunc(left, right, func(x, y int) bool { return x == y })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -130,8 +130,8 @@ func TestMaskApplyIdempotent(t *testing.T) {
 		c := randCSR(rng, m, n, 0.4)
 		z := randCSR(rng, m, n, 0.4)
 		mask := Mask{M: randBoolCSR(rng, m, n, 0.5), Structural: rng.Intn(2) == 0}
-		once := MaskApplyM(c, z, mask, true, 2)
-		twice := MaskApplyM(c, once, mask, true, 2)
+		once := MaskApplyM(c, z, mask, true, par(2))
+		twice := MaskApplyM(c, once, mask, true, par(2))
 		return EqualFunc(once, twice, func(x, y int) bool { return x == y })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -54,7 +54,7 @@ func diffPullAccum[T comparable](t *testing.T, rng *rand.Rand, semi Semi, mul, a
 						}
 						for _, spec := range specModes {
 							label := semi.String() + "/" + tc.name + "/" + mv.name + "/" + route.name + "/" + spec.name
-							e := Exec{Threads: threads}
+							e := par(threads)
 							want, err := SpMVSemiEx(semi, spec.spec, a, tc.u, mul, add, mv.mask, e, route.hint)
 							if err != nil {
 								t.Fatal(err)
@@ -125,7 +125,7 @@ func TestPullAccumPanickingAccumulator(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		calls.Store(0)
 		z, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, a, c, func(x, y float64) float64 { return x * y },
-			func(x, y float64) float64 { return x + y }, VMask{}, c, boom, Exec{Threads: threads}, KernelAuto)
+			func(x, y float64) float64 { return x + y }, VMask{}, c, boom, par(threads), KernelAuto)
 		if z != nil || !errors.Is(err, ErrKernelPanic) {
 			t.Fatalf("threads=%d: z=%v err=%v, want a recovered kernel panic", threads, z, err)
 		}

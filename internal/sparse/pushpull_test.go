@@ -178,7 +178,7 @@ func TestChoosePushRouting(t *testing.T) {
 	add := func(x, y int) int { return x + y }
 	dispatch := func(mask VMask) (*Vec[int], Route) {
 		var rt Route
-		e := Exec{Threads: 2, Route: &rt}
+		e := Exec{Threads: 2, Grain: 1, Route: &rt}
 		var out *Vec[int]
 		var err error
 		if ChoosePush(u.NNZ(), n, mask, n) {
@@ -202,7 +202,7 @@ func TestChoosePushRouting(t *testing.T) {
 	if push, pull := DirectionCounts(); push != 0 || pull != 1 || rt.Push {
 		t.Fatalf("sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
 	}
-	if want := (Route{Acc: AccHash, Reason: ReasonFewProbes}); rt != want {
+	if want := (Route{Acc: AccHash, Reason: ReasonFewProbes, Workers: 2}); rt != want {
 		t.Fatalf("sparse mask: pull route %+v, want %+v", rt, want)
 	}
 	identicalVec(t, "masked pull vs filtered push", pulled, MaskApplyV(NewVec[int](n), pushed, VMask{M: sparseMask}, true))

@@ -194,20 +194,21 @@ func gatherRun[T any](ind []int, val []T, a run[T], ptr, pos []int) ([]int, []T)
 }
 
 // rowwise builds a rows×cols matrix one row at a time: emit appends row i to
-// the output it is handed. Rows are split into at most threads ranges; each
-// range fills one buffer allocated once at bound(lo, hi), an upper bound on
-// what rows [lo, hi) emit, and installStitched assembles them. It is the one
+// the output it is handed. Rows are split into at most workers ranges — the
+// caller sizes them by the entries it reads (Exec.workers); each range fills
+// one buffer allocated once at bound(lo, hi), an upper bound on what rows
+// [lo, hi) emit, and installStitched assembles them. It is the one
 // row-parallel scaffold of the element-wise kernels; emit runs concurrently
-// for different rows, and a panic in it reaches the caller (from a worker, as
-// parallel.WorkerPanic).
-func rowwise[T any](rows, cols, threads int, bound func(lo, hi int) int,
+// for different rows, and a panic in it reaches the caller (from a forked
+// section, as parallel.WorkerPanic).
+func rowwise[T any](rows, cols, workers int, bound func(lo, hi int) int,
 	emit func(i int, ind []int, val []T) ([]int, []T)) *CSR[T] {
 	out := NewCSR[T](rows, cols)
-	parts := parallel.Ranges(rows, threads)
+	parts := parallel.Ranges(rows, workers)
 	pInd := make([][]int, len(parts)-1)
 	pVal := make([][]T, len(parts)-1)
 	rowLen := make([]int, rows)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
+	parallel.Run(parts, workers, func(part, lo, hi int) {
 		ind, val := makeRun[T](bound(lo, hi))
 		for i := lo; i < hi; i++ {
 			start := len(ind)

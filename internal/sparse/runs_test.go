@@ -36,10 +36,10 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 				a, b := p.a, p.b
 				A, B := oneRow(a), oneRow(b)
 				minus := ops[1].f
-				identicalVec(t, "EWiseAdd/"+tag, EWiseAddV(a, b, minus), row0(EWiseAddM(A, B, minus, threads)))
-				identicalVec(t, "EWiseMult/"+tag, EWiseMultV(a, b, minus), row0(EWiseMultM(A, B, minus, threads)))
+				identicalVec(t, "EWiseAdd/"+tag, EWiseAddV(a, b, minus), row0(EWiseAddM(A, B, minus, par(threads))))
+				identicalVec(t, "EWiseMult/"+tag, EWiseMultV(a, b, minus), row0(EWiseMultM(A, B, minus, par(threads))))
 				keep := func(v, i, j, s int) bool { return (v+i+j+s)%3 != 0 } // a vector index arrives as i, a column as j
-				identicalVec(t, "Select/"+tag, SelectV(a, keep, 1), row0(SelectM(A, keep, 1, threads)))
+				identicalVec(t, "Select/"+tag, SelectV(a, keep, 1), row0(SelectM(A, keep, 1, par(threads))))
 				for _, size := range []int{0, n / 2, n, n + 3} {
 					identicalVec(t, fmt.Sprintf("Resize(%d)/%s", size, tag), a.Resize(size), row0(A.Resize(1, size)))
 				}
@@ -84,7 +84,7 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 						identicalVec(t, "AssignScalar"+what, gotV, row0(gotM))
 					}
 					identicalVec(t, "AccumMerge/"+tag+"/"+op.name,
-						AccumMergeV(a, b, op.f), row0(AccumMergeM(A, B, op.f, threads)))
+						AccumMergeV(a, b, op.f), row0(AccumMergeM(A, B, op.f, par(threads))))
 				}
 
 				for _, mask := range writeBackMasks(rng, n) {
@@ -94,7 +94,7 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 					}
 					for _, replace := range []bool{false, true} {
 						identicalVec(t, fmt.Sprintf("MaskApply/%s/%s/replace=%v", tag, describeMask(mask), replace),
-							MaskApplyV(a, b, mask, replace), row0(MaskApplyM(A, B, mm, replace, threads)))
+							MaskApplyV(a, b, mask, replace), row0(MaskApplyM(A, B, mm, replace, par(threads))))
 					}
 				}
 			}
@@ -147,7 +147,7 @@ func TestExtractMAllocations(t *testing.T) {
 			rows = cols
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := ExtractM(a, rows, cols, 1); err != nil {
+			if _, err := ExtractM(a, rows, cols, Exec{}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -84,8 +84,8 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 	} else {
 		rowLoop = nil
 	}
-	threads := e.threads()
-	fptr := SpGEMMFlops(a, b, threads)
+	fptr := SpGEMMFlops(a, b, e.workers(a.NNZ())) // the symbolic pass reads A
+	threads := e.workers(fptr[a.Rows])            // the products the ranges will form
 	slot := slotBytes[C]()
 	denseBytes := int64(b.Cols) * slot
 	if e.Tx != nil && threads > 1 {
@@ -405,7 +405,7 @@ func CheckedMul(x, y int) (int, bool) {
 // ErrTooLarge before allocating anything (the grb layer maps this onto
 // GrB_OUT_OF_MEMORY). A panic inside the fan-out (a faulty multiply
 // operator) parks as an error instead of crossing the API boundary.
-func Kron[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, threads int) (out *CSR[C], err error) {
+func Kron[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, e Exec) (out *CSR[C], err error) {
 	defer recoverExec(&err)
 	rows, okR := CheckedMul(a.Rows, b.Rows)
 	cols, okC := CheckedMul(a.Cols, b.Cols)
@@ -424,7 +424,7 @@ func Kron[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, threads int) (out
 		ia, ib := i/b.Rows, i%b.Rows
 		out.Ptr[i+1] = out.Ptr[i] + (a.Ptr[ia+1]-a.Ptr[ia])*(b.Ptr[ib+1]-b.Ptr[ib])
 	}
-	parallel.For(rows, threads, func(lo, hi int) {
+	parallel.For(rows, e.workers(nnz), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ia, ib := i/b.Rows, i%b.Rows
 			aInd, aVal := a.Row(ia)

@@ -48,7 +48,7 @@ func diffMaskedSpGEMM[T, C comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		}
 		// Outside the product's pattern only: the complement of it, thinned.
 		outside := sprayCSR(rng, n, n, 4*n, yes)
-		outside = MaskApplyM(outside, NewCSR[bool](n, n), Mask{M: boolCSR(unmasked), Structural: true}, false, 1)
+		outside = MaskApplyM(outside, NewCSR[bool](n, n), Mask{M: boolCSR(unmasked), Structural: true}, false, Exec{})
 		full := NewCSR[bool](n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -73,12 +73,12 @@ func diffMaskedSpGEMM[T, C comparable](t *testing.T, rng *rand.Rand, semi Semi,
 			{"no entries", Mask{M: NewCSR[bool](n, n)}},
 		}
 		for _, mv := range masks {
-			want := MaskApplyM(NewCSR[C](n, n), unmasked, mv.mask, true, 1)
+			want := MaskApplyM(NewCSR[C](n, n), unmasked, mv.mask, true, Exec{})
 			for _, hint := range []Kernel{KernelAuto, KernelDense, KernelHash} {
 				for _, spec := range []Spec{SpecAuto, SpecGeneric} {
 					for _, threads := range []int{1, 2, 4} {
 						var rt Route
-						got, err := SpGEMMSemiEx(semi, spec, a, b, mul, add, mv.mask, Exec{Threads: threads, Route: &rt}, hint)
+						got, err := SpGEMMSemiEx(semi, spec, a, b, mul, add, mv.mask, Exec{Threads: threads, Grain: 1, Route: &rt}, hint)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -179,7 +179,7 @@ func TestSpGEMMEmitSortVsScan(t *testing.T) {
 		}
 		for _, spec := range []Spec{SpecAuto, SpecGeneric} {
 			for _, threads := range []int{1, 3} {
-				got, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, mask, Exec{Threads: threads}, KernelDense)
+				got, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, mask, par(threads), KernelDense)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -209,7 +209,7 @@ func TestSpGEMMAllocationPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}); rt != want {
+	if want := (Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst, Workers: 1}); rt != want {
 		t.Fatalf("masked A·A took route %+v, want %+v", rt, want)
 	}
 	if cap(got.Ind) != mask.M.NNZ() || cap(got.Val) != mask.M.NNZ() {
@@ -293,12 +293,12 @@ func TestMaskFirstHitBuffer(t *testing.T) {
 		valued.Val[k] = rng.Intn(2) == 0
 	}
 	for _, mask := range []Mask{{M: valued}, {M: valued, Structural: true}} {
-		want := MaskApplyM(NewCSR[float64](n, cols), unmasked, mask, true, 1)
+		want := MaskApplyM(NewCSR[float64](n, cols), unmasked, mask, true, Exec{})
 		identicalCSR(t, "hash", closureSpGEMM(a, b, mul, add, mask, 1, KernelHash), want)
 		for _, threads := range []int{1, 2, 4} {
 			var rt Route
 			ResetKernelCounts()
-			got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, mask, Exec{Threads: threads, Route: &rt}, KernelAuto)
+			got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, mask, Exec{Threads: threads, Grain: 1, Route: &rt}, KernelAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,11 +391,11 @@ func TestMaskedSpGEMMReportsWhatRan(t *testing.T) {
 	} {
 		var rt Route
 		ResetKernelCounts()
-		got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, tc.mask, Exec{Threads: 2, Route: &rt}, KernelAuto)
+		got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, tc.mask, Exec{Threads: 2, Grain: 1, Route: &rt}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rt != tc.want {
+		if tc.want.Workers = 2; rt != tc.want {
 			t.Fatalf("%s: route %+v, want %+v", tc.name, rt, tc.want)
 		}
 		if mono, closure := MonoCounts(); (mono == 1) != rt.Family || mono+closure != 1 {

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"slices"
 	"unsafe"
 
@@ -60,7 +61,6 @@ const accumBlock = 1024
 func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
 	mask VMask, c *Vec[Y], accum func(Y, Y) Y, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
-	threads := e.threads()
 	pullCalls.Add(1)
 	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](&spmvLoops, semi, spec)
 	viewBytes := u.viewBytes()
@@ -69,9 +69,16 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 		viewCost = 0
 	}
 	hashBytes := lookupBytes(u)
+	// The planner only asks whether the work reaches u.N/hashCut; its lookups
+	// size the fork, so where there are threads to share them all are counted.
+	cut := u.N / hashCut
+	if e.Threads > 1 {
+		cut = math.MaxInt
+	}
 	in := planIn{hint: hint, spec: spec, hasLoop: rows != nil, width: u.N, outDim: a.Rows,
-		work:      gatherWork(a.Ptr, u.NNZ(), mask, u.N/hashCut),
+		work:      gatherWork(a.Ptr, u.NNZ(), mask, cut),
 		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
+	threads := e.workers(in.work - u.NNZ())
 	if mask.M != nil {
 		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Rows, viewCost)
 	}
@@ -277,19 +284,18 @@ func stitchVec[T any](n int, parts []run[T]) *Vec[T] {
 func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
-	threads := e.threads()
 	pushCalls.Add(1)
 	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) []int](&vxmLoops, semi, spec)
 	nu := u.NNZ()
-	if threads > nu {
-		threads = nu
-	}
-	if threads < 1 {
-		threads = 1
+	// The frontier's products size the fork (each worker pays an a.Cols-wide
+	// SPA before its first one), counted where there are threads to share them.
+	products := 0
+	if e.Threads > 1 {
+		products = listedWork(a.Ptr, u.Ind, 0, math.MaxInt)
 	}
 	var zero Y
 	spaBytes := int64(a.Cols) * int64(unsafe.Sizeof(zero)+1)
-	threads = degradeThreads(e, threads, spaBytes)
+	threads := degradeThreads(e, e.workers(products), spaBytes)
 	in := planIn{spec: spec, hasLoop: scatter != nil, outDim: a.Cols}
 	if mask.M != nil {
 		in.work = listedWork(a.Ptr, u.Ind, mask.M.NNZ(), a.Cols/hashCut)
@@ -366,7 +372,7 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 		}
 		patterns[part] = pattern
 	})
-	return reduceSpas(a.Cols, threads, spas, marks, patterns, add), nil
+	return reduceSpas(a.Cols, spas, marks, patterns, add), nil
 }
 
 // reduceSpas combines the push kernel's per-worker scatter SPAs into one
@@ -379,7 +385,7 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 //     parallelizes instead of serializing behind worker 0.
 //   - sparse: the classic sequential pattern merge into worker 0's SPA,
 //     which is cheap precisely because the patterns are small.
-func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [][]int, add func(Y, Y) Y) *Vec[Y] {
+func reduceSpas[Y any](cols int, spas [][]Y, marks [][]bool, patterns [][]int, add func(Y, Y) Y) *Vec[Y] {
 	nparts := len(spas)
 	totalPat := 0
 	for _, p := range patterns {
@@ -394,9 +400,9 @@ func reduceSpas[Y any](cols, threads int, spas [][]Y, marks [][]bool, patterns [
 		// folds every partition's SPA over it, in ascending partition order
 		// (the same fold order as the sequential merge below). Emission is
 		// in column order by construction, so no final sort is needed.
-		rparts := parallel.Ranges(cols, threads)
+		rparts := parallel.Ranges(cols, nparts)
 		ranges := make([]run[Y], len(rparts)-1)
-		parallel.Run(rparts, threads, func(part, lo, hi int) {
+		parallel.Run(rparts, nparts, func(part, lo, hi int) {
 			n := min(hi-lo, totalPat)
 			ind, val := make([]int, 0, n), make([]Y, 0, n)
 			for j := lo; j < hi; j++ {

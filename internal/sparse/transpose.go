@@ -148,10 +148,10 @@ func Diag[T any](v *Vec[T], k int) *CSR[T] {
 // ReduceRows reduces each row of A with the monoid operation, producing the
 // vector t(i) = ⊕_j A(i,j). Rows with no entries produce no output entry
 // (GraphBLAS reduce-to-vector semantics).
-func ReduceRows[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
-	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
-	sums := make([]run[T], len(parts)-1)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
+func ReduceRows[T any](a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
+	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
+	sums := make([]run[T], len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
+	parallel.Run(parts, len(parts)-1, func(part, lo, hi int) {
 		ind, val := rowBufs[T](a.Ptr, true, lo, hi)
 		for i := lo; i < hi; i++ {
 			_, rv := a.Row(i)
@@ -172,17 +172,17 @@ func ReduceRows[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
 
 // ReduceCols reduces each column of A: t(j) = ⊕_i A(i,j). Implemented by
 // scattering into per-worker accumulators of width A.Cols and merging.
-func ReduceCols[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
-	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
+func ReduceCols[T any](a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
+	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
 	nparts := len(parts) - 1
 	if nparts == 0 {
 		return NewVec[T](a.Cols)
 	}
 	accs := make([][]T, nparts)
 	oks := make([][]bool, nparts)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
-		acc := make([]T, a.Cols)
-		ok := make([]bool, a.Cols)
+	parallel.Run(parts, nparts, func(part, lo, hi int) {
+		acc := make([]T, a.Cols)   //grblint:ignore budgetcheck -- an unbudgeted kernel: its Exec only sizes the fork
+		ok := make([]bool, a.Cols) //grblint:ignore budgetcheck -- as above
 		for i := lo; i < hi; i++ {
 			ind, val := a.Row(i)
 			for k := range ind {
@@ -232,16 +232,16 @@ func ReduceCols[T any](a *CSR[T], add func(T, T) T, threads int) *Vec[T] {
 // ReduceAll reduces every stored entry of A to a single value; ok is false
 // when A has no entries (the GraphBLAS 2.0 Scalar-output reduce returns an
 // empty GrB_Scalar in that case, §VI).
-func ReduceAll[T any](a *CSR[T], add func(T, T) T, threads int) (T, bool) {
+func ReduceAll[T any](a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
 	var zero T
 	if a.NNZ() == 0 {
 		return zero, false
 	}
-	parts := parallel.Ranges(a.NNZ(), threads)
+	parts := parallel.Ranges(a.NNZ(), e.workers(a.NNZ()))
 	nparts := len(parts) - 1
-	partial := make([]T, nparts)
-	has := make([]bool, nparts)
-	parallel.Run(parts, threads, func(part, lo, hi int) {
+	partial := make([]T, nparts) //grblint:ignore budgetcheck -- O(workers)
+	has := make([]bool, nparts)  //grblint:ignore budgetcheck -- O(workers)
+	parallel.Run(parts, nparts, func(part, lo, hi int) {
 		acc := a.Val[lo]
 		for k := lo + 1; k < hi; k++ {
 			acc = add(acc, a.Val[k])

@@ -56,12 +56,12 @@ func (matrixKind[T]) maskFits(mk maskSnap, c *sparse.CSR[T]) error {
 	return nil
 }
 
-func (matrixKind[T]) accumMerge(old, t *sparse.CSR[T], accum func(T, T) T, threads int) *sparse.CSR[T] {
-	return sparse.AccumMergeM(old, t, accum, threads)
+func (matrixKind[T]) accumMerge(old, t *sparse.CSR[T], accum func(T, T) T, e sparse.Exec) *sparse.CSR[T] {
+	return sparse.AccumMergeM(old, t, accum, e)
 }
 
-func (matrixKind[T]) maskApply(old, z *sparse.CSR[T], mk maskSnap, replace bool, threads int) *sparse.CSR[T] {
-	return sparse.MaskApplyM(old, z, mk.matrix(), replace, threads)
+func (matrixKind[T]) maskApply(old, z *sparse.CSR[T], mk maskSnap, replace bool, e sparse.Exec) *sparse.CSR[T] {
+	return sparse.MaskApplyM(old, z, mk.matrix(), replace, e)
 }
 
 // objConfig carries constructor options shared by all object types.

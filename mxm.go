@@ -27,7 +27,6 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 	if cOld.Rows != ar || cOld.Cols != bc {
 		return errf(DimensionMismatch, "MxM: output is %dx%d but product is %dx%d", cOld.Rows, cOld.Cols, ar, bc)
 	}
-	f.work(acsr.NNZ() + bcsr.NNZ())
 	hint := sparse.Kernel(d.AxB)
 	if f.ev != nil {
 		f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
@@ -111,7 +110,6 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 	if wOld.N != outDim {
 		return errf(DimensionMismatch, "%s: output has size %d but product has size %d", op, wOld.N, outDim)
 	}
-	f.work(acsr.NNZ())
 	if f.ev != nil {
 		if mulPull != nil { // MxV: the matrix is the first operand
 			f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(uvec.N, 1, uvec.NNZ())

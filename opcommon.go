@@ -25,7 +25,6 @@ type frame struct {
 	d       Descriptor // desc, with nil read as the default
 	maskArg maskRef
 	mask    maskSnap
-	threads int         // 0 until work sizes the operation
 	ev      *obsv.Event // nil unless a sink is observing
 	label   func(sparse.Route) string
 }
@@ -102,13 +101,6 @@ func (f *frame) ready() error {
 		}
 	}
 	return f.err
-}
-
-// work sizes the operation: the thread count for about n units of work.
-func (f *frame) work(n int) int {
-	f.threads = f.ctx.threadsFor(n)
-	f.ev.WithThreads(f.threads)
-	return f.threads
 }
 
 // indexList validates a caller's index list against [0, n) and returns the
@@ -197,7 +189,7 @@ func AsMaskFunc[T any](m *Matrix[T], pred func(T) bool) (*Matrix[bool], error) {
 	}
 	// Immediate-mode kernel: isolate a panicking predicate (runStep).
 	out, err := runStep("AsMask", func() (*sparse.CSR[bool], error) {
-		return sparse.ApplyM(c, pred, ctx.threadsFor(c.NNZ())), nil
+		return sparse.ApplyM(c, pred, ctx.fork()), nil
 	})
 	if err != nil {
 		return nil, err

@@ -23,13 +23,12 @@ func MatrixReduceToVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryO
 	if _, n := transposedDims(acsr, !byCols); wOld.N != n {
 		return errf(DimensionMismatch, "MatrixReduceToVector: output has size %d but reduction has size %d", wOld.N, n)
 	}
-	f.work(acsr.NNZ())
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ())).WithRoute(route)
 	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
 		if byCols {
-			return sparse.ReduceCols(acsr, monoid.Op, e.Threads), nil
+			return sparse.ReduceCols(acsr, monoid.Op, e), nil
 		}
-		return sparse.ReduceRows(acsr, monoid.Op, e.Threads), nil
+		return sparse.ReduceRows(acsr, monoid.Op, e), nil
 	})
 }
 
@@ -89,9 +88,13 @@ func matrixReduceNow[T any](opName string, ctx *Context, op BinaryOp[T, T, T], a
 		var zero T
 		return zero, false, err
 	}
-	threads := ctx.threadsFor(acsr.NNZ())
-	ev := evKernel(opName).WithThreads(threads).A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
-	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceAll(acsr, op, threads) })
+	ev := evKernel(opName).A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
+	e := ctx.fork()
+	e.Route = new(sparse.Route) // the kernel reports the workers it ran
+	return reduceNow(opName, ev, func() (T, bool) {
+		defer func() { ev.WithThreads(max(1, e.Route.Workers)) }()
+		return sparse.ReduceAll(acsr, op, e)
+	})
 }
 
 // vectorReduceNow reduces u's completed state with op.
@@ -101,7 +104,7 @@ func vectorReduceNow[T any](opName string, op BinaryOp[T, T, T], u *Vector[T]) (
 		var zero T
 		return zero, false, err
 	}
-	ev := evKernel(opName).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
+	ev := evKernel(opName).WithThreads(1).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
 	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceVec(uvec, op) })
 }
 

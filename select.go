@@ -14,8 +14,8 @@ func MatrixSelect[DA, DS any](c *Matrix[DA], mask *Matrix[bool], accum BinaryOp[
 		return errf(NullPointer, "MatrixSelect: nil operator")
 	}
 	return mapMatrix("MatrixSelect", c, mask, accum, a, desc,
-		func(in *sparse.CSR[DA], threads int) *sparse.CSR[DA] {
-			return sparse.SelectM(in, op, s, threads)
+		func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DA] {
+			return sparse.SelectM(in, op, s, e)
 		})
 }
 

@@ -28,8 +28,8 @@ type kind[T any, S storage, U any] interface {
 	mergeTuples(S, []U) (S, error)
 	debugCheck(S)
 	maskFits(maskSnap, S) error
-	accumMerge(old, t S, accum func(T, T) T, threads int) S
-	maskApply(old, z S, mask maskSnap, replace bool, threads int) S
+	accumMerge(old, t S, accum func(T, T) T, e sparse.Exec) S
+	maskApply(old, z S, mask maskSnap, replace bool, e sparse.Exec) S
 }
 
 // maskSnap is a mask operand's completed state plus the descriptor's reading
@@ -80,7 +80,6 @@ type opNode[T any, S storage] struct {
 	// updates — put data in rather than compute; their nodes leave it nil
 	// and run unbudgeted and uncancelled.
 	ctx     *Context
-	threads int
 	old     S // the output's completed state at the call
 	mask    maskSnap
 	replace bool
@@ -232,7 +231,7 @@ func (s *sequence[T, S, U, K]) submit(f *frame, old S, y yield, accum func(T, T)
 		return err
 	}
 	return s.push(f.ctx.Mode(), opNode[T, S]{
-		op: f.op, ev: f.ev, ctx: f.ctx, threads: f.threads, old: old, mask: f.mask,
+		op: f.op, ev: f.ev, ctx: f.ctx, old: old, mask: f.mask,
 		replace: f.d.Replace, accum: accum, yields: y, label: f.label, kernel: kernel,
 	})
 }
@@ -306,9 +305,9 @@ func (s *sequence[T, S, U, K]) materializeLocked() error {
 // allocation per drain.
 func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 	var k K
-	e := n.ctx.exec(n.threads)
-	if n.ev != nil && n.label != nil {
-		e.Route = new(sparse.Route) // the kernel reports its own decision
+	e := n.ctx.exec()
+	if n.ev != nil {
+		e.Route = new(sparse.Route) // the kernel reports its own decisions
 	}
 	x := obsv.Begin(n.ev, s.seq)
 	res, err := runStep(n.op, func() (t S, err error) {
@@ -327,17 +326,20 @@ func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 		}
 		switch n.yields {
 		case yieldsT:
-			t = k.accumMerge(n.old, t, n.accum, n.threads)
+			t = k.accumMerge(n.old, t, n.accum, e)
 			fallthrough
 		case yieldsZ:
-			t = k.maskApply(n.old, t, n.mask, n.replace, n.threads)
+			t = k.maskApply(n.old, t, n.mask, n.replace, e)
 		case yieldsC:
 		}
 		return t, nil
 	})
 	e.Close()
 	if e.Route != nil {
-		n.ev.Route, n.ev.RouteReason = n.label(*e.Route), e.Route.Reason.String()
+		n.ev.WithThreads(max(1, e.Route.Workers)) // a kernel with no parallel section reports none
+		if n.label != nil {
+			n.ev.Route, n.ev.RouteReason = n.label(*e.Route), e.Route.Reason.String()
+		}
 	}
 	out := 0
 	if err == nil {

@@ -23,6 +23,32 @@ type chromeTrace struct {
 	DisplayTimeUnit string `json:"displayTimeUnit"`
 }
 
+// tracedThreads runs f under a writer trace session and returns, per
+// operation name, the "threads" argument of each of its kernel events in
+// emission order: the workers the kernel ran.
+func tracedThreads(t *testing.T, f func()) map[string][]int {
+	t.Helper()
+	if os.Getenv("GRB_TRACE") != "" {
+		t.Skip("GRB_TRACE owns the trace session")
+	}
+	var buf bytes.Buffer
+	ck(TraceTo(&buf))
+	f()
+	ck(StopTrace())
+	var tr chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	out := map[string][]int{}
+	for _, ev := range tr.TraceEvents {
+		if ev.Cat == "kernel" {
+			n, _ := ev.Args["threads"].(float64)
+			out[ev.Name] = append(out[ev.Name], int(n))
+		}
+	}
+	return out
+}
+
 // bfsLevels runs the classic push-pattern BFS (vxm over lor-land, masked by
 // the complement of the visited set) so the trace tests exercise a real
 // multi-step nonblocking workload without importing lagraph (import cycle).

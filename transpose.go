@@ -17,7 +17,6 @@ func Transpose[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	if ar, ac := transposedDims(acsr, !t0); cOld.Rows != ar || cOld.Cols != ac {
 		return errf(DimensionMismatch, "Transpose: output is %dx%d but result is %dx%d", cOld.Rows, cOld.Cols, ar, ac)
 	}
-	f.work(acsr.NNZ())
 	// Route "transpose" with a zero transpose_mats delta at End means the
 	// cached view served the call (cache hit).
 	f.ev.WithRoute("transpose").A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
@@ -48,11 +47,10 @@ func Kronecker[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp
 		return errf(DimensionMismatch, "Kronecker: output is %dx%d but product is %dx%d",
 			cOld.Rows, cOld.Cols, pr, pc)
 	}
-	f.work(acsr.NNZ() * bcsr.NNZ())
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
 		WithFlops(int64(acsr.NNZ()) * int64(bcsr.NNZ()))
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
-		return sparse.Kron(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), op, e.Threads)
+		return sparse.Kron(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), op, e)
 	})
 }
 

@@ -43,11 +43,11 @@ func (vectorKind[T]) maskFits(mk maskSnap, v *sparse.Vec[T]) error {
 	return checkMaskDimsV(mk.V, v.N)
 }
 
-func (vectorKind[T]) accumMerge(old, t *sparse.Vec[T], accum func(T, T) T, _ int) *sparse.Vec[T] {
+func (vectorKind[T]) accumMerge(old, t *sparse.Vec[T], accum func(T, T) T, _ sparse.Exec) *sparse.Vec[T] {
 	return sparse.AccumMergeV(old, t, accum)
 }
 
-func (vectorKind[T]) maskApply(old, z *sparse.Vec[T], mk maskSnap, replace bool, _ int) *sparse.Vec[T] {
+func (vectorKind[T]) maskApply(old, z *sparse.Vec[T], mk maskSnap, replace bool, _ sparse.Exec) *sparse.Vec[T] {
 	return sparse.MaskApplyV(old, z, mk.vector(), replace)
 }
 
