@@ -8,6 +8,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
@@ -29,8 +30,9 @@ type Graph struct {
 	N     int
 	Edges int
 
-	pattern *grb.Matrix[bool]
-	weights *grb.Matrix[float64]
+	pattern  *grb.Matrix[bool]
+	weights  *grb.Matrix[float64]
+	nameJSON []byte // Name as a JSON string, escaped once for every answer
 }
 
 // buildGraph materializes both representations and warms the shared caches
@@ -76,7 +78,8 @@ func buildGraph(name string, n int, i, j []grb.Index, x []float64) (*Graph, erro
 			return nil, fmt.Errorf("graph %q: transpose warmup: %w", name, err)
 		}
 	}
-	return &Graph{Name: name, N: n, Edges: nv, pattern: pattern, weights: weights}, nil
+	nameJSON, _ := json.Marshal(name) // a string always marshals
+	return &Graph{Name: name, N: n, Edges: nv, pattern: pattern, weights: weights, nameJSON: nameJSON}, nil
 }
 
 // LoadMTX reads a Matrix Market file into a served graph. Rectangular

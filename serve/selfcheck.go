@@ -111,7 +111,7 @@ func SelfCheck() error {
 		return err
 	}
 	req.Header.Set("X-Grb-Tenant", "gated")
-	tn := s.tenantFor(req)
+	tn := s.tenantFor(req, req.URL.Query())
 	if !tn.limiter.tryAcquire() {
 		return fmt.Errorf("gated tenant slot unexpectedly busy")
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -116,11 +117,11 @@ func NewServer(graphs []*Graph, cfg Config) *Server {
 	})
 	mux.HandleFunc("/graphs", s.handleGraphs)
 	mux.Handle("/metrics", grb.MetricsHandler())
-	mux.HandleFunc("/query/bfs", s.query("bfs", s.runBFS))
-	mux.HandleFunc("/query/sssp", s.query("sssp", s.runSSSP))
-	mux.HandleFunc("/query/pagerank", s.query("pagerank", s.runPageRank))
-	mux.HandleFunc("/query/triangles", s.query("triangles", s.runTriangles))
-	mux.HandleFunc("/query/ego", s.query("ego", s.runEgo))
+	mux.HandleFunc("/query/bfs", s.query("bfs", runBFS))
+	mux.HandleFunc("/query/sssp", s.query("sssp", runSSSP))
+	mux.HandleFunc("/query/pagerank", s.query("pagerank", runPageRank))
+	mux.HandleFunc("/query/triangles", s.query("triangles", runTriangles))
+	mux.HandleFunc("/query/ego", s.query("ego", runEgo))
 	s.mux = mux
 	return s
 }
@@ -146,13 +147,13 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 // tenantFor resolves the caller's tenant from the X-Grb-Tenant header or
-// ?tenant= parameter ("default" otherwise) and returns its runtime state,
-// creating it from the config table — or the default envelope — on first
-// sight.
-func (s *Server) tenantFor(r *http.Request) *tenant {
+// ?tenant= parameter (q is the request's parsed query; "default" otherwise)
+// and returns its runtime state, creating it from the config table — or the
+// default envelope — on first sight.
+func (s *Server) tenantFor(r *http.Request, q url.Values) *tenant {
 	name := r.Header.Get("X-Grb-Tenant")
 	if name == "" {
-		name = r.URL.Query().Get("tenant")
+		name = q.Get("tenant")
 	}
 	if name == "" {
 		name = "default"
@@ -268,12 +269,17 @@ func classify(err error) outcome {
 	}
 }
 
+// writeJSON answers with a control-plane body (health, the graph list, an
+// error or shed envelope), marshalled before the status goes out.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil {
-		return // headers are out; nothing useful left to send
-	}
+	_, _ = w.Write(append(b, '\n')) // a failed write is a client that left
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -286,18 +292,124 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, body)
 }
 
+// answer is a query's result: it writes what its handler extracted as the
+// members of the response's JSON object, once the slot is released.
+type answer func(w *jsonWriter)
+
+// jsonWriter builds a query's body byte for byte as encoding/json wrote the
+// map[string]any the handlers used to return: members in the sorted key
+// order it gave a map, each written `"key":value,` (render turns the last
+// comma into the brace), a nil slice as null and an empty one as []. A
+// non-finite float, which JSON cannot spell, is kept in err instead.
+type jsonWriter struct {
+	b   []byte
+	err error
+}
+
+func (w *jsonWriter) key(k string) []byte { return append(append(append(w.b, '"'), k...), '"', ':') }
+
+// raw writes a value that is JSON already: a graph's name, escaped at load.
+func (w *jsonWriter) raw(k string, v []byte) *jsonWriter {
+	w.b = append(append(w.key(k), v...), ',')
+	return w
+}
+
+func (w *jsonWriter) int(k string, n int64) *jsonWriter {
+	w.b = append(strconv.AppendInt(w.key(k), n, 10), ',')
+	return w
+}
+
+func (w *jsonWriter) ints(k string, v []int) *jsonWriter {
+	if v == nil {
+		w.b = append(w.key(k), "null,"...)
+		return w
+	}
+	b := append(w.key(k), '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	w.b = append(b, ']', ',')
+	return w
+}
+
+func (w *jsonWriter) floats(k string, v []float64) *jsonWriter {
+	if v == nil {
+		w.b = append(w.key(k), "null,"...)
+		return w
+	}
+	b := append(w.key(k), '[')
+	for i, x := range v {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			w.err = fmt.Errorf("%s holds %v, which JSON cannot represent", k, x)
+			return w
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, x)
+	}
+	w.b = append(b, ']', ',')
+	return w
+}
+
+// appendFloat is encoding/json's float64 form: the shortest 'f' digits, 'e'
+// for a nonzero magnitude below 1e-6 or from 1e21 up, e-07 written e-7.
+func appendFloat(b []byte, x float64) []byte {
+	if a := math.Abs(x); a == 0 || a >= 1e-6 && a < 1e21 {
+		return strconv.AppendFloat(b, x, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, x, 'e', -1, 64)
+	if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// answerBufs replaces encoding/json's buffer pool: a fresh 34 KB body per
+// query would outweigh the rest of what it allocates.
+var answerBufs = sync.Pool{New: func() any { return &jsonWriter{b: make([]byte, 0, 64<<10)} }}
+
+// render replaces w's body with a's, or returns a non-finite value's error.
+func (w *jsonWriter) render(a answer) error {
+	w.b, w.err = append(w.b[:0], '{'), nil
+	if a(w); w.err != nil {
+		return w.err
+	}
+	w.b = append(w.b[:len(w.b)-1], '}', '\n')
+	return nil
+}
+
+// writeAnswer builds a's body whole and sends it with its Content-Length in
+// one Write — or, for a non-finite value, returns the error before any
+// header goes out.
+func writeAnswer(w http.ResponseWriter, a answer) error {
+	jw := answerBufs.Get().(*jsonWriter)
+	defer answerBufs.Put(jw)
+	if err := jw.render(a); err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(jw.b)))
+	_, _ = w.Write(jw.b) // a failed write is a client that left
+	return nil
+}
+
 // runRecovered executes one handler with a panic fence: a panicking
 // algorithm is converted to a GrB_PANIC error for this request alone, so
 // the slot, breaker, and governor bookkeeping that follows still runs and
 // the process survives.
-func runRecovered(run func(r *http.Request, ctx *grb.Context) (any, error), r *http.Request, ctx *grb.Context) (body any, err error) {
+func runRecovered(run func(*Graph, url.Values, *grb.Context) (answer, error), g *Graph, q url.Values, ctx *grb.Context) (ans answer, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			obsv.ServeAdd("panics.recovered", 1)
-			body, err = nil, &grb.Error{Info: grb.Panic, Msg: fmt.Sprintf("handler panic: %v", p)}
+			ans, err = nil, &grb.Error{Info: grb.Panic, Msg: fmt.Sprintf("handler panic: %v", p)}
 		}
 	}()
-	return run(r, ctx)
+	return run(g, q, ctx)
 }
 
 // query wraps one algorithm endpoint in the full request lifecycle:
@@ -305,14 +417,15 @@ func runRecovered(run func(r *http.Request, ctx *grb.Context) (any, error), r *h
 // admission (AIMD window + deadline-aware bounded queue) → memory-governor
 // admission → per-request Context derivation (deadline anchored at arrival)
 // → client-disconnect watcher → panic-fenced execution → Info→HTTP mapping
-// → adaptive-loop feedback → per-tenant accounting. run receives the
-// request and its Context; it must allocate every grb object it creates
-// inside that context (the lagraph algorithms inherit it from the graph
-// views).
-func (s *Server) query(op string, run func(r *http.Request, ctx *grb.Context) (any, error)) http.HandlerFunc {
+// → adaptive-loop feedback → writing the answer → per-tenant accounting. run
+// receives the graph and the query string the wrapper parsed once, and the
+// request's Context; it must allocate every grb object it creates inside
+// that context (the lagraph algorithms inherit it from the graph views).
+func (s *Server) query(op string, run func(*Graph, url.Values, *grb.Context) (answer, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		arrival := time.Now()
-		tn := s.tenantFor(r)
+		q := r.URL.Query()
+		tn := s.tenantFor(r, q)
 		failed := true
 		defer func() {
 			obsv.NoteLabeled(tn.name, op, time.Since(arrival).Nanoseconds(), failed)
@@ -393,24 +506,30 @@ func (s *Server) query(op string, run func(r *http.Request, ctx *grb.Context) (a
 			case <-done:
 			}
 		}()
-		body, err := runRecovered(run, r, ctx)
+		var ans answer
+		g, err := s.graphParam(q)
+		if err == nil {
+			ans, err = runRecovered(run, g, q, ctx)
+		}
 		o := classify(err)
 		releaseSlot(o, time.Since(arrival))
 		tn.breaker.note(o, time.Now())
+		if err == nil {
+			err = writeAnswer(w, ans)
+		}
 		if err != nil {
 			writeErr(w, httpStatus(err), err)
 			return
 		}
 		failed = false
-		writeJSON(w, http.StatusOK, body)
 	}
 }
 
 // graphParam resolves the ?graph= parameter; with a single loaded graph the
 // parameter is optional.
-func (s *Server) graphParam(r *http.Request) (*Graph, error) {
+func (s *Server) graphParam(q url.Values) (*Graph, error) {
 	graphs := s.graphMap()
-	name := r.URL.Query().Get("graph")
+	name := q.Get("graph")
 	if name == "" && len(graphs) == 1 {
 		for _, g := range graphs {
 			return g, nil
@@ -419,11 +538,11 @@ func (s *Server) graphParam(r *http.Request) (*Graph, error) {
 	if g, ok := graphs[name]; ok {
 		return g, nil
 	}
-	return nil, fmt.Errorf("unknown graph %q", name)
+	return nil, notFoundError{fmt.Errorf("unknown graph %q", name)}
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -434,8 +553,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
+func floatParam(q url.Values, name string, def float64) (float64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -446,12 +565,8 @@ func floatParam(r *http.Request, name string, def float64) (float64, error) {
 	return f, nil
 }
 
-func (s *Server) runBFS(r *http.Request, ctx *grb.Context) (any, error) {
-	g, err := s.graphParam(r)
-	if err != nil {
-		return nil, notFound(err)
-	}
-	src, err := intParam(r, "src", 0)
+func runBFS(g *Graph, q url.Values, ctx *grb.Context) (answer, error) {
+	src, err := intParam(q, "src", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -467,18 +582,13 @@ func (s *Server) runBFS(r *http.Request, ctx *grb.Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return map[string]any{
-		"graph": g.Name, "src": src, "reached": len(idx),
-		"indices": idx, "levels": vals,
+	return func(w *jsonWriter) {
+		w.raw("graph", g.nameJSON).ints("indices", idx).ints("levels", vals).int("reached", int64(len(idx))).int("src", int64(src))
 	}, nil
 }
 
-func (s *Server) runSSSP(r *http.Request, ctx *grb.Context) (any, error) {
-	g, err := s.graphParam(r)
-	if err != nil {
-		return nil, notFound(err)
-	}
-	src, err := intParam(r, "src", 0)
+func runSSSP(g *Graph, q url.Values, ctx *grb.Context) (answer, error) {
+	src, err := intParam(q, "src", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -494,26 +604,21 @@ func (s *Server) runSSSP(r *http.Request, ctx *grb.Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return map[string]any{
-		"graph": g.Name, "src": src, "reached": len(idx),
-		"indices": idx, "dist": vals,
+	return func(w *jsonWriter) {
+		w.floats("dist", vals).raw("graph", g.nameJSON).ints("indices", idx).int("reached", int64(len(idx))).int("src", int64(src))
 	}, nil
 }
 
-func (s *Server) runPageRank(r *http.Request, ctx *grb.Context) (any, error) {
-	g, err := s.graphParam(r)
-	if err != nil {
-		return nil, notFound(err)
-	}
-	damping, err := floatParam(r, "damping", 0.85)
+func runPageRank(g *Graph, q url.Values, ctx *grb.Context) (answer, error) {
+	damping, err := floatParam(q, "damping", 0.85)
 	if err != nil {
 		return nil, err
 	}
-	tol, err := floatParam(r, "tol", 1e-6)
+	tol, err := floatParam(q, "tol", 1e-6)
 	if err != nil {
 		return nil, err
 	}
-	maxIter, err := intParam(r, "maxiter", 50)
+	maxIter, err := intParam(q, "maxiter", 50)
 	if err != nil {
 		return nil, err
 	}
@@ -529,17 +634,12 @@ func (s *Server) runPageRank(r *http.Request, ctx *grb.Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return map[string]any{
-		"graph": g.Name, "iterations": res.Iterations,
-		"indices": idx, "ranks": vals,
+	return func(w *jsonWriter) {
+		w.raw("graph", g.nameJSON).ints("indices", idx).int("iterations", int64(res.Iterations)).floats("ranks", vals)
 	}, nil
 }
 
-func (s *Server) runTriangles(r *http.Request, ctx *grb.Context) (any, error) {
-	g, err := s.graphParam(r)
-	if err != nil {
-		return nil, notFound(err)
-	}
+func runTriangles(g *Graph, q url.Values, ctx *grb.Context) (answer, error) {
 	view, err := g.pattern.ViewInContext(ctx)
 	if err != nil {
 		return nil, err
@@ -548,19 +648,15 @@ func (s *Server) runTriangles(r *http.Request, ctx *grb.Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return map[string]any{"graph": g.Name, "triangles": count}, nil
+	return func(w *jsonWriter) { w.raw("graph", g.nameJSON).int("triangles", count) }, nil
 }
 
-func (s *Server) runEgo(r *http.Request, ctx *grb.Context) (any, error) {
-	g, err := s.graphParam(r)
-	if err != nil {
-		return nil, notFound(err)
-	}
-	src, err := intParam(r, "src", 0)
+func runEgo(g *Graph, q url.Values, ctx *grb.Context) (answer, error) {
+	src, err := intParam(q, "src", 0)
 	if err != nil {
 		return nil, err
 	}
-	hops, err := intParam(r, "hops", 1)
+	hops, err := intParam(q, "hops", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -576,21 +672,20 @@ func (s *Server) runEgo(r *http.Request, ctx *grb.Context) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Report edges in original vertex ids so the response stands alone.
-	esrc := make([]grb.Index, len(si))
-	edst := make([]grb.Index, len(sj))
-	for k := range si {
-		esrc[k] = verts[si[k]]
-		edst[k] = verts[sj[k]]
+	// Report edges in original vertex ids, written over the tuples (the
+	// caller's copies), so the response stands alone; no edges is [], not null.
+	if si == nil {
+		si, sj = []grb.Index{}, []grb.Index{}
 	}
-	return map[string]any{
-		"graph": g.Name, "src": src, "hops": hops,
-		"vertices": verts, "edge_src": esrc, "edge_dst": edst, "edge_w": sx,
+	for k := range si {
+		si[k], sj[k] = verts[si[k]], verts[sj[k]]
+	}
+	return func(w *jsonWriter) {
+		w.ints("edge_dst", sj).ints("edge_src", si).floats("edge_w", sx).raw("graph", g.nameJSON).
+			int("hops", int64(hops)).int("src", int64(src)).ints("vertices", verts)
 	}, nil
 }
 
 // notFoundError tags "unknown graph" so httpStatus can answer 404 instead
 // of the generic 500.
 type notFoundError struct{ error }
-
-func notFound(err error) error { return notFoundError{err} }

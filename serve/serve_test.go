@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -19,7 +20,7 @@ import (
 	"github.com/grblas/grb/lagraph"
 )
 
-func initLib(t *testing.T) {
+func initLib(t testing.TB) {
 	t.Helper()
 	_ = grb.Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
 	if err := grb.Init(grb.NonBlocking); err != nil {
@@ -410,7 +411,7 @@ func TestServeHTTPContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("X-Grb-Tenant", "gated")
-	tn := s.tenantFor(req)
+	tn := s.tenantFor(req, req.URL.Query())
 	if !tn.limiter.tryAcquire() {
 		t.Fatal("gated slot busy")
 	}
@@ -440,5 +441,33 @@ func TestServeHTTPContract(t *testing.T) {
 	}
 	if len(gl.Graphs) != 1 || gl.Graphs[0].Name != "p" || gl.Graphs[0].N != 5 || gl.Graphs[0].Edges != 5 {
 		t.Fatalf("/graphs: %+v", gl)
+	}
+}
+
+// TestNonFiniteAnswerIsAnError pins what a value JSON cannot spell gets: a
+// +Inf edge weight (mtx.Read parses inf and nan, so LoadMTX can serve one)
+// puts non-finite numbers in the ego, SSSP and PageRank answers, and each
+// must be a 500 with the error envelope, counted as failed — never a 200
+// with an empty body counted as a success.
+func TestNonFiniteAnswerIsAnError(t *testing.T) {
+	initLib(t)
+	g, err := buildGraph("inf", 3, []grb.Index{0, 1}, []grb.Index{1, 2}, []float64{math.Inf(1), 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer([]*Graph{g}, Config{}).Handler())
+	defer ts.Close()
+	paths := []string{"/query/ego?src=0&hops=1", "/query/sssp?src=0", "/query/pagerank"}
+	for _, path := range paths {
+		status, body := get(t, ts.URL+path, "inf")
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if status != http.StatusInternalServerError || json.Unmarshal(body, &eb) != nil || eb.Error == "" {
+			t.Fatalf("GET %s: status %d, body %q; want 500 with the error envelope", path, status, body)
+		}
+	}
+	if lm := obsv.LabelsSnapshot()["inf"]; lm.Requests != int64(len(paths)) || lm.Errors != int64(len(paths)) {
+		t.Fatalf("accounting: %+v, want %d requests all failed", lm, len(paths))
 	}
 }
