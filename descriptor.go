@@ -32,7 +32,7 @@ const (
 type Direction int
 
 const (
-	// DirAuto routes each product adaptively (frontier vs. mask density).
+	// DirAuto routes each product by the edges each kernel would touch.
 	DirAuto = Direction(sparse.DirAuto)
 	// DirPush forces the push kernel: scatter the stored frontier entries
 	// through their matrix rows (SpMSpV-style; work ∝ frontier edges).

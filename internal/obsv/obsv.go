@@ -76,8 +76,8 @@ type Event struct {
 	Op    string `json:"op"`              // user-level operation ("MxM", "VxM", ...)
 	Kind  string `json:"kind"`            // "kernel" | "sequence" | "merge"
 	Route string `json:"route,omitempty"` // kernel route, from the planner's decision ("pull+mono", "auto(hash)")
-	// RouteReason is the plan row that decided the route ("frontier nnz <
-	// n/16", "budget refused dense gather", "descriptor pin").
+	// RouteReason is the plan row that decided the route ("cut·products <
+	// rows + probes", "budget refused dense gather", "descriptor pin").
 	RouteReason string `json:"route_reason,omitempty"`
 	Seq         SeqID  `json:"seq,omitempty"`     // owning sequence span, 0 = immediate
 	Threads     int    `json:"threads,omitempty"` // goroutines the kernel's widest parallel section ran on

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -428,7 +429,7 @@ func BenchmarkForkGrainPair(b *testing.B) {
 					return err
 				}
 			}},
-			{"push", int(FrontierFlops(a, frontier)), func(e Exec) func() error {
+			{"push", listedWork(a.Ptr, frontier.Ind, 0, math.MaxInt), func(e Exec) func() error {
 				return func() error {
 					_, err := VxMSemiEx(SemiMinPlus, SpecAuto, frontier, a, addF, minF, VMask{}, e)
 					return err
@@ -446,6 +447,123 @@ func BenchmarkForkGrainPair(b *testing.B) {
 						ratio, t1, t2, shape.work, DefaultGrain, minForkSpeedup)
 				}
 			})
+		}
+	}
+}
+
+// minDirSpeedup is the floor the direction planDir picks must hold against
+// the other one: it must not lose by more than a pair's own noise.
+const minDirSpeedup = 0.9
+
+// BenchmarkDirCutPair is the measurement pushCut points at: a min-plus
+// product (an SSSP round) and a lor-land product under the complement of a
+// visited set (a BFS level, the frontier its own visited set) over the
+// benchmark's R-MAT graphs at scales 14 and 16, from frontiers whose
+// products sit at half and at twice the cut — pushCut·products against
+// rows + probes, the frontier drawn in a seeded random order — each run once
+// pushed and once pulled. Arms interleaved on one thread, best round per arm
+// (bestRounds), a fresh frontier per product so that the pull pays for its
+// view as a traversal does. It reports the unpicked arm's time over the
+// picked one's and fails below minDirSpeedup. `make bench` and
+// `make bench-smoke` run it; tier-1 does not.
+func BenchmarkDirCutPair(b *testing.B) {
+	land := func(x, y bool) bool { return x && y }
+	lor := func(x, y bool) bool { return x || y }
+	minF := func(x, y float64) float64 { return min(x, y) }
+	for _, scale := range []int{14, 16} {
+		g := gen.Graph500RMAT(scale, 8, 42).Symmetrize()
+		a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), addF)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ab := &CSR[bool]{Rows: a.Rows, Cols: a.Cols, Ptr: a.Ptr, Ind: a.Ind, Val: make([]bool, a.NNZ())}
+		for k := range ab.Val {
+			ab.Val[k] = true
+		}
+		at, abt := Transpose(a), Transpose(ab)
+		n, nnz := a.Rows, a.NNZ()
+		order := rand.New(rand.NewSource(42)).Perm(n)
+		// frontier is the shortest prefix of order whose products reach the
+		// given multiple of the cut, sorted; masked, it is its own visited set,
+		// so the pull probes G less its rows. An unmasked frontier reaches
+		// pushCut·nnz(A) at most, under twice the cut's rows + nnz(A): its far
+		// side is every vertex, the one frontier whose pull needs no presence
+		// test.
+		frontier := func(times float64, masked bool) []int {
+			products, visited := 0, 0
+			k := 0
+			for ; k < n && float64(pushCut*products) < times*float64(n+nnz-visited); k++ {
+				products += a.Ptr[order[k]+1] - a.Ptr[order[k]]
+				if masked {
+					visited += at.Ptr[order[k]+1] - at.Ptr[order[k]]
+				}
+			}
+			ind := slices.Clone(order[:k])
+			slices.Sort(ind)
+			return ind
+		}
+		e := Exec{Threads: 1}
+		for _, shape := range []struct {
+			name       string
+			masked     bool
+			push, pull func(ind []int, mask VMask) func() error
+		}{
+			{"min_plus", false,
+				func(ind []int, mask VMask) func() error {
+					val := make([]float64, len(ind))
+					return func() error {
+						_, err := VxMSemiEx(SemiMinPlus, SpecAuto, &Vec[float64]{N: n, Ind: ind, Val: val}, a, addF, minF, mask, e)
+						return err
+					}
+				},
+				func(ind []int, mask VMask) func() error {
+					val := make([]float64, len(ind))
+					return func() error {
+						_, err := SpMVSemiEx(SemiMinPlus, SpecAuto, at, &Vec[float64]{N: n, Ind: ind, Val: val}, addF, minF, mask, e, KernelAuto)
+						return err
+					}
+				}},
+			{"lor_land/masked", true,
+				func(ind []int, mask VMask) func() error {
+					val := make([]bool, len(ind))
+					return func() error {
+						_, err := VxMSemiEx(SemiLorLand, SpecAuto, &Vec[bool]{N: n, Ind: ind, Val: val}, ab, land, lor, mask, e)
+						return err
+					}
+				},
+				func(ind []int, mask VMask) func() error {
+					val := make([]bool, len(ind))
+					return func() error {
+						_, err := SpMVSemiEx(SemiLorLand, SpecAuto, abt, &Vec[bool]{N: n, Ind: ind, Val: val}, land, lor, mask, e, KernelAuto)
+						return err
+					}
+				}},
+		} {
+			for _, times := range []float64{0.5, 2} {
+				b.Run(fmt.Sprintf("rmat%d/%s/cut×%g", scale, shape.name, times), func(b *testing.B) {
+					ind := frontier(times, shape.masked)
+					var mask VMask
+					if shape.masked {
+						mask = VMask{M: &Vec[bool]{N: n, Ind: ind, Val: make([]bool, len(ind))}, Structural: true, Complement: true}
+					}
+					products := listedWork(a.Ptr, ind, 0, math.MaxInt)
+					push := planDir(dirIn(DirAuto, products, nnz, at.Ptr, mask, n)).Push
+					if push != (times < 1) {
+						b.Fatalf("%d products at %g× the cut: the rule pushes = %v", products, times, push)
+					}
+					tPush, tPull := bestRounds(b, 1<<(18-scale), shape.push(ind, mask), shape.pull(ind, mask))
+					ratio := float64(tPull) / float64(tPush)
+					if !push {
+						ratio = 1 / ratio
+					}
+					b.ReportMetric(ratio, "other/picked")
+					b.ReportMetric(float64(products), "products")
+					if ratio < minDirSpeedup {
+						b.Fatalf("other/picked = %.2f (push %v, pull %v) over %d products at %g× the cut: want >= %v",
+							ratio, tPush, tPull, products, times, minDirSpeedup)
+					}
+				})
+			}
 		}
 	}
 }

@@ -168,14 +168,3 @@ func SpGEMMFlopsTotal[A, B any](a *CSR[A], b *CSR[B]) int64 {
 	}
 	return f
 }
-
-// FrontierFlops returns the flop bound of a matrix-vector product with
-// frontier u: Σ_{i∈u} nnz(A(i,:)), the edges leaving the frontier — the work
-// the push kernel performs and the useful fraction of the pull kernel's scan.
-func FrontierFlops[A, B any](a *CSR[A], u *Vec[B]) int64 {
-	var f int64
-	for _, i := range u.Ind {
-		f += int64(a.Ptr[i+1] - a.Ptr[i])
-	}
-	return f
-}

@@ -24,10 +24,11 @@ package sparse
 //	        gathers rows [lo, hi) against u's view (dbit == nil: full) and
 //	        appends the emitted (row, value) pairs, in ascending row order,
 //	        to the (ind, val) it is handed, as the run kernels do.
-//	push    func(u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) []int
+//	push    func(u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int
 //	        scatters frontier entries [lo, hi) into the worker's SPA (mark
-//	        tracks presence; admit == nil admits everything) and returns the
-//	        SPA's insertion pattern.
+//	        tracks presence; admit == nil admits everything) and appends the
+//	        SPA's insertion pattern to the pattern it is handed, which arrives
+//	        empty and sized for the frontier's products.
 //	SpGEMM  func(a, b *CSR[T], spa []T, stamp []int, gen int, pattern []int, i int) []int
 //	        scatters row i of A through B into (spa, stamp) at generation
 //	        gen and returns the row's new columns in pattern, which arrives
@@ -177,8 +178,7 @@ func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(
 // --- push (VxM scatter) loops ---
 
 // vxmScatterPlusTimes scatters the frontier with (+, ×).
-func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) []int {
-	var pattern []int
+func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int {
 	for k := lo; k < hi; k++ {
 		i := u.Ind[k]
 		uv := u.Val[k]
@@ -201,8 +201,7 @@ func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []
 }
 
 // vxmScatterMinPlus scatters the frontier with (min, +).
-func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) []int {
-	var pattern []int
+func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int {
 	for k := lo; k < hi; k++ {
 		i := u.Ind[k]
 		uv := u.Val[k]
@@ -225,8 +224,7 @@ func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T,
 }
 
 // vxmScatterLorLand scatters the frontier with (∨, ∧).
-func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mark []bool, lo, hi int) []int {
-	var pattern []int
+func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mark []bool, pattern []int, lo, hi int) []int {
 	for k := lo; k < hi; k++ {
 		i := u.Ind[k]
 		uv := u.Val[k]
@@ -250,8 +248,7 @@ func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mar
 
 // vxmScatterPlusPair scatters the frontier with (+, pair): each admitted
 // product contributes exactly 1.
-func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) []int {
-	var pattern []int
+func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int {
 	for k := lo; k < hi; k++ {
 		i := u.Ind[k]
 		aInd, _ := a.Row(i)

@@ -1,6 +1,9 @@
 package sparse
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // The route planner. Every branch between two kernel paths that depends on
 // operand statistics or a Descriptor pin is a row of one of the four pure
@@ -25,12 +28,14 @@ import "math/bits"
 // than the dense one it replaced.
 const hashCut = 2
 
-// pushCut is the frontier-density cut: push when nnz(u) < inDim/pushCut. 16
-// is the classic direction-optimizing BFS switch point (Beamer et al. report
-// α ≈ 14 for edge-based estimates; with a vertex-count proxy 16 keeps push
-// through the growing phase of a power-law traversal and hands dense
-// frontiers to pull).
-const pushCut = 16
+// pushCut is the direction cut, in edges: push when pushCut · the frontier's
+// products < the rows the pull walks + the entries it probes (planDir). A
+// full frontier — PageRank's, whose pull needs no presence test — must pull,
+// which takes pushCut > 1 + n/nnz; 2 is the smallest such cut and, of 2, 3
+// and 4, the fastest BFS + SSSP on rmat-16 (EXPERIMENTS.md, "Frontier SSSP
+// and edge-counted direction"). BenchmarkDirCutPair is the measurement it
+// points at.
+const pushCut = 2
 
 // Kernel is the accumulator pin of the multiply kernels (Descriptor.AxB).
 // The zero value routes by statistics.
@@ -50,7 +55,7 @@ const (
 type Dir int
 
 const (
-	// DirAuto routes by frontier and mask density.
+	// DirAuto routes by the edges each kernel would touch (planDir).
 	DirAuto Dir = iota
 	// DirPush forces the push (scatter) kernel.
 	DirPush
@@ -80,7 +85,6 @@ type Reason uint8
 const (
 	ReasonNone Reason = iota
 	ReasonPin
-	ReasonSparseMask
 	ReasonSparseFrontier
 	ReasonDenseFrontier
 	ReasonFewProbes
@@ -98,9 +102,8 @@ const (
 var reasonText = [...]string{
 	ReasonNone:           "",
 	ReasonPin:            "descriptor pin",
-	ReasonSparseMask:     "mask nnz < n/16",
-	ReasonSparseFrontier: "frontier nnz < n/16",
-	ReasonDenseFrontier:  "frontier nnz >= n/16",
+	ReasonSparseFrontier: "cut·products < rows + probes",
+	ReasonDenseFrontier:  "cut·products >= rows + probes",
 	ReasonFewProbes:      "gather inserts + lookups < n/2",
 	ReasonHyperMask:      "mask inserts + probes < n/2",
 	ReasonFewFlops:       "range flops < cols/2",
@@ -167,14 +170,16 @@ type planIn struct {
 	hint Kernel
 	spec Spec
 
-	// work competes with width: frontier nnz against the input dimension
-	// (direction), the hash gather's table operations against the vector
-	// size (gather, see gatherWork), a row range's flop bound against the
-	// output columns (accumulator). For the push scatter it is the hash mask
-	// predicate's table operations and competes with outDim.
+	// work competes with width: the frontier's products against the rows
+	// the pull walks plus its probes (direction), the hash gather's table
+	// operations against the vector size (gather, see gatherWork), a row
+	// range's flop bound against the output columns (accumulator). For the
+	// push scatter it is the hash mask predicate's table operations and
+	// competes with outDim.
 	work, width int
+	probes      int // direction: the stored entries of the rows the pull admits
 
-	masked   bool // a mask vector (matrix-vector) or mask matrix (planRange) is present
+	masked   bool // planRange: a mask matrix is present
 	maskNNZ  int  // its entries; for planRange, those in the range's rows
 	maskComp bool
 	outDim   int // the dimension a mask vector guards
@@ -194,15 +199,14 @@ type planIn struct {
 // overflow for huge flop counts.
 func belowCut(work, width int) bool { return work < width/hashCut }
 
-// planDir picks push or pull for a matrix-vector product. Reads dir, work
-// (frontier nnz), width (input dimension), masked/maskNNZ/maskComp, outDim.
+// planDir picks push or pull for a matrix-vector product by the edges each
+// touches. Reads dir, work (the frontier's products, Σ nnz(R(i,:)) over its
+// entries: what the push scatters), width (the rows the pull walks: an
+// admission test and a row read each, however few it admits) and probes (the
+// stored entries of the rows it admits: a view lookup each).
 //
 //   - a pin wins;
-//   - a sparse non-complemented mask admits few outputs and the pull kernel
-//     skips every other row before doing any work: pull (the masked-pull
-//     traversal of §II of the paper);
-//   - otherwise push exactly when the frontier is sparse: its scatter
-//     touches only the frontier's edges, pull must gather every admitted row.
+//   - otherwise push exactly when pushCut · products < rows + probes.
 func planDir(in planIn) Route {
 	switch in.dir {
 	case DirPush:
@@ -211,28 +215,70 @@ func planDir(in planIn) Route {
 		return Route{Reason: ReasonPin}
 	case DirAuto:
 	}
-	if in.masked && !in.maskComp && in.maskNNZ < in.outDim/pushCut {
-		return Route{Reason: ReasonSparseMask}
-	}
-	if in.work < in.width/pushCut {
+	if in.work < math.MaxInt/pushCut && pushCut*in.work < in.width+in.probes {
 		return Route{Push: true, Reason: ReasonSparseFrontier}
 	}
 	return Route{Reason: ReasonDenseFrontier}
 }
 
-// PlanDir is planDir over the operands the grb layer holds.
-func PlanDir(dir Dir, nnzU, inDim int, mask VMask, outDim int) Route {
-	in := planIn{dir: dir, work: nnzU, width: inDim, maskComp: mask.Complement, outDim: outDim}
-	if mask.M != nil {
-		in.masked, in.maskNNZ = true, mask.M.NNZ()
+// dirIn is planDir's input for a frontier of the given products through a
+// matrix of nnz entries whose pull orientation G has outDim rows: gptr is G's
+// row pointers, or nil where G is not materialized — a row then counts
+// nnz/outDim entries, the mean. The pull probes all of G unmasked and under a
+// valued complemented mask (a bound: a stored false admits its row), G less
+// the masked rows under a structural complemented one (Beamer's m_u), and the
+// listed rows under a non-complemented one (stored falses included). The
+// masked rows are counted only as far as the comparison needs.
+func dirIn(dir Dir, products, nnz int, gptr []int, mask VMask, outDim int) planIn {
+	in := planIn{dir: dir, work: products, width: outDim, probes: nnz}
+	if dir != DirAuto || mask.M == nil || mask.Complement && !mask.Structural {
+		return in
 	}
-	return planDir(in)
+	listed := func(cut int) int {
+		if gptr == nil {
+			return int(float64(mask.M.NNZ()) * float64(nnz) / float64(max(outDim, 1)))
+		}
+		return listedWork(gptr, mask.M.Ind, 0, cut)
+	}
+	need := pushCut*products - outDim // push iff probes > need
+	switch {
+	case !mask.Complement:
+		in.probes = listed(need + 1)
+	case need >= 0:
+		in.probes = max(nnz-listed(nnz-need), 0)
+	}
+	return in
+}
+
+// PlanDir is planDir over the operands the grb layer holds: the product of
+// the frontier u with R — a's stored form, or its transpose when pushT —
+// which the push scatters through R and the pull gathers over Rᵀ. It returns
+// the frontier's products beside the route, for the kernel event: counted
+// over R, or nnz(u) rows of R's mean length where R is not built.
+func PlanDir[A, X any](dir Dir, a *CSR[A], pushT bool, u *Vec[X], mask VMask) (Route, int) {
+	r, g := a, a.tr.Load()
+	inDim, outDim := a.Rows, a.Cols
+	if pushT {
+		r, g = g, a
+		inDim, outDim = outDim, inDim
+	}
+	products := int(float64(u.NNZ()) * float64(a.NNZ()) / float64(max(inDim, 1))) // all of R if u is full
+	if r != nil && u.NNZ() < inDim {
+		products = listedWork(r.Ptr, u.Ind, 0, math.MaxInt)
+	}
+	var gptr []int
+	if g != nil {
+		gptr = g.Ptr
+	}
+	return planDir(dirIn(dir, products, a.NNZ(), gptr, mask, outDim)), products
 }
 
 // ChoosePush reports whether the adaptive rule sends the product to the push
-// kernel (planDir with no pin).
+// kernel when all it knows are sizes: planDir with no pin, read as if the
+// matrix stored one entry per row of R, so that the frontier's products are
+// its entries and G's entries are inDim.
 func ChoosePush(nnzU, inDim int, mask VMask, outDim int) bool {
-	return PlanDir(DirAuto, nnzU, inDim, mask, outDim).Push
+	return planDir(dirIn(DirAuto, nnzU, inDim, nil, mask, outDim)).Push
 }
 
 // planAcc is the dense-vs-hash row shared by the pull gather and the SpGEMM

@@ -12,7 +12,7 @@ import (
 // and the reason it must give. Pure — no kernels run, no counters read.
 func TestPlan(t *testing.T) {
 	t.Parallel()
-	const dim = 1600 // dim/pushCut = 100
+	const dim = 1600
 	loop := func(in planIn) planIn { in.hasLoop = true; return in }
 	fits := func(in planIn) planIn { in.denseFits = true; return in }
 	// A mask whose hash predicate is smaller than its bitmap, which fits ...
@@ -28,23 +28,19 @@ func TestPlan(t *testing.T) {
 		in   planIn
 		want Route
 	}{
-		// Direction (ChoosePush's table, boundaries included).
-		{"dir: sparse frontier", planDir, planIn{work: 5, width: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: dense frontier", planDir, planIn{work: 800, width: dim}, Route{Reason: ReasonDenseFrontier}},
-		{"dir: just under the boundary", planDir, planIn{work: 99, width: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: nnzU == dim/16 is not sparse", planDir, planIn{work: 100, width: dim}, Route{Reason: ReasonDenseFrontier}},
-		{"dir: sparse non-complemented mask vetoes push", planDir,
-			planIn{work: 5, width: dim, masked: true, maskNNZ: 10, outDim: dim}, Route{Reason: ReasonSparseMask}},
-		{"dir: sparse complemented mask does not", planDir,
-			planIn{work: 5, width: dim, masked: true, maskNNZ: 10, maskComp: true, outDim: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: mask just under the boundary", planDir,
-			planIn{work: 5, width: dim, masked: true, maskNNZ: 99, outDim: dim}, Route{Reason: ReasonSparseMask}},
-		{"dir: nnz(m) == dim/16 does not veto", planDir,
-			planIn{work: 5, width: dim, masked: true, maskNNZ: 100, outDim: dim}, Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: dense frontier, boundary mask", planDir,
-			planIn{work: 800, width: dim, masked: true, maskNNZ: 100, outDim: dim}, Route{Reason: ReasonDenseFrontier}},
-		{"dir: push pinned over a dense frontier", planDir, planIn{dir: DirPush, work: 800, width: dim}, Route{Push: true, Reason: ReasonPin}},
-		{"dir: pull pinned over a sparse frontier", planDir, planIn{dir: DirPull, work: 5, width: dim}, Route{Reason: ReasonPin}},
+		// Direction: push iff pushCut·products < rows + probes (the mask forms
+		// that make probes are dirIn's table below).
+		{"dir: few products", planDir, planIn{work: 5, width: dim, probes: 8000}, Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: just under the cut", planDir, planIn{work: (dim+8000)/pushCut - 1, width: dim, probes: 8000},
+			Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: cut·products == rows + probes pulls", planDir, planIn{work: (dim + 8000) / pushCut, width: dim, probes: 8000},
+			Route{Reason: ReasonDenseFrontier}},
+		{"dir: the rows keep a push the probes would not", planDir, planIn{work: dim/pushCut - 1, width: dim},
+			Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: no probes, cut·products == rows pulls", planDir, planIn{work: dim / pushCut, width: dim}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: huge products do not overflow", planDir, planIn{work: math.MaxInt, width: dim, probes: 8000}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: push pinned over many products", planDir, planIn{dir: DirPush, work: 8000, width: dim}, Route{Push: true, Reason: ReasonPin}},
+		{"dir: pull pinned over few", planDir, planIn{dir: DirPull, work: 5, width: dim, probes: 8000}, Route{Reason: ReasonPin}},
 
 		// SpGEMM row range (chooseHash's table at the constant cut).
 		{"range: no flops", planRange, fits(planIn{work: 0, width: 5000}), Route{Acc: AccHash, Reason: ReasonFewFlops}},
@@ -180,10 +176,76 @@ func TestPlan(t *testing.T) {
 		}
 	}
 
-	// ChoosePush is planDir with no pin.
-	mask := &Vec[bool]{N: dim, Ind: []int{1, 2, 3}, Val: []bool{true, true, true}}
-	if ChoosePush(5, dim, VMask{M: mask}, dim) || !ChoosePush(5, dim, VMask{M: mask, Complement: true}, dim) {
-		t.Error("ChoosePush disagrees with planDir on the sparse-mask rows")
+	// dirIn: what the pull probes under each mask form, over G = ptr (30
+	// entries in 5 rows), on both sides of the cut: the fewest products the
+	// rule pulls, at, is ⌈(5 + probes)/pushCut⌉.
+	structural := func(comp bool, ind ...int) VMask {
+		m := rows(ind...)
+		m.Structural, m.Complement = true, comp
+		return m
+	}
+	valuedComp := rows(0, 2, 4)
+	valuedComp.Complement = true
+	for _, tc := range []struct {
+		name   string
+		mask   VMask
+		gptr   []int
+		probes int
+	}{
+		{"unmasked: all of G", VMask{}, ptr, 30},
+		{"structural complement: G less rows 0 and 2", structural(true, 0, 2), ptr, 20},
+		{"structural complement: all but one entry masked, the count stopping at the cut", structural(true, 0, 2, 4), ptr, 1},
+		{"valued complement: the nnz(G) bound", valuedComp, ptr, 30},
+		{"non-complemented: the listed rows", structural(false, 1, 3), ptr, 1},
+		{"non-complemented: a stored false's row counts", rows(4), ptr, 19},
+		{"G not materialized: a masked row counts the mean, 6", structural(true, 0, 2), nil, 18},
+	} {
+		at := (5 + tc.probes + pushCut - 1) / pushCut
+		for _, products := range []int{at - 1, at} {
+			in := dirIn(DirAuto, products, 30, tc.gptr, tc.mask, 5)
+			if got := planDir(in); got.Push != (products < at) {
+				t.Errorf("dirIn %s: %d products route %+v (probes read %d), want push %v", tc.name, products, got, in.probes, products < at)
+			}
+			if pinned := planDir(dirIn(DirPull, products, 30, tc.gptr, tc.mask, 5)); pinned != (Route{Reason: ReasonPin}) {
+				t.Errorf("dirIn %s: the pull pin gave %+v", tc.name, pinned)
+			}
+		}
+	}
+
+	// PlanDir counts the products over R, and reports what it planned with:
+	// an MxV whose transpose is not yet built plans with nnz(u)·nnz/inDim.
+	a := &CSR[int]{Rows: 5, Cols: 2, Ptr: []int{0, 1, 2, 3, 4, 5}, Ind: []int{0, 0, 0, 0, 1}, Val: make([]int, 5)}
+	u := &Vec[int]{N: 5, Ind: []int{0, 4}, Val: []int{1, 1}}
+	if rt, products := PlanDir(DirAuto, a, false, u, VMask{}); products != 2 || rt != planDir(dirIn(DirAuto, 2, 5, nil, VMask{}, 2)) {
+		t.Errorf("vxm over the stored rows: %d products, route %+v; want 2", products, rt)
+	}
+	w := &Vec[int]{N: 2, Ind: []int{0}, Val: []int{1}} // column 0 holds 4 of 5 entries
+	if rt, products := PlanDir(DirAuto, a, true, w, VMask{}); products != 5/2 || rt != planDir(dirIn(DirAuto, 5/2, 5, a.Ptr, VMask{}, 5)) {
+		t.Errorf("mxv, transpose not built: %d products, route %+v; want 1·5/2", products, rt)
+	}
+	TransposeCached(a)
+	if _, products := PlanDir(DirAuto, a, true, w, VMask{}); products != 4 {
+		t.Errorf("mxv, transpose built: %d products, want 4", products)
+	}
+	full := &Vec[int]{N: 2, Ind: []int{0, 1}, Val: []int{1, 1}}
+	if _, products := PlanDir(DirAuto, a, true, full, VMask{}); products != 5 {
+		t.Errorf("mxv over a full frontier: %d products, want all 5", products)
+	}
+
+	// ChoosePush is the rule read as if every row of R held one entry.
+	visited := &Vec[bool]{N: dim, Ind: fullPattern(1000), Val: make([]bool, 1000)}
+	for _, tc := range []struct {
+		nnzU int
+		mask VMask
+		want bool
+	}{
+		{(2*dim)/pushCut - 1, VMask{}, true}, {(2 * dim) / pushCut, VMask{}, false},
+		{(2*dim-1000)/pushCut - 1, VMask{M: visited, Structural: true, Complement: true}, true},
+		{(2*dim - 1000) / pushCut, VMask{M: visited, Structural: true, Complement: true}, false},
+	} {
+		if got := ChoosePush(tc.nnzU, dim, tc.mask, dim); got != tc.want {
+			t.Errorf("ChoosePush(%d, %d, mask %v) = %v, want %v", tc.nnzU, dim, tc.mask.M != nil, got, tc.want)
+		}
 	}
 
 	// Sort-or-scan emit: scan once n·⌈log₂ n⌉ exceeds the width.
@@ -440,6 +502,6 @@ func resolves[A, B, C any](semi Semi, spec Spec) [3]bool {
 	return [3]bool{
 		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec) != nil,
 		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](&spmvLoops, semi, spec) != nil,
-		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, int, int) []int](&vxmLoops, semi, spec) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, []int, int, int) []int](&vxmLoops, semi, spec) != nil,
 	}
 }

@@ -165,17 +165,18 @@ func TestVxMReductionPaths(t *testing.T) {
 
 // TestChoosePushRouting checks that a product dispatched by ChoosePush (the
 // decision table itself is TestPlan) lands on the kernel the plan named: a
-// sparse frontier on the push scaffold, the same frontier under a sparse
-// non-complemented mask on the pull scaffold, with the same admitted result.
+// sparse frontier on the push scaffold, a frontier past the cut under a
+// sparse non-complemented mask on the pull scaffold, with the same admitted
+// result.
 func TestChoosePushRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
-	const n = 320 // n/16 = 20
+	const n = 320
 	a := sprayCSR(rng, n, n, 4*n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	at := Transpose(a)
-	u := &Vec[int]{N: n, Ind: []int{3, 77, 200}, Val: []int{1, 2, 3}}
 	sparseMask := &Vec[bool]{N: n, Ind: []int{5, 9, 14, 150}, Val: []bool{true, true, true, true}}
 	mul := func(x, y int) int { return x * y }
 	add := func(x, y int) int { return x + y }
+	var u *Vec[int]
 	dispatch := func(mask VMask) (*Vec[int], Route) {
 		var rt Route
 		e := Exec{Threads: 2, Grain: 1, Route: &rt}
@@ -193,16 +194,26 @@ func TestChoosePushRouting(t *testing.T) {
 	}
 
 	ResetKernelCounts()
-	pushed, rt := dispatch(VMask{})
-	if push, pull := DirectionCounts(); push != 1 || pull != 0 || !rt.Push {
-		t.Fatalf("sparse frontier: push=%d pull=%d route %+v, want the push scaffold", push, pull, rt)
+	u = &Vec[int]{N: n, Ind: []int{3, 77, 200}, Val: []int{1, 2, 3}}
+	if _, rt := dispatch(VMask{}); !rt.Push {
+		t.Fatalf("sparse frontier: route %+v, want the push scaffold", rt)
 	}
+	if push, pull := DirectionCounts(); push != 1 || pull != 0 {
+		t.Fatalf("sparse frontier: push=%d pull=%d, want the push scaffold", push, pull)
+	}
+	// 200 frontier entries: pushCut·200 >= 320 rows + the mask's 4 listed rows.
+	u = &Vec[int]{N: n, Ind: make([]int, 200), Val: make([]int, 200)}
+	for k := range u.Ind {
+		u.Ind[k], u.Val[k] = k*8/5, 1+k%7
+	}
+	ResetKernelCounts()
+	pushed, _ := dispatch(VMask{})
 	ResetKernelCounts()
 	pulled, rt := dispatch(VMask{M: sparseMask})
 	if push, pull := DirectionCounts(); push != 0 || pull != 1 || rt.Push {
-		t.Fatalf("sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
+		t.Fatalf("dense frontier, sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
 	}
-	if want := (Route{Acc: AccHash, Reason: ReasonFewProbes, Workers: 2}); rt != want {
+	if want := (Route{Acc: AccDense, Reason: ReasonDenseWork, Workers: 2}); rt != want {
 		t.Fatalf("sparse mask: pull route %+v, want %+v", rt, want)
 	}
 	identicalVec(t, "masked pull vs filtered push", pulled, MaskApplyV(NewVec[int](n), pushed, VMask{M: sparseMask}, true))

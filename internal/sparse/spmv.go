@@ -108,6 +108,17 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 		dval, dbit = dv.Val, dv.Bit
 	}
 	admit := vmaskLookup(mask, a.Rows, rt.HashMask, e, siteSpMVGather)
+	// The hash gather exists to stay frontier-sized, so only the dense gather
+	// (which already paid O(n) for its view) presizes its output: at most one
+	// entry per row the mask admits.
+	admits := 0
+	switch {
+	case h != nil, mask.M == nil && mask.Complement: // the latter admits nothing
+	case mask.M == nil:
+		admits = a.Rows
+	default:
+		admits, _ = vmaskBounds(mask, a.Rows)
+	}
 	parts := parallel.BalancedRanges(a.Rows, threads, a.Ptr)
 	var z []Y      // c ⊙ t, written in place of
 	var t []run[Y] // a stored t, one run per range
@@ -127,9 +138,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 		if z != nil {
 			block = accumBlock
 		}
-		// The hash gather exists to stay frontier-sized, so only the dense
-		// gather (which already paid O(n) for its view) presizes.
-		ind, val := rowBufs[Y](a.Ptr, admit == nil && h == nil, lo, min(lo+block, hi))
+		ind, val := rowBufs[Y](a.Ptr, admits, lo, min(lo+block, hi))
 		for b := lo; b < hi; b += block {
 			bhi := min(b+block, hi)
 			if rt.Family {
@@ -222,19 +231,15 @@ func listedWork(ptr, rows []int, base, cut int) int {
 }
 
 // rowBufs returns the (index, value) output buffers of a loop that emits at
-// most one entry per non-empty row of [lo, hi), ptr being the matrix's row
-// pointers (nil: every row is non-empty). With presize they are sized to
-// that bound — min(rows, stored entries) of the range, so a hypersparse
-// matrix stays small — and the loop never grows them; otherwise they start
-// empty. A masked pull must not presize: its admitted set may be a sliver
-// of the range.
-func rowBufs[T any](ptr []int, presize bool, lo, hi int) ([]int, []T) {
-	n := 0
-	if presize {
-		n = hi - lo
-		if ptr != nil {
-			n = min(n, ptr[hi]-ptr[lo])
-		}
+// most one entry per non-empty admitted row of [lo, hi), ptr being the
+// matrix's row pointers (nil: every row is non-empty) and admits a bound on
+// the rows admitted in all: they are sized to min(rows, stored entries) of
+// the range and admits — so a hypersparse matrix or a sliver of a mask stays
+// small — and the loop never grows them; admits 0 starts them empty.
+func rowBufs[T any](ptr []int, admits, lo, hi int) ([]int, []T) {
+	n := min(hi-lo, admits)
+	if ptr != nil {
+		n = min(n, ptr[hi]-ptr[lo])
 	}
 	return make([]int, 0, n), make([]T, 0, n)
 }
@@ -285,14 +290,11 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pushCalls.Add(1)
-	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) []int](&vxmLoops, semi, spec)
+	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, []int, int, int) []int](&vxmLoops, semi, spec)
 	nu := u.NNZ()
 	// The frontier's products size the fork (each worker pays an a.Cols-wide
-	// SPA before its first one), counted where there are threads to share them.
-	products := 0
-	if e.Threads > 1 {
-		products = listedWork(a.Ptr, u.Ind, 0, math.MaxInt)
-	}
+	// SPA before its first one) and the patterns.
+	products := listedWork(a.Ptr, u.Ind, 0, math.MaxInt)
 	var zero Y
 	spaBytes := int64(a.Cols) * int64(unsafe.Sizeof(zero)+1)
 	threads := degradeThreads(e, e.workers(products), spaBytes)
@@ -346,11 +348,12 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 		scratchBytes.Add(spaBytes)
 		spas[part] = spa
 		marks[part] = mark
+		// A range emits at most one pattern entry per product and per column.
+		pattern := make([]int, 0, min(products, a.Cols))
 		if rt.Family {
-			patterns[part] = scatter(u, a, bits, spa, mark, lo, hi)
+			patterns[part] = scatter(u, a, bits, spa, mark, pattern, lo, hi)
 			return
 		}
-		var pattern []int
 		for k := lo; k < hi; k++ {
 			i := u.Ind[k]
 			uv := u.Val[k]

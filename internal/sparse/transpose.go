@@ -152,7 +152,7 @@ func ReduceRows[T any](a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
 	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
 	sums := make([]run[T], len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
 	parallel.Run(parts, len(parts)-1, func(part, lo, hi int) {
-		ind, val := rowBufs[T](a.Ptr, true, lo, hi)
+		ind, val := rowBufs[T](a.Ptr, a.Rows, lo, hi)
 		for i := lo; i < hi; i++ {
 			_, rv := a.Row(i)
 			if len(rv) == 0 {

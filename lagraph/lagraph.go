@@ -17,33 +17,39 @@ import (
 	grb "github.com/grblas/grb"
 )
 
-// vectorsEqual reports whether two vectors have identical pattern and values.
-// The entry counts are compared first: under a Min accumulator a pattern only
-// grows, so most rounds of a fixpoint iteration differ there and never copy
-// the tuples out.
-func vectorsEqual[T comparable](a, b *grb.Vector[T]) (bool, error) {
-	na, err := a.Nvals()
+// relax runs the fixpoint d = d min (d ⊕.⊗ A) over the n×n matrix a as a
+// frontier: each round multiplies only f, the entries of d the round before
+// improved (at first, the caller's seed), and reports whether f emptied
+// within n+1 rounds:
+//
+//	t = f ⊕.⊗ A;  kept⟨t ∩ d⟩ = ¬(t < d);  f⟨¬kept, replace⟩ = t;  d min= f
+//
+// kept is where Min(d, t) keeps d — NaN on either side included — so f is
+// exactly what d takes from t, and every round's d is the full multiply's.
+func relax[T grb.Number, DA any](d, f *grb.Vector[T], s grb.Semiring[T, DA, T], a *grb.Matrix[DA], n int, opt grb.ObjOption) (bool, error) {
+	kept, err := grb.NewVector[bool](n, opt)
 	if err != nil {
 		return false, err
 	}
-	nb, err := b.Nvals()
-	if err != nil || na != nb {
-		return false, err
-	}
-	ai, ax, err := a.ExtractTuples()
-	if err != nil {
-		return false, err
-	}
-	bi, bx, err := b.ExtractTuples()
-	if err != nil {
-		return false, err
-	}
-	for k := range ai {
-		if ai[k] != bi[k] || ax[k] != bx[k] {
-			return false, nil
+	notBelow := func(x, y T) bool { return !(x < y) }
+	for round := 0; round <= n; round++ {
+		if err := grb.VxM(f, nil, nil, s, f, a, nil); err != nil { // t, in f's place
+			return false, err
+		}
+		if err := grb.EWiseMultVector(kept, nil, nil, notBelow, f, d, nil); err != nil {
+			return false, err
+		}
+		if err := grb.VectorAssign(f, kept, nil, f, grb.All, grb.DescRC); err != nil {
+			return false, err
+		}
+		if err := grb.EWiseAddVector(d, nil, nil, grb.Min[T], d, f, nil); err != nil {
+			return false, err
+		}
+		if nf, err := f.Nvals(); err != nil || nf == 0 {
+			return err == nil, err
 		}
 	}
-	return true, nil
+	return false, nil
 }
 
 // dimAndCtx validates that a is square and returns its dimension together
@@ -94,8 +100,8 @@ func BFSLevels(a *grb.Matrix[bool], src grb.Index) (*grb.Vector[int], error) {
 
 // BFSLevelsDir is BFSLevels with the traversal direction pinned: DirPush
 // forces the scatter (vxm) kernel on every level, DirPull forces the masked
-// gather over the cached transpose, and DirAuto lets each level route by
-// frontier density — the direction-optimizing schedule, which typically
+// gather over the cached transpose, and DirAuto lets each level route by the
+// edges it touches — the direction-optimizing schedule, which typically
 // pushes the narrow early and late frontiers and pulls the dense middle ones.
 func BFSLevelsDir(a *grb.Matrix[bool], src grb.Index, dir grb.Direction) (*grb.Vector[int], error) {
 	n, opt, err := dimAndCtx(a)
@@ -203,9 +209,11 @@ func BFSParents(a *grb.Matrix[bool], src grb.Index) (*grb.Vector[int], error) {
 
 // SSSP computes single-source shortest paths from src over the weighted
 // adjacency matrix a using Bellman-Ford iteration on the (min, +) tropical
-// semiring: d = d min (d min.+ A) until fixpoint. Edge weights may be
-// negative as long as the graph has no negative cycle, which is reported as
-// an error after n rounds without convergence.
+// semiring, d = d min (d min.+ A) until fixpoint, relaxing each round only
+// the edges out of the vertices the round before improved (relax). Edge
+// weights may be negative as long as the graph has no negative cycle, which
+// is reported as an error after n rounds without convergence; so is a NaN
+// distance, which compares unequal to itself and so never settles.
 func SSSP(a *grb.Matrix[float64], src grb.Index) (*grb.Vector[float64], error) {
 	n, opt, err := dimAndCtx(a)
 	if err != nil {
@@ -218,24 +226,32 @@ func SSSP(a *grb.Matrix[float64], src grb.Index) (*grb.Vector[float64], error) {
 	if err := d.SetElement(0, src); err != nil {
 		return nil, err
 	}
-	for iter := 0; iter <= n; iter++ {
-		prev, err := d.Dup()
-		if err != nil {
-			return nil, err
-		}
-		// d = d min (d min.+ A): the Min accumulator merges relaxations.
-		if err := grb.VxM(d, nil, grb.Min[float64], grb.MinPlus[float64](), d, a, nil); err != nil {
-			return nil, err
-		}
-		same, err := vectorsEqual(prev, d)
-		if err != nil {
-			return nil, err
-		}
-		if same {
-			return d, nil
-		}
+	f, err := d.Dup()
+	if err != nil {
+		return nil, err
 	}
-	return nil, &grb.Error{Info: grb.InvalidValue, Msg: "SSSP: no convergence after n rounds (negative cycle?)"}
+	settled, err := relax(d, f, grb.MinPlus[float64](), a, n, opt)
+	if err != nil {
+		return nil, err
+	}
+	// A NaN distance leaves the frontier as it enters d — nothing is below
+	// it — so the frontier can empty around one: look for one.
+	nan, err := grb.VectorReduce(grb.Monoid[float64]{Op: keepNaN}, d)
+	if err != nil {
+		return nil, err
+	}
+	if !settled || math.IsNaN(nan) {
+		return nil, &grb.Error{Info: grb.InvalidValue, Msg: "SSSP: no convergence after n rounds (negative cycle?)"}
+	}
+	return d, nil
+}
+
+// keepNaN folds to a NaN iff a NaN is folded in.
+func keepNaN(x, y float64) float64 {
+	if math.IsNaN(x) {
+		return x
+	}
+	return y
 }
 
 // PageRankResult carries the ranks and the number of iterations used.
@@ -394,43 +410,33 @@ func TriangleCount(a *grb.Matrix[bool]) (int64, error) {
 
 // ConnectedComponents labels each vertex of the undirected graph (symmetric
 // boolean adjacency) with the smallest vertex index in its component, by
-// min-label propagation over the min-first semiring until fixpoint.
+// min-label propagation over the min-first semiring until fixpoint: each
+// round, the labels that changed in the round before propagate (relax).
 func ConnectedComponents(a *grb.Matrix[bool]) (*grb.Vector[int], error) {
 	n, opt, err := dimAndCtx(a)
 	if err != nil {
 		return nil, err
 	}
-	f, err := grb.NewVector[int](n, opt)
+	labels, err := grb.NewVector[int](n, opt)
 	if err != nil {
 		return nil, err
 	}
-	// f(i) = i, built with the ROWINDEX index operator over a dense vector.
-	if err := grb.VectorAssignScalar(f, nil, nil, 0, grb.All, nil); err != nil {
+	// labels(i) = i, built with the ROWINDEX index operator over a dense vector.
+	if err := grb.VectorAssignScalar(labels, nil, nil, 0, grb.All, nil); err != nil {
 		return nil, err
 	}
-	if err := grb.VectorApplyIndexOp(f, nil, nil, grb.RowIndex[int], f, 0, nil); err != nil {
+	if err := grb.VectorApplyIndexOp(labels, nil, nil, grb.RowIndex[int], labels, 0, nil); err != nil {
+		return nil, err
+	}
+	f, err := labels.Dup() // every label is new
+	if err != nil {
 		return nil, err
 	}
 	minFirst := grb.Semiring[int, bool, int]{Add: grb.MinMonoid[int](), Mul: grb.First[int, bool]}
-	for iter := 0; iter <= n; iter++ {
-		prev, err := f.Dup()
-		if err != nil {
-			return nil, err
-		}
-		// f(j) = min(f(j), min over in-neighbours i of f(i)): the Min
-		// accumulator merges the propagated labels.
-		if err := grb.VxM(f, nil, grb.Min[int], minFirst, f, a, nil); err != nil {
-			return nil, err
-		}
-		same, err := vectorsEqual(prev, f)
-		if err != nil {
-			return nil, err
-		}
-		if same {
-			return f, nil
-		}
+	if _, err := relax(labels, f, minFirst, a, n, opt); err != nil {
+		return nil, err
 	}
-	return f, nil
+	return labels, nil
 }
 
 // MIS computes a maximal independent set of the undirected graph (symmetric

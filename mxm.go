@@ -57,8 +57,8 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 
 // MxV computes w⟨m⟩ = w ⊙ (A ⊕.⊗ u): matrix–vector multiplication
 // (GrB_mxv). The descriptor's Transpose0 flag transposes A; its Dir field
-// pins the push/pull kernel choice (DirAuto routes by frontier and mask
-// density, Beamer-style).
+// pins the push/pull kernel choice (DirAuto routes by the edges each
+// touches, Beamer-style: sparse.PlanDir).
 func MxV[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
 	semiring Semiring[DA, DB, DC], a *Matrix[DA], u *Vector[DB], desc *Descriptor) error {
 	f := newFrame("MxV", desc, semiring.Add.Op != nil && semiring.Mul != nil, maskRef{v: mask}, w, a, u)
@@ -70,7 +70,7 @@ func MxV[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 // VxM computes w⟨m⟩ = w ⊙ (u ⊕.⊗ A): vector–matrix multiplication
 // (GrB_vxm), the classic traversal primitive. The descriptor's Transpose1
 // flag transposes A; its Dir field pins the push/pull kernel choice
-// (DirAuto routes by frontier and mask density, Beamer-style).
+// (DirAuto routes by the edges each touches, Beamer-style: sparse.PlanDir).
 func VxM[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
 	semiring Semiring[DA, DB, DC], u *Vector[DA], a *Matrix[DB], desc *Descriptor) error {
 	f := newFrame("VxM", desc, semiring.Add.Op != nil && semiring.Mul != nil, maskRef{v: mask}, w, u, a)
@@ -116,20 +116,16 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 		} else {
 			f.ev.A(uvec.N, 1, uvec.NNZ()).B(acsr.Rows, acsr.Cols, acsr.NNZ())
 		}
-		// The frontier-flop bound Σ_{i∈u} nnz(R(i,:)) is free only when u
-		// indexes stored rows; the other orientation would materialize the
-		// transpose eagerly just because a sink is watching, so it reports
-		// no estimate.
-		if !pushT {
-			f.ev.WithFlops(sparse.FrontierFlops(acsr, uvec))
-		}
 	}
+	// The plan routes by the frontier-flop bound Σ_{i∈u} nnz(R(i,:)), which
+	// the event reports.
+	plan, products := sparse.PlanDir(sparse.Dir(d.Dir), acsr, pushT, uvec, mk)
+	f.ev.WithFlops(int64(products))
 	f.label = sparse.Route.MatVecLabel
 	// The kernel takes the accumulator: a pull into a full w under no mask
 	// writes w ⊙ t in one pass and never stores t (sparse.SpMVAccumEx); every
 	// other route merges t into w's old state itself.
 	return w.submit(f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
-		plan := sparse.PlanDir(sparse.Dir(d.Dir), uvec.NNZ(), inDim, mk, outDim)
 		push, why := plan.Push, plan.Reason
 		if e.Route != nil {
 			// The step labels the event from what the kernel that ran wrote
