@@ -312,6 +312,59 @@ func BenchmarkKernelFamilyLoopPair(b *testing.B) {
 	}
 }
 
+// minReduceSpeedup is the floor a reduction's family loop must clear over
+// the closure loop it replaces (reduceLoops).
+const minReduceSpeedup = 1.5
+
+// reduceSink keeps the reductions' results live.
+var reduceSink float64
+
+// BenchmarkReduceFamilyPair is the evidence the reductions' family loops
+// stand on: the reductions of a PageRank over rmat-16 — the row sums of its
+// degree (ReduceRows) and a 65 536-entry sum like its dangling mass and
+// delta (ReduceVec) — once through the (+) family loop and once through the
+// closure loop, on one thread, interleaved in one process, best round per
+// arm (bestRounds). It reports closure/mono and fails below
+// minReduceSpeedup. `make bench` and `make bench-smoke` run it; tier-1 does
+// not.
+func BenchmarkReduceFamilyPair(b *testing.B) {
+	g := gen.Graph500RMAT(16, 8, 42).Symmetrize()
+	a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), addF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(27))
+	v := &Vec[float64]{N: g.N, Ind: fullPattern(g.N), Val: make([]float64, g.N)}
+	for i := range v.Val {
+		v.Val[i] = rng.Float64() / float64(g.N)
+	}
+	for _, wl := range []struct {
+		name   string
+		passes int // reductions per timed round
+		run    func(Mon)
+	}{
+		{"rows/rmat16", 8, func(mon Mon) {
+			r := ReduceRows(mon, a, addF, Exec{Threads: 1})
+			reduceSink += r.Val[0]
+		}},
+		{"vector/65536", 64, func(mon Mon) {
+			x, _ := ReduceVec(mon, v, addF)
+			reduceSink += x
+		}},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			mono, closure := bestRounds(b, wl.passes,
+				func() error { wl.run(MonPlus); return nil }, func() error { wl.run(MonGeneric); return nil })
+			ratio := float64(closure) / float64(mono)
+			b.ReportMetric(ratio, "closure/mono")
+			if ratio < minReduceSpeedup {
+				b.Fatalf("closure/mono = %.2f (closure %v, mono %v per %d reductions), below the floor %.1f",
+					ratio, closure, mono, wl.passes, minReduceSpeedup)
+			}
+		})
+	}
+}
+
 // BenchmarkPullGatherPair is the measurement planPull's gather row points
 // at: one pull SpMV (MIN_PLUS, the SSSP product; a fresh vector per product
 // as in a traversal, so the dense arm pays for its view), gather pinned dense

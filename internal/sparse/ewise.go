@@ -23,15 +23,16 @@ func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, e Exec) *CS
 		func(i int, ind []int, val []C) ([]int, []C) { return intersectRun(ind, val, a.run(i), b.run(i), mul) })
 }
 
-// samePattern reports whether two index arrays store the same positions:
-// one backing array, or equal element by element — a single predictable
-// pass, far cheaper than the three-way branch per entry of the merge it
-// lets the caller skip.
-func samePattern(a, b []int) bool {
+// samePattern reports whether two index arrays over [0, n) store the same
+// positions: both full (indices are strictly increasing in [0, n), so n of
+// them can only be 0..n-1), one backing array, or equal element by element —
+// a single predictable pass, far cheaper than the three-way branch per entry
+// of the merge it lets the caller skip.
+func samePattern(a, b []int, n int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	if len(a) == 0 || &a[0] == &b[0] {
+	if len(a) == 0 || len(a) == n || &a[0] == &b[0] {
 		return true
 	}
 	return slices.Equal(a, b)
@@ -49,7 +50,7 @@ func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
 		return b
 	case len(b.Ind) == 0:
 		return a
-	case samePattern(a.Ind, b.Ind):
+	case samePattern(a.Ind, b.Ind, a.N):
 		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: make([]T, len(a.Val))}
 		for k := range out.Val {
 			out.Val[k] = add(a.Val[k], b.Val[k])
@@ -78,7 +79,7 @@ func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
 // two patterns are identical or the other side is full.
 func EWiseMultV[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
 	switch {
-	case samePattern(a.Ind, b.Ind):
+	case samePattern(a.Ind, b.Ind, a.N):
 		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
 		for k := range out.Val {
 			out.Val[k] = mul(a.Val[k], b.Val[k])

@@ -356,9 +356,9 @@ func TestReduceKernels(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randCSR(rng, 1+rng.Intn(15), 1+rng.Intn(15), 0.4)
 		for _, threads := range threadCounts {
-			rows := ReduceRows(a, add, par(threads))
+			rows := ReduceRows(MonGeneric, a, add, par(threads))
 			cols := ReduceCols(a, add, par(threads))
-			all, ok := ReduceAll(a, add, par(threads))
+			all, ok := ReduceAll(MonGeneric, a, add, par(threads))
 			sum := 0
 			rowSums := make([]int, a.Rows)
 			rowAny := make([]bool, a.Rows)

@@ -10,7 +10,9 @@ import "math"
 // swaps its closure loop body for a hand-monomorphized one (monokernels.go)
 // whose multiply-add compiles to direct arithmetic. Everything around the
 // loop body — partitioning, budget charges, masks, stitching — is the
-// scaffold's own and runs once for both.
+// scaffold's own and runs once for both. The reductions (ReduceRows,
+// ReduceAll, ReduceVec) do the same for a monoid tagged with a Mon: the
+// family loop is `acc += x` where the closure loop is acc = add(acc, x).
 //
 // Equivalence discipline: every family loop replicates the closure loop's
 // product visit order and mask admission points and yields what its
@@ -58,6 +60,19 @@ func (s Semi) String() string {
 	}
 }
 
+// Mon tags the predefined monoids as Semi tags semirings: PlusMonoid sets
+// it, and NewMonoid or a Monoid literal stays MonGeneric.
+type Mon int
+
+const (
+	// MonGeneric is an untagged monoid: closure loops only.
+	MonGeneric Mon = iota
+	// MonPlus is (+, 0) over int64/float64.
+	MonPlus
+
+	numMon
+)
+
 // Spec is the descriptor-level pin for the family loops (Descriptor.Spec),
 // completing the pin triple with Kernel and Dir.
 type Spec int
@@ -103,6 +118,9 @@ var (
 		SemiLorLand:   {vxmScatterLorLand},
 		SemiPlusPair:  {vxmScatterPlusPair[int64], vxmScatterPlusPair[float64]},
 	}
+	reduceLoops = [numMon][]any{
+		MonPlus: {sumPlus[int64], sumPlus[float64]},
+	}
 )
 
 // spaIdentity is what a dense SpGEMM range's SPA holds between rows: semi's
@@ -117,7 +135,7 @@ func spaIdentity[C any](semi Semi) (id C) {
 	return id
 }
 
-// familyLoop resolves (semi, the scaffold's operand types) to a loop body,
+// familyLoop resolves (tag, the scaffold's operand types) to a loop body,
 // or nil. F is the scaffold's own loop type written over its type
 // parameters, e.g. func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int;
 // an entry matches iff its instantiated type is identical to F, i.e. iff
@@ -125,11 +143,11 @@ func spaIdentity[C any](semi Semi) (id C) {
 // over a hot underlying type (type Score float64) therefore matches nothing
 // and stays on the closure loop, which is the only loop that may call its
 // operators.
-func familyLoop[F any](table *[numSemi][]any, semi Semi, spec Spec) (loop F) {
+func familyLoop[F any, K Semi | Mon](table [][]any, tag K, spec Spec) (loop F) {
 	if spec == SpecGeneric {
 		return loop
 	}
-	for _, entry := range table[semi] {
+	for _, entry := range table[tag] {
 		if f, ok := entry.(F); ok {
 			return f
 		}

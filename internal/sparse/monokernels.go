@@ -1,9 +1,10 @@
 package sparse
 
 // Per-family monomorphized loop bodies. Each function is the inner loop of
-// one (semiring family, kernel shape) pair with the semiring closures
-// flattened into direct arithmetic; the scaffolds in spgemm.go and spmv.go
-// supply everything around them and find them through the tables in mono.go.
+// one (semiring or monoid family, kernel shape) pair with the closures
+// flattened into direct arithmetic; the scaffolds in spgemm.go, spmv.go and
+// transpose.go (the reductions) supply everything around them and find them
+// through the tables in mono.go.
 // They are written out by hand because a semiring *type parameter* does not
 // buy the same code in Go: methods of a type parameter are called through
 // the dictionary and never inlined (measured 2–2.8× slower than these loops;
@@ -33,6 +34,9 @@ package sparse
 //	        scatters row i of A through B into (spa, stamp) at generation
 //	        gen and returns the row's new columns in pattern, which arrives
 //	        empty and may come back regrown.
+//	fold    func(v []T) T
+//	        folds a non-empty slice: a row (ReduceRows), a range (ReduceAll)
+//	        or a vector (ReduceVec).
 
 // --- pull (SpMV gather) row loops ---
 
@@ -360,4 +364,16 @@ func spgemmRowPlusPair[T monoArith](a, b *CSR[T], spa []T, stamp []int, gen int,
 		}
 	}
 	return pattern[:n]
+}
+
+// --- reductions (ReduceRows, ReduceAll, ReduceVec) ---
+
+// sumPlus sums a non-empty slice from its first entry, as the closure loop
+// folds it: no +0.0 start, so a sum of -0.0s stays -0.0.
+func sumPlus[T monoArith](v []T) T {
+	acc := v[0]
+	for _, x := range v[1:] {
+		acc += x
+	}
+	return acc
 }

@@ -464,7 +464,10 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 // (family, hot type) pairs finds its loop for all three scaffolds, and
 // everything else — a named element type over a hot underlying type, mixed
 // domains, an untagged semiring, SpecGeneric — resolves to nil and so runs
-// the closure loop, the only one allowed to call the caller's operators.
+// the closure loop, the only one allowed to call the caller's operators. The
+// reductions' table holds (+) over int64 and float64 and nothing else: not a
+// named element type, not int, and not an untagged monoid such as SSSP's
+// keepNaN.
 func TestFamilyLoopTables(t *testing.T) {
 	t.Parallel()
 	type Score float64
@@ -494,14 +497,36 @@ func TestFamilyLoopTables(t *testing.T) {
 			}
 		}
 	}
+	for _, tc := range []struct {
+		name string
+		got  bool
+		want bool
+	}{
+		{"plus/int64", reduces[int64](MonPlus), true},
+		{"plus/float64", reduces[float64](MonPlus), true},
+
+		{"plus over a named element type", reduces[Score](MonPlus), false},
+		{"plus over int", reduces[int](MonPlus), false},
+		{"untagged monoid (keepNaN)", reduces[float64](MonGeneric), false},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: reduction resolved = %v, want %v", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// reduces reports, for element type T, whether the reductions' table lookup
+// finds a family loop.
+func reduces[T any](mon Mon) bool {
+	return familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto) != nil
 }
 
 // resolves reports, for operand types (A, B) → C, whether each scaffold's
 // table lookup finds a family loop.
 func resolves[A, B, C any](semi Semi, spec Spec) [3]bool {
 	return [3]bool{
-		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec) != nil,
-		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](&spmvLoops, semi, spec) != nil,
-		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, []int, int, int) []int](&vxmLoops, semi, spec) != nil,
+		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi, spec) != nil,
+		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](spmvLoops[:], semi, spec) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, []int, int, int) []int](vxmLoops[:], semi, spec) != nil,
 	}
 }

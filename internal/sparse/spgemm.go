@@ -61,7 +61,7 @@ import (
 func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
 	mul func(A, B) C, add func(C, C) C, mask Mask, e Exec, hint Kernel) (out *CSR[C], err error) {
 	defer recoverExec(&err)
-	rowLoop := familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](&spgemmLoops, semi, spec)
+	rowLoop := familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi, spec)
 	call := planProduct(planIn{hint: hint, hasLoop: rowLoop != nil})
 	// What the ranges ran, not what the call admitted, is counted and
 	// published — on every exit, so a call that fails before any range still

@@ -62,7 +62,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 	mask VMask, c *Vec[Y], accum func(Y, Y) Y, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pullCalls.Add(1)
-	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](&spmvLoops, semi, spec)
+	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](spmvLoops[:], semi, spec)
 	viewBytes := u.viewBytes()
 	viewCost := viewBytes // what the dense gather has yet to charge
 	if u.dv.Load() != nil {
@@ -290,7 +290,7 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pushCalls.Add(1)
-	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, []int, int, int) []int](&vxmLoops, semi, spec)
+	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, []int, int, int) []int](vxmLoops[:], semi, spec)
 	nu := u.NNZ()
 	// The frontier's products size the fork (each worker pays an a.Cols-wide
 	// SPA before its first one) and the patterns.

@@ -148,26 +148,36 @@ func Diag[T any](v *Vec[T], k int) *CSR[T] {
 // ReduceRows reduces each row of A with the monoid operation, producing the
 // vector t(i) = ⊕_j A(i,j). Rows with no entries produce no output entry
 // (GraphBLAS reduce-to-vector semantics).
-func ReduceRows[T any](a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
+func ReduceRows[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
+	sum := familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto)
 	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
 	sums := make([]run[T], len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
 	parallel.Run(parts, len(parts)-1, func(part, lo, hi int) {
 		ind, val := rowBufs[T](a.Ptr, a.Rows, lo, hi)
 		for i := lo; i < hi; i++ {
-			_, rv := a.Row(i)
-			if len(rv) == 0 {
-				continue
+			if _, rv := a.Row(i); len(rv) > 0 {
+				ind, val = append(ind, i), append(val, fold(rv, sum, add))
 			}
-			acc := rv[0]
-			for k := 1; k < len(rv); k++ {
-				acc = add(acc, rv[k])
-			}
-			ind = append(ind, i)
-			val = append(val, acc)
 		}
 		sums[part] = run[T]{ind, val}
 	})
 	return stitchVec(a.Rows, sums)
+}
+
+// fold reduces a non-empty slice from its first entry: through sum, the
+// family loop reduceLoops holds for the monoid's (Mon, T), or else through
+// add — the closure loop. The three reductions call it, so they plug in the
+// same loop the same way, and everything that fixes how a sum associates
+// (ranges, index order, the partial sums' fold) stays theirs.
+func fold[T any](v []T, sum func([]T) T, add func(T, T) T) T {
+	if sum != nil {
+		return sum(v)
+	}
+	acc := v[0]
+	for _, x := range v[1:] {
+		acc = add(acc, x)
+	}
+	return acc
 }
 
 // ReduceCols reduces each column of A: t(j) = ⊕_i A(i,j). Implemented by
@@ -231,49 +241,27 @@ func ReduceCols[T any](a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
 
 // ReduceAll reduces every stored entry of A to a single value; ok is false
 // when A has no entries (the GraphBLAS 2.0 Scalar-output reduce returns an
-// empty GrB_Scalar in that case, §VI).
-func ReduceAll[T any](a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
+// empty GrB_Scalar in that case, §VI). Ranges never outnumber the entries,
+// so each is non-empty and leaves a partial sum; those fold in range order.
+func ReduceAll[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
 	var zero T
 	if a.NNZ() == 0 {
 		return zero, false
 	}
+	sum := familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto)
 	parts := parallel.Ranges(a.NNZ(), e.workers(a.NNZ()))
-	nparts := len(parts) - 1
-	partial := make([]T, nparts) //grblint:ignore budgetcheck -- O(workers)
-	has := make([]bool, nparts)  //grblint:ignore budgetcheck -- O(workers)
-	parallel.Run(parts, nparts, func(part, lo, hi int) {
-		acc := a.Val[lo]
-		for k := lo + 1; k < hi; k++ {
-			acc = add(acc, a.Val[k])
-		}
-		partial[part] = acc
-		has[part] = true
+	partial := make([]T, len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
+	parallel.Run(parts, len(partial), func(part, lo, hi int) {
+		partial[part] = fold(a.Val[lo:hi], sum, add)
 	})
-	var acc T
-	any := false
-	for p := 0; p < nparts; p++ {
-		if !has[p] {
-			continue
-		}
-		if !any {
-			acc = partial[p]
-			any = true
-		} else {
-			acc = add(acc, partial[p])
-		}
-	}
-	return acc, any
+	return fold(partial, sum, add), true
 }
 
 // ReduceVec reduces every stored entry of a vector; ok is false when empty.
-func ReduceVec[T any](v *Vec[T], add func(T, T) T) (T, bool) {
+func ReduceVec[T any](mon Mon, v *Vec[T], add func(T, T) T) (T, bool) {
 	var zero T
 	if v.NNZ() == 0 {
 		return zero, false
 	}
-	acc := v.Val[0]
-	for k := 1; k < len(v.Val); k++ {
-		acc = add(acc, v.Val[k])
-	}
-	return acc, true
+	return fold(v.Val, familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto), add), true
 }

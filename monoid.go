@@ -1,6 +1,10 @@
 package grb
 
-import "math"
+import (
+	"math"
+
+	"github.com/grblas/grb/internal/sparse"
+)
 
 // Monoid is a GraphBLAS monoid: an associative binary operator on a single
 // domain together with its identity value. GraphBLAS 2.0 (Table II) also
@@ -9,6 +13,10 @@ import "math"
 type Monoid[D any] struct {
 	Op       BinaryOp[D, D, D]
 	Identity D
+
+	// mon tags the monoids the reductions have a family loop for; like
+	// Semiring.semi, only this package's constructors set it.
+	mon sparse.Mon
 }
 
 // NewMonoid constructs a monoid from an associative operator and its
@@ -38,7 +46,7 @@ func NewMonoidScalar[D any](op BinaryOp[D, D, D], identity *Scalar[D]) (Monoid[D
 }
 
 // PlusMonoid is the (+, 0) monoid (GrB_PLUS_MONOID).
-func PlusMonoid[T Number]() Monoid[T] { return Monoid[T]{Op: Plus[T], Identity: 0} }
+func PlusMonoid[T Number]() Monoid[T] { return Monoid[T]{Op: Plus[T], mon: sparse.MonPlus} }
 
 // TimesMonoid is the (*, 1) monoid (GrB_TIMES_MONOID).
 func TimesMonoid[T Number]() Monoid[T] { return Monoid[T]{Op: Times[T], Identity: 1} }

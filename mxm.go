@@ -33,15 +33,8 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 			WithFlops(mxmFlops(acsr, bcsr, d.Transpose0, d.Transpose1))
 		f.label = func(rt sparse.Route) string { return rt.ProductLabel(hint) }
 	}
-	// The kernel applies the mask itself (mask-first, or at emit time): that
-	// never changes the accumulated result, since the positions it drops are
-	// the ones the write-back would drop anyway. So with no accumulator and
-	// nothing of C to keep, the write-back under the mask would only copy T —
-	// the kernel admitted exactly the positions it would — and T is C.
-	y := yieldsT
-	if accum == nil && mk.M != nil && (d.Replace || cOld.NNZ() == 0) {
-		y = yieldsC
-	}
+	// The kernel applies the mask itself, mask-first or at emit time.
+	y := kernelMasked(yieldsT, accum != nil, mk.M != nil, d.Replace, cOld.NNZ())
 	return c.submit(&f, cOld, y, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
 		A, err := maybeTransposeEx(acsr, d.Transpose0, e)
 		if err != nil {
@@ -53,6 +46,19 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 		}
 		return sparse.SpGEMMSemiEx(semiring.semi, sparse.Spec(d.Spec), A, B, semiring.Mul, semiring.Add.Op, mk, e, hint)
 	})
+}
+
+// kernelMasked is the yield of a product whose kernel applies the mask
+// itself, y being what it yields otherwise. Masking in the kernel never
+// changes the accumulated result, since the positions it drops are the ones
+// the write-back would drop anyway. So with no accumulator, a mask and
+// nothing of C to keep — replace, or an empty C — the write-back under the
+// mask would only copy what the kernel returned, and that is C.
+func kernelMasked(y yield, accum, masked, replace bool, nnzC int) yield {
+	if !accum && masked && (replace || nnzC == 0) {
+		return yieldsC
+	}
+	return y
 }
 
 // MxV computes w⟨m⟩ = w ⊙ (A ⊕.⊗ u): matrix–vector multiplication
@@ -124,8 +130,10 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 	f.label = sparse.Route.MatVecLabel
 	// The kernel takes the accumulator: a pull into a full w under no mask
 	// writes w ⊙ t in one pass and never stores t (sparse.SpMVAccumEx); every
-	// other route merges t into w's old state itself.
-	return w.submit(f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
+	// other route merges t into w's old state itself. Both directions mask as
+	// they go, the push in its scatter and the pull at row admission.
+	y := kernelMasked(yieldsZ, accum != nil, mk.M != nil, d.Replace, wOld.NNZ())
+	return w.submit(f, wOld, y, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
 		push, why := plan.Push, plan.Reason
 		if e.Route != nil {
 			// The step labels the event from what the kernel that ran wrote

@@ -24,11 +24,14 @@ func MatrixReduceToVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryO
 		return errf(DimensionMismatch, "MatrixReduceToVector: output has size %d but reduction has size %d", wOld.N, n)
 	}
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ())).WithRoute(route)
+	// The closure captures the two fields it reads, not the whole Monoid,
+	// which would move it up an allocation size class.
+	op, mon := monoid.Op, monoid.mon
 	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
 		if byCols {
-			return sparse.ReduceCols(acsr, monoid.Op, e), nil
+			return sparse.ReduceCols(acsr, op, e), nil
 		}
-		return sparse.ReduceRows(acsr, monoid.Op, e), nil
+		return sparse.ReduceRows(mon, acsr, op, e), nil
 	})
 }
 
@@ -43,7 +46,7 @@ func MatrixReduceToScalar[T any](s *Scalar[T], accum BinaryOp[T, T, T],
 	if monoid.Op == nil {
 		return errf(NullPointer, "MatrixReduceToScalar: nil monoid")
 	}
-	return matrixReduceScalarCommon("MatrixReduceToScalar", s, accum, monoid.Op, a)
+	return matrixReduceScalarCommon("MatrixReduceToScalar", s, accum, monoid, a)
 }
 
 // MatrixReduceToScalarBinaryOp is the Table II variant
@@ -56,11 +59,11 @@ func MatrixReduceToScalarBinaryOp[T any](s *Scalar[T], accum BinaryOp[T, T, T],
 	if op == nil {
 		return errf(NullPointer, "MatrixReduceToScalarBinaryOp: nil operator")
 	}
-	return matrixReduceScalarCommon("MatrixReduceToScalarBinaryOp", s, accum, op, a)
+	return matrixReduceScalarCommon("MatrixReduceToScalarBinaryOp", s, accum, Monoid[T]{Op: op}, a)
 }
 
 func matrixReduceScalarCommon[T any](opName string, s *Scalar[T], accum BinaryOp[T, T, T],
-	op BinaryOp[T, T, T], a *Matrix[T]) error {
+	m Monoid[T], a *Matrix[T]) error {
 	if s == nil {
 		return errf(NullPointer, "%s: nil output scalar", opName)
 	}
@@ -74,15 +77,16 @@ func matrixReduceScalarCommon[T any](opName string, s *Scalar[T], accum BinaryOp
 	if err != nil {
 		return err
 	}
-	t, tok, err := matrixReduceNow(opName, ctx, op, a)
+	t, tok, err := matrixReduceNow(opName, ctx, m, a)
 	if err != nil {
 		return err
 	}
 	return installScalarReduce(s, accum, t, tok)
 }
 
-// matrixReduceNow reduces a's completed state with op, in ctx.
-func matrixReduceNow[T any](opName string, ctx *Context, op BinaryOp[T, T, T], a *Matrix[T]) (T, bool, error) {
+// matrixReduceNow reduces a's completed state with m, in ctx. The Monoid of
+// a binary-operator variant is untagged, and only its Op is read.
+func matrixReduceNow[T any](opName string, ctx *Context, m Monoid[T], a *Matrix[T]) (T, bool, error) {
 	acsr, err := a.snapshot()
 	if err != nil {
 		var zero T
@@ -93,19 +97,19 @@ func matrixReduceNow[T any](opName string, ctx *Context, op BinaryOp[T, T, T], a
 	e.Route = new(sparse.Route) // the kernel reports the workers it ran
 	return reduceNow(opName, ev, func() (T, bool) {
 		defer func() { ev.WithThreads(max(1, e.Route.Workers)) }()
-		return sparse.ReduceAll(acsr, op, e)
+		return sparse.ReduceAll(m.mon, acsr, m.Op, e)
 	})
 }
 
-// vectorReduceNow reduces u's completed state with op.
-func vectorReduceNow[T any](opName string, op BinaryOp[T, T, T], u *Vector[T]) (T, bool, error) {
+// vectorReduceNow reduces u's completed state with m, as matrixReduceNow.
+func vectorReduceNow[T any](opName string, m Monoid[T], u *Vector[T]) (T, bool, error) {
 	uvec, err := u.snapshot()
 	if err != nil {
 		var zero T
 		return zero, false, err
 	}
 	ev := evKernel(opName).WithThreads(1).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
-	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceVec(uvec, op) })
+	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceVec(m.mon, uvec, m.Op) })
 }
 
 // reduceNow runs a reduction to one value. Its result — a Scalar or a Go
@@ -141,7 +145,7 @@ func VectorReduceToScalar[T any](s *Scalar[T], accum BinaryOp[T, T, T],
 	if monoid.Op == nil {
 		return errf(NullPointer, "VectorReduceToScalar: nil monoid")
 	}
-	return vectorReduceScalarCommon("VectorReduceToScalar", s, accum, monoid.Op, u)
+	return vectorReduceScalarCommon("VectorReduceToScalar", s, accum, monoid, u)
 }
 
 // VectorReduceToScalarBinaryOp is the Table II binary-operator variant of
@@ -151,11 +155,11 @@ func VectorReduceToScalarBinaryOp[T any](s *Scalar[T], accum BinaryOp[T, T, T],
 	if op == nil {
 		return errf(NullPointer, "VectorReduceToScalarBinaryOp: nil operator")
 	}
-	return vectorReduceScalarCommon("VectorReduceToScalarBinaryOp", s, accum, op, u)
+	return vectorReduceScalarCommon("VectorReduceToScalarBinaryOp", s, accum, Monoid[T]{Op: op}, u)
 }
 
 func vectorReduceScalarCommon[T any](opName string, s *Scalar[T], accum BinaryOp[T, T, T],
-	op BinaryOp[T, T, T], u *Vector[T]) error {
+	m Monoid[T], u *Vector[T]) error {
 	if s == nil {
 		return errf(NullPointer, "%s: nil output scalar", opName)
 	}
@@ -168,7 +172,7 @@ func vectorReduceScalarCommon[T any](opName string, s *Scalar[T], accum BinaryOp
 	if _, err := sameContext(s.ctx, u.ctx); err != nil {
 		return err
 	}
-	t, tok, err := vectorReduceNow(opName, op, u)
+	t, tok, err := vectorReduceNow(opName, m, u)
 	if err != nil {
 		return err
 	}
@@ -214,7 +218,7 @@ func MatrixReduce[T any](monoid Monoid[T], a *Matrix[T]) (T, error) {
 	if err != nil {
 		return zero, err
 	}
-	t, ok, err := matrixReduceNow("MatrixReduce", ctx, monoid.Op, a)
+	t, ok, err := matrixReduceNow("MatrixReduce", ctx, monoid, a)
 	if err != nil {
 		return zero, err
 	}
@@ -237,7 +241,7 @@ func VectorReduce[T any](monoid Monoid[T], u *Vector[T]) (T, error) {
 	if _, err := u.context(); err != nil {
 		return zero, err
 	}
-	t, ok, err := vectorReduceNow("VectorReduce", monoid.Op, u)
+	t, ok, err := vectorReduceNow("VectorReduce", monoid, u)
 	if err != nil {
 		return zero, err
 	}
