@@ -3,7 +3,7 @@ GO ?= go
 # Every tier's command line lives here and nowhere else: scripts/ci.sh runs
 # `make <tier>` per tier, scripts/verify.sh is `make verify`, and the workflow
 # calls one or the other.
-.PHONY: all build test fmt race bench lint bench-smoke checktags selfcheck chaos soak fuzz verify ci lines
+.PHONY: all build test fmt race bench lint bench-smoke checktags chaos soak fuzz verify ci lines
 
 all: build test
 
@@ -85,13 +85,6 @@ checktags:
 	$(GO) vet -tags grbcheck ./internal/sparse
 	$(GO) test -tags grbcheck -race . ./internal/sparse ./lagraph
 
-# Serve tier: boots the multi-tenant query server on generated graphs and
-# probes every endpoint plus the tenant isolation contract (starved -> 507,
-# deadlined -> 408, gated -> 429) and the graceful-shutdown drain against a
-# live loopback listener.
-selfcheck:
-	$(GO) run ./cmd/grbserve -selfcheck
-
 # Chaos tier: the fault-injection differential sweep (every registered site
 # crossed with alloc-failure and panic shapes) plus the budget, cancellation,
 # and panic-isolation suites, with the grbcheck validators compiled in. Any
@@ -104,10 +97,13 @@ chaos:
 	    -run 'TestChaos|TestScattered|TestFaultSpec|TestBudget|TestCancel|TestDeadline|TestInjectedPanic|TestUserOperatorPanic' .
 
 # Soak tier: the serving stack's overload storm stretched to 10 seconds
-# under -race — AIMD limiters, circuit breakers, bounded queues, and the
-# memory governor running hot against armed delay + sampled allocation
-# faults, then a clean-recovery check. CI runs this in advisory mode: a
-# loaded machine can distort the storm's timing.
+# under -race — each tenant's AIMD window, circuit breaker and bounded queue,
+# and the memory governor running hot against armed delay + sampled
+# allocation faults, then a clean-recovery check. CI runs this in advisory
+# mode: a loaded machine can distort the storm's timing. The serving
+# contract itself (every endpoint, 507/408/404/400/429, the drain) has no
+# tier of its own: serve_test.go and overload_test.go drive it over loopback
+# HTTP in tier-1 and race.
 soak:
 	GRB_SOAK=10s $(GO) test -race -count=1 -run 'TestOverloadSoak' ./serve
 
@@ -127,7 +123,7 @@ lines:
 verify: test fmt race lint bench-smoke checktags chaos soak fuzz
 
 # The full tiered CI chain (scripts/ci.sh): build -> tier-1 -> fmt -> race ->
-# lint -> bench-smoke -> grbcheck -> serve -> coverage floor, then soak, chaos
+# lint -> bench-smoke -> grbcheck -> coverage floor, then soak, chaos
 # and fuzz as advisory tiers, with per-tier timing and a machine-readable
 # CI_SUMMARY line.
 ci:

@@ -95,7 +95,6 @@ func main() {
 	memHighWater := flag.Int64("mem-highwater", 0, "server-wide live-memory admission ceiling in bytes (0 = governor off)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT before in-flight queries are canceled")
 	reload := flag.Bool("reload", false, "reload the graph set from the -graph/-gen specs on SIGHUP (atomic swap, rollback on failure)")
-	selfcheck := flag.Bool("selfcheck", false, "run the serve smoke battery against a live loopback server and exit")
 	flag.Var(&graphs, "graph", "name=path.mtx graph to load (repeatable)")
 	flag.Var(&gens, "gen", "name=kind:arg generated graph, e.g. smoke=rmat:10 (repeatable)")
 	flag.Var(&tenants, "tenant", "name:deadline_ms[:mem_bytes[:max_inflight[:max_queue[:breaker_threshold]]]] tenant envelope (repeatable)")
@@ -105,15 +104,6 @@ func main() {
 		log.Fatal(err)
 	}
 	grb.EnableMetrics(true)
-
-	if *selfcheck {
-		if err := serve.SelfCheck(); err != nil {
-			log.Printf("selfcheck: FAIL: %v", err)
-			os.Exit(1)
-		}
-		log.Printf("selfcheck: ok")
-		return
-	}
 
 	// loadAll realizes the -graph/-gen specs; SIGHUP reloads reuse it so a
 	// hot swap sees exactly what a restart would.

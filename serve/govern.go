@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	grb "github.com/grblas/grb"
@@ -18,27 +18,25 @@ const govSoftWatermark = 0.7
 // honest "come back after some requests finish" signal.
 const govRetryAfter = time.Second
 
-// memGovernor is the server-wide live-memory admission controller. Every
-// request context is parented under the governor's own budgeted context, so
-// the §IV budget rollup makes `ctx.MemoryUsed()` a single-atomic-load
-// aggregate of all in-flight reservations. Admission projects that live
-// figure plus a per-(tenant,op) EWMA of recent request peaks; projections
-// past the high-water mark are rejected before any allocation happens
-// (429 + Retry-After) instead of failing mid-flight with 507. Above the soft
-// watermark each tenant is additionally held to its fair share of the
-// remaining headroom, so one hungry tenant cannot starve the rest.
+// memGovernor is the server-wide live-memory admission controller. It keeps
+// no ledger of its own: the server's root context carries the high-water mark
+// as its budget, every tenant context and request context is budgeted beneath
+// it, and the §IV budget rollup makes the root's and each tenant's
+// MemoryUsed a single-atomic-load aggregate of their in-flight reservations.
+// Admission projects that live figure plus the tenant's EWMA of the op's
+// recent peaks; projections past the high-water mark are rejected before any
+// allocation happens (429 + Retry-After) instead of failing mid-flight with
+// 507. Above the soft watermark each tenant is additionally held to its fair
+// share of the whole budget, so one hungry tenant cannot starve the rest.
 type memGovernor struct {
 	highWater int64
-	ctx       *grb.Context // budgeted parent for every request context
+	root      *grb.Context // nil when the library was not initialised
+	active    atomic.Int64 // tenants with a request in flight
 
-	mu       sync.Mutex
-	inflight map[string]map[*grb.Context]struct{} // tenant -> live request ctxs
-	est      map[string]float64                   // "tenant/op" -> EWMA of MemoryPeak
-
-	// Test injection points: when non-nil they replace the live readings so
-	// the admission arithmetic can be pinned without staging real allocations.
-	liveOverride       func() int64
-	tenantLiveOverride func(string) int64
+	// readings, when set, replaces the root's and the tenant's live bytes,
+	// so a test can pin the admission arithmetic without staging real
+	// allocations.
+	readings func(*tenant) (live, mine int64)
 }
 
 // governorSnapshot is the state exposed in shed bodies.
@@ -48,128 +46,37 @@ type governorSnapshot struct {
 	ActiveTenants int   `json:"active_tenants"`
 }
 
-// newMemGovernor builds the governor and its budgeted root context.
-// highWater <= 0 disables governing; callers keep a nil governor.
-func newMemGovernor(highWater int64) *memGovernor {
-	g := &memGovernor{
-		highWater: highWater,
-		inflight:  make(map[string]map[*grb.Context]struct{}),
-		est:       make(map[string]float64),
-	}
-	ctx, err := grb.NewContext(grb.NonBlocking, nil, grb.WithMemoryLimit(highWater))
-	if err != nil {
-		// No budget context means no live aggregate; degrade to estimates
-		// only rather than refusing to serve.
-		obsv.ServeAdd("govern.init_fail", 1)
-		return g
-	}
-	g.ctx = ctx
-	return g
-}
+// live returns the server-wide in-flight reservation aggregate.
+func (g *memGovernor) live() int64 { return g.root.MemoryUsed() }
 
-// live returns the current server-wide in-flight reservation aggregate.
-func (g *memGovernor) live() int64 {
-	if g.liveOverride != nil {
-		return g.liveOverride()
-	}
-	if g.ctx == nil {
-		return 0
-	}
-	return g.ctx.MemoryUsed()
-}
-
-// tenantLive sums the live reservations of one tenant's in-flight request
-// contexts. Callers hold g.mu.
-func (g *memGovernor) tenantLiveLocked(tenant string) int64 {
-	if g.tenantLiveOverride != nil {
-		return g.tenantLiveOverride(tenant)
-	}
-	var sum int64
-	for ctx := range g.inflight[tenant] {
-		sum += ctx.MemoryUsed()
-	}
-	return sum
-}
-
-// estimate returns the learned per-(tenant,op) peak-memory estimate.
-func (g *memGovernor) estimate(tenant, op string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return int64(g.est[tenant+"/"+op])
-}
-
-// admit decides whether one request may enter. When it may not, reason is
-// "governor" (global projection past high water) or "fairshare" (tenant over
-// its carve-out under pressure) and the duration is the Retry-After hint.
-func (g *memGovernor) admit(tenant, op string) (ok bool, reason string, retry time.Duration) {
+// admit decides whether one request of tn for op may enter. When it may
+// not, reason is "governor" (global projection past high water) or
+// "fairshare" (tenant over its slice under pressure).
+func (g *memGovernor) admit(tn *tenant, op string) (ok bool, reason string) {
 	if g == nil {
-		return true, "", 0
+		return true, ""
 	}
-	live := g.live()
+	live, mine := g.live(), tn.ctx.MemoryUsed()
+	if g.readings != nil {
+		live, mine = g.readings(tn)
+	}
 	obsv.ServeSet("govern.live_bytes", live)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	est := int64(g.est[tenant+"/"+op])
+	est := tn.estimate(op)
 	if live+est > g.highWater {
 		obsv.ServeAdd("govern.sheds", 1)
-		return false, "governor", govRetryAfter
+		return false, "governor"
 	}
-	if float64(live) > govSoftWatermark*float64(g.highWater) {
-		// Pressure regime: hold each active tenant to an equal slice of the
-		// whole budget. The requesting tenant counts as active even before
-		// its first admission so a newcomer gets a slice too.
-		active := len(g.inflight)
-		if _, seen := g.inflight[tenant]; !seen {
-			active++
-		}
-		share := g.highWater / int64(active)
-		if g.tenantLiveLocked(tenant)+est > share {
-			obsv.ServeAdd("govern.fair_sheds", 1)
-			return false, "fairshare", govRetryAfter
-		}
+	// The requesting tenant counts as active even before its first
+	// admission, so a newcomer gets a slice too.
+	active := g.active.Load()
+	if tn.running.Load() == 0 {
+		active++
 	}
-	return true, "", 0
-}
-
-// enter registers an admitted request's context so its reservations count
-// toward the tenant's live figure.
-func (g *memGovernor) enter(tenant string, ctx *grb.Context) {
-	if g == nil {
-		return
+	if float64(live) > govSoftWatermark*float64(g.highWater) && mine+est > g.highWater/active {
+		obsv.ServeAdd("govern.fair_sheds", 1)
+		return false, "fairshare"
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	m := g.inflight[tenant]
-	if m == nil {
-		m = make(map[*grb.Context]struct{})
-		g.inflight[tenant] = m
-	}
-	m[ctx] = struct{}{}
-}
-
-// depart folds the finished request's observed memory peak into the
-// per-(tenant,op) estimator and drops the context from the live set. Call
-// before ctx.Free so MemoryPeak still reads the real high-water mark.
-func (g *memGovernor) depart(tenant, op string, ctx *grb.Context) {
-	if g == nil {
-		return
-	}
-	peak := float64(ctx.MemoryPeak())
-	g.mu.Lock()
-	if m := g.inflight[tenant]; m != nil {
-		delete(m, ctx)
-		if len(m) == 0 {
-			delete(g.inflight, tenant)
-		}
-	}
-	key := tenant + "/" + op
-	if old, seen := g.est[key]; seen {
-		g.est[key] = 0.8*old + 0.2*peak
-	} else {
-		g.est[key] = peak
-	}
-	g.mu.Unlock()
-	obsv.ServeSet("govern.live_bytes", g.live())
+	return true, ""
 }
 
 // snapshot returns the governor's instantaneous state for shed bodies.
@@ -177,8 +84,5 @@ func (g *memGovernor) snapshot() *governorSnapshot {
 	if g == nil {
 		return nil
 	}
-	g.mu.Lock()
-	active := len(g.inflight)
-	g.mu.Unlock()
-	return &governorSnapshot{LiveBytes: g.live(), HighWater: g.highWater, ActiveTenants: active}
+	return &governorSnapshot{LiveBytes: g.live(), HighWater: g.highWater, ActiveTenants: int(g.active.Load())}
 }

@@ -104,15 +104,15 @@ func LoadMTX(name, path string) (*Graph, error) {
 }
 
 // FromGen builds a served graph from a generated edge list with uniform
-// [1, 2) weights — deterministic per name so selfchecks and benchmarks are
+// [1, 2) weights — deterministic per name so tests and benchmarks are
 // reproducible.
 func FromGen(name string, g gen.Graph) (*Graph, error) {
 	return buildGraph(name, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7))
 }
 
 // ParseGenSpec builds a served graph from a "name=kind:arg" generator spec,
-// the loader behind grbserve's -gen flag (and the CI smoke tier, which
-// must not depend on fixture files). Kinds:
+// the loader behind grbserve's -gen flag (and tests, which must not depend
+// on fixture files). Kinds:
 //
 //	rmat:S   Graph500 R-MAT at scale S (2^S vertices, edge factor 8), symmetrized
 //	path:N   directed path on N vertices

@@ -5,66 +5,98 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
-	grb "github.com/grblas/grb"
 	"github.com/grblas/grb/internal/faults"
 	"github.com/grblas/grb/internal/obsv"
 )
 
+// tryAdmit is the non-blocking admission probe: with the window full and no
+// queue it returns the shed at once. The tests hold a tenant's slot with it.
+func tryAdmit(tn *tenant, now time.Time) admitResult {
+	res, _ := tn.admit(now, time.Time{}, nil, nil)
+	return res
+}
+
+// window reads the tenant's window snapshot.
+func window(tn *tenant) limiterSnapshot {
+	l, _ := tn.snapshot()
+	return *l
+}
+
+// circuit reads the tenant's circuit snapshot.
+func circuit(tn *tenant) breakerSnapshot {
+	_, b := tn.snapshot()
+	return *b
+}
+
 // TestAIMDLimiterWindow pins the control law with an explicit clock:
-// multiplicative decrease on overload (rate-limited by the cooldown),
-// additive increase on on-target completions, both clamped to [min, max].
+// multiplicative decrease on overload (rate-limited by halveEvery),
+// additive increase on on-target completions, both clamped to [1, max],
+// and no increase while the p99 is over P99Target.
 func TestAIMDLimiterWindow(t *testing.T) {
 	obsv.ResetServe()
 	t.Cleanup(obsv.ResetServe)
-	l := newAIMDLimiter("aimd", 8, 1, 0, 50*time.Millisecond, 100*time.Millisecond)
+	tn := newTenant("aimd", TenantConfig{MaxInFlight: 8, P99Target: 50 * time.Millisecond})
+	base := time.Now()
 	for i := 0; i < 8; i++ {
-		if !l.tryAcquire() {
+		if tryAdmit(tn, base) != admitGranted {
 			t.Fatalf("slot %d refused under full window", i)
 		}
 	}
-	if l.tryAcquire() {
+	if tryAdmit(tn, base) == admitGranted {
 		t.Fatal("9th slot granted over the ceiling")
 	}
 
-	base := time.Now()
-	l.releaseAt(outcomeOverload, 0, base)
-	if w := l.snapshot().Window; w != 4 {
+	tn.release(outcomeOverload, 0, base)
+	if w := window(tn).Window; w != 4 {
 		t.Fatalf("after 1st overload: window %d, want 4", w)
 	}
-	// Within the cooldown a second overload must not halve again.
-	l.releaseAt(outcomeOverload, 0, base.Add(10*time.Millisecond))
-	if w := l.snapshot().Window; w != 4 {
+	// Within halveEvery a second overload must not halve again.
+	tn.release(outcomeOverload, 0, base.Add(10*time.Millisecond))
+	if w := window(tn).Window; w != 4 {
 		t.Fatalf("overload inside cooldown: window %d, want 4", w)
 	}
-	l.releaseAt(outcomeOverload, 0, base.Add(150*time.Millisecond))
-	l.releaseAt(outcomeOverload, 0, base.Add(300*time.Millisecond))
-	if w := l.snapshot().Window; w != 1 {
+	tn.release(outcomeOverload, 0, base.Add(halveEvery+time.Millisecond))
+	tn.release(outcomeOverload, 0, base.Add(2*halveEvery+2*time.Millisecond))
+	if w := window(tn).Window; w != 1 {
 		t.Fatalf("after repeated overloads: window %d, want floor 1", w)
 	}
 	if g := obsv.ServeGet("limiter.window.aimd"); g != 1 {
 		t.Fatalf("window gauge = %d, want 1", g)
 	}
 	// Drain the remaining held slots without feeding the loop.
-	for l.snapshot().Inflight > 0 {
-		l.releaseAt(outcomeNeutral, 0, base)
+	for window(tn).Inflight > 0 {
+		tn.release(outcomeNeutral, 0, base)
 	}
 
 	// Additive regrowth: on-target completions climb the window back to the
 	// ceiling — one extra slot per window's worth of good finishes — and
 	// never past it.
 	for i := 0; i < 40; i++ {
-		if !l.tryAcquire() {
+		if tryAdmit(tn, base) != admitGranted {
 			t.Fatalf("regrow iter %d: slot refused with empty inflight", i)
 		}
-		l.releaseAt(outcomeOK, time.Millisecond, base.Add(time.Second))
+		tn.release(outcomeOK, time.Millisecond, base.Add(time.Second))
 	}
-	if w := l.snapshot().Window; w != 8 {
+	if w := window(tn).Window; w != 8 {
 		t.Fatalf("after regrowth: window %d, want ceiling 8", w)
+	}
+
+	// Completions over the target hold the window where it is: 100 ms is
+	// on target for the default 250 ms, not for this tenant's 50 ms.
+	slow := newTenant("slow", TenantConfig{MaxInFlight: 4, P99Target: 50 * time.Millisecond})
+	slow.release(outcomeOverload, 0, base)
+	for i := 0; i < 20; i++ {
+		tryAdmit(slow, base)
+		slow.release(outcomeOK, 100*time.Millisecond, base)
+	}
+	if w := window(slow).Window; w != 2 {
+		t.Fatalf("over-target completions: window %d, want 2", w)
 	}
 }
 
@@ -74,48 +106,28 @@ func TestAIMDLimiterWindow(t *testing.T) {
 func TestAIMDQueueHandover(t *testing.T) {
 	obsv.ResetServe()
 	t.Cleanup(obsv.ResetServe)
-	l := newAIMDLimiter("queue", 1, 1, 2, 0, 0)
-	if !l.tryAcquire() {
+	tn := newTenant("queue", TenantConfig{MaxInFlight: 1, MaxQueue: 2})
+	now := time.Now()
+	if tryAdmit(tn, now) != admitGranted {
 		t.Fatal("first slot refused")
 	}
-	got := make(chan admitResult, 1)
-	go func() {
-		res, _ := l.acquire(time.Time{}, nil, nil)
-		got <- res
-	}()
-	// Wait for the waiter to join the queue, then fill the rest of it.
-	deadline := time.Now().Add(2 * time.Second)
-	for l.snapshot().Queued != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
+	got := make(chan admitResult, 2)
+	for queued := 1; queued <= 2; queued++ {
+		go func() { got <- tryAdmit(tn, now) }()
+		waitFor(t, "waiter queued", func() bool { return window(tn).Queued == queued })
 	}
-	go func() {
-		res, _ := l.acquire(time.Time{}, nil, nil)
-		got <- res
-	}()
-	for l.snapshot().Queued != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("second waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if res, _ := l.acquire(time.Time{}, nil, nil); res != admitShedQueueFull {
+	if res := tryAdmit(tn, now); res != admitShedQueueFull {
 		t.Fatalf("over-bound arrival: %v, want admitShedQueueFull", res)
 	}
 	// Each release hands the slot to the next waiter in turn.
-	l.release(outcomeOK, time.Millisecond)
-	if res := <-got; res != admitGranted {
-		t.Fatalf("first handover: %v", res)
+	for i := 0; i < 2; i++ {
+		tn.release(outcomeOK, time.Millisecond, now)
+		if res := <-got; res != admitGranted {
+			t.Fatalf("handover %d: %v", i, res)
+		}
 	}
-	l.release(outcomeOK, time.Millisecond)
-	if res := <-got; res != admitGranted {
-		t.Fatalf("second handover: %v", res)
-	}
-	l.release(outcomeOK, time.Millisecond)
-	snap := l.snapshot()
-	if snap.Inflight != 0 || snap.Queued != 0 {
+	tn.release(outcomeOK, time.Millisecond, now)
+	if snap := window(tn); snap.Inflight != 0 || snap.Queued != 0 {
 		t.Fatalf("after drain: %+v", snap)
 	}
 }
@@ -126,27 +138,26 @@ func TestAIMDQueueHandover(t *testing.T) {
 func TestAIMDQueueDeadline(t *testing.T) {
 	obsv.ResetServe()
 	t.Cleanup(obsv.ResetServe)
-	l := newAIMDLimiter("qd", 1, 1, 4, 0, 0)
-	if !l.tryAcquire() {
+	tn := newTenant("qd", TenantConfig{MaxInFlight: 1, MaxQueue: 4})
+	start := time.Now()
+	if tryAdmit(tn, start) != admitGranted {
 		t.Fatal("first slot refused")
 	}
-	res, waited := l.acquire(time.Now().Add(20*time.Millisecond), nil, nil)
-	if res != admitShedDeadline {
+	if res, _ := tn.admit(start, start.Add(20*time.Millisecond), nil, nil); res != admitShedDeadline {
 		t.Fatalf("expired waiter: %v, want admitShedDeadline", res)
 	}
-	if waited < 15*time.Millisecond {
+	if waited := time.Since(start); waited < 15*time.Millisecond {
 		t.Fatalf("queue wait %v did not consume the deadline", waited)
 	}
 	if got := obsv.ServeGet("queue.dropped_deadline.qd"); got != 1 {
 		t.Fatalf("dropped_deadline counter = %d, want 1", got)
 	}
-	// The abandoned waiter must be skipped: release frees the slot outright.
-	l.release(outcomeOK, time.Millisecond)
-	snap := l.snapshot()
-	if snap.Inflight != 0 || snap.Queued != 0 {
+	// The dropped waiter left the queue: release frees the slot outright.
+	tn.release(outcomeOK, time.Millisecond, time.Now())
+	if snap := window(tn); snap.Inflight != 0 || snap.Queued != 0 {
 		t.Fatalf("after release past abandoned waiter: %+v", snap)
 	}
-	if !l.tryAcquire() {
+	if tryAdmit(tn, time.Now()) != admitGranted {
 		t.Fatal("slot lost to an abandoned waiter")
 	}
 }
@@ -159,109 +170,189 @@ func TestBreakerStateMachine(t *testing.T) {
 	obsv.ResetServe()
 	t.Cleanup(obsv.ResetServe)
 	now := time.Now()
-	b := newBreaker("cb", 3, 50*time.Millisecond)
+	tn := newTenant("cb", TenantConfig{BreakerThreshold: 3})
 
 	// Scattered failures never open the circuit: a success resets the run.
-	b.note(outcomeFailure, now)
-	b.note(outcomeFailure, now)
-	b.note(outcomeOK, now)
-	b.note(outcomeFailure, now)
-	if ok, _ := b.allow(now); !ok {
+	for _, o := range []outcome{outcomeFailure, outcomeFailure, outcomeOK, outcomeFailure} {
+		tn.release(o, 0, now)
+	}
+	if tryAdmit(tn, now) != admitGranted {
 		t.Fatal("circuit opened below threshold")
 	}
 	// Three consecutive failures open it.
-	b.note(outcomeFailure, now)
-	b.note(outcomeFailure, now)
-	if ok, retry := b.allow(now); ok || retry <= 0 {
-		t.Fatalf("circuit not open at threshold (ok=%v retry=%v)", ok, retry)
+	tn.release(outcomeFailure, 0, now)
+	tn.release(outcomeFailure, 0, now)
+	if res, retry := tn.admit(now, time.Time{}, nil, nil); res != admitShedBreaker || retry <= 0 {
+		t.Fatalf("circuit not open at threshold (res=%v retry=%v)", res, retry)
 	}
 	if got := obsv.ServeGet("breaker.opened.cb"); got != 1 {
 		t.Fatalf("opened counter = %d, want 1", got)
 	}
 	// After the cooldown exactly one probe passes; a second is rejected.
-	probe := now.Add(60 * time.Millisecond)
-	if ok, _ := b.allow(probe); !ok {
+	probe := now.Add(breakerCooldown + 10*time.Millisecond)
+	if tryAdmit(tn, probe) != admitGranted {
 		t.Fatal("half-open probe rejected")
 	}
-	if ok, _ := b.allow(probe); ok {
+	if tryAdmit(tn, probe) != admitShedBreaker {
 		t.Fatal("second concurrent probe allowed")
 	}
 	// Probe failure re-opens; probe success closes.
-	b.note(outcomeOverload, probe)
-	if ok, _ := b.allow(probe.Add(10 * time.Millisecond)); ok {
+	tn.release(outcomeOverload, 0, probe)
+	if tryAdmit(tn, probe.Add(10*time.Millisecond)) != admitShedBreaker {
 		t.Fatal("circuit closed despite failed probe")
 	}
-	reprobe := probe.Add(70 * time.Millisecond)
-	if ok, _ := b.allow(reprobe); !ok {
+	reprobe := probe.Add(breakerCooldown + 20*time.Millisecond)
+	if tryAdmit(tn, reprobe) != admitGranted {
 		t.Fatal("second probe rejected after cooldown")
 	}
-	b.note(outcomeOK, reprobe)
-	if ok, _ := b.allow(reprobe); !ok {
+	tn.release(outcomeOK, 0, reprobe)
+	if tryAdmit(tn, reprobe) != admitGranted {
 		t.Fatal("circuit not closed after successful probe")
 	}
-	if snap := b.snapshot(); snap.State != "closed" || snap.ConsecutiveFails != 0 {
+	if snap := circuit(tn); snap.State != "closed" || snap.ConsecutiveFails != 0 {
 		t.Fatalf("final snapshot: %+v", snap)
 	}
 }
 
-// TestMemGovernorAdmission pins the admission arithmetic with injected live
-// readings: global projection past high water sheds, the fair-share carve-out
-// binds only above the soft watermark, and headroom admits.
+// TestHalfOpenProbeThatRanNothing pins what frees a half-open probe besides
+// a success or a failure: a probe shed by the full window after the circuit
+// let it through, one dropped from the queue at its deadline, and one that
+// ends in a client error. Each leaves the circuit half-open with the probe
+// slot free, so the next request probes. A probe slot left taken would
+// refuse every later request of the tenant with 503, for good.
+func TestHalfOpenProbeThatRanNothing(t *testing.T) {
+	obsv.ResetServe()
+	t.Cleanup(obsv.ResetServe)
+	now := time.Now()
+	probe := now.Add(breakerCooldown + time.Millisecond)
+	// opened has two requests in flight, one of which overloads: that opens
+	// the circuit and halves the window to 1, which the other fills.
+	opened := func(maxQueue int) *tenant {
+		tn := newTenant("wedge", TenantConfig{MaxInFlight: 2, MaxQueue: maxQueue, BreakerThreshold: 1})
+		tryAdmit(tn, now)
+		tryAdmit(tn, now)
+		tn.release(outcomeOverload, 0, now)
+		return tn
+	}
+	tn := opened(0)
+	for i := 0; i < 2; i++ {
+		if res := tryAdmit(tn, probe); res != admitShedQueueFull {
+			t.Fatalf("probe %d into a full window: %v, want admitShedQueueFull", i, res)
+		}
+	}
+	tn = opened(1)
+	for i := 0; i < 2; i++ {
+		if res, _ := tn.admit(probe, time.Now().Add(5*time.Millisecond), nil, nil); res != admitShedDeadline {
+			t.Fatalf("queued probe %d: %v, want admitShedDeadline", i, res)
+		}
+	}
+	if snap := circuit(tn); snap.State != "half-open" {
+		t.Fatalf("after shed probes: %+v, want half-open", snap)
+	}
+
+	tn = opened(0)
+	tn.release(outcomeNeutral, 0, now) // the request from before the circuit opened
+	if tryAdmit(tn, probe) != admitGranted {
+		t.Fatal("probe refused")
+	}
+	tn.release(outcomeNeutral, 0, probe)
+	if snap := circuit(tn); snap.State != "half-open" {
+		t.Fatalf("after a client-error probe: %+v, want half-open", snap)
+	}
+	// The next request is the probe, and its success closes the circuit.
+	if tryAdmit(tn, probe) != admitGranted {
+		t.Fatal("probe refused after a client-error probe")
+	}
+	tn.release(outcomeOK, 0, probe)
+	if snap := circuit(tn); snap.State != "closed" {
+		t.Fatalf("after a successful probe: %+v, want closed", snap)
+	}
+}
+
+// TestMemGovernorAdmission pins the governor against real tenant contexts:
+// each tenant's context is a child of the server's root, budgeted with the
+// high-water mark, and a request's context a child of its tenant's. The
+// admission arithmetic runs on injected live readings: a global projection
+// past high water sheds, the fair-share carve-out binds only above the soft
+// watermark, and headroom admits. A departure folds its peak into the
+// tenant's estimate for the op at 0.2.
 func TestMemGovernorAdmission(t *testing.T) {
 	initLib(t)
 	obsv.ResetServe()
 	t.Cleanup(obsv.ResetServe)
-	g := newMemGovernor(1000)
-	if g.ctx == nil {
-		t.Fatal("governor context missing")
+	s := NewServer(nil, Config{MemHighWater: 1000})
+	named := func(name string) *tenant {
+		return s.tenantFor(httptest.NewRequest(http.MethodGet, "/query/bfs?tenant="+name, nil), url.Values{"tenant": {name}})
 	}
-	var live, tenantLive int64
-	g.liveOverride = func() int64 { return live }
-	g.tenantLiveOverride = func(string) int64 { return tenantLive }
-	g.est["t/triangles"] = 500
+	tn := named("t")
+	if tn.ctx == nil || tn.ctx.Parent() != s.root || tn.ctx.MemoryLimit() != 1000 {
+		t.Fatalf("tenant context is not a child of the root budgeted at the high-water mark")
+	}
+	var live, mine int64
+	s.gov.readings = func(got *tenant) (int64, int64) {
+		if got != tn {
+			t.Fatalf("readings for tenant %q, want %q", got.name, tn.name)
+		}
+		return live, mine
+	}
+	tn.est["triangles"] = 500
 
 	live = 600
-	if ok, reason, retry := g.admit("t", "triangles"); ok || reason != "governor" || retry <= 0 {
-		t.Fatalf("projection 1100/1000 admitted (ok=%v reason=%q retry=%v)", ok, reason, retry)
+	if ok, reason := s.gov.admit(tn, "triangles"); ok || reason != "governor" {
+		t.Fatalf("projection 1100/1000 admitted (ok=%v reason=%q)", ok, reason)
 	}
 	// Below the soft watermark the fair share does not bind.
-	live, tenantLive = 400, 400
-	if ok, _, _ := g.admit("t", "triangles"); !ok {
+	live, mine = 400, 400
+	if ok, _ := s.gov.admit(tn, "triangles"); !ok {
 		t.Fatal("request below soft watermark shed")
 	}
 	// Above it, a tenant over its slice is shed even though the global
-	// projection fits. Two other tenants are live, so with the requester the
-	// slice is highWater/3 = 333.
-	g.inflight["other1"] = map[*grb.Context]struct{}{}
-	g.inflight["other2"] = map[*grb.Context]struct{}{}
-	live, tenantLive = 750, 400
-	g.est["t/bfs"] = 100
-	if ok, reason, _ := g.admit("t", "bfs"); ok || reason != "fairshare" {
+	// projection fits. Two other tenants are in flight, so with the
+	// requester the slice is highWater/3 = 333.
+	others := []*tenant{named("other1"), named("other2")}
+	for _, o := range others {
+		s.enter(o)
+	}
+	live, mine = 750, 400
+	tn.est["bfs"] = 100
+	if ok, reason := s.gov.admit(tn, "bfs"); ok || reason != "fairshare" {
 		t.Fatalf("over-slice tenant admitted (ok=%v reason=%q)", ok, reason)
 	}
 	if got := obsv.ServeGet("govern.fair_sheds"); got != 1 {
 		t.Fatalf("fair_sheds = %d, want 1", got)
 	}
-	live, tenantLive = 750, 100
-	if ok, _, _ := g.admit("t", "bfs"); !ok {
+	live, mine = 750, 100
+	if ok, _ := s.gov.admit(tn, "bfs"); !ok {
 		t.Fatal("under-slice tenant shed")
 	}
-	delete(g.inflight, "other1")
-	delete(g.inflight, "other2")
 
-	// The estimator blends departures: EWMA of observed peaks. A context
-	// with no reservations reports peak 0, pulling a seeded estimate down.
-	ctx, err := grb.NewContext(grb.NonBlocking, nil, grb.WithMemoryLimit(1<<20))
+	// The estimator blends departures: EWMA of observed peaks. A request
+	// context with no reservations reports peak 0, pulling a seeded
+	// estimate down.
+	ctx, err := tn.requestCtx(time.Now(), s.cfg.MemHighWater)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		_ = ctx.Free() //grblint:ignore infocheck -- test teardown
-	}()
-	g.enter("t", ctx)
-	g.depart("t", "triangles", ctx)
-	if est := g.estimate("t", "triangles"); est != 400 {
+	if ctx.Parent() != tn.ctx {
+		t.Fatal("request context is not a child of its tenant's")
+	}
+	s.enter(tn)
+	s.leave(tn, "triangles", ctx)
+	if est := tn.estimate("triangles"); est != 400 {
 		t.Fatalf("EWMA after zero-peak departure: %d, want 0.8*500 = 400", est)
+	}
+	if got := s.gov.active.Load(); got != 2 {
+		t.Fatalf("active tenants after the departure: %d, want the other 2", got)
+	}
+	for _, o := range others {
+		ctx, err := o.requestCtx(time.Now(), s.cfg.MemHighWater)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.leave(o, "bfs", ctx)
+	}
+	if s.gov.active.Load() != 0 || s.InFlight() != 0 {
+		t.Fatalf("after every departure: %d active tenants, %d in flight", s.gov.active.Load(), s.InFlight())
 	}
 }
 
@@ -372,7 +463,7 @@ func TestBreakerHTTP(t *testing.T) {
 	cfg := Config{
 		Default: TenantConfig{Deadline: 30 * time.Second},
 		Tenants: map[string]TenantConfig{
-			"flaky": {Deadline: 30 * time.Second, BreakerThreshold: 2, BreakerCooldown: 750 * time.Millisecond},
+			"flaky": {Deadline: 30 * time.Second, BreakerThreshold: 2},
 		},
 	}
 	ts := httptest.NewServer(NewServer([]*Graph{g}, cfg).Handler())
@@ -400,12 +491,101 @@ func TestBreakerHTTP(t *testing.T) {
 	// Heal the backend; after the cooldown the half-open probe succeeds and
 	// the tenant is back in business.
 	faults.Disable()
-	time.Sleep(800 * time.Millisecond)
+	time.Sleep(breakerCooldown + 50*time.Millisecond)
 	if status, body := get(t, ts.URL+"/query/triangles", "flaky"); status != http.StatusOK {
 		t.Fatalf("probe after heal: status %d: %s", status, body)
 	}
 	if status, _ := get(t, ts.URL+"/query/triangles", "flaky"); status != http.StatusOK {
 		t.Fatal("circuit did not close after successful probe")
+	}
+}
+
+// TestBreakerHalfOpenClientErrorHTTP is the half-open wedge over HTTP: one
+// injected 507 opens a threshold-1 circuit, and after the cooldown the probe
+// is a bad request (400), which says nothing about the backend. The next
+// query must probe again and close the circuit, not get 503 with the
+// circuit half-open however long the tenant waits.
+func TestBreakerHalfOpenClientErrorHTTP(t *testing.T) {
+	initLib(t)
+	obsv.ResetServe()
+	t.Cleanup(obsv.ResetServe)
+	g := testGraph(t)
+	cfg := Config{
+		Default: TenantConfig{Deadline: 30 * time.Second},
+		Tenants: map[string]TenantConfig{"wedge": {Deadline: 30 * time.Second, BreakerThreshold: 1}},
+	}
+	ts := httptest.NewServer(NewServer([]*Graph{g}, cfg).Handler())
+	defer ts.Close()
+
+	faults.Enable(faults.Rule{Site: "sparse.spgemm.spa", Action: faults.AllocFail})
+	defer faults.Disable()
+	if status, body := get(t, ts.URL+"/query/triangles", "wedge"); status != http.StatusInsufficientStorage {
+		t.Fatalf("injected failure: status %d: %s", status, body)
+	}
+	faults.Disable()
+	if status, body := get(t, ts.URL+"/query/triangles", "wedge"); status != http.StatusServiceUnavailable {
+		t.Fatalf("open circuit: status %d, want 503: %s", status, body)
+	}
+	time.Sleep(breakerCooldown + 50*time.Millisecond)
+	if status, body := get(t, ts.URL+"/query/bfs?src=x", "wedge"); status != http.StatusBadRequest {
+		t.Fatalf("client-error probe: status %d, want 400: %s", status, body)
+	}
+	for i := 0; i < 2; i++ {
+		if status, body := get(t, ts.URL+"/query/triangles", "wedge"); status != http.StatusOK {
+			t.Fatalf("query %d after a client-error probe: status %d, want 200: %s", i, status, body)
+		}
+	}
+	if got := obsv.ServeGet("breaker.state.wedge"); got != int64(breakerClosed) {
+		t.Fatalf("breaker gauge = %d, want closed", got)
+	}
+}
+
+// TestGovernorShedHTTP drives the governor's global shed end to end: a
+// tenant whose per-request budget exceeds the high-water mark runs one
+// query, whose peak becomes its estimate for the op, and the next such query
+// projects past the mark and is shed before it runs — 429, Retry-After and
+// the governor's state in the shed body — while another op, with no
+// estimate yet, still runs.
+func TestGovernorShedHTTP(t *testing.T) {
+	initLib(t)
+	obsv.ResetServe()
+	t.Cleanup(obsv.ResetServe)
+	g := testGraph(t)
+	cfg := Config{
+		Default:      TenantConfig{Deadline: 30 * time.Second, MemoryBytes: 1 << 30},
+		MemHighWater: 64,
+	}
+	ts := httptest.NewServer(NewServer([]*Graph{g}, cfg).Handler())
+	defer ts.Close()
+	if status, body := get(t, ts.URL+"/query/triangles", "hungry"); status != http.StatusOK {
+		t.Fatalf("first query: status %d: %s", status, body)
+	}
+	req, err := http.NewRequest("GET", ts.URL+"/query/triangles", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Grb-Tenant", "hungry")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Shed struct {
+			Reason   string            `json:"reason"`
+			Governor *governorSnapshot `json:"governor"`
+		} `json:"shed"`
+	}
+	decErr := json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" || decErr != nil ||
+		body.Shed.Reason != "governor" || body.Shed.Governor == nil || body.Shed.Governor.HighWater != 64 {
+		t.Fatalf("second query: status %d, Retry-After %q, body %+v (err %v)", resp.StatusCode, resp.Header.Get("Retry-After"), body, decErr)
+	}
+	if obsv.ServeGet("govern.sheds") != 1 {
+		t.Fatalf("govern.sheds = %d, want 1", obsv.ServeGet("govern.sheds"))
+	}
+	if status, body := get(t, ts.URL+"/query/bfs?src=0", "hungry"); status != http.StatusOK {
+		t.Fatalf("an op with no estimate: status %d: %s", status, body)
 	}
 }
 
@@ -606,8 +786,7 @@ func TestOverloadSoak(t *testing.T) {
 		Default:      TenantConfig{Deadline: 10 * time.Second},
 		MemHighWater: 64 << 20,
 		Tenants: map[string]TenantConfig{
-			"soak0": {Deadline: 2 * time.Second, MaxInFlight: 2, MaxQueue: 2,
-				BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
+			"soak0": {Deadline: 2 * time.Second, MaxInFlight: 2, MaxQueue: 2, BreakerThreshold: 4},
 			"soak1": {Deadline: 2 * time.Second, MaxInFlight: 3, MaxQueue: 1},
 			"soak2": {Deadline: 50 * time.Millisecond, MaxInFlight: 2},
 		},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,15 +24,12 @@ import (
 type TenantConfig struct {
 	Deadline    time.Duration // per-request wall-clock budget
 	MemoryBytes int64         // per-request memory budget (grb.WithMemoryLimit)
-	MaxInFlight int           // concurrency ceiling; the AIMD window breathes below it
+	MaxInFlight int           // concurrency ceiling; the AIMD window breathes between 1 and it
 
-	// Adaptive-control knobs; zero values keep earlier revisions' behavior
-	// (static limit, no queue, no breaker).
-	MinInFlight      int           // AIMD window floor (default 1)
+	// Adaptive-control knobs; zero values mean no queue and no breaker.
 	MaxQueue         int           // bounded admission queue depth; 0 = shed immediately
 	P99Target        time.Duration // latency target for additive increase (default 250ms)
-	BreakerThreshold int           // consecutive failures to open the circuit; 0 = no breaker
-	BreakerCooldown  time.Duration // open-state hold before the half-open probe (default 1s)
+	BreakerThreshold int           // consecutive failures to open the circuit (for 1s); 0 = no breaker
 }
 
 // Config carries the per-tenant table plus the envelope applied to tenants
@@ -46,43 +44,28 @@ type Config struct {
 	MemHighWater int64
 }
 
-// tenant is the runtime state for one tenant name: its config plus the
-// adaptive concurrency limiter and circuit breaker, created once on first
-// sight.
-type tenant struct {
-	name    string
-	cfg     TenantConfig
-	limiter *aimdLimiter // nil when MaxInFlight == 0
-	breaker *breaker     // nil when BreakerThreshold == 0
-}
-
-// newRequestCtx derives the §IV per-request context from the tenant
-// envelope: always cancellable (for client disconnects), with the deadline
-// and memory budget layered on when configured. The deadline anchors at the
-// request's arrival, not at admission, so time spent queued is charged
-// against the request's own budget. Under a governor the context parents
-// under the governor's budgeted context — the budget rollup then aggregates
-// every in-flight reservation there — and an unbudgeted tenant gets the
-// high-water mark as its per-request cap. Without a governor the parent is
-// the library top context; either way shared snapshots (owned by the top
-// context) remain legal operands under the hierarchical sharing rule.
-func (t *tenant) newRequestCtx(arrival time.Time, gov *memGovernor) (*grb.Context, error) {
-	opts := []grb.ContextOption{grb.WithCancel()}
+// requestCtx derives the §IV per-request context under the tenant's: always
+// cancellable (for client disconnects), with the deadline and memory budget
+// layered on when configured. The deadline anchors at the request's arrival,
+// not at admission, so time spent queued is charged against the request's
+// own budget. Under a governor an unbudgeted tenant gets the high-water mark
+// as its per-request cap, so that every request context is budgeted and its
+// reservations roll up into the tenant's and the root's MemoryUsed. Shared
+// snapshots, owned by the top context, remain legal operands under the
+// hierarchical sharing rule.
+func (t *tenant) requestCtx(arrival time.Time, highWater int64) (*grb.Context, error) {
+	opts := append(make([]grb.ContextOption, 0, 3), grb.WithCancel())
 	if t.cfg.Deadline > 0 {
 		opts = append(opts, grb.WithDeadline(arrival.Add(t.cfg.Deadline)))
 	}
 	mem := t.cfg.MemoryBytes
-	var parent *grb.Context
-	if gov != nil && gov.ctx != nil {
-		parent = gov.ctx
-		if mem <= 0 {
-			mem = gov.highWater
-		}
+	if mem <= 0 {
+		mem = highWater
 	}
 	if mem > 0 {
 		opts = append(opts, grb.WithMemoryLimit(mem))
 	}
-	return grb.NewContext(grb.NonBlocking, parent, opts...)
+	return grb.NewContext(grb.NonBlocking, t.ctx, opts...)
 }
 
 // Server serves concurrent algorithm queries over a shared graph set. The
@@ -90,26 +73,51 @@ func (t *tenant) newRequestCtx(arrival time.Time, gov *memGovernor) (*grb.Contex
 // in-flight requests keep whichever snapshot they resolved — and all
 // per-request mutable state lives in the request's own Context, so handlers
 // need no locks around the graph data itself.
+//
+// The §IV context tree is the server's only ledger of what is in flight:
+// one root context, one child per tenant, and each request's context under
+// its tenant's. Canceling the root cancels every request; the root's and a
+// tenant's MemoryUsed are the live memory the governor reads.
 type Server struct {
-	graphs  atomic.Pointer[map[string]*Graph]
-	cfg     Config
-	tenants sync.Map // name -> *tenant
-	mux     *http.ServeMux
-	gov     *memGovernor // nil when cfg.MemHighWater == 0
-	lc      *lifecycle
+	graphs atomic.Pointer[map[string]*Graph]
+	cfg    Config
+	mux    *http.ServeMux
+	root   *grb.Context // WithCancel, budgeted under a governor; nil if grb.Init was not called
+	gov    *memGovernor // nil when cfg.MemHighWater == 0
+
+	mu      sync.Mutex
+	tenants map[string]*tenant
+
+	drainCh   chan struct{} // closed when the server starts draining
+	drainOnce sync.Once
+	inflight  atomic.Int64 // requests holding a request context
 }
 
 // graphMap returns the current graph snapshot.
 func (s *Server) graphMap() map[string]*Graph { return *s.graphs.Load() }
 
+// budget is the memory limit the governor puts on the root and on each
+// tenant context: none without a governor.
+func (s *Server) budget() []grb.ContextOption {
+	if s.cfg.MemHighWater <= 0 {
+		return nil
+	}
+	return []grb.ContextOption{grb.WithMemoryLimit(s.cfg.MemHighWater)}
+}
+
 // NewServer builds the handler tree over the given graphs. Queries name
 // their graph with ?graph=; when exactly one graph is loaded it is the
 // default.
 func NewServer(graphs []*Graph, cfg Config) *Server {
-	s := &Server{cfg: cfg, lc: newLifecycle()}
+	s := &Server{cfg: cfg, tenants: make(map[string]*tenant), drainCh: make(chan struct{})}
 	s.SetGraphs(graphs)
+	// Without an initialised library there is no root: request contexts
+	// then parent under the top context, and Shutdown cannot cancel them.
+	if root, err := grb.NewContext(grb.NonBlocking, nil, append(s.budget(), grb.WithCancel())...); err == nil {
+		s.root = root
+	}
 	if cfg.MemHighWater > 0 {
-		s.gov = newMemGovernor(cfg.MemHighWater)
+		s.gov = &memGovernor{highWater: cfg.MemHighWater, root: s.root}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -158,8 +166,11 @@ func (s *Server) tenantFor(r *http.Request, q url.Values) *tenant {
 	if name == "" {
 		name = "default"
 	}
-	if t, ok := s.tenants.Load(name); ok {
-		return t.(*tenant)
+	s.mu.Lock()
+	t := s.tenants[name]
+	s.mu.Unlock()
+	if t != nil {
+		return t
 	}
 	cfg, ok := s.cfg.Tenants[name]
 	if !ok {
@@ -168,16 +179,20 @@ func (s *Server) tenantFor(r *http.Request, q url.Values) *tenant {
 	if cfg.Deadline == 0 {
 		cfg.Deadline = s.cfg.Default.Deadline
 	}
-	t := &tenant{name: name, cfg: cfg}
-	if cfg.MaxInFlight > 0 {
-		t.limiter = newAIMDLimiter(name, cfg.MaxInFlight, cfg.MinInFlight, cfg.MaxQueue,
-			cfg.P99Target, 0)
+	t = newTenant(name, cfg)
+	if s.root != nil {
+		// On failure the tenant's requests parent under the top context.
+		if ctx, err := grb.NewContext(grb.NonBlocking, s.root, s.budget()...); err == nil {
+			t.ctx = ctx
+		}
 	}
-	if cfg.BreakerThreshold > 0 {
-		t.breaker = newBreaker(name, cfg.BreakerThreshold, cfg.BreakerCooldown)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if first := s.tenants[name]; first != nil {
+		return first // a concurrent first request won; t holds no reservation
 	}
-	actual, _ := s.tenants.LoadOrStore(name, t)
-	return actual.(*tenant)
+	s.tenants[name] = t
+	return t
 }
 
 // errBody is the JSON error envelope: the mapped Info code rides along so
@@ -212,13 +227,14 @@ func (s *Server) writeShed(w http.ResponseWriter, status int, tn *tenant, reason
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	limiter, breaker := tn.snapshot()
 	writeJSON(w, status, errBody{
 		Error: msg,
 		Shed: &shedInfo{
 			Reason:       reason,
 			RetryAfterMs: retry.Milliseconds(),
-			Limiter:      tn.limiter.snapshot(),
-			Breaker:      tn.breaker.snapshot(),
+			Limiter:      limiter,
+			Breaker:      breaker,
 			Governor:     s.gov.snapshot(),
 		},
 	})
@@ -400,7 +416,7 @@ func writeAnswer(w http.ResponseWriter, a answer) error {
 
 // runRecovered executes one handler with a panic fence: a panicking
 // algorithm is converted to a GrB_PANIC error for this request alone, so
-// the slot, breaker, and governor bookkeeping that follows still runs and
+// the release and governor bookkeeping that follows still runs and
 // the process survives.
 func runRecovered(run func(*Graph, url.Values, *grb.Context) (answer, error), g *Graph, q url.Values, ctx *grb.Context) (ans answer, err error) {
 	defer func() {
@@ -413,14 +429,15 @@ func runRecovered(run func(*Graph, url.Values, *grb.Context) (answer, error), g 
 }
 
 // query wraps one algorithm endpoint in the full request lifecycle:
-// tenant resolution → drain gate → circuit breaker → adaptive concurrency
-// admission (AIMD window + deadline-aware bounded queue) → memory-governor
-// admission → per-request Context derivation (deadline anchored at arrival)
-// → client-disconnect watcher → panic-fenced execution → Info→HTTP mapping
-// → adaptive-loop feedback → writing the answer → per-tenant accounting. run
-// receives the graph and the query string the wrapper parsed once, and the
-// request's Context; it must allocate every grb object it creates inside
-// that context (the lagraph algorithms inherit it from the graph views).
+// tenant resolution → drain gate → the tenant's admission (circuit, AIMD
+// window, deadline-aware bounded queue) → memory-governor admission →
+// per-request Context under the tenant's (deadline anchored at arrival) →
+// cancel on client disconnect → panic-fenced execution → Info→HTTP mapping
+// → one release into the admission state → writing the answer → per-tenant
+// accounting. run receives the graph and the query string the wrapper
+// parsed once, and the request's Context; it must allocate every grb object
+// it creates inside that context (the lagraph algorithms inherit it from the
+// graph views).
 func (s *Server) query(op string, run func(*Graph, url.Values, *grb.Context) (answer, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		arrival := time.Now()
@@ -435,18 +452,16 @@ func (s *Server) query(op string, run func(*Graph, url.Values, *grb.Context) (an
 				"server is draining; not accepting new queries", time.Second)
 			return
 		}
-		if ok, wait := tn.breaker.allow(arrival); !ok {
-			s.writeShed(w, http.StatusServiceUnavailable, tn, "breaker",
-				fmt.Sprintf("tenant %q: circuit open after repeated failures", tn.name), wait)
-			return
-		}
 		var deadline time.Time
 		if tn.cfg.Deadline > 0 {
 			deadline = arrival.Add(tn.cfg.Deadline)
 		}
-		admit, _ := tn.limiter.acquire(deadline, r.Context().Done(), s.lc.drainCh)
-		switch admit {
+		switch admit, wait := tn.admit(arrival, deadline, r.Context().Done(), s.drainCh); admit {
 		case admitGranted:
+		case admitShedBreaker:
+			s.writeShed(w, http.StatusServiceUnavailable, tn, "breaker",
+				fmt.Sprintf("tenant %q: circuit open after repeated failures", tn.name), wait)
+			return
 		case admitShedQueueFull:
 			s.writeShed(w, http.StatusTooManyRequests, tn, "queue_full",
 				fmt.Sprintf("tenant %q: in-flight limit %d reached", tn.name, tn.cfg.MaxInFlight), 0)
@@ -465,55 +480,36 @@ func (s *Server) query(op string, run func(*Graph, url.Values, *grb.Context) (an
 			// The client disconnected while queued; nobody is listening.
 			return
 		}
-		slotHeld := true
-		releaseSlot := func(o outcome, lat time.Duration) {
-			if slotHeld {
-				slotHeld = false
-				tn.limiter.release(o, lat)
-			}
-		}
-		defer releaseSlot(outcomeNeutral, 0)
-		if ok, reason, retry := s.gov.admit(tn.name, op); !ok {
-			releaseSlot(outcomeNeutral, 0)
+		// Admitted: from here on the request reports exactly once, through
+		// release — a shed or failed start as outcomeNeutral.
+		if ok, reason := s.gov.admit(tn, op); !ok {
+			tn.release(outcomeNeutral, 0, time.Now())
 			s.writeShed(w, http.StatusTooManyRequests, tn, reason,
-				fmt.Sprintf("tenant %q: memory governor rejected request (%s)", tn.name, reason), retry)
+				fmt.Sprintf("tenant %q: memory governor rejected request (%s)", tn.name, reason), govRetryAfter)
 			return
 		}
-		ctx, err := tn.newRequestCtx(arrival, s.gov)
+		ctx, err := tn.requestCtx(arrival, s.cfg.MemHighWater)
 		if err != nil {
+			tn.release(outcomeNeutral, 0, time.Now())
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		defer func() {
-			_ = ctx.Free() //grblint:ignore infocheck -- request teardown; the response is already decided
-		}()
-		s.gov.enter(tn.name, ctx)
-		defer s.gov.depart(tn.name, op, ctx)
-		s.lc.register(ctx)
-		defer s.lc.unregister(ctx)
+		s.enter(tn)
+		defer s.leave(tn, op, ctx)
 		// A client that goes away cancels its own query — at abort-probe
 		// granularity — so an abandoned expensive request cannot occupy the
-		// engine. The done channel unblocks the watcher on normal completion.
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			defer func() {
-				_ = recover() // watcher must never take the process down
-			}()
-			select {
-			case <-r.Context().Done():
-				_ = ctx.Cancel() //grblint:ignore infocheck -- best-effort abort of an abandoned request
-			case <-done:
-			}
-		}()
+		// engine.
+		stop := context.AfterFunc(r.Context(), func() {
+			_ = ctx.Cancel() //grblint:ignore infocheck -- best-effort abort of an abandoned request
+		})
+		defer stop()
 		var ans answer
 		g, err := s.graphParam(q)
 		if err == nil {
 			ans, err = runRecovered(run, g, q, ctx)
 		}
 		o := classify(err)
-		releaseSlot(o, time.Since(arrival))
-		tn.breaker.note(o, time.Now())
+		tn.release(o, time.Since(arrival), time.Now())
 		if err == nil {
 			err = writeAnswer(w, ans)
 		}

@@ -337,14 +337,6 @@ func TestClientDisconnectReleasesResources(t *testing.T) {
 	}
 }
 
-// TestSelfCheck keeps the ci.sh serve tier's driver honest (and covered).
-func TestSelfCheck(t *testing.T) {
-	initLib(t)
-	if err := SelfCheck(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeHTTPContract covers the endpoint surface the smoke tier relies
 // on, without concurrency: response fields, the 404/400/429 mappings, and
 // the ego response's original-id edge list.
@@ -412,11 +404,11 @@ func TestServeHTTPContract(t *testing.T) {
 	}
 	req.Header.Set("X-Grb-Tenant", "gated")
 	tn := s.tenantFor(req, req.URL.Query())
-	if !tn.limiter.tryAcquire() {
+	if tryAdmit(tn, time.Now()) != admitGranted {
 		t.Fatal("gated slot busy")
 	}
 	status, _ = get(t, ts.URL+"/query/bfs", "gated")
-	tn.limiter.release(outcomeNeutral, 0)
+	tn.release(outcomeNeutral, 0, time.Now())
 	if status != http.StatusTooManyRequests {
 		t.Fatal("gated tenant not rejected")
 	}
@@ -441,6 +433,48 @@ func TestServeHTTPContract(t *testing.T) {
 	}
 	if len(gl.Graphs) != 1 || gl.Graphs[0].Name != "p" || gl.Graphs[0].N != 5 || gl.Graphs[0].Edges != 5 {
 		t.Fatalf("/graphs: %+v", gl)
+	}
+
+	// /healthz, and a second graph chosen by ?graph=: with two loaded a
+	// query must name one.
+	if status, body := get(t, ts.URL+"/healthz", ""); status != http.StatusOK || string(body) != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("/healthz: %d: %s", status, body)
+	}
+	ring, err := ParseGenSpec("ring=grid:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetGraphs([]*Graph{pg, ring})
+	for _, c := range []struct {
+		path    string
+		reached int
+	}{{"/query/bfs?graph=ring&src=0", 16}, {"/query/bfs?graph=p&src=0", 5}} {
+		status, body := get(t, ts.URL+c.path, "")
+		var bfs struct {
+			Reached int `json:"reached"`
+		}
+		if status != http.StatusOK || json.Unmarshal(body, &bfs) != nil || bfs.Reached != c.reached {
+			t.Fatalf("%s: status %d, body %s; want 200 reaching %d", c.path, status, body, c.reached)
+		}
+	}
+	if status, _ := get(t, ts.URL+"/query/bfs?src=0", ""); status != http.StatusNotFound {
+		t.Fatalf("nameless query over two graphs: %d, want 404", status)
+	}
+
+	// /metrics carries the tenants section for the traffic above: the
+	// default tenant's 404s and 400s count as errors, the gated tenant's 429.
+	status, body = get(t, ts.URL+"/metrics", "")
+	var doc struct {
+		Tenants map[string]struct {
+			Requests int64 `json:"requests"`
+			Errors   int64 `json:"errors"`
+		} `json:"tenants"`
+	}
+	if status != http.StatusOK || json.Unmarshal(body, &doc) != nil {
+		t.Fatalf("/metrics: %d: %.300s", status, body)
+	}
+	if d, g := doc.Tenants["default"], doc.Tenants["gated"]; d.Requests != 7 || d.Errors != 4 || g.Requests != 2 || g.Errors != 1 {
+		t.Fatalf("/metrics tenants: %+v", doc.Tenants)
 	}
 }
 
