@@ -277,23 +277,16 @@ func (c *Context) Cancel() error {
 }
 
 // Canceled reports whether Cancel has been called on this context or any
-// ancestor, or a deadline along the chain has expired.
-func (c *Context) Canceled() bool { return c.abortErr() != nil }
-
-// abortErr is the kernels' cancellation probe: non-nil when this context or
-// any ancestor was canceled or ran past its deadline. Atomics and immutable
-// fields only — it runs inside kernels, under object locks, at range
-// granularity.
-func (c *Context) abortErr() error {
+// ancestor, or a deadline along the chain has expired. It is the kernels'
+// cancellation probe (sparse.Canceler): atomics and immutable fields only —
+// it runs inside kernels, under object locks, at range granularity.
+func (c *Context) Canceled() bool {
 	for p := c; p != nil; p = p.parent {
-		if p.canceled.Load() {
-			return sparse.ErrCanceled
-		}
-		if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-			return sparse.ErrCanceled
+		if p.canceled.Load() || !p.deadline.IsZero() && time.Now().After(p.deadline) {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // memBudget returns the nearest memory budget up the context chain (nil when
@@ -355,7 +348,7 @@ func (c *Context) exec() sparse.Exec {
 		e.Tx = b.Tx()
 	}
 	if c.needsAbortProbe() {
-		e.Cancel = c.abortErr
+		e.Cancel = c
 	}
 	return e
 }

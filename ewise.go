@@ -55,7 +55,7 @@ func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], a
 func EWiseAddVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	op BinaryOp[T, T, T], u, v *Vector[T], desc *Descriptor) error {
 	return eWiseVector("EWiseAddVector", w, mask, accum, op != nil, u, v, desc,
-		func(u, v *sparse.Vec[T]) *sparse.Vec[T] { return sparse.EWiseAddV(u, v, op) })
+		func(u, v *sparse.Vec[T]) *sparse.Vec[T] { return sparse.EWiseAddV(binOf(op), u, v, op) })
 }
 
 // EWiseMultVector computes w⟨m⟩ = w ⊙ (u ⊗ v) with intersection pattern
@@ -63,7 +63,9 @@ func EWiseAddVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T
 func EWiseMultVector[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], u *Vector[DA], v *Vector[DB], desc *Descriptor) error {
 	return eWiseVector("EWiseMultVector", w, mask, accum, op != nil, u, v, desc,
-		func(u *sparse.Vec[DA], v *sparse.Vec[DB]) *sparse.Vec[DC] { return sparse.EWiseMultV(u, v, op) })
+		func(u *sparse.Vec[DA], v *sparse.Vec[DB]) *sparse.Vec[DC] {
+			return sparse.EWiseMultV(binOf(op), u, v, op)
+		})
 }
 
 // eWiseVector is the vector analogue of eWiseMatrix.

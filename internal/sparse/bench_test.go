@@ -365,6 +365,83 @@ func BenchmarkReduceFamilyPair(b *testing.B) {
 	}
 }
 
+// minBinSpeedup is the floor closure/mono must clear on every arm of
+// BenchmarkBinaryFamilyPair, set below its own readings.
+const minBinSpeedup = 1.2
+
+// BenchmarkBinaryFamilyPair is the evidence binLoops stands on: what a
+// PageRank over rmat-16 runs through a predefined binary operator — w = r ⊗
+// send over two full 65 536-entry vectors, dang = r ⊙ dangling over r and
+// the dangling vertices' pattern, and the accumulate of its pull, rnew(i) +=
+// t(i) over the rows the product emits — each once through the family loop
+// of the operator's tag and once through the closure loop, on one thread,
+// interleaved in one process, best round per arm (bestRounds). It reports
+// closure/mono and fails below minBinSpeedup. `make bench` and
+// `make bench-smoke` run it; tier-1 does not.
+func BenchmarkBinaryFamilyPair(b *testing.B) {
+	g := gen.Graph500RMAT(16, 8, 42).Symmetrize()
+	a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), addF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.N
+	rng := rand.New(rand.NewSource(30))
+	full := func() *Vec[float64] {
+		v := &Vec[float64]{N: n, Ind: fullPattern(n), Val: make([]float64, n)}
+		for i := range v.Val {
+			v.Val[i] = rng.Float64() / float64(n)
+		}
+		return v
+	}
+	r, send, rnew := full(), full(), full()
+	dangling := NewVec[bool](n)
+	for i := 0; i < n; i++ {
+		if a.Ptr[i+1] == a.Ptr[i] {
+			dangling.Ind, dangling.Val = append(dangling.Ind, i), append(dangling.Val, true)
+		}
+	}
+	t, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, a, r, mulF, addF, VMask{}, Exec{Threads: 1}, KernelAuto)
+	if err != nil {
+		b.Fatal(err)
+	}
+	times := func(x, y float64) float64 { return x * y }
+	first := func(x float64, _ bool) float64 { return x }
+	entries := 0
+	for _, wl := range []struct {
+		name string
+		run  func(tag bool)
+	}{
+		{"times/full×full", func(tag bool) { entries = EWiseMultV(pick(tag, BinTimes), r, send, times).NNZ() }},
+		{"first/full×dangling", func(tag bool) { entries = EWiseMultV(pick(tag, BinFirst), r, dangling, first).NNZ() }},
+		{"plus/pull-accumulate", func(tag bool) {
+			op := pick(tag, BinPlus)
+			ewFunc(ewFamily[float64, float64, float64](op), op, addF, ewScatterX, rnew.Val, rnew.Val, t.Val, t.Ind)
+			entries = t.NNZ()
+		}},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			const passes = 32 // operations per timed round
+			mono, closure := bestRounds(b, passes,
+				func() error { wl.run(true); return nil }, func() error { wl.run(false); return nil })
+			ratio := float64(closure) / float64(mono)
+			b.ReportMetric(ratio, "closure/mono")
+			b.ReportMetric(float64(entries), "entries")
+			if ratio < minBinSpeedup {
+				b.Fatalf("closure/mono = %.2f (closure %v, mono %v per %d operations), below the floor %.1f",
+					ratio, closure, mono, passes, minBinSpeedup)
+			}
+		})
+	}
+}
+
+// pick is tag when tagged, else BinGeneric: the closure arm of a pair.
+func pick(tagged bool, tag Bin) Bin {
+	if tagged {
+		return tag
+	}
+	return BinGeneric
+}
+
 // BenchmarkPullGatherPair is the measurement planPull's gather row points
 // at: one pull SpMV (MIN_PLUS, the SSSP product; a fresh vector per product
 // as in a traversal, so the dense arm pays for its view), gather pinned dense
@@ -508,17 +585,19 @@ func BenchmarkForkGrainPair(b *testing.B) {
 // the other one: it must not lose by more than a pair's own noise.
 const minDirSpeedup = 0.9
 
-// BenchmarkDirCutPair is the measurement pushCut points at: a min-plus
-// product (an SSSP round) and a lor-land product under the complement of a
-// visited set (a BFS level, the frontier its own visited set) over the
-// benchmark's R-MAT graphs at scales 14 and 16, from frontiers whose
-// products sit at half and at twice the cut — pushCut·products against
-// rows + probes, the frontier drawn in a seeded random order — each run once
-// pushed and once pulled. Arms interleaved on one thread, best round per arm
-// (bestRounds), a fresh frontier per product so that the pull pays for its
-// view as a traversal does. It reports the unpicked arm's time over the
-// picked one's and fails below minDirSpeedup. `make bench` and
-// `make bench-smoke` run it; tier-1 does not.
+// BenchmarkDirCutPair is the measurement pushCut and probeCutNum/probeCutDen
+// point at: a min-plus product (an SSSP round) and a lor-land product under
+// the complement of a visited set (a BFS level, the frontier its own visited
+// set) over the benchmark's R-MAT graphs at scales 14 and 16, each run once
+// pushed and once pulled. The frontiers are drawn in a seeded random order:
+// for the cut arms, the shortest prefix whose products sit at half and at
+// twice pushCut — pushCut·products against rows + probes — and for the
+// non-full min-plus arm, 5 %, 45 % and 80 % of the vertices, where the
+// unmasked pull tests presence at every probe. Arms interleaved on one
+// thread, best round per arm (bestRounds), a fresh frontier per product so
+// that the pull pays for its view as a traversal does. It reports the
+// unpicked arm's time over the picked one's and fails below minDirSpeedup.
+// `make bench` and `make bench-smoke` run it; tier-1 does not.
 func BenchmarkDirCutPair(b *testing.B) {
 	land := func(x, y bool) bool { return x && y }
 	lor := func(x, y bool) bool { return x || y }
@@ -536,13 +615,13 @@ func BenchmarkDirCutPair(b *testing.B) {
 		at, abt := Transpose(a), Transpose(ab)
 		n, nnz := a.Rows, a.NNZ()
 		order := rand.New(rand.NewSource(42)).Perm(n)
-		// frontier is the shortest prefix of order whose products reach the
-		// given multiple of the cut, sorted; masked, it is its own visited set,
-		// so the pull probes G less its rows. An unmasked frontier reaches
-		// pushCut·nnz(A) at most, under twice the cut's rows + nnz(A): its far
-		// side is every vertex, the one frontier whose pull needs no presence
-		// test.
-		frontier := func(times float64, masked bool) []int {
+		// cutFrontier is the shortest prefix of order whose products reach
+		// the given multiple of pushCut, sorted; masked, it is its own visited
+		// set, so the pull probes G less its rows. An unmasked frontier
+		// reaches pushCut·nnz(A) at most, under twice the cut's rows + nnz(A):
+		// its far side is every vertex, the one frontier whose pull needs no
+		// presence test.
+		cutFrontier := func(times float64, masked bool) []int {
 			products, visited := 0, 0
 			k := 0
 			for ; k < n && float64(pushCut*products) < times*float64(n+nnz-visited); k++ {
@@ -555,28 +634,37 @@ func BenchmarkDirCutPair(b *testing.B) {
 			slices.Sort(ind)
 			return ind
 		}
+		share := func(frac float64, _ bool) []int {
+			ind := slices.Clone(order[:int(frac*float64(n))])
+			slices.Sort(ind)
+			return ind
+		}
 		e := Exec{Threads: 1}
+		minPlusPush := func(ind []int, mask VMask) func() error {
+			val := make([]float64, len(ind))
+			return func() error {
+				_, err := VxMSemiEx(SemiMinPlus, SpecAuto, &Vec[float64]{N: n, Ind: ind, Val: val}, a, addF, minF, mask, e)
+				return err
+			}
+		}
+		minPlusPull := func(ind []int, mask VMask) func() error {
+			val := make([]float64, len(ind))
+			return func() error {
+				_, err := SpMVSemiEx(SemiMinPlus, SpecAuto, at, &Vec[float64]{N: n, Ind: ind, Val: val}, addF, minF, mask, e, KernelAuto)
+				return err
+			}
+		}
 		for _, shape := range []struct {
 			name       string
 			masked     bool
+			frontier   func(float64, bool) []int
+			sizes      []float64
+			unit       string
 			push, pull func(ind []int, mask VMask) func() error
 		}{
-			{"min_plus", false,
-				func(ind []int, mask VMask) func() error {
-					val := make([]float64, len(ind))
-					return func() error {
-						_, err := VxMSemiEx(SemiMinPlus, SpecAuto, &Vec[float64]{N: n, Ind: ind, Val: val}, a, addF, minF, mask, e)
-						return err
-					}
-				},
-				func(ind []int, mask VMask) func() error {
-					val := make([]float64, len(ind))
-					return func() error {
-						_, err := SpMVSemiEx(SemiMinPlus, SpecAuto, at, &Vec[float64]{N: n, Ind: ind, Val: val}, addF, minF, mask, e, KernelAuto)
-						return err
-					}
-				}},
-			{"lor_land/masked", true,
+			{"min_plus", false, cutFrontier, []float64{0.5, 2}, "cut×", minPlusPush, minPlusPull},
+			{"min_plus/non-full", false, share, []float64{0.05, 0.45, 0.8}, "vertices×", minPlusPush, minPlusPull},
+			{"lor_land/masked", true, cutFrontier, []float64{0.5, 2}, "cut×",
 				func(ind []int, mask VMask) func() error {
 					val := make([]bool, len(ind))
 					return func() error {
@@ -592,17 +680,17 @@ func BenchmarkDirCutPair(b *testing.B) {
 					}
 				}},
 		} {
-			for _, times := range []float64{0.5, 2} {
-				b.Run(fmt.Sprintf("rmat%d/%s/cut×%g", scale, shape.name, times), func(b *testing.B) {
-					ind := frontier(times, shape.masked)
+			for _, size := range shape.sizes {
+				b.Run(fmt.Sprintf("rmat%d/%s/%s%g", scale, shape.name, shape.unit, size), func(b *testing.B) {
+					ind := shape.frontier(size, shape.masked)
 					var mask VMask
 					if shape.masked {
 						mask = VMask{M: &Vec[bool]{N: n, Ind: ind, Val: make([]bool, len(ind))}, Structural: true, Complement: true}
 					}
 					products := listedWork(a.Ptr, ind, 0, math.MaxInt)
-					push := planDir(dirIn(DirAuto, products, nnz, at.Ptr, mask, n)).Push
-					if push != (times < 1) {
-						b.Fatalf("%d products at %g× the cut: the rule pushes = %v", products, times, push)
+					push := planDir(dirIn(DirAuto, products, nnz, at.Ptr, mask, n, len(ind) == n)).Push
+					if shape.unit == "cut×" && push != (size < 1) {
+						b.Fatalf("%d products at %g× the cut: the rule pushes = %v", products, size, push)
 					}
 					tPush, tPull := bestRounds(b, 1<<(18-scale), shape.push(ind, mask), shape.pull(ind, mask))
 					ratio := float64(tPull) / float64(tPush)
@@ -610,10 +698,11 @@ func BenchmarkDirCutPair(b *testing.B) {
 						ratio = 1 / ratio
 					}
 					b.ReportMetric(ratio, "other/picked")
+					b.ReportMetric(float64(tPull)/float64(tPush), "pull/push")
 					b.ReportMetric(float64(products), "products")
 					if ratio < minDirSpeedup {
-						b.Fatalf("other/picked = %.2f (push %v, pull %v) over %d products at %g× the cut: want >= %v",
-							ratio, tPush, tPull, products, times, minDirSpeedup)
+						b.Fatalf("other/picked = %.2f (push %v, pull %v) over %d products at %s%g: want >= %v",
+							ratio, tPush, tPull, products, shape.unit, size, minDirSpeedup)
 					}
 				})
 			}
@@ -652,7 +741,7 @@ func BenchmarkPullAccumPair(b *testing.B) {
 	e := Exec{Threads: 1}
 	fused, unfused := bestRounds(b, passes,
 		func() error {
-			_, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, mulF, addF, VMask{}, c, addF, e, KernelAuto)
+			_, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, mulF, addF, VMask{}, c, addF, BinGeneric, e, KernelAuto)
 			return err
 		},
 		func() error {

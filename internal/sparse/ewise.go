@@ -38,13 +38,65 @@ func samePattern(a, b []int, n int) bool {
 	return slices.Equal(a, b)
 }
 
+// ewForm names the positions an element-wise loop visits: each vector kernel
+// below runs in one of them, through ewFunc.
+type ewForm uint8
+
+const (
+	ewZip      ewForm = iota // out[k] = x[k] ⊙ y[k]: one pattern
+	ewGatherX                // out[k] = x[ind[k]] ⊙ y[k]: x full, ind y's pattern
+	ewGatherY                // out[k] = x[k] ⊙ y[ind[k]]: y full, ind x's pattern
+	ewScatterX               // out[i] = x[i] ⊙ y[k], i = ind[k]: x full
+	ewScatterY               // out[i] = x[k] ⊙ y[i], i = ind[k]: y full
+)
+
+// ewFunc runs form through fam, the family loop of op's tag (ewFamily), or
+// when there is none through the closure loop, which calls f per position.
+func ewFunc[A, B, C any](fam func(Bin, ewForm, []C, []A, []B, []int), op Bin, f func(A, B) C,
+	form ewForm, out []C, x []A, y []B, ind []int) {
+	if fam != nil {
+		fam(op, form, out, x, y, ind)
+		return
+	}
+	switch form {
+	case ewZip:
+		for k := range out {
+			out[k] = f(x[k], y[k])
+		}
+	case ewGatherX:
+		for k, i := range ind {
+			out[k] = f(x[i], y[k])
+		}
+	case ewGatherY:
+		for k, i := range ind {
+			out[k] = f(x[k], y[i])
+		}
+	case ewScatterX:
+		for k, i := range ind {
+			out[i] = f(x[i], y[k])
+		}
+	case ewScatterY:
+		for k, i := range ind {
+			out[i] = f(x[k], y[i])
+		}
+	}
+}
+
+// ewFamily is the element-wise family loop binLoops holds for an operator
+// tagged op over (A, B, C), or nil.
+func ewFamily[A, B, C any](op Bin) func(Bin, ewForm, []C, []A, []B, []int) {
+	return familyLoop[func(Bin, ewForm, []C, []A, []B, []int)](binLoops[:], op, SpecAuto)
+}
+
 // EWiseAddV is the vector analogue of EWiseAddM. The output's index array is
 // shared with an operand whenever the union pattern equals that operand's
 // (see DESIGN.md, "Vector write-back: sharing and exact allocation"): both
 // patterns identical, or one side full. Indices are strictly increasing in
 // [0, N), so len(Ind) == N is the full test. a is always add's first
-// operand.
-func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
+// operand; op tags add for the family loops. Two sparse patterns merge
+// through the closure, whose call is not that merge's cost (EXPERIMENTS.md).
+func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T) *Vec[T] {
+	fam := ewFamily[T, T, T](op)
 	switch {
 	case len(a.Ind) == 0:
 		return b
@@ -52,21 +104,15 @@ func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
 		return a
 	case samePattern(a.Ind, b.Ind, a.N):
 		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: make([]T, len(a.Val))}
-		for k := range out.Val {
-			out.Val[k] = add(a.Val[k], b.Val[k])
-		}
+		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
 	case len(a.Ind) == a.N:
 		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: slices.Clone(a.Val)}
-		for k, i := range b.Ind {
-			out.Val[i] = add(a.Val[i], b.Val[k])
-		}
+		ewFunc(fam, op, add, ewScatterX, out.Val, a.Val, b.Val, b.Ind)
 		return out
 	case len(b.Ind) == b.N:
 		out := &Vec[T]{N: a.N, Ind: b.Ind, Val: slices.Clone(b.Val)}
-		for k, i := range a.Ind {
-			out.Val[i] = add(a.Val[k], b.Val[i])
-		}
+		ewFunc(fam, op, add, ewScatterY, out.Val, a.Val, b.Val, a.Ind)
 		return out
 	}
 	ind, val := makeRun[T](min(len(a.Ind)+len(b.Ind), a.N))
@@ -76,26 +122,22 @@ func EWiseAddV[T any](a, b *Vec[T], add func(T, T) T) *Vec[T] {
 
 // EWiseMultV is the vector analogue of EWiseMultM. The intersection pattern
 // equals an operand's — whose index array the output then shares — when the
-// two patterns are identical or the other side is full.
-func EWiseMultV[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
+// two patterns are identical or the other side is full. op tags mul for the
+// family loops; two sparse patterns merge through the closure.
+func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
+	fam := ewFamily[A, B, C](op)
 	switch {
 	case samePattern(a.Ind, b.Ind, a.N):
 		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
-		for k := range out.Val {
-			out.Val[k] = mul(a.Val[k], b.Val[k])
-		}
+		ewFunc(fam, op, mul, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
 	case len(a.Ind) == a.N:
 		out := &Vec[C]{N: a.N, Ind: b.Ind, Val: make([]C, len(b.Val))}
-		for k, i := range b.Ind {
-			out.Val[k] = mul(a.Val[i], b.Val[k])
-		}
+		ewFunc(fam, op, mul, ewGatherX, out.Val, a.Val, b.Val, b.Ind)
 		return out
 	case len(b.Ind) == b.N:
 		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
-		for k, i := range a.Ind {
-			out.Val[k] = mul(a.Val[k], b.Val[i])
-		}
+		ewFunc(fam, op, mul, ewGatherY, out.Val, a.Val, b.Val, a.Ind)
 		return out
 	}
 	ind, val := makeRun[C](min(len(a.Ind), len(b.Ind)))

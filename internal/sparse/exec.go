@@ -258,10 +258,13 @@ func (tx *BudgetTx) Close() {
 // ships half of it, which would fork that push.
 const DefaultGrain = 1 << 17
 
+// Canceler is the cancellation probe: a grb Context, which costs no allocation.
+type Canceler interface{ Canceled() bool }
+
 // Exec is the execution environment for one kernel invocation: the thread
 // cap and the grain that size its parallel sections (workers), the
 // operation's budget transaction (nil = unlimited), and the cancellation
-// probe (nil = never canceled; returns ErrCanceled-compatible errors). The
+// probe (nil = never canceled; the kernel aborts with ErrCanceled). The
 // zero Exec runs serially, unbudgeted, uncancellable — exactly the
 // pre-hardening behaviour.
 type Exec struct {
@@ -270,7 +273,7 @@ type Exec struct {
 	// Exec built from a thread count alone forks where the library does.
 	Grain  int
 	Tx     *BudgetTx
-	Cancel func() error
+	Cancel Canceler
 	// Route, when non-nil, receives the route the kernel planned and ran.
 	// The grb layer sets it where it has an op event to label.
 	Route *Route
@@ -355,10 +358,8 @@ const pollFlops = 1 << 16
 // checkpoint it touches no fault site, so polling inside a range leaves the
 // chaos sweep's hit counts where they were.
 func (e Exec) poll() {
-	if e.Cancel != nil {
-		if err := e.Cancel(); err != nil {
-			abort(err)
-		}
+	if e.Cancel != nil && e.Cancel.Canceled() {
+		abort(ErrCanceled)
 	}
 }
 

@@ -12,7 +12,8 @@ import "math"
 // loop body — partitioning, budget charges, masks, stitching — is the
 // scaffold's own and runs once for both. The reductions (ReduceRows,
 // ReduceAll, ReduceVec) do the same for a monoid tagged with a Mon: the
-// family loop is `acc += x` where the closure loop is acc = add(acc, x).
+// family loop is `acc += x` where the closure loop is acc = add(acc, x); the
+// element-wise kernels and the pull's accumulate, for a Bin-tagged operator.
 //
 // Equivalence discipline: every family loop replicates the closure loop's
 // product visit order and mask admission points and yields what its
@@ -73,6 +74,21 @@ const (
 	numMon
 )
 
+// Bin tags the predefined binary operators EWiseMultV, EWiseAddV and
+// SpMVAccumEx's accumulate have a family loop for: the grb layer recognises
+// them by code identity (BinaryOp is a func type) and passes the tag beside
+// the function.
+type Bin int
+
+const (
+	BinGeneric Bin = iota // an unrecognised operator: closure loops only
+	BinTimes              // x × y over float64
+	BinFirst              // x, the first operand, over (float64, bool)
+	BinPlus               // x + y over float64
+
+	numBin
+)
+
 // Spec is the descriptor-level pin for the family loops (Descriptor.Spec),
 // completing the pin triple with Kernel and Dir.
 type Spec int
@@ -121,6 +137,11 @@ var (
 	reduceLoops = [numMon][]any{
 		MonPlus: {sumPlus[int64], sumPlus[float64]},
 	}
+	binLoops = [numBin][]any{
+		BinTimes: {ewArith[float64]},
+		BinFirst: {ewFirst[float64]},
+		BinPlus:  {ewArith[float64]},
+	}
 )
 
 // spaIdentity is what a dense SpGEMM range's SPA holds between rows: semi's
@@ -143,7 +164,7 @@ func spaIdentity[C any](semi Semi) (id C) {
 // over a hot underlying type (type Score float64) therefore matches nothing
 // and stays on the closure loop, which is the only loop that may call its
 // operators.
-func familyLoop[F any, K Semi | Mon](table [][]any, tag K, spec Spec) (loop F) {
+func familyLoop[F any, K Semi | Mon | Bin](table [][]any, tag K, spec Spec) (loop F) {
 	if spec == SpecGeneric {
 		return loop
 	}

@@ -1,10 +1,10 @@
 package sparse
 
 // Per-family monomorphized loop bodies. Each function is the inner loop of
-// one (semiring or monoid family, kernel shape) pair with the closures
-// flattened into direct arithmetic; the scaffolds in spgemm.go, spmv.go and
-// transpose.go (the reductions) supply everything around them and find them
-// through the tables in mono.go.
+// one (semiring, monoid or binary operator family, kernel shape) pair with
+// the closures flattened into direct arithmetic; the scaffolds in spgemm.go,
+// spmv.go, transpose.go (the reductions) and ewise.go supply everything
+// around them and find them through the tables in mono.go.
 // They are written out by hand because a semiring *type parameter* does not
 // buy the same code in Go: methods of a type parameter are called through
 // the dictionary and never inlined (measured 2–2.8× slower than these loops;
@@ -37,6 +37,9 @@ package sparse
 //	fold    func(v []T) T
 //	        folds a non-empty slice: a row (ReduceRows), a range (ReduceAll)
 //	        or a vector (ReduceVec).
+//	binary  func(op Bin, form ewForm, out []C, x []A, y []B, ind []int)
+//	        is ewFunc's closure loop (ewise.go) with op in place of its
+//	        closure, over the positions form names.
 
 // --- pull (SpMV gather) row loops ---
 
@@ -376,4 +379,55 @@ func sumPlus[T monoArith](v []T) T {
 		acc += x
 	}
 	return acc
+}
+
+// --- element-wise and accumulate (EWiseMultV, EWiseAddV, SpMVAccumEx) ---
+
+// binArith is op(x, y) for the arithmetic tags, computed as grb.Times and
+// grb.Plus compute it. The tag is loop-invariant, so its branch is
+// predicted; the call it replaces was not inlinable.
+func binArith[T monoArith](op Bin, x, y T) T {
+	if op == BinTimes {
+		return x * y
+	}
+	return x + y
+}
+
+// ewArith is ewFunc's loop for the arithmetic tags.
+func ewArith[T monoArith](op Bin, form ewForm, out, x, y []T, ind []int) {
+	switch form {
+	case ewZip:
+		for k := range out {
+			out[k] = binArith(op, x[k], y[k])
+		}
+	case ewGatherX:
+		for k, i := range ind {
+			out[k] = binArith(op, x[i], y[k])
+		}
+	case ewGatherY:
+		for k, i := range ind {
+			out[k] = binArith(op, x[k], y[i])
+		}
+	case ewScatterX:
+		for k, i := range ind {
+			out[i] = binArith(op, x[i], y[k])
+		}
+	case ewScatterY:
+		for k, i := range ind {
+			out[i] = binArith(op, x[k], y[i])
+		}
+	}
+}
+
+// ewFirst is ewFunc's loop for First[T, bool]: it moves x's values and never
+// reads y's. Only EWiseMultV's forms reach it; the scatter forms are the
+// one-domain kernels', and (T, bool, T) is not one domain.
+func ewFirst[T any](_ Bin, form ewForm, out, x []T, _ []bool, ind []int) {
+	if form != ewGatherX {
+		copy(out, x) // ewZip, ewGatherY: out[k] = x[k]
+		return
+	}
+	for k, i := range ind {
+		out[k] = x[i]
+	}
 }

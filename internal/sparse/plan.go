@@ -28,14 +28,17 @@ import (
 // than the dense one it replaced.
 const hashCut = 2
 
-// pushCut is the direction cut, in edges: push when pushCut · the frontier's
-// products < the rows the pull walks + the entries it probes (planDir). A
-// full frontier — PageRank's, whose pull needs no presence test — must pull,
-// which takes pushCut > 1 + n/nnz; 2 is the smallest such cut and, of 2, 3
-// and 4, the fastest BFS + SSSP on rmat-16 (EXPERIMENTS.md, "Frontier SSSP
-// and edge-counted direction"). BenchmarkDirCutPair is the measurement it
-// points at.
+// pushCut is the direction cut, in edges, of a masked pull: push when
+// pushCut · the frontier's products < the rows the pull walks + the entries
+// it probes (planDir). Of 2, 3 and 4 it is the fastest BFS on rmat-16
+// (EXPERIMENTS.md, "Frontier SSSP and edge-counted direction"). An unmasked
+// pull over a non-full frontier branches on presence at every probe, so its
+// cut is probeCutNum/probeCutDen; a full frontier's pull tests nothing, and
+// it always pulls. BenchmarkDirCutPair's arms are the measurement both point
+// at.
 const pushCut = 2
+
+const probeCutNum, probeCutDen = 11, 10 // the unmasked non-full pull's cut
 
 // Kernel is the accumulator pin of the multiply kernels (Descriptor.AxB).
 // The zero value routes by statistics.
@@ -87,6 +90,7 @@ const (
 	ReasonPin
 	ReasonSparseFrontier
 	ReasonDenseFrontier
+	ReasonFullFrontier
 	ReasonFewProbes
 	ReasonHyperMask
 	ReasonFewFlops
@@ -104,6 +108,7 @@ var reasonText = [...]string{
 	ReasonPin:            "descriptor pin",
 	ReasonSparseFrontier: "cut·products < rows + probes",
 	ReasonDenseFrontier:  "cut·products >= rows + probes",
+	ReasonFullFrontier:   "full frontier",
 	ReasonFewProbes:      "gather inserts + lookups < n/2",
 	ReasonHyperMask:      "mask inserts + probes < n/2",
 	ReasonFewFlops:       "range flops < cols/2",
@@ -177,9 +182,10 @@ type planIn struct {
 	// push scatter it is the hash mask predicate's table operations and
 	// competes with outDim.
 	work, width int
-	probes      int // direction: the stored entries of the rows the pull admits
+	probes      int  // direction: the stored entries of the rows the pull admits
+	full        bool // direction: the frontier stores every entry
 
-	masked   bool // planRange: a mask matrix is present
+	masked   bool // planRange: a mask matrix is present; direction: a mask vector
 	maskNNZ  int  // its entries; for planRange, those in the range's rows
 	maskComp bool
 	outDim   int // the dimension a mask vector guards
@@ -200,13 +206,16 @@ type planIn struct {
 func belowCut(work, width int) bool { return work < width/hashCut }
 
 // planDir picks push or pull for a matrix-vector product by the edges each
-// touches. Reads dir, work (the frontier's products, Σ nnz(R(i,:)) over its
-// entries: what the push scatters), width (the rows the pull walks: an
-// admission test and a row read each, however few it admits) and probes (the
-// stored entries of the rows it admits: a view lookup each).
+// touches, priced the way the pull would run. Reads dir, full, masked, work
+// (the frontier's products, Σ nnz(R(i,:)) over its entries: what the push
+// scatters), width (the rows the pull walks: an admission test and a row read
+// each, however few it admits) and probes (the stored entries of the rows it
+// admits: a view lookup each).
 //
 //   - a pin wins;
-//   - otherwise push exactly when pushCut · products < rows + probes.
+//   - a full frontier pulls;
+//   - a masked pull is pushed exactly when pushCut · products < rows + probes;
+//   - an unmasked one when (probeCutNum/probeCutDen) · products < rows + probes.
 func planDir(in planIn) Route {
 	switch in.dir {
 	case DirPush:
@@ -215,7 +224,14 @@ func planDir(in planIn) Route {
 		return Route{Reason: ReasonPin}
 	case DirAuto:
 	}
-	if in.work < math.MaxInt/pushCut && pushCut*in.work < in.width+in.probes {
+	num, den := pushCut, 1
+	switch {
+	case in.full:
+		return Route{Reason: ReasonFullFrontier}
+	case !in.masked:
+		num, den = probeCutNum, probeCutDen
+	}
+	if in.work < math.MaxInt/num && num*in.work < den*(in.width+in.probes) {
 		return Route{Push: true, Reason: ReasonSparseFrontier}
 	}
 	return Route{Reason: ReasonDenseFrontier}
@@ -229,8 +245,8 @@ func planDir(in planIn) Route {
 // the masked rows under a structural complemented one (Beamer's m_u), and the
 // listed rows under a non-complemented one (stored falses included). The
 // masked rows are counted only as far as the comparison needs.
-func dirIn(dir Dir, products, nnz int, gptr []int, mask VMask, outDim int) planIn {
-	in := planIn{dir: dir, work: products, width: outDim, probes: nnz}
+func dirIn(dir Dir, products, nnz int, gptr []int, mask VMask, outDim int, full bool) planIn {
+	in := planIn{dir: dir, work: products, width: outDim, probes: nnz, full: full, masked: mask.M != nil || mask.Complement}
 	if dir != DirAuto || mask.M == nil || mask.Complement && !mask.Structural {
 		return in
 	}
@@ -270,7 +286,7 @@ func PlanDir[A, X any](dir Dir, a *CSR[A], pushT bool, u *Vec[X], mask VMask) (R
 	if g != nil {
 		gptr = g.Ptr
 	}
-	return planDir(dirIn(dir, products, a.NNZ(), gptr, mask, outDim)), products
+	return planDir(dirIn(dir, products, a.NNZ(), gptr, mask, outDim, u.NNZ() == inDim)), products
 }
 
 // ChoosePush reports whether the adaptive rule sends the product to the push
@@ -278,7 +294,7 @@ func PlanDir[A, X any](dir Dir, a *CSR[A], pushT bool, u *Vec[X], mask VMask) (R
 // matrix stored one entry per row of R, so that the frontier's products are
 // its entries and G's entries are inDim.
 func ChoosePush(nnzU, inDim int, mask VMask, outDim int) bool {
-	return planDir(dirIn(DirAuto, nnzU, inDim, nil, mask, outDim)).Push
+	return planDir(dirIn(DirAuto, nnzU, inDim, nil, mask, outDim, nnzU == inDim)).Push
 }
 
 // planAcc is the dense-vs-hash row shared by the pull gather and the SpGEMM

@@ -28,17 +28,33 @@ func TestPlan(t *testing.T) {
 		in   planIn
 		want Route
 	}{
-		// Direction: push iff pushCut·products < rows + probes (the mask forms
-		// that make probes are dirIn's table below).
-		{"dir: few products", planDir, planIn{work: 5, width: dim, probes: 8000}, Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: just under the cut", planDir, planIn{work: (dim+8000)/pushCut - 1, width: dim, probes: 8000},
+		// Direction under a mask: push iff pushCut·products < rows + probes
+		// (the mask forms that make probes are dirIn's table below).
+		{"dir: masked, few products", planDir, planIn{masked: true, work: 5, width: dim, probes: 8000}, Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: masked, just under the cut", planDir, planIn{masked: true, work: (dim+8000)/pushCut - 1, width: dim, probes: 8000},
 			Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: cut·products == rows + probes pulls", planDir, planIn{work: (dim + 8000) / pushCut, width: dim, probes: 8000},
+		{"dir: masked, cut·products == rows + probes pulls", planDir, planIn{masked: true, work: (dim + 8000) / pushCut, width: dim, probes: 8000},
 			Route{Reason: ReasonDenseFrontier}},
-		{"dir: the rows keep a push the probes would not", planDir, planIn{work: dim/pushCut - 1, width: dim},
+		{"dir: masked, the rows keep a push the probes would not", planDir, planIn{masked: true, work: dim/pushCut - 1, width: dim},
 			Route{Push: true, Reason: ReasonSparseFrontier}},
-		{"dir: no probes, cut·products == rows pulls", planDir, planIn{work: dim / pushCut, width: dim}, Route{Reason: ReasonDenseFrontier}},
-		{"dir: huge products do not overflow", planDir, planIn{work: math.MaxInt, width: dim, probes: 8000}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: masked, no probes, cut·products == rows pulls", planDir, planIn{masked: true, work: dim / pushCut, width: dim}, Route{Reason: ReasonDenseFrontier}},
+		{"dir: masked, huge products do not overflow", planDir, planIn{masked: true, work: math.MaxInt, width: dim, probes: 8000}, Route{Reason: ReasonDenseFrontier}},
+		// Unmasked over a non-full frontier, whose pull tests presence at every
+		// probe: push iff 11·products < 10·(rows + probes).
+		{"dir: unmasked, just under the probe cut", planDir, planIn{work: probeCutDen * (dim + 8000) / probeCutNum, width: dim, probes: 8000},
+			Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: unmasked, at the probe cut pulls", planDir, planIn{work: probeCutDen*(dim+8000)/probeCutNum + 1, width: dim, probes: 8000},
+			Route{Reason: ReasonDenseFrontier}},
+		{"dir: unmasked, pushes what the masked cut pulls", planDir, planIn{work: (dim + 8000) / pushCut, width: dim, probes: 8000},
+			Route{Push: true, Reason: ReasonSparseFrontier}},
+		{"dir: unmasked, huge products do not overflow", planDir, planIn{work: math.MaxInt, width: dim, probes: 8000}, Route{Reason: ReasonDenseFrontier}},
+		// A full frontier pulls at any mean degree: its products are nnz(G),
+		// which a flat 11/10 cut would push below degree 10.
+		{"dir: full frontier, mean degree 1/2", planDir, planIn{full: true, work: dim / 2, width: dim, probes: dim / 2}, Route{Reason: ReasonFullFrontier}},
+		{"dir: full frontier, mean degree 1", planDir, planIn{full: true, work: dim, width: dim, probes: dim}, Route{Reason: ReasonFullFrontier}},
+		{"dir: full frontier, mean degree 8", planDir, planIn{full: true, work: 8 * dim, width: dim, probes: 8 * dim}, Route{Reason: ReasonFullFrontier}},
+		{"dir: full frontier, masked", planDir, planIn{full: true, masked: true, work: dim, width: dim, probes: 8}, Route{Reason: ReasonFullFrontier}},
+		{"dir: full frontier, push pinned", planDir, planIn{dir: DirPush, full: true, work: dim, width: dim, probes: dim}, Route{Push: true, Reason: ReasonPin}},
 		{"dir: push pinned over many products", planDir, planIn{dir: DirPush, work: 8000, width: dim}, Route{Push: true, Reason: ReasonPin}},
 		{"dir: pull pinned over few", planDir, planIn{dir: DirPull, work: 5, width: dim, probes: 8000}, Route{Reason: ReasonPin}},
 
@@ -178,7 +194,8 @@ func TestPlan(t *testing.T) {
 
 	// dirIn: what the pull probes under each mask form, over G = ptr (30
 	// entries in 5 rows), on both sides of the cut: the fewest products the
-	// rule pulls, at, is ⌈(5 + probes)/pushCut⌉.
+	// rule pulls, at, is ⌈(5 + probes)/pushCut⌉ under a mask and
+	// ⌈10·(5 + probes)/11⌉ without one; a full frontier pulls at either.
 	structural := func(comp bool, ind ...int) VMask {
 		m := rows(ind...)
 		m.Structural, m.Complement = true, comp
@@ -201,13 +218,19 @@ func TestPlan(t *testing.T) {
 		{"G not materialized: a masked row counts the mean, 6", structural(true, 0, 2), nil, 18},
 	} {
 		at := (5 + tc.probes + pushCut - 1) / pushCut
+		if tc.mask.M == nil {
+			at = (probeCutDen*(5+tc.probes) + probeCutNum - 1) / probeCutNum
+		}
 		for _, products := range []int{at - 1, at} {
-			in := dirIn(DirAuto, products, 30, tc.gptr, tc.mask, 5)
+			in := dirIn(DirAuto, products, 30, tc.gptr, tc.mask, 5, false)
 			if got := planDir(in); got.Push != (products < at) {
 				t.Errorf("dirIn %s: %d products route %+v (probes read %d), want push %v", tc.name, products, got, in.probes, products < at)
 			}
-			if pinned := planDir(dirIn(DirPull, products, 30, tc.gptr, tc.mask, 5)); pinned != (Route{Reason: ReasonPin}) {
+			if pinned := planDir(dirIn(DirPull, products, 30, tc.gptr, tc.mask, 5, false)); pinned != (Route{Reason: ReasonPin}) {
 				t.Errorf("dirIn %s: the pull pin gave %+v", tc.name, pinned)
+			}
+			if full := planDir(dirIn(DirAuto, products, 30, tc.gptr, tc.mask, 5, true)); full != (Route{Reason: ReasonFullFrontier}) {
+				t.Errorf("dirIn %s: a full frontier gave %+v", tc.name, full)
 			}
 		}
 	}
@@ -216,11 +239,11 @@ func TestPlan(t *testing.T) {
 	// an MxV whose transpose is not yet built plans with nnz(u)·nnz/inDim.
 	a := &CSR[int]{Rows: 5, Cols: 2, Ptr: []int{0, 1, 2, 3, 4, 5}, Ind: []int{0, 0, 0, 0, 1}, Val: make([]int, 5)}
 	u := &Vec[int]{N: 5, Ind: []int{0, 4}, Val: []int{1, 1}}
-	if rt, products := PlanDir(DirAuto, a, false, u, VMask{}); products != 2 || rt != planDir(dirIn(DirAuto, 2, 5, nil, VMask{}, 2)) {
+	if rt, products := PlanDir(DirAuto, a, false, u, VMask{}); products != 2 || rt != planDir(dirIn(DirAuto, 2, 5, nil, VMask{}, 2, false)) {
 		t.Errorf("vxm over the stored rows: %d products, route %+v; want 2", products, rt)
 	}
 	w := &Vec[int]{N: 2, Ind: []int{0}, Val: []int{1}} // column 0 holds 4 of 5 entries
-	if rt, products := PlanDir(DirAuto, a, true, w, VMask{}); products != 5/2 || rt != planDir(dirIn(DirAuto, 5/2, 5, a.Ptr, VMask{}, 5)) {
+	if rt, products := PlanDir(DirAuto, a, true, w, VMask{}); products != 5/2 || rt != planDir(dirIn(DirAuto, 5/2, 5, a.Ptr, VMask{}, 5, false)) {
 		t.Errorf("mxv, transpose not built: %d products, route %+v; want 1·5/2", products, rt)
 	}
 	TransposeCached(a)
@@ -228,8 +251,8 @@ func TestPlan(t *testing.T) {
 		t.Errorf("mxv, transpose built: %d products, want 4", products)
 	}
 	full := &Vec[int]{N: 2, Ind: []int{0, 1}, Val: []int{1, 1}}
-	if _, products := PlanDir(DirAuto, a, true, full, VMask{}); products != 5 {
-		t.Errorf("mxv over a full frontier: %d products, want all 5", products)
+	if rt, products := PlanDir(DirAuto, a, true, full, VMask{}); products != 5 || rt != (Route{Reason: ReasonFullFrontier}) {
+		t.Errorf("mxv over a full frontier: %d products, route %+v; want all 5, pulled", products, rt)
 	}
 
 	// ChoosePush is the rule read as if every row of R held one entry.
@@ -239,7 +262,8 @@ func TestPlan(t *testing.T) {
 		mask VMask
 		want bool
 	}{
-		{(2*dim)/pushCut - 1, VMask{}, true}, {(2 * dim) / pushCut, VMask{}, false},
+		{probeCutDen * 2 * dim / probeCutNum, VMask{}, true}, {probeCutDen*2*dim/probeCutNum + 1, VMask{}, false},
+		{dim, VMask{}, false}, {dim, VMask{M: visited, Structural: true, Complement: true}, false},
 		{(2*dim-1000)/pushCut - 1, VMask{M: visited, Structural: true, Complement: true}, true},
 		{(2*dim - 1000) / pushCut, VMask{M: visited, Structural: true, Complement: true}, false},
 	} {

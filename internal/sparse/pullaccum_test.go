@@ -66,7 +66,7 @@ func diffPullAccum[T comparable](t *testing.T, rng *rand.Rand, semi Semi, mul, a
 								e.Tx = NewBudget(tc.u.viewBytes() - 1).Tx()
 							}
 							u := &Vec[T]{N: n, Ind: tc.u.Ind, Val: tc.u.Val} // the same storage, no memoized view
-							got, err := SpMVAccumEx(semi, spec.spec, a, u, mul, add, mv.mask, tc.c, accum, e, route.hint)
+							got, err := SpMVAccumEx(semi, spec.spec, a, u, mul, add, mv.mask, tc.c, accum, BinGeneric, e, route.hint)
 							e.Close()
 							if err != nil {
 								t.Fatal(err)
@@ -125,7 +125,7 @@ func TestPullAccumPanickingAccumulator(t *testing.T) {
 	for _, threads := range []int{1, 2, 4} {
 		calls.Store(0)
 		z, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, a, c, func(x, y float64) float64 { return x * y },
-			func(x, y float64) float64 { return x + y }, VMask{}, c, boom, par(threads), KernelAuto)
+			func(x, y float64) float64 { return x + y }, VMask{}, c, boom, BinGeneric, par(threads), KernelAuto)
 		if z != nil || !errors.Is(err, ErrKernelPanic) {
 			t.Fatalf("threads=%d: z=%v err=%v, want a recovered kernel panic", threads, z, err)
 		}

@@ -36,8 +36,8 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 				a, b := p.a, p.b
 				A, B := oneRow(a), oneRow(b)
 				minus := ops[1].f
-				identicalVec(t, "EWiseAdd/"+tag, EWiseAddV(a, b, minus), row0(EWiseAddM(A, B, minus, par(threads))))
-				identicalVec(t, "EWiseMult/"+tag, EWiseMultV(a, b, minus), row0(EWiseMultM(A, B, minus, par(threads))))
+				identicalVec(t, "EWiseAdd/"+tag, EWiseAddV(BinGeneric, a, b, minus), row0(EWiseAddM(A, B, minus, par(threads))))
+				identicalVec(t, "EWiseMult/"+tag, EWiseMultV(BinGeneric, a, b, minus), row0(EWiseMultM(A, B, minus, par(threads))))
 				keep := func(v, i, j, s int) bool { return (v+i+j+s)%3 != 0 } // a vector index arrives as i, a column as j
 				identicalVec(t, "Select/"+tag, SelectV(a, keep, 1), row0(SelectM(A, keep, 1, par(threads))))
 				for _, size := range []int{0, n / 2, n, n + 3} {

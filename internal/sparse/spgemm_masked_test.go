@@ -321,12 +321,7 @@ func TestFamilyRangeCancelLeavesNoState(t *testing.T) {
 	mul := func(x, y float64) float64 { return x * y }
 	add := func(x, y float64) float64 { return x + y }
 	polls := 0
-	cancel := func() error {
-		if polls++; polls == 3 {
-			return ErrCanceled
-		}
-		return nil
-	}
+	cancel := cancelProbe(func() bool { polls++; return polls == 3 })
 	var rt Route
 	if _, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, Mask{}, Exec{Threads: 1, Cancel: cancel, Route: &rt}, KernelDense); !errors.Is(err, ErrCanceled) || !rt.Family {
 		t.Fatalf("err = %v on route %+v, want a cancelled family range", err, rt)
@@ -407,3 +402,8 @@ func TestMaskedSpGEMMReportsWhatRan(t *testing.T) {
 		identicalCSR(t, tc.name, got, closureSpGEMM(a, a, mul, add, tc.mask, 1, KernelHash))
 	}
 }
+
+// cancelProbe is a Canceler over a function.
+type cancelProbe func() bool
+
+func (p cancelProbe) Canceled() bool { return p() }

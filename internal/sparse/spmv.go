@@ -12,7 +12,7 @@ import (
 // — the pull-style product with no accumulator (SpMVAccumEx).
 func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 	mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (*Vec[Y], error) {
-	return SpMVAccumEx(semi, spec, a, u, mul, add, mask, nil, nil, e, hint)
+	return SpMVAccumEx(semi, spec, a, u, mul, add, mask, nil, nil, BinGeneric, e, hint)
 }
 
 // accumBlock is how many rows the fused pull gathers before folding them into
@@ -20,9 +20,10 @@ func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
 const accumBlock = 1024
 
 // SpMVAccumEx computes z = c ⊙ t with t = A ·(⊕,⊗) u — the one pull-style
-// product; a nil accum (c is then not read) makes it z = t. Rows of A are
-// traversed in nnz-balanced parallel ranges and each row gathers its matching
-// entries of u through one of two structures (planPull):
+// product; a nil accum (c is then not read) makes it z = t, and accOp tags
+// accum for the family loops. Rows of A are traversed in nnz-balanced
+// parallel ranges and each row gathers its matching entries of u through one
+// of two structures (planPull):
 //
 //   - dense: u's DenseVec view (value slots plus, unless u is full, a
 //     presence bitmap), O(1) lookups — right whenever the rows to gather
@@ -59,7 +60,7 @@ const accumBlock = 1024
 // Budget charges, cancellation checkpoints at range granularity and panic
 // recovery are as in SpGEMMSemiEx.
 func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
-	mask VMask, c *Vec[Y], accum func(Y, Y) Y, e Exec, hint Kernel) (out *Vec[Y], err error) {
+	mask VMask, c *Vec[Y], accum func(Y, Y) Y, accOp Bin, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pullCalls.Add(1)
 	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](spmvLoops[:], semi, spec)
@@ -127,8 +128,9 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 	} else {
 		t = make([]run[Y], len(parts)-1)
 	}
+	family := rt.Family // the closure below captures a bool, not the Route
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		if rt.Family {
+		if family {
 			if ferr := siteMonoLoop.Check(); ferr != nil {
 				abort(ferr)
 			}
@@ -141,15 +143,13 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 		ind, val := rowBufs[Y](a.Ptr, admits, lo, min(lo+block, hi))
 		for b := lo; b < hi; b += block {
 			bhi := min(b+block, hi)
-			if rt.Family {
+			if family {
 				ind, val = rows(a, dval, dbit, admit, ind, val, b, bhi)
 			} else {
 				ind, val = pullRows(a, h, dval, dbit, admit, mul, add, ind, val, b, bhi)
 			}
 			if z != nil {
-				for k, i := range ind {
-					z[i] = accum(z[i], val[k])
-				}
+				ewFunc(ewFamily[Y, Y, Y](accOp), accOp, accum, ewScatterX, z, z, val, ind)
 				ind, val = ind[:0], val[:0]
 			}
 		}
@@ -335,8 +335,9 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	spas := make([][]Y, nparts)
 	marks := make([][]bool, nparts)
 	patterns := make([][]int, nparts)
+	family := rt.Family
 	parallel.Run(parts, threads, func(part, lo, hi int) {
-		if rt.Family {
+		if family {
 			if ferr := siteMonoLoop.Check(); ferr != nil {
 				abort(ferr)
 			}
@@ -350,7 +351,7 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 		marks[part] = mark
 		// A range emits at most one pattern entry per product and per column.
 		pattern := make([]int, 0, min(products, a.Cols))
-		if rt.Family {
+		if family {
 			patterns[part] = scatter(u, a, bits, spa, mark, pattern, lo, hi)
 			return
 		}

@@ -205,8 +205,8 @@ func TestVecWriteBackOracle(t *testing.T) {
 			}
 
 			for _, op := range ops[1:] {
-				check("EWiseAddV/"+op.name, EWiseAddV(a, b, op.f), refUnion(am, bm, op.f))
-				check("EWiseMultV/"+op.name, EWiseMultV(a, b, op.f), refIntersect(am, bm, op.f))
+				check("EWiseAddV/"+op.name, EWiseAddV(BinGeneric, a, b, op.f), refUnion(am, bm, op.f))
+				check("EWiseMultV/"+op.name, EWiseMultV(BinGeneric, a, b, op.f), refIntersect(am, bm, op.f))
 			}
 			applied, indexed, selected := map[int]int{}, map[int]int{}, map[int]int{}
 			for i, x := range am {
@@ -296,7 +296,7 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		sink = ApplyV(u, func(x float64) float64 { return -x })
 	})
 	pin("same-pattern EWiseAddV (one value array)", 8*n+256, func() {
-		sink = EWiseAddV(u, v, func(x, y float64) float64 { return x - y })
+		sink = EWiseAddV(BinGeneric, u, v, func(x, y float64) float64 { return x - y })
 	})
 
 	// Every row stores its diagonal, so the product has n entries.
@@ -334,7 +334,7 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		}
 	})
 	pin("accumulated into a full c (one value array and a block buffer, no stored t)", 8*n+16*accumBlock+1024, func() {
-		sink, err = SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, times, plus, VMask{}, v, plus, Exec{Threads: 1}, KernelAuto)
+		sink, err = SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, times, plus, VMask{}, v, plus, BinGeneric, Exec{Threads: 1}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}

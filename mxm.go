@@ -179,7 +179,7 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 				if mul == nil {
 					mul = func(m DM, x DV) DC { return mulPush(x, m) }
 				}
-				z, err = sparse.SpMVAccumEx(semi, spec, G, uvec, mul, add, mk, wOld, accum, e, hint)
+				z, err = sparse.SpMVAccumEx(semi, spec, G, uvec, mul, add, mk, wOld, accum, binOf(accum), e, hint)
 			}
 		}
 		return z, err

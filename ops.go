@@ -15,6 +15,12 @@
 // machinery of the C spec is the natural case here.
 package grb
 
+import (
+	"reflect"
+
+	"github.com/grblas/grb/internal/sparse"
+)
+
 // Index is the GraphBLAS index type (GrB_Index). The C specification uses
 // uint64; the Go binding uses int for ergonomic slice indexing and reports
 // negative values as GrB_INVALID_INDEX.
@@ -148,6 +154,22 @@ func BOr[T Integer](x, y T) T { return x | y }
 
 // BXor returns bitwise exclusive-or (GrB_BXOR).
 func BXor[T Integer](x, y T) T { return x ^ y }
+
+// binTags maps the predefined operator instantiations the element-wise
+// kernels and the pull's accumulate run as arithmetic (sparse.Bin) by the
+// code their function values point at. A func value whose code is that of
+// Times[float64] is Times[float64]: a closure, a method value or a wrapper
+// has code of its own, and Times over a named type is another instantiation.
+var binTags = map[uintptr]sparse.Bin{
+	reflect.ValueOf(Times[float64]).Pointer():       sparse.BinTimes,
+	reflect.ValueOf(First[float64, bool]).Pointer(): sparse.BinFirst,
+	reflect.ValueOf(Plus[float64]).Pointer():        sparse.BinPlus,
+}
+
+// binOf is op's tag: the predefined instantiation it is, or BinGeneric.
+func binOf[A, B, C any](op BinaryOp[A, B, C]) sparse.Bin {
+	return binTags[reflect.ValueOf(op).Pointer()]
+}
 
 // Eq returns x == y (GrB_EQ).
 func Eq[T comparable](x, y T) bool { return x == y }

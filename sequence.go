@@ -311,10 +311,8 @@ func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 	}
 	x := obsv.Begin(n.ev, s.seq)
 	res, err := runStep(n.op, func() (t S, err error) {
-		if e.Cancel != nil {
-			if err = e.Cancel(); err != nil {
-				return t, err
-			}
+		if e.Cancel != nil && e.Cancel.Canceled() {
+			return t, sparse.ErrCanceled
 		}
 		if n.kernel != nil {
 			t, err = n.kernel(e)
