@@ -29,8 +29,10 @@ fmt:
 race:
 	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 
-# Kernel benchmarks, the hypersparse adaptive-selection family, and the nine
-# timings that fail a run, all in-run ratios: BenchmarkKernelFamilyLoopPair
+# Kernel benchmarks, the hypersparse adaptive-selection pair
+# (BenchmarkHypersparse_MxM and _MxV, unpinned: each fails unless the hash
+# structure served every range), and the nine timings that fail a run, all
+# in-run ratios: BenchmarkKernelFamilyLoopPair
 # (closure/mono >= 2 on both of its workloads), BenchmarkReduceFamilyPair
 # (closure/mono >= 1.5 on rmat-16's row sums and a 65 536-entry vector sum),
 # BenchmarkBinaryFamilyPair (closure/mono >= 1.2 on PageRank's r ⊗ send,

@@ -76,6 +76,23 @@ func TestOpsRejectUninitializedOperands(t *testing.T) {
 	wantCode(t, MxM(c, &zeroMask, nil, PlusTimes[int](), a, a, nil), UninitializedObject)
 }
 
+// TestOpsRejectOutOfRangeDirection: Descriptor.Dir outside {DirAuto, DirPush,
+// DirPull} is an API error on every operation, the multiplies that read it
+// and the rest alike, and the output is left as it was.
+func TestOpsRejectOutOfRangeDirection(t *testing.T) {
+	setMode(t, NonBlocking)
+	a := mustMatrix(t, 2, 2, []Index{0, 1}, []Index{1, 0}, []int{1, 2})
+	u := mustVector(t, 2, []Index{0}, []int{1})
+	for _, dir := range []Direction{3, -1} {
+		d := &Descriptor{Dir: dir}
+		w := mustVector(t, 2, []Index{1}, []int{7})
+		wantCode(t, MxV(w, nil, nil, PlusTimes[int](), a, u, d), InvalidValue)
+		wantCode(t, VxM(w, nil, nil, PlusTimes[int](), u, a, d), InvalidValue)
+		wantCode(t, EWiseAddVector(w, nil, nil, Plus[int], u, u, d), InvalidValue)
+		vectorEquals(t, w, []Index{1}, []int{7})
+	}
+}
+
 func TestVectorContextPlumbing(t *testing.T) {
 	setMode(t, NonBlocking)
 	ctx1 := ck1(NewContext(NonBlocking, nil, WithThreads(1)))

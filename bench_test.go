@@ -865,25 +865,15 @@ func BenchmarkAlgo_MIS(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Hypersparse regime — adaptive hash/dense accumulator selection. n is far
 // larger than nnz, so a dense O(n) accumulator per worker is almost entirely
-// wasted; the adaptive router must pick the hash SPA. The kernel=... variants
-// pin each accumulator via the descriptor to expose the gap the router is
-// closing, and the auto variant asserts (via KernelCounts) that it actually
-// routed to hash.
+// wasted; the adaptive router must pick the hash SPA, and each benchmark
+// fails (via KernelCounts) unless every range did. The dense-vs-hash gap
+// itself is BenchmarkPullGatherPair's (internal/sparse), which pins both.
 // ---------------------------------------------------------------------------
 
 const (
 	hyperN   = 1 << 20
 	hyperNNZ = 400_000
 )
-
-var hyperDescs = []struct {
-	name string
-	desc *grb.Descriptor
-}{
-	{"auto", nil},
-	{"dense", grb.DescDenseSPA},
-	{"hash", grb.DescHashSPA},
-}
 
 func benchHypersparseMatrix(b *testing.B) *grb.Matrix[float64] {
 	b.Helper()
@@ -898,33 +888,36 @@ func benchHypersparseMatrix(b *testing.B) *grb.Matrix[float64] {
 	return a
 }
 
+// reportHashRoute reports the routing counts per operation and fails unless
+// the hash structure served every range.
+func reportHashRoute(b *testing.B) {
+	b.Helper()
+	dense, hash := grb.KernelCounts()
+	b.ReportMetric(float64(dense)/float64(b.N), "dense-ranges/op")
+	b.ReportMetric(float64(hash)/float64(b.N), "hash-ranges/op")
+	if hash == 0 || dense != 0 {
+		b.Fatalf("adaptive selection on a hypersparse product: %d dense and %d hash ranges, want hash only", dense, hash)
+	}
+}
+
 func BenchmarkHypersparse_MxM(b *testing.B) {
 	benchInit(b)
 	a := benchHypersparseMatrix(b)
 	dim := ck1(a.Nrows())
-	for _, tc := range hyperDescs {
-		b.Run("kernel="+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			grb.ResetKernelCounts()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := ck1(grb.NewMatrix[float64](dim, dim))
-				if err := grb.MxM(c, nil, nil, grb.PlusTimes[float64](), a, a, tc.desc); err != nil {
-					b.Fatal(err)
-				}
-				if err := c.Wait(grb.Materialize); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			dense, hash := grb.KernelCounts()
-			b.ReportMetric(float64(dense)/float64(b.N), "dense-ranges/op")
-			b.ReportMetric(float64(hash)/float64(b.N), "hash-ranges/op")
-			if tc.name == "auto" && hash == 0 {
-				b.Fatal("adaptive selection never chose the hash SPA on a hypersparse product")
-			}
-		})
+	b.ReportAllocs()
+	grb.ResetKernelCounts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := ck1(grb.NewMatrix[float64](dim, dim))
+		if err := grb.MxM(c, nil, nil, grb.PlusTimes[float64](), a, a, nil); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Wait(grb.Materialize); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	reportHashRoute(b)
 }
 
 func BenchmarkHypersparse_MxV(b *testing.B) {
@@ -935,40 +928,23 @@ func BenchmarkHypersparse_MxV(b *testing.B) {
 	for k := 0; k < 1024; k++ {
 		ck(u.SetElement(1, k*(dim/1024)))
 	}
-	// Pin DirPull: this family measures the gather-buffer selection, and
-	// the direction router would otherwise serve the sparse frontier with
-	// the push kernel (BenchmarkTraversal_BFS measures that axis).
-	pullDescs := []struct {
-		name string
-		desc *grb.Descriptor
-	}{
-		{"auto", grb.DescPull},
-		{"dense", &grb.Descriptor{AxB: grb.AxBDenseSPA, Dir: grb.DirPull}},
-		{"hash", &grb.Descriptor{AxB: grb.AxBHashSPA, Dir: grb.DirPull}},
+	b.ReportAllocs()
+	grb.ResetKernelCounts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := ck1(grb.NewVector[float64](dim))
+		// Pin DirPull: this benchmark measures the gather-buffer selection,
+		// and the direction router would otherwise serve the sparse frontier
+		// with the push kernel (BenchmarkTraversal_BFS measures that axis).
+		if err := grb.MxV(w, nil, nil, grb.PlusTimes[float64](), a, u, grb.DescPull); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Wait(grb.Materialize); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, tc := range pullDescs {
-		b.Run("kernel="+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			grb.ResetKernelCounts()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := ck1(grb.NewVector[float64](dim))
-				if err := grb.MxV(w, nil, nil, grb.PlusTimes[float64](), a, u, tc.desc); err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Wait(grb.Materialize); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			dense, hash := grb.KernelCounts()
-			b.ReportMetric(float64(dense)/float64(b.N), "dense-ranges/op")
-			b.ReportMetric(float64(hash)/float64(b.N), "hash-ranges/op")
-			if tc.name == "auto" && hash == 0 {
-				b.Fatal("adaptive selection never chose the hash gather on a hypersparse mxv")
-			}
-		})
-	}
+	b.StopTimer()
+	reportHashRoute(b)
 }
 
 func BenchmarkAlgo_SSSP(b *testing.B) {

@@ -24,52 +24,54 @@ type opOutcome struct {
 	errText string
 }
 
+// chaosOperands are the battery's inputs. a (16×16, two entries a row) and u
+// (one entry short of full) route every product to the dense accumulator and
+// the dense gather; hyper (256×256, a 15-edge path) and hyperU (four
+// entries) are hypersparse, so their product takes the hash accumulator and
+// their pull the hash gather.
+type chaosOperands struct {
+	a, hyper  *Matrix[float64]
+	u, hyperU *Vector[float64]
+}
+
 // chaosInputs builds and fully materializes the battery inputs so that
 // injection (armed afterwards) hits only the operations under test.
-func chaosInputs(t *testing.T) (*Matrix[float64], *Vector[float64]) {
+func chaosInputs(t *testing.T) chaosOperands {
 	t.Helper()
-	var is, js []Index
-	var xs []float64
+	var is, js, path []Index
+	var xs, ps []float64
 	for i := 0; i < 16; i++ {
 		is = append(is, Index(i), Index(i))
 		js = append(js, Index((i+1)%16), Index((i*5+2)%16))
 		xs = append(xs, float64(i+1), float64(i+2))
+		path, ps = append(path, Index(i)), append(ps, float64(i+1))
 	}
-	a, err := NewMatrix[float64](16, 16)
-	if err != nil {
-		t.Fatalf("NewMatrix: %v", err)
+	// u is one entry short of full: a full operand is its own block view, and
+	// the battery's pulls must cross the gather and format-conversion sites.
+	in := chaosOperands{
+		a:      mustMatrix(t, 16, 16, is, js, xs),
+		u:      mustVector(t, 16, path[1:], ps[1:]),
+		hyper:  mustMatrix(t, 256, 256, path[:15], path[1:], ps[:15]),
+		hyperU: mustVector(t, 256, path[1:5], ps[:4]),
 	}
-	if err := a.Build(is, js, xs, Second[float64, float64]); err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if err := a.Wait(Materialize); err != nil {
-		t.Fatalf("materialize input: %v", err)
-	}
-	u, err := NewVector[float64](16)
-	if err != nil {
-		t.Fatalf("NewVector: %v", err)
-	}
-	// One entry short of full: a full operand is its own block view, and the
-	// battery's pulls must cross the gather and format-conversion sites.
-	for i := 1; i < 16; i++ {
-		if err := u.SetElement(float64(i+1), Index(i)); err != nil {
-			t.Fatalf("SetElement: %v", err)
+	for _, err := range []error{in.a.Wait(Materialize), in.u.Wait(Materialize), in.hyper.Wait(Materialize), in.hyperU.Wait(Materialize)} {
+		if err != nil {
+			t.Fatalf("materialize input: %v", err)
 		}
 	}
-	if err := u.Wait(Materialize); err != nil {
-		t.Fatalf("materialize input: %v", err)
-	}
-	return a, u
+	return in
 }
 
 // runHardenedBattery drives one operation through every hardened site:
 // tuple merge, both SpGEMM accumulators, the transpose builder, both SpMV
 // gather buffers, the push-side SPA, the per-range checkpoint, and the
 // monomorphized fast paths (loop entry, scatter SPA, block-format
-// conversion). Inputs
-// must be pre-materialized. Every op is drained with Wait(Materialize)
-// immediately, so injection points fire deterministically in battery order.
-func runHardenedBattery(t *testing.T, a *Matrix[float64], u *Vector[float64]) []opOutcome {
+// conversion). Only the operand shapes and the direction pin steer the
+// routes: PlusTimes[float64] runs the family loops wherever the route admits
+// one, and its untagged twin the closure loops. Inputs must be
+// pre-materialized. Every op is drained with Wait(Materialize) immediately,
+// so injection points fire deterministically in battery order.
+func runHardenedBattery(t *testing.T, in chaosOperands) []opOutcome {
 	t.Helper()
 	var outs []opOutcome
 	record := func(op string, callErr, waitErr error, errText string) {
@@ -88,47 +90,49 @@ func runHardenedBattery(t *testing.T, a *Matrix[float64], u *Vector[float64]) []
 	callErr := m.SetElement(3.5, 2, 2)
 	record("merge", callErr, m.Wait(Materialize), m.ErrorString())
 
-	// sparse.spgemm.spa + sparse.kernel.range — dense-accumulator MxM.
-	// The closure-kernel sites need SpecGeneric: PlusTimes[float64] would
-	// otherwise route to the monomorphized kernels, whose own sites the
-	// mono ops below cover.
-	mxm := func(op string, desc *Descriptor) {
-		c, err := NewMatrix[float64](16, 16)
+	plusTimes := PlusTimes[float64]()
+	closure := untagged(plusTimes)
+	mxm := func(op string, s Semiring[float64, float64, float64], a *Matrix[float64], desc *Descriptor) {
+		n := ck1(a.Nrows())
+		c, err := NewMatrix[float64](n, n)
 		if err != nil {
 			t.Fatalf("NewMatrix: %v", err)
 		}
-		callErr := MxM(c, nil, nil, PlusTimes[float64](), a, a, desc)
+		callErr := MxM(c, nil, nil, s, a, a, desc)
 		record(op, callErr, c.Wait(Materialize), c.ErrorString())
 	}
-	mxm("mxm-dense", &Descriptor{AxB: AxBDenseSPA, Spec: SpecGeneric})
-	// sparse.spgemm.hash — hash-accumulator MxM.
-	mxm("mxm-hash", DescHashSPA)
+	// sparse.spgemm.spa + sparse.kernel.range — the closure loop over the
+	// dense SPA.
+	mxm("mxm-dense", closure, in.a, nil)
+	// sparse.spgemm.hash — the hypersparse product's hash SPA.
+	mxm("mxm-hash", plusTimes, in.hyper, nil)
 	// sparse.transpose.build — transposed input.
-	mxm("mxm-transpose", &Descriptor{Transpose0: true})
-	// sparse.mono.loop + sparse.mono.spa — monomorphized dense-SPA MxM.
-	mxm("mxm-mono", &Descriptor{AxB: AxBDenseSPA, Spec: SpecMono})
+	mxm("mxm-transpose", plusTimes, in.a, DescT0)
+	// sparse.mono.loop + sparse.mono.spa — the family loop over the dense SPA.
+	mxm("mxm-mono", plusTimes, in.a, nil)
 
-	mxv := func(op string, desc *Descriptor) {
-		w, err := NewVector[float64](16)
+	mxv := func(op string, s Semiring[float64, float64, float64], a *Matrix[float64], u *Vector[float64], desc *Descriptor) {
+		w, err := NewVector[float64](ck1(a.Nrows()))
 		if err != nil {
 			t.Fatalf("NewVector: %v", err)
 		}
-		callErr := MxV(w, nil, nil, PlusTimes[float64](), a, u, desc)
+		callErr := MxV(w, nil, nil, s, a, u, desc)
 		record(op, callErr, w.Wait(Materialize), w.ErrorString())
 	}
-	// sparse.spmv.gather — pinned pull with the dense gather buffer.
-	mxv("mxv-pull-dense", &Descriptor{Dir: DirPull, AxB: AxBDenseSPA, Spec: SpecGeneric})
-	// sparse.spmv.hash — pinned pull with the hash gather buffer.
-	mxv("mxv-pull-hash", &Descriptor{Dir: DirPull, AxB: AxBHashSPA})
+	// sparse.spmv.gather — pinned pull, the closure loop over the dense
+	// gather buffer.
+	mxv("mxv-pull-dense", closure, in.a, in.u, DescPull)
+	// sparse.spmv.hash — pinned pull of the hypersparse pair, the hash gather.
+	mxv("mxv-pull-hash", plusTimes, in.hyper, in.hyperU, DescPull)
 	// sparse.vxm.spa — pinned push (also crosses sparse.transpose.build).
-	mxv("mxv-push", &Descriptor{Dir: DirPush, Spec: SpecGeneric})
+	mxv("mxv-push", closure, in.a, in.u, DescPush)
 	// sparse.format.convert + sparse.mono.loop — monomorphized pull through
 	// the frontier's block view. The view caches on the vector snapshot, so
 	// the convert site checks once per fresh input (the sweep rebuilds
 	// inputs per point).
-	mxv("mxv-pull-mono", &Descriptor{Dir: DirPull, Spec: SpecMono})
+	mxv("mxv-pull-mono", plusTimes, in.a, in.u, DescPull)
 	// sparse.mono.spa — monomorphized push scatter.
-	mxv("mxv-push-mono", &Descriptor{Dir: DirPush, Spec: SpecMono})
+	mxv("mxv-push-mono", plusTimes, in.a, in.u, DescPush)
 
 	return outs
 }
@@ -140,12 +144,12 @@ func runHardenedBattery(t *testing.T, a *Matrix[float64], u *Vector[float64]) []
 // as a well-formed parked execution error with the wanted code.
 func sweepPoint(t *testing.T, site string, action faults.Action, want Info) []string {
 	t.Helper()
-	a, u := chaosInputs(t)
+	in := chaosInputs(t)
 	faults.Enable(faults.Rule{Site: site, Action: action, Hit: 1})
 	defer faults.Disable()
 	var wrong []string
 	hit := 0
-	for _, o := range runHardenedBattery(t, a, u) {
+	for _, o := range runHardenedBattery(t, in) {
 		if o.err == nil {
 			continue
 		}
@@ -211,14 +215,14 @@ func TestChaosSweepFailsOnUnprobedSite(t *testing.T) {
 // survive every seed.
 func TestScatteredChaosNeverCrashes(t *testing.T) {
 	setMode(t, NonBlocking)
-	a, u := chaosInputs(t)
+	in := chaosInputs(t)
 	for seed := int64(1); seed <= 5; seed++ {
 		faults.EnableSeeded(seed,
 			faults.Rule{Site: "*", Action: faults.AllocFail, OneIn: 5},
 			faults.Rule{Site: "*", Action: faults.Panic, OneIn: 7},
 		)
 		for round := 0; round < 3; round++ {
-			for _, o := range runHardenedBattery(t, a, u) {
+			for _, o := range runHardenedBattery(t, in) {
 				if o.err == nil {
 					continue
 				}
@@ -237,7 +241,7 @@ func TestScatteredChaosNeverCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMatrix after chaos: %v", err)
 	}
-	if err := MxM(c, nil, nil, PlusTimes[float64](), a, a, nil); err != nil {
+	if err := MxM(c, nil, nil, PlusTimes[float64](), in.a, in.a, nil); err != nil {
 		t.Fatalf("MxM after chaos: %v", err)
 	}
 	if err := c.Wait(Materialize); err != nil {

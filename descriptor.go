@@ -2,27 +2,6 @@ package grb
 
 import "github.com/grblas/grb/internal/sparse"
 
-// AxBMethod selects the accumulator kernel used by the multiply operations
-// (MxM, MxV). This is an extension, analogous to SuiteSparse:GraphBLAS's
-// GxB_AxB_METHOD descriptor field: the default lets the library route each
-// row range adaptively by estimated flops, and the pinned variants force one
-// kernel — for benchmarking, differential testing, or workloads whose shape
-// the caller knows better.
-//
-// The three pin types below are the substrate planner's pins by value
-// (internal/sparse/plan.go), so the operations convert them without a
-// mapping.
-type AxBMethod int
-
-const (
-	// AxBDefault routes each row range adaptively (flop estimate vs. width).
-	AxBDefault = AxBMethod(sparse.KernelAuto)
-	// AxBDenseSPA forces the dense accumulator (O(cols) scratch per worker).
-	AxBDenseSPA = AxBMethod(sparse.KernelDense)
-	// AxBHashSPA forces the hash accumulator (O(flops) scratch per worker).
-	AxBHashSPA = AxBMethod(sparse.KernelHash)
-)
-
 // Direction selects the traversal direction of the matrix-vector products
 // (MxV, VxM). This is an extension in the spirit of direction-optimizing
 // (push/pull) BFS: the default routes each product by frontier and mask
@@ -42,26 +21,6 @@ const (
 	DirPull = Direction(sparse.DirPull)
 )
 
-// SpecMode selects whether the multiply operations may run monomorphized
-// (specialized direct-arithmetic) loop bodies for the hot semirings. This is
-// an extension, completing the kernel-pinning triple with AxBMethod
-// (accumulator) and Direction (push/pull): the default routes by the
-// semiring's constructor tag and operand density, and the pinned variants
-// force one side — for benchmarking and the mono≡closure differential
-// battery.
-type SpecMode int
-
-const (
-	// SpecAuto routes by semiring tag, operand types and operand density.
-	SpecAuto = SpecMode(sparse.SpecAuto)
-	// SpecMono keeps the monomorphized loop wherever one exists for the
-	// semiring and value types, even where the statistics would route
-	// around it.
-	SpecMono = SpecMode(sparse.SpecMono)
-	// SpecGeneric forces the closure loops.
-	SpecGeneric = SpecMode(sparse.SpecGeneric)
-)
-
 // Descriptor modifies how a GraphBLAS operation treats its output, mask and
 // inputs (GrB_Descriptor). A nil *Descriptor everywhere means default
 // behaviour: merge into the output, value mask, untransposed inputs.
@@ -79,14 +38,9 @@ type Descriptor struct {
 	Transpose0 bool
 	// Transpose1 transposes the second matrix input (GrB_INP1 = GrB_TRAN).
 	Transpose1 bool
-	// AxB selects the multiply accumulator kernel (extension; see AxBMethod).
-	AxB AxBMethod
 	// Dir selects the matrix-vector traversal direction (extension; see
 	// Direction).
 	Dir Direction
-	// Spec selects monomorphized vs. generic closure kernels (extension;
-	// see SpecMode).
-	Spec SpecMode
 }
 
 // Predefined descriptors mirroring the C API's GrB_DESC_* constants.
@@ -111,19 +65,10 @@ var (
 	DescRSC = &Descriptor{Replace: true, Structure: true, Complement: true}
 	// DescSC uses a complemented structural mask.
 	DescSC = &Descriptor{Structure: true, Complement: true}
-	// DescDenseSPA pins the multiply kernel to the dense accumulator.
-	DescDenseSPA = &Descriptor{AxB: AxBDenseSPA}
-	// DescHashSPA pins the multiply kernel to the hash accumulator.
-	DescHashSPA = &Descriptor{AxB: AxBHashSPA}
 	// DescPush pins matrix-vector products to the push (scatter) kernel.
 	DescPush = &Descriptor{Dir: DirPush}
 	// DescPull pins matrix-vector products to the pull (gather) kernel.
 	DescPull = &Descriptor{Dir: DirPull}
-	// DescMono pins multiply operations to the monomorphized hot-semiring
-	// kernels where they exist.
-	DescMono = &Descriptor{Spec: SpecMono}
-	// DescGeneric pins multiply operations to the generic closure kernels.
-	DescGeneric = &Descriptor{Spec: SpecGeneric}
 )
 
 // get normalizes a possibly-nil descriptor to a value.

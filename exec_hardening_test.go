@@ -483,17 +483,16 @@ func TestDeadlineParksCanceled(t *testing.T) {
 // serving unrelated work afterwards.
 func TestInjectedPanicIsIsolated(t *testing.T) {
 	setMode(t, NonBlocking)
-	a, u := chaosInputs(t)
-	_ = u
+	a := chaosInputs(t).a
 	ResetKernelCounts()
 	faults.Enable(faults.Rule{Site: "sparse.spgemm.spa", Action: faults.Panic, Hit: 1})
 	c, err := NewMatrix[float64](16, 16)
 	if err != nil {
 		t.Fatalf("NewMatrix: %v", err)
 	}
-	// SpecGeneric keeps the tagged semiring on the closure kernel whose SPA
-	// site the rule arms (the mono path has its own sites).
-	if err := MxM(c, nil, nil, PlusTimes[float64](), a, a, &Descriptor{AxB: AxBDenseSPA, Spec: SpecGeneric}); err != nil {
+	// The untagged twin runs the closure loop over the dense SPA, whose site
+	// the rule arms (the family loop has its own sites).
+	if err := MxM(c, nil, nil, untagged(PlusTimes[float64]()), a, a, nil); err != nil {
 		t.Fatalf("MxM: %v", err)
 	}
 	if err := c.Wait(Materialize); Code(err) != Panic {

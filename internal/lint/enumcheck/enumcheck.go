@@ -24,18 +24,18 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "enumcheck",
 	Doc: "report non-exhaustive switches over the GraphBLAS enumerations (Info, WaitMode, Mode, " +
-		"Format, AxBMethod, Direction, SpecMode) — §IX pins the enum values, so every member must " +
-		"be handled or a default supplied",
+		"Format, Direction) — §IX pins the enum values, so every member must be handled or a " +
+		"default supplied",
 	Run: run,
 }
 
 // guardedEnums are the grb enumeration type names whose switches must be
 // exhaustive: the return codes, the wait and execution modes, the exchange
-// formats, and the descriptor's kernel-selection fields.
+// formats, and the descriptor's direction pin. Each must name a type the
+// root package declares (TestGuardedEnumsAreDeclared).
 var guardedEnums = map[string]bool{
 	"Info": true, "WaitMode": true, "Mode": true,
-	"Format": true, "AxBMethod": true, "Direction": true,
-	"SpecMode": true,
+	"Format": true, "Direction": true,
 }
 
 func run(pass *lint.Pass) error {

@@ -288,20 +288,21 @@ func BenchmarkKernelFamilyLoopPair(b *testing.B) {
 
 	for _, wl := range []struct {
 		name string
-		run  func(Spec) error
+		semi Semi
+		run  func(Semi) error
 	}{
-		{"plus_times/full", func(spec Spec) error {
-			_, err := SpMVSemiEx(SemiPlusTimes, spec, af, uf, mulF, addF, VMask{}, Exec{Threads: 1}, KernelAuto)
+		{"plus_times/full", SemiPlusTimes, func(semi Semi) error {
+			_, err := SpMVSemiEx(semi, SpecAuto, af, uf, mulF, addF, VMask{}, Exec{Threads: 1}, KernelAuto)
 			return err
 		}},
-		{"lor_land/saturated", func(spec Spec) error {
-			_, err := SpMVSemiEx(SemiLorLand, spec, ab, ub, land, lor, VMask{}, Exec{Threads: 1}, KernelAuto)
+		{"lor_land/saturated", SemiLorLand, func(semi Semi) error {
+			_, err := SpMVSemiEx(semi, SpecAuto, ab, ub, land, lor, VMask{}, Exec{Threads: 1}, KernelAuto)
 			return err
 		}},
 	} {
 		b.Run(wl.name, func(b *testing.B) {
 			mono, closure := bestRounds(b, passes,
-				func() error { return wl.run(SpecMono) }, func() error { return wl.run(SpecGeneric) })
+				func() error { return wl.run(wl.semi) }, func() error { return wl.run(SemiGeneric) })
 			ratio := float64(closure) / float64(mono)
 			b.ReportMetric(ratio, "closure/mono")
 			if ratio < minFamilySpeedup {
@@ -741,7 +742,7 @@ func BenchmarkPullAccumPair(b *testing.B) {
 	e := Exec{Threads: 1}
 	fused, unfused := bestRounds(b, passes,
 		func() error {
-			_, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, mulF, addF, VMask{}, c, addF, BinGeneric, e, KernelAuto)
+			_, err := SpMVAccumEx(SemiPlusTimes, a, u, mulF, addF, VMask{}, c, addF, BinGeneric, e, KernelAuto)
 			return err
 		},
 		func() error {

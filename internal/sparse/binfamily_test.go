@@ -58,11 +58,11 @@ func TestBinFamilyMatchesClosure(t *testing.T) {
 			identicalVec(t, tc.name+" mult "+p.name, EWiseMultV(tc.op, p.x, p.y, tc.f), EWiseMultV(BinGeneric, p.x, p.y, tc.f))
 		}
 		for _, threads := range []int{1, 2, 4} {
-			got, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, g, u, times, plus, VMask{}, c, tc.f, tc.op, par(threads), KernelAuto)
+			got, err := SpMVAccumEx(SemiPlusTimes, g, u, times, plus, VMask{}, c, tc.f, tc.op, par(threads), KernelAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, g, u, times, plus, VMask{}, c, tc.f, BinGeneric, par(threads), KernelAuto)
+			want, err := SpMVAccumEx(SemiPlusTimes, g, u, times, plus, VMask{}, c, tc.f, BinGeneric, par(threads), KernelAuto)
 			if err != nil {
 				t.Fatal(err)
 			}

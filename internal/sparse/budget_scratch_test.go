@@ -36,12 +36,12 @@ func TestSpGEMMStitchTableIsBudgeted(t *testing.T) {
 	// 4 KiB fits the 8-column SPA many times over but not the 80 KB
 	// row-length table; before the charge landed this call succeeded.
 	small := NewBudget(4096).Tx()
-	if _, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto); !errors.Is(err, ErrBudget) {
+	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto); !errors.Is(err, ErrBudget) {
 		t.Fatalf("closure SpGEMM under a 4KiB budget: err = %v, want ErrBudget", err)
 	}
 
 	big := NewBudget(1 << 20).Tx()
-	got, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
+	got, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: big}, KernelAuto)
 	if err != nil {
 		t.Fatalf("closure SpGEMM under a 1MiB budget: %v", err)
 	}

@@ -321,20 +321,20 @@ func TestSpanTelemetryOverRowRanges(t *testing.T) {
 	work := SpGEMMFlopsTotal(a, b)
 	pivot := int64(b.NNZ()) // row 0's flops: one per stored entry of b
 
-	for _, spec := range []Spec{SpecGeneric, SpecMono} {
+	for _, semi := range []Semi{SemiGeneric, SemiPlusTimes} {
 		ResetKernelCounts()
-		if _, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, Mask{}, par(threads), KernelDense); err != nil {
+		if _, err := SpGEMMSemiEx(semi, SpecAuto, a, b, mul, add, Mask{}, par(threads), KernelDense); err != nil {
 			t.Fatal(err)
 		}
 		span, gotWork := SpanFlops()
 		if gotWork != work {
-			t.Fatalf("spec %d: work = %d, want the exact flop count %d", spec, gotWork, work)
+			t.Fatalf("%s: work = %d, want the exact flop count %d", semi, gotWork, work)
 		}
 		if span < pivot || span > work {
-			t.Fatalf("spec %d: span = %d, want within [pivot row %d, work %d]", spec, span, pivot, work)
+			t.Fatalf("%s: span = %d, want within [pivot row %d, work %d]", semi, span, pivot, work)
 		}
 		if span*threads < 2*work {
-			t.Fatalf("spec %d: span %d is balanced (work %d / %d threads) despite the unsplittable pivot row", spec, span, work, threads)
+			t.Fatalf("%s: span %d is balanced (work %d / %d threads) despite the unsplittable pivot row", semi, span, work, threads)
 		}
 	}
 	ResetKernelCounts()

@@ -85,7 +85,7 @@ func ewFunc[A, B, C any](fam func(Bin, ewForm, []C, []A, []B, []int), op Bin, f 
 // ewFamily is the element-wise family loop binLoops holds for an operator
 // tagged op over (A, B, C), or nil.
 func ewFamily[A, B, C any](op Bin) func(Bin, ewForm, []C, []A, []B, []int) {
-	return familyLoop[func(Bin, ewForm, []C, []A, []B, []int)](binLoops[:], op, SpecAuto)
+	return familyLoop[func(Bin, ewForm, []C, []A, []B, []int)](binLoops[:], op)
 }
 
 // EWiseAddV is the vector analogue of EWiseAddM. The output's index array is

@@ -89,22 +89,14 @@ const (
 	numBin
 )
 
-// Spec is the descriptor-level pin for the family loops (Descriptor.Spec),
-// completing the pin triple with Kernel and Dir.
+// Spec is the second parameter of SpGEMMSemiEx, SpMVSemiEx and VxMSemiEx,
+// and none of them reads it: the semiring tag alone decides whether a family
+// loop runs. It stays because benchmark/kernel.go, a module of its own, calls
+// those kernels with SpecAuto.
 type Spec int
 
-const (
-	// SpecAuto runs the family loop whenever the semiring tag, the element
-	// types and the planned route admit it.
-	SpecAuto Spec = iota
-	// SpecMono keeps the family loop even where the statistics would route
-	// around it (a hypersparse frontier that would otherwise hash-gather).
-	// It cannot conjure a loop the tables do not hold.
-	SpecMono
-	// SpecGeneric forces the closure loops — the differential battery's
-	// reference arm.
-	SpecGeneric
-)
+// SpecAuto is the only Spec.
+const SpecAuto Spec = 0
 
 // monoArith constrains the arithmetic hot types. int64 and float64 have
 // distinct gcshapes, so loops instantiated over this constraint compile to
@@ -164,10 +156,7 @@ func spaIdentity[C any](semi Semi) (id C) {
 // over a hot underlying type (type Score float64) therefore matches nothing
 // and stays on the closure loop, which is the only loop that may call its
 // operators.
-func familyLoop[F any, K Semi | Mon | Bin](table [][]any, tag K, spec Spec) (loop F) {
-	if spec == SpecGeneric {
-		return loop
-	}
+func familyLoop[F any, K Semi | Mon | Bin](table [][]any, tag K) (loop F) {
 	for _, entry := range table[tag] {
 		if f, ok := entry.(F); ok {
 			return f

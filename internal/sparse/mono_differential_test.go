@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -103,8 +104,8 @@ func vmaskVariants(rng *rand.Rand, n int) []struct {
 // vecDensities enumerates the operand-density regimes of a frontier of length
 // n, which is all that selects its storage: a full frontier gets the full
 // (bitmap-free) view, a partial one the bitmap view, and a hypersparse one
-// stays on the sparse form under SpecAuto (the closure kernel's hash gather
-// serves it) while SpecMono still densifies it into a bitmap view.
+// stays on the sparse form where the statistics pick the hash gather, and is
+// densified into a bitmap view where KernelDense pins the dense one.
 func vecDensities[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) []struct {
 	name string
 	vec  *Vec[T]
@@ -119,19 +120,22 @@ func vecDensities[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) []struct 
 	}
 }
 
-// specModes is the specialization axis every density regime is swept over.
-var specModes = []struct {
+// loopModes is the loop axis: the semiring's tag, which runs its family loop
+// wherever the route admits one, and SemiGeneric, which runs the closure loop.
+func loopModes(semi Semi) []struct {
 	name string
-	spec Spec
-}{
-	{"auto", SpecAuto},
-	{"mono", SpecMono},
-	{"generic", SpecGeneric},
+	semi Semi
+} {
+	return []struct {
+		name string
+		semi Semi
+	}{{"family", semi}, {"closure", SemiGeneric}}
 }
 
 // diffMonoMxV sweeps the pull (SpMV) and push (VxM) products for one hot
-// semiring over specs × densities × masks × threads and requires the
-// semiring-routed and closure kernels to agree exactly.
+// semiring over densities × masks × threads — and the pull over both gather
+// pins — and requires the semiring-routed and closure kernels to agree
+// exactly.
 func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 	mul, add func(T, T) T, mk func(*rand.Rand) T) {
 	t.Helper()
@@ -145,17 +149,12 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 			for _, mv := range vmaskVariants(rng, rows) {
 				for _, threads := range []int{1, 4} {
 					for _, hint := range []Kernel{KernelAuto, KernelDense} {
-						clos, err := SpMVSemiEx(SemiGeneric, SpecGeneric, a, fv.vec, mul, add, mv.mask, par(threads), hint)
+						clos := closureSpMV(a, fv.vec, mul, add, mv.mask, threads, hint)
+						got, err := SpMVSemiEx(semi, SpecAuto, a, fv.vec, mul, add, mv.mask, par(threads), hint)
 						if err != nil {
-							t.Fatalf("pull closure %s/%s: %v", fv.name, mv.name, err)
+							t.Fatalf("pull %s/%s: %v", fv.name, mv.name, err)
 						}
-						for _, spec := range specModes {
-							got, err := SpMVSemiEx(semi, spec.spec, a, fv.vec, mul, add, mv.mask, par(threads), hint)
-							if err != nil {
-								t.Fatalf("pull %s %s/%s: %v", spec.name, fv.name, mv.name, err)
-							}
-							identicalVec(t, semi.String()+"/pull/"+spec.name+"/"+fv.name+"/"+mv.name, got, clos)
-						}
+						identicalVec(t, fmt.Sprintf("%s/pull/hint=%d/%s/%s", semi, hint, fv.name, mv.name), got, clos)
 					}
 				}
 			}
@@ -165,26 +164,21 @@ func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, fv := range vecDensities(rng, rows, mk) {
 			for _, mv := range vmaskVariants(rng, cols) {
 				for _, threads := range []int{1, 4} {
-					clos, err := VxMSemiEx(SemiGeneric, SpecGeneric, fv.vec, a, mul, add, mv.mask, par(threads))
+					clos := closureVxM(fv.vec, a, mul, add, mv.mask, threads)
+					got, err := VxMSemiEx(semi, SpecAuto, fv.vec, a, mul, add, mv.mask, par(threads))
 					if err != nil {
-						t.Fatalf("push closure %s/%s: %v", fv.name, mv.name, err)
+						t.Fatalf("push %s/%s: %v", fv.name, mv.name, err)
 					}
-					for _, spec := range specModes {
-						got, err := VxMSemiEx(semi, spec.spec, fv.vec, a, mul, add, mv.mask, par(threads))
-						if err != nil {
-							t.Fatalf("push %s %s/%s: %v", spec.name, fv.name, mv.name, err)
-						}
-						identicalVec(t, semi.String()+"/push/"+spec.name+"/"+fv.name+"/"+mv.name, got, clos)
-					}
+					identicalVec(t, semi.String()+"/push/"+fv.name+"/"+mv.name, got, clos)
 				}
 			}
 		}
 	}
 }
 
-// diffMonoSpGEMM sweeps the matrix product for one hot semiring over specs ×
-// masks × accumulator hints × threads; the hash hint exercises the fallback
-// path, which must agree too (it runs the identical closures).
+// diffMonoSpGEMM sweeps the matrix product for one hot semiring over masks ×
+// accumulator hints × threads; the hash hint exercises the fallback path,
+// which must agree too (it runs the identical closures).
 func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 	mul, add func(T, T) T, mk func(*rand.Rand) T) {
 	t.Helper()
@@ -201,17 +195,12 @@ func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, mv := range maskVariants(maskM) {
 			for _, threads := range []int{1, 4} {
 				for _, hint := range []Kernel{KernelAuto, KernelDense, KernelHash} {
-					clos, err := SpGEMMSemiEx(SemiGeneric, SpecGeneric, a, b, mul, add, mv.mask, par(threads), hint)
+					clos := closureSpGEMM(a, b, mul, add, mv.mask, threads, hint)
+					got, err := SpGEMMSemiEx(semi, SpecAuto, a, b, mul, add, mv.mask, par(threads), hint)
 					if err != nil {
-						t.Fatalf("mxm closure %s: %v", mv.name, err)
+						t.Fatalf("mxm %s: %v", mv.name, err)
 					}
-					for _, spec := range specModes {
-						got, err := SpGEMMSemiEx(semi, spec.spec, a, b, mul, add, mv.mask, par(threads), hint)
-						if err != nil {
-							t.Fatalf("mxm %s %s: %v", spec.name, mv.name, err)
-						}
-						identicalCSR(t, semi.String()+"/mxm/"+spec.name+"/"+mv.name, got, clos)
-					}
+					identicalCSR(t, fmt.Sprintf("%s/mxm/hint=%d/%s", semi, hint, mv.name), got, clos)
 				}
 			}
 		}
@@ -290,7 +279,7 @@ func TestMonoDifferentialPlusPair(t *testing.T) {
 // TestMonoDifferentialGEMV pins the fully-dense regime: a full matrix times
 // a full vector has no fast path of its own — it takes the bitmap-free arm of
 // the family row loop over CSR — and must match the closure loop product for
-// product, for every spec.
+// product.
 func TestMonoDifferentialGEMV(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	for trial := 0; trial < 4; trial++ {
@@ -303,13 +292,11 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 		for _, mv := range vmaskVariants(rng, rows) {
 			for _, threads := range []int{1, 4} {
 				clos := closureSpMV(a, u, mul, add, mv.mask, threads, KernelAuto)
-				for _, spec := range specModes {
-					got, err := SpMVSemiEx(SemiPlusTimes, spec.spec, a, u, mul, add, mv.mask, par(threads), KernelAuto)
-					if err != nil {
-						t.Fatalf("full %s/%s: %v", spec.name, mv.name, err)
-					}
-					identicalVec(t, "full/"+spec.name+"/"+mv.name, got, clos)
+				got, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, a, u, mul, add, mv.mask, par(threads), KernelAuto)
+				if err != nil {
+					t.Fatalf("full %s: %v", mv.name, err)
 				}
+				identicalVec(t, "full/"+mv.name, got, clos)
 			}
 		}
 	}
@@ -343,22 +330,23 @@ func TestMonoRoutingGates(t *testing.T) {
 		name     string
 		a        *CSR[float64]
 		vec      *Vec[float64]
-		spec     Spec
+		semi     Semi
+		hint     Kernel
 		want     Route
 		wantFull bool
 	}{
-		{"full/auto", a, fullVec(rng, 20, mk), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
-		{"partial/auto", a, partial, SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
-		{"sparse frontier/auto", a, hyper(), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
-		{"full over hypersparse/auto", thin, fullVec(rng, 20, mk), SpecAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
-		{"hypersparse/auto", thin, hyper(), SpecAuto, Route{Acc: AccHash, Reason: ReasonFewProbes}, false},
-		{"hypersparse/mono", thin, hyper(), SpecMono, Route{Family: true, Acc: AccDense, Reason: ReasonPin}, false},
-		{"full/generic", a, fullVec(rng, 20, mk), SpecGeneric, Route{Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"full/auto", a, fullVec(rng, 20, mk), SemiPlusTimes, KernelAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"partial/auto", a, partial, SemiPlusTimes, KernelAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
+		{"sparse frontier/auto", a, hyper(), SemiPlusTimes, KernelAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, false},
+		{"full over hypersparse/auto", thin, fullVec(rng, 20, mk), SemiPlusTimes, KernelAuto, Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}, true},
+		{"hypersparse/auto", thin, hyper(), SemiPlusTimes, KernelAuto, Route{Acc: AccHash, Reason: ReasonFewProbes}, false},
+		{"hypersparse/dense", thin, hyper(), SemiPlusTimes, KernelDense, Route{Family: true, Acc: AccDense, Reason: ReasonPin}, false},
+		{"full/untagged", a, fullVec(rng, 20, mk), SemiGeneric, KernelAuto, Route{Acc: AccDense, Reason: ReasonDenseWork}, true},
 	} {
 		a := tc.a
 		var rt Route
 		ResetKernelCounts()
-		got, err := SpMVSemiEx(SemiPlusTimes, tc.spec, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Grain: 1, Route: &rt}, KernelAuto)
+		got, err := SpMVSemiEx(tc.semi, SpecAuto, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Grain: 1, Route: &rt}, tc.hint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,15 +374,15 @@ func TestMonoRoutingGates(t *testing.T) {
 		identicalVec(t, tc.name, got, closureSpMV(a, tc.vec, mul, add, VMask{}, 2, KernelAuto))
 	}
 
-	// A named element type resolves to no loop: SpecMono or not, the closure
-	// loop serves it, with correct results.
+	// A named element type resolves to no loop: the closure loop serves it,
+	// with correct results.
 	type myF float64
 	am := sprayCSR(rng, 16, 16, 40, func(r *rand.Rand) myF { return myF(r.Intn(9)) })
 	um := fullVec(rng, 16, func(r *rand.Rand) myF { return myF(r.Intn(9)) })
 	mulM := func(a, b myF) myF { return a * b }
 	addM := func(a, b myF) myF { return a + b }
 	ResetKernelCounts()
-	got, err := SpMVSemiEx(SemiPlusTimes, SpecMono, am, um, mulM, addM, VMask{}, par(2), KernelAuto)
+	got, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, am, um, mulM, addM, VMask{}, par(2), KernelAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

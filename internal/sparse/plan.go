@@ -6,7 +6,7 @@ import (
 )
 
 // The route planner. Every branch between two kernel paths that depends on
-// operand statistics or a Descriptor pin is a row of one of the four pure
+// operand statistics or a pin is a row of one of the four pure
 // functions below — the direction of a matrix-vector product (planDir), the
 // gather side of the pull scaffold (planPull), the scatter side of the push
 // scaffold (planPush) and the accumulator and mask handling of one SpGEMM row
@@ -40,8 +40,9 @@ const pushCut = 2
 
 const probeCutNum, probeCutDen = 11, 10 // the unmasked non-full pull's cut
 
-// Kernel is the accumulator pin of the multiply kernels (Descriptor.AxB).
-// The zero value routes by statistics.
+// Kernel is the accumulator pin of the multiply kernels. The grb layer always
+// passes KernelAuto, which routes by statistics; the two pins are the test
+// seam that holds the dense and hash accumulators to the same bits.
 type Kernel int
 
 const (
@@ -151,11 +152,11 @@ func (r Route) MatVecLabel() string {
 	return label + r.monoSuffix()
 }
 
-// ProductLabel names a matrix-product route for the kernel event: the pinned
-// accumulator, or what the per-range statistics picked.
-func (r Route) ProductLabel(hint Kernel) string {
-	label := [...]string{KernelAuto: "auto", KernelDense: "dense", KernelHash: "hash"}[hint]
-	if hint == KernelAuto && r.Acc != AccNone {
+// ProductLabel names a matrix-product route for the kernel event: what the
+// per-range statistics picked.
+func (r Route) ProductLabel() string {
+	label := "auto"
+	if r.Acc != AccNone {
 		label += [...]string{AccDense: "(dense)", AccHash: "(hash)", AccMixed: "(mixed)"}[r.Acc]
 	}
 	return label + r.monoSuffix()
@@ -173,7 +174,6 @@ func (r Route) monoSuffix() string {
 type planIn struct {
 	dir  Dir
 	hint Kernel
-	spec Spec
 
 	// work competes with width: the frontier's products against the rows
 	// the pull walks plus its probes (direction), the hash gather's table
@@ -190,7 +190,7 @@ type planIn struct {
 	maskComp bool
 	outDim   int // the dimension a mask vector guards
 
-	hasLoop bool // a family loop exists for (semiring, types) and Spec allows it
+	hasLoop bool // a family loop exists for (semiring, types)
 
 	// Budget state, probed by the caller: the dense structure fits the
 	// remaining budget; the hash alternative is strictly smaller.
@@ -317,22 +317,18 @@ func planAcc(in planIn, few, refused Reason) (Acc, Reason) {
 	return AccDense, why
 }
 
-// planPull plans the gather side of the pull product. Reads hint, spec,
-// hasLoop, work (gatherWork: what the hash table would be asked to do),
-// width (vector size), denseFits, hashSmaller, bitmapFits,
-// maskHashSmaller. A pull looks u up once per stored entry of every admitted
-// row whatever nnz(u) is, so the hash gather is for hypersparse matrices and
-// sparse non-complemented masks, not for sparse frontiers. A family loop reads
-// the frontier's dense view, so it runs exactly when the gather is dense;
-// SpecMono with a loop available keeps the view even then. The mask is probed
-// once per row of G — n probes of a table against n reads of the bitmap's n
-// bytes — so a hash predicate is never less work here, beside a hash gather
-// either (BenchmarkPullGatherPair's masked row: 24.5 → 16.5 ms as a bitmap):
-// it serves only where the budget refuses the bitmap and it is smaller.
+// planPull plans the gather side of the pull product. Reads hint, hasLoop,
+// work (gatherWork: what the hash table would be asked to do), width (vector
+// size), denseFits, hashSmaller, bitmapFits, maskHashSmaller. A pull looks u
+// up once per stored entry of every admitted row whatever nnz(u) is, so the
+// hash gather is for hypersparse matrices and sparse non-complemented masks,
+// not for sparse frontiers. A family loop reads the frontier's dense view, so
+// it runs exactly when the gather is dense. The mask is probed once per row
+// of G — n probes of a table against n reads of the bitmap's n bytes — so a
+// hash predicate is never less work here, beside a hash gather either
+// (BenchmarkPullGatherPair's masked row: 24.5 → 16.5 ms as a bitmap): it
+// serves only where the budget refuses the bitmap and it is smaller.
 func planPull(in planIn) Route {
-	if in.hasLoop && in.spec == SpecMono && in.hint == KernelAuto {
-		in.hint = KernelDense
-	}
 	acc, why := planAcc(in, ReasonFewProbes, ReasonBudgetGather)
 	rt := Route{Family: in.hasLoop && acc == AccDense, Acc: acc, Reason: why}
 	if in.maskHashSmaller && !in.bitmapFits {
@@ -341,14 +337,13 @@ func planPull(in planIn) Route {
 	return rt
 }
 
-// planPush plans the scatter side of the push product. Reads spec, hasLoop,
-// work (listedWork: nnz(m) table inserts + one probe per product of the
-// frontier), outDim, bitmapFits, maskHashSmaller. A family loop indexes
-// the mask as a bitmap; the hash predicate — and with it the closure loop,
-// unless SpecMono pins the family — is for a mask and a frontier so sparse
-// that the table is smaller than the bitmap and building and probing it is
-// less work than compiling the mask to O(cols), or for a bitmap the budget
-// refuses.
+// planPush plans the scatter side of the push product. Reads hasLoop, work
+// (listedWork: nnz(m) table inserts + one probe per product of the frontier),
+// outDim, bitmapFits, maskHashSmaller. A family loop indexes the mask as a
+// bitmap; the hash predicate — and with it the closure loop — is for a mask
+// and a frontier so sparse that the table is smaller than the bitmap and
+// building and probing it is less work than compiling the mask to O(cols),
+// or for a bitmap the budget refuses.
 func planPush(in planIn) Route {
 	rt := Route{Push: true, Family: in.hasLoop}
 	switch {
@@ -356,8 +351,6 @@ func planPush(in planIn) Route {
 	case !in.bitmapFits:
 		rt.Family, rt.HashMask, rt.Reason = false, true, ReasonBudgetMask
 	case !belowCut(in.work, in.outDim):
-	case in.hasLoop && in.spec == SpecMono:
-		rt.Reason = ReasonPin
 	default:
 		rt.Family, rt.HashMask, rt.Reason = false, true, ReasonHyperMask
 	}

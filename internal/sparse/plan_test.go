@@ -111,10 +111,7 @@ func TestPlan(t *testing.T) {
 		{"pull: work == n is dense", planPull, fits(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
 		{"pull: work == n/2 is dense", planPull, fits(loop(planIn{work: 10, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
 		{"pull: work == n/2-1 hash-gathers", planPull, fits(loop(planIn{work: 9, width: 20})), Route{Acc: AccHash, Reason: ReasonFewProbes}},
-		{"pull: SpecMono overrides few probes", planPull, fits(loop(planIn{spec: SpecMono, work: 1, width: 20})),
-			Route{Family: true, Acc: AccDense, Reason: ReasonPin}},
-		{"pull: SpecMono cannot conjure a loop", planPull, fits(planIn{spec: SpecMono, work: 1, width: 20}), Route{Acc: AccHash, Reason: ReasonFewProbes}},
-		{"pull: hint == KernelHash beats SpecMono", planPull, fits(loop(planIn{hint: KernelHash, spec: SpecMono, work: 20, width: 20})),
+		{"pull: hash pinned over many probes", planPull, fits(loop(planIn{hint: KernelHash, work: 20, width: 20})),
 			Route{Acc: AccHash, Reason: ReasonPin}},
 		{"pull: dense pinned over few probes", planPull, fits(loop(planIn{hint: KernelDense, work: 1, width: 20})),
 			Route{Family: true, Acc: AccDense, Reason: ReasonPin}},
@@ -122,7 +119,7 @@ func TestPlan(t *testing.T) {
 		{"pull: denseFits == false", planPull, loop(planIn{work: 20, width: 20, hashSmaller: true}), Route{Acc: AccHash, Reason: ReasonBudgetGather}},
 		{"pull: denseFits == false, hash no smaller", planPull, loop(planIn{work: 20, width: 20}),
 			Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
-		{"pull: SpecMono yields to the budget", planPull, loop(planIn{spec: SpecMono, work: 1, width: 20, hashSmaller: true}),
+		{"pull: a pinned dense gather yields to the budget too", planPull, loop(planIn{hint: KernelDense, work: 1, width: 20, hashSmaller: true}),
 			Route{Acc: AccHash, Reason: ReasonBudgetGather}},
 		// A pull's mask is probed once per row, n probes against n bytes: a
 		// bitmap, beside a hash gather too, unless the budget refuses it and
@@ -150,14 +147,10 @@ func TestPlan(t *testing.T) {
 			sparseMask(loop(planIn{work: 3 + 47, outDim: 100})), Route{Push: true, Family: true}},
 		{"push: few inserts + probes keep the closure loop", planPush, sparseMask(loop(planIn{work: 3 + 46, outDim: 100})),
 			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
-		{"push: SpecMono overrides the hypersparse mask", planPush, sparseMask(loop(planIn{spec: SpecMono, work: 3, outDim: 100})),
-			Route{Push: true, Family: true, Reason: ReasonPin}},
-		{"push: SpecMono without a loop", planPush, sparseMask(planIn{spec: SpecMono, work: 3, outDim: 100}),
+		{"push: few inserts + probes without a loop", planPush, sparseMask(planIn{work: 3, outDim: 100}),
 			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
 		{"push: closure loop, work == cols/2 is a bitmap", planPush, sparseMask(planIn{work: 50, outDim: 100}), Route{Push: true}},
 		{"push: a refused bitmap drops the family loop", planPush, refusedMask(loop(planIn{work: 50, outDim: 100})),
-			Route{Push: true, HashMask: true, Reason: ReasonBudgetMask}},
-		{"push: SpecMono yields to the budget", planPush, refusedMask(loop(planIn{spec: SpecMono, work: 3, outDim: 100})),
 			Route{Push: true, HashMask: true, Reason: ReasonBudgetMask}},
 		{"push: a refused bitmap, table no smaller: the bitmap is charged and may fail", planPush,
 			loop(planIn{work: 3, outDim: 100}), Route{Push: true, Family: true}},
@@ -318,12 +311,9 @@ func TestPlan(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("mergeRanges %s: %+v, want %+v", tc.name, got, tc.want)
 		}
-		if l := got.ProductLabel(KernelAuto); l != tc.label {
+		if l := got.ProductLabel(); l != tc.label {
 			t.Errorf("mergeRanges %s: label %q, want %q", tc.name, l, tc.label)
 		}
-	}
-	if l := (Route{Acc: AccHash, Family: true}).ProductLabel(KernelDense); l != "dense+mono" {
-		t.Errorf("pinned product label %q, want dense+mono", l)
 	}
 	if l := (Route{Push: true}).MatVecLabel(); l != "push" {
 		t.Errorf("push label %q", l)
@@ -487,7 +477,7 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 // TestFamilyLoopTables pins what the loop tables resolve: each of the seven
 // (family, hot type) pairs finds its loop for all three scaffolds, and
 // everything else — a named element type over a hot underlying type, mixed
-// domains, an untagged semiring, SpecGeneric — resolves to nil and so runs
+// domains, an untagged semiring — resolves to nil and so runs
 // the closure loop, the only one allowed to call the caller's operators. The
 // reductions' table holds (+) over int64 and float64 and nothing else: not a
 // named element type, not int, and not an untagged monoid such as SSSP's
@@ -500,20 +490,19 @@ func TestFamilyLoopTables(t *testing.T) {
 		resolved [3]bool // SpGEMM, pull, push
 		want     bool
 	}{
-		{"plus_times/int64", resolves[int64, int64, int64](SemiPlusTimes, SpecAuto), true},
-		{"plus_times/float64", resolves[float64, float64, float64](SemiPlusTimes, SpecAuto), true},
-		{"min_plus/int64", resolves[int64, int64, int64](SemiMinPlus, SpecAuto), true},
-		{"min_plus/float64", resolves[float64, float64, float64](SemiMinPlus, SpecMono), true},
-		{"lor_land/bool", resolves[bool, bool, bool](SemiLorLand, SpecAuto), true},
-		{"plus_pair/int64", resolves[int64, int64, int64](SemiPlusPair, SpecAuto), true},
-		{"plus_pair/float64", resolves[float64, float64, float64](SemiPlusPair, SpecAuto), true},
+		{"plus_times/int64", resolves[int64, int64, int64](SemiPlusTimes), true},
+		{"plus_times/float64", resolves[float64, float64, float64](SemiPlusTimes), true},
+		{"min_plus/int64", resolves[int64, int64, int64](SemiMinPlus), true},
+		{"min_plus/float64", resolves[float64, float64, float64](SemiMinPlus), true},
+		{"lor_land/bool", resolves[bool, bool, bool](SemiLorLand), true},
+		{"plus_pair/int64", resolves[int64, int64, int64](SemiPlusPair), true},
+		{"plus_pair/float64", resolves[float64, float64, float64](SemiPlusPair), true},
 
-		{"named element type", resolves[Score, Score, Score](SemiPlusTimes, SpecMono), false},
-		{"mixed bool×bool→int64", resolves[bool, bool, int64](SemiPlusPair, SpecMono), false},
-		{"one foreign operand", resolves[float64, int64, float64](SemiPlusTimes, SpecAuto), false},
-		{"lor_land over int64", resolves[int64, int64, int64](SemiLorLand, SpecAuto), false},
-		{"untagged semiring", resolves[float64, float64, float64](SemiGeneric, SpecMono), false},
-		{"SpecGeneric", resolves[float64, float64, float64](SemiPlusTimes, SpecGeneric), false},
+		{"named element type", resolves[Score, Score, Score](SemiPlusTimes), false},
+		{"mixed bool×bool→int64", resolves[bool, bool, int64](SemiPlusPair), false},
+		{"one foreign operand", resolves[float64, int64, float64](SemiPlusTimes), false},
+		{"lor_land over int64", resolves[int64, int64, int64](SemiLorLand), false},
+		{"untagged semiring", resolves[float64, float64, float64](SemiGeneric), false},
 	} {
 		for shape, got := range tc.resolved {
 			if got != tc.want {
@@ -542,15 +531,15 @@ func TestFamilyLoopTables(t *testing.T) {
 // reduces reports, for element type T, whether the reductions' table lookup
 // finds a family loop.
 func reduces[T any](mon Mon) bool {
-	return familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto) != nil
+	return familyLoop[func([]T) T](reduceLoops[:], mon) != nil
 }
 
 // resolves reports, for operand types (A, B) → C, whether each scaffold's
 // table lookup finds a family loop.
-func resolves[A, B, C any](semi Semi, spec Spec) [3]bool {
+func resolves[A, B, C any](semi Semi) [3]bool {
 	return [3]bool{
-		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi, spec) != nil,
-		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](spmvLoops[:], semi, spec) != nil,
-		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, []int, int, int) []int](vxmLoops[:], semi, spec) != nil,
+		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi) != nil,
+		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](spmvLoops[:], semi) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, []int, int, int) []int](vxmLoops[:], semi) != nil,
 	}
 }

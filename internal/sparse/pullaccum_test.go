@@ -9,8 +9,8 @@ import (
 )
 
 // diffPullAccum holds SpMVAccumEx to its definition, z = AccumMergeV(c, t,
-// accum) with t the plain product, with == on pattern and values: over every
-// spec (the family loop and the closure loop), both gathers and a dense one
+// accum) with t the plain product, with == on pattern and values: over both
+// loops (the family loop and the closure loop), both gathers and a dense one
 // the budget refuses, threads 1, 2 and 4, a c that is full (t is never
 // stored), one entry short of full and empty (t is stored and merged), with
 // and without a mask, u aliasing c, and sizes on both sides of accumBlock.
@@ -52,10 +52,10 @@ func diffPullAccum[T comparable](t *testing.T, rng *rand.Rand, semi Semi, mul, a
 						if route.refuse && (mv.mask.M != nil || lookupBytes(tc.u) >= tc.u.viewBytes()) {
 							continue
 						}
-						for _, spec := range specModes {
-							label := semi.String() + "/" + tc.name + "/" + mv.name + "/" + route.name + "/" + spec.name
+						for _, loop := range loopModes(semi) {
+							label := semi.String() + "/" + tc.name + "/" + mv.name + "/" + route.name + "/" + loop.name
 							e := par(threads)
-							want, err := SpMVSemiEx(semi, spec.spec, a, tc.u, mul, add, mv.mask, e, route.hint)
+							want, err := SpMVSemiEx(loop.semi, SpecAuto, a, tc.u, mul, add, mv.mask, e, route.hint)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -66,7 +66,7 @@ func diffPullAccum[T comparable](t *testing.T, rng *rand.Rand, semi Semi, mul, a
 								e.Tx = NewBudget(tc.u.viewBytes() - 1).Tx()
 							}
 							u := &Vec[T]{N: n, Ind: tc.u.Ind, Val: tc.u.Val} // the same storage, no memoized view
-							got, err := SpMVAccumEx(semi, spec.spec, a, u, mul, add, mv.mask, tc.c, accum, BinGeneric, e, route.hint)
+							got, err := SpMVAccumEx(loop.semi, a, u, mul, add, mv.mask, tc.c, accum, BinGeneric, e, route.hint)
 							e.Close()
 							if err != nil {
 								t.Fatal(err)
@@ -124,7 +124,7 @@ func TestPullAccumPanickingAccumulator(t *testing.T) {
 	}
 	for _, threads := range []int{1, 2, 4} {
 		calls.Store(0)
-		z, err := SpMVAccumEx(SemiPlusTimes, SpecAuto, a, c, func(x, y float64) float64 { return x * y },
+		z, err := SpMVAccumEx(SemiPlusTimes, a, c, func(x, y float64) float64 { return x * y },
 			func(x, y float64) float64 { return x + y }, VMask{}, c, boom, BinGeneric, par(threads), KernelAuto)
 		if z != nil || !errors.Is(err, ErrKernelPanic) {
 			t.Fatalf("threads=%d: z=%v err=%v, want a recovered kernel panic", threads, z, err)

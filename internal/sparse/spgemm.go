@@ -44,11 +44,10 @@ import (
 // unmasked), and emits a row whose pattern would cost more to sort than the
 // stamp array costs to scan by that scan (scanEmit). Its product loop is the
 // plug-in point: when semi tags a hot semiring and A, B, C are exactly one of
-// its hot element types (and spec does not pin SpecGeneric), the family loop
-// from monokernels.go runs there with the two closure calls flattened into
-// arithmetic. Hash and mask-first ranges always evaluate mul/add: the hash
-// probe dominates the one, and the other calls them for the admitted few
-// only.
+// its hot element types, the family loop from monokernels.go runs there with
+// the two closure calls flattened into arithmetic. Hash and mask-first ranges
+// always evaluate mul/add: the hash probe dominates the one, and the other
+// calls them for the admitted few only.
 //
 // The execution environment is threaded through every allocation and range
 // boundary, and the cancellation hook is also polled every pollFlops flops
@@ -58,10 +57,10 @@ import (
 // the dense workspace no longer fits, and only when even the cheapest route
 // cannot be charged does it return ErrBudget. A panic anywhere inside —
 // worker goroutines included — comes back as an error, not a crash.
-func SpGEMMSemiEx[A, B, C any](semi Semi, spec Spec, a *CSR[A], b *CSR[B],
+func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 	mul func(A, B) C, add func(C, C) C, mask Mask, e Exec, hint Kernel) (out *CSR[C], err error) {
 	defer recoverExec(&err)
-	rowLoop := familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi, spec)
+	rowLoop := familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi)
 	call := planProduct(planIn{hint: hint, hasLoop: rowLoop != nil})
 	// What the ranges ran, not what the call admitted, is counted and
 	// published — on every exit, so a call that fails before any range still

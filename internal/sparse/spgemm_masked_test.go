@@ -75,14 +75,14 @@ func diffMaskedSpGEMM[T, C comparable](t *testing.T, rng *rand.Rand, semi Semi,
 		for _, mv := range masks {
 			want := MaskApplyM(NewCSR[C](n, n), unmasked, mv.mask, true, Exec{})
 			for _, hint := range []Kernel{KernelAuto, KernelDense, KernelHash} {
-				for _, spec := range []Spec{SpecAuto, SpecGeneric} {
+				for _, loop := range loopModes(semi) {
 					for _, threads := range []int{1, 2, 4} {
 						var rt Route
-						got, err := SpGEMMSemiEx(semi, spec, a, b, mul, add, mv.mask, Exec{Threads: threads, Grain: 1, Route: &rt}, hint)
+						got, err := SpGEMMSemiEx(loop.semi, SpecAuto, a, b, mul, add, mv.mask, Exec{Threads: threads, Grain: 1, Route: &rt}, hint)
 						if err != nil {
 							t.Fatal(err)
 						}
-						label := fmt.Sprintf("trial %d %s hint=%d spec=%d threads=%d route=%+v", trial, mv.name, hint, spec, threads, rt)
+						label := fmt.Sprintf("trial %d %s hint=%d %s threads=%d route=%+v", trial, mv.name, hint, loop.name, threads, rt)
 						if !got.Valid() {
 							t.Fatalf("%s: invalid output", label)
 						}
@@ -177,16 +177,16 @@ func TestSpGEMMEmitSortVsScan(t *testing.T) {
 				}
 			}
 		}
-		for _, spec := range []Spec{SpecAuto, SpecGeneric} {
+		for _, loop := range loopModes(SemiPlusTimes) {
 			for _, threads := range []int{1, 3} {
-				got, err := SpGEMMSemiEx(SemiPlusTimes, spec, a, b, mul, add, mask, par(threads), KernelDense)
+				got, err := SpGEMMSemiEx(loop.semi, SpecAuto, a, b, mul, add, mask, par(threads), KernelDense)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !got.Valid() {
-					t.Fatalf("spec=%d threads=%d: invalid output", spec, threads)
+					t.Fatalf("%s threads=%d: invalid output", loop.name, threads)
 				}
-				identicalCSR(t, fmt.Sprintf("complement=%v spec=%d threads=%d", mask.Complement, spec, threads), got, want)
+				identicalCSR(t, fmt.Sprintf("complement=%v %s threads=%d", mask.Complement, loop.name, threads), got, want)
 			}
 		}
 	}

@@ -10,9 +10,9 @@ import (
 
 // SpMVSemiEx computes t = A ·(⊕,⊗) u (GraphBLAS mxv): t(i) = ⊕_j A(i,j) ⊗ u(j)
 // — the pull-style product with no accumulator (SpMVAccumEx).
-func SpMVSemiEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X],
+func SpMVSemiEx[A, X, Y any](semi Semi, _ Spec, a *CSR[A], u *Vec[X],
 	mul func(A, X) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (*Vec[Y], error) {
-	return SpMVAccumEx(semi, spec, a, u, mul, add, mask, nil, nil, BinGeneric, e, hint)
+	return SpMVAccumEx(semi, a, u, mul, add, mask, nil, nil, BinGeneric, e, hint)
 }
 
 // accumBlock is how many rows the fused pull gathers before folding them into
@@ -37,10 +37,10 @@ const accumBlock = 1024
 //     view.
 //
 // The row loop is the plug-in point: a family loop from monokernels.go runs
-// over the dense view when one exists for (semi, A, X, Y) and spec allows it;
-// otherwise — and always for the hash gather — the closure loop evaluates
-// mul/add. Either appends the (row, value) pairs of its rows to the buffers
-// the scaffold hands it, and what the scaffold hands it is the other axis:
+// over the dense view when one exists for (semi, A, X, Y); otherwise — and
+// always for the hash gather — the closure loop evaluates mul/add. Either
+// appends the (row, value) pairs of its rows to the buffers the scaffold
+// hands it, and what the scaffold hands it is the other axis:
 //
 //   - t is stored: a range is one block filling one buffer, stitchVec
 //     assembles the ranges, and AccumMergeV folds t into c when there is an
@@ -59,11 +59,11 @@ const accumBlock = 1024
 //
 // Budget charges, cancellation checkpoints at range granularity and panic
 // recovery are as in SpGEMMSemiEx.
-func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
+func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
 	mask VMask, c *Vec[Y], accum func(Y, Y) Y, accOp Bin, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pullCalls.Add(1)
-	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](spmvLoops[:], semi, spec)
+	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](spmvLoops[:], semi)
 	viewBytes := u.viewBytes()
 	viewCost := viewBytes // what the dense gather has yet to charge
 	if u.dv.Load() != nil {
@@ -76,7 +76,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, spec Spec, a *CSR[A], u *Vec[X], mul fu
 	if e.Threads > 1 {
 		cut = math.MaxInt
 	}
-	in := planIn{hint: hint, spec: spec, hasLoop: rows != nil, width: u.N, outDim: a.Rows,
+	in := planIn{hint: hint, hasLoop: rows != nil, width: u.N, outDim: a.Rows,
 		work:      gatherWork(a.Ptr, u.NNZ(), mask, cut),
 		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
 	threads := e.workers(in.work - u.NNZ())
@@ -286,11 +286,11 @@ func stitchVec[T any](n int, parts []run[T]) *Vec[T] {
 // thread halving (fewer concurrently-live SPAs); when even one SPA cannot be
 // charged the kernel aborts with ErrBudget — the grb layer then flips an
 // unpinned product to the pull kernel.
-func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
+func VxMSemiEx[X, A, Y any](semi Semi, _ Spec, u *Vec[X], a *CSR[A],
 	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pushCalls.Add(1)
-	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, []int, int, int) []int](vxmLoops[:], semi, spec)
+	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, []int, int, int) []int](vxmLoops[:], semi)
 	nu := u.NNZ()
 	// The frontier's products size the fork (each worker pays an a.Cols-wide
 	// SPA before its first one) and the patterns.
@@ -298,7 +298,7 @@ func VxMSemiEx[X, A, Y any](semi Semi, spec Spec, u *Vec[X], a *CSR[A],
 	var zero Y
 	spaBytes := int64(a.Cols) * int64(unsafe.Sizeof(zero)+1)
 	threads := degradeThreads(e, e.workers(products), spaBytes)
-	in := planIn{spec: spec, hasLoop: scatter != nil, outDim: a.Cols}
+	in := planIn{hasLoop: scatter != nil, outDim: a.Cols}
 	if mask.M != nil {
 		in.work = listedWork(a.Ptr, u.Ind, mask.M.NNZ(), a.Cols/hashCut)
 		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Cols, int64(threads)*spaBytes)

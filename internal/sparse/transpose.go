@@ -149,7 +149,7 @@ func Diag[T any](v *Vec[T], k int) *CSR[T] {
 // vector t(i) = ⊕_j A(i,j). Rows with no entries produce no output entry
 // (GraphBLAS reduce-to-vector semantics).
 func ReduceRows[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
-	sum := familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto)
+	sum := familyLoop[func([]T) T](reduceLoops[:], mon)
 	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
 	sums := make([]run[T], len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
 	parallel.Run(parts, len(parts)-1, func(part, lo, hi int) {
@@ -248,7 +248,7 @@ func ReduceAll[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
 	if a.NNZ() == 0 {
 		return zero, false
 	}
-	sum := familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto)
+	sum := familyLoop[func([]T) T](reduceLoops[:], mon)
 	parts := parallel.Ranges(a.NNZ(), e.workers(a.NNZ()))
 	partial := make([]T, len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
 	parallel.Run(parts, len(partial), func(part, lo, hi int) {
@@ -263,5 +263,5 @@ func ReduceVec[T any](mon Mon, v *Vec[T], add func(T, T) T) (T, bool) {
 	if v.NNZ() == 0 {
 		return zero, false
 	}
-	return fold(v.Val, familyLoop[func([]T) T](reduceLoops[:], mon, SpecAuto), add), true
+	return fold(v.Val, familyLoop[func([]T) T](reduceLoops[:], mon), add), true
 }

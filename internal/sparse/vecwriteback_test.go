@@ -334,7 +334,7 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		}
 	})
 	pin("accumulated into a full c (one value array and a block buffer, no stored t)", 8*n+16*accumBlock+1024, func() {
-		sink, err = SpMVAccumEx(SemiPlusTimes, SpecAuto, a, u, times, plus, VMask{}, v, plus, BinGeneric, Exec{Threads: 1}, KernelAuto)
+		sink, err = SpMVAccumEx(SemiPlusTimes, a, u, times, plus, VMask{}, v, plus, BinGeneric, Exec{Threads: 1}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}

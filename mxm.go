@@ -27,11 +27,10 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 	if cOld.Rows != ar || cOld.Cols != bc {
 		return errf(DimensionMismatch, "MxM: output is %dx%d but product is %dx%d", cOld.Rows, cOld.Cols, ar, bc)
 	}
-	hint := sparse.Kernel(d.AxB)
 	if f.ev != nil {
 		f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
 			WithFlops(mxmFlops(acsr, bcsr, d.Transpose0, d.Transpose1))
-		f.label = func(rt sparse.Route) string { return rt.ProductLabel(hint) }
+		f.label = sparse.Route.ProductLabel
 	}
 	// The kernel applies the mask itself, mask-first or at emit time.
 	y := kernelMasked(yieldsT, accum != nil, mk.M != nil, d.Replace, cOld.NNZ())
@@ -44,7 +43,7 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 		if err != nil {
 			return nil, err
 		}
-		return sparse.SpGEMMSemiEx(semiring.semi, sparse.Spec(d.Spec), A, B, semiring.Mul, semiring.Add.Op, mk, e, hint)
+		return sparse.SpGEMMSemiEx(semiring.semi, sparse.SpecAuto, A, B, semiring.Mul, semiring.Add.Op, mk, e, sparse.KernelAuto)
 	})
 }
 
@@ -146,7 +145,6 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 				}
 			}()
 		}
-		spec, hint := sparse.Spec(d.Spec), sparse.Kernel(d.AxB)
 		var z *sparse.Vec[DC]
 		var err error
 		if push {
@@ -158,7 +156,7 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 					mul = func(x DV, m DM) DC { return mulPull(m, x) }
 				}
 				var t *sparse.Vec[DC]
-				if t, err = sparse.VxMSemiEx(semi, spec, uvec, R, mul, add, mk, e); err == nil {
+				if t, err = sparse.VxMSemiEx(semi, sparse.SpecAuto, uvec, R, mul, add, mk, e); err == nil {
 					z = sparse.AccumMergeV(wOld, t, accum)
 				}
 			}
@@ -179,7 +177,7 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 				if mul == nil {
 					mul = func(m DM, x DV) DC { return mulPush(x, m) }
 				}
-				z, err = sparse.SpMVAccumEx(semi, spec, G, uvec, mul, add, mk, wOld, accum, binOf(accum), e, hint)
+				z, err = sparse.SpMVAccumEx(semi, G, uvec, mul, add, mk, wOld, accum, binOf(accum), e, sparse.KernelAuto)
 			}
 		}
 		return z, err

@@ -8,39 +8,47 @@ import (
 	"testing"
 )
 
-// TestMxMMaskedWriteBack sweeps masked mxm at a size where the kernel runs
-// mask-first, over accumulator × replace × empty/non-empty C × mask
-// interpretation, against the dense reference pipeline. With no accumulator
-// and nothing of C to keep, MxM returns the kernel's result without the
-// write-back pass; the sweep covers those cells and every one beside them.
+// TestMxMMaskedWriteBack sweeps masked mxm over accumulator × replace ×
+// empty/non-empty C × mask interpretation, against the dense reference
+// pipeline, on two shapes of one row range each: a 48×48 product at density
+// 0.2, which the dense SPA runs (mask-first under a non-complemented mask),
+// and a 48×8 by 8×512 product of fewer flops than half its columns, which
+// the hash SPA runs. With no accumulator and nothing of C to keep, MxM
+// returns the kernel's result without the write-back pass; the sweep covers
+// those cells and every one beside them.
 func TestMxMMaskedWriteBack(t *testing.T) {
 	setMode(t, Blocking)
 	rng := rand.New(rand.NewSource(23))
-	const n = 48
-	ad := randDense(rng, n, n, 0.2)
-	bd := randDense(rng, n, n, 0.2)
-	td := newDense(n, n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if !ad.ok[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if bd.ok[k][j] {
-					td.val[i][j] += ad.val[i][k] * bd.val[k][j]
-					td.ok[i][j] = true
+	for _, shape := range []struct {
+		rows, inner, cols int
+		densA, densB      float64
+		hash              bool
+	}{
+		{48, 48, 48, 0.2, 0.2, false},
+		{48, 8, 512, 0.3, 0.003, true},
+	} {
+		ad := randDense(rng, shape.rows, shape.inner, shape.densA)
+		bd := randDense(rng, shape.inner, shape.cols, shape.densB)
+		td := newDense(shape.rows, shape.cols)
+		for i := 0; i < shape.rows; i++ {
+			for k := 0; k < shape.inner; k++ {
+				if !ad.ok[i][k] {
+					continue
+				}
+				for j := 0; j < shape.cols; j++ {
+					if bd.ok[k][j] {
+						td.val[i][j] += ad.val[i][k] * bd.val[k][j]
+						td.ok[i][j] = true
+					}
 				}
 			}
 		}
-	}
-	maskVal, maskOk := randDenseBool(rng, n, n, 0.15)
-	a, b, mask := ad.toMatrix(t), bd.toMatrix(t), boolMatrix(t, maskVal, maskOk)
-	for _, cd := range []*denseM{newDense(n, n), randDense(rng, n, n, 0.3)} {
-		for _, withAccum := range []bool{false, true} {
-			for _, d := range []Descriptor{{}, {Replace: true}, {Structure: true}, {Replace: true, Structure: true},
-				{Complement: true}, {Replace: true, Complement: true, Structure: true}} {
-				for _, axb := range []AxBMethod{AxBDefault, AxBDenseSPA, AxBHashSPA} {
-					d.AxB = axb
+		maskVal, maskOk := randDenseBool(rng, shape.rows, shape.cols, 0.15)
+		a, b, mask := ad.toMatrix(t), bd.toMatrix(t), boolMatrix(t, maskVal, maskOk)
+		for _, cd := range []*denseM{newDense(shape.rows, shape.cols), randDense(rng, shape.rows, shape.cols, 0.3)} {
+			for _, withAccum := range []bool{false, true} {
+				for _, d := range []Descriptor{{}, {Replace: true}, {Structure: true}, {Replace: true, Structure: true},
+					{Complement: true}, {Replace: true, Complement: true, Structure: true}} {
 					c := cd.toMatrix(t)
 					var accum BinaryOp[int, int, int]
 					if withAccum {
@@ -50,11 +58,9 @@ func TestMxMMaskedWriteBack(t *testing.T) {
 					if err := MxM(c, mask, accum, PlusTimes[int](), a, b, &d); err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("accum=%v desc=%+v", withAccum, d)
+					label := fmt.Sprintf("%dx%d accum=%v desc=%+v", shape.rows, shape.cols, withAccum, d)
 					checkAgainstDense(t, c, refPipeline(cd, td, maskVal, maskOk, d, withAccum), label)
-					// One range at this size: the dense SPA under a
-					// non-complemented mask is the mask-first route.
-					if dense, hash := KernelCounts(); dense+hash != 1 || (hash == 1) != (axb == AxBHashSPA) {
+					if dense, hash := KernelCounts(); dense+hash != 1 || (hash == 1) != shape.hash {
 						t.Fatalf("%s: %d dense and %d hash ranges", label, dense, hash)
 					}
 				}

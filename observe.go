@@ -109,7 +109,7 @@ func mxmFlops[DA, DB any](a *sparse.CSR[DA], b *sparse.CSR[DB], ta, tb bool) int
 }
 
 // The kernel-routing counters. Routing is decided per operation by the
-// Descriptor pins (AxB, Dir, Spec) or from operand statistics (DESIGN.md,
+// Descriptor's Dir pin or from operand statistics (DESIGN.md,
 // "Kernel selection") — there is no process-wide routing state — and these
 // read-only accessors are how benchmarks and tests observe it.
 

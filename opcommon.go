@@ -69,7 +69,10 @@ func newFrame(op string, desc *Descriptor, opsOK bool, mask maskRef, operands ..
 	if f.ctx, f.err = sameContext(ctxs...); f.err != nil {
 		return f
 	}
-	f.d = desc.get()
+	if f.d = desc.get(); f.d.Dir < DirAuto || f.d.Dir > DirPull {
+		f.err = errf(InvalidValue, "%s: descriptor direction %d is not DirAuto, DirPush or DirPull", op, f.d.Dir)
+		return f
+	}
 	f.ev = evKernel(op)
 	return f
 }
