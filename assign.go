@@ -137,8 +137,8 @@ func VectorAssignScalar[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[
 			return sparse.AssignScalarMaskedV(wOld, val, accum, mk, replace), nil
 		})
 	}
-	return w.submit(&f, wOld, yieldsZ, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
-		return sparse.AssignScalarV(wOld, val, ci, accum)
+	return w.submit(&f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
+		return sparse.AssignScalarV(wOld, val, ci, accum, e)
 	})
 }
 

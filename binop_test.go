@@ -154,28 +154,43 @@ func TestBinaryOpTagsByCodeIdentity(t *testing.T) {
 // what it does in a plain one.
 func TestCancelProbeAllocatesNothing(t *testing.T) {
 	setMode(t, NonBlocking)
-	const n = 64
 	plain := ck1(NewContext(NonBlocking, nil))
 	cancelable := ck1(NewContext(NonBlocking, nil, WithCancel(), WithDeadline(time.Now().Add(time.Hour))))
-	perOp := func(ctx *Context) float64 {
-		in := InContext(ctx)
-		idx, vals := make([]Index, n), make([]float64, n)
-		for i := range idx {
-			idx[i], vals[i] = i, float64(i+1)
-		}
-		u, w := ck1(NewVector[float64](n, in)), ck1(NewVector[float64](n, in))
-		ck(u.Build(idx, vals, nil))
-		a := ck1(NewMatrix[float64](n, n, in))
-		ck(a.Build(idx, idx, vals, nil))
-		step := func() {
-			ck(VxM(w, nil, nil, PlusTimes[float64](), u, a, nil))
-			ck(EWiseAddVector(w, nil, nil, Plus[float64], w, u, nil))
-			ck(w.Wait(Materialize))
-		}
-		step()
-		return testing.AllocsPerRun(100, step)
-	}
-	if got, want := perOp(cancelable), perOp(plain); got != want {
+	if got, want := vxmAddAllocs(cancelable), vxmAddAllocs(plain); got != want {
 		t.Errorf("a cancelable context allocates %v times a VxM + EWiseAddVector, a plain one %v", got, want)
 	}
+}
+
+// TestBudgetTxAllocatesNothing pins the budget transaction at zero
+// allocations: it lives on the output's sequence, whose steps run one at a
+// time, so a budgeted step opens it in place.
+func TestBudgetTxAllocatesNothing(t *testing.T) {
+	setMode(t, NonBlocking)
+	plain := ck1(NewContext(NonBlocking, nil))
+	budgeted := ck1(NewContext(NonBlocking, nil, WithMemoryLimit(1<<30)))
+	if got, want := vxmAddAllocs(budgeted), vxmAddAllocs(plain); got != want {
+		t.Errorf("a budgeted context allocates %v times a VxM + EWiseAddVector, a plain one %v", got, want)
+	}
+}
+
+// vxmAddAllocs is what a VxM, an EWiseAddVector and a Wait allocate in ctx
+// over n = 64.
+func vxmAddAllocs(ctx *Context) float64 {
+	const n = 64
+	in := InContext(ctx)
+	idx, vals := make([]Index, n), make([]float64, n)
+	for i := range idx {
+		idx[i], vals[i] = i, float64(i+1)
+	}
+	u, w := ck1(NewVector[float64](n, in)), ck1(NewVector[float64](n, in))
+	ck(u.Build(idx, vals, nil))
+	a := ck1(NewMatrix[float64](n, n, in))
+	ck(a.Build(idx, idx, vals, nil))
+	step := func() {
+		ck(VxM(w, nil, nil, PlusTimes[float64](), u, a, nil))
+		ck(EWiseAddVector(w, nil, nil, Plus[float64], w, u, nil))
+		ck(w.Wait(Materialize))
+	}
+	step()
+	return testing.AllocsPerRun(100, step)
 }

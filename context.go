@@ -334,19 +334,17 @@ func (c *Context) fork() sparse.Exec {
 }
 
 // exec builds the hardened execution environment for one drained operation:
-// fork, a budget transaction (closed by the caller via Exec.Close when the
-// operation completes), and the cancellation probe. Called at drain time,
+// fork, a budget transaction in tx (closed by the caller via Exec.Close when
+// the operation completes), and the cancellation probe. Called at drain time,
 // inside the sequence step, so budget state and cancellation reflect
 // execution order rather than enqueue order. A nil context — an object
 // method's node — runs serially, unbudgeted and uncancelled.
-func (c *Context) exec() sparse.Exec {
+func (c *Context) exec(tx *sparse.BudgetTx) sparse.Exec {
 	if c == nil {
 		return sparse.Exec{}
 	}
 	e := c.fork()
-	if b := c.memBudget(); b != nil {
-		e.Tx = b.Tx()
-	}
+	e.Tx = c.memBudget().TxIn(tx)
 	if c.needsAbortProbe() {
 		e.Cancel = c
 	}

@@ -55,7 +55,9 @@ func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], a
 func EWiseAddVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	op BinaryOp[T, T, T], u, v *Vector[T], desc *Descriptor) error {
 	return eWiseVector("EWiseAddVector", w, mask, accum, op != nil, u, v, desc,
-		func(u, v *sparse.Vec[T]) *sparse.Vec[T] { return sparse.EWiseAddV(binOf(op), u, v, op) })
+		func(u, v *sparse.Vec[T], e sparse.Exec) *sparse.Vec[T] {
+			return sparse.EWiseAddV(binOf(op), u, v, op, e)
+		})
 }
 
 // EWiseMultVector computes w⟨m⟩ = w ⊙ (u ⊗ v) with intersection pattern
@@ -63,15 +65,15 @@ func EWiseAddVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T
 func EWiseMultVector[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], u *Vector[DA], v *Vector[DB], desc *Descriptor) error {
 	return eWiseVector("EWiseMultVector", w, mask, accum, op != nil, u, v, desc,
-		func(u *sparse.Vec[DA], v *sparse.Vec[DB]) *sparse.Vec[DC] {
-			return sparse.EWiseMultV(binOf(op), u, v, op)
+		func(u *sparse.Vec[DA], v *sparse.Vec[DB], e sparse.Exec) *sparse.Vec[DC] {
+			return sparse.EWiseMultV(binOf(op), u, v, op, e)
 		})
 }
 
 // eWiseVector is the vector analogue of eWiseMatrix.
 func eWiseVector[DC, DA, DB any](op string, w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, DC, DC],
 	opOK bool, u *Vector[DA], v *Vector[DB], desc *Descriptor,
-	kernel func(*sparse.Vec[DA], *sparse.Vec[DB]) *sparse.Vec[DC]) error {
+	kernel func(*sparse.Vec[DA], *sparse.Vec[DB], sparse.Exec) *sparse.Vec[DC]) error {
 	f := newFrame(op, desc, opOK, maskRef{v: mask}, w, u, v)
 	uvec, vvec, wOld := in(&f, u), in(&f, v), in(&f, w)
 	if err := f.ready(); err != nil {
@@ -81,7 +83,7 @@ func eWiseVector[DC, DA, DB any](op string, w *Vector[DC], mask *Vector[bool], a
 		return errf(DimensionMismatch, "%s: sizes %d, %d, %d incompatible", op, wOld.N, uvec.N, vvec.N)
 	}
 	f.ev.A(uvec.N, 1, uvec.NNZ()).B(vvec.N, 1, vvec.NNZ()).WithFlops(int64(uvec.NNZ() + vvec.NNZ()))
-	return w.submit(&f, wOld, yieldsT, accum, func(sparse.Exec) (*sparse.Vec[DC], error) {
-		return kernel(uvec, vvec), nil
+	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
+		return kernel(uvec, vvec, e), nil
 	})
 }

@@ -47,7 +47,7 @@ var forbiddenMethods = map[string]bool{
 	"ExtractElement": true, "ExtractElementScalar": true, "ExtractTuples": true,
 	"Nvals": true, "Nrows": true, "Ncols": true, "Size": true,
 	"SwitchContext": true, "Context": true, "ErrorString": true,
-	"snapshot": true, "isFreed": true, "context": true,
+	"snapshot": true, "lend": true, "isFreed": true, "context": true,
 	// The sequence core's entry points (sequence.go), which Matrix and
 	// Vector reach by promotion.
 	"submit": true, "push": true, "update": true, "dims": true, "wait": true,

@@ -1,8 +1,11 @@
 // Package snapshotcheck implements the grblint analyzer that guards the
-// substrate's immutability contract: CSR matrices and sparse vectors are
-// snapshots — immutable once built (§III of the GraphBLAS 2.0 paper). The
-// transpose cache and the nonblocking pipeline both rest on this: a kernel
-// that mutates a shared snapshot breaks coherence silently.
+// substrate's ownership contract: CSR matrices and sparse vectors are
+// snapshots, and a snapshot's storage is written only by the code that made
+// it — with one exception, a vector's value array, which the drain that
+// supersedes it may grant to its kernel when nothing else can read it
+// (DESIGN.md, "Writing into superseded storage"). The transpose cache and
+// the nonblocking pipeline both rest on this: a kernel that writes storage
+// someone else can read breaks them silently.
 //
 // The rule: inside the sparse package, a function must not write to the
 // storage slices (CSR.Ptr/Ind/Val, Vec.Ind/Val) of a *CSR/*Vec it received
@@ -12,6 +15,11 @@
 // exempt, as are functions whose name starts with "install" or "new" — the
 // blessed constructor/install helpers that build an object before it is
 // published.
+//
+// The grant is Exec.Spare, and reuseVal is its one door: it hands the kernel
+// the superseded array, and what it returns is the caller's to write. Every
+// other function that names Exec.Spare, to read it or to set it, is
+// reported.
 //
 // Kernels whose output keeps an operand's pattern share that operand's
 // index array instead of copying it (DESIGN.md, "Vector write-back: sharing
@@ -41,7 +49,7 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "snapshotcheck",
 	Doc: "report writes to the storage slices of snapshot (*CSR/*Vec) parameters inside the sparse " +
-		"package; snapshots are immutable once built and kernels must allocate fresh outputs",
+		"package, and any use of Exec.Spare outside reuseVal; kernels write only storage they made",
 	Run: run,
 }
 
@@ -58,7 +66,13 @@ func run(pass *lint.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || exemptFunc(fd.Name.Name) {
+			if !ok || fd.Body == nil {
+				continue
+			}
+			if fd.Name.Name != "reuseVal" {
+				checkGrant(pass, fd.Body)
+			}
+			if exemptFunc(fd.Name.Name) {
 				continue
 			}
 			snaps := snapshotOperands(pass.TypesInfo, fd)
@@ -69,6 +83,19 @@ func run(pass *lint.Pass) error {
 		}
 	}
 	return nil
+}
+
+// checkGrant reports every use of the Exec.Spare field in body.
+func checkGrant(pass *lint.Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "Spare" {
+			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Name() == "sparse" {
+				pass.Reportf(id.Pos(), "Exec.Spare used outside reuseVal, the one door to the step's grant "+
+					"of a superseded value array")
+			}
+		}
+		return true
+	})
 }
 
 // exemptFunc reports whether a function name marks a blessed mutator: the

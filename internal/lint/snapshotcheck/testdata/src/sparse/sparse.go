@@ -12,11 +12,49 @@ type CSR[T any] struct {
 	Val        []T
 }
 
-// Vec is a stub of the immutable sparse-vector snapshot.
+// Vec is a stub of the sparse-vector snapshot.
 type Vec[T any] struct {
 	N   int
 	Ind []int
 	Val []T
+}
+
+// Exec is a stub of the execution environment, whose Spare carries the
+// step's grant of a superseded vector.
+type Exec struct {
+	Threads int
+	Spare   any
+}
+
+// reuseVal is the grant's one door: it may read Exec.Spare, and an array it
+// returns is its caller's to write.
+func reuseVal[T any](e Exec, n int) []T {
+	if old, ok := e.Spare.(*Vec[T]); ok && len(old.Val) == n {
+		return old.Val
+	}
+	return make([]T, n)
+}
+
+// fillGranted writes through the door: no diagnostic.
+func fillGranted(u *Vec[int], e Exec) *Vec[int] {
+	out := &Vec[int]{N: u.N, Ind: u.Ind, Val: reuseVal[int](e, len(u.Val))}
+	for k := range out.Val {
+		out.Val[k] = 2 * u.Val[k]
+	}
+	return out
+}
+
+// fillBypass takes the grant itself and writes the superseded vector
+// unchecked.
+func fillBypass(u *Vec[int], e Exec) *Vec[int] {
+	old, _ := e.Spare.(*Vec[int]) // want `Exec\.Spare used outside reuseVal`
+	old.Val[0] = u.Val[0]
+	return old
+}
+
+// forgeGrant hands a sub-kernel an operand as if the step had granted it.
+func forgeGrant(u *Vec[int]) *Vec[int] {
+	return fillGranted(u, Exec{Spare: u}) // want `Exec\.Spare used outside reuseVal`
 }
 
 // NewCSR is a blessed constructor (new* prefix): writes are fine here.

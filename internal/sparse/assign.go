@@ -129,10 +129,17 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error
 // AssignScalarV computes the candidate Z for vector assign with a scalar
 // source: every position in idx receives val. With idx == nil (all
 // positions) Z is full and is filled directly, sharing C's index array when
-// C is full too.
-func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T) (*Vec[T], error) {
+// C is full too — and writing into C's value array when the step granted it
+// through e (reuseVal).
+func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T, e Exec) (*Vec[T], error) {
 	if idx == nil {
-		out := &Vec[T]{N: c.N, Ind: c.Ind, Val: make([]T, c.N)}
+		out := &Vec[T]{N: c.N, Ind: c.Ind, Val: reuseVal[T](e, c.N, nil)}
+		if accum != nil && len(c.Ind) == c.N {
+			for i := range out.Val { // out.Val may be c.Val: read, then write
+				out.Val[i] = accum(c.Val[i], val)
+			}
+			return out, nil
+		}
 		if len(c.Ind) != c.N {
 			out.Ind = fullPattern(c.N)
 		}

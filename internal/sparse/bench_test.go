@@ -412,8 +412,8 @@ func BenchmarkBinaryFamilyPair(b *testing.B) {
 		name string
 		run  func(tag bool)
 	}{
-		{"times/full×full", func(tag bool) { entries = EWiseMultV(pick(tag, BinTimes), r, send, times).NNZ() }},
-		{"first/full×dangling", func(tag bool) { entries = EWiseMultV(pick(tag, BinFirst), r, dangling, first).NNZ() }},
+		{"times/full×full", func(tag bool) { entries = EWiseMultV(pick(tag, BinTimes), r, send, times, Exec{}).NNZ() }},
+		{"first/full×dangling", func(tag bool) { entries = EWiseMultV(pick(tag, BinFirst), r, dangling, first, Exec{}).NNZ() }},
 		{"plus/pull-accumulate", func(tag bool) {
 			op := pick(tag, BinPlus)
 			ewFunc(ewFamily[float64, float64, float64](op), op, addF, ewScatterX, rnew.Val, rnew.Val, t.Val, t.Ind)

@@ -54,8 +54,8 @@ func TestBinFamilyMatchesClosure(t *testing.T) {
 			t.Fatalf("%s: binLoops holds no loop over float64", tc.name)
 		}
 		for _, p := range pairs {
-			identicalVec(t, tc.name+" add "+p.name, EWiseAddV(tc.op, p.x, p.y, tc.f), EWiseAddV(BinGeneric, p.x, p.y, tc.f))
-			identicalVec(t, tc.name+" mult "+p.name, EWiseMultV(tc.op, p.x, p.y, tc.f), EWiseMultV(BinGeneric, p.x, p.y, tc.f))
+			identicalVec(t, tc.name+" add "+p.name, EWiseAddV(tc.op, p.x, p.y, tc.f, Exec{}), EWiseAddV(BinGeneric, p.x, p.y, tc.f, Exec{}))
+			identicalVec(t, tc.name+" mult "+p.name, EWiseMultV(tc.op, p.x, p.y, tc.f, Exec{}), EWiseMultV(BinGeneric, p.x, p.y, tc.f, Exec{}))
 		}
 		for _, threads := range []int{1, 2, 4} {
 			got, err := SpMVAccumEx(SemiPlusTimes, g, u, times, plus, VMask{}, c, tc.f, tc.op, par(threads), KernelAuto)
@@ -80,6 +80,6 @@ func TestBinFamilyMatchesClosure(t *testing.T) {
 	}
 	for _, p := range pairs {
 		y := bools(p.y)
-		identicalVec(t, "first "+p.name, EWiseMultV(BinFirst, p.x, y, first), EWiseMultV(BinGeneric, p.x, y, first))
+		identicalVec(t, "first "+p.name, EWiseMultV(BinFirst, p.x, y, first, Exec{}), EWiseMultV(BinGeneric, p.x, y, first, Exec{}))
 	}
 }

@@ -110,6 +110,16 @@ func DebugCheckDenseVec[T any](d *DenseVec[T], origin string) {
 	}
 }
 
+// Superseded poisons old when res took its value array (reuseVal): the
+// struct's Val and Ind become nil and N −1, so a holder the grb layer's
+// count missed panics at its next read instead of reading the new values
+// as old ones.
+func Superseded[T any](old, res *Vec[T]) {
+	if len(old.Val) > 0 && len(res.Val) > 0 && &old.Val[0] == &res.Val[0] {
+		old.N, old.Ind, old.Val = -1, nil, nil
+	}
+}
+
 func checkFail(origin, format string, args ...any) {
 	panic("sparse: grbcheck: " + origin + ": " + fmt.Sprintf(format, args...))
 }

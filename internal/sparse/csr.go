@@ -7,8 +7,9 @@
 // modes, contexts).
 //
 // All structures in this package are treated as immutable once built: kernels
-// always allocate fresh output buffers and never mutate their inputs. The grb
-// layer relies on this to snapshot operands for deferred (nonblocking-mode)
+// never mutate their inputs, and allocate their outputs except for the one
+// value array the grb layer's step may grant them (reuseVal). The grb layer
+// relies on this to snapshot operands for deferred (nonblocking-mode)
 // sequences, per §III of the GraphBLAS 2.0 paper.
 package sparse
 

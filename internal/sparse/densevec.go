@@ -10,7 +10,7 @@ import (
 // index it directly instead of binary-searching or hashing the
 // sorted-coordinate form. It is the pull product's one densifier: the family
 // loops and the closure loop both gather through it. The view is memoized on
-// the vector (Vec.dv) under the immutable-on-write contract, and converted
+// the vector (Vec.dv), whose values never change under a reader, and converted
 // back with Sparse for the round-trip property tests. Matrices have no block
 // view: a fully dense matrix runs the CSR row loop, which is faster on its
 // own best case (EXPERIMENTS.md, "One multiply scaffold").
@@ -46,15 +46,15 @@ func (v *Vec[T]) viewBytes() int64 {
 }
 
 // DenseViewEx returns the block view of v. A full vector's values already
-// are one slot per position, and nothing writes a Vec, so its view aliases
-// v.Val: no conversion, no allocation, no scratch, no charge. Any other view
-// is materialized on first use and memoized; that miss is the operation's
-// gather scratch and is charged as such — transiently, under the gather
-// site, released when the operation's transaction closes — because the view
-// dies with the vector snapshot, which in an iteration is the next step (a
-// persistent charge would outlive every freed frontier and exhaust the
-// budget with flat live memory). Returns ErrBudget when the charge does not
-// fit.
+// are one slot per position, and nothing writes them while v can be read,
+// so its view aliases v.Val: no conversion, no allocation, no scratch, no
+// charge. Any other view is materialized on first use and memoized; that
+// miss is the operation's gather scratch and is charged as such —
+// transiently, under the gather site, released when the operation's
+// transaction closes — because the view dies with the vector snapshot,
+// which in an iteration is the next step (a persistent charge would outlive
+// every freed frontier and exhaust the budget with flat live memory).
+// Returns ErrBudget when the charge does not fit.
 func (v *Vec[T]) DenseViewEx(e Exec) (DenseVec[T], error) {
 	if v.NNZ() == v.N {
 		return DenseVec[T]{N: v.N, Val: v.Val, Nnz: v.N}, nil

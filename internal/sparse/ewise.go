@@ -95,7 +95,9 @@ func ewFamily[A, B, C any](op Bin) func(Bin, ewForm, []C, []A, []B, []int) {
 // [0, N), so len(Ind) == N is the full test. a is always add's first
 // operand; op tags add for the family loops. Two sparse patterns merge
 // through the closure, whose call is not that merge's cost (EXPERIMENTS.md).
-func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T) *Vec[T] {
+// The position forms write into the value array the step granted through
+// e, when it has their length (reuseVal).
+func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 	fam := ewFamily[T, T, T](op)
 	switch {
 	case len(a.Ind) == 0:
@@ -103,15 +105,15 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T) *Vec[T] {
 	case len(b.Ind) == 0:
 		return a
 	case samePattern(a.Ind, b.Ind, a.N):
-		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: make([]T, len(a.Val))}
+		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: reuseVal[T](e, len(a.Val), nil)}
 		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
 	case len(a.Ind) == a.N:
-		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: slices.Clone(a.Val)}
+		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: reuseVal(e, a.N, a.Val)}
 		ewFunc(fam, op, add, ewScatterX, out.Val, a.Val, b.Val, b.Ind)
 		return out
 	case len(b.Ind) == b.N:
-		out := &Vec[T]{N: a.N, Ind: b.Ind, Val: slices.Clone(b.Val)}
+		out := &Vec[T]{N: a.N, Ind: b.Ind, Val: reuseVal(e, b.N, b.Val)}
 		ewFunc(fam, op, add, ewScatterY, out.Val, a.Val, b.Val, a.Ind)
 		return out
 	}
@@ -123,20 +125,22 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T) *Vec[T] {
 // EWiseMultV is the vector analogue of EWiseMultM. The intersection pattern
 // equals an operand's — whose index array the output then shares — when the
 // two patterns are identical or the other side is full. op tags mul for the
-// family loops; two sparse patterns merge through the closure.
-func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
+// family loops; two sparse patterns merge through the closure. The position
+// forms write into the value array the step granted through e, when it has
+// their length (reuseVal).
+func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e Exec) *Vec[C] {
 	fam := ewFamily[A, B, C](op)
 	switch {
 	case samePattern(a.Ind, b.Ind, a.N):
-		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
+		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
 		ewFunc(fam, op, mul, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
 	case len(a.Ind) == a.N:
-		out := &Vec[C]{N: a.N, Ind: b.Ind, Val: make([]C, len(b.Val))}
+		out := &Vec[C]{N: a.N, Ind: b.Ind, Val: reuseVal[C](e, len(b.Val), nil)}
 		ewFunc(fam, op, mul, ewGatherX, out.Val, a.Val, b.Val, b.Ind)
 		return out
 	case len(b.Ind) == b.N:
-		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: make([]C, len(a.Val))}
+		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
 		ewFunc(fam, op, mul, ewGatherY, out.Val, a.Val, b.Val, a.Ind)
 		return out
 	}

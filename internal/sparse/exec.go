@@ -181,11 +181,17 @@ func (b *Budget) release(n int64) {
 // through the transaction are released together by Close, so one drained
 // operation's scratch cannot leak into the pool when the op ends (normally or
 // by abort). A nil Budget yields a nil (unlimited) transaction.
-func (b *Budget) Tx() *BudgetTx {
+func (b *Budget) Tx() *BudgetTx { return b.TxIn(new(BudgetTx)) }
+
+// TxIn is Tx in storage the caller keeps — one per object, whose steps run
+// one at a time — so that opening a transaction allocates nothing. tx must
+// be closed (or new).
+func (b *Budget) TxIn(tx *BudgetTx) *BudgetTx {
 	if b == nil {
 		return nil
 	}
-	return &BudgetTx{b: b}
+	tx.b = b
+	return tx
 }
 
 // BudgetTx tracks one operation's transient reservations. All methods are
@@ -277,6 +283,10 @@ type Exec struct {
 	// Route, when non-nil, receives the route the kernel planned and ran.
 	// The grb layer sets it where it has an op event to label.
 	Route *Route
+	// Spare is the *Vec the kernel's output supersedes when the step grants
+	// its value array — nothing else can read it any more — and nil
+	// otherwise. Only reuseVal reads it.
+	Spare any
 }
 
 // note publishes the kernel's route to an observing caller, beside the

@@ -656,8 +656,8 @@ func TestVectorKernels(t *testing.T) {
 		n := 1 + rng.Intn(25)
 		u := randVec(rng, n, 0.5)
 		v := randVec(rng, n, 0.5)
-		add := EWiseAddV(BinGeneric, u, v, func(a, b int) int { return a + b })
-		mult := EWiseMultV(BinGeneric, u, v, func(a, b int) int { return a * b })
+		add := EWiseAddV(BinGeneric, u, v, func(a, b int) int { return a + b }, Exec{})
+		mult := EWiseMultV(BinGeneric, u, v, func(a, b int) int { return a * b }, Exec{})
 		for i := 0; i < n; i++ {
 			uv, uok := u.Get(i)
 			vv, vok := v.Get(i)

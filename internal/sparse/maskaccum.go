@@ -126,7 +126,7 @@ func AccumMergeV[T any](c, t *Vec[T], accum func(T, T) T) *Vec[T] {
 	if accum == nil {
 		return t
 	}
-	return EWiseAddV(BinGeneric, c, t, accum)
+	return EWiseAddV(BinGeneric, c, t, accum, Exec{})
 }
 
 // MaskApplyM computes the final output of a matrix operation from the old

@@ -77,7 +77,7 @@ func TestExtractVKernel(t *testing.T) {
 func TestAssignScalarVKernel(t *testing.T) {
 	c, _ := BuildVec(5, []int{0, 2, 4}, []int{1, 3, 5}, nil)
 	// no accum: all region positions set
-	z, err := AssignScalarV(c, 9, []int{1, 2}, nil)
+	z, err := AssignScalarV(c, 9, []int{1, 2}, nil, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAssignScalarVKernel(t *testing.T) {
 		}
 	}
 	// accum combines where present
-	z2, err := AssignScalarV(c, 9, []int{2, 3}, func(a, b int) int { return a + b })
+	z2, err := AssignScalarV(c, 9, []int{2, 3}, func(a, b int) int { return a + b }, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAssignScalarVKernel(t *testing.T) {
 	if v, _ := z2.Get(3); v != 9 {
 		t.Fatalf("accum z(3)=%d", v)
 	}
-	if _, err := AssignScalarV(c, 9, []int{7}, nil); err != ErrIndexOutOfBounds {
+	if _, err := AssignScalarV(c, 9, []int{7}, nil, Exec{}); err != ErrIndexOutOfBounds {
 		t.Fatalf("bounds: %v", err)
 	}
 }

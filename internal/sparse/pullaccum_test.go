@@ -78,6 +78,23 @@ func diffPullAccum[T comparable](t *testing.T, rng *rand.Rand, semi Semi, mul, a
 							if !slices.Equal(tc.c.Ind, keepInd) || !slices.Equal(tc.c.Val, keepVal) {
 								t.Fatalf("%s: c's storage was written", label)
 							}
+							// Granted c's own value array, which a step does only
+							// when u is another vector, the one-pass accumulate
+							// writes z into it: the same bits.
+							if tc.u == tc.c || route.refuse {
+								continue
+							}
+							own := tc.c.Clone()
+							e = par(threads)
+							e.Spare = own //grblint:ignore snapshotcheck -- the test plays the step that grants
+							if got, err = SpMVAccumEx(loop.semi, a, u, mul, add, mv.mask, own, accum, BinGeneric, e, route.hint); err != nil {
+								t.Fatal(err)
+							}
+							identicalVec(t, label+"/granted", got, want)
+							inPlace := got != own && len(got.Val) > 0 && len(own.Val) > 0 && &got.Val[0] == &own.Val[0]
+							if fused := mv.mask.M == nil && own.NNZ() == n; inPlace != fused {
+								t.Fatalf("%s/granted: wrote in place %v, want %v", label, inPlace, fused)
+							}
 						}
 					}
 				}

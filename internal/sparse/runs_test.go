@@ -36,8 +36,8 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 				a, b := p.a, p.b
 				A, B := oneRow(a), oneRow(b)
 				minus := ops[1].f
-				identicalVec(t, "EWiseAdd/"+tag, EWiseAddV(BinGeneric, a, b, minus), row0(EWiseAddM(A, B, minus, par(threads))))
-				identicalVec(t, "EWiseMult/"+tag, EWiseMultV(BinGeneric, a, b, minus), row0(EWiseMultM(A, B, minus, par(threads))))
+				identicalVec(t, "EWiseAdd/"+tag, EWiseAddV(BinGeneric, a, b, minus, Exec{}), row0(EWiseAddM(A, B, minus, par(threads))))
+				identicalVec(t, "EWiseMult/"+tag, EWiseMultV(BinGeneric, a, b, minus, Exec{}), row0(EWiseMultM(A, B, minus, par(threads))))
 				keep := func(v, i, j, s int) bool { return (v+i+j+s)%3 != 0 } // a vector index arrives as i, a column as j
 				identicalVec(t, "Select/"+tag, SelectV(a, keep, 1), row0(SelectM(A, keep, 1, par(threads))))
 				for _, size := range []int{0, n / 2, n, n + 3} {
@@ -76,7 +76,7 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 							t.Fatalf("Assign%s: %v, %v", what, errV, errM)
 						}
 						identicalVec(t, "Assign"+what, gotV, row0(gotM))
-						gotV, errV = AssignScalarV(a, 7, region, op.f)
+						gotV, errV = AssignScalarV(a, 7, region, op.f, Exec{})
 						gotM, errM = AssignScalarM(A, 7, []int{0}, region, op.f)
 						if errV != nil || errM != nil {
 							t.Fatalf("AssignScalar%s: %v, %v", what, errV, errM)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -232,14 +234,19 @@ func TestSpGEMMAllocationPins(t *testing.T) {
 		mask Mask
 		max  float64
 	}{{"masked", mask, 18}, {"unmasked", Mask{}, 20}} {
-		// The fewest of five runs: a collection that starts inside a run
-		// adds an allocation of the runtime's own.
+		// The fewest of five runs, with the collector off: AllocsPerRun
+		// counts every malloc in the process, and a collection that starts
+		// inside a run brings the runtime's own (a new M, unique's cleanup
+		// goroutine) into the count.
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
 		allocs := math.Inf(1)
 		for try := 0; try < 5; try++ {
 			allocs = min(allocs, testing.AllocsPerRun(1, func() {
 				_, err = SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, pin.mask, Exec{Threads: 1}, KernelAuto)
 			}))
 		}
+		debug.SetGCPercent(gc)
 		if allocs > pin.max {
 			t.Errorf("%s one-range A·A: %v allocations, want <= %v", pin.name, allocs, pin.max)
 		} else {

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"math"
-	"slices"
 	"unsafe"
 
 	"github.com/grblas/grb/internal/parallel"
@@ -48,7 +47,8 @@ const accumBlock = 1024
 //   - t is never stored: with an accumulator, no mask and a full c, a range
 //     gathers accumBlock rows at a time into a buffer that stays in cache and
 //     writes z(i) = accum(c(i), t(i)) into a copy of c's values that shares
-//     c's index array — one pass, and the n-length (ind, val) of t and the
+//     c's index array — or into c's values themselves when the step granted
+//     them (reuseVal) — one pass, and the n-length (ind, val) of t and the
 //     merge's output are never allocated. Rows are independent, so both
 //     forms give the same bits at every thread count.
 //
@@ -124,7 +124,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 	var z []Y      // c ⊙ t, written in place of
 	var t []run[Y] // a stored t, one run per range
 	if accum != nil && admit == nil && c.NNZ() == c.N {
-		z = slices.Clone(c.Val)
+		z = reuseVal(e, c.N, c.Val)
 	} else {
 		t = make([]run[Y], len(parts)-1)
 	}

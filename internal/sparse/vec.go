@@ -9,22 +9,94 @@ import (
 
 // Vec is a generic sparse vector in sorted-coordinate form: Ind holds the
 // positions of stored entries in strictly increasing order and Val the
-// corresponding values. Like CSR it is immutable-on-write: nothing writes a
-// Vec's storage once it is built. Kernels return a fresh Vec, but its Ind
-// may be an operand's Ind — the same backing array — when the pattern is
-// unchanged (DESIGN.md, "Vector write-back: sharing and exact allocation");
-// Val is always the output's own.
+// corresponding values. Kernels return a fresh Vec, but its Ind may be an
+// operand's Ind — the same backing array — when the pattern is unchanged
+// (DESIGN.md, "Vector write-back: sharing and exact allocation"); nothing
+// writes an Ind once it is built. Val is the output's own, and is written
+// again only by the drain that supersedes it, when Holds shows that nothing
+// else can read it (DESIGN.md, "Writing into superseded storage").
 type Vec[T any] struct {
 	N   int
 	Ind []int
 	Val []T
 
 	// dv memoizes the bitmap/dense block view of this vector (see
-	// DenseView). Same coherence argument as CSR.tr: vectors never change
-	// after they are built and every grb-layer mutation installs a fresh
-	// snapshot whose cache starts empty, so a cached view can never go
-	// stale.
+	// DenseView). Same coherence argument as CSR.tr: a snapshot's values do
+	// not change while anyone can read it, and every grb-layer mutation
+	// installs a fresh snapshot whose cache starts empty, so a cached view
+	// can never go stale. A full vector's view is its Val, never memoized.
 	dv atomic.Pointer[DenseVec[T]]
+
+	Holds
+}
+
+// Holds is the grb layer's ledger of who can read a vector snapshot: a count
+// of readers (pending operations that took it as an operand, a synchronous
+// reader while it reads) and a mark saying whether Val is its object's own.
+// All methods are nil-safe, so a matrix, which never lends, passes nil.
+type Holds struct {
+	readers atomic.Int32
+	mark    atomic.Uint32
+}
+
+const (
+	holdFree   = iota // a fresh result no object has installed yet
+	holdOwned         // the object's own drain allocated Val
+	holdPinned        // a second holder keeps the storage beyond any count
+)
+
+// Lend counts one more reader.
+func (h *Holds) Lend() {
+	if h != nil {
+		h.readers.Add(1)
+	}
+}
+
+// Release drops a reader Lend counted.
+func (h *Holds) Release() {
+	if h != nil {
+		h.readers.Add(-1)
+	}
+}
+
+// Pin marks the storage held beyond any count: it is never written again.
+func (h *Holds) Pin() {
+	if h != nil {
+		h.mark.Store(holdPinned)
+	}
+}
+
+// Claim is called when a drain installs the snapshot in place of cur. A
+// fresh result becomes the object's own; anything else a kernel returned
+// (an operand, as u ⊕ ∅ returns u) is another holder's too, and is pinned.
+func (h *Holds) Claim(cur *Holds) {
+	if h != nil && h != cur && (h.readers.Load() != 0 || !h.mark.CompareAndSwap(holdFree, holdOwned)) {
+		h.Pin()
+	}
+}
+
+// Sole reports whether Val is its object's own and the caller's lend is its
+// one reader: the drain holding that lend may write into Val.
+func (h *Holds) Sole() bool {
+	return h != nil && h.mark.Load() == holdOwned && h.readers.Load() == 1
+}
+
+// reuseVal returns an n-entry value array for a kernel's output, holding a
+// copy of init if init is non-nil. It is the one door to the step's grant:
+// when e.Spare, the snapshot the output supersedes, has an n-entry Val, it
+// returns that array (holding old values where init is nil: the caller
+// writes every position). A kernel passes its Exec to one call at most.
+func reuseVal[T any](e Exec, n int, init []T) []T {
+	if old, ok := e.Spare.(*Vec[T]); ok && len(old.Val) == n && n > 0 {
+		if len(init) > 0 && &init[0] != &old.Val[0] {
+			copy(old.Val, init)
+		}
+		return old.Val
+	}
+	if init != nil {
+		return slices.Clone(init)
+	}
+	return make([]T, n) //grblint:ignore budgetcheck -- an output's value array, not scratch
 }
 
 // NewVec returns an empty vector of size n.

@@ -204,9 +204,17 @@ func TestVecWriteBackOracle(t *testing.T) {
 				}
 			}
 
+			// granted(l) is a step's grant of a superseded l-entry value array
+			// (reuseVal): the kernels may write into it, never into a or b.
+			granted := func(l int) Exec {
+				return Exec{Spare: &Vec[int]{N: n, Val: randVals(rng, l)}} //grblint:ignore snapshotcheck -- the test plays the step that grants
+			}
 			for _, op := range ops[1:] {
-				check("EWiseAddV/"+op.name, EWiseAddV(BinGeneric, a, b, op.f), refUnion(am, bm, op.f))
-				check("EWiseMultV/"+op.name, EWiseMultV(BinGeneric, a, b, op.f), refIntersect(am, bm, op.f))
+				union, inter := refUnion(am, bm, op.f), refIntersect(am, bm, op.f)
+				check("EWiseAddV/"+op.name, EWiseAddV(BinGeneric, a, b, op.f, Exec{}), union)
+				check("EWiseMultV/"+op.name, EWiseMultV(BinGeneric, a, b, op.f, Exec{}), inter)
+				check("EWiseAddV/granted/"+op.name, EWiseAddV(BinGeneric, a, b, op.f, granted(len(union))), union)
+				check("EWiseMultV/granted/"+op.name, EWiseMultV(BinGeneric, a, b, op.f, granted(len(inter))), inter)
 			}
 			applied, indexed, selected := map[int]int{}, map[int]int{}, map[int]int{}
 			for i, x := range am {
@@ -227,11 +235,23 @@ func TestVecWriteBackOracle(t *testing.T) {
 			}
 			for _, op := range ops {
 				for _, region := range [][]int{nil, idx} {
-					z, err := AssignScalarV(a, 7, region, op.f)
+					z, err := AssignScalarV(a, 7, region, op.f, Exec{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					check(fmt.Sprintf("AssignScalarV/%s/all=%v", op.name, region == nil), z, refAssignScalar(n, am, 7, region, op.f))
+					// Granted its own superseded array, a full c is written in
+					// place: each position read before it is written.
+					c := a.Clone()
+					e := Exec{Spare: c} //grblint:ignore snapshotcheck -- the test plays the step that grants
+					if z, err = AssignScalarV(c, 7, region, op.f, e); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("AssignScalarV/granted/%s/all=%v", op.name, region == nil), z, refAssignScalar(n, am, 7, region, op.f))
+					inPlace := len(z.Val) > 0 && len(c.Val) > 0 && &z.Val[0] == &c.Val[0]
+					if inPlace != (n > 0 && region == nil && a.NNZ() == n) {
+						t.Fatalf("n=%d %s AssignScalarV/granted: wrote in place %v", n, p.name, inPlace)
+					}
 				}
 			}
 
@@ -296,7 +316,7 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		sink = ApplyV(u, func(x float64) float64 { return -x })
 	})
 	pin("same-pattern EWiseAddV (one value array)", 8*n+256, func() {
-		sink = EWiseAddV(BinGeneric, u, v, func(x, y float64) float64 { return x - y })
+		sink = EWiseAddV(BinGeneric, u, v, func(x, y float64) float64 { return x - y }, Exec{})
 	})
 
 	// Every row stores its diagonal, so the product has n entries.

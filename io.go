@@ -427,10 +427,11 @@ func (v *Vector[T]) VectorExportSize(format Format) (nindices, nvalues Index, er
 	if !vectorFormat(format) {
 		return 0, 0, errf(InvalidValue, "VectorExportSize: %v is not a vector format", format)
 	}
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return 0, 0, err
 	}
+	defer h.Release()
 	switch format {
 	case FormatSparseVector:
 		return s.NNZ(), s.NNZ(), nil
@@ -451,10 +452,11 @@ func (v *Vector[T]) VectorExportInto(format Format, indices []Index, values []T)
 		return errf(InsufficientSpace, "VectorExportInto(%v): need %d/%d, got %d/%d",
 			format, ni, nv, len(indices), len(values))
 	}
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return err
 	}
+	defer h.Release()
 	if format == FormatSparseVector {
 		copy(indices, s.Ind)
 		copy(values, s.Val)

@@ -2,6 +2,7 @@ package lagraph
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,5 +112,33 @@ func TestPageRankOpsPerIteration(t *testing.T) {
 		if got := (ops(a, 12) - ops(a, 2)) / 10; got != tc.want {
 			t.Errorf("%s: %d operations per iteration, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestPageRankReusesItsVectors pins what an iteration allocates once the
+// loop's objects write into the storage their outputs supersede: the
+// marginal bytes of an iteration — 20 rounds less 10, over 10 — stay below
+// one full vector at n = 4 096. With fresh storage per output they were
+// about four.
+func TestPageRankReusesItsVectors(t *testing.T) {
+	initLib(t)
+	g := gen.Graph500RMAT(12, 8, 5).Symmetrize()
+	a := weighted(t, g, gen.UnitWeights[float64](g))
+	bytes := func(iters int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := PageRank(a, 0.85, 0, iters); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	bytes(2) // the transpose cache and the first drains' one-off costs
+	perIter := float64(min(bytes(20), bytes(20))-min(bytes(10), bytes(10))) / 10
+	vector := float64(g.N * 8)
+	t.Logf("n = %d: %.0f bytes an iteration, %.2f full vectors", g.N, perIter, perIter/vector)
+	if perIter >= vector {
+		t.Errorf("an iteration allocates %.0f bytes, want below one full vector (%.0f)", perIter, vector)
 	}
 }

@@ -64,6 +64,10 @@ func (matrixKind[T]) maskApply(old, z *sparse.CSR[T], mk maskSnap, replace bool,
 	return sparse.MaskApplyM(old, z, mk.matrix(), replace, e)
 }
 
+// A matrix never lends: its kernels always allocate their output.
+func (matrixKind[T]) holds(*sparse.CSR[T]) *sparse.Holds { return nil }
+func (matrixKind[T]) superseded(old, res *sparse.CSR[T]) {}
+
 // objConfig carries constructor options shared by all object types.
 type objConfig struct{ ctx *Context }
 

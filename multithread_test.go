@@ -63,6 +63,57 @@ func TestFig1Protocol(t *testing.T) {
 	}
 }
 
+// TestFig1ProtocolPendingReaderOutlivesReuse is Figure 1 with a write after
+// the shared read: thread 0 completes w and releases it; thread 1 acquires
+// w and leaves a pending operation that reads it, then releases; thread 0
+// acquires and overwrites w through a form that writes into w's superseded
+// value array when nothing else can read it; only then does thread 1
+// materialize, and it must see w as it was at its call.
+func TestFig1ProtocolPendingReaderOutlivesReuse(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 64
+	w := ck1(NewVector[float64](n))
+	var flag atomic.Int32
+	await := func(v int32) {
+		for flag.Load() != v { // acquire
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // thread 0
+		defer wg.Done()
+		ck(VectorAssignScalar(w, nil, nil, 1, All, nil))
+		ck(w.Wait(Complete))
+		flag.Store(1) // release w
+		await(2)
+		ck(VectorAssignScalar(w, nil, nil, 2, All, nil))
+		ck(w.Wait(Complete))
+		flag.Store(3)
+	}()
+	var got []float64
+	go func() { // thread 1
+		defer wg.Done()
+		await(1)
+		r := ck1(NewVector[float64](n))
+		ck(VectorApply(r, nil, nil, Identity[float64], w, nil))
+		flag.Store(2)
+		await(3)
+		_, got = ck2(r.ExtractTuples())
+	}()
+	wg.Wait()
+	if len(got) != n {
+		t.Fatalf("the pending reader has %d entries, want %d", len(got), n)
+	}
+	for i, x := range got {
+		if x != 1 {
+			t.Fatalf("reader(%d) = %v: it saw thread 0's later write, want w at its call", i, x)
+		}
+	}
+	if _, x := ck2(w.ExtractTuples()); x[0] != 2 {
+		t.Fatalf("w(0) = %v after thread 0's overwrite, want 2", x[0])
+	}
+}
+
 // TestThreadSafetyIndependentObjects: §III requires a conformant library to
 // be thread safe for independent method calls. Run many goroutines, each
 // with its own objects, under -race.

@@ -27,6 +27,7 @@ type frame struct {
 	mask    maskSnap
 	ev      *obsv.Event // nil unless a sink is observing
 	label   func(sparse.Route) string
+	lent    lends // what in lent; the node takes them over
 }
 
 // operand is any Matrix or Vector taking part in an operation.
@@ -79,9 +80,14 @@ func newFrame(op string, desc *Descriptor, opsOK bool, mask maskRef, operands ..
 
 // in completes an operand and returns its storage: an operation reads the
 // completed state of its inputs and of its output as they are at the call.
-func in[S any](f *frame, o interface{ snapshot() (S, error) }) (s S) {
+// The storage stays lent to the operation until its node has run.
+func in[S any](f *frame, o interface {
+	lend() (S, *sparse.Holds, error)
+}) (s S) {
 	if f.err == nil {
-		s, f.err = o.snapshot()
+		var h *sparse.Holds
+		s, h, f.err = o.lend()
+		f.lent.add(h)
 	}
 	return s
 }
@@ -100,7 +106,7 @@ func (f *frame) ready() error {
 	}
 	if v := f.maskArg.v; v != nil {
 		if f.err = v.check(); f.err == nil {
-			f.mask.V, f.err = v.snapshot()
+			f.mask.V = in(f, v)
 		}
 	}
 	return f.err

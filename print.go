@@ -68,10 +68,11 @@ func (v *Vector[T]) String() string {
 	if _, err := v.context(); err != nil {
 		return "Vector(<" + err.Error() + ">)"
 	}
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return "Vector(<" + err.Error() + ">)"
 	}
+	defer h.Release()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Vector size %d, %d entries", s.N, s.NNZ())
 	limit := 16

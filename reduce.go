@@ -103,11 +103,12 @@ func matrixReduceNow[T any](opName string, ctx *Context, m Monoid[T], a *Matrix[
 
 // vectorReduceNow reduces u's completed state with m, as matrixReduceNow.
 func vectorReduceNow[T any](opName string, m Monoid[T], u *Vector[T]) (T, bool, error) {
-	uvec, err := u.snapshot()
+	uvec, h, err := u.lend()
 	if err != nil {
 		var zero T
 		return zero, false, err
 	}
+	defer h.Release()
 	ev := evKernel(opName).WithThreads(1).A(uvec.N, 1, uvec.NNZ()).WithFlops(int64(uvec.NNZ()))
 	return reduceNow(opName, ev, func() (T, bool) { return sparse.ReduceVec(m.mon, uvec, m.Op) })
 }

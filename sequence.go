@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/grblas/grb/internal/obsv"
@@ -13,8 +14,9 @@ import (
 // typed operation nodes; the drain loop, the step that runs one node, error
 // parking, Wait and context switching are written here once.
 
-// storage is an object's completed state: an immutable *sparse.CSR[T] or
-// *sparse.Vec[T]. Every step installs a fresh one and never edits the old.
+// storage is an object's completed state: a *sparse.CSR[T] or a
+// *sparse.Vec[T]. Every step installs a fresh one, at most writing into the
+// value array of the vector it supersedes (reuses).
 type storage interface{ NNZ() int }
 
 // kind is the handful of places where a matrix and a vector differ. Its
@@ -30,6 +32,8 @@ type kind[T any, S storage, U any] interface {
 	maskFits(maskSnap, S) error
 	accumMerge(old, t S, accum func(T, T) T, e sparse.Exec) S
 	maskApply(old, z S, mask maskSnap, replace bool, e sparse.Exec) S
+	holds(S) *sparse.Holds // nil for a matrix, which never lends
+	superseded(old, res S) // grbcheck: poison old if res took its storage
 }
 
 // maskSnap is a mask operand's completed state plus the descriptor's reading
@@ -89,6 +93,7 @@ type opNode[T any, S storage] struct {
 	// kernels that plan none.
 	label  func(sparse.Route) string
 	kernel func(sparse.Exec) (S, error)
+	lent   lends // the call's lends on its operands, old's among them
 }
 
 // sequence is the state behind a Matrix or a Vector. mu guards every field;
@@ -97,12 +102,13 @@ type sequence[T any, S storage, U any, K kind[T, S, U]] struct {
 	mu      sync.Mutex
 	init    bool
 	ctx     *Context
-	cur     S              // completed state as of the last drain
-	pending []opNode[T, S] // deferred operations, in call order
-	tuples  []U            // deferred setElement/removeElement updates
-	derr    *Error         // parked (deferred) execution error, §V
-	errmsg  string         // implementation-defined GrB_error string
-	seq     obsv.SeqID     // open sequence span during a drain, else 0
+	cur     S               // completed state as of the last drain
+	pending []opNode[T, S]  // deferred operations, in call order
+	tuples  []U             // deferred setElement/removeElement updates
+	derr    *Error          // parked (deferred) execution error, §V
+	errmsg  string          // implementation-defined GrB_error string
+	seq     obsv.SeqID      // open sequence span during a drain, else 0
+	tx      sparse.BudgetTx // the running step's budget transaction
 }
 
 // context resolves the object's execution context.
@@ -153,21 +159,34 @@ func (s *sequence[T, S, U, K]) errorString() string {
 	return s.errmsg
 }
 
-// snapshot completes the object and returns its immutable storage for use as
-// an operation input. The returned storage is never mutated: every deferred
-// step and Wait installs a fresh one, so per-CSR caches (the memoized
-// transpose, sparse.TransposeCached) stay coherent across mutate→Wait
-// boundaries without any explicit invalidation — a stale cache can only live
-// on a superseded snapshot, which readers that obtained it earlier may still
-// use safely.
+// snapshot completes the object and returns its storage pinned, for a holder
+// that keeps it (Dup, Resize, an immediate-mode kernel's input): it is never
+// written again. Every deferred step and Wait installs a fresh snapshot, so
+// per-CSR caches (the memoized transpose, sparse.TransposeCached) stay
+// coherent across mutate→Wait boundaries without any explicit invalidation —
+// a stale cache can only live on a superseded snapshot, which readers that
+// obtained it earlier may still use safely.
 func (s *sequence[T, S, U, K]) snapshot() (S, error) {
+	cur, h, err := s.lend()
+	h.Pin()
+	h.Release()
+	return cur, err
+}
+
+// lend completes the object and returns its storage with one reader counted
+// on it, for a frame's operand (released when its node has run or is
+// dropped) or a synchronous reader (released when it has read).
+func (s *sequence[T, S, U, K]) lend() (S, *sparse.Holds, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.materializeLocked(); err != nil {
 		var none S
-		return none, err
+		return none, nil, err
 	}
-	return s.cur, nil
+	var k K
+	h := k.holds(s.cur)
+	h.Lend()
+	return s.cur, h, nil
 }
 
 // dims returns the object's shape in program order: a pending sequence may
@@ -216,9 +235,13 @@ func (s *sequence[T, S, U, K]) update(op string, t U) error {
 	return nil
 }
 
-// resetLocked abandons the deferred sequence and any parked error and
-// installs cur; the zero S (Free) leaves the object without storage.
+// resetLocked abandons the deferred sequence (releasing its lends) and any
+// parked error and installs cur; the zero S (Free) leaves the object without
+// storage.
 func (s *sequence[T, S, U, K]) resetLocked(cur S) {
+	for i := range s.pending {
+		s.pending[i].lent.release()
+	}
 	s.cur, s.pending, s.tuples, s.derr, s.errmsg = cur, nil, nil, nil, ""
 }
 
@@ -228,11 +251,13 @@ func (s *sequence[T, S, U, K]) submit(f *frame, old S, y yield, accum func(T, T)
 	kernel func(sparse.Exec) (S, error)) error {
 	var k K
 	if err := k.maskFits(f.mask, old); err != nil {
+		f.lent.release()
 		return err
 	}
 	return s.push(f.ctx.Mode(), opNode[T, S]{
 		op: f.op, ev: f.ev, ctx: f.ctx, old: old, mask: f.mask,
 		replace: f.d.Replace, accum: accum, yields: y, label: f.label, kernel: kernel,
+		lent: f.lent,
 	})
 }
 
@@ -243,6 +268,7 @@ func (s *sequence[T, S, U, K]) push(mode Mode, n opNode[T, S]) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.derr != nil {
+		n.lent.release()
 		return s.derr
 	}
 	s.pending = append(s.pending, n)
@@ -298,14 +324,19 @@ func (s *sequence[T, S, U, K]) materializeLocked() error {
 // (§IV/§V); the step boundary is a cancellation point for every kind of
 // operation. runStep isolates the whole step: a panic anywhere inside —
 // kernel, user operator, worker goroutine — parks an execution error instead
-// of crashing the process, leaving the object valid on its previous storage.
+// of crashing the process. The object keeps its previous storage, torn if
+// the step wrote into it (reuses); every read returns the parked error until
+// Clear or Free (§V leaves an output undefined after an execution error).
 //
 // The tuple merge is the one node without a kernel: it folds tuples into the
 // current storage, which a closure could only do at the price of an
 // allocation per drain.
 func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 	var k K
-	e := n.ctx.exec()
+	e := n.ctx.exec(&s.tx)
+	if s.reuses(n) {
+		e.Spare = n.old
+	}
 	if n.ev != nil {
 		e.Route = new(sparse.Route) // the kernel reports its own decisions
 	}
@@ -346,10 +377,47 @@ func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 	x.End(out, err)
 	if err != nil {
 		s.parkLocked(err)
-		return
+	} else {
+		k.debugCheck(res)
+		if e.Spare != nil {
+			k.superseded(n.old, res)
+		}
+		k.holds(res).Claim(k.holds(s.cur))
+		s.cur = res
 	}
-	k.debugCheck(res)
-	s.cur = res
+	n.lent.release()
+}
+
+// reuses decides whether n's kernel may write into the value array of the
+// state it supersedes (DESIGN.md, "Writing into superseded storage"): the
+// array is the object's own, n's lend is its only reader, it is still the
+// object's state, and nothing after the kernel reads it — no mask, not even
+// the complemented empty one whose write-back returns old, and no
+// accumulation of T into it.
+func (s *sequence[T, S, U, K]) reuses(n *opNode[T, S]) bool {
+	var k K
+	h := k.holds(n.old)
+	return n.kernel != nil && h.Sole() && h == k.holds(s.cur) && slices.Contains(n.lent[:], h) &&
+		n.mask.M == nil && n.mask.V == nil && !n.mask.Complement &&
+		(n.yields != yieldsT || n.accum == nil)
+}
+
+// lends is what one call lent: its output, two inputs and its mask at most.
+type lends [4]*sparse.Holds
+
+// add records a lend; a frame has four operand slots, so there is room.
+func (l *lends) add(h *sparse.Holds) {
+	if h != nil {
+		l[slices.Index(l[:], nil)] = h
+	}
+}
+
+// release returns every lend, once.
+func (l *lends) release() {
+	for _, h := range l {
+		h.Release()
+	}
+	*l = lends{}
 }
 
 // parkLocked records a deferred execution error on the object (§V): the

@@ -417,28 +417,31 @@ func MatrixDeserialize[T any](data []byte, opts ...ObjOption) (*Matrix[T], error
 // SerializeSize returns the number of bytes Serialize needs
 // (GrB_Vector_serializeSize).
 func (v *Vector[T]) SerializeSize() (Index, error) {
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return 0, err
 	}
+	defer h.Release()
 	return serializeSize(serKindVector, []int{s.N}, nil, s.Ind, s.Val)
 }
 
 // Serialize writes the vector into buf (GrB_Vector_serialize).
 func (v *Vector[T]) Serialize(buf []byte) (Index, error) {
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return 0, err
 	}
+	defer h.Release()
 	return serializeInto(buf, serKindVector, []int{s.N}, nil, s.Ind, s.Val)
 }
 
 // SerializeBytes allocates and returns the serialized stream.
 func (v *Vector[T]) SerializeBytes() ([]byte, error) {
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return nil, err
 	}
+	defer h.Release()
 	return serializeBytes(serKindVector, []int{s.N}, nil, s.Ind, s.Val)
 }
 

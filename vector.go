@@ -51,6 +51,15 @@ func (vectorKind[T]) maskApply(old, z *sparse.Vec[T], mk maskSnap, replace bool,
 	return sparse.MaskApplyV(old, z, mk.vector(), replace)
 }
 
+func (vectorKind[T]) holds(v *sparse.Vec[T]) *sparse.Holds {
+	if v == nil {
+		return nil
+	}
+	return &v.Holds
+}
+
+func (vectorKind[T]) superseded(old, res *sparse.Vec[T]) { sparse.Superseded(old, res) }
+
 // NewVector creates an empty vector of the given size over domain T
 // (GrB_Vector_new).
 func NewVector[T any](size Index, opts ...ObjOption) (*Vector[T], error) {
@@ -141,10 +150,11 @@ func (v *Vector[T]) Nvals() (Index, error) {
 	if _, err := v.context(); err != nil {
 		return 0, err
 	}
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return 0, err
 	}
+	defer h.Release()
 	return s.NNZ(), nil
 }
 
@@ -283,10 +293,11 @@ func (v *Vector[T]) ExtractElement(i Index) (val T, ok bool, err error) {
 	if _, err := v.context(); err != nil {
 		return zero, false, err
 	}
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return zero, false, err
 	}
+	defer h.Release()
 	if i < 0 || i >= s.N {
 		return zero, false, errf(InvalidIndex, "ExtractElement: index %d outside size %d", i, s.N)
 	}
@@ -323,10 +334,11 @@ func (v *Vector[T]) ExtractTuples() (I []Index, X []T, err error) {
 	if _, err := v.context(); err != nil {
 		return nil, nil, err
 	}
-	s, err := v.snapshot()
+	s, h, err := v.lend()
 	if err != nil {
 		return nil, nil, err
 	}
+	defer h.Release()
 	I, X = s.VecTuples(nil, nil)
 	return I, X, nil
 }
