@@ -10,12 +10,12 @@ import (
 )
 
 // Direction differential harness: the push (scatter) and pull (gather)
-// matrix-vector kernels must produce identical output for every semiring
-// whose additive monoid is exactly associative on the data — multithreaded
-// push reassociates the fold across partitions, so the harness sticks to
-// integer plus-times, float min-plus (min is exact; + only appears inside
-// the multiply) and boolean lor-land. Each test draws its inputs from a
-// logged seed — fixed by default, GRB_DIFF_SEED=<seed> or =random to vary.
+// matrix-vector kernels must produce identical output for every semiring.
+// Both fold each output's products in frontier order at every thread count —
+// the push by output columns, the pull by rows — so float plus-times, which
+// no reassociation would survive, is a case beside integer plus-times, float
+// min-plus and boolean lor-land. Each test draws its inputs from a logged
+// seed — fixed by default, GRB_DIFF_SEED=<seed> or =random to vary.
 
 // dirSeed returns the seed for a differential test and logs it. Tier-1 runs
 // the same cases every time: the default is fixed, GRB_DIFF_SEED=<n> pins
@@ -190,6 +190,12 @@ func TestDifferentialDirectionPlusTimes(t *testing.T) {
 	setMode(t, NonBlocking)
 	rng := rand.New(rand.NewSource(dirSeed(t)))
 	diffDirection(t, rng, PlusTimes[int64](), func(r *rand.Rand) int64 { return int64(r.Intn(19) - 9) })
+}
+
+func TestDifferentialDirectionPlusTimesFloat(t *testing.T) {
+	setMode(t, NonBlocking)
+	rng := rand.New(rand.NewSource(dirSeed(t)))
+	diffDirection(t, rng, PlusTimes[float64](), func(r *rand.Rand) float64 { return r.NormFloat64() })
 }
 
 func TestDifferentialDirectionMinPlus(t *testing.T) {

@@ -514,6 +514,52 @@ func BenchmarkPullGatherPair(b *testing.B) {
 	}
 }
 
+// BenchmarkPushAccumPair is the measurement planPush's accumulator row points
+// at: an SSSP push (MIN_PLUS) over rmat-16 from frontiers of 1, 4 and 16
+// vertices spread over the upper half of the ids, accumulator pinned dense
+// against pinned hash, arms interleaved on one thread, best round per arm.
+// It reports dense/hash and the products per push, and fails unless each pin
+// ran its structure and the unpinned push took the table — every frontier
+// here is below cols/2 products with a table smaller than the SPA. It sets
+// no timing floor: the planner's row is a byte rule, and what the pair
+// records is what the table costs or saves in time at these sizes.
+func BenchmarkPushAccumPair(b *testing.B) {
+	g := gen.Graph500RMAT(16, 8, 42).Symmetrize()
+	a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), addF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := a.Rows
+	minF := func(x, y float64) float64 { return min(x, y) }
+	for _, size := range []int{1, 4, 16} {
+		frontier := &Vec[float64]{N: n, Ind: make([]int, size), Val: make([]float64, size)}
+		for k := range frontier.Ind {
+			frontier.Ind[k], frontier.Val[k] = n/2+k*(n/2/size), float64(k%97)
+		}
+		products := listedWork(a.Ptr, frontier.Ind, 0, math.MaxInt)
+		push := func(hint Kernel, rt *Route) func() error {
+			return func() error {
+				_, err := vxmSemi(SemiMinPlus, frontier, a, addF, minF, VMask{}, Exec{Threads: 1, Route: rt}, hint)
+				return err
+			}
+		}
+		b.Run(fmt.Sprintf("rmat16/frontier=%d", size), func(b *testing.B) {
+			for _, arm := range []struct {
+				hint Kernel
+				want Acc
+			}{{KernelDense, AccDense}, {KernelHash, AccHash}, {KernelAuto, AccHash}} {
+				var rt Route
+				if err := push(arm.hint, &rt)(); err != nil || rt.Acc != arm.want {
+					b.Fatalf("hint %d over %d products: route %+v (err %v), want accumulator %d", arm.hint, products, rt, err, arm.want)
+				}
+			}
+			dense, hash := bestRounds(b, 32, push(KernelDense, nil), push(KernelHash, nil))
+			b.ReportMetric(float64(dense)/float64(hash), "dense/hash")
+			b.ReportMetric(float64(products), "products")
+		})
+	}
+}
+
 // minForkSpeedup is the floor a section the default grain forks must hold
 // against running on the caller alone: it must not lose by more than the
 // pair's own noise (0.9, the margin BenchmarkPullAccumPair learned).

@@ -68,6 +68,18 @@ func (m *CSR[T]) Row(i int) ([]int, []T) {
 	return m.Ind[lo:hi], m.Val[lo:hi]
 }
 
+// rowIn returns the entries of row i whose columns lie in [lo, hi): the whole
+// row when that is every column, else the slice two binary searches bound.
+func (m *CSR[T]) rowIn(i, lo, hi int) ([]int, []T) {
+	ind, val := m.Row(i)
+	if lo == 0 && hi == m.Cols {
+		return ind, val
+	}
+	s := sort.SearchInts(ind, lo)
+	e := s + sort.SearchInts(ind[s:], hi)
+	return ind[s:e], val[s:e]
+}
+
 // Clone returns a deep copy.
 func (m *CSR[T]) Clone() *CSR[T] {
 	c := &CSR[T]{Rows: m.Rows, Cols: m.Cols,

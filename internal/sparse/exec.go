@@ -259,9 +259,9 @@ func (tx *BudgetTx) Close() {
 // a second worker has stopped losing on the two-core hosts this repo is
 // measured on, which take some 100 µs to get a helper onto the other core
 // (BenchmarkForkGrainPair: two workers run at 0.5–0.75 of one worker's speed
-// on a pull of 53 k entries, at 0.6–0.65 on a push of 222 k products — an
-// n-wide SPA each — and at 1.2–1.4 on a pull of 955 k). SuiteSparse:GraphBLAS
-// ships half of it, which would fork that push.
+// on a pull of 53 k entries, at 0.81–0.94 on a push of 51 k products and at
+// 1.2–1.4 on a pull of 955 k). SuiteSparse:GraphBLAS ships half of it, which
+// the column-owned push may now afford; re-measure before moving it.
 const DefaultGrain = 1 << 17
 
 // Canceler is the cancellation probe: a grb Context, which costs no allocation.

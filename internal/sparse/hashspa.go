@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"unsafe"
-
-	"github.com/grblas/grb/internal/parallel"
-)
+import "github.com/grblas/grb/internal/parallel"
 
 // SpGEMMFlops is the symbolic pass of the adaptive SpGEMM: it returns the
 // prefix array fptr (length a.Rows+1, fptr[0]=0) of per-row flop upper
@@ -47,10 +43,7 @@ type hashAccum[C any] struct {
 // called only while the table is empty (freshly reset), since growing
 // discards slot contents.
 func (h *hashAccum[C]) ensure(n int) {
-	c := 16
-	for c < 2*n {
-		c <<= 1
-	}
+	c := hashCapacity(n)
 	if c <= len(h.keys) {
 		return
 	}
@@ -60,8 +53,7 @@ func (h *hashAccum[C]) ensure(n int) {
 	}
 	h.vals = make([]C, c)
 	h.mask = c - 1
-	var zero C
-	scratchBytes.Add(int64(c) * int64(unsafe.Sizeof(0)+unsafe.Sizeof(zero)))
+	scratchBytes.Add(int64(c) * slotBytes[C]())
 }
 
 // slot returns the slot holding key j, or the empty slot where j belongs.
@@ -97,16 +89,12 @@ type hashLookup[T any] struct {
 func lookupBytes[T any](v *Vec[T]) int64 { return int64(hashCapacity(v.NNZ())) * slotBytes[T]() }
 
 func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
-	c := 16
-	for c < 2*len(v.Ind) {
-		c <<= 1
-	}
+	c := hashCapacity(len(v.Ind))
 	h := &hashLookup[T]{keys: make([]int, c), vals: make([]T, c), mask: c - 1}
 	for i := range h.keys {
 		h.keys[i] = -1
 	}
-	var zero T
-	scratchBytes.Add(int64(c) * int64(unsafe.Sizeof(0)+unsafe.Sizeof(zero)))
+	scratchBytes.Add(int64(c) * slotBytes[T]())
 	for k, j := range v.Ind {
 		s := int((uint64(j)*0x9E3779B97F4A7C15)>>33) & h.mask
 		for h.keys[s] != -1 {

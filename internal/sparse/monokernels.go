@@ -183,14 +183,19 @@ func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(
 }
 
 // --- push (VxM scatter) loops ---
+//
+// A push loop scatters the frontier's products in the output columns [lo, hi)
+// a worker owns into spa and mark, indexed j-lo like the admit bitmap, and
+// returns how many columns it marked.
 
 // vxmScatterPlusTimes scatters the frontier with (+, ×).
-func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int {
-	for k := lo; k < hi; k++ {
-		i := u.Ind[k]
+func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) int {
+	n := 0
+	for k, i := range u.Ind {
 		uv := u.Val[k]
-		aInd, aVal := a.Row(i)
+		aInd, aVal := a.rowIn(i, lo, hi)
 		for t, j := range aInd {
+			j -= lo
 			if admit != nil && !admit[j] {
 				continue
 			}
@@ -198,22 +203,23 @@ func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = p
-				pattern = append(pattern, j)
+				n++
 			} else {
 				spa[j] += p
 			}
 		}
 	}
-	return pattern
+	return n
 }
 
 // vxmScatterMinPlus scatters the frontier with (min, +).
-func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int {
-	for k := lo; k < hi; k++ {
-		i := u.Ind[k]
+func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) int {
+	n := 0
+	for k, i := range u.Ind {
 		uv := u.Val[k]
-		aInd, aVal := a.Row(i)
+		aInd, aVal := a.rowIn(i, lo, hi)
 		for t, j := range aInd {
+			j -= lo
 			if admit != nil && !admit[j] {
 				continue
 			}
@@ -221,22 +227,23 @@ func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T,
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = p
-				pattern = append(pattern, j)
+				n++
 			} else if p < spa[j] {
 				spa[j] = p
 			}
 		}
 	}
-	return pattern
+	return n
 }
 
 // vxmScatterLorLand scatters the frontier with (∨, ∧).
-func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mark []bool, pattern []int, lo, hi int) []int {
-	for k := lo; k < hi; k++ {
-		i := u.Ind[k]
+func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mark []bool, lo, hi int) int {
+	n := 0
+	for k, i := range u.Ind {
 		uv := u.Val[k]
-		aInd, aVal := a.Row(i)
+		aInd, aVal := a.rowIn(i, lo, hi)
 		for t, j := range aInd {
+			j -= lo
 			if admit != nil && !admit[j] {
 				continue
 			}
@@ -244,35 +251,36 @@ func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mar
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = p
-				pattern = append(pattern, j)
+				n++
 			} else if p {
 				spa[j] = true
 			}
 		}
 	}
-	return pattern
+	return n
 }
 
 // vxmScatterPlusPair scatters the frontier with (+, pair): each admitted
 // product contributes exactly 1.
-func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int {
-	for k := lo; k < hi; k++ {
-		i := u.Ind[k]
-		aInd, _ := a.Row(i)
+func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) int {
+	n := 0
+	for _, i := range u.Ind {
+		aInd, _ := a.rowIn(i, lo, hi)
 		for _, j := range aInd {
+			j -= lo
 			if admit != nil && !admit[j] {
 				continue
 			}
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = 1
-				pattern = append(pattern, j)
+				n++
 			} else {
 				spa[j]++
 			}
 		}
 	}
-	return pattern
+	return n
 }
 
 // --- SpGEMM dense-SPA row loops ---

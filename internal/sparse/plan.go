@@ -19,13 +19,15 @@ import (
 // The two thresholds are constants: no caller ever used another value.
 
 // hashCut is the dense-vs-hash cut: work (a range's flop bound, a gather's
-// table operations, a mask's nnz) below width/hashCut takes the hash
-// structure. 2 comes from the cost model: the dense structure costs O(width)
-// to materialize plus ~1 unit per unit of work; the hash one skips the
-// O(width) term but pays ~3 units per unit of work (hash, probe, re-probe at
-// emit). Hash wins iff width > (3-1)·work. The margin also bounds the table:
-// capacity ≤ 2·work < width, so the hash path never allocates more scratch
-// than the dense one it replaced.
+// table operations, a mask's nnz, a push's products) below width/hashCut
+// takes the hash structure. 2 comes from the cost model: the dense structure
+// costs O(width) to materialize plus ~1 unit per unit of work; the hash one
+// skips the O(width) term but pays ~3 units per unit of work (hash, probe,
+// re-probe at emit). Hash wins iff width > (3-1)·work. The margin bounds the
+// table in slots, not in bytes: its 2·work slots are fewer than width before
+// the power-of-two rounding, but a slot is an index word and a value — 16 B
+// for float64 against the dense push SPA's 9 B a column. So the push row
+// (planPush) also compares the two structures' bytes.
 const hashCut = 2
 
 // pushCut is the direction cut, in edges, of a masked pull: push when
@@ -178,9 +180,9 @@ type planIn struct {
 	// work competes with width: the frontier's products against the rows
 	// the pull walks plus its probes (direction), the hash gather's table
 	// operations against the vector size (gather, see gatherWork), a row
-	// range's flop bound against the output columns (accumulator). For the
-	// push scatter it is the hash mask predicate's table operations and
-	// competes with outDim.
+	// range's flop bound against the output columns (accumulator), the
+	// push's products against its output columns (accumulator and, with
+	// maskNNZ, the mask predicate's table operations).
 	work, width int
 	probes      int  // direction: the stored entries of the rows the pull admits
 	full        bool // direction: the frontier stores every entry
@@ -188,7 +190,6 @@ type planIn struct {
 	masked   bool // planRange: a mask matrix is present; direction: a mask vector
 	maskNNZ  int  // its entries; for planRange, those in the range's rows
 	maskComp bool
-	outDim   int // the dimension a mask vector guards
 
 	hasLoop bool // a family loop exists for (semiring, types)
 
@@ -297,19 +298,20 @@ func ChoosePush(nnzU, inDim int, mask VMask, outDim int) bool {
 	return planDir(dirIn(DirAuto, nnzU, inDim, nil, mask, outDim, nnzU == inDim)).Push
 }
 
-// planAcc is the dense-vs-hash row shared by the pull gather and the SpGEMM
-// range: pin, then statistics, then the budget (a dense structure that no
+// planAcc is the dense-vs-hash row shared by the three multiply scaffolds:
+// pin, then statistics (few: the work is below the cut, and for the push the
+// table is the smaller too), then the budget (a dense structure that no
 // longer fits yields to a strictly smaller hash one — pinned dense included,
 // since failing the operation serves nobody).
-func planAcc(in planIn, few, refused Reason) (Acc, Reason) {
+func planAcc(in planIn, few bool, fewWhy, refused Reason) (Acc, Reason) {
 	why := ReasonDenseWork
 	switch {
 	case in.hint == KernelHash:
 		return AccHash, ReasonPin
 	case in.hint == KernelDense:
 		why = ReasonPin
-	case belowCut(in.work, in.width):
-		return AccHash, few
+	case few:
+		return AccHash, fewWhy
 	}
 	if !in.denseFits && in.hashSmaller {
 		return AccHash, refused
@@ -329,7 +331,7 @@ func planAcc(in planIn, few, refused Reason) (Acc, Reason) {
 // (BenchmarkPullGatherPair's masked row: 24.5 → 16.5 ms as a bitmap): it
 // serves only where the budget refuses the bitmap and it is smaller.
 func planPull(in planIn) Route {
-	acc, why := planAcc(in, ReasonFewProbes, ReasonBudgetGather)
+	acc, why := planAcc(in, belowCut(in.work, in.width), ReasonFewProbes, ReasonBudgetGather)
 	rt := Route{Family: in.hasLoop && acc == AccDense, Acc: acc, Reason: why}
 	if in.maskHashSmaller && !in.bitmapFits {
 		rt.HashMask, rt.Reason = true, ReasonBudgetMask
@@ -337,22 +339,34 @@ func planPull(in planIn) Route {
 	return rt
 }
 
-// planPush plans the scatter side of the push product. Reads hasLoop, work
-// (listedWork: nnz(m) table inserts + one probe per product of the frontier),
-// outDim, bitmapFits, maskHashSmaller. A family loop indexes the mask as a
-// bitmap; the hash predicate — and with it the closure loop — is for a mask
-// and a frontier so sparse that the table is smaller than the bitmap and
-// building and probing it is less work than compiling the mask to O(cols),
-// or for a bitmap the budget refuses.
+// planPush plans the push product. Reads hint, hasLoop, work (the frontier's
+// products, listedWork), width (the output columns), denseFits, hashSmaller
+// (the table of hashCapacity(products) slots against the SPA's value and
+// mark per column, in bytes), maskNNZ, bitmapFits, maskHashSmaller.
+//
+// The accumulator is planAcc's row, whose statistics take the table only
+// for products below width/hashCut in fewer bytes than the SPA; the table
+// runs the closure loop. A family loop reads the mask as a bitmap; the hash
+// predicate, and the closure loop with it, is for a table smaller than the
+// bitmap whose nnz(m) inserts + one probe a product are fewer than
+// width/hashCut, or a bitmap the budget refuses. Its reason replaces the
+// accumulator's unless that is the budget's.
 func planPush(in planIn) Route {
-	rt := Route{Push: true, Family: in.hasLoop}
+	acc, why := planAcc(in, belowCut(in.work, in.width) && in.hashSmaller, ReasonFewFlops, ReasonBudgetSPA)
+	rt := Route{Push: true, Family: in.hasLoop && acc == AccDense, Acc: acc, Reason: why}
+	maskWhy := ReasonNone
 	switch {
 	case !in.maskHashSmaller: // or no mask at all
 	case !in.bitmapFits:
-		rt.Family, rt.HashMask, rt.Reason = false, true, ReasonBudgetMask
-	case !belowCut(in.work, in.outDim):
-	default:
-		rt.Family, rt.HashMask, rt.Reason = false, true, ReasonHyperMask
+		maskWhy = ReasonBudgetMask
+	case belowCut(in.maskNNZ+in.work, in.width):
+		maskWhy = ReasonHyperMask
+	}
+	if maskWhy != ReasonNone {
+		rt.Family, rt.HashMask = false, true
+		if !why.Budget() {
+			rt.Reason = maskWhy
+		}
 	}
 	return rt
 }
@@ -377,7 +391,7 @@ func planProduct(in planIn) Route {
 // entry, so it runs only while those do not exceed the products; otherwise
 // the range forms every product and filters at emit time.
 func planRange(in planIn) Route {
-	acc, why := planAcc(in, ReasonFewFlops, ReasonBudgetSPA)
+	acc, why := planAcc(in, belowCut(in.work, in.width), ReasonFewFlops, ReasonBudgetSPA)
 	if acc == AccDense && in.masked && !in.maskComp && in.maskNNZ <= in.work {
 		return Route{Acc: acc, MaskFirst: true, Reason: ReasonMaskFirst}
 	}

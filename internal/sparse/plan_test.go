@@ -137,23 +137,44 @@ func TestPlan(t *testing.T) {
 		{"pull: a refused bitmap, table no smaller: the bitmap is charged and may fail", planPull,
 			fits(loop(planIn{work: 20, width: 20})), Route{Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
 
-		// Push scatter: work is listedWork — nnz(m) inserts + one probe per
-		// product of the frontier — against the bitmap's outDim bytes.
-		{"push: family loop", planPush, loop(planIn{}), Route{Push: true, Family: true}},
-		{"push: closure loop", planPush, planIn{}, Route{Push: true}},
-		{"push: dense mask is the family loop's bitmap", planPush, loop(planIn{bitmapFits: true, work: 1, outDim: 100}),
-			Route{Push: true, Family: true}},
-		{"push: mask nnz < n/2 but frontier flops >= n/2: family loop, bitmap", planPush,
-			sparseMask(loop(planIn{work: 3 + 47, outDim: 100})), Route{Push: true, Family: true}},
-		{"push: few inserts + probes keep the closure loop", planPush, sparseMask(loop(planIn{work: 3 + 46, outDim: 100})),
-			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
-		{"push: few inserts + probes without a loop", planPush, sparseMask(planIn{work: 3, outDim: 100}),
-			Route{Push: true, HashMask: true, Reason: ReasonHyperMask}},
-		{"push: closure loop, work == cols/2 is a bitmap", planPush, sparseMask(planIn{work: 50, outDim: 100}), Route{Push: true}},
-		{"push: a refused bitmap drops the family loop", planPush, refusedMask(loop(planIn{work: 50, outDim: 100})),
-			Route{Push: true, HashMask: true, Reason: ReasonBudgetMask}},
+		// Push: work is the frontier's products against the width's output
+		// columns; hashSmaller compares the table's bytes with the SPA's.
+		{"push: family loop", planPush, fits(loop(planIn{work: 50, width: 100})),
+			Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: closure loop", planPush, fits(planIn{work: 50, width: 100}), Route{Push: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: few products → hash", planPush, fits(loop(planIn{work: 49, width: 100, hashSmaller: true})),
+			Route{Push: true, Acc: AccHash, Reason: ReasonFewFlops}},
+		{"push: few products, hash no smaller → dense", planPush, fits(loop(planIn{work: 3, width: 100})),
+			Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: products == cols/2 → dense", planPush, fits(loop(planIn{work: 50, width: 100, hashSmaller: true})),
+			Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: dense refused and hash smaller → hash", planPush, loop(planIn{work: 80, width: 100, hashSmaller: true}),
+			Route{Push: true, Acc: AccHash, Reason: ReasonBudgetSPA}},
+		{"push: dense refused, hash no smaller: the SPA is charged and may fail", planPush, loop(planIn{work: 80, width: 100}),
+			Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: pinned hash", planPush, fits(loop(planIn{hint: KernelHash, work: 80, width: 100})),
+			Route{Push: true, Acc: AccHash, Reason: ReasonPin}},
+		{"push: pinned dense over few products", planPush, fits(loop(planIn{hint: KernelDense, work: 3, width: 100, hashSmaller: true})),
+			Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonPin}},
+		// ... and the mask: nnz(m) inserts + one probe per product against
+		// the bitmap's width bytes.
+		{"push: dense mask is the family loop's bitmap", planPush, fits(loop(planIn{bitmapFits: true, maskNNZ: 1, work: 50, width: 100})),
+			Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: mask nnz < n/2 but inserts + probes >= n/2: family loop, bitmap", planPush,
+			sparseMask(loop(planIn{maskNNZ: 3, work: 47, width: 100})), Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: few inserts + probes keep the closure loop", planPush, sparseMask(loop(planIn{maskNNZ: 3, work: 46, width: 100})),
+			Route{Push: true, Acc: AccDense, HashMask: true, Reason: ReasonHyperMask}},
+		{"push: few inserts + probes beside a hash table", planPush, sparseMask(loop(planIn{maskNNZ: 3, work: 46, width: 100, hashSmaller: true})),
+			Route{Push: true, Acc: AccHash, HashMask: true, Reason: ReasonHyperMask}},
+		{"push: closure loop, inserts + probes == cols/2 is a bitmap", planPush, sparseMask(planIn{maskNNZ: 3, work: 47, width: 100}),
+			Route{Push: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: a refused bitmap drops the family loop", planPush, refusedMask(loop(planIn{maskNNZ: 3, work: 47, width: 100})),
+			Route{Push: true, Acc: AccDense, HashMask: true, Reason: ReasonBudgetMask}},
 		{"push: a refused bitmap, table no smaller: the bitmap is charged and may fail", planPush,
-			loop(planIn{work: 3, outDim: 100}), Route{Push: true, Family: true}},
+			fits(loop(planIn{maskNNZ: 3, work: 47, width: 100})), Route{Push: true, Family: true, Acc: AccDense, Reason: ReasonDenseWork}},
+		{"push: refused SPA and bitmap: the SPA's reason stays", planPush,
+			loop(planIn{maskNNZ: 3, work: 80, width: 100, hashSmaller: true, maskHashSmaller: true}),
+			Route{Push: true, Acc: AccHash, HashMask: true, Reason: ReasonBudgetSPA}},
 	} {
 		if got := tc.plan(tc.in); got != tc.want {
 			t.Errorf("%s: route %+v, want %+v", tc.name, got, tc.want)
@@ -399,14 +420,13 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 
 	// Push: the frontier's products, not its entries and not nnz(A). Two
 	// frontier vertices with ten edges between them are one worker's at any
-	// thread count, so one SPA is made, where the clamp by frontier entries
-	// made two.
+	// thread count, where the clamp by frontier entries made two.
 	n := 4096
 	a := sprayCSR(rng, n, n, 5*n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	u := &Vec[int]{N: n, Ind: []int{3, 77}, Val: []int{1, 1}}
 	var rt Route
 	ResetKernelCounts()
-	if _, err := VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, VMask{}, Exec{Threads: 4, Route: &rt}); err != nil {
+	if _, err := vxmSemi(SemiGeneric, u, a, mul, add, VMask{}, Exec{Threads: 4, Route: &rt}, KernelDense); err != nil {
 		t.Fatal(err)
 	}
 	oneSPA := int64(n) * int64(unsafe.Sizeof(int(0))+1)
@@ -414,13 +434,24 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 		t.Errorf("a 2-vertex frontier at 4 threads: %d B of scratch on %d workers, want one %d B SPA on 1",
 			got, rt.Workers, oneSPA)
 	}
-	// ... and at a grain its products do cover, every frontier entry can have
-	// a worker.
-	if _, err := VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1}); err != nil {
+	// ... and at a grain its products do cover, each worker owns a quarter
+	// of the columns: the four SPAs add up to one.
+	rt = Route{}
+	if _, err := vxmSemi(SemiGeneric, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelDense); err != nil {
 		t.Fatal(err)
 	}
-	if got := ScratchBytes() - oneSPA; got != 2*oneSPA {
-		t.Errorf("the same frontier at grain 1: %d B of scratch, want two SPAs", got)
+	if got := ScratchBytes() - oneSPA; got != oneSPA || rt.Workers != 4 {
+		t.Errorf("the same frontier at grain 1: %d B of scratch on %d workers, want one SPA's on 4", got, rt.Workers)
+	}
+	// Unpinned, ten products take a table that one worker fills.
+	rt = Route{}
+	ResetKernelCounts()
+	if _, err := VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1, Route: &rt}); err != nil {
+		t.Fatal(err)
+	}
+	table := int64(hashCapacity(listedWork(a.Ptr, u.Ind, 0, math.MaxInt))) * slotBytes[int]()
+	if got := ScratchBytes(); got != table || rt.Workers != 1 || rt.Acc != AccHash {
+		t.Errorf("the same frontier unpinned: %d B of scratch on %d workers, route %+v; want a %d B table on 1", got, rt.Workers, rt, table)
 	}
 
 	// Pull under a mask that lists its rows: the listed rows' entries, however
@@ -540,6 +571,6 @@ func resolves[A, B, C any](semi Semi) [3]bool {
 	return [3]bool{
 		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi) != nil,
 		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](spmvLoops[:], semi) != nil,
-		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, []int, int, int) []int](vxmLoops[:], semi) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, int, int) int](vxmLoops[:], semi) != nil,
 	}
 }

@@ -94,11 +94,11 @@ func sortVecByIndex(v *Vec[bool]) {
 	}
 }
 
-// TestVxMReductionPaths checks that the parallel dense reduction and the
-// sequential sparse merge produce identical output: the same product is run
-// at thread counts that exercise single-SPA, dense-reduction and sparse-merge
-// combining, in both output-density regimes, against the pull kernel over
-// the transpose as an independent reference.
+// TestVxMReductionPaths checks that the push gives the same output however
+// its output columns are split: the same product is run at one, three and
+// eight column ranges, over narrow outputs (the SPA) and very wide ones (the
+// hash table, where the products are few), against the pull kernel over the
+// transpose as an independent reference.
 func TestVxMReductionPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	mul := func(x, a int) int { return x * a }
@@ -106,8 +106,8 @@ func TestVxMReductionPaths(t *testing.T) {
 	mulFlip := func(a, x int) int { return mul(x, a) }
 	for trial := 0; trial < 10; trial++ {
 		rows := 2 + rng.Intn(50)
-		// Alternate narrow outputs (dense reduction regime) and very wide
-		// ones (sparse merge regime).
+		// Alternate narrow outputs (the SPA's regime) and very wide ones
+		// (the table's).
 		cols := 2 + rng.Intn(30)
 		if trial%2 == 1 {
 			cols = 2000 + rng.Intn(3000)

@@ -345,7 +345,7 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 
 // orderPattern puts a dense accumulator's insertion pattern — the columns j
 // with stamp[j] == live — in ascending order, by sort or by reading the stamps
-// in column order as scanEmit decides, for the SpGEMM and push scaffolds both.
+// in column order as scanEmit decides.
 func orderPattern[S comparable](pattern []int, stamp []S, live S) {
 	if !scanEmit(len(pattern), len(stamp)) {
 		sort.Ints(pattern)

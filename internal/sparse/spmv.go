@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"unsafe"
 
 	"github.com/grblas/grb/internal/parallel"
@@ -76,7 +77,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 	if e.Threads > 1 {
 		cut = math.MaxInt
 	}
-	in := planIn{hint: hint, hasLoop: rows != nil, width: u.N, outDim: a.Rows,
+	in := planIn{hint: hint, hasLoop: rows != nil, width: u.N,
 		work:      gatherWork(a.Ptr, u.NNZ(), mask, cut),
 		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
 	threads := e.workers(in.work - u.NNZ())
@@ -264,46 +265,61 @@ func stitchVec[T any](n int, parts []run[T]) *Vec[T] {
 }
 
 // VxMSemiEx computes t = u ·(⊕,⊗) A (GraphBLAS vxm): t(j) = ⊕_i u(i) ⊗ A(i,j)
-// — the one push-style product. The stored entries of u are partitioned
-// across workers, each scatters its contributions into a private SPA of
-// width A.Cols, and the per-worker SPAs are then reduced with add
-// (reduceSpas). For a sparse frontier u this touches only the rows of A
-// selected by u.
+// — the one push-style product: it reads only the rows of A that u's stored
+// entries select, and accumulates their products in one of two structures
+// (planPush):
 //
-// The mask test happens inside the scatter loop, not at emit time: products
-// the mask rules out are never multiplied, never scattered and never reduced.
-// With a complemented visited mask (BFS) the pruned fraction grows every
-// level, which is where the push direction earns its keep.
+//   - dense: each worker owns a range of output columns, reads each frontier
+//     row's slice of it (a binary search, none when it owns them all),
+//     scatters into a SPA and mark that range wide and emits the range by
+//     scanning its marks into an exactly sized Ind/Val; stitchVec
+//     concatenates the ranges. The SPAs add up to one A.Cols wide.
+//   - hash: hashspa.go's table, sized from the products and filled by one
+//     worker — for products below A.Cols/hashCut in fewer bytes than the
+//     SPA, or where the budget refuses the SPA and the table is smaller.
 //
-// The scatter loop is the plug-in point (planPush): a family loop from
-// monokernels.go indexes the mask as a bitmap and runs direct arithmetic;
-// the closure loop evaluates mul/add behind vmaskLookup's O(1) predicate,
-// which is a hash table when building and probing one — nnz(m) inserts + one
-// probe per product of the frontier (listedWork) — is less than the bitmap.
+// Each column folds its products in frontier order, so the push gives the
+// pull's bits at every thread count, on any semiring.
 //
-// The per-worker SPA allocations are charged against the budget. The push
-// SPA has no sparse fallback of its own, so degradation under pressure is
-// thread halving (fewer concurrently-live SPAs); when even one SPA cannot be
-// charged the kernel aborts with ErrBudget — the grb layer then flips an
-// unpinned product to the pull kernel.
+// The mask is tested inside the scatter loop: products it rules out are
+// never multiplied or scattered, which is where a BFS push earns its keep.
+// A family loop from monokernels.go serves the SPA and reads the mask as a
+// bitmap; the closure loop — the table's always — reads vmaskLookup's
+// predicate, a hash table where building and probing one (nnz(m) inserts +
+// a probe a product) is less work than the bitmap.
+//
+// Both structures are charged to the budget; one that cannot be is
+// ErrBudget, on which the grb layer flips an unpinned product to the pull.
 func VxMSemiEx[X, A, Y any](semi Semi, _ Spec, u *Vec[X], a *CSR[A],
-	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (out *Vec[Y], err error) {
+	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec) (*Vec[Y], error) {
+	return vxmSemi(semi, u, a, mul, add, mask, e, KernelAuto)
+}
+
+// vxmSemi is VxMSemiEx with the accumulator pin the tests hold the two
+// structures to the same bits through.
+func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
+	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
 	pushCalls.Add(1)
-	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, []int, int, int) []int](vxmLoops[:], semi)
-	nu := u.NNZ()
-	// The frontier's products size the fork (each worker pays an a.Cols-wide
-	// SPA before its first one) and the patterns.
+	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) int](vxmLoops[:], semi)
 	products := listedWork(a.Ptr, u.Ind, 0, math.MaxInt)
 	var zero Y
-	spaBytes := int64(a.Cols) * int64(unsafe.Sizeof(zero)+1)
-	threads := degradeThreads(e, e.workers(products), spaBytes)
-	in := planIn{hasLoop: scatter != nil, outDim: a.Cols}
-	if mask.M != nil {
-		in.work = listedWork(a.Ptr, u.Ind, mask.M.NNZ(), a.Cols/hashCut)
-		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Cols, int64(threads)*spaBytes)
-	}
+	spaWidth := int64(unsafe.Sizeof(zero) + 1) // a value and a mark per column
+	spaBytes := int64(a.Cols) * spaWidth
+	hashBytes := int64(hashCapacity(products)) * slotBytes[Y]()
+	in := planIn{hint: hint, hasLoop: scatter != nil, work: products, width: a.Cols,
+		denseFits: e.Tx.Fits(spaBytes), hashSmaller: hashBytes < spaBytes}
 	rt := planPush(in)
+	if mask.M != nil {
+		// The mask rows weigh the bitmap beside the accumulator just picked.
+		beside := spaBytes
+		if rt.Acc == AccHash {
+			beside = hashBytes
+		}
+		in.maskNNZ = mask.M.NNZ()
+		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Cols, beside)
+		rt = planPush(in)
+	}
 	e.note(rt)
 	if rt.Reason.Budget() {
 		budgetDegrades.Add(1)
@@ -315,14 +331,14 @@ func VxMSemiEx[X, A, Y any](semi Semi, _ Spec, u *Vec[X], a *CSR[A],
 	} else {
 		closureFallbacks.Add(1)
 	}
-	if mask.M == nil && mask.Complement {
-		// Complemented nil mask admits nothing; MaskApplyV discards every
-		// candidate entry, so the scatter would be pure waste.
-		return NewVec[Y](a.Cols), nil
+	work := products
+	if rt.Acc == AccHash {
+		work = 0 // one worker fills the table
 	}
-	parts := parallel.Ranges(nu, threads)
-	nparts := len(parts) - 1
-	if nparts == 0 {
+	threads := e.workers(work)
+	if products == 0 || mask.M == nil && mask.Complement {
+		// Nothing to scatter, or a complemented nil mask, which admits
+		// nothing.
 		return NewVec[Y](a.Cols), nil
 	}
 	var bits []bool          // the family loops' mask form
@@ -332,9 +348,13 @@ func VxMSemiEx[X, A, Y any](semi Semi, _ Spec, u *Vec[X], a *CSR[A],
 	} else if mask.M != nil {
 		bits = vmaskBitmap(mask, a.Cols, e, spaSite)
 	}
-	spas := make([][]Y, nparts)
-	marks := make([][]bool, nparts)
-	patterns := make([][]int, nparts)
+	if rt.Acc == AccHash {
+		e.checkpoint()
+		e.mustCharge(siteVxMSpa, hashBytes)
+		return pushHash(u, a, admit, mul, add, products), nil
+	}
+	parts := parallel.Ranges(a.Cols, threads)
+	ranges := make([]run[Y], len(parts)-1)
 	family := rt.Family
 	parallel.Run(parts, threads, func(part, lo, hi int) {
 		if family {
@@ -343,115 +363,112 @@ func VxMSemiEx[X, A, Y any](semi Semi, _ Spec, u *Vec[X], a *CSR[A],
 			}
 		}
 		e.checkpoint()
-		e.mustCharge(spaSite, spaBytes)
-		spa := make([]Y, a.Cols)
-		mark := make([]bool, a.Cols)
-		scratchBytes.Add(spaBytes)
-		spas[part] = spa
-		marks[part] = mark
-		// A range emits at most one pattern entry per product and per column.
-		pattern := make([]int, 0, min(products, a.Cols))
+		e.mustCharge(spaSite, int64(hi-lo)*spaWidth)
+		spa := make([]Y, hi-lo)
+		mark := make([]bool, hi-lo)
+		scratchBytes.Add(int64(hi-lo) * spaWidth)
+		var n int
 		if family {
-			patterns[part] = scatter(u, a, bits, spa, mark, pattern, lo, hi)
-			return
+			var own []bool
+			if bits != nil {
+				own = bits[lo:hi]
+			}
+			n = scatter(u, a, own, spa, mark, lo, hi)
+		} else {
+			n = pushRows(u, a, admit, mul, add, spa, mark, lo, hi)
 		}
-		for k := lo; k < hi; k++ {
-			i := u.Ind[k]
-			uv := u.Val[k]
-			aInd, aVal := a.Row(i)
-			for t := range aInd {
-				j := aInd[t]
-				if admit != nil && !admit(j) {
-					continue
-				}
-				p := mul(uv, aVal[t])
-				if !mark[j] {
-					mark[j] = true
-					spa[j] = p
-					pattern = append(pattern, j)
-				} else {
-					spa[j] = add(spa[j], p)
-				}
+		ind, val := make([]int, 0, n), make([]Y, 0, n)
+		for j, ok := range mark {
+			if ok {
+				ind = append(ind, lo+j)
+				val = append(val, spa[j])
 			}
 		}
-		patterns[part] = pattern
+		ranges[part] = run[Y]{ind, val}
 	})
-	return reduceSpas(a.Cols, spas, marks, patterns, add), nil
+	return stitchVec(a.Cols, ranges), nil
 }
 
-// reduceSpas combines the push kernel's per-worker scatter SPAs into one
-// sorted vector, by one of two reductions that fold partitions in the same
-// ascending order and so produce identical outputs:
-//
-//   - dense (total emitted pattern at least cols/hashCut): output columns are
-//     range-partitioned across workers and each worker folds all SPAs over
-//     its own range, emitting in column order directly — the reduction
-//     parallelizes instead of serializing behind worker 0.
-//   - sparse: the classic sequential pattern merge into worker 0's SPA,
-//     which is cheap precisely because the patterns are small.
-func reduceSpas[Y any](cols int, spas [][]Y, marks [][]bool, patterns [][]int, add func(Y, Y) Y) *Vec[Y] {
-	nparts := len(spas)
-	totalPat := 0
-	for _, p := range patterns {
-		totalPat += len(p)
-	}
-	out := &Vec[Y]{N: cols}
-	if totalPat == 0 {
-		return out
-	}
-	if nparts > 1 && !belowCut(totalPat, cols) {
-		// Dense reduction: each worker owns a contiguous column range and
-		// folds every partition's SPA over it, in ascending partition order
-		// (the same fold order as the sequential merge below). Emission is
-		// in column order by construction, so no final sort is needed.
-		rparts := parallel.Ranges(cols, nparts)
-		ranges := make([]run[Y], len(rparts)-1)
-		parallel.Run(rparts, nparts, func(part, lo, hi int) {
-			n := min(hi-lo, totalPat)
-			ind, val := make([]int, 0, n), make([]Y, 0, n)
-			for j := lo; j < hi; j++ {
-				var acc Y
-				any := false
-				for p := 0; p < nparts; p++ {
-					if marks[p] == nil || !marks[p][j] {
-						continue
-					}
-					if !any {
-						acc = spas[p][j]
-						any = true
-					} else {
-						acc = add(acc, spas[p][j])
-					}
-				}
-				if any {
-					ind = append(ind, j)
-					val = append(val, acc)
-				}
+// pushRows is the push product's closure loop, in the family loops' shape
+// (monokernels.go), except that admit takes the column itself.
+func pushRows[X, A, Y any](u *Vec[X], a *CSR[A], admit func(int) bool, mul func(X, A) Y, add func(Y, Y) Y,
+	spa []Y, mark []bool, lo, hi int) int {
+	n := 0
+	for k, i := range u.Ind {
+		uv := u.Val[k]
+		aInd, aVal := a.rowIn(i, lo, hi)
+		for t, j := range aInd {
+			if admit != nil && !admit(j) {
+				continue
 			}
-			ranges[part] = run[Y]{ind, val}
-		})
-		return stitchVec(cols, ranges)
-	}
-	// Sparse reduction: merge worker SPAs into worker 0's.
-	spa0, mark0, pat0 := spas[0], marks[0], patterns[0]
-	for p := 1; p < nparts; p++ {
-		for _, j := range patterns[p] {
-			if !mark0[j] {
-				mark0[j] = true
-				spa0[j] = spas[p][j]
-				pat0 = append(pat0, j)
+			p := mul(uv, aVal[t])
+			if j -= lo; !mark[j] {
+				mark[j] = true
+				spa[j] = p
+				n++
 			} else {
-				spa0[j] = add(spa0[j], spas[p][j])
+				spa[j] = add(spa[j], p)
 			}
 		}
 	}
-	// The merged pattern is this call's own scratch: in column order, it is
-	// the output's index array.
-	orderPattern(pat0, mark0, true)
-	out.Ind = pat0
-	out.Val = make([]Y, len(pat0))
-	for k, j := range pat0 {
-		out.Val[k] = spa0[j]
+	return n
+}
+
+// pushHash is the push product over a hash table sized for its products:
+// the closure loop's fold into hashAccum's slots, then the columns it
+// reached, in the order it reached them, sorted with their values.
+func pushHash[X, A, Y any](u *Vec[X], a *CSR[A], admit func(int) bool, mul func(X, A) Y, add func(Y, Y) Y,
+	products int) *Vec[Y] {
+	var h hashAccum[Y]
+	h.ensure(products)
+	ind := make([]int, 0, min(products, a.Cols))
+	for k, i := range u.Ind {
+		uv := u.Val[k]
+		aInd, aVal := a.Row(i)
+		for t, j := range aInd {
+			if admit != nil && !admit(j) {
+				continue
+			}
+			p := mul(uv, aVal[t])
+			if s := h.slot(j); h.keys[s] == -1 {
+				h.keys[s] = j
+				h.vals[s] = p
+				ind = append(ind, j)
+			} else {
+				h.vals[s] = add(h.vals[s], p)
+			}
+		}
+	}
+	out := &Vec[Y]{N: a.Cols, Ind: ind[:len(ind):len(ind)], Val: make([]Y, len(ind))}
+	for k, j := range ind {
+		out.Val[k] = h.vals[h.slot(j)]
+	}
+	if !slices.IsSorted(ind) { // as one frontier row leaves them
+		radixSort(out.Ind, out.Val, h.keys, h.vals, a.Cols) // the spent table is the buffer
 	}
 	return out
+}
+
+// radixSort sorts the pairs (ind, val) by index, every index below width, a
+// byte a pass from the lowest, through buffers ib and vb at least as long:
+// each pass moves every pair twice, where pdqsort compares it log₂ n times.
+func radixSort[Y any](ind []int, val []Y, ib []int, vb []Y, width int) {
+	src, sv, dst, dv := ind, val, ib[:len(ind)], vb[:len(ind)]
+	for shift := 0; (width-1)>>shift > 0; shift += 8 {
+		var start [257]int
+		for _, j := range src {
+			start[(j>>shift)&255+1]++
+		}
+		for d := 1; d < 257; d++ {
+			start[d] += start[d-1]
+		}
+		for k, j := range src {
+			d := (j >> shift) & 255
+			dst[start[d]], dv[start[d]] = j, sv[k]
+			start[d]++
+		}
+		src, sv, dst, dv = dst, dv, src, sv
+	}
+	copy(ind, src) // onto itself after an even number of passes
+	copy(val, sv)
 }

@@ -39,9 +39,9 @@ func prefixVector(t *testing.T, rng *rand.Rand, n, count int, opts ...ObjOption)
 // and the masked write-back issued as three calls, == on pattern and values:
 // w full, one entry short of full and empty; pinned push and pinned pull;
 // with and without a mask; u a separate vector or w itself (SSSP's call);
-// threads 1, 2 and 4; sizes on both sides of the kernel's block. (min, +) is
-// exactly associative, so push agrees too; the accumulator is not
-// commutative, so a swapped operand order shows.
+// threads 1, 2 and 4; sizes on both sides of the kernel's block. The push
+// folds each column in frontier order, so it agrees too; the accumulator is
+// not commutative, so a swapped operand order shows.
 func TestMatVecAccumulatorInKernel(t *testing.T) {
 	setMode(t, NonBlocking)
 	rng := rand.New(rand.NewSource(dirSeed(t)))
@@ -156,21 +156,23 @@ func TestVectorMaskIsBudgeted(t *testing.T) {
 		ck(w.Wait(Materialize))
 		return w, ctx.MemoryPeak() - base
 	}
-	const spa = 2 * n // one worker's bool SPA: a value and a mark per column
+	// The accumulator: the two frontier vertices' four products fill a
+	// 16-slot table of an index and a bool each.
+	const table = 16 * 9
 
 	// 300 entries: the hash predicate's 1 024 slots are no smaller than the
-	// bitmap, which is charged beside the SPA.
+	// bitmap, which is charged beside the table.
 	roomy := ck1(NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(1<<20)))
 	want, _ := run(free, 300)
 	got, peak := run(roomy, 300)
 	sameVector(t, "bitmap mask", got, want)
-	if peak != spa+n {
-		t.Fatalf("push under a bitmap mask peaked at %d charged bytes, want %d (SPA) + %d (bitmap)", peak, spa, n)
+	if peak != table+n {
+		t.Fatalf("push under a bitmap mask peaked at %d charged bytes, want %d (table) + %d (bitmap)", peak, table, n)
 	}
 
-	// Four entries, room for the SPA but not for n more bytes: the 16-slot
+	// Four entries, room for the table but not for n more bytes: the 16-slot
 	// hash predicate serves, and the refusal is a counted degradation.
-	tight := ck1(NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(spa+n-1)))
+	tight := ck1(NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(table+n-1)))
 	want, _ = run(free, 4)
 	ResetKernelCounts()
 	got, peak = run(tight, 4)
@@ -178,8 +180,8 @@ func TestVectorMaskIsBudgeted(t *testing.T) {
 	if degrades, _ := HardeningCounts(); degrades != 1 {
 		t.Fatalf("a refused mask bitmap counted %d degradations, want 1", degrades)
 	}
-	if peak != spa+16*9 {
-		t.Fatalf("push under a refused bitmap peaked at %d charged bytes, want %d (SPA) + %d (16-slot table)", peak, spa, 16*9)
+	if peak != table+16*9 {
+		t.Fatalf("push under a refused bitmap peaked at %d charged bytes, want %d (table) + %d (16-slot predicate)", peak, table, 16*9)
 	}
 	if used := tight.MemoryUsed(); used != 0 {
 		t.Fatalf("budget leak: %d bytes still reserved after the drain", used)

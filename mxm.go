@@ -96,10 +96,10 @@ func VxM[DC, DA, DB any](w *Vector[DC], mask *Vector[bool], accum BinaryOp[DC, D
 //
 // Direction-optimizing dispatch: the transpose cache makes the other
 // orientation free to obtain after the first materialization, and both
-// kernels fold products in ascending input order, so for a given thread
-// count they agree bit-identically whenever the monoid is associative on
-// the data. Every family loop has a commutative multiply, so the argument
-// swap is transparent to the specialized loops.
+// kernels fold each output's products in ascending input order at every
+// thread count, so they agree bit-identically on any semiring. Every family
+// loop has a commutative multiply, so the argument swap is transparent to
+// the specialized loops.
 func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 	semi sparse.Semi, add func(DC, DC) DC, mulPush func(DV, DM) DC, mulPull func(DM, DV) DC,
 	a *Matrix[DM], u *Vector[DV], pushT bool) error {
