@@ -19,7 +19,11 @@ func mapMatrix[DC, DA any](op string, c *Matrix[DC], mask *Matrix[bool],
 	}
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
-		return kernel(maybeTranspose(acsr, t0), e), nil
+		in, err := maybeTranspose(acsr, t0, e)
+		if err != nil {
+			return nil, err
+		}
+		return kernel(in, e), nil
 	})
 }
 

@@ -23,8 +23,12 @@ func MatrixAssign[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, 
 		return errf(DimensionMismatch, "MatrixAssign: source is %dx%d but region is %dx%d", ar, ac, nr, nc)
 	}
 	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(acsr.Rows, acsr.Cols, acsr.NNZ())
-	return c.submit(&f, cOld, yieldsZ, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
-		return sparse.AssignM(cOld, maybeTranspose(acsr, t0), ri, cj, accum)
+	return c.submit(&f, cOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
+		A, err := maybeTranspose(acsr, t0, e)
+		if err != nil {
+			return nil, err
+		}
+		return sparse.AssignM(cOld, A, ri, cj, accum)
 	})
 }
 

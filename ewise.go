@@ -46,7 +46,15 @@ func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], a
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(bcsr.Rows, bcsr.Cols, bcsr.NNZ()).
 		WithFlops(int64(acsr.NNZ() + bcsr.NNZ()))
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
-		return kernel(maybeTranspose(acsr, d.Transpose0), maybeTranspose(bcsr, d.Transpose1), e), nil
+		A, err := maybeTranspose(acsr, d.Transpose0, e)
+		if err != nil {
+			return nil, err
+		}
+		B, err := maybeTranspose(bcsr, d.Transpose1, e)
+		if err != nil {
+			return nil, err
+		}
+		return kernel(A, B, e), nil
 	})
 }
 

@@ -28,7 +28,11 @@ func MatrixExtract[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T,
 	}
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(er, ec, 0)
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
-		return sparse.ExtractM(maybeTranspose(acsr, t0), ri, cj, e)
+		A, err := maybeTranspose(acsr, t0, e)
+		if err != nil {
+			return nil, err
+		}
+		return sparse.ExtractM(A, ri, cj, e)
 	})
 }
 
@@ -78,7 +82,11 @@ func ColExtract[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T]
 		return errf(DimensionMismatch, "ColExtract: output has size %d but extraction has size %d", wOld.N, en)
 	}
 	f.ev.A(acsr.Rows, acsr.Cols, acsr.NNZ()).B(en, 1, 0)
-	return w.submit(&f, wOld, yieldsT, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
-		return sparse.ExtractColV(maybeTranspose(acsr, t0), ri, j)
+	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
+		A, err := maybeTranspose(acsr, t0, e)
+		if err != nil {
+			return nil, err
+		}
+		return sparse.ExtractColV(A, ri, j)
 	})
 }

@@ -80,7 +80,7 @@ const (
 	KCPushCalls                // matrix-vector products served by the push kernel
 	KCPullCalls                // matrix-vector products served by the pull kernel
 	KCTransposeMats            // transpose materializations (cache misses)
-	KCBudgetDegrades           // budget-forced route changes (hash fallback, thread halving, uncached transpose)
+	KCBudgetDegrades           // budget-forced route changes (hash accumulator, hash mask predicate, push→pull flip)
 	KCPanicsRecovered          // kernel panics recovered into parked §V errors
 	KCMonoKernels              // multiply calls served by a monomorphized semiring kernel
 	KCClosureFallbacks         // multiply calls that fell back to the generic closure kernel

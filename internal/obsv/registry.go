@@ -37,8 +37,8 @@ type OpMetrics struct {
 	PullCalls     int64 `json:"pull_calls,omitempty"`
 	TransposeMats int64 `json:"transpose_mats,omitempty"`
 	Steps         int64 `json:"steps,omitempty"`
-	// Hardening telemetry: budget-forced route changes (hash fallback,
-	// thread halving, uncached transpose) and kernel panics recovered into
+	// Hardening telemetry: budget-forced route changes (hash accumulator,
+	// hash mask predicate, push→pull flip) and kernel panics recovered into
 	// parked §V errors, attributed to the op whose drain triggered them.
 	BudgetDegrades  int64 `json:"budget_degrades,omitempty"`
 	PanicsRecovered int64 `json:"panics_recovered,omitempty"`

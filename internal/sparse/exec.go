@@ -233,17 +233,6 @@ func (tx *BudgetTx) Fits(n int64) bool {
 	return tx.b.used.Load()+n <= tx.b.limit
 }
 
-// Limited reports whether a finite budget is attached.
-func (tx *BudgetTx) Limited() bool { return tx != nil }
-
-// Held returns the transaction's live transient reservation.
-func (tx *BudgetTx) Held() int64 {
-	if tx == nil {
-		return 0
-	}
-	return tx.held.Load()
-}
-
 // Close releases every transient reservation back to the budget.
 func (tx *BudgetTx) Close() {
 	if tx == nil {
@@ -442,26 +431,4 @@ func hashCapacity(n int) int {
 		c <<= 1
 	}
 	return c
-}
-
-// degradeThreads halves the worker count until the per-worker scratch fits
-// the budget (or one worker remains), counting one degradation if any halving
-// happened. Fewer workers means fewer concurrently-live accumulators, which
-// is the first and cheapest pressure valve: it costs wall time, never
-// correctness.
-func degradeThreads(e Exec, threads int, perWorkerBytes int64) int {
-	if e.Tx == nil || threads <= 1 {
-		return threads
-	}
-	orig := threads
-	for threads > 1 && !e.Tx.Fits(int64(threads)*perWorkerBytes) {
-		threads = (threads + 1) / 2
-	}
-	if threads != orig {
-		budgetDegrades.Add(1)
-		if e.Route != nil {
-			e.Route.Workers = threads
-		}
-	}
-	return threads
 }

@@ -356,8 +356,8 @@ func TestPlan(t *testing.T) {
 }
 
 // TestWorkers is the fork rule as a table — clamp(work/grain, 1, threads),
-// the zero grain meaning DefaultGrain — with the budget's thread halving on
-// top of it, and what an observing caller reads back.
+// the zero grain meaning DefaultGrain — and what an observing caller reads
+// back.
 func TestWorkers(t *testing.T) {
 	t.Parallel()
 	const g = DefaultGrain
@@ -399,16 +399,6 @@ func TestWorkers(t *testing.T) {
 		t.Errorf("after sections of 3 and 1 workers the route reads %+v, want %+v", rt, want)
 	}
 
-	// Budget-degraded: four workers' scratch does not fit, two workers' does;
-	// the report follows the halving.
-	degradesBefore, _ := HardeningCounts()
-	e.Tx = NewBudget(250).Tx()
-	if got := degradeThreads(e, e.workers(1000), 100); got != 2 || rt.Workers != 2 {
-		t.Errorf("4 workers x 100 B under a 250 B budget degraded to %d (reported %d), want 2", got, rt.Workers)
-	}
-	if degrades, _ := HardeningCounts(); degrades != degradesBefore+1 {
-		t.Errorf("the halving counted %d degrades, want 1", degrades-degradesBefore)
-	}
 }
 
 // TestForkIsSizedByCountedWork pins what each scaffold counts as its work, on

@@ -51,10 +51,9 @@ import (
 //
 // The execution environment is threaded through every allocation and range
 // boundary, and the cancellation hook is also polled every pollFlops flops
-// inside a range, so a deadline interrupts a one-range product. Degradation
-// order under memory pressure: halve workers (fewer concurrently-live
-// accumulators), then prefer the hash SPA over the dense one per range when
-// the dense workspace no longer fits, and only when even the cheapest route
+// inside a range, so a deadline interrupts a one-range product. Under memory
+// pressure a range whose dense workspace no longer fits takes the hash SPA
+// when that is smaller (planRange's budget row), and only when even that
 // cannot be charged does it return ErrBudget. A panic anywhere inside —
 // worker goroutines included — comes back as an error, not a crash.
 func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
@@ -87,21 +86,6 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 	threads := e.workers(fptr[a.Rows])            // the products the ranges will form
 	slot := slotBytes[C]()
 	denseBytes := int64(b.Cols) * slot
-	if e.Tx != nil && threads > 1 {
-		// Per-worker scratch lower bound: whichever accumulator is cheaper for
-		// the heaviest row (the hash table is sized from it).
-		maxRow := 0
-		for i := 0; i < a.Rows; i++ {
-			if f := fptr[i+1] - fptr[i]; f > maxRow {
-				maxRow = f
-			}
-		}
-		per := denseBytes
-		if hb := int64(hashCapacity(maxRow)) * slot; hb < per {
-			per = hb
-		}
-		threads = degradeThreads(e, threads, per)
-	}
 	out = NewCSR[C](a.Rows, b.Cols)
 	parts := parallel.BalancedRanges(a.Rows, threads, fptr)
 	nparts := len(parts) - 1

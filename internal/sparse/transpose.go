@@ -28,13 +28,15 @@ func TransposeCached[T any](a *CSR[T]) *CSR[T] {
 	return t
 }
 
-// TransposeCachedEx is the hardened form of TransposeCached. The cached view
-// outlives the operation that built it, so its memory is charged persistently
-// against the budget (never released by the op's transaction); when that
-// charge does not fit, the function counts a degradation and returns
-// ErrBudget WITHOUT building anything — the caller's cue to skip caching
-// (build transiently with TransposeEx) or flip to the orientation it already
-// has.
+// TransposeCachedEx is the hardened form of TransposeCached, and the one door
+// every budgeted operation reaches Aᵀ through. The cached view outlives the
+// operation that built it, so its memory is charged persistently against the
+// budget (never released by the op's transaction, only by freeing the
+// context); when that charge does not fit it returns ErrBudget WITHOUT
+// building anything. A refusal is not itself a route change, so it counts no
+// degradation: the caller either parks OutOfMemory or, for an auto-routed
+// matrix-vector push, flips to the orientation it already has and counts
+// that.
 func TransposeCachedEx[T any](a *CSR[T], e Exec) (*CSR[T], error) {
 	if t := a.tr.Load(); t != nil {
 		return t, nil
@@ -48,7 +50,6 @@ func TransposeCachedEx[T any](a *CSR[T], e Exec) (*CSR[T], error) {
 		return nil, err
 	}
 	if !e.Tx.ReservePersistent(transposeBytes(a)) {
-		budgetDegrades.Add(1)
 		return nil, ErrBudget
 	}
 	t, err := transposeGuarded(a)
@@ -58,16 +59,6 @@ func TransposeCachedEx[T any](a *CSR[T], e Exec) (*CSR[T], error) {
 	t.tr.Store(a)
 	a.tr.Store(t)
 	return t, nil
-}
-
-// TransposeEx materializes Aᵀ transiently under the execution environment:
-// the result is charged to the operation's transaction (released when the op
-// completes) and NOT cached on the input — the degraded no-cache route.
-func TransposeEx[T any](a *CSR[T], e Exec) (*CSR[T], error) {
-	if err := e.charge(siteTranspose, transposeBytes(a)); err != nil {
-		return nil, err
-	}
-	return transposeGuarded(a)
 }
 
 // transposeBytes is the budget cost of materializing Aᵀ: the output's index,

@@ -35,11 +35,11 @@ func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, D
 	// The kernel applies the mask itself, mask-first or at emit time.
 	y := kernelMasked(yieldsT, accum != nil, mk.M != nil, d.Replace, cOld.NNZ())
 	return c.submit(&f, cOld, y, accum, func(e sparse.Exec) (*sparse.CSR[DC], error) {
-		A, err := maybeTransposeEx(acsr, d.Transpose0, e)
+		A, err := maybeTranspose(acsr, d.Transpose0, e)
 		if err != nil {
 			return nil, err
 		}
-		B, err := maybeTransposeEx(bcsr, d.Transpose1, e)
+		B, err := maybeTranspose(bcsr, d.Transpose1, e)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 		var err error
 		if push {
 			var R *sparse.CSR[DM]
-			R, err = maybeTransposeEx(acsr, pushT, e)
+			R, err = maybeTranspose(acsr, pushT, e)
 			if err == nil {
 				mul := mulPush
 				if mul == nil {
@@ -162,16 +162,17 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 			}
 			// Budget degradation: the push route's scatter SPA (or the
 			// transpose it rides on) did not fit, but nothing pinned push —
-			// retry through the pull gather, which can run with a
-			// frontier-sized hash gather.
+			// release what the push reserved and retry through the pull
+			// gather, which can run with a frontier-sized hash gather.
 			if err != nil && errors.Is(err, sparse.ErrBudget) && d.Dir == DirAuto {
+				e.Close()
 				sparse.NoteBudgetDegrade()
 				push, why, err = false, sparse.ReasonBudgetPush, nil
 			}
 		}
 		if !push && err == nil {
 			var G *sparse.CSR[DM]
-			G, err = maybeTransposeEx(acsr, !pushT, e)
+			G, err = maybeTranspose(acsr, !pushT, e)
 			if err == nil {
 				mul := mulPull
 				if mul == nil {

@@ -153,9 +153,10 @@ func BlockKernelCounts() (ops, tasks int64) { return 0, 0 }
 
 // HardeningCounts reports the execution-hardening telemetry since the last
 // ResetKernelCounts: degrades is the number of budget-forced route changes
-// (dense→hash accumulator fallback, thread halving, skipped transpose
-// caching, push→pull flips), panics the number of kernel panics recovered
-// into parked execution errors (§V) instead of crashing the process.
+// (a hash accumulator or gather for a dense one, a hash mask predicate for
+// the bitmap, push→pull flips; a refusal that changes no route counts
+// nothing), panics the number of kernel panics recovered into parked
+// execution errors (§V) instead of crashing the process.
 func HardeningCounts() (degrades, panics int64) { return sparse.HardeningCounts() }
 
 // ResetKernelCounts zeroes the selection, scratch, direction-routing,

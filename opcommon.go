@@ -1,8 +1,6 @@
 package grb
 
 import (
-	"errors"
-
 	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/sparse"
 )
@@ -145,34 +143,19 @@ func checkMaskDimsV(mk *sparse.Vec[bool], n int) error {
 	return nil
 }
 
-// maybeTranspose returns a (possibly) transposed view of a snapshot. The
-// transposed view is memoized on the snapshot (sparse.TransposeCached), so
-// repeated operations with a Transpose descriptor flag on an unmodified
-// matrix materialize the transpose exactly once; mutations install a fresh
-// snapshot with an empty cache, which is the only invalidation needed.
-func maybeTranspose[T any](m *sparse.CSR[T], t bool) *sparse.CSR[T] {
-	if t {
-		return sparse.TransposeCached(m)
-	}
-	return m
-}
-
-// maybeTransposeEx is the hardened variant of maybeTranspose. The cached
-// transpose holds memory for the snapshot's lifetime, so under a memory
-// budget it is the first luxury dropped: when the persistent reservation
-// does not fit, the transpose is rebuilt transiently instead (charged to the
-// operation and released with its transaction), trading repeat work for
-// residency. Only if even the transient build does not fit does ErrBudget
-// reach the caller.
-func maybeTransposeEx[T any](m *sparse.CSR[T], t bool, e sparse.Exec) (*sparse.CSR[T], error) {
+// maybeTranspose returns a (possibly) transposed view of a snapshot: the
+// one way an operation's kernel reaches an operand's transpose. The view is
+// memoized on the snapshot and charged persistently to the operation's
+// budget (sparse.TransposeCachedEx), so repeated operations with a Transpose
+// descriptor flag on an unmodified matrix materialize and charge it exactly
+// once; mutations install a fresh snapshot with an empty cache, which is the
+// only invalidation needed. A budget that refuses the charge is ErrBudget,
+// which parks OutOfMemory unless the caller has another route.
+func maybeTranspose[T any](m *sparse.CSR[T], t bool, e sparse.Exec) (*sparse.CSR[T], error) {
 	if !t {
 		return m, nil
 	}
-	tt, err := sparse.TransposeCachedEx(m, e)
-	if errors.Is(err, sparse.ErrBudget) {
-		return sparse.TransposeEx(m, e)
-	}
-	return tt, err
+	return sparse.TransposeCachedEx(m, e)
 }
 
 // AsMask converts a numeric matrix into a boolean mask matrix: each stored
