@@ -35,8 +35,13 @@ type Descriptor struct {
 	// with Structure.
 	Complement bool
 	// Transpose0 transposes the first matrix input (GrB_INP0 = GrB_TRAN).
+	// Under a memory limit the transpose, cached on the input's snapshot,
+	// stays charged until the context is freed, even once the input
+	// changes: run a loop that transposes an input it changes in a context
+	// it frees each iteration.
 	Transpose0 bool
-	// Transpose1 transposes the second matrix input (GrB_INP1 = GrB_TRAN).
+	// Transpose1 transposes the second matrix input (GrB_INP1 = GrB_TRAN),
+	// cached and charged as Transpose0's.
 	Transpose1 bool
 	// Dir selects the matrix-vector traversal direction (extension; see
 	// Direction).

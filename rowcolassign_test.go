@@ -1,6 +1,10 @@
 package grb
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestRowAssign(t *testing.T) {
 	setMode(t, Blocking)
@@ -111,4 +115,142 @@ func TestRowColAssignConsistency(t *testing.T) {
 			t.Fatal("ColAssign != transpose∘RowAssign∘transpose")
 		}
 	}
+}
+
+// TestColAssignMatchesRowAssignOnTheTranspose: over random matrices, row
+// lists (repeats included), masks, descriptors and accumulators, ColAssign
+// on C equals RowAssign on Cᵀ transposed back — the route ColAssign took
+// before it assigned into the column in place — and, where the row list has
+// no repeats, a map oracle of GrB_Col_assign.
+func TestColAssignMatchesRowAssignOnTheTranspose(t *testing.T) {
+	setMode(t, Blocking)
+	rng := rand.New(rand.NewSource(7))
+	descs := []*Descriptor{nil, DescR, DescS, DescC, DescRS, DescRC, DescSC, DescRSC}
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := 1+rng.Intn(7), 1+rng.Intn(7)
+		c := ck1(NewMatrix[int](rows, cols))
+		for k := rng.Intn(rows * cols); k > 0; k-- {
+			ck(c.SetElement(rng.Intn(100), rng.Intn(rows), rng.Intn(cols)))
+		}
+		var ri []Index // All
+		if rng.Intn(2) == 0 {
+			ri = make([]Index, 1+rng.Intn(rows))
+			for k := range ri {
+				ri[k] = rng.Intn(rows)
+			}
+		}
+		n := rows
+		if ri != nil {
+			n = len(ri)
+		}
+		u := ck1(NewVector[int](n))
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			ck(u.SetElement(rng.Intn(100), rng.Intn(n)))
+		}
+		var mask *Vector[bool]
+		if rng.Intn(3) > 0 {
+			mask = ck1(NewVector[bool](rows))
+			for k := rng.Intn(rows + 1); k > 0; k-- {
+				ck(mask.SetElement(rng.Intn(2) == 0, rng.Intn(rows)))
+			}
+		}
+		var accum BinaryOp[int, int, int]
+		if rng.Intn(2) == 0 {
+			accum = Plus[int]
+		}
+		j, desc := rng.Intn(cols), descs[rng.Intn(len(descs))]
+
+		viaCol := ck1(c.Dup())
+		ck(ColAssign(viaCol, mask, accum, u, ri, j, desc))
+		ct := ck1(NewMatrix[int](cols, rows))
+		ck(Transpose(ct, nil, nil, c, nil))
+		ck(RowAssign(ct, mask, accum, u, j, ri, desc))
+		back := ck1(NewMatrix[int](rows, cols))
+		ck(Transpose(back, nil, nil, ct, nil))
+		ai, aj, ax := ck3(viaCol.ExtractTuples())
+		bi, bj, bx := ck3(back.ExtractTuples())
+		if !slices.Equal(ai, bi) || !slices.Equal(aj, bj) || !slices.Equal(ax, bx) {
+			t.Fatalf("trial %d: %dx%d, j=%d, rows %v, desc %+v: ColAssign gave %v %v %v, RowAssign on the transpose %v %v %v",
+				trial, rows, cols, j, ri, desc, ai, aj, ax, bi, bj, bx)
+		}
+		sorted := slices.Clone(ri)
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) != len(ri) {
+			continue
+		}
+		want, outside := colAssignOracle(t, c, mask, accum, u, ri, j, desc), 0
+		for k := range ai {
+			if aj[k] != j {
+				if x, ok := ck2(c.ExtractElement(ai[k], aj[k])); !ok || x != ax[k] {
+					t.Fatalf("trial %d: C(%d,%d) = %d outside column %d, was %d, %v", trial, ai[k], aj[k], ax[k], j, x, ok)
+				}
+				outside++
+				continue
+			}
+			if x, ok := want[ai[k]]; !ok || x != ax[k] {
+				t.Fatalf("trial %d: C(%d,%d) = %d, oracle %v", trial, ai[k], j, ax[k], want)
+			}
+			delete(want, ai[k])
+		}
+		_, cjs, _ := ck3(c.ExtractTuples())
+		before := len(cjs) - len(slices.DeleteFunc(cjs, func(cj Index) bool { return cj != j }))
+		if len(want) != 0 || outside != before {
+			t.Fatalf("trial %d: column %d lacks oracle entries %v; %d entries outside it, were %d", trial, j, want, outside, before)
+		}
+	}
+}
+
+// colAssignOracle is column j of C after GrB_Col_assign(C, mask, accum, u,
+// ri, j, desc), for a row list without repeats, from maps.
+func colAssignOracle(t *testing.T, c *Matrix[int], mask *Vector[bool], accum BinaryOp[int, int, int],
+	u *Vector[int], ri []Index, j Index, desc *Descriptor) map[Index]int {
+	t.Helper()
+	rows := ck1(c.Nrows())
+	old, z := map[Index]int{}, map[Index]int{}
+	for r := 0; r < rows; r++ {
+		if x, ok := ck2(c.ExtractElement(r, j)); ok {
+			old[r], z[r] = x, x
+		}
+	}
+	for k := 0; k < ck1(u.Size()); k++ {
+		r := k
+		if ri != nil {
+			r = ri[k]
+		}
+		x, ok := ck2(u.ExtractElement(k))
+		switch o, had := old[r]; {
+		case ok && had && accum != nil:
+			z[r] = accum(o, x)
+		case ok:
+			z[r] = x
+		case accum == nil:
+			delete(z, r)
+		}
+	}
+	d := desc
+	if d == nil {
+		d = &Descriptor{}
+	}
+	out := map[Index]int{}
+	for r := 0; r < rows; r++ {
+		admit := mask == nil
+		if mask != nil {
+			m, ok := ck2(mask.ExtractElement(r))
+			admit = ok && (m || d.Structure)
+		}
+		if d.Complement {
+			admit = !admit
+		}
+		src := z
+		if !admit {
+			if d.Replace {
+				continue
+			}
+			src = old
+		}
+		if x, ok := src[r]; ok {
+			out[r] = x
+		}
+	}
+	return out
 }
