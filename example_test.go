@@ -2,6 +2,8 @@ package grb_test
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	grb "github.com/grblas/grb"
 )
@@ -152,16 +154,149 @@ func ExampleVector_Wait() {
 	// Output: 7
 }
 
-// ExampleNewContext bounds an operation's parallelism with a nested
-// execution context (§IV, Fig. 2 of the paper).
+// ExampleNewContext is Fig. 2 of the paper (§IV): a nested context whose
+// thread budget is clamped by its parent's, constructors that take a
+// context, the rule that an operation's objects share a context (nested
+// contexts count as shared, sibling ones do not), and SwitchContext moving
+// an object over so that the operation is accepted.
 func ExampleNewContext() {
 	ensureExample()
-	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(2)))
-	a := ck1(grb.NewMatrix[int](2, 2, grb.InContext(ctx)))
+	outer := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(4)))
+	inner := ck1(grb.NewContext(grb.NonBlocking, outer, grb.WithThreads(16)))
+	other := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
+	fmt.Println("threads:", outer.Threads(), inner.Threads(), other.Threads())
+
+	a := ck1(grb.NewMatrix[int](2, 2, grb.InContext(inner)))
 	ck(a.Build([]grb.Index{0, 1}, []grb.Index{1, 0}, []int{1, 1}, nil))
-	c := ck1(grb.NewMatrix[int](2, 2, grb.InContext(ctx)))
-	ck(grb.MxM(c, nil, nil, grb.PlusTimes[int](), a, a, nil))
-	n := ck1(c.Nvals())
-	fmt.Println(n, ctx.Threads())
-	// Output: 2 2
+	b := ck1(a.Dup())
+	ck(b.SwitchContext(other))
+	c := ck1(grb.NewMatrix[int](2, 2, grb.InContext(outer)))
+	err := grb.MxM(c, nil, nil, grb.PlusTimes[int](), a, b, nil)
+	fmt.Println("sibling contexts:", grb.Code(err))
+
+	ck(b.SwitchContext(outer))
+	ck(grb.MxM(c, nil, nil, grb.PlusTimes[int](), a, b, nil))
+	fmt.Println("after SwitchContext:", ck1(c.Nvals()))
+	// Output:
+	// threads: 4 4 1
+	// sibling contexts: GrB_INVALID_VALUE
+	// after SwitchContext: 2
+}
+
+// Example_figure1 is Fig. 1 of the paper (§III): thread 0 computes the
+// shared matrix Esh = A³, completes it with Wait(Complete) and release-stores
+// a flag; thread 1 acquire-loads the flag until it is set and only then
+// reads Esh. A is the cyclic shift, so Hres = A·Esh = A⁴ = I.
+func Example_figure1() {
+	ensureExample()
+	ctx := ck1(grb.NewContext(grb.NonBlocking, nil))
+	newMatrix := func() *grb.Matrix[int] { return ck1(grb.NewMatrix[int](4, 4, grb.InContext(ctx))) }
+	a := newMatrix()
+	ck(a.Build([]grb.Index{0, 1, 2, 3}, []grb.Index{1, 2, 3, 0}, []int{1, 1, 1, 1}, nil))
+	esh, hres := newMatrix(), newMatrix()
+	var flag atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // thread 0
+		defer wg.Done()
+		a2 := newMatrix()
+		ck(grb.MxM(a2, nil, nil, grb.PlusTimes[int](), a, a, nil))
+		ck(grb.MxM(esh, nil, nil, grb.PlusTimes[int](), a, a2, nil))
+		ck(esh.Wait(grb.Complete))
+		flag.Store(1) // release
+	}()
+	go func() { // thread 1
+		defer wg.Done()
+		for flag.Load() == 0 { // acquire
+		}
+		ck(grb.MxM(hres, nil, nil, grb.PlusTimes[int](), a, esh, nil))
+		ck(hres.Wait(grb.Complete))
+	}()
+	wg.Wait()
+	fmt.Println(hres)
+	// Output:
+	// Matrix 4x4, 4 entries
+	//   [ 1 . . . ]
+	//   [ . 1 . . ]
+	//   [ . . 1 . ]
+	//   [ . . . 1 ]
+}
+
+// Example_figure3 is Fig. 3 of the paper (§VIII): a weighted 7-vertex
+// digraph, select with the user-defined my_triu_gt at s = 0 (which keeps
+// what the predefined TriU keeps at s = 1, every weight being positive),
+// and apply with the predefined ColIndex at s = 1, which replaces every
+// stored value by its column index plus 1.
+func Example_figure3() {
+	ensureExample()
+	const n = 7
+	a := ck1(grb.NewMatrix[int32](n, n))
+	ck(a.Build(
+		[]grb.Index{0, 0, 1, 1, 2, 3, 3, 4, 5, 6, 6},
+		[]grb.Index{1, 3, 4, 6, 5, 0, 2, 5, 2, 2, 3},
+		[]int32{2, 3, 8, 1, 1, 3, 3, 1, 2, 5, 7}, nil))
+	fmt.Println(a)
+
+	// The paper's user-defined my_triu_gt: keep the entries strictly above
+	// the diagonal whose value exceeds s.
+	myTriuGT := func(v int32, row, col grb.Index, s int32) bool { return col > row && v > s }
+	op := ck1(grb.NewIndexUnaryOp(myTriuGT))
+	c := ck1(grb.NewMatrix[int32](n, n))
+	ck(grb.MatrixSelect(c, nil, nil, op, a, int32(0), nil))
+	fmt.Println(c)
+	u := ck1(grb.NewMatrix[int32](n, n))
+	ck(grb.MatrixSelect(u, nil, nil, grb.TriU[int32], a, 1, nil))
+	fmt.Println("same as TriU(1):", u.String() == c.String())
+
+	d := ck1(grb.NewMatrix[int](n, n))
+	ck(grb.MatrixApplyIndexOp(d, nil, nil, grb.ColIndex[int32], a, 1, nil))
+	fmt.Println(d)
+	// Output:
+	// Matrix 7x7, 11 entries
+	//   [ . 2 . 3 . . . ]
+	//   [ . . . . 8 . 1 ]
+	//   [ . . . . . 1 . ]
+	//   [ 3 . 3 . . . . ]
+	//   [ . . . . . 1 . ]
+	//   [ . . 2 . . . . ]
+	//   [ . . 5 7 . . . ]
+	// Matrix 7x7, 6 entries
+	//   [ . 2 . 3 . . . ]
+	//   [ . . . . 8 . 1 ]
+	//   [ . . . . . 1 . ]
+	//   [ . . . . . . . ]
+	//   [ . . . . . 1 . ]
+	//   [ . . . . . . . ]
+	//   [ . . . . . . . ]
+	// same as TriU(1): true
+	// Matrix 7x7, 11 entries
+	//   [ . 2 . 4 . . . ]
+	//   [ . . . . 5 . 7 ]
+	//   [ . . . . . 6 . ]
+	//   [ 1 . 3 . . . . ]
+	//   [ . . . . . 6 . ]
+	//   [ . . 3 . . . . ]
+	//   [ . . 3 4 . . . ]
+}
+
+// ExampleMatrix_MatrixExportInto is the §VII export flow of Table III: ask
+// for the array sizes in the hinted format, allocate them, export into
+// them, and import the arrays into a new matrix.
+func ExampleMatrix_MatrixExportInto() {
+	ensureExample()
+	a := ck1(grb.NewMatrix[float64](3, 3))
+	ck(a.Build([]grb.Index{0, 0, 2}, []grb.Index{1, 2, 0}, []float64{1.5, 2, -3}, nil))
+	format := ck1(a.MatrixExportHint())
+	np, ni, nv := ck3(a.MatrixExportSize(format))
+	indptr, indices, values := make([]grb.Index, np), make([]grb.Index, ni), make([]float64, nv)
+	ck(a.MatrixExportInto(format, indptr, indices, values))
+	fmt.Println(format, indptr, indices, values)
+	back := ck1(grb.MatrixImport(3, 3, indptr, indices, values, format))
+	fmt.Println(back)
+	// Output:
+	// GrB_CSR_MATRIX [0 2 2 3] [1 2 0] [1.5 2 -3]
+	// Matrix 3x3, 3 entries
+	//   [ . 1.5 2 ]
+	//   [ . . . ]
+	//   [ -3 . . ]
 }

@@ -1,5 +1,5 @@
 // Package gen provides deterministic graph and workload generators for the
-// GraphBLAS examples, tests and benchmark harness: Erdős–Rényi and
+// GraphBLAS tests, benchmarks and graph server: Erdős–Rényi and
 // RMAT/Kronecker random graphs (the synthetic stand-ins for the paper's
 // motivating graph workloads), plus regular topologies (grid, ring, path,
 // complete bipartite) whose algorithmic results are known in closed form.

@@ -46,8 +46,8 @@ var poolEntryPoints = map[string]map[string]bool{
 
 func run(pass *lint.Pass) error {
 	if pass.Pkg.Name() == "main" {
-		// Commands and examples run at process scope; a panic there is the
-		// process's own business.
+		// Commands run at process scope; a panic there is the process's own
+		// business.
 		return nil
 	}
 	for _, f := range pass.Files {

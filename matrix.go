@@ -15,7 +15,7 @@ import (
 // A Matrix is safe for the paper's thread-safety contract: independent
 // method calls from multiple goroutines are race-free. Sharing one matrix
 // across goroutines requires the completion + happens-before protocol of
-// §III (see Wait and the examples/multithread program).
+// §III (see Wait and Example_figure1).
 type Matrix[T any] struct {
 	sequence[T, *sparse.CSR[T], sparse.Tuple[T], matrixKind[T]]
 }

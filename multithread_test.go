@@ -6,63 +6,6 @@ import (
 	"testing"
 )
 
-// TestFig1Protocol reproduces Figure 1 of the paper as a test: thread 0
-// computes a shared matrix Esh and completes it; the threads synchronize
-// through a release-store/acquire-load flag; thread 1 then reads Esh. The
-// test asserts that the shared read observes exactly the completed value.
-func TestFig1Protocol(t *testing.T) {
-	setMode(t, NonBlocking)
-	a := mustMatrix(t, 4, 4,
-		[]Index{0, 1, 2, 3}, []Index{1, 2, 3, 0}, []int{1, 1, 1, 1}) // cyclic permutation
-	esh := ck1(NewMatrix[int](4, 4))
-	var flag atomic.Int32
-	var hres *Matrix[int]
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // thread 0
-		defer wg.Done()
-		c := ck1(NewMatrix[int](4, 4))
-		if err := MxM(c, nil, nil, PlusTimes[int](), a, a, nil); err != nil {
-			t.Error(err)
-			flag.Store(1)
-			return
-		}
-		if err := MxM(esh, nil, nil, PlusTimes[int](), a, c, nil); err != nil {
-			t.Error(err)
-			flag.Store(1)
-			return
-		}
-		if err := esh.Wait(Complete); err != nil {
-			t.Error(err)
-		}
-		flag.Store(1) // release
-	}()
-	go func() { // thread 1
-		defer wg.Done()
-		for flag.Load() == 0 { // acquire
-		}
-		hres = ck1(NewMatrix[int](4, 4))
-		if err := MxM(hres, nil, nil, PlusTimes[int](), a, esh, nil); err != nil {
-			t.Error(err)
-			return
-		}
-		if err := hres.Wait(Complete); err != nil {
-			t.Error(err)
-		}
-	}()
-	wg.Wait()
-	// A is the cyclic shift; Esh = A³, Hres = A⁴ = I.
-	for i := 0; i < 4; i++ {
-		if v, ok := ck2(hres.ExtractElement(i, i)); !ok || v != 1 {
-			t.Fatalf("Hres(%d,%d) = %d,%v — shared read saw wrong data", i, i, v, ok)
-		}
-	}
-	nv := ck1(hres.Nvals())
-	if nv != 4 {
-		t.Fatalf("Hres nvals = %d", nv)
-	}
-}
-
 // TestFig1ProtocolPendingReaderOutlivesReuse is Figure 1 with a write after
 // the shared read: thread 0 completes w and releases it; thread 1 acquires
 // w and leaves a pending operation that reads it, then releases; thread 0

@@ -47,30 +47,6 @@ func TestSmokeMxVAndVxM(t *testing.T) {
 	vectorEquals(t, x, []Index{0, 1, 2}, []float64{1, 6, 2})
 }
 
-func TestSmokeSelectApplyFigure3Style(t *testing.T) {
-	setMode(t, Blocking)
-	a := mustMatrix(t, 3, 3,
-		[]Index{0, 0, 1, 2, 2}, []Index{0, 2, 1, 0, 2}, []int{5, 7, 2, 9, 4})
-	// select strict upper triangle
-	c, err := NewMatrix[int](3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := MatrixSelect(c, nil, nil, TriU[int], a, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	matrixEquals(t, c, []Index{0}, []Index{2}, []int{7})
-	// apply colindex+1
-	d, err := NewMatrix[int](3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := MatrixApplyIndexOp(d, nil, nil, ColIndex[int], a, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	matrixEquals(t, d, []Index{0, 0, 1, 2, 2}, []Index{0, 2, 1, 0, 2}, []int{1, 3, 2, 1, 3})
-}
-
 func TestSmokeMaskAccumReplace(t *testing.T) {
 	setMode(t, Blocking)
 	c := mustVector(t, 4, []Index{0, 1, 2, 3}, []int{10, 20, 30, 40})
