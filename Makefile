@@ -77,12 +77,14 @@ lint:
 # does, BenchmarkForkGrainPair (2 s), the one the default grain does,
 # BenchmarkDirCutPair (7 s), the one the direction cuts do,
 # BenchmarkPushAccumPair (1 s), the push's table against its SPA, which
-# checks each arm's route and has no timing floor, and
+# checks each arm's route and has no timing floor, BenchmarkSelectCutPair
+# (0.7 s), the positional select's row cut against its closure, which checks
+# the two agree and has no timing floor either, and
 # BenchmarkQueryBodyPair (1 s), the one the query writer does.
 bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
-	$(GO) test ./internal/sparse -run '^$$' -bench 'ReduceFamilyPair|BinaryFamilyPair|PullAccumPair|MaskFirstProbePair|ForkGrainPair|DirCutPair|PushAccumPair' -benchtime 1x
+	$(GO) test ./internal/sparse -run '^$$' -bench 'ReduceFamilyPair|BinaryFamilyPair|PullAccumPair|MaskFirstProbePair|ForkGrainPair|DirCutPair|PushAccumPair|SelectCutPair' -benchtime 1x
 	$(GO) test ./serve -run '^$$' -bench QueryBodyPair -benchtime 1x
 
 # Invariant tier (CI calls it grbcheck): the concurrency-sensitive suites

@@ -41,11 +41,12 @@ func ColIndex[D any](_ D, _, col Index, s int) int { return col + s }
 // plus s (GrB_DIAGINDEX). Matrices only.
 func DiagIndex[D any](_ D, row, col Index, s int) int { return col - row + s }
 
-// TriL keeps elements on or below diagonal s: col <= row + s (GrB_TRIL).
-func TriL[D any](_ D, row, col Index, s int) bool { return col <= row+s }
+// TriL keeps elements on or below diagonal s: col - row <= s (GrB_TRIL).
+// The difference is bounded by the dimensions, where row + s could wrap.
+func TriL[D any](_ D, row, col Index, s int) bool { return col-row <= s }
 
-// TriU keeps elements on or above diagonal s: col >= row + s (GrB_TRIU).
-func TriU[D any](_ D, row, col Index, s int) bool { return col >= row+s }
+// TriU keeps elements on or above diagonal s: col - row >= s (GrB_TRIU).
+func TriU[D any](_ D, row, col Index, s int) bool { return col-row >= s }
 
 // Diag keeps elements exactly on diagonal s (GrB_DIAG).
 func Diag[D any](_ D, row, col Index, s int) bool { return col-row == s }

@@ -1,6 +1,10 @@
 package sparse
 
-import "github.com/grblas/grb/internal/parallel"
+import (
+	"sort"
+
+	"github.com/grblas/grb/internal/parallel"
+)
 
 // ApplyM computes T(i,j) = f(A(i,j)) for every stored entry: pattern is
 // preserved, values are mapped, in parallel once there are entries enough.
@@ -57,6 +61,95 @@ func SelectM[A, S any](a *CSR[A], f func(A, int, int, S) bool, s S, e Exec) *CSR
 			}
 			return ind, val
 		})
+}
+
+// Cut tags the Table IV positional select operators, which the grb layer
+// recognises by code identity and hands to SelectCutM in place of the
+// function. On a sorted row each keeps one contiguous piece of the entries,
+// or all but one such piece.
+type Cut int
+
+const (
+	CutNone    Cut = iota // an unrecognised operator: SelectM calls it per entry
+	CutTriL               // col − row ≤ s: a prefix
+	CutTriU               // col − row ≥ s: a suffix
+	CutDiag               // col − row = s: at most one entry
+	CutOffdiag            // col − row ≠ s: all but at most one entry
+	CutRowLE              // row ≤ s: the whole row or nothing
+	CutRowGT              // row > s: the whole row or nothing
+	CutColLE              // col ≤ s: a prefix
+	CutColGT              // col > s: a suffix
+)
+
+// below returns how many of a row's sorted columns ind have col − off < d;
+// below(ind, off+1, d) counts col − off ≤ d. It forms off + d only when that
+// is at most the last column, and off ≥ 0, so no d overflows.
+func below(ind []int, off, d int) int {
+	if len(ind) == 0 || d > ind[len(ind)-1]-off {
+		return len(ind)
+	}
+	return sort.SearchInts(ind, off+d)
+}
+
+// keep returns the entries of row i (columns ind) that c keeps at s:
+// [k0, k1) and [k2, len(ind)).
+func (c Cut) keep(ind []int, i, s int) (k0, k1, k2 int) {
+	n := len(ind)
+	switch c {
+	case CutTriL:
+		return 0, below(ind, i+1, s), n
+	case CutTriU:
+		return 0, 0, below(ind, i, s)
+	case CutDiag:
+		return below(ind, i, s), below(ind, i+1, s), n
+	case CutOffdiag:
+		return 0, below(ind, i, s), below(ind, i+1, s)
+	case CutColLE:
+		return 0, below(ind, 1, s), n
+	case CutColGT:
+		return 0, 0, below(ind, 1, s)
+	}
+	if (c == CutRowLE) == (i <= s) { // CutRowLE or CutRowGT: all or nothing
+		return 0, 0, 0
+	}
+	return 0, 0, n
+}
+
+// SelectCutM is SelectM for a positional operator c ≠ CutNone: one pass
+// finds each row's pieces by binary search and writes their length into
+// Ptr, a prefix sum places the rows, and a second pass copies the pieces
+// once into exact-size arrays. No operator is called and no entry tested.
+func SelectCutM[A any](a *CSR[A], c Cut, s int, e Exec) *CSR[A] {
+	out := NewCSR[A](a.Rows, a.Cols)
+	w := e.workers(a.NNZ())
+	parallel.For(a.Rows, w, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ind, _ := a.Row(i)
+			k0, k1, k2 := c.keep(ind, i, s)
+			out.Ptr[i+1] = k1 - k0 + len(ind) - k2
+		}
+	})
+	for i := range a.Rows {
+		out.Ptr[i+1] += out.Ptr[i]
+	}
+	out.Ind, out.Val = make([]int, out.Ptr[a.Rows]), make([]A, out.Ptr[a.Rows])
+	parallel.For(a.Rows, w, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ind, val := a.Row(i)
+			k0, k1, k2 := c.keep(ind, i, s)
+			at := out.Ptr[i]
+			if k1 > k0 {
+				copy(out.Val[at:], val[k0:k1])
+				at += copy(out.Ind[at:], ind[k0:k1])
+			}
+			if k2 < len(ind) {
+				copy(out.Ind[at:], ind[k2:])
+				copy(out.Val[at:], val[k2:])
+			}
+		}
+	})
+	DebugCheckCSR(out, "SelectCutM")
+	return out
 }
 
 // ApplyV computes t(i) = f(u(i)) for every stored entry of a vector. The

@@ -851,6 +851,34 @@ func maskFirstSwitch[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, add fu
 	return out
 }
 
+// BenchmarkSelectCutPair is the measurement the select cuts stand on: the
+// triangle count's L = tril(A, −1) over rmat-14, once as the row cut
+// (SelectCutM) and once through SelectM with TriL as a closure, same
+// operand, bit-identical outputs, arms interleaved on one thread, best round
+// per arm. It reports closure/cut and has no timing floor. `make bench` and
+// `make bench-smoke` run it; tier-1 does not.
+func BenchmarkSelectCutPair(b *testing.B) {
+	const passes = 4 // selects per timed round
+	g := gen.Graph500RMAT(14, 16, 42).Symmetrize()
+	a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, make([]bool, len(g.Src)), func(x, _ bool) bool { return x })
+	if err != nil {
+		b.Fatal(err)
+	}
+	tril := func(_ bool, i, j, s int) bool { return j-i <= s }
+	var got, want *CSR[bool]
+	cut, closure := bestRounds(b, passes,
+		func() error {
+			got = SelectCutM(a, CutTriL, -1, Exec{Threads: 1})
+			return nil
+		},
+		func() error {
+			want = SelectM(a, tril, -1, Exec{Threads: 1})
+			return nil
+		})
+	identicalCSR(b, "cut-vs-closure", got, want)
+	b.ReportMetric(float64(closure)/float64(cut), "closure/cut")
+}
+
 // BenchmarkMaskFirstProbePair is the measurement the mask-first probe stands
 // on: the triangle count's product C⟨L⟩ = L +.pair L over rmat-14's strict
 // lower triangle (18.8 M probes, 15 % admitted), once through SpGEMMSemiEx and

@@ -171,6 +171,34 @@ func binOf[A, B, C any](op BinaryOp[A, B, C]) sparse.Bin {
 	return binTags[reflect.ValueOf(op).Pointer()]
 }
 
+// selectTags maps the positional select operators MatrixSelect runs as row
+// cuts (sparse.SelectCutM), at bool and float64, by code identity as binTags
+// does. Each key is written out: inside generic code TriL[D] is a closure
+// over a dictionary, whose code is never TriL[bool]'s.
+var selectTags = map[uintptr]sparse.Cut{
+	reflect.ValueOf(TriL[bool]).Pointer():       sparse.CutTriL,
+	reflect.ValueOf(TriU[bool]).Pointer():       sparse.CutTriU,
+	reflect.ValueOf(Diag[bool]).Pointer():       sparse.CutDiag,
+	reflect.ValueOf(Offdiag[bool]).Pointer():    sparse.CutOffdiag,
+	reflect.ValueOf(RowLE[bool]).Pointer():      sparse.CutRowLE,
+	reflect.ValueOf(RowGT[bool]).Pointer():      sparse.CutRowGT,
+	reflect.ValueOf(ColLE[bool]).Pointer():      sparse.CutColLE,
+	reflect.ValueOf(ColGT[bool]).Pointer():      sparse.CutColGT,
+	reflect.ValueOf(TriL[float64]).Pointer():    sparse.CutTriL,
+	reflect.ValueOf(TriU[float64]).Pointer():    sparse.CutTriU,
+	reflect.ValueOf(Diag[float64]).Pointer():    sparse.CutDiag,
+	reflect.ValueOf(Offdiag[float64]).Pointer(): sparse.CutOffdiag,
+	reflect.ValueOf(RowLE[float64]).Pointer():   sparse.CutRowLE,
+	reflect.ValueOf(RowGT[float64]).Pointer():   sparse.CutRowGT,
+	reflect.ValueOf(ColLE[float64]).Pointer():   sparse.CutColLE,
+	reflect.ValueOf(ColGT[float64]).Pointer():   sparse.CutColGT,
+}
+
+// cutOf is op's tag: the positional instantiation it is, or CutNone.
+func cutOf[DA, DS any](op IndexUnaryOp[DA, DS, bool]) sparse.Cut {
+	return selectTags[reflect.ValueOf(op).Pointer()]
+}
+
 // Eq returns x == y (GrB_EQ).
 func Eq[T comparable](x, y T) bool { return x == y }
 

@@ -7,11 +7,20 @@ import "github.com/grblas/grb/internal/sparse"
 // mask". The boolean index operator decides per stored entry whether it is
 // kept (true) or annihilated (false). Predefined operators from Table IV —
 // TriL, TriU, Diag, Offdiag, RowLE/RowGT/ColLE/ColGT and the Value*
-// comparison family — cover the common cases.
+// comparison family — cover the common cases. TriL through ColGT at bool or
+// float64 run as row cuts that call no operator (selectTags); any other
+// operator, a wrapper around one of them included, is called per entry.
 func MatrixSelect[DA, DS any](c *Matrix[DA], mask *Matrix[bool], accum BinaryOp[DA, DA, DA],
 	op IndexUnaryOp[DA, DS, bool], a *Matrix[DA], s DS, desc *Descriptor) error {
 	if op == nil {
 		return errf(NullPointer, "MatrixSelect: nil operator")
+	}
+	if cut := cutOf(op); cut != sparse.CutNone {
+		si := any(s).(int) // every tagged operator takes an int s
+		return mapMatrix("MatrixSelect", c, mask, accum, a, desc,
+			func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DA] {
+				return sparse.SelectCutM(in, cut, si, e)
+			})
 	}
 	return mapMatrix("MatrixSelect", c, mask, accum, a, desc,
 		func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DA] {
