@@ -79,13 +79,16 @@ lint:
 # BenchmarkPushAccumPair (1 s), the push's table against its SPA, which
 # checks each arm's route and has no timing floor, BenchmarkSelectCutPair
 # (0.7 s), the positional select's row cut against its closure, which checks
-# the two agree and has no timing floor either, and
-# BenchmarkQueryBodyPair (1 s), the one the query writer does.
+# the two agree and has no timing floor either,
+# BenchmarkQueryBodyPair (1 s), the one the query writer does, and
+# BenchmarkAlgorithmBytes (2 s), the KB and allocations per call of BFS,
+# SSSP and PageRank on rmat-14: traverse-large's byte map, with no floor.
 bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 	$(GO) test ./internal/sparse -run '^$$' -bench 'ReduceFamilyPair|BinaryFamilyPair|PullAccumPair|MaskFirstProbePair|ForkGrainPair|DirCutPair|PushAccumPair|SelectCutPair' -benchtime 1x
 	$(GO) test ./serve -run '^$$' -bench QueryBodyPair -benchtime 1x
+	$(GO) test ./lagraph -run '^$$' -bench AlgorithmBytes -benchtime 1x
 
 # Invariant tier (CI calls it grbcheck): the concurrency-sensitive suites
 # with the grbcheck runtime validators compiled in — every CSR/Vec install

@@ -133,9 +133,10 @@ func VectorAssignScalar[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[
 		return err
 	}
 	f.ev.A(wOld.N, 1, wOld.NNZ())
-	if mk := f.mask.vector(); ci == nil && mk.M != nil && !mk.Complement {
-		// w⟨m⟩ = val over all of w: decided by w and m alone, without the
-		// full candidate the general path would build and discard.
+	if mk := f.mask.vector(); ci == nil && mk.M != nil {
+		// w⟨m⟩ = val over all of w, m complemented or not: decided by w and
+		// m alone, without the full candidate the general path would build
+		// and discard.
 		replace := f.d.Replace
 		return w.submit(&f, wOld, yieldsC, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
 			return sparse.AssignScalarMaskedV(wOld, val, accum, mk, replace), nil

@@ -177,21 +177,47 @@ func scalarRun[T any](val T, idx []int, n int) (run[T], error) {
 }
 
 // AssignScalarMaskedV computes w⟨m⟩ = w ⊙ val over all positions under a
-// non-nil, non-complemented mask in one pass — the fusion of
-// AssignScalarV(c, val, nil, accum) with MaskApplyV. The candidate of a
-// scalar assign to every position is full, so the result is decided by C
-// and the mask alone: a two-way merge of the two patterns, O(|C| + |mask|),
-// that never materializes the n-entry candidate. Admitted positions receive
-// val (folded into C's entry by accum when there is one); the others keep
-// C's entry unless replace is set.
+// non-nil mask in one pass — the fusion of AssignScalarV(c, val, nil, accum)
+// with MaskApplyV. The candidate of a scalar assign to every position is
+// full, so the result is decided by C and the mask alone, and the n-entry
+// candidate is never built: a two-way merge of the two patterns,
+// O(|C| + |mask|), or under a complement, which admits the positions
+// neither stores, one walk over all n. Admitted positions receive val
+// (folded into C's entry by accum when there is one); the others keep C's
+// entry unless replace is set. The output is allocated once, at
+// admits + min(|C|, rejects) (vmaskBounds).
 func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask, replace bool) *Vec[T] {
 	m := mask.M
-	bound := len(m.Ind)
+	bound, rejects := vmaskBounds(mask, c.N)
 	if !replace {
-		bound = min(bound+len(c.Ind), c.N)
+		bound = min(bound+min(len(c.Ind), rejects), c.N)
 	}
 	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
 	ci, mi := 0, 0
+	if mask.Complement {
+		for j := range c.N {
+			hasC, inM := ci < len(c.Ind) && c.Ind[ci] == j, mi < len(m.Ind) && m.Ind[mi] == j
+			switch {
+			case !inM || !(mask.Structural || m.Val[mi]):
+				v := val
+				if hasC && accum != nil {
+					v = accum(c.Val[ci], val)
+				}
+				out.Ind = append(out.Ind, j)
+				out.Val = append(out.Val, v)
+			case hasC && !replace:
+				out.Ind = append(out.Ind, j)
+				out.Val = append(out.Val, c.Val[ci])
+			}
+			if hasC {
+				ci++
+			}
+			if inM {
+				mi++
+			}
+		}
+		return out
+	}
 	for ci < len(c.Ind) || mi < len(m.Ind) {
 		switch {
 		case mi >= len(m.Ind) || (ci < len(c.Ind) && c.Ind[ci] < m.Ind[mi]):

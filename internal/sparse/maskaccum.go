@@ -184,7 +184,9 @@ func vmaskBounds(mask VMask, n int) (admits, rejects int) {
 // MaskApplyV is the vector analogue of MaskApplyM. The output is allocated
 // once at min(|Z|, admits) + min(|C|, rejects) — the second term only
 // without replace, under which no entry of C survives and C is not even
-// read — and not at all when that bound is 0.
+// read — and not at all when that bound is 0. A valued mask's bound counts
+// every position it does not store as admitted or rejected, so under one the
+// output is counted first and allocated at exactly its size.
 func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	if mask.M == nil && !mask.Complement {
 		return z
@@ -200,6 +202,21 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	if !replace {
 		bound = min(bound+min(len(c.Ind), rejects), c.N)
 	}
+	if bound > 0 && !mask.Structural {
+		// |Z ∩ admitted| + |C ∩ rejected|, from the entries each selects.
+		zSel, cSel := selected(z.Ind, mask.M), 0
+		if !replace {
+			cSel = selected(c.Ind, mask.M)
+		}
+		switch {
+		case mask.Complement:
+			bound = len(z.Ind) - zSel + cSel
+		case replace:
+			bound = zSel
+		default:
+			bound = zSel + len(c.Ind) - cSel
+		}
+	}
 	if bound == 0 {
 		return NewVec[T](c.N)
 	}
@@ -210,6 +227,18 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	ind, val := makeRun[T](bound)
 	ind, val = maskRun(ind, val, old, z.run(), mask.M.run(), mask.Structural, mask.Complement)
 	return &Vec[T]{N: c.N, Ind: ind, Val: val}
+}
+
+// selected counts the positions of ind, sorted, at which the valued mask m
+// stores true.
+func selected(ind []int, m *Vec[bool]) int {
+	n, k := 0, 0
+	for _, j := range ind {
+		if maskTest(m.Ind, m.Val, false, j, &k) {
+			n++
+		}
+	}
+	return n
 }
 
 // installStitched assembles per-partition row buffers, in ascending range

@@ -233,16 +233,12 @@ func listedWork(ptr, rows []int, base, cut int) int {
 
 // rowBufs returns the (index, value) output buffers of a loop that emits at
 // most one entry per non-empty admitted row of [lo, hi), ptr being the
-// matrix's row pointers (nil: every row is non-empty) and admits a bound on
-// the rows admitted in all: they are sized to min(rows, stored entries) of
-// the range and admits — so a hypersparse matrix or a sliver of a mask stays
-// small — and the loop never grows them; admits 0 starts them empty.
+// matrix's row pointers and admits a bound on the rows admitted in all: they
+// are sized to min(rows, stored entries) of the range and admits — so a
+// hypersparse matrix or a sliver of a mask stays small — and the loop never
+// grows them; admits 0 starts them empty.
 func rowBufs[T any](ptr []int, admits, lo, hi int) ([]int, []T) {
-	n := min(hi-lo, admits)
-	if ptr != nil {
-		n = min(n, ptr[hi]-ptr[lo])
-	}
-	return make([]int, 0, n), make([]T, 0, n)
+	return makeRun[T](min(hi-lo, admits, ptr[hi]-ptr[lo]))
 }
 
 // stitchVec assembles per-partition runs — each in ascending index order,

@@ -144,7 +144,13 @@ func ReduceRows[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
 	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
 	sums := make([]run[T], len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
 	parallel.Run(parts, len(parts)-1, func(part, lo, hi int) {
-		ind, val := rowBufs[T](a.Ptr, a.Rows, lo, hi)
+		rows := 0 // the range's non-empty rows: its output, exactly
+		for i := lo; i < hi; i++ {
+			if a.Ptr[i+1] > a.Ptr[i] {
+				rows++
+			}
+		}
+		ind, val := makeRun[T](rows)
 		for i := lo; i < hi; i++ {
 			if _, rv := a.Row(i); len(rv) > 0 {
 				ind, val = append(ind, i), append(val, fold(rv, sum, add))

@@ -261,7 +261,7 @@ func TestVecWriteBackOracle(t *testing.T) {
 						tag := fmt.Sprintf("%s/replace=%v/accum=%s", describeMask(mask), replace, op.name)
 						z := AccumMergeV(a, b, op.f)
 						check("write-back/"+tag, MaskApplyV(a, z, mask, replace), refWriteBack(n, am, bm, op.f, mask, replace))
-						if mask.M == nil || mask.Complement {
+						if mask.M == nil {
 							continue
 						}
 						// Fused masked scalar assign: T is the all-7 full vector.
@@ -363,10 +363,42 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		t.Fatal("the accumulated product does not share c's index array")
 	}
 
+	exact := func(what string, v *Vec[float64], want int) {
+		t.Helper()
+		if v.NNZ() != want || cap(v.Ind) != want || cap(v.Val) != want {
+			t.Errorf("%s: %d entries in capacity %d/%d, want exactly %d", what, v.NNZ(), cap(v.Ind), cap(v.Val), want)
+		}
+	}
+	// Every third position: send's pattern in PageRank, complemented by deg's.
+	third := &Vec[float64]{N: n}
 	present := make([]bool, n)
 	for i := 0; i < n; i += 3 {
 		present[i] = true
+		third.Ind, third.Val = append(third.Ind, i), append(third.Val, rng.Float64())
 	}
+	thirdMask := &Vec[bool]{N: n, Ind: third.Ind, Val: make([]bool, len(third.Ind))}
+	for k := range thirdMask.Val {
+		thirdMask.Val[k] = k%2 == 0
+	}
+	pin("complemented fused scalar assign (one Ind and one Val)", 16*n+256, func() {
+		sink = AssignScalarMaskedV(third, 0, nil, VMask{M: thirdMask, Structural: true, Complement: true}, false)
+	})
+	exact("complemented fused scalar assign", sink, n)
+	pin("MaskApplyV under a valued complement (counted: one Ind and one Val)", 16*n+256, func() {
+		sink = MaskApplyV(v, u, VMask{M: thirdMask, Complement: true}, true)
+	})
+	exact("MaskApplyV under a valued complement", sink, n-(len(third.Ind)+1)/2)
+	// Two entries in each stored row, so that the entries do not bound the rows.
+	next := make([]int, len(third.Ind))
+	for k, i := range third.Ind {
+		next[k] = (i + 1) % n
+	}
+	b, err := BuildCSR(n, n, append(third.Ind, third.Ind...), append(next, third.Ind...), append(third.Val, third.Val...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact("ReduceRows, one worker, a third of the rows stored", ReduceRows(MonPlus, b, plus, Exec{Threads: 1}), len(third.Ind))
+
 	// Each rounds up to a whole 8 KB page; growing by append cost twice this.
 	pin("GatherVec (Ind and Val, each allocated once at the count)", 16*((n+2)/3)+2*8192+256, func() {
 		sink = GatherVec(u.Val, present)

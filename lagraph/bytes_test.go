@@ -1,0 +1,75 @@
+package lagraph
+
+import (
+	"runtime"
+	"testing"
+
+	grb "github.com/grblas/grb"
+	"github.com/grblas/grb/gen"
+)
+
+// BenchmarkAlgorithmBytes reports the bytes and allocations of one call of
+// each traversal the traverse-large workload runs — BFSLevels, SSSP and a
+// 10-iteration PageRank with tol 0 — on the symmetrized rmat-14 graph with
+// that workload's weights, in a one-thread context. It has no floor: it is
+// the per-algorithm byte map, reproducible with
+//
+//	go test ./lagraph -run '^$' -bench AlgorithmBytes -benchtime 5x
+func BenchmarkAlgorithmBytes(b *testing.B) {
+	initLib(b)
+	g := gen.Graph500RMAT(14, 8, 42).Symmetrize()
+	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
+	pat := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.BoolWeights(g), grb.LOr, grb.InContext(ctx)))
+	wgt := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), grb.Plus[float64], grb.InContext(ctx)))
+	for _, alg := range []struct {
+		name string
+		run  func()
+	}{
+		{"BFS", func() { ck(ck1(BFSLevels(pat, 1)).Free()) }},
+		{"SSSP", func() { ck(ck1(SSSP(wgt, 1)).Free()) }},
+		{"PageRank", func() { ck(ck1(PageRank(wgt, 0.85, 0, 10)).Ranks.Free()) }},
+	} {
+		alg.run() // the transposes are cached on the shared snapshots
+		b.Run(alg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range b.N {
+				alg.run()
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(b.N), "KB/op")
+		})
+	}
+}
+
+// TestPageRankAllocatesNoIterationVector: from the first iteration on, the
+// loop writes every full vector into the storage it supersedes, so
+// iterations 2 and 3 together allocate less than one n-entry float64 array.
+// Were rnew a Dup of r, which pins r's storage, iteration 2 would allocate
+// one afresh. The graph is rmat-14: what an iteration does allocate, the
+// pull's 16 KB block buffer above all, is half a vector at rmat-12 and
+// would fill the margin on its own.
+func TestPageRankAllocatesNoIterationVector(t *testing.T) {
+	initLib(t)
+	g := gen.Graph500RMAT(14, 8, 5).Symmetrize()
+	a := weighted(t, g, gen.UnitWeights[float64](g))
+	bytes := func(iters int) uint64 {
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ck(ck1(PageRank(a, 0.85, 0, iters)).Ranks.Free())
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	bytes(1) // the transpose cache
+	one, three := bytes(1), bytes(3)
+	vector := uint64(g.N * 8)
+	t.Logf("n = %d: %d bytes at maxIter 1, %d at maxIter 3 (%.2f vectors more)", g.N, one, three, float64(three-one)/float64(vector))
+	if three >= one+vector {
+		t.Errorf("iterations 2 and 3 allocate %d bytes, want below one n-entry float64 array (%d)", three-one, vector)
+	}
+}

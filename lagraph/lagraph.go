@@ -114,10 +114,6 @@ func BFSLevelsDir(a *grb.Matrix[bool], src grb.Index, dir grb.Direction) (*grb.V
 	if err != nil {
 		return nil, err
 	}
-	visited, err := grb.NewVector[bool](n, opt)
-	if err != nil {
-		return nil, err
-	}
 	frontier, err := grb.NewVector[bool](n, opt)
 	if err != nil {
 		return nil, err
@@ -137,8 +133,10 @@ func BFSLevelsDir(a *grb.Matrix[bool], src grb.Index, dir grb.Direction) (*grb.V
 		if err := grb.VectorAssignScalar(levels, frontier, nil, depth, grb.All, grb.DescS); err != nil {
 			return nil, err
 		}
-		// visited⟨frontier,structure⟩ = true
-		if err := grb.VectorAssignScalar(visited, frontier, nil, true, grb.All, grb.DescS); err != nil {
+		// The vertices levels stores are the visited ones, so its structure
+		// is the mask.
+		visited, err := grb.AsVectorMaskFunc(levels, func(int) bool { return true })
+		if err != nil {
 			return nil, err
 		}
 		// frontier⟨¬visited,structure,replace⟩ = frontier ∨.∧ A
@@ -320,10 +318,15 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 		return nil, err
 	}
 	// Every intermediate is wholly overwritten each iteration, so the loop
-	// reuses five objects; rnew starts as r so that the scalar assign below
-	// keeps sharing r's full pattern.
-	rnew, err := r.Dup()
+	// reuses five objects. rnew starts as a copy of r's values over r's own
+	// full pattern: the scalar assign below keeps sharing that pattern and
+	// writes into rnew's array. A Dup would share r's array and pin it, and
+	// the first two iterations would each allocate a fresh one.
+	rnew, err := grb.NewVector[float64](n, opt)
 	if err != nil {
+		return nil, err
+	}
+	if err := grb.VectorApply(rnew, nil, nil, grb.Identity[float64], r, nil); err != nil {
 		return nil, err
 	}
 	w, err := grb.NewVector[float64](n, opt)

@@ -8,7 +8,7 @@ import (
 	"github.com/grblas/grb/gen"
 )
 
-func initLib(t *testing.T) {
+func initLib(t testing.TB) {
 	t.Helper()
 	_ = grb.Finalize() //grblint:ignore infocheck -- reset idiom: "not initialized" is expected
 	if err := grb.Init(grb.NonBlocking); err != nil {
