@@ -24,8 +24,7 @@ fmt:
 # internal/sparse (the dense-vs-hash differential kernel harness, which runs
 # both accumulators across worker counts), internal/parallel,
 # internal/obsv (concurrent emit into every sink), serve, lagraph
-# (TriangleCount, KTruss, ClusteringCoefficient: the masked-SpGEMM consumers)
-# and mtx (the reader hands out views into a buffer it reuses).
+# (TriangleCount, the masked-SpGEMM consumer) and mtx (the reader hands out views into a buffer it reuses).
 race:
 	$(GO) test -race . ./internal/sparse ./internal/parallel ./internal/obsv ./serve ./lagraph ./mtx
 

@@ -10,6 +10,8 @@ package grb_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,7 +135,7 @@ func BenchmarkFig2_ContextThreads(b *testing.B) {
 	benchInit(b)
 	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			ctx, err := grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(threads), grb.WithChunk(1))
+			ctx, err := grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(threads), grb.WithTestChunk(1))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -655,6 +657,175 @@ func TestBFSParentsLegacyAgreesWithNative(t *testing.T) {
 	}
 }
 
+// ssspFullRounds is lagraph.SSSP as it stood before the frontier: every round
+// multiplies all of d and the loop stops at the first round that changes
+// nothing, pattern and values compared with != — the oracle the frontier
+// form must match bit for bit, and in whether it converges.
+func ssspFullRounds(a *grb.Matrix[float64], src int) (*grb.Vector[float64], error) {
+	n, err := a.Nrows()
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := a.Context()
+	if err != nil {
+		return nil, err
+	}
+	d, err := grb.NewVector[float64](n, grb.InContext(ctx))
+	if err != nil {
+		return nil, err
+	}
+	if err := d.SetElement(0, src); err != nil {
+		return nil, err
+	}
+	for iter := 0; iter <= n; iter++ {
+		prev, err := d.Dup()
+		if err != nil {
+			return nil, err
+		}
+		if err := grb.VxM(d, nil, grb.Min[float64], grb.MinPlus[float64](), d, a, nil); err != nil {
+			return nil, err
+		}
+		pi, px := ck2(prev.ExtractTuples())
+		di, dx := ck2(d.ExtractTuples())
+		same := len(pi) == len(di)
+		for k := 0; same && k < len(pi); k++ {
+			same = pi[k] == di[k] && px[k] == dx[k]
+		}
+		if same {
+			return d, nil
+		}
+	}
+	return nil, &grb.Error{Info: grb.InvalidValue, Msg: "no convergence"}
+}
+
+// ssspWeighted builds the weighted adjacency matrix of g.
+func ssspWeighted(g gen.Graph, w []float64) *grb.Matrix[float64] {
+	a := ck1(grb.NewMatrix[float64](g.N, g.N))
+	if g.NumEdges() > 0 {
+		ck(a.Build(g.Src, g.Dst, w, grb.Plus[float64]))
+	}
+	return a
+}
+
+// sameSSSP runs lagraph.SSSP and the full-round oracle from src and fails
+// unless both converge to the same pattern and the same bits, or both report
+// InvalidValue.
+func sameSSSP(t *testing.T, name string, a *grb.Matrix[float64], src int) *grb.Vector[float64] {
+	t.Helper()
+	got, gerr := lagraph.SSSP(a, src)
+	want, werr := ssspFullRounds(a, src)
+	if werr != nil || gerr != nil {
+		if grb.Code(werr) != grb.InvalidValue || grb.Code(gerr) != grb.InvalidValue {
+			t.Fatalf("%s src %d: frontier error %v, full rounds %v", name, src, gerr, werr)
+		}
+		return nil
+	}
+	gi, gx := ck2(got.ExtractTuples())
+	wi, wx := ck2(want.ExtractTuples())
+	if len(gi) != len(wi) {
+		t.Fatalf("%s src %d: frontier reached %d vertices, full rounds %d", name, src, len(gi), len(wi))
+	}
+	for k := range gi {
+		if gi[k] != wi[k] || math.Float64bits(gx[k]) != math.Float64bits(wx[k]) {
+			t.Fatalf("%s src %d: d(%d) = %v (%#x), full rounds d(%d) = %v (%#x)", name, src,
+				gi[k], gx[k], math.Float64bits(gx[k]), wi[k], wx[k], math.Float64bits(wx[k]))
+		}
+	}
+	return got
+}
+
+// TestSSSPFrontierMatchesFullRounds holds lagraph.SSSP's frontier iteration
+// to the full-round Bellman-Ford it replaced, through math.Float64bits, at
+// one, two and four threads (chunk 1, so the products do fork), on generated
+// graphs with zero weights, with negative weights but no negative cycle
+// (integer weights w(i,j) + p(i) - p(j), exact in float64, cycle sums those of
+// w ≥ 0), and with +Inf weights — where a vertex reached only through a +Inf
+// edge keeps a stored +Inf.
+func TestSSSPFrontierMatchesFullRounds(t *testing.T) {
+	initNonblocking(t)
+	rng := rand.New(rand.NewSource(26))
+	type battery struct {
+		name string
+		g    gen.Graph
+		w    []float64
+	}
+	var graphs []battery
+	for trial := 0; trial < 4; trial++ {
+		g := gen.ErdosRenyi(40+rng.Intn(60), 150+rng.Intn(300), rng.Int63())
+		zero, neg, inf := make([]float64, g.NumEdges()), make([]float64, g.NumEdges()), make([]float64, g.NumEdges())
+		p := make([]float64, g.N)
+		for i := range p {
+			p[i] = float64(rng.Intn(21))
+		}
+		for k := range g.Src {
+			zero[k] = float64(rng.Intn(3)) // a third of the edges weigh 0
+			neg[k] = float64(rng.Intn(10)) + p[g.Src[k]] - p[g.Dst[k]]
+			inf[k] = neg[k]
+			if rng.Intn(8) == 0 {
+				inf[k] = math.Inf(1)
+			}
+		}
+		graphs = append(graphs, battery{"zero", g, zero}, battery{"negative", g, neg}, battery{"+Inf", g, inf})
+	}
+	rmat := gen.Graph500RMAT(7, 8, 1).Symmetrize()
+	graphs = append(graphs, battery{"rmat-7", rmat, gen.UniformWeights(rmat, 1, 2, 7)})
+	// Vertex n-1 hangs off source 0 by a +Inf edge alone.
+	lone := gen.Graph{N: 6, Src: []int{0, 0, 1, 2, 3, 0}, Dst: []int{1, 2, 3, 3, 4, 5}}
+	graphs = append(graphs, battery{"+Inf only", lone, []float64{1, 0, -1, 2, 0.5, math.Inf(1)}})
+
+	for _, threads := range []int{1, 2, 4} {
+		ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(threads), grb.WithTestChunk(1)))
+		for _, b := range graphs {
+			a := ck1(ssspWeighted(b.g, b.w).ViewInContext(ctx))
+			for _, src := range []int{0, b.g.N / 3, b.g.N - 1} {
+				sameSSSP(t, b.name, a, src)
+			}
+		}
+		d := sameSSSP(t, "+Inf only", ck1(ssspWeighted(lone, graphs[len(graphs)-1].w).ViewInContext(ctx)), 0)
+		if v, ok := ck2(d.ExtractElement(5)); !ok || !math.IsInf(v, 1) {
+			t.Fatalf("threads %d: the vertex behind the +Inf edge has d = %v, stored %v; want a stored +Inf", threads, v, ok)
+		}
+		ck(ctx.Free())
+	}
+}
+
+// TestSSSPNaN pins what a NaN does to lagraph.SSSP, as the full-round
+// iteration decided it: a NaN distance compares unequal to itself, so a run
+// that stores one never converges and reports InvalidValue — whether the NaN
+// comes from a NaN weight or from +Inf + -Inf, and whether or not the frontier
+// could empty around it (a NaN vertex with no way back to itself). A NaN
+// product that the fold order discards never becomes a distance, and the run
+// converges as before.
+func TestSSSPNaN(t *testing.T) {
+	initNonblocking(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name     string
+		g        gen.Graph
+		w        []float64
+		src      int
+		converge bool
+	}{
+		{"NaN weight into a sink", gen.Graph{N: 2, Src: []int{0}, Dst: []int{1}}, []float64{nan}, 0, false},
+		{"NaN weight on a cycle", gen.Graph{N: 3, Src: []int{0, 1, 2}, Dst: []int{1, 2, 0}}, []float64{1, nan, 1}, 0, false},
+		{"+Inf then -Inf", gen.Graph{N: 3, Src: []int{0, 1}, Dst: []int{1, 2}}, []float64{inf, -inf}, 0, false},
+		{"-Inf alone settles", gen.Graph{N: 3, Src: []int{0, 1}, Dst: []int{1, 2}}, []float64{-inf, 5}, 0, true},
+		// From 3: vertex 2 is reached at 10; then vertex 0's NaN product
+		// comes first in 2's fold and hides vertex 1's 2, every round.
+		{"a NaN product the fold discards", gen.Graph{N: 4, Src: []int{3, 3, 3, 0, 1}, Dst: []int{0, 1, 2, 2, 2}},
+			[]float64{1, 1, 10, nan, 1}, 3, true},
+	} {
+		a := ssspWeighted(tc.g, tc.w)
+		_, err := lagraph.SSSP(a, tc.src)
+		if converged := err == nil; converged != tc.converge {
+			t.Fatalf("%s: SSSP error %v, want converged = %v", tc.name, err, tc.converge)
+		}
+		if d := sameSSSP(t, tc.name, a, tc.src); tc.converge && d == nil {
+			t.Fatalf("%s: no distances", tc.name)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // §III thread safety — independent method calls from many goroutines.
 // ---------------------------------------------------------------------------
@@ -802,61 +973,6 @@ func BenchmarkAlgo_TriangleCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lagraph.TriangleCount(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlgo_ConnectedComponents(b *testing.B) {
-	benchInit(b)
-	a := benchBoolMatrix(b, benchScale-2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.ConnectedComponents(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlgo_BetweennessCentrality4Sources(b *testing.B) {
-	benchInit(b)
-	a := benchBoolMatrix(b, benchScale-4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.BetweennessCentrality(a, []grb.Index{0, 1, 2, 3}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlgo_ClusteringCoefficient(b *testing.B) {
-	benchInit(b)
-	a := benchBoolMatrix(b, benchScale-4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.ClusteringCoefficient(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlgo_KTruss4(b *testing.B) {
-	benchInit(b)
-	a := benchBoolMatrix(b, benchScale-4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.KTruss(a, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAlgo_MIS(b *testing.B) {
-	benchInit(b)
-	a := benchBoolMatrix(b, benchScale-2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lagraph.MIS(a, 42); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -303,7 +303,7 @@ func TestTwoThreadSpGEMMNearItsLimit(t *testing.T) {
 	}
 	ck(a.Wait(Materialize))
 	product := func(limit int64) (*Matrix[int64], *Context, error) {
-		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithMemoryLimit(limit)))
+		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithMemoryLimit(limit)))
 		va := ck1(a.ViewInContext(ctx))
 		c := ck1(NewMatrix[int64](n, n, InContext(ctx)))
 		return c, ctx, drained(c, MxM(c, nil, nil, PlusTimes[int64](), va, va, nil))

@@ -48,12 +48,12 @@ func (m Mode) String() string {
 //
 // The C API passes implementation-defined execution information through a
 // void* argument; the Go binding uses functional options (WithThreads,
-// WithChunk) instead.
+// WithMemoryLimit, ...) instead.
 type Context struct {
 	mode    Mode
 	parent  *Context
 	threads int // 0 = inherit from parent chain
-	chunk   int // minimum work per thread before parallelizing
+	chunk   int // minimum work per thread before parallelizing; 0 inherits, set only by tests
 	freed   bool
 	mu      sync.Mutex
 
@@ -76,17 +76,6 @@ type ContextOption func(*Context)
 // use. Zero means inherit the parent's budget.
 func WithThreads(n int) ContextOption {
 	return func(c *Context) { c.threads = n }
-}
-
-// WithChunk sets the minimum work per thread: a parallel section of a kernel
-// gets one worker per n units of the work it counts — stored entries read,
-// products formed — up to the thread budget, and below 2n runs on the calling
-// goroutine alone. Smaller values parallelize more eagerly; WithChunk(1)
-// forks wherever the budget allows. Zero inherits; the default, 131 072, is
-// where a second worker starts to pay on a two-core host
-// (BenchmarkForkGrainPair in internal/sparse measures it).
-func WithChunk(n int) ContextOption {
-	return func(c *Context) { c.chunk = n }
 }
 
 // WithMemoryLimit bounds the kernel scratch and result memory, in bytes,
@@ -330,9 +319,17 @@ func (c *Context) needsAbortProbe() bool {
 }
 
 // fork is what sizes an operation's parallel sections: the thread budget and
-// the chunk. The kernel, which counts the work, does the sizing.
+// the chunk, the nearest one set up the chain or else sparse.DefaultGrain.
+// The kernel, which counts the work, does the sizing.
 func (c *Context) fork() sparse.Exec {
-	return sparse.Exec{Threads: c.Threads(), Grain: c.Chunk()}
+	e := sparse.Exec{Threads: c.Threads(), Grain: sparse.DefaultGrain}
+	for p := c; p != nil; p = p.parent {
+		if p.chunk > 0 {
+			e.Grain = p.chunk
+			break
+		}
+	}
+	return e
 }
 
 // exec builds the hardened execution environment for one drained operation:
@@ -378,17 +375,6 @@ func (c *Context) Threads() int {
 		eff = runtime.GOMAXPROCS(0)
 	}
 	return eff
-}
-
-// Chunk returns the effective minimum work per thread (WithChunk): the
-// nearest explicitly set value up the chain, defaulting to 131 072.
-func (c *Context) Chunk() int {
-	for p := c; p != nil; p = p.parent {
-		if p.chunk > 0 {
-			return p.chunk
-		}
-	}
-	return sparse.DefaultGrain
 }
 
 // resolveCtx maps an object's context pointer (possibly nil) to the

@@ -91,23 +91,23 @@ func TestContextHierarchyThreads(t *testing.T) {
 	}
 }
 
-// TestContextChunk holds the chunk to what WithChunk documents, the minimum
+// TestContextChunk holds the chunk to what withChunk documents, the minimum
 // work per thread: a kernel gets one worker per chunk of the work it counts.
 // At chunk 100 a 199-entry reduction is one worker's (the rule this replaced,
 // work/chunk + 1, handed it to two and 1 000 entries to eleven), 200 entries
 // are two workers' and 1 000 all four's; the op event reports what ran.
 func TestContextChunk(t *testing.T) {
 	setMode(t, NonBlocking)
-	if top := ck1(GlobalContext()); top.Chunk() != 1<<17 {
-		t.Fatalf("default chunk = %d", top.Chunk())
+	if top := ck1(GlobalContext()); top.fork().Grain != 1<<17 {
+		t.Fatalf("default chunk = %d", top.fork().Grain)
 	}
-	c := ck1(NewContext(NonBlocking, nil, WithThreads(4), WithChunk(100)))
-	if c.Chunk() != 100 {
-		t.Fatalf("chunk = %d", c.Chunk())
+	c := ck1(NewContext(NonBlocking, nil, WithThreads(4), withChunk(100)))
+	if c.fork().Grain != 100 {
+		t.Fatalf("chunk = %d", c.fork().Grain)
 	}
 	child := ck1(NewContext(NonBlocking, c))
-	if child.Chunk() != 100 {
-		t.Fatalf("inherited chunk = %d", child.Chunk())
+	if child.fork().Grain != 100 {
+		t.Fatalf("inherited chunk = %d", child.fork().Grain)
 	}
 	nnzs := []int{0, 50, 199, 200, 250, 399, 1000}
 	want := []int{1, 1, 1, 2, 2, 3, 4}
@@ -124,6 +124,41 @@ func TestContextChunk(t *testing.T) {
 	})["MatrixReduce"]
 	if !slices.Equal(got, want) {
 		t.Fatalf("workers at chunk 100, 4 threads, for %v entries: %v, want %v", nnzs, got, want)
+	}
+}
+
+// TestChunkHookForks pins the hook every forced-fork battery stands on: at
+// chunk 1 and two threads, a 64-entry product — a sliver of the default
+// chunk — runs on two workers, where the same product at the default chunk
+// runs on one. A hook that stopped reaching fork would leave those batteries
+// running serially and passing.
+func TestChunkHookForks(t *testing.T) {
+	setMode(t, NonBlocking)
+	run := func(opts ...ContextOption) []int {
+		ctx := ck1(NewContext(NonBlocking, nil, append(opts, WithThreads(2))...))
+		defer func() { ck(ctx.Free()) }()
+		a := ck1(NewMatrix[float64](8, 8, InContext(ctx)))
+		var I, J []Index
+		var X []float64
+		for i := 0; i < 8; i++ {
+			for j := 0; j < 8; j++ {
+				I, J, X = append(I, i), append(J, j), append(X, 1)
+			}
+		}
+		ck(a.Build(I, J, X, nil))
+		u := ck1(NewVector[float64](8, InContext(ctx)))
+		ck(VectorAssignScalar(u, nil, nil, 1, All, nil))
+		w := ck1(NewVector[float64](8, InContext(ctx)))
+		return tracedThreads(t, func() {
+			ck(MxV(w, nil, nil, PlusTimes[float64](), a, u, DescPull))
+			ck(w.Wait(Materialize))
+		})["MxV"]
+	}
+	if got := run(withChunk(1)); !slices.Equal(got, []int{2}) {
+		t.Fatalf("MxV workers at chunk 1, 2 threads: %v, want [2]", got)
+	}
+	if got := run(); !slices.Equal(got, []int{1}) {
+		t.Fatalf("MxV workers at the default chunk, 2 threads: %v, want [1]", got)
 	}
 }
 
@@ -180,7 +215,7 @@ func TestContextSharingRequired(t *testing.T) {
 func TestContextBoundOperations(t *testing.T) {
 	setMode(t, NonBlocking)
 	for _, threads := range []int{1, 2, 5} {
-		ctx, err := NewContext(NonBlocking, nil, WithThreads(threads), WithChunk(1))
+		ctx, err := NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +492,7 @@ func TestCancelReleasesRollupReservation(t *testing.T) {
 	faults.Enable(faults.Rule{Site: "sparse.kernel.range", Action: faults.Delay, Delay: 30 * time.Millisecond})
 	defer faults.Disable()
 	gov := ck1(NewContext(NonBlocking, nil, WithMemoryLimit(1<<30)))
-	req := ck1(NewContext(NonBlocking, gov, WithMemoryLimit(64<<20), WithCancel(), WithThreads(2), WithChunk(1)))
+	req := ck1(NewContext(NonBlocking, gov, WithMemoryLimit(64<<20), WithCancel(), WithThreads(2), withChunk(1)))
 	a := pathGraph(t, req, 128)
 	c := ck1(NewMatrix[bool](128, 128, InContext(req)))
 	ck(MxM(c, nil, nil, LOrLAnd(), a, a, nil))

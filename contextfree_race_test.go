@@ -40,7 +40,7 @@ func freeRaceGraph(t *testing.T, ctx *Context) (*Matrix[float64], *Matrix[float6
 func TestContextFreeRacesConcurrentKernels(t *testing.T) {
 	setMode(t, NonBlocking)
 	for round := 0; round < 25; round++ {
-		ctx, err := NewContext(NonBlocking, nil, WithThreads(4), WithChunk(1))
+		ctx, err := NewContext(NonBlocking, nil, WithThreads(4), withChunk(1))
 		if err != nil {
 			t.Fatalf("NewContext: %v", err)
 		}
@@ -82,7 +82,7 @@ func TestContextFreeRacesConcurrentKernels(t *testing.T) {
 // a panic or a half-drained object.
 func TestWaitOnObjectWithFreedContext(t *testing.T) {
 	setMode(t, NonBlocking)
-	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1))
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestWaitOnObjectWithFreedContext(t *testing.T) {
 func TestContextFreeRacesWait(t *testing.T) {
 	setMode(t, NonBlocking)
 	for round := 0; round < 25; round++ {
-		ctx, err := NewContext(NonBlocking, nil, WithThreads(4), WithChunk(1))
+		ctx, err := NewContext(NonBlocking, nil, WithThreads(4), withChunk(1))
 		if err != nil {
 			t.Fatalf("NewContext: %v", err)
 		}

@@ -120,7 +120,7 @@ func diffDirection[T comparable](t *testing.T, rng *rand.Rand, sr Semiring[T, T,
 		mask := mustVector(t, n, mi, mx)
 
 		for _, threads := range []int{1, 4} {
-			ctx, err := NewContext(NonBlocking, nil, WithThreads(threads), WithChunk(1))
+			ctx, err := NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1))
 			if err != nil {
 				t.Fatalf("NewContext: %v", err)
 			}

@@ -95,7 +95,7 @@ func bfsLevelsInContext(t *testing.T, ctx *Context, a *Matrix[bool], n int, src 
 func TestBudgetedBFSMatchesUnbudgeted(t *testing.T) {
 	setMode(t, NonBlocking)
 	const n = 200
-	free, err := NewContext(NonBlocking, nil, WithThreads(4), WithChunk(1))
+	free, err := NewContext(NonBlocking, nil, WithThreads(4), withChunk(1))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestBudgetedBFSMatchesUnbudgeted(t *testing.T) {
 	// beside the visited mask — as a hash predicate while that is smaller
 	// than the n-byte bitmap (the first levels), as the bitmap afterwards.
 	const limit = 360
-	tight, err := NewContext(NonBlocking, nil, WithThreads(4), WithChunk(1), WithMemoryLimit(limit))
+	tight, err := NewContext(NonBlocking, nil, WithThreads(4), withChunk(1), WithMemoryLimit(limit))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestBudgetedBFSMatchesUnbudgeted(t *testing.T) {
 // crashes and never silently truncates.
 func TestBudgetExhaustionParksOutOfMemory(t *testing.T) {
 	setMode(t, NonBlocking)
-	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithMemoryLimit(16))
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithMemoryLimit(16))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestBudgetExhaustionParksOutOfMemory(t *testing.T) {
 // root context inherits no standing charge per loaded graph.
 func TestBudgetWaitReservesNothingUnasked(t *testing.T) {
 	setMode(t, NonBlocking)
-	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithMemoryLimit(1<<30))
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithMemoryLimit(1<<30))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -310,7 +310,7 @@ func TestBudgetVectorViewsDoNotLeak(t *testing.T) {
 // and surfaces it through Wait(Materialize) and ErrorString.
 func TestCancelParksCanceled(t *testing.T) {
 	setMode(t, NonBlocking)
-	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithCancel())
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithCancel())
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -352,7 +352,7 @@ func TestCancelMidDrainParksWithinOneGranule(t *testing.T) {
 	setMode(t, NonBlocking)
 	faults.Enable(faults.Rule{Site: "sparse.kernel.range", Action: faults.Delay, Delay: 50 * time.Millisecond})
 	defer faults.Disable()
-	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithCancel())
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithCancel())
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -445,7 +445,7 @@ func TestCancelInterruptsSingleRangeProduct(t *testing.T) {
 // checkpoint exactly like an explicit Cancel.
 func TestDeadlineParksCanceled(t *testing.T) {
 	setMode(t, NonBlocking)
-	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithDeadline(time.Now().Add(-time.Second)))
+	ctx, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithDeadline(time.Now().Add(-time.Second)))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -461,7 +461,7 @@ func TestDeadlineParksCanceled(t *testing.T) {
 		t.Fatalf("expired deadline: err = %v, want Canceled", err)
 	}
 	// A future deadline does not abort anything.
-	future, err := NewContext(NonBlocking, nil, WithThreads(2), WithChunk(1), WithDeadline(time.Now().Add(time.Hour)))
+	future, err := NewContext(NonBlocking, nil, WithThreads(2), withChunk(1), WithDeadline(time.Now().Add(time.Hour)))
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}

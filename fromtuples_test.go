@@ -68,7 +68,7 @@ func TestIdentityMatrix(t *testing.T) {
 // from many goroutines (race coverage for the Context internals).
 func TestContextConcurrentUse(t *testing.T) {
 	setMode(t, NonBlocking)
-	parent, err := NewContext(NonBlocking, nil, WithThreads(4), WithChunk(1))
+	parent, err := NewContext(NonBlocking, nil, WithThreads(4), withChunk(1))
 	if err != nil {
 		t.Fatal(err)
 	}

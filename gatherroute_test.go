@@ -59,7 +59,7 @@ func TestTraversalPullsNeverHashGather(t *testing.T) {
 	src := g.Src[0]
 	// SSSP's rounds are unmasked products over non-full frontiers, which the
 	// direction rule pushes on this graph; the same rounds pinned to the pull
-	// (lagraph's relax, DescPull on the product) are the pulls they would be.
+	// (lagraph.SSSP's, DescPull on the product) are the pulls they would be.
 	ssspPulled := func() {
 		d := ck1(grb.NewVector[float64](g.N))
 		ck(d.SetElement(0, src))

@@ -12,13 +12,15 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
 // Package is one type-checked analysis unit. In-package test files are
 // folded into their package's unit; external _test packages (package foo_test)
-// form a unit of their own, so `grblint ./...` sees every file `go test`
-// would compile.
+// form a unit of their own, checked against that unit as go test builds them
+// (so names an export_test.go declares resolve), so `grblint ./...` sees every
+// file `go test` would compile.
 type Package struct {
 	PkgPath   string
 	Fset      *token.FileSet
@@ -35,11 +37,12 @@ type listedPackage struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
+	Deps         []string
 }
 
 // goList enumerates the packages matching patterns.
 func goList(patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=Dir,ImportPath,Name,GoFiles,TestGoFiles,XTestGoFiles"}, patterns...)
+	args := append([]string{"list", "-json=Dir,ImportPath,Name,GoFiles,TestGoFiles,XTestGoFiles,Deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -74,21 +77,58 @@ func Load(patterns []string) ([]*Package, error) {
 	// units.
 	imp := importer.ForCompiler(fset, "source", nil)
 
+	byPath := make(map[string]listedPackage, len(listed))
+	for _, lp := range listed {
+		byPath[lp.ImportPath] = lp
+	}
 	var units []*Package
 	for _, lp := range listed {
 		inPkg := append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...)
-		if u, err := checkUnit(fset, imp, lp.Dir, lp.ImportPath, inPkg); err != nil {
+		in, err := checkUnit(fset, imp, lp.Dir, lp.ImportPath, inPkg)
+		if err != nil {
 			return nil, err
-		} else if u != nil {
-			units = append(units, u)
 		}
-		if u, err := checkUnit(fset, imp, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles); err != nil {
+		ximp := &testImporter{fset: fset, imp: imp, listed: byPath, under: lp.ImportPath,
+			checked: map[string]*types.Package{}}
+		if in != nil {
+			units = append(units, in)
+			ximp.checked[lp.ImportPath] = in.Types
+		}
+		if u, err := checkUnit(fset, ximp, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles); err != nil {
 			return nil, err
 		} else if u != nil {
 			units = append(units, u)
 		}
 	}
 	return units, nil
+}
+
+// testImporter resolves an external test package's imports as go test builds
+// them: the package under test is its unit with the in-package test files,
+// every listed package that depends on it is re-checked against that unit,
+// and everything else comes from imp.
+type testImporter struct {
+	fset    *token.FileSet
+	imp     types.Importer
+	listed  map[string]listedPackage
+	under   string
+	checked map[string]*types.Package
+}
+
+func (t *testImporter) Import(path string) (*types.Package, error) {
+	if p, ok := t.checked[path]; ok {
+		return p, nil
+	}
+	lp, ok := t.listed[path]
+	if !ok || !slices.Contains(lp.Deps, t.under) {
+		return t.imp.Import(path)
+	}
+	u, err := checkUnit(t.fset, t, lp.Dir, path, lp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	t.checked[path] = u.Types
+	return u.Types, nil
 }
 
 // checkUnit parses and type-checks one set of files as a single package.

@@ -14,7 +14,7 @@
 //
 // Only *Locked helpers (materializeLocked, parkLocked, ...) — which document
 // that the caller already holds the lock — and lock-free accessors (Mode,
-// Parent, Threads, Chunk) may run under a held mutex. The sparse kernels may
+// Parent, Threads) may run under a held mutex. The sparse kernels may
 // too: sequence steps execute under the owning object's lock by design.
 //
 // The analysis is intraprocedural and path-insensitive: it scans each

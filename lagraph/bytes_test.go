@@ -73,3 +73,35 @@ func TestPageRankAllocatesNoIterationVector(t *testing.T) {
 		t.Errorf("iterations 2 and 3 allocate %d bytes, want below one n-entry float64 array (%d)", three-one, vector)
 	}
 }
+
+// TestTraversalAllocations is the allocation ceiling of a BFS and an SSSP
+// over rmat-10 in a one-thread context, the two queries serve-small sends
+// most: the frontier SSSP's four calls a round cost more allocations than the
+// full-round one's two (89 → 120 from vertex 1), and the presized push
+// pattern and masked pull output pay for them in the mix (BFS 142 → 109). A
+// BFS level's masked product is the frontier's next state, with no
+// write-back pass (BFS 109 → 99).
+func TestTraversalAllocations(t *testing.T) {
+	initLib(t)
+	g := gen.Graph500RMAT(10, 8, 42).Symmetrize()
+	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
+	pat := ck1(adjacency(t, g).ViewInContext(ctx))
+	wgt := ck1(weighted(t, g, gen.UniformWeights(g, 1, 2, 7)).ViewInContext(ctx))
+	bfs := func() { ck(ck1(BFSLevels(pat, 1)).Free()) }
+	sssp := func() { ck(ck1(SSSP(wgt, 1)).Free()) }
+	bfs() // cache the transposes
+	sssp()
+	for _, tc := range []struct {
+		name    string
+		run     func()
+		ceiling float64
+	}{{"BFS", bfs, 99}, {"SSSP", sssp, 126}} {
+		least := testing.AllocsPerRun(1, tc.run)
+		for i := 0; i < 4; i++ {
+			least = min(least, testing.AllocsPerRun(1, tc.run))
+		}
+		if least > tc.ceiling {
+			t.Errorf("%s over rmat-10 allocates %v times, ceiling %v", tc.name, least, tc.ceiling)
+		}
+	}
+}

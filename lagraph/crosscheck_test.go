@@ -79,57 +79,6 @@ func TestSSSPAgainstDijkstra(t *testing.T) {
 	}
 }
 
-// refComponents is union-find connected components.
-func refComponents(n int, src, dst []int) []int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for k := range src {
-		a, b := find(src[k]), find(dst[k])
-		if a != b {
-			if a < b {
-				parent[b] = a
-			} else {
-				parent[a] = b
-			}
-		}
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = find(i)
-	}
-	return out
-}
-
-func TestConnectedComponentsAgainstUnionFind(t *testing.T) {
-	initLib(t)
-	// sparse graph so multiple components exist
-	g := gen.ErdosRenyi(80, 60, 9).Symmetrize()
-	a := adjacency(t, g)
-	f, err := ConnectedComponents(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refComponents(g.N, g.Src, g.Dst)
-	// our labels are the min vertex id of the component; union-find with
-	// min-merge gives the same canonical labels.
-	for v := 0; v < g.N; v++ {
-		gv, ok := ck2(f.ExtractElement(v))
-		if !ok || gv != want[v] {
-			t.Fatalf("comp(%d) = %v,%v want %v", v, gv, ok, want[v])
-		}
-	}
-}
-
 // refTriangles brute-force counts triangles.
 func refTriangles(n int, src, dst []int) int64 {
 	has := make(map[[2]int]bool, len(src))
@@ -218,6 +167,15 @@ func TestPageRankAgainstPowerIteration(t *testing.T) {
 	}
 }
 
+// adjList is g's out-neighbour lists, in edge order.
+func adjList(g gen.Graph) [][]int {
+	adj := make([][]int, g.N)
+	for k := range g.Src {
+		adj[g.Src[k]] = append(adj[g.Src[k]], g.Dst[k])
+	}
+	return adj
+}
+
 // refBFS is plain queue BFS.
 func refBFS(n int, adj [][]int, src int) []int {
 	dist := make([]int, n)
@@ -289,44 +247,6 @@ func TestBFSAgainstQueueBFS(t *testing.T) {
 			}
 			if want[p] != want[v]-1 {
 				t.Fatalf("parent(%d)=%d at level %d, vertex at %d", v, p, want[p], want[v])
-			}
-		}
-	}
-}
-
-func TestMISOnRandomGraphs(t *testing.T) {
-	initLib(t)
-	for _, seed := range []int64{3, 4} {
-		g := gen.ErdosRenyi(60, 300, seed).Symmetrize()
-		a := adjacency(t, g)
-		iset, err := MIS(a, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inds, _ := ck2(iset.ExtractTuples())
-		member := map[int]bool{}
-		for _, i := range inds {
-			member[i] = true
-		}
-		adj := adjList(g)
-		for k := range g.Src {
-			if member[g.Src[k]] && member[g.Dst[k]] {
-				t.Fatal("not independent")
-			}
-		}
-		for v := 0; v < g.N; v++ {
-			if member[v] {
-				continue
-			}
-			ok := false
-			for _, u := range adj[v] {
-				if member[u] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				t.Fatalf("vertex %d uncovered", v)
 			}
 		}
 	}

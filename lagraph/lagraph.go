@@ -5,52 +5,16 @@
 // accumulators, select/apply with index operators — and therefore doubles as
 // an integration test of the underlying implementation.
 //
-// Conventions: adjacency matrices are square; algorithms that assume an
-// undirected graph (triangle counting, connected components, MIS, k-core)
-// expect a symmetric pattern, which callers can obtain with gen.Symmetrize.
+// Conventions: adjacency matrices are square; triangle counting assumes an
+// undirected graph and expects a symmetric pattern, which callers can obtain
+// with gen.Symmetrize.
 package lagraph
 
 import (
 	"math"
-	"math/rand"
 
 	grb "github.com/grblas/grb"
 )
-
-// relax runs the fixpoint d = d min (d ⊕.⊗ A) over the n×n matrix a as a
-// frontier: each round multiplies only f, the entries of d the round before
-// improved (at first, the caller's seed), and reports whether f emptied
-// within n+1 rounds:
-//
-//	t = f ⊕.⊗ A;  kept⟨t ∩ d⟩ = ¬(t < d);  f⟨¬kept, replace⟩ = t;  d min= f
-//
-// kept is where Min(d, t) keeps d — NaN on either side included — so f is
-// exactly what d takes from t, and every round's d is the full multiply's.
-func relax[T grb.Number, DA any](d, f *grb.Vector[T], s grb.Semiring[T, DA, T], a *grb.Matrix[DA], n int, opt grb.ObjOption) (bool, error) {
-	kept, err := grb.NewVector[bool](n, opt)
-	if err != nil {
-		return false, err
-	}
-	notBelow := func(x, y T) bool { return !(x < y) }
-	for round := 0; round <= n; round++ {
-		if err := grb.VxM(f, nil, nil, s, f, a, nil); err != nil { // t, in f's place
-			return false, err
-		}
-		if err := grb.EWiseMultVector(kept, nil, nil, notBelow, f, d, nil); err != nil {
-			return false, err
-		}
-		if err := grb.VectorAssign(f, kept, nil, f, grb.All, grb.DescRC); err != nil {
-			return false, err
-		}
-		if err := grb.EWiseAddVector(d, nil, nil, grb.Min[T], d, f, nil); err != nil {
-			return false, err
-		}
-		if nf, err := f.Nvals(); err != nil || nf == 0 {
-			return err == nil, err
-		}
-	}
-	return false, nil
-}
 
 // dimAndCtx validates that a is square and returns its dimension together
 // with the object option that places algorithm intermediates in a's own
@@ -61,31 +25,22 @@ func relax[T grb.Number, DA any](d, f *grb.Vector[T], s grb.Semiring[T, DA, T], 
 // issues — runs under that context instead of escaping to the library
 // default.
 func dimAndCtx[T any](a *grb.Matrix[T]) (int, grb.ObjOption, error) {
-	n, err := squareDim(a)
+	n, err := a.Nrows()
 	if err != nil {
 		return 0, nil, err
+	}
+	m, err := a.Ncols()
+	if err != nil {
+		return 0, nil, err
+	}
+	if n != m {
+		return 0, nil, &grb.Error{Info: grb.DimensionMismatch, Msg: "adjacency matrix must be square"}
 	}
 	ctx, err := a.Context()
 	if err != nil {
 		return 0, nil, err
 	}
 	return n, grb.InContext(ctx), nil
-}
-
-// squareDim validates that a is square and returns its dimension.
-func squareDim[T any](a *grb.Matrix[T]) (int, error) {
-	n, err := a.Nrows()
-	if err != nil {
-		return 0, err
-	}
-	m, err := a.Ncols()
-	if err != nil {
-		return 0, err
-	}
-	if n != m {
-		return 0, &grb.Error{Info: grb.DimensionMismatch, Msg: "adjacency matrix must be square"}
-	}
-	return n, nil
 }
 
 // BFSLevels performs a breadth-first search over the boolean adjacency
@@ -208,7 +163,7 @@ func BFSParents(a *grb.Matrix[bool], src grb.Index) (*grb.Vector[int], error) {
 // SSSP computes single-source shortest paths from src over the weighted
 // adjacency matrix a using Bellman-Ford iteration on the (min, +) tropical
 // semiring, d = d min (d min.+ A) until fixpoint, relaxing each round only
-// the edges out of the vertices the round before improved (relax). Edge
+// the edges out of the vertices the round before improved. Edge
 // weights may be negative as long as the graph has no negative cycle, which
 // is reported as an error after n rounds without convergence; so is a NaN
 // distance, which compares unequal to itself and so never settles.
@@ -228,9 +183,38 @@ func SSSP(a *grb.Matrix[float64], src grb.Index) (*grb.Vector[float64], error) {
 	if err != nil {
 		return nil, err
 	}
-	settled, err := relax(d, f, grb.MinPlus[float64](), a, n, opt)
+	// Each round multiplies only f, the entries of d the round before
+	// improved (at first, src):
+	//
+	//	t = f min.+ A;  kept⟨t ∩ d⟩ = ¬(t < d);  f⟨¬kept, replace⟩ = t;  d min= f
+	//
+	// kept is where Min(d, t) keeps d — NaN on either side included — so f is
+	// exactly what d takes from t, and every round's d is the full multiply's.
+	kept, err := grb.NewVector[bool](n, opt)
 	if err != nil {
 		return nil, err
+	}
+	minPlus := grb.MinPlus[float64]()
+	notBelow := func(x, y float64) bool { return !(x < y) }
+	settled := false
+	for round := 0; round <= n && !settled; round++ {
+		if err := grb.VxM(f, nil, nil, minPlus, f, a, nil); err != nil { // t, in f's place
+			return nil, err
+		}
+		if err := grb.EWiseMultVector(kept, nil, nil, notBelow, f, d, nil); err != nil {
+			return nil, err
+		}
+		if err := grb.VectorAssign(f, kept, nil, f, grb.All, grb.DescRC); err != nil {
+			return nil, err
+		}
+		if err := grb.EWiseAddVector(d, nil, nil, grb.Min[float64], d, f, nil); err != nil {
+			return nil, err
+		}
+		nf, err := f.Nvals()
+		if err != nil {
+			return nil, err
+		}
+		settled = nf == 0
 	}
 	// A NaN distance leaves the frontier as it enters d — nothing is below
 	// it — so the frontier can empty around one: look for one.
@@ -409,259 +393,4 @@ func TriangleCount(a *grb.Matrix[bool]) (int64, error) {
 		return 0, err
 	}
 	return grb.MatrixReduce(grb.PlusMonoid[int64](), c)
-}
-
-// ConnectedComponents labels each vertex of the undirected graph (symmetric
-// boolean adjacency) with the smallest vertex index in its component, by
-// min-label propagation over the min-first semiring until fixpoint: each
-// round, the labels that changed in the round before propagate (relax).
-func ConnectedComponents(a *grb.Matrix[bool]) (*grb.Vector[int], error) {
-	n, opt, err := dimAndCtx(a)
-	if err != nil {
-		return nil, err
-	}
-	labels, err := grb.NewVector[int](n, opt)
-	if err != nil {
-		return nil, err
-	}
-	// labels(i) = i, built with the ROWINDEX index operator over a dense vector.
-	if err := grb.VectorAssignScalar(labels, nil, nil, 0, grb.All, nil); err != nil {
-		return nil, err
-	}
-	if err := grb.VectorApplyIndexOp(labels, nil, nil, grb.RowIndex[int], labels, 0, nil); err != nil {
-		return nil, err
-	}
-	f, err := labels.Dup() // every label is new
-	if err != nil {
-		return nil, err
-	}
-	minFirst := grb.Semiring[int, bool, int]{Add: grb.MinMonoid[int](), Mul: grb.First[int, bool]}
-	if _, err := relax(labels, f, minFirst, a, n, opt); err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// MIS computes a maximal independent set of the undirected graph (symmetric
-// boolean adjacency, no self-loops) with Luby's randomized algorithm: each
-// round, every remaining candidate draws a distinct random score; candidates
-// that beat all neighbouring candidates join the set, and they and their
-// neighbours leave the candidate pool.
-func MIS(a *grb.Matrix[bool], seed int64) (*grb.Vector[bool], error) {
-	n, opt, err := dimAndCtx(a)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	iset, err := grb.NewVector[bool](n, opt)
-	if err != nil {
-		return nil, err
-	}
-	candidates, err := grb.NewVector[bool](n, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := grb.VectorAssignScalar(candidates, nil, nil, true, grb.All, nil); err != nil {
-		return nil, err
-	}
-	maxFirst := grb.Semiring[float64, bool, float64]{Add: grb.MaxMonoid[float64](), Mul: grb.First[float64, bool]}
-	empty, err := grb.NewScalar[bool](opt)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		nc, err := candidates.Nvals()
-		if err != nil {
-			return nil, err
-		}
-		if nc == 0 {
-			break
-		}
-		// Distinct random scores on the candidates (a permutation avoids ties).
-		inds, _, err := candidates.ExtractTuples()
-		if err != nil {
-			return nil, err
-		}
-		perm := rng.Perm(len(inds))
-		scores := make([]float64, len(inds))
-		for k := range scores {
-			scores[k] = float64(perm[k] + 1)
-		}
-		prob, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := prob.Build(inds, scores, nil); err != nil {
-			return nil, err
-		}
-		// Neighbour maximum among candidates.
-		nmax, err := grb.NewVector[float64](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VxM(nmax, candidates, nil, maxFirst, prob, a, grb.DescRS); err != nil {
-			return nil, err
-		}
-		// Winners: candidates whose score beats every neighbour...
-		win, err := grb.NewVector[bool](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.EWiseMultVector(win, nil, nil, grb.Gt[float64], prob, nmax, nil); err != nil {
-			return nil, err
-		}
-		// ...plus candidates with no candidate neighbour at all.
-		nmaxMask, err := grb.AsVectorMaskFunc(nmax, func(float64) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		newMembers, err := grb.NewVector[bool](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		// newMembers⟨win (value mask)⟩ = true
-		if err := grb.VectorAssignScalar(newMembers, win, nil, true, grb.All, nil); err != nil {
-			return nil, err
-		}
-		// newMembers⟨¬structure(nmax)⟩ ∪= lone candidates
-		lone, err := grb.NewVector[bool](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorApply(lone, nmaxMask, nil, grb.Identity[bool], candidates, grb.DescRSC); err != nil {
-			return nil, err
-		}
-		loneMask, err := grb.AsVectorMaskFunc(lone, func(bool) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorAssignScalar(newMembers, loneMask, nil, true, grb.All, grb.DescS); err != nil {
-			return nil, err
-		}
-		nm, err := newMembers.Nvals()
-		if err != nil {
-			return nil, err
-		}
-		if nm == 0 {
-			// No strict winner this round (should not happen with distinct
-			// scores); re-draw.
-			continue
-		}
-		// iset⟨newMembers,structure⟩ = true
-		if err := grb.VectorAssignScalar(iset, newMembers, nil, true, grb.All, grb.DescS); err != nil {
-			return nil, err
-		}
-		// Neighbours of the new members.
-		neigh, err := grb.NewVector[bool](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VxM(neigh, nil, nil, grb.LOrLAnd(), newMembers, a, nil); err != nil {
-			return nil, err
-		}
-		// Remove new members and their neighbours from the candidate pool.
-		nmMask, err := grb.AsVectorMaskFunc(newMembers, func(bool) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorAssignScalarObj(candidates, nmMask, nil, empty, grb.All, grb.DescS); err != nil {
-			return nil, err
-		}
-		neighMask, err := grb.AsVectorMaskFunc(neigh, func(bool) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorAssignScalarObj(candidates, neighMask, nil, empty, grb.All, grb.DescS); err != nil {
-			return nil, err
-		}
-	}
-	return iset, nil
-}
-
-// KCore returns the membership vector of the k-core of the undirected graph
-// (symmetric boolean adjacency): the maximal subgraph in which every vertex
-// has degree ≥ k. Vertices in the core have a true entry.
-func KCore(a *grb.Matrix[bool], k int) (*grb.Vector[bool], error) {
-	n, opt, err := dimAndCtx(a)
-	if err != nil {
-		return nil, err
-	}
-	alive, err := grb.NewVector[bool](n, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := grb.VectorAssignScalar(alive, nil, nil, true, grb.All, nil); err != nil {
-		return nil, err
-	}
-	countAlive := grb.Semiring[bool, int, int]{Add: grb.PlusMonoid[int](), Mul: grb.Second[bool, int]}
-	empty, err := grb.NewScalar[bool](opt)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		na, err := alive.Nvals()
-		if err != nil {
-			return nil, err
-		}
-		if na == 0 {
-			break
-		}
-		// aliveInt(i) = 1 for alive vertices.
-		aliveInt, err := grb.NewVector[int](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorApply(aliveInt, nil, nil, func(bool) int { return 1 }, alive, nil); err != nil {
-			return nil, err
-		}
-		// deg⟨alive,structure,replace⟩ = A +.second aliveInt: surviving degree.
-		deg, err := grb.NewVector[int](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.MxV(deg, alive, nil, countAlive, a, aliveInt, grb.DescRS); err != nil {
-			return nil, err
-		}
-		// Vertices failing the core condition: alive with degree < k
-		// (including alive vertices with no surviving neighbours).
-		drop, err := grb.NewVector[int](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorSelect(drop, nil, nil, grb.ValueLT[int], deg, k, nil); err != nil {
-			return nil, err
-		}
-		// Alive vertices with no deg entry have degree 0: also dropped.
-		degMask, err := grb.AsVectorMaskFunc(deg, func(int) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		zero, err := grb.NewVector[int](n, opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorApply(zero, degMask, nil, func(bool) int { return 0 }, alive, grb.DescRSC); err != nil {
-			return nil, err
-		}
-		if k > 0 {
-			if err := grb.EWiseAddVector(drop, nil, nil, grb.Min[int], drop, zero, nil); err != nil {
-				return nil, err
-			}
-		}
-		nd, err := drop.Nvals()
-		if err != nil {
-			return nil, err
-		}
-		if nd == 0 {
-			break
-		}
-		dropMask, err := grb.AsVectorMaskFunc(drop, func(int) bool { return true })
-		if err != nil {
-			return nil, err
-		}
-		if err := grb.VectorAssignScalarObj(alive, dropMask, nil, empty, grb.All, grb.DescS); err != nil {
-			return nil, err
-		}
-	}
-	return alive, nil
 }

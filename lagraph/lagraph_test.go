@@ -157,98 +157,6 @@ func TestTriangleCountComplete(t *testing.T) {
 	}
 }
 
-func TestConnectedComponentsTwoComponents(t *testing.T) {
-	initLib(t)
-	// Path 0-1-2 and path 3-4 (undirected).
-	g := gen.Graph{N: 5, Src: []int{0, 1, 3}, Dst: []int{1, 2, 4}}.Symmetrize()
-	a := adjacency(t, g)
-	f, err := ConnectedComponents(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 0, 3, 3}
-	for i, wv := range want {
-		v, ok := ck2(f.ExtractElement(i))
-		if !ok || v != wv {
-			t.Fatalf("comp(%d) = %v,%v want %v", i, v, ok, wv)
-		}
-	}
-}
-
-func TestMISValid(t *testing.T) {
-	initLib(t)
-	g := gen.Grid2D(4, 4)
-	a := adjacency(t, g)
-	iset, err := MIS(a, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inds, _, err := iset.ExtractTuples()
-	if err != nil {
-		t.Fatal(err)
-	}
-	member := make(map[int]bool)
-	for _, i := range inds {
-		member[i] = true
-	}
-	// Independence: no two members adjacent.
-	for k := range g.Src {
-		if member[g.Src[k]] && member[g.Dst[k]] {
-			t.Fatalf("MIS not independent: edge (%d,%d) inside set", g.Src[k], g.Dst[k])
-		}
-	}
-	// Maximality: every non-member has a member neighbour.
-	adj := make(map[int][]int)
-	for k := range g.Src {
-		adj[g.Src[k]] = append(adj[g.Src[k]], g.Dst[k])
-	}
-	for v := 0; v < g.N; v++ {
-		if member[v] {
-			continue
-		}
-		ok := false
-		for _, u := range adj[v] {
-			if member[u] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Fatalf("MIS not maximal: vertex %d has no member neighbour", v)
-		}
-	}
-}
-
-func TestKCore(t *testing.T) {
-	initLib(t)
-	// K4 plus a pendant vertex 4 attached to 0: 3-core is exactly K4.
-	var src, dst []int
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i != j {
-				src = append(src, i)
-				dst = append(dst, j)
-			}
-		}
-	}
-	src = append(src, 0, 4)
-	dst = append(dst, 4, 0)
-	g := gen.Graph{N: 5, Src: src, Dst: dst}
-	a := adjacency(t, g)
-	core, err := KCore(a, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, ok := ck2(core.ExtractElement(i)); !ok {
-			t.Fatalf("vertex %d should be in 3-core", i)
-		}
-	}
-	if _, ok := ck2(core.ExtractElement(4)); ok {
-		t.Fatal("pendant vertex should not be in 3-core")
-	}
-}
-
 func TestSSSPNegativeEdges(t *testing.T) {
 	initLib(t)
 	// 0→1 (4), 0→2 (1), 2→1 (-2): shortest 0→1 is -1 via 2.

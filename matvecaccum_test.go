@@ -49,7 +49,7 @@ func TestMatVecAccumulatorInKernel(t *testing.T) {
 	accum := func(c, t float64) float64 { return c - 2*t }
 	for _, n := range []int{50, 2500} {
 		for _, threads := range []int{1, 2, 4} {
-			ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), WithChunk(1)))
+			ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1)))
 			in := InContext(ctx)
 			a := accumGraph(t, rng, n, in)
 			mask := ck1(NewVector[bool](n, in))

@@ -329,7 +329,7 @@ func TestNewSemiringIsTheClosureTwin(t *testing.T) {
 		}
 	}
 	for _, threads := range []int{1, 2} {
-		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), WithChunk(1)))
+		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1)))
 		in := InContext(ctx)
 		a := ck1(NewMatrix[float64](n, n, in))
 		ck(a.Build(aI, aJ, aX, nil))

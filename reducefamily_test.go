@@ -86,7 +86,7 @@ func TestPlusMonoidMatchesUntaggedTwin(t *testing.T) {
 	}
 
 	for _, threads := range []int{1, 2, 4} {
-		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), WithChunk(1)))
+		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1)))
 		in := InContext(ctx)
 		matrix := func(I, J []Index, X []float64) *Matrix[float64] {
 			m := ck1(NewMatrix[float64](n, n, in))

@@ -89,6 +89,30 @@ func TestScalarOfAndWaitAndFree(t *testing.T) {
 	}
 }
 
+// TestNewScalarInContext: InContext places a new scalar in that context, and
+// a reduction into it then shares the context of a vector there — which a
+// scalar placed in a sibling context does not.
+func TestNewScalarInContext(t *testing.T) {
+	setMode(t, NonBlocking)
+	ctx := ck1(NewContext(NonBlocking, nil, WithThreads(1)))
+	s := ck1(NewScalar[int](InContext(ctx)))
+	if s.ctx != ctx {
+		t.Fatalf("scalar context %p, want %p", s.ctx, ctx)
+	}
+	u := ck1(NewVector[int](3, InContext(ctx)))
+	ck(u.SetElement(4, 1))
+	if err := VectorReduceToScalar(s, nil, PlusMonoid[int](), u, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := ck2(s.ExtractElement()); !ok || v != 4 {
+		t.Fatalf("reduced = %v,%v", v, ok)
+	}
+	other := ck1(NewScalar[int](InContext(ck1(NewContext(NonBlocking, nil)))))
+	if err := VectorReduceToScalar(other, nil, PlusMonoid[int](), u, nil); Code(err) != InvalidValue {
+		t.Fatalf("reduce across contexts: %v", err)
+	}
+}
+
 func TestScalarUninitialized(t *testing.T) {
 	setMode(t, Blocking)
 	var s *Scalar[int]

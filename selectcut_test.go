@@ -126,7 +126,7 @@ func cutBattery[D comparable](t *testing.T, rng *rand.Rand, ops []IndexUnaryOp[D
 	t.Helper()
 	const rows, cols = 23, 17
 	for _, threads := range []int{1, 4} {
-		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), WithChunk(1)))
+		ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1)))
 		a := randMatrix(t, rng, rows, cols, ctx, mk)
 		old := randMatrix(t, rng, rows, cols, ctx, mk)
 		oldT := randMatrix(t, rng, cols, rows, ctx, mk)
