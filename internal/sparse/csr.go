@@ -105,17 +105,27 @@ func (m *CSR[T]) Get(i, j int) (T, bool) {
 }
 
 // Tuples appends the (row, col, value) triples of m in row-major order to the
-// provided slices and returns them. Pass nils to allocate fresh slices.
+// provided slices and returns them. Pass nils to allocate fresh slices. A
+// slice short of room grows once, to exactly NNZ more; the columns and values
+// are Ind and Val as stored.
 func (m *CSR[T]) Tuples(I, J []int, X []T) ([]int, []int, []T) {
+	I = growExact(I, m.NNZ())
 	for i := 0; i < m.Rows; i++ {
-		ind, val := m.Row(i)
-		for k := range ind {
+		for range m.Ptr[i+1] - m.Ptr[i] {
 			I = append(I, i)
-			J = append(J, ind[k])
-			X = append(X, val[k])
 		}
 	}
-	return I, J, X
+	return I, append(growExact(J, m.NNZ()), m.Ind...), append(growExact(X, m.NNZ()), m.Val...)
+}
+
+// growExact returns s with room for n more elements. Unlike slices.Grow,
+// which rounds up to the allocator's size class, a short s moves to an array
+// of exactly len(s)+n.
+func growExact[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]E, 0, len(s)+n), s...)
 }
 
 // Valid performs an internal-consistency check, used by tests and by the

@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -145,6 +147,80 @@ func TestTuplesRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tuplesByElement is CSR.Tuples as it was, one append per element: the
+// oracle the presized copy-out is held to.
+func tuplesByElement[T any](m *CSR[T], I, J []int, X []T) ([]int, []int, []T) {
+	for i := 0; i < m.Rows; i++ {
+		ind, val := m.Row(i)
+		for k := range ind {
+			I, J, X = append(I, i), append(J, ind[k]), append(X, val[k])
+		}
+	}
+	return I, J, X
+}
+
+// TestCSRTuplesAllocatesOnce: Tuples grows each of its three slices once, to
+// exactly NNZ, on a matrix whose NNZ is not a power of two and has empty
+// rows; the tuples are the element loop's, bit for bit, and a caller's
+// non-nil slices keep their prefix.
+func TestCSRTuplesAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+	const rows, cols = 3001, 997
+	var I, J []int
+	var X []float64
+	for i := 0; i < rows; i++ {
+		if i%7 == 3 {
+			continue // an empty row
+		}
+		for k := range 1 + i%8 { // distinct columns: 101·k < cols
+			I, J, X = append(I, i), append(J, (31*i+101*k)%cols), append(X, spikedFloat(rng))
+		}
+	}
+	X[5] = math.NaN()
+	m, err := BuildCSR(rows, cols, I, J, X, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := m.NNZ()
+	if nnz < 10000 || nnz&(nnz-1) == 0 {
+		t.Fatalf("nnz = %d: want at least 10 000 and not a power of two", nnz)
+	}
+
+	empty := NewCSR[float64](rows, cols)
+	base := testing.AllocsPerRun(10, func() { empty.Tuples(nil, nil, nil) })
+	if got := testing.AllocsPerRun(10, func() { m.Tuples(nil, nil, nil) }); got > base+3 {
+		t.Errorf("Tuples made %.1f allocations, want at most %.1f (the empty matrix's %.1f + 3)", got, base+3, base)
+	}
+
+	gi, gj, gx := m.Tuples(nil, nil, nil)
+	for name, s := range map[string][]int{"I": gi, "J": gj} {
+		if len(s) != nnz || cap(s) != nnz {
+			t.Errorf("%s: len %d, cap %d, want both %d", name, len(s), cap(s), nnz)
+		}
+	}
+	if len(gx) != nnz || cap(gx) != nnz {
+		t.Errorf("X: len %d, cap %d, want both %d", len(gx), cap(gx), nnz)
+	}
+	wi, wj, wx := tuplesByElement(m, nil, nil, nil)
+	same := func(what string, gi, gj []int, gx []float64, wi, wj []int, wx []float64) {
+		t.Helper()
+		if !slices.Equal(gi, wi) || !slices.Equal(gj, wj) || !slices.EqualFunc(gx, wx, sameBits[float64]) {
+			t.Fatalf("%s: the tuples differ from the element loop's", what)
+		}
+	}
+	same("nil slices", gi, gj, gx, wi, wj, wx)
+
+	// Caller slices, one with room to spare and two without: the prefix stays.
+	pi, pj, px := make([]int, 3, nnz+10), []int{-1, -2}, []float64{math.Inf(-1)}
+	pi[0], pi[1], pi[2] = 7, 8, 9
+	gi, gj, gx = m.Tuples(pi, pj, px)
+	wi, wj, wx = tuplesByElement(m, []int{7, 8, 9}, []int{-1, -2}, []float64{math.Inf(-1)})
+	same("caller slices", gi, gj, gx, wi, wj, wx)
+	if &gi[0] != &pi[0] {
+		t.Error("I had room for the tuples, yet moved")
 	}
 }
 

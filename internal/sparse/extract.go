@@ -92,7 +92,14 @@ func ExtractV[T any](u *Vec[T], idx []int) (*Vec[T], error) {
 			return nil, ErrIndexOutOfBounds
 		}
 	}
+	hits := 0 // counted first, so the output is allocated once at its size
+	for _, src := range idx {
+		if _, ok := u.Get(src); ok {
+			hits++
+		}
+	}
 	out := &Vec[T]{N: len(idx)}
+	out.Ind, out.Val = makeRun[T](hits)
 	for i, src := range idx {
 		if v, ok := u.Get(src); ok {
 			out.Ind = append(out.Ind, i)
@@ -117,7 +124,14 @@ func ExtractColV[T any](a *CSR[T], rows []int, j int) (*Vec[T], error) {
 			}
 		}
 	}
+	hits := 0 // counted first, as ExtractV does
+	for i := 0; i < n; i++ {
+		if _, ok := a.Get(listAt(rows, i), j); ok {
+			hits++
+		}
+	}
 	out := &Vec[T]{N: n}
+	out.Ind, out.Val = makeRun[T](hits)
 	for i := 0; i < n; i++ {
 		if v, ok := a.Get(listAt(rows, i), j); ok {
 			out.Ind = append(out.Ind, i)

@@ -16,8 +16,10 @@ func SpMVSemiEx[A, X, Y any](semi Semi, _ Spec, a *CSR[A], u *Vec[X],
 }
 
 // accumBlock is how many rows the fused pull gathers before folding them into
-// z: the block's (ind, val) buffer is 16 KB of float64 and stays in L1.
-const accumBlock = 1024
+// z: the block's (ind, val) buffer is 4 KB of float64, allocated every call,
+// and stays in L1 (EXPERIMENTS.md, "Copy-outs and the block buffer
+// allocated once").
+const accumBlock = 256
 
 // SpMVAccumEx computes z = c ⊙ t with t = A ·(⊕,⊗) u — the one pull-style
 // product; a nil accum (c is then not read) makes it z = t, and accOp tags

@@ -398,6 +398,24 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact("ReduceRows, one worker, a third of the rows stored", ReduceRows(MonPlus, b, plus, Exec{Threads: 1}), len(third.Ind))
+	// The copy-outs count their hits first: the first half of a third-full
+	// vector, and a column stored in every third row.
+	col, err := BuildCSR(n, n, third.Ind, make([]int, len(third.Ind)), third.Val, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := make([]int, n/2)
+	for i := range half {
+		half[i] = i
+	}
+	if sink, err = ExtractV(third, half); err != nil {
+		t.Fatal(err)
+	}
+	exact("ExtractV of half the positions", sink, (n/2+2)/3)
+	if sink, err = ExtractColV(col, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	exact("ExtractColV of a column stored in every third row", sink, len(third.Ind))
 
 	// Each rounds up to a whole 8 KB page; growing by append cost twice this.
 	pin("GatherVec (Ind and Val, each allocated once at the count)", 16*((n+2)/3)+2*8192+256, func() {

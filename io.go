@@ -192,7 +192,14 @@ func MatrixImport[T any](nrows, ncols Index, indptr, indices []Index, values []T
 			return nil, errf(InvalidValue, "MatrixImport(%v): indices and values must have %d entries, got %d/%d",
 				format, ne, len(indices), len(values))
 		}
-		csr = &sparse.CSR[T]{Rows: nrows, Cols: ncols, Ptr: make([]int, nrows+1)}
+		nvals := 0 // counted first, so Ind and Val are allocated once at their size
+		for _, b := range indices {
+			if b != 0 {
+				nvals++
+			}
+		}
+		csr = &sparse.CSR[T]{Rows: nrows, Cols: ncols, Ptr: make([]int, nrows+1),
+			Ind: make([]int, 0, nvals), Val: make([]T, 0, nvals)}
 		for i := 0; i < nrows; i++ {
 			for j := 0; j < ncols; j++ {
 				if indices[i*ncols+j] != 0 {

@@ -82,6 +82,26 @@ func TestTableIII_BitmapMatrix(t *testing.T) {
 	}
 }
 
+// TestBitmapMatrixImportAllocatesOnce: a bitmap import counts its flags
+// first, so the matrix's Ind and Val are allocated once, at exactly nvals.
+func TestBitmapMatrixImportAllocatesOnce(t *testing.T) {
+	setMode(t, Blocking)
+	const rows, cols = 120, 100
+	flags, vals := make([]Index, rows*cols), make([]int, rows*cols)
+	want := 0
+	for p := range flags {
+		if p%3 == 0 || p%7 == 0 {
+			flags[p], vals[p] = 1, p
+			want++
+		}
+	}
+	m := ck1(MatrixImport(rows, cols, nil, flags, vals, FormatBitmapMatrix))
+	c := ck1(m.snapshot())
+	if c.NNZ() != want || cap(c.Ind) != want || cap(c.Val) != want {
+		t.Errorf("bitmap import: %d entries in capacity %d/%d, want exactly %d", c.NNZ(), cap(c.Ind), cap(c.Val), want)
+	}
+}
+
 // TestBitmapRoundTripProperty: export→import through the bitmap formats is
 // lossless for random objects — including explicitly stored zeros, which the
 // presence flags (not the values) must carry.

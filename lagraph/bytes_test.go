@@ -11,8 +11,10 @@ import (
 // BenchmarkAlgorithmBytes reports the bytes and allocations of one call of
 // each traversal the traverse-large workload runs — BFSLevels, SSSP and a
 // 10-iteration PageRank with tol 0 — on the symmetrized rmat-14 graph with
-// that workload's weights, in a one-thread context. It has no floor: it is
-// the per-algorithm byte map, reproducible with
+// that workload's weights, in a one-thread context, and of what serve's ego
+// handler pays for an answer: the 2-hop EgoNet of the highest-degree vertex,
+// completed, and its tuples copied out. It has no floor: it is the
+// per-algorithm byte map, reproducible with
 //
 //	go test ./lagraph -run '^$' -bench AlgorithmBytes -benchtime 5x
 func BenchmarkAlgorithmBytes(b *testing.B) {
@@ -21,6 +23,12 @@ func BenchmarkAlgorithmBytes(b *testing.B) {
 	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
 	pat := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.BoolWeights(g), grb.LOr, grb.InContext(ctx)))
 	wgt := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), grb.Plus[float64], grb.InContext(ctx)))
+	hub, deg := 0, make([]int, g.N)
+	for _, v := range g.Src {
+		if deg[v]++; deg[v] > deg[hub] {
+			hub = v
+		}
+	}
 	for _, alg := range []struct {
 		name string
 		run  func()
@@ -28,6 +36,13 @@ func BenchmarkAlgorithmBytes(b *testing.B) {
 		{"BFS", func() { ck(ck1(BFSLevels(pat, 1)).Free()) }},
 		{"SSSP", func() { ck(ck1(SSSP(wgt, 1)).Free()) }},
 		{"PageRank", func() { ck(ck1(PageRank(wgt, 0.85, 0, 10)).Ranks.Free()) }},
+		{"EgoAnswer", func() {
+			sub, _ := ck2(EgoNet(wgt, hub, 2))
+			ck(sub.Wait(grb.Materialize))
+			_, _, _, err := sub.ExtractTuples()
+			ck(err)
+			ck(sub.Free())
+		}},
 	} {
 		alg.run() // the transposes are cached on the shared snapshots
 		b.Run(alg.name, func(b *testing.B) {
@@ -47,9 +62,9 @@ func BenchmarkAlgorithmBytes(b *testing.B) {
 // loop writes every full vector into the storage it supersedes, so
 // iterations 2 and 3 together allocate less than one n-entry float64 array.
 // Were rnew a Dup of r, which pins r's storage, iteration 2 would allocate
-// one afresh. The graph is rmat-14: what an iteration does allocate, the
-// pull's 16 KB block buffer above all, is half a vector at rmat-12 and
-// would fill the margin on its own.
+// one afresh. The graph is rmat-14: at rmat-12 a 1 024-row accumulate
+// block's 16 KB buffer alone was half a vector an iteration and filled the
+// margin; the 256-row block's 4 KB leaves 0.16 of one there.
 func TestPageRankAllocatesNoIterationVector(t *testing.T) {
 	initLib(t)
 	g := gen.Graph500RMAT(14, 8, 5).Symmetrize()

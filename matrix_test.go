@@ -1,6 +1,10 @@
 package grb
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 func TestMatrixConstructorValidation(t *testing.T) {
 	setMode(t, Blocking)
@@ -182,6 +186,49 @@ func TestMatrixExtractTuplesOrder(t *testing.T) {
 	m := mustMatrix(t, 3, 3,
 		[]Index{2, 0, 1, 0}, []Index{0, 2, 1, 0}, []int{4, 2, 3, 1})
 	matrixEquals(t, m, []Index{0, 0, 1, 2}, []Index{0, 2, 1, 0}, []int{1, 2, 3, 4})
+}
+
+// TestExtractTuplesAllocatesOnce: ExtractTuples allocates I, J and X once
+// each, at exactly nvals, on a matrix whose nvals is not a power of two, and
+// returns the tuples an element-by-element walk of the rows gives, bit for bit.
+func TestExtractTuplesAllocatesOnce(t *testing.T) {
+	setMode(t, Blocking)
+	const rows, cols = 2999, 1009
+	var I, J []Index
+	var X []float64
+	for i := 0; i < rows; i++ {
+		for k := range i % 9 { // row 0, 9, 18, … empty; 103·k < cols keeps columns distinct
+			I, J = append(I, i), append(J, (37*i+103*k)%cols)
+			X = append(X, [...]float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), float64(i) / 7}[(i+k)%4])
+		}
+	}
+	m := mustMatrix(t, rows, cols, I, J, X)
+	empty := ck1(NewMatrix[float64](rows, cols))
+	nnz := ck1(m.Nvals())
+	if nnz < 10000 || nnz&(nnz-1) == 0 {
+		t.Fatalf("nvals = %d: want at least 10 000 and not a power of two", nnz)
+	}
+	base := testing.AllocsPerRun(10, func() { ck3(empty.ExtractTuples()) })
+	if got := testing.AllocsPerRun(10, func() { ck3(m.ExtractTuples()) }); got > base+3 {
+		t.Errorf("ExtractTuples made %.1f allocations, want at most %.1f (the empty matrix's %.1f + 3)", got, base+3, base)
+	}
+	gi, gj, gx := ck3(m.ExtractTuples())
+	if len(gi) != nnz || cap(gi) != nnz || len(gj) != nnz || cap(gj) != nnz || len(gx) != nnz || cap(gx) != nnz {
+		t.Errorf("I, J, X: len %d/%d/%d, cap %d/%d/%d, want all %d", len(gi), len(gj), len(gx), cap(gi), cap(gj), cap(gx), nnz)
+	}
+	c := ck1(m.snapshot())
+	var wi, wj []Index
+	var wx []float64
+	for i := 0; i < c.Rows; i++ {
+		ind, val := c.Row(i)
+		for k := range ind {
+			wi, wj, wx = append(wi, i), append(wj, ind[k]), append(wx, val[k])
+		}
+	}
+	bits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !slices.Equal(gi, wi) || !slices.Equal(gj, wj) || !slices.EqualFunc(gx, wx, bits) {
+		t.Error("the tuples differ from the element-by-element walk of the rows")
+	}
 }
 
 func TestMatrixClearResetsError(t *testing.T) {

@@ -43,16 +43,15 @@ func (m *Matrix[T]) String() string {
 		}
 		return b.String()
 	}
-	I, J, X := c.Tuples(nil, nil, nil)
-	limit := 10
-	if len(I) < limit {
-		limit = len(I)
+	// The leading entries, read off the rows: no copy of the other tuples.
+	limit := min(10, c.NNZ())
+	for i, k := 0, 0; k < limit; i++ {
+		for ; k < min(c.Ptr[i+1], limit); k++ {
+			fmt.Fprintf(&b, "\n  (%d,%d) = %v", i, c.Ind[k], c.Val[k])
+		}
 	}
-	for k := 0; k < limit; k++ {
-		fmt.Fprintf(&b, "\n  (%d,%d) = %v", I[k], J[k], X[k])
-	}
-	if len(I) > limit {
-		fmt.Fprintf(&b, "\n  ... %d more", len(I)-limit)
+	if c.NNZ() > limit {
+		fmt.Fprintf(&b, "\n  ... %d more", c.NNZ()-limit)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,30 @@ func TestMatrixString(t *testing.T) {
 	ck(bad.Wait(Complete))
 	if !strings.Contains(bad.String(), "GrB_INVALID_VALUE") {
 		t.Fatalf("error not rendered: %q", bad.String())
+	}
+}
+
+// TestMatrixStringLeadingTuples: a matrix too large for the grid prints its
+// first ten tuples, read off the rows, as the text a full tuple copy printed:
+// across an empty row and a row cut by the limit.
+func TestMatrixStringLeadingTuples(t *testing.T) {
+	setMode(t, NonBlocking)
+	I := []Index{0, 0, 0, 2, 2, 5, 5, 5, 5, 5, 5, 7, 19}
+	J := []Index{1, 4, 17, 0, 3, 2, 5, 8, 11, 14, 16, 6, 19}
+	X := []float64{0.5, -1, 2, 3.25, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	m := mustMatrix(t, 20, 20, I, J, X)
+	var want strings.Builder
+	want.WriteString("Matrix 20x20, 13 entries")
+	for k := range 10 {
+		fmt.Fprintf(&want, "\n  (%d,%d) = %v", I[k], J[k], X[k])
+	}
+	want.WriteString("\n  ... 3 more")
+	if got := m.String(); got != want.String() {
+		t.Fatalf("got\n%s\nwant\n%s", got, want.String())
+	}
+	few := mustMatrix(t, 20, 20, I[:4], J[:4], X[:4])
+	if got, wantFew := few.String(), "Matrix 20x20, 4 entries\n  (0,1) = 0.5\n  (0,4) = -1\n  (0,17) = 2\n  (2,0) = 3.25"; got != wantFew {
+		t.Fatalf("got\n%s\nwant\n%s", got, wantFew)
 	}
 }
 
