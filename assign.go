@@ -114,8 +114,8 @@ func VectorAssign[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, 
 		return errf(DimensionMismatch, "VectorAssign: source has size %d but region has size %d", uvec.N, n)
 	}
 	f.ev.A(wOld.N, 1, wOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
-	return w.submit(&f, wOld, yieldsZ, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
-		return sparse.AssignV(wOld, uvec, ci, accum)
+	return w.submit(&f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
+		return sparse.AssignV(wOld, uvec, ci, accum, e)
 	})
 }
 
@@ -138,8 +138,8 @@ func VectorAssignScalar[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[
 		// m alone, without the full candidate the general path would build
 		// and discard.
 		replace := f.d.Replace
-		return w.submit(&f, wOld, yieldsC, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
-			return sparse.AssignScalarMaskedV(wOld, val, accum, mk, replace), nil
+		return w.submit(&f, wOld, yieldsC, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
+			return sparse.AssignScalarMaskedV(wOld, val, accum, mk, replace, e)
 		})
 	}
 	return w.submit(&f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
@@ -172,7 +172,7 @@ func VectorAssignScalarObj[T any](w *Vector[T], mask *Vector[bool], accum Binary
 		return err
 	}
 	f.ev.A(wOld.N, 1, wOld.NNZ())
-	return w.submit(&f, wOld, yieldsZ, accum, func(sparse.Exec) (*sparse.Vec[T], error) {
-		return sparse.AssignV(wOld, sparse.NewVec[T](n), ci, accum)
+	return w.submit(&f, wOld, yieldsZ, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
+		return sparse.AssignV(wOld, sparse.NewVec[T](n), ci, accum, e)
 	})
 }

@@ -91,6 +91,7 @@ func eWiseVector[DC, DA, DB any](op string, w *Vector[DC], mask *Vector[bool], a
 		return errf(DimensionMismatch, "%s: sizes %d, %d, %d incompatible", op, wOld.N, uvec.N, vvec.N)
 	}
 	f.ev.A(uvec.N, 1, uvec.NNZ()).B(vvec.N, 1, vvec.NNZ()).WithFlops(int64(uvec.NNZ() + vvec.NNZ()))
+	f.local = true
 	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[DC], error) {
 		return kernel(uvec, vvec, e), nil
 	})

@@ -1,14 +1,14 @@
 // Package snapshotcheck implements the grblint analyzer that guards the
 // substrate's ownership contract: CSR matrices and sparse vectors are
 // snapshots, and a snapshot's storage is written only by the code that made
-// it — with one exception, a vector's value array, which the drain that
-// supersedes it may grant to its kernel when nothing else can read it
-// (DESIGN.md, "Writing into superseded storage"). The transpose cache and
-// the nonblocking pipeline both rest on this: a kernel that writes storage
+// it — with one exception, a vector's value array (and a bitmap's flags),
+// which the drain that supersedes it may grant to its kernel when nothing
+// else can read it (DESIGN.md, "Writing into superseded storage"). The
+// transpose cache and the nonblocking pipeline both rest on this: a kernel that writes storage
 // someone else can read breaks them silently.
 //
 // The rule: inside the sparse package, a function must not write to the
-// storage slices (CSR.Ptr/Ind/Val, Vec.Ind/Val) of a *CSR/*Vec it received
+// storage slices (CSR.Ptr/Ind/Val, Vec.Ind/Val/Bit) of a *CSR/*Vec it received
 // as a parameter or receiver — writes include field assignment, element
 // assignment, ++/--, append-reassignment, and copy/clear into the slice.
 // Freshly allocated locals (composite literals, NewCSR/NewVec, Clone) are
@@ -16,17 +16,19 @@
 // blessed constructor/install helpers that build an object before it is
 // published.
 //
-// The grant is Exec.Spare, and reuseVal is its one door: it hands the kernel
-// the superseded array, and what it returns is the caller's to write. Every
-// other function that names Exec.Spare, to read it or to set it, is
-// reported.
+// The grant is Exec.Spare, and reuseVal (a value array) and bitmapBase (a
+// bitmap's Val and Bit) are its doors: each hands the kernel the superseded
+// storage, and what it returns is the caller's to write. Every other function
+// that names Exec.Spare, to read it or to set it, is reported; the doors'
+// own bodies are not checked.
 //
 // Kernels whose output keeps an operand's pattern share that operand's
 // index array instead of copying it (DESIGN.md, "Vector write-back: sharing
 // and exact allocation"), so the analyzer also tracks shared storage: a
 // local *CSR/*Vec whose Ptr/Ind/Val field is initialised — in its composite
 // literal or by a later field assignment — from an operand's storage slice
-// shares that field. Element writes, ++/--, append-reassignment and
+// shares that field; a Vec whose Bit is taken from an operand's is reported
+// where it is made, since only Ind may be shared. Element writes, ++/--, append-reassignment and
 // copy/clear into a shared field are reported exactly like writes through
 // the operand; the local's other, freshly made fields stay writable, and
 // rebinding the field to a fresh slice is not a write.
@@ -49,15 +51,19 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "snapshotcheck",
 	Doc: "report writes to the storage slices of snapshot (*CSR/*Vec) parameters inside the sparse " +
-		"package, and any use of Exec.Spare outside reuseVal; kernels write only storage they made",
+		"package, any use of Exec.Spare outside its doors, and any Vec sharing an operand's Bit; kernels write only " +
+		"storage they made",
 	Run: run,
 }
 
 // storageFields lists the guarded fields per snapshot type.
 var storageFields = map[string]map[string]bool{
 	"CSR": {"Ptr": true, "Ind": true, "Val": true},
-	"Vec": {"Ind": true, "Val": true},
+	"Vec": {"Ind": true, "Val": true, "Bit": true},
 }
+
+// doors are the functions that hand a kernel the step's grant.
+var doors = map[string]bool{"reuseVal": true, "bitmapBase": true}
 
 func run(pass *lint.Pass) error {
 	if pass.Pkg.Name() != "sparse" {
@@ -69,17 +75,17 @@ func run(pass *lint.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if fd.Name.Name != "reuseVal" {
-				checkGrant(pass, fd.Body)
-			}
-			if exemptFunc(fd.Name.Name) {
+			if doors[fd.Name.Name] {
 				continue
 			}
+			checkGrant(pass, fd.Body)
 			snaps := snapshotOperands(pass.TypesInfo, fd)
 			if len(snaps) == 0 {
 				continue
 			}
-			checkBody(pass, fd, snaps, sharedFields(pass.TypesInfo, fd.Body, snaps))
+			if shared := sharedFields(pass, fd.Body, snaps); !exemptFunc(fd.Name.Name) {
+				checkBody(pass, fd, snaps, shared)
+			}
 		}
 	}
 	return nil
@@ -90,8 +96,8 @@ func checkGrant(pass *lint.Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && id.Name == "Spare" {
 			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg().Name() == "sparse" {
-				pass.Reportf(id.Pos(), "Exec.Spare used outside reuseVal, the one door to the step's grant "+
-					"of a superseded value array")
+				pass.Reportf(id.Pos(), "Exec.Spare used outside reuseVal and bitmapBase, the doors to the "+
+					"step's grant of superseded storage")
 			}
 		}
 		return true
@@ -137,12 +143,16 @@ type sharing map[types.Object]map[string]bool
 // sharedFields collects the locals of snapshot type that take a storage
 // field from an operand: `out := &Vec[T]{Ind: u.Ind, ...}` (with or without
 // &, by := / = / var) and `out.Ind = u.Ind`. A re-slice of the operand's
-// storage (u.Ind[:k]) shares it just the same.
-func sharedFields(info *types.Info, body *ast.BlockStmt, snaps map[types.Object]bool) sharing {
-	shared := sharing{}
-	mark := func(obj types.Object, field string) {
+// storage (u.Ind[:k]) shares it just the same. A shared Bit is reported.
+func sharedFields(pass *lint.Pass, body *ast.BlockStmt, snaps map[types.Object]bool) sharing {
+	info, shared := pass.TypesInfo, sharing{}
+	mark := func(obj types.Object, field string, at ast.Node) {
 		if obj == nil || snaps[obj] {
 			return
+		}
+		if field == "Bit" {
+			pass.Reportf(at.Pos(), "%s takes an operand's Bit; only Ind may be shared — a bitmap is written in place "+
+				"by the drain that supersedes it", obj.Name())
 		}
 		if shared[obj] == nil {
 			shared[obj] = map[string]bool{}
@@ -154,7 +164,7 @@ func sharedFields(info *types.Info, body *ast.BlockStmt, snaps map[types.Object]
 			// out.Ind = u.Ind
 			if _, obj := fieldBase(info, sel); obj != nil && isSnapshotType(obj.Type()) &&
 				storageFields[snapshotTypeName(obj.Type())][sel.Sel.Name] && operandStorage(info, rhs, snaps) {
-				mark(obj, sel.Sel.Name)
+				mark(obj, sel.Sel.Name, sel)
 			}
 			return
 		}
@@ -180,7 +190,7 @@ func sharedFields(info *types.Info, body *ast.BlockStmt, snaps map[types.Object]
 				continue
 			}
 			if key, ok := kv.Key.(*ast.Ident); ok && fields[key.Name] && operandStorage(info, kv.Value, snaps) {
-				mark(obj, key.Name)
+				mark(obj, key.Name, kv)
 			}
 		}
 	}

@@ -12,11 +12,12 @@ type CSR[T any] struct {
 	Val        []T
 }
 
-// Vec is a stub of the sparse-vector snapshot.
+// Vec is a stub of the sparse-vector snapshot, in either form.
 type Vec[T any] struct {
 	N   int
 	Ind []int
 	Val []T
+	Bit []bool
 }
 
 // Exec is a stub of the execution environment, whose Spare carries the
@@ -35,6 +36,36 @@ func reuseVal[T any](e Exec, n int) []T {
 	return make([]T, n)
 }
 
+// bitmapBase is the bitmap's door: it may read Exec.Spare and hand out the
+// superseded Val and Bit.
+func bitmapBase[T any](e Exec, c *Vec[T]) *Vec[T] {
+	if e.Spare == any(c) {
+		return &Vec[T]{N: c.N, Val: c.Val, Bit: c.Bit}
+	}
+	return &Vec[T]{N: c.N, Val: make([]T, c.N), Bit: make([]bool, c.N)}
+}
+
+// markGranted writes into what the bitmap's door returned: no diagnostic.
+func markGranted(c *Vec[int], i int, e Exec) *Vec[int] {
+	out := bitmapBase(e, c)
+	out.Bit[i], out.Val[i] = true, 1
+	return out
+}
+
+// markOperand writes a parameter's flags outside the doors.
+func markOperand(c *Vec[int], i int) {
+	c.Bit[i] = true // want `snapshot c\.Bit assigned to a Vec parameter's storage`
+}
+
+// shareBit builds outputs that alias an operand's Bit, in a literal and by a
+// field assignment: only Ind may be shared.
+func shareBit(u *Vec[int]) (*Vec[int], *Vec[int]) {
+	lit := &Vec[int]{N: u.N, Val: make([]int, u.N), Bit: u.Bit} // want `lit takes an operand's Bit`
+	later := &Vec[int]{N: u.N, Val: make([]int, u.N)}
+	later.Bit = u.Bit // want `later takes an operand's Bit`
+	return lit, later
+}
+
 // fillGranted writes through the door: no diagnostic.
 func fillGranted(u *Vec[int], e Exec) *Vec[int] {
 	out := &Vec[int]{N: u.N, Ind: u.Ind, Val: reuseVal[int](e, len(u.Val))}
@@ -47,7 +78,7 @@ func fillGranted(u *Vec[int], e Exec) *Vec[int] {
 // fillBypass takes the grant itself and writes the superseded vector
 // unchecked.
 func fillBypass(u *Vec[int], e Exec) *Vec[int] {
-	old, _ := e.Spare.(*Vec[int]) // want `Exec\.Spare used outside reuseVal`
+	old, _ := e.Spare.(*Vec[int]) // want `Exec\.Spare used outside reuseVal and bitmapBase`
 	old.Val[0] = u.Val[0]
 	return old
 }

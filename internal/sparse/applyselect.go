@@ -156,6 +156,7 @@ func SelectCutM[A any](a *CSR[A], c Cut, s int, e Exec) *CSR[A] {
 // pattern is u's, so the output shares u's index array and allocates only
 // the values.
 func ApplyV[A, C any](u *Vec[A], f func(A) C) *Vec[C] {
+	u = u.Sorted()
 	out := &Vec[C]{N: u.N, Ind: u.Ind, Val: make([]C, len(u.Val))}
 	for k := range u.Val {
 		out.Val[k] = f(u.Val[k])
@@ -168,6 +169,7 @@ func ApplyV[A, C any](u *Vec[A], f func(A) C) *Vec[C] {
 // convention that vector index operators see a single index. Shares u's
 // index array like ApplyV.
 func ApplyIndexV[A, S, C any](u *Vec[A], f func(A, int, int, S) C, s S) *Vec[C] {
+	u = u.Sorted()
 	out := &Vec[C]{N: u.N, Ind: u.Ind, Val: make([]C, len(u.Val))}
 	for k := range u.Ind {
 		out.Val[k] = f(u.Val[k], u.Ind[k], 0, s)
@@ -177,6 +179,7 @@ func ApplyIndexV[A, S, C any](u *Vec[A], f func(A, int, int, S) C, s S) *Vec[C] 
 
 // SelectV keeps the entries of u admitted by the boolean index operator.
 func SelectV[A, S any](u *Vec[A], f func(A, int, int, S) bool, s S) *Vec[A] {
+	u = u.Sorted()
 	out := &Vec[A]{N: u.N, Ind: make([]int, 0, len(u.Ind)), Val: make([]A, 0, len(u.Val))}
 	for k := range u.Ind {
 		if f(u.Val[k], u.Ind[k], 0, s) {

@@ -48,7 +48,7 @@ func AssignM[T any](c, a *CSR[T], rows, cols []int, accum func(T, T) T) (out *CS
 			return nil, err
 		}
 		src = rowwise(a.Rows, c.Cols, 1, a.span,
-			func(i int, ind []int, val []T) ([]int, []T) { return gatherRun(ind, val, a.run(i), nil, cols) })
+			func(i int, ind []int, val []T) ([]int, []T) { return gatherRun(ind, val, a.run(i), inverse{pos: cols}) })
 	}
 	return rowwise(c.Rows, c.Cols, 1,
 		func(lo, hi int) int { return c.span(lo, hi) + src.NNZ() },
@@ -99,8 +99,9 @@ func AssignScalarM[T any](c *CSR[T], val T, rows, cols []int, accum func(T, T) T
 // AssignV computes the candidate Z for vector assign: Z = C with
 // Z(idx[i]) receiving U(i); same deletion/accumulation rules as AssignM,
 // of which it is the one-row case. With every index (idx == nil) Z is U
-// merged into C by accum: AccumMergeV, sharing included.
-func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error) {
+// merged into C by accum: AccumMergeV, sharing and bitmaps included; a list
+// reads the two through the sorted door, charged to e.
+func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T, e Exec) (_ *Vec[T], err error) {
 	if idx == nil {
 		if u.N != c.N {
 			return nil, ErrIndexOutOfBounds
@@ -110,13 +111,19 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error
 	if u.N != len(idx) {
 		return nil, ErrIndexOutOfBounds
 	}
+	if c, err = c.sortedEx(e); err == nil {
+		u, err = u.sortedEx(e)
+	}
+	if err != nil {
+		return nil, err
+	}
 	region, err := sortedUnique(idx, c.N)
 	if err != nil {
 		return nil, err
 	}
 	var src run[T] // U in C's index space
 	src.ind, src.val = makeRun[T](len(u.Ind))
-	src.ind, src.val = gatherRun(src.ind, src.val, u.run(), nil, idx)
+	src.ind, src.val = gatherRun(src.ind, src.val, u.run(), inverse{pos: idx})
 	ind, val := makeRun[T](min(len(c.Ind)+len(src.ind), c.N))
 	if accum != nil {
 		ind, val = unionRun(ind, val, c.run(), src, accum)
@@ -130,8 +137,12 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T) (*Vec[T], error
 // source: every position in idx receives val. With idx == nil (all
 // positions) Z is full and is filled directly, sharing C's index array when
 // C is full too — and writing into C's value array when the step granted it
-// through e (reuseVal).
+// through e (reuseVal). C is read through the sorted door.
 func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T, e Exec) (*Vec[T], error) {
+	c, err := c.sortedEx(e)
+	if err != nil {
+		return nil, err
+	}
 	if idx == nil {
 		out := &Vec[T]{N: c.N, Ind: c.Ind, Val: reuseVal[T](e, c.N, nil)}
 		if accum != nil && len(c.Ind) == c.N {
@@ -185,9 +196,28 @@ func scalarRun[T any](val T, idx []int, n int) (run[T], error) {
 // neither stores, one walk over all n. Admitted positions receive val
 // (folded into C's entry by accum when there is one); the others keep C's
 // entry unless replace is set. The output is allocated once, at
-// admits + min(|C|, rejects) (vmaskBounds).
-func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask, replace bool) *Vec[T] {
-	m := mask.M
+// admits + min(|C|, rejects) (vmaskBounds). Under a plain mask and no
+// replace, a bitmap C — or a granted one past bitmapCut — takes the mask's
+// admitted positions in place instead (bitmapBase), O(|mask|); otherwise C
+// and the mask are read through the sorted door, charged to e.
+func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask, replace bool, e Exec) (*Vec[T], error) {
+	m, err := mask.M.sortedEx(e)
+	if err != nil {
+		return nil, err
+	}
+	if !mask.Complement && !replace {
+		if out := bitmapBase(e, c, m.NNZ()); out != nil {
+			for k, j := range m.Ind {
+				if mask.Structural || m.Val[k] {
+					out.installAt(j, val, accum, false)
+				}
+			}
+			return installSettled(out), nil
+		}
+	}
+	if c, err = c.sortedEx(e); err != nil {
+		return nil, err
+	}
 	bound, rejects := vmaskBounds(mask, c.N)
 	if !replace {
 		bound = min(bound+min(len(c.Ind), rejects), c.N)
@@ -216,7 +246,7 @@ func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask
 				mi++
 			}
 		}
-		return out
+		return out, nil
 	}
 	for ci < len(c.Ind) || mi < len(m.Ind) {
 		switch {
@@ -248,7 +278,7 @@ func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask
 			mi++
 		}
 	}
-	return out
+	return out, nil
 }
 
 // fullPattern returns the index array 0..n-1 of a full vector.

@@ -55,13 +55,25 @@ func DebugCheckCSR[T any](m *CSR[T], origin string) {
 }
 
 // DebugCheckVec validates the sparse-vector snapshot contract: size
-// non-negative, parallel storage, indices sorted, unique and in [0, N).
+// non-negative; sorted, parallel storage with indices sorted, unique and in
+// [0, N); bitmap, Val and Bit of N slots, the stored count Bit's popcount
+// and no Ind.
 func DebugCheckVec[T any](v *Vec[T], origin string) {
 	if v == nil {
 		return
 	}
 	if v.N < 0 {
 		checkFail(origin, "negative size %d", v.N)
+	}
+	if v.Bit != nil {
+		if v.Ind != nil || len(v.Val) != v.N || len(v.Bit) != v.N {
+			checkFail(origin, "bitmap with len(Ind) = %d, len(Val) = %d, len(Bit) = %d, want 0, %d, %d",
+				len(v.Ind), len(v.Val), len(v.Bit), v.N, v.N)
+		}
+		if n := popcount(v.Bit); n != v.nb {
+			checkFail(origin, "bitmap has %d set flags but stores a count of %d", n, v.nb)
+		}
+		return
 	}
 	if len(v.Ind) != len(v.Val) {
 		checkFail(origin, "len(Ind) = %d but len(Val) = %d", len(v.Ind), len(v.Val))
@@ -77,46 +89,13 @@ func DebugCheckVec[T any](v *Vec[T], origin string) {
 	}
 }
 
-// DebugCheckDenseVec validates the block-vector contract: size non-negative,
-// one value slot per position, the bitmap (when present) position-aligned
-// with Nnz counting its set flags, and full views storing every position.
-func DebugCheckDenseVec[T any](d *DenseVec[T], origin string) {
-	if d == nil {
-		return
-	}
-	if d.N < 0 {
-		checkFail(origin, "negative size %d", d.N)
-	}
-	if len(d.Val) != d.N {
-		checkFail(origin, "len(Val) = %d, want N = %d", len(d.Val), d.N)
-	}
-	if d.Bit == nil {
-		if d.Nnz != d.N {
-			checkFail(origin, "full view with Nnz = %d, want N = %d", d.Nnz, d.N)
-		}
-		return
-	}
-	if len(d.Bit) != d.N {
-		checkFail(origin, "len(Bit) = %d, want N = %d", len(d.Bit), d.N)
-	}
-	n := 0
-	for _, ok := range d.Bit {
-		if ok {
-			n++
-		}
-	}
-	if n != d.Nnz {
-		checkFail(origin, "bitmap has %d set flags but Nnz = %d", n, d.Nnz)
-	}
-}
-
-// Superseded poisons old when res took its value array (reuseVal): the
-// struct's Val and Ind become nil and N −1, so a holder the grb layer's
-// count missed panics at its next read instead of reading the new values
-// as old ones.
+// Superseded poisons old when res, another struct, took its value array
+// (reuseVal, bitmapBase): the struct's Val, Ind and Bit become nil and N −1, so a
+// holder the grb layer's count missed panics at its next read instead of
+// reading the new values as old ones.
 func Superseded[T any](old, res *Vec[T]) {
-	if len(old.Val) > 0 && len(res.Val) > 0 && &old.Val[0] == &res.Val[0] {
-		old.N, old.Ind, old.Val = -1, nil, nil
+	if old != res && len(old.Val) > 0 && len(res.Val) > 0 && &old.Val[0] == &res.Val[0] {
+		old.N, old.Ind, old.Val, old.Bit = -1, nil, nil, nil
 	}
 }
 

@@ -11,8 +11,5 @@ func DebugCheckCSR[T any](m *CSR[T], origin string) {}
 // DebugCheckVec is a no-op without -tags grbcheck; see check.go.
 func DebugCheckVec[T any](v *Vec[T], origin string) {}
 
-// DebugCheckDenseVec is a no-op without -tags grbcheck; see check.go.
-func DebugCheckDenseVec[T any](d *DenseVec[T], origin string) {}
-
 // Superseded is a no-op without -tags grbcheck; see check.go.
 func Superseded[T any](old, res *Vec[T]) {}

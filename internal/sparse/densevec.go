@@ -5,104 +5,170 @@ import (
 	"unsafe"
 )
 
-// The block format of a vector (bitmap and full/dense). A block view stores
-// one value slot per position, so dense frontiers and PageRank iterations
-// index it directly instead of binary-searching or hashing the
-// sorted-coordinate form. It is the pull product's one densifier: the family
-// loops and the closure loop both gather through it. The view is memoized on
-// the vector (Vec.dv), whose values never change under a reader, and converted
-// back with Sparse for the round-trip property tests. Matrices have no block
-// view: a fully dense matrix runs the CSR row loop, which is faster on its
-// own best case (EXPERIMENTS.md, "One multiply scaffold").
+// The two resident forms of a vector and the views between them (Vec). A
+// bitmap has one value slot per position: the pull product gathers through
+// it, and the scatter kernels update an accumulator in it in O(|delta|). A
+// kernel that reads the form it was not handed takes a view. Matrices have
+// no block form: a fully dense matrix runs the CSR row loop, which is faster
+// on its own best case (EXPERIMENTS.md, "One multiply scaffold").
 
-// DenseVec is the block view of a vector: Val has one slot per position.
-// Bit == nil marks the full variant (every position stored, Nnz == N), whose
-// Val is the vector's own and must not be written; otherwise Bit[i] reports
-// whether position i holds an entry and absent slots of Val are zero-valued
-// padding with no semiring meaning.
-type DenseVec[T any] struct {
-	N   int
-	Val []T
-	Bit []bool
-	Nnz int
-}
+// viewMu serializes view materialization; the double-checked load keeps the
+// cached-hit path lock-free.
+var viewMu sync.Mutex
 
-// Full reports whether the view stores every position (no bitmap).
-func (d *DenseVec[T]) Full() bool { return d.Bit == nil }
-
-// denseViewMu serializes block-view materialization. Concurrent readers that
-// lose the build race share the winner's view; the double-checked load keeps
-// the common cached-hit path lock-free.
-var denseViewMu sync.Mutex
-
-// viewBytes is what materializing v's block view allocates: the value slots
-// plus the presence bitmap, or nothing when v is full and is its own view.
+// viewBytes is what materializing v's bitmap view allocates: the value
+// slots plus the presence flags, or nothing when v is full or a bitmap and
+// is its own view.
 func (v *Vec[T]) viewBytes() int64 {
-	if v.NNZ() == v.N {
+	if v.Bit != nil || v.NNZ() == v.N {
 		return 0
 	}
 	var zero T
 	return int64(v.N) * int64(unsafe.Sizeof(zero)+1)
 }
 
-// DenseViewEx returns the block view of v. A full vector's values already
-// are one slot per position, and nothing writes them while v can be read,
-// so its view aliases v.Val: no conversion, no allocation, no scratch, no
-// charge. Any other view is materialized on first use and memoized; that
-// miss is the operation's gather scratch and is charged as such —
-// transiently, under the gather site, released when the operation's
-// transaction closes — because the view dies with the vector snapshot,
-// which in an iteration is the next step (a persistent charge would outlive
-// every freed frontier and exhaust the budget with flat live memory).
-// Returns ErrBudget when the charge does not fit.
-func (v *Vec[T]) DenseViewEx(e Exec) (DenseVec[T], error) {
-	if v.NNZ() == v.N {
-		return DenseVec[T]{N: v.N, Val: v.Val, Nnz: v.N}, nil
+// DenseViewEx returns v with one value slot per position: its Val, and its
+// Bit unless v is full (Bit nil). A full vector and a bitmap are their own
+// view — no conversion, no allocation, no charge. A sorted non-full vector's
+// view is a bitmap materialized on first use and memoized; that miss is the
+// operation's gather scratch and is charged as such — transiently, released
+// when the operation's transaction closes — because the view dies with the
+// snapshot, which in an iteration is the next step (a persistent charge
+// would exhaust the budget with flat live memory). Returns ErrBudget when
+// the charge does not fit.
+func (v *Vec[T]) DenseViewEx(e Exec) (*Vec[T], error) {
+	if v.Bit != nil || v.NNZ() == v.N {
+		return v, nil
 	}
-	if d := v.dv.Load(); d != nil {
-		return *d, nil
-	}
-	denseViewMu.Lock()
-	defer denseViewMu.Unlock()
-	if d := v.dv.Load(); d != nil {
-		return *d, nil
-	}
-	if err := siteFormatConvert.Check(); err != nil {
-		return DenseVec[T]{}, err
-	}
-	bytes := v.viewBytes()
-	if err := e.charge(siteSpMVGather, bytes); err != nil {
-		return DenseVec[T]{}, err
-	}
-	d := &DenseVec[T]{N: v.N, Val: make([]T, v.N), Bit: make([]bool, v.N), Nnz: v.NNZ()}
-	for k, i := range v.Ind {
-		d.Val[i] = v.Val[k]
-		d.Bit[i] = true
-	}
-	formatConversions.Add(1)
-	scratchBytes.Add(bytes)
-	DebugCheckDenseVec(d, "Vec.DenseView")
-	v.dv.Store(d)
-	return *d, nil
+	return v.memoView(&e, v.viewBytes(), func() *Vec[T] {
+		d := &Vec[T]{N: v.N, Val: make([]T, v.N), Bit: make([]bool, v.N), nb: v.NNZ()}
+		for k, i := range v.Ind {
+			d.Val[i], d.Bit[i] = v.Val[k], true
+		}
+		return d
+	})
 }
 
-// Sparse converts the block view back to sorted-coordinate form.
-func (d *DenseVec[T]) Sparse() *Vec[T] {
-	out := &Vec[T]{N: d.N}
-	if d.Bit == nil {
-		out.Ind = fullPattern(d.N)
-		out.Val = make([]T, d.N)
-		copy(out.Val, d.Val)
-	} else {
-		out.Ind = make([]int, 0, d.Nnz)
-		out.Val = make([]T, 0, d.Nnz)
-		for i, ok := range d.Bit {
-			if ok {
-				out.Ind = append(out.Ind, i)
-				out.Val = append(out.Val, d.Val[i])
-			}
+// sortedEx returns v in sorted coordinates: v itself, or a bitmap's sorted
+// view. It is the door to a bitmap for every kernel that reads Ind and holds
+// an Exec, and the kernel takes it itself: it is unexported so that no
+// caller converts an operand for it. The view is
+// memoized and charged like DenseViewEx's, and is pinned: a kernel that
+// returns it as its result hands the next object storage that is never
+// written again.
+func (v *Vec[T]) sortedEx(e Exec) (*Vec[T], error) {
+	if v.Bit == nil {
+		return v, nil
+	}
+	var zero T
+	return v.memoView(&e, int64(v.nb)*int64(unsafe.Sizeof(zero)+8), v.gather)
+}
+
+// Sorted is sortedEx for a kernel that holds no Exec and for a synchronous
+// reader: the view is neither charged nor probed, like the output such a
+// kernel allocates beside it.
+func (v *Vec[T]) Sorted() *Vec[T] {
+	if v.Bit == nil {
+		return v
+	}
+	s, _ := v.memoView(nil, 0, v.gather) // unpaid, it cannot fail
+	return s
+}
+
+// gather builds a bitmap's sorted view.
+func (v *Vec[T]) gather() *Vec[T] {
+	s := GatherVec(v.Val, v.Bit)
+	s.Pin()
+	return s
+}
+
+// memoView returns v's memoized view, building it with build on a miss.
+// Unless e is nil, the format conversion fault site is probed and the
+// view's bytes charged to e under the gather site first.
+func (v *Vec[T]) memoView(e *Exec, bytes int64, build func() *Vec[T]) (*Vec[T], error) {
+	if d := v.view.Load(); d != nil {
+		return d, nil
+	}
+	viewMu.Lock()
+	defer viewMu.Unlock()
+	if d := v.view.Load(); d != nil {
+		return d, nil
+	}
+	if e != nil {
+		if err := siteFormatConvert.Check(); err != nil {
+			return nil, err
+		}
+		if err := e.charge(siteSpMVGather, bytes); err != nil {
+			return nil, err
 		}
 	}
-	DebugCheckVec(out, "DenseVec.Sparse")
+	d := build()
+	formatConversions.Add(1)
+	scratchBytes.Add(bytes)
+	DebugCheckVec(d, "Vec.view")
+	v.view.Store(d)
+	return d, nil
+}
+
+// bitmapCut is the one cut between the two forms: a scatter kernel
+// (AssignScalarMaskedV, EWiseAddV) granted a sorted vector's storage writes
+// a result that may store n/bitmapCut of its n positions as a bitmap, which
+// later updates scatter into in O(|delta|) where the sorted form rebuilds it
+// all. 64 is where the measured bytes stop falling (EXPERIMENTS.md,
+// "Accumulators updated in place"). A full result stays sorted.
+const bitmapCut = 64
+
+// bitmapBase returns the bitmap a scatter kernel updates c into with at
+// most delta new entries, or nil when c is sorted and the kernel keeps its
+// sorted merge. It is the door to the step's grant of a bitmap, as reuseVal
+// is to a value array: when e.Spare is c, c's own Val and Bit, written in
+// place; a copy of them when c is a bitmap someone else can still read;
+// fresh slots holding c's entries when c is a granted sorted vector whose
+// result may reach bitmapCut.
+func bitmapBase[T any](e Exec, c *Vec[T], delta int) *Vec[T] {
+	granted := e.Spare == any(c)
+	out := &Vec[T]{N: c.N, nb: c.NNZ()}
+	switch {
+	case c.Bit != nil && granted:
+		out.Val, out.Bit = c.Val, c.Bit
+	case c.Bit != nil:
+		out.Val, out.Bit = make([]T, c.N), make([]bool, c.N)
+		copy(out.Val, c.Val)
+		copy(out.Bit, c.Bit)
+	case granted && c.NNZ() < c.N && (c.NNZ()+delta)*bitmapCut >= c.N:
+		out.Val, out.Bit = make([]T, c.N), make([]bool, c.N)
+		for k, i := range c.Ind {
+			out.Val[i], out.Bit[i] = c.Val[k], true
+		}
+	default:
+		return nil
+	}
 	return out
+}
+
+// installAt folds x into position i of the bitmap v a kernel is building:
+// add(v(i), x) — add(x, v(i)) when x is add's first operand — where v
+// stores i and add is non-nil, x otherwise.
+func (v *Vec[T]) installAt(i int, x T, add func(T, T) T, xFirst bool) {
+	switch {
+	case !v.Bit[i]:
+		v.Val[i], v.Bit[i] = x, true
+		v.nb++
+	case add == nil:
+		v.Val[i] = x
+	case xFirst:
+		v.Val[i] = add(x, v.Val[i])
+	default:
+		v.Val[i] = add(v.Val[i], x)
+	}
+}
+
+// installSettled finishes a bitmap a scatter kernel built: one that came
+// out full takes the sorted form, its Val already the full value array.
+func installSettled[T any](v *Vec[T]) *Vec[T] {
+	if v.nb == v.N {
+		v.Ind, v.Bit = fullPattern(v.N), nil
+	}
+	DebugCheckVec(v, "bitmap scatter")
+	return v
 }

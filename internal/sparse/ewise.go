@@ -96,14 +96,20 @@ func ewFamily[A, B, C any](op Bin) func(Bin, ewForm, []C, []A, []B, []int) {
 // operand; op tags add for the family loops. Two sparse patterns merge
 // through the closure, whose call is not that merge's cost (EXPERIMENTS.md).
 // The position forms write into the value array the step granted through
-// e, when it has their length (reuseVal).
+// e, when it has their length (reuseVal). With a bitmap side — or a granted
+// sorted side past bitmapCut — the other side is scattered into that bitmap
+// (bitmapBase), in place when it is the granted one: O(|other side|).
 func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 	fam := ewFamily[T, T, T](op)
 	switch {
-	case len(a.Ind) == 0:
+	case a.NNZ() == 0:
 		return b
-	case len(b.Ind) == 0:
+	case b.NNZ() == 0:
 		return a
+	case a.Bit != nil:
+		return scatterAdd(bitmapBase(e, a, 0), b, add, false)
+	case b.Bit != nil:
+		return scatterAdd(bitmapBase(e, b, 0), a, add, true)
 	case samePattern(a.Ind, b.Ind, a.N):
 		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: reuseVal[T](e, len(a.Val), nil)}
 		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
@@ -117,9 +123,31 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 		ewFunc(fam, op, add, ewScatterY, out.Val, a.Val, b.Val, a.Ind)
 		return out
 	}
+	if out := bitmapBase(e, a, b.NNZ()); out != nil {
+		return scatterAdd(out, b, add, false)
+	}
+	if out := bitmapBase(e, b, a.NNZ()); out != nil {
+		return scatterAdd(out, a, add, true)
+	}
 	ind, val := makeRun[T](min(len(a.Ind)+len(b.Ind), a.N))
 	ind, val = unionRun(ind, val, a.run(), b.run(), add)
 	return &Vec[T]{N: a.N, Ind: ind, Val: val}
+}
+
+// scatterAdd folds the entries of s into the bitmap out in index order —
+// s's value as add's first operand when sFirst — and settles the result.
+func scatterAdd[T any](out, s *Vec[T], add func(T, T) T, sFirst bool) *Vec[T] {
+	if s.Bit == nil {
+		for k, i := range s.Ind {
+			out.installAt(i, s.Val[k], add, sFirst)
+		}
+	}
+	for i, ok := range s.Bit {
+		if ok {
+			out.installAt(i, s.Val[i], add, sFirst)
+		}
+	}
+	return installSettled(out)
 }
 
 // EWiseMultV is the vector analogue of EWiseMultM. The intersection pattern
@@ -127,10 +155,12 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 // two patterns are identical or the other side is full. op tags mul for the
 // family loops; two sparse patterns merge through the closure. The position
 // forms write into the value array the step granted through e, when it has
-// their length (reuseVal).
+// their length (reuseVal). A bitmap side is gathered from (bitmapMult).
 func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e Exec) *Vec[C] {
 	fam := ewFamily[A, B, C](op)
 	switch {
+	case a.Bit != nil || b.Bit != nil:
+		return bitmapMult(a, b, mul)
 	case samePattern(a.Ind, b.Ind, a.N):
 		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
 		ewFunc(fam, op, mul, ewZip, out.Val, a.Val, b.Val, nil)
@@ -147,4 +177,29 @@ func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e E
 	ind, val := makeRun[C](min(len(a.Ind), len(b.Ind)))
 	ind, val = intersectRun(ind, val, a.run(), b.run(), mul)
 	return &Vec[C]{N: a.N, Ind: ind, Val: val}
+}
+
+// bitmapMult is EWiseMultV with a bitmap side: a walk over the other side's
+// entries — a's, listed, when both are bitmaps — that gathers from the
+// bitmap, into an output allocated once at the smaller count.
+func bitmapMult[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
+	if a.Bit != nil && b.Bit != nil {
+		a = GatherVec(a.Val, a.Bit)
+	}
+	out := &Vec[C]{N: a.N}
+	out.Ind, out.Val = makeRun[C](min(a.NNZ(), b.NNZ()))
+	if a.Bit == nil {
+		for k, i := range a.Ind {
+			if b.Bit[i] {
+				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[k], b.Val[i]))
+			}
+		}
+		return out
+	}
+	for k, i := range b.Ind {
+		if a.Bit[i] {
+			out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[i], b.Val[k]))
+		}
+	}
+	return out
 }

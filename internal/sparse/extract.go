@@ -1,5 +1,12 @@
 package sparse
 
+import (
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
+)
+
 // ExtractM computes the submatrix T = A(rows, cols): T is
 // len(rows)×len(cols) with T(i,j) = A(rows[i], cols[j]). A nil index slice
 // means "all indices" (GrB_ALL). Index lists may contain duplicates and be
@@ -26,7 +33,11 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, e Exec) (out *CSR[T], err erro
 			}
 		}
 	}
-	colPtr, colPos := invertList(cols, a.Cols)
+	probes := a.NNZ() // one lookup per entry of the listed rows
+	if rows != nil {
+		probes = listedWork(a.Ptr, rows, 0, math.MaxInt)
+	}
+	inv := invertList(cols, a.Cols, probes)
 	return rowwise(outRows, outCols, e.workers(a.NNZ()),
 		func(lo, hi int) int {
 			// A source entry lands once per listed copy of its column.
@@ -38,7 +49,8 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, e Exec) (out *CSR[T], err erro
 					continue
 				}
 				for _, c := range row.ind {
-					n += colPtr[c+1] - colPtr[c]
+					lo, hi := inv.span(c)
+					n += hi - lo
 				}
 			}
 			return n
@@ -47,7 +59,7 @@ func ExtractM[T any](a *CSR[T], rows, cols []int, e Exec) (out *CSR[T], err erro
 			if cols == nil {
 				return appendRun(ind, val, a.run(listAt(rows, i)))
 			}
-			return gatherRun(ind, val, a.run(listAt(rows, i)), colPtr, colPos)
+			return gatherRun(ind, val, a.run(listAt(rows, i)), inv)
 		}), nil
 }
 
@@ -59,14 +71,60 @@ func listAt(list []int, i int) int {
 	return list[i]
 }
 
-// invertList inverts an index list over [0, n) by counting sort, as Bucket
-// does rows: index c is listed at the positions pos[ptr[c]:ptr[c+1]], in
-// increasing order. A nil list has no inverse.
-func invertList(list []int, n int) (ptr, pos []int) {
-	if list == nil {
-		return nil, nil
+// inverse maps a source index c to the target positions pos[lo:hi] of
+// span(c), in increasing order: through the row pointers ptr of a counting
+// sort, by binary search in the sorted keys key, or — both nil — as the
+// direct map c → pos[c].
+type inverse struct {
+	ptr, key, pos []int
+}
+
+func (v inverse) span(c int) (lo, hi int) {
+	switch {
+	case v.ptr != nil:
+		return v.ptr[c], v.ptr[c+1]
+	case v.key != nil:
+		lo = sort.SearchInts(v.key, c)
+		return lo, lo + sort.SearchInts(v.key[lo:], c+1)
 	}
-	ptr, pos = make([]int, n+1), make([]int, len(list))
+	return c, c + 1
+}
+
+// invertList inverts an index list over [0, n) for probes lookups, by the
+// cheaper of two ways: a counting sort, as Bucket does rows, costs the n+1
+// row pointers and one step a lookup; sorting the (index, position) pairs
+// costs ~len·⌈log₂ len⌉ and a binary search a lookup. So a list short
+// against n, such as an ego net's vertices, is sorted. A nil list has no
+// inverse.
+func invertList(list []int, n, probes int) inverse {
+	lg := bits.Len(uint(len(list)))
+	switch {
+	case list == nil:
+		return inverse{}
+	case (len(list)+probes)*lg >= n+probes || n > math.MaxInt/max(len(list), 1):
+		return countInverse(list, n)
+	}
+	return sortInverse(list)
+}
+
+// sortInverse inverts list, len(list)·max(list) below MaxInt, by sorting
+// index·len + position: one pdqsort of ints, stable by construction.
+func sortInverse(list []int) inverse {
+	l := len(list)
+	pos, key := make([]int, l), make([]int, l)
+	for j, c := range list {
+		pos[j] = c*l + j
+	}
+	slices.Sort(pos)
+	for k, p := range pos {
+		key[k], pos[k] = p/l, p%l
+	}
+	return inverse{key: key, pos: pos}
+}
+
+// countInverse inverts list over [0, n) by counting sort.
+func countInverse(list []int, n int) inverse {
+	ptr, pos := make([]int, n+1), make([]int, len(list))
 	for _, c := range list {
 		ptr[c+1]++
 	}
@@ -78,7 +136,7 @@ func invertList(list []int, n int) (ptr, pos []int) {
 		pos[ptr[c+1]] = j
 		ptr[c+1]++
 	}
-	return ptr, pos
+	return inverse{ptr: ptr, pos: pos}
 }
 
 // ExtractV computes the subvector t = u(idx): t has len(idx) entries with

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// Format-transition property tests: converting a sparse vector to its
-// bitmap/dense block view and back must be lossless — same shape, same
+// Format-transition property tests: converting a sorted vector to its
+// bitmap view and back (sortedEx) must be lossless — same shape, same
 // nnz, same pattern, same values — for every density, which alone picks the
 // view (full operand → full view, anything else → bitmap view). Built with
 // -tags grbcheck the conversions additionally run the structural validators
@@ -22,13 +22,16 @@ func roundTripVec[T comparable](t *testing.T, label string, v *Vec[T], wantFull 
 	if err != nil {
 		t.Fatalf("%s: DenseViewEx: %v", label, err)
 	}
-	if dv.N != v.N || dv.Nnz != v.NNZ() {
-		t.Fatalf("%s: view shape/nnz (%d,%d) != (%d,%d)", label, dv.N, dv.Nnz, v.N, v.NNZ())
+	if dv.N != v.N || dv.NNZ() != v.NNZ() {
+		t.Fatalf("%s: view shape/nnz (%d,%d) != (%d,%d)", label, dv.N, dv.NNZ(), v.N, v.NNZ())
 	}
-	if dv.Full() != wantFull {
-		t.Fatalf("%s: view Full() = %v, want %v", label, dv.Full(), wantFull)
+	if (dv.Bit == nil) != wantFull {
+		t.Fatalf("%s: view full = %v, want %v", label, dv.Bit == nil, wantFull)
 	}
-	back := dv.Sparse()
+	back, err := dv.sortedEx(Exec{})
+	if err != nil {
+		t.Fatalf("%s: sortedEx: %v", label, err)
+	}
 	identicalVec(t, label+"/round-trip", back, v)
 }
 
@@ -123,7 +126,7 @@ func TestFormatViewBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a full vector's view under a 16-byte budget: %v", err)
 	}
-	if !dv.Full() || &dv.Val[0] != &full.Val[0] {
+	if dv.Bit != nil || &dv.Val[0] != &full.Val[0] {
 		t.Fatal("a full vector's view does not alias its values")
 	}
 	if conv, used, scratch := FormatConversionCount(), tiny.Used(), scratchBytes.Load(); conv != 0 || used != 0 || scratch != 0 {

@@ -88,22 +88,32 @@ type hashLookup[T any] struct {
 // lookupBytes is what newHashLookup(v) allocates.
 func lookupBytes[T any](v *Vec[T]) int64 { return int64(hashCapacity(v.NNZ())) * slotBytes[T]() }
 
+// newHashLookup builds the table of v's entries, reading a bitmap's flags
+// where v is one.
 func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
-	c := hashCapacity(len(v.Ind))
+	c := hashCapacity(v.NNZ())
 	h := &hashLookup[T]{keys: make([]int, c), vals: make([]T, c), mask: c - 1}
 	for i := range h.keys {
 		h.keys[i] = -1
 	}
 	scratchBytes.Add(int64(c) * slotBytes[T]())
 	for k, j := range v.Ind {
-		s := int((uint64(j)*0x9E3779B97F4A7C15)>>33) & h.mask
-		for h.keys[s] != -1 {
-			s = (s + 1) & h.mask
+		h.put(j, v.Val[k])
+	}
+	for j, ok := range v.Bit {
+		if ok {
+			h.put(j, v.Val[j])
 		}
-		h.keys[s] = j
-		h.vals[s] = v.Val[k]
 	}
 	return h
+}
+
+func (h *hashLookup[T]) put(j int, x T) {
+	s := int((uint64(j)*0x9E3779B97F4A7C15)>>33) & h.mask
+	for h.keys[s] != -1 {
+		s = (s + 1) & h.mask
+	}
+	h.keys[s], h.vals[s] = j, x
 }
 
 func (h *hashLookup[T]) get(j int) (T, bool) {

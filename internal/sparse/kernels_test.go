@@ -677,7 +677,7 @@ func TestVectorKernels(t *testing.T) {
 		// assign vector
 		idx := rng.Perm(n)[:1+rng.Intn(n)]
 		src := randVec(rng, len(idx), 0.6)
-		z, err := AssignV(u, src, idx, nil)
+		z, err := AssignV(u, src, idx, nil, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}

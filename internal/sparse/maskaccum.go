@@ -42,11 +42,14 @@ func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(i
 		}
 		return nil
 	}
+	structural, comp := mask.Structural, mask.Complement
+	if m := mask.M; m.Bit != nil { // a bitmap mask is its own predicate
+		return func(j int) bool { return (m.Bit[j] && (structural || m.Val[j])) != comp }
+	}
 	if !hash {
 		admit := vmaskBitmap(mask, n, e, site)
 		return func(j int) bool { return admit[j] }
 	}
-	structural, comp := mask.Structural, mask.Complement
 	e.mustCharge(site, lookupBytes(mask.M))
 	h := newHashLookup(mask.M)
 	return func(j int) bool {
@@ -62,9 +65,16 @@ func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(i
 // maskProbe is what the planners read of a non-nil vector mask over n
 // positions: whether its hash predicate's table is strictly smaller than the
 // n-byte bitmap, and whether the bitmap fits the budget beside the bytes the
-// scaffold is about to charge for its own structure.
+// scaffold is about to charge for its own structure. A bitmap mask is its
+// own predicate, free to the closure loop (vmaskLookup); only the admit
+// array a family loop indexes costs n bytes, so the predicate is the smaller
+// exactly where that array does not fit.
 func maskProbe(e Exec, mask VMask, n int, beside int64) (hashSmaller, bitmapFits bool) {
-	return lookupBytes(mask.M) < int64(n), e.Tx.Fits(beside + int64(n))
+	fits := e.Tx.Fits(beside + int64(n))
+	if mask.M.Bit != nil {
+		return !fits, fits
+	}
+	return lookupBytes(mask.M) < int64(n), fits
 }
 
 // vmaskBitmap scatters a non-nil vector mask into an O(n) admit bitmap
@@ -78,6 +88,12 @@ func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) []bool {
 	e.mustCharge(site, int64(n))
 	admit := make([]bool, n)
 	scratchBytes.Add(int64(n))
+	if m.Bit != nil {
+		for j, ok := range m.Bit {
+			admit[j] = (ok && (structural || m.Val[j])) != comp
+		}
+		return admit
+	}
 	if comp {
 		for i := range admit {
 			admit[i] = true
@@ -197,6 +213,7 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 		}
 		return c
 	}
+	c, z, mask.M = c.Sorted(), z.Sorted(), mask.M.Sorted()
 	admits, rejects := vmaskBounds(mask, c.N)
 	bound := min(len(z.Ind), admits)
 	if !replace {

@@ -361,11 +361,11 @@ func TestMonoRoutingGates(t *testing.T) {
 		if (dense == 1) != (rt.Acc == AccDense) || (hash == 1) != (rt.Acc == AccHash) {
 			t.Fatalf("%s: dense=%d hash=%d for route %+v", tc.name, dense, hash, rt)
 		}
-		dv := tc.vec.dv.Load()
+		dv := tc.vec.view.Load()
 		if (dv != nil) != (rt.Acc == AccDense && !tc.wantFull) {
 			t.Fatalf("%s: view materialized = %v under route %+v", tc.name, dv != nil, rt)
 		}
-		if dv != nil && dv.Full() {
+		if dv != nil && dv.Bit == nil {
 			t.Fatalf("%s: a memoized view without a bitmap", tc.name)
 		}
 		if conv, scratch := FormatConversionCount(), ScratchBytes(); (conv != 0) != (dv != nil) || tc.wantFull && scratch != 0 {

@@ -255,7 +255,7 @@ func dirIn(dir Dir, products, nnz int, gptr []int, mask VMask, outDim int, full 
 		if gptr == nil {
 			return int(float64(mask.M.NNZ()) * float64(nnz) / float64(max(outDim, 1)))
 		}
-		return listedWork(gptr, mask.M.Ind, 0, cut)
+		return listedEntries(gptr, mask.M, 0, cut)
 	}
 	need := pushCut*products - outDim // push iff probes > need
 	switch {
@@ -281,7 +281,7 @@ func PlanDir[A, X any](dir Dir, a *CSR[A], pushT bool, u *Vec[X], mask VMask) (R
 	}
 	products := int(float64(u.NNZ()) * float64(a.NNZ()) / float64(max(inDim, 1))) // all of R if u is full
 	if r != nil && u.NNZ() < inDim {
-		products = listedWork(r.Ptr, u.Ind, 0, math.MaxInt)
+		products = listedEntries(r.Ptr, u, 0, math.MaxInt)
 	}
 	var gptr []int
 	if g != nil {

@@ -160,19 +160,15 @@ func tupleRun[T any](ind []int, val []T, a run[T], ts []Tuple[T]) ([]int, []T) {
 }
 
 // gatherRun appends a mapped into target columns, in target order: the entry
-// at source column c lands on pos[ptr[c]:ptr[c+1]] — on pos[c] alone when ptr
-// is nil. Where several entries land on one target the last in a's order
-// stays. The appended part is sorted only if the map was not monotone for
-// this run.
-func gatherRun[T any](ind []int, val []T, a run[T], ptr, pos []int) ([]int, []T) {
+// at source column c lands on the positions inv lists for c (invertList). Where
+// several entries land on one target the last in a's order stays. The
+// appended part is sorted only if the map was not monotone for this run.
+func gatherRun[T any](ind []int, val []T, a run[T], inv inverse) ([]int, []T) {
 	start := len(ind)
 	ascending := true
 	for k, c := range a.ind {
-		lo, hi := c, c+1
-		if ptr != nil {
-			lo, hi = ptr[c], ptr[c+1]
-		}
-		for _, j := range pos[lo:hi] {
+		lo, hi := inv.span(c)
+		for _, j := range inv.pos[lo:hi] {
 			ascending = ascending && (len(ind) == start || ind[len(ind)-1] < j)
 			ind, val = append(ind, j), append(val, a.val[k])
 		}

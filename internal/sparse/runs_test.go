@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -70,7 +71,7 @@ func TestVectorIsOneRowMatrix(t *testing.T) {
 							src = b
 						}
 						what := fmt.Sprintf("/%s/accum=%s/all=%v", tag, op.name, region == nil)
-						gotV, errV := AssignV(a, src, region, op.f)
+						gotV, errV := AssignV(a, src, region, op.f, Exec{})
 						gotM, errM := AssignM(A, oneRow(src), nil, region, op.f)
 						if errV != nil || errM != nil {
 							t.Fatalf("Assign%s: %v, %v", what, errV, errM)
@@ -111,11 +112,11 @@ func TestAssignVAllIndices(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		c, u := randIntVec(rng, n, rng.Intn(n+1)), randIntVec(rng, n, rng.Intn(n+1))
 		for _, accum := range []func(int, int) int{nil, minus} {
-			got, err := AssignV(c, u, nil, accum)
+			got, err := AssignV(c, u, nil, accum, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := AssignV(c, u, fullPattern(n), accum)
+			want, err := AssignV(c, u, fullPattern(n), accum, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func TestAssignVAllIndices(t *testing.T) {
 	var sink *Vec[int]
 	bytesAt := func(n int) uint64 {
 		c, u := randIntVec(rng, n, 50), randIntVec(rng, n, 50)
-		return allocatedBytes(func() { sink, _ = AssignV(c, u, nil, minus) })
+		return allocatedBytes(func() { sink, _ = AssignV(c, u, nil, minus, Exec{}) })
 	}
 	if small, large := bytesAt(1<<10), bytesAt(1<<20); large > small+256 {
 		t.Errorf("AssignV over all indices allocates %d bytes at N=2^10 and %d at N=2^20; want no growth with N", small, large)
@@ -154,5 +155,47 @@ func TestExtractMAllocations(t *testing.T) {
 		if allocs > 16 {
 			t.Errorf("ExtractM of 600 rows × 600 columns (shuffled=%v): %.0f allocations, want <= 16", shuffled, allocs)
 		}
+	}
+}
+
+// TestExtractMInvertsShortAndLongLists holds ExtractM, and the sorted
+// inverse row by row, to the counting-sort inverse, bit for bit, on lists
+// short enough to sort (empty, one index, a few unsorted with repeats) and
+// as long as Cols (a permutation, and a draw with repeats), over spiked
+// float values; ExtractM must take each of invertList's paths somewhere.
+func TestExtractMInvertsShortAndLongLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+	took := map[bool]int{}
+	for _, cols := range []int{1, 7, 64, 300, 5000} {
+		a := sprayCSR(rng, 40, cols, min(8*cols, 400), spikedFloat)
+		rows := rng.Perm(a.Rows)[:25]
+		draw := make([]int, cols)
+		for j := range draw {
+			draw[j] = rng.Intn(cols)
+		}
+		lists := [][]int{{}, {rng.Intn(cols)}, rng.Perm(cols), draw}
+		if cols > 4 {
+			lists = append(lists, []int{cols - 1, 2, 0, 2, cols - 1})
+		}
+		for _, list := range lists {
+			got, err := ExtractM(a, rows, list, Exec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byInverse := func(inv inverse) *CSR[float64] {
+				return rowwise(len(rows), len(list), 1, func(lo, hi int) int { return (hi - lo) * len(list) },
+					func(i int, ind []int, val []float64) ([]int, []float64) {
+						return gatherRun(ind, val, a.run(rows[i]), inv)
+					})
+			}
+			want := byInverse(countInverse(list, cols))
+			label := fmt.Sprintf("cols=%d len=%d", cols, len(list))
+			identicalCSR(t, label+" ExtractM", got, want)
+			identicalCSR(t, label+" sorted inverse", byInverse(sortInverse(list)), want)
+			took[invertList(list, cols, listedWork(a.Ptr, rows, 0, math.MaxInt)).key != nil]++
+		}
+	}
+	if took[true] == 0 || took[false] == 0 {
+		t.Fatalf("ExtractM sorted %d lists and counted %d; the test must reach both", took[true], took[false])
 	}
 }

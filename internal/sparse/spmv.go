@@ -69,7 +69,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](spmvLoops[:], semi)
 	viewBytes := u.viewBytes()
 	viewCost := viewBytes // what the dense gather has yet to charge
-	if u.dv.Load() != nil {
+	if u.view.Load() != nil {
 		viewCost = 0
 	}
 	hashBytes := lookupBytes(u)
@@ -83,7 +83,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 		work:      gatherWork(a.Ptr, u.NNZ(), mask, cut),
 		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
 	threads := e.workers(in.work - u.NNZ())
-	if mask.M != nil {
+	if mask.M != nil && mask.M.Bit == nil { // a bitmap mask the pull reads for nothing
 		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Rows, viewCost)
 	}
 	rt := planPull(in)
@@ -216,7 +216,24 @@ func gatherWork(ptr []int, nnzU int, mask VMask, cut int) int {
 	if mask.M == nil || mask.Complement {
 		return nnzU + ptr[len(ptr)-1]
 	}
-	return listedWork(ptr, mask.M.Ind, nnzU, cut)
+	return listedEntries(ptr, mask.M, nnzU, cut)
+}
+
+// listedEntries is listedWork over the positions v stores: its Ind, or a
+// bitmap's flags, walked only until the count reaches cut.
+func listedEntries[T any](ptr []int, v *Vec[T], base, cut int) int {
+	if v.Bit == nil {
+		return listedWork(ptr, v.Ind, base, cut)
+	}
+	for i, ok := range v.Bit {
+		if base >= cut {
+			break
+		}
+		if ok {
+			base += ptr[i+1] - ptr[i]
+		}
+	}
+	return base
 }
 
 // listedWork is base + Σ_{i∈rows} nnz(row i), read off the row pointers in
@@ -298,6 +315,9 @@ func VxMSemiEx[X, A, Y any](semi Semi, _ Spec, u *Vec[X], a *CSR[A],
 func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 	mul func(X, A) Y, add func(Y, Y) Y, mask VMask, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
+	if u, err = u.sortedEx(e); err != nil {
+		return nil, err
+	}
 	pushCalls.Add(1)
 	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) int](vxmLoops[:], semi)
 	products := listedWork(a.Ptr, u.Ind, 0, math.MaxInt)

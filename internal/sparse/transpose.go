@@ -110,6 +110,7 @@ func Transpose[T any](a *CSR[T]) *CSR[T] {
 // entry v(i) is placed at (i, i+k) for k >= 0 or (i-k, i) for k < 0. The
 // matrix is (n+|k|)×(n+|k|) with n = v.N, matching GrB_Matrix_diag.
 func Diag[T any](v *Vec[T], k int) *CSR[T] {
+	v = v.Sorted()
 	abs := k
 	if abs < 0 {
 		abs = -abs
@@ -255,10 +256,19 @@ func ReduceAll[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
 }
 
 // ReduceVec reduces every stored entry of a vector; ok is false when empty.
-func ReduceVec[T any](mon Mon, v *Vec[T], add func(T, T) T) (T, bool) {
-	var zero T
-	if v.NNZ() == 0 {
-		return zero, false
+// A bitmap is folded in place, in index order, through add.
+func ReduceVec[T any](mon Mon, v *Vec[T], add func(T, T) T) (acc T, ok bool) {
+	if v.Bit == nil && v.NNZ() > 0 {
+		return fold(v.Val, familyLoop[func([]T) T](reduceLoops[:], mon), add), true
 	}
-	return fold(v.Val, familyLoop[func([]T) T](reduceLoops[:], mon), add), true
+	for i, present := range v.Bit {
+		switch {
+		case !present:
+		case ok:
+			acc = add(acc, v.Val[i])
+		default:
+			acc, ok = v.Val[i], true
+		}
+	}
+	return acc, ok
 }

@@ -7,25 +7,27 @@ import (
 	"sync/atomic"
 )
 
-// Vec is a generic sparse vector in sorted-coordinate form: Ind holds the
-// positions of stored entries in strictly increasing order and Val the
-// corresponding values. Kernels return a fresh Vec, but its Ind may be an
-// operand's Ind — the same backing array — when the pattern is unchanged
-// (DESIGN.md, "Vector write-back: sharing and exact allocation"); nothing
-// writes an Ind once it is built. Val is the output's own, and is written
-// again only by the drain that supersedes it, when Holds shows that nothing
-// else can read it (DESIGN.md, "Writing into superseded storage").
+// Vec is a generic sparse vector, resident in one of two forms (DESIGN.md,
+// "Vector write-back"). Sorted (Bit nil): Ind holds the positions of stored
+// entries in strictly increasing order and Val their values. Bitmap: Val and
+// Bit hold N slots each, Bit[i] says whether position i stores an entry, Ind
+// is nil and nb counts the entries. Kernels return a fresh Vec, but a sorted
+// output's Ind may be an operand's — the same backing array — when the
+// pattern is unchanged; nothing writes an Ind once it is built, and a Bit is
+// never shared. Val and Bit are written again only by the drain that
+// supersedes them, when Holds shows that nothing else can read them
+// (DESIGN.md, "Writing into superseded storage").
 type Vec[T any] struct {
 	N   int
 	Ind []int
 	Val []T
+	Bit []bool
+	nb  int // the entries Bit marks
 
-	// dv memoizes the bitmap/dense block view of this vector (see
-	// DenseView). Same coherence argument as CSR.tr: a snapshot's values do
-	// not change while anyone can read it, and every grb-layer mutation
-	// installs a fresh snapshot whose cache starts empty, so a cached view
-	// can never go stale. A full vector's view is its Val, never memoized.
-	dv atomic.Pointer[DenseVec[T]]
+	// view memoizes the other form: a sorted vector's bitmap (DenseViewEx),
+	// a bitmap's sorted coordinates (sortedEx). As with CSR.tr, a snapshot's
+	// values do not change while anyone can read it, so it never goes stale.
+	view atomic.Pointer[Vec[T]]
 
 	Holds
 }
@@ -75,10 +77,11 @@ func (h *Holds) Claim(cur *Holds) {
 	}
 }
 
-// Sole reports whether Val is its object's own and the caller's lend is its
-// one reader: the drain holding that lend may write into Val.
-func (h *Holds) Sole() bool {
-	return h != nil && h.mark.Load() == holdOwned && h.readers.Load() == 1
+// Sole reports whether the storage is its object's own and the lends the
+// caller holds on it are all its readers: the drain holding them may write
+// into it.
+func (h *Holds) Sole(lends int) bool {
+	return h != nil && h.mark.Load() == holdOwned && h.readers.Load() == int32(lends)
 }
 
 // reuseVal returns an n-entry value array for a kernel's output, holding a
@@ -103,18 +106,24 @@ func reuseVal[T any](e Exec, n int, init []T) []T {
 func NewVec[T any](n int) *Vec[T] { return &Vec[T]{N: n} }
 
 // NNZ returns the number of stored entries.
-func (v *Vec[T]) NNZ() int { return len(v.Ind) }
+func (v *Vec[T]) NNZ() int {
+	if v.Bit != nil {
+		return v.nb
+	}
+	return len(v.Ind)
+}
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, each array allocated at its size.
 func (v *Vec[T]) Clone() *Vec[T] {
-	c := &Vec[T]{N: v.N, Ind: make([]int, len(v.Ind)), Val: make([]T, len(v.Val))}
-	copy(c.Ind, v.Ind)
-	copy(c.Val, v.Val)
-	return c
+	return &Vec[T]{N: v.N, nb: v.nb, Ind: append(growExact[int](nil, len(v.Ind)), v.Ind...),
+		Val: append(growExact[T](nil, len(v.Val)), v.Val...), Bit: append(growExact[bool](nil, len(v.Bit)), v.Bit...)}
 }
 
 // Get returns the entry at i and whether it is present.
 func (v *Vec[T]) Get(i int) (T, bool) {
+	if v.Bit != nil && v.Bit[i] {
+		return v.Val[i], true
+	}
 	k := sort.SearchInts(v.Ind, i)
 	if k < len(v.Ind) && v.Ind[k] == i {
 		return v.Val[k], true
@@ -123,7 +132,7 @@ func (v *Vec[T]) Get(i int) (T, bool) {
 	return zero, false
 }
 
-// Valid performs an internal-consistency check.
+// Valid performs an internal-consistency check of the sorted form.
 func (v *Vec[T]) Valid() bool {
 	if v.N < 0 || len(v.Ind) != len(v.Val) {
 		return false
@@ -187,6 +196,7 @@ func MergeVTuples[T any](v *Vec[T], tuples []VTuple[T]) (*Vec[T], error) {
 	if len(tuples) == 0 {
 		return v, nil
 	}
+	v = v.Sorted()
 	for _, t := range tuples {
 		if t.Idx < 0 || t.Idx >= v.N {
 			return nil, ErrIndexOutOfBounds
@@ -206,6 +216,7 @@ func MergeVTuples[T any](v *Vec[T], tuples []VTuple[T]) (*Vec[T], error) {
 
 // Resize returns a copy of v with the new size (entries beyond n dropped).
 func (v *Vec[T]) Resize(n int) *Vec[T] {
+	v = v.Sorted()
 	k := sort.SearchInts(v.Ind, n)
 	out := &Vec[T]{N: n, Ind: slices.Clone(v.Ind[:k]), Val: slices.Clone(v.Val[:k])}
 	DebugCheckVec(out, "Vec.Resize")
@@ -215,14 +226,8 @@ func (v *Vec[T]) Resize(n int) *Vec[T] {
 // GatherVec compresses a dense value slice plus presence bitmap back into a
 // sorted sparse vector, counting first so that Ind and Val are allocated once.
 func GatherVec[T any](dv []T, ok []bool) *Vec[T] {
-	n := 0
-	for _, present := range ok {
-		if present {
-			n++
-		}
-	}
 	out := &Vec[T]{N: len(dv)}
-	out.Ind, out.Val = makeRun[T](n)
+	out.Ind, out.Val = makeRun[T](popcount(ok))
 	for i := range dv {
 		if ok[i] {
 			out.Ind = append(out.Ind, i)
@@ -246,9 +251,28 @@ func VecEqualFunc[T any](a, b *Vec[T], eq func(T, T) bool) bool {
 	return true
 }
 
-// VecTuples appends (index, value) pairs of v to I, X and returns them.
+// VecTuples appends (index, value) pairs of v to I, X and returns them: a
+// bitmap is walked in place, its pairs appended in index order.
 func (v *Vec[T]) VecTuples(I []int, X []T) ([]int, []T) {
-	I = append(I, v.Ind...)
-	X = append(X, v.Val...)
+	if v.Bit == nil {
+		return append(I, v.Ind...), append(X, v.Val...)
+	}
+	I, X = growExact(I, v.nb), growExact(X, v.nb)
+	for i, ok := range v.Bit {
+		if ok {
+			I, X = append(I, i), append(X, v.Val[i])
+		}
+	}
 	return I, X
+}
+
+// popcount counts the set flags of a bitmap.
+func popcount(bit []bool) int {
+	n := 0
+	for _, ok := range bit {
+		if ok {
+			n++
+		}
+	}
+	return n
 }

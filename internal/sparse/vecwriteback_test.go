@@ -16,12 +16,28 @@ import (
 // its operands cannot pass. Rerun a failure with GRB_DIFF_SEED=<seed>.
 
 func refMap(v *Vec[int]) map[int]int {
-	m := make(map[int]int, len(v.Ind))
-	for k, i := range v.Ind {
-		m[i] = v.Val[k]
+	I, X := v.VecTuples(nil, nil)
+	m := make(map[int]int, len(I))
+	for k, i := range I {
+		m[i] = X[k]
 	}
 	return m
 }
+
+// inForm returns v in the resident form named: as built (sorted), or a
+// bitmap of its own holding the same entries.
+func inForm[T any](v *Vec[T], form string) *Vec[T] {
+	if form == "sorted" {
+		return v
+	}
+	b := &Vec[T]{N: v.N, Val: make([]T, v.N), Bit: make([]bool, v.N), nb: v.NNZ()}
+	for k, i := range v.Ind {
+		b.Val[i], b.Bit[i] = v.Val[k], true
+	}
+	return b
+}
+
+var vecForms = []string{"sorted", "bitmap"}
 
 func refVec(n int, m map[int]int) *Vec[int] {
 	out := &Vec[int]{N: n}
@@ -178,6 +194,11 @@ func describeMask(m VMask) string {
 	return fmt.Sprintf("nnz=%d/struct=%v/comp=%v", m.M.NNZ(), m.Structural, m.Complement)
 }
 
+// TestVecWriteBackOracle runs every case with each operand, the mask and
+// the superseded output in each resident form, the output both granted
+// (Exec.Spare is the operand it supersedes, as in d = d min f) and not.
+// A kernel that reads Ind takes the sorted door itself, so every kernel is
+// handed bitmaps as they are.
 func TestVecWriteBackOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t)))
 	minus := func(x, y int) int { return x - y }
@@ -186,88 +207,136 @@ func TestVecWriteBackOracle(t *testing.T) {
 		name string
 		f    func(int, int) int
 	}{{"nil", nil}, {"minus", minus}, {"first", first}}
-	eq := func(x, y int) bool { return x == y }
+	same := func(x, y *Vec[int]) bool {
+		return VecEqualFunc(x.Sorted(), y.Sorted(), func(x, y int) bool { return x == y })
+	}
+	inPlace := func(got, c *Vec[int]) bool { return len(got.Val) > 0 && len(c.Val) > 0 && &got.Val[0] == &c.Val[0] }
 
 	for _, n := range []int{0, 1, 2, 17, 64} {
 		for _, p := range writeBackPairs(rng, n) {
-			a, b := p.a, p.b
-			a0, b0 := a.Clone(), b.Clone()
-			am, bm := refMap(a), refMap(b)
-			check := func(what string, got *Vec[int], want map[int]int) {
-				t.Helper()
-				DebugCheckVec(got, what)
-				if !got.Valid() || !VecEqualFunc(got, refVec(n, want), eq) {
-					t.Fatalf("n=%d %s %s:\n a=%v\n b=%v\n got  %v %v\n want %v", n, p.name, what, a, b, got.Ind, got.Val, refVec(n, want))
-				}
-				if !VecEqualFunc(a, a0, eq) || !VecEqualFunc(b, b0, eq) {
-					t.Fatalf("n=%d %s %s: an operand was written through", n, p.name, what)
-				}
-			}
-
-			// granted(l) is a step's grant of a superseded l-entry value array
-			// (reuseVal): the kernels may write into it, never into a or b.
-			granted := func(l int) Exec {
-				return Exec{Spare: &Vec[int]{N: n, Val: randVals(rng, l)}} //grblint:ignore snapshotcheck -- the test plays the step that grants
-			}
-			for _, op := range ops[1:] {
-				union, inter := refUnion(am, bm, op.f), refIntersect(am, bm, op.f)
-				check("EWiseAddV/"+op.name, EWiseAddV(BinGeneric, a, b, op.f, Exec{}), union)
-				check("EWiseMultV/"+op.name, EWiseMultV(BinGeneric, a, b, op.f, Exec{}), inter)
-				check("EWiseAddV/granted/"+op.name, EWiseAddV(BinGeneric, a, b, op.f, granted(len(union))), union)
-				check("EWiseMultV/granted/"+op.name, EWiseMultV(BinGeneric, a, b, op.f, granted(len(inter))), inter)
-			}
-			applied, indexed, selected := map[int]int{}, map[int]int{}, map[int]int{}
-			for i, x := range am {
-				applied[i] = 3 - x
-				indexed[i] = x - 2*i + 5
-				if (x+i)%3 != 0 {
-					selected[i] = x
-				}
-			}
-			check("ApplyV", ApplyV(a, func(x int) int { return 3 - x }), applied)
-			check("ApplyIndexV", ApplyIndexV(a, func(x, i, _ int, s int) int { return x - 2*i + s }, 5), indexed)
-			check("SelectV", SelectV(a, func(x, i, _ int, s int) bool { return (x+i)%s != 0 }, 3), selected)
-
-			var idx []int
-			if n > 0 {
-				idx = rng.Perm(n)[:rng.Intn(n)+1]
-				idx = append(idx, idx[0]) // a repeated index assigns once
-			}
-			for _, op := range ops {
-				for _, region := range [][]int{nil, idx} {
-					z, err := AssignScalarV(a, 7, region, op.f, Exec{})
-					if err != nil {
-						t.Fatal(err)
+			am, bm := refMap(p.a), refMap(p.b)
+			for _, form := range [][2]string{{"sorted", "sorted"}, {"sorted", "bitmap"}, {"bitmap", "sorted"}, {"bitmap", "bitmap"}} {
+				a, b := inForm(p.a, form[0]), inForm(p.b, form[1])
+				a0, b0 := a.Clone(), b.Clone()
+				name := fmt.Sprintf("n=%d %s %s", n, p.name, form)
+				// check holds got to want; keep is the operands the kernel
+				// must not have written (a granted one is superseded).
+				check := func(what string, got *Vec[int], want map[int]int, keep ...*Vec[int]) {
+					t.Helper()
+					DebugCheckVec(got, what)
+					if (got.Bit == nil && !got.Valid()) || !same(got, refVec(n, want)) {
+						t.Fatalf("%s %s:\n a=%v\n b=%v\n got  %v\n want %v", name, what, p.a, p.b, got.Sorted(), refVec(n, want))
 					}
-					check(fmt.Sprintf("AssignScalarV/%s/all=%v", op.name, region == nil), z, refAssignScalar(n, am, 7, region, op.f))
-					// Granted its own superseded array, a full c is written in
-					// place: each position read before it is written.
-					c := a.Clone()
-					e := Exec{Spare: c} //grblint:ignore snapshotcheck -- the test plays the step that grants
-					if z, err = AssignScalarV(c, 7, region, op.f, e); err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("AssignScalarV/granted/%s/all=%v", op.name, region == nil), z, refAssignScalar(n, am, 7, region, op.f))
-					inPlace := len(z.Val) > 0 && len(c.Val) > 0 && &z.Val[0] == &c.Val[0]
-					if inPlace != (n > 0 && region == nil && a.NNZ() == n) {
-						t.Fatalf("n=%d %s AssignScalarV/granted: wrote in place %v", n, p.name, inPlace)
+					for _, k := range keep {
+						if (k == a && !same(a, a0)) || (k == b && !same(b, b0)) {
+							t.Fatalf("%s %s: an operand was written through", name, what)
+						}
 					}
 				}
-			}
+				// grant clones v, in its form, as the superseded output the
+				// step hands the kernel; spare(l) is an unrelated l-entry one.
+				grant := func(v *Vec[int]) (*Vec[int], Exec) {
+					c := v.Clone()
+					return c, Exec{Spare: c} //grblint:ignore snapshotcheck -- the test plays the step that grants
+				}
+				spare := func(l int) Exec {
+					return Exec{Spare: &Vec[int]{N: n, Val: randVals(rng, l)}} //grblint:ignore snapshotcheck -- as above
+				}
+				for _, op := range ops[1:] {
+					union, inter := refUnion(am, bm, op.f), refIntersect(am, bm, op.f)
+					check("EWiseAddV/"+op.name, EWiseAddV(BinGeneric, a, b, op.f, Exec{}), union, a, b)
+					check("EWiseMultV/"+op.name, EWiseMultV(BinGeneric, a, b, op.f, Exec{}), inter, a, b)
+					check("EWiseAddV/spare/"+op.name, EWiseAddV(BinGeneric, a, b, op.f, spare(len(union))), union, a, b)
+					check("EWiseMultV/spare/"+op.name, EWiseMultV(BinGeneric, a, b, op.f, spare(len(inter))), inter, a, b)
+					ga, ea := grant(a)
+					got := EWiseAddV(BinGeneric, ga, b, op.f, ea)
+					check("EWiseAddV/granted a/"+op.name, got, union, b)
+					if a.Bit != nil && a.NNZ() > 0 && !inPlace(got, ga) {
+						t.Fatalf("%s EWiseAddV/granted a: wrote the bitmap in place %v", name, inPlace(got, ga))
+					}
+					if a.Bit == nil && b.Bit == nil && (a.NNZ()+b.NNZ())*bitmapCut >= n && 0 < a.NNZ() && a.NNZ() < n && len(union) < n &&
+						b.NNZ() > 0 && !samePattern(a.Ind, b.Ind, n) && b.NNZ() < n && got.Bit == nil {
+						t.Fatalf("%s EWiseAddV/granted a: a sorted accumulator past the cut stayed sorted", name)
+					}
+					gb, eb := grant(b)
+					check("EWiseAddV/granted b/"+op.name, EWiseAddV(BinGeneric, a, gb, op.f, eb), union, a)
+					ga, ea = grant(a)
+					check("EWiseMultV/granted a/"+op.name, EWiseMultV(BinGeneric, ga, b, op.f, ea), inter, b)
+					gb, eb = grant(b)
+					check("EWiseMultV/granted b/"+op.name, EWiseMultV(BinGeneric, a, gb, op.f, eb), inter, a)
+				}
+				if form[1] == "sorted" {
+					applied, indexed, selected := map[int]int{}, map[int]int{}, map[int]int{}
+					for i, x := range am {
+						applied[i] = 3 - x
+						indexed[i] = x - 2*i + 5
+						if (x+i)%3 != 0 {
+							selected[i] = x
+						}
+					}
+					check("ApplyV", ApplyV(a, func(x int) int { return 3 - x }), applied, a)
+					check("ApplyIndexV", ApplyIndexV(a, func(x, i, _ int, s int) int { return x - 2*i + s }, 5), indexed, a)
+					check("SelectV", SelectV(a, func(x, i, _ int, s int) bool { return (x+i)%s != 0 }, 3), selected, a)
 
-			for _, mask := range writeBackMasks(rng, n) {
-				for _, replace := range []bool{false, true} {
+					var idx []int
+					if n > 0 {
+						idx = rng.Perm(n)[:rng.Intn(n)+1]
+						idx = append(idx, idx[0]) // a repeated index assigns once
+					}
 					for _, op := range ops {
-						tag := fmt.Sprintf("%s/replace=%v/accum=%s", describeMask(mask), replace, op.name)
-						z := AccumMergeV(a, b, op.f)
-						check("write-back/"+tag, MaskApplyV(a, z, mask, replace), refWriteBack(n, am, bm, op.f, mask, replace))
-						if mask.M == nil {
+						for _, region := range [][]int{nil, idx} {
+							z, err := AssignScalarV(a, 7, region, op.f, Exec{})
+							if err != nil {
+								t.Fatal(err)
+							}
+							check(fmt.Sprintf("AssignScalarV/%s/all=%v", op.name, region == nil), z, refAssignScalar(n, am, 7, region, op.f), a)
+							// Granted its own superseded array, a full c is
+							// written in place: each position read before it
+							// is written. So is a bitmap's n slots.
+							c, e := grant(a)
+							if z, err = AssignScalarV(c, 7, region, op.f, e); err != nil {
+								t.Fatal(err)
+							}
+							check(fmt.Sprintf("AssignScalarV/granted/%s/all=%v", op.name, region == nil), z, refAssignScalar(n, am, 7, region, op.f))
+							if inPlace(z, c) != (n > 0 && region == nil && (a.NNZ() == n || a.Bit != nil)) {
+								t.Fatalf("%s AssignScalarV/granted: wrote in place %v", name, inPlace(z, c))
+							}
+						}
+					}
+				}
+
+				for _, mask := range writeBackMasks(rng, n) {
+					for _, mform := range vecForms {
+						if mask.M != nil {
+							mask.M = inForm(mask.M, mform)
+						} else if mform == "bitmap" {
 							continue
 						}
-						// Fused masked scalar assign: T is the all-7 full vector.
-						all := refAssignScalar(n, nil, 7, nil, nil)
-						check("AssignScalarMaskedV/"+tag, AssignScalarMaskedV(a, 7, op.f, mask, replace),
-							refWriteBack(n, am, all, op.f, mask, replace))
+						for _, replace := range []bool{false, true} {
+							for _, op := range ops {
+								tag := fmt.Sprintf("%s/%s/replace=%v/accum=%s", describeMask(mask), mform, replace, op.name)
+								check("write-back/"+tag, MaskApplyV(a, AccumMergeV(a, b, op.f), mask, replace),
+									refWriteBack(n, am, bm, op.f, mask, replace), a, b)
+								if mask.M == nil {
+									continue
+								}
+								// Fused masked scalar assign: T is the all-7 full vector.
+								want := refWriteBack(n, am, refAssignScalar(n, nil, 7, nil, nil), op.f, mask, replace)
+								got, err := AssignScalarMaskedV(a, 7, op.f, mask, replace, Exec{})
+								if err != nil {
+									t.Fatal(err)
+								}
+								check("AssignScalarMaskedV/"+tag, got, want, a)
+								c, e := grant(a)
+								if got, err = AssignScalarMaskedV(c, 7, op.f, mask, replace, e); err != nil {
+									t.Fatal(err)
+								}
+								check("AssignScalarMaskedV/granted/"+tag, got, want)
+								if n > 0 && c.Bit != nil && !mask.Complement && !replace && !inPlace(got, c) {
+									t.Fatalf("%s AssignScalarMaskedV/granted/%s: wrote the bitmap in place %v", name, tag, inPlace(got, c))
+								}
+							}
+						}
 					}
 				}
 			}
@@ -381,7 +450,7 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		thirdMask.Val[k] = k%2 == 0
 	}
 	pin("complemented fused scalar assign (one Ind and one Val)", 16*n+256, func() {
-		sink = AssignScalarMaskedV(third, 0, nil, VMask{M: thirdMask, Structural: true, Complement: true}, false)
+		sink, _ = AssignScalarMaskedV(third, 0, nil, VMask{M: thirdMask, Structural: true, Complement: true}, false, Exec{})
 	})
 	exact("complemented fused scalar assign", sink, n)
 	pin("MaskApplyV under a valued complement (counted: one Ind and one Val)", 16*n+256, func() {
@@ -421,4 +490,81 @@ func TestVecKernelAllocationPins(t *testing.T) {
 	pin("GatherVec (Ind and Val, each allocated once at the count)", 16*((n+2)/3)+2*8192+256, func() {
 		sink = GatherVec(u.Val, present)
 	})
+}
+
+// TestProductsReadEitherForm holds the pull and the push, over each
+// accumulator and loop, to the same bits whether the frontier and the mask
+// are sorted or bitmaps: a bitmap frontier is the dense gather's own view and
+// fills the hash gather's table from its flags, the push reads its sorted
+// view, and a bitmap mask is the closure loop's predicate as it is. Then the
+// push under a budget with room for its SPA and not for a bitmap mask's
+// n-byte admit array beside it: it must take the mask's free predicate and
+// the closure loop, not fail.
+func TestProductsReadEitherForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(diffSeed(t)))
+	mk := func(r *rand.Rand) float64 { return float64(r.Intn(9) - 4) }
+	mul, add := func(x, y float64) float64 { return x * y }, func(x, y float64) float64 { return x + y }
+	for _, n := range []int{1, 17, 300} {
+		a := sprayCSR(rng, n, n, 3*n, mk)
+		for _, u := range []*Vec[float64]{sprayVec(rng, n, 3, mk), sprayVec(rng, n, 40, mk)} {
+			for _, mv := range vmaskVariants(rng, n) {
+				for _, hint := range []Kernel{KernelDense, KernelHash} {
+					for _, loop := range loopModes(SemiPlusTimes) {
+						label := fmt.Sprintf("n=%d nnz(u)=%d %s hint=%d %s", n, u.NNZ(), mv.name, hint, loop.name)
+						pull, err := SpMVSemiEx(loop.semi, SpecAuto, a, u, mul, add, mv.mask, Exec{}, hint)
+						if err != nil {
+							t.Fatal(err)
+						}
+						push, err := vxmSemi(loop.semi, u, a, mul, add, mv.mask, Exec{}, hint)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, uf := range vecForms {
+							for _, mf := range vecForms {
+								m := mv.mask
+								if m.M != nil {
+									m.M = inForm(m.M, mf)
+								} else if mf == "bitmap" {
+									continue
+								}
+								got, err := SpMVSemiEx(loop.semi, SpecAuto, a, inForm(u, uf), mul, add, m, Exec{}, hint)
+								if err != nil {
+									t.Fatal(err)
+								}
+								identicalVec(t, label+" pull u="+uf+" mask="+mf, got, pull)
+								if got, err = vxmSemi(loop.semi, inForm(u, uf), a, mul, add, m, Exec{}, hint); err != nil {
+									t.Fatal(err)
+								}
+								identicalVec(t, label+" push u="+uf+" mask="+mf, got, push)
+							}
+						}
+					}
+				}
+			}
+		}
+		if n < 17 {
+			continue
+		}
+		u := sprayVec(rng, n, 3, mk)
+		spa := int64(n) * 9 // a float64 and a mark per column
+		for _, mv := range vmaskVariants(rng, n)[1:] {
+			want, err := vxmSemi(SemiPlusTimes, u, a, mul, add, mv.mask, Exec{}, KernelDense)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := mv.mask
+			m.M = inForm(m.M, "bitmap")
+			var rt Route
+			e := Exec{Tx: NewBudget(spa + int64(n) - 1).Tx(), Route: &rt}
+			got, err := vxmSemi(SemiPlusTimes, u, a, mul, add, m, e, KernelDense)
+			e.Close()
+			if err != nil {
+				t.Fatalf("n=%d %s: the budgeted push failed: %v", n, mv.name, err)
+			}
+			if rt.Family || rt.Reason != ReasonBudgetMask {
+				t.Fatalf("n=%d %s: route %+v, want the closure loop for a refused admit array", n, mv.name, rt)
+			}
+			identicalVec(t, fmt.Sprintf("n=%d %s budgeted", n, mv.name), got, want)
+		}
+	}
 }

@@ -459,7 +459,7 @@ func (v *Vector[T]) VectorExportInto(format Format, indices []Index, values []T)
 		return errf(InsufficientSpace, "VectorExportInto(%v): need %d/%d, got %d/%d",
 			format, ni, nv, len(indices), len(values))
 	}
-	s, h, err := v.lend()
+	s, h, err := v.lendSorted()
 	if err != nil {
 		return err
 	}

@@ -76,6 +76,13 @@ func BFSLevelsDir(a *grb.Matrix[bool], src grb.Index, dir grb.Direction) (*grb.V
 	if err := frontier.SetElement(true, src); err != nil {
 		return nil, err
 	}
+	// visited has levels' pattern. Both become bitmaps as they grow and are
+	// then updated in place, which a mask taken off levels itself would
+	// prevent: it would pin levels' storage every level.
+	visited, err := grb.NewVector[bool](n, opt)
+	if err != nil {
+		return nil, err
+	}
 	for depth := 0; ; depth++ {
 		nv, err := frontier.Nvals()
 		if err != nil {
@@ -84,14 +91,11 @@ func BFSLevelsDir(a *grb.Matrix[bool], src grb.Index, dir grb.Direction) (*grb.V
 		if nv == 0 {
 			break
 		}
-		// levels⟨frontier,structure⟩ = depth
+		// levels⟨frontier,structure⟩ = depth; visited⟨frontier,structure⟩ = true
 		if err := grb.VectorAssignScalar(levels, frontier, nil, depth, grb.All, grb.DescS); err != nil {
 			return nil, err
 		}
-		// The vertices levels stores are the visited ones, so its structure
-		// is the mask.
-		visited, err := grb.AsVectorMaskFunc(levels, func(int) bool { return true })
-		if err != nil {
+		if err := grb.VectorAssignScalar(visited, frontier, nil, true, grb.All, grb.DescS); err != nil {
 			return nil, err
 		}
 		// frontier⟨¬visited,structure,replace⟩ = frontier ∨.∧ A

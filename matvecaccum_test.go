@@ -186,4 +186,45 @@ func TestVectorMaskIsBudgeted(t *testing.T) {
 	if used := tight.MemoryUsed(); used != 0 {
 		t.Fatalf("budget leak: %d bytes still reserved after the drain", used)
 	}
+
+	// A mask in the bitmap form, as BFS's visited becomes: the closure loop
+	// reads it for nothing, and only the family loop's admit array costs n
+	// bytes. Every other vertex in the frontier fills the SPA (a bool and a
+	// mark per column); with room for the SPA and not for the array beside
+	// it, the push takes the closure loop, a counted degradation.
+	const spa = 2 * n
+	runBitmap := func(ctx *Context) (*Vector[bool], int64) {
+		a := pathGraph(t, ctx, n)
+		u, visited := ck1(NewVector[bool](n, InContext(ctx))), ck1(NewVector[bool](n, InContext(ctx)))
+		m := ck1(NewVector[bool](n, InContext(ctx)))
+		for i := 0; i < n; i += 2 {
+			ck(u.SetElement(true, i))
+		}
+		for i := 0; i < 300; i++ {
+			ck(m.SetElement(true, 11+i))
+		}
+		ck(visited.SetElement(true, 1))
+		ck(VectorAssignScalar(visited, m, nil, true, All, DescS))
+		bitArray(t, visited)
+		ck(u.Wait(Materialize))
+		w := ck1(NewVector[bool](n, InContext(ctx)))
+		base := ctx.MemoryPeak()
+		ck(VxM(w, visited, nil, LOrLAnd(), u, a, &Descriptor{Replace: true, Structure: true, Complement: true, Dir: DirPush}))
+		ck(w.Wait(Materialize))
+		return w, ctx.MemoryPeak() - base
+	}
+	want, _ = runBitmap(free)
+	bitmapTight := ck1(NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(spa+n-1)))
+	ResetKernelCounts()
+	got, peak = runBitmap(bitmapTight)
+	sameVector(t, "refused admit array", got, want)
+	if degrades, _ := HardeningCounts(); degrades != 1 {
+		t.Fatalf("a refused admit array counted %d degradations, want 1", degrades)
+	}
+	if peak != spa {
+		t.Fatalf("push under a bitmap mask peaked at %d charged bytes, want %d (SPA)", peak, spa)
+	}
+	if used := bitmapTight.MemoryUsed(); used != 0 {
+		t.Fatalf("budget leak: %d bytes still reserved after the drain", used)
+	}
 }

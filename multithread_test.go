@@ -57,6 +57,63 @@ func TestFig1ProtocolPendingReaderOutlivesReuse(t *testing.T) {
 	}
 }
 
+// TestFig1ProtocolPendingReaderKeepsLevelsBitmap is the same handoff over
+// BFS's levels once it is a bitmap: thread 1 leaves a pending reader of
+// levels' bitmap snapshot, thread 0 then assigns the next level, which would
+// otherwise write that bitmap in place, and thread 1 must see levels as it
+// was at its call. make checktags runs it under -race with grbcheck.
+func TestFig1ProtocolPendingReaderKeepsLevelsBitmap(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 64
+	levels := ck1(NewVector[int](n))
+	frontier := func(lo, hi int) *Vector[bool] {
+		f := ck1(NewVector[bool](n))
+		for i := lo; i < hi; i++ {
+			ck(f.SetElement(true, i))
+		}
+		return f
+	}
+	first, next := frontier(0, n/2), frontier(n/2, n/2+4)
+	var flag atomic.Int32
+	await := func(v int32) {
+		for flag.Load() != v { // acquire
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // thread 0
+		defer wg.Done()
+		ck(levels.SetElement(0, 0))
+		ck(VectorAssignScalar(levels, first, nil, 1, All, DescS))
+		ck(levels.Wait(Complete))
+		flag.Store(1) // release levels, a bitmap now
+		await(2)
+		ck(VectorAssignScalar(levels, next, nil, 2, All, DescS))
+		ck(levels.Wait(Complete))
+		flag.Store(3)
+	}()
+	var got map[Index]int
+	go func() { // thread 1
+		defer wg.Done()
+		await(1)
+		r := ck1(NewVector[int](n))
+		ck(VectorApply(r, nil, nil, Identity[int], levels, nil))
+		flag.Store(2)
+		await(3)
+		got = entries(r)
+	}()
+	wg.Wait()
+	if levels.cur.Bit == nil {
+		t.Fatal("levels is not a bitmap: the test does not reach the in-place assign")
+	}
+	if len(got) != n/2 || got[0] != 1 || got[n/2] != 0 {
+		t.Fatalf("the pending reader saw %v, want levels at its call: positions 0..%d at level 1", got, n/2-1)
+	}
+	if lv := entries(levels); len(lv) != n/2+4 || lv[n/2] != 2 {
+		t.Fatalf("levels = %v after thread 0's next level", lv)
+	}
+}
+
 // TestThreadSafetyIndependentObjects: §III requires a conformant library to
 // be thread safe for independent method calls. Run many goroutines, each
 // with its own objects, under -race.

@@ -26,6 +26,7 @@ type frame struct {
 	ev      *obsv.Event // nil unless a sink is observing
 	label   func(sparse.Route) string
 	lent    lends // what in lent; the node takes them over
+	local   bool  // opNode.local
 }
 
 // operand is any Matrix or Vector taking part in an operation.

@@ -67,7 +67,7 @@ func (v *Vector[T]) String() string {
 	if _, err := v.context(); err != nil {
 		return "Vector(<" + err.Error() + ">)"
 	}
-	s, h, err := v.lend()
+	s, h, err := v.lendSorted()
 	if err != nil {
 		return "Vector(<" + err.Error() + ">)"
 	}

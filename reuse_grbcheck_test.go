@@ -41,3 +41,34 @@ func TestMissedLendPanicsUnderGrbcheck(t *testing.T) {
 	err := r.Wait(Materialize)
 	t.Fatalf("the forged reader drained (err %v) over a poisoned snapshot", err)
 }
+
+// TestMissedLendOnABitmapPanicsUnderGrbcheck is the same forgery over a
+// bitmap written in place: the poison nils the superseded struct's Bit as
+// well as its Val, so the forged reader cannot read the new flags as old.
+func TestMissedLendOnABitmapPanicsUnderGrbcheck(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 64
+	w := bitmapOwned(t, n, 1)
+	bit := bitArray(t, w)
+	w.mu.Lock()
+	stale := w.cur // no lend: the missed count
+	w.mu.Unlock()
+	r := ck1(NewVector[float64](n))
+	ck(r.push(NonBlocking, opNode[float64, *sparse.Vec[float64]]{op: "forged", yields: yieldsC,
+		kernel: func(sparse.Exec) (*sparse.Vec[float64], error) { return stale.Clone(), nil }}))
+	ck(EWiseAddVector(w, nil, nil, Min[float64], w, mustVector(t, n, []Index{2}, []float64{-1}), nil))
+	if bitArray(t, w) != bit {
+		t.Fatal("the step did not write into w's superseded bitmap")
+	}
+	if stale.Bit != nil || stale.Val != nil || stale.N != -1 {
+		t.Fatalf("the superseded bitmap was not poisoned: N %d, %d flags, %d values", stale.N, len(stale.Bit), len(stale.Val))
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "grbcheck") {
+			t.Fatalf("draining the forged reader: recovered %q, want a grbcheck panic", msg)
+		}
+	}()
+	err := r.Wait(Materialize)
+	t.Fatalf("the forged reader drained (err %v) over a poisoned snapshot", err)
+}

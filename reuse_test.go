@@ -2,6 +2,7 @@ package grb
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 )
 
@@ -129,8 +130,9 @@ func TestReuseLeavesPendingReadersTheOldValues(t *testing.T) {
 	}
 }
 
-// TestAliasedOutputIsNeverReused: an output that is also an input or the
-// mask of the same call is read by the kernel or the write-back, so the step
+// TestAliasedOutputIsNeverReused: an output that is also a non-local input
+// (a product's operand) or the mask of the same call is read by the kernel
+// or the write-back at positions it has already written, so the step
 // allocates.
 func TestAliasedOutputIsNeverReused(t *testing.T) {
 	setMode(t, NonBlocking)
@@ -139,7 +141,6 @@ func TestAliasedOutputIsNeverReused(t *testing.T) {
 	for i := range idx {
 		idx[i], twos[i] = i, 2
 	}
-	u := mustVector(t, n, idx, twos)
 	// a = 2I with a(1, 1) moved to a(0, 1): a pull in place would read w(0)
 	// for t(1) after writing it.
 	a := mustMatrix(t, n, n, append([]Index{0, 0}, idx[2:]...), idx, twos)
@@ -148,9 +149,6 @@ func TestAliasedOutputIsNeverReused(t *testing.T) {
 		run  func(w *Vector[float64]) error
 		want func(old []float64, i int) float64
 	}{
-		{"input", func(w *Vector[float64]) error {
-			return EWiseMultVector(w, nil, nil, Times[float64], w, u, nil)
-		}, func(old []float64, i int) float64 { return 2 * old[i] }},
 		{"VxM operand", func(w *Vector[float64]) error {
 			return VxM(w, nil, Plus[float64], PlusTimes[float64](), w, a, nil)
 		}, func(old []float64, i int) float64 {
@@ -338,5 +336,178 @@ func TestDupPinsTheStorage(t *testing.T) {
 		if got[i] != old[i]+1 {
 			t.Fatalf("d(%d) = %v after w was overwritten, want %v", i, got[i], old[i]+1)
 		}
+	}
+}
+
+// bitArray is valArray's twin for the presence flags of a bitmap.
+func bitArray[T any](t *testing.T, v *Vector[T]) *bool {
+	t.Helper()
+	ck(v.Wait(Materialize))
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.cur.Bit) == 0 {
+		t.Fatal("not a bitmap")
+	}
+	return &v.cur.Bit[0]
+}
+
+// bitmapOwned returns a vector of size n storing base + i at every third
+// position and at 1, in the bitmap form and owned by its object: it is
+// accumulated the way SSSP accumulates d, w = w min f, and the result
+// passes the cut between the forms.
+func bitmapOwned(t *testing.T, n int, base float64) *Vector[float64] {
+	t.Helper()
+	w := ck1(NewVector[float64](n))
+	ck(w.SetElement(base+1, 1))
+	var idx []Index
+	var x []float64
+	for i := 0; i < n; i += 3 {
+		idx, x = append(idx, i), append(x, base+float64(i))
+	}
+	ck(EWiseAddVector(w, nil, nil, Min[float64], w, mustVector(t, n, idx, x), nil))
+	bitArray(t, w)
+	return w
+}
+
+// entries reads v's stored entries into a map.
+func entries[T any](v *Vector[T]) map[Index]T {
+	I, X := ck2(v.ExtractTuples())
+	m := make(map[Index]T, len(I))
+	for k, i := range I {
+		m[i] = X[k]
+	}
+	return m
+}
+
+// TestBitmapAccumulatorsWriteInPlace: an accumulator in the bitmap form is
+// updated by a sparse delta in its own storage, O(|delta|) — d = d min f
+// with d on either side, and levels⟨frontier⟩ = depth with or without an
+// accumulator — and so is a full w = w ⊗ u, whose output is a position-local
+// operand.
+func TestBitmapAccumulatorsWriteInPlace(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 64
+	var idx []Index
+	var lower []float64
+	var admit []bool
+	for i := 0; i < n; i += 5 {
+		idx, lower, admit = append(idx, i), append(lower, float64(i)-50), append(admit, true)
+	}
+	f := mustVector(t, n, idx, lower)
+	m := mustVector(t, n, idx, admit)
+	minOf := func(old map[Index]float64, i Index, x float64) float64 {
+		if y, ok := old[i]; ok && y < x {
+			return y
+		}
+		return x
+	}
+	for _, c := range []struct {
+		name string
+		run  func(w *Vector[float64]) error
+		at   func(old map[Index]float64, i Index, k int) float64 // w(i) after, i = idx[k]
+	}{
+		{"d = d min f", func(w *Vector[float64]) error {
+			return EWiseAddVector(w, nil, nil, Min[float64], w, f, nil)
+		}, func(old map[Index]float64, i Index, k int) float64 { return minOf(old, i, lower[k]) }},
+		{"d = f min d", func(w *Vector[float64]) error {
+			return EWiseAddVector(w, nil, nil, Min[float64], f, w, nil)
+		}, func(old map[Index]float64, i Index, k int) float64 { return minOf(old, i, lower[k]) }},
+		{"w<m> = 7", func(w *Vector[float64]) error {
+			return VectorAssignScalar(w, m, nil, 7, All, DescS)
+		}, func(map[Index]float64, Index, int) float64 { return 7 }},
+		{"w<m> += 7", func(w *Vector[float64]) error {
+			return VectorAssignScalar(w, m, Plus[float64], 7, All, DescS)
+		}, func(old map[Index]float64, i Index, _ int) float64 { return old[i] + 7 }},
+	} {
+		w := bitmapOwned(t, n, 10)
+		old := entries(w)
+		val, bit := valArray(t, w), bitArray(t, w)
+		ck(c.run(w))
+		if valArray(t, w) != val || bitArray(t, w) != bit {
+			t.Errorf("%s: wrote into fresh storage, want w's superseded bitmap", c.name)
+		}
+		want := maps.Clone(old)
+		for k, i := range idx {
+			want[i] = c.at(old, i, k)
+		}
+		if got := entries(w); !maps.Equal(got, want) {
+			t.Fatalf("%s: w = %v, want %v", c.name, got, want)
+		}
+	}
+
+	w := fullOwned(t, n, 1)
+	_, old := ck2(w.ExtractTuples())
+	before := valArray(t, w)
+	ck(EWiseMultVector(w, nil, nil, Times[float64], w, fullOwned(t, n, 2), nil))
+	if valArray(t, w) != before {
+		t.Error("w = w ⊗ u: a position-local output was not written in place")
+	}
+	_, got := ck2(w.ExtractTuples())
+	for i := range got {
+		if want := old[i] * (2 + float64(i)); got[i] != want {
+			t.Fatalf("w = w ⊗ u: w(%d) = %v, want %v", i, got[i], want)
+		}
+	}
+}
+
+// TestBitmapReadersKeepTheirStorage: a bitmap that is still read — its own
+// mask, a pending reader, a Dup — is copied, not written, and every reader
+// sees the values at its call.
+func TestBitmapReadersKeepTheirStorage(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 64
+	idx := []Index{0, 5, 9}
+	f := mustVector(t, n, idx, []float64{-1, -2, -3})
+	for _, c := range []struct {
+		name string
+		run  func(w *Vector[float64]) (check func())
+	}{
+		{"pending reader", func(w *Vector[float64]) func() {
+			old := entries(w)
+			r := ck1(NewVector[float64](n))
+			ck(VectorApply(r, nil, nil, Identity[float64], w, nil))
+			ck(EWiseAddVector(w, nil, nil, Min[float64], w, f, nil))
+			return func() {
+				if got := entries(r); !maps.Equal(got, old) {
+					t.Fatalf("pending reader: saw %v, want w at its call %v", got, old)
+				}
+			}
+		}},
+		{"Dup", func(w *Vector[float64]) func() {
+			old := entries(w)
+			d := ck1(w.Dup())
+			ck(VectorAssignScalar(w, ck1(AsVectorMask(f)), nil, 7, All, DescS))
+			return func() {
+				if got := entries(d); !maps.Equal(got, old) {
+					t.Fatalf("Dup: %v, want w at the Dup %v", got, old)
+				}
+			}
+		}},
+	} {
+		w := bitmapOwned(t, n, 10)
+		val, bit := valArray(t, w), bitArray(t, w)
+		check := c.run(w)
+		ck(w.Wait(Materialize))
+		if valArray(t, w) == val || (len(w.cur.Bit) > 0 && &w.cur.Bit[0] == bit) {
+			t.Errorf("%s: wrote into a bitmap something still reads", c.name)
+		}
+		check()
+	}
+
+	// w⟨w⟩ = true: the mask is the output's own bitmap.
+	wb := ck1(NewVector[bool](n))
+	ck(wb.SetElement(true, 1))
+	evens := make([]Index, 0, n/2)
+	for i := 0; i < n; i += 2 {
+		evens = append(evens, i)
+	}
+	ck(VectorAssignScalar(wb, mustVector(t, n, evens, make([]bool, len(evens))), nil, true, All, DescS))
+	val, bit := valArray(t, wb), bitArray(t, wb)
+	ck(VectorAssignScalar(wb, wb, nil, false, All, DescS))
+	if valArray(t, wb) == val || &wb.cur.Bit[0] == bit {
+		t.Error("own mask: an output that is its own mask was written in place")
+	}
+	if got := entries(wb); len(got) != n/2+1 || got[1] || got[0] {
+		t.Fatalf("own mask: %v", got)
 	}
 }

@@ -28,10 +28,10 @@ func RowAssign[T any](c *Matrix[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	}
 	mk, replace := f.mask.vector(), f.d.Replace
 	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
-	return c.submit(&f, cOld, yieldsC, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
+	return c.submit(&f, cOld, yieldsC, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
 		ind, val := cOld.Row(i)
 		old := &sparse.Vec[T]{N: cOld.Cols, Ind: ind, Val: val}
-		return assignLine(cOld, old, uvec, cj, accum, mk, replace, []int{i}, nil)
+		return assignLine(cOld, old, uvec, cj, accum, mk, replace, []int{i}, nil, e)
 	})
 }
 
@@ -61,12 +61,12 @@ func ColAssign[T any](c *Matrix[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	}
 	mk, replace := f.mask.vector(), f.d.Replace
 	f.ev.A(cOld.Rows, cOld.Cols, cOld.NNZ()).B(uvec.N, 1, uvec.NNZ())
-	return c.submit(&f, cOld, yieldsC, accum, func(sparse.Exec) (*sparse.CSR[T], error) {
+	return c.submit(&f, cOld, yieldsC, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
 		old, err := sparse.ExtractColV(cOld, nil, j)
 		if err != nil {
 			return nil, err
 		}
-		return assignLine(cOld, old, uvec, ri, accum, mk, replace, nil, []int{j})
+		return assignLine(cOld, old, uvec, ri, accum, mk, replace, nil, []int{j}, e)
 	})
 }
 
@@ -76,8 +76,8 @@ func ColAssign[T any](c *Matrix[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 // written back over the line as a 1×n or n×1 matrix. O(nnz), with no
 // transpose.
 func assignLine[T any](m *sparse.CSR[T], old, u *sparse.Vec[T], idx []Index, accum func(T, T) T,
-	mk sparse.VMask, replace bool, rows, cols []int) (*sparse.CSR[T], error) {
-	z, err := sparse.AssignV(old, u, idx, accum)
+	mk sparse.VMask, replace bool, rows, cols []int, e sparse.Exec) (*sparse.CSR[T], error) {
+	z, err := sparse.AssignV(old, u, idx, accum, e)
 	if err != nil {
 		return nil, err
 	}

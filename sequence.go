@@ -94,6 +94,10 @@ type opNode[T any, S storage] struct {
 	label  func(sparse.Route) string
 	kernel func(sparse.Exec) (S, error)
 	lent   lends // the call's lends on its operands, old's among them
+	// local: the kernel reads each operand only at the position it writes
+	// (the element-wise operations), so an output that is also an operand
+	// can still be written in place.
+	local bool
 }
 
 // sequence is the state behind a Matrix or a Vector. mu guards every field;
@@ -257,7 +261,7 @@ func (s *sequence[T, S, U, K]) submit(f *frame, old S, y yield, accum func(T, T)
 	return s.push(f.ctx.Mode(), opNode[T, S]{
 		op: f.op, ev: f.ev, ctx: f.ctx, old: old, mask: f.mask,
 		replace: f.d.Replace, accum: accum, yields: y, label: f.label, kernel: kernel,
-		lent: f.lent,
+		lent: f.lent, local: f.local,
 	})
 }
 
@@ -388,17 +392,25 @@ func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 	n.lent.release()
 }
 
-// reuses decides whether n's kernel may write into the value array of the
+// reuses decides whether n's kernel may write into the storage of the
 // state it supersedes (DESIGN.md, "Writing into superseded storage"): the
-// array is the object's own, n's lend is its only reader, it is still the
-// object's state, and nothing after the kernel reads it — no mask, not even
-// the complemented empty one whose write-back returns old, and no
-// accumulation of T into it.
+// storage is the object's own and still its state; n's lends are its only
+// readers — the output's own, and at most an operand's of a position-local
+// kernel, never the mask's; and nothing after the kernel reads it: no mask
+// unless the kernel consumes it (yieldsC), not even the complemented empty
+// one whose write-back returns old, and no accumulation of T into it.
 func (s *sequence[T, S, U, K]) reuses(n *opNode[T, S]) bool {
 	var k K
 	h := k.holds(n.old)
-	return n.kernel != nil && h.Sole() && h == k.holds(s.cur) && slices.Contains(n.lent[:], h) &&
-		n.mask.M == nil && n.mask.V == nil && !n.mask.Complement &&
+	lent := 0
+	for _, l := range n.lent {
+		if l == h {
+			lent++
+		}
+	}
+	return n.kernel != nil && lent > 0 && h.Sole(lent) && h == k.holds(s.cur) && (lent == 1 || n.local) &&
+		(n.mask.V == nil || &n.mask.V.Holds != h) &&
+		(n.yields == yieldsC || n.mask.M == nil && n.mask.V == nil && !n.mask.Complement) &&
 		(n.yields != yieldsT || n.accum == nil)
 }
 

@@ -417,7 +417,7 @@ func MatrixDeserialize[T any](data []byte, opts ...ObjOption) (*Matrix[T], error
 // SerializeSize returns the number of bytes Serialize needs
 // (GrB_Vector_serializeSize).
 func (v *Vector[T]) SerializeSize() (Index, error) {
-	s, h, err := v.lend()
+	s, h, err := v.lendSorted()
 	if err != nil {
 		return 0, err
 	}
@@ -427,7 +427,7 @@ func (v *Vector[T]) SerializeSize() (Index, error) {
 
 // Serialize writes the vector into buf (GrB_Vector_serialize).
 func (v *Vector[T]) Serialize(buf []byte) (Index, error) {
-	s, h, err := v.lend()
+	s, h, err := v.lendSorted()
 	if err != nil {
 		return 0, err
 	}
@@ -437,7 +437,7 @@ func (v *Vector[T]) Serialize(buf []byte) (Index, error) {
 
 // SerializeBytes allocates and returns the serialized stream.
 func (v *Vector[T]) SerializeBytes() ([]byte, error) {
-	s, h, err := v.lend()
+	s, h, err := v.lendSorted()
 	if err != nil {
 		return nil, err
 	}

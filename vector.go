@@ -325,6 +325,16 @@ func (v *Vector[T]) ExtractElementScalar(s *Scalar[T], i Index) error {
 	return s.SetElement(x)
 }
 
+// lendSorted is lend for a synchronous reader of sorted coordinates: a
+// bitmap is read through its sorted view (sparse.Vec.Sorted).
+func (v *Vector[T]) lendSorted() (*sparse.Vec[T], *sparse.Holds, error) {
+	s, h, err := v.lend()
+	if err == nil {
+		s = s.Sorted()
+	}
+	return s, h, err
+}
+
 // ExtractTuples returns the indices and values of all stored entries in
 // ascending index order (GrB_Vector_extractTuples).
 func (v *Vector[T]) ExtractTuples() (I []Index, X []T, err error) {
