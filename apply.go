@@ -9,7 +9,7 @@ func mapMatrix[DC, DA any](op string, c *Matrix[DC], mask *Matrix[bool],
 	accum BinaryOp[DC, DC, DC], a *Matrix[DA], desc *Descriptor,
 	kernel func(in *sparse.CSR[DA], e sparse.Exec) *sparse.CSR[DC]) error {
 	f := newFrame(op, desc, true, maskRef{m: mask}, c, a)
-	acsr, cOld := in(&f, a), in(&f, c)
+	acsr, cOld := in(&f, a), old(&f, c)
 	if err := f.ready(); err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ func eWiseMatrix[DC, DA, DB any](op string, c *Matrix[DC], mask *Matrix[bool], a
 	opOK bool, a *Matrix[DA], b *Matrix[DB], desc *Descriptor,
 	kernel func(A *sparse.CSR[DA], B *sparse.CSR[DB], e sparse.Exec) *sparse.CSR[DC]) error {
 	f := newFrame(op, desc, opOK, maskRef{m: mask}, c, a, b)
-	acsr, bcsr, cOld := in(&f, a), in(&f, b), in(&f, c)
+	acsr, bcsr, cOld := in(&f, a), in(&f, b), old(&f, c)
 	if err := f.ready(); err != nil {
 		return err
 	}

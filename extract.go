@@ -9,7 +9,7 @@ import "github.com/grblas/grb/internal/sparse"
 func MatrixExtract[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	a *Matrix[T], rows, cols []Index, desc *Descriptor) error {
 	f := newFrame("MatrixExtract", desc, true, maskRef{m: mask}, c, a)
-	acsr, cOld := in(&f, a), in(&f, c)
+	acsr, cOld := in(&f, a), old(&f, c)
 	if err := f.ready(); err != nil {
 		return err
 	}

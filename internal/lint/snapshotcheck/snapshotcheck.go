@@ -28,7 +28,9 @@
 // local *CSR/*Vec whose Ptr/Ind/Val field is initialised — in its composite
 // literal or by a later field assignment — from an operand's storage slice
 // shares that field; a Vec whose Bit is taken from an operand's is reported
-// where it is made, since only Ind may be shared. Element writes, ++/--, append-reassignment and
+// where it is made, since only Ind may be shared, and so is a full Vec
+// — a literal that names no Ind — built on an operand's Val, which is
+// the operand's whole storage. Element writes, ++/--, append-reassignment and
 // copy/clear into a shared field are reported exactly like writes through
 // the operand; the local's other, freshly made fields stay writable, and
 // rebinding the field to a fresh slice is not a write.
@@ -51,7 +53,8 @@ import (
 var Analyzer = &lint.Analyzer{
 	Name: "snapshotcheck",
 	Doc: "report writes to the storage slices of snapshot (*CSR/*Vec) parameters inside the sparse " +
-		"package, any use of Exec.Spare outside its doors, and any Vec sharing an operand's Bit; kernels write only " +
+		"package, any use of Exec.Spare outside its doors, and any Vec sharing an operand's Bit or, in the full form, " +
+		"its Val; kernels write only " +
 		"storage they made",
 	Run: run,
 }
@@ -184,14 +187,28 @@ func sharedFields(pass *lint.Pass, body *ast.BlockStmt, snaps map[types.Object]b
 			return
 		}
 		fields := storageFields[snapshotTypeName(info.TypeOf(lit))]
+		var sharedVal ast.Node // a Val taken from an operand,
+		hasInd := false        // and whether the literal names an Ind
 		for _, elt := range lit.Elts {
 			kv, ok := elt.(*ast.KeyValueExpr)
 			if !ok {
 				continue
 			}
-			if key, ok := kv.Key.(*ast.Ident); ok && fields[key.Name] && operandStorage(info, kv.Value, snaps) {
-				mark(obj, key.Name, kv)
+			key, ok := kv.Key.(*ast.Ident)
+			if !ok || !fields[key.Name] {
+				continue
 			}
+			hasInd = hasInd || key.Name == "Ind"
+			if operandStorage(info, kv.Value, snaps) {
+				mark(obj, key.Name, kv)
+				if key.Name == "Val" {
+					sharedVal = kv
+				}
+			}
+		}
+		if sharedVal != nil && !hasInd && snapshotTypeName(info.TypeOf(lit)) == "Vec" && obj != nil && !snaps[obj] {
+			pass.Reportf(sharedVal.Pos(), "%s is a full Vec on an operand's Val; a full vector is its Val, so the "+
+				"drain that supersedes it would write the operand — return the operand itself, or copy", obj.Name())
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -66,6 +66,16 @@ func shareBit(u *Vec[int]) (*Vec[int], *Vec[int]) {
 	return lit, later
 }
 
+// fullOnOperand builds a full vector — no Ind — on an operand's values,
+// whole and re-sliced; a sorted view that lists an Ind beside them is not
+// reported.
+func fullOnOperand(u *Vec[int]) (*Vec[int], *Vec[int], *Vec[int]) {
+	full := &Vec[int]{N: u.N, Val: u.Val}                        // want `full is a full Vec on an operand's Val`
+	head := &Vec[int]{N: u.N / 2, Val: u.Val[:u.N/2]}            // want `head is a full Vec on an operand's Val`
+	view := &Vec[int]{N: u.N, Ind: make([]int, u.N), Val: u.Val} // sorted: its own Ind
+	return full, head, view
+}
+
 // fillGranted writes through the door: no diagnostic.
 func fillGranted(u *Vec[int], e Exec) *Vec[int] {
 	out := &Vec[int]{N: u.N, Ind: u.Ind, Val: reuseVal[int](e, len(u.Val))}

@@ -153,10 +153,13 @@ func SelectCutM[A any](a *CSR[A], c Cut, s int, e Exec) *CSR[A] {
 }
 
 // ApplyV computes t(i) = f(u(i)) for every stored entry of a vector. The
-// pattern is u's, so the output shares u's index array and allocates only
-// the values.
+// pattern is u's, so the output shares u's index array — a full u makes a
+// full output — and allocates only the values. A bitmap is read through its
+// sorted view.
 func ApplyV[A, C any](u *Vec[A], f func(A) C) *Vec[C] {
-	u = u.Sorted()
+	if u.Bit != nil {
+		u = u.Sorted()
+	}
 	out := &Vec[C]{N: u.N, Ind: u.Ind, Val: make([]C, len(u.Val))}
 	for k := range u.Val {
 		out.Val[k] = f(u.Val[k])

@@ -135,34 +135,36 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T, e Exec) (_ *Vec
 
 // AssignScalarV computes the candidate Z for vector assign with a scalar
 // source: every position in idx receives val. With idx == nil (all
-// positions) Z is full and is filled directly, sharing C's index array when
-// C is full too — and writing into C's value array when the step granted it
-// through e (reuseVal). C is read through the sorted door.
+// positions) Z is full and is written in the full form, into C's value array
+// when the step granted it through e (reuseVal); C is read in its own form. A
+// list reads C through the sorted door.
 func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T, e Exec) (*Vec[T], error) {
-	c, err := c.sortedEx(e)
-	if err != nil {
-		return nil, err
-	}
 	if idx == nil {
-		out := &Vec[T]{N: c.N, Ind: c.Ind, Val: reuseVal[T](e, c.N, nil)}
-		if accum != nil && len(c.Ind) == c.N {
-			for i := range out.Val { // out.Val may be c.Val: read, then write
-				out.Val[i] = accum(c.Val[i], val)
+		out := &Vec[T]{N: c.N, Val: reuseVal[T](e, c.N, nil)}
+		switch {
+		case accum != nil && (c.dense() || c.Bit != nil): // out.Val may be c.Val: read, then write
+			for i := range out.Val {
+				if c.Bit == nil || c.Bit[i] {
+					out.Val[i] = accum(c.Val[i], val)
+				} else {
+					out.Val[i] = val
+				}
 			}
-			return out, nil
-		}
-		if len(c.Ind) != c.N {
-			out.Ind = fullPattern(c.N)
-		}
-		for i := range out.Val {
-			out.Val[i] = val
-		}
-		if accum != nil {
-			for k, i := range c.Ind {
-				out.Val[i] = accum(c.Val[k], val)
+		default: // no accumulator, or c sorted short of full: c.Val is not out.Val
+			for i := range out.Val {
+				out.Val[i] = val
+			}
+			if accum != nil {
+				for k, i := range c.Ind {
+					out.Val[i] = accum(c.Val[k], val)
+				}
 			}
 		}
 		return out, nil
+	}
+	c, err := c.sortedEx(e)
+	if err != nil {
+		return nil, err
 	}
 	region, err := scalarRun(val, idx, c.N)
 	if err != nil {
@@ -195,49 +197,81 @@ func scalarRun[T any](val T, idx []int, n int) (run[T], error) {
 // O(|C| + |mask|), or under a complement, which admits the positions
 // neither stores, one walk over all n. Admitted positions receive val
 // (folded into C's entry by accum when there is one); the others keep C's
-// entry unless replace is set. The output is allocated once, at
-// admits + min(|C|, rejects) (vmaskBounds). Under a plain mask and no
-// replace, a bitmap C — or a granted one past bitmapCut — takes the mask's
-// admitted positions in place instead (bitmapBase), O(|mask|); otherwise C
-// and the mask are read through the sorted door, charged to e.
+// entry unless replace is set. A result that stores every position is
+// written in the full form — into a copy of a dense C's values, or into
+// them when the step granted them (reuseVal); any other is allocated once,
+// at admits + min(|C|, rejects) (vmaskBounds), or under a complement at its
+// counted size. Under a plain mask and no replace, a bitmap C — or a granted
+// one past bitmapCut — takes the mask's admitted positions in place instead
+// (bitmapBase), O(|mask|). The mask, and a C short of full, are read
+// through the sorted door, charged to e.
 func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask, replace bool, e Exec) (*Vec[T], error) {
 	m, err := mask.M.sortedEx(e)
 	if err != nil {
 		return nil, err
 	}
+	selects := func(k int) bool { return mask.Structural || m.Val[k] } // the mask's entry k, before a complement
 	if !mask.Complement && !replace {
 		if out := bitmapBase(e, c, m.NNZ()); out != nil {
 			for k, j := range m.Ind {
-				if mask.Structural || m.Val[k] {
+				if selects(k) {
 					out.installAt(j, val, accum, false)
 				}
 			}
 			return installSettled(out), nil
 		}
 	}
+	if c.Bit == nil && c.dense() && !replace {
+		out := &Vec[T]{N: c.N, Val: reuseVal(e, c.N, c.Val)}
+		for j, mi := 0, 0; j < c.N; j++ {
+			inM := mi < len(m.Ind) && m.Ind[mi] == j
+			if (inM && selects(mi)) != mask.Complement { // admitted
+				if accum != nil {
+					out.Val[j] = accum(out.Val[j], val)
+				} else {
+					out.Val[j] = val
+				}
+			}
+			if inM {
+				mi++
+			}
+		}
+		return out, nil
+	}
 	if c, err = c.sortedEx(e); err != nil {
 		return nil, err
 	}
-	bound, rejects := vmaskBounds(mask, c.N)
-	if !replace {
-		bound = min(bound+min(len(c.Ind), rejects), c.N)
-	}
-	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
-	ci, mi := 0, 0
 	if mask.Complement {
+		// Every position is stored but those the mask rejects with no entry
+		// of C kept there: count them, and drop Ind when there are none.
+		missing, ci := 0, 0
+		for k, j := range m.Ind {
+			for ci < len(c.Ind) && c.Ind[ci] < j {
+				ci++
+			}
+			if selects(k) && (replace || ci == len(c.Ind) || c.Ind[ci] != j) {
+				missing++
+			}
+		}
+		out := &Vec[T]{N: c.N, Val: make([]T, 0, c.N-missing)}
+		if missing > 0 {
+			out.Ind = make([]int, 0, c.N-missing)
+		}
+		ci, mi := 0, 0
 		for j := range c.N {
 			hasC, inM := ci < len(c.Ind) && c.Ind[ci] == j, mi < len(m.Ind) && m.Ind[mi] == j
-			switch {
-			case !inM || !(mask.Structural || m.Val[mi]):
+			if rejected := inM && selects(mi); !rejected || hasC && !replace {
 				v := val
-				if hasC && accum != nil {
+				switch {
+				case rejected:
+					v = c.Val[ci]
+				case hasC && accum != nil:
 					v = accum(c.Val[ci], val)
 				}
-				out.Ind = append(out.Ind, j)
+				if missing > 0 {
+					out.Ind = append(out.Ind, j)
+				}
 				out.Val = append(out.Val, v)
-			case hasC && !replace:
-				out.Ind = append(out.Ind, j)
-				out.Val = append(out.Val, c.Val[ci])
 			}
 			if hasC {
 				ci++
@@ -248,6 +282,12 @@ func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask
 		}
 		return out, nil
 	}
+	bound, rejects := vmaskBounds(mask, c.N)
+	if !replace {
+		bound = min(bound+min(len(c.Ind), rejects), c.N)
+	}
+	out := &Vec[T]{N: c.N, Ind: make([]int, 0, bound), Val: make([]T, 0, bound)}
+	ci, mi := 0, 0
 	for ci < len(c.Ind) || mi < len(m.Ind) {
 		switch {
 		case mi >= len(m.Ind) || (ci < len(c.Ind) && c.Ind[ci] < m.Ind[mi]):
@@ -257,13 +297,13 @@ func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask
 			}
 			ci++
 		case ci >= len(c.Ind) || m.Ind[mi] < c.Ind[ci]:
-			if mask.Structural || m.Val[mi] {
+			if selects(mi) {
 				out.Ind = append(out.Ind, m.Ind[mi])
 				out.Val = append(out.Val, val)
 			}
 			mi++
 		default:
-			if mask.Structural || m.Val[mi] {
+			if selects(mi) {
 				v := val
 				if accum != nil {
 					v = accum(c.Val[ci], val)

@@ -57,7 +57,7 @@ func DebugCheckCSR[T any](m *CSR[T], origin string) {
 // DebugCheckVec validates the sparse-vector snapshot contract: size
 // non-negative; sorted, parallel storage with indices sorted, unique and in
 // [0, N); bitmap, Val and Bit of N slots, the stored count Bit's popcount
-// and no Ind.
+// and no Ind; full, Val of N slots and neither Ind nor Bit.
 func DebugCheckVec[T any](v *Vec[T], origin string) {
 	if v == nil {
 		return
@@ -70,8 +70,14 @@ func DebugCheckVec[T any](v *Vec[T], origin string) {
 			checkFail(origin, "bitmap with len(Ind) = %d, len(Val) = %d, len(Bit) = %d, want 0, %d, %d",
 				len(v.Ind), len(v.Val), len(v.Bit), v.N, v.N)
 		}
-		if n := popcount(v.Bit); n != v.nb {
+		if n := popcount(v.Bit); n != int(v.nb) {
 			checkFail(origin, "bitmap has %d set flags but stores a count of %d", n, v.nb)
+		}
+		return
+	}
+	if v.full() {
+		if len(v.Val) != v.N {
+			checkFail(origin, "full vector with len(Val) = %d, want %d", len(v.Val), v.N)
 		}
 		return
 	}

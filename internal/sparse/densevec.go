@@ -5,10 +5,12 @@ import (
 	"unsafe"
 )
 
-// The two resident forms of a vector and the views between them (Vec). A
+// The three resident forms of a vector and the views between them (Vec). A
 // bitmap has one value slot per position: the pull product gathers through
 // it, and the scatter kernels update an accumulator in it in O(|delta|). A
-// kernel that reads the form it was not handed takes a view. Matrices have
+// full vector is its values alone, which the pull, the element-wise kernels,
+// the reductions and the scalar assign read as they are. A kernel that reads
+// a form it does not know takes a view. Matrices have
 // no block form: a fully dense matrix runs the CSR row loop, which is faster
 // on its own best case (EXPERIMENTS.md, "One multiply scaffold").
 
@@ -17,10 +19,10 @@ import (
 var viewMu sync.Mutex
 
 // viewBytes is what materializing v's bitmap view allocates: the value
-// slots plus the presence flags, or nothing when v is full or a bitmap and
+// slots plus the presence flags, or nothing when v is dense or a bitmap and
 // is its own view.
 func (v *Vec[T]) viewBytes() int64 {
-	if v.Bit != nil || v.NNZ() == v.N {
+	if v.Bit != nil || v.dense() {
 		return 0
 	}
 	var zero T
@@ -28,20 +30,23 @@ func (v *Vec[T]) viewBytes() int64 {
 }
 
 // DenseViewEx returns v with one value slot per position: its Val, and its
-// Bit unless v is full (Bit nil). A full vector and a bitmap are their own
+// Bit where it is a bitmap. A dense vector and a bitmap are their own
 // view — no conversion, no allocation, no charge. A sorted non-full vector's
 // view is a bitmap materialized on first use and memoized; that miss is the
 // operation's gather scratch and is charged as such — transiently, released
 // when the operation's transaction closes — because the view dies with the
 // snapshot, which in an iteration is the next step (a persistent charge
 // would exhaust the budget with flat live memory). Returns ErrBudget when
-// the charge does not fit.
+// the charge does not fit, or when v has more positions than a bitmap holds.
 func (v *Vec[T]) DenseViewEx(e Exec) (*Vec[T], error) {
-	if v.Bit != nil || v.NNZ() == v.N {
+	if v.Bit != nil || v.dense() {
 		return v, nil
 	}
+	if v.N > maxBitmap {
+		return nil, ErrBudget
+	}
 	return v.memoView(&e, v.viewBytes(), func() *Vec[T] {
-		d := &Vec[T]{N: v.N, Val: make([]T, v.N), Bit: make([]bool, v.N), nb: v.NNZ()}
+		d := &Vec[T]{N: v.N, Val: make([]T, v.N), Bit: make([]bool, v.N), nb: uint32(v.NNZ())}
 		for k, i := range v.Ind {
 			d.Val[i], d.Bit[i] = v.Val[k], true
 		}
@@ -49,35 +54,46 @@ func (v *Vec[T]) DenseViewEx(e Exec) (*Vec[T], error) {
 	})
 }
 
-// sortedEx returns v in sorted coordinates: v itself, or a bitmap's sorted
-// view. It is the door to a bitmap for every kernel that reads Ind and holds
-// an Exec, and the kernel takes it itself: it is unexported so that no
-// caller converts an operand for it. The view is
+// sortedEx returns v in sorted coordinates: v itself, or the sorted view of
+// a bitmap or a full vector. It is the door to those forms for every kernel
+// that reads Ind and holds an Exec, and the kernel takes it itself: it is
+// unexported so that no caller converts an operand for it. The view is
 // memoized and charged like DenseViewEx's, and is pinned: a kernel that
 // returns it as its result hands the next object storage that is never
 // written again.
 func (v *Vec[T]) sortedEx(e Exec) (*Vec[T], error) {
-	if v.Bit == nil {
+	if v.Bit == nil && !v.full() {
 		return v, nil
 	}
 	var zero T
-	return v.memoView(&e, int64(v.nb)*int64(unsafe.Sizeof(zero)+8), v.gather)
+	bytes := int64(v.N) * 8 // a full vector's view adds the index array
+	if v.Bit != nil {
+		bytes = int64(v.nb) * int64(unsafe.Sizeof(zero)+8)
+	}
+	return v.memoView(&e, bytes, v.gather)
 }
 
 // Sorted is sortedEx for a kernel that holds no Exec and for a synchronous
 // reader: the view is neither charged nor probed, like the output such a
 // kernel allocates beside it.
 func (v *Vec[T]) Sorted() *Vec[T] {
-	if v.Bit == nil {
+	if v.Bit == nil && !v.full() {
 		return v
 	}
 	s, _ := v.memoView(nil, 0, v.gather) // unpaid, it cannot fail
 	return s
 }
 
-// gather builds a bitmap's sorted view.
+// gather builds a bitmap's or a full vector's sorted view. A full vector's
+// view shares its Val, so v is pinned too: neither is written again.
 func (v *Vec[T]) gather() *Vec[T] {
-	s := GatherVec(v.Val, v.Bit)
+	var s *Vec[T]
+	if v.Bit != nil {
+		s = GatherVec(v.Val, v.Bit)
+	} else {
+		s = &Vec[T]{N: v.N, Ind: fullPattern(v.N), Val: v.Val}
+		v.Pin()
+	}
 	s.Pin()
 	return s
 }
@@ -115,7 +131,8 @@ func (v *Vec[T]) memoView(e *Exec, bytes int64, build func() *Vec[T]) (*Vec[T], 
 // a result that may store n/bitmapCut of its n positions as a bitmap, which
 // later updates scatter into in O(|delta|) where the sorted form rebuilds it
 // all. 64 is where the measured bytes stop falling (EXPERIMENTS.md,
-// "Accumulators updated in place"). A full result stays sorted.
+// "Accumulators updated in place"). A result that comes out full takes the
+// full form (installSettled).
 const bitmapCut = 64
 
 // bitmapBase returns the bitmap a scatter kernel updates c into with at
@@ -124,10 +141,11 @@ const bitmapCut = 64
 // is to a value array: when e.Spare is c, c's own Val and Bit, written in
 // place; a copy of them when c is a bitmap someone else can still read;
 // fresh slots holding c's entries when c is a granted sorted vector whose
-// result may reach bitmapCut.
+// result may reach bitmapCut. A dense c and one wider than maxBitmap are
+// never made bitmaps.
 func bitmapBase[T any](e Exec, c *Vec[T], delta int) *Vec[T] {
 	granted := e.Spare == any(c)
-	out := &Vec[T]{N: c.N, nb: c.NNZ()}
+	out := &Vec[T]{N: c.N, nb: uint32(c.NNZ())}
 	switch {
 	case c.Bit != nil && granted:
 		out.Val, out.Bit = c.Val, c.Bit
@@ -135,7 +153,7 @@ func bitmapBase[T any](e Exec, c *Vec[T], delta int) *Vec[T] {
 		out.Val, out.Bit = make([]T, c.N), make([]bool, c.N)
 		copy(out.Val, c.Val)
 		copy(out.Bit, c.Bit)
-	case granted && c.NNZ() < c.N && (c.NNZ()+delta)*bitmapCut >= c.N:
+	case granted && !c.dense() && c.N <= maxBitmap && (c.NNZ()+delta)*bitmapCut >= c.N:
 		out.Val, out.Bit = make([]T, c.N), make([]bool, c.N)
 		for k, i := range c.Ind {
 			out.Val[i], out.Bit[i] = c.Val[k], true
@@ -164,10 +182,11 @@ func (v *Vec[T]) installAt(i int, x T, add func(T, T) T, xFirst bool) {
 }
 
 // installSettled finishes a bitmap a scatter kernel built: one that came
-// out full takes the sorted form, its Val already the full value array.
+// out full drops its flags and takes the full form, its Val already the
+// value array.
 func installSettled[T any](v *Vec[T]) *Vec[T] {
-	if v.nb == v.N {
-		v.Ind, v.Bit = fullPattern(v.N), nil
+	if int(v.nb) == v.N {
+		v.Bit, v.nb = nil, 0
 	}
 	DebugCheckVec(v, "bitmap scatter")
 	return v

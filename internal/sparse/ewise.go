@@ -23,16 +23,15 @@ func EWiseMultM[A, B, C any](a *CSR[A], b *CSR[B], mul func(A, B) C, e Exec) *CS
 		func(i int, ind []int, val []C) ([]int, []C) { return intersectRun(ind, val, a.run(i), b.run(i), mul) })
 }
 
-// samePattern reports whether two index arrays over [0, n) store the same
-// positions: both full (indices are strictly increasing in [0, n), so n of
-// them can only be 0..n-1), one backing array, or equal element by element —
-// a single predictable pass, far cheaper than the three-way branch per entry
-// of the merge it lets the caller skip.
-func samePattern(a, b []int, n int) bool {
+// samePattern reports whether two sorted index arrays store the same
+// positions: one backing array, or equal element by element — a single
+// predictable pass, far cheaper than the three-way branch per entry of the
+// merge it lets the caller skip.
+func samePattern(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	if len(a) == 0 || len(a) == n || &a[0] == &b[0] {
+	if len(a) == 0 || &a[0] == &b[0] {
 		return true
 	}
 	return slices.Equal(a, b)
@@ -88,16 +87,16 @@ func ewFamily[A, B, C any](op Bin) func(Bin, ewForm, []C, []A, []B, []int) {
 	return familyLoop[func(Bin, ewForm, []C, []A, []B, []int)](binLoops[:], op)
 }
 
-// EWiseAddV is the vector analogue of EWiseAddM. The output's index array is
-// shared with an operand whenever the union pattern equals that operand's
-// (see DESIGN.md, "Vector write-back: sharing and exact allocation"): both
-// patterns identical, or one side full. Indices are strictly increasing in
-// [0, N), so len(Ind) == N is the full test. a is always add's first
-// operand; op tags add for the family loops. Two sparse patterns merge
-// through the closure, whose call is not that merge's cost (EXPERIMENTS.md).
-// The position forms write into the value array the step granted through
-// e, when it has their length (reuseVal). With a bitmap side — or a granted
-// sorted side past bitmapCut — the other side is scattered into that bitmap
+// EWiseAddV is the vector analogue of EWiseAddM. A union that stores every
+// position — one side dense, in any form — is written in the full form, and
+// a sorted output's index array is shared with an operand whenever both
+// patterns are identical (see DESIGN.md, "Vector write-back: sharing and
+// exact allocation"). a is always add's first operand; op tags add for the
+// family loops. Two sparse patterns merge through the closure, whose call is
+// not that merge's cost (EXPERIMENTS.md). The position forms write into the
+// value array the step granted through e, when it has their length
+// (reuseVal). With a bitmap side short of full — or a granted sorted side
+// past bitmapCut — the other side is scattered into that bitmap
 // (bitmapBase), in place when it is the granted one: O(|other side|).
 func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 	fam := ewFamily[T, T, T](op)
@@ -106,21 +105,25 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 		return b
 	case b.NNZ() == 0:
 		return a
+	case a.dense() && b.dense():
+		out := &Vec[T]{N: a.N, Val: reuseVal[T](e, a.N, nil)}
+		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
+		return out
+	case a.dense() && b.Bit == nil:
+		out := &Vec[T]{N: a.N, Val: reuseVal(e, a.N, a.Val)}
+		ewFunc(fam, op, add, ewScatterX, out.Val, a.Val, b.Val, b.Ind)
+		return out
+	case b.dense() && a.Bit == nil:
+		out := &Vec[T]{N: a.N, Val: reuseVal(e, b.N, b.Val)}
+		ewFunc(fam, op, add, ewScatterY, out.Val, a.Val, b.Val, a.Ind)
+		return out
 	case a.Bit != nil:
 		return scatterAdd(bitmapBase(e, a, 0), b, add, false)
 	case b.Bit != nil:
 		return scatterAdd(bitmapBase(e, b, 0), a, add, true)
-	case samePattern(a.Ind, b.Ind, a.N):
+	case samePattern(a.Ind, b.Ind):
 		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: reuseVal[T](e, len(a.Val), nil)}
 		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
-		return out
-	case len(a.Ind) == a.N:
-		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: reuseVal(e, a.N, a.Val)}
-		ewFunc(fam, op, add, ewScatterX, out.Val, a.Val, b.Val, b.Ind)
-		return out
-	case len(b.Ind) == b.N:
-		out := &Vec[T]{N: a.N, Ind: b.Ind, Val: reuseVal(e, b.N, b.Val)}
-		ewFunc(fam, op, add, ewScatterY, out.Val, a.Val, b.Val, a.Ind)
 		return out
 	}
 	if out := bitmapBase(e, a, b.NNZ()); out != nil {
@@ -137,41 +140,53 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 // scatterAdd folds the entries of s into the bitmap out in index order —
 // s's value as add's first operand when sFirst — and settles the result.
 func scatterAdd[T any](out, s *Vec[T], add func(T, T) T, sFirst bool) *Vec[T] {
-	if s.Bit == nil {
+	switch {
+	case s.Bit != nil:
+		for i, ok := range s.Bit {
+			if ok {
+				out.installAt(i, s.Val[i], add, sFirst)
+			}
+		}
+	case s.full():
+		for i, x := range s.Val {
+			out.installAt(i, x, add, sFirst)
+		}
+	default:
 		for k, i := range s.Ind {
 			out.installAt(i, s.Val[k], add, sFirst)
-		}
-	}
-	for i, ok := range s.Bit {
-		if ok {
-			out.installAt(i, s.Val[i], add, sFirst)
 		}
 	}
 	return installSettled(out)
 }
 
-// EWiseMultV is the vector analogue of EWiseMultM. The intersection pattern
-// equals an operand's — whose index array the output then shares — when the
-// two patterns are identical or the other side is full. op tags mul for the
-// family loops; two sparse patterns merge through the closure. The position
-// forms write into the value array the step granted through e, when it has
-// their length (reuseVal). A bitmap side is gathered from (bitmapMult).
+// EWiseMultV is the vector analogue of EWiseMultM. Two dense sides, in any
+// form, make a full output; a dense side is gathered from at the other
+// side's positions, and the output shares the other side's index array —
+// as it does an operand's when the two sorted patterns are identical. op
+// tags mul for the family loops; two sparse patterns merge through the
+// closure. The position forms write into the value array the step granted
+// through e, when it has their length (reuseVal). A bitmap side short of
+// full is gathered from (bitmapMult).
 func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e Exec) *Vec[C] {
 	fam := ewFamily[A, B, C](op)
 	switch {
-	case a.Bit != nil || b.Bit != nil:
-		return bitmapMult(a, b, mul)
-	case samePattern(a.Ind, b.Ind, a.N):
-		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
+	case a.dense() && b.dense():
+		out := &Vec[C]{N: a.N, Val: reuseVal[C](e, a.N, nil)}
 		ewFunc(fam, op, mul, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
-	case len(a.Ind) == a.N:
+	case a.dense() && b.Bit == nil:
 		out := &Vec[C]{N: a.N, Ind: b.Ind, Val: reuseVal[C](e, len(b.Val), nil)}
 		ewFunc(fam, op, mul, ewGatherX, out.Val, a.Val, b.Val, b.Ind)
 		return out
-	case len(b.Ind) == b.N:
+	case b.dense() && a.Bit == nil:
 		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
 		ewFunc(fam, op, mul, ewGatherY, out.Val, a.Val, b.Val, a.Ind)
+		return out
+	case a.Bit != nil || b.Bit != nil: // one a bitmap, neither a dense side beside a sorted one
+		return bitmapMult(a, b, mul)
+	case samePattern(a.Ind, b.Ind):
+		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
+		ewFunc(fam, op, mul, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
 	}
 	ind, val := makeRun[C](min(len(a.Ind), len(b.Ind)))
@@ -179,26 +194,31 @@ func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e E
 	return &Vec[C]{N: a.N, Ind: ind, Val: val}
 }
 
-// bitmapMult is EWiseMultV with a bitmap side: a walk over the other side's
-// entries — a's, listed, when both are bitmaps — that gathers from the
-// bitmap, into an output allocated once at the smaller count.
+// bitmapMult is EWiseMultV with a bitmap side: a walk over the sorted
+// side's entries that gathers from the bitmap or, when the other side is a
+// bitmap too or dense, one walk over the positions, into an output allocated
+// once at the smaller count.
 func bitmapMult[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
-	if a.Bit != nil && b.Bit != nil {
-		a = GatherVec(a.Val, a.Bit)
-	}
 	out := &Vec[C]{N: a.N}
 	out.Ind, out.Val = makeRun[C](min(a.NNZ(), b.NNZ()))
-	if a.Bit == nil {
+	switch {
+	case a.Bit == nil && !a.dense():
 		for k, i := range a.Ind {
 			if b.Bit[i] {
 				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[k], b.Val[i]))
 			}
 		}
-		return out
-	}
-	for k, i := range b.Ind {
-		if a.Bit[i] {
-			out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[i], b.Val[k]))
+	case b.Bit == nil && !b.dense():
+		for k, i := range b.Ind {
+			if a.Bit[i] {
+				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[i], b.Val[k]))
+			}
+		}
+	default:
+		for i := range a.N {
+			if (a.Bit == nil || a.Bit[i]) && (b.Bit == nil || b.Bit[i]) {
+				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[i], b.Val[i]))
+			}
 		}
 	}
 	return out

@@ -89,7 +89,7 @@ type hashLookup[T any] struct {
 func lookupBytes[T any](v *Vec[T]) int64 { return int64(hashCapacity(v.NNZ())) * slotBytes[T]() }
 
 // newHashLookup builds the table of v's entries, reading a bitmap's flags
-// where v is one.
+// or a full vector's values where v is one.
 func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
 	c := hashCapacity(v.NNZ())
 	h := &hashLookup[T]{keys: make([]int, c), vals: make([]T, c), mask: c - 1}
@@ -97,12 +97,20 @@ func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
 		h.keys[i] = -1
 	}
 	scratchBytes.Add(int64(c) * slotBytes[T]())
-	for k, j := range v.Ind {
-		h.put(j, v.Val[k])
-	}
-	for j, ok := range v.Bit {
-		if ok {
-			h.put(j, v.Val[j])
+	switch {
+	case v.Bit != nil:
+		for j, ok := range v.Bit {
+			if ok {
+				h.put(j, v.Val[j])
+			}
+		}
+	case v.full():
+		for j, x := range v.Val {
+			h.put(j, x)
+		}
+	default:
+		for k, j := range v.Ind {
+			h.put(j, v.Val[k])
 		}
 	}
 	return h

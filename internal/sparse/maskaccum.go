@@ -1,6 +1,10 @@
 package sparse
 
-import "github.com/grblas/grb/internal/faults"
+import (
+	"slices"
+
+	"github.com/grblas/grb/internal/faults"
+)
 
 // Mask bundles an optional boolean mask matrix with the descriptor flags
 // that control its interpretation (GraphBLAS masks, §2 of the C spec;
@@ -43,12 +47,12 @@ func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(i
 		return nil
 	}
 	structural, comp := mask.Structural, mask.Complement
-	if m := mask.M; m.Bit != nil { // a bitmap mask is its own predicate
-		return func(j int) bool { return (m.Bit[j] && (structural || m.Val[j])) != comp }
+	if m := mask.M; m.Bit != nil || m.full() { // a bitmap or a full mask is its own predicate
+		return func(j int) bool { return ((m.Bit == nil || m.Bit[j]) && (structural || m.Val[j])) != comp }
 	}
 	if !hash {
-		admit := vmaskBitmap(mask, n, e, site)
-		return func(j int) bool { return admit[j] }
+		admit, flip := vmaskBitmap(mask, n, e, site)
+		return func(j int) bool { return admit[j] != flip }
 	}
 	e.mustCharge(site, lookupBytes(mask.M))
 	h := newHashLookup(mask.M)
@@ -65,34 +69,44 @@ func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(i
 // maskProbe is what the planners read of a non-nil vector mask over n
 // positions: whether its hash predicate's table is strictly smaller than the
 // n-byte bitmap, and whether the bitmap fits the budget beside the bytes the
-// scaffold is about to charge for its own structure. A bitmap mask is its
-// own predicate, free to the closure loop (vmaskLookup); only the admit
-// array a family loop indexes costs n bytes, so the predicate is the smaller
-// exactly where that array does not fit.
+// scaffold is about to charge for its own structure. A bitmap or a full
+// mask is its own predicate, free to the closure loop (vmaskLookup), and a
+// structural bitmap is the family loops' bitmap as it is (vmaskBitmap); only
+// the admit array a family loop indexes otherwise costs n bytes, so the
+// predicate is the smaller exactly where that array does not fit.
 func maskProbe(e Exec, mask VMask, n int, beside int64) (hashSmaller, bitmapFits bool) {
+	m := mask.M
+	if m.Bit != nil && mask.Structural {
+		return false, true
+	}
 	fits := e.Tx.Fits(beside + int64(n))
-	if mask.M.Bit != nil {
+	if m.Bit != nil || m.full() {
 		return !fits, fits
 	}
-	return lookupBytes(mask.M) < int64(n), fits
+	return lookupBytes(m) < int64(n), fits
 }
 
-// vmaskBitmap scatters a non-nil vector mask into an O(n) admit bitmap
-// implementing the full mask semantics (value vs. structural, complement).
-// It is the dense half of vmaskLookup, exposed separately because the
-// family scatter loops index the bitmap directly instead of paying a closure
-// call per product.
-func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) []bool {
+// vmaskBitmap returns a non-nil vector mask over n positions as a bitmap
+// and a flag, position j admitted where admit[j] != flip: the form the
+// family scatter loops index directly instead of paying a closure call per
+// product. A structural bitmap mask is its own flags, flipped under a
+// complement, at no cost; any other is scattered into an O(n) admit array
+// implementing the full mask semantics (value vs. structural, complement),
+// charged to e under site.
+func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) (admit []bool, flip bool) {
 	m := mask.M
 	structural, comp := mask.Structural, mask.Complement
+	if m.Bit != nil && structural {
+		return m.Bit, comp
+	}
 	e.mustCharge(site, int64(n))
-	admit := make([]bool, n)
+	admit = make([]bool, n)
 	scratchBytes.Add(int64(n))
-	if m.Bit != nil {
-		for j, ok := range m.Bit {
-			admit[j] = (ok && (structural || m.Val[j])) != comp
+	if m.Bit != nil || m.full() {
+		for j := range admit {
+			admit[j] = ((m.Bit == nil || m.Bit[j]) && (structural || m.Val[j])) != comp
 		}
-		return admit
+		return admit, false
 	}
 	if comp {
 		for i := range admit {
@@ -106,7 +120,7 @@ func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) []bool {
 		}
 		admit[j] = v
 	}
-	return admit
+	return admit, false
 }
 
 // test reports whether the mask admits position j given a cursor into the
@@ -197,12 +211,14 @@ func vmaskBounds(mask VMask, n int) (admits, rejects int) {
 	return sel, unsel
 }
 
-// MaskApplyV is the vector analogue of MaskApplyM. The output is allocated
-// once at min(|Z|, admits) + min(|C|, rejects) — the second term only
-// without replace, under which no entry of C survives and C is not even
-// read — and not at all when that bound is 0. A valued mask's bound counts
-// every position it does not store as admitted or rejected, so under one the
-// output is counted first and allocated at exactly its size.
+// MaskApplyV is the vector analogue of MaskApplyM. Without replace, a dense
+// C and a dense Z make a full output: a copy of one and a walk over the
+// mask. Otherwise the output is allocated once at min(|Z|, admits) +
+// min(|C|, rejects) — the second term only without replace, under which no
+// entry of C survives and C is not even read — and not at all when that
+// bound is 0. A valued mask's bound counts every position it does not store
+// as admitted or rejected, so under one the output is counted first and
+// allocated at exactly its size.
 func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 	if mask.M == nil && !mask.Complement {
 		return z
@@ -212,6 +228,21 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 			return NewVec[T](c.N)
 		}
 		return c
+	}
+	if m := mask.M.Sorted(); !replace && c.dense() && z.dense() {
+		// Every position stays stored: z's value where the mask admits it,
+		// c's where it rejects it.
+		base, other := c, z
+		if mask.Complement {
+			base, other = z, c
+		}
+		out := &Vec[T]{N: c.N, Val: slices.Clone(base.Val)}
+		for k, j := range m.Ind {
+			if mask.Structural || m.Val[k] {
+				out.Val[j] = other.Val[j]
+			}
+		}
+		return out
 	}
 	c, z, mask.M = c.Sorted(), z.Sorted(), mask.M.Sorted()
 	admits, rejects := vmaskBounds(mask, c.N)

@@ -185,18 +185,19 @@ func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(
 // --- push (VxM scatter) loops ---
 //
 // A push loop scatters the frontier's products in the output columns [lo, hi)
-// a worker owns into spa and mark, indexed j-lo like the admit bitmap, and
-// returns how many columns it marked.
+// a worker owns into spa and mark, indexed j-lo like the mask bitmap — whose
+// column j is admitted where admit[j-lo] != flip — and returns how many
+// columns it marked.
 
 // vxmScatterPlusTimes scatters the frontier with (+, ×).
-func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) int {
+func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) int {
 	n := 0
 	for k, i := range u.Ind {
 		uv := u.Val[k]
 		aInd, aVal := a.rowIn(i, lo, hi)
 		for t, j := range aInd {
 			j -= lo
-			if admit != nil && !admit[j] {
+			if admit != nil && admit[j] == flip {
 				continue
 			}
 			p := uv * aVal[t]
@@ -213,14 +214,14 @@ func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []
 }
 
 // vxmScatterMinPlus scatters the frontier with (min, +).
-func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) int {
+func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) int {
 	n := 0
 	for k, i := range u.Ind {
 		uv := u.Val[k]
 		aInd, aVal := a.rowIn(i, lo, hi)
 		for t, j := range aInd {
 			j -= lo
-			if admit != nil && !admit[j] {
+			if admit != nil && admit[j] == flip {
 				continue
 			}
 			p := uv + aVal[t]
@@ -237,14 +238,14 @@ func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T,
 }
 
 // vxmScatterLorLand scatters the frontier with (∨, ∧).
-func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mark []bool, lo, hi int) int {
+func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, flip bool, spa []bool, mark []bool, lo, hi int) int {
 	n := 0
 	for k, i := range u.Ind {
 		uv := u.Val[k]
 		aInd, aVal := a.rowIn(i, lo, hi)
 		for t, j := range aInd {
 			j -= lo
-			if admit != nil && !admit[j] {
+			if admit != nil && admit[j] == flip {
 				continue
 			}
 			p := uv && aVal[t]
@@ -262,13 +263,13 @@ func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, spa []bool, mar
 
 // vxmScatterPlusPair scatters the frontier with (+, pair): each admitted
 // product contributes exactly 1.
-func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, lo, hi int) int {
+func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) int {
 	n := 0
 	for _, i := range u.Ind {
 		aInd, _ := a.rowIn(i, lo, hi)
 		for _, j := range aInd {
 			j -= lo
-			if admit != nil && !admit[j] {
+			if admit != nil && admit[j] == flip {
 				continue
 			}
 			if !mark[j] {

@@ -561,6 +561,6 @@ func resolves[A, B, C any](semi Semi) [3]bool {
 	return [3]bool{
 		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi) != nil,
 		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](spmvLoops[:], semi) != nil,
-		familyLoop[func(*Vec[A], *CSR[B], []bool, []C, []bool, int, int) int](vxmLoops[:], semi) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, bool, []C, []bool, int, int) int](vxmLoops[:], semi) != nil,
 	}
 }

@@ -163,7 +163,7 @@ func TestVecMergeAgainstMap(t *testing.T) {
 			}
 		}
 		got, err := MergeVTuples(base, updates)
-		if err != nil || !got.Valid() || got.NNZ() != len(model) {
+		if err != nil || !(got.Valid() || got.full() && len(got.Val) == n) || got.NNZ() != len(model) {
 			return false
 		}
 		for i, want := range model {

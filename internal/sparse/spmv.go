@@ -49,9 +49,9 @@ const accumBlock = 256
 //     accumulator;
 //   - t is never stored: with an accumulator, no mask and a full c, a range
 //     gathers accumBlock rows at a time into a buffer that stays in cache and
-//     writes z(i) = accum(c(i), t(i)) into a copy of c's values that shares
-//     c's index array — or into c's values themselves when the step granted
-//     them (reuseVal) — one pass, and the n-length (ind, val) of t and the
+//     writes z(i) = accum(c(i), t(i)) into a full output, a copy of c's
+//     values — or c's values themselves when the step granted them
+//     (reuseVal) — one pass, and the n-length (ind, val) of t and the
 //     merge's output are never allocated. Rows are independent, so both
 //     forms give the same bits at every thread count.
 //
@@ -83,7 +83,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 		work:      gatherWork(a.Ptr, u.NNZ(), mask, cut),
 		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
 	threads := e.workers(in.work - u.NNZ())
-	if mask.M != nil && mask.M.Bit == nil { // a bitmap mask the pull reads for nothing
+	if mask.M != nil && mask.M.Bit == nil && !mask.M.full() { // a bitmap or full mask the pull reads for nothing
 		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Rows, viewCost)
 	}
 	rt := planPull(in)
@@ -161,7 +161,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 		}
 	})
 	if z != nil {
-		return &Vec[Y]{N: c.N, Ind: c.Ind, Val: z}, nil
+		return &Vec[Y]{N: c.N, Val: z}, nil
 	}
 	return AccumMergeV(c, stitchVec(a.Rows, t), accum), nil
 }
@@ -219,10 +219,13 @@ func gatherWork(ptr []int, nnzU int, mask VMask, cut int) int {
 	return listedEntries(ptr, mask.M, nnzU, cut)
 }
 
-// listedEntries is listedWork over the positions v stores: its Ind, or a
-// bitmap's flags, walked only until the count reaches cut.
+// listedEntries is listedWork over the positions v stores: its Ind, a
+// bitmap's flags walked only until the count reaches cut, or every row.
 func listedEntries[T any](ptr []int, v *Vec[T], base, cut int) int {
-	if v.Bit == nil {
+	switch {
+	case v.full():
+		return base + ptr[len(ptr)-1]
+	case v.Bit == nil:
 		return listedWork(ptr, v.Ind, base, cut)
 	}
 	for i, ok := range v.Bit {
@@ -319,7 +322,7 @@ func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 		return nil, err
 	}
 	pushCalls.Add(1)
-	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, []Y, []bool, int, int) int](vxmLoops[:], semi)
+	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, bool, []Y, []bool, int, int) int](vxmLoops[:], semi)
 	products := listedWork(a.Ptr, u.Ind, 0, math.MaxInt)
 	var zero Y
 	spaWidth := int64(unsafe.Sizeof(zero) + 1) // a value and a mark per column
@@ -359,12 +362,13 @@ func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 		// nothing.
 		return NewVec[Y](a.Cols), nil
 	}
-	var bits []bool          // the family loops' mask form
+	var bits []bool          // the family loops' mask form,
+	var flip bool            // column j admitted where bits[j] != flip
 	var admit func(int) bool // the closure loop's
 	if !rt.Family {
 		admit = vmaskLookup(mask, a.Cols, rt.HashMask, e, spaSite)
 	} else if mask.M != nil {
-		bits = vmaskBitmap(mask, a.Cols, e, spaSite)
+		bits, flip = vmaskBitmap(mask, a.Cols, e, spaSite)
 	}
 	if rt.Acc == AccHash {
 		e.checkpoint()
@@ -391,7 +395,7 @@ func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 			if bits != nil {
 				own = bits[lo:hi]
 			}
-			n = scatter(u, a, own, spa, mark, lo, hi)
+			n = scatter(u, a, own, flip, spa, mark, lo, hi)
 		} else {
 			n = pushRows(u, a, admit, mul, add, spa, mark, lo, hi)
 		}

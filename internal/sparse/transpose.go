@@ -256,7 +256,8 @@ func ReduceAll[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
 }
 
 // ReduceVec reduces every stored entry of a vector; ok is false when empty.
-// A bitmap is folded in place, in index order, through add.
+// A sorted or full vector folds its Val; a bitmap is folded in place, in
+// index order, through add.
 func ReduceVec[T any](mon Mon, v *Vec[T], add func(T, T) T) (acc T, ok bool) {
 	if v.Bit == nil && v.NNZ() > 0 {
 		return fold(v.Val, familyLoop[func([]T) T](reduceLoops[:], mon), add), true

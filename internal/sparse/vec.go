@@ -2,77 +2,90 @@ package sparse
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
 )
 
-// Vec is a generic sparse vector, resident in one of two forms (DESIGN.md,
-// "Vector write-back"). Sorted (Bit nil): Ind holds the positions of stored
-// entries in strictly increasing order and Val their values. Bitmap: Val and
-// Bit hold N slots each, Bit[i] says whether position i stores an entry, Ind
-// is nil and nb counts the entries. Kernels return a fresh Vec, but a sorted
-// output's Ind may be an operand's — the same backing array — when the
-// pattern is unchanged; nothing writes an Ind once it is built, and a Bit is
-// never shared. Val and Bit are written again only by the drain that
-// supersedes them, when Holds shows that nothing else can read them
-// (DESIGN.md, "Writing into superseded storage").
+// Vec is a generic sparse vector, resident in one of three forms (DESIGN.md,
+// "Vector write-back"). Sorted (Bit nil, Ind as long as Val): Ind holds the
+// positions of stored entries in strictly increasing order and Val their
+// values. Bitmap: Val and Bit hold N slots each, Bit[i] says whether position
+// i stores an entry, Ind is nil and nb counts the entries. Full: Val holds all
+// N values in position order, Ind and Bit are nil — no sorted vector has a
+// nil Ind beside a non-empty Val, so the form needs no field of its own.
+// Kernels return a fresh Vec, but a sorted output's Ind may be an operand's —
+// the same backing array — when the pattern is unchanged; nothing writes an
+// Ind once it is built, and a Bit is never shared. Val and Bit are written
+// again only by the drain that supersedes them, when Holds shows that nothing
+// else can read them (DESIGN.md, "Writing into superseded storage").
 type Vec[T any] struct {
 	N   int
 	Ind []int
 	Val []T
 	Bit []bool
-	nb  int // the entries Bit marks
 
-	// view memoizes the other form: a sorted vector's bitmap (DenseViewEx),
-	// a bitmap's sorted coordinates (sortedEx). As with CSR.tr, a snapshot's
-	// values do not change while anyone can read it, so it never goes stale.
+	// view memoizes another form: a sorted vector's bitmap (DenseViewEx), a
+	// bitmap's or a full vector's sorted coordinates (sortedEx). As with
+	// CSR.tr, a snapshot's values do not change while anyone can read it, so
+	// it never goes stale.
 	view atomic.Pointer[Vec[T]]
 
+	nb uint32 // the entries Bit marks: a bitmap has at most maxBitmap positions
 	Holds
 }
 
+// maxBitmap bounds a bitmap's positions, so that its count fits the 32 bits
+// that keep the Vec header in the 96-byte size class.
+const maxBitmap = math.MaxUint32
+
 // Holds is the grb layer's ledger of who can read a vector snapshot: a count
 // of readers (pending operations that took it as an operand, a synchronous
-// reader while it reads) and a mark saying whether Val is its object's own.
-// All methods are nil-safe, so a matrix, which never lends, passes nil.
+// reader while it reads) and a mark saying whether Val is its object's own,
+// packed in one word — the count in units of holdReader above the mark's two
+// bits. All methods are nil-safe, so a matrix, which never lends, passes nil.
 type Holds struct {
-	readers atomic.Int32
-	mark    atomic.Uint32
+	word atomic.Int32
 }
 
 const (
 	holdFree   = iota // a fresh result no object has installed yet
 	holdOwned         // the object's own drain allocated Val
 	holdPinned        // a second holder keeps the storage beyond any count
+
+	holdReader = 4 // one reader, counted above the mark
 )
 
 // Lend counts one more reader.
 func (h *Holds) Lend() {
 	if h != nil {
-		h.readers.Add(1)
+		h.word.Add(holdReader)
 	}
 }
 
 // Release drops a reader Lend counted.
 func (h *Holds) Release() {
 	if h != nil {
-		h.readers.Add(-1)
+		h.word.Add(-holdReader)
 	}
 }
 
 // Pin marks the storage held beyond any count: it is never written again.
 func (h *Holds) Pin() {
-	if h != nil {
-		h.mark.Store(holdPinned)
+	for h != nil {
+		if w := h.word.Load(); w&holdPinned != 0 || h.word.CompareAndSwap(w, w|holdPinned) {
+			return
+		}
 	}
 }
 
 // Claim is called when a drain installs the snapshot in place of cur. A
-// fresh result becomes the object's own; anything else a kernel returned
-// (an operand, as u ⊕ ∅ returns u) is another holder's too, and is pinned.
+// fresh result with no reader becomes the object's own; anything else a
+// kernel returned (an operand, as u ⊕ ∅ returns u) is another holder's too,
+// and is pinned.
 func (h *Holds) Claim(cur *Holds) {
-	if h != nil && h != cur && (h.readers.Load() != 0 || !h.mark.CompareAndSwap(holdFree, holdOwned)) {
+	if h != nil && h != cur && !h.word.CompareAndSwap(holdFree, holdOwned) {
 		h.Pin()
 	}
 }
@@ -81,7 +94,7 @@ func (h *Holds) Claim(cur *Holds) {
 // caller holds on it are all its readers: the drain holding them may write
 // into it.
 func (h *Holds) Sole(lends int) bool {
-	return h != nil && h.mark.Load() == holdOwned && h.readers.Load() == int32(lends)
+	return h != nil && h.word.Load() == int32(lends)*holdReader|holdOwned
 }
 
 // reuseVal returns an n-entry value array for a kernel's output, holding a
@@ -108,10 +121,17 @@ func NewVec[T any](n int) *Vec[T] { return &Vec[T]{N: n} }
 // NNZ returns the number of stored entries.
 func (v *Vec[T]) NNZ() int {
 	if v.Bit != nil {
-		return v.nb
+		return int(v.nb)
 	}
-	return len(v.Ind)
+	return len(v.Val)
 }
+
+// full reports whether v is in the full form: all N values, no Ind, no Bit.
+func (v *Vec[T]) full() bool { return v.Ind == nil && v.Bit == nil && len(v.Val) > 0 }
+
+// dense reports whether v stores every position, in whichever form: its Val
+// then holds the value of position i at i.
+func (v *Vec[T]) dense() bool { return v.NNZ() == v.N }
 
 // Clone returns a deep copy, each array allocated at its size.
 func (v *Vec[T]) Clone() *Vec[T] {
@@ -121,7 +141,7 @@ func (v *Vec[T]) Clone() *Vec[T] {
 
 // Get returns the entry at i and whether it is present.
 func (v *Vec[T]) Get(i int) (T, bool) {
-	if v.Bit != nil && v.Bit[i] {
+	if v.Bit != nil && v.Bit[i] || v.full() {
 		return v.Val[i], true
 	}
 	k := sort.SearchInts(v.Ind, i)
@@ -191,17 +211,27 @@ type VTuple[T any] struct {
 	Del bool
 }
 
-// MergeVTuples folds pending updates into v, later updates winning.
+// MergeVTuples folds pending updates into v, later updates winning. A
+// dense v that no update deletes from stays dense, in the full form.
 func MergeVTuples[T any](v *Vec[T], tuples []VTuple[T]) (*Vec[T], error) {
 	if len(tuples) == 0 {
 		return v, nil
 	}
-	v = v.Sorted()
+	dense := v.dense()
 	for _, t := range tuples {
 		if t.Idx < 0 || t.Idx >= v.N {
 			return nil, ErrIndexOutOfBounds
 		}
+		dense = dense && !t.Del
 	}
+	if dense {
+		out := &Vec[T]{N: v.N, Val: slices.Clone(v.Val)}
+		for _, t := range tuples {
+			out.Val[t.Idx] = t.Val
+		}
+		return out, nil
+	}
+	v = v.Sorted()
 	row := make([]Tuple[T], len(tuples)) // the one-row case of MergeTuples
 	for k, t := range tuples {
 		row[k] = Tuple[T]{Col: t.Idx, Val: t.Val, Del: t.Del}
@@ -238,11 +268,21 @@ func GatherVec[T any](dv []T, ok []bool) *Vec[T] {
 	return out
 }
 
-// VecEqualFunc reports whether a and b are identical under eq.
+// VecEqualFunc reports whether a and b store the same positions with
+// values identical under eq, in whichever forms they are.
 func VecEqualFunc[T any](a, b *Vec[T], eq func(T, T) bool) bool {
 	if a.N != b.N || a.NNZ() != b.NNZ() {
 		return false
 	}
+	if a.dense() { // so is b: each Val holds position i at i
+		for i := range a.Val {
+			if !eq(a.Val[i], b.Val[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	a, b = a.Sorted(), b.Sorted()
 	for k := range a.Ind {
 		if a.Ind[k] != b.Ind[k] || !eq(a.Val[k], b.Val[k]) {
 			return false
@@ -252,14 +292,15 @@ func VecEqualFunc[T any](a, b *Vec[T], eq func(T, T) bool) bool {
 }
 
 // VecTuples appends (index, value) pairs of v to I, X and returns them: a
-// bitmap is walked in place, its pairs appended in index order.
+// bitmap or a full vector is walked in place, its pairs appended in index
+// order.
 func (v *Vec[T]) VecTuples(I []int, X []T) ([]int, []T) {
-	if v.Bit == nil {
+	if v.Bit == nil && !v.full() {
 		return append(I, v.Ind...), append(X, v.Val...)
 	}
-	I, X = growExact(I, v.nb), growExact(X, v.nb)
-	for i, ok := range v.Bit {
-		if ok {
+	I, X = growExact(I, v.NNZ()), growExact(X, v.NNZ())
+	for i := range v.Val {
+		if v.Bit == nil || v.Bit[i] {
 			I, X = append(I, i), append(X, v.Val[i])
 		}
 	}

@@ -397,11 +397,7 @@ func VectorImport[T any](size Index, indices []Index, values []T,
 		if len(values) != size {
 			return nil, errf(InvalidValue, "VectorImport(dense): values must have %d entries, got %d", size, len(values))
 		}
-		vec = &sparse.Vec[T]{N: size, Ind: make([]int, size), Val: make([]T, size)}
-		for i := 0; i < size; i++ {
-			vec.Ind[i] = i
-			vec.Val[i] = values[i]
-		}
+		vec = &sparse.Vec[T]{N: size, Val: append([]T(nil), values...)} // the full form
 	case FormatBitmapVector:
 		if len(values) != size || len(indices) != size {
 			return nil, errf(InvalidValue, "VectorImport(bitmap): indices and values must have %d entries, got %d/%d",

@@ -36,7 +36,7 @@ func BenchmarkAlgorithmBytes(b *testing.B) {
 	}{
 		{"BFS", func() { ck(ck1(BFSLevels(pat, 1)).Free()) }},
 		{"SSSP", func() { ck(ck1(SSSP(wgt, 1)).Free()) }},
-		{"PageRank", func() { ck(ck1(PageRank(wgt, 0.85, 0, 10)).Ranks.Free()) }},
+		{"PageRank", func() { ck(ranksRead(ck1(PageRank(wgt, 0.85, 0, 10))).Free()) }},
 		{"EgoAnswer", func() {
 			sub, _ := ck2(EgoNet(wgt, hub, 2))
 			ck(sub.Wait(grb.Materialize))
@@ -90,6 +90,15 @@ func TestPageRankAllocatesNoIterationVector(t *testing.T) {
 	}
 }
 
+// ranksRead completes res's ranks and returns them. With a tol that is not
+// positive nothing in PageRank reads the last iteration's product, which
+// stays pending on the ranks: a Free before any read would discard it
+// unrun.
+func ranksRead(res *PageRankResult) *grb.Vector[float64] {
+	ck(res.Ranks.Wait(grb.Materialize))
+	return res.Ranks
+}
+
 // bestBytes is the fewest heap bytes one of three calls of run allocates.
 func bestBytes(run func()) uint64 {
 	best := ^uint64(0)
@@ -131,6 +140,27 @@ func TestAccumulatorsAreUpdatedInPlace(t *testing.T) {
 		} else {
 			t.Logf("%s over rmat-14: %d KB", tc.name, got>>10)
 		}
+	}
+}
+
+// TestPageRankAllocatesNoIndexArray: PageRank's full vectors — r, rnew, w,
+// send after send⟨¬deg⟩ = 0 — are values alone, with no n-int index array.
+// A 10-iteration call (tol 0, its ranks read) over rmat-14 in a one-thread
+// context allocates 7.3 n-entry arrays of 8 bytes (939 KB); with r's 0..n−1 pattern
+// built by the scalar assign and send's by the complemented one it was 8.4,
+// and 10.4 (1 331 KB) while tol 0 still stored |rnew − r|. The bound, 8,
+// leaves 9 % of slack and no room for an index array.
+func TestPageRankAllocatesNoIndexArray(t *testing.T) {
+	initLib(t)
+	g := gen.Graph500RMAT(14, 8, 42).Symmetrize()
+	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
+	wgt := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), grb.Plus[float64], grb.InContext(ctx)))
+	run := func() { ck(ranksRead(ck1(PageRank(wgt, 0.85, 0, 10))).Free()) }
+	run() // the transpose
+	got, array := bestBytes(run), uint64(8*g.N)
+	t.Logf("PageRank over rmat-14: %d KB, %.2f n-entry arrays", got>>10, float64(got)/float64(array))
+	if got > 8*array {
+		t.Errorf("PageRank over rmat-14 allocates %d KB, want <= %d KB (8 n-entry arrays)", got>>10, 8*array>>10)
 	}
 }
 

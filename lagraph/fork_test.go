@@ -95,7 +95,7 @@ func TestSmallQueryRunsInline(t *testing.T) {
 	_, big := load(16)
 	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(2)))
 	w := ck1(big.ViewInContext(ctx))
-	pulls := kernelThreads(t, func() { ck(ck1(PageRank(w, 0.85, 0, 1)).Ranks.Free()) })["VxM"]
+	pulls := kernelThreads(t, func() { ck(ranksRead(ck1(PageRank(w, 0.85, 0, 1))).Free()) })["VxM"]
 	if len(pulls) != 1 || pulls[0] != 2 {
 		t.Errorf("the pull of a PageRank iteration over rmat-16 reports workers %v, want [2]", pulls)
 	}

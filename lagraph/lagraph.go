@@ -248,8 +248,10 @@ type PageRankResult struct {
 
 // PageRank computes the PageRank vector of the weighted adjacency matrix a
 // (edge weights are treated as link multiplicities) with the given damping
-// factor, iterating until the L1 change falls below tol or maxIter rounds.
-// Dangling vertices (no out-edges) redistribute their rank uniformly.
+// factor, iterating until the L1 change falls below tol or maxIter rounds
+// (a tol that is not positive runs maxIter rounds and never measures the
+// change). Dangling vertices (no out-edges) redistribute their rank
+// uniformly.
 func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int) (*PageRankResult, error) {
 	n, opt, err := dimAndCtx(a)
 	if err != nil {
@@ -325,9 +327,14 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 	if err != nil {
 		return nil, err
 	}
-	diff, err := grb.NewVector[float64](n, opt)
-	if err != nil {
-		return nil, err
+	// delta < tol cannot hold unless tol > 0 — delta is a sum of absolute
+	// values, or NaN — so without one the loop runs maxIter iterations and
+	// never measures delta.
+	var diff *grb.Vector[float64]
+	if tol > 0 {
+		if diff, err = grb.NewVector[float64](n, opt); err != nil {
+			return nil, err
+		}
 	}
 	absDiff := func(x, y float64) float64 { return math.Abs(x - y) }
 	for iter := 1; iter <= maxIter; iter++ {
@@ -355,15 +362,19 @@ func PageRank(a *grb.Matrix[float64], damping float64, tol float64, maxIter int)
 			return nil, err
 		}
 		// delta = Σ |rnew - r|: both are full, so eWiseAdd passes nothing through.
-		if err := grb.EWiseAddVector(diff, nil, nil, absDiff, rnew, r, nil); err != nil {
-			return nil, err
-		}
-		delta, err := grb.VectorReduce(grb.PlusMonoid[float64](), diff)
-		if err != nil {
-			return nil, err
+		converged := false
+		if diff != nil {
+			if err := grb.EWiseAddVector(diff, nil, nil, absDiff, rnew, r, nil); err != nil {
+				return nil, err
+			}
+			delta, err := grb.VectorReduce(grb.PlusMonoid[float64](), diff)
+			if err != nil {
+				return nil, err
+			}
+			converged = delta < tol
 		}
 		r, rnew = rnew, r
-		if delta < tol {
+		if converged {
 			return &PageRankResult{Ranks: r, Iterations: iter}, nil
 		}
 	}

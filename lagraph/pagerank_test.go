@@ -78,7 +78,8 @@ func TestPageRankAgainstDenseReference(t *testing.T) {
 // assign, vxm with accumulator, eWiseAdd, reduce — so that a later edit
 // cannot quietly grow it back. It counts operation events, one per call —
 // the two reductions to a Go value included: seven, or five without a
-// dangling vertex, whose eWiseMult + reduce are skipped.
+// dangling vertex, whose eWiseMult + reduce are skipped; and two fewer with
+// a tol that is not positive, under which the change is never measured.
 func TestPageRankOpsPerIteration(t *testing.T) {
 	initLib(t)
 	grb.EnableMetrics(true)
@@ -86,9 +87,9 @@ func TestPageRankOpsPerIteration(t *testing.T) {
 		grb.EnableMetrics(false)
 		grb.ResetMetrics()
 	}()
-	ops := func(a *grb.Matrix[float64], iters int) int64 {
+	ops := func(a *grb.Matrix[float64], tol float64, iters int) int64 {
 		grb.ResetMetrics()
-		if _, err := PageRank(a, 0.85, 0, iters); err != nil {
+		if _, err := PageRank(a, 0.85, tol, iters); err != nil {
 			t.Fatal(err)
 		}
 		var n int64
@@ -102,17 +103,86 @@ func TestPageRankOpsPerIteration(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    gen.Graph
+		tol  float64
 		want int64
 	}{
-		{"a dangling vertex", gen.Path(12), 7},
-		{"none: the dangling mass is skipped", gen.Ring(10), 5},
+		{"a dangling vertex", gen.Path(12), 1e-300, 7},
+		{"a dangling vertex, tol 0: delta is not measured", gen.Path(12), 0, 5},
+		{"none, tol 0: the dangling mass is skipped too", gen.Ring(10), 0, 3},
 	} {
 		a := weighted(t, tc.g, gen.UnitWeights[float64](tc.g))
 		ck(a.Wait(grb.Materialize))
-		if got := (ops(a, 12) - ops(a, 2)) / 10; got != tc.want {
+		if got := (ops(a, tc.tol, 12) - ops(a, tc.tol, 2)) / 10; got != tc.want {
 			t.Errorf("%s: %d operations per iteration, want %d", tc.name, got, tc.want)
 		}
 	}
+}
+
+// TestPageRankWithoutTolMatchesMeasuredLoop: a tol that is not positive
+// skips the change's eWiseAdd and reduce, and nothing else — the ranks and
+// Iterations are the bits of the loop that measured it every round,
+// pageRankMeasured.
+func TestPageRankWithoutTolMatchesMeasuredLoop(t *testing.T) {
+	initLib(t)
+	for _, tc := range pagerankGraphs() {
+		a := weighted(t, tc.g, gen.UnitWeights[float64](tc.g))
+		for _, tol := range []float64{0, -1, math.NaN()} {
+			got := ck1(PageRank(a, 0.85, tol, 40))
+			want := ck1(pageRankMeasured(a, 0.85, tol, 40))
+			if got.Iterations != want.Iterations {
+				t.Fatalf("%s tol=%g: %d iterations, the measured loop %d", tc.name, tol, got.Iterations, want.Iterations)
+			}
+			gi, gx := ck2(got.Ranks.ExtractTuples())
+			wi, wx := ck2(want.Ranks.ExtractTuples())
+			if len(gi) != len(wi) {
+				t.Fatalf("%s tol=%g: %d ranks, the measured loop %d", tc.name, tol, len(gi), len(wi))
+			}
+			for k := range wi {
+				if gi[k] != wi[k] || math.Float64bits(gx[k]) != math.Float64bits(wx[k]) {
+					t.Fatalf("%s tol=%g: rank(%d) = %v, the measured loop (%d) = %v", tc.name, tol, gi[k], gx[k], wi[k], wx[k])
+				}
+			}
+		}
+	}
+}
+
+// pageRankMeasured is PageRank as it was before a tol that is not positive
+// skipped the change: every round computes diff = |rnew − r| and reduces it.
+func pageRankMeasured(a *grb.Matrix[float64], damping float64, tol float64, maxIter int) (*PageRankResult, error) {
+	n, opt, err := dimAndCtx(a)
+	if err != nil {
+		return nil, err
+	}
+	newVec := func() *grb.Vector[float64] { return ck1(grb.NewVector[float64](n, opt)) }
+	deg, send, r, rnew, w, dang, diff := newVec(), newVec(), newVec(), newVec(), newVec(), newVec(), newVec()
+	ck(grb.MatrixReduceToVector(deg, nil, nil, grb.PlusMonoid[float64](), a, nil))
+	ck(grb.VectorApply(send, nil, nil, func(d float64) float64 { return damping / d }, deg, nil))
+	degMask := ck1(grb.AsVectorMaskFunc(deg, func(float64) bool { return true }))
+	ck(grb.VectorAssignScalar(send, degMask, nil, 0, grb.All, grb.DescSC))
+	dangling := ck1(grb.NewVector[bool](n, opt))
+	ck(grb.VectorAssignScalar(dangling, degMask, nil, true, grb.All, grb.DescSC))
+	ndangling := ck1(dangling.Nvals())
+	ck(grb.VectorAssignScalar(r, nil, nil, 1/float64(n), grb.All, nil))
+	ck(grb.VectorApply(rnew, nil, nil, grb.Identity[float64], r, nil))
+	absDiff := func(x, y float64) float64 { return math.Abs(x - y) }
+	for iter := 1; iter <= maxIter; iter++ {
+		ck(grb.EWiseMultVector(w, nil, nil, grb.Times[float64], r, send, nil))
+		dmass := 0.0
+		if ndangling > 0 {
+			ck(grb.EWiseMultVector(dang, nil, nil, grb.First[float64, bool], r, dangling, nil))
+			dmass = ck1(grb.VectorReduce(grb.PlusMonoid[float64](), dang))
+		}
+		base := (1-damping)/float64(n) + damping*dmass/float64(n)
+		ck(grb.VectorAssignScalar(rnew, nil, nil, base, grb.All, nil))
+		ck(grb.VxM(rnew, nil, grb.Plus[float64], grb.PlusTimes[float64](), w, a, nil))
+		ck(grb.EWiseAddVector(diff, nil, nil, absDiff, rnew, r, nil))
+		delta := ck1(grb.VectorReduce(grb.PlusMonoid[float64](), diff))
+		r, rnew = rnew, r
+		if delta < tol {
+			return &PageRankResult{Ranks: r, Iterations: iter}, nil
+		}
+	}
+	return &PageRankResult{Ranks: r, Iterations: maxIter}, nil
 }
 
 // TestPageRankReusesItsVectors pins what an iteration allocates once the

@@ -43,8 +43,8 @@ func (matrixKind[T]) inBounds(op string, c *sparse.CSR[T], t sparse.Tuple[T]) er
 	return nil
 }
 
-func (matrixKind[T]) mergeTuples(c *sparse.CSR[T], tuples []sparse.Tuple[T]) (*sparse.CSR[T], error) {
-	return sparse.MergeTuples(c, tuples)
+func (k matrixKind[T]) mergeTuples(c *sparse.CSR[T], tuples []sparse.Tuple[T]) (*sparse.CSR[T], error) {
+	return sparse.MergeTuples(k.settle(c), tuples)
 }
 
 func (matrixKind[T]) debugCheck(c *sparse.CSR[T]) { sparse.DebugCheckCSR(c, "Matrix sequence step") }
@@ -56,12 +56,28 @@ func (matrixKind[T]) maskFits(mk maskSnap, c *sparse.CSR[T]) error {
 	return nil
 }
 
-func (matrixKind[T]) accumMerge(old, t *sparse.CSR[T], accum func(T, T) T, e sparse.Exec) *sparse.CSR[T] {
-	return sparse.AccumMergeM(old, t, accum, e)
+func (k matrixKind[T]) accumMerge(old, t *sparse.CSR[T], accum func(T, T) T, e sparse.Exec) *sparse.CSR[T] {
+	if accum == nil {
+		return t
+	}
+	return sparse.AccumMergeM(k.settle(old), t, accum, e)
 }
 
-func (matrixKind[T]) maskApply(old, z *sparse.CSR[T], mk maskSnap, replace bool, e sparse.Exec) *sparse.CSR[T] {
+func (k matrixKind[T]) maskApply(old, z *sparse.CSR[T], mk maskSnap, replace bool, e sparse.Exec) *sparse.CSR[T] {
+	if (mk.M != nil || mk.Complement) && !replace { // it keeps what the mask rejects
+		old = k.settle(old)
+	}
 	return sparse.MaskApplyM(old, z, mk.matrix(), replace, e)
+}
+
+// settle builds the rows of the empty matrix NewMatrix leaves unbuilt —
+// Ptr nil, which no other CSR has — for a reader that indexes them. An
+// output that is only written never builds them.
+func (matrixKind[T]) settle(c *sparse.CSR[T]) *sparse.CSR[T] {
+	if c != nil && c.Ptr == nil {
+		return sparse.NewCSR[T](c.Rows, c.Cols)
+	}
+	return c
 }
 
 // A matrix never lends: its kernels always allocate their output.
@@ -95,7 +111,7 @@ func NewMatrix[T any](nrows, ncols Index, opts ...ObjOption) (*Matrix[T], error)
 	if nrows <= 0 || ncols <= 0 {
 		return nil, errf(InvalidValue, "NewMatrix: dimensions must be positive (got %d x %d)", nrows, ncols)
 	}
-	return newMatrix(ctx, sparse.NewCSR[T](nrows, ncols)), nil
+	return newMatrix(ctx, &sparse.CSR[T]{Rows: nrows, Cols: ncols}), nil // rows unbuilt until read (settle)
 }
 
 // check verifies the object was constructed.
@@ -253,7 +269,7 @@ func (m *Matrix[T]) Clear() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.resetLocked(sparse.NewCSR[T](m.cur.Rows, m.cur.Cols))
+	m.resetLocked(&sparse.CSR[T]{Rows: m.cur.Rows, Cols: m.cur.Cols}) // unbuilt, as NewMatrix leaves it
 	return nil
 }
 
@@ -327,7 +343,7 @@ func (m *Matrix[T]) Build(I, J []Index, X []T, dup BinaryOp[T, T, T]) error {
 	if len(I) != len(J) || len(I) != len(X) {
 		return errf(InvalidValue, "Build: index and value slices must have equal length")
 	}
-	cur, err := m.snapshot()
+	cur, _, err := m.lendOld() // its shape and count; a matrix holds no count
 	if err != nil {
 		return err
 	}

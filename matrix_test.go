@@ -2,6 +2,7 @@ package grb
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -229,6 +230,65 @@ func TestExtractTuplesAllocatesOnce(t *testing.T) {
 	if !slices.Equal(gi, wi) || !slices.Equal(gj, wj) || !slices.EqualFunc(gx, wx, bits) {
 		t.Error("the tuples differ from the element-by-element walk of the rows")
 	}
+}
+
+// TestNewMatrixBuildsNoRowsUntilRead: NewMatrix (and Clear) leave the empty
+// matrix's rows unbuilt, so an output that is only written — a product, a
+// transpose, a Build — never allocates the (n+1)-int row pointer its first
+// write threw away (512 KB at n = 2¹⁶). A reader of the rows, an
+// accumulator, a mask that keeps old entries and an element update get
+// them built, and see an empty matrix.
+func TestNewMatrixBuildsNoRowsUntilRead(t *testing.T) {
+	setMode(t, Blocking)
+	const n = 1 << 16
+	best := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck(ck1(NewMatrix[float64](n, n)).Free())
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best >= 4<<10 {
+		t.Fatalf("NewMatrix(%d, %d) allocated %d bytes, want < 4 KB", n, n, best)
+	}
+	a := mustMatrix(t, n, n, []Index{0, 5}, []Index{3, n - 1}, []float64{1, 2})
+	fresh := func() *Matrix[float64] { return ck1(NewMatrix[float64](n, n)) }
+	want := func(what string, m *Matrix[float64], x0, x5 float64) {
+		t.Helper()
+		I, J, X := ck3(m.ExtractTuples())
+		if !slices.Equal(I, []Index{0, 5}) || !slices.Equal(J, []Index{3, n - 1}) || !slices.Equal(X, []float64{x0, x5}) {
+			t.Fatalf("%s: tuples %v %v %v, want (0,3)=%v and (5,%d)=%v", what, I, J, X, x0, n-1, x5)
+		}
+	}
+	e := fresh()
+	if nv := ck1(e.Nvals()); nv != 0 {
+		t.Fatalf("a fresh matrix holds %d entries", nv)
+	}
+	if _, ok := ck2(e.ExtractElement(0, 3)); ok {
+		t.Fatal("a fresh matrix stores (0,3)")
+	}
+	sum := fresh()
+	ck(EWiseAddMatrix(sum, nil, nil, Plus[float64], fresh(), a, nil)) // an unbuilt input
+	want("unbuilt ⊕ a", sum, 1, 2)
+	acc := fresh()
+	ck(EWiseAddMatrix(acc, nil, Plus[float64], Plus[float64], a, a, nil)) // accumulated into unbuilt rows
+	want("unbuilt += a ⊕ a", acc, 2, 4)
+	kept := fresh()
+	ck(MatrixApply(kept, ck1(AsMask(a)), nil, Identity[float64], a, nil)) // a mask, no replace
+	want("unbuilt⟨a⟩ = a", kept, 1, 2)
+	set := fresh()
+	ck(set.SetElement(1, 0, 3))
+	ck(set.SetElement(2, 5, n-1))
+	want("element updates into unbuilt rows", set, 1, 2)
+	ck(set.Clear())
+	if _, ok := ck2(set.ExtractElement(0, 3)); ok {
+		t.Fatal("a cleared matrix stores (0,3)")
+	}
+	tr := fresh()
+	ck(Transpose(tr, nil, nil, ck1(a.Dup()), nil))
+	ck(Transpose(tr, nil, nil, tr, nil)) // its own input: built as it is read
+	want("(aᵀ)ᵀ", tr, 1, 2)
 }
 
 func TestMatrixClearResetsError(t *testing.T) {

@@ -188,12 +188,15 @@ func TestVectorMaskIsBudgeted(t *testing.T) {
 	}
 
 	// A mask in the bitmap form, as BFS's visited becomes: the closure loop
-	// reads it for nothing, and only the family loop's admit array costs n
-	// bytes. Every other vertex in the frontier fills the SPA (a bool and a
-	// mark per column); with room for the SPA and not for the array beside
-	// it, the push takes the closure loop, a counted degradation.
+	// reads it for nothing, and so does the family loop when the mask is
+	// structural — it indexes the flags, complemented or not. A valued mask
+	// costs the family loop an n-byte admit array. Every other vertex in the
+	// frontier fills the SPA (a bool and a mark per column); with room for
+	// the SPA and not for the array beside it, the valued push takes the
+	// closure loop, a counted degradation, and the structural one its
+	// family loop, no degradation.
 	const spa = 2 * n
-	runBitmap := func(ctx *Context) (*Vector[bool], int64) {
+	runBitmap := func(ctx *Context, structural bool) (*Vector[bool], int64) {
 		a := pathGraph(t, ctx, n)
 		u, visited := ck1(NewVector[bool](n, InContext(ctx))), ck1(NewVector[bool](n, InContext(ctx)))
 		m := ck1(NewVector[bool](n, InContext(ctx)))
@@ -209,22 +212,28 @@ func TestVectorMaskIsBudgeted(t *testing.T) {
 		ck(u.Wait(Materialize))
 		w := ck1(NewVector[bool](n, InContext(ctx)))
 		base := ctx.MemoryPeak()
-		ck(VxM(w, visited, nil, LOrLAnd(), u, a, &Descriptor{Replace: true, Structure: true, Complement: true, Dir: DirPush}))
+		ck(VxM(w, visited, nil, LOrLAnd(), u, a, &Descriptor{Replace: true, Structure: structural, Complement: true, Dir: DirPush}))
 		ck(w.Wait(Materialize))
 		return w, ctx.MemoryPeak() - base
 	}
-	want, _ = runBitmap(free)
-	bitmapTight := ck1(NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(spa+n-1)))
-	ResetKernelCounts()
-	got, peak = runBitmap(bitmapTight)
-	sameVector(t, "refused admit array", got, want)
-	if degrades, _ := HardeningCounts(); degrades != 1 {
-		t.Fatalf("a refused admit array counted %d degradations, want 1", degrades)
-	}
-	if peak != spa {
-		t.Fatalf("push under a bitmap mask peaked at %d charged bytes, want %d (SPA)", peak, spa)
-	}
-	if used := bitmapTight.MemoryUsed(); used != 0 {
-		t.Fatalf("budget leak: %d bytes still reserved after the drain", used)
+	for _, structural := range []bool{false, true} {
+		want, _ = runBitmap(free, structural)
+		bitmapTight := ck1(NewContext(NonBlocking, nil, WithThreads(1), WithMemoryLimit(spa+n-1)))
+		ResetKernelCounts()
+		got, peak = runBitmap(bitmapTight, structural)
+		sameVector(t, "refused admit array", got, want)
+		wantDegrades := int64(1)
+		if structural {
+			wantDegrades = 0
+		}
+		if degrades, _ := HardeningCounts(); degrades != wantDegrades {
+			t.Fatalf("structural=%v: a bitmap mask beside a full budget counted %d degradations, want %d", structural, degrades, wantDegrades)
+		}
+		if peak != spa {
+			t.Fatalf("structural=%v: push under a bitmap mask peaked at %d charged bytes, want %d (SPA)", structural, peak, spa)
+		}
+		if used := bitmapTight.MemoryUsed(); used != 0 {
+			t.Fatalf("budget leak: %d bytes still reserved after the drain", used)
+		}
 	}
 }

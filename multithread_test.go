@@ -114,6 +114,61 @@ func TestFig1ProtocolPendingReaderKeepsLevelsBitmap(t *testing.T) {
 	}
 }
 
+// TestFig1ProtocolPendingReaderKeepsFullRanks is the same handoff over a
+// full vector, PageRank's r: values alone, which a scalar assign to every
+// position writes in place when nothing else reads them. Thread 1 leaves a
+// pending reader of r, thread 0 then overwrites r, and thread 1 must see r
+// as it was at its call; with the reader gone, the next overwrite is in
+// place. make checktags runs it under -race with grbcheck.
+func TestFig1ProtocolPendingReaderKeepsFullRanks(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 64
+	r := ck1(NewVector[float64](n))
+	var flag atomic.Int32
+	await := func(v int32) {
+		for flag.Load() != v { // acquire
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // thread 0
+		defer wg.Done()
+		ck(VectorAssignScalar(r, nil, nil, 1, All, nil))
+		ck(r.Wait(Complete))
+		flag.Store(1) // release r, full now
+		await(2)
+		ck(VectorAssignScalar(r, nil, nil, 2, All, nil))
+		ck(r.Wait(Complete))
+		flag.Store(3)
+	}()
+	var got map[Index]float64
+	go func() { // thread 1
+		defer wg.Done()
+		await(1)
+		x := ck1(NewVector[float64](n))
+		ck(VectorApply(x, nil, nil, Identity[float64], r, nil))
+		flag.Store(2)
+		await(3)
+		got = entries(x)
+	}()
+	wg.Wait()
+	if r.cur.Ind != nil || r.cur.Bit != nil || len(r.cur.Val) != n {
+		t.Fatal("r is not in the full form: the test does not reach the full vector's in-place assign")
+	}
+	if len(got) != n || got[0] != 1 || got[n-1] != 1 {
+		t.Fatalf("the pending reader saw %v, want r at its call: every position 1", got)
+	}
+	if rv := entries(r); len(rv) != n || rv[0] != 2 {
+		t.Fatalf("r = %v after thread 0's overwrite", rv)
+	}
+	before := &r.cur.Val[0]
+	ck(VectorAssignScalar(r, nil, nil, 3, All, nil))
+	ck(r.Wait(Complete))
+	if &r.cur.Val[0] != before {
+		t.Fatal("with no reader left, the overwrite of a full r did not write its values in place")
+	}
+}
+
 // TestThreadSafetyIndependentObjects: §III requires a conformant library to
 // be thread safe for independent method calls. Run many goroutines, each
 // with its own objects, under -race.

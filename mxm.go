@@ -14,7 +14,7 @@ import (
 func MxM[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
 	semiring Semiring[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
 	f := newFrame("MxM", desc, semiring.Add.Op != nil && semiring.Mul != nil, maskRef{m: mask}, c, a, b)
-	acsr, bcsr, cOld := in(&f, a), in(&f, b), in(&f, c)
+	acsr, bcsr, cOld := in(&f, a), in(&f, b), old(&f, c)
 	if err := f.ready(); err != nil {
 		return err
 	}

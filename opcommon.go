@@ -9,6 +9,19 @@ import (
 // prologue every operation repeats, in the order the paper's error model
 // fixes it. newFrame validates the objects, the operators and the shared
 // context; in completes the inputs and then the output, in argument order;
+// old is in for the output of an operation whose kernel does not read it:
+// the step reads it only to accumulate or to keep what a mask rejects.
+func old[S any](f *frame, o interface {
+	lendOld() (S, *sparse.Holds, error)
+}) (s S) {
+	if f.err == nil {
+		var h *sparse.Holds
+		s, h, f.err = o.lendOld()
+		f.lent.add(h)
+	}
+	return s
+}
+
 // ready completes the mask. From there the operation file states only what
 // is its own — its dimension rule, its flop estimate, its kernel — and hands
 // the frame to the output's submit, which appends the node.

@@ -81,7 +81,7 @@ func assignLine[T any](m *sparse.CSR[T], old, u *sparse.Vec[T], idx []Index, acc
 	if err != nil {
 		return nil, err
 	}
-	line := sparse.MaskApplyV(old, z, mk, replace)
+	line := sparse.MaskApplyV(old, z, mk, replace).Sorted()
 	I, J, r, c := line.Ind, make([]int, line.NNZ()), m.Rows, 1
 	if rows != nil {
 		I, J, r, c = J, I, 1, m.Cols

@@ -254,3 +254,35 @@ func colAssignOracle(t *testing.T, c *Matrix[int], mask *Vector[bool], accum Bin
 	}
 	return out
 }
+
+// TestRowColAssignFromEveryForm: the line a row or column assign writes back
+// is read in whichever form its write-back left it — a bitmap u assigned
+// whole is that bitmap, a full u that full vector — not through an Ind the
+// form does not have.
+func TestRowColAssignFromEveryForm(t *testing.T) {
+	setMode(t, Blocking)
+	const n = 130
+	full := ck1(NewVector[float64](n))
+	ck(VectorAssignScalar(full, nil, nil, 0.5, All, nil))
+	for name, u := range map[string]*Vector[float64]{"bitmap": bitmapOwned(t, n, 2), "full": full} {
+		want := entries(u)
+		row, col := ck1(NewMatrix[float64](n, n)), ck1(NewMatrix[float64](n, n))
+		ck(RowAssign(row, nil, nil, u, 7, All, nil))
+		ck(ColAssign(col, nil, nil, u, All, 9, nil))
+		for what, m := range map[string]*Matrix[float64]{"row 7": row, "column 9": col} {
+			I, J, X := ck3(m.ExtractTuples())
+			if len(X) != len(want) {
+				t.Fatalf("%s u, %s: %d entries, want %d", name, what, len(X), len(want))
+			}
+			for k := range X {
+				i, line := J[k], I[k]
+				if what == "column 9" {
+					i, line = I[k], J[k]
+				}
+				if x, ok := want[i]; !ok || x != X[k] || line != map[string]Index{"row 7": 7, "column 9": 9}[what] {
+					t.Fatalf("%s u, %s: entry (%d,%d) = %v, want u(%d) = %v on the line", name, what, I[k], J[k], X[k], i, x)
+				}
+			}
+		}
+	}
+}

@@ -34,6 +34,7 @@ type kind[T any, S storage, U any] interface {
 	maskApply(old, z S, mask maskSnap, replace bool, e sparse.Exec) S
 	holds(S) *sparse.Holds // nil for a matrix, which never lends
 	superseded(old, res S) // grbcheck: poison old if res took its storage
+	settle(S) S            // the storage a reader indexes: a matrix's rows built
 }
 
 // maskSnap is a mask operand's completed state plus the descriptor's reading
@@ -179,8 +180,16 @@ func (s *sequence[T, S, U, K]) snapshot() (S, error) {
 
 // lend completes the object and returns its storage with one reader counted
 // on it, for a frame's operand (released when its node has run or is
-// dropped) or a synchronous reader (released when it has read).
-func (s *sequence[T, S, U, K]) lend() (S, *sparse.Holds, error) {
+// dropped) or a synchronous reader (released when it has read). The empty
+// matrix NewMatrix leaves unbuilt is built first (settle).
+func (s *sequence[T, S, U, K]) lend() (S, *sparse.Holds, error) { return s.lendAs(true) }
+
+// lendOld is lend for an operation's output, whose old state only the step
+// reads — it settles what it reads (matrixKind) — and for a reader of shape
+// and count: an unbuilt empty matrix stays unbuilt.
+func (s *sequence[T, S, U, K]) lendOld() (S, *sparse.Holds, error) { return s.lendAs(false) }
+
+func (s *sequence[T, S, U, K]) lendAs(settle bool) (S, *sparse.Holds, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.materializeLocked(); err != nil {
@@ -188,6 +197,9 @@ func (s *sequence[T, S, U, K]) lend() (S, *sparse.Holds, error) {
 		return none, nil, err
 	}
 	var k K
+	if settle {
+		s.cur = k.settle(s.cur)
+	}
 	h := k.holds(s.cur)
 	h.Lend()
 	return s.cur, h, nil

@@ -9,7 +9,7 @@ import "github.com/grblas/grb/internal/sparse"
 func Transpose[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	a *Matrix[T], desc *Descriptor) error {
 	f := newFrame("Transpose", desc, true, maskRef{m: mask}, c, a)
-	acsr, cOld := in(&f, a), in(&f, c)
+	acsr, cOld := in(&f, a), old(&f, c)
 	if err := f.ready(); err != nil {
 		return err
 	}
@@ -32,7 +32,7 @@ func Transpose[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 func Kronecker[DC, DA, DB any](c *Matrix[DC], mask *Matrix[bool], accum BinaryOp[DC, DC, DC],
 	op BinaryOp[DA, DB, DC], a *Matrix[DA], b *Matrix[DB], desc *Descriptor) error {
 	f := newFrame("Kronecker", desc, op != nil, maskRef{m: mask}, c, a, b)
-	acsr, bcsr, cOld := in(&f, a), in(&f, b), in(&f, c)
+	acsr, bcsr, cOld := in(&f, a), in(&f, b), old(&f, c)
 	if err := f.ready(); err != nil {
 		return err
 	}

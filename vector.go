@@ -58,7 +58,8 @@ func (vectorKind[T]) holds(v *sparse.Vec[T]) *sparse.Holds {
 	return &v.Holds
 }
 
-func (vectorKind[T]) superseded(old, res *sparse.Vec[T]) { sparse.Superseded(old, res) }
+func (vectorKind[T]) superseded(old, res *sparse.Vec[T])     { sparse.Superseded(old, res) }
+func (vectorKind[T]) settle(v *sparse.Vec[T]) *sparse.Vec[T] { return v }
 
 // NewVector creates an empty vector of the given size over domain T
 // (GrB_Vector_new).
