@@ -122,15 +122,20 @@ soak:
 	GRB_SOAK=10s $(GO) test -race -count=1 -run 'TestOverloadSoak' ./serve
 
 # Fuzz tier: ten seconds of native fuzzing of mtx.Read, every input checked
-# against the reader it replaced. The seed corpus runs as a plain test in
-# tier-1 and is what gates; CI runs this in advisory mode, because what the
-# mutator reaches in ten seconds varies from run to run. A failing input is
-# written under mtx/testdata/fuzz/.
+# against the reader it replaced, and ten of the program generator over
+# (seed, program length), every program checked against its map oracle under
+# every configuration (progen_test.go). The seed corpora run as plain tests
+# in tier-1 and are what gates; CI runs this in advisory mode, because what
+# the mutator reaches in ten seconds varies from run to run. A failing input
+# is written under mtx/testdata/fuzz/ or testdata/fuzz/FuzzPrograms/: shrink a
+# program to the fewest steps that fail, and check that one in.
 fuzz:
 	$(GO) test ./mtx -run '^$$' -fuzz FuzzRead -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz '^FuzzPrograms$$' -fuzztime 10s
 
-# The ROADMAP aim-2 number: lines of non-test Go outside benchmark/ and
-# testdata/, per top-level package and in total. A report; nothing gates on it.
+# The ROADMAP aim-2 numbers: lines of non-test and of test Go outside
+# benchmark/ and testdata/, per top-level package and in total. A report;
+# nothing gates on it.
 lines:
 	@sh scripts/lines.sh
 

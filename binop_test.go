@@ -11,23 +11,14 @@ import (
 
 // TestBinaryOpTagsByCodeIdentity pins what binOf recognises: the predefined
 // instantiations binCodes lists, by the code their function values point at,
-// without allocating — and nothing else. A closure with the same arithmetic,
-// Times over a named type and a wrapper around Times[float64] stay untagged,
-// and give the same bits as the tagged operator through every kernel a tag
-// reaches: the element-wise multiply and add, and the accumulating pull.
+// without allocating — and nothing else: a closure with the same arithmetic,
+// Times over a named type and a wrapper around Times[float64] stay untagged.
 func TestBinaryOpTagsByCodeIdentity(t *testing.T) {
 	setMode(t, NonBlocking)
 	type Score float64
 	type f64op = BinaryOp[float64, float64, float64]
 	userTimes := f64op(func(x, y float64) float64 { return x * y })
 	wrapTimes := f64op(func(x, y float64) float64 { return Times(x, y) })
-	userPlus := f64op(func(x, y float64) float64 { return x + y })
-	userMin := f64op(func(x, y float64) float64 {
-		if y < x {
-			return y
-		}
-		return x
-	})
 	userFirst := BinaryOp[float64, bool, float64](func(x float64, _ bool) float64 { return x })
 	for _, tc := range []struct {
 		name      string
@@ -57,8 +48,7 @@ func TestBinaryOpTagsByCodeIdentity(t *testing.T) {
 	}
 
 	// Operands spiked with ±0.0, ±Inf and one NaN payload (no op meets two
-	// payloads: see TestPlusMonoidMatchesUntaggedTwin); the accumulated w
-	// holds no NaN of its own.
+	// payloads: see TestPlusMonoidMatchesUntaggedTwin).
 	const n = 256
 	rng := rand.New(rand.NewSource(30))
 	payload := math.Float64frombits(0x7ff8000000000001)
@@ -78,74 +68,24 @@ func TestBinaryOpTagsByCodeIdentity(t *testing.T) {
 		}
 		return v
 	}
-	full, full2, sparse1, sparse2 := vector(1, true), vector(1, true), vector(3, true), vector(3, true)
+	full, sparse1 := vector(1, true), vector(3, true)
 	dangling := ck1(NewVector[bool](n))
 	for i := 0; i < n; i += 3 {
 		ck(dangling.SetElement(true, i))
 	}
-	out := func() *Vector[float64] { return ck1(NewVector[float64](n)) }
-	mult := func(op f64op, u, v *Vector[float64]) *Vector[float64] {
-		w := out()
-		ck(EWiseMultVector(w, nil, nil, op, u, v, nil))
-		return w
-	}
-	add := func(op f64op, u, v *Vector[float64]) *Vector[float64] {
-		w := out()
-		ck(EWiseAddVector(w, nil, nil, op, u, v, nil))
-		return w
-	}
+	// Times and Plus over float64 meet their arithmetic in every element-wise
+	// kernel and accumulating pull of the program generator (progen_test.go);
+	// First over (float64, bool), a mixed instantiation, meets it here.
 	for _, p := range []struct {
 		name string
-		u, v *Vector[float64]
-	}{{"full×full", full, full2}, {"full×sparse", full, sparse1}, {"sparse×full", sparse1, full}, {"sparse×sparse", sparse1, sparse2}} {
-		tagged := mult(Times[float64], p.u, p.v)
-		sameBitVectors(t, "Times vs closure "+p.name, 1, tagged, mult(userTimes, p.u, p.v))
-		sameBitVectors(t, "Times vs wrapper "+p.name, 1, tagged, mult(wrapTimes, p.u, p.v))
-		sameBitVectors(t, "Plus vs closure "+p.name, 1, add(Plus[float64], p.u, p.v), add(userPlus, p.u, p.v))
-		sameBitVectors(t, "Min vs closure "+p.name, 1, add(Min[float64], p.u, p.v), add(userMin, p.u, p.v))
-
-		// Times over Score: the same values, through the closure loop.
-		score := func(v *Vector[float64]) *Vector[Score] {
-			I, X := ck2(v.ExtractTuples())
-			s := ck1(NewVector[Score](n))
-			for k, i := range I {
-				ck(s.SetElement(Score(X[k]), i))
-			}
-			return s
-		}
-		ws := ck1(NewVector[Score](n))
-		ck(EWiseMultVector(ws, nil, nil, Times[Score], score(p.u), score(p.v), nil))
-		I, X := ck2(ws.ExtractTuples())
-		back := out()
-		for k, i := range I {
-			ck(back.SetElement(float64(X[k]), i))
-		}
-		sameBitVectors(t, "Times vs Times[Score] "+p.name, 1, tagged, back)
-
+		u    *Vector[float64]
+	}{{"full", full}, {"sparse", sparse1}} {
 		first := func(op BinaryOp[float64, bool, float64]) *Vector[float64] {
-			w := out()
+			w := ck1(NewVector[float64](n))
 			ck(EWiseMultVector(w, nil, nil, op, p.u, dangling, nil))
 			return w
 		}
 		sameBitVectors(t, "First vs closure "+p.name, 1, first(First[float64, bool]), first(userFirst))
-	}
-
-	// The accumulating pull into a full w: PageRank's rnew += w +.× A.
-	a := ck1(NewMatrix[float64](n, n))
-	for k := 0; k < 6*n; k++ {
-		ck(a.SetElement(draw(true), rng.Intn(n), rng.Intn(n)))
-	}
-	base := vector(1, false)
-	for _, tc := range []struct {
-		name         string
-		tagged, user f64op
-	}{{"Plus", Plus[float64], userPlus}, {"Min", Min[float64], userMin}, {"Times", Times[float64], userTimes}} {
-		accumulated := func(op f64op) *Vector[float64] {
-			w := ck1(base.Dup())
-			ck(VxM(w, nil, op, PlusTimes[float64](), sparse1, a, DescPull))
-			return w
-		}
-		sameBitVectors(t, tc.name+" accumulate vs closure", 1, accumulated(tc.tagged), accumulated(tc.user))
 	}
 }
 

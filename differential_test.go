@@ -87,68 +87,3 @@ func TestModesProduceIdenticalResults(t *testing.T) {
 		}
 	}
 }
-
-// TestModesIdenticalVectors mirrors the differential test for vectors.
-func TestModesIdenticalVectors(t *testing.T) {
-	type step struct {
-		kind int
-		i    Index
-		v    int
-	}
-	makeProgram := func(rng *rand.Rand, steps int) []step {
-		out := make([]step, steps)
-		for k := range out {
-			out[k] = step{kind: rng.Intn(6), i: rng.Intn(8), v: rng.Intn(40)}
-		}
-		return out
-	}
-	run := func(t *testing.T, mode Mode, prog []step) ([]Index, []int) {
-		setMode(t, mode)
-		a := mustMatrix(t, 8, 8,
-			[]Index{0, 1, 2, 3, 4, 5, 6, 7}, []Index{1, 2, 3, 4, 5, 6, 7, 0},
-			[]int{1, 1, 2, 2, 3, 3, 4, 4})
-		w := mustVector(t, 8, []Index{0, 4}, []int{1, 2})
-		for _, s := range prog {
-			var err error
-			switch s.kind {
-			case 0:
-				err = w.SetElement(s.v, s.i)
-			case 1:
-				err = w.RemoveElement(s.i)
-			case 2:
-				err = VxM(w, nil, Plus[int], PlusTimes[int](), w, a, nil)
-			case 3:
-				err = VectorApplyBindSecond(w, nil, nil, func(x, m int) int { return (x * (m + 1)) % 1013 }, w, s.v, nil)
-			case 4:
-				err = VectorSelect(w, nil, nil, ValueNE[int], w, s.v, nil)
-			case 5:
-				err = VectorAssignScalar(w, nil, Plus[int], s.v, []Index{s.i}, nil)
-			}
-			if err != nil {
-				t.Fatalf("mode %v step %+v: %v", mode, s, err)
-			}
-		}
-		if err := w.Wait(Materialize); err != nil {
-			t.Fatal(err)
-		}
-		I, X, err := w.ExtractTuples()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return I, X
-	}
-	for seed := int64(100); seed < 112; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := makeProgram(rng, 30)
-		bi, bx := run(t, Blocking, prog)
-		ni, nx := run(t, NonBlocking, prog)
-		if len(bi) != len(ni) {
-			t.Fatalf("seed %d: nvals differ %d vs %d", seed, len(bi), len(ni))
-		}
-		for k := range bi {
-			if bi[k] != ni[k] || bx[k] != nx[k] {
-				t.Fatalf("seed %d: entry %d differs", seed, k)
-			}
-		}
-	}
-}

@@ -2,42 +2,9 @@ package grb
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
-	"time"
 )
-
-// Direction differential harness: the push (scatter) and pull (gather)
-// matrix-vector kernels must produce identical output for every semiring.
-// Both fold each output's products in frontier order at every thread count —
-// the push by output columns, the pull by rows — so float plus-times, which
-// no reassociation would survive, is a case beside integer plus-times, float
-// min-plus and boolean lor-land. Each test draws its inputs from a logged
-// seed — fixed by default, GRB_DIFF_SEED=<seed> or =random to vary.
-
-// dirSeed returns the seed for a differential test and logs it. Tier-1 runs
-// the same cases every time: the default is fixed, GRB_DIFF_SEED=<n> pins
-// another, and GRB_DIFF_SEED=random is the only way to draw one from the
-// clock.
-func dirSeed(t *testing.T) int64 {
-	t.Helper()
-	seed := int64(20210521)
-	switch s := os.Getenv("GRB_DIFF_SEED"); s {
-	case "":
-	case "random":
-		seed = time.Now().UnixNano()
-	default:
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad GRB_DIFF_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("seed=%d (pin with GRB_DIFF_SEED to reproduce)", seed)
-	return seed
-}
 
 // sameVector fails unless got and want have identical pattern and values.
 func sameVector[T comparable](t *testing.T, label string, got, want *Vector[T]) {
@@ -58,156 +25,6 @@ func sameVector[T comparable](t *testing.T, label string, got, want *Vector[T]) 
 			t.Fatalf("%s: entry %d = (%d)=%v, want (%d)=%v", label, k, gi[k], gx[k], wi[k], wx[k])
 		}
 	}
-}
-
-// dirMaskVariants enumerates the mask interpretations the harness covers.
-func dirMaskVariants() []struct {
-	name                   string
-	masked                 bool
-	structural, complement bool
-} {
-	return []struct {
-		name                   string
-		masked                 bool
-		structural, complement bool
-	}{
-		{"nomask", false, false, false},
-		{"value", true, false, false},
-		{"structural", true, true, false},
-		{"complement", true, false, true},
-		{"structural-complement", true, true, true},
-	}
-}
-
-// diffDirection drives one semiring through VxM and MxV with the direction
-// pinned push, pinned pull, and adaptive, across mask variants, transposes
-// and thread counts, requiring identical results everywhere — including
-// between VxM(u, A) and MxV(Aᵀ, u), which share one body.
-func diffDirection[T comparable](t *testing.T, rng *rand.Rand, sr Semiring[T, T, T], mk func(*rand.Rand) T) {
-	t.Helper()
-	for trial := 0; trial < 6; trial++ {
-		n := 2 + rng.Intn(60)
-		nnz := 2 + rng.Intn(4*n)
-		I := make([]Index, nnz)
-		J := make([]Index, nnz)
-		X := make([]T, nnz)
-		for k := 0; k < nnz; k++ {
-			I[k], J[k], X[k] = rng.Intn(n), rng.Intn(n), mk(rng)
-		}
-		a := mustMatrix(t, n, n, I, J, X)
-
-		// Alternate sparse and dense frontiers so DirAuto takes both sides.
-		fz := 1 + rng.Intn(n/8+1)
-		if trial%2 == 1 {
-			fz = n/2 + rng.Intn(n/2+1)
-		}
-		ui := make([]Index, 0, fz)
-		ux := make([]T, 0, fz)
-		for _, j := range rng.Perm(n)[:fz] {
-			ui = append(ui, j)
-			ux = append(ux, mk(rng))
-		}
-		u := mustVector(t, n, ui, ux)
-
-		mi := make([]Index, 0, n)
-		mx := make([]bool, 0, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				mi = append(mi, i)
-				mx = append(mx, rng.Intn(2) == 0)
-			}
-		}
-		mask := mustVector(t, n, mi, mx)
-
-		for _, threads := range []int{1, 4} {
-			ctx, err := NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1))
-			if err != nil {
-				t.Fatalf("NewContext: %v", err)
-			}
-			ac := ck1(a.Dup())
-			uc := ck1(u.Dup())
-			mc := ck1(mask.Dup())
-			for _, o := range []interface{ SwitchContext(*Context) error }{ac, uc, mc} {
-				if err := o.SwitchContext(ctx); err != nil {
-					t.Fatalf("SwitchContext: %v", err)
-				}
-			}
-			for _, mv := range dirMaskVariants() {
-				var m *Vector[bool]
-				if mv.masked {
-					m = mc
-				}
-				runOp := func(op string, dir Direction, tr, accum bool) *Vector[T] {
-					var w *Vector[T]
-					var acc BinaryOp[T, T, T]
-					if accum {
-						// Accumulate into a copy of the frontier: w starts
-						// non-empty and the monoid's operator folds t in.
-						w, acc = ck1(uc.Dup()), sr.Add.Op
-					} else {
-						w = ck1(NewVector[T](n, InContext(ctx)))
-					}
-					d := &Descriptor{Structure: mv.structural, Complement: mv.complement, Dir: dir}
-					var err error
-					if op == "vxm" {
-						d.Transpose1 = tr
-						err = VxM(w, m, acc, sr, uc, ac, d)
-					} else {
-						d.Transpose0 = tr
-						err = MxV(w, m, acc, sr, ac, uc, d)
-					}
-					if err != nil {
-						t.Fatalf("trial %d %s/%s tr=%v threads=%d: %v", trial, op, mv.name, tr, threads, err)
-					}
-					return w
-				}
-				for _, tr := range []bool{false, true} {
-					for _, op := range []string{"vxm", "mxv"} {
-						push := runOp(op, DirPush, tr, false)
-						pull := runOp(op, DirPull, tr, false)
-						auto := runOp(op, DirAuto, tr, false)
-						label := op + "/" + mv.name
-						sameVector(t, label+"/push-vs-pull", push, pull)
-						sameVector(t, label+"/auto-vs-pull", auto, pull)
-					}
-					// VxM(u, A) and MxV(Aᵀ, u) are one product through one
-					// body: identical on every route, with and without an
-					// accumulator.
-					for _, dir := range []Direction{DirPush, DirPull, DirAuto} {
-						for _, accum := range []bool{false, true} {
-							sameVector(t, "vxm-vs-mxv-transposed/"+mv.name,
-								runOp("vxm", dir, tr, accum), runOp("mxv", dir, !tr, accum))
-						}
-					}
-				}
-			}
-			ck(ctx.Free())
-		}
-	}
-}
-
-func TestDifferentialDirectionPlusTimes(t *testing.T) {
-	setMode(t, NonBlocking)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
-	diffDirection(t, rng, PlusTimes[int64](), func(r *rand.Rand) int64 { return int64(r.Intn(19) - 9) })
-}
-
-func TestDifferentialDirectionPlusTimesFloat(t *testing.T) {
-	setMode(t, NonBlocking)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
-	diffDirection(t, rng, PlusTimes[float64](), func(r *rand.Rand) float64 { return r.NormFloat64() })
-}
-
-func TestDifferentialDirectionMinPlus(t *testing.T) {
-	setMode(t, NonBlocking)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
-	diffDirection(t, rng, MinPlus[float64](), func(r *rand.Rand) float64 { return r.NormFloat64() })
-}
-
-func TestDifferentialDirectionLorLand(t *testing.T) {
-	setMode(t, NonBlocking)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
-	diffDirection(t, rng, LOrLAnd(), func(r *rand.Rand) bool { return r.Intn(2) == 0 })
 }
 
 // TestTransposeCacheSingleMaterialization asserts the tentpole's contract:
@@ -285,7 +102,7 @@ func TestTransposeCacheConcurrentReaders(t *testing.T) {
 	I := make([]Index, 0, 4*n)
 	J := make([]Index, 0, 4*n)
 	X := make([]int64, 0, 4*n)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	for k := 0; k < 4*n; k++ {
 		I, J, X = append(I, rng.Intn(n)), append(J, rng.Intn(n)), append(X, int64(1+rng.Intn(9)))
 	}

@@ -16,7 +16,7 @@ import (
 // product Go leaves to the compiler's operand order.
 func TestBinFamilyMatchesClosure(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	nan := math.Float64frombits(0x7ff8000000000001)
 	draw := func(r *rand.Rand) float64 {
 		if r.Intn(10) == 0 {

@@ -69,7 +69,7 @@ func checkBuild(t *testing.T, name string, rows, cols int, I, J, X []int, dup fu
 }
 
 func TestBuildCSRMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(seedOr(t, 16)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	dups := map[string]func(int, int) int{
 		"plus":   func(a, b int) int { return a + b },
 		"first":  func(a, b int) int { return a },

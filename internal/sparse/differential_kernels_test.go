@@ -3,45 +3,17 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
-	"time"
 )
 
-// Differential kernel harness: the dense-SPA and hash-SPA accumulators must
-// produce byte-identical (Ptr, Ind, Val) output for every semiring and mask
-// combination — both visit products in the same (k, t) order and sort row
-// patterns before emitting, so even floating-point sums match exactly. Each
-// test draws its inputs from a logged seed; rerun a failure with
-// GRB_DIFF_SEED=<seed> go test -run TestDifferential ./internal/sparse
-
-// diffSeed returns the seed for a differential test and logs it. Tier-1 runs
-// the same cases every time: the default is fixed, GRB_DIFF_SEED=<n> pins
-// another, and GRB_DIFF_SEED=random is the only way to draw one from the
-// clock.
-func diffSeed(t *testing.T) int64 {
-	t.Helper()
-	return seedOr(t, 20210521)
-}
-
-// seedOr is diffSeed with the default seed the caller names.
-func seedOr(t *testing.T, seed int64) int64 {
-	t.Helper()
-	switch s := os.Getenv("GRB_DIFF_SEED"); s {
-	case "":
-	case "random":
-		seed = time.Now().UnixNano()
-	default:
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad GRB_DIFF_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	t.Logf("seed=%d (pin with GRB_DIFF_SEED to reproduce)", seed)
-	return seed
-}
+// Differential kernel harness: the dense-SPA and hash-SPA accumulators of the
+// matrix product must produce byte-identical (Ptr, Ind, Val) output for every
+// semiring and mask combination — both visit products in the same (k, t)
+// order and sort row patterns before emitting, so even floating-point sums
+// match exactly. (The pull's two gathers are the program generator's,
+// progen_test.go.) Each test draws its inputs from a logged seed; rerun a
+// failure with GRB_DIFF_SEED=<seed> go test -run TestDifferential
+// ./internal/sparse
 
 // sprayCSR builds a rows×cols matrix with ~nnz entries at uniformly random
 // coordinates (duplicates collapse), values drawn from mk.
@@ -162,7 +134,7 @@ func diffSpGEMM[T comparable](t *testing.T, rng *rand.Rand, mul func(T, T) T, ad
 }
 
 func TestDifferentialSpGEMMPlusTimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffSpGEMM(t, rng,
 		func(a, b float64) float64 { return a * b },
 		func(a, b float64) float64 { return a + b },
@@ -170,7 +142,7 @@ func TestDifferentialSpGEMMPlusTimes(t *testing.T) {
 }
 
 func TestDifferentialSpGEMMMinPlus(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffSpGEMM(t, rng,
 		func(a, b int) int { return a + b },
 		func(a, b int) int {
@@ -183,71 +155,11 @@ func TestDifferentialSpGEMMMinPlus(t *testing.T) {
 }
 
 func TestDifferentialSpGEMMLorLand(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffSpGEMM(t, rng,
 		func(a, b bool) bool { return a && b },
 		func(a, b bool) bool { return a || b },
 		func(r *rand.Rand) bool { return r.Intn(2) == 0 })
-}
-
-// TestDifferentialSpMVGather checks that the hash-gather pull path matches
-// the dense-scatter path bit for bit across masks and thread counts.
-func TestDifferentialSpMVGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
-	mul := func(a, x float64) float64 { return a * x }
-	add := func(a, b float64) float64 { return a + b }
-	for trial := 0; trial < 15; trial++ {
-		rows := 1 + rng.Intn(60)
-		cols := 1 + rng.Intn(3000) // wide: the hash gather's home regime
-		a := sprayCSR(rng, rows, cols, 3*rows, func(r *rand.Rand) float64 { return r.NormFloat64() })
-		u := NewVec[float64](cols)
-		for j := 0; j < cols; j++ {
-			if rng.Intn(8) == 0 {
-				u.Ind = append(u.Ind, j)
-				u.Val = append(u.Val, rng.NormFloat64())
-			}
-		}
-		mvec := NewVec[bool](rows)
-		for i := 0; i < rows; i++ {
-			if rng.Intn(2) == 0 {
-				mvec.Ind = append(mvec.Ind, i)
-				mvec.Val = append(mvec.Val, rng.Intn(2) == 0)
-			}
-		}
-		masks := []struct {
-			name string
-			mask VMask
-		}{
-			{"nomask", VMask{}},
-			{"value", VMask{M: mvec}},
-			{"structural", VMask{M: mvec, Structural: true}},
-			{"complement", VMask{M: mvec, Complement: true}},
-			{"structural-complement", VMask{M: mvec, Structural: true, Complement: true}},
-		}
-		for _, mv := range masks {
-			for _, threads := range []int{1, 4} {
-				dense := closureSpMV(a, u, mul, add, mv.mask, threads, KernelDense)
-				hash := closureSpMV(a, u, mul, add, mv.mask, threads, KernelHash)
-				auto := closureSpMV(a, u, mul, add, mv.mask, threads, KernelAuto)
-				for _, pair := range []struct {
-					name string
-					got  *Vec[float64]
-				}{{"hash", hash}, {"auto", auto}} {
-					if len(pair.got.Ind) != len(dense.Ind) {
-						t.Fatalf("trial %d %s/%s threads=%d: nnz %d != %d",
-							trial, mv.name, pair.name, threads, len(pair.got.Ind), len(dense.Ind))
-					}
-					for k := range dense.Ind {
-						if pair.got.Ind[k] != dense.Ind[k] || pair.got.Val[k] != dense.Val[k] {
-							t.Fatalf("trial %d %s/%s threads=%d: entry %d (%d,%v) != (%d,%v)",
-								trial, mv.name, pair.name, threads,
-								k, pair.got.Ind[k], pair.got.Val[k], dense.Ind[k], dense.Val[k])
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestAdaptiveSelectionRoutes checks that the matrix product obeys the plan
@@ -255,7 +167,7 @@ func TestDifferentialSpMVGather(t *testing.T) {
 // SPA, dense work the dense SPA, and the route read back through Exec.Route
 // says so.
 func TestAdaptiveSelectionRoutes(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	mul := func(a, b int) int { return a * b }
 	add := func(a, b int) int { return a + b }
 

@@ -155,67 +155,6 @@ func TestSpGEMMMasked(t *testing.T) {
 	}
 }
 
-func TestSpMVAndVxMAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	add := func(a, b int) int { return a + b }
-	mul := func(a, b int) int { return a * b }
-	for trial := 0; trial < 20; trial++ {
-		m := 1 + rng.Intn(20)
-		n := 1 + rng.Intn(20)
-		a := randCSR(rng, m, n, 0.3)
-		u := randVec(rng, n, 0.5)
-		v := randVec(rng, m, 0.5)
-		for _, threads := range threadCounts {
-			// SpMV: t(i) = sum_j a(i,j) u(j)
-			got := closureSpMV(a, u, mul, add, VMask{}, threads, KernelAuto)
-			want := NewVec[int](m)
-			uv, uok := scatter(u)
-			for i := 0; i < m; i++ {
-				ind, val := a.Row(i)
-				acc, any := 0, false
-				for k := range ind {
-					if uok[ind[k]] {
-						acc += val[k] * uv[ind[k]]
-						any = true
-					}
-				}
-				if any {
-					want.Ind = append(want.Ind, i)
-					want.Val = append(want.Val, acc)
-				}
-			}
-			if !VecEqualFunc(got, want, func(a, b int) bool { return a == b }) {
-				t.Fatalf("SpMV mismatch (trial %d threads %d)", trial, threads)
-			}
-			// VxM: t(j) = sum_i v(i) a(i,j)
-			got2 := closureVxM(v, a, mul, add, VMask{}, threads)
-			want2 := NewVec[int](n)
-			acc := make([]int, n)
-			anyv := make([]bool, n)
-			vv, vok := scatter(v)
-			for i := 0; i < m; i++ {
-				if !vok[i] {
-					continue
-				}
-				ind, val := a.Row(i)
-				for k := range ind {
-					acc[ind[k]] += vv[i] * val[k]
-					anyv[ind[k]] = true
-				}
-			}
-			for j := 0; j < n; j++ {
-				if anyv[j] {
-					want2.Ind = append(want2.Ind, j)
-					want2.Val = append(want2.Val, acc[j])
-				}
-			}
-			if !VecEqualFunc(got2, want2, func(a, b int) bool { return a == b }) {
-				t.Fatalf("VxM mismatch (trial %d threads %d)", trial, threads)
-			}
-		}
-	}
-}
-
 func TestEWiseKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
@@ -645,58 +584,6 @@ func TestSelectAndApplyKernels(t *testing.T) {
 				if val[k] != i*1000+ind[k] {
 					t.Fatal("index apply coordinates wrong")
 				}
-			}
-		}
-	}
-}
-
-func TestVectorKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(25)
-		u := randVec(rng, n, 0.5)
-		v := randVec(rng, n, 0.5)
-		add := EWiseAddV(BinGeneric, u, v, func(a, b int) int { return a + b }, Exec{})
-		mult := EWiseMultV(BinGeneric, u, v, func(a, b int) int { return a * b }, Exec{})
-		for i := 0; i < n; i++ {
-			uv, uok := u.Get(i)
-			vv, vok := v.Get(i)
-			av, aok := add.Get(i)
-			mv, mok := mult.Get(i)
-			if aok != (uok || vok) || mok != (uok && vok) {
-				t.Fatal("vector ewise pattern wrong")
-			}
-			if uok && vok {
-				if av != uv+vv || mv != uv*vv {
-					t.Fatal("vector ewise values wrong")
-				}
-			} else if uok && av != uv || vok && !uok && av != vv {
-				t.Fatal("vector ewise passthrough wrong")
-			}
-		}
-		// assign vector
-		idx := rng.Perm(n)[:1+rng.Intn(n)]
-		src := randVec(rng, len(idx), 0.6)
-		z, err := AssignV(u, src, idx, nil, Exec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < n; p++ {
-			pos := -1
-			for k, q := range idx {
-				if q == p {
-					pos = k
-				}
-			}
-			zv, zok := z.Get(p)
-			uv, uok := u.Get(p)
-			if pos >= 0 {
-				sv, sok := src.Get(pos)
-				if zok != sok || (sok && zv != sv) {
-					t.Fatal("assignV region wrong")
-				}
-			} else if zok != uok || (uok && zv != uv) {
-				t.Fatal("assignV passthrough wrong")
 			}
 		}
 	}

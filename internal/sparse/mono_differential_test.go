@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// Monomorphized≡closure differential battery: the family loop bodies
-// (monokernels.go) must produce output identical to the scaffolds' closure
-// loop bodies — same pattern, same values, so
+// Monomorphized≡closure differential battery for the matrix product: the
+// family loop bodies (monokernels.go) must produce output identical to the
+// scaffold's closure loop bodies — same pattern, same values, so
 // floating-point accumulation order must match bit for bit (sameBits, over
-// operands spiked with ±0.0 and ±Inf) — across every
-// hot semiring × block format × mask interpretation × direction × thread
-// count. This harness is what makes the specialization shippable: any
-// divergence (a reordered fold, a zero-init instead of first-assign, a mask
-// admitted at the wrong point) fails here before it can ship.
+// operands spiked with ±0.0 and ±Inf) — across every hot semiring × mask
+// interpretation × accumulator pin × thread count. The matrix-vector
+// products meet the closure loop in the program generator (progen_test.go).
+// This harness is what makes the specialization shippable: any divergence (a
+// reordered fold, a zero-init instead of first-assign, a mask admitted at the
+// wrong point) fails here before it can ship.
 //
 // Seeds are logged; rerun a failure with GRB_DIFF_SEED=<seed>.
 
@@ -42,25 +43,6 @@ func fullVec[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) *Vec[T] {
 	return v
 }
 
-// fullCSR builds a completely dense rows×cols matrix: every row stores
-// columns 0..cols-1 in order, so the CSR row loop is a textbook GEMV sweep.
-func fullCSR[T any](rng *rand.Rand, rows, cols int, mk func(*rand.Rand) T) *CSR[T] {
-	var I, J []int
-	var X []T
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			I = append(I, i)
-			J = append(J, j)
-			X = append(X, mk(rng))
-		}
-	}
-	m, err := BuildCSR(rows, cols, I, J, X, func(a, b T) T { return b })
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // identicalVec fails unless got and want agree exactly on length, pattern
 // and values (sameBits).
 func identicalVec[T comparable](t testing.TB, label string, got, want *Vec[T]) {
@@ -83,44 +65,6 @@ func identicalVec[T comparable](t testing.TB, label string, got, want *Vec[T]) {
 	}
 }
 
-// vmaskVariants enumerates the vector-mask interpretations over the output
-// dimension n: unmasked, value, structural, complemented and both.
-func vmaskVariants(rng *rand.Rand, n int) []struct {
-	name string
-	mask VMask
-} {
-	mvec := sprayVec(rng, n, 2, func(r *rand.Rand) bool { return r.Intn(2) == 0 })
-	return []struct {
-		name string
-		mask VMask
-	}{
-		{"nomask", VMask{}},
-		{"value", VMask{M: mvec}},
-		{"structural", VMask{M: mvec, Structural: true}},
-		{"complement", VMask{M: mvec, Complement: true}},
-		{"structural-complement", VMask{M: mvec, Structural: true, Complement: true}},
-	}
-}
-
-// vecDensities enumerates the operand-density regimes of a frontier of length
-// n, which is all that selects its storage: a full frontier gets the full
-// (bitmap-free) view, a partial one the bitmap view, and a hypersparse one
-// stays on the sparse form where the statistics pick the hash gather, and is
-// densified into a bitmap view where KernelDense pins the dense one.
-func vecDensities[T any](rng *rand.Rand, n int, mk func(*rand.Rand) T) []struct {
-	name string
-	vec  *Vec[T]
-} {
-	return []struct {
-		name string
-		vec  *Vec[T]
-	}{
-		{"full", fullVec(rng, n, mk)},
-		{"partial", sprayVec(rng, n, 4, mk)},
-		{"hypersparse", sprayVec(rng, n, 16, mk)},
-	}
-}
-
 // loopModes is the loop axis: the semiring's tag, which runs its family loop
 // wherever the route admits one, and SemiGeneric, which runs the closure loop.
 func loopModes(semi Semi) []struct {
@@ -131,50 +75,6 @@ func loopModes(semi Semi) []struct {
 		name string
 		semi Semi
 	}{{"family", semi}, {"closure", SemiGeneric}}
-}
-
-// diffMonoMxV sweeps the pull (SpMV) and push (VxM) products for one hot
-// semiring over densities × masks × threads — and the pull over both gather
-// pins — and requires the semiring-routed and closure kernels to agree
-// exactly.
-func diffMonoMxV[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
-	mul, add func(T, T) T, mk func(*rand.Rand) T) {
-	t.Helper()
-	for trial := 0; trial < 6; trial++ {
-		rows := 1 + rng.Intn(40)
-		cols := 1 + rng.Intn(40)
-		a := sprayCSR(rng, rows, cols, 3*(rows+cols), mk)
-
-		// Pull: frontier over cols, mask over rows.
-		for _, fv := range vecDensities(rng, cols, mk) {
-			for _, mv := range vmaskVariants(rng, rows) {
-				for _, threads := range []int{1, 4} {
-					for _, hint := range []Kernel{KernelAuto, KernelDense} {
-						clos := closureSpMV(a, fv.vec, mul, add, mv.mask, threads, hint)
-						got, err := SpMVSemiEx(semi, SpecAuto, a, fv.vec, mul, add, mv.mask, par(threads), hint)
-						if err != nil {
-							t.Fatalf("pull %s/%s: %v", fv.name, mv.name, err)
-						}
-						identicalVec(t, fmt.Sprintf("%s/pull/hint=%d/%s/%s", semi, hint, fv.name, mv.name), got, clos)
-					}
-				}
-			}
-		}
-
-		// Push: frontier over rows, mask over cols.
-		for _, fv := range vecDensities(rng, rows, mk) {
-			for _, mv := range vmaskVariants(rng, cols) {
-				for _, threads := range []int{1, 4} {
-					clos := closureVxM(fv.vec, a, mul, add, mv.mask, threads)
-					got, err := VxMSemiEx(semi, SpecAuto, fv.vec, a, mul, add, mv.mask, par(threads))
-					if err != nil {
-						t.Fatalf("push %s/%s: %v", fv.name, mv.name, err)
-					}
-					identicalVec(t, semi.String()+"/push/"+fv.name+"/"+mv.name, got, clos)
-				}
-			}
-		}
-	}
 }
 
 // diffMonoSpGEMM sweeps the matrix product for one hot semiring over masks ×
@@ -208,14 +108,15 @@ func diffMonoSpGEMM[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 	}
 }
 
-// diffMonoAll runs every kernel family for one semiring × element type and
+// diffMonoAll runs the matrix product for one semiring × element type (the
+// matrix-vector products meet the closure loop in the program generator,
+// whose products draw the tag or SemiGeneric at random) and
 // then asserts the monomorphized path actually engaged — a silent fallback
 // would make the whole battery vacuous.
 func diffMonoAll[T comparable](t *testing.T, rng *rand.Rand, semi Semi,
 	mul, add func(T, T) T, mk func(*rand.Rand) T) {
 	t.Helper()
 	ResetKernelCounts()
-	diffMonoMxV(t, rng, semi, mul, add, mk)
 	diffMonoSpGEMM(t, rng, semi, mul, add, mk)
 	if mono, _ := MonoCounts(); mono == 0 {
 		t.Fatalf("%s: monomorphized kernels never engaged — battery is vacuous", semi)
@@ -234,7 +135,7 @@ func monoMin[T int64 | float64](x, y T) T {
 }
 
 func TestMonoDifferentialPlusTimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffMonoAll(t, rng, SemiPlusTimes,
 		func(a, b int64) int64 { return a * b },
 		func(a, b int64) int64 { return a + b },
@@ -246,7 +147,7 @@ func TestMonoDifferentialPlusTimes(t *testing.T) {
 }
 
 func TestMonoDifferentialMinPlus(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffMonoAll(t, rng, SemiMinPlus,
 		func(a, b int64) int64 { return a + b },
 		monoMin[int64],
@@ -258,7 +159,7 @@ func TestMonoDifferentialMinPlus(t *testing.T) {
 }
 
 func TestMonoDifferentialLorLand(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffMonoAll(t, rng, SemiLorLand,
 		func(a, b bool) bool { return a && b },
 		func(a, b bool) bool { return a || b },
@@ -266,7 +167,7 @@ func TestMonoDifferentialLorLand(t *testing.T) {
 }
 
 func TestMonoDifferentialPlusPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	diffMonoAll(t, rng, SemiPlusPair,
 		func(a, b int64) int64 { return 1 },
 		func(a, b int64) int64 { return a + b },
@@ -277,31 +178,10 @@ func TestMonoDifferentialPlusPair(t *testing.T) {
 		func(r *rand.Rand) float64 { return r.NormFloat64() })
 }
 
-// TestMonoDifferentialGEMV pins the fully-dense regime: a full matrix times
-// a full vector has no fast path of its own — it takes the bitmap-free arm of
-// the family row loop over CSR — and must match the closure loop product for
-// product.
-func TestMonoDifferentialGEMV(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
-	for trial := 0; trial < 4; trial++ {
-		rows := 1 + rng.Intn(24)
-		cols := 1 + rng.Intn(24)
-		a := fullCSR(rng, rows, cols, func(r *rand.Rand) float64 { return r.NormFloat64() })
-		u := fullVec(rng, cols, func(r *rand.Rand) float64 { return r.NormFloat64() })
-		mul := func(a, b float64) float64 { return a * b }
-		add := func(a, b float64) float64 { return a + b }
-		for _, mv := range vmaskVariants(rng, rows) {
-			for _, threads := range []int{1, 4} {
-				clos := closureSpMV(a, u, mul, add, mv.mask, threads, KernelAuto)
-				got, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, a, u, mul, add, mv.mask, par(threads), KernelAuto)
-				if err != nil {
-					t.Fatalf("full %s: %v", mv.name, err)
-				}
-				identicalVec(t, "full/"+mv.name, got, clos)
-			}
-		}
-	}
-}
+// TestMonoDifferentialGEMV: a full matrix times a full vector, the
+// bitmap-free arm of the family row loop, is the generator's one- and
+// two-position programs, whose three entries a row fill their matrices.
+func TestMonoDifferentialGEMV(t *testing.T) { runCorpus(t, sPull|sPullAccum) }
 
 // TestMonoRoutingGates checks that the pull product obeys the plan (the
 // decision table itself is TestPlan; what the tables resolve is
@@ -313,7 +193,7 @@ func TestMonoDifferentialGEMV(t *testing.T) {
 // (table inserts + lookups < n/2): one entry against a four-entry matrix.
 // Each row uses a fresh vector because the view caches on it.
 func TestMonoRoutingGates(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	mul := func(a, b float64) float64 { return a * b }
 	add := func(a, b float64) float64 { return a + b }
 	mk := func(r *rand.Rand) float64 { return r.NormFloat64() }

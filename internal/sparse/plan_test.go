@@ -406,7 +406,7 @@ func TestWorkers(t *testing.T) {
 func TestForkIsSizedByCountedWork(t *testing.T) {
 	mul := func(x, y int) int { return x * y }
 	add := func(x, y int) int { return x + y }
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 
 	// Push: the frontier's products, not its entries and not nnz(A). Two
 	// frontier vertices with ten edges between them are one worker's at any

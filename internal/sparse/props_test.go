@@ -139,46 +139,6 @@ func TestMaskApplyIdempotent(t *testing.T) {
 	}
 }
 
-// TestVecMergeAgainstMap mirrors TestMergeTuplesAgainstMapReference for
-// vectors.
-func TestVecMergeAgainstMap(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		base := randVec(rng, n, 0.4)
-		model := map[int]int{}
-		for k, i := range base.Ind {
-			model[i] = base.Val[k]
-		}
-		var updates []VTuple[int]
-		for k := 0; k < rng.Intn(25); k++ {
-			i := rng.Intn(n)
-			if rng.Intn(4) == 0 {
-				updates = append(updates, VTuple[int]{Idx: i, Del: true})
-				delete(model, i)
-			} else {
-				v := rng.Intn(100)
-				updates = append(updates, VTuple[int]{Idx: i, Val: v})
-				model[i] = v
-			}
-		}
-		got, err := MergeVTuples(base, updates)
-		if err != nil || !(got.Valid() || got.full() && len(got.Val) == n) || got.NNZ() != len(model) {
-			return false
-		}
-		for i, want := range model {
-			v, ok := got.Get(i)
-			if !ok || v != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestResizeRoundTrip: growing then shrinking back preserves entries that
 // fit, and Resize never produces an invalid structure.
 func TestResizeRoundTrip(t *testing.T) {

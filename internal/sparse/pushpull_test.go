@@ -1,167 +1,22 @@
 package sparse
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sync/atomic"
 	"testing"
+
+	"github.com/grblas/grb/gen"
 )
 
-// vmaskRef is the reference mask-admission semantics: present-and-true
-// (value), present (structural), inverted under complement.
-func vmaskRef(mask VMask, j int) bool {
-	if mask.M == nil {
-		return !mask.Complement
-	}
-	present, val := false, false
-	for k, mj := range mask.M.Ind {
-		if mj == j {
-			present, val = true, mask.M.Val[k]
-			break
-		}
-	}
-	adm := present && (mask.Structural || val)
-	if mask.Complement {
-		adm = !adm
-	}
-	return adm
-}
-
-// TestVMaskLookupSemantics checks the compiled mask predicate against the
-// reference semantics in both forms (bitmap and hash — the planner's
-// Route.HashMask) over a dense and a hypersparse mask, for every mask
-// interpretation.
-func TestVMaskLookupSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
-	regimes := []struct {
-		name   string
-		n, nnz int
-	}{
-		{"dense", 50, 30},
-		{"hypersparse", 5000, 12},
-	}
-	for _, reg := range regimes {
-		m := NewVec[bool](reg.n)
-		for _, j := range rng.Perm(reg.n)[:reg.nnz] {
-			m.Ind = append(m.Ind, j)
-			m.Val = append(m.Val, rng.Intn(2) == 0)
-		}
-		sortVecByIndex(m)
-		for _, mv := range []struct {
-			name string
-			mask VMask
-		}{
-			{"value", VMask{M: m}},
-			{"structural", VMask{M: m, Structural: true}},
-			{"complement", VMask{M: m, Complement: true}},
-			{"structural-complement", VMask{M: m, Structural: true, Complement: true}},
-		} {
-			for _, hash := range []bool{false, true} {
-				admit := vmaskLookup(mv.mask, reg.n, hash, Exec{}, siteSpMVGather)
-				if admit == nil {
-					t.Fatalf("%s/%s: nil predicate for a non-nil mask", reg.name, mv.name)
-				}
-				for j := 0; j < reg.n; j++ {
-					if got, want := admit(j), vmaskRef(mv.mask, j); got != want {
-						t.Fatalf("%s/%s hash=%v: admit(%d) = %v, want %v", reg.name, mv.name, hash, j, got, want)
-					}
-				}
-			}
-		}
-	}
-	// Nil-mask corners: no mask admits everything (nil predicate), a
-	// complemented nil mask admits nothing.
-	if admit := vmaskLookup(VMask{}, 10, false, Exec{}, siteSpMVGather); admit != nil {
-		t.Fatal("nil mask: expected nil (admit-all) predicate")
-	}
-	admit := vmaskLookup(VMask{Complement: true}, 10, true, Exec{}, siteSpMVGather)
-	if admit == nil {
-		t.Fatal("complemented nil mask: expected a predicate")
-	}
-	for j := 0; j < 10; j++ {
-		if admit(j) {
-			t.Fatalf("complemented nil mask admitted position %d", j)
-		}
-	}
-}
-
-// sortVecByIndex sorts a vector's parallel (Ind, Val) slices by index —
-// sprayed test vectors must satisfy the sorted-pattern invariant.
-func sortVecByIndex(v *Vec[bool]) {
-	for i := 1; i < len(v.Ind); i++ {
-		for k := i; k > 0 && v.Ind[k] < v.Ind[k-1]; k-- {
-			v.Ind[k], v.Ind[k-1] = v.Ind[k-1], v.Ind[k] //grblint:ignore snapshotcheck -- test-local vector, normalized before first use
-			v.Val[k], v.Val[k-1] = v.Val[k-1], v.Val[k] //grblint:ignore snapshotcheck -- test-local vector, normalized before first use
-		}
-	}
-}
-
-// TestVxMReductionPaths checks that the push gives the same output however
-// its output columns are split: the same product is run at one, three and
-// eight column ranges, over narrow outputs (the SPA) and very wide ones (the
-// hash table, where the products are few), against the pull kernel over the
-// transpose as an independent reference.
-func TestVxMReductionPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
-	mul := func(x, a int) int { return x * a }
-	add := func(a, b int) int { return a + b }
-	mulFlip := func(a, x int) int { return mul(x, a) }
-	for trial := 0; trial < 10; trial++ {
-		rows := 2 + rng.Intn(50)
-		// Alternate narrow outputs (the SPA's regime) and very wide ones
-		// (the table's).
-		cols := 2 + rng.Intn(30)
-		if trial%2 == 1 {
-			cols = 2000 + rng.Intn(3000)
-		}
-		a := sprayCSR(rng, rows, cols, 3*rows, func(r *rand.Rand) int { return 1 + r.Intn(9) })
-		u := NewVec[int](rows)
-		for i := 0; i < rows; i++ {
-			if rng.Intn(3) > 0 {
-				u.Ind = append(u.Ind, i)
-				u.Val = append(u.Val, 1+rng.Intn(9))
-			}
-		}
-		mvec := NewVec[bool](cols)
-		for j := 0; j < cols; j++ {
-			if rng.Intn(3) == 0 {
-				mvec.Ind = append(mvec.Ind, j)
-				mvec.Val = append(mvec.Val, rng.Intn(2) == 0)
-			}
-		}
-		masks := []struct {
-			name string
-			mask VMask
-		}{
-			{"nomask", VMask{}},
-			{"value", VMask{M: mvec}},
-			{"structural", VMask{M: mvec, Structural: true}},
-			{"complement", VMask{M: mvec, Complement: true}},
-			{"structural-complement", VMask{M: mvec, Structural: true, Complement: true}},
-		}
-		at := Transpose(a)
-		for _, mv := range masks {
-			base := closureVxM(u, a, mul, add, mv.mask, 1)
-			ref := closureSpMV(at, u, mulFlip, add, mv.mask, 1, KernelAuto)
-			for _, pair := range []struct {
-				name string
-				got  *Vec[int]
-			}{
-				{"threads=3", closureVxM(u, a, mul, add, mv.mask, 3)},
-				{"threads=8", closureVxM(u, a, mul, add, mv.mask, 8)},
-				{"pull-reference", ref},
-			} {
-				if len(pair.got.Ind) != len(base.Ind) {
-					t.Fatalf("trial %d %s/%s: nnz %d != %d", trial, mv.name, pair.name, len(pair.got.Ind), len(base.Ind))
-				}
-				for k := range base.Ind {
-					if pair.got.Ind[k] != base.Ind[k] || pair.got.Val[k] != base.Val[k] {
-						t.Fatalf("trial %d %s/%s: entry %d (%d,%v) != (%d,%v)", trial, mv.name, pair.name,
-							k, pair.got.Ind[k], pair.got.Val[k], base.Ind[k], base.Val[k])
-					}
-				}
-			}
-		}
-	}
-}
+// The product tests that are not oracles: the routing a dispatch lands on,
+// the direction counters, the transpose cache, a panicking accumulator and
+// the push's allocation pin. The products' semantics are the program
+// generator's (progen_test.go).
 
 // TestChoosePushRouting checks that a product dispatched by ChoosePush (the
 // decision table itself is TestPlan) lands on the kernel the plan named: a
@@ -169,7 +24,7 @@ func TestVxMReductionPaths(t *testing.T) {
 // sparse non-complemented mask on the pull scaffold, with the same admitted
 // result.
 func TestChoosePushRouting(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const n = 320
 	a := sprayCSR(rng, n, n, 4*n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	at := Transpose(a)
@@ -223,7 +78,7 @@ func TestChoosePushRouting(t *testing.T) {
 // counters and that ResetKernelCounts clears them along with the transpose
 // materialization count.
 func TestDirectionCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	a := sprayCSR(rng, 20, 20, 60, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	u := NewVec[int](20)
 	u.Ind = append(u.Ind, 3)
@@ -255,7 +110,7 @@ func TestDirectionCounters(t *testing.T) {
 // is pre-seeded ((Aᵀ)ᵀ = A, same object), and each distinct CSR pays exactly
 // one materialization.
 func TestTransposeCachedMemoization(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	a := sprayCSR(rng, 30, 40, 100, func(r *rand.Rand) int { return r.Intn(100) })
 
 	ResetKernelCounts()
@@ -275,4 +130,78 @@ func TestTransposeCachedMemoization(t *testing.T) {
 	}
 	// The cached view must be the actual transpose.
 	identicalCSR(t, "cached-vs-direct", t1, Transpose(a))
+}
+
+// TestPullAccumPanickingAccumulator: an accumulator that panics in the middle
+// of the one-pass form surfaces as the kernel's error, at every thread count,
+// and leaves c as it was.
+func TestPullAccumPanickingAccumulator(t *testing.T) {
+	rng := rand.New(rand.NewSource(progSeed(t)))
+	mk := func(r *rand.Rand) float64 { return r.NormFloat64() }
+	n := accumBlock + 50
+	a, c := sprayCSR(rng, n, n, 4*n, mk), fullVec(rng, n, mk)
+	keep := slices.Clone(c.Val)
+	var calls atomic.Int64
+	boom := func(x, y float64) float64 {
+		if calls.Add(1) > int64(n/2) {
+			panic("user accumulator bug")
+		}
+		return x + y
+	}
+	for _, threads := range []int{1, 2, 4} {
+		calls.Store(0)
+		z, err := SpMVAccumEx(SemiPlusTimes, a, c, func(x, y float64) float64 { return x * y },
+			func(x, y float64) float64 { return x + y }, VMask{}, c, boom, BinGeneric, par(threads), KernelAuto)
+		if z != nil || !errors.Is(err, ErrKernelPanic) {
+			t.Fatalf("threads=%d: z=%v err=%v, want a recovered kernel panic", threads, z, err)
+		}
+		if !slices.Equal(c.Val, keep) {
+			t.Fatalf("threads=%d: c's values were written", threads)
+		}
+	}
+}
+
+// TestPushFewProductsAllocation: a push allocates for its products, not for
+// the width. On rmat-16, a one-vertex frontier of 32–64 edges fills a table
+// and an exactly sized output: at most 8 KB in five allocations, where a
+// 65 536-column SPA and mark alone are 576 KB.
+func TestPushFewProductsAllocation(t *testing.T) {
+	g := gen.Graph500RMAT(16, 8, 42).Symmetrize()
+	add := func(x, y float64) float64 { return x + y }
+	a, err := BuildCSR(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), add)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := 0
+	for a.Ptr[src+1]-a.Ptr[src] < 32 || a.Ptr[src+1]-a.Ptr[src] > 64 {
+		src++
+	}
+	u := &Vec[float64]{N: a.Rows, Ind: []int{src}, Val: []float64{0}}
+	var rt Route
+	push := func() {
+		if _, err = VxMSemiEx(SemiMinPlus, SpecAuto, u, a, add, monoMin[float64], VMask{}, Exec{Threads: 1, Route: &rt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ResetKernelCounts()
+	push()
+	products := a.Ptr[src+1] - a.Ptr[src]
+	if table := int64(hashCapacity(products)) * slotBytes[float64](); rt.Acc != AccHash || ScratchBytes() != table {
+		t.Fatalf("a %d-product push took %+v and %d B of scratch, want a %d B table", products, rt, ScratchBytes(), table)
+	}
+	if used := allocatedBytes(push); used > 8<<10 {
+		t.Errorf("a %d-product push allocated %d B, want <= 8 KB", products, used)
+	}
+	// The fewest of five runs with the collector off, as in
+	// TestSpGEMMAllocationPins.
+	runtime.GC()
+	gc := debug.SetGCPercent(-1)
+	allocs := math.Inf(1)
+	for try := 0; try < 5; try++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, push))
+	}
+	debug.SetGCPercent(gc)
+	if allocs > 5 {
+		t.Errorf("a %d-product push: %v allocations, want <= 5", products, allocs)
+	}
 }

@@ -25,7 +25,7 @@ var cutOps = map[Cut]func(i, j, s int) bool{
 // square, rectangular and hypersparse matrices with empty rows, every s
 // from far outside the dimensions to ±MaxInt, at one and four workers.
 func TestSelectCutMatchesClosure(t *testing.T) {
-	rng := rand.New(rand.NewSource(seedOr(t, 39)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	spiked := spikedFloat
 	coin := func(r *rand.Rand) bool { return r.Intn(2) == 0 }
 	for _, shape := range []struct{ rows, cols, nnz int }{

@@ -105,7 +105,7 @@ func diffMaskedSpGEMM[T, C comparable](t *testing.T, rng *rand.Rand, semi Semi,
 }
 
 func TestDifferentialMaskedSpGEMM(t *testing.T) {
-	seed := diffSeed(t)
+	seed := progSeed(t)
 	t.Run("plus-times f64", func(t *testing.T) {
 		diffMaskedSpGEMM(t, rand.New(rand.NewSource(seed)), SemiPlusTimes,
 			func(a, b float64) float64 { return a * b },
@@ -139,7 +139,7 @@ func TestDifferentialMaskedSpGEMM(t *testing.T) {
 // order: it is the union of a B row of high columns, visited first, and one
 // of low columns, overlapping in a few.
 func TestSpGEMMEmitSortVsScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const cols = 2048
 	sizes := []int{1, 2, 3, 228, 255, 256, 257, 258, 400, cols}
 	var aI, aJ, bI, bJ []int
@@ -199,7 +199,7 @@ func TestSpGEMMEmitSortVsScan(t *testing.T) {
 // nothing grows; an unmasked one-thread A·A allocates its exactly-counted
 // output and its scratch, not a multiple of the output.
 func TestSpGEMMAllocationPins(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const n = 512
 	a := sprayCSR(rng, n, n, 16*n, func(r *rand.Rand) float64 { return r.Float64() })
 	mul := func(x, y float64) float64 { return x * y }
@@ -274,7 +274,7 @@ func TestSpGEMMAllocationPins(t *testing.T) {
 // stamp[j] >= open test stands on ascending i within a range). Against the
 // unmasked product written back under the mask, and the hash SPA.
 func TestMaskFirstHitBuffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const n, cols = 96, 900
 	var bI, bJ []int
 	var bX []float64
@@ -322,7 +322,7 @@ func TestMaskFirstHitBuffer(t *testing.T) {
 // between the two must not be visible to any later call — the SPA is the
 // range's own, allocated per call.
 func TestFamilyRangeCancelLeavesNoState(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const n = 600
 	a := sprayCSR(rng, n, n, 24*n, spikedFloat) // ~345K flops: several polls
 	mul := func(x, y float64) float64 { return x * y }
@@ -348,7 +348,7 @@ func TestFamilyRangeCancelLeavesNoState(t *testing.T) {
 // ran: a split, counted mono; then mask-first, counted closure although the
 // semiring has a family loop.
 func TestMaskedSpGEMMReportsWhatRan(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const n = 64
 	var aI, aJ, mI, mJ []int
 	for i := 0; i < n; i++ {

@@ -455,14 +455,13 @@ func (v *Vector[T]) VectorExportInto(format Format, indices []Index, values []T)
 		return errf(InsufficientSpace, "VectorExportInto(%v): need %d/%d, got %d/%d",
 			format, ni, nv, len(indices), len(values))
 	}
-	s, h, err := v.lendSorted()
+	s, h, err := v.lend() // in its own form: a full vector's sorted view would pin it
 	if err != nil {
 		return err
 	}
 	defer h.Release()
 	if format == FormatSparseVector {
-		copy(indices, s.Ind)
-		copy(values, s.Val)
+		s.VecTuples(indices[:0], values[:0])
 		return nil
 	}
 	var zero T
@@ -473,15 +472,14 @@ func (v *Vector[T]) VectorExportInto(format Format, indices []Index, values []T)
 		for i := range indices[:ni] {
 			indices[i] = 0
 		}
-		for k, i := range s.Ind {
-			values[i] = s.Val[k]
+	}
+	eachEntry(s, func(i int, x T) bool {
+		values[i] = x
+		if format == FormatBitmapVector {
 			indices[i] = 1
 		}
-		return nil
-	}
-	for k, i := range s.Ind {
-		values[i] = s.Val[k]
-	}
+		return true
+	})
 	return nil
 }
 

@@ -33,64 +33,13 @@ func prefixVector(t *testing.T, rng *rand.Rand, n, count int, opts ...ObjOption)
 	return w
 }
 
-// TestMatVecAccumulatorInKernel: w⟨m⟩ = w ⊙ (u ⊕.⊗ A), whose accumulation the
-// kernel now performs itself — in one pass with no stored product when it
-// pulls into a full w under no mask — equals the product, the accumulation
-// and the masked write-back issued as three calls, == on pattern and values:
-// w full, one entry short of full and empty; pinned push and pinned pull;
-// with and without a mask; u a separate vector or w itself (SSSP's call);
-// threads 1, 2 and 4; sizes on both sides of the kernel's block. The push
-// folds each column in frontier order, so it agrees too; the accumulator is
-// not commutative, so a swapped operand order shows.
-func TestMatVecAccumulatorInKernel(t *testing.T) {
-	setMode(t, NonBlocking)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
-	sr := MinPlus[float64]()
-	accum := func(c, t float64) float64 { return c - 2*t }
-	for _, n := range []int{50, 2500} {
-		for _, threads := range []int{1, 2, 4} {
-			ctx := ck1(NewContext(NonBlocking, nil, WithThreads(threads), withChunk(1)))
-			in := InContext(ctx)
-			a := accumGraph(t, rng, n, in)
-			mask := ck1(NewVector[bool](n, in))
-			for i := 0; i < n; i += 3 {
-				ck(mask.SetElement(i%2 == 0, i))
-			}
-			for _, stored := range []int{n, n - 1, 0} {
-				c := prefixVector(t, rng, n, stored, in)
-				for _, aliased := range []bool{false, true} {
-					for _, m := range []*Vector[bool]{nil, mask} {
-						for _, dir := range []Direction{DirPull, DirPush} {
-							desc := &Descriptor{Dir: dir}
-							w := ck1(c.Dup())
-							u := w
-							if !aliased {
-								u = prefixVector(t, rng, n, n/2, in)
-							}
-							// The three-call form first: it reads u, which the
-							// one-call form may overwrite.
-							prod, z, want := ck1(NewVector[float64](n, in)), ck1(NewVector[float64](n, in)), ck1(c.Dup())
-							ck(VxM(prod, nil, nil, sr, u, a, desc))
-							ck(EWiseAddVector(z, nil, nil, accum, c, prod, nil))
-							ck(VectorApply(want, m, nil, Identity[float64], z, nil))
-							ck(VxM(w, m, accum, sr, u, a, desc))
-							sameVector(t, "accumulated product", w, want)
-						}
-					}
-				}
-			}
-			ck(ctx.Free())
-		}
-	}
-}
-
 // TestMatVecAccumulatorErrors: an accumulator that panics inside the one-pass
-// pull parks a §V execution error and w keeps its previous storage; a budget
-// that refuses the operand's dense view degrades to the hash gather and the
-// accumulated result is unchanged.
+// pull parks a §V execution error and w keeps its previous storage. (A budget
+// that refuses the operand's dense view is the program generator's budget
+// probes: the same bits through the hash gather, nothing left reserved.)
 func TestMatVecAccumulatorErrors(t *testing.T) {
 	setMode(t, NonBlocking)
-	rng := rand.New(rand.NewSource(dirSeed(t)))
+	rng := rand.New(rand.NewSource(progSeed(t)))
 	const n = 400
 	a := accumGraph(t, rng, n)
 	u, w := prefixVector(t, rng, n, n/16), prefixVector(t, rng, n, n)
@@ -111,24 +60,6 @@ func TestMatVecAccumulatorErrors(t *testing.T) {
 		if cur.NNZ() != n || cur.Ind[k] != old.Ind[k] || cur.Val[k] != old.Val[k] {
 			t.Fatalf("w after a panicking accumulator: entry %d differs from its previous storage", k)
 		}
-	}
-
-	want := ck1(before.Dup())
-	ck(VxM(want, nil, Plus[float64], PlusTimes[float64](), u, a, pull))
-	// 9n bytes of view do not fit; the 64-slot table of u's 25 entries does.
-	tight := ck1(NewContext(NonBlocking, nil, WithMemoryLimit(9*n-1)))
-	ta, tu, tw := ck1(a.ViewInContext(tight)), ck1(NewVector[float64](n, InContext(tight))), ck1(before.Dup())
-	ui, ux := ck2(u.ExtractTuples())
-	ck(tu.Build(ui, ux, nil)) // a fresh snapshot: u's own has memoized its view by now
-	ck(tw.SwitchContext(tight))
-	ResetKernelCounts()
-	ck(VxM(tw, nil, Plus[float64], PlusTimes[float64](), tu, ta, pull))
-	sameVector(t, "accumulated under a refused view", tw, want)
-	if degrades, _ := HardeningCounts(); degrades == 0 {
-		t.Fatal("the tight budget produced no degradation: the limit was not exercised")
-	}
-	if used := tight.MemoryUsed(); used != 0 {
-		t.Fatalf("budget leak: %d bytes still reserved after the drain", used)
 	}
 }
 

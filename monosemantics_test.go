@@ -67,58 +67,16 @@ func identicalVectors[T comparable](t *testing.T, label string, got, want *Vecto
 	}
 }
 
-// monoVsGeneric drives MxV (pull and push), VxM and MxM for one hot
-// semiring through the public API, once as the constructor built it and once
-// as its untagged twin, and requires identical results — including with a
-// value mask and with dense and sparse frontiers (the format-transition axis).
+// monoVsGeneric drives MxM for one hot semiring through the public API, once
+// as the constructor built it and once as its untagged twin, and requires
+// identical results. The matrix-vector products are the program generator's
+// (progen_test.go), which runs every program over both.
 func monoVsGeneric[T comparable](t *testing.T, name string, semi Semiring[T, T, T], mk func(*rand.Rand) T) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	const size = 24
 	a := monoRandMatrix(t, rng, size, mk)
-	var maskI []Index
-	var maskX []bool
-	for i := 0; i < size; i++ {
-		if rng.Intn(2) == 0 {
-			maskI = append(maskI, Index(i))
-			maskX = append(maskX, rng.Intn(2) == 0)
-		}
-	}
-	mask := mustVector(t, size, maskI, maskX)
 	twin := untagged(semi)
-
-	for _, full := range []bool{false, true} {
-		u := monoRandVector(t, rng, size, full, mk)
-		shape := "sparse"
-		if full {
-			shape = "dense"
-		}
-		for _, dir := range []Direction{DirPull, DirPush} {
-			for _, m := range []*Vector[bool]{nil, mask} {
-				masked := "nomask"
-				if m != nil {
-					masked = "mask"
-				}
-				label := name + "/" + shape + "/" + masked
-				wm := ck1(NewVector[T](size))
-				wg := ck1(NewVector[T](size))
-				ck(MxV(wm, m, nil, semi, a, u, &Descriptor{Dir: dir}))
-				ck(MxV(wg, m, nil, twin, a, u, &Descriptor{Dir: dir}))
-				ck(wm.Wait(Materialize))
-				ck(wg.Wait(Materialize))
-				identicalVectors(t, label+"/mxv", wm, wg)
-
-				vm := ck1(NewVector[T](size))
-				vg := ck1(NewVector[T](size))
-				ck(VxM(vm, m, nil, semi, u, a, &Descriptor{Dir: dir}))
-				ck(VxM(vg, m, nil, twin, u, a, &Descriptor{Dir: dir}))
-				ck(vm.Wait(Materialize))
-				ck(vg.Wait(Materialize))
-				identicalVectors(t, label+"/vxm", vm, vg)
-			}
-		}
-	}
-
 	cm := ck1(NewMatrix[T](size, size))
 	cg := ck1(NewMatrix[T](size, size))
 	ck(MxM(cm, nil, nil, semi, a, a, nil))

@@ -119,19 +119,6 @@ func TestEveryReadForcesSequence(t *testing.T) {
 	}
 }
 
-func TestVectorDeferredPipeline(t *testing.T) {
-	setMode(t, NonBlocking)
-	a := mustMatrix(t, 3, 3, []Index{0, 1, 2}, []Index{1, 2, 0}, []int{1, 1, 1})
-	w := mustVector(t, 3, []Index{0}, []int{1})
-	// three deferred hops around the cycle
-	for hop := 0; hop < 3; hop++ {
-		if err := VxM(w, nil, nil, PlusTimes[int](), w, a, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vectorEquals(t, w, []Index{0}, []int{1})
-}
-
 func TestClearDiscardsPendingWork(t *testing.T) {
 	setMode(t, NonBlocking)
 	a := mustMatrix(t, 2, 2, []Index{0, 1}, []Index{0, 1}, []int{1, 1})

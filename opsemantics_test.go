@@ -300,85 +300,3 @@ func TestMxMDimensionErrors(t *testing.T) {
 	// Nil semiring operators.
 	wantCode(t, MxM(c22, nil, nil, Semiring[int, int, int]{}, a, b, DescT1), NullPointer)
 }
-
-// TestVxMEquivalences: vxm(u, A) equals mxv(Aᵀ, u), and the descriptor
-// transposes compose correctly.
-func TestVxMEquivalences(t *testing.T) {
-	setMode(t, Blocking)
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 10; trial++ {
-		m := 2 + rng.Intn(10)
-		n := 2 + rng.Intn(10)
-		ad := randDense(rng, m, n, 0.4)
-		a := ad.toMatrix(t)
-		var ui []Index
-		var ux []int
-		for i := 0; i < m; i++ {
-			if rng.Float64() < 0.5 {
-				ui = append(ui, i)
-				ux = append(ux, 1+rng.Intn(5))
-			}
-		}
-		u := mustVector(t, m, ui, ux)
-		w1 := ck1(NewVector[int](n))
-		if err := VxM(w1, nil, nil, PlusTimes[int](), u, a, nil); err != nil {
-			t.Fatal(err)
-		}
-		w2 := ck1(NewVector[int](n))
-		if err := MxV(w2, nil, nil, PlusTimes[int](), a, u, DescT0); err != nil {
-			t.Fatal(err)
-		}
-		i1, x1 := ck2(w1.ExtractTuples())
-		i2, x2 := ck2(w2.ExtractTuples())
-		if len(i1) != len(i2) {
-			t.Fatalf("vxm/mxv sizes differ: %d %d", len(i1), len(i2))
-		}
-		for k := range i1 {
-			if i1[k] != i2[k] || x1[k] != x2[k] {
-				t.Fatal("vxm != mxv(transpose)")
-			}
-		}
-		// vxm with T1 equals mxv untransposed (square only).
-		if m == n {
-			w3 := ck1(NewVector[int](m))
-			if err := VxM(w3, nil, nil, PlusTimes[int](), u, a, DescT1); err != nil {
-				t.Fatal(err)
-			}
-			w4 := ck1(NewVector[int](m))
-			if err := MxV(w4, nil, nil, PlusTimes[int](), a, u, nil); err != nil {
-				t.Fatal(err)
-			}
-			i3, x3 := ck2(w3.ExtractTuples())
-			i4, x4 := ck2(w4.ExtractTuples())
-			if len(i3) != len(i4) {
-				t.Fatal("vxm T1 != mxv")
-			}
-			for k := range i3 {
-				if i3[k] != i4[k] || x3[k] != x4[k] {
-					t.Fatal("vxm T1 != mxv values")
-				}
-			}
-		}
-	}
-}
-
-func TestMxVMaskAndAccum(t *testing.T) {
-	setMode(t, Blocking)
-	a := mustMatrix(t, 3, 3,
-		[]Index{0, 0, 1, 2}, []Index{0, 1, 2, 0}, []int{1, 2, 3, 4})
-	u := mustVector(t, 3, []Index{0, 1, 2}, []int{1, 1, 1})
-	w := mustVector(t, 3, []Index{0, 2}, []int{100, 200})
-	mask := mustVector(t, 3, []Index{0, 1}, []bool{true, true})
-	// t = A·u = {0:3, 1:3, 2:4}; accum: z = {0:103, 1:3, 2:204}
-	// mask admits 0,1; merge keeps w(2)=200
-	if err := MxV(w, mask, Plus[int], PlusTimes[int](), a, u, nil); err != nil {
-		t.Fatal(err)
-	}
-	vectorEquals(t, w, []Index{0, 1, 2}, []int{103, 3, 200})
-	// replace: position 2 deleted
-	w2 := mustVector(t, 3, []Index{0, 2}, []int{100, 200})
-	if err := MxV(w2, mask, Plus[int], PlusTimes[int](), a, u, DescR); err != nil {
-		t.Fatal(err)
-	}
-	vectorEquals(t, w2, []Index{0, 1}, []int{103, 3})
-}

@@ -67,7 +67,7 @@ func (v *Vector[T]) String() string {
 	if _, err := v.context(); err != nil {
 		return "Vector(<" + err.Error() + ">)"
 	}
-	s, h, err := v.lendSorted()
+	s, h, err := v.lend() // read in its own form, as VectorExportInto does
 	if err != nil {
 		return "Vector(<" + err.Error() + ">)"
 	}
@@ -75,14 +75,13 @@ func (v *Vector[T]) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Vector size %d, %d entries", s.N, s.NNZ())
 	limit := 16
-	if s.NNZ() < limit {
-		limit = s.NNZ()
-	}
-	for k := 0; k < limit; k++ {
-		fmt.Fprintf(&b, "\n  (%d) = %v", s.Ind[k], s.Val[k])
-	}
-	if s.NNZ() > limit {
-		fmt.Fprintf(&b, "\n  ... %d more", s.NNZ()-limit)
+	eachEntry(s, func(i int, x T) bool {
+		fmt.Fprintf(&b, "\n  (%d) = %v", i, x)
+		limit--
+		return limit > 0
+	})
+	if s.NNZ() > 16 {
+		fmt.Fprintf(&b, "\n  ... %d more", s.NNZ()-16)
 	}
 	return b.String()
 }

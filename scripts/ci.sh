@@ -93,4 +93,4 @@ advisory soak
 advisory chaos
 advisory fuzz
 
-echo "CI_SUMMARY status=ok tiers=$TIERS $SUMMARY${STATUSES# } lines=$(make -s lines | awk '$2 == "total" { print $1 }')"
+echo "CI_SUMMARY status=ok tiers=$TIERS $SUMMARY${STATUSES# } lines=$(make -s lines | awk '$NF == "total" { print $1 }')"

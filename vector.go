@@ -336,6 +336,20 @@ func (v *Vector[T]) lendSorted() (*sparse.Vec[T], *sparse.Holds, error) {
 	return s, h, err
 }
 
+// eachEntry calls f on each stored entry of s in index order, reading s in
+// its resident form, until f returns false.
+func eachEntry[T any](s *sparse.Vec[T], f func(i int, x T) bool) {
+	for k, x := range s.Val {
+		i := k // a bitmap's or a full vector's slot
+		if s.Ind != nil {
+			i = s.Ind[k]
+		}
+		if (s.Bit == nil || s.Bit[k]) && !f(i, x) {
+			return
+		}
+	}
+}
+
 // ExtractTuples returns the indices and values of all stored entries in
 // ascending index order (GrB_Vector_extractTuples).
 func (v *Vector[T]) ExtractTuples() (I []Index, X []T, err error) {
