@@ -3,7 +3,7 @@ GO ?= go
 # Every tier's command line lives here and nowhere else: scripts/ci.sh runs
 # `make <tier>` per tier, scripts/verify.sh is `make verify`, and the workflow
 # calls one or the other.
-.PHONY: all build test fmt race bench lint bench-smoke checktags chaos soak fuzz verify ci lines
+.PHONY: all build test fmt race bench lint bench-smoke checktags chaos soak fuzz verify ci lines benchcover
 
 all: build test
 
@@ -138,6 +138,15 @@ fuzz:
 # nothing gates on it.
 lines:
 	@sh scripts/lines.sh
+
+# Which code of internal/sparse the repo benchmark's four workloads reach: a
+# -cover build of benchmark/ in a temporary directory, each workload run for
+# 3 s, then the package's per-function coverage and every block no workload
+# reached, with its source lines (scripts/benchcover.sh, which takes another
+# package and run length as arguments). The evidence for "no workload takes
+# this branch"; advisory, in no tier.
+benchcover:
+	@sh scripts/benchcover.sh internal/sparse 3
 
 verify: test fmt race lint bench-smoke checktags chaos soak fuzz
 

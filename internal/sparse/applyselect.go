@@ -180,15 +180,16 @@ func ApplyIndexV[A, S, C any](u *Vec[A], f func(A, int, int, S) C, s S) *Vec[C] 
 	return out
 }
 
-// SelectV keeps the entries of u admitted by the boolean index operator.
+// SelectV keeps the entries of u admitted by the boolean index operator,
+// walking u in its resident form.
 func SelectV[A, S any](u *Vec[A], f func(A, int, int, S) bool, s S) *Vec[A] {
-	u = u.Sorted()
-	out := &Vec[A]{N: u.N, Ind: make([]int, 0, len(u.Ind)), Val: make([]A, 0, len(u.Val))}
-	for k := range u.Ind {
-		if f(u.Val[k], u.Ind[k], 0, s) {
-			out.Ind = append(out.Ind, u.Ind[k])
-			out.Val = append(out.Val, u.Val[k])
+	out := &Vec[A]{N: u.N}
+	out.Ind, out.Val = makeRun[A](u.NNZ())
+	u.Each(func(i int, x A) bool {
+		if f(x, i, 0, s) {
+			out.Ind, out.Val = append(out.Ind, i), append(out.Val, x)
 		}
-	}
+		return true
+	})
 	return out
 }

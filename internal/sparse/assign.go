@@ -135,29 +135,28 @@ func AssignV[T any](c, u *Vec[T], idx []int, accum func(T, T) T, e Exec) (_ *Vec
 
 // AssignScalarV computes the candidate Z for vector assign with a scalar
 // source: every position in idx receives val. With idx == nil (all
-// positions) Z is full and is written in the full form, into C's value array
-// when the step granted it through e (reuseVal); C is read in its own form. A
-// list reads C through the sorted door.
+// positions) Z is full and is written in the full form: over an indexed C
+// with an accumulator, into C's slots or a copy of them (bitmapBase);
+// otherwise into C's value array when the step granted it through e
+// (reuseVal), and a sorted C's entries are folded in by position. A list
+// reads C through the sorted door.
 func AssignScalarV[T any](c *Vec[T], val T, idx []int, accum func(T, T) T, e Exec) (*Vec[T], error) {
 	if idx == nil {
+		if accum != nil && c.indexed() {
+			out := bitmapBase(e, c, nil, c.N)
+			for i := range out.Val {
+				out.installAt(i, val, accum, false)
+			}
+			return installSettled(out), nil
+		}
+		// No accumulator, or c sorted short of full: c.Val is not out.Val.
 		out := &Vec[T]{N: c.N, Val: reuseVal[T](e, c.N, nil)}
-		switch {
-		case accum != nil && (c.dense() || c.Bit != nil): // out.Val may be c.Val: read, then write
-			for i := range out.Val {
-				if c.Bit == nil || c.Bit[i] {
-					out.Val[i] = accum(c.Val[i], val)
-				} else {
-					out.Val[i] = val
-				}
-			}
-		default: // no accumulator, or c sorted short of full: c.Val is not out.Val
-			for i := range out.Val {
-				out.Val[i] = val
-			}
-			if accum != nil {
-				for k, i := range c.Ind {
-					out.Val[i] = accum(c.Val[k], val)
-				}
+		for i := range out.Val {
+			out.Val[i] = val
+		}
+		if accum != nil {
+			for k, i := range c.Ind {
+				out.Val[i] = accum(c.Val[k], val)
 			}
 		}
 		return out, nil
@@ -197,14 +196,13 @@ func scalarRun[T any](val T, idx []int, n int) (run[T], error) {
 // O(|C| + |mask|), or under a complement, which admits the positions
 // neither stores, one walk over all n. Admitted positions receive val
 // (folded into C's entry by accum when there is one); the others keep C's
-// entry unless replace is set. A result that stores every position is
-// written in the full form — into a copy of a dense C's values, or into
-// them when the step granted them (reuseVal); any other is allocated once,
-// at admits + min(|C|, rejects) (vmaskBounds), or under a complement at its
-// counted size. Under a plain mask and no replace, a bitmap C — or a granted
-// one past bitmapCut — takes the mask's admitted positions in place instead
-// (bitmapBase), O(|mask|). The mask, and a C short of full, are read
-// through the sorted door, charged to e.
+// entry unless replace is set. The result is allocated once, at admits +
+// min(|C|, rejects) (vmaskBounds), or under a complement at its counted
+// size, in the full form when it stores every position. Under a plain mask
+// and no replace, an indexed C — or a granted sorted one past bitmapCut —
+// takes the mask's admitted positions in place instead (bitmapBase),
+// O(|mask|). The mask, and C otherwise, are read through the sorted door,
+// charged to e.
 func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask, replace bool, e Exec) (*Vec[T], error) {
 	m, err := mask.M.sortedEx(e)
 	if err != nil {
@@ -212,7 +210,7 @@ func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask
 	}
 	selects := func(k int) bool { return mask.Structural || m.Val[k] } // the mask's entry k, before a complement
 	if !mask.Complement && !replace {
-		if out := bitmapBase(e, c, m.NNZ()); out != nil {
+		if out := bitmapBase(e, c, nil, m.NNZ()); out != nil {
 			for k, j := range m.Ind {
 				if selects(k) {
 					out.installAt(j, val, accum, false)
@@ -220,23 +218,6 @@ func AssignScalarMaskedV[T any](c *Vec[T], val T, accum func(T, T) T, mask VMask
 			}
 			return installSettled(out), nil
 		}
-	}
-	if c.Bit == nil && c.dense() && !replace {
-		out := &Vec[T]{N: c.N, Val: reuseVal(e, c.N, c.Val)}
-		for j, mi := 0, 0; j < c.N; j++ {
-			inM := mi < len(m.Ind) && m.Ind[mi] == j
-			if (inM && selects(mi)) != mask.Complement { // admitted
-				if accum != nil {
-					out.Val[j] = accum(out.Val[j], val)
-				} else {
-					out.Val[j] = val
-				}
-			}
-			if inM {
-				mi++
-			}
-		}
-		return out, nil
 	}
 	if c, err = c.sortedEx(e); err != nil {
 		return nil, err

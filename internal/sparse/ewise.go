@@ -44,9 +44,7 @@ type ewForm uint8
 const (
 	ewZip      ewForm = iota // out[k] = x[k] ⊙ y[k]: one pattern
 	ewGatherX                // out[k] = x[ind[k]] ⊙ y[k]: x full, ind y's pattern
-	ewGatherY                // out[k] = x[k] ⊙ y[ind[k]]: y full, ind x's pattern
 	ewScatterX               // out[i] = x[i] ⊙ y[k], i = ind[k]: x full
-	ewScatterY               // out[i] = x[k] ⊙ y[i], i = ind[k]: y full
 )
 
 // ewFunc runs form through fam, the family loop of op's tag (ewFamily), or
@@ -66,17 +64,9 @@ func ewFunc[A, B, C any](fam func(Bin, ewForm, []C, []A, []B, []int), op Bin, f 
 		for k, i := range ind {
 			out[k] = f(x[i], y[k])
 		}
-	case ewGatherY:
-		for k, i := range ind {
-			out[k] = f(x[k], y[i])
-		}
 	case ewScatterX:
 		for k, i := range ind {
 			out[i] = f(x[i], y[k])
-		}
-	case ewScatterY:
-		for k, i := range ind {
-			out[i] = f(x[k], y[i])
 		}
 	}
 }
@@ -87,49 +77,32 @@ func ewFamily[A, B, C any](op Bin) func(Bin, ewForm, []C, []A, []B, []int) {
 	return familyLoop[func(Bin, ewForm, []C, []A, []B, []int)](binLoops[:], op)
 }
 
-// EWiseAddV is the vector analogue of EWiseAddM. A union that stores every
-// position — one side dense, in any form — is written in the full form, and
-// a sorted output's index array is shared with an operand whenever both
-// patterns are identical (see DESIGN.md, "Vector write-back: sharing and
-// exact allocation"). a is always add's first operand; op tags add for the
-// family loops. Two sparse patterns merge through the closure, whose call is
-// not that merge's cost (EXPERIMENTS.md). The position forms write into the
-// value array the step granted through e, when it has their length
-// (reuseVal). With a bitmap side short of full — or a granted sorted side
-// past bitmapCut — the other side is scattered into that bitmap
-// (bitmapBase), in place when it is the granted one: O(|other side|).
+// EWiseAddV is the vector analogue of EWiseAddM. Two sorted sides with one
+// pattern, or two full ones, zip through the family loop op tags into an
+// output that shares a's index array (DESIGN.md, "Vector write-back:
+// sharing and exact allocation"). Otherwise an indexed side — a bitmap, or
+// one that stores every position — is the base the other side, in any form,
+// is scattered into (bitmapBase): O(|other side|), into the storage the step
+// granted through e, and a union that stores every position comes out in
+// the full form. So is a granted sorted side past bitmapCut. a is always
+// add's first operand. Two sorted patterns otherwise merge through
+// the closure, whose call is not that merge's cost (EXPERIMENTS.md), into
+// an output allocated once.
 func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
-	fam := ewFamily[T, T, T](op)
 	switch {
 	case a.NNZ() == 0:
 		return b
 	case b.NNZ() == 0:
 		return a
-	case a.dense() && b.dense():
-		out := &Vec[T]{N: a.N, Val: reuseVal[T](e, a.N, nil)}
-		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
-		return out
-	case a.dense() && b.Bit == nil:
-		out := &Vec[T]{N: a.N, Val: reuseVal(e, a.N, a.Val)}
-		ewFunc(fam, op, add, ewScatterX, out.Val, a.Val, b.Val, b.Ind)
-		return out
-	case b.dense() && a.Bit == nil:
-		out := &Vec[T]{N: a.N, Val: reuseVal(e, b.N, b.Val)}
-		ewFunc(fam, op, add, ewScatterY, out.Val, a.Val, b.Val, a.Ind)
-		return out
-	case a.Bit != nil:
-		return scatterAdd(bitmapBase(e, a, 0), b, add, false)
-	case b.Bit != nil:
-		return scatterAdd(bitmapBase(e, b, 0), a, add, true)
-	case samePattern(a.Ind, b.Ind):
+	case a.Bit == nil && b.Bit == nil && samePattern(a.Ind, b.Ind):
 		out := &Vec[T]{N: a.N, Ind: a.Ind, Val: reuseVal[T](e, len(a.Val), nil)}
-		ewFunc(fam, op, add, ewZip, out.Val, a.Val, b.Val, nil)
+		ewFunc(ewFamily[T, T, T](op), op, add, ewZip, out.Val, a.Val, b.Val, nil)
 		return out
 	}
-	if out := bitmapBase(e, a, b.NNZ()); out != nil {
+	if out := bitmapBase(e, a, b, b.NNZ()); out != nil {
 		return scatterAdd(out, b, add, false)
 	}
-	if out := bitmapBase(e, b, a.NNZ()); out != nil {
+	if out := bitmapBase(e, b, a, a.NNZ()); out != nil {
 		return scatterAdd(out, a, add, true)
 	}
 	ind, val := makeRun[T](min(len(a.Ind)+len(b.Ind), a.N))
@@ -137,36 +110,23 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 	return &Vec[T]{N: a.N, Ind: ind, Val: val}
 }
 
-// scatterAdd folds the entries of s into the bitmap out in index order —
+// scatterAdd folds the entries of s into the indexed out in index order —
 // s's value as add's first operand when sFirst — and settles the result.
 func scatterAdd[T any](out, s *Vec[T], add func(T, T) T, sFirst bool) *Vec[T] {
-	switch {
-	case s.Bit != nil:
-		for i, ok := range s.Bit {
-			if ok {
-				out.installAt(i, s.Val[i], add, sFirst)
-			}
-		}
-	case s.full():
-		for i, x := range s.Val {
-			out.installAt(i, x, add, sFirst)
-		}
-	default:
-		for k, i := range s.Ind {
-			out.installAt(i, s.Val[k], add, sFirst)
-		}
-	}
+	s.Each(func(i int, x T) bool {
+		out.installAt(i, x, add, sFirst)
+		return true
+	})
 	return installSettled(out)
 }
 
 // EWiseMultV is the vector analogue of EWiseMultM. Two dense sides, in any
-// form, make a full output; a dense side is gathered from at the other
-// side's positions, and the output shares the other side's index array —
-// as it does an operand's when the two sorted patterns are identical. op
-// tags mul for the family loops; two sparse patterns merge through the
-// closure. The position forms write into the value array the step granted
-// through e, when it has their length (reuseVal). A bitmap side short of
-// full is gathered from (bitmapMult).
+// form, make a full output, and a dense a is gathered from at a sorted b's
+// positions into an output that shares b's index array: the family loops'
+// two forms. Any other indexed side is gathered from by a walk over the
+// other side (gatherMult); two sorted patterns intersect through the
+// closure. The family forms write into the value array the step granted
+// through e, when it has their length (reuseVal).
 func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e Exec) *Vec[C] {
 	fam := ewFamily[A, B, C](op)
 	switch {
@@ -178,48 +138,27 @@ func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e E
 		out := &Vec[C]{N: a.N, Ind: b.Ind, Val: reuseVal[C](e, len(b.Val), nil)}
 		ewFunc(fam, op, mul, ewGatherX, out.Val, a.Val, b.Val, b.Ind)
 		return out
-	case b.dense() && a.Bit == nil:
-		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
-		ewFunc(fam, op, mul, ewGatherY, out.Val, a.Val, b.Val, a.Ind)
-		return out
-	case a.Bit != nil || b.Bit != nil: // one a bitmap, neither a dense side beside a sorted one
-		return bitmapMult(a, b, mul)
-	case samePattern(a.Ind, b.Ind):
-		out := &Vec[C]{N: a.N, Ind: a.Ind, Val: reuseVal[C](e, len(a.Val), nil)}
-		ewFunc(fam, op, mul, ewZip, out.Val, a.Val, b.Val, nil)
-		return out
+	case b.indexed():
+		return gatherMult(a, b, mul)
+	case a.indexed():
+		return gatherMult(b, a, func(y B, x A) C { return mul(x, y) })
 	}
 	ind, val := makeRun[C](min(len(a.Ind), len(b.Ind)))
 	ind, val = intersectRun(ind, val, a.run(), b.run(), mul)
 	return &Vec[C]{N: a.N, Ind: ind, Val: val}
 }
 
-// bitmapMult is EWiseMultV with a bitmap side: a walk over the sorted
-// side's entries that gathers from the bitmap or, when the other side is a
-// bitmap too or dense, one walk over the positions, into an output allocated
-// once at the smaller count.
-func bitmapMult[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
+// gatherMult is EWiseMultV with an indexed b: a walk over a's entries, in
+// any form, that gathers from b where it stores the position, into an
+// output allocated once at the smaller count.
+func gatherMult[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
 	out := &Vec[C]{N: a.N}
 	out.Ind, out.Val = makeRun[C](min(a.NNZ(), b.NNZ()))
-	switch {
-	case a.Bit == nil && !a.dense():
-		for k, i := range a.Ind {
-			if b.Bit[i] {
-				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[k], b.Val[i]))
-			}
+	a.Each(func(i int, x A) bool {
+		if b.has(i) {
+			out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(x, b.Val[i]))
 		}
-	case b.Bit == nil && !b.dense():
-		for k, i := range b.Ind {
-			if a.Bit[i] {
-				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[i], b.Val[k]))
-			}
-		}
-	default:
-		for i := range a.N {
-			if (a.Bit == nil || a.Bit[i]) && (b.Bit == nil || b.Bit[i]) {
-				out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(a.Val[i], b.Val[i]))
-			}
-		}
-	}
+		return true
+	})
 	return out
 }

@@ -88,8 +88,7 @@ type hashLookup[T any] struct {
 // lookupBytes is what newHashLookup(v) allocates.
 func lookupBytes[T any](v *Vec[T]) int64 { return int64(hashCapacity(v.NNZ())) * slotBytes[T]() }
 
-// newHashLookup builds the table of v's entries, reading a bitmap's flags
-// or a full vector's values where v is one.
+// newHashLookup builds the table of v's entries, walking v in any form.
 func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
 	c := hashCapacity(v.NNZ())
 	h := &hashLookup[T]{keys: make([]int, c), vals: make([]T, c), mask: c - 1}
@@ -97,22 +96,10 @@ func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
 		h.keys[i] = -1
 	}
 	scratchBytes.Add(int64(c) * slotBytes[T]())
-	switch {
-	case v.Bit != nil:
-		for j, ok := range v.Bit {
-			if ok {
-				h.put(j, v.Val[j])
-			}
-		}
-	case v.full():
-		for j, x := range v.Val {
-			h.put(j, x)
-		}
-	default:
-		for k, j := range v.Ind {
-			h.put(j, v.Val[k])
-		}
-	}
+	v.Each(func(j int, x T) bool {
+		h.put(j, x)
+		return true
+	})
 	return h
 }
 

@@ -296,7 +296,7 @@ func TestReduceKernels(t *testing.T) {
 		a := randCSR(rng, 1+rng.Intn(15), 1+rng.Intn(15), 0.4)
 		for _, threads := range threadCounts {
 			rows := ReduceRows(MonGeneric, a, add, par(threads))
-			cols := ReduceCols(a, add, par(threads))
+			cols := ReduceRows(MonGeneric, Transpose(a), add, par(threads)) // the column sums
 			all, ok := ReduceAll(MonGeneric, a, add, par(threads))
 			sum := 0
 			rowSums := make([]int, a.Rows)
@@ -322,7 +322,7 @@ func TestReduceKernels(t *testing.T) {
 				t.Fatalf("ReduceRows mismatch (threads %d)", threads)
 			}
 			if !VecEqualFunc(cols, wantCols, func(a, b int) bool { return a == b }) {
-				t.Fatalf("ReduceCols mismatch (threads %d)", threads)
+				t.Fatalf("column sums mismatch (threads %d)", threads)
 			}
 		}
 	}

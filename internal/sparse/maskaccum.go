@@ -47,8 +47,8 @@ func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(i
 		return nil
 	}
 	structural, comp := mask.Structural, mask.Complement
-	if m := mask.M; m.Bit != nil || m.full() { // a bitmap or a full mask is its own predicate
-		return func(j int) bool { return ((m.Bit == nil || m.Bit[j]) && (structural || m.Val[j])) != comp }
+	if m := mask.M; m.indexed() { // an indexed mask is its own predicate
+		return func(j int) bool { return (m.has(j) && (structural || m.Val[j])) != comp }
 	}
 	if !hash {
 		admit, flip := vmaskBitmap(mask, n, e, site)
@@ -69,8 +69,8 @@ func vmaskLookup(mask VMask, n int, hash bool, e Exec, site *faults.Site) func(i
 // maskProbe is what the planners read of a non-nil vector mask over n
 // positions: whether its hash predicate's table is strictly smaller than the
 // n-byte bitmap, and whether the bitmap fits the budget beside the bytes the
-// scaffold is about to charge for its own structure. A bitmap or a full
-// mask is its own predicate, free to the closure loop (vmaskLookup), and a
+// scaffold is about to charge for its own structure. An indexed mask is its
+// own predicate, free to the closure loop (vmaskLookup), and a
 // structural bitmap is the family loops' bitmap as it is (vmaskBitmap); only
 // the admit array a family loop indexes otherwise costs n bytes, so the
 // predicate is the smaller exactly where that array does not fit.
@@ -80,7 +80,7 @@ func maskProbe(e Exec, mask VMask, n int, beside int64) (hashSmaller, bitmapFits
 		return false, true
 	}
 	fits := e.Tx.Fits(beside + int64(n))
-	if m.Bit != nil || m.full() {
+	if m.indexed() {
 		return !fits, fits
 	}
 	return lookupBytes(m) < int64(n), fits
@@ -90,9 +90,9 @@ func maskProbe(e Exec, mask VMask, n int, beside int64) (hashSmaller, bitmapFits
 // and a flag, position j admitted where admit[j] != flip: the form the
 // family scatter loops index directly instead of paying a closure call per
 // product. A structural bitmap mask is its own flags, flipped under a
-// complement, at no cost; any other is scattered into an O(n) admit array
-// implementing the full mask semantics (value vs. structural, complement),
-// charged to e under site.
+// complement, at no cost; any other, in any form, is scattered into an O(n)
+// admit array implementing the full mask semantics (value vs. structural,
+// complement), charged to e under site.
 func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) (admit []bool, flip bool) {
 	m := mask.M
 	structural, comp := mask.Structural, mask.Complement
@@ -102,24 +102,15 @@ func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) (admit []bool, fl
 	e.mustCharge(site, int64(n))
 	admit = make([]bool, n)
 	scratchBytes.Add(int64(n))
-	if m.Bit != nil || m.full() {
-		for j := range admit {
-			admit[j] = ((m.Bit == nil || m.Bit[j]) && (structural || m.Val[j])) != comp
-		}
-		return admit, false
-	}
 	if comp {
 		for i := range admit {
 			admit[i] = true
 		}
 	}
-	for k, j := range m.Ind {
-		v := structural || m.Val[k]
-		if comp {
-			v = !v
-		}
-		admit[j] = v
-	}
+	m.Each(func(j int, x bool) bool {
+		admit[j] = (structural || x) != comp
+		return true
+	})
 	return admit, false
 }
 
@@ -229,19 +220,20 @@ func MaskApplyV[T any](c, z *Vec[T], mask VMask, replace bool) *Vec[T] {
 		}
 		return c
 	}
-	if m := mask.M.Sorted(); !replace && c.dense() && z.dense() {
+	if !replace && c.dense() && z.dense() {
 		// Every position stays stored: z's value where the mask admits it,
-		// c's where it rejects it.
+		// c's where it rejects it — read by position, the mask in any form.
 		base, other := c, z
 		if mask.Complement {
 			base, other = z, c
 		}
 		out := &Vec[T]{N: c.N, Val: slices.Clone(base.Val)}
-		for k, j := range m.Ind {
-			if mask.Structural || m.Val[k] {
+		mask.M.Each(func(j int, x bool) bool {
+			if mask.Structural || x {
 				out.Val[j] = other.Val[j]
 			}
-		}
+			return true
+		})
 		return out
 	}
 	c, z, mask.M = c.Sorted(), z.Sorted(), mask.M.Sorted()

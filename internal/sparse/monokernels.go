@@ -413,27 +413,19 @@ func ewArith[T monoArith](op Bin, form ewForm, out, x, y []T, ind []int) {
 		for k, i := range ind {
 			out[k] = binArith(op, x[i], y[k])
 		}
-	case ewGatherY:
-		for k, i := range ind {
-			out[k] = binArith(op, x[k], y[i])
-		}
 	case ewScatterX:
 		for k, i := range ind {
 			out[i] = binArith(op, x[i], y[k])
-		}
-	case ewScatterY:
-		for k, i := range ind {
-			out[i] = binArith(op, x[k], y[i])
 		}
 	}
 }
 
 // ewFirst is ewFunc's loop for First[T, bool]: it moves x's values and never
-// reads y's. Only EWiseMultV's forms reach it; the scatter forms are the
-// one-domain kernels', and (T, bool, T) is not one domain.
+// reads y's. Only EWiseMultV's forms reach it; the scatter form is the
+// accumulating pull's, and (T, bool, T) is not one domain.
 func ewFirst[T any](_ Bin, form ewForm, out, x []T, _ []bool, ind []int) {
 	if form != ewGatherX {
-		copy(out, x) // ewZip, ewGatherY: out[k] = x[k]
+		copy(out, x) // ewZip: out[k] = x[k]
 		return
 	}
 	for k, i := range ind {

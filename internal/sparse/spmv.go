@@ -83,7 +83,7 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 		work:      gatherWork(a.Ptr, u.NNZ(), mask, cut),
 		denseFits: e.Tx.Fits(viewCost), hashSmaller: hashBytes < viewBytes}
 	threads := e.workers(in.work - u.NNZ())
-	if mask.M != nil && mask.M.Bit == nil && !mask.M.full() { // a bitmap or full mask the pull reads for nothing
+	if mask.M != nil && !mask.M.indexed() { // an indexed mask the pull reads for nothing
 		in.maskHashSmaller, in.bitmapFits = maskProbe(e, mask, a.Rows, viewCost)
 	}
 	rt := planPull(in)
@@ -219,23 +219,16 @@ func gatherWork(ptr []int, nnzU int, mask VMask, cut int) int {
 	return listedEntries(ptr, mask.M, nnzU, cut)
 }
 
-// listedEntries is listedWork over the positions v stores: its Ind, a
-// bitmap's flags walked only until the count reaches cut, or every row.
+// listedEntries is listedWork over the positions v stores, in any form,
+// walked only until the count reaches cut.
 func listedEntries[T any](ptr []int, v *Vec[T], base, cut int) int {
-	switch {
-	case v.full():
-		return base + ptr[len(ptr)-1]
-	case v.Bit == nil:
-		return listedWork(ptr, v.Ind, base, cut)
-	}
-	for i, ok := range v.Bit {
+	v.Each(func(i int, _ T) bool {
 		if base >= cut {
-			break
+			return false
 		}
-		if ok {
-			base += ptr[i+1] - ptr[i]
-		}
-	}
+		base += ptr[i+1] - ptr[i]
+		return true
+	})
 	return base
 }
 

@@ -110,26 +110,15 @@ func Transpose[T any](a *CSR[T]) *CSR[T] {
 // entry v(i) is placed at (i, i+k) for k >= 0 or (i-k, i) for k < 0. The
 // matrix is (n+|k|)×(n+|k|) with n = v.N, matching GrB_Matrix_diag.
 func Diag[T any](v *Vec[T], k int) *CSR[T] {
-	v = v.Sorted()
-	abs := k
-	if abs < 0 {
-		abs = -abs
-	}
-	n := v.N + abs
+	r0, c0 := max(-k, 0), max(k, 0) // v(i) sits at (i+r0, i+c0)
+	n := v.N + r0 + c0
 	out := NewCSR[T](n, n)
-	out.Ind = make([]int, 0, v.NNZ())
-	out.Val = make([]T, 0, v.NNZ())
-	for idx, i := range v.Ind {
-		var r, c int
-		if k >= 0 {
-			r, c = i, i+k
-		} else {
-			r, c = i-k, i
-		}
-		out.Ind = append(out.Ind, c)
-		out.Val = append(out.Val, v.Val[idx])
-		out.Ptr[r+1]++
-	}
+	out.Ind, out.Val = makeRun[T](v.NNZ())
+	v.Each(func(i int, x T) bool {
+		out.Ind, out.Val = append(out.Ind, i+c0), append(out.Val, x)
+		out.Ptr[i+r0+1]++
+		return true
+	})
 	for i := 0; i < n; i++ {
 		out.Ptr[i+1] += out.Ptr[i]
 	}
@@ -178,79 +167,29 @@ func fold[T any](v []T, sum func([]T) T, add func(T, T) T) T {
 	return acc
 }
 
-// ReduceCols reduces each column of A: t(j) = ⊕_i A(i,j). Implemented by
-// scattering into per-worker accumulators of width A.Cols and merging.
-func ReduceCols[T any](a *CSR[T], add func(T, T) T, e Exec) *Vec[T] {
-	parts := parallel.BalancedRanges(a.Rows, e.workers(a.NNZ()), a.Ptr)
-	nparts := len(parts) - 1
-	if nparts == 0 {
-		return NewVec[T](a.Cols)
-	}
-	accs := make([][]T, nparts)
-	oks := make([][]bool, nparts)
-	parallel.Run(parts, nparts, func(part, lo, hi int) {
-		acc := make([]T, a.Cols)   //grblint:ignore budgetcheck -- an unbudgeted kernel: its Exec only sizes the fork
-		ok := make([]bool, a.Cols) //grblint:ignore budgetcheck -- as above
-		for i := lo; i < hi; i++ {
-			ind, val := a.Row(i)
-			for k := range ind {
-				j := ind[k]
-				if !ok[j] {
-					ok[j] = true
-					acc[j] = val[k]
-				} else {
-					acc[j] = add(acc[j], val[k])
-				}
-			}
-		}
-		accs[part] = acc
-		oks[part] = ok
-	})
-	// Some parts may be empty (nnz-balanced ranges can collapse); find the
-	// first populated accumulator as the merge base.
-	base := -1
-	for p := 0; p < nparts; p++ {
-		if accs[p] != nil {
-			base = p
-			break
-		}
-	}
-	if base < 0 {
-		return NewVec[T](a.Cols)
-	}
-	acc0, ok0 := accs[base], oks[base]
-	for p := base + 1; p < nparts; p++ {
-		if accs[p] == nil {
-			continue
-		}
-		for j := 0; j < a.Cols; j++ {
-			if oks[p][j] {
-				if !ok0[j] {
-					ok0[j] = true
-					acc0[j] = accs[p][j]
-				} else {
-					acc0[j] = add(acc0[j], accs[p][j])
-				}
-			}
-		}
-	}
-	return GatherVec(acc0, ok0)
-}
+// reduceBlock is ReduceAll's unit of association: each block of this many
+// entries folds on its own and the blocks' sums fold in block order, so the
+// bits of a sum do not depend on how many workers shared the blocks. It is
+// below DefaultGrain, so a default-grain fork never has more workers than
+// blocks.
+const reduceBlock = 1 << 14
 
 // ReduceAll reduces every stored entry of A to a single value; ok is false
 // when A has no entries (the GraphBLAS 2.0 Scalar-output reduce returns an
-// empty GrB_Scalar in that case, §VI). Ranges never outnumber the entries,
-// so each is non-empty and leaves a partial sum; those fold in range order.
+// empty GrB_Scalar in that case, §VI). The entries fold in reduceBlock
+// blocks, whatever the worker count.
 func ReduceAll[T any](mon Mon, a *CSR[T], add func(T, T) T, e Exec) (T, bool) {
 	var zero T
 	if a.NNZ() == 0 {
 		return zero, false
 	}
 	sum := familyLoop[func([]T) T](reduceLoops[:], mon)
-	parts := parallel.Ranges(a.NNZ(), e.workers(a.NNZ()))
-	partial := make([]T, len(parts)-1) //grblint:ignore budgetcheck -- O(workers)
-	parallel.Run(parts, len(partial), func(part, lo, hi int) {
-		partial[part] = fold(a.Val[lo:hi], sum, add)
+	partial := make([]T, (a.NNZ()+reduceBlock-1)/reduceBlock) //grblint:ignore budgetcheck -- one value per reduceBlock entries
+	parts := parallel.Ranges(len(partial), e.workers(a.NNZ()))
+	parallel.Run(parts, len(parts)-1, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			partial[b] = fold(a.Val[b*reduceBlock:min((b+1)*reduceBlock, len(a.Val))], sum, add)
+		}
 	})
 	return fold(partial, sum, add), true
 }

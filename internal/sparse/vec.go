@@ -133,18 +133,44 @@ func (v *Vec[T]) full() bool { return v.Ind == nil && v.Bit == nil && len(v.Val)
 // then holds the value of position i at i.
 func (v *Vec[T]) dense() bool { return v.NNZ() == v.N }
 
+// indexed reports whether v is read through the position-indexed door: a
+// bitmap, or a vector that stores every position. Its Val holds position
+// i's value at i, and has says which slots are stored.
+func (v *Vec[T]) indexed() bool { return v.Bit != nil || v.dense() }
+
+// has reports whether slot k of an indexed vector stores an entry — a full
+// vector is a bitmap whose every flag is set — and is true for every slot
+// of a sorted one.
+func (v *Vec[T]) has(k int) bool { return v.Bit == nil || v.Bit[k] }
+
+// Each calls f on each stored entry of v in index order, reading v in its
+// resident form, until f returns false: the one walk over a vector in any
+// form.
+func (v *Vec[T]) Each(f func(i int, x T) bool) {
+	for k, x := range v.Val {
+		i := k // a bitmap's or a full vector's slot
+		if v.Ind != nil {
+			i = v.Ind[k]
+		}
+		if v.has(k) && !f(i, x) {
+			return
+		}
+	}
+}
+
 // Clone returns a deep copy, each array allocated at its size.
 func (v *Vec[T]) Clone() *Vec[T] {
 	return &Vec[T]{N: v.N, nb: v.nb, Ind: append(growExact[int](nil, len(v.Ind)), v.Ind...),
 		Val: append(growExact[T](nil, len(v.Val)), v.Val...), Bit: append(growExact[bool](nil, len(v.Bit)), v.Bit...)}
 }
 
-// Get returns the entry at i and whether it is present.
+// Get returns the entry at i and whether it is present: a bitmap's or a
+// full vector's by position, a sorted vector's by search.
 func (v *Vec[T]) Get(i int) (T, bool) {
-	if v.Bit != nil && v.Bit[i] || v.full() {
+	if v.Ind == nil && len(v.Val) > 0 && v.has(i) {
 		return v.Val[i], true
 	}
-	k := sort.SearchInts(v.Ind, i)
+	k := sort.SearchInts(v.Ind, i) // a bitmap's unset slot: no Ind, not found
 	if k < len(v.Ind) && v.Ind[k] == i {
 		return v.Val[k], true
 	}
@@ -253,17 +279,13 @@ func (v *Vec[T]) Resize(n int) *Vec[T] {
 	return out
 }
 
-// GatherVec compresses a dense value slice plus presence bitmap back into a
-// sorted sparse vector, counting first so that Ind and Val are allocated once.
+// GatherVec compresses the slots of an indexed vector — values plus
+// presence flags, nil when every slot is stored — into a sorted vector
+// whose Ind and Val are allocated once, at the count.
 func GatherVec[T any](dv []T, ok []bool) *Vec[T] {
-	out := &Vec[T]{N: len(dv)}
-	out.Ind, out.Val = makeRun[T](popcount(ok))
-	for i := range dv {
-		if ok[i] {
-			out.Ind = append(out.Ind, i)
-			out.Val = append(out.Val, dv[i])
-		}
-	}
+	v := &Vec[T]{N: len(dv), Val: dv, Bit: ok, nb: uint32(popcount(ok))}
+	out := &Vec[T]{N: v.N}
+	out.Ind, out.Val = v.VecTuples(nil, nil)
 	DebugCheckVec(out, "GatherVec")
 	return out
 }
@@ -291,19 +313,14 @@ func VecEqualFunc[T any](a, b *Vec[T], eq func(T, T) bool) bool {
 	return true
 }
 
-// VecTuples appends (index, value) pairs of v to I, X and returns them: a
-// bitmap or a full vector is walked in place, its pairs appended in index
-// order.
+// VecTuples appends (index, value) pairs of v to I, X in index order and
+// returns them, walking v in its resident form.
 func (v *Vec[T]) VecTuples(I []int, X []T) ([]int, []T) {
-	if v.Bit == nil && !v.full() {
-		return append(I, v.Ind...), append(X, v.Val...)
-	}
 	I, X = growExact(I, v.NNZ()), growExact(X, v.NNZ())
-	for i := range v.Val {
-		if v.Bit == nil || v.Bit[i] {
-			I, X = append(I, i), append(X, v.Val[i])
-		}
-	}
+	v.Each(func(i int, x T) bool {
+		I, X = append(I, i), append(X, x)
+		return true
+	})
 	return I, X
 }
 

@@ -166,3 +166,31 @@ func TestVecKernelAllocationPins(t *testing.T) {
 		sink = GatherVec(u.Val, present)
 	})
 }
+
+// TestEWiseAddWritesIntoTheGrantedSide: with the step's grant on b and both
+// sides indexed, the union is written into b's own slots, b scattered into
+// by a. Were a's copy made in the granted array first, b would be read
+// after it was overwritten.
+func TestEWiseAddWritesIntoTheGrantedSide(t *testing.T) {
+	const n = 8
+	a := &Vec[int]{N: n, Val: make([]int, n), Bit: make([]bool, n)}
+	for i := 0; i < n; i += 2 {
+		a.Val[i], a.Bit[i] = 10*i, true
+		a.nb++
+	}
+	// b is full, and the step grants it.
+	b := &Vec[int]{N: n, Val: []int{1, 2, 3, 4, 5, 6, 7, 8}}
+	got := EWiseAddV(BinGeneric, a, b, func(x, y int) int { return x - y }, Exec{Spare: b}) //grblint:ignore snapshotcheck -- the test plays the step that grants b
+	for i := 0; i < n; i++ {
+		want := i + 1
+		if i%2 == 0 {
+			want = 10*i - (i + 1)
+		}
+		if x, ok := got.Get(i); !ok || x != want {
+			t.Fatalf("w(%d) = %d, %v, want %d", i, x, ok, want)
+		}
+	}
+	if &got.Val[0] != &b.Val[0] {
+		t.Error("the union did not write into the granted b")
+	}
+}

@@ -473,7 +473,7 @@ func (v *Vector[T]) VectorExportInto(format Format, indices []Index, values []T)
 			indices[i] = 0
 		}
 	}
-	eachEntry(s, func(i int, x T) bool {
+	s.Each(func(i int, x T) bool {
 		values[i] = x
 		if format == FormatBitmapVector {
 			indices[i] = 1

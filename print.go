@@ -75,7 +75,7 @@ func (v *Vector[T]) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Vector size %d, %d entries", s.N, s.NNZ())
 	limit := 16
-	eachEntry(s, func(i int, x T) bool {
+	s.Each(func(i int, x T) bool {
 		fmt.Fprintf(&b, "\n  (%d) = %v", i, x)
 		limit--
 		return limit > 0

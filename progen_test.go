@@ -19,8 +19,10 @@ import (
 
 // The API-level program generator: seeded random programs over the vector
 // operations the four workloads run — MxV/VxM, eWiseAdd/eWiseMult, apply,
-// select, assign and scalar assign, SetElement/RemoveElement, reduce to a
-// vector and to a value, ExtractTuples and the Table III export/import —
+// select (its GrB_Scalar twin too), assign and scalar assign,
+// SetElement/RemoveElement, reduce to a vector and to a value, extract
+// through an index list, ExtractTuples, the Table III export/import and
+// serialize/deserialize —
 // with masks (structural; valued with
 // stored falses; complemented; empty; denser than the product; for the
 // boolean domain the output itself), accumulators (non-commutative ones
@@ -82,17 +84,14 @@ const (
 
 // apiKit is one value domain: a tagged semiring, the operators the
 // element-wise steps and accumulators draw from, a unary and an index
-// operator, and a value draw. exactCols says ReduceCols may run at two
-// threads: its partial folds reassociate, which only an exact domain
-// survives bit for bit.
+// operator, and a value draw.
 type apiKit[T comparable] struct {
-	name      string
-	sr        Semiring[T, T, T]
-	ops       []BinaryOp[T, T, T]
-	unary     UnaryOp[T, T]
-	index     IndexUnaryOp[T, int, T]
-	mk        func(*rand.Rand) T
-	exactCols bool
+	name  string
+	sr    Semiring[T, T, T]
+	ops   []BinaryOp[T, T, T]
+	unary UnaryOp[T, T]
+	index IndexUnaryOp[T, int, T]
+	mk    func(*rand.Rand) T
 }
 
 // spiked draws a standard normal, but one value in eight is ±0.0 or ±Inf.
@@ -115,14 +114,21 @@ func floatKit(name string, sr Semiring[float64, float64, float64]) apiKit[float6
 var (
 	kitPlusTimes = floatKit("plus_times", PlusTimes[float64]())
 	kitMinPlus   = floatKit("min_plus", MinPlus[float64]())
-	kitInt       = apiKit[int64]{name: "plus_times/int64", sr: PlusTimes[int64](), unary: AInv[int64], exactCols: true,
+	kitInt       = apiKit[int64]{name: "plus_times/int64", sr: PlusTimes[int64](), unary: AInv[int64],
 		ops:   []BinaryOp[int64, int64, int64]{Plus[int64], Minus[int64], First[int64, int64], Max[int64]},
 		index: func(x int64, i, _ Index, s int) int64 { return x - int64(i+s) },
 		mk:    func(r *rand.Rand) int64 { return int64(r.Intn(19) - 9) }}
-	kitBool = apiKit[bool]{name: "lor_land", sr: LOrLAnd(), unary: LNot, exactCols: true,
+	kitBool = apiKit[bool]{name: "lor_land", sr: LOrLAnd(), unary: LNot,
 		ops:   []BinaryOp[bool, bool, bool]{LOr, LAnd, LXor, First[bool, bool], func(x, y bool) bool { return x && !y }},
 		index: func(x bool, i, _ Index, s int) bool { return x != ((i+s)%2 == 0) },
 		mk:    func(r *rand.Rand) bool { return r.Intn(3) > 0 }}
+	// kitPlusPair is kitInt's domain under the structure-only counting
+	// semiring, whose family loops nothing else reaches.
+	kitPlusPair = func() apiKit[int64] {
+		k := kitInt
+		k.name, k.sr = "plus_pair/int64", PlusPair[int64]()
+		return k
+	}()
 )
 
 // gStep is one step of a program, with what the oracle expects of it.
@@ -259,9 +265,6 @@ func genProgram[T comparable](rng *rand.Rand, k apiKit[T], steps int) *gProg[T] 
 			}
 			st[g.out] = writeBackOf(n, c, assignOf(n, c, src, g.idx, accum), nil, mask, g.desc.Replace)
 		case gReduceRows:
-			if !k.exactCols {
-				g.desc.Transpose0 = false
-			}
 			t = map[int]T{}
 			for _, e := range sortedEntries(p.aI, p.aJ, p.aX, g.desc.Transpose0) {
 				if x, ok := t[e.i]; ok {
@@ -295,9 +298,20 @@ func genProgram[T comparable](rng *rand.Rand, k apiKit[T], steps int) *gProg[T] 
 				st[g.out][g.idx[0]] = g.x
 			}
 		case gExtract:
-			g.read = clone(u)
+			if g.fn%2 == 0 {
+				g.read = clone(u)
+				break
+			}
+			// u(idx) over n listed positions, repeats among them.
+			g.idx, t = make([]Index, n), map[int]T{}
+			for k2 := range g.idx {
+				g.idx[k2] = rng.Intn(n)
+				if x, ok := u[g.idx[k2]]; ok {
+					t[k2] = x
+				}
+			}
 		case gExport:
-			if len(u) < n && g.fn%3 == 1 {
+			if len(u) < n && g.fn%3 == 1 && g.fn < 12 {
 				g.fn = 0 // the dense format needs every position
 			}
 			st[g.out] = clone(u)
@@ -364,6 +378,7 @@ func runPrograms(t *testing.T, count int, keep func(apiConfig) bool) {
 	programs(t, rng, kitMinPlus, count, keep)
 	programs(t, rng, kitInt, count, keep)
 	programs(t, rng, kitBool, count, keep)
+	programs(t, rng, kitPlusPair, count, keep)
 }
 
 func programs[T comparable](t *testing.T, rng *rand.Rand, k apiKit[T], count int, keep func(apiConfig) bool) {
@@ -488,11 +503,19 @@ func (r *gRun[T]) step(g gStep[T]) {
 			t.Fatalf("%s: VectorReduce = %v, want %v", r.label, got, g.wantVal)
 		}
 	case gExtract:
-		r.same("ExtractTuples", u, g.read)
-	case gExport: // export ∘ import = id, whatever form u is resident in
-		format := [...]Format{FormatSparseVector, FormatDenseVector, FormatBitmapVector}[g.fn%3]
-		I, X := ck2(u.VectorExport(format))
-		r.vs[g.out] = ck1(VectorImport(r.p.n, I, X, format, InContext(r.ctx)))
+		if g.idx == nil {
+			r.same("ExtractTuples", u, g.read)
+		} else {
+			err = VectorExtract(w, mask, accum, u, g.idx, &d)
+		}
+	case gExport: // export ∘ import and serialize ∘ deserialize = id, whatever form u is resident in
+		if g.fn >= 12 {
+			r.vs[g.out] = ck1(VectorDeserialize[T](ck1(u.SerializeBytes()), InContext(r.ctx)))
+		} else {
+			format := [...]Format{FormatSparseVector, FormatDenseVector, FormatBitmapVector}[g.fn%3]
+			I, X := ck2(u.VectorExport(format))
+			r.vs[g.out] = ck1(VectorImport(r.p.n, I, X, format, InContext(r.ctx)))
+		}
 		r.same("export∘import", r.vs[g.out], g.want)
 	case gWait:
 		err = w.Wait(g.wait)
@@ -513,10 +536,15 @@ func (r *gRun[T]) step(g gStep[T]) {
 		parks(w.Wait(g.wait), g.wait == Materialize, "the Wait after it")
 		err = w.Clear()
 	case gSelect:
-		if g.fn%2 == 0 {
+		switch {
+		case g.fn%2 == 0 && g.fn < 8:
 			err = VectorSelect(w, mask, accum, ValueNE[T], u, g.x, &d)
-		} else {
+		case g.fn%2 == 0:
+			err = VectorSelectScalar(w, mask, accum, ValueNE[T], u, ck1(ScalarOf(g.x)), &d)
+		case g.fn < 8:
 			err = VectorSelect(w, mask, accum, RowLE[T], u, g.fn, &d)
+		default:
+			err = VectorSelectScalar(w, mask, accum, RowLE[T], u, ck1(ScalarOf(g.fn)), &d)
 		}
 	case gSetElement:
 		if g.fn%3 == 0 {
@@ -852,6 +880,7 @@ func TestProgramsReachEveryVectorReason(t *testing.T) {
 		probed(t, rng, kitMinPlus)
 		probed(t, rng, kitInt)
 		probed(t, rng, kitBool)
+		probed(t, rng, kitPlusPair)
 	})
 	accRow := "an accumulator or mask row: the event names the direction's row unless the budget decided " +
 		"(internal/sparse's corpus reads it through Exec.Route)"

@@ -7,8 +7,10 @@ import (
 
 // MatrixReduceToVector computes w⟨m⟩ = w ⊙ [⊕_j A(:,j)]: each row of A
 // reduced with the monoid (GrB_Matrix_reduce to a vector). With the
-// Transpose0 descriptor flag columns are reduced instead. Rows with no
-// entries produce no output entry.
+// Transpose0 descriptor flag columns are reduced instead: the rows of the
+// cached Aᵀ, which hold each column's entries in row order, so a column
+// folds in row order at any thread count. Rows with no entries produce no
+// output entry.
 func MatrixReduceToVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryOp[T, T, T],
 	monoid Monoid[T], a *Matrix[T], desc *Descriptor) error {
 	f := newFrame("MatrixReduceToVector", desc, monoid.Op != nil, maskRef{v: mask}, w, a)
@@ -28,10 +30,11 @@ func MatrixReduceToVector[T any](w *Vector[T], mask *Vector[bool], accum BinaryO
 	// which would move it up an allocation size class.
 	op, mon := monoid.Op, monoid.mon
 	return w.submit(&f, wOld, yieldsT, accum, func(e sparse.Exec) (*sparse.Vec[T], error) {
-		if byCols {
-			return sparse.ReduceCols(acsr, op, e), nil
+		rows, err := maybeTranspose(acsr, byCols, e)
+		if err != nil {
+			return nil, err
 		}
-		return sparse.ReduceRows(mon, acsr, op, e), nil
+		return sparse.ReduceRows(mon, rows, op, e), nil
 	})
 }
 

@@ -1,8 +1,10 @@
 package grb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/grblas/grb/internal/sparse"
@@ -149,5 +151,45 @@ func sameBitVectors(t *testing.T, label string, threads int, got, want *Vector[f
 			t.Fatalf("%s, %d workers: entry %d at %d, want %d", label, threads, k, gi[k], wi[k])
 		}
 		sameBits(t, label, threads, gx[k], wx[k])
+	}
+}
+
+// TestFloatReductionsAreThreadInvariant: a float sum folds in one order at
+// every worker count — MatrixReduce in fixed blocks of entries, each column
+// of MatrixReduceToVector(DescT0) in row order — so 400 000 standard normals
+// reduce to the same bits at 1, 2 and 4 threads under the chunk hook at 1,
+// and as a default-chunk context does. The values are finite: an Inf would
+// swamp every order.
+func TestFloatReductionsAreThreadInvariant(t *testing.T) {
+	setMode(t, NonBlocking)
+	rng := rand.New(rand.NewSource(21))
+	const rows, cols, perRow = 2000, 1000, 200
+	var I, J []Index
+	var X []float64
+	for i := 0; i < rows; i++ {
+		for _, j := range rng.Perm(cols)[:perRow] {
+			I, J, X = append(I, i), append(J, j), append(X, rng.NormFloat64())
+		}
+	}
+	reduce := func(opts ...ContextOption) (float64, []Index, []float64) {
+		ctx := ck1(NewContext(NonBlocking, nil, opts...))
+		defer func() { ck(ctx.Free()) }()
+		a := ck1(NewMatrix[float64](rows, cols, InContext(ctx)))
+		ck(a.Build(I, J, X, nil))
+		w := ck1(NewVector[float64](cols, InContext(ctx)))
+		ck(MatrixReduceToVector(w, nil, nil, PlusMonoid[float64](), a, DescT0))
+		wi, wx := ck2(w.ExtractTuples())
+		return ck1(MatrixReduce(PlusMonoid[float64](), a)), wi, wx
+	}
+	sum, wantI, wantX := reduce(WithThreads(1))
+	for _, threads := range []int{1, 2, 4} {
+		got, gotI, gotX := reduce(WithThreads(threads), withChunk(1))
+		sameBits(t, "400 000-entry matrix sum", threads, got, sum)
+		if !slices.Equal(gotI, wantI) {
+			t.Fatalf("column sums, %d workers: pattern differs", threads)
+		}
+		for k := range wantX {
+			sameBits(t, fmt.Sprintf("column %d's sum", wantI[k]), threads, gotX[k], wantX[k])
+		}
 	}
 }

@@ -408,9 +408,12 @@ func (s *sequence[T, S, U, K]) stepLocked(n *opNode[T, S], tuples []U) {
 // state it supersedes (DESIGN.md, "Writing into superseded storage"): the
 // storage is the object's own and still its state; n's lends are its only
 // readers — the output's own, and at most an operand's of a position-local
-// kernel, never the mask's; and nothing after the kernel reads it: no mask
-// unless the kernel consumes it (yieldsC), not even the complemented empty
-// one whose write-back returns old, and no accumulation of T into it.
+// kernel; and nothing after the kernel reads it: no mask unless the kernel
+// consumes it (yieldsC), not even the complemented empty one whose
+// write-back returns old, and no accumulation of T into it. A mask that is
+// the output is lent beside it, so its step reuses only through a
+// position-local kernel; those yield T, and a masked step that yields T
+// never reuses: the mask is never written while it is read.
 func (s *sequence[T, S, U, K]) reuses(n *opNode[T, S]) bool {
 	var k K
 	h := k.holds(n.old)
@@ -421,7 +424,6 @@ func (s *sequence[T, S, U, K]) reuses(n *opNode[T, S]) bool {
 		}
 	}
 	return n.kernel != nil && lent > 0 && h.Sole(lent) && h == k.holds(s.cur) && (lent == 1 || n.local) &&
-		(n.mask.V == nil || &n.mask.V.Holds != h) &&
 		(n.yields == yieldsC || n.mask.M == nil && n.mask.V == nil && !n.mask.Complement) &&
 		(n.yields != yieldsT || n.accum == nil)
 }
