@@ -57,9 +57,9 @@ bench:
 	$(GO) test . -run '^$$' -bench Hypersparse -benchmem
 	$(GO) test ./serve -run '^$$' -bench QueryBodyPair -benchmem
 
-# Static-analysis tier: grblint's seven analyzers (infocheck, snapshotcheck,
-# lockcheck, enumcheck, budgetcheck, atomiccheck, panicpathcheck) over every
-# package including test files. Must report zero diagnostics; suppress a
+# Static-analysis tier: grblint's eight analyzers (infocheck, snapshotcheck,
+# lockcheck, enumcheck, budgetcheck, atomiccheck, panicpathcheck, seedcheck)
+# over every package including test files. Must report zero diagnostics; suppress a
 # deliberate case with `//grblint:ignore name -- reason` — a suppression with
 # no reason, naming no analyzer, or silencing nothing is a diagnostic too.
 lint:

@@ -1,4 +1,4 @@
-// grblint is the repo's static-analysis gate: a multichecker with seven
+// grblint is the repo's static-analysis gate: a multichecker with eight
 // analyzers enforcing the GraphBLAS 2.0 invariants that neither a Go
 // compiler nor a test can see —
 //
@@ -9,6 +9,7 @@
 //	budgetcheck     sparse Exec kernel scratch must be budget-charged (§IV)
 //	atomiccheck     no package-level sync/atomic functions, only the types
 //	panicpathcheck  goroutine launches / fan-out kernels carry recover guards
+//	seedcheck       no time value seeds a test's math/rand
 //
 // Usage:
 //
@@ -45,6 +46,7 @@ import (
 	"github.com/grblas/grb/internal/lint/infocheck"
 	"github.com/grblas/grb/internal/lint/lockcheck"
 	"github.com/grblas/grb/internal/lint/panicpathcheck"
+	"github.com/grblas/grb/internal/lint/seedcheck"
 	"github.com/grblas/grb/internal/lint/snapshotcheck"
 )
 
@@ -56,6 +58,7 @@ var analyzers = []*lint.Analyzer{
 	budgetcheck.Analyzer,
 	atomiccheck.Analyzer,
 	panicpathcheck.Analyzer,
+	seedcheck.Analyzer,
 }
 
 func main() {
