@@ -29,7 +29,7 @@ func tallThin(rows int) *CSR[int] {
 
 func TestSpGEMMStitchTableIsBudgeted(t *testing.T) {
 	a := tallThin(10000)
-	b := randCSR(rand.New(rand.NewSource(1)), 8, 8, 0.5)
+	b := sprayCSR(rand.New(rand.NewSource(1)), 8, 8, 32, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	mul := func(x, y int) int { return x * y }
 	add := func(x, y int) int { return x + y }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func eqInt(a, b int) bool { return a == b }
@@ -120,35 +119,10 @@ func TestResize(t *testing.T) {
 	}
 }
 
-func TestTuplesRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := 1 + rng.Intn(20)
-		cols := 1 + rng.Intn(20)
-		n := rng.Intn(rows * cols)
-		// distinct coordinates
-		perm := rng.Perm(rows * cols)[:n]
-		I := make([]int, n)
-		J := make([]int, n)
-		X := make([]int, n)
-		for k, p := range perm {
-			I[k], J[k], X[k] = p/cols, p%cols, rng.Int()
-		}
-		m, err := BuildCSR(rows, cols, I, J, X, nil)
-		if err != nil || !m.Valid() {
-			return false
-		}
-		oi, oj, ox := m.Tuples(nil, nil, nil)
-		back, err := BuildCSR(rows, cols, oi, oj, ox, nil)
-		if err != nil {
-			return false
-		}
-		return EqualFunc(m, back, eqInt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
+// TestTuplesRoundTripProperty: every matrix the program generator
+// (progen_test.go) checks is read through Tuples, so build ∘ Tuples is held
+// to the oracle on each build step.
+func TestTuplesRoundTripProperty(t *testing.T) { runConfig(t, config{kinds: sBuild, kits: kMI | kLL}) }
 
 // tuplesByElement is CSR.Tuples as it was, one append per element: the
 // oracle the presized copy-out is held to.

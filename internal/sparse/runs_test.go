@@ -66,7 +66,7 @@ func TestAssignVAllIndices(t *testing.T) {
 // row).
 func TestExtractMAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(progSeed(t)))
-	a := randCSR(rng, 1000, 1000, 0.02)
+	a := sprayCSR(rng, 1000, 1000, 20000, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	for _, shuffled := range []bool{false, true} {
 		rows, cols := rng.Perm(a.Rows)[:600], rng.Perm(a.Cols)[:600]
 		if !shuffled { // the EgoNet shape: one ascending list, both ways
