@@ -81,9 +81,10 @@ lint:
 # the two agree and has no timing floor either,
 # BenchmarkQueryBodyPair (1 s), the one the query writer does, and
 # BenchmarkAlgorithmBytes (2 s), the KB and allocations per call of BFS,
-# SSSP and PageRank on rmat-14 — traverse-large's byte map — next to those of
-# a 2-hop ego answer (EgoNet, Wait, ExtractTuples: what serve's ego handler
-# pays), with no floor.
+# SSSP and PageRank on rmat-14 — traverse-large's byte map, whose KB tier-1
+# gates at a ceiling per algorithm (TestTraversalBytes in lagraph) — next to
+# those of a 2-hop ego answer (EgoNet, Wait, ExtractTuples: what serve's ego
+# handler pays), which has no floor.
 bench-smoke:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...

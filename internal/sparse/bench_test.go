@@ -405,6 +405,7 @@ func BenchmarkBinaryFamilyPair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	t = t.Sorted() // the pull's (row, value) pairs, as its blocks hand them to the accumulate
 	times := func(x, y float64) float64 { return x * y }
 	first := func(x float64, _ bool) float64 { return x }
 	entries := 0

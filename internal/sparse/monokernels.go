@@ -25,11 +25,10 @@ package sparse
 //	        gathers rows [lo, hi) against u's view (dbit == nil: full) and
 //	        appends the emitted (row, value) pairs, in ascending row order,
 //	        to the (ind, val) it is handed, as the run kernels do.
-//	push    func(u *Vec[T], a *CSR[T], admit []bool, spa []T, mark []bool, pattern []int, lo, hi int) []int
-//	        scatters frontier entries [lo, hi) into the worker's SPA (mark
-//	        tracks presence; admit == nil admits everything) and appends the
-//	        SPA's insertion pattern to the pattern it is handed, which arrives
-//	        empty and sized for the frontier's products.
+//	push    func(u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int)
+//	        scatters the frontier's products in output columns [lo, hi) into
+//	        the worker's slice of the SPA (mark tracks presence; admit == nil
+//	        admits everything).
 //	SpGEMM  func(a, b *CSR[T], spa []T, stamp []int, gen int, pattern []int, i int) []int
 //	        scatters row i of A through B into (spa, stamp) at generation
 //	        gen and returns the row's new columns in pattern, which arrives
@@ -186,12 +185,10 @@ func spmvRowsPlusPair[T monoArith](a *CSR[T], dval []T, dbit []bool, admit func(
 //
 // A push loop scatters the frontier's products in the output columns [lo, hi)
 // a worker owns into spa and mark, indexed j-lo like the mask bitmap — whose
-// column j is admitted where admit[j-lo] != flip — and returns how many
-// columns it marked.
+// column j is admitted where admit[j-lo] != flip.
 
 // vxmScatterPlusTimes scatters the frontier with (+, ×).
-func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) int {
-	n := 0
+func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) {
 	for k, i := range u.Ind {
 		uv := u.Val[k]
 		aInd, aVal := a.rowIn(i, lo, hi)
@@ -204,18 +201,15 @@ func vxmScatterPlusTimes[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip b
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = p
-				n++
 			} else {
 				spa[j] += p
 			}
 		}
 	}
-	return n
 }
 
 // vxmScatterMinPlus scatters the frontier with (min, +).
-func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) int {
-	n := 0
+func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) {
 	for k, i := range u.Ind {
 		uv := u.Val[k]
 		aInd, aVal := a.rowIn(i, lo, hi)
@@ -228,18 +222,15 @@ func vxmScatterMinPlus[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip boo
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = p
-				n++
 			} else if p < spa[j] {
 				spa[j] = p
 			}
 		}
 	}
-	return n
 }
 
 // vxmScatterLorLand scatters the frontier with (∨, ∧).
-func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, flip bool, spa []bool, mark []bool, lo, hi int) int {
-	n := 0
+func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, flip bool, spa []bool, mark []bool, lo, hi int) {
 	for k, i := range u.Ind {
 		uv := u.Val[k]
 		aInd, aVal := a.rowIn(i, lo, hi)
@@ -252,19 +243,16 @@ func vxmScatterLorLand(u *Vec[bool], a *CSR[bool], admit []bool, flip bool, spa 
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = p
-				n++
 			} else if p {
 				spa[j] = true
 			}
 		}
 	}
-	return n
 }
 
 // vxmScatterPlusPair scatters the frontier with (+, pair): each admitted
 // product contributes exactly 1.
-func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) int {
-	n := 0
+func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bool, spa []T, mark []bool, lo, hi int) {
 	for _, i := range u.Ind {
 		aInd, _ := a.rowIn(i, lo, hi)
 		for _, j := range aInd {
@@ -275,13 +263,11 @@ func vxmScatterPlusPair[T monoArith](u *Vec[T], a *CSR[T], admit []bool, flip bo
 			if !mark[j] {
 				mark[j] = true
 				spa[j] = 1
-				n++
 			} else {
 				spa[j]++
 			}
 		}
 	}
-	return n
 }
 
 // --- SpGEMM dense-SPA row loops ---

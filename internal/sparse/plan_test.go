@@ -409,11 +409,19 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(progSeed(t)))
 
 	// Push: the frontier's products, not its entries and not nnz(A). Two
-	// frontier vertices with ten edges between them are one worker's at any
-	// thread count, where the clamp by frontier entries made two.
+	// frontier vertices with a few edges between them are one worker's at any
+	// thread count, where the clamp by frontier entries made two. They are
+	// the first two rows of two entries or more, so that at grain 1 their
+	// products are work for four workers at every seed.
 	n := 4096
 	a := sprayCSR(rng, n, n, 5*n, func(r *rand.Rand) int { return 1 + r.Intn(9) })
-	u := &Vec[int]{N: n, Ind: []int{3, 77}, Val: []int{1, 1}}
+	var front []int
+	for i := 0; len(front) < 2; i++ {
+		if a.span(i, i+1) >= 2 {
+			front = append(front, i)
+		}
+	}
+	u := &Vec[int]{N: n, Ind: front, Val: []int{1, 1}}
 	var rt Route
 	ResetKernelCounts()
 	if _, err := vxmSemi(SemiGeneric, u, a, mul, add, VMask{}, Exec{Threads: 4, Route: &rt}, KernelDense); err != nil {
@@ -425,7 +433,7 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 			got, rt.Workers, oneSPA)
 	}
 	// ... and at a grain its products do cover, each worker owns a quarter
-	// of the columns: the four SPAs add up to one.
+	// of the columns, its slice of the one SPA.
 	rt = Route{}
 	if _, err := vxmSemi(SemiGeneric, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelDense); err != nil {
 		t.Fatal(err)
@@ -561,6 +569,6 @@ func resolves[A, B, C any](semi Semi) [3]bool {
 	return [3]bool{
 		familyLoop[func(*CSR[A], *CSR[B], []C, []int, int, []int, int) []int](spgemmLoops[:], semi) != nil,
 		familyLoop[func(*CSR[A], []B, []bool, func(int) bool, []int, []C, int, int) ([]int, []C)](spmvLoops[:], semi) != nil,
-		familyLoop[func(*Vec[A], *CSR[B], []bool, bool, []C, []bool, int, int) int](vxmLoops[:], semi) != nil,
+		familyLoop[func(*Vec[A], *CSR[B], []bool, bool, []C, []bool, int, int)](vxmLoops[:], semi) != nil,
 	}
 }

@@ -82,6 +82,10 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 	} else {
 		rowLoop = nil
 	}
+	if mask.M == nil && mask.Complement { // a complemented nil mask admits nothing: no range runs
+		call.Family = false
+		return NewCSR[C](a.Rows, b.Cols), nil
+	}
 	fptr := SpGEMMFlops(a, b, e.workers(a.NNZ())) // the symbolic pass reads A
 	threads := e.workers(fptr[a.Rows])            // the products the ranges will form
 	slot := slotBytes[C]()

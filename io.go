@@ -415,6 +415,7 @@ func VectorImport[T any](size Index, indices []Index, values []T,
 		// stays exhaustive as Format grows (§IX pins the enum values).
 		return nil, errf(NotImplemented, "VectorImport: unsupported format %v", format)
 	}
+	vec.Claim(nil) // storage of its own, which a later step may write in place
 	return newVector(ctx, vec), nil
 }
 

@@ -234,7 +234,9 @@ func TestImportExportRoundTripProperty(t *testing.T) { matrixKit(t, kitInt, seri
 // full vector's values as they are. A sorted view would build an n-int index
 // array no export format reads, and pin the vector, so that overwriting it
 // allocated afresh: 1 024 KB against 512 KB for a 65 536-entry vector
-// exported dense, then overwritten twice.
+// exported dense, then overwritten twice. An imported vector's storage is its
+// own, so both overwrites write in place and the unread run allocates next to
+// nothing: a read may add less than a quarter of the 512 KB value array.
 func TestDenseExportLeavesTheVectorWritable(t *testing.T) {
 	setMode(t, NonBlocking)
 	const n = 1 << 16
@@ -251,13 +253,13 @@ func TestDenseExportLeavesTheVectorWritable(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	without := run(func(*Vector[float64]) {})
+	without, margin := run(func(*Vector[float64]) {}), uint64(8*n/4)
 	for _, format := range []Format{FormatDenseVector, FormatBitmapVector, FormatSparseVector} {
-		if got := run(func(w *Vector[float64]) { ck(w.VectorExportInto(format, idx, val)) }); got > without+without/10 {
-			t.Errorf("exported %v, then overwritten twice: %d KB, want within 10%% of %d KB", format, got>>10, without>>10)
+		if got := run(func(w *Vector[float64]) { ck(w.VectorExportInto(format, idx, val)) }); got > without+margin {
+			t.Errorf("exported %v, then overwritten twice: %d KB, want within %d KB of %d KB", format, got>>10, margin>>10, without>>10)
 		}
 	}
-	if got := run(func(w *Vector[float64]) { _ = w.String() }); got > without+without/10 {
-		t.Errorf("printed, then overwritten twice: %d KB, want within 10%% of %d KB", got>>10, without>>10)
+	if got := run(func(w *Vector[float64]) { _ = w.String() }); got > without+margin {
+		t.Errorf("printed, then overwritten twice: %d KB, want within %d KB of %d KB", got>>10, margin>>10, without>>10)
 	}
 }

@@ -9,43 +9,59 @@ import (
 	"github.com/grblas/grb/gen"
 )
 
-// BenchmarkAlgorithmBytes reports the bytes and allocations of one call of
-// each traversal the traverse-large workload runs — BFSLevels, SSSP and a
-// 10-iteration PageRank with tol 0 — on the symmetrized rmat-14 graph with
-// that workload's weights, in a one-thread context, and of what serve's ego
-// handler pays for an answer: the 2-hop EgoNet of the highest-degree vertex,
-// completed, and its tuples copied out. It has no floor: it is the
-// per-algorithm byte map, reproducible with
-//
-//	go test ./lagraph -run '^$' -bench AlgorithmBytes -benchtime 5x
-func BenchmarkAlgorithmBytes(b *testing.B) {
-	initLib(b)
+// traversalCalls are the calls the traverse-large workload makes — BFSLevels,
+// SSSP and a 10-iteration PageRank with tol 0 — on the symmetrized rmat-14
+// graph with that workload's weights, in a one-thread context, each run once
+// so that the transposes are cached on the shared snapshots. wgt is the
+// weighted graph and hub its highest-degree vertex.
+func traversalCalls(tb testing.TB) (calls []namedCall, wgt *grb.Matrix[float64], hub int) {
+	initLib(tb)
 	g := gen.Graph500RMAT(14, 8, 42).Symmetrize()
 	ctx := ck1(grb.NewContext(grb.NonBlocking, nil, grb.WithThreads(1)))
 	pat := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.BoolWeights(g), grb.LOr, grb.InContext(ctx)))
-	wgt := ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), grb.Plus[float64], grb.InContext(ctx)))
-	hub, deg := 0, make([]int, g.N)
+	wgt = ck1(grb.MatrixFromTuples(g.N, g.N, g.Src, g.Dst, gen.UniformWeights(g, 1, 2, 7), grb.Plus[float64], grb.InContext(ctx)))
+	deg := make([]int, g.N)
 	for _, v := range g.Src {
 		if deg[v]++; deg[v] > deg[hub] {
 			hub = v
 		}
 	}
-	for _, alg := range []struct {
-		name string
-		run  func()
-	}{
+	calls = []namedCall{
 		{"BFS", func() { ck(ck1(BFSLevels(pat, 1)).Free()) }},
 		{"SSSP", func() { ck(ck1(SSSP(wgt, 1)).Free()) }},
 		{"PageRank", func() { ck(ranksRead(ck1(PageRank(wgt, 0.85, 0, 10))).Free()) }},
-		{"EgoAnswer", func() {
-			sub, _ := ck2(EgoNet(wgt, hub, 2))
-			ck(sub.Wait(grb.Materialize))
-			_, _, _, err := sub.ExtractTuples()
-			ck(err)
-			ck(sub.Free())
-		}},
-	} {
-		alg.run() // the transposes are cached on the shared snapshots
+	}
+	for _, c := range calls {
+		c.run()
+	}
+	return calls, wgt, hub
+}
+
+type namedCall struct {
+	name string
+	run  func()
+}
+
+// BenchmarkAlgorithmBytes reports the bytes and allocations of one call of
+// each traversal the traverse-large workload runs (traversalCalls), and of
+// what serve's ego handler pays for an answer: the 2-hop EgoNet of the
+// highest-degree vertex, completed, and its tuples copied out. It is the
+// per-algorithm byte map, reproducible with
+//
+//	go test ./lagraph -run '^$' -bench AlgorithmBytes -benchtime 5x
+//
+// and TestTraversalBytes holds the three traversals to a ceiling.
+func BenchmarkAlgorithmBytes(b *testing.B) {
+	calls, wgt, hub := traversalCalls(b)
+	ego := namedCall{"EgoAnswer", func() {
+		sub, _ := ck2(EgoNet(wgt, hub, 2))
+		ck(sub.Wait(grb.Materialize))
+		_, _, _, err := sub.ExtractTuples()
+		ck(err)
+		ck(sub.Free())
+	}}
+	ego.run()
+	for _, alg := range append(calls, ego) {
 		b.Run(alg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
@@ -56,6 +72,22 @@ func BenchmarkAlgorithmBytes(b *testing.B) {
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1024/float64(b.N), "KB/op")
 		})
+	}
+}
+
+// TestTraversalBytes gates traverse-large's byte map: each traversal call
+// (traversalCalls) allocates at most its ceiling, the KB it measured when the
+// push handed its SPA over and the masked pull wrote a bitmap, + 2 % (BFS
+// 325.4, SSSP 986.0, PageRank 944.6; 519.1, 1 290 and 944.3 before).
+func TestTraversalBytes(t *testing.T) {
+	calls, _, _ := traversalCalls(t)
+	ceiling := map[string]uint64{"BFS": 332, "SSSP": 1006, "PageRank": 964}
+	for _, c := range calls {
+		if got := bestBytes(c.run); got > ceiling[c.name]<<10 {
+			t.Errorf("%s over rmat-14 allocates %.1f KB, ceiling %d KB", c.name, float64(got)/1024, ceiling[c.name])
+		} else {
+			t.Logf("%s over rmat-14: %.1f KB", c.name, float64(got)/1024)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package grb
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"testing"
 )
 
@@ -509,5 +510,50 @@ func TestBitmapReadersKeepTheirStorage(t *testing.T) {
 	}
 	if got := entries(wb); len(got) != n/2+1 || got[1] || got[0] {
 		t.Fatalf("own mask: %v", got)
+	}
+}
+
+// TestImportedVectorsWriteInPlace: a vector that VectorImport or
+// VectorDeserialize built holds storage of its own, so the first step that
+// supersedes it, w = u ⊕ w over a dense w, writes w's values in place and
+// allocates less than one value array. A Dup shares its storage and is not
+// claimed (TestDupPinsTheStorage).
+func TestImportedVectorsWriteInPlace(t *testing.T) {
+	setMode(t, NonBlocking)
+	const n = 512
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i)
+	}
+	u := mustVector(t, n, []Index{3, 100}, []float64{0.5, 0.25})
+	ck(u.Wait(Materialize))
+	serialized := ck1(ck1(VectorImport(n, nil, x, FormatDenseVector)).SerializeBytes())
+	for _, c := range []struct {
+		name string
+		w    *Vector[float64]
+	}{
+		{"VectorImport(dense)", ck1(VectorImport(n, nil, x, FormatDenseVector))},
+		{"VectorDeserialize", ck1(VectorDeserialize[float64](serialized))},
+	} {
+		before := valArray(t, c.w)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ck(EWiseAddVector(c.w, nil, nil, Plus[float64], u, c.w, nil))
+		ck(c.w.Wait(Materialize))
+		runtime.ReadMemStats(&m1)
+		if valArray(t, c.w) != before {
+			t.Errorf("%s: w = u ⊕ w wrote into fresh storage, want the imported value array", c.name)
+		}
+		if used := m1.TotalAlloc - m0.TotalAlloc; used >= 8*n {
+			t.Errorf("%s: w = u ⊕ w allocated %d bytes, want less than one %d-byte value array", c.name, used, 8*n)
+		}
+		want := map[Index]float64{}
+		for i := range n {
+			want[i] = float64(i)
+		}
+		want[3], want[100] = 3.5, 100.25
+		if got := entries(c.w); !maps.Equal(got, want) {
+			t.Fatalf("%s: w = %v, want %v", c.name, got, want)
+		}
 	}
 }

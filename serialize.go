@@ -474,5 +474,6 @@ func VectorDeserialize[T any](data []byte, opts ...ObjOption) (*Vector[T], error
 	if !vec.Valid() {
 		return nil, errf(InvalidObject, "VectorDeserialize: stream describes an invalid vector")
 	}
+	vec.Claim(nil) // storage of its own, which a later step may write in place
 	return newVector(ctx, vec), nil
 }
