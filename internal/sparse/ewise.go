@@ -113,7 +113,7 @@ func EWiseAddV[T any](op Bin, a, b *Vec[T], add func(T, T) T, e Exec) *Vec[T] {
 // scatterAdd folds the entries of s into the indexed out in index order —
 // s's value as add's first operand when sFirst — and settles the result.
 func scatterAdd[T any](out, s *Vec[T], add func(T, T) T, sFirst bool) *Vec[T] {
-	s.Each(func(i int, x T) bool {
+	scan(s, func(i int, x T) bool {
 		out.installAt(i, x, add, sFirst)
 		return true
 	})
@@ -154,7 +154,7 @@ func EWiseMultV[A, B, C any](op Bin, a *Vec[A], b *Vec[B], mul func(A, B) C, e E
 func gatherMult[A, B, C any](a *Vec[A], b *Vec[B], mul func(A, B) C) *Vec[C] {
 	out := &Vec[C]{N: a.N}
 	out.Ind, out.Val = makeRun[C](min(a.NNZ(), b.NNZ()))
-	a.Each(func(i int, x A) bool {
+	scan(a, func(i int, x A) bool {
 		if b.has(i) {
 			out.Ind, out.Val = append(out.Ind, i), append(out.Val, mul(x, b.Val[i]))
 		}
