@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"github.com/grblas/grb/internal/faults"
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/sparse"
 )
 
@@ -21,7 +22,7 @@ import (
 func runStep[S any](op string, compute func() (S, error)) (res S, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			sparse.NotePanicRecovered()
+			obsv.PanicsRecovered.Add(1)
 			err = panicErr(op, r)
 		}
 	}()

@@ -7,17 +7,14 @@ import (
 
 // Handler returns an expvar-style HTTP handler for long-running serving
 // processes: GET yields one JSON document with the sink states, the per-op
-// metrics registry, and the kernel counter group. Mount it wherever the host
-// process serves debug endpoints, e.g.
+// metrics registry, the tenant labels, the serve cells and every kernel
+// counter by name. Mount it wherever the host process serves debug
+// endpoints, e.g.
 //
 //	http.Handle("/debug/grb", grb.MetricsHandler())
 func Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		kc := KernelCounters.Snapshot()
-		counters := make(map[string]int64, len(kc))
-		for i, name := range KernelCounters.Names() {
-			counters[name] = kc[i]
-		}
+		kc := readCounters()
 		doc := struct {
 			MetricsEnabled bool                    `json:"metrics_enabled"`
 			Tracing        bool                    `json:"tracing"`
@@ -34,7 +31,7 @@ func Handler() http.Handler {
 			Ops:            MetricsSnapshot(),
 			Tenants:        LabelsSnapshot(),
 			Serve:          ServeSnapshot(),
-			KernelCounters: counters,
+			KernelCounters: kc.named(true),
 			TraceBuffered:  TraceBuffered(),
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -1,10 +1,6 @@
 package obsv
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The label registry aggregates request-level activity per caller-supplied
 // label — in the serving layer, one label per tenant. It deliberately lives
@@ -13,18 +9,28 @@ import (
 // labeled observation per request, so the rates here are request rates, not
 // kernel rates, and stay meaningful even when per-op metrics are disabled.
 
-// labelStats is the mutable per-(label, op) accumulator; atomics only, so
-// concurrent request handlers record without a lock.
+// reqStats is the mutable request accumulator of a label or a (label, op)
+// pair; atomics only, so concurrent request handlers record without a lock.
+type reqStats struct{ requests, errors, ns atomic.Int64 }
+
+func (r *reqStats) note(ns int64, isErr bool) {
+	r.requests.Add(1)
+	r.ns.Add(ns)
+	if isErr {
+		r.errors.Add(1)
+	}
+}
+
+func (r *reqStats) read() LabelOpMetrics {
+	return LabelOpMetrics{Requests: r.requests.Load(), Errors: r.errors.Load(), TotalNs: r.ns.Load()}
+}
+
 type labelStats struct {
-	requests, errors, ns atomic.Int64
-	byOp                 sync.Map // op name -> *labelOpStats
+	reqStats
+	byOp table[reqStats]
 }
 
-type labelOpStats struct {
-	requests, errors, ns atomic.Int64
-}
-
-var labelRegistry sync.Map // label -> *labelStats
+var labelRegistry table[labelStats]
 
 // LabelOpMetrics is one (label, op) pair's totals since the last reset.
 type LabelOpMetrics struct {
@@ -33,12 +39,11 @@ type LabelOpMetrics struct {
 	TotalNs  int64 `json:"total_ns"`
 }
 
-// LabelMetrics is one label's aggregated totals since the last ResetLabels.
+// LabelMetrics is one label's aggregated totals since the last ResetLabels,
+// and the same per op it asked for.
 type LabelMetrics struct {
-	Requests int64                     `json:"requests"`
-	Errors   int64                     `json:"errors,omitempty"`
-	TotalNs  int64                     `json:"total_ns"`
-	ByOp     map[string]LabelOpMetrics `json:"by_op,omitempty"`
+	LabelOpMetrics
+	ByOp map[string]LabelOpMetrics `json:"by_op,omitempty"`
 }
 
 // NoteLabeled folds one completed request into the label registry:
@@ -47,81 +52,19 @@ type LabelMetrics struct {
 // one call per request is far below the emit-point cost concerns that
 // gate the kernel-level registries.
 func NoteLabeled(label, op string, ns int64, isErr bool) {
-	ls := labelsFor(label)
-	ls.requests.Add(1)
-	ls.ns.Add(ns)
-	if isErr {
-		ls.errors.Add(1)
+	ls := labelRegistry.get(label)
+	ls.note(ns, isErr)
+	if op != "" {
+		ls.byOp.get(op).note(ns, isErr)
 	}
-	if op == "" {
-		return
-	}
-	var os *labelOpStats
-	if v, ok := ls.byOp.Load(op); ok {
-		os = v.(*labelOpStats)
-	} else {
-		v, _ := ls.byOp.LoadOrStore(op, &labelOpStats{})
-		os = v.(*labelOpStats)
-	}
-	os.requests.Add(1)
-	os.ns.Add(ns)
-	if isErr {
-		os.errors.Add(1)
-	}
-}
-
-// labelsFor returns the accumulator for label, creating it on first use.
-func labelsFor(label string) *labelStats {
-	if s, ok := labelRegistry.Load(label); ok {
-		return s.(*labelStats)
-	}
-	s, _ := labelRegistry.LoadOrStore(label, &labelStats{})
-	return s.(*labelStats)
 }
 
 // LabelsSnapshot returns the per-label totals since the last reset.
 func LabelsSnapshot() map[string]LabelMetrics {
-	out := make(map[string]LabelMetrics)
-	labelRegistry.Range(func(k, v any) bool {
-		s := v.(*labelStats)
-		lm := LabelMetrics{
-			Requests: s.requests.Load(),
-			Errors:   s.errors.Load(),
-			TotalNs:  s.ns.Load(),
-		}
-		s.byOp.Range(func(ok_, ov any) bool {
-			os := ov.(*labelOpStats)
-			if lm.ByOp == nil {
-				lm.ByOp = make(map[string]LabelOpMetrics)
-			}
-			lm.ByOp[ok_.(string)] = LabelOpMetrics{
-				Requests: os.requests.Load(),
-				Errors:   os.errors.Load(),
-				TotalNs:  os.ns.Load(),
-			}
-			return true
-		})
-		out[k.(string)] = lm
-		return true
+	return snapshot(&labelRegistry, func(s *labelStats) LabelMetrics {
+		return LabelMetrics{LabelOpMetrics: s.read(), ByOp: snapshot(&s.byOp, (*reqStats).read)}
 	})
-	return out
-}
-
-// Labels returns the recorded label names in sorted order.
-func Labels() []string {
-	var names []string
-	labelRegistry.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
 }
 
 // ResetLabels drops every per-label accumulator.
-func ResetLabels() {
-	labelRegistry.Range(func(k, _ any) bool {
-		labelRegistry.Delete(k)
-		return true
-	})
-}
+func ResetLabels() { labelRegistry.reset() }

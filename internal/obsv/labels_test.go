@@ -30,11 +30,11 @@ func TestLabelRegistry(t *testing.T) {
 	if u := snap["umbrella"]; u.Requests != 1 || len(u.ByOp) != 1 {
 		t.Fatalf("umbrella = %+v", u)
 	}
-	if p := snap["plain"]; p.Requests != 1 || p.ByOp != nil {
+	if p := snap["plain"]; p.Requests != 1 || len(p.ByOp) != 0 {
 		t.Fatalf("plain = %+v", p)
 	}
-	if got := Labels(); len(got) != 3 || got[0] != "acme" || got[1] != "plain" || got[2] != "umbrella" {
-		t.Fatalf("Labels() = %v", got)
+	if got := labelRegistry.names(); len(got) != 3 || got[0] != "acme" || got[1] != "plain" || got[2] != "umbrella" {
+		t.Fatalf("label names = %v", got)
 	}
 	ResetLabels()
 	if snap := LabelsSnapshot(); len(snap) != 0 {

@@ -9,7 +9,7 @@
 // picked. Events therefore carry a sequence span id (Seq), so nonblocking-
 // mode cost is attributable to the user-level call that enqueued it, and the
 // kernel route actually taken (dense/hash SPA, push/pull, transpose-cache
-// miss), resolved from the kernel counter group's per-call deltas.
+// miss), resolved from the kernel counters' per-call deltas.
 //
 // Overhead contract: with every sink disabled (the default), an emit point
 // costs one atomic load and allocates nothing — Begin returns a zero Exec by
@@ -93,31 +93,20 @@ type Event struct {
 
 	Flops int64 `json:"flops,omitempty"` // call-time flop estimate
 
-	// Per-call deltas of the kernel counter group, captured around the
-	// kernel's execution. Attribution is approximate when kernels from other
-	// goroutines overlap this one (the group totals remain exact); each
-	// value is clamped at zero so a concurrent Reset cannot go negative.
-	ScratchBytes    int64 `json:"scratch_bytes,omitempty"`
-	DenseRanges     int64 `json:"dense_ranges,omitempty"`
-	HashRanges      int64 `json:"hash_ranges,omitempty"`
-	PushCalls       int64 `json:"push_calls,omitempty"`
-	PullCalls       int64 `json:"pull_calls,omitempty"`
-	TransposeMats   int64 `json:"transpose_mats,omitempty"` // cache misses; 0 with Route "transpose" = cache hit
-	BudgetDegrades  int64 `json:"budget_degrades,omitempty"`
-	PanicsRecovered int64 `json:"panics_recovered,omitempty"`
-	MonoKernels     int64 `json:"mono_kernels,omitempty"`
-	ClosureFalls    int64 `json:"closure_fallbacks,omitempty"`
-	FormatConvs     int64 `json:"format_conversions,omitempty"`
+	// Per-call deltas of the kernel counters, captured around the kernel's
+	// execution: Begin stores the counters here, End their deltas (so the
+	// zero Exec the disabled path returns stays two words). Attribution is
+	// approximate when kernels from other goroutines overlap this one (the
+	// bank's totals remain exact); each value is clamped at zero so a
+	// concurrent reset cannot go negative. A zero TransposeMats with Route
+	// "transpose" is a transpose-cache hit.
+	Counters Counts `json:"-"`
 
 	Steps int `json:"steps,omitempty"` // sequence spans: drained step count
 
 	Start int64  `json:"start_ns"` // ns since the obsv epoch
 	Dur   int64  `json:"dur_ns"`   // wall time
 	Err   string `json:"err,omitempty"`
-
-	// Counter-group snapshot taken at Begin; lives here rather than in Exec
-	// so the zero Exec the disabled path returns stays two words.
-	kcBefore [kcLen]int64
 }
 
 // A records the first operand's shape; nil-safe and chainable so call sites
@@ -180,7 +169,7 @@ func Begin(ev *Event, seq SeqID) Exec {
 		return Exec{}
 	}
 	ev.Seq = seq
-	ev.kcBefore = KernelCounters.values()
+	ev.Counters = readCounters()
 	return Exec{ev: ev, start: now()}
 }
 
@@ -198,31 +187,13 @@ func (x Exec) End(outNNZ int, err error) {
 	if ev.Kind == "" {
 		ev.Kind = "kernel"
 	}
-	kc := KernelCounters.values()
-	ev.DenseRanges = deltaClamp(kc[KCDenseRanges], ev.kcBefore[KCDenseRanges])
-	ev.HashRanges = deltaClamp(kc[KCHashRanges], ev.kcBefore[KCHashRanges])
-	ev.ScratchBytes = deltaClamp(kc[KCScratchBytes], ev.kcBefore[KCScratchBytes])
-	ev.PushCalls = deltaClamp(kc[KCPushCalls], ev.kcBefore[KCPushCalls])
-	ev.PullCalls = deltaClamp(kc[KCPullCalls], ev.kcBefore[KCPullCalls])
-	ev.TransposeMats = deltaClamp(kc[KCTransposeMats], ev.kcBefore[KCTransposeMats])
-	ev.BudgetDegrades = deltaClamp(kc[KCBudgetDegrades], ev.kcBefore[KCBudgetDegrades])
-	ev.PanicsRecovered = deltaClamp(kc[KCPanicsRecovered], ev.kcBefore[KCPanicsRecovered])
-	ev.MonoKernels = deltaClamp(kc[KCMonoKernels], ev.kcBefore[KCMonoKernels])
-	ev.ClosureFalls = deltaClamp(kc[KCClosureFallbacks], ev.kcBefore[KCClosureFallbacks])
-	ev.FormatConvs = deltaClamp(kc[KCFormatConversions], ev.kcBefore[KCFormatConversions])
+	for i, v := range readCounters() {
+		ev.Counters[i] = max(v-ev.Counters[i], 0)
+	}
 	if err != nil {
 		ev.Err = err.Error()
 	}
 	emit(ev)
-}
-
-// deltaClamp returns after-before, clamped at zero: a concurrent group Reset
-// between Begin and End must not produce a negative per-call delta.
-func deltaClamp(after, before int64) int64 {
-	if d := after - before; d > 0 {
-		return d
-	}
-	return 0
 }
 
 // Span is an open sequence span: one deferred-sequence drain from the first

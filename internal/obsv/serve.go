@@ -1,10 +1,6 @@
 package obsv
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The serve-stats registry is the serving layer's operational dashboard:
 // named gauges and counters for the overload-protection machinery — memory
@@ -18,57 +14,16 @@ import (
 // Names are dotted paths ("govern.live_bytes", "limiter.window.gold",
 // "breaker.state.gold"); the full map lands in the metrics Handler document
 // under "serve".
-
-var serveRegistry sync.Map // name -> *atomic.Int64
-
-// serveCell returns the counter cell for name, creating it on first use.
-func serveCell(name string) *atomic.Int64 {
-	if v, ok := serveRegistry.Load(name); ok {
-		return v.(*atomic.Int64)
-	}
-	v, _ := serveRegistry.LoadOrStore(name, &atomic.Int64{})
-	return v.(*atomic.Int64)
-}
+var serveRegistry table[atomic.Int64]
 
 // ServeSet records a gauge observation: the named cell is set to v.
-func ServeSet(name string, v int64) { serveCell(name).Store(v) }
+func ServeSet(name string, v int64) { serveRegistry.get(name).Store(v) }
 
 // ServeAdd folds delta into the named counter and returns the new total.
-func ServeAdd(name string, delta int64) int64 { return serveCell(name).Add(delta) }
-
-// ServeGet returns the named cell's current value (0 if never recorded).
-func ServeGet(name string) int64 {
-	if v, ok := serveRegistry.Load(name); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
-}
+func ServeAdd(name string, delta int64) int64 { return serveRegistry.get(name).Add(delta) }
 
 // ServeSnapshot returns every serve-stats cell by name.
-func ServeSnapshot() map[string]int64 {
-	out := make(map[string]int64)
-	serveRegistry.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
-}
-
-// ServeNames returns the recorded cell names in sorted order.
-func ServeNames() []string {
-	var names []string
-	serveRegistry.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
-		return true
-	})
-	sort.Strings(names)
-	return names
-}
+func ServeSnapshot() map[string]int64 { return snapshot(&serveRegistry, (*atomic.Int64).Load) }
 
 // ResetServe drops every serve-stats cell.
-func ResetServe() {
-	serveRegistry.Range(func(k, _ any) bool {
-		serveRegistry.Delete(k)
-		return true
-	})
-}
+func ResetServe() { serveRegistry.reset() }

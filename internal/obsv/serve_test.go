@@ -6,15 +6,15 @@ import (
 )
 
 // TestServeStatsBasics covers the gauge/counter surface: set overwrites,
-// add accumulates and returns the total, get reads without creating, and
-// snapshot/names/reset see every cell.
+// add accumulates and returns the total, a snapshot reads without creating,
+// and the snapshot, the sorted names and reset see every cell.
 func TestServeStatsBasics(t *testing.T) {
 	ResetServe()
 	t.Cleanup(ResetServe)
 
 	ServeSet("govern.live_bytes", 1234)
 	ServeSet("govern.live_bytes", 99)
-	if got := ServeGet("govern.live_bytes"); got != 99 {
+	if got := ServeSnapshot()["govern.live_bytes"]; got != 99 {
 		t.Fatalf("gauge = %d, want 99 (set overwrites)", got)
 	}
 	if got := ServeAdd("govern.sheds", 2); got != 2 {
@@ -23,14 +23,14 @@ func TestServeStatsBasics(t *testing.T) {
 	if got := ServeAdd("govern.sheds", 3); got != 5 {
 		t.Fatalf("add total = %d, want 5", got)
 	}
-	if got := ServeGet("never.recorded"); got != 0 {
+	if got := ServeSnapshot()["never.recorded"]; got != 0 {
 		t.Fatalf("unrecorded cell = %d, want 0", got)
 	}
 	snap := ServeSnapshot()
 	if snap["govern.live_bytes"] != 99 || snap["govern.sheds"] != 5 {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	names := ServeNames()
+	names := serveRegistry.names()
 	if len(names) != 2 || names[0] != "govern.live_bytes" || names[1] != "govern.sheds" {
 		t.Fatalf("names = %v", names)
 	}
@@ -58,7 +58,7 @@ func TestServeStatsConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := ServeGet("limiter.sheds.t"); got != workers*iters {
+	if got := ServeSnapshot()["limiter.sheds.t"]; got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
 }

@@ -207,23 +207,10 @@ func (t *traceSession) marshal() ([]byte, error) {
 		if ev.Flops != 0 {
 			args["flops"] = ev.Flops
 		}
-		if ev.ScratchBytes != 0 {
-			args["scratch_bytes"] = ev.ScratchBytes
-		}
-		if ev.DenseRanges != 0 {
-			args["dense_ranges"] = ev.DenseRanges
-		}
-		if ev.HashRanges != 0 {
-			args["hash_ranges"] = ev.HashRanges
-		}
-		if ev.PushCalls != 0 {
-			args["push_calls"] = ev.PushCalls
-		}
-		if ev.PullCalls != 0 {
-			args["pull_calls"] = ev.PullCalls
-		}
-		if ev.TransposeMats != 0 {
-			args["transpose_mats"] = ev.TransposeMats
+		for i, v := range ev.Counters {
+			if v != 0 {
+				args[counterNames[i]] = v
+			}
 		}
 		if ev.Steps != 0 {
 			args["steps"] = ev.Steps

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/grblas/grb/gen"
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // Kernel-level microbenchmarks: the raw substrate costs underneath the
@@ -109,14 +110,14 @@ func BenchmarkKernelSpGEMMHypersparse(b *testing.B) {
 		for _, threads := range []int{1, 4} {
 			b.Run(fmt.Sprintf("kernel=%s/threads=%d", tc.name, threads), func(b *testing.B) {
 				b.ReportAllocs()
-				ResetKernelCounts()
+				obsv.ResetCounters()
 				for i := 0; i < b.N; i++ {
 					closureSpGEMM(a, a, mulF, addF, Mask{}, threads, tc.kern)
 				}
-				dense, hash := KernelCounts()
+				dense, hash := obsv.DenseRanges.Load(), obsv.HashRanges.Load()
 				b.ReportMetric(float64(dense)/float64(b.N), "dense-ranges/op")
 				b.ReportMetric(float64(hash)/float64(b.N), "hash-ranges/op")
-				b.ReportMetric(float64(ScratchBytes())/float64(b.N), "scratch-B/op")
+				b.ReportMetric(float64(obsv.ScratchBytes.Load())/float64(b.N), "scratch-B/op")
 			})
 		}
 	}
@@ -139,11 +140,11 @@ func BenchmarkKernelSpMVHypersparse(b *testing.B) {
 	}{{"dense", KernelDense}, {"hash", KernelHash}, {"auto", KernelAuto}} {
 		b.Run("kernel="+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			ResetKernelCounts()
+			obsv.ResetCounters()
 			for i := 0; i < b.N; i++ {
 				closureSpMV(a, u, mulF, addF, VMask{}, 4, tc.kern)
 			}
-			b.ReportMetric(float64(ScratchBytes())/float64(b.N), "scratch-B/op")
+			b.ReportMetric(float64(obsv.ScratchBytes.Load())/float64(b.N), "scratch-B/op")
 		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // Regression tests for the budgetcheck sweep: row-scaled stitch tables used
@@ -62,10 +64,10 @@ func TestMonoSpGEMMStitchTableIsBudgeted(t *testing.T) {
 
 	// The family loop's stitch table is charged under its own site; the
 	// counter proves the family loop, not the closure one, took the call.
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	small := NewBudget(4096).Tx()
 	_, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 1, Tx: small}, KernelAuto)
-	if mono, _ := MonoCounts(); mono != 1 {
+	if mono := obsv.MonoKernels.Load(); mono != 1 {
 		t.Fatal("the product did not take the float64 plus-times family loop")
 	}
 	if !errors.Is(err, ErrBudget) {

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"unsafe"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // The three resident forms of a vector and the two doors their readers take
@@ -114,8 +116,8 @@ func (v *Vec[T]) memoView(e *Exec, bytes int64, build func() *Vec[T]) (*Vec[T], 
 		}
 	}
 	d := build()
-	formatConversions.Add(1)
-	scratchBytes.Add(bytes)
+	obsv.FormatConversions.Add(1)
+	obsv.ScratchBytes.Add(bytes)
 	DebugCheckVec(d, "Vec.view")
 	v.view.Store(d)
 	return d, nil

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // Helpers of the differential tests: random operands, bit-exact comparison.
@@ -103,11 +105,11 @@ func TestAdaptiveSelectionRoutes(t *testing.T) {
 	a := sprayCSR(rng, 200, 200, 300, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	b := sprayCSR(rng, 200, 5000, 300, func(r *rand.Rand) int { return 1 + r.Intn(9) })
 	var rt Route
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, a, b, mul, add, Mask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelAuto); err != nil {
 		t.Fatal(err)
 	}
-	if dense, hash := KernelCounts(); hash == 0 || dense != 0 {
+	if dense, hash := obsv.DenseRanges.Load(), obsv.HashRanges.Load(); hash == 0 || dense != 0 {
 		t.Fatalf("hypersparse product routed dense=%d hash=%d, want hash only", dense, hash)
 	}
 	if want := (Route{Acc: AccHash, Reason: ReasonFewFlops, Workers: 4}); rt != want {
@@ -117,11 +119,11 @@ func TestAdaptiveSelectionRoutes(t *testing.T) {
 	// Dense regime: every row's flop bound rivals the 40-wide output, so
 	// every range does far more flops than it has columns.
 	c := sprayCSR(rng, 40, 40, 800, func(r *rand.Rand) int { return 1 + r.Intn(9) })
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	if _, err := SpGEMMSemiEx(SemiGeneric, SpecAuto, c, c, mul, add, Mask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelAuto); err != nil {
 		t.Fatal(err)
 	}
-	if dense, hash := KernelCounts(); dense == 0 || hash != 0 {
+	if dense, hash := obsv.DenseRanges.Load(), obsv.HashRanges.Load(); dense == 0 || hash != 0 {
 		t.Fatalf("dense-regime product routed dense=%d hash=%d, want dense only", dense, hash)
 	}
 	if want := (Route{Acc: AccDense, Reason: ReasonDenseWork, Workers: 4}); rt != want {
@@ -162,11 +164,11 @@ func TestSpanTelemetryOverRowRanges(t *testing.T) {
 	pivot := int64(b.NNZ()) // row 0's flops: one per stored entry of b
 
 	for _, semi := range []Semi{SemiGeneric, SemiPlusTimes} {
-		ResetKernelCounts()
+		obsv.ResetCounters()
 		if _, err := SpGEMMSemiEx(semi, SpecAuto, a, b, mul, add, Mask{}, par(threads), KernelDense); err != nil {
 			t.Fatal(err)
 		}
-		span, gotWork := SpanFlops()
+		span, gotWork := obsv.SpanFlops.Load(), obsv.WorkFlops.Load()
 		if gotWork != work {
 			t.Fatalf("%s: work = %d, want the exact flop count %d", semi, gotWork, work)
 		}
@@ -177,8 +179,8 @@ func TestSpanTelemetryOverRowRanges(t *testing.T) {
 			t.Fatalf("%s: span %d is balanced (work %d / %d threads) despite the unsplittable pivot row", semi, span, work, threads)
 		}
 	}
-	ResetKernelCounts()
-	if span, w := SpanFlops(); span != 0 || w != 0 {
+	obsv.ResetCounters()
+	if span, w := obsv.SpanFlops.Load(), obsv.WorkFlops.Load(); span != 0 || w != 0 {
 		t.Fatalf("ResetKernelCounts left span=%d work=%d", span, w)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"github.com/grblas/grb/internal/faults"
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/parallel"
 )
 
@@ -384,10 +385,10 @@ func panicToError(r any) error {
 		if ab, ok := t.Value.(abortPanic); ok {
 			return ab.err
 		}
-		panicsRecovered.Add(1)
+		obsv.PanicsRecovered.Add(1)
 		return &KernelPanic{Value: t.Value, Stack: t.Stack}
 	}
-	panicsRecovered.Add(1)
+	obsv.PanicsRecovered.Add(1)
 	return &KernelPanic{Value: r}
 }
 

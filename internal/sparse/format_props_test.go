@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // The vector views' cache and budget contracts. That a view holds its
@@ -16,7 +18,7 @@ import (
 func TestFormatViewCaching(t *testing.T) {
 	rng := rand.New(rand.NewSource(progSeed(t)))
 	v := sprayVec(rng, 100, 2, func(r *rand.Rand) float64 { return r.NormFloat64() })
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	dv1, err := v.DenseViewEx(Exec{})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +30,7 @@ func TestFormatViewCaching(t *testing.T) {
 	if &dv1.Val[0] != &dv2.Val[0] || &dv1.Bit[0] != &dv2.Bit[0] {
 		t.Fatal("second DenseViewEx did not return the cached view")
 	}
-	if got := FormatConversionCount(); got != 1 {
+	if got := obsv.FormatConversions.Load(); got != 1 {
 		t.Fatalf("conversions = %d, want 1", got)
 	}
 
@@ -67,7 +69,7 @@ func TestFormatViewBudget(t *testing.T) {
 	}
 
 	full := fullVec(rng, 1000, mk)
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	tiny := NewBudget(16)
 	dv, err := full.DenseViewEx(Exec{Tx: tiny.Tx()})
 	if err != nil {
@@ -76,7 +78,7 @@ func TestFormatViewBudget(t *testing.T) {
 	if dv.Bit != nil || &dv.Val[0] != &full.Val[0] {
 		t.Fatal("a full vector's view does not alias its values")
 	}
-	if conv, used, scratch := FormatConversionCount(), tiny.Used(), scratchBytes.Load(); conv != 0 || used != 0 || scratch != 0 {
+	if conv, used, scratch := obsv.FormatConversions.Load(), tiny.Used(), obsv.ScratchBytes.Load(); conv != 0 || used != 0 || scratch != 0 {
 		t.Fatalf("a full vector's view cost %d conversions, %d charged bytes, %d scratch bytes; want 0, 0, 0", conv, used, scratch)
 	}
 }

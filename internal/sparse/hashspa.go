@@ -1,6 +1,9 @@
 package sparse
 
-import "github.com/grblas/grb/internal/parallel"
+import (
+	"github.com/grblas/grb/internal/obsv"
+	"github.com/grblas/grb/internal/parallel"
+)
 
 // SpGEMMFlops is the symbolic pass of the adaptive SpGEMM: it returns the
 // prefix array fptr (length a.Rows+1, fptr[0]=0) of per-row flop upper
@@ -53,7 +56,7 @@ func (h *hashAccum[C]) ensure(n int) {
 	}
 	h.vals = make([]C, c)
 	h.mask = c - 1
-	scratchBytes.Add(int64(c) * slotBytes[C]())
+	obsv.ScratchBytes.Add(int64(c) * slotBytes[C]())
 }
 
 // slot returns the slot holding key j, or the empty slot where j belongs.
@@ -95,7 +98,7 @@ func newHashLookup[T any](v *Vec[T]) *hashLookup[T] {
 	for i := range h.keys {
 		h.keys[i] = -1
 	}
-	scratchBytes.Add(int64(c) * slotBytes[T]())
+	obsv.ScratchBytes.Add(int64(c) * slotBytes[T]())
 	v.Each(func(j int, x T) bool {
 		h.put(j, x)
 		return true

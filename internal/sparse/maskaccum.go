@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"github.com/grblas/grb/internal/faults"
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // Mask bundles an optional boolean mask matrix with the descriptor flags
@@ -101,7 +102,7 @@ func vmaskBitmap(mask VMask, n int, e Exec, site *faults.Site) (admit []bool, fl
 	}
 	e.mustCharge(site, int64(n))
 	admit = make([]bool, n)
-	scratchBytes.Add(int64(n))
+	obsv.ScratchBytes.Add(int64(n))
 	if comp {
 		for i := range admit {
 			admit[i] = true

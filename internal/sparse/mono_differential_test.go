@@ -3,6 +3,8 @@ package sparse
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // Helpers of the family-loop tests. The family loop bodies (monokernels.go)
@@ -144,7 +146,7 @@ func TestMonoRoutingGates(t *testing.T) {
 	} {
 		a := tc.a
 		var rt Route
-		ResetKernelCounts()
+		obsv.ResetCounters()
 		got, err := SpMVSemiEx(tc.semi, SpecAuto, a, tc.vec, mul, add, VMask{}, Exec{Threads: 2, Grain: 1, Route: &rt}, tc.hint)
 		if err != nil {
 			t.Fatal(err)
@@ -152,11 +154,11 @@ func TestMonoRoutingGates(t *testing.T) {
 		if tc.want.Workers = 2; rt != tc.want {
 			t.Fatalf("%s: route %+v, want %+v", tc.name, rt, tc.want)
 		}
-		mono, closure := MonoCounts()
+		mono, closure := obsv.MonoKernels.Load(), obsv.ClosureFallbacks.Load()
 		if (mono == 1) != rt.Family || (closure == 1) == rt.Family {
 			t.Fatalf("%s: mono=%d closure=%d for route %+v", tc.name, mono, closure, rt)
 		}
-		dense, hash := KernelCounts()
+		dense, hash := obsv.DenseRanges.Load(), obsv.HashRanges.Load()
 		if (dense == 1) != (rt.Acc == AccDense) || (hash == 1) != (rt.Acc == AccHash) {
 			t.Fatalf("%s: dense=%d hash=%d for route %+v", tc.name, dense, hash, rt)
 		}
@@ -167,7 +169,7 @@ func TestMonoRoutingGates(t *testing.T) {
 		if dv != nil && dv.Bit == nil {
 			t.Fatalf("%s: a memoized view without a bitmap", tc.name)
 		}
-		if conv, scratch := FormatConversionCount(), ScratchBytes(); (conv != 0) != (dv != nil) || tc.wantFull && scratch != 0 {
+		if conv, scratch := obsv.FormatConversions.Load(), obsv.ScratchBytes.Load(); (conv != 0) != (dv != nil) || tc.wantFull && scratch != 0 {
 			t.Fatalf("%s: %d conversions, %d scratch bytes with view materialized = %v", tc.name, conv, scratch, dv != nil)
 		}
 		identicalVec(t, tc.name, got, closureSpMV(a, tc.vec, mul, add, VMask{}, 2, KernelAuto))
@@ -180,13 +182,13 @@ func TestMonoRoutingGates(t *testing.T) {
 	um := fullVec(rng, 16, func(r *rand.Rand) myF { return myF(r.Intn(9)) })
 	mulM := func(a, b myF) myF { return a * b }
 	addM := func(a, b myF) myF { return a + b }
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	got, err := SpMVSemiEx(SemiPlusTimes, SpecAuto, am, um, mulM, addM, VMask{}, par(2), KernelAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	identicalVec(t, "named-type", got, closureSpMV(am, um, mulM, addM, VMask{}, 2, KernelAuto))
-	if mono, _ := MonoCounts(); mono != 0 {
+	if mono := obsv.MonoKernels.Load(); mono != 0 {
 		t.Fatalf("named element type reached a monomorphized kernel (mono=%d)", mono)
 	}
 }

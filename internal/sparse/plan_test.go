@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // TestPlan is the routing policy as one table: every statistics-, pin- or
@@ -423,12 +425,12 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 	}
 	u := &Vec[int]{N: n, Ind: front, Val: []int{1, 1}}
 	var rt Route
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	if _, err := vxmSemi(SemiGeneric, u, a, mul, add, VMask{}, Exec{Threads: 4, Route: &rt}, KernelDense); err != nil {
 		t.Fatal(err)
 	}
 	oneSPA := int64(n) * int64(unsafe.Sizeof(int(0))+1)
-	if got := ScratchBytes(); got != oneSPA || rt.Workers != 1 {
+	if got := obsv.ScratchBytes.Load(); got != oneSPA || rt.Workers != 1 {
 		t.Errorf("a 2-vertex frontier at 4 threads: %d B of scratch on %d workers, want one %d B SPA on 1",
 			got, rt.Workers, oneSPA)
 	}
@@ -438,17 +440,17 @@ func TestForkIsSizedByCountedWork(t *testing.T) {
 	if _, err := vxmSemi(SemiGeneric, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1, Route: &rt}, KernelDense); err != nil {
 		t.Fatal(err)
 	}
-	if got := ScratchBytes() - oneSPA; got != oneSPA || rt.Workers != 4 {
+	if got := obsv.ScratchBytes.Load() - oneSPA; got != oneSPA || rt.Workers != 4 {
 		t.Errorf("the same frontier at grain 1: %d B of scratch on %d workers, want one SPA's on 4", got, rt.Workers)
 	}
 	// Unpinned, ten products take a table that one worker fills.
 	rt = Route{}
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	if _, err := VxMSemiEx(SemiGeneric, SpecAuto, u, a, mul, add, VMask{}, Exec{Threads: 4, Grain: 1, Route: &rt}); err != nil {
 		t.Fatal(err)
 	}
 	table := int64(hashCapacity(listedWork(a.Ptr, u.Ind, 0, math.MaxInt))) * slotBytes[int]()
-	if got := ScratchBytes(); got != table || rt.Workers != 1 || rt.Acc != AccHash {
+	if got := obsv.ScratchBytes.Load(); got != table || rt.Workers != 1 || rt.Acc != AccHash {
 		t.Errorf("the same frontier unpinned: %d B of scratch on %d workers, route %+v; want a %d B table on 1", got, rt.Workers, rt, table)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/grblas/grb/gen"
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // The product tests that are not oracles: the routing a dispatch lands on,
@@ -48,12 +49,12 @@ func TestChoosePushRouting(t *testing.T) {
 		return out, rt
 	}
 
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	u = &Vec[int]{N: n, Ind: []int{3, 77, 200}, Val: []int{1, 2, 3}}
 	if _, rt := dispatch(VMask{}); !rt.Push {
 		t.Fatalf("sparse frontier: route %+v, want the push scaffold", rt)
 	}
-	if push, pull := DirectionCounts(); push != 1 || pull != 0 {
+	if push, pull := obsv.PushCalls.Load(), obsv.PullCalls.Load(); push != 1 || pull != 0 {
 		t.Fatalf("sparse frontier: push=%d pull=%d, want the push scaffold", push, pull)
 	}
 	// 200 frontier entries: pushCut·200 >= 320 rows + the mask's 4 listed rows.
@@ -61,11 +62,11 @@ func TestChoosePushRouting(t *testing.T) {
 	for k := range u.Ind {
 		u.Ind[k], u.Val[k] = k*8/5, 1+k%7
 	}
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	pushed, _ := dispatch(VMask{})
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	pulled, rt := dispatch(VMask{M: sparseMask})
-	if push, pull := DirectionCounts(); push != 0 || pull != 1 || rt.Push {
+	if push, pull := obsv.PushCalls.Load(), obsv.PullCalls.Load(); push != 0 || pull != 1 || rt.Push {
 		t.Fatalf("dense frontier, sparse mask: push=%d pull=%d route %+v, want the pull scaffold", push, pull, rt)
 	}
 	if want := (Route{Acc: AccDense, Reason: ReasonDenseWork, Workers: 2}); rt != want {
@@ -86,21 +87,21 @@ func TestDirectionCounters(t *testing.T) {
 	mul := func(x, y int) int { return x * y }
 	add := func(x, y int) int { return x + y }
 
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	closureVxM(u, a, mul, add, VMask{}, 2)
 	closureSpMV(a, u, mul, add, VMask{}, 2, KernelAuto)
 	closureSpMV(a, u, mul, add, VMask{}, 2, KernelAuto)
-	push, pull := DirectionCounts()
+	push, pull := obsv.PushCalls.Load(), obsv.PullCalls.Load()
 	if push != 1 || pull != 2 {
 		t.Fatalf("DirectionCounts = (%d, %d), want (1, 2)", push, pull)
 	}
 	Transpose(a)
-	if TransposeCount() == 0 {
+	if obsv.TransposeMats.Load() == 0 {
 		t.Fatal("Transpose did not bump the materialization counter")
 	}
-	ResetKernelCounts()
-	push, pull = DirectionCounts()
-	if push != 0 || pull != 0 || TransposeCount() != 0 {
+	obsv.ResetCounters()
+	push, pull = obsv.PushCalls.Load(), obsv.PullCalls.Load()
+	if push != 0 || pull != 0 || obsv.TransposeMats.Load() != 0 {
 		t.Fatal("ResetKernelCounts did not clear the direction/transpose counters")
 	}
 }
@@ -113,19 +114,19 @@ func TestTransposeCachedMemoization(t *testing.T) {
 	rng := rand.New(rand.NewSource(progSeed(t)))
 	a := sprayCSR(rng, 30, 40, 100, func(r *rand.Rand) int { return r.Intn(100) })
 
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	t1 := TransposeCached(a)
 	t2 := TransposeCached(a)
 	if t1 != t2 {
 		t.Fatal("TransposeCached returned distinct objects for the same CSR")
 	}
-	if got := TransposeCount(); got != 1 {
+	if got := obsv.TransposeMats.Load(); got != 1 {
 		t.Fatalf("two cached calls materialized %d times, want 1", got)
 	}
 	if back := TransposeCached(t1); back != a {
 		t.Fatal("(Aᵀ)ᵀ did not return the original CSR from the cache")
 	}
-	if got := TransposeCount(); got != 1 {
+	if got := obsv.TransposeMats.Load(); got != 1 {
 		t.Fatalf("round-trip materialized %d times, want 1", got)
 	}
 	// The cached view must be the actual transpose.
@@ -183,11 +184,11 @@ func TestPushFewProductsAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ResetKernelCounts()
+	obsv.ResetCounters()
 	push()
 	products := a.Ptr[src+1] - a.Ptr[src]
-	if table := int64(hashCapacity(products)) * slotBytes[float64](); rt.Acc != AccHash || ScratchBytes() != table {
-		t.Fatalf("a %d-product push took %+v and %d B of scratch, want a %d B table", products, rt, ScratchBytes(), table)
+	if table := int64(hashCapacity(products)) * slotBytes[float64](); rt.Acc != AccHash || obsv.ScratchBytes.Load() != table {
+		t.Fatalf("a %d-product push took %+v and %d B of scratch, want a %d B table", products, rt, obsv.ScratchBytes.Load(), table)
 	}
 	if used := allocatedBytes(push); used > 8<<10 {
 		t.Errorf("a %d-product push allocated %d B, want <= 8 KB", products, used)

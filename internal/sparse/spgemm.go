@@ -3,6 +3,7 @@ package sparse
 import (
 	"sort"
 
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/parallel"
 )
 
@@ -68,9 +69,9 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 	defer func() {
 		call = mergeRanges(call, ran)
 		if call.Family {
-			monoKernels.Add(1)
+			obsv.MonoKernels.Add(1)
 		} else {
-			closureFallbacks.Add(1)
+			obsv.ClosureFallbacks.Add(1)
 		}
 		e.note(call)
 	}()
@@ -145,12 +146,12 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 		}
 		rt := planRange(in)
 		if rt.Reason.Budget() {
-			budgetDegrades.Add(1)
+			obsv.BudgetDegrades.Add(1)
 		}
 		rt.Family = rowLoop != nil && rt.Acc == AccDense && !rt.MaskFirst
 		ran[part] = rt
 		if rt.Acc == AccHash {
-			hashRanges.Add(1)
+			obsv.HashRanges.Add(1)
 			e.mustCharge(siteSpGEMMHash, hashBytes)
 			var h hashAccum[C]
 			h.ensure(maxFlops)
@@ -193,14 +194,14 @@ func SpGEMMSemiEx[A, B, C any](semi Semi, _ Spec, a *CSR[A], b *CSR[B],
 			pInd[part], pVal[part] = ind, val
 			return
 		}
-		denseRanges.Add(1)
+		obsv.DenseRanges.Add(1)
 		e.mustCharge(spaSite, denseBytes)
 		spa := make([]C, b.Cols)
 		// Generation marks, two per row. Mask-first: 2i+1 admitted and still
 		// empty, 2i+2 admitted and filled. Otherwise: 2i+1 counted by the
 		// symbolic pass, 2i+2 holds a value.
 		stamp := make([]int, b.Cols)
-		scratchBytes.Add(denseBytes)
+		obsv.ScratchBytes.Add(denseBytes)
 		if rt.MaskFirst {
 			ind = make([]int, 0, in.maskNNZ)
 			val = make([]C, 0, in.maskNNZ)

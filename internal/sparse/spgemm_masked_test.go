@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // TestDifferentialMaskedSpGEMM: however a range applies the mask — before
@@ -217,12 +219,12 @@ func TestMaskFirstHitBuffer(t *testing.T) {
 		identicalCSR(t, "hash", closureSpGEMM(a, b, mul, add, mask, 1, KernelHash), want)
 		for _, threads := range []int{1, 2, 4} {
 			var rt Route
-			ResetKernelCounts()
+			obsv.ResetCounters()
 			got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, b, mul, add, mask, Exec{Threads: threads, Grain: 1, Route: &rt}, KernelAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dense, _ := KernelCounts(); !rt.MaskFirst || dense != int64(threads) {
+			if dense := obsv.DenseRanges.Load(); !rt.MaskFirst || dense != int64(threads) {
 				t.Fatalf("threads=%d: route %+v over %d dense ranges, want mask-first over %d", threads, rt, dense, threads)
 			}
 			identicalCSR(t, fmt.Sprintf("structural=%v threads=%d", mask.Structural, threads), got, want)
@@ -305,7 +307,7 @@ func TestMaskedSpGEMMReportsWhatRan(t *testing.T) {
 		{"mask-first", Mask{M: boolCSR(a), Structural: true}, Route{Acc: AccDense, MaskFirst: true, Reason: ReasonMaskFirst}},
 	} {
 		var rt Route
-		ResetKernelCounts()
+		obsv.ResetCounters()
 		got, err := SpGEMMSemiEx(SemiPlusTimes, SpecAuto, a, a, mul, add, tc.mask, Exec{Threads: 2, Grain: 1, Route: &rt}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
@@ -313,10 +315,10 @@ func TestMaskedSpGEMMReportsWhatRan(t *testing.T) {
 		if tc.want.Workers = 2; rt != tc.want {
 			t.Fatalf("%s: route %+v, want %+v", tc.name, rt, tc.want)
 		}
-		if mono, closure := MonoCounts(); (mono == 1) != rt.Family || mono+closure != 1 {
+		if mono, closure := obsv.MonoKernels.Load(), obsv.ClosureFallbacks.Load(); (mono == 1) != rt.Family || mono+closure != 1 {
 			t.Fatalf("%s: mono=%d closure=%d for route %+v", tc.name, mono, closure, rt)
 		}
-		if dense, hash := KernelCounts(); dense != 2 || hash != 0 {
+		if dense, hash := obsv.DenseRanges.Load(), obsv.HashRanges.Load(); dense != 2 || hash != 0 {
 			t.Fatalf("%s: %d dense and %d hash ranges, want two dense", tc.name, dense, hash)
 		}
 		identicalCSR(t, tc.name, got, closureSpGEMM(a, a, mul, add, tc.mask, 1, KernelHash))

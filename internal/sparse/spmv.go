@@ -5,6 +5,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/parallel"
 )
 
@@ -69,7 +70,7 @@ const accumBlock = 256
 func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y, add func(Y, Y) Y,
 	mask VMask, c *Vec[Y], accum func(Y, Y) Y, accOp Bin, e Exec, hint Kernel) (out *Vec[Y], err error) {
 	defer recoverExec(&err)
-	pullCalls.Add(1)
+	obsv.PullCalls.Add(1)
 	rows := familyLoop[func(*CSR[A], []X, []bool, func(int) bool, []int, []Y, int, int) ([]int, []Y)](spmvLoops[:], semi)
 	viewBytes := u.viewBytes()
 	viewCost := viewBytes // what the dense gather has yet to charge
@@ -93,22 +94,22 @@ func SpMVAccumEx[A, X, Y any](semi Semi, a *CSR[A], u *Vec[X], mul func(A, X) Y,
 	rt := planPull(in)
 	e.note(rt)
 	if rt.Reason.Budget() {
-		budgetDegrades.Add(1)
+		obsv.BudgetDegrades.Add(1)
 	}
 	if rt.Family {
-		monoKernels.Add(1)
+		obsv.MonoKernels.Add(1)
 	} else {
-		closureFallbacks.Add(1)
+		obsv.ClosureFallbacks.Add(1)
 	}
 	var h *hashLookup[X] // the hash gather, or
 	var dval []X         // the dense one: u's view slots and,
 	var dbit []bool      // unless u is full, its presence bitmap
 	if rt.Acc == AccHash {
-		hashRanges.Add(1)
+		obsv.HashRanges.Add(1)
 		e.mustCharge(siteSpMVHash, hashBytes)
 		h = newHashLookup(u)
 	} else {
-		denseRanges.Add(1)
+		obsv.DenseRanges.Add(1)
 		dv, derr := u.DenseViewEx(e)
 		if derr != nil {
 			return nil, derr
@@ -338,7 +339,7 @@ func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 	if u, err = u.sortedEx(e); err != nil {
 		return nil, err
 	}
-	pushCalls.Add(1)
+	obsv.PushCalls.Add(1)
 	scatter := familyLoop[func(*Vec[X], *CSR[A], []bool, bool, []Y, []bool, int, int)](vxmLoops[:], semi)
 	products := listedWork(a.Ptr, u.Ind, 0, math.MaxInt)
 	var zero Y
@@ -359,14 +360,14 @@ func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 	}
 	e.note(rt)
 	if rt.Reason.Budget() {
-		budgetDegrades.Add(1)
+		obsv.BudgetDegrades.Add(1)
 	}
 	spaSite := siteVxMSpa
 	if rt.Family {
-		monoKernels.Add(1)
+		obsv.MonoKernels.Add(1)
 		spaSite = siteMonoSpa
 	} else {
-		closureFallbacks.Add(1)
+		obsv.ClosureFallbacks.Add(1)
 	}
 	work := products
 	if rt.Acc == AccHash {
@@ -394,7 +395,7 @@ func vxmSemi[X, A, Y any](semi Semi, u *Vec[X], a *CSR[A],
 	parts := parallel.Ranges(a.Cols, threads)
 	e.mustCharge(spaSite, spaBytes)
 	spa, mark := make([]Y, a.Cols), make([]bool, a.Cols)
-	scratchBytes.Add(spaBytes)
+	obsv.ScratchBytes.Add(spaBytes)
 	family := rt.Family
 	parallel.Run(parts, threads, func(part, lo, hi int) {
 		if family {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"sync"
 
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/parallel"
 )
 
@@ -79,7 +80,7 @@ func transposeGuarded[T any](a *CSR[T]) (out *CSR[T], err error) {
 // entries are scattered. The scatter preserves row order within each output
 // row, so column indices stay sorted. O(nnz + rows + cols).
 func Transpose[T any](a *CSR[T]) *CSR[T] {
-	transposeMats.Add(1)
+	obsv.TransposeMats.Add(1)
 	out := &CSR[T]{Rows: a.Cols, Cols: a.Rows,
 		Ptr: make([]int, a.Cols+1),
 		Ind: make([]int, a.NNZ()),

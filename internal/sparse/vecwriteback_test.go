@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // TestVecHeaderSize: every vector result allocates a Vec header, which stays
@@ -75,14 +77,14 @@ func TestVecKernelAllocationPins(t *testing.T) {
 	}
 	times := func(x, y float64) float64 { return x * y }
 	plus := func(x, y float64) float64 { return x + y }
-	before, _ := MonoCounts()
+	before := obsv.MonoKernels.Load()
 	pin("unmasked mono plus-times SpMV, one thread, cached view (a value array, its flags and a block buffer)", 9*n+16*accumBlock+1024, func() {
 		sink, err = SpMVSemiEx(SemiPlusTimes, SpecAuto, a, u, times, plus, VMask{}, Exec{Threads: 1}, KernelAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
-	if after, _ := MonoCounts(); after == before {
+	if after := obsv.MonoKernels.Load(); after == before {
 		t.Fatal("the product did not take the monomorphized route; the pin measured the wrong kernel")
 	}
 	if !sink.full() || cap(sink.Val) != n {

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/grblas/grb/internal/sparse"
+	"github.com/grblas/grb/internal/obsv"
 )
 
 // Public-API semantics of the monomorphized hot-semiring kernels: a
@@ -93,7 +93,7 @@ func TestMonoKernelCounters(t *testing.T) {
 	if mono == 0 {
 		t.Fatal("a PlusTimes pull did not tick the mono kernel counter")
 	}
-	conv := sparse.FormatConversionCount()
+	conv := obsv.FormatConversions.Load()
 	if conv == 0 {
 		t.Fatal("a PlusTimes pull did not materialize a block view")
 	}
@@ -102,7 +102,7 @@ func TestMonoKernelCounters(t *testing.T) {
 	w2 := ck1(NewVector[float64](32))
 	ck(MxV(w2, nil, nil, PlusTimes[float64](), a, u, DescPull))
 	ck(w2.Wait(Materialize))
-	if got := sparse.FormatConversionCount(); got != conv {
+	if got := obsv.FormatConversions.Load(); got != conv {
 		t.Fatalf("unchanged frontier re-materialized its block view: %d -> %d conversions", conv, got)
 	}
 	identicalVectors(t, "cached-view", w2, w)
@@ -122,7 +122,7 @@ func TestMonoKernelCounters(t *testing.T) {
 	ResetKernelCounts()
 	ck(MxV(wf, nil, nil, PlusTimes[float64](), af, uf, DescPull))
 	ck(wf.Wait(Materialize))
-	if conv, scratch, peak := sparse.FormatConversionCount(), KernelScratchBytes(), ctx.MemoryPeak(); conv != 0 || scratch != 0 || peak != 0 {
+	if conv, scratch, peak := obsv.FormatConversions.Load(), KernelScratchBytes(), ctx.MemoryPeak(); conv != 0 || scratch != 0 || peak != 0 {
 		t.Fatalf("a full frontier cost %d conversions, %d scratch bytes, %d charged bytes; want 0, 0, 0", conv, scratch, peak)
 	}
 }
@@ -144,7 +144,7 @@ func TestMonoViewCoherence(t *testing.T) {
 	w1 := ck1(NewVector[float64](32))
 	ck(MxV(w1, nil, nil, PlusTimes[float64](), a, u, DescPull))
 	ck(w1.Wait(Materialize))
-	conv := sparse.FormatConversionCount()
+	conv := obsv.FormatConversions.Load()
 	if conv == 0 {
 		t.Fatal("first specialized pull did not materialize a block view")
 	}
@@ -155,7 +155,7 @@ func TestMonoViewCoherence(t *testing.T) {
 	w2 := ck1(NewVector[float64](32))
 	ck(MxV(w2, nil, nil, PlusTimes[float64](), a, u, DescPull))
 	ck(w2.Wait(Materialize))
-	if got := sparse.FormatConversionCount(); got <= conv {
+	if got := obsv.FormatConversions.Load(); got <= conv {
 		t.Fatalf("mutated frontier did not re-materialize its block view (%d -> %d conversions)", conv, got)
 	}
 	wg := ck1(NewVector[float64](32))

@@ -3,6 +3,7 @@ package grb
 import (
 	"errors"
 
+	"github.com/grblas/grb/internal/obsv"
 	"github.com/grblas/grb/internal/sparse"
 )
 
@@ -166,7 +167,7 @@ func matvec[DC, DM, DV any](f *frame, w *Vector[DC], accum BinaryOp[DC, DC, DC],
 			// gather, which can run with a frontier-sized hash gather.
 			if err != nil && errors.Is(err, sparse.ErrBudget) && d.Dir == DirAuto {
 				e.Close()
-				sparse.NoteBudgetDegrade()
+				obsv.BudgetDegrades.Add(1)
 				push, why, err = false, sparse.ReasonBudgetPush, nil
 			}
 		}

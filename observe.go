@@ -115,27 +115,31 @@ func mxmFlops[DA, DB any](a *sparse.CSR[DA], b *sparse.CSR[DB], ta, tb bool) int
 
 // KernelCounts reports how many multiply row ranges the dense and hash
 // accumulators served since the last ResetKernelCounts.
-func KernelCounts() (dense, hash int64) { return sparse.KernelCounts() }
+func KernelCounts() (dense, hash int64) {
+	return obsv.DenseRanges.Load(), obsv.HashRanges.Load()
+}
 
 // KernelScratchBytes reports the accumulator scratch (dense SPA buffers, hash
 // tables, gather views) allocated by multiply kernels since the last
 // ResetKernelCounts.
-func KernelScratchBytes() int64 { return sparse.ScratchBytes() }
+func KernelScratchBytes() int64 { return obsv.ScratchBytes.Load() }
 
 // DirectionCounts reports how many matrix-vector products the push and pull
 // kernels served since the last ResetKernelCounts.
-func DirectionCounts() (push, pull int64) { return sparse.DirectionCounts() }
+func DirectionCounts() (push, pull int64) { return obsv.PushCalls.Load(), obsv.PullCalls.Load() }
 
 // MonoKernelCounts reports how many multiply operations ran a monomorphized
 // family loop and how many ran the closure loops since the last
 // ResetKernelCounts.
-func MonoKernelCounts() (mono, closure int64) { return sparse.MonoCounts() }
+func MonoKernelCounts() (mono, closure int64) {
+	return obsv.MonoKernels.Load(), obsv.ClosureFallbacks.Load()
+}
 
 // TransposeCount reports the number of transpose materializations (actual
 // bucket transposes, not cache hits) since the last ResetKernelCounts.
 // Repeated operations with a Transpose descriptor flag on an unmodified
 // matrix materialize exactly once; the cached view serves the rest.
-func TransposeCount() int64 { return sparse.TransposeCount() }
+func TransposeCount() int64 { return obsv.TransposeMats.Load() }
 
 // SpanFlops reports the accumulated modeled parallel span (the makespan, in
 // flops, of each SpGEMM call's partition greedily list-scheduled over its
@@ -143,7 +147,7 @@ func TransposeCount() int64 { return sparse.TransposeCount() }
 // ResetKernelCounts. work/span is the partition's modeled parallel speedup —
 // a machine-independent load-balance metric, unaffected by the host's real
 // core count.
-func SpanFlops() (span, work int64) { return sparse.SpanFlops() }
+func SpanFlops() (span, work int64) { return obsv.SpanFlops.Load(), obsv.WorkFlops.Load() }
 
 // BlockKernelCounts always reports 0, 0: there is no 2D-blocked engine — the
 // multiplies have one partitioning scheme, flop-balanced 1D row ranges
@@ -157,8 +161,10 @@ func BlockKernelCounts() (ops, tasks int64) { return 0, 0 }
 // the bitmap, push→pull flips; a refusal that changes no route counts
 // nothing), panics the number of kernel panics recovered into parked
 // execution errors (§V) instead of crashing the process.
-func HardeningCounts() (degrades, panics int64) { return sparse.HardeningCounts() }
+func HardeningCounts() (degrades, panics int64) {
+	return obsv.BudgetDegrades.Load(), obsv.PanicsRecovered.Load()
+}
 
-// ResetKernelCounts zeroes the selection, scratch, direction-routing,
-// transpose-materialization, hardening and span counters.
-func ResetKernelCounts() { sparse.ResetKernelCounts() }
+// ResetKernelCounts zeroes every kernel counter as a group: a concurrent
+// reader sees all of them reset or none.
+func ResetKernelCounts() { obsv.ResetCounters() }

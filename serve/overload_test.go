@@ -66,7 +66,7 @@ func TestAIMDLimiterWindow(t *testing.T) {
 	if w := window(tn).Window; w != 1 {
 		t.Fatalf("after repeated overloads: window %d, want floor 1", w)
 	}
-	if g := obsv.ServeGet("limiter.window.aimd"); g != 1 {
+	if g := obsv.ServeSnapshot()["limiter.window.aimd"]; g != 1 {
 		t.Fatalf("window gauge = %d, want 1", g)
 	}
 	// Drain the remaining held slots without feeding the loop.
@@ -149,7 +149,7 @@ func TestAIMDQueueDeadline(t *testing.T) {
 	if waited := time.Since(start); waited < 15*time.Millisecond {
 		t.Fatalf("queue wait %v did not consume the deadline", waited)
 	}
-	if got := obsv.ServeGet("queue.dropped_deadline.qd"); got != 1 {
+	if got := obsv.ServeSnapshot()["queue.dropped_deadline.qd"]; got != 1 {
 		t.Fatalf("dropped_deadline counter = %d, want 1", got)
 	}
 	// The dropped waiter left the queue: release frees the slot outright.
@@ -185,7 +185,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if res, retry := tn.admit(now, time.Time{}, nil, nil); res != admitShedBreaker || retry <= 0 {
 		t.Fatalf("circuit not open at threshold (res=%v retry=%v)", res, retry)
 	}
-	if got := obsv.ServeGet("breaker.opened.cb"); got != 1 {
+	if got := obsv.ServeSnapshot()["breaker.opened.cb"]; got != 1 {
 		t.Fatalf("opened counter = %d, want 1", got)
 	}
 	// After the cooldown exactly one probe passes; a second is rejected.
@@ -318,7 +318,7 @@ func TestMemGovernorAdmission(t *testing.T) {
 	if ok, reason := s.gov.admit(tn, "bfs"); ok || reason != "fairshare" {
 		t.Fatalf("over-slice tenant admitted (ok=%v reason=%q)", ok, reason)
 	}
-	if got := obsv.ServeGet("govern.fair_sheds"); got != 1 {
+	if got := obsv.ServeSnapshot()["govern.fair_sheds"]; got != 1 {
 		t.Fatalf("fair_sheds = %d, want 1", got)
 	}
 	live, mine = 750, 100
@@ -447,7 +447,7 @@ func TestOverloadBattery(t *testing.T) {
 	if status, body := get(t, ts.URL+"/query/bfs?src=0", "burst"); status != http.StatusOK {
 		t.Fatalf("after storm: %d: %s", status, body)
 	}
-	if obsv.ServeGet("limiter.sheds.burst") == 0 {
+	if obsv.ServeSnapshot()["limiter.sheds.burst"] == 0 {
 		t.Fatal("limiter shed counter never ticked")
 	}
 }
@@ -484,7 +484,7 @@ func TestBreakerHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &shed); err != nil || shed.Shed == nil || shed.Shed.Reason != "breaker" {
 		t.Fatalf("breaker shed body: %s (err %v)", body, err)
 	}
-	if got := obsv.ServeGet("breaker.state.flaky"); got != int64(breakerOpen) {
+	if got := obsv.ServeSnapshot()["breaker.state.flaky"]; got != int64(breakerOpen) {
 		t.Fatalf("breaker gauge = %d, want open", got)
 	}
 
@@ -535,7 +535,7 @@ func TestBreakerHalfOpenClientErrorHTTP(t *testing.T) {
 			t.Fatalf("query %d after a client-error probe: status %d, want 200: %s", i, status, body)
 		}
 	}
-	if got := obsv.ServeGet("breaker.state.wedge"); got != int64(breakerClosed) {
+	if got := obsv.ServeSnapshot()["breaker.state.wedge"]; got != int64(breakerClosed) {
 		t.Fatalf("breaker gauge = %d, want closed", got)
 	}
 }
@@ -581,8 +581,8 @@ func TestGovernorShedHTTP(t *testing.T) {
 		body.Shed.Reason != "governor" || body.Shed.Governor == nil || body.Shed.Governor.HighWater != 64 {
 		t.Fatalf("second query: status %d, Retry-After %q, body %+v (err %v)", resp.StatusCode, resp.Header.Get("Retry-After"), body, decErr)
 	}
-	if obsv.ServeGet("govern.sheds") != 1 {
-		t.Fatalf("govern.sheds = %d, want 1", obsv.ServeGet("govern.sheds"))
+	if obsv.ServeSnapshot()["govern.sheds"] != 1 {
+		t.Fatalf("govern.sheds = %d, want 1", obsv.ServeSnapshot()["govern.sheds"])
 	}
 	if status, body := get(t, ts.URL+"/query/bfs?src=0", "hungry"); status != http.StatusOK {
 		t.Fatalf("an op with no estimate: status %d: %s", status, body)
@@ -636,8 +636,8 @@ func TestShutdownDrain(t *testing.T) {
 	if s.InFlight() != 0 {
 		t.Fatalf("in-flight after shutdown: %d", s.InFlight())
 	}
-	if obsv.ServeGet("drain.state") != 2 {
-		t.Fatalf("drain.state = %d, want 2 (drained)", obsv.ServeGet("drain.state"))
+	if obsv.ServeSnapshot()["drain.state"] != 2 {
+		t.Fatalf("drain.state = %d, want 2 (drained)", obsv.ServeSnapshot()["drain.state"])
 	}
 }
 
@@ -673,7 +673,7 @@ func TestShutdownCancelsStragglers(t *testing.T) {
 	if status := <-slow; status != http.StatusRequestTimeout {
 		t.Fatalf("canceled straggler: status %d, want 408", status)
 	}
-	if got := obsv.ServeGet("drain.canceled"); got != 1 {
+	if got := obsv.ServeSnapshot()["drain.canceled"]; got != 1 {
 		t.Fatalf("drain.canceled = %d, want 1", got)
 	}
 }
@@ -757,8 +757,8 @@ func TestReload(t *testing.T) {
 	if status, _ := get(t, ts.URL+"/query/triangles?graph=fresh", ""); status != http.StatusOK {
 		t.Fatal("failed reload disturbed the serving set")
 	}
-	if obsv.ServeGet("reload.ok") != 1 || obsv.ServeGet("reload.fail") != 2 {
-		t.Fatalf("reload counters: ok=%d fail=%d", obsv.ServeGet("reload.ok"), obsv.ServeGet("reload.fail"))
+	if obsv.ServeSnapshot()["reload.ok"] != 1 || obsv.ServeSnapshot()["reload.fail"] != 2 {
+		t.Fatalf("reload counters: ok=%d fail=%d", obsv.ServeSnapshot()["reload.ok"], obsv.ServeSnapshot()["reload.fail"])
 	}
 }
 

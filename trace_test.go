@@ -205,8 +205,8 @@ func TestBFSMetricsProfile(t *testing.T) {
 	if vxm.Count < 64 {
 		t.Fatalf("VxM count = %d, want >= 64", vxm.Count)
 	}
-	if vxm.PushCalls+vxm.PullCalls < 64 {
-		t.Fatalf("VxM routing split %dp/%dg does not cover the levels", vxm.PushCalls, vxm.PullCalls)
+	if push, pull := vxm.Counters["push_calls"], vxm.Counters["pull_calls"]; push+pull < 64 {
+		t.Fatalf("VxM routing split %dp/%dg does not cover the levels", push, pull)
 	}
 	if vxm.TotalNs <= 0 {
 		t.Fatalf("VxM TotalNs = %d", vxm.TotalNs)

@@ -18,8 +18,8 @@ func Transpose[T any](c *Matrix[T], mask *Matrix[bool], accum BinaryOp[T, T, T],
 	if ar, ac := transposedDims(acsr, !t0); cOld.Rows != ar || cOld.Cols != ac {
 		return errf(DimensionMismatch, "Transpose: output is %dx%d but result is %dx%d", cOld.Rows, cOld.Cols, ar, ac)
 	}
-	// Route "transpose" with a zero transpose_mats delta at End means the
-	// cached view served the call (cache hit).
+	// Route "transpose" with a zero transpose_materializations delta at End
+	// means the cached view served the call (cache hit).
 	f.ev.WithRoute("transpose").A(acsr.Rows, acsr.Cols, acsr.NNZ()).WithFlops(int64(acsr.NNZ()))
 	return c.submit(&f, cOld, yieldsT, accum, func(e sparse.Exec) (*sparse.CSR[T], error) {
 		// The transpose of a transpose is the input itself.
